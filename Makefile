@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-go bench-baseline bench-check fuzz vet lint lint-hotpath fmt serve fleet load experiments-quick experiments-full report clean
+.PHONY: all build test test-race bench bench-go bench-baseline bench-check mark loc fuzz vet lint lint-hotpath fmt serve fleet load experiments-quick experiments-full report clean
 
 all: build lint test
 
@@ -36,6 +36,17 @@ bench-baseline:
 bench-check:
 	$(GO) run ./cmd/simdbench -short -out /dev/null -compare $(BENCH_BASELINE)
 	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkArenaTransfer' -benchtime 100x -benchmem .
+
+# simdmark, the benchmark of record (benchmark/, BENCHMARK.json), at the
+# smoke test's scale: all six workloads in seconds.  Claims quote the
+# full-scale run, "go run ./benchmark".
+mark:
+	$(GO) run ./benchmark -scale short
+
+# Non-test Go lines per package and in total, outside benchmark/ and the
+# linter's fixtures: the figure simplification PRs record in CHANGES.md.
+loc:
+	@./scripts/loc.sh
 
 # The full go-test microbenchmark suite (allocation counts per benchmark).
 bench-go:

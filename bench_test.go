@@ -362,31 +362,3 @@ func BenchmarkArenaTransfer(b *testing.B) {
 		a.SyncBits(recv)
 	}
 }
-
-// BenchmarkStackSplit measures the engine's transfer mechanics in steady
-// state: split a donor stack into a recycled spare and copy the donated
-// part onto a receiver, swapping roles when the donor runs dry, exactly as
-// Context.Transfer does during a load-balancing phase.
-func BenchmarkStackSplit(b *testing.B) {
-	b.ReportAllocs()
-	donor := stack.New[int]()
-	buf := make([]int, 4)
-	for l := 0; l < 16; l++ {
-		for j := range buf {
-			buf[j] = l*4 + j
-		}
-		donor.PushLevelCopy(buf)
-	}
-	recv := stack.New[int]()
-	spare := stack.New[int]()
-	sp := stack.BottomNode[int]{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !donor.Splittable() {
-			donor, recv = recv, donor
-		}
-		sp.SplitInto(donor, spare)
-		recv.AppendCopy(spare)
-		spare.Clear()
-	}
-}

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -88,18 +89,20 @@ func run() error {
 	coord.ProbeOnce(context.Background())
 
 	httpSrv := &http.Server{
-		Addr:              *addr,
 		Handler:           coord.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// Bind before announcing, so the line names the address actually bound.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "simdfleet: listening on %s, fronting %d node(s)\n", ln.Addr(), len(nodes))
 	errc := make(chan error, 1)
-	go func() {
-		fmt.Fprintf(os.Stderr, "simdfleet: listening on %s, fronting %d node(s)\n", *addr, len(nodes))
-		errc <- httpSrv.ListenAndServe()
-	}()
+	go func() { errc <- httpSrv.Serve(ln) }()
 
 	select {
 	case err := <-errc:

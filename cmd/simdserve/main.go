@@ -31,6 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -107,7 +108,6 @@ func run() error {
 		MemLimit:       *memLimit,
 	})
 	httpSrv := &http.Server{
-		Addr:              *addr,
 		Handler:           frontend.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
@@ -115,12 +115,16 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// Bind before announcing, so the line names the address actually bound
+	// (-addr 127.0.0.1:0 picks a free port a harness can read back).
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "simdserve: listening on %s (workers=%d queue=%d cache=%d)\n",
+		ln.Addr(), *workers, *queueSize, *cacheSize)
 	errc := make(chan error, 1)
-	go func() {
-		fmt.Fprintf(os.Stderr, "simdserve: listening on %s (workers=%d queue=%d cache=%d)\n",
-			*addr, *workers, *queueSize, *cacheSize)
-		errc <- httpSrv.ListenAndServe()
-	}()
+	go func() { errc <- httpSrv.Serve(ln) }()
 
 	select {
 	case err := <-errc:

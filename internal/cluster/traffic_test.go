@@ -145,6 +145,11 @@ func TestFleetCollapseAndBatch(t *testing.T) {
 		t.Errorf("batch item 2 = %+v, want 400 with message", br.Items[2])
 	}
 
+	// The accepted job may still be queued on its node: wait for the
+	// worker to enter the gated runner before counting runs.
+	for deadline := time.Now().Add(5 * time.Second); runs.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if got := runs.Load(); got != 1 {
 		t.Fatalf("gated engine ran %d times across 3 identical submissions, want 1", got)
 	}

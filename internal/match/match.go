@@ -14,11 +14,11 @@
 //
 // Matchers operate on busy/idle flags only; stacks are split by the engine.
 // A Matcher is deliberately sequential state (the global pointer), matching
-// how the CM-2 host maintained it between phases.  Both matchers keep
-// reusable enumeration scratch so the per-phase matching step does not
-// allocate in steady state, and accept a host-parallelism hint
-// (SetParallelism) that shards the enumeration scans across goroutines with
-// a deterministic reduction — the pairs are bit-identical for any setting.
+// how the CM-2 host maintained it between phases.  Each scheme has one
+// matching algorithm, MatchBits, over word-packed flags (scan.Bits); Match
+// accepts the same flags as []bool, packs them and calls it.  Both
+// matchers keep reusable scratch so the per-phase matching step does not
+// allocate in steady state.
 package match
 
 import "simdtree/internal/scan"
@@ -31,30 +31,16 @@ type Matcher interface {
 	// processor i can split its work (at least two stack nodes); idle[i]
 	// that it has none.  Exactly min(#busy, #idle) pairs are returned.
 	// The returned slice is the matcher's reusable scratch: it is valid
-	// until the next Match call on the same matcher.
+	// until the next Match or MatchBits call on the same matcher.
 	Match(busy, idle []bool) []scan.Pair
 	// Reset clears any cross-phase state (the global pointer).
 	Reset()
 }
 
-// ParallelMatcher is implemented by matchers whose enumeration scans can be
-// sharded across host goroutines.  The hint never changes the pairs a
-// matcher returns — only how fast they are computed — so the engine wires
-// its Workers option through without affecting determinism.
-type ParallelMatcher interface {
-	Matcher
-	// SetParallelism hints how many goroutines Match may use; values
-	// below 2 select the sequential scans.
-	SetParallelism(workers int)
-}
-
-// BitMatcher is implemented by matchers that can run their enumeration
-// scans directly on the engine's flag bitsets (scan.Bits), visiting only
-// the set bits instead of walking P booleans.  MatchBits returns exactly
-// the pairs Match would for the equivalent []bool flags — the bitset form
-// is a representation change, never a schedule change.  Both matchers in
-// this package implement it; the engine falls back to Match for foreign
-// ones.
+// BitMatcher is a Matcher that also accepts the engine's flag bitsets
+// directly, so the setup enumerations visit only the set bits instead of
+// walking P booleans.  MatchBits returns exactly the pairs Match does for
+// the equivalent []bool flags — Match is MatchBits behind a packing step.
 type BitMatcher interface {
 	Matcher
 	// MatchBits is Match over word-packed flags; n is the machine size.
@@ -62,19 +48,18 @@ type BitMatcher interface {
 }
 
 // arena is the reusable matching scratch shared by both schemes: the busy
-// and idle enumeration ranks, the rendezvous rank-inversion table, and the
-// returned pair slice.  None of it is semantic state — Reset does not touch
+// and idle enumeration ranks, the rendezvous rank-inversion table, the
+// returned pair slice, and the bit vectors Match packs its []bool
+// arguments into.  None of it is semantic state — Reset does not touch
 // it — it only keeps steady-state matching allocation-free.
 type arena struct {
-	workers   int
 	busyRanks []int
 	idleRanks []int
 	inv       []int
 	pairs     []scan.Pair
+	busyBits  scan.Bits
+	idleBits  scan.Bits
 }
-
-// SetParallelism implements ParallelMatcher.
-func (a *arena) SetParallelism(workers int) { a.workers = workers }
 
 // grow sizes the rank scratch for an n-processor machine.
 //
@@ -88,6 +73,33 @@ func (a *arena) grow(n int) {
 	}
 	a.busyRanks = a.busyRanks[:n]
 	a.idleRanks = a.idleRanks[:n]
+}
+
+// pack word-packs the two flag slices into the arena's bit scratch.
+func (a *arena) pack(busy, idle []bool) (scan.Bits, scan.Bits) {
+	if len(busy) != len(idle) {
+		panic("match: busy and idle flags of unequal length")
+	}
+	a.busyBits = packBools(a.busyBits, busy)
+	a.idleBits = packBools(a.idleBits, idle)
+	return a.busyBits, a.idleBits
+}
+
+// packBools writes flags into dst, grown once to the largest machine seen
+// and resliced after that; no bit at or beyond len(flags) is left set.
+func packBools(dst scan.Bits, flags []bool) scan.Bits {
+	words := (len(flags) + 63) / 64
+	if cap(dst) < words {
+		dst = scan.NewBits(len(flags))
+	}
+	dst = dst[:words]
+	dst.Clear()
+	for i, f := range flags {
+		if f {
+			dst.SetTo(i, true)
+		}
+	}
+	return dst
 }
 
 // NGP is the pointer-free matching scheme of the prior work: enumeration
@@ -106,14 +118,12 @@ func (*NGP) Reset() {}
 //
 //lint:hotpath
 func (g *NGP) Match(busy, idle []bool) []scan.Pair {
-	g.grow(len(busy))
-	scan.EnumerateParallelInto(g.busyRanks, busy, g.workers)
-	scan.EnumerateParallelInto(g.idleRanks, idle, g.workers)
-	g.pairs, g.inv = scan.RendezvousInto(g.pairs[:0], g.inv, g.busyRanks, g.idleRanks)
-	return g.pairs
+	b, i := g.pack(busy, idle)
+	return g.MatchBits(b, i, len(busy))
 }
 
-// MatchBits implements BitMatcher.
+// MatchBits implements BitMatcher: both sets are enumerated from processor
+// 0 and matched rank to rank.
 //
 //lint:hotpath
 func (g *NGP) MatchBits(busy, idle scan.Bits, n int) []scan.Pair {
@@ -155,46 +165,18 @@ func (g *GP) SetPointer(p int) {
 	g.pointer = p
 }
 
-// Match implements Matcher: busy processors are enumerated starting from
-// the first busy processor after the global pointer (wrapping around), the
-// idle ones from processor 0, and ranks are matched by rendezvous.  The
-// pointer then advances to the last processor that donated.
+// Match implements Matcher.
 //
 //lint:hotpath
 func (g *GP) Match(busy, idle []bool) []scan.Pair {
-	n := len(busy)
-	if n == 0 {
-		return nil
-	}
-	start := (g.pointer + 1) % n
-	if g.pointer < 0 {
-		start = 0
-	}
-	g.grow(n)
-	nBusy := scan.EnumerateFromParallelInto(g.busyRanks, busy, start, g.workers)
-	nIdle := scan.EnumerateParallelInto(g.idleRanks, idle, g.workers)
-	g.pairs, g.inv = scan.RendezvousInto(g.pairs[:0], g.inv, g.busyRanks, g.idleRanks)
-	// Advance the pointer to the donor with the highest matched rank.
-	matched := nBusy
-	if nIdle < matched {
-		matched = nIdle
-	}
-	if matched > 0 {
-		last := matched - 1
-		for i, r := range g.busyRanks {
-			if r == last {
-				g.pointer = i
-				break
-			}
-		}
-	}
-	return g.pairs
+	b, i := g.pack(busy, idle)
+	return g.MatchBits(b, i, len(busy))
 }
 
-// MatchBits implements BitMatcher, reproducing Match exactly: the busy
-// enumeration rotates from the flag after the global pointer, the idle
-// one starts at 0, and the pointer advances to the donor with the highest
-// matched rank.
+// MatchBits implements BitMatcher: busy processors are enumerated starting
+// from the first busy processor after the global pointer (wrapping around),
+// the idle ones from processor 0, and ranks are matched by rendezvous.  The
+// pointer then advances to the last processor that donated.
 //
 //lint:hotpath
 func (g *GP) MatchBits(busy, idle scan.Bits, n int) []scan.Pair {
@@ -209,6 +191,7 @@ func (g *GP) MatchBits(busy, idle scan.Bits, n int) []scan.Pair {
 	nBusy := scan.EnumerateBitsFromInto(g.busyRanks, busy, start, n)
 	nIdle := scan.EnumerateBitsInto(g.idleRanks, idle, n)
 	g.pairs, g.inv = scan.RendezvousInto(g.pairs[:0], g.inv, g.busyRanks, g.idleRanks)
+	// Advance the pointer to the donor with the highest matched rank.
 	matched := nBusy
 	if nIdle < matched {
 		matched = nIdle

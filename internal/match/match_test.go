@@ -196,3 +196,121 @@ func TestEmptyMachine(t *testing.T) {
 		t.Errorf("no busy/idle processors produced pairs %v", pairs)
 	}
 }
+
+// naiveMatch is the paper's matching step written out flag by flag: list
+// the busy processors in enumeration order starting at start (wrapping),
+// list the idle ones from processor 0, and pair them rank to rank.  It
+// returns the pairs in donor-index order, as the matchers do, and the last
+// donor matched (-1 if none) — where GP's pointer must land.
+func naiveMatch(busy, idle []bool, start int) (pairs []scan.Pair, lastDonor int) {
+	n := len(busy)
+	var donors, receivers []int
+	for k := 0; k < n; k++ {
+		if i := (start + k) % n; busy[i] {
+			donors = append(donors, i)
+		}
+		if idle[k] {
+			receivers = append(receivers, k)
+		}
+	}
+	matched := min(len(donors), len(receivers))
+	to := map[int]int{}
+	for r := 0; r < matched; r++ {
+		to[donors[r]] = receivers[r]
+	}
+	for i := 0; i < n; i++ {
+		if t, ok := to[i]; ok {
+			pairs = append(pairs, scan.Pair{From: i, To: t})
+		}
+	}
+	if matched == 0 {
+		return nil, -1
+	}
+	return pairs, donors[matched-1]
+}
+
+// TestMatchAgainstNaiveReference drives both matchers, through both entry
+// points, over random flag vectors whose size changes from phase to phase,
+// and checks every phase against naiveMatch — pairs, pair order and the GP
+// pointer.  Match and MatchBits run on separate matcher instances so each
+// carries its own pointer through the same sequence.
+func TestMatchAgainstNaiveReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	gpBool, gpBits := NewGP(), NewGP()
+	ngpBool, ngpBits := &NGP{}, &NGP{}
+	pointer := -1
+	for phase := 0; phase < 2000; phase++ {
+		n := 1 + rng.Intn(200)
+		busy, idle := make([]bool, n), make([]bool, n)
+		busyB, idleB := scan.NewBits(n), scan.NewBits(n)
+		density := []float64{0.05, 0.4, 0.9}[rng.Intn(3)]
+		for i := 0; i < n; i++ {
+			if rng.Float64() < density {
+				busy[i] = true
+				busyB.SetTo(i, true)
+			} else if rng.Intn(2) == 0 {
+				idle[i] = true
+				idleB.SetTo(i, true)
+			}
+		}
+		start := 0
+		if pointer >= 0 {
+			start = (pointer + 1) % n
+		}
+		wantGP, last := naiveMatch(busy, idle, start)
+		if last >= 0 {
+			pointer = last
+		}
+		wantNGP, _ := naiveMatch(busy, idle, 0)
+
+		check := func(name string, got, want []scan.Pair) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("phase %d n=%d %s: %d pairs %v, want %v", phase, n, name, len(got), got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("phase %d n=%d %s: pairs %v, want %v", phase, n, name, got, want)
+				}
+			}
+		}
+		check("GP.Match", gpBool.Match(busy, idle), wantGP)
+		check("GP.MatchBits", gpBits.MatchBits(busyB, idleB, n), wantGP)
+		check("nGP.Match", ngpBool.Match(busy, idle), wantNGP)
+		check("nGP.MatchBits", ngpBits.MatchBits(busyB, idleB, n), wantNGP)
+		if gpBool.Pointer() != pointer || gpBits.Pointer() != pointer {
+			t.Fatalf("phase %d n=%d: GP pointer Match=%d MatchBits=%d, want %d", phase, n, gpBool.Pointer(), gpBits.Pointer(), pointer)
+		}
+	}
+}
+
+// TestMatchBoolScratchZeroAlloc pins that Match reuses its packing
+// scratch: once a matcher has seen its largest machine, matching on []bool
+// flags allocates nothing — including when the machine shrinks and then
+// grows back.
+func TestMatchBoolScratchZeroAlloc(t *testing.T) {
+	flags := func(n int) (busy, idle []bool) {
+		busy, idle = make([]bool, n), make([]bool, n)
+		for i := range busy {
+			busy[i] = i%3 == 0
+			idle[i] = i%3 == 1
+		}
+		return busy, idle
+	}
+	bigB, bigI := flags(1000)
+	smallB, smallI := flags(70)
+	for _, m := range []Matcher{NewGP(), &NGP{}} {
+		m.Match(bigB, bigI) // warm up to the largest size
+		allocs := testing.AllocsPerRun(100, func() {
+			m.Match(smallB, smallI)
+			m.Match(bigB, bigI)
+		})
+		if allocs > 0 {
+			t.Errorf("%s: Match allocates %.1f times per shrink/grow cycle in steady state", m.Name(), allocs)
+		}
+		// A shrunken machine must not see flags left over from the larger one.
+		if pairs := m.Match(smallB, smallI); len(pairs) != 23 {
+			t.Errorf("%s: %d pairs on the 70-PE machine, want 23", m.Name(), len(pairs))
+		}
+	}
+}

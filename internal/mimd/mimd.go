@@ -8,7 +8,8 @@
 // identical cost model.
 //
 // The simulation is event-driven over the same virtual clock: each
-// processor expands nodes from its private DFS stack at Ucalc per node;
+// processor expands nodes from its private DFS stack (one PE window of the
+// same stack.Arena the SIMD engine runs on) at Ucalc per node;
 // when its stack drains it polls victims, one request per round trip of
 // the topology's transfer latency, until a victim with a splittable stack
 // answers with part of its work.  Unlike the SIMD machine there is no
@@ -127,9 +128,9 @@ func (q *eventQueue[S]) Pop() any {
 	return e
 }
 
-// peState tracks one simulated processor.
-type peState[S any] struct {
-	stk      *stack.Stack[S]
+// peState tracks one simulated processor; its stack is PE i of the
+// simulator's arena.
+type peState struct {
 	busy     bool          // an evExpand event is outstanding
 	stealing bool          // a steal request or reply is in flight
 	idleFrom time.Duration // when the processor last ran out of work
@@ -167,17 +168,17 @@ func Run[S any](d search.Domain[S], opts Options) (Stats, error) {
 		opts:     opts,
 		ucalc:    ucalc,
 		latency:  latency,
-		pes:      make([]peState[S], opts.P),
+		pes:      make([]peState, opts.P),
+		arena:    stack.NewArena[S](opts.P + 1),
 		rngState: opts.Seed ^ 0x9e3779b97f4a7c15,
 		splitter: stack.HalfStack[S]{},
 	}
 	for i := range sim.pes {
-		sim.pes[i].stk = stack.New[S]()
 		// ARR counters start staggered (the usual initialisation) so the
 		// first polling wave does not converge on processor 0.
 		sim.pes[i].rr = i + 1
 	}
-	sim.pes[0].stk.PushLevel([]S{d.Root()})
+	sim.arena.PushLevel(0, []S{d.Root()})
 	sim.pes[0].busy = true
 	sim.schedule(&event[S]{at: ucalc, kind: evExpand, pe: 0})
 	// Every other processor starts idle and immediately begins polling.
@@ -197,7 +198,8 @@ type simulator[S any] struct {
 	opts         Options
 	ucalc        time.Duration
 	latency      time.Duration
-	pes          []peState[S]
+	pes          []peState
+	arena        *stack.Arena[S] // PEs 0..P-1, plus slot P as the split scratch
 	queue        eventQueue[S]
 	seq          int
 	now          time.Duration
@@ -240,7 +242,8 @@ func (s *simulator[S]) run() error {
 // action: expand again, or start stealing.
 func (s *simulator[S]) handleExpand(pe int) {
 	st := &s.pes[pe]
-	node, ok := st.stk.Pop()
+	a := s.arena
+	node, ok := a.Pop(pe)
 	if !ok {
 		// Cannot happen — steals leave at least one node — but degrade
 		// gracefully rather than corrupt the accounting.
@@ -253,11 +256,11 @@ func (s *simulator[S]) handleExpand(pe int) {
 		s.stats.Goals++
 	}
 	s.buf = s.d.Expand(node, s.buf[:0])
-	st.stk.PushLevelCopy(s.buf)
-	if sz := st.stk.Size(); sz > s.stats.PeakStack {
+	a.PushLevel(pe, s.buf)
+	if sz := a.Size(pe); sz > s.stats.PeakStack {
 		s.stats.PeakStack = sz
 	}
-	if !st.stk.Empty() {
+	if !a.Empty(pe) {
 		s.schedule(&event[S]{at: s.now + s.ucalc, kind: evExpand, pe: pe})
 		return
 	}
@@ -283,18 +286,10 @@ func (s *simulator[S]) goIdle(pe int) {
 }
 
 // pickVictim returns the next steal target for pe, or -1 when no work
-// exists anywhere (termination for this processor).
+// exists anywhere (termination for this processor).  Only a processor
+// whose own stack is empty asks, so "anywhere" is the whole arena.
 func (s *simulator[S]) pickVictim(pe int) int {
-	anyWork := s.workInFlight > 0
-	if !anyWork {
-		for i := range s.pes {
-			if i != pe && !s.pes[i].stk.Empty() {
-				anyWork = true
-				break
-			}
-		}
-	}
-	if !anyWork {
+	if s.workInFlight == 0 && s.arena.NoWork() {
 		return -1
 	}
 	for {
@@ -318,10 +313,15 @@ func (s *simulator[S]) pickVictim(pe int) int {
 // handleSteal processes a steal request arriving at victim from requester
 // and sends back a reply, with work when the victim can split.
 func (s *simulator[S]) handleSteal(victim, requester int) {
-	vs := &s.pes[victim]
+	a, scratch := s.arena, s.opts.P
 	e := &event[S]{at: s.now + s.latency, kind: evReply, pe: requester}
-	if vs.stk.Splittable() {
-		e.work = s.splitter.Split(vs.stk)
+	if a.Splittable(victim) {
+		// Split into the scratch slot, then lift the donated half out of
+		// the arena as the reply's payload.
+		s.splitter.SplitArena(a, victim, scratch)
+		a.SyncBits(victim)
+		e.work = a.MaterializeStack(scratch)
+		a.Clear(scratch)
 		s.stats.StealSuccesses++
 		s.stats.Transfers++
 		s.workInFlight++
@@ -337,9 +337,9 @@ func (s *simulator[S]) handleReply(pe int, w *stack.Stack[S]) {
 	st := &s.pes[pe]
 	if w != nil {
 		s.workInFlight--
-		st.stk.Append(w)
+		s.arena.AppendFromStack(pe, w)
 	}
-	if !st.stk.Empty() {
+	if !s.arena.Empty(pe) {
 		// The idle period ends now; charge it.
 		s.stats.Tidle += s.now - st.idleFrom
 		st.stealing = false
@@ -359,7 +359,7 @@ func (s *simulator[S]) finish() {
 	s.stats.Tcalc = time.Duration(s.stats.W) * s.ucalc
 	for i := range s.pes {
 		st := &s.pes[i]
-		if !st.busy && st.stk.Empty() && st.idleFrom < s.now {
+		if !st.busy && s.arena.Empty(i) && st.idleFrom < s.now {
 			s.stats.Tidle += s.now - st.idleFrom
 		}
 	}

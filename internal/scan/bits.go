@@ -3,11 +3,10 @@ package scan
 import mbits "math/bits"
 
 // Bits is a flat word-packed flag vector: bit i of the vector lives in
-// word i/64 at position i%64.  It is the structure-of-arrays form of the
-// []bool flag slices the phase primitives operate on — the representation
-// the CM-2 kept its context flags in — so reductions that walk P booleans
-// become popcounts over P/64 words and enumerations visit only the set
-// bits.  The engine maintains the invariant that bits at or beyond the
+// word i/64 at position i%64.  It is the only representation of the
+// busy/idle flags the phase primitives operate on — the one the CM-2 kept
+// its context flags in — so reductions over P flags are popcounts over
+// P/64 words and enumerations visit only the set bits.  The engine maintains the invariant that bits at or beyond the
 // machine size are never set; every reduction below relies on it.
 type Bits []uint64
 
@@ -57,7 +56,8 @@ func (b Bits) None() bool {
 func (b Bits) Any() bool { return !b.None() }
 
 // CountBits returns the number of set flags by word popcounts — the
-// reduction Count performs on a []bool.
+// reduction the trigger check performs every node-expansion cycle to
+// obtain the active count A.
 func (b Bits) CountBits() int {
 	c := 0
 	for _, w := range b {
@@ -67,8 +67,8 @@ func (b Bits) CountBits() int {
 }
 
 // FillBools expands the first len(dst) flags into a []bool, branch-free.
-// It bridges the bitset representation to consumers of the legacy flag
-// slices (baseline balancers, the distributed-steal driver).
+// It bridges the bitset representation to the consumers that take flags
+// as []bool (baseline balancers, the distributed-steal driver).
 //
 //lint:hotpath
 func (b Bits) FillBools(dst []bool) {
@@ -96,11 +96,13 @@ func ComplementInto(dst, src Bits, n int) {
 	}
 }
 
-// EnumerateBitsInto ranks the set flags of b exactly like EnumerateInto
-// ranks a []bool: ranks[i] is the number of set flags strictly before i
-// when flag i is set and -1 otherwise, and the count of set flags is
-// returned.  Only the set bits are visited, so a sparse flag vector costs
-// O(count + n/64) instead of O(n).
+// EnumerateBitsInto ranks the set flags among the first n of b: ranks[i]
+// is the number of set flags strictly before i when flag i is set and -1
+// otherwise, and the count of set flags is returned.  This is the
+// "enumeration" (a sum-scan over the flags) the paper performs on both the
+// idle and the busy processor sets during the load-balancing setup step.
+// Only the set bits are visited, so a sparse flag vector costs
+// O(count + n/64) beyond the O(n) rank reset.
 //
 //lint:hotpath
 func EnumerateBitsInto(ranks []int, b Bits, n int) (count int) {
@@ -113,9 +115,10 @@ func EnumerateBitsInto(ranks []int, b Bits, n int) (count int) {
 	return enumBitRange(ranks, b, 0, n, 0)
 }
 
-// EnumerateBitsFromInto is the rotated form underlying GP matching,
-// identical in output to EnumerateFromInto: enumeration starts at flag
-// start and wraps, so the first set flag at or after start gets rank 0.
+// EnumerateBitsFromInto is the rotated form underlying the paper's GP
+// (global-pointer) matching: enumeration starts at flag start and wraps
+// around, so the first set flag at or after start gets rank 0.  Negative
+// and overflowing starts are reduced modulo n.
 //
 //lint:hotpath
 func EnumerateBitsFromInto(ranks []int, b Bits, start, n int) (count int) {

@@ -1,425 +1,15 @@
-// Package scan implements the parallel-prefix (scan) primitives the paper's
-// load-balancing setup step is built from (Blelloch, "Scans as Primitive
-// Parallel Operations", 1989): prefix sums, flag enumeration, reductions and
-// the rendezvous allocation scheme of Hillis used to match idle processors
-// with busy ones.
+// Package scan implements the primitives the paper's load-balancing setup
+// step is built from (Blelloch, "Scans as Primitive Parallel Operations",
+// 1989): flag vectors, their reductions, flag enumeration — the sum-scan
+// that ranks the set positions of a flag vector — and the rendezvous
+// allocation scheme of Hillis used to match idle processors with busy
+// ones.
 //
-// Two implementations of the prefix sum are provided: a sequential one and a
-// logarithmic-depth tree walk mirroring how a hypercube or the CM-2 scan
-// hardware evaluates it.  They produce identical results (property-tested);
-// the tree version exists so the number of parallel steps can be inspected
-// and so the package documents the algorithm the cost model charges for.
+// Flags are word-packed (Bits, bits.go), the representation the CM-2 kept
+// its context flags in: reductions are popcounts over P/64 words and the
+// enumerations visit only the set bits.  This file holds the rendezvous
+// step that pairs two enumerations rank to rank.
 package scan
-
-import "sync"
-
-// PrefixSum returns the exclusive prefix sum of xs: out[i] is the sum of
-// xs[0..i-1], with out[0] == 0.  The input is not modified.
-func PrefixSum(xs []int) []int {
-	out := make([]int, len(xs))
-	PrefixSumInto(out, xs)
-	return out
-}
-
-// PrefixSumInto computes the exclusive prefix sum of xs into out, which
-// must have the same length, and returns the total sum.  It is the
-// allocation-free form of PrefixSum for callers that reuse scratch.
-//
-//lint:hotpath
-func PrefixSumInto(out, xs []int) int {
-	if len(out) != len(xs) {
-		panic("scan: output length mismatch")
-	}
-	sum := 0
-	for i, x := range xs {
-		out[i] = sum
-		sum += x
-	}
-	return sum
-}
-
-// InclusivePrefixSum returns the inclusive prefix sum of xs: out[i] is the
-// sum of xs[0..i].
-func InclusivePrefixSum(xs []int) []int {
-	out := make([]int, len(xs))
-	sum := 0
-	for i, x := range xs {
-		sum += x
-		out[i] = sum
-	}
-	return out
-}
-
-// TreePrefixSum computes the same exclusive prefix sum as PrefixSum using
-// the work-efficient up-sweep/down-sweep tree algorithm (Blelloch 1989).
-// It returns the result together with the number of parallel steps a
-// machine with one processor per element would need (2*ceil(log2 n)).
-func TreePrefixSum(xs []int) (out []int, steps int) {
-	n := len(xs)
-	out = make([]int, n)
-	copy(out, xs)
-	if n == 0 {
-		return out, 0
-	}
-	// Round up to a power of two; the tail is padded with zeros.
-	size := 1
-	for size < n {
-		size <<= 1
-	}
-	buf := make([]int, size)
-	copy(buf, out)
-
-	// Up-sweep: build partial sums.
-	for d := 1; d < size; d <<= 1 {
-		for i := 2*d - 1; i < size; i += 2 * d {
-			buf[i] += buf[i-d]
-		}
-		steps++
-	}
-	// Down-sweep: convert to exclusive prefix sums.
-	buf[size-1] = 0
-	for d := size / 2; d >= 1; d >>= 1 {
-		for i := 2*d - 1; i < size; i += 2 * d {
-			left := buf[i-d]
-			buf[i-d] = buf[i]
-			buf[i] += left
-		}
-		steps++
-	}
-	copy(out, buf[:n])
-	return out, steps
-}
-
-// Enumerate ranks the set positions of flags: ranks[i] is the number of set
-// flags strictly before position i when flags[i] is set, and -1 otherwise.
-// The total count of set flags is returned as well.  This is the
-// "enumeration" the paper performs on both the idle and the busy processor
-// sets during the load-balancing setup step.
-func Enumerate(flags []bool) (ranks []int, count int) {
-	ranks = make([]int, len(flags))
-	count = EnumerateInto(ranks, flags)
-	return ranks, count
-}
-
-// EnumerateInto is Enumerate writing into caller-provided ranks (which must
-// have the same length as flags); it returns the count of set flags.
-//
-//lint:hotpath
-func EnumerateInto(ranks []int, flags []bool) (count int) {
-	if len(ranks) != len(flags) {
-		panic("scan: output length mismatch")
-	}
-	for i, f := range flags {
-		if f {
-			ranks[i] = count
-			count++
-		} else {
-			ranks[i] = -1
-		}
-	}
-	return count
-}
-
-// EnumerateFrom ranks the set positions of flags starting the enumeration
-// at position start and wrapping around, so the first set flag at or after
-// start receives rank 0.  This is the rotated enumeration underlying the
-// paper's GP (global-pointer) matching scheme.
-func EnumerateFrom(flags []bool, start int) (ranks []int, count int) {
-	ranks = make([]int, len(flags))
-	count = EnumerateFromInto(ranks, flags, start)
-	return ranks, count
-}
-
-// EnumerateFromInto is EnumerateFrom writing into caller-provided ranks
-// (same length as flags); it returns the count of set flags.
-//
-//lint:hotpath
-func EnumerateFromInto(ranks []int, flags []bool, start int) (count int) {
-	n := len(flags)
-	if len(ranks) != n {
-		panic("scan: output length mismatch")
-	}
-	for i := range ranks {
-		ranks[i] = -1
-	}
-	if n == 0 {
-		return 0
-	}
-	start = ((start % n) + n) % n
-	for k := 0; k < n; k++ {
-		i := (start + k) % n
-		if flags[i] {
-			ranks[i] = count
-			count++
-		}
-	}
-	return count
-}
-
-// parallelMin is the element count below which the parallel prefix
-// operations fall back to their sequential forms: for small inputs the
-// goroutine fan-out costs more than the scan itself.  The cut-over only
-// affects wall-clock time — both paths produce identical output.
-const parallelMin = 2048
-
-// shardBounds returns the [lo, hi) range of shard w when n elements are
-// divided across workers contiguous chunks, the same chunking the engine
-// uses for expansion sharding.
-func shardBounds(w, workers, n int) (lo, hi int) {
-	chunk := (n + workers - 1) / workers
-	lo = w * chunk
-	hi = lo + chunk
-	if hi > n {
-		hi = n
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
-}
-
-// EnumerateParallelInto computes exactly EnumerateInto using up to workers
-// goroutines: each shard counts its set flags, a sequential exclusive scan
-// over the per-shard counts assigns shard offsets, and the shards fill
-// their ranks in parallel.  The reduction order is fixed by shard index, so
-// the output is bit-identical to the sequential form for any worker count.
-//
-//lint:hotpath
-func EnumerateParallelInto(ranks []int, flags []bool, workers int) (count int) {
-	n := len(flags)
-	if workers <= 1 || n < parallelMin {
-		return EnumerateInto(ranks, flags)
-	}
-	if len(ranks) != n {
-		panic("scan: output length mismatch")
-	}
-	if workers > n {
-		workers = n
-	}
-	//lint:allow hotalloc O(workers) shard counts, engaged only for scans of parallelMin elements or more
-	counts := make([]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		//lint:allow hotalloc bounded parallel fan-out above parallelMin affects wall-clock only
-		go func(w int) {
-			defer wg.Done()
-			lo, hi := shardBounds(w, workers, n)
-			c := 0
-			for i := lo; i < hi; i++ {
-				if flags[i] {
-					c++
-				}
-			}
-			counts[w] = c
-		}(w)
-	}
-	wg.Wait()
-	count = 0
-	for w, c := range counts {
-		counts[w] = count
-		count += c
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		//lint:allow hotalloc bounded parallel fan-out above parallelMin affects wall-clock only
-		go func(w int) {
-			defer wg.Done()
-			lo, hi := shardBounds(w, workers, n)
-			r := counts[w]
-			for i := lo; i < hi; i++ {
-				if flags[i] {
-					ranks[i] = r
-					r++
-				} else {
-					ranks[i] = -1
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return count
-}
-
-// EnumerateFromParallelInto computes exactly EnumerateFromInto using up to
-// workers goroutines.  The rotated index space (position k enumerates
-// processor (start+k) mod n) is sharded contiguously, so each shard's
-// offset is again a sequential exclusive scan of per-shard counts and the
-// output is bit-identical to the sequential form.
-//
-//lint:hotpath
-func EnumerateFromParallelInto(ranks []int, flags []bool, start int, workers int) (count int) {
-	n := len(flags)
-	if workers <= 1 || n < parallelMin {
-		return EnumerateFromInto(ranks, flags, start)
-	}
-	if len(ranks) != n {
-		panic("scan: output length mismatch")
-	}
-	if workers > n {
-		workers = n
-	}
-	start = ((start % n) + n) % n
-	//lint:allow hotalloc O(workers) shard counts, engaged only for scans of parallelMin elements or more
-	counts := make([]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		//lint:allow hotalloc bounded parallel fan-out above parallelMin affects wall-clock only
-		go func(w int) {
-			defer wg.Done()
-			lo, hi := shardBounds(w, workers, n)
-			c := 0
-			for k := lo; k < hi; k++ {
-				i := start + k
-				if i >= n {
-					i -= n
-				}
-				if flags[i] {
-					c++
-				}
-			}
-			counts[w] = c
-		}(w)
-	}
-	wg.Wait()
-	count = 0
-	for w, c := range counts {
-		counts[w] = count
-		count += c
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		//lint:allow hotalloc bounded parallel fan-out above parallelMin affects wall-clock only
-		go func(w int) {
-			defer wg.Done()
-			lo, hi := shardBounds(w, workers, n)
-			r := counts[w]
-			for k := lo; k < hi; k++ {
-				i := start + k
-				if i >= n {
-					i -= n
-				}
-				if flags[i] {
-					ranks[i] = r
-					r++
-				} else {
-					ranks[i] = -1
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return count
-}
-
-// PrefixSumParallelInto computes exactly PrefixSumInto using up to workers
-// goroutines: per-shard sums, a sequential exclusive scan over them, then a
-// parallel fill.  Integer addition is associative, so the result is
-// bit-identical to the sequential form for any worker count.
-//
-//lint:hotpath
-func PrefixSumParallelInto(out, xs []int, workers int) (total int) {
-	n := len(xs)
-	if workers <= 1 || n < parallelMin {
-		return PrefixSumInto(out, xs)
-	}
-	if len(out) != n {
-		panic("scan: output length mismatch")
-	}
-	if workers > n {
-		workers = n
-	}
-	//lint:allow hotalloc O(workers) shard sums, engaged only for scans of parallelMin elements or more
-	sums := make([]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		//lint:allow hotalloc bounded parallel fan-out above parallelMin affects wall-clock only
-		go func(w int) {
-			defer wg.Done()
-			lo, hi := shardBounds(w, workers, n)
-			s := 0
-			for i := lo; i < hi; i++ {
-				s += xs[i]
-			}
-			sums[w] = s
-		}(w)
-	}
-	wg.Wait()
-	total = 0
-	for w, s := range sums {
-		sums[w] = total
-		total += s
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		//lint:allow hotalloc bounded parallel fan-out above parallelMin affects wall-clock only
-		go func(w int) {
-			defer wg.Done()
-			lo, hi := shardBounds(w, workers, n)
-			s := sums[w]
-			for i := lo; i < hi; i++ {
-				out[i] = s
-				s += xs[i]
-			}
-		}(w)
-	}
-	wg.Wait()
-	return total
-}
-
-// Sum reduces xs by addition.
-func Sum(xs []int) int {
-	s := 0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Count returns the number of set flags, the reduction the trigger check
-// performs every node-expansion cycle to obtain the active count A.
-func Count(flags []bool) int {
-	c := 0
-	for _, f := range flags {
-		if f {
-			c++
-		}
-	}
-	return c
-}
-
-// Max returns the maximum of xs and true, or zero and false for an empty
-// slice.
-func Max(xs []int) (int, bool) {
-	if len(xs) == 0 {
-		return 0, false
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, true
-}
-
-// MinNonNeg returns the smallest non-negative element of xs and true, or
-// zero and false when there is none.  Parallel IDA* uses it to combine the
-// per-processor next-iteration cost bounds (-1 marking "none").
-func MinNonNeg(xs []int) (int, bool) {
-	best, ok := 0, false
-	for _, x := range xs {
-		if x < 0 {
-			continue
-		}
-		if !ok || x < best {
-			best, ok = x, true
-		}
-	}
-	return best, ok
-}
 
 // Pair records that donor busy processor From sends work to idle processor
 // To during a load-balancing phase.
@@ -428,22 +18,16 @@ type Pair struct {
 	To   int // receiver (idle) processor id
 }
 
-// Rendezvous matches busy processors to idle processors one-on-one using
-// the rendezvous allocation scheme described by Hillis: both sets are
+// RendezvousInto matches busy processors to idle processors one-on-one
+// using the rendezvous allocation scheme described by Hillis: both sets are
 // enumerated, and the busy processor with rank r is matched to the idle
 // processor with the same rank r.  busyRanks and idleRanks must come from
-// Enumerate or EnumerateFrom over slices of equal length.  When the two
-// sets have different sizes only the first min(|busy|, |idle|) of each are
-// matched, exactly as in the paper (if I > A, the remaining I-A idle
-// processors receive no work).
-func Rendezvous(busyRanks, idleRanks []int) []Pair {
-	pairs, _ := RendezvousInto(nil, nil, busyRanks, idleRanks)
-	return pairs
-}
-
-// RendezvousInto is Rendezvous appending the matched pairs onto pairs and
-// using inv as the rank-inversion scratch; it returns both (possibly grown)
-// slices so callers can reuse them across phases without allocating.
+// EnumerateBitsInto or EnumerateBitsFromInto over the same machine size.
+// When the two sets have different sizes only the first min(|busy|, |idle|)
+// of each are matched, exactly as in the paper (if I > A, the remaining I-A
+// idle processors receive no work).  The matched pairs are appended onto
+// pairs and inv is the rank-inversion scratch; both (possibly grown) slices
+// are returned so callers can reuse them across phases without allocating.
 // Typical use: pairs, inv = RendezvousInto(pairs[:0], inv, busy, idle).
 //
 //lint:hotpath

@@ -6,81 +6,29 @@ import (
 	"testing/quick"
 )
 
-func TestPrefixSum(t *testing.T) {
-	cases := []struct {
-		in   []int
-		want []int
-	}{
-		{nil, []int{}},
-		{[]int{5}, []int{0}},
-		{[]int{1, 2, 3, 4}, []int{0, 1, 3, 6}},
-		{[]int{0, 0, 7}, []int{0, 0, 0}},
-		{[]int{-1, 2, -3}, []int{0, -1, 1}},
+// bitsOf packs flags into a Bits vector.
+func bitsOf(flags []bool) Bits {
+	b := NewBits(len(flags))
+	for i, f := range flags {
+		b.SetTo(i, f)
 	}
-	for _, c := range cases {
-		got := PrefixSum(c.in)
-		if len(got) != len(c.want) {
-			t.Errorf("PrefixSum(%v) = %v, want %v", c.in, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("PrefixSum(%v) = %v, want %v", c.in, got, c.want)
-				break
-			}
-		}
-	}
+	return b
 }
 
-func TestInclusivePrefixSum(t *testing.T) {
-	got := InclusivePrefixSum([]int{1, 2, 3})
-	want := []int{1, 3, 6}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("InclusivePrefixSum = %v, want %v", got, want)
-		}
-	}
+// enumerate and enumerateFrom run the two enumerations on []bool flags,
+// returning fresh rank slices.
+func enumerate(flags []bool) (ranks []int, count int) {
+	ranks = make([]int, len(flags))
+	return ranks, EnumerateBitsInto(ranks, bitsOf(flags), len(flags))
 }
 
-// TestTreePrefixSumMatchesSequential property-checks the two prefix-sum
-// implementations against each other over arbitrary inputs.
-func TestTreePrefixSumMatchesSequential(t *testing.T) {
-	f := func(xs []int) bool {
-		seq := PrefixSum(xs)
-		tree, _ := TreePrefixSum(xs)
-		if len(seq) != len(tree) {
-			return false
-		}
-		for i := range seq {
-			if seq[i] != tree[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestTreePrefixSumSteps checks the logarithmic parallel depth.
-func TestTreePrefixSumSteps(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 8, 9, 1024} {
-		xs := make([]int, n)
-		_, steps := TreePrefixSum(xs)
-		// 2 * ceil(log2 n) steps for the up- and down-sweeps.
-		logN := 0
-		for s := 1; s < n; s <<= 1 {
-			logN++
-		}
-		if want := 2 * logN; steps != want && n > 1 {
-			t.Errorf("n=%d: steps=%d, want %d", n, steps, want)
-		}
-	}
+func enumerateFrom(flags []bool, start int) (ranks []int, count int) {
+	ranks = make([]int, len(flags))
+	return ranks, EnumerateBitsFromInto(ranks, bitsOf(flags), start, len(flags))
 }
 
 func TestEnumerate(t *testing.T) {
-	ranks, count := Enumerate([]bool{true, false, true, true, false})
+	ranks, count := enumerate([]bool{true, false, true, true, false})
 	want := []int{0, -1, 1, 2, -1}
 	if count != 3 {
 		t.Fatalf("count=%d, want 3", count)
@@ -95,7 +43,7 @@ func TestEnumerate(t *testing.T) {
 func TestEnumerateFrom(t *testing.T) {
 	flags := []bool{true, true, false, true}
 	// Start at 2: order of set flags is 3, 0, 1.
-	ranks, count := EnumerateFrom(flags, 2)
+	ranks, count := enumerateFrom(flags, 2)
 	if count != 3 {
 		t.Fatalf("count=%d, want 3", count)
 	}
@@ -106,13 +54,13 @@ func TestEnumerateFrom(t *testing.T) {
 		}
 	}
 	// Negative and overflowing starts wrap.
-	r2, _ := EnumerateFrom(flags, -2) // same as start 2
+	r2, _ := enumerateFrom(flags, -2) // same as start 2
 	for i := range want {
 		if r2[i] != want[i] {
 			t.Fatalf("negative start: ranks=%v, want %v", r2, want)
 		}
 	}
-	r3, _ := EnumerateFrom(flags, 6) // same as start 2
+	r3, _ := enumerateFrom(flags, 6) // same as start 2
 	for i := range want {
 		if r3[i] != want[i] {
 			t.Fatalf("wrapped start: ranks=%v, want %v", r3, want)
@@ -120,11 +68,11 @@ func TestEnumerateFrom(t *testing.T) {
 	}
 }
 
-// TestEnumerateFromProperties property-checks that EnumerateFrom is a
-// bijection onto 0..count-1 matching Enumerate's support.
+// TestEnumerateFromProperties property-checks that the rotated enumeration
+// is a bijection from the set flags onto 0..count-1.
 func TestEnumerateFromProperties(t *testing.T) {
 	f := func(flags []bool, start int) bool {
-		ranks, count := EnumerateFrom(flags, start)
+		ranks, count := enumerateFrom(flags, start)
 		seen := map[int]bool{}
 		for i, r := range ranks {
 			if flags[i] != (r >= 0) {
@@ -144,33 +92,12 @@ func TestEnumerateFromProperties(t *testing.T) {
 	}
 }
 
-func TestReductions(t *testing.T) {
-	if Sum([]int{1, 2, 3}) != 6 {
-		t.Error("Sum failed")
-	}
-	if Count([]bool{true, false, true}) != 2 {
-		t.Error("Count failed")
-	}
-	if m, ok := Max([]int{3, 9, 1}); !ok || m != 9 {
-		t.Error("Max failed")
-	}
-	if _, ok := Max(nil); ok {
-		t.Error("Max on empty should report false")
-	}
-	if m, ok := MinNonNeg([]int{-1, 7, 3, -5}); !ok || m != 3 {
-		t.Errorf("MinNonNeg = %d, want 3", m)
-	}
-	if _, ok := MinNonNeg([]int{-1, -2}); ok {
-		t.Error("MinNonNeg on all-negative should report false")
-	}
-}
-
 func TestRendezvous(t *testing.T) {
 	busy := []bool{true, true, false, true, false}
 	idle := []bool{false, false, true, false, true}
-	busyRanks, _ := Enumerate(busy)
-	idleRanks, _ := Enumerate(idle)
-	pairs := Rendezvous(busyRanks, idleRanks)
+	busyRanks, _ := enumerate(busy)
+	idleRanks, _ := enumerate(idle)
+	pairs, _ := RendezvousInto(nil, nil, busyRanks, idleRanks)
 	if len(pairs) != 2 {
 		t.Fatalf("pairs=%v, want 2 pairs", pairs)
 	}
@@ -187,7 +114,7 @@ func TestRendezvousPanicsOnLengthMismatch(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	Rendezvous([]int{0}, []int{0, 1})
+	RendezvousInto(nil, nil, []int{0}, []int{0, 1})
 }
 
 // TestRendezvousProperties checks the one-on-one matching invariants on
@@ -207,9 +134,9 @@ func TestRendezvousProperties(t *testing.T) {
 				idle[i] = true
 			}
 		}
-		busyRanks, nb := Enumerate(busy)
-		idleRanks, ni := Enumerate(idle)
-		pairs := Rendezvous(busyRanks, idleRanks)
+		busyRanks, nb := enumerate(busy)
+		idleRanks, ni := enumerate(idle)
+		pairs, _ := RendezvousInto(nil, nil, busyRanks, idleRanks)
 		want := nb
 		if ni < want {
 			want = ni
@@ -229,27 +156,5 @@ func TestRendezvousProperties(t *testing.T) {
 			froms[p.From] = true
 			tos[p.To] = true
 		}
-	}
-}
-
-func BenchmarkPrefixSum(b *testing.B) {
-	xs := make([]int, 8192)
-	for i := range xs {
-		xs[i] = i & 7
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PrefixSum(xs)
-	}
-}
-
-func BenchmarkTreePrefixSum(b *testing.B) {
-	xs := make([]int, 8192)
-	for i := range xs {
-		xs[i] = i & 7
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		TreePrefixSum(xs)
 	}
 }

@@ -180,9 +180,13 @@ func (s *jobStore) add(j *job) {
 	}
 	kept := s.order[:0]
 	excess := len(s.order) - s.history
-	for _, id := range s.order {
-		jj := s.byID[id]
-		if excess > 0 && jj != nil && jj.isTerminal() {
+	for i, id := range s.order {
+		if excess == 0 {
+			// Quota met: everything younger stays, moved down in one copy.
+			kept = append(kept, s.order[i:]...)
+			break
+		}
+		if jj := s.byID[id]; jj != nil && jj.isTerminal() {
 			delete(s.byID, id)
 			excess--
 			continue

@@ -1,0 +1,74 @@
+package server
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+	"time"
+)
+
+// TestJobStoreEvictsOldestTerminalOnly fills the history with a mix of
+// running and terminal jobs and checks that one more submission evicts
+// exactly the oldest terminal job, keeps everything else in submission
+// order, and never probes a job younger than the evicted one — the younger
+// jobs' mutexes are held for the duration of the add, so a probe would
+// deadlock rather than pass.
+func TestJobStoreEvictsOldestTerminalOnly(t *testing.T) {
+	const history = 8
+	s := newJobStore(history)
+	status := []Status{StatusRunning, StatusQueued, StatusDone, StatusRunning, StatusFailed, StatusDone, StatusQueued, StatusDone}
+	var jobs []*job
+	for i, st := range status {
+		j := &job{id: fmt.Sprintf("j%d", i), status: st}
+		jobs = append(jobs, j)
+		s.add(j)
+	}
+	for _, j := range jobs[3:] {
+		j.mu.Lock()
+	}
+	done := make(chan struct{})
+	go func() {
+		s.add(&job{id: "new", status: StatusQueued})
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("add probed a job past the one it evicted")
+	}
+	for _, j := range jobs[3:] {
+		j.mu.Unlock()
+	}
+
+	var got []string
+	for _, j := range s.all() {
+		got = append(got, j.id)
+	}
+	want := []string{"j0", "j1", "j3", "j4", "j5", "j6", "j7", "new"}
+	if !slices.Equal(got, want) {
+		t.Errorf("history after eviction %v, want %v", got, want)
+	}
+	if _, ok := s.get("j2"); ok {
+		t.Error("oldest terminal job j2 still reachable by id")
+	}
+
+	// With nothing terminal left to evict the store grows past the cap
+	// rather than dropping live jobs, and catches up once jobs finish.
+	live := newJobStore(2)
+	a, b, c := &job{id: "a", status: StatusRunning}, &job{id: "b", status: StatusRunning}, &job{id: "c", status: StatusRunning}
+	live.add(a)
+	live.add(b)
+	live.add(c)
+	if n := len(live.all()); n != 3 {
+		t.Fatalf("store holds %d live jobs, want all 3", n)
+	}
+	a.status, b.status = StatusDone, StatusDone
+	live.add(&job{id: "d", status: StatusQueued})
+	got = got[:0]
+	for _, j := range live.all() {
+		got = append(got, j.id)
+	}
+	if want := []string{"c", "d"}; !slices.Equal(got, want) {
+		t.Errorf("history after catch-up %v, want %v", got, want)
+	}
+}

@@ -138,33 +138,18 @@ func (c *Context[S]) Idle() []bool {
 	return c.idle
 }
 
-// transferNodes moves split work from PE from to PE to without touching
-// the shared phase accounting or the arena bitsets — the caller re-syncs
-// the two PEs (sequentially, after any parallel region).  The three
-// built-in splitters move the nodes as range copies within the arena; a
-// foreign splitter falls back to materialising the donor, running its
-// Split, and reinstalling both halves, which donates the identical
-// contents.  It returns the number of stack nodes moved.
+// transferNodes moves split work from PE from to PE to as range copies
+// within the arena, without touching the shared phase accounting or the
+// arena bitsets — the caller re-syncs the two PEs (sequentially, after any
+// parallel region).  It returns the number of stack nodes moved.
 func (c *Context[S]) transferNodes(from, to int) int {
-	a := c.Arena
-	if !a.Splittable(from) {
+	if !c.Arena.Splittable(from) {
 		return 0
 	}
 	if c.faultDonor != nil {
 		c.faultDonor(from)
 	}
-	if as, ok := c.Splitter.(stack.ArenaSplitter[S]); ok {
-		return as.SplitArena(a, from, to)
-	}
-	//lint:allow hotalloc foreign-splitter fallback, the built-in splitters split within the arena
-	donor := a.MaterializeStack(from)
-	donated := c.Splitter.Split(donor)
-	a.InstallFromStack(from, donor)
-	n := donated.Size()
-	if n > 0 {
-		a.AppendFromStack(to, donated)
-	}
-	return n
+	return c.Splitter.SplitArena(c.Arena, from, to)
 }
 
 // Transfer splits the stack of processor from and appends the donated part
@@ -203,8 +188,7 @@ const parallelPairMin = 64
 // trace) reduced, sequentially in pair order — bit-identical to calling
 // Transfer pair by pair.
 func (c *Context[S]) TransferAll(pairs []scan.Pair) int {
-	_, arenaSplit := c.Splitter.(stack.ArenaSplitter[S])
-	if c.runParallel == nil || len(pairs) < parallelPairMin || !arenaSplit {
+	if c.runParallel == nil || len(pairs) < parallelPairMin {
 		done := 0
 		for _, p := range pairs {
 			if c.Transfer(p.From, p.To) > 0 {
@@ -283,7 +267,7 @@ type PhaseCoster interface {
 // rounds repeat until no idle processor can be served — the multiple work
 // transfers the D^P trigger requires (Table 1, Section 2.3).
 type MatchBalancer[S any] struct {
-	Matcher match.Matcher
+	Matcher match.BitMatcher
 	Multi   bool
 }
 
@@ -299,22 +283,11 @@ func (b *MatchBalancer[S]) Name() string {
 // balancer can be reused across runs.
 func (b *MatchBalancer[S]) Reset() { b.Matcher.Reset() }
 
-// Balance implements Balancer.  Matchers that understand the engine's
-// flag bitsets (both of the paper's do) match directly on them — the
-// setup enumerations then visit only set bits — and foreign matchers get
-// the equivalent []bool flags; the pairs are identical either way.
+// Balance implements Balancer, matching directly on the engine's flag
+// bitsets so the setup enumerations visit only set bits.
 func (b *MatchBalancer[S]) Balance(c *Context[S]) (rounds, transfers int) {
-	if pm, ok := b.Matcher.(match.ParallelMatcher); ok {
-		pm.SetParallelism(c.workers)
-	}
-	bm, hasBits := b.Matcher.(match.BitMatcher)
 	for {
-		var pairs []scan.Pair
-		if hasBits {
-			pairs = bm.MatchBits(c.busyBits(), c.idleBits(), c.P())
-		} else {
-			pairs = b.Matcher.Match(c.Busy(), c.Idle())
-		}
+		pairs := b.Matcher.MatchBits(c.busyBits(), c.idleBits(), c.P())
 		if len(pairs) == 0 {
 			if rounds == 0 {
 				rounds = 1 // the phase still pays its setup scans

@@ -124,37 +124,33 @@ type Donation[S any] struct {
 // Donate splits PE from's stack with the scheme's splitter and returns the
 // donated half as a Donation addressed to PE to, leaving the donor's
 // remainder in place — the cross-machine analogue of the donor side of
-// Context.Transfer.  A donor that cannot split returns an empty donation
-// (Stack.Size() == 0) and no error.  Only valid at a cycle boundary.
+// Context.Transfer.  The split is the local transfer itself: it runs
+// inside the arena into slot to, which is empty on the donor machine
+// because a shard holds no work outside its own PE range, and the slot is
+// then lifted out as the donation.  An out-of-range or occupied target is
+// an error and leaves the donor untouched.  A donor that cannot split
+// returns an empty donation (Stack.Size() == 0) and no error.  Only valid
+// at a cycle boundary.
 func (m *Machine[S]) Donate(id uint64, from, to int) (Donation[S], error) {
-	if from < 0 || from >= m.opts.P {
-		return Donation[S]{}, fmt.Errorf("simd: donor PE %d out of range [0, %d)", from, m.opts.P)
+	if p := m.opts.P; from < 0 || from >= p || to < 0 || to >= p {
+		return Donation[S]{}, fmt.Errorf("simd: donation %d->%d out of range [0, %d)", from, to, p)
 	}
-	d := Donation[S]{ID: id, From: from, To: to, Stack: stack.New[S]()}
-	if !m.arena.Splittable(from) {
-		return d, nil
+	if !m.arena.Empty(to) {
+		return Donation[S]{}, fmt.Errorf("simd: donation target PE %d holds %d nodes on the donor machine", to, m.arena.Size(to))
 	}
-	if err := m.faultFull(from); err != nil {
+	if _, err := m.TransferLocal(from, to); err != nil {
 		return Donation[S]{}, err
 	}
-	// Materialise the donor, run the exact splitter a local transfer would,
-	// and reinstall the remainder: the donated bytes are identical to the
-	// pre-arena implementation (materialisation preserves level structure).
-	donor := m.arena.MaterializeStack(from)
-	if is, ok := m.sch.Splitter.(stack.IntoSplitter[S]); ok {
-		is.SplitInto(donor, d.Stack)
-	} else {
-		d.Stack = m.sch.Splitter.Split(donor)
-	}
-	m.arena.InstallFromStack(from, donor)
+	d := Donation[S]{ID: id, From: from, To: to, Stack: m.arena.MaterializeStack(to)}
+	m.arena.Clear(to)
 	return d, nil
 }
 
 // Absorb installs a donation into the addressed PE, which must be idle —
 // the receiver side of a cross-machine transfer.  The install performs the
-// exact stack operation a local transfer would (AppendCopy of the split
-// half), so a distributed schedule stays byte-identical to the
-// single-machine one.  It returns the number of stack nodes absorbed.
+// exact stack operation a local transfer would (the split half's levels
+// pushed above the top), so a distributed schedule stays byte-identical to
+// the single-machine one.  It returns the number of stack nodes absorbed.
 // Only valid at a cycle boundary.
 func (m *Machine[S]) Absorb(d Donation[S]) (int, error) {
 	if d.To < 0 || d.To >= m.opts.P {

@@ -31,26 +31,16 @@ type Scheme[S any] struct {
 // "nGP"), a trigger, and the transfer policy.  D^P triggering always uses
 // multiple work transfers per phase, as the paper requires (Section 2.3).
 func NewScheme[S any](matcherName string, trig trigger.Trigger, multi bool) (Scheme[S], error) {
-	var m match.Matcher
-	switch matcherName {
-	case "GP":
-		m = match.NewGP()
-	case "nGP":
-		m = &match.NGP{}
-	default:
-		return Scheme[S]{}, fmt.Errorf("simd: unknown matcher %q", matcherName)
+	parts, m, err := newSchemeParts(matcherName, trig)
+	if err != nil {
+		return Scheme[S]{}, err
 	}
-	if _, isDP := trig.(trigger.DP); isDP {
-		multi = true
-	}
-	_, dynDP := trig.(trigger.DP)
-	_, dynDK := trig.(trigger.DK)
 	return Scheme[S]{
-		Label:    matcherName + "-" + trig.Name(),
-		Trigger:  trig,
-		Balancer: &MatchBalancer[S]{Matcher: m, Multi: multi},
+		Label:    parts.Label,
+		Trigger:  parts.Trigger,
+		Balancer: &MatchBalancer[S]{Matcher: m, Multi: multi || parts.Multi},
 		Splitter: stack.BottomNode[S]{},
-		WantInit: dynDP || dynDK,
+		WantInit: parts.WantInit,
 	}, nil
 }
 
@@ -58,15 +48,21 @@ func NewScheme[S any](matcherName string, trig trigger.Trigger, multi bool) (Sch
 // e.g. "GP-S0.90", "nGP-DP", "GP-DK".  The six combinations of Table 1 are
 // all expressible; D^P implies multiple transfers.
 func ParseScheme[S any](label string) (Scheme[S], error) {
-	i := strings.Index(label, "-")
-	if i < 0 {
-		return Scheme[S]{}, fmt.Errorf("simd: scheme label %q is not <matcher>-<trigger>", label)
-	}
-	trig, err := trigger.Parse(label[i+1:])
+	matcherName, trig, err := splitLabel(label)
 	if err != nil {
 		return Scheme[S]{}, err
 	}
-	return NewScheme[S](label[:i], trig, false)
+	return NewScheme[S](matcherName, trig, false)
+}
+
+// splitLabel splits "<matcher>-<trigger>" and parses the trigger half.
+func splitLabel(label string) (matcherName string, trig trigger.Trigger, err error) {
+	i := strings.Index(label, "-")
+	if i < 0 {
+		return "", nil, fmt.Errorf("simd: scheme label %q is not <matcher>-<trigger>", label)
+	}
+	trig, err = trigger.Parse(label[i+1:])
+	return label[:i], trig, err
 }
 
 // SchemeParts is the codec-erased decomposition of a scheme label: the
@@ -88,35 +84,40 @@ type SchemeParts struct {
 }
 
 // ParseSchemeParts parses a scheme label into its codec-erased parts,
-// applying the same rules as ParseScheme/NewScheme: D^P implies multiple
-// transfers, and the dynamic triggers want the initial distribution.
+// under the same rules as ParseScheme/NewScheme.
 func ParseSchemeParts(label string) (SchemeParts, error) {
-	i := strings.Index(label, "-")
-	if i < 0 {
-		return SchemeParts{}, fmt.Errorf("simd: scheme label %q is not <matcher>-<trigger>", label)
-	}
-	trig, err := trigger.Parse(label[i+1:])
+	matcherName, trig, err := splitLabel(label)
 	if err != nil {
 		return SchemeParts{}, err
 	}
-	var m match.Matcher
-	switch label[:i] {
+	parts, _, err := newSchemeParts(matcherName, trig)
+	return parts, err
+}
+
+// newSchemeParts is where the scheme rules live: the matcher a name
+// selects, D^P implying multiple transfers, and the dynamic triggers
+// wanting the initial distribution.  The fresh matcher is returned twice —
+// inside the parts as the []bool-facing Matcher the distributed driver
+// consumes, and as the BitMatcher the engine's balancer runs on.
+func newSchemeParts(matcherName string, trig trigger.Trigger) (SchemeParts, match.BitMatcher, error) {
+	var m match.BitMatcher
+	switch matcherName {
 	case "GP":
 		m = match.NewGP()
 	case "nGP":
 		m = &match.NGP{}
 	default:
-		return SchemeParts{}, fmt.Errorf("simd: unknown matcher %q", label[:i])
+		return SchemeParts{}, nil, fmt.Errorf("simd: unknown matcher %q", matcherName)
 	}
 	_, dynDP := trig.(trigger.DP)
 	_, dynDK := trig.(trigger.DK)
 	return SchemeParts{
-		Label:    label[:i] + "-" + trig.Name(),
+		Label:    matcherName + "-" + trig.Name(),
 		Matcher:  m,
 		Trigger:  trig,
 		Multi:    dynDP,
 		WantInit: dynDP || dynDK,
-	}, nil
+	}, m, nil
 }
 
 // StaticScheme returns <matcher>-S<x>.

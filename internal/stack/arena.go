@@ -2,10 +2,10 @@ package stack
 
 import "simdtree/internal/scan"
 
-// Arena is the structure-of-arrays form of P DFS stacks: instead of P
-// independent Stack values whose levels are pointer-chased [][]S slices,
-// every per-PE quantity lives in one flat array indexed by PE, and each
-// PE's nodes occupy one contiguous window of a per-PE buffer.
+// Arena holds the working DFS stacks of P processing elements in
+// structure-of-arrays form: every per-PE quantity lives in one flat array
+// indexed by PE, and each PE's nodes occupy one contiguous window of a
+// per-PE buffer.
 //
 // Layout, for processing element pe:
 //
@@ -19,13 +19,13 @@ import "simdtree/internal/scan"
 //  1. Every live level holds at least one node.  Empty levels are dropped
 //     the moment they form (a pop draining the top level, a bottom
 //     removal draining the bottom one), which the search order cannot
-//     observe: every Stack operation skips or trims empty levels, and the
-//     wire encoding canonically omits them.
+//     observe: pops and splits only ever see non-empty levels, and the wire
+//     encoding canonically omits empty ones.
 //  2. The has-work bitset has bit pe set iff size[pe] > 0, and the
 //     can-split bitset iff size[pe] >= 2 — after SyncBits(pe).  The
 //     exported mutators keep the bits fresh themselves; the unexported
-//     raw operations (used by ArenaSplitter implementations, which may
-//     run on concurrent host shards over arbitrary PE pairs) deliberately
+//     raw operations (used by the Splitter implementations, which may run
+//     on concurrent host shards over arbitrary PE pairs) deliberately
 //     do not touch the shared bitset words, and their callers re-sync
 //     sequentially afterwards.
 //
@@ -127,9 +127,8 @@ func (a *Arena[S]) AnySplittable() bool { return a.split.Any() }
 
 // SyncBits recomputes PE pe's has-work and can-split bits from its total
 // size (resident plus ghost, so eviction never flips a flag).  The
-// exported mutators call it themselves; callers of the raw splitter path
-// (ArenaSplitter) call it once per touched PE, sequentially, after any
-// parallel region.
+// exported mutators call it themselves; callers of a Splitter call it once
+// per touched PE, sequentially, after any parallel region.
 //
 //lint:hotpath
 func (a *Arena[S]) SyncBits(pe int) {
@@ -369,29 +368,27 @@ func (a *Arena[S]) ForEachLevel(pe int, f func(level []S)) {
 	}
 }
 
-// MaterializeStack returns PE pe's stack as a freshly allocated Stack,
-// level structure preserved.  Snapshots and donations use it to cross the
-// arena boundary into the Stack-based serialisation surface; it allocates
-// by design — hot transfers move nodes within the arena via SplitArena.
+// MaterializeStack returns a copy of PE pe's stack as a freshly allocated
+// Stack, level structure preserved.  Snapshots and donations use it to
+// cross the arena boundary into the Stack-based serialisation surface; it
+// allocates by design — hot transfers move nodes within the arena via
+// SplitArena.
 // The PE must be fully resident; the engine faults evicted levels back in
 // before materialising.
 func (a *Arena[S]) MaterializeStack(pe int) *Stack[S] {
-	//lint:allow hotalloc materialisation allocates by design; hot transfers use SplitArena
 	s := &Stack[S]{}
 	buf := a.bufs[pe]
 	off := a.head[pe]
 	lo, d := a.lvlLo[pe], a.depth[pe]
 	for _, n := range a.lvls[pe][lo : lo+d] {
-		s.PushLevelCopy(buf[off : off+n])
+		s.PushLevel(append([]S(nil), buf[off:off+n]...))
 		off += n
 	}
 	return s
 }
 
-// InstallFromStack replaces PE pe's contents with a copy of s, skipping
-// any empty interior levels (which the arena never represents — they are
-// invisible to the search order and to the wire encoding).  The caller
-// keeps ownership of s.
+// InstallFromStack replaces PE pe's contents with a copy of s (nil clears
+// the PE).  The caller keeps ownership of s.
 func (a *Arena[S]) InstallFromStack(pe int, s *Stack[S]) {
 	a.clearRaw(pe)
 	if s != nil {
@@ -403,8 +400,8 @@ func (a *Arena[S]) InstallFromStack(pe int, s *Stack[S]) {
 }
 
 // AppendFromStack copies s's levels above PE pe's current top, the
-// receiver install of a cross-machine donation — identical in effect to
-// Stack.AppendCopy.  The caller keeps ownership of s.
+// receiver install of a cross-machine donation: the same level pushes a
+// local SplitArena transfer performs.  The caller keeps ownership of s.
 //
 //lint:hotpath
 func (a *Arena[S]) AppendFromStack(pe int, s *Stack[S]) {
@@ -545,22 +542,7 @@ func (a *Arena[S]) PrependStack(pe int, s *Stack[S]) {
 	a.ghLvl[pe] -= k
 }
 
-// ArenaSplitter is implemented by splitters that can move work between
-// two PEs of an arena directly — as range copies within flat storage —
-// instead of materialising Stack values.  The donated contents are
-// identical to SplitInto's.  Implementations run on the raw operations
-// and do not update the arena bitsets: the engine re-syncs the two
-// touched PEs sequentially after each transfer (or after the parallel
-// transfer region), because concurrent transfers of different PE pairs
-// may share bitset words.
-type ArenaSplitter[S any] interface {
-	Splitter[S]
-	// SplitArena splits PE from's work and appends the donated part above
-	// PE to's top, returning the number of nodes moved.
-	SplitArena(a *Arena[S], from, to int) int
-}
-
-// SplitArena implements ArenaSplitter: the bottom node moves from donor
+// SplitArena implements Splitter: the bottom node moves from donor
 // to receiver in two O(1) steps (head-offset removal, single-node push).
 //
 //lint:hotpath
@@ -573,7 +555,7 @@ func (BottomNode[S]) SplitArena(a *Arena[S], from, to int) int {
 	return 1
 }
 
-// SplitArena implements ArenaSplitter: the first half of every donor
+// SplitArena implements Splitter: the first half of every donor
 // level is appended to the receiver as contiguous range copies, and the
 // kept halves are compacted toward the front of the donor's window in a
 // single forward pass.
@@ -619,7 +601,7 @@ func (HalfStack[S]) SplitArena(a *Arena[S], from, to int) int {
 	return moved
 }
 
-// SplitArena implements ArenaSplitter: the single deepest alternative
+// SplitArena implements Splitter: the single deepest alternative
 // moves to the receiver.
 //
 //lint:hotpath

@@ -7,24 +7,86 @@ import (
 )
 
 // flattenPE returns PE pe's nodes bottom-to-top, one slice per level.
-func flattenPE(a *Arena[int], pe int) [][]int {
-	var out [][]int
-	a.ForEachLevel(pe, func(lv []int) {
-		out = append(out, append([]int(nil), lv...))
-	})
-	return out
+func flattenPE(a *Arena[int], pe int) (m model) {
+	a.ForEachLevel(pe, m.push)
+	return m
 }
 
-// stackLevels returns s's levels as copies, skipping empties (the arena's
-// canonical form, which the wire encoding shares).
-func stackLevels(s *Stack[int]) [][]int {
-	var out [][]int
-	s.ForEachLevel(func(lv []int) {
-		if len(lv) > 0 {
-			out = append(out, append([]int(nil), lv...))
+// model is the naive reference for one PE's stack: one slice per level,
+// bottom first, never an empty level, nil when empty.  It is deliberately
+// the obvious implementation — every removal rebuilds the whole value — so
+// the arena's windowed storage is checked against something that shares
+// none of its code.
+type model [][]int
+
+func (m *model) push(lv []int) {
+	if len(lv) > 0 {
+		*m = append(*m, append([]int(nil), lv...))
+	}
+}
+
+func (m model) size() (n int) {
+	for _, lv := range m {
+		n += len(lv)
+	}
+	return n
+}
+
+// take removes and returns element i of level l.
+func (m *model) take(l, i int) int {
+	v := (*m)[l][i]
+	var out model
+	for j, lv := range *m {
+		if j == l {
+			lv = append(append([]int(nil), lv[:i]...), lv[i+1:]...)
 		}
-	})
-	return out
+		out.push(lv)
+	}
+	*m = out
+	return v
+}
+
+func (m *model) pop() (int, bool) {
+	if len(*m) == 0 {
+		return 0, false
+	}
+	top := len(*m) - 1
+	return m.take(top, len((*m)[top])-1), true
+}
+
+func (m *model) removeBottom() (int, bool) {
+	if len(*m) == 0 {
+		return 0, false
+	}
+	return m.take(0, 0), true
+}
+
+// split applies the named splitting strategy and returns the donated
+// levels.
+func (m *model) split(name string) model {
+	if name == "half-stack" {
+		var give, keep model
+		for _, lv := range *m {
+			give.push(lv[:len(lv)/2])
+			keep.push(lv[len(lv)/2:])
+		}
+		if give != nil {
+			*m = keep
+			return give
+		}
+	}
+	take := m.removeBottom // bottom-node, and half-stack's all-singletons fallback
+	if name == "top-node" {
+		take = m.pop
+	}
+	v, _ := take()
+	return model{{v}}
+}
+
+// modelOf copies a transport stack's levels into a model.
+func modelOf(s *Stack[int]) (m model) {
+	s.ForEachLevel(m.push)
+	return m
 }
 
 // checkBits verifies invariant 2: the has-work and can-split bits mirror
@@ -57,15 +119,15 @@ func checkLevelInvariant(t *testing.T, a *Arena[int], pe int) {
 	}
 }
 
-// TestArenaMatchesStack drives an arena PE and a Stack through the same
-// random operation sequence and checks they stay observationally
-// identical: same size, depth, pop results, bottom removals, and the same
-// canonical level structure.
+// TestArenaMatchesStack drives an arena PE and the naive stack model
+// through the same random operation sequence and checks they stay
+// observationally identical: same size, depth, pop results, bottom
+// removals, and the same level structure.
 func TestArenaMatchesStack(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
 		a := NewArena[int](4)
-		s := New[int]()
+		var m model
 		next := 0
 		for op := 0; op < 120; op++ {
 			switch rng.Intn(4) {
@@ -77,79 +139,75 @@ func TestArenaMatchesStack(t *testing.T) {
 					next++
 				}
 				a.PushLevel(1, lv)
-				s.PushLevelCopy(lv)
+				m.push(lv)
 			case 1: // pop
 				av, aok := a.Pop(1)
-				sv, sok := s.Pop()
-				if av != sv || aok != sok {
-					t.Fatalf("Pop: arena %d,%v stack %d,%v", av, aok, sv, sok)
+				mv, mok := m.pop()
+				if av != mv || aok != mok {
+					t.Fatalf("Pop: arena %d,%v model %d,%v", av, aok, mv, mok)
 				}
 			case 2: // remove bottom
 				av, aok := a.RemoveBottom(1)
-				sv, sok := s.removeBottom()
-				if av != sv || aok != sok {
-					t.Fatalf("RemoveBottom: arena %d,%v stack %d,%v", av, aok, sv, sok)
+				mv, mok := m.removeBottom()
+				if av != mv || aok != mok {
+					t.Fatalf("RemoveBottom: arena %d,%v model %d,%v", av, aok, mv, mok)
 				}
 			case 3: // push one
 				a.PushOne(1, next)
-				s.PushOne(next)
+				m.push([]int{next})
 				next++
 			}
-			if a.Size(1) != s.Size() {
-				t.Fatalf("size: arena %d, stack %d", a.Size(1), s.Size())
+			if a.Size(1) != m.size() || a.Depth(1) != len(m) {
+				t.Fatalf("arena size=%d depth=%d, model size=%d depth=%d", a.Size(1), a.Depth(1), m.size(), len(m))
 			}
-			if a.Empty(1) != s.Empty() || a.Splittable(1) != s.Splittable() {
-				t.Fatalf("flags diverge at size %d", s.Size())
+			if a.Empty(1) != (m.size() == 0) || a.Splittable(1) != (m.size() >= 2) {
+				t.Fatalf("flags diverge at size %d", m.size())
 			}
 			checkLevelInvariant(t, a, 1)
 			checkBits(t, a)
-			if got, want := flattenPE(a, 1), stackLevels(s); !reflect.DeepEqual(got, want) {
-				t.Fatalf("levels diverge:\narena %v\nstack %v", got, want)
+			if got := flattenPE(a, 1); !reflect.DeepEqual(got, m) {
+				t.Fatalf("levels diverge:\narena %v\nmodel %v", got, m)
 			}
 		}
 	}
 }
 
-// TestArenaSplittersMatchSplitInto checks that every ArenaSplitter moves
-// exactly the nodes its SplitInto form would: same donated levels in the
-// same order, same donor remainder.
+// TestArenaSplittersMatchSplitInto checks every splitter against the naive
+// model's statement of its strategy: same donated levels in the same
+// order above the receiver's top, same donor remainder.
 func TestArenaSplittersMatchSplitInto(t *testing.T) {
-	splitters := []ArenaSplitter[int]{BottomNode[int]{}, HalfStack[int]{}, TopNode[int]{}}
+	splitters := []Splitter[int]{BottomNode[int]{}, HalfStack[int]{}, TopNode[int]{}}
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 500; trial++ {
 		for _, sp := range splitters {
 			src := buildRandom(rng)
-			if !src.Splittable() {
+			if src.Size() < 2 {
 				continue
 			}
 			a := NewArena[int](2)
 			a.InstallFromStack(0, src)
 			// Give the receiver pre-existing work half the time, so the
 			// append-above-top path is exercised too.
-			var pre *Stack[int]
+			var wantRecv model
 			if rng.Intn(2) == 0 {
-				pre = New(9000, 9001)
-				a.InstallFromStack(1, pre)
+				a.PushLevel(1, []int{9000, 9001})
+				wantRecv.push([]int{9000, 9001})
 			}
 			moved := sp.SplitArena(a, 0, 1)
 			a.SyncBits(0)
 			a.SyncBits(1)
 
-			dst := New[int]()
-			sp.(IntoSplitter[int]).SplitInto(src, dst)
-			if moved != dst.Size() {
-				t.Fatalf("%s: arena moved %d, SplitInto moved %d", sp.Name(), moved, dst.Size())
+			want := modelOf(src)
+			donated := want.split(sp.Name())
+			if moved != donated.size() {
+				t.Fatalf("%s: arena moved %d, model moved %d", sp.Name(), moved, donated.size())
 			}
-			want := stackLevels(src)
 			if got := flattenPE(a, 0); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: donor remainder diverges:\narena %v\nstack %v", sp.Name(), got, want)
+				t.Fatalf("%s: donor remainder diverges:\narena %v\nmodel %v", sp.Name(), got, want)
 			}
-			wantRecv := stackLevels(dst)
-			if pre != nil {
-				wantRecv = append(stackLevels(pre), wantRecv...)
-			}
+			wantRecv = append(wantRecv, donated...)
 			if got := flattenPE(a, 1); !reflect.DeepEqual(got, wantRecv) {
-				t.Fatalf("%s: receiver diverges:\narena %v\nstack %v", sp.Name(), got, wantRecv)
+				t.Fatalf("%s: receiver diverges:\narena %v\nmodel %v", sp.Name(), got, wantRecv)
 			}
 			checkLevelInvariant(t, a, 0)
 			checkLevelInvariant(t, a, 1)
@@ -165,25 +223,23 @@ func TestArenaInstallMaterializeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 100; trial++ {
 		s := buildRandom(rng)
-		want := stackLevels(s)
+		want := modelOf(s)
 		a := NewArena[int](1)
 		a.InstallFromStack(0, s)
-		// The install copies: mutating the source afterwards must not be
-		// visible in the arena.
-		if v, ok := s.Pop(); ok {
-			_ = v
-		}
+		// The install copies: scribbling on the source's storage afterwards
+		// must not be visible in the arena.
+		s.ForEachLevel(func(lv []int) { lv[0] = -1 })
 		if got := flattenPE(a, 0); !reflect.DeepEqual(got, want) {
 			t.Fatalf("arena aliases the installed stack:\n%v\n%v", got, want)
 		}
 		m := a.MaterializeStack(0)
-		if got := stackLevels(m); !reflect.DeepEqual(got, want) {
+		if got := modelOf(m); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round trip diverges:\n%v\n%v", got, want)
 		}
 		// Materialisation copies too: draining the arena must not disturb
 		// the materialised stack.
 		a.Clear(0)
-		if got := stackLevels(m); !reflect.DeepEqual(got, want) {
+		if got := modelOf(m); !reflect.DeepEqual(got, want) {
 			t.Fatalf("materialised stack aliases the arena:\n%v\n%v", got, want)
 		}
 	}
@@ -238,7 +294,7 @@ func TestArenaSteadyStateZeroAlloc(t *testing.T) {
 func captureBottom(a *Arena[int], pe, k int) *Stack[int] {
 	seg := New[int]()
 	a.ForEachBottomLevel(pe, k, func(lv []int) {
-		seg.PushLevelCopy(lv)
+		seg.PushLevel(append([]int(nil), lv...))
 	})
 	return seg
 }
@@ -247,13 +303,13 @@ func captureBottom(a *Arena[int], pe, k int) *Stack[int] {
 // of pushes, pops, evictions (DropBottom) and restores (PrependStack) and
 // checks that (a) the schedule-visible quantities — total size, depth,
 // flags, bits — never see the residency changes, and (b) after restoring
-// everything the level structure equals a reference Stack that ran the
-// same pushes and pops.
+// everything the level structure equals the naive model that ran the same
+// pushes and pops.
 func TestArenaDropRestoreRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 200; trial++ {
 		a := NewArena[int](2)
-		ref := New[int]()
+		var ref model
 		var segs []*Stack[int] // LIFO of evicted segments
 		next := 0
 		for op := 0; op < 150; op++ {
@@ -266,14 +322,14 @@ func TestArenaDropRestoreRoundTrip(t *testing.T) {
 					next++
 				}
 				a.PushLevel(1, lv)
-				ref.PushLevelCopy(lv)
+				ref.push(lv)
 			case 2: // pop (only when the top is resident, as the engine guarantees)
 				if a.Resident(1) == 0 && a.Ghost(1) > 0 {
 					a.PrependStack(1, segs[len(segs)-1])
 					segs = segs[:len(segs)-1]
 				}
 				av, aok := a.Pop(1)
-				sv, sok := ref.Pop()
+				sv, sok := ref.pop()
 				if av != sv || aok != sok {
 					t.Fatalf("Pop: arena %d,%v ref %d,%v", av, aok, sv, sok)
 				}
@@ -291,12 +347,12 @@ func TestArenaDropRestoreRoundTrip(t *testing.T) {
 					segs = segs[:len(segs)-1]
 				}
 			}
-			if a.Size(1) != ref.Size() || a.Depth(1) != ref.Depth() {
+			if a.Size(1) != ref.size() || a.Depth(1) != len(ref) {
 				t.Fatalf("totals diverge: arena size=%d depth=%d, ref size=%d depth=%d",
-					a.Size(1), a.Depth(1), ref.Size(), ref.Depth())
+					a.Size(1), a.Depth(1), ref.size(), len(ref))
 			}
-			if a.Empty(1) != ref.Empty() || a.Splittable(1) != ref.Splittable() {
-				t.Fatalf("flags diverge at size %d", ref.Size())
+			if a.Empty(1) != (ref.size() == 0) || a.Splittable(1) != (ref.size() >= 2) {
+				t.Fatalf("flags diverge at size %d", ref.size())
 			}
 			checkBits(t, a)
 			if a.Resident(1)+a.Ghost(1) != a.Size(1) {
@@ -311,8 +367,8 @@ func TestArenaDropRestoreRoundTrip(t *testing.T) {
 		if a.Ghost(1) != 0 || a.GhostLevels(1) != 0 {
 			t.Fatalf("ghost accounting left over: %d nodes, %d levels", a.Ghost(1), a.GhostLevels(1))
 		}
-		if got, want := flattenPE(a, 1), stackLevels(ref); !reflect.DeepEqual(got, want) {
-			t.Fatalf("levels diverge after full restore:\narena %v\nref %v", got, want)
+		if got := flattenPE(a, 1); !reflect.DeepEqual(got, ref) {
+			t.Fatalf("levels diverge after full restore:\narena %v\nref %v", got, ref)
 		}
 		checkLevelInvariant(t, a, 1)
 	}

@@ -2,37 +2,34 @@
 // paper uses for the part of the search space assigned to a processor
 // (Section 2): the depth of the stack is the depth of the node currently
 // being explored, and each level keeps the untried alternatives at that
-// depth.  A processor's unsearched space is partitioned by moving some of
-// the untried alternatives to a second stack; the package provides the
-// splitting strategies ("alpha-splitting mechanisms", Section 3) the paper
-// discusses: giving away the node at the bottom of the stack (the paper's
-// choice for the 15-puzzle), halving every level, and the deliberately poor
-// top-node splitter used for ablations.
+// depth.  The working stacks of all P processors live in one
+// structure-of-arrays Arena (arena.go), the only representation the search
+// pushes to, pops from and splits; Stack is the per-PE transport value
+// that snapshots, donations and decoded payloads carry across the arena
+// boundary.  A processor's unsearched space is partitioned by moving some
+// of the untried alternatives to another PE's window; the package provides
+// the splitting strategies ("alpha-splitting mechanisms", Section 3) the
+// paper discusses: giving away the node at the bottom of the stack (the
+// paper's choice for the 15-puzzle), halving every level, and the
+// deliberately poor top-node splitter used for ablations.
 package stack
 
-// Stack holds the untried alternatives of a depth-first search, one slice
-// per tree level.  Level 0 is the shallowest.  The zero value is an empty
-// stack ready for use.
+// Stack is one PE's untried alternatives, one slice per tree level, as a
+// value that crosses the arena boundary: snapshots, cross-machine
+// donations and decoded checkpoint / steal-frame / spill-segment payloads
+// carry stacks in this form.  Level 0 is the shallowest.  It is a
+// transport value, not a working stack — the search pushes, pops and
+// splits inside an Arena — so the only mutation is PushLevel while a
+// decoder or MaterializeStack builds it.  The zero value is an empty stack.
 type Stack[S any] struct {
 	levels [][]S
 	size   int
-	// free recycles the backing arrays of emptied levels so the hot
-	// expansion path (PushLevelCopy after every node expansion) runs
-	// without allocating.  It is bounded to keep memory proportional to
-	// the live stack.
-	free [][]S
 }
-
-// maxFree bounds the per-stack recycle list.
-const maxFree = 8
 
 // New returns a stack seeded with the given root-level alternatives.
 func New[S any](roots ...S) *Stack[S] {
-	//lint:allow hotalloc foreign-splitter fallback, the engine's transfers use SplitInto
 	s := &Stack[S]{}
-	if len(roots) > 0 {
-		s.PushLevel(roots)
-	}
+	s.PushLevel(roots)
 	return s
 }
 
@@ -45,189 +42,14 @@ func (s *Stack[S]) Empty() bool { return s.size == 0 }
 // Depth returns the number of levels currently on the stack.
 func (s *Stack[S]) Depth() int { return len(s.levels) }
 
-// Splittable reports whether the stack can be divided into two non-empty
-// parts; the paper calls a processor with a splittable stack "busy".
-func (s *Stack[S]) Splittable() bool { return s.size >= 2 }
-
-// PushLevel pushes the untried alternatives of a newly expanded node as a
-// deeper level.  Empty slices are ignored.  The stack takes ownership of
-// the slice.
+// PushLevel pushes alts as a deeper level.  Empty slices are ignored.  The
+// stack takes ownership of the slice.
 func (s *Stack[S]) PushLevel(alts []S) {
 	if len(alts) == 0 {
 		return
 	}
-	//lint:allow hotalloc levels array reaches steady-state depth, then stops growing
 	s.levels = append(s.levels, alts)
 	s.size += len(alts)
-}
-
-// Pop removes and returns the next node in depth-first order: the last
-// untried alternative of the deepest level.  It reports false when the
-// stack is empty.
-//
-//lint:hotpath
-func (s *Stack[S]) Pop() (S, bool) {
-	var zero S
-	if s.size == 0 {
-		return zero, false
-	}
-	top := len(s.levels) - 1
-	lv := s.levels[top]
-	n := len(lv) - 1
-	node := lv[n]
-	lv[n] = zero // release the reference for the garbage collector
-	s.levels[top] = lv[:n]
-	s.size--
-	s.trim()
-	return node, true
-}
-
-// trim drops empty levels from the top of the stack, recycling their
-// backing arrays.
-func (s *Stack[S]) trim() {
-	for len(s.levels) > 0 && len(s.levels[len(s.levels)-1]) == 0 {
-		top := len(s.levels) - 1
-		if lv := s.levels[top]; cap(lv) > 0 && len(s.free) < maxFree {
-			//lint:allow hotalloc free-list append is bounded by maxFree
-			s.free = append(s.free, lv[:0])
-		}
-		s.levels[top] = nil
-		s.levels = s.levels[:top]
-	}
-}
-
-// PushLevelCopy pushes a copy of alts as a deeper level, reusing a
-// recycled backing array when one is large enough.  Unlike PushLevel it
-// does not take ownership of alts, so callers may reuse their buffer —
-// this is the engine's per-expansion fast path.
-//
-//lint:hotpath
-func (s *Stack[S]) PushLevelCopy(alts []S) {
-	if len(alts) == 0 {
-		return
-	}
-	var lv []S
-	for i := len(s.free) - 1; i >= 0; i-- {
-		if cap(s.free[i]) >= len(alts) {
-			lv = s.free[i][:len(alts)]
-			s.free[i] = s.free[len(s.free)-1]
-			s.free = s.free[:len(s.free)-1]
-			break
-		}
-	}
-	if lv == nil {
-		//lint:allow hotalloc free-list miss fallback, steady state reuses recycled arrays
-		lv = make([]S, len(alts))
-	}
-	copy(lv, alts)
-	//lint:allow hotalloc levels array reaches steady-state depth, then stops growing
-	s.levels = append(s.levels, lv)
-	s.size += len(alts)
-}
-
-// PushOne pushes a single alternative as a deeper level, reusing a
-// recycled backing array when one is available.  It is the splitters'
-// donation fast path (SplitInto into a recycled spare stack).
-//
-//lint:hotpath
-func (s *Stack[S]) PushOne(n S) {
-	var lv []S
-	if k := len(s.free); k > 0 {
-		lv = s.free[k-1][:1]
-		s.free[k-1] = nil
-		s.free = s.free[:k-1]
-	} else {
-		//lint:allow hotalloc free-list miss fallback, steady state reuses recycled arrays
-		lv = make([]S, 1)
-	}
-	lv[0] = n
-	//lint:allow hotalloc levels array reaches steady-state depth, then stops growing
-	s.levels = append(s.levels, lv)
-	s.size++
-}
-
-// Clear empties the stack in place: element references are zeroed for the
-// garbage collector and the level arrays move to the recycle list (bounded
-// by maxFree), so a cleared stack refills without allocating.  The engine
-// uses it on the per-shard spare stacks that shuttle split work from donor
-// to receiver during a load-balancing phase.
-//
-//lint:hotpath
-func (s *Stack[S]) Clear() {
-	var zero S
-	for i, lv := range s.levels {
-		for j := range lv {
-			lv[j] = zero
-		}
-		if cap(lv) > 0 && len(s.free) < maxFree {
-			//lint:allow hotalloc free-list append is bounded by maxFree
-			s.free = append(s.free, lv[:0])
-		}
-		s.levels[i] = nil
-	}
-	s.levels = s.levels[:0]
-	s.size = 0
-}
-
-// removeBottom removes and returns the first alternative of the shallowest
-// non-empty level: the node closest to the root, which (in an unstructured
-// tree) roots the largest expected subtree on the stack.
-func (s *Stack[S]) removeBottom() (S, bool) {
-	var zero S
-	for i, lv := range s.levels {
-		if len(lv) == 0 {
-			continue
-		}
-		node := lv[0]
-		copy(lv, lv[1:])
-		lv[len(lv)-1] = zero
-		s.levels[i] = lv[:len(lv)-1]
-		s.size--
-		s.trim()
-		return node, true
-	}
-	return zero, false
-}
-
-// Append merges the donated stack d into s, appending its levels above the
-// current top.  The donor stack is emptied.  Receivers use it to install
-// transferred work; because every node carries its own path cost, the level
-// renumbering does not affect search correctness.
-func (s *Stack[S]) Append(d *Stack[S]) {
-	for _, lv := range d.levels {
-		if len(lv) > 0 {
-			//lint:allow hotalloc foreign-splitter fallback, the engine's transfers use SplitInto
-			s.levels = append(s.levels, lv)
-			s.size += len(lv)
-		}
-	}
-	d.levels = nil
-	d.size = 0
-}
-
-// AppendCopy merges the donated stack d into s like Append, but copies the
-// level contents (reusing s's recycled arrays when possible) instead of
-// taking ownership of d's storage.  The donor keeps its backing arrays, so
-// a spare stack that shuttles transferred work can be Cleared and reused
-// without either side allocating in steady state.
-//
-//lint:hotpath
-func (s *Stack[S]) AppendCopy(d *Stack[S]) {
-	for _, lv := range d.levels {
-		if len(lv) > 0 {
-			s.PushLevelCopy(lv)
-		}
-	}
-}
-
-// Clone returns a deep structural copy of the stack (node values are
-// copied with assignment).
-func (s *Stack[S]) Clone() *Stack[S] {
-	c := &Stack[S]{size: s.size, levels: make([][]S, len(s.levels))}
-	for i, lv := range s.levels {
-		c.levels[i] = append([]S(nil), lv...)
-	}
-	return c
 }
 
 // ForEachLevel calls f on every level in bottom-to-top order.  The slices
@@ -249,28 +71,20 @@ func (s *Stack[S]) Flatten() []S {
 	return out
 }
 
-// A Splitter divides the work on a stack into two non-empty parts, leaving
-// one part on the donor stack and returning the other.  Implementations
-// must not be called on stacks with fewer than two nodes; callers guard
-// with Splittable.
+// A Splitter divides the work on one PE's stack into two non-empty parts,
+// leaving one on the donor and appending the other above the receiver's
+// top, as range copies within the arena's flat storage.  Implementations
+// run on the raw arena operations and do not update the arena bitsets:
+// concurrent transfers of different PE pairs may share bitset words, so
+// the caller re-syncs the two touched PEs (SyncBits) sequentially
+// afterwards.  The donor must be fully resident and splittable; callers
+// guard with Arena.Splittable.
 type Splitter[S any] interface {
 	// Name identifies the splitter in reports.
 	Name() string
-	// Split removes part of s and returns it as a freshly allocated
-	// stack.  After the call both s and the result are non-empty,
-	// provided s.Splittable() held beforehand.
-	Split(s *Stack[S]) *Stack[S]
-}
-
-// IntoSplitter is the allocation-free form of Splitter: the donated part is
-// pushed onto dst (which must be empty) instead of a freshly allocated
-// stack, so a recycled spare stack absorbs the split without allocating.
-// The donated contents are identical to Split's.  All splitters in this
-// package implement it; the engine falls back to Split for foreign ones.
-type IntoSplitter[S any] interface {
-	Splitter[S]
-	// SplitInto removes part of src and pushes it onto dst.
-	SplitInto(src, dst *Stack[S])
+	// SplitArena splits PE from's work and appends the donated part above
+	// PE to's top, returning the number of nodes moved.
+	SplitArena(a *Arena[S], from, to int) int
 }
 
 // BottomNode donates the single alternative at the bottom of the stack.
@@ -282,66 +96,12 @@ type BottomNode[S any] struct{}
 // Name implements Splitter.
 func (BottomNode[S]) Name() string { return "bottom-node" }
 
-// Split implements Splitter.
-func (b BottomNode[S]) Split(s *Stack[S]) *Stack[S] {
-	out := New[S]()
-	b.SplitInto(s, out)
-	return out
-}
-
-// SplitInto implements IntoSplitter.
-//
-//lint:hotpath
-func (BottomNode[S]) SplitInto(src, dst *Stack[S]) {
-	if node, ok := src.removeBottom(); ok {
-		dst.PushOne(node)
-	}
-}
-
 // HalfStack donates the first half of the alternatives of every level,
 // approximating an alpha of one half in stack-node terms.
 type HalfStack[S any] struct{}
 
 // Name implements Splitter.
 func (HalfStack[S]) Name() string { return "half-stack" }
-
-// Split implements Splitter.
-func (h HalfStack[S]) Split(s *Stack[S]) *Stack[S] {
-	out := New[S]()
-	h.SplitInto(s, out)
-	return out
-}
-
-// SplitInto implements IntoSplitter.
-//
-//lint:hotpath
-func (HalfStack[S]) SplitInto(src, dst *Stack[S]) {
-	moved := 0
-	for i, lv := range src.levels {
-		k := len(lv) / 2
-		if k == 0 {
-			continue
-		}
-		dst.PushLevelCopy(lv[:k])
-		rest := lv[:copy(lv, lv[k:])]
-		// Zero the vacated tail so the garbage collector can reclaim nodes.
-		var zero S
-		for j := len(rest); j < len(lv); j++ {
-			lv[j] = zero
-		}
-		src.levels[i] = rest
-		src.size -= k
-		moved += k
-	}
-	if moved == 0 {
-		// Every level had a single alternative; fall back to the bottom
-		// node so the split is still non-empty.
-		if node, ok := src.removeBottom(); ok {
-			dst.PushOne(node)
-		}
-	}
-	src.trim()
-}
 
 // TopNode donates the single deepest alternative.  It is a deliberately
 // poor splitting mechanism (tiny alpha) included for ablation experiments
@@ -350,19 +110,3 @@ type TopNode[S any] struct{}
 
 // Name implements Splitter.
 func (TopNode[S]) Name() string { return "top-node" }
-
-// Split implements Splitter.
-func (t TopNode[S]) Split(s *Stack[S]) *Stack[S] {
-	out := New[S]()
-	t.SplitInto(s, out)
-	return out
-}
-
-// SplitInto implements IntoSplitter.
-//
-//lint:hotpath
-func (TopNode[S]) SplitInto(src, dst *Stack[S]) {
-	if node, ok := src.Pop(); ok {
-		dst.PushOne(node)
-	}
-}

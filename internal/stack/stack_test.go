@@ -2,200 +2,136 @@ package stack
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
+// onePE returns a one-PE arena holding the given levels, bottom first.
+func onePE(levels ...[]int) *Arena[int] {
+	a := NewArena[int](1)
+	for _, lv := range levels {
+		a.PushLevel(0, lv)
+	}
+	return a
+}
+
 func TestPopOrder(t *testing.T) {
-	s := New[int]()
-	s.PushLevel([]int{1, 2})
-	s.PushLevel([]int{3, 4, 5})
+	a := onePE([]int{1, 2}, []int{3, 4, 5})
 	// Depth-first: the deepest level's alternatives come back first, last
 	// alternative first.
 	want := []int{5, 4, 3, 2, 1}
 	for _, w := range want {
-		got, ok := s.Pop()
+		got, ok := a.Pop(0)
 		if !ok || got != w {
 			t.Fatalf("Pop = %d,%v, want %d", got, ok, w)
 		}
 	}
-	if _, ok := s.Pop(); ok {
+	if _, ok := a.Pop(0); ok {
 		t.Error("Pop on empty stack should fail")
 	}
 }
 
 func TestSizeDepthAndSplittable(t *testing.T) {
-	s := New(7)
-	if s.Size() != 1 || s.Depth() != 1 || s.Splittable() || s.Empty() {
-		t.Fatalf("unexpected state after New(7): size=%d depth=%d", s.Size(), s.Depth())
+	a := onePE([]int{7})
+	if a.Size(0) != 1 || a.Depth(0) != 1 || a.Splittable(0) || a.Empty(0) {
+		t.Fatalf("unexpected state after one root: size=%d depth=%d", a.Size(0), a.Depth(0))
 	}
-	s.PushLevel([]int{8, 9})
-	if s.Size() != 3 || s.Depth() != 2 || !s.Splittable() {
-		t.Fatalf("unexpected state: size=%d depth=%d", s.Size(), s.Depth())
+	a.PushLevel(0, []int{8, 9})
+	if a.Size(0) != 3 || a.Depth(0) != 2 || !a.Splittable(0) {
+		t.Fatalf("unexpected state: size=%d depth=%d", a.Size(0), a.Depth(0))
 	}
-	s.PushLevel(nil) // ignored
-	if s.Depth() != 2 {
+	a.PushLevel(0, nil) // ignored
+	if a.Depth(0) != 2 {
 		t.Error("empty level should be ignored")
+	}
+	// The transport value reports the same quantities.
+	s := New(7)
+	s.PushLevel([]int{8, 9})
+	s.PushLevel(nil)
+	if s.Size() != 3 || s.Depth() != 2 || s.Empty() || !New[int]().Empty() {
+		t.Fatalf("transport stack: size=%d depth=%d", s.Size(), s.Depth())
 	}
 }
 
 func TestPopTrimsEmptyLevels(t *testing.T) {
-	s := New(1)
-	s.PushLevel([]int{2})
-	s.PushLevel([]int{3})
-	s.Pop() // removes 3 and its level
-	if s.Depth() != 2 {
-		t.Errorf("depth=%d, want 2 after trimming", s.Depth())
+	a := onePE([]int{1}, []int{2}, []int{3})
+	a.Pop(0) // removes 3 and its level
+	if a.Depth(0) != 2 {
+		t.Errorf("depth=%d, want 2 after trimming", a.Depth(0))
 	}
 }
 
+// TestAppend checks the receiver install of a donation: the donated
+// stack's levels land above the current top, and the donation itself is
+// left intact (the caller keeps ownership).
 func TestAppend(t *testing.T) {
-	a := New(1, 2)
-	b := New(3)
-	b.PushLevel([]int{4, 5})
-	a.Append(b)
-	if a.Size() != 5 {
-		t.Fatalf("size=%d, want 5", a.Size())
+	a := onePE([]int{1, 2})
+	d := New(3)
+	d.PushLevel([]int{4, 5})
+	a.AppendFromStack(0, d)
+	if want := (model{{1, 2}, {3}, {4, 5}}); !reflect.DeepEqual(flattenPE(a, 0), want) {
+		t.Fatalf("levels %v, want %v", flattenPE(a, 0), want)
 	}
-	if !b.Empty() || b.Depth() != 0 {
-		t.Error("donor stack should be emptied by Append")
+	if !a.Splittable(0) || !a.SplitBits().Get(0) {
+		t.Error("append did not refresh the can-split flag")
 	}
-	got := a.Flatten()
-	want := []int{1, 2, 3, 4, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Flatten=%v, want %v", got, want)
-		}
+	if d.Size() != 3 || d.Depth() != 2 {
+		t.Errorf("donation changed by the install: size=%d depth=%d", d.Size(), d.Depth())
+	}
+	a.Pop(0)
+	if got := d.Flatten(); !slices.Equal(got, []int{3, 4, 5}) {
+		t.Errorf("arena aliases the donation: %v", got)
 	}
 }
 
+// TestClone: a materialised stack is a copy, unaffected by what the arena
+// does next.
 func TestClone(t *testing.T) {
-	a := New(1, 2)
-	a.PushLevel([]int{3})
-	b := a.Clone()
-	a.Pop()
-	if b.Size() != 3 {
-		t.Error("clone should be unaffected by mutations of the original")
+	a := onePE([]int{1, 2}, []int{3})
+	c := a.MaterializeStack(0)
+	a.Pop(0)
+	a.PushLevel(0, []int{9})
+	if got := c.Flatten(); !slices.Equal(got, []int{1, 2, 3}) {
+		t.Errorf("materialised copy changed with the arena: %v", got)
 	}
 }
 
+// TestPushLevelCopyRecycles checks the expansion fast path's contract:
+// PushLevel copies (the caller reuses its buffer) and a drained window is
+// refilled without allocating.
 func TestPushLevelCopyRecycles(t *testing.T) {
-	s := New[int]()
-	buf := []int{1, 2, 3}
-	s.PushLevelCopy(buf)
-	buf[0] = 99 // caller reuses its buffer; the stack must be unaffected
-	if got := s.Flatten()[0]; got != 1 {
-		t.Errorf("stack aliased the caller's buffer: got %d", got)
-	}
-	// Drain the level so its array lands on the free list, then push a
-	// smaller level: it must reuse the array without allocating.
-	for i := 0; i < 3; i++ {
-		s.Pop()
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		s.PushLevelCopy(buf[:2])
-		s.Pop()
-		s.Pop()
-	})
-	if allocs > 0 {
-		t.Errorf("PushLevelCopy allocates %.1f times per cycle after warm-up", allocs)
-	}
-}
-
-// TestFreeListCapBoundary exercises the maxFree cap from both sides: a
-// Clear of exactly maxFree levels fills the recycle list to the cap, one
-// more level is dropped rather than retained, and a stack at the cap
-// still reuses — never grows — its list through further churn.
-func TestFreeListCapBoundary(t *testing.T) {
-	s := New[int]()
-	for l := 0; l < maxFree; l++ {
-		s.PushLevelCopy([]int{l})
-	}
-	s.Clear()
-	if len(s.free) != maxFree {
-		t.Fatalf("free list holds %d slabs after clearing %d levels, want %d", len(s.free), maxFree, maxFree)
-	}
-	// One level beyond the cap: the extra slab must be dropped, not kept.
-	for l := 0; l < maxFree+1; l++ {
-		s.PushLevelCopy([]int{l})
-	}
-	s.Clear()
-	if len(s.free) != maxFree {
-		t.Fatalf("free list grew past the cap: %d slabs", len(s.free))
-	}
-	// At the cap, push/pop churn must neither allocate nor grow the list.
-	allocs := testing.AllocsPerRun(100, func() {
-		s.PushLevelCopy([]int{1})
-		s.Pop()
-	})
-	if allocs > 0 {
-		t.Errorf("churn at the free-list cap allocates %.1f times", allocs)
-	}
-	if len(s.free) > maxFree {
-		t.Errorf("churn at the cap grew the free list to %d", len(s.free))
-	}
-}
-
-// TestFreeListSurvivesArenaMigration pins the free-list contract across
-// the arena boundary: installing a stack into an arena and materialising
-// it back must leave the original's recycle list intact (installs copy,
-// they do not steal slabs), and the materialised copy must own fresh
-// storage rather than aliasing the arena's buffers.
-func TestFreeListSurvivesArenaMigration(t *testing.T) {
-	s := New[int]()
-	s.PushLevelCopy([]int{1, 2, 3})
-	s.PushLevelCopy([]int{4, 5})
-	// Build up a recycle list by draining one level.
-	s.Pop()
-	s.Pop()
-	freeBefore := len(s.free)
-	if freeBefore == 0 {
-		t.Fatal("test setup: expected a recycled slab")
-	}
-
 	a := NewArena[int](1)
-	a.InstallFromStack(0, s)
-	if len(s.free) != freeBefore {
-		t.Errorf("install changed the source free list: %d -> %d", freeBefore, len(s.free))
+	buf := []int{1, 2, 3}
+	a.PushLevel(0, buf)
+	buf[0] = 99 // caller reuses its buffer; the stack must be unaffected
+	if got := flattenPE(a, 0)[0][0]; got != 1 {
+		t.Errorf("arena aliased the caller's buffer: got %d", got)
 	}
-	// The source still reuses its recycled slabs after migration.
+	for i := 0; i < 3; i++ {
+		a.Pop(0)
+	}
 	allocs := testing.AllocsPerRun(100, func() {
-		s.PushLevelCopy([]int{7})
-		s.Pop()
+		a.PushLevel(0, buf[:2])
+		a.Pop(0)
+		a.Pop(0)
 	})
 	if allocs > 0 {
-		t.Errorf("source stack allocates %.1f times per cycle after migration", allocs)
-	}
-
-	// A materialised stack owns its storage: popping it must not disturb
-	// the arena, and its slabs recycle into its own free list only.
-	m := a.MaterializeStack(0)
-	sizeBefore := a.Size(0)
-	for {
-		if _, ok := m.Pop(); !ok {
-			break
-		}
-	}
-	if a.Size(0) != sizeBefore {
-		t.Errorf("draining the materialised copy changed the arena: %d -> %d", sizeBefore, a.Size(0))
-	}
-	if len(m.free) > maxFree {
-		t.Errorf("materialised stack leaked %d slabs past the cap", len(m.free))
+		t.Errorf("PushLevel allocates %.1f times per cycle after warm-up", allocs)
 	}
 }
 
-// TestRecycledLevelsDropStaleValues ensures reused arrays never leak old
-// node values back into the stack.
+// TestRecycledLevelsDropStaleValues ensures a reused window never leaks
+// old node values back into the stack.
 func TestRecycledLevelsDropStaleValues(t *testing.T) {
-	s := New[int]()
-	s.PushLevelCopy([]int{10, 11, 12})
+	a := onePE([]int{10, 11, 12})
 	for i := 0; i < 3; i++ {
-		s.Pop()
+		a.Pop(0)
 	}
-	s.PushLevelCopy([]int{20})
-	got := s.Flatten()
-	if len(got) != 1 || got[0] != 20 {
+	a.PushLevel(0, []int{20})
+	if got, want := flattenPE(a, 0), (model{{20}}); !reflect.DeepEqual(got, want) {
 		t.Errorf("stale values leaked: %v", got)
 	}
 }
@@ -227,122 +163,98 @@ func TestSplitInvariants(t *testing.T) {
 	for trial := 0; trial < 1000; trial++ {
 		for _, sp := range splitters {
 			s := buildRandom(rng)
-			if !s.Splittable() {
+			if s.Size() < 2 {
 				continue
 			}
-			before := append([]int(nil), s.Flatten()...)
-			donated := sp.Split(s)
-			if donated.Empty() {
-				t.Fatalf("%s: donated part empty (stack had %d nodes)", sp.Name(), len(before))
+			before := s.Flatten()
+			a := NewArena[int](2)
+			a.InstallFromStack(0, s)
+			moved := sp.SplitArena(a, 0, 1)
+			if moved == 0 || a.Resident(1) != moved {
+				t.Fatalf("%s: reported %d moved, receiver holds %d (stack had %d nodes)", sp.Name(), moved, a.Resident(1), len(before))
 			}
-			if s.Empty() {
+			if a.Resident(0) == 0 {
 				t.Fatalf("%s: donor left empty", sp.Name())
 			}
-			after := append(s.Flatten(), donated.Flatten()...)
+			after := append(a.MaterializeStack(0).Flatten(), a.MaterializeStack(1).Flatten()...)
 			sort.Ints(before)
 			sort.Ints(after)
-			if len(before) != len(after) {
-				t.Fatalf("%s: node count changed %d -> %d", sp.Name(), len(before), len(after))
-			}
-			for i := range before {
-				if before[i] != after[i] {
-					t.Fatalf("%s: node multiset changed", sp.Name())
-				}
+			if !slices.Equal(before, after) {
+				t.Fatalf("%s: node multiset changed: %v -> %v", sp.Name(), before, after)
 			}
 		}
 	}
 }
 
+// splitOff runs sp on a one-donor arena built from levels and returns the
+// donated and the kept levels.
+func splitOff(sp Splitter[int], levels ...[]int) (donated, kept model) {
+	a := NewArena[int](2)
+	for _, lv := range levels {
+		a.PushLevel(0, lv)
+	}
+	sp.SplitArena(a, 0, 1)
+	return flattenPE(a, 1), flattenPE(a, 0)
+}
+
 func TestBottomNodeTakesShallowest(t *testing.T) {
-	s := New(10, 11)
-	s.PushLevel([]int{20})
-	d := BottomNode[int]{}.Split(s)
-	got := d.Flatten()
-	if len(got) != 1 || got[0] != 10 {
-		t.Errorf("bottom-node split donated %v, want [10]", got)
+	d, k := splitOff(BottomNode[int]{}, []int{10, 11}, []int{20})
+	if !reflect.DeepEqual(d, model{{10}}) || !reflect.DeepEqual(k, model{{11}, {20}}) {
+		t.Errorf("bottom-node split donated %v kept %v, want [[10]] and [[11] [20]]", d, k)
 	}
 }
 
 func TestTopNodeTakesDeepest(t *testing.T) {
-	s := New(10, 11)
-	s.PushLevel([]int{20, 21})
-	d := TopNode[int]{}.Split(s)
-	got := d.Flatten()
-	if len(got) != 1 || got[0] != 21 {
-		t.Errorf("top-node split donated %v, want [21]", got)
+	d, k := splitOff(TopNode[int]{}, []int{10, 11}, []int{20, 21})
+	if !reflect.DeepEqual(d, model{{21}}) || !reflect.DeepEqual(k, model{{10, 11}, {20}}) {
+		t.Errorf("top-node split donated %v kept %v, want [[21]] and [[10 11] [20]]", d, k)
 	}
 }
 
 func TestHalfStackHalvesEachLevel(t *testing.T) {
-	s := New(1, 2, 3, 4)
-	s.PushLevel([]int{5, 6})
-	d := HalfStack[int]{}.Split(s)
-	if d.Size() != 3 { // 2 from the first level, 1 from the second
-		t.Errorf("half-stack donated %d nodes, want 3", d.Size())
-	}
-	got := d.Flatten()
-	want := []int{1, 2, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("donated %v, want %v", got, want)
-		}
+	// 2 from the first level, 1 from the second, level structure kept.
+	d, k := splitOff(HalfStack[int]{}, []int{1, 2, 3, 4}, []int{5, 6})
+	if !reflect.DeepEqual(d, model{{1, 2}, {5}}) || !reflect.DeepEqual(k, model{{3, 4}, {6}}) {
+		t.Errorf("half-stack donated %v kept %v, want [[1 2] [5]] and [[3 4] [6]]", d, k)
 	}
 }
 
 func TestHalfStackSingletonLevels(t *testing.T) {
 	// Every level has one alternative; the fallback must still produce a
-	// non-empty donation.
-	s := New(1)
-	s.PushLevel([]int{2})
-	s.PushLevel([]int{3})
-	d := HalfStack[int]{}.Split(s)
-	if d.Empty() || s.Empty() {
-		t.Error("half-stack fallback failed on singleton levels")
-	}
-	if d.Size()+s.Size() != 3 {
-		t.Error("nodes lost in fallback")
+	// non-empty donation: the bottom node.
+	d, k := splitOff(HalfStack[int]{}, []int{1}, []int{2}, []int{3})
+	if !reflect.DeepEqual(d, model{{1}}) || !reflect.DeepEqual(k, model{{2}, {3}}) {
+		t.Errorf("half-stack fallback donated %v kept %v, want [[1]] and [[2] [3]]", d, k)
 	}
 }
 
 // TestPopAllMatchesFlatten property-checks that repeatedly popping yields
-// exactly the Flatten multiset.
+// exactly the multiset that was pushed.
 func TestPopAllMatchesFlatten(t *testing.T) {
 	f := func(levels [][]byte) bool {
-		s := New[int]()
+		a := NewArena[int](1)
 		var all []int
-		n := 0
 		for _, lv := range levels {
 			ints := make([]int, len(lv))
-			for i, b := range lv {
-				ints[i] = n
-				_ = b
-				n++
+			for i := range lv {
+				ints[i] = len(all) + i
 			}
 			all = append(all, ints...)
-			s.PushLevel(ints)
+			a.PushLevel(0, ints)
 		}
-		if s.Size() != len(all) {
+		if a.Size(0) != len(all) || !slices.Equal(a.MaterializeStack(0).Flatten(), all) {
 			return false
 		}
 		var popped []int
 		for {
-			v, ok := s.Pop()
+			v, ok := a.Pop(0)
 			if !ok {
 				break
 			}
 			popped = append(popped, v)
 		}
-		if len(popped) != len(all) {
-			return false
-		}
 		sort.Ints(popped)
-		sort.Ints(all)
-		for i := range all {
-			if popped[i] != all[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(popped, all)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

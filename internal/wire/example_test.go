@@ -12,7 +12,7 @@ import (
 // a whole donated stack is a few dozen bytes on the wire.
 func ExampleEncodeStack() {
 	s := stack.New(puzzle.Scramble(1, 20))
-	s.PushLevelCopy([]puzzle.Node{puzzle.Scramble(2, 10), puzzle.Scramble(3, 10)})
+	s.PushLevel([]puzzle.Node{puzzle.Scramble(2, 10), puzzle.Scramble(3, 10)})
 
 	msg := wire.EncodeStack[puzzle.Node](wire.PuzzleCodec{}, s)
 	back, err := wire.DecodeStack[puzzle.Node](wire.PuzzleCodec{}, msg)

@@ -12,46 +12,63 @@ import (
 
 // Partial-stack round trips: the shapes a distributed donation actually
 // ships are not the tidy stacks of TestStackRoundTrip but the leftovers
-// of splitting — donors with drained interior levels, single-level
+// of splitting — donors whose bottom level drained, single-level
 // donated fragments, and the empty stacks of idle PEs.  These tests pin
 // each shape through the codecs.
 
+// splitBottom builds a donor PE from levels, splits its bottom node onto
+// an idle PE the way a transfer does, and returns what each side then
+// ships: the donor's remainder and the donated fragment.
+func splitBottom[S any](levels ...[]S) (donor, donated *stack.Stack[S], a *stack.Arena[S]) {
+	a = stack.NewArena[S](2)
+	for _, lv := range levels {
+		a.PushLevel(0, lv)
+	}
+	stack.BottomNode[S]{}.SplitArena(a, 0, 1)
+	a.SyncBits(0)
+	a.SyncBits(1)
+	return a.MaterializeStack(0), a.MaterializeStack(1), a
+}
+
 // TestPartialStackInteriorEmptyLevel splits the sole bottom node off a
-// stack, leaving an interior empty level on the donor (trim only removes
-// empty levels from the top).  The canonical encoding omits the hole, so
-// the decode is structurally compacted but preserves search order, and
+// stack, draining the donor's bottom level.  The arena drops the emptied
+// level the moment it forms, so no hole survives below the two live
+// levels: the remainder encodes canonically, identically through the
+// Stack and the arena encoders, decodes to the same search order, and
 // re-encoding is byte-stable.
 func TestPartialStackInteriorEmptyLevel(t *testing.T) {
 	c := PuzzleCodec{}
-	s := stack.New(puzzle.Scramble(1, 10))
-	s.PushLevel([]puzzle.Node{puzzle.Scramble(2, 12), puzzle.Scramble(3, 14)})
-	s.PushLevel([]puzzle.Node{puzzle.Scramble(4, 16), puzzle.Scramble(5, 18)})
-
-	donated := stack.BottomNode[puzzle.Node]{}.Split(s)
+	s, donated, a := splitBottom(
+		[]puzzle.Node{puzzle.Scramble(1, 10)},
+		[]puzzle.Node{puzzle.Scramble(2, 12), puzzle.Scramble(3, 14)},
+		[]puzzle.Node{puzzle.Scramble(4, 16), puzzle.Scramble(5, 18)},
+	)
 	if donated.Size() != 1 {
 		t.Fatalf("bottom-node split donated %d nodes, want 1", donated.Size())
 	}
-	// The donor now carries an empty level below two live ones.
-	if s.Depth() != 3 || s.Size() != 4 {
-		t.Fatalf("donor depth/size = %d/%d, want 3/4 (interior hole retained)", s.Depth(), s.Size())
+	if s.Depth() != 2 || s.Size() != 4 {
+		t.Fatalf("donor depth/size = %d/%d, want 2/4 (drained level dropped)", s.Depth(), s.Size())
 	}
 
 	msg := EncodeStack[puzzle.Node](c, s)
+	if direct := EncodeArena[puzzle.Node](c, a, 0); !bytes.Equal(msg, direct) {
+		t.Error("arena and stack encoders disagree on the donor remainder")
+	}
 	got, err := DecodeStack[puzzle.Node](c, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Depth() != 2 || got.Size() != s.Size() {
-		t.Fatalf("decoded depth/size = %d/%d, want 2/%d (hole omitted)", got.Depth(), got.Size(), s.Size())
+		t.Fatalf("decoded depth/size = %d/%d, want 2/%d", got.Depth(), got.Size(), s.Size())
 	}
-	a, b := s.Flatten(), got.Flatten()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("node %d changed across the hole", i)
+	x, y := s.Flatten(), got.Flatten()
+	for i := range x {
+		if x[i] != y[i] {
+			t.Fatalf("node %d changed across the round trip", i)
 		}
 	}
 	if again := EncodeStack[puzzle.Node](c, got); !bytes.Equal(msg, again) {
-		t.Error("re-encoding the compacted stack changed bytes")
+		t.Error("re-encoding the decoded stack changed bytes")
 	}
 }
 
@@ -60,26 +77,17 @@ func TestPartialStackInteriorEmptyLevel(t *testing.T) {
 // workload codec.
 func TestPartialStackSingleLevelDonation(t *testing.T) {
 	t.Run("puzzle", func(t *testing.T) {
-		c := PuzzleCodec{}
-		src := stack.New(puzzle.Scramble(7, 20), puzzle.Scramble(8, 22))
-		d := stack.BottomNode[puzzle.Node]{}.Split(src)
-		roundTripPartial(t, c, d)
+		_, d, _ := splitBottom([]puzzle.Node{puzzle.Scramble(7, 20), puzzle.Scramble(8, 22)})
+		roundTripPartial(t, PuzzleCodec{}, d)
 	})
 	t.Run("synthetic", func(t *testing.T) {
-		c := SyntheticCodec{}
-		src := stack.New(
-			synthetic.Node{Budget: 900, Seed: 11},
-			synthetic.Node{Budget: 41, Seed: 12},
-		)
-		d := stack.BottomNode[synthetic.Node]{}.Split(src)
-		roundTripPartial(t, c, d)
+		_, d, _ := splitBottom([]synthetic.Node{{Budget: 900, Seed: 11}, {Budget: 41, Seed: 12}})
+		roundTripPartial(t, SyntheticCodec{}, d)
 	})
 	t.Run("queens", func(t *testing.T) {
-		c := QueensCodec{}
 		dom := queens.New(8)
-		src := stack.New(dom.Expand(dom.Root(), nil)...)
-		d := stack.BottomNode[queens.Node]{}.Split(src)
-		roundTripPartial(t, c, d)
+		_, d, _ := splitBottom(dom.Expand(dom.Root(), nil))
+		roundTripPartial(t, QueensCodec{}, d)
 	})
 }
 

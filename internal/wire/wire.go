@@ -61,10 +61,9 @@ var ErrTruncated = errors.New("wire: truncated message")
 
 // EncodeStack frames a whole stack: a uvarint level count, then per level
 // a uvarint node count followed by the encoded nodes, bottom level first.
-// It is the byte-for-byte payload of one work transfer.  Empty interior
-// levels (left behind when bottom-node removal drains a level mid-stack)
-// are invisible to the search order — every stack operation skips or
-// trims them — so the canonical encoding omits them.
+// It is the byte-for-byte payload of one work transfer.  The canonical
+// encoding has no empty levels: neither a Stack nor an arena window ever
+// holds one, and the decoder rejects a zero node count.
 func EncodeStack[S any](c Codec[S], s *stack.Stack[S]) []byte {
 	return AppendStack(nil, c, s)
 }
