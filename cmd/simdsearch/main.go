@@ -299,6 +299,7 @@ func runScheme[S any](ctx context.Context, d search.Domain[S], codec wire.Codec[
 			if err != nil {
 				return metrics.Stats{}, err
 			}
+			defer mgr.Close() // the log is cache: nothing to lose if this fails
 			m.SetSpiller(mgr)
 			defer func() {
 				st := mgr.Stats()

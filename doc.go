@@ -88,6 +88,7 @@ func runSpillable[S any](ctx context.Context, d search.Domain[S], codec wire.Cod
 		if err != nil {
 			return Stats{}, err
 		}
+		defer mgr.Close() // the log is cache: nothing to lose if this fails
 		m.SetSpiller(mgr)
 	}
 	return m.RunContext(ctx)

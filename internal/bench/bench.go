@@ -75,6 +75,7 @@ func (sc Scenario) RunSpill() (metrics.Stats, spill.Stats, error) {
 		if err != nil {
 			return metrics.Stats{}, spill.Stats{}, fmt.Errorf("bench %s: %w", sc.Name, err)
 		}
+		defer mgr.Close() // the log is cache: nothing to lose if this fails
 		m.SetSpiller(mgr)
 	}
 	//lint:allow ctxflow benchmark scenarios are never cancelled mid-measurement

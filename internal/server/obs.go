@@ -27,7 +27,7 @@ type counters struct {
 	checkpointsWritten atomic.Int64 // spool files persisted (periodic + final)
 	jobsResumed        atomic.Int64 // runs restored from a spooled checkpoint
 
-	spillEvictions    atomic.Int64 // cold level windows evicted to segment files
+	spillEvictions    atomic.Int64 // cold level windows evicted to the segment log
 	spillFaults       atomic.Int64 // segments restored on demand
 	spillBytesWritten atomic.Int64 // segment bytes written
 	spillBytesRead    atomic.Int64 // segment bytes read back

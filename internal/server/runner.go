@@ -139,6 +139,9 @@ func runMachine[S any](ctx context.Context, d search.Domain[S], codec wire.Codec
 		if err != nil {
 			return metrics.Stats{}, err
 		}
+		// Release the log's descriptor with the job, not at some later GC:
+		// a long-lived server runs many budgeted jobs.
+		defer mgr.Close()
 		m.SetSpiller(mgr)
 		if env.SpillStats != nil {
 			defer func() { env.SpillStats(mgr.Stats()) }()

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"simdtree/internal/stack"
-	"simdtree/internal/synthetic"
 	"simdtree/internal/wire"
 )
 
@@ -35,7 +33,7 @@ func FuzzDecodeSpillSegment(f *testing.F) {
 
 	codec := wire.SyntheticCodec{}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pe, seq, s, err := DecodeSegment(codec, data)
+		pe, seq, nodes, counts, err := DecodeSegment(codec, data, nil, nil)
 		if err != nil {
 			return
 		}
@@ -44,10 +42,7 @@ func FuzzDecodeSpillSegment(f *testing.F) {
 			// the decode itself already proved panic-freedom.
 			return
 		}
-		a := stack.NewArena[synthetic.Node](pe + 1)
-		a.InstallFromStack(pe, s)
-		re := AppendSegment(nil, codec, a, pe, seq, s.Depth())
-		if !bytes.Equal(re, data) {
+		if re := reencode(pe, seq, nodes, counts); !bytes.Equal(re, data) {
 			t.Fatalf("decode→encode not canonical:\n in %x\nout %x", data, re)
 		}
 	})

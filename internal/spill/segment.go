@@ -10,7 +10,7 @@ import (
 	"simdtree/internal/wire"
 )
 
-// Magic identifies a spill segment file.
+// Magic identifies a spill segment frame.
 const Magic = "SSPL"
 
 // Version is the current segment format version.  Any change to the byte
@@ -77,70 +77,71 @@ func uvarint(b []byte) (uint64, []byte, error) {
 }
 
 // DecodeSegment parses a segment encoded by AppendSegment, returning the
-// PE it belongs to, its sequence number, and the evicted levels as a
-// Stack (bottom level first).  Decoding is strict: bad magic, an unknown
-// version, a CRC mismatch, truncation, zero-node levels, non-minimal
-// varints and trailing bytes are all rejected with classified errors, and
-// re-encoding the decoded levels reproduces the original bytes exactly.
-func DecodeSegment[S any](c wire.Codec[S], b []byte) (pe int, seq uint64, s *stack.Stack[S], err error) {
+// PE it belongs to, its sequence number, and the evicted levels appended
+// to the caller's scratch: the nodes bottom level first, and the length of
+// each level (the form Arena.PrependLevels takes).  Passing the slices a
+// previous call returned, resliced to [:0], decodes without allocating.
+// Decoding is strict: bad magic, an unknown version, a CRC mismatch,
+// truncation, zero-node levels, non-minimal varints and trailing bytes are
+// all rejected with classified errors, and re-encoding the decoded levels
+// reproduces the original bytes exactly.
+func DecodeSegment[S any](c wire.Codec[S], b []byte, nodes []S, counts []int) (pe int, seq uint64, _ []S, _ []int, err error) {
 	if len(b) < len(Magic)+1+4 {
-		return 0, 0, nil, ErrTruncated
+		return 0, 0, nil, nil, ErrTruncated
 	}
 	if string(b[:len(Magic)]) != Magic {
-		return 0, 0, nil, ErrBadMagic
+		return 0, 0, nil, nil, ErrBadMagic
 	}
 	if b[len(Magic)] != Version {
-		return 0, 0, nil, fmt.Errorf("%w: %d", ErrVersion, b[len(Magic)])
+		return 0, 0, nil, nil, fmt.Errorf("%w: %d", ErrVersion, b[len(Magic)])
 	}
 	body, trailer := b[:len(b)-4], b[len(b)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		return 0, 0, nil, ErrChecksum
+		return 0, 0, nil, nil, ErrChecksum
 	}
 	r := body[len(Magic)+1:]
 	peV, r, err := uvarint(r)
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, 0, nil, nil, err
 	}
 	if peV >= maxP {
-		return 0, 0, nil, fmt.Errorf("PE %d out of range: %w", peV, ErrCorrupt)
+		return 0, 0, nil, nil, fmt.Errorf("PE %d out of range: %w", peV, ErrCorrupt)
 	}
 	seq, r, err = uvarint(r)
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, 0, nil, nil, err
 	}
 	levels, r, err := uvarint(r)
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, 0, nil, nil, err
 	}
 	// A segment holds at least one level, and every encoded node occupies
 	// at least one byte, so counts beyond the remaining length are corrupt;
-	// reject them before allocating.
+	// reject them before the scratch grows to hold them.
 	if levels == 0 || levels > uint64(len(r)) {
-		return 0, 0, nil, fmt.Errorf("invalid level count %d: %w", levels, ErrCorrupt)
+		return 0, 0, nil, nil, fmt.Errorf("invalid level count %d: %w", levels, ErrCorrupt)
 	}
-	s = stack.New[S]()
 	for l := uint64(0); l < levels; l++ {
 		var count uint64
 		count, r, err = uvarint(r)
 		if err != nil {
-			return 0, 0, nil, err
+			return 0, 0, nil, nil, err
 		}
 		if count == 0 || count > uint64(len(r)) {
-			return 0, 0, nil, fmt.Errorf("invalid node count %d: %w", count, ErrCorrupt)
+			return 0, 0, nil, nil, fmt.Errorf("invalid node count %d: %w", count, ErrCorrupt)
 		}
-		lv := make([]S, 0, count)
+		counts = append(counts, int(count))
 		for i := uint64(0); i < count; i++ {
 			var node S
 			node, r, err = c.DecodeNode(r)
 			if err != nil {
-				return 0, 0, nil, fmt.Errorf("node decode: %w: %v", ErrCorrupt, err)
+				return 0, 0, nil, nil, fmt.Errorf("node decode: %w: %v", ErrCorrupt, err)
 			}
-			lv = append(lv, node)
+			nodes = append(nodes, node)
 		}
-		s.PushLevel(lv)
 	}
 	if len(r) != 0 {
-		return 0, 0, nil, fmt.Errorf("%d trailing bytes: %w", len(r), ErrCorrupt)
+		return 0, 0, nil, nil, fmt.Errorf("%d trailing bytes: %w", len(r), ErrCorrupt)
 	}
-	return int(peV), seq, s, nil
+	return int(peV), seq, nodes, counts, nil
 }

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"simdtree/internal/stack"
@@ -34,27 +35,42 @@ func encodeSample() []byte {
 	return AppendSegment(nil, wire.SyntheticCodec{}, sampleArena(), 1, 42, 3)
 }
 
+// reencode frames decoded levels (nodes bottom level first, one count per
+// level) from a fresh arena: the canonical form a decoded segment must
+// reproduce byte for byte.
+func reencode(pe int, seq uint64, nodes []synthetic.Node, counts []int) []byte {
+	a := stack.NewArena[synthetic.Node](pe + 1)
+	for _, n := range counts {
+		a.PushLevel(pe, nodes[:n])
+		nodes = nodes[n:]
+	}
+	return AppendSegment(nil, wire.SyntheticCodec{}, a, pe, seq, len(counts))
+}
+
 // TestSegmentRoundTrip checks that a segment decodes to exactly the
 // levels it framed, and that re-encoding the decoded levels from a fresh
 // arena reproduces the original bytes — the canonical-encoding property
-// restoreNewest's verification relies on.
+// restoreNewest's verification relies on.  The decode appends to the
+// caller's scratch and leaves what was already there alone.
 func TestSegmentRoundTrip(t *testing.T) {
 	codec := wire.SyntheticCodec{}
 	b := encodeSample()
-	pe, seq, s, err := DecodeSegment(codec, b)
+	scratch := []synthetic.Node{{Budget: 99, Seed: 99}}
+	pe, seq, nodes, counts, err := DecodeSegment(codec, b, scratch, []int{7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pe != 1 || seq != 42 {
 		t.Fatalf("decoded pe=%d seq=%d, want 1, 42", pe, seq)
 	}
-	if s.Size() != 6 || s.Depth() != 3 {
-		t.Fatalf("decoded %d nodes in %d levels, want 6 in 3", s.Size(), s.Depth())
+	if nodes[0] != scratch[0] || counts[0] != 7 {
+		t.Fatalf("decode overwrote the scratch prefix: %v %v", nodes[0], counts[0])
 	}
-	a2 := stack.NewArena[synthetic.Node](2)
-	a2.InstallFromStack(1, s)
-	re := AppendSegment(nil, codec, a2, 1, 42, 3)
-	if !bytes.Equal(re, b) {
+	nodes, counts = nodes[1:], counts[1:]
+	if len(nodes) != 6 || !reflect.DeepEqual(counts, []int{3, 1, 2}) {
+		t.Fatalf("decoded %d nodes in levels %v, want 6 in [3 1 2]", len(nodes), counts)
+	}
+	if re := reencode(1, 42, nodes, counts); !bytes.Equal(re, b) {
 		t.Fatalf("re-encode not canonical:\n in %x\nout %x", b, re)
 	}
 }
@@ -96,7 +112,7 @@ func TestDecodeSegmentErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, _, err := DecodeSegment(codec, tc.in)
+			_, _, _, _, err := DecodeSegment(codec, tc.in, nil, nil)
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("DecodeSegment = %v, want %v", err, tc.want)
 			}
@@ -107,7 +123,7 @@ func TestDecodeSegmentErrors(t *testing.T) {
 	for i := len(Magic) + 1; i < len(valid)-4; i++ {
 		c := append([]byte(nil), valid...)
 		c[i] ^= 0x10
-		if _, _, _, err := DecodeSegment(codec, c); !errors.Is(err, ErrChecksum) {
+		if _, _, _, _, err := DecodeSegment(codec, c, nil, nil); !errors.Is(err, ErrChecksum) {
 			t.Fatalf("flip at %d: got %v, want ErrChecksum", i, err)
 		}
 	}
@@ -134,13 +150,11 @@ func TestGoldenCompatibility(t *testing.T) {
 	}
 	const versionOff = len(Magic)
 	if bytes.Equal(got, want) {
-		pe, seq, s, err := DecodeSegment(wire.SyntheticCodec{}, want)
+		pe, seq, nodes, counts, err := DecodeSegment(wire.SyntheticCodec{}, want, nil, nil)
 		if err != nil {
 			t.Fatalf("decoding golden file: %v", err)
 		}
-		a := stack.NewArena[synthetic.Node](pe + 1)
-		a.InstallFromStack(pe, s)
-		if re := AppendSegment(nil, wire.SyntheticCodec{}, a, pe, seq, s.Depth()); !bytes.Equal(re, want) {
+		if re := reencode(pe, seq, nodes, counts); !bytes.Equal(re, want) {
 			t.Error("golden file does not re-encode byte-identically")
 		}
 		return
@@ -149,7 +163,7 @@ func TestGoldenCompatibility(t *testing.T) {
 		t.Fatalf("segment layout changed but Version is still %d; bump Version, keep decoding v%d, and regenerate the golden file with -update",
 			Version, want[versionOff])
 	}
-	if _, _, _, err := DecodeSegment(wire.SyntheticCodec{}, want); !errors.Is(err, ErrVersion) {
+	if _, _, _, _, err := DecodeSegment(wire.SyntheticCodec{}, want, nil, nil); !errors.Is(err, ErrVersion) {
 		t.Fatalf("old-version golden file decodes as %v, want ErrVersion", err)
 	}
 	t.Logf("note: Version bumped to %d; regenerate %s with -update once the new layout settles", Version, goldenPath)

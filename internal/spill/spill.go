@@ -10,8 +10,9 @@
 // engine's arena: the bottom-of-stack level windows are cold — only
 // bottom-node donation ever touches them, and in depth-first order they
 // are the last work a PE will reach — so they spill first, as versioned
-// on-disk segment files, and fault back in at cycle boundaries when a
-// pop runs out of resident work or a transfer needs the whole stack.
+// segment frames in one on-disk log, and fault back in at cycle
+// boundaries when a pop runs out of resident work or a transfer needs the
+// whole stack.
 //
 // Determinism is the design constraint, not an afterthought.  Every
 // evict/restore decision is a pure function of the global schedule —
@@ -23,17 +24,19 @@
 // enabled or disabled; internal/spill's equivalence tests enforce this
 // across every Table 1 scheme.
 //
-// Crash-recovery contract: segment files are reconstructible cache
+// Crash-recovery contract: the segment log is reconstructible cache
 // state, not durable state.  Checkpoints reabsorb spilled levels before
 // encoding (the machine faults everything in at snapshot boundaries), so
 // a spooled SCKP file is always self-contained; after a crash the job
-// resumes from its checkpoint and NewManager wipes whatever segments the
-// dead run left behind.
+// resumes from its checkpoint and NewManager wipes whatever log the dead
+// run left behind.
 package spill
 
 import (
 	"errors"
 	"fmt"
+	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 
@@ -48,9 +51,10 @@ const DefaultKeepLevels = 2
 
 // Config configures a Manager.
 type Config struct {
-	// Dir is the segment directory.  It is created if missing, and any
-	// *.sspl files already in it (a crashed run's leftovers) are removed:
-	// segments are cache, the checkpoint spool is the source of truth.
+	// Dir is the segment directory, home of the manager's one segment
+	// log.  It is created if missing, and any *.sspl files already in it
+	// (a crashed run's leftovers) are removed: segments are cache, the
+	// checkpoint spool is the source of truth.
 	Dir string
 	// MemBudget is the resident-node budget in bytes; at most
 	// MemBudget/NodeBytes nodes stay in memory across all PEs.  Zero or
@@ -74,22 +78,32 @@ type Stats struct {
 	Evictions int64
 	// Faults is the number of segments restored.
 	Faults int64
-	// BytesWritten and BytesRead total the segment file traffic.
+	// BytesWritten and BytesRead total the segment frame traffic.
 	BytesWritten int64
 	BytesRead    int64
-	// SegmentsLive is the number of segment files currently on disk.
+	// SegmentsLive is the number of live frames in the segment log:
+	// evicted and not yet restored or discarded.
 	SegmentsLive int
 	// PeakResident is the largest resident-node total observed at a
 	// sweep boundary.
 	PeakResident int
 }
 
-// segRef is one on-disk segment: the bookkeeping needed to restore it
-// and to verify the restore matches what was evicted.
+// logName is the manager's one file in Config.Dir.  The .sspl suffix
+// keeps it inside NewManager's crash wipe.
+const logName = "segments.sspl"
+
+// ErrClosed is returned by every residency operation after Close.
+var ErrClosed = errors.New("spill: manager closed")
+
+// segRef is one live frame in the log: where it sits, and the bookkeeping
+// needed to verify the restore matches what was evicted.
 type segRef struct {
 	seq    uint64
 	nodes  int
 	levels int
+	off    int64
+	size   int // frame bytes; the slot is the next power of two
 }
 
 // Manager owns the segment store of one machine: a per-PE LIFO of
@@ -97,11 +111,30 @@ type segRef struct {
 // the fault paths the engine calls at cycle boundaries.  It implements
 // simd.Spiller.  A Manager is not safe for concurrent use; the engine
 // calls it only from the sequential sections of the run loop.
+//
+// Segments live in one log file, opened at the first eviction.  Each
+// eviction is one WriteAt of an SSPL frame into a slot, each fault one
+// ReadAt of exactly that frame.  Slots are powers of two: a freed slot
+// goes on its size class's free list and the next frame of that class
+// takes it, so the log grows only while more frames of a class are live
+// than ever before — under a steady evict/fault thrash it stays within
+// twice the peak live frame bytes.
 type Manager[S any] struct {
 	codec       wire.Codec[S]
 	dir         string
 	budgetNodes int
 	keep        int
+
+	log    *os.File
+	closed bool
+	end    int64                  // first byte past the last slot carved from the log
+	free   [bits.UintSize][]int64 // free[c]: offsets of vacant slots of 1<<c bytes
+
+	// Scratch reused across events, so a warmed-up thrash allocates
+	// nothing: the frame being written or read, and the decoded levels.
+	frame  []byte
+	nodes  []S
+	counts []int
 
 	seq   uint64
 	segs  [][]segRef // per-PE LIFO, newest last
@@ -171,12 +204,6 @@ func (m *Manager[S]) Stats() Stats {
 	return st
 }
 
-// segPath names segment seq of PE pe.  The sequence number is globally
-// unique within the run, so names never collide.
-func (m *Manager[S]) segPath(seq uint64, pe int) string {
-	return filepath.Join(m.dir, fmt.Sprintf("seg-%08d-pe%d.sspl", seq, pe))
-}
-
 // ensure sizes the per-PE bookkeeping to p PEs.
 func (m *Manager[S]) ensure(p int) {
 	if len(m.segs) < p {
@@ -190,13 +217,15 @@ func (m *Manager[S]) ensure(p int) {
 // that still has evicted levels but no resident node gets its newest
 // segment faulted back in, so the one pop the cycle performs on it finds
 // the true top of the stack.  It runs at cycle boundaries, before the
-// cycle, and is a no-op (one integer compare) when nothing is spilled.
+// cycle, and is a no-op (two compares) when nothing is spilled.
 //
-// Deliberately not a lint hot-path root: the steady-state fast paths
-// (live == 0, every PE resident) allocate nothing, and the engine's bench
-// gate enforces that; the eviction and fault event paths behind them do
-// disk I/O and allocate by design.
+// Deliberately not a lint hot-path root: the eviction and fault event
+// paths behind it do disk I/O, and grow the manager's scratch buffers
+// until they fit the largest frame seen.
 func (m *Manager[S]) Barrier(a *stack.Arena[S]) error {
+	if m.closed {
+		return ErrClosed
+	}
 	if m.live == 0 {
 		return nil
 	}
@@ -226,9 +255,11 @@ func (m *Manager[S]) Barrier(a *stack.Arena[S]) error {
 // and any balancing phase; when every PE is already at its keep floor
 // the arena stays over budget rather than stalling the search.
 //
-// Not a lint hot-path root for the same reason as Barrier: the per-cycle
-// scan is allocation-free, the evictions behind it allocate by design.
+// Not a lint hot-path root, for the same reason as Barrier.
 func (m *Manager[S]) Sweep(a *stack.Arena[S]) error {
+	if m.closed {
+		return ErrClosed
+	}
 	if m.budgetNodes <= 0 {
 		return nil
 	}
@@ -264,6 +295,9 @@ func (m *Manager[S]) Sweep(a *stack.Arena[S]) error {
 // whole stack is resident — the precondition for bottom removal, stack
 // splits, donation and serialisation.
 func (m *Manager[S]) FaultAll(a *stack.Arena[S], pe int) error {
+	if m.closed {
+		return ErrClosed
+	}
 	if pe >= len(m.segs) || len(m.segs[pe]) == 0 {
 		return nil
 	}
@@ -283,42 +317,89 @@ func (m *Manager[S]) FaultAll(a *stack.Arena[S], pe int) error {
 }
 
 // Reset discards every segment — the machine's state was replaced
-// wholesale (a snapshot restore), so nothing on disk describes it any
-// more.  File removal is best-effort; a leftover file is wiped by the
-// next NewManager over the same directory.
+// wholesale (a snapshot restore), so nothing in the log describes it any
+// more — and rewinds the log: the next eviction writes at offset 0.
 func (m *Manager[S]) Reset() error {
 	for pe := range m.segs {
-		m.discard(pe)
+		m.segs[pe] = m.segs[pe][:0]
+	}
+	for c := range m.free {
+		m.free[c] = m.free[c][:0]
+	}
+	m.live, m.end = 0, 0
+	return nil
+}
+
+// Close closes and removes the segment log.  It is idempotent; after it,
+// Barrier, Sweep and FaultAll return ErrClosed.  A long-lived process
+// calls it when the run ends, so that a finished job does not hold its
+// descriptor until the garbage collector finalises the file.
+func (m *Manager[S]) Close() error {
+	log := m.log
+	m.log, m.closed = nil, true
+	if log == nil {
+		return nil
+	}
+	if err := errors.Join(log.Close(), os.Remove(log.Name())); err != nil {
+		return fmt.Errorf("spill: %w", err)
 	}
 	return nil
+}
+
+// slotClass returns c such that a frame of n bytes takes a slot of 1<<c.
+func slotClass(n int) int { return bits.Len(uint(n - 1)) }
+
+// alloc returns the offset of a vacant slot for a frame of n bytes: the
+// most recently freed slot of its class, else a new one at the log's end.
+func (m *Manager[S]) alloc(n int) int64 {
+	c := slotClass(n)
+	if f := m.free[c]; len(f) > 0 {
+		m.free[c] = f[:len(f)-1]
+		return f[len(f)-1]
+	}
+	off := m.end
+	m.end += 1 << c
+	return off
+}
+
+// release returns the slot of a frame of n bytes at off to its free list.
+func (m *Manager[S]) release(off int64, n int) {
+	c := slotClass(n)
+	m.free[c] = append(m.free[c], off)
 }
 
 // discard drops PE pe's segments without restoring them.
 func (m *Manager[S]) discard(pe int) {
 	for _, ref := range m.segs[pe] {
-		_ = os.Remove(m.segPath(ref.seq, pe)) //lint:allow errdrop a leftover file is wiped by the next NewManager
+		m.release(ref.off, ref.size)
 	}
 	m.live -= len(m.segs[pe])
 	m.segs[pe] = m.segs[pe][:0]
 }
 
-// evict writes PE pe's bottom levels (all but the top keep) as one
-// segment file and drops them from the arena.  It returns the number of
-// nodes moved out of memory.
+// evict writes PE pe's bottom levels (all but the top keep) as one frame
+// into a log slot and drops them from the arena.  It returns the number
+// of nodes moved out of memory.  A failed write gives the slot back and
+// leaves the arena untouched.
 func (m *Manager[S]) evict(a *stack.Arena[S], pe int) (int, error) {
+	if m.log == nil {
+		f, err := os.OpenFile(filepath.Join(m.dir, logName), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+		if err != nil {
+			return 0, fmt.Errorf("spill: %w", err)
+		}
+		m.log = f
+	}
 	k := a.ResidentDepth(pe) - m.keep
 	m.seq++
-	bp := wire.GetBuf()
-	b := AppendSegment((*bp)[:0], m.codec, a, pe, m.seq, k)
-	err := os.WriteFile(m.segPath(m.seq, pe), b, 0o644)
-	n := len(b)
-	*bp = b
-	wire.PutBuf(bp)
-	if err != nil {
+	m.frame = AppendSegment(m.frame[:0], m.codec, a, pe, m.seq, k)
+	n := len(m.frame)
+	off := m.alloc(n)
+	if _, err := m.log.WriteAt(m.frame, off); err != nil {
+		m.release(off, n)
 		return 0, fmt.Errorf("spill: %w", err)
 	}
 	nodes := a.DropBottom(pe, k)
-	m.segs[pe] = append(m.segs[pe], segRef{seq: m.seq, nodes: nodes, levels: k})
+	m.segs[pe] = append(m.segs[pe], segRef{seq: m.seq, nodes: nodes, levels: k, off: off, size: n})
 	m.live++
 	m.stats.Evictions++
 	m.stats.BytesWritten += int64(n)
@@ -327,33 +408,40 @@ func (m *Manager[S]) evict(a *stack.Arena[S], pe int) (int, error) {
 
 // restoreNewest faults PE pe's most recent segment back in: the levels
 // directly below the resident window, by LIFO construction.  The decoded
-// contents are verified against the eviction bookkeeping before they
-// touch the arena, and the file is deleted after a successful restore.
+// frame is verified against the eviction bookkeeping before it touches
+// the arena; a read that runs off the end of the log is ErrTruncated, a
+// damaged frame ErrChecksum, a frame that is not the one evicted
+// ErrCorrupt, and each leaves the PE as it was.
 func (m *Manager[S]) restoreNewest(a *stack.Arena[S], pe int) error {
 	refs := m.segs[pe]
 	ref := refs[len(refs)-1]
-	path := m.segPath(ref.seq, pe)
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("spill: %w", err)
+	b := m.frame[:ref.size] // fits: every live frame was encoded through m.frame
+	fail := func(err error) error {
+		return fmt.Errorf("spill: segment %d of PE %d at log offset %d: %w", ref.seq, pe, ref.off, err)
 	}
-	gotPE, gotSeq, s, err := DecodeSegment(m.codec, b)
-	if err != nil {
-		return fmt.Errorf("spill: segment %s: %w", filepath.Base(path), err)
+	if _, err := m.log.ReadAt(b, ref.off); err != nil {
+		if errors.Is(err, io.EOF) {
+			err = ErrTruncated
+		}
+		return fail(err)
 	}
+	gotPE, gotSeq, nodes, counts, err := DecodeSegment(m.codec, b, m.nodes[:0], m.counts[:0])
+	if err != nil {
+		return fail(err)
+	}
+	m.nodes, m.counts = nodes, counts
 	if gotPE != pe || gotSeq != ref.seq {
-		return fmt.Errorf("spill: segment %s is for PE %d seq %d, expected PE %d seq %d: %w",
-			filepath.Base(path), gotPE, gotSeq, pe, ref.seq, ErrCorrupt)
+		return fail(fmt.Errorf("frame is PE %d seq %d: %w", gotPE, gotSeq, ErrCorrupt))
 	}
-	if s.Size() != ref.nodes || s.Depth() != ref.levels {
-		return fmt.Errorf("spill: segment %s holds %d nodes in %d levels, evicted %d in %d: %w",
-			filepath.Base(path), s.Size(), s.Depth(), ref.nodes, ref.levels, ErrCorrupt)
+	if len(nodes) != ref.nodes || len(counts) != ref.levels {
+		return fail(fmt.Errorf("frame holds %d nodes in %d levels, evicted %d in %d: %w",
+			len(nodes), len(counts), ref.nodes, ref.levels, ErrCorrupt))
 	}
-	a.PrependStack(pe, s)
+	a.PrependLevels(pe, nodes, counts)
 	m.segs[pe] = refs[:len(refs)-1]
+	m.release(ref.off, ref.size)
 	m.live--
 	m.stats.Faults++
-	m.stats.BytesRead += int64(len(b))
-	_ = os.Remove(path) //lint:allow errdrop the segment was fully restored; a leftover file is wiped at the next NewManager
+	m.stats.BytesRead += int64(ref.size)
 	return nil
 }

@@ -333,8 +333,8 @@ func (a *Arena[S]) RemoveBottom(pe int) (S, bool) {
 // clearRaw empties PE pe in place without touching the bitsets, zeroing
 // the live node window for the garbage collector.  Ghost accounting is
 // dropped too — a cleared or reinstalled PE owes nothing to stable
-// storage, and the spill manager discards any segment files it still
-// holds for the PE the next time it looks.
+// storage, and the spill manager discards any segments it still holds
+// for the PE the next time it looks.
 func (a *Arena[S]) clearRaw(pe int) {
 	var zero S
 	buf := a.bufs[pe]
@@ -431,7 +431,7 @@ func (a *Arena[S]) ForEachBottomLevel(pe, k int, f func(level []S)) {
 // marking their nodes as ghost: the total Size/Depth the schedule sees is
 // unchanged, the bitsets never flip, and only the resident window
 // shrinks.  The caller (the spill manager) has already serialised the
-// levels to stable storage and must restore them with PrependStack, in
+// levels to stable storage and must restore them with PrependLevels, in
 // LIFO order, before anything touches the stack below the resident
 // window.  It returns the number of nodes dropped.  k must be positive
 // and at most ResidentDepth(pe); dropping every resident level is legal
@@ -462,16 +462,17 @@ func (a *Arena[S]) DropBottom(pe, k int) int {
 	return nodes
 }
 
-// PrependStack reattaches s's levels below PE pe's resident window — the
-// restore half of DropBottom, undoing the most recent eviction.  The
-// ghost counters shrink by s's node and level counts; the total
-// Size/Depth and the bitsets are unchanged.  The caller keeps ownership
-// of s.  Restores allocate when the vacated space in front of the window
-// has since been reclaimed; the engine only restores at fault events,
-// which are outside the steady-state zero-allocation contract.
-func (a *Arena[S]) PrependStack(pe int, s *Stack[S]) {
-	n := s.size
-	k := len(s.levels)
+// PrependLevels reattaches evicted levels below PE pe's resident window —
+// the restore half of DropBottom, undoing the most recent eviction.  nodes
+// holds the levels' nodes bottom level first and counts the length of each
+// level; the ghost counters shrink by len(nodes) and len(counts), and the
+// total Size/Depth and the bitsets are unchanged.  The caller keeps
+// ownership of both slices.  Restores allocate only when the vacated space
+// in front of the window has since been reclaimed and the buffer has no
+// room to slide; a steady evict/restore thrash reuses the same capacity.
+func (a *Arena[S]) PrependLevels(pe int, nodes []S, counts []int) {
+	n := len(nodes)
+	k := len(counts)
 	if n == 0 {
 		return
 	}
@@ -502,10 +503,7 @@ func (a *Arena[S]) PrependStack(pe int, s *Stack[S]) {
 		buf = nb
 		head = 0
 	}
-	off := head
-	for _, lv := range s.levels {
-		off += copy(buf[off:], lv)
-	}
+	copy(buf[head:], nodes)
 	a.head[pe] = head
 	a.size[pe] = sz + n
 
@@ -533,9 +531,7 @@ func (a *Arena[S]) PrependStack(pe int, s *Stack[S]) {
 		lv = nl
 		lo = 0
 	}
-	for i, l := range s.levels {
-		lv[lo+i] = len(l)
-	}
+	copy(lv[lo:], counts)
 	a.lvlLo[pe] = lo
 	a.depth[pe] = d + k
 	a.ghost[pe] -= n

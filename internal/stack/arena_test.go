@@ -289,18 +289,26 @@ func TestArenaSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// captureBottom copies the bottom k resident levels of PE pe into a Stack,
-// the way the spill manager serialises an eviction.
-func captureBottom(a *Arena[int], pe, k int) *Stack[int] {
-	seg := New[int]()
+// evicted is one captured eviction in the form the spill manager decodes
+// a segment to: the nodes bottom level first, and each level's length.
+type evicted struct {
+	nodes  []int
+	counts []int
+}
+
+// captureBottom copies the bottom k resident levels of PE pe, the way the
+// spill manager serialises an eviction.
+func captureBottom(a *Arena[int], pe, k int) evicted {
+	var seg evicted
 	a.ForEachBottomLevel(pe, k, func(lv []int) {
-		seg.PushLevel(append([]int(nil), lv...))
+		seg.nodes = append(seg.nodes, lv...)
+		seg.counts = append(seg.counts, len(lv))
 	})
 	return seg
 }
 
 // TestArenaDropRestoreRoundTrip drives a PE through random interleavings
-// of pushes, pops, evictions (DropBottom) and restores (PrependStack) and
+// of pushes, pops, evictions (DropBottom) and restores (PrependLevels) and
 // checks that (a) the schedule-visible quantities — total size, depth,
 // flags, bits — never see the residency changes, and (b) after restoring
 // everything the level structure equals the naive model that ran the same
@@ -310,7 +318,7 @@ func TestArenaDropRestoreRoundTrip(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		a := NewArena[int](2)
 		var ref model
-		var segs []*Stack[int] // LIFO of evicted segments
+		var segs []evicted // LIFO of evicted segments
 		next := 0
 		for op := 0; op < 150; op++ {
 			switch rng.Intn(5) {
@@ -325,7 +333,7 @@ func TestArenaDropRestoreRoundTrip(t *testing.T) {
 				ref.push(lv)
 			case 2: // pop (only when the top is resident, as the engine guarantees)
 				if a.Resident(1) == 0 && a.Ghost(1) > 0 {
-					a.PrependStack(1, segs[len(segs)-1])
+					a.PrependLevels(1, segs[len(segs)-1].nodes, segs[len(segs)-1].counts)
 					segs = segs[:len(segs)-1]
 				}
 				av, aok := a.Pop(1)
@@ -336,14 +344,14 @@ func TestArenaDropRestoreRoundTrip(t *testing.T) {
 			case 3: // evict all but the top 2 resident levels
 				if k := a.ResidentDepth(1) - 2; k > 0 {
 					seg := captureBottom(a, 1, k)
-					if n := a.DropBottom(1, k); n != seg.Size() {
-						t.Fatalf("DropBottom moved %d nodes, captured %d", n, seg.Size())
+					if n := a.DropBottom(1, k); n != len(seg.nodes) {
+						t.Fatalf("DropBottom moved %d nodes, captured %d", n, len(seg.nodes))
 					}
 					segs = append(segs, seg)
 				}
 			case 4: // restore the newest segment
 				if len(segs) > 0 {
-					a.PrependStack(1, segs[len(segs)-1])
+					a.PrependLevels(1, segs[len(segs)-1].nodes, segs[len(segs)-1].counts)
 					segs = segs[:len(segs)-1]
 				}
 			}
@@ -361,7 +369,7 @@ func TestArenaDropRestoreRoundTrip(t *testing.T) {
 		}
 		// Restore everything and compare the full level structure.
 		for len(segs) > 0 {
-			a.PrependStack(1, segs[len(segs)-1])
+			a.PrependLevels(1, segs[len(segs)-1].nodes, segs[len(segs)-1].counts)
 			segs = segs[:len(segs)-1]
 		}
 		if a.Ghost(1) != 0 || a.GhostLevels(1) != 0 {

@@ -16,8 +16,8 @@ package stack
 
 // Stack is one PE's untried alternatives, one slice per tree level, as a
 // value that crosses the arena boundary: snapshots, cross-machine
-// donations and decoded checkpoint / steal-frame / spill-segment payloads
-// carry stacks in this form.  Level 0 is the shallowest.  It is a
+// donations and decoded checkpoint / steal-frame payloads carry stacks in
+// this form.  Level 0 is the shallowest.  It is a
 // transport value, not a working stack — the search pushes, pops and
 // splits inside an Arena — so the only mutation is PushLevel while a
 // decoder or MaterializeStack builds it.  The zero value is an empty stack.
