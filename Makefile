@@ -22,20 +22,21 @@ test-race:
 # baseline (see DESIGN.md section 11).  bench-baseline regenerates the
 # baseline file after an intentional perf change; bump the number when you
 # want to keep the old trajectory point.
-BENCH_BASELINE ?= BENCH_4.json
+BENCH_BASELINE ?= BENCH_5.json
 
 bench:
 	$(GO) run ./cmd/simdbench -out /dev/null -compare $(BENCH_BASELINE)
-	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkArenaTransfer' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkArenaTransfer|BenchmarkExpandKernel' -benchmem .
 
 bench-baseline:
 	$(GO) run ./cmd/simdbench -out $(BENCH_BASELINE)
 
 # CI smoke variant: one iteration per scenario, allocation + schedule gate,
-# plus the structure-of-arrays micro-benchmarks (allocs/op must stay 0).
+# plus the structure-of-arrays micro-benchmarks (allocs/op must stay 0;
+# BenchmarkExpandKernel fails itself when a steady-state cycle allocates).
 bench-check:
 	$(GO) run ./cmd/simdbench -short -out /dev/null -compare $(BENCH_BASELINE)
-	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkArenaTransfer' -benchtime 100x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkArenaTransfer|BenchmarkExpandKernel' -benchtime 100x -benchmem .
 
 # simdmark, the benchmark of record (benchmark/, BENCHMARK.json), at the
 # smoke test's scale: all six workloads in seconds.  Claims quote the

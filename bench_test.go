@@ -5,6 +5,7 @@
 package simdtree
 
 import (
+	"fmt"
 	"io"
 	"testing"
 
@@ -360,5 +361,59 @@ func BenchmarkArenaTransfer(b *testing.B) {
 		sp.SplitArena(a, donor, recv)
 		a.SyncBits(donor)
 		a.SyncBits(recv)
+	}
+}
+
+// regrowTree is an endless steady-state workload for the expansion kernel:
+// the root re-pushes itself under a complete binary subtree of the given
+// depth, so a PE's stack never drains and never outgrows depth+1 levels.
+// Nodes are their own depth.
+type regrowTree struct{ depth int }
+
+func (regrowTree) Goal(int) bool { return false }
+
+func (r regrowTree) Expand(d int, buf []int) []int {
+	switch {
+	case d == 0:
+		return append(buf, 0, 1)
+	case d < r.depth:
+		return append(buf, d+1, d+1)
+	}
+	return buf
+}
+
+// BenchmarkExpandKernel measures one lock-step expansion cycle of the
+// word-at-a-time kernel (stack.Arena.ExpandCycle) with every PE busy, at a
+// machine that fits the host's L2 and at CM-2 scale, where a cycle's sweep
+// over the per-PE stacks does not.  One op is one cycle; the steady state
+// must not allocate, and the benchmark fails if it does.
+func BenchmarkExpandKernel(b *testing.B) {
+	for _, p := range []int{256, 8192} {
+		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
+			b.ReportAllocs()
+			tree := regrowTree{depth: 12}
+			a := stack.NewArena[int](p)
+			for pe := 0; pe < p; pe++ {
+				a.PushLevel(pe, []int{0})
+			}
+			sc := new(stack.ExpandScratch[int])
+			cycle := func() {
+				if res := a.ExpandCycle(tree, 0, p, sc); res.Expanded != int64(p) {
+					b.Fatalf("expanded %d of %d PEs", res.Expanded, p)
+				}
+			}
+			for i := 0; i < 64; i++ { // grow every buffer to its final size
+				cycle()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p), "ns/node")
+			if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+				b.Fatalf("%v allocs per cycle in steady state, want 0", allocs)
+			}
+		})
 	}
 }

@@ -96,6 +96,7 @@ func (sc Scenario) RunSpill() (metrics.Stats, spill.Stats, error) {
 // full-scale machine size.
 const (
 	ExpansionCycle = "expansion-cycle"
+	ExpansionWide  = "expansion-wide"
 	LBPhase        = "lb-phase"
 	Table5W1       = "table5-p1024-w1"
 	Table5W8       = "table5-p1024-w8"
@@ -107,6 +108,10 @@ const (
 //
 //   - expansion-cycle: S^0.00 never triggers a balancing phase, so the run
 //     is node-expansion cycles only — the per-cycle hot path in isolation.
+//   - expansion-wide: the paper's machine size (P = 8192) under GP-DK, where
+//     one cycle's sweep over the per-PE stacks does not fit a 2 MB L2, so the
+//     expansion kernel is priced with its cache misses, not only its
+//     instructions.
 //   - lb-phase: S^1.00 triggers after every cycle, so the run is dominated
 //     by load-balancing phases (matching, splitting, transfer accounting).
 //   - table5-p1024-w{1,8}: the paper's Table 5 shape (P = 1024, a
@@ -122,6 +127,7 @@ const (
 func Scenarios() []Scenario {
 	return []Scenario{
 		{Name: ExpansionCycle, Scheme: "GP-S0.00", P: 256, Workers: 1, W: 10_000, Seed: 11},
+		{Name: ExpansionWide, Scheme: "GP-DK", P: 8192, Workers: 1, W: 400_000, Seed: 5},
 		{Name: LBPhase, Scheme: "GP-S1.00", P: 256, Workers: 1, W: 10_000, Seed: 11},
 		{Name: Table5W1, Scheme: "GP-S0.85", P: 1024, Workers: 1, W: 400_000, Seed: 3},
 		{Name: Table5W8, Scheme: "GP-S0.85", P: 1024, Workers: 8, W: 400_000, Seed: 3},

@@ -41,12 +41,14 @@ type CycleInfo struct {
 // globally reduced scalars only, stepping every shard one cycle at a time
 // reproduces the single-machine schedule exactly.
 func (m *Machine[S]) StepCycle() CycleInfo {
-	var res cycleResult
-	res, m.expandBufs[0] = m.expandRange(0, m.stats.P, m.expandBufs[0])
+	res := m.expandRange(0, m.stats.P, m.scratch[0])
+	if err := m.notResident(res.NotResident); err != nil && m.spillErr == nil {
+		m.spillErr = err
+	}
 	return CycleInfo{
-		Active:   int(res.expanded),
-		Goals:    res.goals,
-		Peak:     res.peak,
+		Active:   int(res.Expanded),
+		Goals:    res.Goals,
+		Peak:     res.Peak,
 		AllEmpty: m.done(),
 		AnyDonor: m.anyDonor(),
 	}

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	mbits "math/bits"
 	"sync"
 	"time"
 
@@ -128,12 +127,13 @@ type Machine[S any] struct {
 
 	// shards are the fixed [lo, hi) PE ranges the worker goroutines cover,
 	// computed once at construction rather than re-derived every cycle.
-	// cycleRes and expandBufs are the matching per-shard result slots and
-	// expansion scratch buffers, reused every cycle so the hot path does
-	// not allocate; taskExpand is the pre-bound shard task.
+	// cycleRes and scratch are the matching per-shard result slots and
+	// expansion-kernel scratch, reused every cycle so the hot path does
+	// not allocate (each scratch is its own allocation: two shards never
+	// write the same cache line); taskExpand is the pre-bound shard task.
 	shards     []shardRange
-	cycleRes   []cycleResult
-	expandBufs [][]S
+	cycleRes   []stack.Expansion
+	scratch    []*stack.ExpandScratch[S]
 	taskExpand func(w int)
 
 	// Worker pool: long-lived goroutines (started by RunContext, stopped
@@ -160,9 +160,10 @@ type Machine[S any] struct {
 	ckpt func(*Snapshot[S]) error
 
 	// spiller is the residency manager registered with SetSpiller; nil
-	// runs unbounded.  spillErr latches the first fault error raised from
-	// inside a balancing phase (whose transfer paths cannot return one);
-	// the run loop surfaces it at the next boundary.
+	// runs unbounded.  spillErr latches the first residency error raised
+	// where none can be returned — a fault inside a balancing phase's
+	// transfer path, ErrNotResident from a driven StepCycle; the run loop
+	// surfaces it at the next boundary.
 	spiller  Spiller[S]
 	spillErr error
 
@@ -247,6 +248,9 @@ func NewMachine[S any](d search.Domain[S], sch Scheme[S], opts Options) (*Machin
 	if m.topo == nil {
 		m.topo = topology.CM2{}
 	}
+	if m.opts.ProgressEvery <= 0 {
+		m.opts.ProgressEvery = 1000
+	}
 	m.workers = opts.Workers
 	if m.workers < 1 {
 		m.workers = 1
@@ -261,11 +265,14 @@ func NewMachine[S any](d search.Domain[S], sch Scheme[S], opts Options) (*Machin
 
 	m.shards = makeShards(opts.P, m.workers)
 	m.workers = len(m.shards)
-	m.cycleRes = make([]cycleResult, len(m.shards))
-	m.expandBufs = make([][]S, len(m.shards))
+	m.cycleRes = make([]stack.Expansion, len(m.shards))
+	m.scratch = make([]*stack.ExpandScratch[S], len(m.shards))
+	for w := range m.scratch {
+		m.scratch[w] = new(stack.ExpandScratch[S])
+	}
 	m.taskExpand = func(w int) {
 		sh := m.shards[w]
-		m.cycleRes[w], m.expandBufs[w] = m.expandRange(sh.lo, sh.hi, m.expandBufs[w])
+		m.cycleRes[w] = m.expandRange(sh.lo, sh.hi, m.scratch[w])
 	}
 	m.lbCtx = &Context[S]{
 		Arena:    m.arena,
@@ -425,7 +432,10 @@ func (m *Machine[S]) run() error {
 		if err := m.spillBarrier(); err != nil {
 			return err
 		}
-		active := m.cycle()
+		active, lost := m.cycle()
+		if err := m.notResident(lost); err != nil {
+			return err
+		}
 		st := m.triggerState(active)
 		m.recordSample(st)
 		if m.opts.StopAtFirstGoal && m.goals > 0 {
@@ -463,8 +473,11 @@ func (m *Machine[S]) initialDistribution(threshold float64) error {
 		if err := m.spillBarrier(); err != nil {
 			return err
 		}
-		active := m.cycle()
+		active, lost := m.cycle()
 		m.stats.InitCycles++
+		if err := m.notResident(lost); err != nil {
+			return err
+		}
 		m.recordSample(m.triggerState(active))
 		if m.opts.StopAtFirstGoal && m.goals > 0 {
 			return nil
@@ -533,42 +546,48 @@ func (m *Machine[S]) checkCtx() error {
 	}
 }
 
-// cycleResult carries one worker's share of an expansion cycle.
-type cycleResult struct {
-	expanded int64
-	goals    int64
-	peak     int
+// ErrNotResident is wrapped by the error a run returns when a PE's has-work
+// flag was set at a cycle boundary but it had no node in memory to pop: its
+// stack was evicted and the Spiller's Barrier did not restore it, or the
+// flag no longer matched the stack.  The PE is not expanded and not counted
+// in W; the run stops at the end of that cycle.
+var ErrNotResident = errors.New("has work but no resident node")
+
+// notResident turns the kernel's report of such a PE (-1: there was none)
+// into the run's error, once the cycle is booked.
+func (m *Machine[S]) notResident(pe int) error {
+	if pe < 0 {
+		return nil
+	}
+	return fmt.Errorf("simd: PE %d %w at cycle %d", pe, ErrNotResident, m.stats.Cycles)
 }
 
 // cycle performs one lock-step node-expansion cycle: every PE with work
 // pops its next node, tests it for the goal and pushes its successors.  It
 // returns the number of PEs that expanded a node and charges the virtual
-// clock.
+// clock; the second result is the kernel's Expansion.NotResident, which the
+// caller hands to notResident.
 //
 //lint:hotpath
-func (m *Machine[S]) cycle() int {
-	var res cycleResult
+func (m *Machine[S]) cycle() (active, lost int) {
+	res := stack.Expansion{NotResident: -1}
 	if m.workers == 1 {
-		res, m.expandBufs[0] = m.expandRange(0, m.stats.P, m.expandBufs[0])
+		res = m.expandRange(0, m.stats.P, m.scratch[0])
 	} else {
 		m.parallel(m.taskExpand)
 		for _, r := range m.cycleRes {
-			res.expanded += r.expanded
-			res.goals += r.goals
-			if r.peak > res.peak {
-				res.peak = r.peak
-			}
+			res.Merge(r)
 		}
 	}
 
-	active := int(res.expanded)
-	m.goals += res.goals
-	if res.peak > m.stats.PeakStack {
-		m.stats.PeakStack = res.peak
+	active = int(res.Expanded)
+	m.goals += res.Goals
+	if res.Peak > m.stats.PeakStack {
+		m.stats.PeakStack = res.Peak
 	}
 
 	ucalc := m.costs.NodeExpansion
-	m.stats.W += res.expanded
+	m.stats.W += res.Expanded
 	m.stats.Cycles++
 	m.stats.Tpar += ucalc
 	idle := time.Duration(m.stats.P-active) * ucalc
@@ -578,59 +597,26 @@ func (m *Machine[S]) cycle() int {
 	m.phaseWork += time.Duration(active) * ucalc
 	m.phaseIdle += idle
 
-	if m.opts.Progress != nil {
-		every := m.opts.ProgressEvery
-		if every <= 0 {
-			every = 1000
-		}
-		if m.stats.Cycles%every == 0 {
-			m.opts.Progress(ProgressInfo{
-				Cycles:   m.stats.Cycles,
-				Active:   active,
-				W:        m.stats.W,
-				LBPhases: m.stats.LBPhases,
-				Tpar:     m.stats.Tpar,
-			})
-		}
+	if m.opts.Progress != nil && m.stats.Cycles%m.opts.ProgressEvery == 0 {
+		m.opts.Progress(ProgressInfo{
+			Cycles:   m.stats.Cycles,
+			Active:   active,
+			W:        m.stats.W,
+			LBPhases: m.stats.LBPhases,
+			Tpar:     m.stats.Tpar,
+		})
 	}
-	return active
+	return active, res.NotResident
 }
 
-// expandRange expands one node on every non-empty stack in [lo, hi),
-// iterating the set bits of the has-work bitset so empty PEs cost nothing
-// beyond one word load per 64 of them.  Each word is snapshotted before
-// its PEs are expanded, which is exactly the lock-step semantics: the set
-// of PEs that expand this cycle is fixed at the cycle boundary.  lo is
-// 64-aligned for every shard but the degenerate lo=0, so concurrent
-// shards never read or write the same bitset word.  It returns the
-// (possibly grown) expansion buffer so the caller can keep it for the
-// next cycle.
-func (m *Machine[S]) expandRange(lo, hi int, buf []S) (cycleResult, []S) {
-	var res cycleResult
-	a := m.arena
-	words := a.WorkBits()
-	for wi := lo >> 6; wi<<6 < hi; wi++ {
-		w := words[wi]
-		base := wi << 6
-		for w != 0 {
-			pe := base + mbits.TrailingZeros64(w)
-			if pe >= hi {
-				break
-			}
-			w &= w - 1
-			node, _ := a.Pop(pe)
-			res.expanded++
-			if m.d.Goal(node) {
-				res.goals++
-			}
-			buf = m.d.Expand(node, buf[:0])
-			a.PushLevel(pe, buf)
-			if s := a.Size(pe); s > res.peak {
-				res.peak = s
-			}
-		}
-	}
-	return res, buf
+// expandRange runs the expansion cycle of the PEs in [lo, hi) — the whole
+// machine, one worker's shard, or a driven steal shard — as one call into
+// the arena's word-at-a-time kernel (stack.Arena.ExpandCycle): the engine
+// cycle never pops, pushes or syncs flag bits PE by PE.  Every shard's lo
+// is a multiple of 64, which is what lets concurrent shards store whole
+// flag words.
+func (m *Machine[S]) expandRange(lo, hi int, sc *stack.ExpandScratch[S]) stack.Expansion {
+	return m.arena.ExpandCycle(m.d, lo, hi, sc)
 }
 
 // triggerState assembles the globally reduced view a trigger sees after a

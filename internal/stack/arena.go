@@ -23,11 +23,14 @@ import "simdtree/internal/scan"
 //     encoding canonically omits empty ones.
 //  2. The has-work bitset has bit pe set iff size[pe] > 0, and the
 //     can-split bitset iff size[pe] >= 2 — after SyncBits(pe).  The
-//     exported mutators keep the bits fresh themselves; the unexported
-//     raw operations (used by the Splitter implementations, which may run
-//     on concurrent host shards over arbitrary PE pairs) deliberately
-//     do not touch the shared bitset words, and their callers re-sync
-//     sequentially afterwards.
+//     exported per-PE mutators keep the bits fresh themselves; the
+//     unexported raw operations (used by the Splitter implementations,
+//     which may run on concurrent host shards over arbitrary PE pairs)
+//     deliberately do not touch the shared bitset words, and their callers
+//     re-sync sequentially afterwards.  ExpandCycle (expand.go), the
+//     engine's expansion cycle, is the third kind: raw pops and pushes
+//     for a whole 64-PE word, then one store of each of the word's two
+//     flag words.
 //
 // An Arena is not safe for concurrent use except as the engine shards it:
 // concurrent mutators must touch disjoint PEs, and flag maintenance for
@@ -220,8 +223,12 @@ func (a *Arena[S]) pushLevelRaw(pe int, alts []S) {
 }
 
 // PushLevel copies the untried alternatives of a newly expanded node onto
-// PE pe as a deeper level; the caller keeps ownership of alts.  It is the
-// expansion fast path: a contiguous tail copy plus one level-table write.
+// PE pe as a deeper level — a contiguous tail copy plus one level-table
+// write — and re-syncs the PE's flag bits; the caller keeps ownership of
+// alts.  It is the one-PE-at-a-time push: the asynchronous MIMD baseline
+// (internal/mimd) expands through it and the engines seed the root with
+// it.  The SIMD engine's cycle does not call it; ExpandCycle pushes raw and
+// stores the flags once per word.
 //
 //lint:hotpath
 func (a *Arena[S]) PushLevel(pe int, alts []S) {
@@ -259,23 +266,33 @@ func (a *Arena[S]) popRaw(pe int) (S, bool) {
 	tail := a.head[pe] + sz - 1
 	node := buf[tail]
 	buf[tail] = zero // release the reference for the garbage collector
-	a.size[pe] = sz - 1
-	lo, d := a.lvlLo[pe], a.depth[pe]
-	lv := a.lvls[pe]
-	lv[lo+d-1]--
-	if lv[lo+d-1] == 0 {
-		// Only the decremented top level can have emptied (invariant 1).
-		a.depth[pe] = d - 1
-		if d == 1 {
-			a.lvlLo[pe], a.head[pe] = 0, 0
-		}
-	}
+	a.shrinkTop(pe, sz)
 	return node, true
 }
 
+// shrinkTop books the removal of PE pe's top node: sz, its resident size
+// before the removal, drops by one, and so does the top level's length.
+// Small enough to inline into popRaw and the expansion kernel's pop phase.
+func (a *Arena[S]) shrinkTop(pe, sz int) {
+	a.size[pe] = sz - 1
+	lv := a.lvls[pe]
+	top := a.lvlLo[pe] + a.depth[pe] - 1
+	lv[top]--
+	if lv[top] == 0 {
+		// Only the decremented top level can have emptied (invariant 1).
+		a.depth[pe]--
+		if a.depth[pe] == 0 {
+			a.lvlLo[pe], a.head[pe] = 0, 0
+		}
+	}
+}
+
 // Pop removes and returns the next node in depth-first order: the last
-// untried alternative of the deepest level.  It reports false when PE pe
-// is empty.
+// untried alternative of the deepest level, re-syncing the PE's flag bits.
+// It reports false when PE pe has no resident node.  Like PushLevel it is
+// the one-PE-at-a-time form, called by internal/mimd (whose PEs run
+// asynchronously) and not by the SIMD engine's cycle, which pops through
+// ExpandCycle.
 //
 //lint:hotpath
 func (a *Arena[S]) Pop(pe int) (S, bool) {

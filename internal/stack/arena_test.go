@@ -291,16 +291,16 @@ func TestArenaSteadyStateZeroAlloc(t *testing.T) {
 
 // evicted is one captured eviction in the form the spill manager decodes
 // a segment to: the nodes bottom level first, and each level's length.
-type evicted struct {
-	nodes  []int
+type evicted[S any] struct {
+	nodes  []S
 	counts []int
 }
 
 // captureBottom copies the bottom k resident levels of PE pe, the way the
 // spill manager serialises an eviction.
-func captureBottom(a *Arena[int], pe, k int) evicted {
-	var seg evicted
-	a.ForEachBottomLevel(pe, k, func(lv []int) {
+func captureBottom[S any](a *Arena[S], pe, k int) evicted[S] {
+	var seg evicted[S]
+	a.ForEachBottomLevel(pe, k, func(lv []S) {
 		seg.nodes = append(seg.nodes, lv...)
 		seg.counts = append(seg.counts, len(lv))
 	})
@@ -318,7 +318,7 @@ func TestArenaDropRestoreRoundTrip(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		a := NewArena[int](2)
 		var ref model
-		var segs []evicted // LIFO of evicted segments
+		var segs []evicted[int] // LIFO of evicted segments
 		next := 0
 		for op := 0; op < 150; op++ {
 			switch rng.Intn(5) {
