@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-go bench-baseline bench-check mark loc fuzz vet lint lint-hotpath fmt serve fleet load experiments-quick experiments-full report clean
+.PHONY: all build test test-race bench bench-go bench-baseline bench-check mark loc fuzz vet lint lint-hotpath frame-discipline fmt serve fleet load experiments-quick experiments-full report clean
 
 all: build lint test
 
@@ -69,8 +69,14 @@ vet:
 # Repo-specific static analysis: determinism (detrand, maporder), float
 # equality, dropped errors, sync misuse, pool reset, and the cross-package
 # suite (hotalloc, ctxflow, lockorder, atomicmix, sseflush).
-lint: vet lint-hotpath
+lint: vet lint-hotpath frame-discipline
 	$(GO) run ./cmd/simdlint ./...
+
+# One frame codec (DESIGN.md, "Frame discipline"): outside internal/wire no
+# non-test file checksums a frame or decodes a varint for itself.
+frame-discipline:
+	@if git grep --untracked -n -e '"hash/crc32"' -e 'binary\.Uvarint(' -- '*.go' ':!*_test.go' ':!internal/wire/'; then \
+		echo "frame-discipline: decode and checksum frames through internal/wire (wire.Open / wire.Reader)" >&2; exit 1; fi
 
 # Fail when the //lint:hotpath root inventory drifts from the committed
 # list, so a root cannot silently lose its annotation (and with it the

@@ -6,29 +6,25 @@
 // schedule, and restoring it and running to completion reproduces the
 // uninterrupted run's Stats and trace byte for byte.
 //
-// The format is strict and canonical.  Decoding rejects bad magic, an
-// unknown version byte, a CRC mismatch, truncation, trailing bytes and
-// non-minimal structure with sentinel errors — it never panics on
-// hostile input — and re-encoding a decoded checkpoint reproduces the
-// original bytes exactly, which is how the golden-file compatibility
-// test pins the format: any change to the layout must bump Version and
-// teach Decode the old one, or the test fails.
+// The format is a wire frame (internal/wire, "Frame discipline" in
+// DESIGN.md): strict and canonical, so decoding rejects every malformed
+// input with one of the five sentinel errors — it never panics on hostile
+// input — and re-encoding a decoded checkpoint reproduces the original
+// bytes exactly, which is how the golden-file compatibility test pins the
+// format: any change to the layout must bump Version and teach Decode the
+// old one, or the test fails.
 //
-// Layout (all integers varint/uvarint, strings and byte blobs
+// Field list (integers varint/uvarint, strings and byte blobs
 // uvarint-length-prefixed):
 //
-//	"SCKP" | version byte |
 //	meta: domain scheme topology codec | P | extra |
-//	flags byte | snapshot body | per-PE wire-encoded stacks |
-//	CRC32-IEEE (little-endian) over everything before it
+//	flags byte | cycle, matcher pointer, trigger ledger | stats |
+//	[domain state] | P wire-encoded stacks | [trace] | [IDA* state]
 package checkpoint
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -48,14 +44,13 @@ const Magic = "SCKP"
 // silent format drift impossible.
 const Version = 1
 
-// Sentinel decode errors.  Every malformed input maps to exactly one of
-// these (possibly wrapped with detail); none of them is ever a panic.
+// The decode errors are the wire frame's.
 var (
-	ErrBadMagic  = errors.New("checkpoint: not a checkpoint file")
-	ErrVersion   = errors.New("checkpoint: unsupported format version")
-	ErrChecksum  = errors.New("checkpoint: checksum mismatch")
-	ErrTruncated = errors.New("checkpoint: truncated")
-	ErrCorrupt   = errors.New("checkpoint: corrupt")
+	ErrBadMagic  = wire.ErrBadMagic
+	ErrVersion   = wire.ErrVersion
+	ErrChecksum  = wire.ErrChecksum
+	ErrTruncated = wire.ErrTruncated
+	ErrCorrupt   = wire.ErrCorrupt
 )
 
 // maxP bounds the processor count a header may claim, so a corrupt
@@ -93,64 +88,19 @@ func Encode[S any](c wire.Codec[S], meta Meta, snap *simd.Snapshot[S]) ([]byte, 
 	}
 	meta.Codec = c.Name()
 	meta.P = len(snap.Stacks)
-	if meta.P == 0 || meta.P > maxP {
-		return nil, fmt.Errorf("checkpoint: snapshot has %d stacks", meta.P)
+	raw := RawSnapshot{
+		Cycle: snap.Cycle, InitDone: snap.InitDone, MatcherPointer: snap.MatcherPointer,
+		PhaseCycles: snap.PhaseCycles, PhaseElapsed: snap.PhaseElapsed,
+		PhaseWork: snap.PhaseWork, PhaseIdle: snap.PhaseIdle, EstLB: snap.EstLB,
+		Stats: snap.Stats, DomainState: snap.DomainState, Trace: snap.Trace, IDA: snap.IDA,
 	}
-	var w writer
-	w.raw(Magic)
-	w.byte(Version)
-	w.str(meta.Domain)
-	w.str(meta.Scheme)
-	w.str(meta.Topology)
-	w.str(meta.Codec)
-	w.uvarint(uint64(meta.P))
-	w.blob(meta.Extra)
-
-	var flags byte
-	if snap.InitDone {
-		flags |= flagInitDone
-	}
-	if len(snap.DomainState) > 0 {
-		flags |= flagDomainState
-	}
-	if snap.Trace != nil {
-		flags |= flagTrace
-	}
-	if snap.IDA != nil {
-		flags |= flagIDA
-	}
-	w.byte(flags)
-	w.uvarint(uint64(snap.Cycle))
-	w.varint(int64(snap.MatcherPointer))
-	w.uvarint(uint64(snap.PhaseCycles))
-	w.varint(int64(snap.PhaseElapsed))
-	w.varint(int64(snap.PhaseWork))
-	w.varint(int64(snap.PhaseIdle))
-	w.varint(int64(snap.EstLB))
-	w.stats(snap.Stats)
-	if len(snap.DomainState) > 0 {
-		w.blob(snap.DomainState)
-	}
-	sb := wire.GetBuf()
-	for _, s := range snap.Stacks {
-		*sb = wire.AppendStack((*sb)[:0], c, s)
-		w.blob(*sb)
-	}
-	wire.PutBuf(sb)
-	if snap.Trace != nil {
-		w.trace(snap.Trace)
-	}
-	if snap.IDA != nil {
-		w.uvarint(uint64(snap.IDA.Iteration))
-		w.varint(int64(snap.IDA.Bound))
-		w.uvarint(uint64(len(snap.IDA.Done)))
-		for _, it := range snap.IDA.Done {
-			w.varint(int64(it.Bound))
-			w.stats(it.Stats)
-		}
-	}
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.ChecksumIEEE(w.buf))
-	return w.buf, nil
+	// Every stack is framed through one scratch, so a snapshot costs no
+	// allocation per PE.
+	scratch := make([]byte, 0, 256)
+	return encode(meta, &raw, func(pe int) []byte {
+		scratch = wire.AppendStack(scratch[:0], c, snap.Stacks[pe])
+		return scratch
+	})
 }
 
 // Decode parses a checkpoint produced by Encode with the same codec.  On
@@ -159,73 +109,24 @@ func Decode[S any](c wire.Codec[S], b []byte) (Meta, *simd.Snapshot[S], error) {
 	if c == nil {
 		return Meta{}, nil, errors.New("checkpoint: nil codec")
 	}
-	meta, r, err := header(b)
+	meta, raw, err := decode(b)
 	if err != nil {
 		return Meta{}, nil, err
 	}
 	if meta.Codec != c.Name() {
-		return Meta{}, nil, fmt.Errorf("%w: stacks encoded with codec %q, decoding with %q", ErrCorrupt, meta.Codec, c.Name())
+		return Meta{}, nil, fmt.Errorf("checkpoint: %w: stacks encoded with codec %q, decoding with %q", ErrCorrupt, meta.Codec, c.Name())
 	}
-
-	snap := &simd.Snapshot[S]{}
-	flags := r.byte()
-	if flags&^flagAll != 0 {
-		return Meta{}, nil, fmt.Errorf("%w: unknown flag bits %#x", ErrCorrupt, flags&^flagAll)
+	snap := &simd.Snapshot[S]{
+		Cycle: raw.Cycle, InitDone: raw.InitDone, MatcherPointer: raw.MatcherPointer,
+		PhaseCycles: raw.PhaseCycles, PhaseElapsed: raw.PhaseElapsed,
+		PhaseWork: raw.PhaseWork, PhaseIdle: raw.PhaseIdle, EstLB: raw.EstLB,
+		Stats: raw.Stats, DomainState: raw.DomainState, Trace: raw.Trace, IDA: raw.IDA,
+		Stacks: make([]*stack.Stack[S], meta.P),
 	}
-	snap.InitDone = flags&flagInitDone != 0
-	snap.Cycle = r.count("cycle")
-	snap.MatcherPointer = r.int("matcher pointer")
-	snap.PhaseCycles = r.count("phase cycles")
-	snap.PhaseElapsed = r.duration()
-	snap.PhaseWork = r.duration()
-	snap.PhaseIdle = r.duration()
-	snap.EstLB = r.duration()
-	snap.Stats = r.stats()
-	if flags&flagDomainState != 0 {
-		snap.DomainState = r.blob()
-		if r.err == nil && snap.DomainState == nil {
-			r.fail(fmt.Errorf("%w: domain-state flag set on empty payload", ErrCorrupt))
+	for i, payload := range raw.Stacks {
+		if snap.Stacks[i], err = wire.DecodeStack(c, payload); err != nil {
+			return Meta{}, nil, fmt.Errorf("checkpoint: %w: stack %d: %v", ErrCorrupt, i, err)
 		}
-	}
-	snap.Stacks = make([]*stack.Stack[S], 0, meta.P)
-	for i := 0; i < meta.P; i++ {
-		payload := r.blob()
-		if r.err != nil {
-			break
-		}
-		s, err := wire.DecodeStack(c, payload)
-		if err != nil {
-			return Meta{}, nil, fmt.Errorf("%w: stack %d: %v", ErrCorrupt, i, err)
-		}
-		snap.Stacks = append(snap.Stacks, s)
-	}
-	if flags&flagTrace != 0 {
-		snap.Trace = r.trace()
-	}
-	if flags&flagIDA != 0 {
-		ida := &simd.IDAState{}
-		ida.Iteration = r.count("IDA* iteration")
-		ida.Bound = r.int("IDA* bound")
-		n := r.count("IDA* done iterations")
-		if r.err == nil && n > r.remaining() {
-			r.fail(fmt.Errorf("%w: %d done iterations in %d bytes", ErrCorrupt, n, r.remaining()))
-		}
-		for i := 0; i < n && r.err == nil; i++ {
-			var it simd.IterationStat
-			it.Bound = r.int("iteration bound")
-			it.Stats = r.stats()
-			ida.Done = append(ida.Done, it)
-		}
-		snap.IDA = ida
-	}
-	if r.err != nil {
-		return Meta{}, nil, r.err
-	}
-	if r.remaining() != 0 {
-		return Meta{}, nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.remaining())
-	}
-	if snap.MatcherPointer < -1 || snap.MatcherPointer >= meta.P {
-		return Meta{}, nil, fmt.Errorf("%w: matcher pointer %d out of range for P=%d", ErrCorrupt, snap.MatcherPointer, meta.P)
 	}
 	return meta, snap, nil
 }
@@ -234,48 +135,22 @@ func Decode[S any](c wire.Codec[S], b []byte) (Meta, *simd.Snapshot[S], error) {
 // without needing the node codec.  It still verifies the CRC, so a file
 // that Peeks clean is structurally intact end to end.
 func Peek(b []byte) (Meta, error) {
-	meta, _, err := header(b)
-	return meta, err
+	meta, r := header(b)
+	if err := r.Err(); err != nil {
+		return Meta{}, fmt.Errorf("checkpoint: %w", err)
+	}
+	return meta, nil
 }
 
-// header validates magic, version and CRC, parses the meta block and
-// returns a reader positioned at the flags byte, its window excluding
-// the CRC trailer.
-func header(b []byte) (Meta, *reader, error) {
-	if len(b) < len(Magic)+1 {
-		return Meta{}, nil, ErrTruncated
-	}
-	if string(b[:len(Magic)]) != Magic {
-		return Meta{}, nil, ErrBadMagic
-	}
-	if v := b[len(Magic)]; v != Version {
-		return Meta{}, nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, v, Version)
-	}
-	if len(b) < len(Magic)+1+crc32.Size {
-		return Meta{}, nil, ErrTruncated
-	}
-	body, trailer := b[:len(b)-crc32.Size], b[len(b)-crc32.Size:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		return Meta{}, nil, ErrChecksum
-	}
-	r := &reader{b: body[len(Magic)+1:]}
-	var meta Meta
-	meta.Domain = r.str()
-	meta.Scheme = r.str()
-	meta.Topology = r.str()
-	meta.Codec = r.str()
-	meta.P = r.count("P")
-	meta.Extra = r.blob()
-	if r.err != nil {
-		return Meta{}, nil, r.err
-	}
+// header opens the frame and parses the meta block, returning a reader
+// positioned at the flags byte with any failure latched in it.
+func header(b []byte) (Meta, wire.Reader) {
+	r := wire.Open(b, Magic, Version)
+	meta := Meta{Domain: r.Str(), Scheme: r.Str(), Topology: r.Str(), Codec: r.Str(), P: r.Count(), Extra: r.Blob()}
 	if meta.P == 0 || meta.P > maxP {
-		return Meta{}, nil, fmt.Errorf("%w: P=%d out of range", ErrCorrupt, meta.P)
+		r.Corruptf("P=%d out of range", meta.P)
 	}
-	if len(meta.Extra) == 0 {
-		meta.Extra = nil
-	}
-	return meta, r, nil
+	return meta, r
 }
 
 // WriteFile atomically writes the encoded checkpoint: encode to memory,
@@ -332,238 +207,87 @@ const (
 	flagDomainState
 	flagTrace
 	flagIDA
-	flagDonors
+	flagDonors // of the trace section's own flags byte, not the snapshot's
 
-	flagAll = flagInitDone | flagDomainState | flagTrace | flagIDA | flagDonors
+	flagAll = flagInitDone | flagDomainState | flagTrace | flagIDA
 )
 
-// writer appends the canonical encoding; it cannot fail.
-type writer struct{ buf []byte }
-
-func (w *writer) raw(s string)     { w.buf = append(w.buf, s...) }
-func (w *writer) byte(b byte)      { w.buf = append(w.buf, b) }
-func (w *writer) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
-func (w *writer) varint(v int64)   { w.buf = binary.AppendVarint(w.buf, v) }
-func (w *writer) blob(b []byte) {
-	w.uvarint(uint64(len(b)))
-	w.buf = append(w.buf, b...)
-}
-func (w *writer) str(s string) {
-	w.uvarint(uint64(len(s)))
-	w.raw(s)
-}
-
-func (w *writer) stats(st metrics.Stats) {
-	w.uvarint(uint64(st.P))
-	w.varint(st.W)
-	w.varint(st.Goals)
-	w.uvarint(uint64(st.Cycles))
-	w.uvarint(uint64(st.LBPhases))
-	w.uvarint(uint64(st.Transfers))
-	w.uvarint(uint64(st.InitCycles))
-	w.uvarint(uint64(st.InitPhases))
-	w.varint(int64(st.Tcalc))
-	w.varint(int64(st.Tidle))
-	w.varint(int64(st.Tlb))
-	w.varint(int64(st.Tpar))
-	w.uvarint(uint64(st.PeakStack))
-	w.uvarint(uint64(st.MaxTransfer))
+func writeStats(w *wire.Writer, st metrics.Stats) {
+	w.Uvarint(uint64(st.P))
+	w.Varint(st.W)
+	w.Varint(st.Goals)
+	w.Uvarint(uint64(st.Cycles))
+	w.Uvarint(uint64(st.LBPhases))
+	w.Uvarint(uint64(st.Transfers))
+	w.Uvarint(uint64(st.InitCycles))
+	w.Uvarint(uint64(st.InitPhases))
+	w.Varint(int64(st.Tcalc))
+	w.Varint(int64(st.Tidle))
+	w.Varint(int64(st.Tlb))
+	w.Varint(int64(st.Tpar))
+	w.Uvarint(uint64(st.PeakStack))
+	w.Uvarint(uint64(st.MaxTransfer))
 	// Cancelled is deliberately not stored: a checkpoint is a clean
 	// prefix, and a resumed run's final Cancelled must reflect the
 	// resumed run, not the interrupted one.
 }
 
-func (w *writer) trace(t *trace.Trace) {
+func readStats(r *wire.Reader) metrics.Stats {
+	return metrics.Stats{
+		P: r.Count(), W: r.Varint(), Goals: r.Varint(),
+		Cycles: r.Count(), LBPhases: r.Count(), Transfers: r.Count(),
+		InitCycles: r.Count(), InitPhases: r.Count(),
+		Tcalc: duration(r), Tidle: duration(r), Tlb: duration(r), Tpar: duration(r),
+		PeakStack: r.Count(), MaxTransfer: r.Count(),
+	}
+}
+
+func duration(r *wire.Reader) time.Duration { return time.Duration(r.Varint()) }
+
+func writeTrace(w *wire.Writer, t *trace.Trace) {
 	var f byte
 	if t.CaptureDonors {
 		f = flagDonors
 	}
-	w.byte(f)
-	w.uvarint(uint64(len(t.Samples)))
+	w.Byte(f)
+	w.Uvarint(uint64(len(t.Samples)))
 	for _, s := range t.Samples {
-		w.uvarint(uint64(s.Cycle))
-		w.uvarint(uint64(s.Active))
-		w.varint(int64(s.R1))
-		w.varint(int64(s.R2))
+		w.Uvarint(uint64(s.Cycle))
+		w.Uvarint(uint64(s.Active))
+		w.Varint(int64(s.R1))
+		w.Varint(int64(s.R2))
 	}
-	w.uvarint(uint64(len(t.Events)))
+	w.Uvarint(uint64(len(t.Events)))
 	for _, e := range t.Events {
-		w.uvarint(uint64(e.Cycle))
-		w.uvarint(uint64(e.Transfers))
-		w.varint(int64(e.Cost))
+		w.Uvarint(uint64(e.Cycle))
+		w.Uvarint(uint64(e.Transfers))
+		w.Varint(int64(e.Cost))
+		// Donors is 0 for nil, else its length plus one: a captured event
+		// with no donor is not an uncaptured one.
 		if e.Donors == nil {
-			w.uvarint(0)
+			w.Uvarint(0)
 		} else {
-			w.uvarint(uint64(len(e.Donors)) + 1)
+			w.Uvarint(uint64(len(e.Donors)) + 1)
 			for _, d := range e.Donors {
-				w.uvarint(uint64(d))
+				w.Uvarint(uint64(d))
 			}
 		}
 	}
 }
 
-// reader consumes the canonical encoding, latching the first error so
-// callers can decode a whole section and check once.
-type reader struct {
-	b   []byte
-	err error
-}
-
-func (r *reader) remaining() int { return len(r.b) }
-
-func (r *reader) fail(err error) {
-	if r.err == nil {
-		r.err = err
+// readTrace inverts writeTrace.  Each loop stops at the first latched
+// error, so a hostile count costs no more memory than the bytes behind it.
+func readTrace(r *wire.Reader) *trace.Trace {
+	t := &trace.Trace{CaptureDonors: r.Flags(flagDonors) != 0}
+	for n := r.Len(); n > 0 && r.Err() == nil; n-- {
+		t.Samples = append(t.Samples, trace.Sample{Cycle: r.Count(), Active: r.Count(), R1: duration(r), R2: duration(r)})
 	}
-}
-
-func (r *reader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) == 0 {
-		r.fail(ErrTruncated)
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	switch {
-	case n == 0:
-		r.fail(ErrTruncated)
-		return 0
-	case n < 0:
-		r.fail(fmt.Errorf("%w: varint overflow", ErrCorrupt))
-		return 0
-	case n > 1 && r.b[n-1] == 0:
-		// A minimal varint never ends in a zero continuation group; the
-		// format is canonical, so re-encoding must reproduce the input.
-		r.fail(fmt.Errorf("%w: non-minimal varint", ErrCorrupt))
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *reader) varint() int64 {
-	u := r.uvarint()
-	// Inverse zigzag, as binary.Varint does over binary.Uvarint.
-	v := int64(u >> 1)
-	if u&1 != 0 {
-		v = ^v
-	}
-	return v
-}
-
-// count reads a non-negative int-sized value, the common case for
-// cycle/phase counters and lengths.
-func (r *reader) count(what string) int {
-	v := r.uvarint()
-	if r.err == nil && v > math.MaxInt {
-		r.fail(fmt.Errorf("%w: %s %d overflows int", ErrCorrupt, what, v))
-		return 0
-	}
-	return int(v)
-}
-
-// int reads a signed int-sized value.
-func (r *reader) int(what string) int {
-	v := r.varint()
-	if r.err == nil && (v > math.MaxInt || v < math.MinInt) {
-		r.fail(fmt.Errorf("%w: %s %d overflows int", ErrCorrupt, what, v))
-		return 0
-	}
-	return int(v)
-}
-
-func (r *reader) duration() time.Duration { return time.Duration(r.varint()) }
-
-func (r *reader) blob() []byte {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.b)) {
-		r.fail(fmt.Errorf("%w: blob of %d bytes with %d remaining", ErrCorrupt, n, len(r.b)))
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	v := append([]byte(nil), r.b[:n]...)
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *reader) str() string { return string(r.blob()) }
-
-func (r *reader) stats() metrics.Stats {
-	var st metrics.Stats
-	st.P = r.count("stats P")
-	st.W = r.varint()
-	st.Goals = r.varint()
-	st.Cycles = r.count("stats cycles")
-	st.LBPhases = r.count("stats LB phases")
-	st.Transfers = r.count("stats transfers")
-	st.InitCycles = r.count("stats init cycles")
-	st.InitPhases = r.count("stats init phases")
-	st.Tcalc = r.duration()
-	st.Tidle = r.duration()
-	st.Tlb = r.duration()
-	st.Tpar = r.duration()
-	st.PeakStack = r.count("stats peak stack")
-	st.MaxTransfer = r.count("stats max transfer")
-	return st
-}
-
-func (r *reader) trace() *trace.Trace {
-	t := &trace.Trace{}
-	f := r.byte()
-	if r.err == nil && f&^flagDonors != 0 {
-		r.fail(fmt.Errorf("%w: unknown trace flag bits %#x", ErrCorrupt, f&^flagDonors))
-		return nil
-	}
-	t.CaptureDonors = f&flagDonors != 0
-	ns := r.count("trace samples")
-	if r.err == nil && ns > r.remaining() {
-		r.fail(fmt.Errorf("%w: %d trace samples in %d bytes", ErrCorrupt, ns, r.remaining()))
-		return nil
-	}
-	for i := 0; i < ns && r.err == nil; i++ {
-		var s trace.Sample
-		s.Cycle = r.count("sample cycle")
-		s.Active = r.count("sample active")
-		s.R1 = r.duration()
-		s.R2 = r.duration()
-		t.Samples = append(t.Samples, s)
-	}
-	ne := r.count("trace events")
-	if r.err == nil && ne > r.remaining() {
-		r.fail(fmt.Errorf("%w: %d trace events in %d bytes", ErrCorrupt, ne, r.remaining()))
-		return nil
-	}
-	for i := 0; i < ne && r.err == nil; i++ {
-		var e trace.Event
-		e.Cycle = r.count("event cycle")
-		e.Transfers = r.count("event transfers")
-		e.Cost = r.duration()
-		nd := r.count("event donors")
-		if nd > 0 {
-			nd--
-			if r.err == nil && nd > r.remaining() {
-				r.fail(fmt.Errorf("%w: %d donors in %d bytes", ErrCorrupt, nd, r.remaining()))
-				return nil
-			}
-			e.Donors = make([]int, 0, nd)
-			for j := 0; j < nd && r.err == nil; j++ {
-				e.Donors = append(e.Donors, r.count("donor"))
+	for n := r.Len(); n > 0 && r.Err() == nil; n-- {
+		e := trace.Event{Cycle: r.Count(), Transfers: r.Count(), Cost: duration(r)}
+		if nd := r.Count(); nd > 0 {
+			e.Donors = []int{}
+			for nd--; nd > 0 && r.Err() == nil; nd-- {
+				e.Donors = append(e.Donors, r.Count())
 			}
 		}
 		t.Events = append(t.Events, e)

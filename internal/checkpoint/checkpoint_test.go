@@ -172,6 +172,85 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsNonCanonicalPayload closes the hole the shared reader
+// exposed: a CRC-valid checkpoint that spells a value a second way — a
+// stack payload's level count or a synthetic node's budget as a two-byte
+// varint, or the trace section's donors bit in the snapshot's flags byte —
+// used to decode and then re-encode to different bytes.  Each is now
+// ErrCorrupt, so "decode→encode is byte-identical" holds of everything
+// Decode accepts.
+func TestDecodeRejectsNonCanonicalPayload(t *testing.T) {
+	codec := wire.SyntheticCodec{}
+	snap := &simd.Snapshot[synthetic.Node]{
+		Stacks:         []*stack.Stack[synthetic.Node]{stack.New(synthetic.Node{Budget: 11, Seed: 1})},
+		MatcherPointer: -1,
+		Stats:          metrics.Stats{P: 1},
+	}
+	valid, err := Encode[synthetic.Node](codec, Meta{Domain: "syn", Scheme: "GP", Topology: "ring"}, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Decode[synthetic.Node](codec, valid); err != nil {
+		t.Fatal(err)
+	}
+	// The one stack blob: length 11 | levels 1 | nodes 1 | budget 22 | seed.
+	payload := wire.EncodeStack[synthetic.Node](codec, snap.Stacks[0])
+	blob := bytes.Index(valid, append([]byte{byte(len(payload))}, payload...))
+	if blob < 0 {
+		t.Fatalf("no stack blob in the %d-byte sample", len(valid))
+	}
+	// respell replaces the byte at off with a two-byte spelling of the same
+	// value, grows the blob's length prefix to match, and reseals.
+	respell := func(off int, with ...byte) []byte {
+		body := append([]byte(nil), valid[:off]...)
+		body = append(append(body, with...), valid[off+1:len(valid)-crc32.Size]...)
+		body[blob]++
+		return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+	}
+	flagged := append([]byte(nil), valid[:len(valid)-crc32.Size]...)
+	flags := bytes.Index(flagged, []byte("synthetic\x01\x00")) + len("synthetic\x01\x00")
+	flagged[flags] |= flagDonors
+	cases := []struct {
+		name string
+		b    []byte
+	}{
+		{"non-minimal level count", respell(blob+1, 0x81, 0x00)},
+		{"non-minimal node count", respell(blob+2, 0x81, 0x00)},
+		{"non-minimal node budget", respell(blob+3, 0x96, 0x00)},
+		{"trace donors bit in the snapshot flags", binary.LittleEndian.AppendUint32(flagged, crc32.ChecksumIEEE(flagged))},
+	}
+	for _, tc := range cases {
+		if _, _, err := Decode[synthetic.Node](codec, tc.b); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decode = %v, want ErrCorrupt", tc.name, err)
+		}
+		if _, err := Peek(tc.b); err != nil {
+			t.Errorf("%s: Peek = %v; the damage is behind the header", tc.name, err)
+		}
+	}
+}
+
+// TestEncodeAllocsDoNotScaleWithP guards the single scratch every stack is
+// framed through: a P=1024 snapshot encodes in a handful of buffer growths,
+// not an allocation per PE (20 is what the pooled buffer this replaced
+// measured on the same snapshot).
+func TestEncodeAllocsDoNotScaleWithP(t *testing.T) {
+	const p = 1024
+	snap := &simd.Snapshot[synthetic.Node]{MatcherPointer: -1, Stats: metrics.Stats{P: p}}
+	for i := 0; i < p; i++ {
+		s := stack.New(synthetic.Node{Budget: int64(i), Seed: uint64(i)})
+		s.PushLevel([]synthetic.Node{{Budget: 5, Seed: 3}, {Budget: 9, Seed: 4}})
+		snap.Stacks = append(snap.Stacks, s)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Encode[synthetic.Node](wire.SyntheticCodec{}, sampleMeta, snap); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 20 {
+		t.Errorf("Encode of a P=%d snapshot allocates %v times, want <= 20", p, allocs)
+	}
+}
+
 func TestDecodeCodecMismatch(t *testing.T) {
 	b := encodeSample(t)
 	if _, _, err := Decode[struct{}](badCodec{}, b); !errors.Is(err, ErrCorrupt) {

@@ -1,14 +1,14 @@
 package checkpoint
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"time"
 
 	"simdtree/internal/metrics"
+	"simdtree/internal/simd"
 	"simdtree/internal/trace"
+	"simdtree/internal/wire"
 )
 
 // RawSnapshot is a codec-erased simd.Snapshot: the per-PE stacks are kept
@@ -46,6 +46,10 @@ type RawSnapshot struct {
 
 	// Trace is the recorded prefix trace; nil when the run is untraced.
 	Trace *trace.Trace
+
+	// IDA is the IDA* iteration state.  Only Encode and Decode carry it:
+	// it has no raw form, so EncodeRaw and DecodeRaw refuse it.
+	IDA *simd.IDAState
 }
 
 // EncodeRaw serialises a raw snapshot in the exact SCKP layout of Encode.
@@ -60,24 +64,50 @@ func EncodeRaw(meta Meta, snap *RawSnapshot) ([]byte, error) {
 	if meta.Codec == "" {
 		return nil, errors.New("checkpoint: raw encode requires meta.Codec")
 	}
-	meta.P = len(snap.Stacks)
-	if meta.P == 0 || meta.P > maxP {
-		return nil, fmt.Errorf("checkpoint: snapshot has %d stacks", meta.P)
+	if snap.IDA != nil {
+		return nil, errors.New("checkpoint: IDA* state has no raw encoding")
 	}
 	for i, payload := range snap.Stacks {
 		if len(payload) == 0 {
 			return nil, fmt.Errorf("checkpoint: stack %d has an empty payload", i)
 		}
 	}
-	var w writer
-	w.raw(Magic)
-	w.byte(Version)
-	w.str(meta.Domain)
-	w.str(meta.Scheme)
-	w.str(meta.Topology)
-	w.str(meta.Codec)
-	w.uvarint(uint64(meta.P))
-	w.blob(meta.Extra)
+	meta.P = len(snap.Stacks)
+	return encode(meta, snap, func(pe int) []byte { return snap.Stacks[pe] })
+}
+
+// DecodeRaw parses a checkpoint without decoding the stack payloads, which
+// stay as opaque wire encodings (structurally validated only when a shard
+// machine installs them).  It rejects IDA* checkpoints: their iteration
+// state has no raw form.
+func DecodeRaw(b []byte) (Meta, *RawSnapshot, error) {
+	meta, snap, err := decode(b)
+	if err == nil && snap.IDA != nil {
+		err = fmt.Errorf("checkpoint: %w: IDA* checkpoints have no raw decoding", ErrCorrupt)
+	}
+	if err != nil {
+		return Meta{}, nil, err
+	}
+	return meta, snap, nil
+}
+
+// encode is the one SCKP writer: the meta block, then snap's fields in
+// layout order, with the meta.P stack payloads drawn from payload — which
+// may return the same buffer every call — rather than from snap.Stacks.
+func encode(meta Meta, snap *RawSnapshot, payload func(pe int) []byte) ([]byte, error) {
+	if meta.P == 0 || meta.P > maxP {
+		return nil, fmt.Errorf("checkpoint: snapshot has %d stacks", meta.P)
+	}
+	// Sized for one single-node stack a PE — blob length, level count, node
+	// count and a node of ten-odd bytes — which is about where a balanced
+	// machine's snapshot lands; anything deeper grows it by appending.
+	w := wire.NewFrame(make([]byte, 0, 256+16*meta.P), Magic, Version)
+	w.Str(meta.Domain)
+	w.Str(meta.Scheme)
+	w.Str(meta.Topology)
+	w.Str(meta.Codec)
+	w.Uvarint(uint64(meta.P))
+	w.Blob(meta.Extra)
 
 	var flags byte
 	if snap.InitDone {
@@ -89,82 +119,83 @@ func EncodeRaw(meta Meta, snap *RawSnapshot) ([]byte, error) {
 	if snap.Trace != nil {
 		flags |= flagTrace
 	}
-	w.byte(flags)
-	w.uvarint(uint64(snap.Cycle))
-	w.varint(int64(snap.MatcherPointer))
-	w.uvarint(uint64(snap.PhaseCycles))
-	w.varint(int64(snap.PhaseElapsed))
-	w.varint(int64(snap.PhaseWork))
-	w.varint(int64(snap.PhaseIdle))
-	w.varint(int64(snap.EstLB))
-	w.stats(snap.Stats)
-	if len(snap.DomainState) > 0 {
-		w.blob(snap.DomainState)
+	if snap.IDA != nil {
+		flags |= flagIDA
 	}
-	for _, payload := range snap.Stacks {
-		w.blob(payload)
+	w.Byte(flags)
+	w.Uvarint(uint64(snap.Cycle))
+	w.Varint(int64(snap.MatcherPointer))
+	w.Uvarint(uint64(snap.PhaseCycles))
+	w.Varint(int64(snap.PhaseElapsed))
+	w.Varint(int64(snap.PhaseWork))
+	w.Varint(int64(snap.PhaseIdle))
+	w.Varint(int64(snap.EstLB))
+	writeStats(&w, snap.Stats)
+	if len(snap.DomainState) > 0 {
+		w.Blob(snap.DomainState)
+	}
+	for pe := 0; pe < meta.P; pe++ {
+		w.Blob(payload(pe))
 	}
 	if snap.Trace != nil {
-		w.trace(snap.Trace)
+		writeTrace(&w, snap.Trace)
 	}
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.ChecksumIEEE(w.buf))
-	return w.buf, nil
+	if snap.IDA != nil {
+		w.Uvarint(uint64(snap.IDA.Iteration))
+		w.Varint(int64(snap.IDA.Bound))
+		w.Uvarint(uint64(len(snap.IDA.Done)))
+		for _, it := range snap.IDA.Done {
+			w.Varint(int64(it.Bound))
+			writeStats(&w, it.Stats)
+		}
+	}
+	return w.Seal(), nil
 }
 
-// DecodeRaw parses a checkpoint without decoding the stack payloads, which
-// stay as opaque wire encodings (structurally validated only when a shard
-// machine installs them).  It rejects IDA* checkpoints: their iteration
-// state has no raw form.
-func DecodeRaw(b []byte) (Meta, *RawSnapshot, error) {
-	meta, r, err := header(b)
-	if err != nil {
-		return Meta{}, nil, err
+// decode is the one SCKP reader, the inverse of encode with the stack
+// payloads left as wire encodings; its errors name the format.
+func decode(b []byte) (Meta, *RawSnapshot, error) {
+	meta, r := header(b)
+	flags := r.Flags(flagAll)
+	snap := &RawSnapshot{
+		InitDone:       flags&flagInitDone != 0,
+		Cycle:          r.Count(),
+		MatcherPointer: r.Int(),
+		PhaseCycles:    r.Count(),
+		PhaseElapsed:   duration(&r),
+		PhaseWork:      duration(&r),
+		PhaseIdle:      duration(&r),
+		EstLB:          duration(&r),
+		Stats:          readStats(&r),
 	}
-	snap := &RawSnapshot{}
-	flags := r.byte()
-	if flags&^flagAll != 0 {
-		return Meta{}, nil, fmt.Errorf("%w: unknown flag bits %#x", ErrCorrupt, flags&^flagAll)
-	}
-	if flags&flagIDA != 0 {
-		return Meta{}, nil, fmt.Errorf("%w: IDA* checkpoints have no raw decoding", ErrCorrupt)
-	}
-	snap.InitDone = flags&flagInitDone != 0
-	snap.Cycle = r.count("cycle")
-	snap.MatcherPointer = r.int("matcher pointer")
-	snap.PhaseCycles = r.count("phase cycles")
-	snap.PhaseElapsed = r.duration()
-	snap.PhaseWork = r.duration()
-	snap.PhaseIdle = r.duration()
-	snap.EstLB = r.duration()
-	snap.Stats = r.stats()
 	if flags&flagDomainState != 0 {
-		snap.DomainState = r.blob()
-		if r.err == nil && snap.DomainState == nil {
-			r.fail(fmt.Errorf("%w: domain-state flag set on empty payload", ErrCorrupt))
+		if snap.DomainState = r.Blob(); snap.DomainState == nil {
+			r.Corruptf("domain-state flag set on empty payload")
 		}
 	}
-	snap.Stacks = make([][]byte, 0, meta.P)
-	for i := 0; i < meta.P; i++ {
-		payload := r.blob()
-		if r.err != nil {
+	if r.Err() == nil {
+		snap.Stacks = make([][]byte, meta.P)
+	}
+	for i := range snap.Stacks {
+		if snap.Stacks[i] = r.Blob(); snap.Stacks[i] == nil {
+			r.Corruptf("stack %d has an empty payload", i)
 			break
 		}
-		if len(payload) == 0 {
-			return Meta{}, nil, fmt.Errorf("%w: stack %d has an empty payload", ErrCorrupt, i)
-		}
-		snap.Stacks = append(snap.Stacks, payload)
 	}
 	if flags&flagTrace != 0 {
-		snap.Trace = r.trace()
+		snap.Trace = readTrace(&r)
 	}
-	if r.err != nil {
-		return Meta{}, nil, r.err
-	}
-	if r.remaining() != 0 {
-		return Meta{}, nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.remaining())
+	if flags&flagIDA != 0 {
+		snap.IDA = &simd.IDAState{Iteration: r.Count(), Bound: r.Int()}
+		for n := r.Len(); n > 0 && r.Err() == nil; n-- {
+			snap.IDA.Done = append(snap.IDA.Done, simd.IterationStat{Bound: r.Int(), Stats: readStats(&r)})
+		}
 	}
 	if snap.MatcherPointer < -1 || snap.MatcherPointer >= meta.P {
-		return Meta{}, nil, fmt.Errorf("%w: matcher pointer %d out of range for P=%d", ErrCorrupt, snap.MatcherPointer, meta.P)
+		r.Corruptf("matcher pointer %d out of range for P=%d", snap.MatcherPointer, meta.P)
+	}
+	if err := r.Close(); err != nil {
+		return Meta{}, nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	return meta, snap, nil
 }

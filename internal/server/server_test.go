@@ -161,19 +161,33 @@ func TestCacheHitByteIdentical(t *testing.T) {
 }
 
 func TestCancelRunningJob(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1})
+	s, ts := testServer(t, Config{Workers: 1, ProgressEvery: 1})
 	j, code := postJob(t, ts, bigSyntheticSpec(""))
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
 	}
-	// Wait until it is actually running so the cancel exercises the
-	// engine's cycle-boundary check, not the queued fast path.
-	deadline := time.Now().Add(10 * time.Second)
-	for getJob(t, ts, j.ID).Status != StatusRunning {
-		if time.Now().After(deadline) {
-			t.Fatal("job never started running")
+	// Wait for a progress event — evidence that a cycle has completed —
+	// so the cancel exercises the engine's cycle-boundary check mid-run.
+	// Status "running" alone is not that: a DELETE sent on it can land
+	// before cycle 1 ends, and the run then reports no cycles.
+	h, ok := s.JobByID(j.ID)
+	if !ok {
+		t.Fatalf("job %s not addressable", j.ID)
+	}
+	deadline := time.After(10 * time.Second)
+	for cycled := false; !cycled; {
+		evs, wake := h.EventsSince(0)
+		for _, ev := range evs {
+			cycled = cycled || ev.Type == EventProgress && ev.Cycle > 0
 		}
-		time.Sleep(2 * time.Millisecond)
+		if cycled {
+			break
+		}
+		select {
+		case <-wake:
+		case <-deadline:
+			t.Fatal("job never completed a cycle")
+		}
 	}
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+j.ID, nil)
 	resp, err := http.DefaultClient.Do(req)

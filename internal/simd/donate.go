@@ -62,7 +62,7 @@ func (m *Machine[S]) Status() (allEmpty, anyDonor bool) {
 }
 
 // Arena exposes the machine's structure-of-arrays stack storage for
-// read-only inspection (flag scans, serialisation via wire.AppendArena).
+// read-only inspection (flag scans, serialisation via wire.EncodeArena).
 // Mutating it outside a cycle boundary breaks the determinism contract;
 // use InstallStack, TransferLocal, Donate and Absorb for sanctioned
 // mutation.

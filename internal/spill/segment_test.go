@@ -109,6 +109,20 @@ func TestDecodeSegmentErrors(t *testing.T) {
 			out = append(out, 0x81, 0x00)
 			return append(out, b[len(Magic)+2:]...)
 		}), ErrCorrupt},
+		// The level list is the shared wire framing, strict one level
+		// further down than the segment's own fields: the bottom level's
+		// node count 3 as 0x83 0x00, and its first node's budget 11
+		// (zigzag 22) as 0x96 0x00.
+		{"non-minimal node count", reseal(valid, func(b []byte) []byte {
+			out := append([]byte(nil), b[:len(Magic)+4]...)
+			out = append(out, 0x83, 0x00)
+			return append(out, b[len(Magic)+5:]...)
+		}), ErrCorrupt},
+		{"non-minimal node budget", reseal(valid, func(b []byte) []byte {
+			out := append([]byte(nil), b[:len(Magic)+5]...)
+			out = append(out, 0x96, 0x00)
+			return append(out, b[len(Magic)+6:]...)
+		}), ErrCorrupt},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

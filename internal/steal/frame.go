@@ -10,10 +10,10 @@
 package steal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+
+	"simdtree/internal/wire"
 )
 
 // Magic identifies a steal frame.
@@ -30,14 +30,13 @@ const ContentType = "application/vnd.simdtree.steal"
 // split stack half — a few levels — so this is generous.
 const MaxFrameSize = 8 << 20
 
-// Sentinel decode errors; hostile input maps to exactly one of these
-// (possibly wrapped), never a panic.
+// The decode errors are the wire frame's.
 var (
-	ErrBadMagic  = errors.New("steal: not a steal frame")
-	ErrVersion   = errors.New("steal: unsupported frame version")
-	ErrChecksum  = errors.New("steal: checksum mismatch")
-	ErrTruncated = errors.New("steal: truncated frame")
-	ErrCorrupt   = errors.New("steal: corrupt frame")
+	ErrBadMagic  = wire.ErrBadMagic
+	ErrVersion   = wire.ErrVersion
+	ErrChecksum  = wire.ErrChecksum
+	ErrTruncated = wire.ErrTruncated
+	ErrCorrupt   = wire.ErrCorrupt
 )
 
 // Frame is one donated stack half in flight between nodes, carrying
@@ -47,13 +46,11 @@ var (
 // cycle boundary it was split at, the global donor and receiver PE
 // indices, and the wire-encoded stack levels.
 //
-// Layout (strings and blobs uvarint-length-prefixed, integers canonical
-// varints):
+// Field list of the wire frame (strings and blobs uvarint-length-prefixed,
+// integers canonical uvarints):
 //
-//	"SSTL" | version byte |
 //	key | codec | donation | cycle | from | to |
-//	flags byte | stack blob | [domain blob] |
-//	CRC32-IEEE (little-endian) over everything before it
+//	flags byte | stack blob | [domain blob]
 type Frame struct {
 	// Key is the cache key of the job the donation belongs to.
 	Key string
@@ -89,158 +86,47 @@ func EncodeFrame(f *Frame) ([]byte, error) {
 		return nil, fmt.Errorf("steal: negative frame field (cycle %d, from %d, to %d)", f.Cycle, f.From, f.To)
 	}
 	buf := make([]byte, 0, len(Magic)+1+len(f.Key)+len(f.Codec)+len(f.Stack)+len(f.DomainState)+64)
-	buf = append(buf, Magic...)
-	buf = append(buf, Version)
-	buf = appendBlob(buf, []byte(f.Key))
-	buf = appendBlob(buf, []byte(f.Codec))
-	buf = binary.AppendUvarint(buf, f.Donation)
-	buf = binary.AppendUvarint(buf, uint64(f.Cycle))
-	buf = binary.AppendUvarint(buf, uint64(f.From))
-	buf = binary.AppendUvarint(buf, uint64(f.To))
+	w := wire.NewFrame(buf, Magic, Version)
+	w.Str(f.Key)
+	w.Str(f.Codec)
+	w.Uvarint(f.Donation)
+	w.Uvarint(uint64(f.Cycle))
+	w.Uvarint(uint64(f.From))
+	w.Uvarint(uint64(f.To))
 	var flags byte
 	if len(f.DomainState) > 0 {
 		flags |= frameDomainFlag
 	}
-	buf = append(buf, flags)
-	buf = appendBlob(buf, f.Stack)
+	w.Byte(flags)
+	w.Blob(f.Stack)
 	if len(f.DomainState) > 0 {
-		buf = appendBlob(buf, f.DomainState)
+		w.Blob(f.DomainState)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	return buf, nil
+	return w.Seal(), nil
 }
 
 // DecodeFrame parses a frame produced by EncodeFrame.  The format is
 // strict and canonical: bad magic, version, CRC, truncation, non-minimal
-// varints, unknown flags and trailing bytes are all rejected, and
-// re-encoding a decoded frame reproduces the input bytes exactly.
+// varints, unknown flags, empty payloads and trailing bytes are all
+// rejected, and re-encoding a decoded frame reproduces the input bytes
+// exactly.
 func DecodeFrame(b []byte) (*Frame, error) {
 	if len(b) > MaxFrameSize {
-		return nil, fmt.Errorf("%w: %d bytes exceeds the %d-byte frame bound", ErrCorrupt, len(b), MaxFrameSize)
+		return nil, fmt.Errorf("steal: %w: %d bytes exceeds the %d-byte frame bound", ErrCorrupt, len(b), MaxFrameSize)
 	}
-	if len(b) < len(Magic)+1 {
-		return nil, ErrTruncated
-	}
-	if string(b[:len(Magic)]) != Magic {
-		return nil, ErrBadMagic
-	}
-	if v := b[len(Magic)]; v != Version {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, v, Version)
-	}
-	if len(b) < len(Magic)+1+crc32.Size {
-		return nil, ErrTruncated
-	}
-	body, trailer := b[:len(b)-crc32.Size], b[len(b)-crc32.Size:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		return nil, ErrChecksum
-	}
-	r := frameReader{b: body[len(Magic)+1:]}
-	f := &Frame{}
-	f.Key = string(r.blob("key"))
-	f.Codec = string(r.blob("codec"))
-	f.Donation = r.uvarint("donation")
-	f.Cycle = r.count("cycle")
-	f.From = r.count("from")
-	f.To = r.count("to")
-	flags := r.byte()
-	if r.err == nil && flags&^frameDomainFlag != 0 {
-		return nil, fmt.Errorf("%w: unknown flag bits %#x", ErrCorrupt, flags&^frameDomainFlag)
-	}
-	f.Stack = r.blob("stack")
-	if r.err == nil && len(f.Stack) == 0 {
-		return nil, fmt.Errorf("%w: empty stack payload", ErrCorrupt)
+	r := wire.Open(b, Magic, Version)
+	f := &Frame{Key: r.Str(), Codec: r.Str(), Donation: r.Uvarint(), Cycle: r.Count(), From: r.Count(), To: r.Count()}
+	flags := r.Flags(frameDomainFlag)
+	if f.Stack = r.Blob(); f.Stack == nil {
+		r.Corruptf("empty stack payload")
 	}
 	if flags&frameDomainFlag != 0 {
-		f.DomainState = r.blob("domain state")
-		if r.err == nil && len(f.DomainState) == 0 {
-			return nil, fmt.Errorf("%w: domain-state flag set on empty payload", ErrCorrupt)
+		if f.DomainState = r.Blob(); f.DomainState == nil {
+			r.Corruptf("domain-state flag set on empty payload")
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.b))
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("steal: %w", err)
 	}
 	return f, nil
-}
-
-// appendBlob appends a uvarint-length-prefixed byte blob.
-func appendBlob(buf, b []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
-}
-
-// frameReader consumes the canonical frame encoding, latching the first
-// error like the checkpoint reader does.
-type frameReader struct {
-	b   []byte
-	err error
-}
-
-func (r *frameReader) fail(err error) {
-	if r.err == nil {
-		r.err = err
-	}
-}
-
-func (r *frameReader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) == 0 {
-		r.fail(ErrTruncated)
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *frameReader) uvarint(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	switch {
-	case n == 0:
-		r.fail(fmt.Errorf("%w: %s", ErrTruncated, what))
-		return 0
-	case n < 0:
-		r.fail(fmt.Errorf("%w: %s varint overflow", ErrCorrupt, what))
-		return 0
-	case n > 1 && r.b[n-1] == 0:
-		// Minimal varints never end in a zero continuation group; the
-		// format is canonical so re-encoding must reproduce the input.
-		r.fail(fmt.Errorf("%w: non-minimal %s varint", ErrCorrupt, what))
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *frameReader) count(what string) int {
-	v := r.uvarint(what)
-	if r.err == nil && v > uint64(int(^uint(0)>>1)) {
-		r.fail(fmt.Errorf("%w: %s %d overflows int", ErrCorrupt, what, v))
-		return 0
-	}
-	return int(v)
-}
-
-func (r *frameReader) blob(what string) []byte {
-	n := r.uvarint(what)
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.b)) {
-		r.fail(fmt.Errorf("%w: %s blob of %d bytes with %d remaining", ErrCorrupt, what, n, len(r.b)))
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	v := append([]byte(nil), r.b[:n]...)
-	r.b = r.b[n:]
-	return v
 }

@@ -104,6 +104,13 @@ func TestDecodeFrameRejects(t *testing.T) {
 	}
 }
 
+// appendBlob appends a uvarint-length-prefixed byte blob, spelling the
+// frame's prefix by hand so the vectors below do not depend on the encoder.
+func appendBlob(buf, b []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(b)))
+	return append(buf, b...)
+}
+
 func flip(b []byte, i int) []byte {
 	c := append([]byte(nil), b...)
 	c[i] ^= 1

@@ -50,8 +50,8 @@ func (PuzzleCodec) DecodeNode(b []byte) (puzzle.Node, []byte, error) {
 	return n, b[puzzleNodeSize:], nil
 }
 
-// SyntheticCodec serialises synthetic-tree nodes: a varint budget plus the
-// 8-byte seed.
+// SyntheticCodec serialises synthetic-tree nodes: a canonical varint budget
+// plus the 8-byte seed.
 type SyntheticCodec struct{}
 
 // Name implements Codec.
@@ -66,11 +66,14 @@ func (SyntheticCodec) AppendNode(buf []byte, n synthetic.Node) []byte {
 // DecodeNode implements Codec.
 func (SyntheticCodec) DecodeNode(b []byte) (synthetic.Node, []byte, error) {
 	var n synthetic.Node
-	budget, sz := binary.Varint(b)
-	if sz <= 0 || len(b) < sz+8 {
+	budget, sz := uvarint(b)
+	if sz <= 0 {
+		return n, b, varintErr(sz)
+	}
+	if len(b) < sz+8 {
 		return n, b, ErrTruncated
 	}
-	n.Budget = budget
+	n.Budget = unzigzag(budget)
 	n.Seed = binary.BigEndian.Uint64(b[sz:])
 	return n, b[sz+8:], nil
 }

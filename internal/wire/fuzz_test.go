@@ -1,45 +1,48 @@
 package wire
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
 	"simdtree/internal/puzzle"
 	"simdtree/internal/stack"
+	"simdtree/internal/synthetic"
 )
 
-// FuzzDecodeStack feeds arbitrary bytes to the stack decoder: it must
-// either parse cleanly or return an error — never panic or loop.
+// FuzzDecodeStack feeds arbitrary bytes to the stack decoder under a
+// fixed-size and a variable-size node codec: it must either return a
+// classified error or parse — never panic or loop — and whatever it
+// parses re-encodes to the input, byte for byte.
 func FuzzDecodeStack(f *testing.F) {
-	c := PuzzleCodec{}
-	s := stack.New(puzzle.Goal(), puzzle.Scramble(1, 10))
-	s.PushLevel([]puzzle.Node{puzzle.Scramble(2, 5)})
-	f.Add(EncodeStack[puzzle.Node](c, s))
+	p := stack.New(puzzle.Goal(), puzzle.Scramble(1, 10))
+	p.PushLevel([]puzzle.Node{puzzle.Scramble(2, 5)})
+	f.Add(EncodeStack[puzzle.Node](PuzzleCodec{}, p))
+	s := stack.New(synthetic.Node{Budget: 300, Seed: 1}, synthetic.Node{Budget: 7, Seed: 2})
+	s.PushLevel([]synthetic.Node{{Budget: 1 << 40, Seed: 3}})
+	valid := EncodeStack[synthetic.Node](SyntheticCodec{}, s)
+	f.Add(valid)
 	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add(append([]byte{0x82, 0x00}, valid[1:]...)) // non-minimal level count
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeStack[puzzle.Node](c, data)
-		if err != nil {
-			return
-		}
-		// Semantic round-trip: re-encoding and decoding again must yield
-		// the same stack.  (Byte-identity would additionally require
-		// rejecting non-minimal varints, which the format tolerates.)
-		round := EncodeStack[puzzle.Node](c, got)
-		again, err := DecodeStack[puzzle.Node](c, round)
-		if err != nil {
-			t.Fatalf("re-encoded message does not decode: %v", err)
-		}
-		if again.Size() != got.Size() || again.Depth() != got.Depth() {
-			t.Errorf("round trip changed shape: %d/%d -> %d/%d",
-				got.Size(), got.Depth(), again.Size(), again.Depth())
-		}
-		a, b := got.Flatten(), again.Flatten()
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("round trip changed node %d", i)
-			}
-		}
+		checkCanonical[puzzle.Node](t, PuzzleCodec{}, data)
+		checkCanonical[synthetic.Node](t, SyntheticCodec{}, data)
 	})
+}
+
+func checkCanonical[S any](t *testing.T, c Codec[S], data []byte) {
+	got, err := DecodeStack(c, data)
+	if err != nil {
+		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
+			t.Fatalf("%s: unclassified error: %v", c.Name(), err)
+		}
+		return
+	}
+	if round := EncodeStack(c, got); !bytes.Equal(round, data) {
+		t.Fatalf("%s: decode→encode not canonical:\n in %x\nout %x", c.Name(), data, round)
+	}
 }
 
 // FuzzDecodeNode checks the node decoder on arbitrary input.

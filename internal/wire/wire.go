@@ -6,44 +6,34 @@
 // node type, a framed stack encoding that preserves level structure, and
 // helpers that convert a codec plus a link bandwidth into the per-node
 // transfer cost used by the simulator's extended cost model.
+//
+// It is also the one frame codec under the tree's three binary formats
+// (SCKP checkpoints, SSTL steal frames, SSPL spill segments), each of
+// which is a field list over it (frame.go; DESIGN.md, "Frame discipline"):
+//
+//	magic | version byte | fields | CRC32-IEEE (little-endian) over everything before it
+//
+// The frame API:
+//
+//   - NewFrame starts a Writer; Byte, Uvarint, Varint, Blob and Str append
+//     fields; Seal appends the CRC.
+//   - Open checks the envelope and returns a Reader; Uvarint, Varint, Count,
+//     Int, Len, Blob, Str and Flags read fields strictly — every value has
+//     one byte form — and latch the first error; Corruptf latches a format's
+//     own complaint; Close returns the latched error, or ErrCorrupt for
+//     trailing bytes.
+//   - ErrBadMagic, ErrVersion, ErrChecksum, ErrTruncated and ErrCorrupt
+//     classify every refusal.
+//   - AppendLevel and ReadLevels are the level framing of a stack, behind
+//     AppendStack, EncodeArena, DecodeStack and the spill segment.
 package wire
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
-	"sync"
 	"time"
 
 	"simdtree/internal/stack"
 )
-
-// bufPool recycles the scratch byte buffers of stack encoding.  Pooling a
-// buffer never affects encoded bytes — every user appends onto a length-0
-// slice — so this is safe in deterministic code; it exists because callers
-// like checkpoint encoding frame one message per PE stack, P allocations
-// per snapshot without reuse.
-var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 256)
-		return &b
-	},
-}
-
-// GetBuf returns a pooled byte buffer of length 0.  Pass it back with
-// PutBuf when done; the pointer indirection avoids an allocation per
-// round-trip.
-func GetBuf() *[]byte { return bufPool.Get().(*[]byte) }
-
-// PutBuf resets the buffer to length 0 and returns it to the pool, so no
-// stale message bytes can leak into a later user.
-func PutBuf(b *[]byte) {
-	if b == nil {
-		return
-	}
-	*b = (*b)[:0]
-	bufPool.Put(b)
-}
 
 // Codec serialises one node type.
 type Codec[S any] interface {
@@ -56,38 +46,21 @@ type Codec[S any] interface {
 	DecodeNode(b []byte) (S, []byte, error)
 }
 
-// ErrTruncated reports a message that ended mid-node.
-var ErrTruncated = errors.New("wire: truncated message")
-
-// EncodeStack frames a whole stack: a uvarint level count, then per level
-// a uvarint node count followed by the encoded nodes, bottom level first.
-// It is the byte-for-byte payload of one work transfer.  The canonical
-// encoding has no empty levels: neither a Stack nor an arena window ever
-// holds one, and the decoder rejects a zero node count.
+// EncodeStack frames a whole stack as a level list: a uvarint level count,
+// then per level a uvarint node count followed by the encoded nodes, bottom
+// level first.  It is the byte-for-byte payload of one work transfer.  The
+// canonical encoding has no empty levels: neither a Stack nor an arena
+// window ever holds one, and the decoder rejects a zero node count.
 func EncodeStack[S any](c Codec[S], s *stack.Stack[S]) []byte {
 	return AppendStack(nil, c, s)
 }
 
 // AppendStack appends the EncodeStack framing of s to buf and returns the
 // extended buffer — the allocation-free form for callers that reuse a
-// scratch buffer (see GetBuf/PutBuf) across many stacks.
+// scratch buffer across many stacks.
 func AppendStack[S any](buf []byte, c Codec[S], s *stack.Stack[S]) []byte {
-	depth := 0
-	s.ForEachLevel(func(lv []S) {
-		if len(lv) > 0 {
-			depth++
-		}
-	})
-	buf = binary.AppendUvarint(buf, uint64(depth))
-	s.ForEachLevel(func(lv []S) {
-		if len(lv) == 0 {
-			return
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(lv)))
-		for _, n := range lv {
-			buf = c.AppendNode(buf, n)
-		}
-	})
+	buf = binary.AppendUvarint(buf, uint64(s.Depth()))
+	s.ForEachLevel(func(lv []S) { buf = AppendLevel(buf, c, lv) })
 	return buf
 }
 
@@ -95,60 +68,24 @@ func AppendStack[S any](buf []byte, c Codec[S], s *stack.Stack[S]) []byte {
 // with the exact EncodeStack framing; the bytes are identical to encoding
 // the materialised Stack, without materialising it.
 func EncodeArena[S any](c Codec[S], a *stack.Arena[S], pe int) []byte {
-	return AppendArena(nil, c, a, pe)
-}
-
-// AppendArena appends the EncodeStack framing of arena PE pe to buf and
-// returns the extended buffer.  An arena never holds empty levels, so the
-// level count is its live depth.
-func AppendArena[S any](buf []byte, c Codec[S], a *stack.Arena[S], pe int) []byte {
-	buf = binary.AppendUvarint(buf, uint64(a.Depth(pe)))
-	a.ForEachLevel(pe, func(lv []S) {
-		buf = binary.AppendUvarint(buf, uint64(len(lv)))
-		for _, n := range lv {
-			buf = c.AppendNode(buf, n)
-		}
-	})
+	buf := binary.AppendUvarint(nil, uint64(a.Depth(pe)))
+	a.ForEachLevel(pe, func(lv []S) { buf = AppendLevel(buf, c, lv) })
 	return buf
 }
 
-// DecodeStack parses a stack encoded by EncodeStack.  Counts are
-// validated against the remaining message length before any allocation,
-// so a corrupt or hostile message cannot trigger huge allocations.
+// DecodeStack parses a stack encoded by EncodeStack, strictly: the one
+// byte form EncodeStack produces for a stack is the only one accepted.
 func DecodeStack[S any](c Codec[S], b []byte) (*stack.Stack[S], error) {
-	levels, n := binary.Uvarint(b)
-	if n <= 0 || levels > uint64(len(b)) {
-		return nil, ErrTruncated
+	r := Reader{b: b}
+	var shallow [8]int // spares the usual stack a heap-allocated count list
+	nodes, counts := ReadLevels(c, &r, nil, shallow[:0])
+	if err := r.Close(); err != nil {
+		return nil, err
 	}
-	b = b[n:]
 	out := stack.New[S]()
-	for l := uint64(0); l < levels; l++ {
-		count, n := binary.Uvarint(b)
-		if n <= 0 {
-			return nil, ErrTruncated
-		}
-		b = b[n:]
-		// Every encoded node occupies at least one byte, so a count
-		// beyond the remaining length is corrupt; reject it before
-		// allocating.  Stacks never hold empty levels, so a zero count
-		// is non-canonical and rejected too — the format round-trips
-		// byte-for-byte.
-		if count == 0 || count > uint64(len(b)) {
-			return nil, fmt.Errorf("wire: invalid level count %d: %w", count, ErrTruncated)
-		}
-		lv := make([]S, 0, count)
-		for i := uint64(0); i < count; i++ {
-			node, rest, err := c.DecodeNode(b)
-			if err != nil {
-				return nil, err
-			}
-			b = rest
-			lv = append(lv, node)
-		}
-		out.PushLevel(lv)
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after stack", len(b))
+	for _, n := range counts {
+		out.PushLevel(nodes[:n:n])
+		nodes = nodes[n:]
 	}
 	return out, nil
 }

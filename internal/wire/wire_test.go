@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -119,6 +121,52 @@ func TestDecodeStackErrors(t *testing.T) {
 	}
 	if _, err := DecodeStack[puzzle.Node](c, append(msg, 0)); err == nil {
 		t.Error("trailing garbage accepted")
+	}
+}
+
+// TestDecodeStackStrict is the canonicality table of the level framing:
+// a stack has one byte form, and every other spelling of it is refused
+// with a classified error rather than normalised on re-encode.
+func TestDecodeStackStrict(t *testing.T) {
+	c := SyntheticCodec{}
+	s := stack.New(synthetic.Node{Budget: 11, Seed: 1}, synthetic.Node{Budget: 7, Seed: 2})
+	s.PushLevel([]synthetic.Node{{Budget: 5, Seed: 3}})
+	valid := EncodeStack[synthetic.Node](c, s)
+	// valid = levels(2) | count(2) | budget(22) seed*8 | ...
+	splice := func(at int, with ...byte) []byte {
+		out := append([]byte(nil), valid[:at]...)
+		return append(append(out, with...), valid[at+1:]...)
+	}
+	overflow := append(bytes.Repeat([]byte{0xFF}, 9), 0x02)
+	cases := []struct {
+		name string
+		in   []byte
+		want error
+	}{
+		{"empty message", nil, ErrTruncated},
+		{"cut mid node", valid[:len(valid)-3], ErrCorrupt},
+		{"trailing byte", append(valid[:len(valid):len(valid)], 0), ErrCorrupt},
+		{"non-minimal level count", splice(0, 0x82, 0x00), ErrCorrupt},
+		{"overflowing level count", splice(0, overflow...), ErrCorrupt},
+		{"level count beyond the message", splice(0, 0x7F), ErrCorrupt},
+		{"non-minimal node count", splice(1, 0x82, 0x00), ErrCorrupt},
+		{"overflowing node count", splice(1, overflow...), ErrCorrupt},
+		{"zero node count", splice(1, 0x00), ErrCorrupt},
+		{"node count beyond the message", splice(1, 0x7F), ErrCorrupt},
+		{"non-minimal budget", splice(2, 0x96, 0x00), ErrCorrupt},
+		{"overflowing budget", splice(2, overflow...), ErrCorrupt},
+	}
+	for _, tc := range cases {
+		if _, err := DecodeStack[synthetic.Node](c, tc.in); !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	got, err := DecodeStack[synthetic.Node](c, valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := EncodeStack[synthetic.Node](c, got); !bytes.Equal(again, valid) {
+		t.Errorf("decode→encode not byte-identical:\n in %x\nout %x", valid, again)
 	}
 }
 
