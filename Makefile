@@ -22,7 +22,7 @@ test-race:
 # baseline (see DESIGN.md section 11).  bench-baseline regenerates the
 # baseline file after an intentional perf change; bump the number when you
 # want to keep the old trajectory point.
-BENCH_BASELINE ?= BENCH_5.json
+BENCH_BASELINE ?= BENCH_6.json
 
 bench:
 	$(GO) run ./cmd/simdbench -out /dev/null -compare $(BENCH_BASELINE)

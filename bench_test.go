@@ -7,6 +7,7 @@ package simdtree
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"testing"
 
 	"simdtree/internal/bench"
@@ -338,30 +339,65 @@ func BenchmarkFlagFill(b *testing.B) {
 }
 
 // BenchmarkArenaTransfer measures a load-balancing transfer in the
-// structure-of-arrays core: a half-stack split as range copies within the
-// arena, the deferred bit re-sync, and the receiver drain.  Steady state
-// must not allocate.
+// structure-of-arrays core.  half-stack: a split as range copies between
+// two PEs, the deferred bit re-sync, and the receiver drain.  bottom-node:
+// the engine's default transfer at lb-storm scale (P=65536), one op a pair
+// of random PEs, so the donor's and the receiver's records, the donor's
+// stack bottom and the receiver's top are cold the way a matching round
+// finds them.  Steady state must not allocate.
 func BenchmarkArenaTransfer(b *testing.B) {
-	b.ReportAllocs()
-	a := stack.NewArena[int](2)
-	buf := make([]int, 4)
-	for l := 0; l < 16; l++ {
-		for j := range buf {
-			buf[j] = l*4 + j
+	b.Run("half-stack/P=2", func(b *testing.B) {
+		b.ReportAllocs()
+		a := stack.NewArena[int](2)
+		buf := make([]int, 4)
+		for l := 0; l < 16; l++ {
+			for j := range buf {
+				buf[j] = l*4 + j
+			}
+			a.PushLevel(0, buf)
 		}
-		a.PushLevel(0, buf)
-	}
-	sp := stack.HalfStack[int]{}
-	donor, recv := 0, 1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !a.Splittable(donor) {
-			donor, recv = recv, donor
+		sp := stack.HalfStack[int]{}
+		donor, recv := 0, 1
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if !a.Splittable(donor) {
+				donor, recv = recv, donor
+			}
+			sp.SplitArena(a, donor, recv)
+			a.SyncBits(donor)
+			a.SyncBits(recv)
 		}
-		sp.SplitArena(a, donor, recv)
-		a.SyncBits(donor)
-		a.SyncBits(recv)
-	}
+	})
+	b.Run("bottom-node/P=65536", func(b *testing.B) {
+		b.ReportAllocs()
+		const p = 65536
+		a := stack.NewArena[synthetic.Node](p)
+		for pe := 0; pe < p; pe++ {
+			for l := 0; l < 6; l++ { // six levels of two: the donor survives six donations
+				a.PushLevel(pe, []synthetic.Node{{Budget: int64(l)}, {Budget: int64(pe)}})
+			}
+		}
+		// Donors in one random order, receivers in another: over P ops every
+		// PE donates once and receives once, so no stack drains or grows.
+		rng := rand.New(rand.NewSource(1))
+		from, to := rng.Perm(p), rng.Perm(p)
+		sp := stack.BottomNode[synthetic.Node]{}
+		transfer := func(i int) {
+			f, t := from[i%p], to[i%p]
+			sp.SplitArena(a, f, t)
+			a.SyncBits(f)
+			a.SyncBits(t)
+		}
+		for i := 0; i < 2*p; i++ { // grow the buffers and level tables to their final size
+			transfer(i)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			transfer(i)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/pair")
+	})
 }
 
 // regrowTree is an endless steady-state workload for the expansion kernel:
@@ -384,11 +420,12 @@ func (r regrowTree) Expand(d int, buf []int) []int {
 
 // BenchmarkExpandKernel measures one lock-step expansion cycle of the
 // word-at-a-time kernel (stack.Arena.ExpandCycle) with every PE busy, at a
-// machine that fits the host's L2 and at CM-2 scale, where a cycle's sweep
-// over the per-PE stacks does not.  One op is one cycle; the steady state
-// must not allocate, and the benchmark fails if it does.
+// machine that fits the host's L2, at CM-2 scale, where a cycle's sweep
+// over the per-PE stacks does not, and at lb-storm's P=65536.  One op is
+// one cycle; the steady state must not allocate, and the benchmark fails
+// if it does.
 func BenchmarkExpandKernel(b *testing.B) {
-	for _, p := range []int{256, 8192} {
+	for _, p := range []int{256, 8192, 65536} {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
 			b.ReportAllocs()
 			tree := regrowTree{depth: 12}

@@ -47,10 +47,9 @@ type Context[S any] struct {
 	// faultDonor, when non-nil (memory-bounded run), makes a donor PE
 	// fully resident before its stack is split: bottom-node donation
 	// reads the true bottom of the stack, which may be evicted.  It is
-	// called sequentially — directly by transferNodes outside parallel
-	// regions, and as a pre-pass over every donor before TransferAll's
-	// parallel region (inside the region it short-circuits on the
-	// donor's zero ghost count without touching shared state).
+	// only ever called sequentially (makeResident) — by Transfer, and as a
+	// pre-pass over every donor before TransferAll's parallel region — and
+	// latches a failed restore for the run loop to surface.
 	faultDonor func(pe int)
 }
 
@@ -138,16 +137,23 @@ func (c *Context[S]) Idle() []bool {
 	return c.idle
 }
 
+// makeResident restores the evicted levels of a donor about to be split.
+func (c *Context[S]) makeResident(from int) {
+	if c.faultDonor != nil && c.Arena.Splittable(from) {
+		c.faultDonor(from)
+	}
+}
+
 // transferNodes moves split work from PE from to PE to as range copies
 // within the arena, without touching the shared phase accounting or the
 // arena bitsets — the caller re-syncs the two PEs (sequentially, after any
-// parallel region).  It returns the number of stack nodes moved.
+// parallel region).  It returns the number of stack nodes moved.  A donor
+// with levels still evicted moves nothing: its restore failed (the error
+// is latched and ends the run at the next boundary), and the bottom of its
+// resident window is not the bottom of its stack.
 func (c *Context[S]) transferNodes(from, to int) int {
-	if !c.Arena.Splittable(from) {
+	if !c.Arena.Splittable(from) || c.Arena.Ghost(from) > 0 {
 		return 0
-	}
-	if c.faultDonor != nil {
-		c.faultDonor(from)
 	}
 	return c.Splitter.SplitArena(c.Arena, from, to)
 }
@@ -156,6 +162,7 @@ func (c *Context[S]) transferNodes(from, to int) int {
 // to processor to.  It reports the number of stack nodes moved; a donor
 // that can no longer split moves nothing.
 func (c *Context[S]) Transfer(from, to int) int {
+	c.makeResident(from)
 	n := c.transferNodes(from, to)
 	c.Arena.SyncBits(from)
 	c.Arena.SyncBits(to)
@@ -197,13 +204,10 @@ func (c *Context[S]) TransferAll(pairs []scan.Pair) int {
 		}
 		return done
 	}
-	if c.faultDonor != nil {
-		// Restore every donor sequentially before the parallel region, so
-		// the in-region faultDonor calls reduce to a read of the donor's
-		// own ghost counter and no segment I/O races.
-		for _, p := range pairs {
-			c.faultDonor(p.From)
-		}
+	// Restore every donor sequentially before the parallel region, so no
+	// segment I/O happens inside it.
+	for _, p := range pairs {
+		c.makeResident(p.From)
 	}
 	if cap(c.moved) < len(pairs) {
 		//lint:allow hotalloc per-pair move counts grow once to the pair count

@@ -7,8 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"simdtree/internal/scan"
 	"simdtree/internal/stack"
 	"simdtree/internal/synthetic"
+	"simdtree/internal/trigger"
 )
 
 // TestShardsOwnWholeWords pins what the expansion kernel's unsynchronised
@@ -104,6 +106,119 @@ func TestCycleReportsNotResident(t *testing.T) {
 			if a.Resident(sp.pe) != 0 || a.Ghost(sp.pe) == 0 || !a.WorkBits().Get(sp.pe) {
 				t.Errorf("PE %d: resident %d ghost %d work bit %v, want it left as the spiller stranded it",
 					sp.pe, a.Resident(sp.pe), a.Ghost(sp.pe), a.WorkBits().Get(sp.pe))
+			}
+		})
+	}
+}
+
+// errRestore is what failingSpiller's FaultAll returns.
+var errRestore = errors.New("segment unreadable")
+
+// failingSpiller evicts the bottom level of every PE that is two or more
+// levels deep at each Sweep and can never bring one back.
+type failingSpiller struct{ evicted int }
+
+func (s *failingSpiller) Barrier(*stack.Arena[synthetic.Node]) error { return nil }
+
+func (s *failingSpiller) Sweep(a *stack.Arena[synthetic.Node]) error {
+	for pe := 0; pe < a.P(); pe++ {
+		if a.ResidentDepth(pe) >= 2 {
+			a.DropBottom(pe, 1)
+			s.evicted++
+		}
+	}
+	return nil
+}
+
+func (s *failingSpiller) FaultAll(*stack.Arena[synthetic.Node], int) error { return errRestore }
+func (s *failingSpiller) Reset() error                                     { return nil }
+
+// peState is what a transfer could disturb on one PE.
+type peState struct{ size, resident, ghost, depth int }
+
+func stateOf(a *stack.Arena[synthetic.Node], pe int) peState {
+	return peState{a.Size(pe), a.Resident(pe), a.Ghost(pe), a.Depth(pe)}
+}
+
+// ghostDonorBalancer pairs every splittable PE that has evicted levels with
+// an idle PE, runs the round through TransferAll, and checks that nothing
+// moved: the restore fails, so the donors must be left alone.
+type ghostDonorBalancer struct {
+	t     *testing.T
+	pairs int // donors offered, over all phases
+}
+
+func (b *ghostDonorBalancer) Name() string { return "ghost-donors" }
+
+func (b *ghostDonorBalancer) Balance(c *Context[synthetic.Node]) (rounds, transfers int) {
+	a := c.Arena
+	var pairs []scan.Pair
+	to := 0
+	for from := 0; from < a.P(); from++ {
+		if a.Ghost(from) == 0 || !a.Splittable(from) {
+			continue
+		}
+		for to < a.P() && !a.Empty(to) {
+			to++
+		}
+		if to == a.P() {
+			break
+		}
+		pairs = append(pairs, scan.Pair{From: from, To: to})
+		to++
+	}
+	before := make([][2]peState, len(pairs))
+	for i, p := range pairs {
+		before[i] = [2]peState{stateOf(a, p.From), stateOf(a, p.To)}
+	}
+	if done := c.TransferAll(pairs); done != 0 {
+		b.t.Errorf("%d of %d transfers from donors with evicted levels went through", done, len(pairs))
+	}
+	for i, p := range pairs {
+		if after := [2]peState{stateOf(a, p.From), stateOf(a, p.To)}; after != before[i] {
+			b.t.Errorf("pair %d->%d: size/resident/ghost/depth %v, before the phase %v", p.From, p.To, after, before[i])
+			break
+		}
+	}
+	b.pairs += len(pairs)
+	return 1, 0
+}
+
+// TestFailedRestoreLeavesDonorAlone: when a donor's evicted levels cannot be
+// restored, the phase must not split its resident window (whose bottom is
+// not the stack's bottom), on the sequential and the parallel transfer path
+// alike, and the run must end with the restore error.
+func TestFailedRestoreLeavesDonorAlone(t *testing.T) {
+	const p, busy = 256, 100 // 100 pairs: past parallelPairMin
+	tree := synthetic.New(1, 5)
+	leaf := synthetic.Node{Budget: 1}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			trig, err := trigger.Parse("S1.00")
+			if err != nil {
+				t.Fatal(err)
+			}
+			bal := &ghostDonorBalancer{t: t}
+			m, err := NewMachine[synthetic.Node](tree, Scheme[synthetic.Node]{Label: "ghost-donors", Trigger: trig, Balancer: bal},
+				Options{P: p, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pe := 0; pe < busy; pe++ {
+				s := stack.New(leaf, leaf, leaf)
+				s.PushLevel([]synthetic.Node{leaf, leaf, leaf})
+				s.PushLevel([]synthetic.Node{leaf, leaf, leaf})
+				if err := m.InstallStack(pe, s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sp := &failingSpiller{}
+			m.SetSpiller(sp)
+			if _, err := m.RunContext(context.Background()); !errors.Is(err, errRestore) {
+				t.Fatalf("run returned %v, want the restore error", err)
+			}
+			if sp.evicted < busy || bal.pairs < busy {
+				t.Fatalf("%d evictions, %d ghost donors offered; want at least %d of each", sp.evicted, bal.pairs, busy)
 			}
 		})
 	}

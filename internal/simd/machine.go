@@ -119,9 +119,9 @@ type Machine[S any] struct {
 	topo  topology.Network
 	costs Costs
 
-	// arena holds every PE stack in structure-of-arrays form: flat per-PE
-	// size/offset arrays, contiguous per-PE node buffers, and the has-work
-	// and can-split bitsets the cycle loop reduces over.
+	// arena holds every PE stack: one flat array of per-PE records (sizes,
+	// offsets, top-level count), contiguous per-PE node buffers, and the
+	// has-work and can-split bitsets the cycle loop reduces over.
 	arena   *stack.Arena[S]
 	workers int
 

@@ -40,9 +40,6 @@ func (m *Machine[S]) SetSpiller(sp Spiller[S]) {
 		return
 	}
 	m.lbCtx.faultDonor = func(pe int) {
-		// Inside a parallel transfer region every donor was pre-faulted,
-		// so this read of the donor's own ghost counter short-circuits
-		// without touching shared manager state.
 		if m.arena.Ghost(pe) == 0 {
 			return
 		}

@@ -2,27 +2,39 @@ package stack
 
 import "simdtree/internal/scan"
 
-// Arena holds the working DFS stacks of P processing elements in
-// structure-of-arrays form: every per-PE quantity lives in one flat array
-// indexed by PE, and each PE's nodes occupy one contiguous window of a
-// per-PE buffer.
+// Arena holds the working DFS stacks of P processing elements as one
+// record per PE: everything a pop or a push reads and writes for a PE — the
+// window offsets, the sizes, the ghost counters and the length of the top
+// level — sits side by side in one slice element, so the expansion cycle
+// streams the records in PE order and chases only the node buffer.
 //
-// Layout, for processing element pe:
+// Layout, for the record p of one processing element:
 //
-//	bufs[pe][head[pe] : head[pe]+size[pe]]   live nodes, bottom-to-top
-//	lvls[pe][lvlLo[pe] : lvlLo[pe]+depth[pe]] level lengths, bottom first
+//	p.buf[p.head : p.head+p.size]            live nodes, bottom-to-top
+//	p.lvl[p.lvlLo : p.lvlLo+p.depth-1]       lengths of the levels below the top, bottom first
+//	p.top                                    length of the top level
 //
+// The top level's length lives in the record, not in the table: a pop
+// decrements p.top and goes to the table (a separate heap line) only to
+// load the next length when a level empties, a push parks the old p.top in
+// the table and sets the new one, and a one-level stack never touches the
+// table at all.  Readers walk the table and then p.top; they never write.
 // The head offset makes bottom-node removal O(1) (advance head, shrink
 // the bottom level) and lets half-stack splits run as one compaction pass
-// of range copies.  Two invariants hold at every quiescent point:
+// of range copies.  The offsets and counts are 32-bit, which bounds one
+// PE's stack at 2^31-1 nodes and levels (2 GiB of one-byte nodes in a
+// single stack) and keeps the record at 80 bytes whatever S is.  Two
+// invariants hold at every quiescent point:
 //
-//  1. Every live level holds at least one node.  Empty levels are dropped
-//     the moment they form (a pop draining the top level, a bottom
-//     removal draining the bottom one), which the search order cannot
-//     observe: pops and splits only ever see non-empty levels, and the wire
-//     encoding canonically omits empty ones.
-//  2. The has-work bitset has bit pe set iff size[pe] > 0, and the
-//     can-split bitset iff size[pe] >= 2 — after SyncBits(pe).  The
+//  1. Every live level holds at least one node: p.top > 0 iff p.depth > 0,
+//     and every table entry in the window is positive.  Empty levels are
+//     dropped the moment they form (a pop draining the top level reloads
+//     p.top from the table, a bottom removal draining the bottom one
+//     advances p.lvlLo), which the search order cannot observe: pops and
+//     splits only ever see non-empty levels, and the wire encoding
+//     canonically omits empty ones.
+//  2. The has-work bitset has bit pe set iff size+ghost > 0, and the
+//     can-split bitset iff size+ghost >= 2 — after SyncBits(pe).  The
 //     exported per-PE mutators keep the bits fresh themselves; the
 //     unexported raw operations (used by the Splitter implementations,
 //     which may run on concurrent host shards over arbitrary PE pairs)
@@ -43,74 +55,71 @@ import "simdtree/internal/scan"
 // and levels sit below it on disk.  Everything the schedule observes —
 // Size, Depth, Empty, Splittable, and the two bitsets — reports the total
 // (resident + ghost), so evicting and restoring is invisible to the
-// search order; the internal size/depth/lvls state and the raw mutators
+// search order; the record's size/depth/top/lvl state and the raw mutators
 // describe the resident window only.  Operations that need the whole
 // stack (RemoveBottom, ForEachLevel, MaterializeStack, the splitters) are
 // only valid on a fully resident PE; the engine faults evicted levels
 // back in before calling them.
 type Arena[S any] struct {
-	p     int
-	bufs  [][]S
-	head  []int
-	size  []int // resident nodes
-	lvls  [][]int
-	lvlLo []int
-	depth []int     // resident levels
-	ghost []int     // evicted nodes below the resident window
-	ghLvl []int     // evicted levels below the resident window
+	pes   []pe[S]
 	work  scan.Bits // bit pe: total size > 0
 	split scan.Bits // bit pe: total size >= 2
 }
 
+// pe is one processing element's record (see Arena for the layout).
+type pe[S any] struct {
+	buf   []S
+	lvl   []int32
+	head  int32
+	size  int32 // resident nodes
+	top   int32 // length of the top resident level; 0 iff depth == 0
+	lvlLo int32
+	depth int32 // resident levels, the top one included
+	ghost int32 // evicted nodes below the resident window
+	ghLvl int32 // evicted levels below the resident window
+}
+
 // NewArena returns an arena of p empty stacks.  Per-PE buffers are
-// allocated lazily on first push, so idle PEs of a large machine cost a
-// few words each.
+// allocated lazily on first push, so idle PEs of a large machine cost one
+// 80-byte record each.
 func NewArena[S any](p int) *Arena[S] {
 	return &Arena[S]{
-		p:     p,
-		bufs:  make([][]S, p),
-		head:  make([]int, p),
-		size:  make([]int, p),
-		lvls:  make([][]int, p),
-		lvlLo: make([]int, p),
-		depth: make([]int, p),
-		ghost: make([]int, p),
-		ghLvl: make([]int, p),
+		pes:   make([]pe[S], p),
 		work:  scan.NewBits(p),
 		split: scan.NewBits(p),
 	}
 }
 
 // P returns the number of PEs.
-func (a *Arena[S]) P() int { return a.p }
+func (a *Arena[S]) P() int { return len(a.pes) }
 
 // Size returns the number of live nodes on PE pe's stack, including any
 // evicted (ghost) nodes — the quantity the schedule observes.
-func (a *Arena[S]) Size(pe int) int { return a.size[pe] + a.ghost[pe] }
+func (a *Arena[S]) Size(pe int) int { return int(a.pes[pe].size + a.pes[pe].ghost) }
 
 // Empty reports that PE pe has no work at all, resident or evicted.
-func (a *Arena[S]) Empty(pe int) bool { return a.size[pe]+a.ghost[pe] == 0 }
+func (a *Arena[S]) Empty(pe int) bool { return a.Size(pe) == 0 }
 
 // Splittable reports that PE pe's stack can be divided into two non-empty
 // parts (the paper's "busy"), counting evicted nodes.
-func (a *Arena[S]) Splittable(pe int) bool { return a.size[pe]+a.ghost[pe] >= 2 }
+func (a *Arena[S]) Splittable(pe int) bool { return a.Size(pe) >= 2 }
 
 // Depth returns the number of live levels on PE pe's stack, including
 // evicted ones.
-func (a *Arena[S]) Depth(pe int) int { return a.depth[pe] + a.ghLvl[pe] }
+func (a *Arena[S]) Depth(pe int) int { return int(a.pes[pe].depth + a.pes[pe].ghLvl) }
 
 // Resident returns the number of nodes held in memory for PE pe.
-func (a *Arena[S]) Resident(pe int) int { return a.size[pe] }
+func (a *Arena[S]) Resident(pe int) int { return int(a.pes[pe].size) }
 
 // ResidentDepth returns the number of in-memory levels of PE pe.
-func (a *Arena[S]) ResidentDepth(pe int) int { return a.depth[pe] }
+func (a *Arena[S]) ResidentDepth(pe int) int { return int(a.pes[pe].depth) }
 
 // Ghost returns the number of evicted nodes sitting on stable storage
 // below PE pe's resident window.
-func (a *Arena[S]) Ghost(pe int) int { return a.ghost[pe] }
+func (a *Arena[S]) Ghost(pe int) int { return int(a.pes[pe].ghost) }
 
 // GhostLevels returns the number of evicted levels of PE pe.
-func (a *Arena[S]) GhostLevels(pe int) int { return a.ghLvl[pe] }
+func (a *Arena[S]) GhostLevels(pe int) int { return int(a.pes[pe].ghLvl) }
 
 // WorkBits exposes the has-work bitset (bit pe: PE pe has nodes).  It is
 // the arena's own storage: callers must treat it as read-only and as
@@ -135,7 +144,7 @@ func (a *Arena[S]) AnySplittable() bool { return a.split.Any() }
 //
 //lint:hotpath
 func (a *Arena[S]) SyncBits(pe int) {
-	sz := a.size[pe] + a.ghost[pe]
+	sz := a.Size(pe)
 	a.work.SetTo(pe, sz > 0)
 	a.split.SetTo(pe, sz >= 2)
 }
@@ -143,16 +152,23 @@ func (a *Arena[S]) SyncBits(pe int) {
 // minArenaCap is the initial per-PE buffer capacity on first growth.
 const minArenaCap = 16
 
-// ensureTail makes room for n more nodes at PE pe's tail and returns the
+// growCap returns the capacity a buffer or table of length have grows to
+// when it must hold need entries.
+func growCap(have, need int) int {
+	return max(2*have, need, minArenaCap)
+}
+
+// ensureTail makes room for n more nodes at the PE's tail and returns the
 // buffer and the index to write the first new node at.  It prefers
 // sliding the live window back to the front of the existing buffer
 // (reclaiming the space bottom-node removals vacated) over growing.
-func (a *Arena[S]) ensureTail(pe, n int) ([]S, int) {
-	buf := a.bufs[pe]
-	head, sz := a.head[pe], a.size[pe]
+func (p *pe[S]) ensureTail(n int) ([]S, int) {
+	buf := p.buf
+	head, sz := int(p.head), int(p.size)
 	if head+sz+n <= len(buf) {
 		return buf, head + sz
 	}
+	p.head = 0
 	if sz+n <= len(buf) {
 		// Slide the live window to the front; zero the vacated tail so the
 		// garbage collector can reclaim the nodes.
@@ -161,52 +177,40 @@ func (a *Arena[S]) ensureTail(pe, n int) ([]S, int) {
 		for i := sz; i < head+sz; i++ {
 			buf[i] = zero
 		}
-		a.head[pe] = 0
 		return buf, sz
 	}
-	nc := 2 * len(buf)
-	if nc < sz+n {
-		nc = sz + n
-	}
-	if nc < minArenaCap {
-		nc = minArenaCap
-	}
 	//lint:allow hotalloc per-PE buffer doubles to the live stack size, then stops growing
-	nb := make([]S, nc)
+	nb := make([]S, growCap(len(buf), sz+n))
 	copy(nb, buf[head:head+sz])
-	a.bufs[pe] = nb
-	a.head[pe] = 0
+	p.buf = nb
 	return nb, sz
 }
 
-// pushLevelLen appends one level length to PE pe's level table.
-func (a *Arena[S]) pushLevelLen(pe, n int) {
-	lv := a.lvls[pe]
-	lo, d := a.lvlLo[pe], a.depth[pe]
+// pushLevelLen makes n the length of a new top level; the old top's
+// length, if there was one, moves into the level table.
+func (p *pe[S]) pushLevelLen(n int) {
+	old, d := p.top, int(p.depth)-1 // d: entries in the table window
+	p.top = int32(n)
+	p.depth++
+	if d < 0 {
+		return
+	}
+	lv, lo := p.lvl, int(p.lvlLo)
 	switch {
 	case lo+d < len(lv):
-		lv[lo+d] = n
+		lv[lo+d] = old
 	case d < len(lv):
 		// Slide the live window to the front of the table.
 		copy(lv, lv[lo:lo+d])
-		a.lvlLo[pe] = 0
-		lv[d] = n
+		p.lvlLo = 0
+		lv[d] = old
 	default:
-		nc := 2 * len(lv)
-		if nc < d+1 {
-			nc = d + 1
-		}
-		if nc < minArenaCap {
-			nc = minArenaCap
-		}
 		//lint:allow hotalloc per-PE level table doubles to the live depth, then stops growing
-		nl := make([]int, nc)
+		nl := make([]int32, growCap(len(lv), d+1))
 		copy(nl, lv[lo:lo+d])
-		a.lvls[pe] = nl
-		a.lvlLo[pe] = 0
-		nl[d] = n
+		p.lvl, p.lvlLo = nl, 0
+		nl[d] = old
 	}
-	a.depth[pe] = d + 1
 }
 
 // pushLevelRaw copies alts onto PE pe as a deeper level without touching
@@ -216,10 +220,11 @@ func (a *Arena[S]) pushLevelRaw(pe int, alts []S) {
 	if n == 0 {
 		return
 	}
-	buf, tail := a.ensureTail(pe, n)
+	p := &a.pes[pe]
+	buf, tail := p.ensureTail(n)
 	copy(buf[tail:tail+n], alts)
-	a.pushLevelLen(pe, n)
-	a.size[pe] += n
+	p.pushLevelLen(n)
+	p.size += int32(n)
 }
 
 // PushLevel copies the untried alternatives of a newly expanded node onto
@@ -239,10 +244,11 @@ func (a *Arena[S]) PushLevel(pe int, alts []S) {
 // pushOneRaw pushes a single alternative as a deeper level without
 // touching the bitsets.
 func (a *Arena[S]) pushOneRaw(pe int, node S) {
-	buf, tail := a.ensureTail(pe, 1)
+	p := &a.pes[pe]
+	buf, tail := p.ensureTail(1)
 	buf[tail] = node
-	a.pushLevelLen(pe, 1)
-	a.size[pe]++
+	p.pushLevelLen(1)
+	p.size++
 }
 
 // PushOne pushes a single alternative as a deeper level — the receiver
@@ -258,31 +264,32 @@ func (a *Arena[S]) PushOne(pe int, node S) {
 // bitsets.
 func (a *Arena[S]) popRaw(pe int) (S, bool) {
 	var zero S
-	sz := a.size[pe]
-	if sz == 0 {
+	p := &a.pes[pe]
+	if p.size == 0 {
 		return zero, false
 	}
-	buf := a.bufs[pe]
-	tail := a.head[pe] + sz - 1
-	node := buf[tail]
-	buf[tail] = zero // release the reference for the garbage collector
-	a.shrinkTop(pe, sz)
+	tail := p.head + p.size - 1
+	node := p.buf[tail]
+	p.buf[tail] = zero // release the reference for the garbage collector
+	p.shrinkTop()
 	return node, true
 }
 
-// shrinkTop books the removal of PE pe's top node: sz, its resident size
-// before the removal, drops by one, and so does the top level's length.
-// Small enough to inline into popRaw and the expansion kernel's pop phase.
-func (a *Arena[S]) shrinkTop(pe, sz int) {
-	a.size[pe] = sz - 1
-	lv := a.lvls[pe]
-	top := a.lvlLo[pe] + a.depth[pe] - 1
-	lv[top]--
-	if lv[top] == 0 {
+// shrinkTop books the removal of the PE's top node: the resident size and
+// the top level's length drop by one, and when that empties the level the
+// one below becomes the top — the only time a pop reads the level table,
+// and nothing branches on what it reads.  Small enough to inline into
+// popRaw and the expansion kernel's pop phase.
+func (p *pe[S]) shrinkTop() {
+	p.size--
+	p.top--
+	if p.top == 0 {
 		// Only the decremented top level can have emptied (invariant 1).
-		a.depth[pe]--
-		if a.depth[pe] == 0 {
-			a.lvlLo[pe], a.head[pe] = 0, 0
+		p.depth--
+		if p.depth == 0 {
+			p.lvlLo, p.head = 0, 0
+		} else {
+			p.top = p.lvl[p.lvlLo+p.depth-1]
 		}
 	}
 }
@@ -307,28 +314,26 @@ func (a *Arena[S]) Pop(pe int) (S, bool) {
 // resident level — the node closest to the root, provided the PE is fully
 // resident (no ghost levels below the window) — without touching the
 // bitsets.  Because empty levels are dropped as they form, this is O(1):
-// advance the head offset and shrink the bottom level.
+// advance the head offset and shrink the bottom level, which is the
+// record's top when the stack is one level deep.
 func (a *Arena[S]) removeBottomRaw(pe int) (S, bool) {
 	var zero S
-	sz := a.size[pe]
-	if sz == 0 {
+	p := &a.pes[pe]
+	if p.size == 0 {
 		return zero, false
 	}
-	head := a.head[pe]
-	buf := a.bufs[pe]
-	node := buf[head]
-	buf[head] = zero
-	a.head[pe] = head + 1
-	a.size[pe] = sz - 1
-	lo := a.lvlLo[pe]
-	lv := a.lvls[pe]
-	lv[lo]--
-	if lv[lo] == 0 {
-		a.lvlLo[pe] = lo + 1
-		a.depth[pe]--
-		if a.depth[pe] == 0 {
-			a.lvlLo[pe], a.head[pe] = 0, 0
-		}
+	node := p.buf[p.head]
+	p.buf[p.head] = zero
+	p.head++
+	if p.depth == 1 {
+		p.shrinkTop() // the bottom level is the top level
+		return node, true
+	}
+	p.size--
+	p.lvl[p.lvlLo]--
+	if p.lvl[p.lvlLo] == 0 {
+		p.lvlLo++
+		p.depth--
 	}
 	return node, true
 }
@@ -354,14 +359,13 @@ func (a *Arena[S]) RemoveBottom(pe int) (S, bool) {
 // for the PE the next time it looks.
 func (a *Arena[S]) clearRaw(pe int) {
 	var zero S
-	buf := a.bufs[pe]
-	head, sz := a.head[pe], a.size[pe]
-	for i := head; i < head+sz; i++ {
-		buf[i] = zero
+	p := &a.pes[pe]
+	for i := p.head; i < p.head+p.size; i++ {
+		p.buf[i] = zero
 	}
-	a.head[pe], a.size[pe] = 0, 0
-	a.lvlLo[pe], a.depth[pe] = 0, 0
-	a.ghost[pe], a.ghLvl[pe] = 0, 0
+	p.head, p.size, p.top = 0, 0, 0
+	p.lvlLo, p.depth = 0, 0
+	p.ghost, p.ghLvl = 0, 0
 }
 
 // Clear empties PE pe, keeping its buffers for reuse.
@@ -370,19 +374,22 @@ func (a *Arena[S]) Clear(pe int) {
 	a.SyncBits(pe)
 }
 
+// level returns the length slot of the PE's resident level i, counted from
+// the bottom: a level-table entry, or the record's top for the top level.
+func (p *pe[S]) level(i int) *int32 {
+	if i == int(p.depth)-1 {
+		return &p.top
+	}
+	return &p.lvl[int(p.lvlLo)+i]
+}
+
 // ForEachLevel calls f on every resident level of PE pe in bottom-to-top
 // order.  The slices are the arena's own storage and must not be mutated
 // or retained; serialisers use this to preserve level structure without
 // copying.  Callers that need the whole stack ensure the PE is fully
 // resident first (Ghost(pe) == 0).
 func (a *Arena[S]) ForEachLevel(pe int, f func(level []S)) {
-	buf := a.bufs[pe]
-	off := a.head[pe]
-	lo, d := a.lvlLo[pe], a.depth[pe]
-	for _, n := range a.lvls[pe][lo : lo+d] {
-		f(buf[off : off+n : off+n])
-		off += n
-	}
+	a.ForEachBottomLevel(pe, a.ResidentDepth(pe), f)
 }
 
 // MaterializeStack returns a copy of PE pe's stack as a freshly allocated
@@ -394,13 +401,7 @@ func (a *Arena[S]) ForEachLevel(pe int, f func(level []S)) {
 // before materialising.
 func (a *Arena[S]) MaterializeStack(pe int) *Stack[S] {
 	s := &Stack[S]{}
-	buf := a.bufs[pe]
-	off := a.head[pe]
-	lo, d := a.lvlLo[pe], a.depth[pe]
-	for _, n := range a.lvls[pe][lo : lo+d] {
-		s.PushLevel(append([]S(nil), buf[off:off+n]...))
-		off += n
-	}
+	a.ForEachLevel(pe, func(lv []S) { s.PushLevel(append([]S(nil), lv...)) })
 	return s
 }
 
@@ -435,11 +436,11 @@ func (a *Arena[S]) AppendFromStack(pe int, s *Stack[S]) {
 //
 //lint:hotpath
 func (a *Arena[S]) ForEachBottomLevel(pe, k int, f func(level []S)) {
-	buf := a.bufs[pe]
-	off := a.head[pe]
-	lo := a.lvlLo[pe]
-	for _, n := range a.lvls[pe][lo : lo+k] {
-		f(buf[off : off+n : off+n])
+	p := &a.pes[pe]
+	off := int(p.head)
+	for i := 0; i < k; i++ {
+		n := int(*p.level(i))
+		f(p.buf[off : off+n : off+n])
 		off += n
 	}
 }
@@ -456,26 +457,25 @@ func (a *Arena[S]) ForEachBottomLevel(pe, k int, f func(level []S)) {
 //
 //lint:hotpath
 func (a *Arena[S]) DropBottom(pe, k int) int {
-	lo := a.lvlLo[pe]
+	p := &a.pes[pe]
 	nodes := 0
-	for _, n := range a.lvls[pe][lo : lo+k] {
-		nodes += n
+	for i := 0; i < k; i++ {
+		nodes += int(*p.level(i))
 	}
 	var zero S
-	buf := a.bufs[pe]
-	head := a.head[pe]
+	head := int(p.head)
 	for i := head; i < head+nodes; i++ {
-		buf[i] = zero
+		p.buf[i] = zero
 	}
-	a.head[pe] = head + nodes
-	a.size[pe] -= nodes
-	a.lvlLo[pe] = lo + k
-	a.depth[pe] -= k
-	if a.depth[pe] == 0 {
-		a.lvlLo[pe], a.head[pe] = 0, 0
+	p.head += int32(nodes)
+	p.size -= int32(nodes)
+	p.lvlLo += int32(k)
+	p.depth -= int32(k)
+	if p.depth == 0 {
+		p.top, p.lvlLo, p.head = 0, 0, 0
 	}
-	a.ghost[pe] += nodes
-	a.ghLvl[pe] += k
+	p.ghost += int32(nodes)
+	p.ghLvl += int32(k)
 	return nodes
 }
 
@@ -493,8 +493,9 @@ func (a *Arena[S]) PrependLevels(pe int, nodes []S, counts []int) {
 	if n == 0 {
 		return
 	}
-	buf := a.bufs[pe]
-	head, sz := a.head[pe], a.size[pe]
+	p := &a.pes[pe]
+	buf := p.buf
+	head, sz := int(p.head), int(p.size)
 	switch {
 	case head >= n:
 		// The space the eviction vacated is still in front of the window.
@@ -506,53 +507,49 @@ func (a *Arena[S]) PrependLevels(pe int, nodes []S, counts []int) {
 		copy(buf[n:n+sz], buf[head:head+sz])
 		head = 0
 	default:
-		nc := 2 * len(buf)
-		if nc < n+sz {
-			nc = n + sz
-		}
-		if nc < minArenaCap {
-			nc = minArenaCap
-		}
 		//lint:allow hotalloc restore fault path allocates by design (outside steady state)
-		nb := make([]S, nc)
+		nb := make([]S, growCap(len(buf), n+sz))
 		copy(nb[n:], buf[head:head+sz])
-		a.bufs[pe] = nb
+		p.buf = nb
 		buf = nb
 		head = 0
 	}
 	copy(buf[head:], nodes)
-	a.head[pe] = head
-	a.size[pe] = sz + n
+	p.head = int32(head)
+	p.size = int32(sz + n)
 
-	// Prepend the level lengths below the live level-table window.
-	lv := a.lvls[pe]
-	lo, d := a.lvlLo[pe], a.depth[pe]
+	// Prepend the level lengths below the live level-table window.  With
+	// no resident level the last restored one becomes the top and stays
+	// out of the table.
+	d := int(p.depth) - 1 // entries in the table window
+	if d < 0 {
+		d = 0
+		p.top = int32(counts[k-1])
+		counts = counts[:k-1]
+	}
+	t := len(counts)
+	lv, lo := p.lvl, int(p.lvlLo)
 	switch {
-	case lo >= k:
-		lo -= k
-	case len(lv) >= k+d:
-		copy(lv[k:k+d], lv[lo:lo+d])
+	case lo >= t:
+		lo -= t
+	case len(lv) >= t+d:
+		copy(lv[t:t+d], lv[lo:lo+d])
 		lo = 0
 	default:
-		nc := 2 * len(lv)
-		if nc < k+d {
-			nc = k + d
-		}
-		if nc < minArenaCap {
-			nc = minArenaCap
-		}
 		//lint:allow hotalloc restore fault path allocates by design (outside steady state)
-		nl := make([]int, nc)
-		copy(nl[k:], lv[lo:lo+d])
-		a.lvls[pe] = nl
+		nl := make([]int32, growCap(len(lv), t+d))
+		copy(nl[t:], lv[lo:lo+d])
+		p.lvl = nl
 		lv = nl
 		lo = 0
 	}
-	copy(lv[lo:], counts)
-	a.lvlLo[pe] = lo
-	a.depth[pe] = d + k
-	a.ghost[pe] -= n
-	a.ghLvl[pe] -= k
+	for i, c := range counts {
+		lv[lo+i] = int32(c)
+	}
+	p.lvlLo = int32(lo)
+	p.depth += int32(k)
+	p.ghost -= int32(n)
+	p.ghLvl -= int32(k)
 }
 
 // SplitArena implements Splitter: the bottom node moves from donor
@@ -578,17 +575,17 @@ func (HalfStack[S]) SplitArena(a *Arena[S], from, to int) int {
 	if from == to {
 		return 0
 	}
-	buf := a.bufs[from]
-	head := a.head[from]
-	lo, d := a.lvlLo[from], a.depth[from]
-	lv := a.lvls[from][lo : lo+d]
+	p := &a.pes[from]
+	buf := p.buf
 	moved := 0
-	r, w := head, head
-	for i, n := range lv {
+	r, w := int(p.head), int(p.head)
+	for i, d := 0, int(p.depth); i < d; i++ {
+		lvl := p.level(i)
+		n := int(*lvl)
 		k := n / 2
 		if k > 0 {
 			a.pushLevelRaw(to, buf[r:r+k])
-			lv[i] = n - k
+			*lvl = int32(n - k)
 			moved += k
 		}
 		if w != r+k {
@@ -602,7 +599,7 @@ func (HalfStack[S]) SplitArena(a *Arena[S], from, to int) int {
 	for i := w; i < r; i++ {
 		buf[i] = zero
 	}
-	a.size[from] -= moved
+	p.size -= int32(moved)
 	if moved == 0 {
 		// Every level held a single alternative; fall back to the bottom
 		// node so the split is still non-empty.

@@ -415,12 +415,12 @@ func TestArenaBottomRemovalReclaimsSpace(t *testing.T) {
 		a.RemoveBottom(0)
 		a.PushOne(0, i)
 	}
-	grown := len(a.bufs[0])
+	grown := len(a.pes[0].buf)
 	for i := 0; i < 10000; i++ {
 		a.RemoveBottom(0)
 		a.PushOne(0, i)
 	}
-	if len(a.bufs[0]) != grown {
-		t.Errorf("buffer grew from %d to %d under steady bottom-removal churn", grown, len(a.bufs[0]))
+	if len(a.pes[0].buf) != grown {
+		t.Errorf("buffer grew from %d to %d under steady bottom-removal churn", grown, len(a.pes[0].buf))
 	}
 }

@@ -83,8 +83,8 @@ func (a *Arena[S]) ExpandCycle(d Expander[S], lo, hi int, sc *ExpandScratch[S]) 
 		n := 0
 		for rem := w; rem != 0; rem &= rem - 1 {
 			pe := base + bits.TrailingZeros64(rem)
-			sz := a.size[pe]
-			if sz == 0 {
+			p := &a.pes[pe]
+			if p.size == 0 {
 				if res.NotResident < 0 {
 					res.NotResident = pe
 				}
@@ -92,12 +92,11 @@ func (a *Arena[S]) ExpandCycle(d Expander[S], lo, hi int, sc *ExpandScratch[S]) 
 				continue
 			}
 			// popRaw, spelled out so the loop body stays free of calls.
-			buf := a.bufs[pe]
-			tail := a.head[pe] + sz - 1
-			sc.nodes[n], sc.pes[n] = buf[tail], pe
+			tail := p.head + p.size - 1
+			sc.nodes[n], sc.pes[n] = p.buf[tail], pe
 			n++
-			buf[tail] = zero
-			a.shrinkTop(pe, sz)
+			p.buf[tail] = zero
+			p.shrinkTop()
 		}
 
 		for i := 0; i < n; i++ {
@@ -107,7 +106,7 @@ func (a *Arena[S]) ExpandCycle(d Expander[S], lo, hi int, sc *ExpandScratch[S]) 
 			}
 			succ = d.Expand(node, succ[:0])
 			a.pushLevelRaw(pe, succ)
-			sz := a.size[pe] + a.ghost[pe]
+			sz := a.Size(pe)
 			bit := uint64(1) << uint(pe&63)
 			if sz >= 2 {
 				work, split = work|bit, split|bit

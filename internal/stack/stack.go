@@ -2,9 +2,9 @@
 // paper uses for the part of the search space assigned to a processor
 // (Section 2): the depth of the stack is the depth of the node currently
 // being explored, and each level keeps the untried alternatives at that
-// depth.  The working stacks of all P processors live in one
-// structure-of-arrays Arena (arena.go), the only representation the search
-// pushes to, pops from and splits; Stack is the per-PE transport value
+// depth.  The working stacks of all P processors live in one Arena
+// (arena.go, a flat array of per-PE records), the only representation the
+// search pushes to, pops from and splits; Stack is the per-PE transport value
 // that snapshots, donations and decoded payloads carry across the arena
 // boundary.  A processor's unsearched space is partitioned by moving some
 // of the untried alternatives to another PE's window; the package provides

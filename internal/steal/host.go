@@ -123,10 +123,12 @@ func (h *host[S]) Flags() (busy, idle []bool) {
 	n := h.hi - h.lo
 	busy = make([]bool, n)
 	idle = make([]bool, n)
-	a := h.m.Arena()
+	// Between cycles the arena's bitsets are in sync with the stack sizes,
+	// and reading them does not walk the per-PE records.
+	work, split := h.m.Arena().WorkBits(), h.m.Arena().SplitBits()
 	for i := 0; i < n; i++ {
-		busy[i] = a.Splittable(h.lo + i)
-		idle[i] = a.Empty(h.lo + i)
+		busy[i] = split.Get(h.lo + i)
+		idle[i] = !work.Get(h.lo + i)
 	}
 	return busy, idle
 }
