@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-go bench-baseline bench-check mark loc fuzz vet lint lint-hotpath frame-discipline fmt serve fleet load experiments-quick experiments-full report clean
+.PHONY: all build test test-race bench bench-go bench-baseline bench-check mark loc fuzz vet lint lint-hotpath frame-discipline api-discipline fmt serve fleet load experiments-quick experiments-full report clean
 
 all: build lint test
 
@@ -69,7 +69,7 @@ vet:
 # Repo-specific static analysis: determinism (detrand, maporder), float
 # equality, dropped errors, sync misuse, pool reset, and the cross-package
 # suite (hotalloc, ctxflow, lockorder, atomicmix, sseflush).
-lint: vet lint-hotpath frame-discipline
+lint: vet lint-hotpath frame-discipline api-discipline
 	$(GO) run ./cmd/simdlint ./...
 
 # One frame codec (DESIGN.md, "Frame discipline"): outside internal/wire no
@@ -77,6 +77,14 @@ lint: vet lint-hotpath frame-discipline
 frame-discipline:
 	@if git grep --untracked -n -e '"hash/crc32"' -e 'binary\.Uvarint(' -- '*.go' ':!*_test.go' ':!internal/wire/'; then \
 		echo "frame-discipline: decode and checksum frames through internal/wire (wire.Open / wire.Reader)" >&2; exit 1; fi
+
+# One wire contract (DESIGN.md section 9, "Wire contract"): outside
+# internal/server no non-test file decodes a request body strictly, spells
+# the {"error": ...} body or frames an SSE event for itself.  (The
+# coordinator's SSE proxy copies a node's bytes and frames nothing.)
+api-discipline:
+	@if git grep --untracked -n -e 'DisallowUnknownFields(' -e 'map\[string\]string{"error"' -e 'event: %s' -- '*.go' ':!*_test.go' ':!internal/server/'; then \
+		echo "api-discipline: decode, answer and stream through internal/server/wire.go (DecodeSpec, WriteError, StreamEvents)" >&2; exit 1; fi
 
 # Fail when the //lint:hotpath root inventory drifts from the committed
 # list, so a root cannot silently lose its annotation (and with it the

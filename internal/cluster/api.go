@@ -4,18 +4,23 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"simdtree/internal/server"
 )
 
-// The coordinator's HTTP surface mirrors a node's /v1/jobs API: a
-// client that speaks simdserve speaks simdfleet.  Responses wrap the
-// owning node's verbatim job document in a fleet envelope that adds the
-// routing facts (node, overflow, failovers).
+// The coordinator serves a node's /v1/jobs API: a client that speaks
+// simdserve speaks simdfleet.  What the two must agree on byte for byte —
+// bodies, errors, strict decoding, event streams, traces — is the node's
+// own code (internal/server/wire.go), called from here; a node's refusal
+// passes through with the node's status, message and Retry-After.
+// Responses wrap the owning node's verbatim job document in a fleet
+// envelope that adds the routing facts (node, overflow, failovers).
 
 // nodeJob is the slice of a node's job JSON the coordinator reads.
 type nodeJob struct {
@@ -24,7 +29,9 @@ type nodeJob struct {
 	CacheKey string        `json:"cache_key"`
 }
 
-// fleetJobResponse is the coordinator's wire form of a routed job.
+// fleetJobResponse is the coordinator's wire form of a routed job
+// (fleetJob.snapshot): the routing facts around the node's verbatim
+// document, Job.
 type fleetJobResponse struct {
 	ID          string          `json:"id"`
 	CacheKey    string          `json:"cache_key"`
@@ -38,23 +45,6 @@ type fleetJobResponse struct {
 	Unreachable bool            `json:"node_unreachable,omitempty"`
 	Error       string          `json:"error,omitempty"`
 	Job         json.RawMessage `json:"job,omitempty"`
-}
-
-func renderFleetJob(v fleetJobView, raw json.RawMessage) fleetJobResponse {
-	return fleetJobResponse{
-		ID:          v.ID,
-		CacheKey:    v.Key,
-		Node:        v.Node,
-		NodeJobID:   v.NodeJobID,
-		Status:      v.Status,
-		Distributed: v.Distributed,
-		Overflow:    v.Overflow,
-		Failovers:   v.Failovers,
-		Resumed:     v.Resumed,
-		Unreachable: v.Unreachable,
-		Error:       v.LastErr,
-		Job:         raw,
-	}
 }
 
 // Handler returns the coordinator's HTTP routing table.
@@ -76,67 +66,131 @@ func (c *Coordinator) Handler() http.Handler {
 // handleSubmit implements POST /v1/jobs: canonicalize against the same
 // rules a node applies, hash the canonical spec, collapse onto an
 // identical in-flight job if one exists anywhere in the ring, otherwise
-// route by ring (or GP overflow) and forward.  A 429/503 from the chosen
-// node triggers one GP retry on the remaining underloaded nodes before
-// the rejection is passed through.
+// route by ring (or GP overflow) and forward.  A node's refusal passes
+// through as the node spelled it (submitOne).
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec server.JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad job spec: %v", err))
+	spec, ok := server.DecodeSpec(w, r)
+	if !ok {
+		return
+	}
+	tenant, err := server.TenantFrom(r)
+	if err != nil {
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	canonical, err := server.Canonicalize(spec, c.domains)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	tenant := r.Header.Get(server.TenantHeader)
-	f, raw, collapsed, code, msg := c.submitOne(r.Context(), canonical, tenant)
-	if code != 0 {
-		writeError(w, code, msg)
+	f, raw, collapsed, rf := c.submitOne(r.Context(), canonical, tenant)
+	if rf != nil {
+		rf.Apply(w)
 		return
 	}
 	if collapsed {
 		w.Header().Set("X-Collapsed", "1")
 	}
-	v := f.snapshot()
+	v := f.snapshot(raw)
 	status := http.StatusAccepted
 	if terminalStatus(v.Status) {
 		status = http.StatusOK // node served it from cache
 	}
-	writeJSON(w, status, renderFleetJob(v, raw))
+	server.WriteJSON(w, status, v)
+}
+
+// call is the coordinator's one way to ask a node something (the SSE
+// proxy, which must not buffer, is the only code with a client of its
+// own).  body, contentType and header are optional.  It returns the
+// node's status, bounded body and response headers; err is a transport
+// failure, never a status.
+func (c *Coordinator) call(ctx context.Context, method, url, contentType string, body []byte, header http.Header) (int, []byte, http.Header, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	for k, v := range header {
+		req.Header[k] = v
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	resp, err := c.client.Do(req)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	defer resp.Body.Close()
+	b, err := readBounded(resp.Body)
+	return resp.StatusCode, b, resp.Header, err
+}
+
+// refusedError is a node's own refusal of a submission or an import: the
+// status, error string and Retry-After it answered with, so submitOne
+// can tell the client exactly what the node said.
+type refusedError struct {
+	server.Refusal
+	body string // the node's answer as sent, for the coordinator's own records
+}
+
+func (e *refusedError) Error() string { return fmt.Sprintf("node answered %d: %s", e.Code, e.body) }
+
+// refusalOf returns the node's answer inside err, nil when err is a
+// transport failure (or nil).
+func refusalOf(err error) *server.Refusal {
+	var re *refusedError
+	if errors.As(err, &re) {
+		return &re.Refusal
+	}
+	return nil
+}
+
+// callJob POSTs to one of the two node endpoints that answer a job
+// document, /v1/jobs and /v1/jobs/import.  A nil error means the node
+// took the job (202, or 200 from its cache); any other status comes back
+// as a *refusedError.
+func (c *Coordinator) callJob(ctx context.Context, url, contentType string, body []byte, header http.Header) (nodeJob, json.RawMessage, error) {
+	code, raw, hdr, err := c.call(ctx, http.MethodPost, url, contentType, body, header)
+	if err != nil {
+		return nodeJob{}, nil, err
+	}
+	if code != http.StatusAccepted && code != http.StatusOK {
+		re := &refusedError{body: truncateForErr(raw)}
+		re.Code, re.Message = code, re.body
+		var doc map[string]string
+		if json.Unmarshal(raw, &doc) == nil && doc["error"] != "" {
+			re.Message = doc["error"]
+		}
+		if n, err := strconv.Atoi(hdr.Get("Retry-After")); err == nil {
+			re.RetryAfter = n
+		}
+		return nodeJob{}, nil, re
+	}
+	var nj nodeJob
+	if err := json.Unmarshal(raw, &nj); err != nil {
+		return nodeJob{}, nil, err
+	}
+	return nj, raw, nil
 }
 
 // submitToNode POSTs a canonical spec to one node's /v1/jobs, forwarding
 // the submitting tenant.
 func (c *Coordinator) submitToNode(ctx context.Context, target string, specJSON []byte, tenant string) (nodeJob, json.RawMessage, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+"/v1/jobs", bytes.NewReader(specJSON))
-	if err != nil {
-		return nodeJob{}, nil, err
+	return c.callJob(ctx, target+"/v1/jobs", "application/json", specJSON, http.Header{server.TenantHeader: {tenant}})
+}
+
+// owned is the preamble of the four per-job routes: it resolves {id} to
+// its fleet record, answering 404 itself (f is then nil).  d is non-nil
+// when the job runs distributed and is served from here; otherwise node
+// owns it and jobURL is its document there.
+func (c *Coordinator) owned(w http.ResponseWriter, r *http.Request) (f *fleetJob, d *distRun, node, jobURL string) {
+	f, ok := c.jobs.get(r.PathValue("id"))
+	if !ok {
+		server.WriteError(w, http.StatusNotFound, "unknown job id")
+		return nil, nil, "", ""
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if tenant != "" {
-		req.Header.Set(server.TenantHeader, tenant)
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nodeJob{}, nil, err
-	}
-	defer resp.Body.Close()
-	body, err := readBounded(resp.Body)
-	if err != nil {
-		return nodeJob{}, nil, err
-	}
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		return nodeJob{}, nil, fmt.Errorf("node answered %d: %s", resp.StatusCode, truncateForErr(body))
-	}
-	var nj nodeJob
-	if err := json.Unmarshal(body, &nj); err != nil {
-		return nodeJob{}, nil, err
-	}
-	return nj, body, nil
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f, f.dist, f.node, f.node + "/v1/jobs/" + f.nodeJobID
 }
 
 // handleGet implements GET /v1/jobs/{id}: proxy to the owning node and
@@ -144,42 +198,45 @@ func (c *Coordinator) submitToNode(ctx context.Context, target string, specJSON 
 // the last known state is served with node_unreachable set, so pollers
 // keep working across a failover window.
 func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
-	f, ok := c.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job id")
+	f, d, _, jobURL := c.owned(w, r)
+	if f == nil {
 		return
 	}
-	if d := f.distRun(); d != nil {
+	if d != nil {
 		// A distributed run's merged document lives on the coordinator.
-		writeJSON(w, http.StatusOK, renderFleetJob(f.snapshot(), d.document()))
+		server.WriteJSON(w, http.StatusOK, f.snapshot(d.document()))
 		return
 	}
-	f.mu.Lock()
-	node, nodeJobID := f.node, f.nodeJobID
-	f.mu.Unlock()
-	body, code, err := c.getJSONBody(r.Context(), node+"/v1/jobs/"+nodeJobID)
+	body, _ := c.refresh(r.Context(), f, jobURL)
+	server.WriteJSON(w, http.StatusOK, f.snapshot(body))
+}
+
+// refresh GETs f's job document from its owning node and records the
+// status it carries, returning both ("" when none was learned).  A node
+// that does not answer 200 marks f unreachable and yields no document.
+func (c *Coordinator) refresh(ctx context.Context, f *fleetJob, jobURL string) (body []byte, status string) {
+	body, code, err := c.getJSONBody(ctx, jobURL)
 	if err != nil || code != http.StatusOK {
 		f.mu.Lock()
 		f.unreachable = true
 		f.mu.Unlock()
-		writeJSON(w, http.StatusOK, renderFleetJob(f.snapshot(), nil))
-		return
+		return nil, ""
 	}
 	var nj nodeJob
-	if json.Unmarshal(body, &nj) == nil {
-		f.observe(string(nj.Status))
+	if json.Unmarshal(body, &nj) != nil {
+		return body, ""
 	}
-	writeJSON(w, http.StatusOK, renderFleetJob(f.snapshot(), body))
+	f.observe(string(nj.Status))
+	return body, string(nj.Status)
 }
 
 // handleCancel implements DELETE /v1/jobs/{id}, proxied to the owner.
 func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
-	f, ok := c.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job id")
+	f, d, node, jobURL := c.owned(w, r)
+	if f == nil {
 		return
 	}
-	if d := f.distRun(); d != nil {
+	if d != nil {
 		// Cancel the coordinator-driven run; the donor keeps its spooled
 		// cancel checkpoint, exactly like a node-side cancel.
 		d.cancel(errStealCancelled)
@@ -187,69 +244,54 @@ func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 		case <-d.done:
 		case <-r.Context().Done():
 		}
-		writeJSON(w, http.StatusOK, renderFleetJob(f.snapshot(), d.document()))
+		server.WriteJSON(w, http.StatusOK, f.snapshot(d.document()))
 		return
 	}
-	f.mu.Lock()
-	node, nodeJobID := f.node, f.nodeJobID
-	f.mu.Unlock()
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodDelete, node+"/v1/jobs/"+nodeJobID, nil)
+	code, body, _, err := c.call(r.Context(), http.MethodDelete, jobURL, "", nil, nil)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		server.WriteError(w, http.StatusBadGateway, fmt.Sprintf("node %s: %v", node, err))
 		return
 	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("node %s: %v", node, err))
-		return
-	}
-	defer resp.Body.Close()
-	body, err := readBounded(resp.Body)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, err.Error())
-		return
-	}
-	if resp.StatusCode != http.StatusOK {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(resp.StatusCode)
-		_, _ = w.Write(body) //lint:allow errdrop response writer errors are unreportable
+	if code != http.StatusOK {
+		server.WriteRaw(w, code, body)
 		return
 	}
 	var nj nodeJob
 	if json.Unmarshal(body, &nj) == nil {
 		f.observe(string(nj.Status))
 	}
-	writeJSON(w, http.StatusOK, renderFleetJob(f.snapshot(), body))
+	server.WriteJSON(w, http.StatusOK, f.snapshot(body))
 }
 
 // handleTrace implements GET /v1/jobs/{id}/trace as a pure proxy,
 // passing the query string (including ?trace_limit=) through to the
-// owning node.
+// owning node.  A distributed job's merged trace is served from here
+// through the node's own gating and rendering (server.ServeTrace), so it
+// is byte-identical to a node's rendering of the same run.
 func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
-	f, ok := c.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job id")
+	f, d, node, jobURL := c.owned(w, r)
+	if f == nil {
 		return
 	}
-	if d := f.distRun(); d != nil {
-		c.serveDistTrace(w, r, f, d)
+	if d != nil {
+		status, _, tr, _, _, _ := d.view()
+		server.ServeTrace(w, r, f.id, d.spec.Trace, server.Status(status), tr)
 		return
 	}
-	f.mu.Lock()
-	node, nodeJobID := f.node, f.nodeJobID
-	f.mu.Unlock()
-	url := node + "/v1/jobs/" + nodeJobID + "/trace"
+	body, code, err := c.getJSONBody(r.Context(), withQuery(jobURL+"/trace", r))
+	if err != nil {
+		server.WriteError(w, http.StatusBadGateway, fmt.Sprintf("node %s: %v", node, err))
+		return
+	}
+	server.WriteRaw(w, code, body)
+}
+
+// withQuery appends r's query string to url.
+func withQuery(url string, r *http.Request) string {
 	if r.URL.RawQuery != "" {
 		url += "?" + r.URL.RawQuery
 	}
-	body, code, err := c.getJSONBody(r.Context(), url)
-	if err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("node %s: %v", node, err))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_, _ = w.Write(body) //lint:allow errdrop response writer errors are unreportable
+	return url
 }
 
 // handleList implements GET /v1/jobs: the fleet's job records, oldest
@@ -258,9 +300,9 @@ func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 	jobs := c.jobs.all()
 	out := make([]fleetJobResponse, 0, len(jobs))
 	for _, f := range jobs {
-		out = append(out, renderFleetJob(f.snapshot(), nil))
+		out = append(out, f.snapshot(nil))
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
 
 // handleHealthz reports coordinator liveness: ok while at least one
@@ -273,10 +315,10 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if healthy == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no healthy nodes"})
+		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no healthy nodes"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // fleetNodeJSON is one node's row in the /fleet document.
@@ -333,7 +375,9 @@ func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
 	}
 	stealJobs := make([]stealJobJSON, 0)
 	for _, f := range c.jobs.all() {
-		d := f.distRun()
+		f.mu.Lock()
+		d := f.dist
+		f.mu.Unlock()
 		if d == nil {
 			continue
 		}
@@ -346,7 +390,7 @@ func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
 			LocalTransfers: locals,
 		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"nodes": nodes,
 		"ring": map[string]any{
 			"replicas": c.ring.Replicas(),
@@ -390,7 +434,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			healthy++
 		}
 	}
-	writeJSON(w, http.StatusOK, fleetMetrics{
+	server.WriteJSON(w, http.StatusOK, fleetMetrics{
 		UptimeSeconds:     time.Since(c.started).Seconds(),
 		NodesTotal:        len(c.order),
 		NodesHealthy:      healthy,
@@ -435,16 +479,4 @@ func truncateForErr(b []byte) string {
 		return string(b[:max]) + "..."
 	}
 	return string(b)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) //lint:allow errdrop response writer errors are unreportable
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
 }

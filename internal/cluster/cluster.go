@@ -17,8 +17,9 @@
 //     last cycle boundary and — by the determinism contract — still
 //     produces byte-identical results (failover.go).
 //
-// The coordinator's HTTP API mirrors a node's /v1/jobs surface, so a
-// client written against one simdserve talks to the fleet unchanged.
+// The coordinator serves a node's /v1/jobs surface through the node's
+// own wire code (internal/server/wire.go), so a client written against
+// one simdserve talks to the fleet unchanged, refusals included.
 package cluster
 
 import (

@@ -236,14 +236,14 @@ func TestProbeEjectAndReadmit(t *testing.T) {
 		switch r.URL.Path {
 		case "/healthz":
 			if healthy.Load() {
-				writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+				server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 			} else {
-				writeError(w, http.StatusInternalServerError, "boom")
+				server.WriteError(w, http.StatusInternalServerError, "boom")
 			}
 		case "/metrics":
-			writeJSON(w, http.StatusOK, nodeMetrics{QueueDepth: 2, QueueCapacity: 64})
+			server.WriteJSON(w, http.StatusOK, nodeMetrics{QueueDepth: 2, QueueCapacity: 64})
 		case "/version":
-			writeJSON(w, http.StatusOK, map[string]string{"drain_timeout_ms": "5000"})
+			server.WriteJSON(w, http.StatusOK, map[string]string{"drain_timeout_ms": "5000"})
 		default:
 			http.NotFound(w, r)
 		}

@@ -1,13 +1,12 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
 	"simdtree/internal/checkpoint"
+	"simdtree/internal/server"
 )
 
 // SyncOnce refreshes every non-terminal job's status from its owning
@@ -28,19 +27,7 @@ func (c *Coordinator) SyncOnce(ctx context.Context) {
 			// donor's spool.
 			continue
 		}
-		body, code, err := c.getJSONBody(ctx, node+"/v1/jobs/"+nodeJobID)
-		if err != nil || code != http.StatusOK {
-			f.mu.Lock()
-			f.unreachable = true
-			f.mu.Unlock()
-			continue
-		}
-		var nj nodeJob
-		if json.Unmarshal(body, &nj) != nil {
-			continue
-		}
-		f.observe(string(nj.Status))
-		if terminalStatus(string(nj.Status)) {
+		if _, status := c.refresh(ctx, f, node+"/v1/jobs/"+nodeJobID); status == "" || terminalStatus(status) {
 			continue
 		}
 		c.pullCheckpoint(ctx, f, node, nodeJobID)
@@ -52,20 +39,11 @@ func (c *Coordinator) SyncOnce(ctx context.Context) {
 // normal; anything that parses as a valid SCKP frame replaces the warm
 // copy.
 func (c *Coordinator) pullCheckpoint(ctx context.Context, f *fleetJob, node, nodeJobID string) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/v1/jobs/"+nodeJobID+"/checkpoint", nil)
-	if err != nil {
+	code, b, _, err := c.call(ctx, http.MethodGet, node+"/v1/jobs/"+nodeJobID+"/checkpoint", "", nil, nil)
+	if err != nil || code != http.StatusOK {
 		return
 	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
-	b, _, err := checkpoint.ReadFrame(resp.Body)
-	if err != nil {
+	if _, err := checkpoint.Peek(b); err != nil {
 		return
 	}
 	f.mu.Lock()
@@ -105,71 +83,39 @@ func (c *Coordinator) failover(ctx context.Context, dead string) {
 			f.mu.Unlock()
 			continue
 		}
+		var nj nodeJob
+		resumed := false
 		if ckpt != nil {
-			if nj, err := c.importCheckpoint(ctx, target, ckpt); err == nil {
+			imported, err := c.importCheckpoint(ctx, target, ckpt)
+			nj, resumed = imported, err == nil
+		}
+		if !resumed {
+			var err error
+			if nj, _, err = c.submitToNode(ctx, target, f.spec, server.DefaultTenant); err != nil {
 				f.mu.Lock()
-				f.node = target
-				f.nodeJobID = nj.ID
-				f.status = string(nj.Status)
-				f.terminal = terminalStatus(string(nj.Status))
-				f.resumed = true
-				f.failovers++
-				f.unreachable = false
-				f.lastErr = ""
+				f.lastErr = fmt.Sprintf("failover to %s: %v", target, err)
+				f.unreachable = true
 				f.mu.Unlock()
-				c.ctr.jobsFailedOver.Add(1)
-				c.ctr.failoverResumed.Add(1)
 				continue
 			}
 		}
+		f.place(target, nj.ID, string(nj.Status), resumed)
 		f.mu.Lock()
-		spec := f.spec
-		f.mu.Unlock()
-		nj, _, err := c.submitToNode(ctx, target, spec, "")
-		if err != nil {
-			f.mu.Lock()
-			f.lastErr = fmt.Sprintf("failover to %s: %v", target, err)
-			f.unreachable = true
-			f.mu.Unlock()
-			continue
-		}
-		f.mu.Lock()
-		f.node = target
-		f.nodeJobID = nj.ID
-		f.status = string(nj.Status)
-		f.terminal = terminalStatus(string(nj.Status))
-		f.resumed = false
 		f.failovers++
-		f.unreachable = false
-		f.lastErr = ""
 		f.mu.Unlock()
 		c.ctr.jobsFailedOver.Add(1)
+		if resumed {
+			c.ctr.failoverResumed.Add(1)
+		}
 	}
 }
 
 // importCheckpoint ships a warm checkpoint to a survivor's import
 // endpoint and returns the node's job record.
 func (c *Coordinator) importCheckpoint(ctx context.Context, target string, ckpt []byte) (nodeJob, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+"/v1/jobs/import", bytes.NewReader(ckpt))
-	if err != nil {
-		return nodeJob{}, err
+	nj, _, err := c.callJob(ctx, target+"/v1/jobs/import", checkpoint.ContentType, ckpt, nil)
+	if refusalOf(err) != nil {
+		err = fmt.Errorf("import: %w", err)
 	}
-	req.Header.Set("Content-Type", checkpoint.ContentType)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nodeJob{}, err
-	}
-	defer resp.Body.Close()
-	body, err := readBounded(resp.Body)
-	if err != nil {
-		return nodeJob{}, err
-	}
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		return nodeJob{}, fmt.Errorf("import: node answered %d: %s", resp.StatusCode, truncateForErr(body))
-	}
-	var nj nodeJob
-	if err := json.Unmarshal(body, &nj); err != nil {
-		return nodeJob{}, err
-	}
-	return nj, nil
+	return nj, err
 }

@@ -154,15 +154,13 @@ func (c *Coordinator) markHealthy(ctx context.Context, n *node, now time.Time) {
 	if wasEjected {
 		c.ctr.nodesReadmitted.Add(1)
 	}
-	if body, code, err := c.getJSONBody(ctx, n.url+"/metrics"); err == nil && code == http.StatusOK {
-		var m nodeMetrics
-		if json.Unmarshal(body, &m) == nil {
-			n.mu.Lock()
-			n.queueDepth = m.QueueDepth
-			n.queueCap = m.QueueCapacity
-			n.scraped = time.Now()
-			n.mu.Unlock()
-		}
+	var m nodeMetrics
+	if c.getInto(ctx, n.url+"/metrics", &m) {
+		n.mu.Lock()
+		n.queueDepth = m.QueueDepth
+		n.queueCap = m.QueueCapacity
+		n.scraped = time.Now()
+		n.mu.Unlock()
 	}
 	if needDrain || wasEjected {
 		c.scrapeDrain(ctx, n)
@@ -172,12 +170,8 @@ func (c *Coordinator) markHealthy(ctx context.Context, n *node, now time.Time) {
 // scrapeDrain reads the node's advertised graceful-drain deadline from
 // /version, so ejection of a draining node waits exactly that long.
 func (c *Coordinator) scrapeDrain(ctx context.Context, n *node) {
-	body, code, err := c.getJSONBody(ctx, n.url+"/version")
-	if err != nil || code != http.StatusOK {
-		return
-	}
 	var v map[string]string
-	if json.Unmarshal(body, &v) != nil {
+	if !c.getInto(ctx, n.url+"/version", &v) {
 		return
 	}
 	ms, err := strconv.ParseInt(v["drain_timeout_ms"], 10, 64)
@@ -242,18 +236,13 @@ func (c *Coordinator) markFailed(n *node, now time.Time) bool {
 
 // getJSONBody GETs url and returns the body bytes and status code.
 func (c *Coordinator) getJSONBody(ctx context.Context, url string) ([]byte, int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	b, err := readBounded(resp.Body)
-	if err != nil {
-		return nil, resp.StatusCode, err
-	}
-	return b, resp.StatusCode, nil
+	code, body, _, err := c.call(ctx, http.MethodGet, url, "", nil, nil)
+	return body, code, err
+}
+
+// getInto GETs url and decodes a 200 answer's JSON body into v,
+// reporting whether it got one.
+func (c *Coordinator) getInto(ctx context.Context, url string, v any) bool {
+	body, code, err := c.getJSONBody(ctx, url)
+	return err == nil && code == http.StatusOK && json.Unmarshal(body, v) == nil
 }

@@ -1,6 +1,9 @@
 package cluster
 
-import "sync"
+import (
+	"encoding/json"
+	"sync"
+)
 
 // fleetJob is the coordinator's record of one routed job: where it
 // lives, what key it hashes to, and the warm checkpoint copy that makes
@@ -22,14 +25,6 @@ type fleetJob struct {
 	lastErr     string   // last coordination error (e.g. failed failover)
 	ckpt        []byte   // latest pulled checkpoint, nil before the first pull
 	dist        *distRun // non-nil once the job was stolen into a sharded run
-}
-
-// distRun returns the job's distributed-run state, nil for ordinary
-// node-owned jobs.
-func (f *fleetJob) distRun() *distRun {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dist
 }
 
 // place records a (re)dispatch to a node.
@@ -57,44 +52,31 @@ func (f *fleetJob) observe(status string) {
 	}
 }
 
-// snapshot returns an immutable copy for handlers.
-func (f *fleetJob) snapshot() fleetJobView {
+// snapshot returns the job's wire form around the node's job document
+// raw (nil when only the routing facts are wanted).
+func (f *fleetJob) snapshot(raw json.RawMessage) fleetJobResponse {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return fleetJobView{
+	return fleetJobResponse{
 		ID:          f.id,
-		Key:         f.key,
+		CacheKey:    f.key,
 		Node:        f.node,
 		NodeJobID:   f.nodeJobID,
 		Status:      f.status,
-		Terminal:    f.terminal,
+		Distributed: f.dist != nil,
 		Overflow:    f.overflow,
 		Failovers:   f.failovers,
 		Resumed:     f.resumed,
 		Unreachable: f.unreachable,
-		LastErr:     f.lastErr,
-		HasCkpt:     f.ckpt != nil,
-		Distributed: f.dist != nil,
+		Error:       f.lastErr,
+		Job:         raw,
 	}
 }
 
-type fleetJobView struct {
-	ID          string
-	Key         string
-	Node        string
-	NodeJobID   string
-	Status      string
-	Terminal    bool
-	Overflow    bool
-	Failovers   int
-	Resumed     bool
-	Unreachable bool
-	LastErr     string
-	HasCkpt     bool
-	Distributed bool
-}
-
-// terminalStatus mirrors the node-side terminal set (server.Status).
+// terminalStatus is the node-side terminal set (server.Status) minus
+// "donated": a donated job is terminal on its node but mid-handoff to a
+// distributed run here, so the fleet record must stay live — collapsible,
+// synced, failed over — until the coordinator-driven run ends it.
 func terminalStatus(s string) bool {
 	switch s {
 	case "done", "cancelled", "timeout", "exhausted", "failed":

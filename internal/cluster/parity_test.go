@@ -1,0 +1,340 @@
+package cluster
+
+import (
+	"bufio"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"simdtree/internal/server"
+	"simdtree/internal/traffic"
+)
+
+// paritySide is one answerer of the parity table: a node on its own, or a
+// coordinator over two nodes configured the same way.
+type paritySide struct {
+	url string
+	// posts counts the POST /v1/jobs arrivals at the fleet's nodes (nil
+	// for the lone node).
+	posts *atomic.Int64
+}
+
+// startParityNode boots one production-shaped node (server under the
+// traffic frontend, as startTrafficNode builds it) with the given memory
+// limit, counting POST /v1/jobs arrivals into posts when it is non-nil.
+func startParityNode(t *testing.T, memLimit int64, posts *atomic.Int64) string {
+	t.Helper()
+	s, err := server.New(server.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := traffic.New(s, nil, traffic.Config{MemLimit: memLimit}).Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if posts != nil && r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			posts.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("node shutdown: %v", err)
+		}
+	})
+	return ts.URL
+}
+
+// startParitySides boots a lone node and a two-node fleet, all with the
+// same memory limit.
+func startParitySides(t *testing.T, memLimit int64) (node, fleet paritySide) {
+	t.Helper()
+	posts := new(atomic.Int64)
+	c, err := New(Config{
+		Nodes:          []string{startParityNode(t, memLimit, posts), startParityNode(t, memLimit, posts)},
+		OverflowDepth:  1000,
+		RequestTimeout: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ProbeOnce(context.Background())
+	front := httptest.NewServer(c.Handler())
+	t.Cleanup(func() {
+		front.Close()
+		c.Shutdown(context.Background()) //lint:allow errdrop no loops are running
+	})
+	return paritySide{url: startParityNode(t, memLimit, nil)}, paritySide{url: front.URL, posts: posts}
+}
+
+// parityAnswer is what the table compares: the status and the error
+// string.
+type parityAnswer struct {
+	code int
+	msg  string
+}
+
+func (s paritySide) do(t *testing.T, method, path, body string, header map[string]string) parityAnswer {
+	t.Helper()
+	req, err := http.NewRequest(method, s.url+path, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range header {
+		req.Header.Set(k, v)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("%s %s answered %d with a non-JSON body %q", method, path, resp.StatusCode, raw)
+	}
+	return parityAnswer{resp.StatusCode, doc.Error}
+}
+
+// finished submits spec to the side and waits for the job to finish,
+// returning the side's id for it.
+func (s paritySide) finished(t *testing.T, spec string) string {
+	t.Helper()
+	if s.posts == nil {
+		j, code := postJSONAs[innerWireJob](t, s.url+"/v1/jobs", spec)
+		if code != http.StatusAccepted && code != http.StatusOK {
+			t.Fatalf("node submit: %d", code)
+		}
+		waitNodeTerminal(t, s.url, j.ID)
+		return j.ID
+	}
+	f, code := postJSONAs[fleetWireJob](t, s.url+"/v1/jobs", spec)
+	if code != http.StatusAccepted && code != http.StatusOK {
+		t.Fatalf("fleet submit: %d", code)
+	}
+	waitFleetTerminal(t, s.url, f.ID)
+	return f.ID
+}
+
+// TestNodeFleetParity pins the promise the fleet makes (DESIGN.md §12): a
+// client that speaks one simdserve speaks the fleet unchanged, refusals
+// included.  Every row sends the same request to a lone node and to a
+// coordinator over two such nodes and demands the same status and the
+// same error string.  Rows with wantPosts also count how many nodes the
+// coordinator offered the spec to: a refusal it can decide itself
+// reaches none, a node's verdict on the spec is asked for once, not
+// shopped around.
+func TestNodeFleetParity(t *testing.T) {
+	node, fleet := startParitySides(t, 0)
+	tightNode, tightFleet := startParitySides(t, 1)
+
+	const (
+		small  = `{"domain":"synthetic","scheme":"GP-DK","p":8,"synthetic":{"w":2000,"seed":7}}`
+		traced = `{"domain":"synthetic","scheme":"GP-DK","p":8,"synthetic":{"w":2000,"seed":7},"trace":true}`
+	)
+	var batch65 strings.Builder
+	batch65.WriteString(`{"jobs":[`)
+	for i := 0; i < 65; i++ {
+		if i > 0 {
+			batch65.WriteByte(',')
+		}
+		batch65.WriteString(small)
+	}
+	batch65.WriteString(`]}`)
+
+	cases := []struct {
+		name         string
+		node, fleet  paritySide
+		method, path string // path may hold %s for a finished job's id
+		body         string
+		header       map[string]string
+		jobSpec      string // when set, submitted and finished first on each side
+		wantCode     int
+		wantPosts    int // fleet-side POST /v1/jobs arrivals; -1 unchecked
+	}{
+		{name: "malformed json", method: "POST", path: "/v1/jobs", body: `{`, wantCode: 400, wantPosts: 0},
+		{name: "unknown spec field", method: "POST", path: "/v1/jobs",
+			body: `{"domain":"synthetic","scheme":"GP-DK","p":8,"bogus":1}`, wantCode: 400, wantPosts: 0},
+		{name: "bad tenant", method: "POST", path: "/v1/jobs", body: small,
+			header: map[string]string{server.TenantHeader: "a b"}, wantCode: 400, wantPosts: 0},
+		{name: "over the memory limit", node: tightNode, fleet: tightFleet, method: "POST", path: "/v1/jobs",
+			body: small, wantCode: 413, wantPosts: 1},
+		{name: "empty batch", method: "POST", path: "/v1/jobs:batch", body: `{"jobs":[]}`, wantCode: 400, wantPosts: 0},
+		{name: "65-spec batch", method: "POST", path: "/v1/jobs:batch", body: batch65.String(), wantCode: 400, wantPosts: 0},
+		{name: "bad Last-Event-ID", method: "GET", path: "/v1/jobs/%s/events", jobSpec: small,
+			header: map[string]string{"Last-Event-ID": "x"}, wantCode: 400, wantPosts: -1},
+		{name: "negative trace_limit", method: "GET", path: "/v1/jobs/%s/trace?trace_limit=-1", jobSpec: traced,
+			wantCode: 400, wantPosts: -1},
+		{name: "trace of an untraced job", method: "GET", path: "/v1/jobs/%s/trace", jobSpec: small,
+			wantCode: 409, wantPosts: -1},
+		{name: "unknown job id", method: "GET", path: "/v1/jobs/nope", wantCode: 404, wantPosts: 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.node.url == "" {
+				tc.node, tc.fleet = node, fleet
+			}
+			var got [2]parityAnswer
+			for i, side := range []paritySide{tc.node, tc.fleet} {
+				path := tc.path
+				if tc.jobSpec != "" {
+					path = fmt.Sprintf(tc.path, side.finished(t, tc.jobSpec))
+				}
+				before := int64(0)
+				if side.posts != nil {
+					before = side.posts.Load()
+				}
+				got[i] = side.do(t, tc.method, path, tc.body, tc.header)
+				if side.posts != nil && tc.wantPosts >= 0 {
+					if n := side.posts.Load() - before; n != int64(tc.wantPosts) {
+						t.Errorf("coordinator offered the spec to %d nodes, want %d", n, tc.wantPosts)
+					}
+				}
+			}
+			if got[0].code != tc.wantCode || got[0].msg == "" {
+				t.Fatalf("node answered %d %q, want %d with an error string", got[0].code, got[0].msg, tc.wantCode)
+			}
+			if got[1] != got[0] {
+				t.Errorf("fleet answered %d %q, node %d %q", got[1].code, got[1].msg, got[0].code, got[0].msg)
+			}
+		})
+	}
+}
+
+// stubNode is a node that answers its health probes and meets every POST
+// /v1/jobs with the given refusal.
+func stubNode(t *testing.T, posts *atomic.Int64, rf *server.Refusal) string {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/healthz":
+			server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		case "/metrics":
+			server.WriteJSON(w, http.StatusOK, nodeMetrics{QueueCapacity: 64})
+		case "/version":
+			server.WriteJSON(w, http.StatusOK, map[string]string{"drain_timeout_ms": "5000"})
+		case "/v1/jobs":
+			posts.Add(1)
+			rf.Apply(w)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// TestFleetRefusalPassThrough covers the refusals the one GP retry is
+// for: a full (429) or draining (503) node sends the spec to one
+// alternate, and when that refuses too the client is told what the node
+// said — its status, its words, its Retry-After — not a blanket 503.  A
+// batch item carries the same code and words.
+func TestFleetRefusalPassThrough(t *testing.T) {
+	const spec = `{"domain":"synthetic","scheme":"GP-DK","p":8,"synthetic":{"w":2000,"seed":7}}`
+	for _, rf := range []*server.Refusal{
+		{Code: http.StatusTooManyRequests, Message: "queue full (64 jobs); retry later", RetryAfter: 7},
+		{Code: http.StatusServiceUnavailable, Message: "server is shutting down"},
+	} {
+		var posts atomic.Int64
+		c, err := New(Config{Nodes: []string{stubNode(t, &posts, rf), stubNode(t, &posts, rf)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.ProbeOnce(context.Background())
+		front := httptest.NewServer(c.Handler())
+
+		resp, err := http.Post(front.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		wantRetry := ""
+		if rf.RetryAfter > 0 {
+			wantRetry = fmt.Sprint(rf.RetryAfter)
+		}
+		if resp.StatusCode != rf.Code || doc.Error != rf.Message || resp.Header.Get("Retry-After") != wantRetry {
+			t.Errorf("fleet answered %d %q Retry-After %q, want the node's %d %q %q",
+				resp.StatusCode, doc.Error, resp.Header.Get("Retry-After"), rf.Code, rf.Message, wantRetry)
+		}
+		if n := posts.Load(); n != 2 {
+			t.Errorf("a %d was offered to %d nodes, want the routed node and one alternate", rf.Code, n)
+		}
+
+		batch, code := postJSONAs[fleetBatchWire](t, front.URL+"/v1/jobs:batch", `{"jobs":[`+spec+`]}`)
+		if code != http.StatusOK || len(batch.Items) != 1 || batch.Items[0].Code != rf.Code || batch.Items[0].Error != rf.Message {
+			t.Errorf("batch answered %d %+v, want one item refused %d %q", code, batch.Items, rf.Code, rf.Message)
+		}
+		if _, code := postJSONAs[map[string]string](t, front.URL+"/v1/jobs:batch", `{"jobs":[`+spec+`],"wait":true}`); code != http.StatusBadRequest {
+			t.Errorf(`fleet batch with "wait": true answered %d, want 400`, code)
+		}
+
+		front.Close()
+		c.Shutdown(context.Background()) //lint:allow errdrop no loops are running
+	}
+}
+
+// TestDistributedStreamHeartbeats pins that a distributed run's event
+// stream, served by the coordinator from its own log, is the node's
+// stream code: idle, it carries the comment heartbeat a node's does.  The
+// cadence is the fixed server.HeartbeatEvery, so the test waits one out.
+func TestDistributedStreamHeartbeats(t *testing.T) {
+	if testing.Short() {
+		t.Skipf("waits out one %v heartbeat", server.HeartbeatEvery)
+	}
+	t.Parallel()
+	c, err := New(Config{Nodes: []string{"http://127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown(context.Background()) //lint:allow errdrop no loops are running
+	d := &distRun{id: "f1", events: server.NewEventLog(), status: "running"}
+	d.events.Append(server.JobEvent{Type: server.EventStatus, Status: server.StatusRunning})
+	c.jobs.add(&fleetJob{id: "f1", dist: d})
+	front := httptest.NewServer(c.Handler())
+	defer front.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*server.HeartbeatEvery)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, front.URL+"/v1/jobs/f1/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	sawEvent := false
+	for sc.Scan() {
+		switch line := sc.Text(); {
+		case strings.HasPrefix(line, "event: status"):
+			sawEvent = true
+		case line == ": heartbeat":
+			if !sawEvent {
+				t.Error("heartbeat arrived before the buffered status event")
+			}
+			return
+		}
+	}
+	t.Fatalf("stream ended without a heartbeat: %v", sc.Err())
+}

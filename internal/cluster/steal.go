@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 
 	"simdtree/internal/checkpoint"
@@ -55,7 +54,7 @@ type distRun struct {
 	key    string
 	spec   server.JobSpec
 	shards []shardProv
-	events *fleetEventLog
+	events *server.EventLog // served by server.StreamEvents, like a node's per-job log
 	cancel context.CancelCauseFunc
 	done   chan struct{}
 
@@ -146,12 +145,8 @@ func (c *Coordinator) StealOnce(ctx context.Context) (string, error) {
 		if !candidate || !c.routable(donor) {
 			continue
 		}
-		body, code, err := c.getJSONBody(ctx, donor+"/v1/jobs/"+nodeJobID+"/stealable")
-		if err != nil || code != http.StatusOK {
-			continue
-		}
 		var verdict stealVerdict
-		if json.Unmarshal(body, &verdict) != nil || !verdict.Stealable {
+		if !c.getInto(ctx, donor+"/v1/jobs/"+nodeJobID+"/stealable", &verdict) || !verdict.Stealable {
 			continue
 		}
 		shards := c.cfg.StealShards
@@ -193,21 +188,12 @@ func (c *Coordinator) StealOnce(ctx context.Context) (string, error) {
 // donate asks the donor node to stop the job at its next cycle boundary
 // and hand over the exact-prefix checkpoint.
 func (c *Coordinator) donate(ctx context.Context, donor, nodeJobID string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, donor+"/v1/jobs/"+nodeJobID+"/donate", nil)
+	code, body, _, err := c.call(ctx, http.MethodPost, donor+"/v1/jobs/"+nodeJobID+"/donate", "", nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := readBounded(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("donate: node answered %d: %s", resp.StatusCode, truncateForErr(body))
+	if code != http.StatusOK {
+		return nil, fmt.Errorf("donate: node answered %d: %s", code, truncateForErr(body))
 	}
 	if _, err := checkpoint.Peek(body); err != nil {
 		return nil, fmt.Errorf("donate: node sent an invalid checkpoint: %v", err)
@@ -269,7 +255,7 @@ func (c *Coordinator) stealJob(ctx context.Context, f *fleetJob, donor, nodeJobI
 		key:    f.key,
 		spec:   canonical,
 		shards: prov,
-		events: newFleetEventLog(),
+		events: server.NewEventLog(),
 		done:   make(chan struct{}),
 		status: "running",
 	}
@@ -293,16 +279,16 @@ func (c *Coordinator) stealJob(ctx context.Context, f *fleetJob, donor, nodeJobI
 			if err := sessions[0].WriteCheckpoint(ctx, encoded); err != nil {
 				return err
 			}
-			d.events.append(server.JobEvent{Type: server.EventCheckpoint, Shards: n})
+			d.events.Append(server.JobEvent{Type: server.EventCheckpoint, Shards: n})
 			return nil
 		},
 		Progress: func(pi steal.ProgressInfo) {
-			d.events.append(server.JobEvent{
+			d.events.Append(server.JobEvent{
 				Type: server.EventProgress, Cycle: pi.Cycles, Active: pi.Active,
 				W: pi.W, LBPhases: pi.LBPhases, Shards: n,
 			})
 			for i, a := range pi.ShardActive {
-				d.events.append(server.JobEvent{
+				d.events.Append(server.JobEvent{
 					Type: server.EventProgress, Cycle: pi.Cycles, Active: a,
 					Shard: i + 1, Shards: n,
 				})
@@ -326,7 +312,7 @@ func (c *Coordinator) stealJob(ctx context.Context, f *fleetJob, donor, nodeJobI
 	f.lastErr = ""
 	f.mu.Unlock()
 	c.ctr.jobsStolen.Add(1)
-	d.events.append(server.JobEvent{Type: server.EventStatus, Status: server.StatusRunning, Shards: n})
+	d.events.Append(server.JobEvent{Type: server.EventStatus, Status: server.StatusRunning, Shards: n})
 
 	c.wg.Add(1)
 	go c.runDistributed(runCtx, f, d, drv, sessions)
@@ -371,7 +357,7 @@ func (c *Coordinator) runDistributed(ctx context.Context, f *fleetJob, d *distRu
 		c.ctr.stealDonations.Add(int64(res.Donations))
 		c.ctr.stealLocal.Add(int64(res.LocalTransfers))
 		f.observe("done")
-		d.events.append(server.JobEvent{
+		d.events.Append(server.JobEvent{
 			Type: server.EventStatus, Status: server.StatusDone, Terminal: true,
 			Cycle: res.Stats.Cycles, W: res.Stats.W, LBPhases: res.Stats.LBPhases, Shards: n,
 		})
@@ -436,7 +422,7 @@ func (c *Coordinator) runDistributed(ctx context.Context, f *fleetJob, d *distRu
 	f.mu.Lock()
 	f.lastErr = runErr.Error()
 	f.mu.Unlock()
-	d.events.append(server.JobEvent{
+	d.events.Append(server.JobEvent{
 		Type: server.EventStatus, Status: server.Status(status), Error: runErr.Error(),
 		Terminal: true, Shards: n,
 	})
@@ -450,133 +436,5 @@ func (c *Coordinator) closeSessions(sessions []*steal.HTTPShard, dropSpool bool)
 	defer cancel()
 	for i, sh := range sessions {
 		_ = sh.Close(ctx, dropSpool && i == 0) //lint:allow errdrop an orphaned session only holds memory until the node restarts
-	}
-}
-
-// fleetEventLog is the coordinator-local analogue of a node's per-job
-// event log, feeding GET /v1/jobs/{id}/events for distributed jobs with
-// the same SSE contract (sequence ids, Last-Event-ID resume, terminal
-// event closes the stream).
-type fleetEventLog struct {
-	mu     sync.Mutex
-	next   int64
-	base   int64
-	events []server.JobEvent
-	wake   chan struct{}
-}
-
-// fleetEventLogCap bounds the buffer; progress events of a long
-// distributed run trim from the front, like a node's log.
-const fleetEventLogCap = 1024
-
-func newFleetEventLog() *fleetEventLog {
-	return &fleetEventLog{next: 1, base: 1, wake: make(chan struct{})}
-}
-
-func (l *fleetEventLog) append(ev server.JobEvent) {
-	l.mu.Lock()
-	ev.Seq = l.next
-	l.next++
-	l.events = append(l.events, ev)
-	if len(l.events) > fleetEventLogCap {
-		drop := len(l.events) - fleetEventLogCap
-		l.base += int64(drop)
-		l.events = append(l.events[:0], l.events[drop:]...)
-	}
-	close(l.wake)
-	l.wake = make(chan struct{})
-	l.mu.Unlock()
-}
-
-func (l *fleetEventLog) since(after int64) ([]server.JobEvent, <-chan struct{}) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	start := after + 1 - l.base
-	if start < 0 {
-		start = 0
-	}
-	var out []server.JobEvent
-	if int(start) < len(l.events) {
-		out = append(out, l.events[start:]...)
-	}
-	return out, l.wake
-}
-
-// serveDistTrace serves a distributed job's merged trace with the exact
-// semantics of a node's /v1/jobs/{id}/trace: 409 before the run
-// finishes, 404 when no trace was recorded, ?trace_limit= bounds the
-// payload, and the rendering is the node's own (server.RenderTrace).
-func (c *Coordinator) serveDistTrace(w http.ResponseWriter, r *http.Request, f *fleetJob, d *distRun) {
-	if !d.spec.Trace {
-		writeError(w, http.StatusConflict, "job was not submitted with trace=true")
-		return
-	}
-	status, _, tr, _, _, _ := d.view()
-	if status == "running" {
-		writeError(w, http.StatusConflict, fmt.Sprintf("job is %s; trace is available once it finishes", status))
-		return
-	}
-	if tr == nil {
-		writeError(w, http.StatusNotFound, "no trace recorded")
-		return
-	}
-	limit := -1
-	if q := r.URL.Query().Get("trace_limit"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("trace_limit must be a non-negative integer, got %q", q))
-			return
-		}
-		limit = n
-	}
-	writeJSON(w, http.StatusOK, server.RenderTrace(f.id, tr, limit))
-}
-
-// serveDistEvents streams a distributed job's coordinator-local event log
-// as SSE, mirroring the node-side stream format byte for byte.
-func (c *Coordinator) serveDistEvents(w http.ResponseWriter, r *http.Request, d *distRun) {
-	after := int64(0)
-	raw := r.Header.Get("Last-Event-ID")
-	if raw == "" {
-		raw = r.URL.Query().Get("last_event_id")
-	}
-	if raw != "" {
-		n, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad Last-Event-ID %q", raw))
-			return
-		}
-		after = n
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-store")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-	ctx := r.Context()
-	for {
-		events, wake := d.events.since(after)
-		for _, ev := range events {
-			data, err := json.Marshal(ev)
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
-				return
-			}
-			after = ev.Seq
-			if ev.Terminal {
-				_ = rc.Flush() //lint:allow errdrop the stream is over either way
-				return
-			}
-		}
-		if err := rc.Flush(); err != nil {
-			return
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-wake:
-		}
 	}
 }

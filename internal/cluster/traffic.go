@@ -27,7 +27,7 @@ func (c *Coordinator) collapseLookup(key string) (*fleetJob, bool) {
 		return nil, false
 	}
 	f, ok := c.jobs.get(id)
-	if !ok || terminalStatus(f.snapshot().Status) {
+	if !ok || terminalStatus(f.snapshot(nil).Status) {
 		c.inflightMu.Lock()
 		if c.inflight[key] == id {
 			delete(c.inflight, key)
@@ -47,39 +47,52 @@ func (c *Coordinator) collapseStore(key, id string) {
 }
 
 // submitOne admits one canonical spec: collapse, route, forward, record.
-// On success code is 0; otherwise code/msg carry the HTTP error.  The
-// node cache makes the collapse safe: even when two identical specs race
-// past each other here, the second lands on the same ring node and hits
-// its cache or its node-level flight table.
-func (c *Coordinator) submitOne(ctx context.Context, canonical server.JobSpec, tenant string) (f *fleetJob, raw json.RawMessage, collapsed bool, code int, msg string) {
+// A nil Refusal means success.  A node's refusal of the spec itself — a
+// 400, the 413 of its memory limit — passes through with the node's
+// status and message, and no second node is asked.  A node that is full
+// (429), draining (503) or unreachable gets one GP retry on an
+// underloaded alternate; when that fails too the client sees what a node
+// last answered, Retry-After included, or a 503 naming the transport
+// error when none answered.  The node cache makes the collapse safe:
+// even when two identical specs race past each other here, the second
+// lands on the same ring node and hits its cache or its node-level
+// flight table.
+func (c *Coordinator) submitOne(ctx context.Context, canonical server.JobSpec, tenant string) (f *fleetJob, raw json.RawMessage, collapsed bool, rf *server.Refusal) {
 	key := server.CacheKey(canonical)
 	if f, ok := c.collapseLookup(key); ok {
 		c.ctr.jobsCollapsed.Add(1)
-		return f, nil, true, 0, ""
+		return f, nil, true, nil
 	}
 	specJSON, err := json.Marshal(canonical)
 	if err != nil {
-		return nil, nil, false, http.StatusInternalServerError, err.Error()
+		return nil, nil, false, &server.Refusal{Code: http.StatusInternalServerError, Message: err.Error()}
 	}
 	target, overflow, err := c.route(key)
 	if err != nil {
-		return nil, nil, false, http.StatusServiceUnavailable, err.Error()
+		return nil, nil, false, &server.Refusal{Code: http.StatusServiceUnavailable, Message: err.Error()}
 	}
-	nj, rawBody, err := c.submitToNode(ctx, target, specJSON, tenant)
-	if err != nil {
-		// The routed node refused or vanished between probe and submit;
-		// give the GP pointer one chance to place the job elsewhere.
+	nj, raw, err := c.submitToNode(ctx, target, specJSON, tenant)
+	if rf := refusalOf(err); err != nil && (rf == nil || rf.Code == http.StatusTooManyRequests || rf.Code == http.StatusServiceUnavailable) {
+		// The routed node is full, draining, or vanished between probe
+		// and submit; give the GP pointer one chance to place the job
+		// elsewhere.
 		alt, ok := c.gp.Pick(func(u string) bool {
 			return u != target && c.routable(u) && c.fresh(u) && c.depth(u) <= c.cfg.OverflowDepth
 		})
-		if !ok {
-			return nil, nil, false, http.StatusServiceUnavailable, fmt.Sprintf("node %s: %v", target, err)
+		if ok {
+			nj2, raw2, err2 := c.submitToNode(ctx, alt, specJSON, tenant)
+			if err2 == nil || rf == nil || refusalOf(err2) != nil {
+				// The alternate's verdict stands — unless it never
+				// answered and the first node did.
+				nj, raw, err, target, overflow = nj2, raw2, err2, alt, true
+			}
 		}
-		nj, rawBody, err = c.submitToNode(ctx, alt, specJSON, tenant)
-		if err != nil {
-			return nil, nil, false, http.StatusServiceUnavailable, fmt.Sprintf("node %s: %v", alt, err)
-		}
-		target, overflow = alt, true
+	}
+	if rf := refusalOf(err); rf != nil {
+		return nil, nil, false, rf
+	}
+	if err != nil {
+		return nil, nil, false, &server.Refusal{Code: http.StatusServiceUnavailable, Message: fmt.Sprintf("node %s: %v", target, err)}
 	}
 	f = &fleetJob{
 		id:       "f" + strconv.FormatInt(c.nextID.Add(1), 10),
@@ -96,15 +109,7 @@ func (c *Coordinator) submitOne(ctx context.Context, canonical server.JobSpec, t
 	if !terminalStatus(string(nj.Status)) {
 		c.collapseStore(key, f.id)
 	}
-	return f, rawBody, false, 0, ""
-}
-
-// fleetBatchRequest is the coordinator's POST /v1/jobs:batch body — the
-// same shape the node-level traffic layer accepts, minus wait (the
-// coordinator does not hold long-poll connections open per item; poll or
-// subscribe to /v1/jobs/{id}/events instead).
-type fleetBatchRequest struct {
-	Jobs []server.JobSpec `json:"jobs"`
+	return f, raw, false, nil
 }
 
 // fleetBatchItem is one per-spec verdict.
@@ -127,23 +132,19 @@ const maxFleetBatch = 64
 // exact single-submission path (collapse, ring route, GP overflow retry),
 // one verdict per item, always answered 200.
 func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req fleetBatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad batch: %v", err))
+	req, ok := server.DecodeBatch(w, r, maxFleetBatch)
+	if !ok {
 		return
 	}
-	if len(req.Jobs) == 0 {
-		writeError(w, http.StatusBadRequest, "batch carries no jobs")
+	if req.Wait {
+		server.WriteError(w, http.StatusBadRequest, "the coordinator holds no connection open per batch item, so \"wait\" is not served: poll the jobs or subscribe to /v1/jobs/{id}/events")
 		return
 	}
-	if len(req.Jobs) > maxFleetBatch {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d exceeds the %d-job limit", len(req.Jobs), maxFleetBatch))
+	tenant, err := server.TenantFrom(r)
+	if err != nil {
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	tenant := r.Header.Get(server.TenantHeader)
 	items := make([]fleetBatchItem, len(req.Jobs))
 	accepted, rejected, collapsedN := 0, 0, 0
 	for i, spec := range req.Jobs {
@@ -156,16 +157,16 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 			rejected++
 			continue
 		}
-		f, _, collapsed, code, msg := c.submitOne(r.Context(), canonical, tenant)
-		if code != 0 {
-			it.Code = code
-			it.Error = msg
+		f, _, collapsed, rf := c.submitOne(r.Context(), canonical, tenant)
+		if rf != nil {
+			it.Code = rf.Code
+			it.Error = rf.Message
 			rejected++
 			continue
 		}
-		v := f.snapshot()
+		v := f.snapshot(nil)
 		it.ID = v.ID
-		it.CacheKey = v.Key
+		it.CacheKey = v.CacheKey
 		it.Node = v.Node
 		it.Status = v.Status
 		it.Collapsed = collapsed
@@ -179,7 +180,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 			collapsedN++
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"accepted":  accepted,
 		"rejected":  rejected,
 		"collapsed": collapsedN,
@@ -193,28 +194,24 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 // against the node; every chunk is flushed as it arrives, and either
 // side's disconnect tears the stream down via the request context.
 func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	f, ok := c.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job id")
+	f, d, node, jobURL := c.owned(w, r)
+	if f == nil {
 		return
 	}
-	if d := f.distRun(); d != nil {
+	if d != nil {
 		// A distributed run's events are coordinator-local; serve them
-		// with the same SSE contract the node would.
-		c.serveDistEvents(w, r, d)
+		// with the node's own stream code, heartbeats included.
+		after, err := server.LastEventID(r)
+		if err != nil {
+			server.WriteError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		server.StreamEvents(r.Context(), w, after, d.events.Since, server.HeartbeatEvery)
 		return
 	}
-	f.mu.Lock()
-	node, nodeJobID := f.node, f.nodeJobID
-	f.mu.Unlock()
-
-	url := node + "/v1/jobs/" + nodeJobID + "/events"
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
-	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, url, nil)
+	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, withQuery(jobURL+"/events", r), nil)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		server.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	if id := r.Header.Get("Last-Event-ID"); id != "" {
@@ -222,15 +219,13 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := c.stream.Do(req)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("node %s: %v", node, err))
+		server.WriteError(w, http.StatusBadGateway, fmt.Sprintf("node %s: %v", node, err))
 		return
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := readBounded(resp.Body) //lint:allow errdrop the error body is advisory
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(resp.StatusCode)
-		_, _ = w.Write(body) //lint:allow errdrop response writer errors are unreportable
+		server.WriteRaw(w, resp.StatusCode, body)
 		return
 	}
 

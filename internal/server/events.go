@@ -49,9 +49,9 @@ type JobEvent struct {
 // event.
 const eventLogCap = 1024
 
-// eventLog is a bounded append-only event buffer with sequence numbers
-// and edge-triggered wakeups for streaming readers.
-type eventLog struct {
+// EventLog is a bounded append-only event buffer with sequence numbers
+// and edge-triggered wakeups for streaming readers (StreamEvents).
+type EventLog struct {
 	mu     sync.Mutex
 	next   int64 // seq the next append will get (first event: 1)
 	base   int64 // seq of events[0]
@@ -59,14 +59,15 @@ type eventLog struct {
 	wake   chan struct{} // closed and replaced on every append
 }
 
-func newEventLog() *eventLog {
-	return &eventLog{next: 1, base: 1, wake: make(chan struct{})}
+// NewEventLog returns an empty log; its first event gets sequence 1.
+func NewEventLog() *EventLog {
+	return &EventLog{next: 1, base: 1, wake: make(chan struct{})}
 }
 
-// append assigns the next sequence number to ev, stores it, and wakes
+// Append assigns the next sequence number to ev, stores it, and wakes
 // every blocked reader.  It is cheap enough to run on the simulation
 // goroutine (the engine's Progress contract).
-func (l *eventLog) append(ev JobEvent) {
+func (l *EventLog) Append(ev JobEvent) {
 	l.mu.Lock()
 	ev.Seq = l.next
 	l.next++
@@ -81,9 +82,9 @@ func (l *eventLog) append(ev JobEvent) {
 	l.mu.Unlock()
 }
 
-// since returns a copy of the buffered events with Seq > after, plus a
-// channel that is closed on the next append — the reader's blocking edge.
-func (l *eventLog) since(after int64) ([]JobEvent, <-chan struct{}) {
+// Since returns a copy of the buffered events with Seq > after, plus a
+// channel that is closed on the next Append — the reader's blocking edge.
+func (l *EventLog) Since(after int64) ([]JobEvent, <-chan struct{}) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	start := after + 1 - l.base

@@ -67,9 +67,9 @@ func (h *JobHandle) ResponseBytes() ([]byte, error) {
 }
 
 // EventsSince returns the buffered job events with Seq > after, plus a
-// channel closed when the next event is appended.  See eventLog.since.
+// channel closed when the next event is appended.  See EventLog.Since.
 func (h *JobHandle) EventsSince(after int64) ([]JobEvent, <-chan struct{}) {
-	return h.j.events.since(after)
+	return h.j.events.Since(after)
 }
 
 // JobByID looks up an addressable job.
@@ -88,19 +88,11 @@ func (s *Server) CanonicalizeSpec(spec JobSpec) (JobSpec, error) {
 }
 
 // Refusal describes a rejected submission: the HTTP status to answer
-// with, the message, and the Retry-After hint in seconds (429 only).
+// with, the message, and the Retry-After hint in seconds (0: none).
 type Refusal struct {
 	Code       int
 	Message    string
 	RetryAfter int
-}
-
-// apply writes the refusal to w.
-func (rf *Refusal) apply(w http.ResponseWriter) {
-	if rf.Code == http.StatusTooManyRequests && rf.RetryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(rf.RetryAfter))
-	}
-	writeError(w, rf.Code, rf.Message)
 }
 
 // SubmitCanonical is the programmatic submission path shared by the HTTP

@@ -56,7 +56,7 @@ type job struct {
 
 	// events is the job's progress stream (status transitions, engine
 	// progress ticks, checkpoint writes), feeding the SSE endpoint.
-	events *eventLog
+	events *EventLog
 
 	// runCtx and cancel are created at submission (derived from the
 	// server's root context), so a job can be cancelled with a cause

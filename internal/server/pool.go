@@ -74,7 +74,7 @@ func (s *Server) runJob(j *job) {
 	j.status = StatusRunning
 	j.started = started
 	j.mu.Unlock()
-	j.events.append(JobEvent{Type: EventStatus, Status: StatusRunning})
+	j.events.Append(JobEvent{Type: EventStatus, Status: StatusRunning})
 	s.ctr.jobsRunning.Add(1)
 	s.ctr.busyWorkers.Add(1)
 	defer s.ctr.jobsRunning.Add(-1)
@@ -127,7 +127,7 @@ func (s *Server) runEnv(j *job) RunEnv {
 	if s.cfg.ProgressEvery > 0 {
 		env.ProgressEvery = s.cfg.ProgressEvery
 		env.Progress = func(info simd.ProgressInfo) {
-			j.events.append(JobEvent{
+			j.events.Append(JobEvent{
 				Type: EventProgress, Cycle: info.Cycles, Active: info.Active,
 				W: info.W, LBPhases: info.LBPhases,
 			})
@@ -149,7 +149,7 @@ func (s *Server) runEnv(j *job) RunEnv {
 			return nil
 		}
 		env.Checkpointed = func(cycle int) {
-			j.events.append(JobEvent{Type: EventCheckpoint, Cycle: cycle})
+			j.events.Append(JobEvent{Type: EventCheckpoint, Cycle: cycle})
 		}
 		env.SpillDir = s.spool.spillDir(j.key)
 	}
@@ -191,7 +191,7 @@ func (s *Server) finishJob(j *job, status Status, stats metrics.Stats, tr *trace
 	if !j.finish(status, stats, tr, errMsg, time.Now()) {
 		return
 	}
-	j.events.append(JobEvent{
+	j.events.Append(JobEvent{
 		Type: EventStatus, Status: status, Error: errMsg, Terminal: true,
 		Cycle: stats.Cycles, W: stats.W, LBPhases: stats.LBPhases,
 	})

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -322,7 +321,7 @@ func newJob(s *Server, id string, canonical JobSpec, key string, now time.Time) 
 		status:    StatusQueued,
 		submitted: now,
 		done:      make(chan struct{}),
-		events:    newEventLog(),
+		events:    NewEventLog(),
 	}
 }
 
@@ -347,7 +346,7 @@ func (s *Server) finishFromCache(j *job, now time.Time) bool {
 	j.cancel(nil)
 	s.store.add(j)
 	s.ctr.jobsDone.Add(1)
-	j.events.append(JobEvent{
+	j.events.Append(JobEvent{
 		Type: EventStatus, Status: StatusDone, CacheHit: true, Terminal: true,
 		Cycle: res.Stats.Cycles, W: res.Stats.W, LBPhases: res.Stats.LBPhases,
 	})
@@ -375,7 +374,7 @@ func (s *Server) enqueue(j *job) (int, string) {
 	s.mu.Unlock()
 	s.ctr.jobsQueued.Add(1)
 	s.store.add(j)
-	j.events.append(JobEvent{Type: EventStatus, Status: StatusQueued})
+	j.events.Append(JobEvent{Type: EventStatus, Status: StatusQueued})
 	return 0, ""
 }
 
@@ -383,43 +382,40 @@ func (s *Server) enqueue(j *job) (int, string) {
 // otherwise enqueue with backpressure.  A 429 carries a Retry-After
 // derived from the backlog and the recent mean job duration.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad job spec: %v", err))
+	spec, ok := DecodeSpec(w, r)
+	if !ok {
 		return
 	}
 	tenant, err := TenantFrom(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	canonical, err := Canonicalize(spec, s.domains)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	h, refusal := s.SubmitCanonical(canonical, CacheKey(canonical), tenant, 1)
 	if refusal != nil {
-		refusal.apply(w)
+		refusal.Apply(w)
 		return
 	}
 	if h.Terminal() {
-		writeJSON(w, http.StatusOK, renderJob(h.j.view()))
+		WriteJSON(w, http.StatusOK, renderJob(h.j.view()))
 		return
 	}
-	writeJSON(w, http.StatusAccepted, renderJob(h.j.view()))
+	WriteJSON(w, http.StatusAccepted, renderJob(h.j.view()))
 }
 
 // handleGet implements GET /v1/jobs/{id}.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.store.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job id")
+		WriteError(w, http.StatusNotFound, "unknown job id")
 		return
 	}
-	writeJSON(w, http.StatusOK, renderJob(j.view()))
+	WriteJSON(w, http.StatusOK, renderJob(j.view()))
 }
 
 // handleList implements GET /v1/jobs: all addressable jobs, oldest first.
@@ -429,7 +425,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	for _, j := range jobs {
 		out = append(out, renderJob(j.view()))
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
+	WriteJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
 
 // handleCancel implements DELETE /v1/jobs/{id}.  Cancelling a terminal
@@ -437,47 +433,22 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.store.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job id")
+		WriteError(w, http.StatusNotFound, "unknown job id")
 		return
 	}
 	j.requestCancel(errCancelRequested)
-	writeJSON(w, http.StatusOK, renderJob(j.view()))
+	WriteJSON(w, http.StatusOK, renderJob(j.view()))
 }
 
 // handleTrace implements GET /v1/jobs/{id}/trace.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.store.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job id")
+		WriteError(w, http.StatusNotFound, "unknown job id")
 		return
 	}
 	v := j.view()
-	if !v.Spec.Trace {
-		writeError(w, http.StatusConflict, "job was not submitted with trace=true")
-		return
-	}
-	if !v.Status.terminal() {
-		writeError(w, http.StatusConflict, fmt.Sprintf("job is %s; trace is available once it finishes", v.Status))
-		return
-	}
-	if v.Trace == nil {
-		writeError(w, http.StatusNotFound, "no trace recorded")
-		return
-	}
-	// ?trace_limit=N bounds the payload to the first N samples and
-	// phases; a large-P job's full trace can dwarf everything else a
-	// coordinator fans in, and the totals still tell the reader what was
-	// cut.
-	limit := -1
-	if q := r.URL.Query().Get("trace_limit"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("trace_limit must be a non-negative integer, got %q", q))
-			return
-		}
-		limit = n
-	}
-	writeJSON(w, http.StatusOK, renderTrace(v.ID, v.Trace, limit))
+	ServeTrace(w, r, v.ID, v.Spec.Trace, v.Status, v.Trace)
 }
 
 // traceResponse is the wire form of a per-cycle trace.  SamplesTotal and
@@ -530,14 +501,6 @@ func renderTrace(id string, tr *trace.Trace, limit int) traceResponse {
 	return out
 }
 
-// RenderTrace renders a trace in the exact wire form of GET
-// /v1/jobs/{id}/trace; limit < 0 means unbounded.  The fleet coordinator
-// uses it to serve a distributed job's merged trace byte-identically to a
-// node's rendering of the same run.
-func RenderTrace(id string, tr *trace.Trace, limit int) any {
-	return renderTrace(id, tr, limit)
-}
-
 // handleHealthz implements GET /healthz.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
@@ -549,7 +512,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]string{"status": status})
+	WriteJSON(w, code, map[string]string{"status": status})
 }
 
 // handleVersion implements GET /version from the embedded build info,
@@ -574,7 +537,7 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // metricsResponse is the /metrics document: expvar-style counters plus
@@ -617,7 +580,7 @@ type metricsResponse struct {
 // handleMetrics implements GET /metrics.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	busy := s.ctr.busyWorkers.Load()
-	writeJSON(w, http.StatusOK, metricsResponse{
+	WriteJSON(w, http.StatusOK, metricsResponse{
 		UptimeSeconds:       time.Since(s.started).Seconds(),
 		JobsQueued:          s.ctr.jobsQueued.Load(),
 		JobsRunning:         s.ctr.jobsRunning.Load(),
@@ -651,17 +614,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		StealFramesSplit:    s.ctr.stealFramesSplit.Load(),
 		SchemeLatencies:     s.latencies.snapshot(),
 	})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	// An encode failure here means the client went away; nothing to do.
-	_ = enc.Encode(v) //lint:allow errdrop response writer errors are unreportable
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
 }

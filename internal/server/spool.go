@@ -165,6 +165,6 @@ func (s *Server) resumeSpooled() {
 		s.mu.Unlock()
 		s.ctr.jobsQueued.Add(1)
 		s.store.add(j)
-		j.events.append(JobEvent{Type: EventStatus, Status: StatusQueued})
+		j.events.Append(JobEvent{Type: EventStatus, Status: StatusQueued})
 	}
 }

@@ -162,7 +162,7 @@ type stealableResponse struct {
 func (s *Server) handleStealable(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.store.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job id")
+		WriteError(w, http.StatusNotFound, "unknown job id")
 		return
 	}
 	v := j.view()
@@ -181,7 +181,7 @@ func (s *Server) handleStealable(w http.ResponseWriter, r *http.Request) {
 	default:
 		resp.Stealable = true
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleDonate implements POST /v1/jobs/{id}/donate: stop the running job
@@ -192,49 +192,41 @@ func (s *Server) handleStealable(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDonate(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.store.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job id")
+		WriteError(w, http.StatusNotFound, "unknown job id")
 		return
 	}
 	if s.spool == nil {
-		writeError(w, http.StatusConflict, "server runs without a checkpoint spool")
+		WriteError(w, http.StatusConflict, "server runs without a checkpoint spool")
 		return
 	}
 	v := j.view()
 	if v.Status != StatusRunning {
-		writeError(w, http.StatusConflict, fmt.Sprintf("job is %s; only a running job can be donated", v.Status))
+		WriteError(w, http.StatusConflict, fmt.Sprintf("job is %s; only a running job can be donated", v.Status))
 		return
 	}
 	if !stealableDomain(v.Spec.Domain) {
-		writeError(w, http.StatusConflict, fmt.Sprintf("domain %q has no shard host", v.Spec.Domain))
+		WriteError(w, http.StatusConflict, fmt.Sprintf("domain %q has no shard host", v.Spec.Domain))
 		return
 	}
 	j.requestCancel(errDonated)
 	select {
 	case <-j.done:
 	case <-r.Context().Done():
-		writeError(w, http.StatusGatewayTimeout, "job did not reach a cycle boundary before the request deadline")
+		WriteError(w, http.StatusGatewayTimeout, "job did not reach a cycle boundary before the request deadline")
 		return
 	}
 	if st := j.view().Status; st != StatusDonated {
 		// The run crossed the finish line (or failed) before the
 		// cancellation landed; there is nothing left to steal.
-		writeError(w, http.StatusConflict, fmt.Sprintf("job finished as %s before the donation landed", st))
+		WriteError(w, http.StatusConflict, fmt.Sprintf("job finished as %s before the donation landed", st))
 		return
 	}
 	b, err := s.spool.read(j.key)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Sprintf("donated job left no spooled checkpoint: %v", err))
+		WriteError(w, http.StatusInternalServerError, fmt.Sprintf("donated job left no spooled checkpoint: %v", err))
 		return
 	}
-	if _, err := checkpoint.Peek(b); err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Sprintf("spooled checkpoint invalid: %v", err))
-		return
-	}
-	s.ctr.checkpointsExported.Add(1)
-	w.Header().Set("Content-Type", checkpoint.ContentType)
-	w.Header().Set("X-Simdtree-Cache-Key", j.key)
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(b) //lint:allow errdrop response writer errors are unreportable
+	s.writeCheckpoint(w, j.key, b)
 }
 
 // handleStealOpen implements POST /v1/steal/sessions: body is a donation
@@ -244,61 +236,61 @@ func (s *Server) handleStealOpen(w http.ResponseWriter, r *http.Request) {
 	lo, err1 := strconv.Atoi(r.URL.Query().Get("lo"))
 	hi, err2 := strconv.Atoi(r.URL.Query().Get("hi"))
 	if err1 != nil || err2 != nil {
-		writeError(w, http.StatusBadRequest, "lo and hi query parameters must be integers")
+		WriteError(w, http.StatusBadRequest, "lo and hi query parameters must be integers")
 		return
 	}
 	wantSpool := r.URL.Query().Get("spool") == "1"
 	if wantSpool && s.spool == nil {
-		writeError(w, http.StatusConflict, "server runs without a checkpoint spool")
+		WriteError(w, http.StatusConflict, "server runs without a checkpoint spool")
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, checkpoint.MaxFrameSize))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading checkpoint body: %v", err))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("reading checkpoint body: %v", err))
 		return
 	}
 	meta, raw, err := checkpoint.DecodeRaw(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad donation checkpoint: %v", err))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad donation checkpoint: %v", err))
 		return
 	}
 	var spec JobSpec
 	if len(meta.Extra) == 0 || json.Unmarshal(meta.Extra, &spec) != nil {
-		writeError(w, http.StatusBadRequest, "checkpoint carries no job spec in its meta block")
+		WriteError(w, http.StatusBadRequest, "checkpoint carries no job spec in its meta block")
 		return
 	}
 	canonical, err := Canonicalize(spec, s.domains)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("embedded job spec: %v", err))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("embedded job spec: %v", err))
 		return
 	}
 	if canonical.P != meta.P {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("spec has P=%d, checkpoint has P=%d", canonical.P, meta.P))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("spec has P=%d, checkpoint has P=%d", canonical.P, meta.P))
 		return
 	}
 	if lo < 0 || hi > canonical.P || lo >= hi {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("shard range [%d, %d) invalid for P=%d", lo, hi, canonical.P))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("shard range [%d, %d) invalid for P=%d", lo, hi, canonical.P))
 		return
 	}
 	opts, err := s.buildOptions(canonical)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	host, err := buildStealHost(canonical, opts, lo, hi, raw)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("building shard host: %v", err))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("building shard host: %v", err))
 		return
 	}
 	sess := &stealSession{key: CacheKey(canonical), spec: canonical, host: host, spool: wantSpool}
 	id, err := s.steal.add(sess)
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err.Error())
+		WriteError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	s.ctr.stealSessionsOpened.Add(1)
 	allEmpty, anyDonor := host.Status()
-	writeJSON(w, http.StatusOK, steal.OpenResponse{
+	WriteJSON(w, http.StatusOK, steal.OpenResponse{
 		Session: id, Lo: lo, Hi: hi, AllEmpty: allEmpty, AnyDonor: anyDonor,
 	})
 }
@@ -311,7 +303,7 @@ func (s *Server) stealOp(op stealOpFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		sess, ok := s.steal.get(r.PathValue("sid"))
 		if !ok {
-			writeError(w, http.StatusNotFound, "unknown shard session")
+			WriteError(w, http.StatusNotFound, "unknown shard session")
 			return
 		}
 		sess.mu.Lock()
@@ -322,7 +314,7 @@ func (s *Server) stealOp(op stealOpFunc) http.HandlerFunc {
 
 func opStep(_ *Server, sess *stealSession, w http.ResponseWriter, _ *http.Request) {
 	ci := sess.host.Step()
-	writeJSON(w, http.StatusOK, steal.StepResponse{
+	WriteJSON(w, http.StatusOK, steal.StepResponse{
 		Active: ci.Active, Goals: ci.Goals, Peak: ci.Peak,
 		AllEmpty: ci.AllEmpty, AnyDonor: ci.AnyDonor,
 	})
@@ -330,12 +322,12 @@ func opStep(_ *Server, sess *stealSession, w http.ResponseWriter, _ *http.Reques
 
 func opFlags(_ *Server, sess *stealSession, w http.ResponseWriter, _ *http.Request) {
 	busy, idle := sess.host.Flags()
-	writeJSON(w, http.StatusOK, steal.FlagsResponse{Busy: busy, Idle: idle})
+	WriteJSON(w, http.StatusOK, steal.FlagsResponse{Busy: busy, Idle: idle})
 }
 
 func opStatus(_ *Server, sess *stealSession, w http.ResponseWriter, _ *http.Request) {
 	allEmpty, anyDonor := sess.host.Status()
-	writeJSON(w, http.StatusOK, steal.StatusResponse{AllEmpty: allEmpty, AnyDonor: anyDonor})
+	WriteJSON(w, http.StatusOK, steal.StatusResponse{AllEmpty: allEmpty, AnyDonor: anyDonor})
 }
 
 func opTransfer(_ *Server, sess *stealSession, w http.ResponseWriter, r *http.Request) {
@@ -345,10 +337,10 @@ func opTransfer(_ *Server, sess *stealSession, w http.ResponseWriter, r *http.Re
 	}
 	moved, err := sess.host.Transfer(req.From, req.To)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, steal.MovedResponse{Moved: moved})
+	WriteJSON(w, http.StatusOK, steal.MovedResponse{Moved: moved})
 }
 
 func opSplit(s *Server, sess *stealSession, w http.ResponseWriter, r *http.Request) {
@@ -358,37 +350,37 @@ func opSplit(s *Server, sess *stealSession, w http.ResponseWriter, r *http.Reque
 	}
 	payload, moved, err := sess.host.Split(req.Donation, req.From, req.To)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if moved > 0 {
 		s.ctr.stealFramesSplit.Add(1)
 	}
-	writeJSON(w, http.StatusOK, steal.SplitResponse{Moved: moved, Stack: payload})
+	WriteJSON(w, http.StatusOK, steal.SplitResponse{Moved: moved, Stack: payload})
 }
 
 func opAbsorb(s *Server, sess *stealSession, w http.ResponseWriter, r *http.Request) {
 	frame, err := io.ReadAll(http.MaxBytesReader(w, r.Body, steal.MaxFrameSize))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading frame: %v", err))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("reading frame: %v", err))
 		return
 	}
 	moved, err := sess.host.Absorb(frame)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	s.ctr.stealFramesAbsorbed.Add(1)
-	writeJSON(w, http.StatusOK, steal.MovedResponse{Moved: moved})
+	WriteJSON(w, http.StatusOK, steal.MovedResponse{Moved: moved})
 }
 
 func opExport(_ *Server, sess *stealSession, w http.ResponseWriter, _ *http.Request) {
 	stacks, domainState, err := sess.host.Export()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, steal.ExportResponse{Stacks: stacks, DomainState: domainState})
+	WriteJSON(w, http.StatusOK, steal.ExportResponse{Stacks: stacks, DomainState: domainState})
 }
 
 func opMerge(_ *Server, sess *stealSession, w http.ResponseWriter, r *http.Request) {
@@ -398,10 +390,10 @@ func opMerge(_ *Server, sess *stealSession, w http.ResponseWriter, r *http.Reque
 	}
 	merged, err := sess.host.Merge(req.States)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, steal.MergeResponse{DomainState: merged})
+	WriteJSON(w, http.StatusOK, steal.MergeResponse{DomainState: merged})
 }
 
 // handleStealCheckpoint implements PUT /v1/steal/sessions/{sid}/checkpoint:
@@ -411,24 +403,24 @@ func opMerge(_ *Server, sess *stealSession, w http.ResponseWriter, r *http.Reque
 func (s *Server) handleStealCheckpoint(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.steal.get(r.PathValue("sid"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown shard session")
+		WriteError(w, http.StatusNotFound, "unknown shard session")
 		return
 	}
 	if !sess.spool || s.spool == nil {
-		writeError(w, http.StatusConflict, "session was not opened with spooling")
+		WriteError(w, http.StatusConflict, "session was not opened with spooling")
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, checkpoint.MaxFrameSize))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading checkpoint body: %v", err))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("reading checkpoint body: %v", err))
 		return
 	}
 	if _, err := checkpoint.Peek(body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad checkpoint: %v", err))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad checkpoint: %v", err))
 		return
 	}
 	if err := s.spool.write(sess.key, body); err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Sprintf("spooling checkpoint: %v", err))
+		WriteError(w, http.StatusInternalServerError, fmt.Sprintf("spooling checkpoint: %v", err))
 		return
 	}
 	s.ctr.checkpointsWritten.Add(1)
@@ -441,7 +433,7 @@ func (s *Server) handleStealCheckpoint(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStealClose(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.steal.remove(r.PathValue("sid"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown shard session")
+		WriteError(w, http.StatusNotFound, "unknown shard session")
 		return
 	}
 	if r.URL.Query().Get("drop_spool") == "1" && s.spool != nil {
@@ -456,7 +448,7 @@ func decodeStealBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, steal.MaxFrameSize))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return false
 	}
 	return true

@@ -28,25 +28,31 @@ import (
 func (s *Server) handleExportCheckpoint(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.store.get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job id")
+		WriteError(w, http.StatusNotFound, "unknown job id")
 		return
 	}
 	if s.spool == nil {
-		writeError(w, http.StatusConflict, "server runs without a checkpoint spool")
+		WriteError(w, http.StatusConflict, "server runs without a checkpoint spool")
 		return
 	}
 	b, err := os.ReadFile(s.spool.path(j.key))
 	if err != nil {
-		writeError(w, http.StatusNotFound, "no checkpoint spooled for this job")
+		WriteError(w, http.StatusNotFound, "no checkpoint spooled for this job")
 		return
 	}
+	s.writeCheckpoint(w, j.key, b)
+}
+
+// writeCheckpoint answers with a spooled SCKP frame, validated end to
+// end first, under the cache key it belongs to.
+func (s *Server) writeCheckpoint(w http.ResponseWriter, key string, b []byte) {
 	if _, err := checkpoint.Peek(b); err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Sprintf("spooled checkpoint invalid: %v", err))
+		WriteError(w, http.StatusInternalServerError, fmt.Sprintf("spooled checkpoint invalid: %v", err))
 		return
 	}
 	s.ctr.checkpointsExported.Add(1)
 	w.Header().Set("Content-Type", checkpoint.ContentType)
-	w.Header().Set("X-Simdtree-Cache-Key", j.key)
+	w.Header().Set("X-Simdtree-Cache-Key", key)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(b) //lint:allow errdrop response writer errors are unreportable
 }
@@ -59,17 +65,17 @@ func (s *Server) handleExportCheckpoint(w http.ResponseWriter, r *http.Request) 
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	body, meta, err := checkpoint.ReadFrame(http.MaxBytesReader(w, r.Body, checkpoint.MaxFrameSize))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad checkpoint frame: %v", err))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad checkpoint frame: %v", err))
 		return
 	}
 	var spec JobSpec
 	if len(meta.Extra) == 0 || json.Unmarshal(meta.Extra, &spec) != nil {
-		writeError(w, http.StatusBadRequest, "checkpoint carries no job spec in its meta block")
+		WriteError(w, http.StatusBadRequest, "checkpoint carries no job spec in its meta block")
 		return
 	}
 	canonical, err := Canonicalize(spec, s.domains)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("embedded job spec: %v", err))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("embedded job spec: %v", err))
 		return
 	}
 	key := CacheKey(canonical)
@@ -83,7 +89,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	// elsewhere, or an identical spec ran locally); serve it instead of
 	// re-simulating the tail.
 	if s.finishFromCache(j, now) {
-		writeJSON(w, http.StatusOK, renderJob(j.view()))
+		WriteJSON(w, http.StatusOK, renderJob(j.view()))
 		return
 	}
 
@@ -93,14 +99,14 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	if s.spool != nil {
 		if err := s.spool.write(key, body); err != nil {
 			j.cancel(errCancelRequested)
-			writeError(w, http.StatusInternalServerError, fmt.Sprintf("spool imported checkpoint: %v", err))
+			WriteError(w, http.StatusInternalServerError, fmt.Sprintf("spool imported checkpoint: %v", err))
 			return
 		}
 	}
 	if code, msg := s.enqueue(j); code != 0 {
-		writeError(w, code, msg)
+		WriteError(w, code, msg)
 		return
 	}
 	s.ctr.jobsImported.Add(1)
-	writeJSON(w, http.StatusAccepted, renderJob(j.view()))
+	WriteJSON(w, http.StatusAccepted, renderJob(j.view()))
 }

@@ -1,0 +1,207 @@
+package server
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"strconv"
+	"time"
+
+	"simdtree/internal/trace"
+)
+
+// The job API's wire contract, written once.  A node (this package), the
+// traffic frontend wrapping it (internal/traffic) and the fleet
+// coordinator fronting many nodes (internal/cluster) all answer /v1/jobs
+// requests, and a client that speaks one must speak all three unchanged.
+// What they have to agree on byte for byte lives here, as plain functions
+// all three call: body and error encoding, strict spec and batch
+// decoding, event-stream framing (over an EventLog, events.go), trace
+// gating, refusals.  The submit and batch loops are deliberately not
+// here: a node's batch item (key, cache_hit, retry_after, job) and the
+// fleet's (cache_key, node, overflow, in the fleet envelope) are different
+// documents, so a shared loop would only branch on its caller.
+
+// WriteJSON answers with v as indented JSON plus a trailing newline, the
+// encoding of every document the API serves.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	// An encode failure here means the client went away; nothing to do.
+	_ = enc.Encode(v) //lint:allow errdrop response writer errors are unreportable
+}
+
+// WriteError answers with the API's one error body, {"error": msg}.
+func WriteError(w http.ResponseWriter, code int, msg string) {
+	WriteJSON(w, code, map[string]string{"error": msg})
+}
+
+// WriteRaw answers with pre-rendered JSON bytes unmodified — the collapse
+// fan-out and the coordinator's proxying of a node's answer, where byte
+// identity is the contract.
+func WriteRaw(w http.ResponseWriter, code int, b []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_, _ = w.Write(b) //lint:allow errdrop response writer errors are unreportable
+}
+
+// Apply answers with the refusal and its Retry-After, if it carries one.
+func (rf *Refusal) Apply(w http.ResponseWriter) {
+	if rf.RetryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(rf.RetryAfter))
+	}
+	WriteError(w, rf.Code, rf.Message)
+}
+
+// decodeStrict decodes a request body of at most limit bytes into v,
+// refusing unknown fields.  On failure it answers 400 "bad <what>: ..."
+// itself and reports false.
+func decodeStrict(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad %s: %v", what, err))
+		return false
+	}
+	return true
+}
+
+// DecodeSpec reads a job spec body (POST /v1/jobs, POST /v1/estimate): at
+// most 1 MiB, unknown fields refused.  It answers 400 itself and reports
+// false on failure; the spec is not yet canonical.
+func DecodeSpec(w http.ResponseWriter, r *http.Request) (spec JobSpec, ok bool) {
+	return spec, decodeStrict(w, r, 1<<20, "job spec", &spec)
+}
+
+// BatchRequest is the POST /v1/jobs:batch body.
+type BatchRequest struct {
+	Jobs []JobSpec `json:"jobs"`
+	// Wait defers the response until every admitted job is terminal and
+	// inlines each full document; only a node honours it.
+	Wait bool `json:"wait,omitempty"`
+}
+
+// DecodeBatch reads a batch body: at most 8 MiB, unknown fields refused,
+// between 1 and max specs.  It answers 400 itself and reports false on
+// failure.
+func DecodeBatch(w http.ResponseWriter, r *http.Request, max int) (BatchRequest, bool) {
+	var req BatchRequest
+	if !decodeStrict(w, r, 8<<20, "batch", &req) {
+		return req, false
+	}
+	if len(req.Jobs) == 0 {
+		WriteError(w, http.StatusBadRequest, "batch carries no jobs")
+		return req, false
+	}
+	if len(req.Jobs) > max {
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d exceeds the %d-job limit", len(req.Jobs), max))
+		return req, false
+	}
+	return req, true
+}
+
+// LastEventID extracts an event stream's resume point: the standard
+// Last-Event-ID header a reconnecting EventSource sends, or the
+// ?last_event_id= query parameter for clients that cannot set headers.
+// 0 streams from the beginning of the retained log.
+func LastEventID(r *http.Request) (int64, error) {
+	raw := r.Header.Get("Last-Event-ID")
+	if raw == "" {
+		raw = r.URL.Query().Get("last_event_id")
+	}
+	if raw == "" {
+		return 0, nil
+	}
+	id, err := strconv.ParseInt(raw, 10, 64)
+	if err != nil || id < 0 {
+		return 0, fmt.Errorf("bad Last-Event-ID %q", raw)
+	}
+	return id, nil
+}
+
+// HeartbeatEvery is the default cadence of the comment heartbeats that
+// keep an idle event stream alive through proxies.
+const HeartbeatEvery = 15 * time.Second
+
+// StreamEvents serves a job's progress stream (status transitions, engine
+// liveness ticks, checkpoint writes) as Server-Sent Events, from the
+// event after sequence number after; since is the log's read side.  Each
+// event's sequence number is its SSE id, so a client reconnecting with
+// Last-Event-ID resumes where its stream broke; idle, the stream carries
+// a comment heartbeat.  It ends after the terminal event or with ctx.
+func StreamEvents(ctx context.Context, w http.ResponseWriter, after int64, since func(int64) ([]JobEvent, <-chan struct{}), heartbeat time.Duration) {
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-store")
+	w.Header().Set("X-Accel-Buffering", "no")
+	w.WriteHeader(http.StatusOK)
+	rc := http.NewResponseController(w)
+
+	tick := time.NewTicker(heartbeat)
+	defer tick.Stop()
+	for {
+		events, wake := since(after)
+		for _, ev := range events {
+			data, err := json.Marshal(ev)
+			if err != nil {
+				return
+			}
+			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
+				return
+			}
+			after = ev.Seq
+			if ev.Terminal {
+				_ = rc.Flush() //lint:allow errdrop the stream is over either way
+				return
+			}
+		}
+		if err := rc.Flush(); err != nil {
+			return
+		}
+		select {
+		case <-ctx.Done():
+			return
+		case <-wake:
+		case <-tick.C:
+			if _, err := fmt.Fprint(w, ": heartbeat\n\n"); err != nil {
+				return
+			}
+			if err := rc.Flush(); err != nil {
+				return
+			}
+		}
+	}
+}
+
+// ServeTrace answers GET /v1/jobs/{id}/trace for a job in the given
+// state: 409 when it was submitted without trace=true or has not
+// finished, 404 when no trace was recorded.  ?trace_limit=N bounds the
+// payload to the first N samples and phases; a large-P job's full trace
+// can dwarf everything else a coordinator fans in, and the totals still
+// tell the reader what was cut.
+func ServeTrace(w http.ResponseWriter, r *http.Request, id string, traced bool, status Status, tr *trace.Trace) {
+	if !traced {
+		WriteError(w, http.StatusConflict, "job was not submitted with trace=true")
+		return
+	}
+	if !status.terminal() {
+		WriteError(w, http.StatusConflict, fmt.Sprintf("job is %s; trace is available once it finishes", status))
+		return
+	}
+	if tr == nil {
+		WriteError(w, http.StatusNotFound, "no trace recorded")
+		return
+	}
+	limit := -1
+	if q := r.URL.Query().Get("trace_limit"); q != "" {
+		n, err := strconv.Atoi(q)
+		if err != nil || n < 0 {
+			WriteError(w, http.StatusBadRequest, fmt.Sprintf("trace_limit must be a non-negative integer, got %q", q))
+			return
+		}
+		limit = n
+	}
+	WriteJSON(w, http.StatusOK, renderTrace(id, tr, limit))
+}

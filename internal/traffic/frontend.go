@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,7 +21,8 @@ type Config struct {
 	// (queued or running, collapsed flights counted once) through this
 	// frontend.  0 means unlimited.
 	TenantQuota int
-	// HeartbeatEvery is the SSE comment-heartbeat cadence.  Default 15s.
+	// HeartbeatEvery is the SSE comment-heartbeat cadence.  Default
+	// server.HeartbeatEvery (15s).
 	HeartbeatEvery time.Duration
 	// CostScale is the predicted node-expansion count worth one DRR cost
 	// unit for weighted admission.  Default DefaultCostScale.
@@ -41,7 +41,7 @@ func (c Config) withDefaults() Config {
 		c.MaxBatch = 64
 	}
 	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 15 * time.Second
+		c.HeartbeatEvery = server.HeartbeatEvery
 	}
 	if c.CostScale <= 0 {
 		c.CostScale = DefaultCostScale
@@ -198,26 +198,23 @@ const collapsedHeader = "X-Collapsed"
 // behaviour matches the wrapped server's 202/200 contract, plus the
 // X-Collapsed marker.
 func (f *Frontend) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec server.JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad job spec: %v", err))
+	spec, ok := server.DecodeSpec(w, r)
+	if !ok {
 		return
 	}
 	tenant, err := server.TenantFrom(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	canonical, err := f.srv.CanonicalizeSpec(spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	fl, collapsed, rf := f.admit(canonical, server.CacheKey(canonical), tenant)
 	if rf != nil {
-		applyRefusal(w, rf)
+		rf.Apply(w)
 		return
 	}
 	if collapsed {
@@ -229,7 +226,7 @@ func (f *Frontend) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		case <-fl.done:
 		}
-		writeRaw(w, http.StatusOK, fl.bytes)
+		server.WriteRaw(w, http.StatusOK, fl.bytes)
 		return
 	}
 	writeHandle(w, fl.h)
@@ -244,18 +241,10 @@ func writeHandle(w http.ResponseWriter, h *server.JobHandle) {
 	}
 	b, err := h.ResponseBytes()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "failed to render job")
+		server.WriteError(w, http.StatusInternalServerError, "failed to render job")
 		return
 	}
-	writeRaw(w, code, b)
-}
-
-// batchRequest is the POST /v1/jobs:batch body.
-type batchRequest struct {
-	Jobs []server.JobSpec `json:"jobs"`
-	// Wait defers the response until every admitted job is terminal and
-	// inlines each full document.
-	Wait bool `json:"wait,omitempty"`
+	server.WriteRaw(w, code, b)
 }
 
 // batchItem is one per-spec verdict, in input order.
@@ -288,25 +277,13 @@ type batchResponse struct {
 // codes carry the per-spec outcome, exactly as if each had been POSTed
 // alone.
 func (f *Frontend) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad batch: %v", err))
-		return
-	}
-	if len(req.Jobs) == 0 {
-		writeError(w, http.StatusBadRequest, "batch carries no jobs")
-		return
-	}
-	if len(req.Jobs) > f.cfg.MaxBatch {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d exceeds the %d-job limit", len(req.Jobs), f.cfg.MaxBatch))
+	req, ok := server.DecodeBatch(w, r, f.cfg.MaxBatch)
+	if !ok {
 		return
 	}
 	tenant, err := server.TenantFrom(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	f.ctr.batches.Add(1)
@@ -354,7 +331,7 @@ func (f *Frontend) handleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			select {
 			case <-r.Context().Done():
-				writeError(w, http.StatusRequestTimeout, "client went away mid-batch")
+				server.WriteError(w, http.StatusRequestTimeout, "client went away mid-batch")
 				return
 			case <-it.fl.done:
 			}
@@ -363,7 +340,28 @@ func (f *Frontend) handleBatch(w http.ResponseWriter, r *http.Request) {
 			it.Job = json.RawMessage(it.fl.bytes)
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
+}
+
+// handleEvents implements GET /v1/jobs/{id}/events: the job's progress
+// stream as Server-Sent Events, resumable with Last-Event-ID.  The
+// framing, heartbeat and terminal close are server.StreamEvents'.
+func (f *Frontend) handleEvents(w http.ResponseWriter, r *http.Request) {
+	h, ok := f.srv.JobByID(r.PathValue("id"))
+	if !ok {
+		server.WriteError(w, http.StatusNotFound, "unknown job id")
+		return
+	}
+	after, err := server.LastEventID(r)
+	if err != nil {
+		server.WriteError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	f.ctr.sseStreams.Add(1)
+	if after > 0 {
+		f.ctr.sseResumes.Add(1)
+	}
+	server.StreamEvents(r.Context(), w, after, h.EventsSince, f.cfg.HeartbeatEvery)
 }
 
 // estimateResponse is the POST /v1/estimate reply.
@@ -389,21 +387,18 @@ type estimateResponse struct {
 // paper's efficiency model without running anything.  The same estimate
 // weights the DRR dequeue at admission.
 func (f *Frontend) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	var spec server.JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad job spec: %v", err))
+	spec, ok := server.DecodeSpec(w, r)
+	if !ok {
 		return
 	}
 	canonical, err := f.srv.CanonicalizeSpec(spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	f.ctr.estimates.Add(1)
 	est := ForSpec(canonical)
-	writeJSON(w, http.StatusOK, estimateResponse{
+	server.WriteJSON(w, http.StatusOK, estimateResponse{
 		Domain:          canonical.Domain,
 		Scheme:          canonical.Scheme,
 		P:               canonical.P,
@@ -426,7 +421,7 @@ func (f *Frontend) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	f.inner.ServeHTTP(rec, r)
 	var doc map[string]any
 	if rec.code != http.StatusOK || json.Unmarshal(rec.body, &doc) != nil {
-		writeRaw(w, rec.code, rec.body)
+		server.WriteRaw(w, rec.code, rec.body)
 		return
 	}
 	doc["traffic_flights_total"] = f.ctr.flights.Load()
@@ -444,7 +439,7 @@ func (f *Frontend) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if f.drr != nil {
 		doc["traffic_tenants"] = f.drr.Stats()
 	}
-	writeJSON(w, http.StatusOK, doc)
+	server.WriteJSON(w, http.StatusOK, doc)
 }
 
 // recorder is a minimal in-memory ResponseWriter for re-serving the inner
@@ -476,32 +471,4 @@ func wantWait(r *http.Request) bool {
 		return true
 	}
 	return false
-}
-
-func applyRefusal(w http.ResponseWriter, rf *server.Refusal) {
-	if rf.Code == http.StatusTooManyRequests && rf.RetryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(rf.RetryAfter))
-	}
-	writeError(w, rf.Code, rf.Message)
-}
-
-// writeRaw writes pre-rendered JSON bytes unmodified — the collapse
-// fan-out path, where byte identity is the contract.
-func writeRaw(w http.ResponseWriter, code int, b []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_, _ = w.Write(b) //lint:allow errdrop response writer errors are unreportable
-}
-
-// writeJSON mirrors the server's encoding (indented, trailing newline).
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) //lint:allow errdrop response writer errors are unreportable
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
 }
