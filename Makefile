@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-go bench-baseline bench-check mark loc fuzz vet lint lint-hotpath frame-discipline api-discipline fmt serve fleet load experiments-quick experiments-full report clean
+.PHONY: all build test test-race bench bench-go bench-baseline bench-check mark loc fuzz vet lint lint-hotpath frame-discipline api-discipline schedule-discipline fmt serve fleet load experiments-quick experiments-full report clean
 
 all: build lint test
 
@@ -69,7 +69,7 @@ vet:
 # Repo-specific static analysis: determinism (detrand, maporder), float
 # equality, dropped errors, sync misuse, pool reset, and the cross-package
 # suite (hotalloc, ctxflow, lockorder, atomicmix, sseflush).
-lint: vet lint-hotpath frame-discipline api-discipline
+lint: vet lint-hotpath frame-discipline api-discipline schedule-discipline
 	$(GO) run ./cmd/simdlint ./...
 
 # One frame codec (DESIGN.md, "Frame discipline"): outside internal/wire no
@@ -85,6 +85,14 @@ frame-discipline:
 api-discipline:
 	@if git grep --untracked -n -e 'DisallowUnknownFields(' -e 'map\[string\]string{"error"' -e 'event: %s' -- '*.go' ':!*_test.go' ':!internal/server/'; then \
 		echo "api-discipline: decode, answer and stream through internal/server/wire.go (DecodeSpec, WriteError, StreamEvents)" >&2; exit 1; fi
+
+# One control loop (DESIGN.md section 3, "The schedule"): outside
+# internal/simd no non-test file evaluates a trigger or books a cycle or a
+# phase into a trace for itself — whoever hosts PEs implements simd.Lanes
+# and simd.Schedule runs the loop.  (benchmark/'s decorators only forward.)
+schedule-discipline:
+	@if git grep --untracked -n -e '\.ShouldBalance(' -e '\.RecordCycle(' -e '\.RecordPhase(' -- '*.go' ':!*_test.go' ':!internal/simd/' ':!benchmark/'; then \
+		echo "schedule-discipline: run the loop through simd.Schedule (implement simd.Lanes)" >&2; exit 1; fi
 
 # Fail when the //lint:hotpath root inventory drifts from the committed
 # list, so a root cannot silently lose its annotation (and with it the

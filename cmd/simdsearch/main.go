@@ -286,21 +286,11 @@ func runScheme[S any](ctx context.Context, d search.Domain[S], codec wire.Codec[
 			return metrics.Stats{}, err
 		}
 		if opts.MemBudget > 0 {
-			dir, err := os.MkdirTemp("", "simdspill-*")
-			if err != nil {
-				return metrics.Stats{}, fmt.Errorf("spill dir: %w", err)
-			}
-			defer os.RemoveAll(dir) //lint:allow errdrop temp segments, wiped by the OS eventually anyway
-			mgr, err := spill.NewManager[S](codec, spill.Config{
-				Dir:       dir,
-				MemBudget: opts.MemBudget,
-				NodeBytes: wire.NodeSize(codec, d.Root()),
-			})
+			mgr, done, err := spill.Attach(m, codec, d.Root(), opts.MemBudget, "")
 			if err != nil {
 				return metrics.Stats{}, err
 			}
-			defer mgr.Close() // the log is cache: nothing to lose if this fails
-			m.SetSpiller(mgr)
+			defer done()
 			defer func() {
 				st := mgr.Stats()
 				fmt.Fprintf(os.Stderr, "simdsearch: spill: %d evictions, %d faults, %d bytes written, %d read, peak resident %d nodes\n",

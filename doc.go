@@ -24,7 +24,6 @@ package simdtree
 
 import (
 	"context"
-	"os"
 
 	"simdtree/internal/metrics"
 	"simdtree/internal/puzzle"
@@ -75,21 +74,11 @@ func runSpillable[S any](ctx context.Context, d search.Domain[S], codec wire.Cod
 		return Stats{}, err
 	}
 	if opts.MemBudget > 0 {
-		dir, err := os.MkdirTemp("", "simdspill-*")
+		_, done, err := spill.Attach(m, codec, d.Root(), opts.MemBudget, "")
 		if err != nil {
 			return Stats{}, err
 		}
-		defer os.RemoveAll(dir) //lint:allow errdrop temp segments only
-		mgr, err := spill.NewManager[S](codec, spill.Config{
-			Dir:       dir,
-			MemBudget: opts.MemBudget,
-			NodeBytes: wire.NodeSize(codec, d.Root()),
-		})
-		if err != nil {
-			return Stats{}, err
-		}
-		defer mgr.Close() // the log is cache: nothing to lose if this fails
-		m.SetSpiller(mgr)
+		defer done()
 	}
 	return m.RunContext(ctx)
 }

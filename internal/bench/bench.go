@@ -14,7 +14,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"os"
 
 	"simdtree/internal/metrics"
 	"simdtree/internal/simd"
@@ -61,22 +60,12 @@ func (sc Scenario) RunSpill() (metrics.Stats, spill.Stats, error) {
 	}
 	var mgr *spill.Manager[synthetic.Node]
 	if sc.MemBudget > 0 {
-		dir, err := os.MkdirTemp("", "simdbench-spill-*")
+		var done func()
+		mgr, done, err = spill.Attach(m, wire.SyntheticCodec{}, tree.Root(), sc.MemBudget, "")
 		if err != nil {
 			return metrics.Stats{}, spill.Stats{}, fmt.Errorf("bench %s: %w", sc.Name, err)
 		}
-		defer os.RemoveAll(dir) //lint:allow errdrop temp segments; best-effort cleanup
-		codec := wire.SyntheticCodec{}
-		mgr, err = spill.NewManager[synthetic.Node](codec, spill.Config{
-			Dir:       dir,
-			MemBudget: sc.MemBudget,
-			NodeBytes: wire.NodeSize[synthetic.Node](codec, tree.Root()),
-		})
-		if err != nil {
-			return metrics.Stats{}, spill.Stats{}, fmt.Errorf("bench %s: %w", sc.Name, err)
-		}
-		defer mgr.Close() // the log is cache: nothing to lose if this fails
-		m.SetSpiller(mgr)
+		defer done()
 	}
 	//lint:allow ctxflow benchmark scenarios are never cancelled mid-measurement
 	stats, err := m.RunContext(context.Background())

@@ -89,10 +89,8 @@ func Encode[S any](c wire.Codec[S], meta Meta, snap *simd.Snapshot[S]) ([]byte, 
 	meta.Codec = c.Name()
 	meta.P = len(snap.Stacks)
 	raw := RawSnapshot{
-		Cycle: snap.Cycle, InitDone: snap.InitDone, MatcherPointer: snap.MatcherPointer,
-		PhaseCycles: snap.PhaseCycles, PhaseElapsed: snap.PhaseElapsed,
-		PhaseWork: snap.PhaseWork, PhaseIdle: snap.PhaseIdle, EstLB: snap.EstLB,
-		Stats: snap.Stats, DomainState: snap.DomainState, Trace: snap.Trace, IDA: snap.IDA,
+		Cycle: snap.Cycle, MatcherPointer: snap.MatcherPointer, Ledger: snap.Ledger,
+		DomainState: snap.DomainState, Trace: snap.Trace, IDA: snap.IDA,
 	}
 	// Every stack is framed through one scratch, so a snapshot costs no
 	// allocation per PE.
@@ -117,10 +115,8 @@ func Decode[S any](c wire.Codec[S], b []byte) (Meta, *simd.Snapshot[S], error) {
 		return Meta{}, nil, fmt.Errorf("checkpoint: %w: stacks encoded with codec %q, decoding with %q", ErrCorrupt, meta.Codec, c.Name())
 	}
 	snap := &simd.Snapshot[S]{
-		Cycle: raw.Cycle, InitDone: raw.InitDone, MatcherPointer: raw.MatcherPointer,
-		PhaseCycles: raw.PhaseCycles, PhaseElapsed: raw.PhaseElapsed,
-		PhaseWork: raw.PhaseWork, PhaseIdle: raw.PhaseIdle, EstLB: raw.EstLB,
-		Stats: raw.Stats, DomainState: raw.DomainState, Trace: raw.Trace, IDA: raw.IDA,
+		Cycle: raw.Cycle, MatcherPointer: raw.MatcherPointer, Ledger: raw.Ledger,
+		DomainState: raw.DomainState, Trace: raw.Trace, IDA: raw.IDA,
 		Stacks: make([]*stack.Stack[S], meta.P),
 	}
 	for i, payload := range raw.Stacks {

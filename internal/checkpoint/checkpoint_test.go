@@ -35,21 +35,23 @@ func sampleSnapshot() *simd.Snapshot[synthetic.Node] {
 	s3.PushLevel([]synthetic.Node{node(7, 7), node(6, 8), node(5, 9)})
 	return &simd.Snapshot[synthetic.Node]{
 		Cycle:          17,
-		InitDone:       true,
 		Stacks:         []*stack.Stack[synthetic.Node]{s0, s1, s2, s3},
 		MatcherPointer: 2,
-		PhaseCycles:    5,
-		PhaseElapsed:   5 * time.Microsecond,
-		PhaseWork:      18 * time.Microsecond,
-		PhaseIdle:      2 * time.Microsecond,
-		EstLB:          9 * time.Microsecond,
-		Stats: metrics.Stats{
-			P: 4, W: 61, Goals: 1,
-			Cycles: 17, LBPhases: 3, Transfers: 5,
-			InitCycles: 2, InitPhases: 1,
-			Tcalc: 61 * time.Microsecond, Tidle: 7 * time.Microsecond,
-			Tlb: 4 * time.Microsecond, Tpar: 18 * time.Microsecond,
-			PeakStack: 9, MaxTransfer: 4,
+		Ledger: simd.Ledger{
+			InitDone:     true,
+			PhaseCycles:  5,
+			PhaseElapsed: 5 * time.Microsecond,
+			PhaseWork:    18 * time.Microsecond,
+			PhaseIdle:    2 * time.Microsecond,
+			EstLB:        9 * time.Microsecond,
+			Stats: metrics.Stats{
+				P: 4, W: 61, Goals: 1,
+				Cycles: 17, LBPhases: 3, Transfers: 5,
+				InitCycles: 2, InitPhases: 1,
+				Tcalc: 61 * time.Microsecond, Tidle: 7 * time.Microsecond,
+				Tlb: 4 * time.Microsecond, Tpar: 18 * time.Microsecond,
+				PeakStack: 9, MaxTransfer: 4,
+			},
 		},
 		DomainState: []byte{0x2a, 0x04},
 		Trace: &trace.Trace{
@@ -184,7 +186,7 @@ func TestDecodeRejectsNonCanonicalPayload(t *testing.T) {
 	snap := &simd.Snapshot[synthetic.Node]{
 		Stacks:         []*stack.Stack[synthetic.Node]{stack.New(synthetic.Node{Budget: 11, Seed: 1})},
 		MatcherPointer: -1,
-		Stats:          metrics.Stats{P: 1},
+		Ledger:         simd.Ledger{Stats: metrics.Stats{P: 1}},
 	}
 	valid, err := Encode[synthetic.Node](codec, Meta{Domain: "syn", Scheme: "GP", Topology: "ring"}, snap)
 	if err != nil {
@@ -235,7 +237,7 @@ func TestDecodeRejectsNonCanonicalPayload(t *testing.T) {
 // measured on the same snapshot).
 func TestEncodeAllocsDoNotScaleWithP(t *testing.T) {
 	const p = 1024
-	snap := &simd.Snapshot[synthetic.Node]{MatcherPointer: -1, Stats: metrics.Stats{P: p}}
+	snap := &simd.Snapshot[synthetic.Node]{MatcherPointer: -1, Ledger: simd.Ledger{Stats: metrics.Stats{P: p}}}
 	for i := 0; i < p; i++ {
 		s := stack.New(synthetic.Node{Budget: int64(i), Seed: uint64(i)})
 		s.PushLevel([]synthetic.Node{{Budget: 5, Seed: 3}, {Budget: 9, Seed: 4}})

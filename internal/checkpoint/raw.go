@@ -3,9 +3,7 @@ package checkpoint
 import (
 	"errors"
 	"fmt"
-	"time"
 
-	"simdtree/internal/metrics"
 	"simdtree/internal/simd"
 	"simdtree/internal/trace"
 	"simdtree/internal/wire"
@@ -22,23 +20,13 @@ import (
 type RawSnapshot struct {
 	// Cycle is the number of completed expansion cycles (== Stats.Cycles).
 	Cycle int
-	// InitDone reports the initial-distribution phase has completed.
-	InitDone bool
 	// Stacks holds one wire.EncodeStack payload per PE.
 	Stacks [][]byte
 	// MatcherPointer is the GP global pointer (-1 when parked).
 	MatcherPointer int
 
-	// Search-phase accumulators since the last load-balancing phase.
-	PhaseCycles  int
-	PhaseElapsed time.Duration
-	PhaseWork    time.Duration
-	PhaseIdle    time.Duration
-	// EstLB is L, the projected cost of the next balancing phase.
-	EstLB time.Duration
-
-	// Stats are the cumulative aggregates of the prefix.
-	Stats metrics.Stats
+	// Ledger is the schedule state of the prefix.
+	simd.Ledger
 
 	// DomainState is the opaque payload of a stateful domain; nil for
 	// stateless ones.
@@ -157,16 +145,15 @@ func encode(meta Meta, snap *RawSnapshot, payload func(pe int) []byte) ([]byte, 
 func decode(b []byte) (Meta, *RawSnapshot, error) {
 	meta, r := header(b)
 	flags := r.Flags(flagAll)
-	snap := &RawSnapshot{
-		InitDone:       flags&flagInitDone != 0,
-		Cycle:          r.Count(),
-		MatcherPointer: r.Int(),
-		PhaseCycles:    r.Count(),
-		PhaseElapsed:   duration(&r),
-		PhaseWork:      duration(&r),
-		PhaseIdle:      duration(&r),
-		EstLB:          duration(&r),
-		Stats:          readStats(&r),
+	snap := &RawSnapshot{Cycle: r.Count(), MatcherPointer: r.Int()}
+	snap.Ledger = simd.Ledger{
+		InitDone:     flags&flagInitDone != 0,
+		PhaseCycles:  r.Count(),
+		PhaseElapsed: duration(&r),
+		PhaseWork:    duration(&r),
+		PhaseIdle:    duration(&r),
+		EstLB:        duration(&r),
+		Stats:        readStats(&r),
 	}
 	if flags&flagDomainState != 0 {
 		if snap.DomainState = r.Blob(); snap.DomainState == nil {

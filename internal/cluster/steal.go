@@ -121,15 +121,6 @@ func (d *distRun) document() json.RawMessage {
 	return b
 }
 
-// stealVerdict mirrors a node's GET /v1/jobs/{id}/stealable body.
-type stealVerdict struct {
-	Stealable       bool   `json:"stealable"`
-	Reason          string `json:"reason"`
-	Status          string `json:"status"`
-	P               int    `json:"p"`
-	CheckpointEvery int    `json:"checkpoint_every"`
-}
-
 // StealOnce sweeps the fleet for one steal opportunity: the oldest
 // running, not-yet-distributed job whose node reports it stealable, paired
 // with receiver nodes picked by the cluster-wide GP rotation (routable,
@@ -145,7 +136,7 @@ func (c *Coordinator) StealOnce(ctx context.Context) (string, error) {
 		if !candidate || !c.routable(donor) {
 			continue
 		}
-		var verdict stealVerdict
+		var verdict server.StealableResponse
 		if !c.getInto(ctx, donor+"/v1/jobs/"+nodeJobID+"/stealable", &verdict) || !verdict.Stealable {
 			continue
 		}

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"os"
 
 	"simdtree/internal/checkpoint"
 	"simdtree/internal/metrics"
@@ -12,6 +11,7 @@ import (
 	"simdtree/internal/search"
 	"simdtree/internal/simd"
 	"simdtree/internal/spill"
+	"simdtree/internal/steal"
 	"simdtree/internal/synthetic"
 	"simdtree/internal/topology"
 	"simdtree/internal/wire"
@@ -61,13 +61,54 @@ type RunEnv struct {
 // injects a panicking domain that way to prove worker isolation.
 type Runner func(ctx context.Context, spec JobSpec, opts simd.Options, env RunEnv) (metrics.Stats, error)
 
+// builtinDomain is one built-in domain as the node uses it: the job runner
+// and the shard host of a distributed run.  Both come from one domain
+// constructor (builtin), because the byte-identity contract needs a shard
+// to expand the same tree the original run would have.
+type builtinDomain struct {
+	run  Runner
+	host func(spec JobSpec, opts simd.Options, lo, hi int, raw *checkpoint.RawSnapshot) (steal.Host, error)
+}
+
+// builtin derives both faces of a domain from its constructor and codec.
+func builtin[S any](codec wire.Codec[S], build func(JobSpec) (search.Domain[S], error)) builtinDomain {
+	return builtinDomain{
+		run: func(ctx context.Context, spec JobSpec, opts simd.Options, env RunEnv) (metrics.Stats, error) {
+			d, err := build(spec)
+			if err != nil {
+				return metrics.Stats{}, err
+			}
+			return runMachine[S](ctx, d, codec, spec, opts, env)
+		},
+		host: func(spec JobSpec, opts simd.Options, lo, hi int, raw *checkpoint.RawSnapshot) (steal.Host, error) {
+			d, err := build(spec)
+			if err != nil {
+				return nil, err
+			}
+			return steal.NewHost[S](d, codec, spec.Scheme, opts, lo, hi, raw.Stacks[lo:hi], raw.DomainState)
+		},
+	}
+}
+
+// builtins is the domain table.  A domain is stealable exactly when it is
+// in here: injected test runners have no shard host.
+var builtins = map[string]builtinDomain{
+	"puzzle": builtin[puzzle.Node](wire.PuzzleCodec{}, puzzleDomain),
+	"synthetic": builtin[synthetic.Node](wire.SyntheticCodec{}, func(spec JobSpec) (search.Domain[synthetic.Node], error) {
+		return synthetic.New(spec.Synthetic.W, spec.Synthetic.Seed), nil
+	}),
+	"queens": builtin[queens.Node](wire.QueensCodec{}, func(spec JobSpec) (search.Domain[queens.Node], error) {
+		return queens.New(spec.Queens.N), nil
+	}),
+}
+
 // defaultRunners maps the built-in domains.
 func defaultRunners() map[string]Runner {
-	return map[string]Runner{
-		"puzzle":    runPuzzle,
-		"synthetic": runSynthetic,
-		"queens":    runQueens,
+	runners := make(map[string]Runner, len(builtins))
+	for name, b := range builtins {
+		runners[name] = b.run
 	}
+	return runners
 }
 
 // runMachine is the shared checkpointable execution path: build the
@@ -121,28 +162,11 @@ func runMachine[S any](ctx context.Context, d search.Domain[S], codec wire.Codec
 		return metrics.Stats{}, err
 	}
 	if opts.MemBudget > 0 {
-		dir := env.SpillDir
-		if dir == "" {
-			dir, err = os.MkdirTemp("", "simdspill-*")
-			if err != nil {
-				return metrics.Stats{}, fmt.Errorf("spill dir: %w", err)
-			}
-		}
-		// Segments are a residency cache, not state: the spool checkpoint
-		// alone resumes the run, so the directory goes when the run does.
-		defer os.RemoveAll(dir) //lint:allow errdrop leftover segments are wiped again at the next NewManager
-		mgr, err := spill.NewManager[S](codec, spill.Config{
-			Dir:       dir,
-			MemBudget: opts.MemBudget,
-			NodeBytes: wire.NodeSize(codec, d.Root()),
-		})
+		mgr, done, err := spill.Attach(m, codec, d.Root(), opts.MemBudget, env.SpillDir)
 		if err != nil {
 			return metrics.Stats{}, err
 		}
-		// Release the log's descriptor with the job, not at some later GC:
-		// a long-lived server runs many budgeted jobs.
-		defer mgr.Close()
-		m.SetSpiller(mgr)
+		defer done()
 		if env.SpillStats != nil {
 			defer func() { env.SpillStats(mgr.Stats()) }()
 		}
@@ -188,7 +212,8 @@ func runMachine[S any](ctx context.Context, d search.Domain[S], codec wire.Codec
 	return stats, runErr
 }
 
-func runPuzzle(ctx context.Context, spec JobSpec, opts simd.Options, env RunEnv) (metrics.Stats, error) {
+// puzzleDomain builds the cost-bounded 15-puzzle domain of a spec.
+func puzzleDomain(spec JobSpec) (search.Domain[puzzle.Node], error) {
 	p := spec.Puzzle
 	var start puzzle.Node
 	if len(p.Tiles) == 16 {
@@ -196,7 +221,7 @@ func runPuzzle(ctx context.Context, spec JobSpec, opts simd.Options, env RunEnv)
 		copy(tiles[:], p.Tiles)
 		n, err := puzzle.FromTiles(tiles)
 		if err != nil {
-			return metrics.Stats{}, err
+			return nil, err
 		}
 		start = n
 	} else {
@@ -214,15 +239,7 @@ func runPuzzle(ctx context.Context, spec JobSpec, opts simd.Options, env RunEnv)
 		// instances.
 		bound, _ = search.FinalIterationBound(dom)
 	}
-	return runMachine[puzzle.Node](ctx, search.NewBounded(dom, bound), wire.PuzzleCodec{}, spec, opts, env)
-}
-
-func runSynthetic(ctx context.Context, spec JobSpec, opts simd.Options, env RunEnv) (metrics.Stats, error) {
-	return runMachine[synthetic.Node](ctx, synthetic.New(spec.Synthetic.W, spec.Synthetic.Seed), wire.SyntheticCodec{}, spec, opts, env)
-}
-
-func runQueens(ctx context.Context, spec JobSpec, opts simd.Options, env RunEnv) (metrics.Stats, error) {
-	return runMachine[queens.Node](ctx, queens.New(spec.Queens.N), wire.QueensCodec{}, spec, opts, env)
+	return search.NewBounded(dom, bound), nil
 }
 
 // buildOptions translates a canonical spec into engine options.  Workers

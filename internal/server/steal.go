@@ -10,13 +10,7 @@ import (
 	"sync"
 
 	"simdtree/internal/checkpoint"
-	"simdtree/internal/puzzle"
-	"simdtree/internal/queens"
-	"simdtree/internal/search"
-	"simdtree/internal/simd"
 	"simdtree/internal/steal"
-	"simdtree/internal/synthetic"
-	"simdtree/internal/wire"
 )
 
 // Distributed work stealing, node side.  A fleet coordinator turns one
@@ -100,56 +94,14 @@ func (r *stealRegistry) remove(id string) (*stealSession, bool) {
 	return sess, ok
 }
 
-// buildStealHost constructs the shard machine for a decoded donation
-// checkpoint, replicating exactly the domain construction of the job
-// runners — the byte-identity contract needs the shard to expand the same
-// trees the original run would have.
-func buildStealHost(spec JobSpec, opts simd.Options, lo, hi int, raw *checkpoint.RawSnapshot) (steal.Host, error) {
-	stacks := raw.Stacks[lo:hi]
-	switch spec.Domain {
-	case "puzzle":
-		p := spec.Puzzle
-		var start puzzle.Node
-		if len(p.Tiles) == 16 {
-			var tiles [puzzle.Cells]uint8
-			copy(tiles[:], p.Tiles)
-			n, err := puzzle.FromTiles(tiles)
-			if err != nil {
-				return nil, err
-			}
-			start = n
-		} else {
-			start = puzzle.Scramble(p.Seed, p.Steps)
-		}
-		var dom search.CostDomain[puzzle.Node] = puzzle.NewDomain(start)
-		if p.LC {
-			dom = puzzle.NewDomainLC(start)
-		}
-		bound := p.Bound
-		if bound == 0 {
-			bound, _ = search.FinalIterationBound(dom)
-		}
-		return steal.NewHost[puzzle.Node](search.NewBounded(dom, bound), wire.PuzzleCodec{}, spec.Scheme, opts, lo, hi, stacks, raw.DomainState)
-	case "synthetic":
-		return steal.NewHost[synthetic.Node](synthetic.New(spec.Synthetic.W, spec.Synthetic.Seed), wire.SyntheticCodec{}, spec.Scheme, opts, lo, hi, stacks, raw.DomainState)
-	case "queens":
-		return steal.NewHost[queens.Node](queens.New(spec.Queens.N), wire.QueensCodec{}, spec.Scheme, opts, lo, hi, stacks, raw.DomainState)
-	}
-	return nil, fmt.Errorf("domain %q has no shard host", spec.Domain)
-}
-
-// stealableDomain reports whether the domain can host shard sessions
-// (injected test runners cannot — the coordinator has no host for them).
+// stealableDomain reports whether the domain can host shard sessions.
 func stealableDomain(domain string) bool {
-	switch domain {
-	case "puzzle", "synthetic", "queens":
-		return true
-	}
-	return false
+	_, ok := builtins[domain]
+	return ok
 }
 
-// stealableResponse is the GET /v1/jobs/{id}/stealable verdict.
-type stealableResponse struct {
+// StealableResponse is the GET /v1/jobs/{id}/stealable verdict.
+type StealableResponse struct {
 	Stealable       bool   `json:"stealable"`
 	Reason          string `json:"reason,omitempty"`
 	Status          Status `json:"status"`
@@ -166,7 +118,7 @@ func (s *Server) handleStealable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v := j.view()
-	resp := stealableResponse{Status: v.Status, P: v.Spec.P, CheckpointEvery: s.cfg.CheckpointEvery}
+	resp := StealableResponse{Status: v.Status, P: v.Spec.P, CheckpointEvery: s.cfg.CheckpointEvery}
 	switch {
 	case v.Status != StatusRunning:
 		resp.Reason = fmt.Sprintf("job is %s, not running", v.Status)
@@ -277,7 +229,12 @@ func (s *Server) handleStealOpen(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	host, err := buildStealHost(canonical, opts, lo, hi, raw)
+	b, ok := builtins[canonical.Domain]
+	if !ok {
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("domain %q has no shard host", canonical.Domain))
+		return
+	}
+	host, err := b.host(canonical, opts, lo, hi, raw)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, fmt.Sprintf("building shard host: %v", err))
 		return
@@ -314,6 +271,10 @@ func (s *Server) stealOp(op stealOpFunc) http.HandlerFunc {
 
 func opStep(_ *Server, sess *stealSession, w http.ResponseWriter, _ *http.Request) {
 	ci := sess.host.Step()
+	if ci.Fault != nil {
+		WriteError(w, http.StatusInternalServerError, ci.Fault.Error())
+		return
+	}
 	WriteJSON(w, http.StatusOK, steal.StepResponse{
 		Active: ci.Active, Goals: ci.Goals, Peak: ci.Peak,
 		AllEmpty: ci.AllEmpty, AnyDonor: ci.AnyDonor,

@@ -73,12 +73,6 @@ func (c Costs) normalize() Costs {
 	return c
 }
 
-// Normalized is the exported form of normalize for callers outside the
-// engine that must charge the exact per-cycle and per-phase costs a
-// machine would (the distributed-stealing coordinator keeps the schedule
-// ledger itself).
-func (c Costs) Normalized() Costs { return c.normalize() }
-
 // PhaseCost returns the virtual duration of one load-balancing phase with
 // the given number of transfer rounds on a machine of p processors wired
 // as net.

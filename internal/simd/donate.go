@@ -15,42 +15,31 @@ import (
 // local transfer (Context.transferNodes), and never touch the machine's
 // own schedule ledger, which a distributed run keeps on the coordinator.
 
-// CycleInfo is the globally reducible result of one driven expansion
-// cycle: exactly the quantities the run loop derives from a cycle before
-// making its trigger and balance decisions.
-type CycleInfo struct {
-	// Active is the number of PEs that expanded a node this cycle.
-	Active int
-	// Goals is the number of goal nodes found this cycle.
-	Goals int64
-	// Peak is the largest stack size observed this cycle.
-	Peak int
-	// AllEmpty reports that every stack is empty after the cycle (the
-	// run-loop termination condition for the next iteration).
-	AllEmpty bool
-	// AnyDonor reports that some PE can split its work after the cycle
-	// (the donor-eligibility half of the balance gate).
-	AnyDonor bool
+// StepCycle runs exactly one lock-step node-expansion cycle across all PEs
+// and returns its reductions without touching the schedule ledger (stats,
+// phase accumulators, virtual clock).  It is the cycle of the machine's own
+// run and the shard-side primitive of a distributed one: whoever runs the
+// Schedule owns the ledger and the trigger/balance decisions, and because
+// those decisions are functions of globally reduced scalars only, stepping
+// every shard one cycle at a time reproduces the single-machine schedule
+// exactly.
+func (m *Machine[S]) StepCycle() CycleInfo {
+	var info CycleInfo
+	m.stepCycle(&info)
+	return info
 }
 
-// StepCycle runs exactly one lock-step node-expansion cycle across all PEs
-// and returns its reductions without touching the machine's schedule
-// ledger (stats, phase accumulators, virtual clock).  It is the shard-side
-// primitive of a distributed run: the coordinator owns the ledger and the
-// trigger/balance decisions, and because those decisions are functions of
-// globally reduced scalars only, stepping every shard one cycle at a time
-// reproduces the single-machine schedule exactly.
-func (m *Machine[S]) StepCycle() CycleInfo {
-	res := m.expandRange(0, m.stats.P, m.scratch[0])
-	if err := m.notResident(res.NotResident); err != nil && m.spillErr == nil {
-		m.spillErr = err
-	}
-	return CycleInfo{
-		Active:   int(res.Expanded),
-		Goals:    res.Goals,
-		Peak:     res.Peak,
-		AllEmpty: m.done(),
-		AnyDonor: m.anyDonor(),
+// stepCycle is StepCycle into the caller's CycleInfo, field by field.
+func (m *Machine[S]) stepCycle(info *CycleInfo) {
+	res := m.expand()
+	info.Active = int(res.Expanded)
+	info.Goals = res.Goals
+	info.Peak = res.Peak
+	info.AllEmpty = m.done()
+	info.AnyDonor = m.anyDonor()
+	info.Fault = nil
+	if res.NotResident >= 0 {
+		info.Fault = fmt.Errorf("simd: PE %d %w", res.NotResident, ErrNotResident)
 	}
 }
 

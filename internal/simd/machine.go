@@ -30,7 +30,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -39,7 +38,6 @@ import (
 	"simdtree/internal/stack"
 	"simdtree/internal/topology"
 	"simdtree/internal/trace"
-	"simdtree/internal/trigger"
 )
 
 // Options configures a simulated run.  The zero value (plus a positive P)
@@ -112,12 +110,13 @@ type ProgressInfo struct {
 // RestoreSnapshot may capture or replace its state.  The package-level Run
 // and RunContext remain the one-call form for runs that never checkpoint.
 type Machine[S any] struct {
-	ctx   context.Context
-	d     search.Domain[S]
-	sch   Scheme[S]
-	opts  Options
-	topo  topology.Network
-	costs Costs
+	d    search.Domain[S]
+	sch  Scheme[S]
+	opts Options
+
+	// sched is the run loop and its ledger (stats, phase accumulators,
+	// virtual clock); the machine is the Lanes it runs over.
+	sched *Schedule
 
 	// arena holds every PE stack: one flat array of per-PE records (sizes,
 	// offsets, top-level count), contiguous per-PE node buffers, and the
@@ -147,14 +146,6 @@ type Machine[S any] struct {
 	// lbCtx is the reusable load-balancing context, reset per phase.
 	lbCtx *Context[S]
 
-	stats metrics.Stats
-	goals int64
-
-	// initDone records that the Section 7 initial-distribution phase (if
-	// the scheme wants one) has completed; snapshots carry it so a resumed
-	// run re-enters the correct loop.
-	initDone bool
-
 	// ckpt is the sink registered with OnCheckpoint, driven every
 	// Options.CheckpointEvery cycles.
 	ckpt func(*Snapshot[S]) error
@@ -162,17 +153,9 @@ type Machine[S any] struct {
 	// spiller is the residency manager registered with SetSpiller; nil
 	// runs unbounded.  spillErr latches the first residency error raised
 	// where none can be returned — a fault inside a balancing phase's
-	// transfer path, ErrNotResident from a driven StepCycle; the run loop
-	// surfaces it at the next boundary.
+	// transfer path; the run loop surfaces it at the next boundary.
 	spiller  Spiller[S]
 	spillErr error
-
-	// Search-phase accumulators, reset after every load-balancing phase.
-	phaseCycles  int
-	phaseElapsed time.Duration
-	phaseWork    time.Duration
-	phaseIdle    time.Duration
-	estLB        time.Duration
 }
 
 // Run simulates the parallel search of d under scheme sch and returns the
@@ -233,24 +216,12 @@ func NewMachine[S any](d search.Domain[S], sch Scheme[S], opts Options) (*Machin
 	if sch.Splitter == nil {
 		sch.Splitter = stack.BottomNode[S]{}
 	}
-	sch.Trigger.Reset()
 	if r, ok := sch.Balancer.(interface{ Reset() }); ok {
 		r.Reset()
 	}
 
-	m := &Machine[S]{
-		d:     d,
-		sch:   sch,
-		opts:  opts,
-		topo:  opts.Topology,
-		costs: opts.Costs.normalize(),
-	}
-	if m.topo == nil {
-		m.topo = topology.CM2{}
-	}
-	if m.opts.ProgressEvery <= 0 {
-		m.opts.ProgressEvery = 1000
-	}
+	m := &Machine[S]{d: d, sch: sch, opts: opts, sched: NewSchedule(opts, sch.Trigger, sch.WantInit)}
+	m.sched.coster, _ = sch.Balancer.(PhaseCoster)
 	m.workers = opts.Workers
 	if m.workers < 1 {
 		m.workers = 1
@@ -260,8 +231,6 @@ func NewMachine[S any](d search.Domain[S], sch Scheme[S], opts Options) (*Machin
 	}
 	m.arena = stack.NewArena[S](opts.P)
 	m.arena.PushLevel(0, []S{d.Root()})
-	m.stats.P = opts.P
-	m.estLB = m.costs.SingleRoundCost(m.topo, opts.P)
 
 	m.shards = makeShards(opts.P, m.workers)
 	m.workers = len(m.shards)
@@ -277,7 +246,7 @@ func NewMachine[S any](d search.Domain[S], sch Scheme[S], opts Options) (*Machin
 	m.lbCtx = &Context[S]{
 		Arena:    m.arena,
 		Splitter: m.sch.Splitter,
-		Topo:     m.topo,
+		Topo:     m.sched.topo,
 		workers:  m.workers,
 	}
 	if m.workers > 1 {
@@ -377,137 +346,47 @@ func (m *Machine[S]) RunContext(ctx context.Context) (metrics.Stats, error) {
 		//lint:allow ctxflow nil-context guard preserving the context-free entry points
 		ctx = context.Background()
 	}
-	m.ctx = ctx
 	if m.opts.MemBudget > 0 && m.spiller == nil {
-		return m.stats, errors.New("simd: Options.MemBudget set but no spill manager registered (SetSpiller)")
+		return m.sched.Stats, errors.New("simd: Options.MemBudget set but no spill manager registered (SetSpiller)")
 	}
-	// A machine resumed after cancellation starts a fresh verdict.
-	m.stats.Cancelled = false
-
-	// Tcalc and Goals are filled in even when the run stops early
-	// (cancellation, MaxCycles) so callers always see consistent partial
-	// aggregates for the completed prefix of the schedule.
 	m.startPool()
-	err := m.run()
+	err := m.sched.Run(ctx, machineLanes[S]{m})
 	m.stopPool()
-	m.fillDerivedStats()
-	return m.stats, err
+	return m.sched.Stats, err
 }
 
-// fillDerivedStats computes the aggregates that are functions of the
-// accumulators, so both run exits and snapshots report consistent Stats.
-func (m *Machine[S]) fillDerivedStats() {
-	m.stats.Tcalc = time.Duration(m.stats.W) * m.costs.NodeExpansion
-	m.stats.Goals = m.goals
+// machineLanes is the Lanes whose PEs are the machine's own arena.
+type machineLanes[S any] struct{ m *Machine[S] }
+
+func (l machineLanes[S]) Status(context.Context) (bool, error) { return l.m.done(), nil }
+
+// Cycle restores the stranded stack tops of a memory-bounded machine, then
+// expands; a fault error latched inside the previous balancing phase
+// surfaces here or at EndCycle, whichever boundary comes first.
+func (l machineLanes[S]) Cycle(_ context.Context, info *CycleInfo) error {
+	if err := l.m.spillBarrier(); err != nil {
+		return err
+	}
+	l.m.stepCycle(info)
+	return nil
 }
 
-// run executes the initial distribution followed by the main
-// search/balance loop.
-func (m *Machine[S]) run() error {
-	if !m.initDone {
-		initTh := m.opts.InitThreshold
-		if initTh == 0 && m.sch.WantInit {
-			initTh = 0.85
-		}
-		if initTh > 0 {
-			if err := m.initialDistribution(initTh); err != nil {
-				return err
-			}
-		}
-		m.initDone = true
-	}
-	for {
-		if m.done() {
-			return nil
-		}
-		if err := m.checkBudget(); err != nil {
-			return err
-		}
-		if err := m.checkCtx(); err != nil {
-			return err
-		}
-		if err := m.maybeCheckpoint(); err != nil {
-			return err
-		}
-		if err := m.spillBarrier(); err != nil {
-			return err
-		}
-		active, lost := m.cycle()
-		if err := m.notResident(lost); err != nil {
-			return err
-		}
-		st := m.triggerState(active)
-		m.recordSample(st)
-		if m.opts.StopAtFirstGoal && m.goals > 0 {
-			return nil
-		}
-		if m.sch.Trigger.ShouldBalance(st) && active < m.stats.P && m.anyDonor() {
-			m.balance(false)
-		}
-		if err := m.spillSweep(); err != nil {
-			return err
-		}
-	}
+func (l machineLanes[S]) Balance(_ context.Context, wantDonors bool) (PhaseInfo, error) {
+	return l.m.balance(wantDonors), nil
 }
 
-// initialDistribution alternates expansion cycles with distribution phases
-// until the target fraction of PEs has work (Section 7).
-func (m *Machine[S]) initialDistribution(threshold float64) error {
-	if threshold > 1 {
-		threshold = 1
-	}
-	target := int(math.Ceil(threshold * float64(m.stats.P)))
-	for {
-		if m.done() {
-			return nil
-		}
-		if err := m.checkBudget(); err != nil {
-			return err
-		}
-		if err := m.checkCtx(); err != nil {
-			return err
-		}
-		if err := m.maybeCheckpoint(); err != nil {
-			return err
-		}
-		if err := m.spillBarrier(); err != nil {
-			return err
-		}
-		active, lost := m.cycle()
-		m.stats.InitCycles++
-		if err := m.notResident(lost); err != nil {
-			return err
-		}
-		m.recordSample(m.triggerState(active))
-		if m.opts.StopAtFirstGoal && m.goals > 0 {
-			return nil
-		}
-		if active >= target {
-			return nil
-		}
-		if active < m.stats.P && m.anyDonor() {
-			m.balance(true)
-		}
-		if err := m.spillSweep(); err != nil {
-			return err
-		}
-	}
-}
+func (l machineLanes[S]) EndCycle() error { return l.m.spillSweep() }
 
-// maybeCheckpoint drives the OnCheckpoint sink at the configured cadence.
-// It runs at the top of a loop iteration, i.e. at the boundary after the
-// previous cycle (and its trigger/balance decision) fully completed, so
-// the snapshot is exactly the k-cycle prefix state.
-func (m *Machine[S]) maybeCheckpoint() error {
-	every := m.opts.CheckpointEvery
-	if every <= 0 || m.ckpt == nil || m.stats.Cycles == 0 || m.stats.Cycles%every != 0 {
+// Checkpoint drives the OnCheckpoint sink with a deep snapshot.
+func (l machineLanes[S]) Checkpoint(context.Context) error {
+	if l.m.ckpt == nil {
 		return nil
 	}
-	snap, err := m.Snapshot()
+	snap, err := l.m.Snapshot()
 	if err != nil {
 		return err
 	}
-	return m.ckpt(snap)
+	return l.m.ckpt(snap)
 }
 
 // done reports whether every stack is empty: all has-work bitset words
@@ -518,34 +397,6 @@ func (m *Machine[S]) done() bool { return m.arena.NoWork() }
 // bitset word non-zero).
 func (m *Machine[S]) anyDonor() bool { return m.arena.AnySplittable() }
 
-// checkBudget enforces the MaxCycles safety valve.
-func (m *Machine[S]) checkBudget() error {
-	if m.opts.MaxCycles > 0 && m.stats.Cycles >= m.opts.MaxCycles {
-		return fmt.Errorf("simd: %w MaxCycles=%d (W so far %d)", ErrBudgetExceeded, m.opts.MaxCycles, m.stats.W)
-	}
-	return nil
-}
-
-// ErrBudgetExceeded is wrapped by the error a run returns when it stops at
-// the Options.MaxCycles node-expansion budget.  Callers that treat budget
-// exhaustion as a first-class outcome (rather than a failure) detect it
-// with errors.Is.
-var ErrBudgetExceeded = errors.New("exceeded")
-
-// checkCtx polls the run's context at a cycle boundary.  It never fires
-// mid-cycle, so the completed prefix of the schedule is untouched by
-// cancellation; it marks the partial stats and returns the cancellation
-// cause.
-func (m *Machine[S]) checkCtx() error {
-	select {
-	case <-m.ctx.Done():
-		m.stats.Cancelled = true
-		return context.Cause(m.ctx)
-	default:
-		return nil
-	}
-}
-
 // ErrNotResident is wrapped by the error a run returns when a PE's has-work
 // flag was set at a cycle boundary but it had no node in memory to pop: its
 // stack was evicted and the Spiller's Barrier did not restore it, or the
@@ -553,152 +404,38 @@ func (m *Machine[S]) checkCtx() error {
 // in W; the run stops at the end of that cycle.
 var ErrNotResident = errors.New("has work but no resident node")
 
-// notResident turns the kernel's report of such a PE (-1: there was none)
-// into the run's error, once the cycle is booked.
-func (m *Machine[S]) notResident(pe int) error {
-	if pe < 0 {
-		return nil
-	}
-	return fmt.Errorf("simd: PE %d %w at cycle %d", pe, ErrNotResident, m.stats.Cycles)
-}
-
-// cycle performs one lock-step node-expansion cycle: every PE with work
-// pops its next node, tests it for the goal and pushes its successors.  It
-// returns the number of PEs that expanded a node and charges the virtual
-// clock; the second result is the kernel's Expansion.NotResident, which the
-// caller hands to notResident.
+// expand performs one lock-step node-expansion cycle: every PE with work
+// pops its next node, tests it for the goal and pushes its successors.
 //
 //lint:hotpath
-func (m *Machine[S]) cycle() (active, lost int) {
-	res := stack.Expansion{NotResident: -1}
+func (m *Machine[S]) expand() stack.Expansion {
 	if m.workers == 1 {
-		res = m.expandRange(0, m.stats.P, m.scratch[0])
-	} else {
-		m.parallel(m.taskExpand)
-		for _, r := range m.cycleRes {
-			res.Merge(r)
-		}
+		return m.expandRange(0, m.opts.P, m.scratch[0])
 	}
-
-	active = int(res.Expanded)
-	m.goals += res.Goals
-	if res.Peak > m.stats.PeakStack {
-		m.stats.PeakStack = res.Peak
+	res := stack.Expansion{NotResident: -1}
+	m.parallel(m.taskExpand)
+	for _, r := range m.cycleRes {
+		res.Merge(r)
 	}
-
-	ucalc := m.costs.NodeExpansion
-	m.stats.W += res.Expanded
-	m.stats.Cycles++
-	m.stats.Tpar += ucalc
-	idle := time.Duration(m.stats.P-active) * ucalc
-	m.stats.Tidle += idle
-	m.phaseCycles++
-	m.phaseElapsed += ucalc
-	m.phaseWork += time.Duration(active) * ucalc
-	m.phaseIdle += idle
-
-	if m.opts.Progress != nil && m.stats.Cycles%m.opts.ProgressEvery == 0 {
-		m.opts.Progress(ProgressInfo{
-			Cycles:   m.stats.Cycles,
-			Active:   active,
-			W:        m.stats.W,
-			LBPhases: m.stats.LBPhases,
-			Tpar:     m.stats.Tpar,
-		})
-	}
-	return active, res.NotResident
+	return res
 }
 
 // expandRange runs the expansion cycle of the PEs in [lo, hi) — the whole
-// machine, one worker's shard, or a driven steal shard — as one call into
-// the arena's word-at-a-time kernel (stack.Arena.ExpandCycle): the engine
-// cycle never pops, pushes or syncs flag bits PE by PE.  Every shard's lo
-// is a multiple of 64, which is what lets concurrent shards store whole
-// flag words.
+// machine or one worker's shard — as one call into the arena's
+// word-at-a-time kernel (stack.Arena.ExpandCycle): the engine cycle never
+// pops, pushes or syncs flag bits PE by PE.  Every shard's lo is a multiple
+// of 64, which is what lets concurrent shards store whole flag words.
 func (m *Machine[S]) expandRange(lo, hi int, sc *stack.ExpandScratch[S]) stack.Expansion {
 	return m.arena.ExpandCycle(m.d, lo, hi, sc)
 }
 
-// triggerState assembles the globally reduced view a trigger sees after a
-// cycle.
-func (m *Machine[S]) triggerState(active int) trigger.State {
-	return trigger.State{
-		P:       m.stats.P,
-		Active:  active,
-		Cycles:  m.phaseCycles,
-		Elapsed: m.phaseElapsed,
-		Work:    m.phaseWork,
-		Idle:    m.phaseIdle,
-		EstLB:   m.estLB,
-	}
-}
-
-// recordSample emits the per-cycle trace sample, including the trigger
-// geometry of Figure 1 (R1 and R2 for the dynamic triggers; A and x*P for
-// static ones).
-func (m *Machine[S]) recordSample(st trigger.State) {
-	if m.opts.Trace == nil {
-		return
-	}
-	var r1, r2 time.Duration
-	switch t := m.sch.Trigger.(type) {
-	case trigger.DP:
-		r1 = st.Work - time.Duration(st.Active)*st.Elapsed
-		r2 = time.Duration(st.Active) * st.EstLB
-	case trigger.DK:
-		r1 = st.Idle
-		r2 = time.Duration(st.P) * st.EstLB
-	case trigger.Static:
-		r1 = time.Duration(st.Active)
-		r2 = time.Duration(t.X * float64(st.P))
-	default:
-		r1 = time.Duration(st.Active)
-	}
-	m.opts.Trace.RecordCycle(trace.Sample{
-		Cycle:  m.stats.Cycles,
-		Active: st.Active,
-		R1:     r1,
-		R2:     r2,
-	})
-}
-
-// balance runs one load-balancing phase, charges its cost, and resets the
-// search-phase accumulators.
+// balance runs one load-balancing phase on the reusable context; the
+// schedule charges its cost.
 //
 //lint:hotpath
-func (m *Machine[S]) balance(initPhase bool) {
+func (m *Machine[S]) balance(wantDonors bool) PhaseInfo {
 	ctx := m.lbCtx
-	ctx.reset(m.opts.Trace.WantDonors())
+	ctx.reset(wantDonors)
 	rounds, transfers := m.sch.Balancer.Balance(ctx)
-	var cost time.Duration
-	if pc, ok := m.sch.Balancer.(PhaseCoster); ok {
-		cost = pc.PhaseCost(m.costs, m.topo, m.stats.P, rounds)
-	} else {
-		cost = m.costs.PhaseCost(m.topo, m.stats.P, rounds)
-	}
-	cost += m.costs.MessageCost(m.topo, m.stats.P, ctx.maxTransfer)
-
-	m.stats.Tpar += cost
-	m.stats.Tlb += cost * time.Duration(m.stats.P)
-	m.stats.LBPhases++
-	m.stats.Transfers += transfers
-	if initPhase {
-		m.stats.InitPhases++
-	}
-	if ctx.maxTransfer > m.stats.MaxTransfer {
-		m.stats.MaxTransfer = ctx.maxTransfer
-	}
-	m.estLB = cost
-	m.phaseCycles = 0
-	m.phaseElapsed = 0
-	m.phaseWork = 0
-	m.phaseIdle = 0
-	if m.opts.Trace != nil {
-		m.opts.Trace.RecordPhase(trace.Event{
-			Cycle:     m.stats.Cycles,
-			Transfers: transfers,
-			Cost:      cost,
-			Donors:    ctx.donors,
-		})
-	}
+	return PhaseInfo{Rounds: rounds, Transfers: transfers, MaxTransfer: ctx.maxTransfer, Donors: ctx.donors}
 }

@@ -3,10 +3,8 @@ package simd
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"simdtree/internal/match"
-	"simdtree/internal/metrics"
 	"simdtree/internal/search"
 	"simdtree/internal/stack"
 	"simdtree/internal/trace"
@@ -24,9 +22,6 @@ import (
 type Snapshot[S any] struct {
 	// Cycle is the number of completed expansion cycles (== Stats.Cycles).
 	Cycle int
-	// InitDone reports that the Section 7 initial-distribution phase has
-	// completed; a restored run with InitDone false re-enters it.
-	InitDone bool
 	// Stacks holds one DFS stack per processing element, level structure
 	// preserved.
 	Stacks []*stack.Stack[S]
@@ -34,19 +29,9 @@ type Snapshot[S any] struct {
 	// ignored for the stateless nGP matcher.
 	MatcherPointer int
 
-	// Search-phase accumulators since the last load-balancing phase — the
-	// ledger the D^K and D^P triggers read (w_idle, w, t) and the static
-	// trigger's phase position.
-	PhaseCycles  int
-	PhaseElapsed time.Duration
-	PhaseWork    time.Duration
-	PhaseIdle    time.Duration
-	// EstLB is L, the projected cost of the next balancing phase.
-	EstLB time.Duration
-
-	// Stats are the cumulative Section 3.1 aggregates of the prefix, with
-	// the derived fields (Tcalc, Goals) filled and Cancelled cleared.
-	Stats metrics.Stats
+	// Ledger is the schedule state of the prefix; its Stats have Cancelled
+	// cleared.
+	Ledger
 
 	// DomainState is the opaque payload of a search.Stateful domain (the
 	// IDA* bounded domain's smallest-pruned-f accumulator); nil for
@@ -101,18 +86,11 @@ func (m *Machine[S]) Snapshot() (*Snapshot[S], error) {
 	if err := m.faultAllPEs(); err != nil {
 		return nil, err
 	}
-	m.fillDerivedStats()
 	snap := &Snapshot[S]{
-		Cycle:          m.stats.Cycles,
-		InitDone:       m.initDone,
+		Cycle:          m.sched.Stats.Cycles,
 		Stacks:         make([]*stack.Stack[S], m.opts.P),
 		MatcherPointer: ptr,
-		PhaseCycles:    m.phaseCycles,
-		PhaseElapsed:   m.phaseElapsed,
-		PhaseWork:      m.phaseWork,
-		PhaseIdle:      m.phaseIdle,
-		EstLB:          m.estLB,
-		Stats:          m.stats,
+		Ledger:         m.sched.Ledger,
 		Trace:          m.opts.Trace.Clone(),
 	}
 	snap.Stats.Cancelled = false
@@ -156,15 +134,8 @@ func (m *Machine[S]) RestoreSnapshot(snap *Snapshot[S]) error {
 	for i, s := range snap.Stacks {
 		m.arena.InstallFromStack(i, s)
 	}
-	m.stats = snap.Stats
-	m.stats.Cancelled = false
-	m.goals = snap.Stats.Goals
-	m.initDone = snap.InitDone
-	m.phaseCycles = snap.PhaseCycles
-	m.phaseElapsed = snap.PhaseElapsed
-	m.phaseWork = snap.PhaseWork
-	m.phaseIdle = snap.PhaseIdle
-	m.estLB = snap.EstLB
+	m.sched.Ledger = snap.Ledger
+	m.sched.Stats.Cancelled = false
 	m.setMatcherPointer(snap.MatcherPointer)
 	if m.opts.Trace != nil && snap.Trace != nil {
 		pre := snap.Trace.Clone()

@@ -40,6 +40,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"simdtree/internal/simd"
 	"simdtree/internal/stack"
 	"simdtree/internal/wire"
 )
@@ -172,6 +173,35 @@ func NewManager[S any](c wire.Codec[S], cfg Config) (*Manager[S], error) {
 		}
 	}
 	return &Manager[S]{codec: c, dir: cfg.Dir, budgetNodes: budget, keep: keep}, nil
+}
+
+// Attach gives a memory-bounded machine its residency manager: built for
+// budget bytes of nodes the size of root, keeping its log under dir — a
+// private temp directory when dir is "" — and registered with SetSpiller.
+// The returned cleanup is the run's to defer: it closes the log, so the
+// descriptor goes with the run and not at some later GC, and removes the
+// directory either way — segments are a residency cache, not state; a
+// checkpoint alone resumes the run.  Manager.Stats stays readable after it.
+func Attach[S any](m *simd.Machine[S], codec wire.Codec[S], root S, budget int64, dir string) (*Manager[S], func(), error) {
+	if dir == "" {
+		var err error
+		if dir, err = os.MkdirTemp("", "simdspill-*"); err != nil {
+			return nil, nil, fmt.Errorf("spill: %w", err)
+		}
+	}
+	cleanup := func() {
+		os.RemoveAll(dir) //lint:allow errdrop leftover segments are wiped again at the next NewManager
+	}
+	mgr, err := NewManager[S](codec, Config{Dir: dir, MemBudget: budget, NodeBytes: wire.NodeSize(codec, root)})
+	if err != nil {
+		cleanup()
+		return nil, nil, err
+	}
+	m.SetSpiller(mgr)
+	return mgr, func() {
+		mgr.Close() //lint:allow errdrop the log is cache: nothing to lose if this fails
+		cleanup()
+	}, nil
 }
 
 // wipeSegments removes every *.sspl file under dir — the crash-recovery

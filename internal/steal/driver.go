@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -14,7 +13,6 @@ import (
 	"simdtree/internal/simd"
 	"simdtree/internal/topology"
 	"simdtree/internal/trace"
-	"simdtree/internal/trigger"
 )
 
 // Shard is the coordinator's view of one node-hosted shard: the Host
@@ -96,11 +94,11 @@ type Config struct {
 	Topology topology.Network
 	// P is the machine size; the shards must tile [0, P).
 	P int
-	// InitThreshold mirrors simd.Options.InitThreshold.
+	// InitThreshold is simd.Options.InitThreshold.
 	InitThreshold float64
-	// StopAtFirstGoal mirrors simd.Options.StopAtFirstGoal.
+	// StopAtFirstGoal is simd.Options.StopAtFirstGoal.
 	StopAtFirstGoal bool
-	// MaxCycles mirrors simd.Options.MaxCycles.
+	// MaxCycles is simd.Options.MaxCycles.
 	MaxCycles int
 	// CheckpointEvery assembles and emits a cluster-wide checkpoint every
 	// N completed cycles; 0 disables periodic checkpoints.
@@ -126,39 +124,20 @@ type Result struct {
 	LocalTransfers int
 }
 
-// Driver replicates the engine's run loop over remote shards: it owns the
-// full schedule ledger (stats, phase accumulators, virtual clock, trace,
-// GP pointer) seeded from the donated checkpoint, steps every shard one
-// cycle per iteration, and performs load-balancing phases by assembling
-// global busy/idle flags, matching them exactly as a single machine
-// would, and executing each matched pair as a local transfer or a
-// cross-node donation frame.
+// Driver is the simd.Lanes whose PEs are remote: it runs the engine's own
+// simd.Schedule — ledger seeded from the donated checkpoint — over shards,
+// stepping every shard one cycle per iteration and performing
+// load-balancing phases by assembling global busy/idle flags, matching them
+// exactly as a single machine would, and executing each matched pair as a
+// local transfer or a cross-node donation frame.
 type Driver struct {
 	cfg    Config
 	shards []Shard
 	// shardOf maps a global PE index to its shard's index.
 	shardOf []int
 
-	costs simd.Costs
-	topo  topology.Network
-	trig  trigger.Trigger
+	sched *simd.Schedule
 	mtchr match.Matcher
-
-	stats metrics.Stats
-	goals int64
-
-	initDone     bool
-	phaseCycles  int
-	phaseElapsed time.Duration
-	phaseWork    time.Duration
-	phaseIdle    time.Duration
-	estLB        time.Duration
-
-	tr *trace.Trace
-
-	// Cycle-boundary flags tracked from the latest reductions.
-	allEmpty bool
-	anyDonor bool
 
 	// seq is the next donation id; donations are totally ordered by it.
 	seq uint64
@@ -222,20 +201,7 @@ func NewDriver(cfg Config, snap *checkpoint.RawSnapshot, shards []Shard) (*Drive
 		cfg:     cfg,
 		shards:  shards,
 		shardOf: shardOf,
-		costs:   cfg.Costs.Normalized(),
-		topo:    cfg.Topology,
-		trig:    cfg.Scheme.Trigger,
 		mtchr:   cfg.Scheme.Matcher,
-
-		stats:        snap.Stats,
-		goals:        snap.Stats.Goals,
-		initDone:     snap.InitDone,
-		phaseCycles:  snap.PhaseCycles,
-		phaseElapsed: snap.PhaseElapsed,
-		phaseWork:    snap.PhaseWork,
-		phaseIdle:    snap.PhaseIdle,
-		estLB:        snap.EstLB,
-		tr:           snap.Trace,
 
 		infos:       make([]simd.CycleInfo, len(shards)),
 		stepErrs:    make([]error, len(shards)),
@@ -243,11 +209,27 @@ func NewDriver(cfg Config, snap *checkpoint.RawSnapshot, shards []Shard) (*Drive
 		idle:        make([]bool, cfg.P),
 		shardActive: make([]int, len(shards)),
 	}
-	if d.topo == nil {
-		d.topo = topology.CM2{}
+	opts := simd.Options{
+		P:               cfg.P,
+		Topology:        cfg.Topology,
+		Costs:           cfg.Costs,
+		InitThreshold:   cfg.InitThreshold,
+		StopAtFirstGoal: cfg.StopAtFirstGoal,
+		MaxCycles:       cfg.MaxCycles,
+		CheckpointEvery: cfg.CheckpointEvery,
+		ProgressEvery:   cfg.ProgressEvery,
+		Trace:           snap.Trace,
 	}
-	d.stats.Cancelled = false
-	d.trig.Reset()
+	if cfg.Progress != nil {
+		opts.Progress = func(pi simd.ProgressInfo) {
+			cfg.Progress(ProgressInfo{
+				Cycles: pi.Cycles, Active: pi.Active, W: pi.W, LBPhases: pi.LBPhases, Tpar: pi.Tpar,
+				ShardActive: append([]int(nil), d.shardActive...),
+			})
+		}
+	}
+	d.sched = simd.NewSchedule(opts, cfg.Scheme.Trigger, cfg.Scheme.WantInit)
+	d.sched.Ledger = snap.Ledger
 	d.mtchr.Reset()
 	if gp, ok := d.mtchr.(*match.GP); ok {
 		gp.SetPointer(snap.MatcherPointer)
@@ -262,137 +244,42 @@ func NewDriver(cfg Config, snap *checkpoint.RawSnapshot, shards []Shard) (*Drive
 // and the Stats of a completed run are byte-identical to the
 // single-machine run of the same job.
 func (d *Driver) Run(ctx context.Context) (Result, error) {
-	if err := d.refreshStatus(ctx); err != nil {
-		return d.result(), err
-	}
-	runErr := d.run(ctx)
-	if runErr != nil && d.stats.Cancelled && d.checkpointing() {
-		// Mirror the server's cancelled-run behaviour: spool the exact
-		// prefix so a restart (or a failover re-import) loses nothing.
-		if err := d.emitCheckpoint(ctx); err != nil {
+	runErr := d.sched.Run(ctx, lanes{d})
+	if runErr != nil && d.sched.Stats.Cancelled && d.cfg.OnCheckpoint != nil && d.cfg.CheckpointEvery > 0 {
+		// As a node does for a cancelled run: spool the exact prefix so a
+		// restart (or a failover re-import) loses nothing.
+		if err := (lanes{d}).Checkpoint(ctx); err != nil {
 			runErr = errors.Join(runErr, err)
 		}
 	}
-	d.fillDerived()
-	return d.result(), runErr
-}
-
-func (d *Driver) result() Result {
 	return Result{
-		Stats:          d.stats,
-		Trace:          d.tr,
+		Stats:          d.sched.Stats,
+		Trace:          d.sched.Trace,
 		Donations:      d.donations,
 		LocalTransfers: d.localTransfers,
-	}
+	}, runErr
 }
 
-func (d *Driver) checkpointing() bool {
-	return d.cfg.CheckpointEvery > 0 && d.cfg.OnCheckpoint != nil
-}
+// lanes is the driver's simd.Lanes face, kept off its exported surface.
+type lanes struct{ d *Driver }
 
-// run mirrors Machine.run exactly, one globally reduced decision at a
-// time.
-func (d *Driver) run(ctx context.Context) error {
-	if !d.initDone {
-		initTh := d.cfg.InitThreshold
-		if initTh == 0 && d.cfg.Scheme.WantInit {
-			initTh = 0.85
-		}
-		if initTh > 0 {
-			if err := d.initialDistribution(ctx, initTh); err != nil {
-				return err
-			}
-		}
-		d.initDone = true
-	}
-	for {
-		if d.allEmpty {
-			return nil
-		}
-		if err := d.checkBudget(); err != nil {
-			return err
-		}
-		if err := d.checkCtx(ctx); err != nil {
-			return err
-		}
-		if err := d.maybeCheckpoint(ctx); err != nil {
-			return err
-		}
-		active, err := d.stepAll(ctx)
+// Status queries every shard before the first driven cycle.
+func (l lanes) Status(ctx context.Context) (bool, error) {
+	allEmpty := true
+	for i, sh := range l.d.shards {
+		empty, _, err := sh.Status(ctx)
 		if err != nil {
-			return err
+			return false, fmt.Errorf("steal: shard %d status: %w", i, err)
 		}
-		st := d.triggerState(active)
-		d.recordSample(st)
-		if d.cfg.StopAtFirstGoal && d.goals > 0 {
-			return nil
-		}
-		if d.trig.ShouldBalance(st) && active < d.stats.P && d.anyDonor {
-			if err := d.balance(ctx, false); err != nil {
-				return err
-			}
-		}
+		allEmpty = allEmpty && empty
 	}
+	return allEmpty, nil
 }
 
-// initialDistribution mirrors Machine.initialDistribution.
-func (d *Driver) initialDistribution(ctx context.Context, threshold float64) error {
-	if threshold > 1 {
-		threshold = 1
-	}
-	target := int(math.Ceil(threshold * float64(d.stats.P)))
-	for {
-		if d.allEmpty {
-			return nil
-		}
-		if err := d.checkBudget(); err != nil {
-			return err
-		}
-		if err := d.checkCtx(ctx); err != nil {
-			return err
-		}
-		if err := d.maybeCheckpoint(ctx); err != nil {
-			return err
-		}
-		active, err := d.stepAll(ctx)
-		if err != nil {
-			return err
-		}
-		d.stats.InitCycles++
-		d.recordSample(d.triggerState(active))
-		if d.cfg.StopAtFirstGoal && d.goals > 0 {
-			return nil
-		}
-		if active >= target {
-			return nil
-		}
-		if active < d.stats.P && d.anyDonor {
-			if err := d.balance(ctx, true); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// refreshStatus seeds the cycle-boundary flags before the first driven
-// cycle by querying every shard.
-func (d *Driver) refreshStatus(ctx context.Context) error {
-	d.allEmpty = true
-	d.anyDonor = false
-	for i, sh := range d.shards {
-		empty, donor, err := sh.Status(ctx)
-		if err != nil {
-			return fmt.Errorf("steal: shard %d status: %w", i, err)
-		}
-		d.allEmpty = d.allEmpty && empty
-		d.anyDonor = d.anyDonor || donor
-	}
-	return nil
-}
-
-// stepAll steps every shard one cycle concurrently, reduces the results in
-// shard order, and applies the exact ledger mutations of Machine.cycle.
-func (d *Driver) stepAll(ctx context.Context) (int, error) {
+// Cycle steps every shard one cycle concurrently and reduces the results
+// in shard order.
+func (l lanes) Cycle(ctx context.Context, sum *simd.CycleInfo) error {
+	d := l.d
 	var wg sync.WaitGroup
 	for i := range d.shards {
 		wg.Add(1)
@@ -403,97 +290,26 @@ func (d *Driver) stepAll(ctx context.Context) (int, error) {
 	}
 	wg.Wait()
 
-	active := 0
-	allEmpty, anyDonor := true, false
-	peak := 0
+	*sum = simd.CycleInfo{AllEmpty: true}
 	for i, info := range d.infos {
 		if err := d.stepErrs[i]; err != nil {
-			return 0, fmt.Errorf("steal: shard %d step: %w", i, err)
+			return fmt.Errorf("steal: shard %d step: %w", i, err)
 		}
-		active += info.Active
-		d.goals += info.Goals
-		if info.Peak > peak {
-			peak = info.Peak
+		sum.Active += info.Active
+		sum.Goals += info.Goals
+		sum.Peak = max(sum.Peak, info.Peak)
+		sum.AllEmpty = sum.AllEmpty && info.AllEmpty
+		sum.AnyDonor = sum.AnyDonor || info.AnyDonor
+		if sum.Fault == nil {
+			sum.Fault = info.Fault
 		}
-		allEmpty = allEmpty && info.AllEmpty
-		anyDonor = anyDonor || info.AnyDonor
 		d.shardActive[i] = info.Active
 	}
-	d.allEmpty = allEmpty
-	d.anyDonor = anyDonor
-	if peak > d.stats.PeakStack {
-		d.stats.PeakStack = peak
-	}
-
-	ucalc := d.costs.NodeExpansion
-	d.stats.W += int64(active)
-	d.stats.Cycles++
-	d.stats.Tpar += ucalc
-	idle := time.Duration(d.stats.P-active) * ucalc
-	d.stats.Tidle += idle
-	d.phaseCycles++
-	d.phaseElapsed += ucalc
-	d.phaseWork += time.Duration(active) * ucalc
-	d.phaseIdle += idle
-
-	if d.cfg.Progress != nil {
-		every := d.cfg.ProgressEvery
-		if every <= 0 {
-			every = 1000
-		}
-		if d.stats.Cycles%every == 0 {
-			d.cfg.Progress(ProgressInfo{
-				Cycles:      d.stats.Cycles,
-				Active:      active,
-				W:           d.stats.W,
-				LBPhases:    d.stats.LBPhases,
-				Tpar:        d.stats.Tpar,
-				ShardActive: append([]int(nil), d.shardActive...),
-			})
-		}
-	}
-	return active, nil
+	return nil
 }
 
-// triggerState mirrors Machine.triggerState.
-func (d *Driver) triggerState(active int) trigger.State {
-	return trigger.State{
-		P:       d.stats.P,
-		Active:  active,
-		Cycles:  d.phaseCycles,
-		Elapsed: d.phaseElapsed,
-		Work:    d.phaseWork,
-		Idle:    d.phaseIdle,
-		EstLB:   d.estLB,
-	}
-}
-
-// recordSample mirrors Machine.recordSample.
-func (d *Driver) recordSample(st trigger.State) {
-	if d.tr == nil {
-		return
-	}
-	var r1, r2 time.Duration
-	switch t := d.trig.(type) {
-	case trigger.DP:
-		r1 = st.Work - time.Duration(st.Active)*st.Elapsed
-		r2 = time.Duration(st.Active) * st.EstLB
-	case trigger.DK:
-		r1 = st.Idle
-		r2 = time.Duration(st.P) * st.EstLB
-	case trigger.Static:
-		r1 = time.Duration(st.Active)
-		r2 = time.Duration(t.X * float64(st.P))
-	default:
-		r1 = time.Duration(st.Active)
-	}
-	d.tr.RecordCycle(trace.Sample{
-		Cycle:  d.stats.Cycles,
-		Active: st.Active,
-		R1:     r1,
-		R2:     r2,
-	})
-}
+// EndCycle is the spill sweep; shard machines run unbounded.
+func (lanes) EndCycle() error { return nil }
 
 // gatherFlags assembles the global busy/idle flags from every shard.
 func (d *Driver) gatherFlags(ctx context.Context) ([]bool, []bool, error) {
@@ -527,76 +343,45 @@ func (d *Driver) gatherFlags(ctx context.Context) ([]bool, []bool, error) {
 	return d.busy, d.idle, nil
 }
 
-// balance replicates one load-balancing phase: MatchBalancer.Balance's
-// round loop with the matcher run on globally assembled flags, each
-// matched pair executed as a local transfer or a cross-node donation, and
-// the exact accounting of Machine.balance.
-func (d *Driver) balance(ctx context.Context, initPhase bool) error {
-	recordDonors := d.tr.WantDonors()
-	var donors []int
-	rounds, transfers, maxTransfer := 0, 0, 0
+// Balance is one load-balancing phase over shards: MatchBalancer.Balance's
+// round loop with the matcher run on globally assembled flags and each
+// matched pair executed as a local transfer or a cross-node donation.  A
+// transfer can revive donor eligibility or hand the last splittable stack
+// elsewhere, but never empties a non-empty machine; the loop re-reads both
+// flags after the next cycle.
+func (l lanes) Balance(ctx context.Context, wantDonors bool) (simd.PhaseInfo, error) {
+	d := l.d
+	var ph simd.PhaseInfo
 	for {
 		busy, idle, err := d.gatherFlags(ctx)
 		if err != nil {
-			return err
+			return ph, err
 		}
 		pairs := d.mtchr.Match(busy, idle)
 		if len(pairs) == 0 {
-			if rounds == 0 {
-				rounds = 1 // the phase still pays its setup scans
+			if ph.Rounds == 0 {
+				ph.Rounds = 1 // the phase still pays its setup scans
 			}
-			break
+			return ph, nil
 		}
-		rounds++
+		ph.Rounds++
 		for _, p := range pairs {
 			moved, err := d.transferPair(ctx, p.From, p.To)
 			if err != nil {
-				return err
+				return ph, err
 			}
 			if moved > 0 {
-				transfers++
-				if moved > maxTransfer {
-					maxTransfer = moved
-				}
-				if recordDonors {
-					donors = append(donors, p.From)
+				ph.Transfers++
+				ph.MaxTransfer = max(ph.MaxTransfer, moved)
+				if wantDonors {
+					ph.Donors = append(ph.Donors, p.From)
 				}
 			}
 		}
 		if !d.cfg.Scheme.Multi {
-			break
+			return ph, nil
 		}
 	}
-	cost := d.costs.PhaseCost(d.topo, d.stats.P, rounds)
-	cost += d.costs.MessageCost(d.topo, d.stats.P, maxTransfer)
-
-	d.stats.Tpar += cost
-	d.stats.Tlb += cost * time.Duration(d.stats.P)
-	d.stats.LBPhases++
-	d.stats.Transfers += transfers
-	if initPhase {
-		d.stats.InitPhases++
-	}
-	if maxTransfer > d.stats.MaxTransfer {
-		d.stats.MaxTransfer = maxTransfer
-	}
-	d.estLB = cost
-	d.phaseCycles = 0
-	d.phaseElapsed = 0
-	d.phaseWork = 0
-	d.phaseIdle = 0
-	if d.tr != nil {
-		d.tr.RecordPhase(trace.Event{
-			Cycle:     d.stats.Cycles,
-			Transfers: transfers,
-			Cost:      cost,
-			Donors:    donors,
-		})
-	}
-	// A transfer can revive donor eligibility (or hand the last splittable
-	// stack elsewhere); the run loop re-reads these after the next cycle,
-	// but the balance itself never empties a non-empty machine.
-	return nil
 }
 
 // transferPair executes one matched donor->receiver pair: shard-local
@@ -626,7 +411,7 @@ func (d *Driver) transferPair(ctx context.Context, from, to int) (int, error) {
 		Key:      d.cfg.Key,
 		Codec:    d.cfg.Meta.Codec,
 		Donation: id,
-		Cycle:    d.stats.Cycles,
+		Cycle:    d.sched.Stats.Cycles,
 		From:     from,
 		To:       to,
 		Stack:    payload,
@@ -646,47 +431,21 @@ func (d *Driver) transferPair(ctx context.Context, from, to int) (int, error) {
 	return moved, nil
 }
 
-// checkBudget mirrors Machine.checkBudget.
-func (d *Driver) checkBudget() error {
-	if d.cfg.MaxCycles > 0 && d.stats.Cycles >= d.cfg.MaxCycles {
-		return fmt.Errorf("steal: %w MaxCycles=%d (W so far %d)", simd.ErrBudgetExceeded, d.cfg.MaxCycles, d.stats.W)
-	}
-	return nil
-}
-
-// checkCtx mirrors Machine.checkCtx: cancellation lands only at cycle
-// boundaries.
-func (d *Driver) checkCtx(ctx context.Context) error {
-	select {
-	case <-ctx.Done():
-		d.stats.Cancelled = true
-		return context.Cause(ctx)
-	default:
-		return nil
-	}
-}
-
-// maybeCheckpoint mirrors Machine.maybeCheckpoint at the driver level.
-func (d *Driver) maybeCheckpoint(ctx context.Context) error {
-	every := d.cfg.CheckpointEvery
-	if every <= 0 || d.cfg.OnCheckpoint == nil || d.stats.Cycles == 0 || d.stats.Cycles%every != 0 {
-		return nil
-	}
-	return d.emitCheckpoint(ctx)
-}
-
-// emitCheckpoint assembles the cluster-wide snapshot and hands the encoded
+// Checkpoint assembles the cluster-wide snapshot and hands the encoded
 // checkpoint to the sink.
-func (d *Driver) emitCheckpoint(ctx context.Context) error {
-	snap, err := d.Assemble(ctx)
+func (l lanes) Checkpoint(ctx context.Context) error {
+	if l.d.cfg.OnCheckpoint == nil {
+		return nil
+	}
+	snap, err := l.d.Assemble(ctx)
 	if err != nil {
 		return err
 	}
-	b, err := checkpoint.EncodeRaw(d.cfg.Meta, snap)
+	b, err := checkpoint.EncodeRaw(l.d.cfg.Meta, snap)
 	if err != nil {
 		return err
 	}
-	return d.cfg.OnCheckpoint(ctx, b)
+	return l.d.cfg.OnCheckpoint(ctx, b)
 }
 
 // Assemble exports every shard and builds the cluster-wide RawSnapshot for
@@ -713,7 +472,7 @@ func (d *Driver) Assemble(ctx context.Context) (*checkpoint.RawSnapshot, error) 
 	}
 	wg.Wait()
 
-	stacks := make([][]byte, d.stats.P)
+	stacks := make([][]byte, d.cfg.P)
 	var states [][]byte
 	for i, er := range res {
 		if er.err != nil {
@@ -744,35 +503,17 @@ func (d *Driver) Assemble(ctx context.Context) (*checkpoint.RawSnapshot, error) 
 		domain = merged
 	}
 
-	d.fillDerived()
 	snap := &checkpoint.RawSnapshot{
-		Cycle:          d.stats.Cycles,
-		InitDone:       d.initDone,
+		Cycle:          d.sched.Stats.Cycles,
 		Stacks:         stacks,
-		MatcherPointer: d.matcherPointer(),
-		PhaseCycles:    d.phaseCycles,
-		PhaseElapsed:   d.phaseElapsed,
-		PhaseWork:      d.phaseWork,
-		PhaseIdle:      d.phaseIdle,
-		EstLB:          d.estLB,
-		Stats:          d.stats,
+		MatcherPointer: -1,
+		Ledger:         d.sched.Ledger,
 		DomainState:    domain,
-		Trace:          d.tr.Clone(),
+		Trace:          d.sched.Trace.Clone(),
+	}
+	if gp, ok := d.mtchr.(*match.GP); ok {
+		snap.MatcherPointer = gp.Pointer()
 	}
 	snap.Stats.Cancelled = false
 	return snap, nil
-}
-
-// matcherPointer mirrors Machine.matcherPointer for the driver's matcher.
-func (d *Driver) matcherPointer() int {
-	if gp, ok := d.mtchr.(*match.GP); ok {
-		return gp.Pointer()
-	}
-	return -1
-}
-
-// fillDerived mirrors Machine.fillDerivedStats.
-func (d *Driver) fillDerived() {
-	d.stats.Tcalc = time.Duration(d.stats.W) * d.costs.NodeExpansion
-	d.stats.Goals = d.goals
 }

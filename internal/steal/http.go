@@ -27,7 +27,8 @@ type (
 		AllEmpty bool   `json:"all_empty"`
 		AnyDonor bool   `json:"any_donor"`
 	}
-	// StepResponse mirrors simd.CycleInfo.
+	// StepResponse is simd.CycleInfo on the wire; a Fault travels as an
+	// error response instead.
 	StepResponse struct {
 		Active   int   `json:"active"`
 		Goals    int64 `json:"goals"`
