@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-go bench-baseline bench-check mark loc fuzz vet lint lint-hotpath frame-discipline api-discipline schedule-discipline fmt serve fleet load experiments-quick experiments-full report clean
+.PHONY: all build test test-race bench bench-go bench-baseline bench-check mark loc fuzz vet lint lint-hotpath frame-discipline api-discipline schedule-discipline shard-discipline fmt serve fleet load experiments-quick experiments-full report clean
 
 all: build lint test
 
@@ -69,7 +69,7 @@ vet:
 # Repo-specific static analysis: determinism (detrand, maporder), float
 # equality, dropped errors, sync misuse, pool reset, and the cross-package
 # suite (hotalloc, ctxflow, lockorder, atomicmix, sseflush).
-lint: vet lint-hotpath frame-discipline api-discipline schedule-discipline
+lint: vet lint-hotpath frame-discipline api-discipline schedule-discipline shard-discipline
 	$(GO) run ./cmd/simdlint ./...
 
 # One frame codec (DESIGN.md, "Frame discipline"): outside internal/wire no
@@ -93,6 +93,19 @@ api-discipline:
 schedule-discipline:
 	@if git grep --untracked -n -e '\.ShouldBalance(' -e '\.RecordCycle(' -e '\.RecordPhase(' -- '*.go' ':!*_test.go' ':!internal/simd/' ':!benchmark/'; then \
 		echo "schedule-discipline: run the loop through simd.Schedule (implement simd.Lanes)" >&2; exit 1; fi
+
+# One session protocol (DESIGN.md section 15, "Session protocol"): the
+# shard-session calls are the shardOp table in internal/server/shard.go and
+# nothing else spells a session route; internal/steal stays transport-free;
+# and the coordinator has one outbound path, cluster's call (the SSE proxy's
+# stream.Do, which must not buffer, is the documented other).
+shard-discipline:
+	@if git grep --untracked -n -e '/v1/steal/sessions' -- 'internal/*.go' ':!*_test.go' ':!internal/server/'; then \
+		echo "shard-discipline: session routes are spelled in internal/server/shard.go only (server.ShardClient)" >&2; exit 1; fi
+	@if git grep --untracked -n -e '"net/http"' -- 'internal/steal/*.go' ':!*_test.go'; then \
+		echo "shard-discipline: internal/steal is transport-free; HTTP lives in internal/server" >&2; exit 1; fi
+	@n=$$(git grep --untracked -h -e 'client\.Do(' -- 'internal/cluster/*.go' ':!*_test.go' | wc -l); if [ "$$n" -ne 1 ]; then \
+		echo "shard-discipline: internal/cluster calls client.Do( $$n times, want exactly once (Coordinator.roundTrip, behind call)" >&2; exit 1; fi
 
 # Fail when the //lint:hotpath root inventory drifts from the committed
 # list, so a root cannot silently lose its annotation (and with it the

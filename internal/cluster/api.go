@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"time"
 
+	"simdtree/internal/checkpoint"
 	"simdtree/internal/server"
 )
 
@@ -99,12 +100,12 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	server.WriteJSON(w, status, v)
 }
 
-// call is the coordinator's one way to ask a node something (the SSE
+// roundTrip is the coordinator's one way to ask a node something (the SSE
 // proxy, which must not buffer, is the only code with a client of its
 // own).  body, contentType and header are optional.  It returns the
 // node's status, bounded body and response headers; err is a transport
 // failure, never a status.
-func (c *Coordinator) call(ctx context.Context, method, url, contentType string, body []byte, header http.Header) (int, []byte, http.Header, error) {
+func (c *Coordinator) roundTrip(ctx context.Context, method, url, contentType string, body []byte, header http.Header) (int, []byte, http.Header, error) {
 	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, nil, err
@@ -122,6 +123,14 @@ func (c *Coordinator) call(ctx context.Context, method, url, contentType string,
 	defer resp.Body.Close()
 	b, err := readBounded(resp.Body)
 	return resp.StatusCode, b, resp.Header, err
+}
+
+// call is roundTrip without headers, which only a submission needs, and a
+// server.NodeCall: shard sessions are driven through it, so they share the
+// client, deadline and response bound of every other request to a node.
+func (c *Coordinator) call(ctx context.Context, method, url, contentType string, body []byte) (int, []byte, error) {
+	code, resp, _, err := c.roundTrip(ctx, method, url, contentType, body, nil)
+	return code, resp, err
 }
 
 // refusedError is a node's own refusal of a submission or an import: the
@@ -149,7 +158,7 @@ func refusalOf(err error) *server.Refusal {
 // took the job (202, or 200 from its cache); any other status comes back
 // as a *refusedError.
 func (c *Coordinator) callJob(ctx context.Context, url, contentType string, body []byte, header http.Header) (nodeJob, json.RawMessage, error) {
-	code, raw, hdr, err := c.call(ctx, http.MethodPost, url, contentType, body, header)
+	code, raw, hdr, err := c.roundTrip(ctx, http.MethodPost, url, contentType, body, header)
 	if err != nil {
 		return nodeJob{}, nil, err
 	}
@@ -215,7 +224,7 @@ func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 // status it carries, returning both ("" when none was learned).  A node
 // that does not answer 200 marks f unreachable and yields no document.
 func (c *Coordinator) refresh(ctx context.Context, f *fleetJob, jobURL string) (body []byte, status string) {
-	body, code, err := c.getJSONBody(ctx, jobURL)
+	code, body, err := c.call(ctx, http.MethodGet, jobURL, "", nil)
 	if err != nil || code != http.StatusOK {
 		f.mu.Lock()
 		f.unreachable = true
@@ -247,7 +256,7 @@ func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 		server.WriteJSON(w, http.StatusOK, f.snapshot(d.document()))
 		return
 	}
-	code, body, _, err := c.call(r.Context(), http.MethodDelete, jobURL, "", nil, nil)
+	code, body, err := c.call(r.Context(), http.MethodDelete, jobURL, "", nil)
 	if err != nil {
 		server.WriteError(w, http.StatusBadGateway, fmt.Sprintf("node %s: %v", node, err))
 		return
@@ -278,7 +287,7 @@ func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 		server.ServeTrace(w, r, f.id, d.spec.Trace, server.Status(status), tr)
 		return
 	}
-	body, code, err := c.getJSONBody(r.Context(), withQuery(jobURL+"/trace", r))
+	code, body, err := c.call(r.Context(), http.MethodGet, withQuery(jobURL+"/trace", r), "", nil)
 	if err != nil {
 		server.WriteError(w, http.StatusBadGateway, fmt.Sprintf("node %s: %v", node, err))
 		return
@@ -456,9 +465,10 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// maxNodeResponse bounds any body read from a node; traces are the
-// largest legitimate payload and fit comfortably.
-const maxNodeResponse = 64 << 20
+// maxNodeResponse bounds any body read from a node: the bound of the
+// checkpoint a shard session is opened from, so a session's export can
+// always be read back; traces, the other large payload, fit comfortably.
+const maxNodeResponse = checkpoint.MaxFrameSize
 
 func readBounded(r io.Reader) ([]byte, error) {
 	b, err := io.ReadAll(io.LimitReader(r, maxNodeResponse+1))

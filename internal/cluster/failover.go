@@ -39,7 +39,7 @@ func (c *Coordinator) SyncOnce(ctx context.Context) {
 // normal; anything that parses as a valid SCKP frame replaces the warm
 // copy.
 func (c *Coordinator) pullCheckpoint(ctx context.Context, f *fleetJob, node, nodeJobID string) {
-	code, b, _, err := c.call(ctx, http.MethodGet, node+"/v1/jobs/"+nodeJobID+"/checkpoint", "", nil, nil)
+	code, b, err := c.call(ctx, http.MethodGet, node+"/v1/jobs/"+nodeJobID+"/checkpoint", "", nil)
 	if err != nil || code != http.StatusOK {
 		return
 	}

@@ -117,7 +117,7 @@ type nodeMetrics struct {
 // this probe ejected the node (the caller then runs failover).
 func (c *Coordinator) probeNode(ctx context.Context, n *node, now time.Time) bool {
 	c.ctr.probes.Add(1)
-	body, code, err := c.getJSONBody(ctx, n.url+"/healthz")
+	code, body, err := c.call(ctx, http.MethodGet, n.url+"/healthz", "", nil)
 	var h nodeHealth
 	if err == nil {
 		// /healthz answers 200 when serving and 503 while draining;
@@ -234,15 +234,9 @@ func (c *Coordinator) markFailed(n *node, now time.Time) bool {
 	return false
 }
 
-// getJSONBody GETs url and returns the body bytes and status code.
-func (c *Coordinator) getJSONBody(ctx context.Context, url string) ([]byte, int, error) {
-	code, body, _, err := c.call(ctx, http.MethodGet, url, "", nil, nil)
-	return body, code, err
-}
-
 // getInto GETs url and decodes a 200 answer's JSON body into v,
 // reporting whether it got one.
 func (c *Coordinator) getInto(ctx context.Context, url string, v any) bool {
-	body, code, err := c.getJSONBody(ctx, url)
+	code, body, err := c.call(ctx, http.MethodGet, url, "", nil)
 	return err == nil && code == http.StatusOK && json.Unmarshal(body, v) == nil
 }

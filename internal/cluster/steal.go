@@ -75,6 +75,19 @@ func (d *distRun) view() (status string, stats *metrics.Stats, tr *trace.Trace, 
 	return d.status, d.stats, d.trace, d.donations, d.localTransfers, d.errMsg
 }
 
+// finish records the run's outcome for the handlers that serve it from
+// here on; err is nil for a completed run.
+func (d *distRun) finish(status string, res steal.Result, err error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.status = status
+	if err != nil {
+		d.errMsg = err.Error()
+	}
+	d.stats, d.trace = &res.Stats, res.Trace
+	d.donations, d.localTransfers = res.Donations, res.LocalTransfers
+}
+
 // distJobDoc is the merged job document of a distributed run, mirroring a
 // node's job document where the fields overlap (spec, stats, efficiency,
 // speedup are rendered identically) and adding the shard provenance.
@@ -179,7 +192,7 @@ func (c *Coordinator) StealOnce(ctx context.Context) (string, error) {
 // donate asks the donor node to stop the job at its next cycle boundary
 // and hand over the exact-prefix checkpoint.
 func (c *Coordinator) donate(ctx context.Context, donor, nodeJobID string) ([]byte, error) {
-	code, body, _, err := c.call(ctx, http.MethodPost, donor+"/v1/jobs/"+nodeJobID+"/donate", "", nil, nil)
+	code, body, err := c.call(ctx, http.MethodPost, donor+"/v1/jobs/"+nodeJobID+"/donate", "", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -205,13 +218,9 @@ func (c *Coordinator) stealJob(ctx context.Context, f *fleetJob, donor, nodeJobI
 	if err != nil {
 		return "", c.stealAbort(ctx, f, donor, ckpt, nil, fmt.Errorf("decoding donation: %w", err))
 	}
-	var spec server.JobSpec
-	if len(meta.Extra) == 0 || json.Unmarshal(meta.Extra, &spec) != nil {
-		return "", c.stealAbort(ctx, f, donor, ckpt, nil, errors.New("donation carries no job spec"))
-	}
-	canonical, err := server.Canonicalize(spec, c.domains)
+	canonical, err := server.SpecOf(meta, c.domains)
 	if err != nil {
-		return "", c.stealAbort(ctx, f, donor, ckpt, nil, fmt.Errorf("donated spec: %w", err))
+		return "", c.stealAbort(ctx, f, donor, ckpt, nil, fmt.Errorf("donation: %w", err))
 	}
 	scheme, err := simd.ParseSchemeParts(canonical.Scheme)
 	if err != nil {
@@ -228,11 +237,11 @@ func (c *Coordinator) stealJob(ctx context.Context, f *fleetJob, donor, nodeJobI
 	n := len(recvs) + 1
 	bases := append([]string{donor}, recvs...)
 	shards := make([]steal.Shard, 0, n)
-	sessions := make([]*steal.HTTPShard, 0, n)
+	sessions := make([]*server.ShardClient, 0, n)
 	prov := make([]shardProv, 0, n)
 	for i, base := range bases {
 		lo, hi := i*canonical.P/n, (i+1)*canonical.P/n
-		sh, err := steal.OpenHTTPShard(ctx, c.client, base, ckpt, lo, hi, i == 0)
+		sh, err := server.OpenShard(ctx, c.call, base, ckpt, lo, hi, i == 0)
 		if err != nil {
 			return "", c.stealAbort(ctx, f, donor, ckpt, sessions, fmt.Errorf("opening shard %d on %s: %w", i, base, err))
 		}
@@ -268,7 +277,7 @@ func (c *Coordinator) stealJob(ctx context.Context, f *fleetJob, donor, nodeJobI
 			d.lastCkpt = encoded
 			d.mu.Unlock()
 			if err := sessions[0].WriteCheckpoint(ctx, encoded); err != nil {
-				return err
+				return fmt.Errorf("shard 0 checkpoint: %w", err)
 			}
 			d.events.Append(server.JobEvent{Type: server.EventCheckpoint, Shards: n})
 			return nil
@@ -312,12 +321,12 @@ func (c *Coordinator) stealJob(ctx context.Context, f *fleetJob, donor, nodeJobI
 
 // stealAbort unwinds a failed steal setup: close any opened shard
 // sessions (keeping the donor's spool entry) and re-import the donation
-// checkpoint to the donor so the job resumes single-node.  It returns an
+// checkpoint to the donor so the job resumes single-node.  The teardown
+// has its own deadline: ctx may be what failed the setup, and a dead one
+// would leave every opened session holding a node slot.  It returns an
 // error wrapping cause with the recovery outcome.
-func (c *Coordinator) stealAbort(ctx context.Context, f *fleetJob, donor string, ckpt []byte, sessions []*steal.HTTPShard, cause error) error {
-	for _, sh := range sessions {
-		_ = sh.Close(ctx, false) //lint:allow errdrop best-effort cleanup; the spool entry is the recovery path
-	}
+func (c *Coordinator) stealAbort(ctx context.Context, f *fleetJob, donor string, ckpt []byte, sessions []*server.ShardClient, cause error) error {
+	c.closeSessions(sessions, false)
 	nj, err := c.importCheckpoint(ctx, donor, ckpt)
 	if err != nil {
 		return fmt.Errorf("%w (and re-importing to %s failed: %v; the job recovers from %s's spool at its next restart)", cause, donor, err, donor)
@@ -328,25 +337,18 @@ func (c *Coordinator) stealAbort(ctx context.Context, f *fleetJob, donor string,
 
 // runDistributed drives a stolen job's shards to completion and records
 // the merged result on the fleet job, serving it locally from then on.
-func (c *Coordinator) runDistributed(ctx context.Context, f *fleetJob, d *distRun, drv *steal.Driver, sessions []*steal.HTTPShard) {
+func (c *Coordinator) runDistributed(ctx context.Context, f *fleetJob, d *distRun, drv *steal.Driver, sessions []*server.ShardClient) {
 	defer c.wg.Done()
 	defer close(d.done)
 	defer d.cancel(nil)
 	n := len(sessions)
 
 	res, runErr := drv.Run(ctx)
+	c.ctr.stealDonations.Add(int64(res.Donations))
+	c.ctr.stealLocal.Add(int64(res.LocalTransfers))
 	if runErr == nil {
-		d.mu.Lock()
-		d.status = "done"
-		st := res.Stats
-		d.stats = &st
-		d.trace = res.Trace
-		d.donations = res.Donations
-		d.localTransfers = res.LocalTransfers
-		d.mu.Unlock()
+		d.finish("done", res, nil)
 		c.ctr.stealCompleted.Add(1)
-		c.ctr.stealDonations.Add(int64(res.Donations))
-		c.ctr.stealLocal.Add(int64(res.LocalTransfers))
 		f.observe("done")
 		d.events.Append(server.JobEvent{
 			Type: server.EventStatus, Status: server.StatusDone, Terminal: true,
@@ -358,8 +360,6 @@ func (c *Coordinator) runDistributed(ctx context.Context, f *fleetJob, d *distRu
 	}
 
 	c.ctr.stealFailed.Add(1)
-	c.ctr.stealDonations.Add(int64(res.Donations))
-	c.ctr.stealLocal.Add(int64(res.LocalTransfers))
 	cancelled := errors.Is(runErr, errStealCancelled)
 	// Keep the donor's spool entry: the last shipped checkpoint is the
 	// exact prefix of the interrupted schedule.
@@ -392,23 +392,12 @@ func (c *Coordinator) runDistributed(ctx context.Context, f *fleetJob, d *distRu
 				f.mu.Lock()
 				f.lastErr = fmt.Sprintf("distributed run aborted (%v); resumed single-node as %s", runErr, nj.ID)
 				f.mu.Unlock()
-				d.mu.Lock()
-				d.status = "failed"
-				d.errMsg = runErr.Error()
-				d.mu.Unlock()
+				d.finish("failed", res, runErr)
 				return
 			}
 		}
 	}
-	d.mu.Lock()
-	d.status = status
-	d.errMsg = runErr.Error()
-	st := res.Stats
-	d.stats = &st
-	d.trace = res.Trace
-	d.donations = res.Donations
-	d.localTransfers = res.LocalTransfers
-	d.mu.Unlock()
+	d.finish(status, res, runErr)
 	f.observe(status)
 	f.mu.Lock()
 	f.lastErr = runErr.Error()
@@ -421,7 +410,7 @@ func (c *Coordinator) runDistributed(ctx context.Context, f *fleetJob, d *distRu
 
 // closeSessions releases every shard session; dropSpool also removes the
 // donor's spool entry (shard 0 is the only spooling session).
-func (c *Coordinator) closeSessions(sessions []*steal.HTTPShard, dropSpool bool) {
+func (c *Coordinator) closeSessions(sessions []*server.ShardClient, dropSpool bool) {
 	//lint:allow ctxflow teardown outlives the run context; it gets its own deadline
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.RequestTimeout)
 	defer cancel()

@@ -220,17 +220,12 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/checkpoint", s.handleExportCheckpoint)
 	mux.HandleFunc("GET /v1/jobs/{id}/stealable", s.handleStealable)
 	mux.HandleFunc("POST /v1/jobs/{id}/donate", s.handleDonate)
-	mux.HandleFunc("POST /v1/steal/sessions", s.handleStealOpen)
-	mux.HandleFunc("POST /v1/steal/sessions/{sid}/step", s.stealOp(opStep))
-	mux.HandleFunc("GET /v1/steal/sessions/{sid}/flags", s.stealOp(opFlags))
-	mux.HandleFunc("GET /v1/steal/sessions/{sid}/status", s.stealOp(opStatus))
-	mux.HandleFunc("POST /v1/steal/sessions/{sid}/transfer", s.stealOp(opTransfer))
-	mux.HandleFunc("POST /v1/steal/sessions/{sid}/split", s.stealOp(opSplit))
-	mux.HandleFunc("POST /v1/steal/sessions/{sid}/absorb", s.stealOp(opAbsorb))
-	mux.HandleFunc("GET /v1/steal/sessions/{sid}/export", s.stealOp(opExport))
-	mux.HandleFunc("POST /v1/steal/sessions/{sid}/merge", s.stealOp(opMerge))
-	mux.HandleFunc("PUT /v1/steal/sessions/{sid}/checkpoint", s.handleStealCheckpoint)
-	mux.HandleFunc("DELETE /v1/steal/sessions/{sid}", s.handleStealClose)
+	mux.HandleFunc("POST "+sessionsPath, s.handleStealOpen)
+	mux.HandleFunc("PUT "+sessionRoute+"/checkpoint", s.handleStealCheckpoint)
+	mux.HandleFunc("DELETE "+sessionRoute, s.handleStealClose)
+	for _, op := range shardOps {
+		op.register(s, mux)
+	}
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /version", s.handleVersion)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -104,10 +103,10 @@ type spooledJob struct {
 // rescan returns every valid checkpoint in the spool, in the
 // deterministic directory order.  A file is valid when its CRC and
 // header parse (checkpoint.Peek), its embedded spec canonicalizes
-// against the server's domain set, and the spec's cache key matches the
-// filename — the binding that stops a renamed or stale file from
-// resurrecting the wrong job.  Invalid files are skipped, never deleted:
-// an operator may want to inspect them.
+// against the server's domain set at the frame's own P (SpecOf), and the
+// spec's cache key matches the filename — the binding that stops a renamed
+// or stale file from resurrecting the wrong job.  Invalid files are
+// skipped, never deleted: an operator may want to inspect them.
 func (sp *spool) rescan(domains map[string]bool) []spooledJob {
 	entries, err := os.ReadDir(sp.dir)
 	if err != nil {
@@ -128,11 +127,7 @@ func (sp *spool) rescan(domains map[string]bool) []spooledJob {
 		if err != nil {
 			continue
 		}
-		var spec JobSpec
-		if json.Unmarshal(meta.Extra, &spec) != nil {
-			continue
-		}
-		canonical, err := Canonicalize(spec, domains)
+		canonical, err := SpecOf(meta, domains)
 		if err != nil || CacheKey(canonical) != key {
 			continue
 		}

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -23,7 +21,7 @@ import (
 //     bytes — the donation.
 //  3. POST /v1/steal/sessions (here and on peer nodes) opens shard
 //     sessions over PE ranges of that checkpoint; the coordinator then
-//     drives them in lock-step via the per-session endpoints, shipping
+//     drives them in lock-step via the per-session calls (shard.go), shipping
 //     steal.Frames between nodes at load-balancing phases, and ships the
 //     assembled cluster-wide checkpoints back to the donor's spool so the
 //     distributed job survives restarts.
@@ -38,9 +36,7 @@ const maxStealSessions = 16
 
 // stealSession is one hosted shard of a distributed run.
 type stealSession struct {
-	id    string
 	key   string
-	spec  JobSpec
 	host  steal.Host
 	spool bool // coordinator checkpoints spool under key
 
@@ -74,7 +70,6 @@ func (r *stealRegistry) add(sess *stealSession) (string, error) {
 	}
 	r.next++
 	id := "s" + strconv.FormatInt(r.next, 10)
-	sess.id = id
 	r.byID[id] = sess
 	return id, nil
 }
@@ -206,18 +201,9 @@ func (s *Server) handleStealOpen(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad donation checkpoint: %v", err))
 		return
 	}
-	var spec JobSpec
-	if len(meta.Extra) == 0 || json.Unmarshal(meta.Extra, &spec) != nil {
-		WriteError(w, http.StatusBadRequest, "checkpoint carries no job spec in its meta block")
-		return
-	}
-	canonical, err := Canonicalize(spec, s.domains)
+	canonical, err := SpecOf(meta, s.domains)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Sprintf("embedded job spec: %v", err))
-		return
-	}
-	if canonical.P != meta.P {
-		WriteError(w, http.StatusBadRequest, fmt.Sprintf("spec has P=%d, checkpoint has P=%d", canonical.P, meta.P))
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if lo < 0 || hi > canonical.P || lo >= hi {
@@ -239,7 +225,7 @@ func (s *Server) handleStealOpen(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, fmt.Sprintf("building shard host: %v", err))
 		return
 	}
-	sess := &stealSession{key: CacheKey(canonical), spec: canonical, host: host, spool: wantSpool}
+	sess := &stealSession{key: CacheKey(canonical), host: host, spool: wantSpool}
 	id, err := s.steal.add(sess)
 	if err != nil {
 		WriteError(w, http.StatusServiceUnavailable, err.Error())
@@ -247,114 +233,7 @@ func (s *Server) handleStealOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	s.ctr.stealSessionsOpened.Add(1)
 	allEmpty, anyDonor := host.Status()
-	WriteJSON(w, http.StatusOK, steal.OpenResponse{
-		Session: id, Lo: lo, Hi: hi, AllEmpty: allEmpty, AnyDonor: anyDonor,
-	})
-}
-
-// stealOpFunc is one session operation, invoked under the session mutex.
-type stealOpFunc func(s *Server, sess *stealSession, w http.ResponseWriter, r *http.Request)
-
-// stealOp wraps a session operation with lookup and serialisation.
-func (s *Server) stealOp(op stealOpFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		sess, ok := s.steal.get(r.PathValue("sid"))
-		if !ok {
-			WriteError(w, http.StatusNotFound, "unknown shard session")
-			return
-		}
-		sess.mu.Lock()
-		defer sess.mu.Unlock()
-		op(s, sess, w, r)
-	}
-}
-
-func opStep(_ *Server, sess *stealSession, w http.ResponseWriter, _ *http.Request) {
-	ci := sess.host.Step()
-	if ci.Fault != nil {
-		WriteError(w, http.StatusInternalServerError, ci.Fault.Error())
-		return
-	}
-	WriteJSON(w, http.StatusOK, steal.StepResponse{
-		Active: ci.Active, Goals: ci.Goals, Peak: ci.Peak,
-		AllEmpty: ci.AllEmpty, AnyDonor: ci.AnyDonor,
-	})
-}
-
-func opFlags(_ *Server, sess *stealSession, w http.ResponseWriter, _ *http.Request) {
-	busy, idle := sess.host.Flags()
-	WriteJSON(w, http.StatusOK, steal.FlagsResponse{Busy: busy, Idle: idle})
-}
-
-func opStatus(_ *Server, sess *stealSession, w http.ResponseWriter, _ *http.Request) {
-	allEmpty, anyDonor := sess.host.Status()
-	WriteJSON(w, http.StatusOK, steal.StatusResponse{AllEmpty: allEmpty, AnyDonor: anyDonor})
-}
-
-func opTransfer(_ *Server, sess *stealSession, w http.ResponseWriter, r *http.Request) {
-	var req steal.TransferRequest
-	if !decodeStealBody(w, r, &req) {
-		return
-	}
-	moved, err := sess.host.Transfer(req.From, req.To)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	WriteJSON(w, http.StatusOK, steal.MovedResponse{Moved: moved})
-}
-
-func opSplit(s *Server, sess *stealSession, w http.ResponseWriter, r *http.Request) {
-	var req steal.SplitRequest
-	if !decodeStealBody(w, r, &req) {
-		return
-	}
-	payload, moved, err := sess.host.Split(req.Donation, req.From, req.To)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if moved > 0 {
-		s.ctr.stealFramesSplit.Add(1)
-	}
-	WriteJSON(w, http.StatusOK, steal.SplitResponse{Moved: moved, Stack: payload})
-}
-
-func opAbsorb(s *Server, sess *stealSession, w http.ResponseWriter, r *http.Request) {
-	frame, err := io.ReadAll(http.MaxBytesReader(w, r.Body, steal.MaxFrameSize))
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Sprintf("reading frame: %v", err))
-		return
-	}
-	moved, err := sess.host.Absorb(frame)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.ctr.stealFramesAbsorbed.Add(1)
-	WriteJSON(w, http.StatusOK, steal.MovedResponse{Moved: moved})
-}
-
-func opExport(_ *Server, sess *stealSession, w http.ResponseWriter, _ *http.Request) {
-	stacks, domainState, err := sess.host.Export()
-	if err != nil {
-		WriteError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	WriteJSON(w, http.StatusOK, steal.ExportResponse{Stacks: stacks, DomainState: domainState})
-}
-
-func opMerge(_ *Server, sess *stealSession, w http.ResponseWriter, r *http.Request) {
-	var req steal.MergeRequest
-	if !decodeStealBody(w, r, &req) {
-		return
-	}
-	merged, err := sess.host.Merge(req.States)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	WriteJSON(w, http.StatusOK, steal.MergeResponse{DomainState: merged})
+	WriteJSON(w, http.StatusOK, openResponse{id, lo, hi, statusResponse{allEmpty, anyDonor}})
 }
 
 // handleStealCheckpoint implements PUT /v1/steal/sessions/{sid}/checkpoint:
@@ -371,13 +250,9 @@ func (s *Server) handleStealCheckpoint(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusConflict, "session was not opened with spooling")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, checkpoint.MaxFrameSize))
+	body, _, err := checkpoint.ReadFrame(http.MaxBytesReader(w, r.Body, checkpoint.MaxFrameSize))
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Sprintf("reading checkpoint body: %v", err))
-		return
-	}
-	if _, err := checkpoint.Peek(body); err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad checkpoint: %v", err))
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad checkpoint frame: %v", err))
 		return
 	}
 	if err := s.spool.write(sess.key, body); err != nil {
@@ -401,16 +276,4 @@ func (s *Server) handleStealClose(w http.ResponseWriter, r *http.Request) {
 		s.spool.remove(sess.key)
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// decodeStealBody parses a small JSON request body, answering 400 itself
-// on failure.
-func decodeStealBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, steal.MaxFrameSize))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil && !errors.Is(err, io.EOF) {
-		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return false
-	}
-	return true
 }

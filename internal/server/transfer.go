@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -57,6 +58,26 @@ func (s *Server) writeCheckpoint(w http.ResponseWriter, key string, b []byte) {
 	_, _ = w.Write(b) //lint:allow errdrop response writer errors are unreportable
 }
 
+// SpecOf recovers the job a checkpoint belongs to from the spec JSON in its
+// Meta.Extra, canonicalized exactly like a fresh submission and checked
+// against the machine size the frame itself records.  Everything that
+// accepts a checkpoint from outside — shard-session open, import, spool
+// rescan, the coordinator reading a donation — trusts only this.
+func SpecOf(meta checkpoint.Meta, domains map[string]bool) (JobSpec, error) {
+	var spec JobSpec
+	if len(meta.Extra) == 0 || json.Unmarshal(meta.Extra, &spec) != nil {
+		return JobSpec{}, errors.New("checkpoint carries no job spec in its meta block")
+	}
+	canonical, err := Canonicalize(spec, domains)
+	if err != nil {
+		return JobSpec{}, fmt.Errorf("embedded job spec: %w", err)
+	}
+	if canonical.P != meta.P {
+		return JobSpec{}, fmt.Errorf("spec has P=%d, checkpoint has P=%d", canonical.P, meta.P)
+	}
+	return canonical, nil
+}
+
 // handleImport implements POST /v1/jobs/import: body is one SCKP frame.
 // The job spec is recovered from the checkpoint's Meta.Extra and
 // canonicalized exactly like a fresh submission, so the job resumes
@@ -68,14 +89,9 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad checkpoint frame: %v", err))
 		return
 	}
-	var spec JobSpec
-	if len(meta.Extra) == 0 || json.Unmarshal(meta.Extra, &spec) != nil {
-		WriteError(w, http.StatusBadRequest, "checkpoint carries no job spec in its meta block")
-		return
-	}
-	canonical, err := Canonicalize(spec, s.domains)
+	canonical, err := SpecOf(meta, s.domains)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Sprintf("embedded job spec: %v", err))
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	key := CacheKey(canonical)

@@ -85,10 +85,17 @@ func (m *Machine[S]) InstallStack(pe int, s *stack.Stack[S]) error {
 // PEs of this machine, using the scheme's splitter exactly like a
 // load-balancing phase does, without touching the phase accounting (a
 // distributed run accounts on the coordinator).  It returns the number of
-// stack nodes moved; a donor that cannot split moves nothing.
+// stack nodes moved; a donor that cannot split moves nothing.  The
+// receiver must be idle, as the matcher guarantees and Absorb demands: a
+// transfer onto a busy PE — from == to included, which would move the
+// donor's bottom node to its own top — is a different schedule, not a
+// transfer, so it is refused with the stacks untouched.
 func (m *Machine[S]) TransferLocal(from, to int) (int, error) {
 	if from < 0 || from >= m.opts.P || to < 0 || to >= m.opts.P {
 		return 0, fmt.Errorf("simd: transfer %d->%d out of range [0, %d)", from, to, m.opts.P)
+	}
+	if !m.arena.Empty(to) {
+		return 0, fmt.Errorf("simd: transfer target PE %d is not idle (%d nodes)", to, m.arena.Size(to))
 	}
 	if err := m.faultFull(from); err != nil {
 		return 0, err
@@ -119,16 +126,10 @@ type Donation[S any] struct {
 // inside the arena into slot to, which is empty on the donor machine
 // because a shard holds no work outside its own PE range, and the slot is
 // then lifted out as the donation.  An out-of-range or occupied target is
-// an error and leaves the donor untouched.  A donor that cannot split
+// an error (TransferLocal's) and leaves the donor untouched.  A donor that cannot split
 // returns an empty donation (Stack.Size() == 0) and no error.  Only valid
 // at a cycle boundary.
 func (m *Machine[S]) Donate(id uint64, from, to int) (Donation[S], error) {
-	if p := m.opts.P; from < 0 || from >= p || to < 0 || to >= p {
-		return Donation[S]{}, fmt.Errorf("simd: donation %d->%d out of range [0, %d)", from, to, p)
-	}
-	if !m.arena.Empty(to) {
-		return Donation[S]{}, fmt.Errorf("simd: donation target PE %d holds %d nodes on the donor machine", to, m.arena.Size(to))
-	}
 	if _, err := m.TransferLocal(from, to); err != nil {
 		return Donation[S]{}, err
 	}

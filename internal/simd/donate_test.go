@@ -126,3 +126,30 @@ func TestDonateUnsplittableDonor(t *testing.T) {
 		t.Errorf("unsplittable donation moved work: donor %d, target %d", m.Arena().Size(2), m.Arena().Size(3))
 	}
 }
+
+// TestTransferLocalRefusesBusyReceiver: a driven transfer, like Absorb,
+// needs an idle receiver.  Onto a busy PE — the donor itself included,
+// which used to move its bottom node to its own top and report "moved 1"
+// — it is an error that leaves every stack in its exact order.
+func TestTransferLocalRefusesBusyReceiver(t *testing.T) {
+	splitters := []stack.Splitter[synthetic.Node]{
+		stack.BottomNode[synthetic.Node]{}, stack.HalfStack[synthetic.Node]{}, stack.TopNode[synthetic.Node]{},
+	}
+	for _, sp := range splitters {
+		for _, to := range []int{0, 2} {
+			m := donorMachine(t, sp)
+			var before [][][]synthetic.Node
+			for pe := 0; pe < 4; pe++ {
+				before = append(before, levelsOf(m.StackAt(pe)))
+			}
+			if moved, err := m.TransferLocal(0, to); err == nil {
+				t.Errorf("%s: TransferLocal(0->%d) onto a busy PE moved %d nodes without error", sp.Name(), to, moved)
+			}
+			for pe := 0; pe < 4; pe++ {
+				if got := levelsOf(m.StackAt(pe)); !reflect.DeepEqual(got, before[pe]) {
+					t.Errorf("%s: refused transfer 0->%d changed PE %d: %v -> %v", sp.Name(), to, pe, before[pe], got)
+				}
+			}
+		}
+	}
+}

@@ -260,6 +260,21 @@ func (d *Driver) Run(ctx context.Context) (Result, error) {
 	}, runErr
 }
 
+// each runs fn once per shard, concurrently, and waits for all of them: the
+// fan-out of every call that goes to all shards at a cycle boundary.  fn
+// writes only its own shard's slot of whatever it fills.
+func (d *Driver) each(fn func(i int, sh Shard)) {
+	var wg sync.WaitGroup
+	for i, sh := range d.shards {
+		wg.Add(1)
+		go func(i int, sh Shard) {
+			defer wg.Done()
+			fn(i, sh)
+		}(i, sh)
+	}
+	wg.Wait()
+}
+
 // lanes is the driver's simd.Lanes face, kept off its exported surface.
 type lanes struct{ d *Driver }
 
@@ -280,15 +295,7 @@ func (l lanes) Status(ctx context.Context) (bool, error) {
 // in shard order.
 func (l lanes) Cycle(ctx context.Context, sum *simd.CycleInfo) error {
 	d := l.d
-	var wg sync.WaitGroup
-	for i := range d.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			d.infos[i], d.stepErrs[i] = d.shards[i].Step(ctx)
-		}(i)
-	}
-	wg.Wait()
+	d.each(func(i int, sh Shard) { d.infos[i], d.stepErrs[i] = sh.Step(ctx) })
 
 	*sum = simd.CycleInfo{AllEmpty: true}
 	for i, info := range d.infos {
@@ -313,32 +320,19 @@ func (lanes) EndCycle() error { return nil }
 
 // gatherFlags assembles the global busy/idle flags from every shard.
 func (d *Driver) gatherFlags(ctx context.Context) ([]bool, []bool, error) {
-	type flagRes struct {
-		busy, idle []bool
-		err        error
-	}
-	res := make([]flagRes, len(d.shards))
-	var wg sync.WaitGroup
-	for i := range d.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var fr flagRes
-			fr.busy, fr.idle, fr.err = d.shards[i].Flags(ctx)
-			res[i] = fr
-		}(i)
-	}
-	wg.Wait()
-	for i, fr := range res {
-		lo, hi := d.shards[i].Range()
-		if fr.err != nil {
-			return nil, nil, fmt.Errorf("steal: shard %d flags: %w", i, fr.err)
+	n := len(d.shards)
+	busy, idle, errs := make([][]bool, n), make([][]bool, n), make([]error, n)
+	d.each(func(i int, sh Shard) { busy[i], idle[i], errs[i] = sh.Flags(ctx) })
+	for i, sh := range d.shards {
+		lo, hi := sh.Range()
+		if errs[i] != nil {
+			return nil, nil, fmt.Errorf("steal: shard %d flags: %w", i, errs[i])
 		}
-		if len(fr.busy) != hi-lo || len(fr.idle) != hi-lo {
-			return nil, nil, fmt.Errorf("steal: shard %d returned %d/%d flags for a %d-PE range", i, len(fr.busy), len(fr.idle), hi-lo)
+		if len(busy[i]) != hi-lo || len(idle[i]) != hi-lo {
+			return nil, nil, fmt.Errorf("steal: shard %d returned %d/%d flags for a %d-PE range", i, len(busy[i]), len(idle[i]), hi-lo)
 		}
-		copy(d.busy[lo:hi], fr.busy)
-		copy(d.idle[lo:hi], fr.idle)
+		copy(d.busy[lo:hi], busy[i])
+		copy(d.idle[lo:hi], idle[i])
 	}
 	return d.busy, d.idle, nil
 }
@@ -454,37 +448,23 @@ func (l lanes) Checkpoint(ctx context.Context) error {
 // through shard 0 (a min-merge for the IDA* bound accumulator), which
 // reproduces the single shared accumulator's value.
 func (d *Driver) Assemble(ctx context.Context) (*checkpoint.RawSnapshot, error) {
-	type expRes struct {
-		stacks [][]byte
-		domain []byte
-		err    error
-	}
-	res := make([]expRes, len(d.shards))
-	var wg sync.WaitGroup
-	for i := range d.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var er expRes
-			er.stacks, er.domain, er.err = d.shards[i].Export(ctx)
-			res[i] = er
-		}(i)
-	}
-	wg.Wait()
+	n := len(d.shards)
+	exported, domains, errs := make([][][]byte, n), make([][]byte, n), make([]error, n)
+	d.each(func(i int, sh Shard) { exported[i], domains[i], errs[i] = sh.Export(ctx) })
 
 	stacks := make([][]byte, d.cfg.P)
 	var states [][]byte
-	for i, er := range res {
-		if er.err != nil {
-			return nil, fmt.Errorf("steal: shard %d export: %w", i, er.err)
+	for i, sh := range d.shards {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("steal: shard %d export: %w", i, errs[i])
 		}
-		lo, hi := d.shards[i].Range()
-		if len(er.stacks) != hi-lo {
-			return nil, fmt.Errorf("steal: shard %d exported %d stacks for a %d-PE range", i, len(er.stacks), hi-lo)
+		lo, hi := sh.Range()
+		if len(exported[i]) != hi-lo {
+			return nil, fmt.Errorf("steal: shard %d exported %d stacks for a %d-PE range", i, len(exported[i]), hi-lo)
 		}
-		copy(stacks[lo:hi], er.stacks)
-		if er.domain != nil {
-			states = append(states, er.domain)
+		copy(stacks[lo:hi], exported[i])
+		if domains[i] != nil {
+			states = append(states, domains[i])
 		}
 	}
 	var domain []byte
@@ -498,7 +478,7 @@ func (d *Driver) Assemble(ctx context.Context) (*checkpoint.RawSnapshot, error) 
 	default:
 		merged, err := d.shards[0].Merge(ctx, states[1:])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("steal: shard 0 merge: %w", err)
 		}
 		domain = merged
 	}
