@@ -27,16 +27,19 @@ BENCH_BASELINE ?= BENCH_6.json
 bench:
 	$(GO) run ./cmd/simdbench -out /dev/null -compare $(BENCH_BASELINE)
 	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkArenaTransfer|BenchmarkExpandKernel' -benchmem .
+	$(GO) test -run '^$$' -bench BenchmarkSweepThrash -benchmem ./internal/spill
 
 bench-baseline:
 	$(GO) run ./cmd/simdbench -out $(BENCH_BASELINE)
 
 # CI smoke variant: one iteration per scenario, allocation + schedule gate,
 # plus the structure-of-arrays micro-benchmarks (allocs/op must stay 0;
-# BenchmarkExpandKernel fails itself when a steady-state cycle allocates).
+# BenchmarkExpandKernel fails itself when a steady-state cycle allocates,
+# BenchmarkSweepThrash when a warmed-up evict/fault sweep does).
 bench-check:
 	$(GO) run ./cmd/simdbench -short -out /dev/null -compare $(BENCH_BASELINE)
 	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkArenaTransfer|BenchmarkExpandKernel' -benchtime 100x -benchmem .
+	$(GO) test -run '^$$' -bench BenchmarkSweepThrash -benchtime 100x -benchmem ./internal/spill
 
 # simdmark, the benchmark of record (benchmark/, BENCHMARK.json), at the
 # smoke test's scale: all six workloads in seconds.  Claims quote the
@@ -53,8 +56,10 @@ loc:
 bench-go:
 	$(GO) test -bench=. -benchmem ./...
 
-# Short fuzzing bursts over the wire format, puzzle validator, and
-# checkpoint decoder.
+# Short fuzzing bursts over the wire format, puzzle validator, the
+# checkpoint, steal-frame and spill-segment decoders, and the spill
+# manager's event sequence (its inputs are long scripts, so minimising a
+# new one is capped: the default minute would eat the burst).
 fuzz:
 	$(GO) test -run=xxx -fuzz FuzzDecodeStack -fuzztime 30s ./internal/wire
 	$(GO) test -run=xxx -fuzz FuzzDecodeNode -fuzztime 15s ./internal/wire
@@ -62,6 +67,7 @@ fuzz:
 	$(GO) test -run=xxx -fuzz FuzzDecodeCheckpoint -fuzztime 30s ./internal/checkpoint
 	$(GO) test -run=xxx -fuzz FuzzDecodeStealFrame -fuzztime 30s ./internal/steal
 	$(GO) test -run=xxx -fuzz FuzzDecodeSpillSegment -fuzztime 30s ./internal/spill
+	$(GO) test -run=xxx -fuzz FuzzResidencySequence -fuzztime 30s -fuzzminimizetime 2s ./internal/spill
 
 vet:
 	$(GO) vet ./...

@@ -2,8 +2,11 @@ package spill
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"simdtree/internal/stack"
 	"simdtree/internal/wire"
 )
 
@@ -46,4 +49,145 @@ func FuzzDecodeSpillSegment(f *testing.F) {
 			t.Fatalf("decode→encode not canonical:\n in %x\nout %x", data, re)
 		}
 	})
+}
+
+// residencyPEs is the machine size of a residency script: small, so a few
+// bytes of input collide on a PE and resident counts tie.
+const residencyPEs = 5
+
+// runResidency interprets data as a residency script on a budgeted arena
+// beside an unbounded shadow that receives the same pushes, pops and bottom
+// removals.  Bytes 0 and 1 choose KeepLevels (1-3) and the budget (1-24
+// nodes); every following pair is one step, an opcode and its argument (a
+// PE, a level width).  After every step the two arenas must agree on what
+// the schedule can see — Size and Depth of every PE, both bitsets — and
+// the log's books must balance; at the end everything is faulted back and
+// the stacks must be equal level by level with no frame left live.
+func runResidency(t *testing.T, data []byte) Stats {
+	if len(data) < 2 {
+		return Stats{}
+	}
+	data = data[:min(len(data), 2048)]
+	mgr, err := NewManager[node](wire.SyntheticCodec{}, Config{
+		Dir: t.TempDir(), NodeBytes: 1, KeepLevels: 1 + int(data[0])%3, MemBudget: 1 + int64(data[1])%24,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	a, shadow := stack.NewArena[node](residencyPEs), stack.NewArena[node](residencyPEs)
+	must := func(what string, err error) {
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	same := func(what string, x, y node, okx, oky bool) {
+		if x != y || okx != oky {
+			t.Fatalf("%s: budgeted arena gave %v, %v; the shadow %v, %v", what, x, okx, y, oky)
+		}
+	}
+	var next uint64
+	for i := 2; i+1 < len(data); i += 2 {
+		op, arg := data[i]%16, data[i+1]
+		pe := int(arg) % residencyPEs
+		switch {
+		case op < 6:
+			lv := make([]node, 1+int(arg>>4)%3)
+			for j := range lv {
+				next++
+				lv[j] = node{Budget: int64(next), Seed: ^next}
+			}
+			a.PushLevel(pe, lv)
+			shadow.PushLevel(pe, lv)
+		case op < 9:
+			// The engine pops only behind a Barrier.
+			if a.Resident(pe) == 0 && a.Ghost(pe) > 0 {
+				must("Barrier", mgr.Barrier(a))
+			}
+			x, okx := a.Pop(pe)
+			y, oky := shadow.Pop(pe)
+			same("Pop", x, y, okx, oky)
+		case op < 11, op == 15 && arg >= 64:
+			must("Sweep", mgr.Sweep(a))
+		case op == 11:
+			must("Barrier", mgr.Barrier(a))
+		case op < 15:
+			must("FaultAll", mgr.FaultAll(a, pe))
+			if op == 14 {
+				x, okx := a.RemoveBottom(pe)
+				y, oky := shadow.RemoveBottom(pe)
+				same("RemoveBottom", x, y, okx, oky)
+			}
+		default:
+			// A snapshot restore: the manager forgets, the machine's state
+			// is replaced wholesale.
+			must("Reset", mgr.Reset())
+			for pe := 0; pe < residencyPEs; pe++ {
+				a.InstallFromStack(pe, shadow.MaterializeStack(pe))
+			}
+		}
+		for pe := 0; pe < residencyPEs; pe++ {
+			if a.Size(pe) != shadow.Size(pe) || a.Depth(pe) != shadow.Depth(pe) {
+				t.Fatalf("step %d (op %d): PE %d is %d nodes in %d levels, the shadow %d in %d",
+					i/2, op, pe, a.Size(pe), a.Depth(pe), shadow.Size(pe), shadow.Depth(pe))
+			}
+		}
+		if !slices.Equal(a.WorkBits(), shadow.WorkBits()) || !slices.Equal(a.SplitBits(), shadow.SplitBits()) {
+			t.Fatalf("step %d (op %d): flag words differ from the shadow's", i/2, op)
+		}
+		checkSlots(t, mgr)
+	}
+	for pe := 0; pe < residencyPEs; pe++ {
+		must("final FaultAll", mgr.FaultAll(a, pe))
+	}
+	if d := diffArenas(a, shadow); d != "" {
+		t.Fatalf("after the final restore: %s", d)
+	}
+	if live := mgr.Stats().SegmentsLive; live != 0 {
+		t.Fatalf("%d frames live after the final restore", live)
+	}
+	return mgr.Stats()
+}
+
+// residencySeeds is the committed corpus of FuzzResidencySequence: three
+// hand-written openings and three seeded scripts long enough to thrash.
+func residencySeeds() [][]byte {
+	seeds := [][]byte{
+		{1, 0},
+		{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0, 6, 0, 11, 0, 6, 0, 6, 0}, // four levels, sweep, pop through a fault
+		{0, 0, 0, 1, 0, 1, 0, 1, 9, 0, 15, 0, 0, 1, 9, 0, 14, 1},      // evict, reset, evict again, remove the bottom
+	}
+	for s := int64(1); s <= 3; s++ {
+		rng := rand.New(rand.NewSource(s))
+		b := make([]byte, 1600)
+		rng.Read(b)
+		seeds = append(seeds, b)
+	}
+	return seeds
+}
+
+// FuzzResidencySequence fuzzes the order of residency events, not the
+// bytes of a segment: the input drives pushes, pops, bottom removals,
+// sweeps, barriers, full faults and reset-and-reinstall on a budgeted
+// arena, and runResidency holds it to an unbounded shadow.
+func FuzzResidencySequence(f *testing.F) {
+	for _, s := range residencySeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { runResidency(t, data) })
+}
+
+// TestResidencySeedsThrash keeps the seed corpus worth running: plain
+// "go test" must push at least 200 evictions through the scripts.
+func TestResidencySeedsThrash(t *testing.T) {
+	var total Stats
+	for _, s := range residencySeeds() {
+		st := runResidency(t, s)
+		total.Evictions += st.Evictions
+		total.Faults += st.Faults
+	}
+	if total.Evictions < 200 || total.Faults < 200 {
+		t.Fatalf("the seed corpus reaches %d evictions and %d faults, want at least 200 of each", total.Evictions, total.Faults)
+	}
+	t.Logf("%d evictions, %d faults", total.Evictions, total.Faults)
 }

@@ -326,7 +326,7 @@ func TestFaultClassification(t *testing.T) {
 			}
 		}},
 		{"truncated log", ErrTruncated, func(t *testing.T, m *Manager[node], pe int, ref segRef) {
-			if err := m.log.Truncate(ref.off + int64(ref.size) - 1); err != nil {
+			if err := os.Truncate(m.log.Name(), ref.off+int64(ref.size)-1); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -126,16 +126,19 @@ type Manager[S any] struct {
 	budgetNodes int
 	keep        int
 
-	log    *os.File
+	open   func(name string) (logFile, error) // openLog; tests substitute a failing file
+	log    logFile
 	closed bool
 	end    int64                  // first byte past the last slot carved from the log
 	free   [bits.UintSize][]int64 // free[c]: offsets of vacant slots of 1<<c bytes
 
 	// Scratch reused across events, so a warmed-up thrash allocates
-	// nothing: the frame being written or read, and the decoded levels.
+	// nothing: the frame being written or read, the decoded levels, and
+	// the evictable PEs of the sweep in progress (see Sweep).
 	frame  []byte
 	nodes  []S
 	counts []int
+	cand   []uint64
 
 	seq   uint64
 	segs  [][]segRef // per-PE LIFO, newest last
@@ -172,7 +175,26 @@ func NewManager[S any](c wire.Codec[S], cfg Config) (*Manager[S], error) {
 			budget = 1
 		}
 	}
-	return &Manager[S]{codec: c, dir: cfg.Dir, budgetNodes: budget, keep: keep}, nil
+	return &Manager[S]{codec: c, dir: cfg.Dir, budgetNodes: budget, keep: keep, open: openLog}, nil
+}
+
+// logFile is what the manager needs of its segment log.  An *os.File in
+// every run; the field Manager.open is the seam through which tests put a
+// file that fails like a full or torn disk in its place.
+type logFile interface {
+	io.ReaderAt
+	io.WriterAt
+	io.Closer
+	Name() string
+}
+
+// openLog creates (or truncates) the segment log.
+func openLog(name string) (logFile, error) {
+	f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // Attach gives a memory-bounded machine its residency manager: built for
@@ -240,6 +262,7 @@ func (m *Manager[S]) ensure(p int) {
 		segs := make([][]segRef, p)
 		copy(segs, m.segs)
 		m.segs = segs
+		m.cand = make([]uint64, 0, p)
 	}
 }
 
@@ -285,7 +308,18 @@ func (m *Manager[S]) Barrier(a *stack.Arena[S]) error {
 // and any balancing phase; when every PE is already at its keep floor
 // the arena stays over budget rather than stalling the search.
 //
-// Not a lint hot-path root, for the same reason as Barrier.
+// Within one sweep an eviction changes only its victim, and leaves it at
+// the keep floor, where it cannot be chosen again.  The victims are
+// therefore the PEs that were evictable when the sweep began, in (resident
+// nodes descending, index ascending) order, until the total fits: the one
+// pass that sums the total also collects them, and only an over-budget
+// sweep orders them — as a max-heap of resident<<32 | ^pe keys built once
+// — so a sweep is O(P) and an eviction O(log P).  Nothing is kept between
+// sweeps or maintained at push or pop time.
+//
+// Still not a lint hot-path root, for the same reason as Barrier: the
+// selection allocates nothing once ensure has sized its scratch, but every
+// victim it yields is a disk write.
 func (m *Manager[S]) Sweep(a *stack.Arena[S]) error {
 	if m.closed {
 		return ErrClosed
@@ -295,30 +329,53 @@ func (m *Manager[S]) Sweep(a *stack.Arena[S]) error {
 	}
 	p := a.P()
 	m.ensure(p)
-	total := 0
+	total, cand := 0, m.cand[:0]
 	for pe := 0; pe < p; pe++ {
-		total += a.Resident(pe)
+		n := a.Resident(pe)
+		total += n
+		if a.ResidentDepth(pe) > m.keep {
+			cand = append(cand, uint64(n)<<32|uint64(^uint32(pe)))
+		}
 	}
 	if total > m.stats.PeakResident {
 		m.stats.PeakResident = total
 	}
-	for total > m.budgetNodes {
-		victim, best := -1, 0
-		for pe := 0; pe < p; pe++ {
-			if a.ResidentDepth(pe) > m.keep && a.Resident(pe) > best {
-				victim, best = pe, a.Resident(pe)
-			}
-		}
-		if victim < 0 {
-			return nil
-		}
-		n, err := m.evict(a, victim)
+	if total <= m.budgetNodes {
+		return nil
+	}
+	for i := len(cand)/2 - 1; i >= 0; i-- {
+		siftDown(cand, i)
+	}
+	for total > m.budgetNodes && len(cand) > 0 {
+		n, err := m.evict(a, int(^uint32(cand[0])))
 		if err != nil {
 			return err
 		}
 		total -= n
+		last := len(cand) - 1
+		cand[0] = cand[last]
+		cand = cand[:last]
+		siftDown(cand, 0)
 	}
 	return nil
+}
+
+// siftDown restores the max-heap order of h below index i.
+func siftDown(h []uint64, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1] > h[c] {
+			c++
+		}
+		if h[i] >= h[c] {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // FaultAll restores every evicted segment of PE pe, newest first, so the
@@ -413,7 +470,7 @@ func (m *Manager[S]) discard(pe int) {
 // leaves the arena untouched.
 func (m *Manager[S]) evict(a *stack.Arena[S], pe int) (int, error) {
 	if m.log == nil {
-		f, err := os.OpenFile(filepath.Join(m.dir, logName), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+		f, err := m.open(filepath.Join(m.dir, logName))
 		if err != nil {
 			return 0, fmt.Errorf("spill: %w", err)
 		}
