@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-go bench-baseline bench-check mark loc fuzz vet lint lint-hotpath frame-discipline api-discipline schedule-discipline shard-discipline fmt serve fleet load experiments-quick experiments-full report clean
+.PHONY: all build test test-race bench bench-go bench-baseline bench-check mark loc fuzz vet lint lint-hotpath discipline fmt serve fleet load experiments-quick experiments-full report clean
 
 all: build lint test
 
@@ -75,43 +75,16 @@ vet:
 # Repo-specific static analysis: determinism (detrand, maporder), float
 # equality, dropped errors, sync misuse, pool reset, and the cross-package
 # suite (hotalloc, ctxflow, lockorder, atomicmix, sseflush).
-lint: vet lint-hotpath frame-discipline api-discipline schedule-discipline shard-discipline
+lint: vet lint-hotpath discipline
 	$(GO) run ./cmd/simdlint ./...
 
-# One frame codec (DESIGN.md, "Frame discipline"): outside internal/wire no
-# non-test file checksums a frame or decodes a varint for itself.
-frame-discipline:
-	@if git grep --untracked -n -e '"hash/crc32"' -e 'binary\.Uvarint(' -- '*.go' ':!*_test.go' ':!internal/wire/'; then \
-		echo "frame-discipline: decode and checksum frames through internal/wire (wire.Open / wire.Reader)" >&2; exit 1; fi
-
-# One wire contract (DESIGN.md section 9, "Wire contract"): outside
-# internal/server no non-test file decodes a request body strictly, spells
-# the {"error": ...} body or frames an SSE event for itself.  (The
-# coordinator's SSE proxy copies a node's bytes and frames nothing.)
-api-discipline:
-	@if git grep --untracked -n -e 'DisallowUnknownFields(' -e 'map\[string\]string{"error"' -e 'event: %s' -- '*.go' ':!*_test.go' ':!internal/server/'; then \
-		echo "api-discipline: decode, answer and stream through internal/server/wire.go (DecodeSpec, WriteError, StreamEvents)" >&2; exit 1; fi
-
-# One control loop (DESIGN.md section 3, "The schedule"): outside
-# internal/simd no non-test file evaluates a trigger or books a cycle or a
-# phase into a trace for itself — whoever hosts PEs implements simd.Lanes
-# and simd.Schedule runs the loop.  (benchmark/'s decorators only forward.)
-schedule-discipline:
-	@if git grep --untracked -n -e '\.ShouldBalance(' -e '\.RecordCycle(' -e '\.RecordPhase(' -- '*.go' ':!*_test.go' ':!internal/simd/' ':!benchmark/'; then \
-		echo "schedule-discipline: run the loop through simd.Schedule (implement simd.Lanes)" >&2; exit 1; fi
-
-# One session protocol (DESIGN.md section 15, "Session protocol"): the
-# shard-session calls are the shardOp table in internal/server/shard.go and
-# nothing else spells a session route; internal/steal stays transport-free;
-# and the coordinator has one outbound path, cluster's call (the SSE proxy's
-# stream.Do, which must not buffer, is the documented other).
-shard-discipline:
-	@if git grep --untracked -n -e '/v1/steal/sessions' -- 'internal/*.go' ':!*_test.go' ':!internal/server/'; then \
-		echo "shard-discipline: session routes are spelled in internal/server/shard.go only (server.ShardClient)" >&2; exit 1; fi
-	@if git grep --untracked -n -e '"net/http"' -- 'internal/steal/*.go' ':!*_test.go'; then \
-		echo "shard-discipline: internal/steal is transport-free; HTTP lives in internal/server" >&2; exit 1; fi
-	@n=$$(git grep --untracked -h -e 'client\.Do(' -- 'internal/cluster/*.go' ':!*_test.go' | wc -l); if [ "$$n" -ne 1 ]; then \
-		echo "shard-discipline: internal/cluster calls client.Do( $$n times, want exactly once (Coordinator.roundTrip, behind call)" >&2; exit 1; fi
+# The "written once" gates — frame-, api-, schedule- and shard-discipline —
+# are one table of (name, patterns, allowed paths, message, expected count)
+# in scripts/discipline.sh, which first proves every pattern still fires on
+# a planted violation and then checks the tree.
+discipline:
+	@./scripts/discipline.sh selftest
+	@./scripts/discipline.sh
 
 # Fail when the //lint:hotpath root inventory drifts from the committed
 # list, so a root cannot silently lose its annotation (and with it the

@@ -83,20 +83,19 @@ func Encode[S any](c wire.Codec[S], meta Meta, snap *simd.Snapshot[S]) ([]byte, 
 	if c == nil {
 		return nil, errors.New("checkpoint: nil codec")
 	}
-	if snap == nil {
+	if snap == nil || snap.Stacks == nil {
 		return nil, errors.New("checkpoint: nil snapshot")
 	}
 	meta.Codec = c.Name()
-	meta.P = len(snap.Stacks)
+	meta.P = snap.Stacks.P()
 	raw := RawSnapshot{
 		Cycle: snap.Cycle, MatcherPointer: snap.MatcherPointer, Ledger: snap.Ledger,
 		DomainState: snap.DomainState, Trace: snap.Trace, IDA: snap.IDA,
 	}
-	// Every stack is framed through one scratch, so a snapshot costs no
-	// allocation per PE.
+	// One scratch frames every stack: a snapshot costs no allocation per PE.
 	scratch := make([]byte, 0, 256)
 	return encode(meta, &raw, func(pe int) []byte {
-		scratch = wire.AppendStack(scratch[:0], c, snap.Stacks[pe])
+		scratch = wire.EncodeArena(scratch[:0], c, snap.Stacks, pe)
 		return scratch
 	})
 }
@@ -117,10 +116,11 @@ func Decode[S any](c wire.Codec[S], b []byte) (Meta, *simd.Snapshot[S], error) {
 	snap := &simd.Snapshot[S]{
 		Cycle: raw.Cycle, MatcherPointer: raw.MatcherPointer, Ledger: raw.Ledger,
 		DomainState: raw.DomainState, Trace: raw.Trace, IDA: raw.IDA,
-		Stacks: make([]*stack.Stack[S], meta.P),
+		Stacks: stack.NewArena[S](meta.P),
 	}
+	dec := wire.ArenaDecoder[S]{Codec: c}
 	for i, payload := range raw.Stacks {
-		if snap.Stacks[i], err = wire.DecodeStack(c, payload); err != nil {
+		if _, err := dec.Decode(payload, snap.Stacks, i); err != nil {
 			return Meta{}, nil, fmt.Errorf("checkpoint: %w: stack %d: %v", ErrCorrupt, i, err)
 		}
 	}

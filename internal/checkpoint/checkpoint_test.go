@@ -2,11 +2,13 @@ package checkpoint
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -26,16 +28,16 @@ func sampleSnapshot() *simd.Snapshot[synthetic.Node] {
 	node := func(budget int64, seed uint64) synthetic.Node {
 		return synthetic.Node{Budget: budget, Seed: seed}
 	}
-	s0 := stack.New[synthetic.Node](node(100, 1))
-	s0.PushLevel([]synthetic.Node{node(40, 2), node(30, 3)})
-	s1 := stack.New[synthetic.Node](node(90, 4))
-	s2 := stack.New[synthetic.Node]() // parked PE: empty stack
-	s3 := stack.New[synthetic.Node](node(80, 5))
-	s3.PushLevel([]synthetic.Node{node(25, 6)})
-	s3.PushLevel([]synthetic.Node{node(7, 7), node(6, 8), node(5, 9)})
+	stacks := stack.NewArena[synthetic.Node](4) // PE 2 is parked: an empty stack
+	stacks.PushLevel(0, []synthetic.Node{node(100, 1)})
+	stacks.PushLevel(0, []synthetic.Node{node(40, 2), node(30, 3)})
+	stacks.PushLevel(1, []synthetic.Node{node(90, 4)})
+	stacks.PushLevel(3, []synthetic.Node{node(80, 5)})
+	stacks.PushLevel(3, []synthetic.Node{node(25, 6)})
+	stacks.PushLevel(3, []synthetic.Node{node(7, 7), node(6, 8), node(5, 9)})
 	return &simd.Snapshot[synthetic.Node]{
 		Cycle:          17,
-		Stacks:         []*stack.Stack[synthetic.Node]{s0, s1, s2, s3},
+		Stacks:         stacks,
 		MatcherPointer: 2,
 		Ledger: simd.Ledger{
 			InitDone:     true,
@@ -118,10 +120,10 @@ func TestRoundTrip(t *testing.T) {
 		snap.EstLB != want.EstLB || snap.PhaseCycles != want.PhaseCycles {
 		t.Errorf("snapshot fields mismatch: %+v", snap)
 	}
-	for i := range want.Stacks {
-		if snap.Stacks[i].Size() != want.Stacks[i].Size() || snap.Stacks[i].Depth() != want.Stacks[i].Depth() {
+	for i := 0; i < want.Stacks.P(); i++ {
+		if snap.Stacks.Size(i) != want.Stacks.Size(i) || snap.Stacks.Depth(i) != want.Stacks.Depth(i) {
 			t.Errorf("stack %d: size %d depth %d, want %d/%d", i,
-				snap.Stacks[i].Size(), snap.Stacks[i].Depth(), want.Stacks[i].Size(), want.Stacks[i].Depth())
+				snap.Stacks.Size(i), snap.Stacks.Depth(i), want.Stacks.Size(i), want.Stacks.Depth(i))
 		}
 	}
 }
@@ -184,10 +186,11 @@ func TestDecodeErrors(t *testing.T) {
 func TestDecodeRejectsNonCanonicalPayload(t *testing.T) {
 	codec := wire.SyntheticCodec{}
 	snap := &simd.Snapshot[synthetic.Node]{
-		Stacks:         []*stack.Stack[synthetic.Node]{stack.New(synthetic.Node{Budget: 11, Seed: 1})},
+		Stacks:         stack.NewArena[synthetic.Node](1),
 		MatcherPointer: -1,
 		Ledger:         simd.Ledger{Stats: metrics.Stats{P: 1}},
 	}
+	snap.Stacks.PushLevel(0, []synthetic.Node{{Budget: 11, Seed: 1}})
 	valid, err := Encode[synthetic.Node](codec, Meta{Domain: "syn", Scheme: "GP", Topology: "ring"}, snap)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +199,7 @@ func TestDecodeRejectsNonCanonicalPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The one stack blob: length 11 | levels 1 | nodes 1 | budget 22 | seed.
-	payload := wire.EncodeStack[synthetic.Node](codec, snap.Stacks[0])
+	payload := wire.EncodeArena[synthetic.Node](nil, codec, snap.Stacks, 0)
 	blob := bytes.Index(valid, append([]byte{byte(len(payload))}, payload...))
 	if blob < 0 {
 		t.Fatalf("no stack blob in the %d-byte sample", len(valid))
@@ -231,18 +234,26 @@ func TestDecodeRejectsNonCanonicalPayload(t *testing.T) {
 	}
 }
 
+// uniformSnapshot is a P-stack snapshot with a one-node level under a
+// two-node level on every PE.
+func uniformSnapshot(p int) *simd.Snapshot[synthetic.Node] {
+	snap := &simd.Snapshot[synthetic.Node]{
+		Stacks: stack.NewArena[synthetic.Node](p), MatcherPointer: -1, Ledger: simd.Ledger{Stats: metrics.Stats{P: p}},
+	}
+	for i := 0; i < p; i++ {
+		snap.Stacks.PushLevel(i, []synthetic.Node{{Budget: int64(i), Seed: uint64(i)}})
+		snap.Stacks.PushLevel(i, []synthetic.Node{{Budget: 5, Seed: 3}, {Budget: 9, Seed: 4}})
+	}
+	return snap
+}
+
 // TestEncodeAllocsDoNotScaleWithP guards the single scratch every stack is
 // framed through: a P=1024 snapshot encodes in a handful of buffer growths,
 // not an allocation per PE (20 is what the pooled buffer this replaced
 // measured on the same snapshot).
 func TestEncodeAllocsDoNotScaleWithP(t *testing.T) {
 	const p = 1024
-	snap := &simd.Snapshot[synthetic.Node]{MatcherPointer: -1, Ledger: simd.Ledger{Stats: metrics.Stats{P: p}}}
-	for i := 0; i < p; i++ {
-		s := stack.New(synthetic.Node{Budget: int64(i), Seed: uint64(i)})
-		s.PushLevel([]synthetic.Node{{Budget: 5, Seed: 3}, {Budget: 9, Seed: 4}})
-		snap.Stacks = append(snap.Stacks, s)
-	}
+	snap := uniformSnapshot(p)
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := Encode[synthetic.Node](wire.SyntheticCodec{}, sampleMeta, snap); err != nil {
 			t.Fatal(err)
@@ -250,6 +261,85 @@ func TestEncodeAllocsDoNotScaleWithP(t *testing.T) {
 	})
 	if allocs > 20 {
 		t.Errorf("Encode of a P=%d snapshot allocates %v times, want <= 20", p, allocs)
+	}
+}
+
+// perRun returns the objects and bytes one call of f allocates, averaged
+// over runs calls after a warm-up one.
+func perRun(runs int, f func()) (objects, bytes float64) {
+	var before, after runtime.MemStats
+	f()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestDecodeAllocsBelowStackForm is Encode's twin for the way back: Decode
+// reads every payload through one scratch into a PE sized to it, so a
+// decoded snapshot costs the payload blobs and the arena and nothing else.
+// The bounds are what the commit before measured on the same checkpoints,
+// when each payload became a Stack of its own (a nodes slice, a Stack and a
+// growing level list per PE) on its way to the arena.
+func TestDecodeAllocsBelowStackForm(t *testing.T) {
+	for _, c := range []struct {
+		p              int
+		objects, bytes float64
+	}{{64, 393, 15688}, {4096, 24585, 950858}} {
+		blob, err := Encode[synthetic.Node](wire.SyntheticCodec{}, sampleMeta, uniformSnapshot(c.p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		objects, bytes := perRun(20, func() {
+			if _, _, err := Decode[synthetic.Node](wire.SyntheticCodec{}, blob); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("P=%d: Decode allocates %.0f objects, %.0f bytes (the Stack form: %.0f, %.0f)", c.p, objects, bytes, c.objects, c.bytes)
+		if objects > c.objects || bytes > c.bytes {
+			t.Errorf("P=%d: Decode allocates %.0f objects, %.0f bytes; want at most %.0f, %.0f", c.p, objects, bytes, c.objects, c.bytes)
+		}
+	}
+}
+
+// TestSnapshotAllocsBelowStackForm is the same bound on Machine.Snapshot,
+// sixty cycles into a GP-DK run that has spread over the machine: a clone
+// is at most a node buffer and a level table per busy PE, sized to the
+// live window.  The commit before allocated a Stack, a level list and a
+// slice per level for each.
+func TestSnapshotAllocsBelowStackForm(t *testing.T) {
+	for _, c := range []struct {
+		p              int
+		objects, bytes float64
+	}{{64, 723, 38840}, {4096, 28297, 1277205}} {
+		sch, err := simd.ParseScheme[synthetic.Node]("GP-DK")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		m, err := simd.NewMachine[synthetic.Node](synthetic.New(2_000_000, 3), sch, simd.Options{
+			P: c.p, ProgressEvery: 1, Progress: func(pi simd.ProgressInfo) {
+				if pi.Cycles >= 60 {
+					cancel()
+				}
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err := m.RunContext(ctx); !errors.Is(err, context.Canceled) || st.Cycles != 60 {
+			t.Fatalf("P=%d: run stopped at cycle %d with %v, want a cancel at 60", c.p, st.Cycles, err)
+		}
+		objects, bytes := perRun(20, func() {
+			if _, err := m.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("P=%d: Snapshot allocates %.0f objects, %.0f bytes (the Stack form: %.0f, %.0f)", c.p, objects, bytes, c.objects, c.bytes)
+		if objects > c.objects || bytes > c.bytes {
+			t.Errorf("P=%d: Snapshot allocates %.0f objects, %.0f bytes; want at most %.0f, %.0f", c.p, objects, bytes, c.objects, c.bytes)
+		}
 	}
 }
 

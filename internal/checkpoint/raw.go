@@ -20,7 +20,7 @@ import (
 type RawSnapshot struct {
 	// Cycle is the number of completed expansion cycles (== Stats.Cycles).
 	Cycle int
-	// Stacks holds one wire.EncodeStack payload per PE.
+	// Stacks holds one wire.EncodeArena payload per PE.
 	Stacks [][]byte
 	// MatcherPointer is the GP global pointer (-1 when parked).
 	MatcherPointer int

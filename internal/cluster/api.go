@@ -136,12 +136,9 @@ func (c *Coordinator) call(ctx context.Context, method, url, contentType string,
 // refusedError is a node's own refusal of a submission or an import: the
 // status, error string and Retry-After it answered with, so submitOne
 // can tell the client exactly what the node said.
-type refusedError struct {
-	server.Refusal
-	body string // the node's answer as sent, for the coordinator's own records
-}
+type refusedError struct{ server.Refusal }
 
-func (e *refusedError) Error() string { return fmt.Sprintf("node answered %d: %s", e.Code, e.body) }
+func (e *refusedError) Error() string { return fmt.Sprintf("node answered %d: %s", e.Code, e.Message) }
 
 // refusalOf returns the node's answer inside err, nil when err is a
 // transport failure (or nil).
@@ -163,12 +160,7 @@ func (c *Coordinator) callJob(ctx context.Context, url, contentType string, body
 		return nodeJob{}, nil, err
 	}
 	if code != http.StatusAccepted && code != http.StatusOK {
-		re := &refusedError{body: truncateForErr(raw)}
-		re.Code, re.Message = code, re.body
-		var doc map[string]string
-		if json.Unmarshal(raw, &doc) == nil && doc["error"] != "" {
-			re.Message = doc["error"]
-		}
+		re := &refusedError{server.Refusal{Code: code, Message: server.ReadError(raw)}}
 		if n, err := strconv.Atoi(hdr.Get("Retry-After")); err == nil {
 			re.RetryAfter = n
 		}
@@ -479,14 +471,4 @@ func readBounded(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("cluster: node response exceeds %d bytes", maxNodeResponse)
 	}
 	return b, nil
-}
-
-// truncateForErr keeps error messages readable when a node answers with
-// a large body.
-func truncateForErr(b []byte) string {
-	const max = 256
-	if len(b) > max {
-		return string(b[:max]) + "..."
-	}
-	return string(b)
 }

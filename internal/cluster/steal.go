@@ -197,7 +197,7 @@ func (c *Coordinator) donate(ctx context.Context, donor, nodeJobID string) ([]by
 		return nil, err
 	}
 	if code != http.StatusOK {
-		return nil, fmt.Errorf("donate: node answered %d: %s", code, truncateForErr(body))
+		return nil, fmt.Errorf("donate: node answered %d: %s", code, server.ReadError(body))
 	}
 	if _, err := checkpoint.Peek(body); err != nil {
 		return nil, fmt.Errorf("donate: node sent an invalid checkpoint: %v", err)

@@ -97,29 +97,29 @@ const (
 	evReply                   // reply (possibly with work) arrives at pe
 )
 
-// event is a simulator occurrence ordered by virtual time.
-type event[S any] struct {
+// event is a simulator occurrence ordered by virtual time.  A reply carries
+// no payload: the work it delivers waits in the requester's parking slot.
+type event struct {
 	at   time.Duration
 	kind eventKind
 	pe   int // processor the event happens on
 	from int // requester, for steal requests
-	work *stack.Stack[S]
 	seq  int // FIFO tie-break for determinism
 }
 
 // eventQueue is a deterministic min-heap over (at, seq).
-type eventQueue[S any] []*event[S]
+type eventQueue []*event
 
-func (q eventQueue[S]) Len() int { return len(q) }
-func (q eventQueue[S]) Less(i, j int) bool {
+func (q eventQueue) Len() int { return len(q) }
+func (q eventQueue) Less(i, j int) bool {
 	if q[i].at != q[j].at {
 		return q[i].at < q[j].at
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue[S]) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue[S]) Push(x any)   { *q = append(*q, x.(*event[S])) }
-func (q *eventQueue[S]) Pop() any {
+func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
+func (q *eventQueue) Pop() any {
 	old := *q
 	n := len(old)
 	e := old[n-1]
@@ -169,7 +169,7 @@ func Run[S any](d search.Domain[S], opts Options) (Stats, error) {
 		ucalc:    ucalc,
 		latency:  latency,
 		pes:      make([]peState, opts.P),
-		arena:    stack.NewArena[S](opts.P + 1),
+		arena:    stack.NewArena[S](2 * opts.P),
 		rngState: opts.Seed ^ 0x9e3779b97f4a7c15,
 		splitter: stack.HalfStack[S]{},
 	}
@@ -180,7 +180,7 @@ func Run[S any](d search.Domain[S], opts Options) (Stats, error) {
 	}
 	sim.arena.PushLevel(0, []S{d.Root()})
 	sim.pes[0].busy = true
-	sim.schedule(&event[S]{at: ucalc, kind: evExpand, pe: 0})
+	sim.schedule(&event{at: ucalc, kind: evExpand, pe: 0})
 	// Every other processor starts idle and immediately begins polling.
 	for i := 1; i < opts.P; i++ {
 		sim.goIdle(i)
@@ -194,24 +194,23 @@ func Run[S any](d search.Domain[S], opts Options) (Stats, error) {
 }
 
 type simulator[S any] struct {
-	d            search.Domain[S]
-	opts         Options
-	ucalc        time.Duration
-	latency      time.Duration
-	pes          []peState
-	arena        *stack.Arena[S] // PEs 0..P-1, plus slot P as the split scratch
-	queue        eventQueue[S]
-	seq          int
-	now          time.Duration
-	grr          int
-	rngState     uint64
-	stats        Stats
-	splitter     stack.Splitter[S]
-	workInFlight int // replies carrying work that are still travelling
-	buf          []S
+	d        search.Domain[S]
+	opts     Options
+	ucalc    time.Duration
+	latency  time.Duration
+	pes      []peState
+	arena    *stack.Arena[S] // PEs 0..P-1; slot P+i parks the work of the reply travelling to PE i
+	queue    eventQueue
+	seq      int
+	now      time.Duration
+	grr      int
+	rngState uint64
+	stats    Stats
+	splitter stack.Splitter[S]
+	buf      []S
 }
 
-func (s *simulator[S]) schedule(e *event[S]) {
+func (s *simulator[S]) schedule(e *event) {
 	e.seq = s.seq
 	s.seq++
 	heap.Push(&s.queue, e)
@@ -224,7 +223,7 @@ func (s *simulator[S]) run() error {
 			return fmt.Errorf("mimd: exceeded MaxEvents=%d", s.opts.MaxEvents)
 		}
 		events++
-		e := heap.Pop(&s.queue).(*event[S])
+		e := heap.Pop(&s.queue).(*event)
 		s.now = e.at
 		switch e.kind {
 		case evExpand:
@@ -232,7 +231,7 @@ func (s *simulator[S]) run() error {
 		case evSteal:
 			s.handleSteal(e.pe, e.from)
 		case evReply:
-			s.handleReply(e.pe, e.work)
+			s.handleReply(e.pe)
 		}
 	}
 	return nil
@@ -261,15 +260,14 @@ func (s *simulator[S]) handleExpand(pe int) {
 		s.stats.PeakStack = sz
 	}
 	if !a.Empty(pe) {
-		s.schedule(&event[S]{at: s.now + s.ucalc, kind: evExpand, pe: pe})
+		s.schedule(&event{at: s.now + s.ucalc, kind: evExpand, pe: pe})
 		return
 	}
 	st.busy = false
 	s.goIdle(pe)
 }
 
-// goIdle marks pe idle and, if work exists (or is in flight) anywhere,
-// sends a steal request.
+// goIdle marks pe idle and, if work exists anywhere, sends a steal request.
 func (s *simulator[S]) goIdle(pe int) {
 	st := &s.pes[pe]
 	if !st.stealing {
@@ -282,14 +280,15 @@ func (s *simulator[S]) goIdle(pe int) {
 	}
 	st.stealing = true
 	s.stats.StealAttempts++
-	s.schedule(&event[S]{at: s.now + s.latency, kind: evSteal, pe: victim, from: pe})
+	s.schedule(&event{at: s.now + s.latency, kind: evSteal, pe: victim, from: pe})
 }
 
 // pickVictim returns the next steal target for pe, or -1 when no work
 // exists anywhere (termination for this processor).  Only a processor
-// whose own stack is empty asks, so "anywhere" is the whole arena.
+// whose own stack is empty asks, so "anywhere" is the whole arena — the
+// parking slots included, which is how work in flight counts.
 func (s *simulator[S]) pickVictim(pe int) int {
-	if s.workInFlight == 0 && s.arena.NoWork() {
+	if s.arena.NoWork() {
 		return -1
 	}
 	for {
@@ -313,38 +312,36 @@ func (s *simulator[S]) pickVictim(pe int) int {
 // handleSteal processes a steal request arriving at victim from requester
 // and sends back a reply, with work when the victim can split.
 func (s *simulator[S]) handleSteal(victim, requester int) {
-	a, scratch := s.arena, s.opts.P
-	e := &event[S]{at: s.now + s.latency, kind: evReply, pe: requester}
+	a, parked := s.arena, s.opts.P+requester
 	if a.Splittable(victim) {
-		// Split into the scratch slot, then lift the donated half out of
-		// the arena as the reply's payload.
-		s.splitter.SplitArena(a, victim, scratch)
+		// Split into the requester's parking slot (empty: a processor has
+		// one request outstanding), where the donated half rides out the
+		// reply's latency.
+		n := s.splitter.SplitArena(a, victim, parked)
 		a.SyncBits(victim)
-		e.work = a.MaterializeStack(scratch)
-		a.Clear(scratch)
+		a.SyncBits(parked)
 		s.stats.StealSuccesses++
 		s.stats.Transfers++
-		s.workInFlight++
-		if n := e.work.Size(); n > s.stats.MaxTransfer {
+		if n > s.stats.MaxTransfer {
 			s.stats.MaxTransfer = n
 		}
 	}
-	s.schedule(e)
+	s.schedule(&event{at: s.now + s.latency, kind: evReply, pe: requester})
 }
 
-// handleReply delivers a steal reply (with or without work) to pe.
-func (s *simulator[S]) handleReply(pe int, w *stack.Stack[S]) {
+// handleReply delivers a steal reply to pe, with whatever work its parking
+// slot holds: the same level pushes the split made, one hop on.
+func (s *simulator[S]) handleReply(pe int) {
 	st := &s.pes[pe]
-	if w != nil {
-		s.workInFlight--
-		s.arena.AppendFromStack(pe, w)
-	}
-	if !s.arena.Empty(pe) {
+	a, parked := s.arena, s.opts.P+pe
+	a.ForEachLevel(parked, func(lv []S) { a.PushLevel(pe, lv) })
+	a.Clear(parked)
+	if !a.Empty(pe) {
 		// The idle period ends now; charge it.
 		s.stats.Tidle += s.now - st.idleFrom
 		st.stealing = false
 		st.busy = true
-		s.schedule(&event[S]{at: s.now + s.ucalc, kind: evExpand, pe: pe})
+		s.schedule(&event{at: s.now + s.ucalc, kind: evExpand, pe: pe})
 		return
 	}
 	// Rejected: try the next victim.

@@ -68,8 +68,9 @@ func TestDeterminism(t *testing.T) {
 // TestMIMDStatsPinned pins every schedule-visible statistic of the
 // simulator on a grid covering all three policies, P=1 and trees from 500
 // to 200 000 nodes.  The values were recorded on the commit before the
-// simulator moved from per-PE stack.Stack values onto stack.Arena; they
-// must not move when the stack representation does.
+// simulator moved from per-PE slice-of-levels stacks onto stack.Arena; they
+// must not move when the stack representation does — nor when a reply's
+// work parks in arena slot P+requester instead of riding on the event.
 func TestMIMDStatsPinned(t *testing.T) {
 	golden := []struct {
 		w                                      int64

@@ -396,11 +396,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		refusal.Apply(w)
 		return
 	}
-	if h.Terminal() {
-		WriteJSON(w, http.StatusOK, renderJob(h.j.view()))
-		return
+	// One view decides both: 202 exactly when the status it carries is not
+	// final (a cache hit, or a job a free worker already finished, is 200).
+	v, code := h.j.view(), http.StatusAccepted
+	if v.Status.terminal() {
+		code = http.StatusOK
 	}
-	WriteJSON(w, http.StatusAccepted, renderJob(h.j.view()))
+	WriteJSON(w, code, renderJob(v))
 }
 
 // handleGet implements GET /v1/jobs/{id}.

@@ -105,11 +105,14 @@ func bigSyntheticSpec(extra string) string {
 func TestSubmitPollDone(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 2})
 	j, code := postJob(t, ts, queensSpec)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit status %d, want 202", code)
-	}
-	if j.Status != StatusQueued {
-		t.Errorf("fresh job status %q, want queued", j.Status)
+	// The contract of a 202 is "not finished yet", not "not started yet": a
+	// free worker may have dequeued the job before the response rendered —
+	// or, a 7-queens run being what it is, finished it, which is a 200.
+	switch {
+	case code == http.StatusAccepted && (j.Status == StatusQueued || j.Status == StatusRunning):
+	case code == http.StatusOK && j.Status == StatusDone && !j.CacheHit:
+	default:
+		t.Fatalf("fresh job answered %d with status %q (cache hit %v); want 202 and queued or running, or 200 and done", code, j.Status, j.CacheHit)
 	}
 	fin := waitTerminal(t, ts, j.ID)
 	if fin.Status != StatusDone {

@@ -274,16 +274,7 @@ func (c *ShardClient) do(ctx context.Context, method, rest, contentType string, 
 		return nil, err
 	}
 	if code != http.StatusOK && code != http.StatusNoContent {
-		var e struct {
-			Error string `json:"error"`
-		}
-		msg := string(resp)
-		if json.Unmarshal(resp, &e) == nil && e.Error != "" {
-			msg = e.Error
-		} else if len(msg) > 200 {
-			msg = msg[:200]
-		}
-		return nil, fmt.Errorf("server: node answered %d: %s", code, msg)
+		return nil, fmt.Errorf("server: node answered %d: %s", code, ReadError(resp))
 	}
 	return resp, nil
 }

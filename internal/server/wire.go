@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -28,15 +30,47 @@ import (
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
+	encodeJSON(w, v)
+}
+
+func encodeJSON(w io.Writer, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	// An encode failure here means the client went away; nothing to do.
 	_ = enc.Encode(v) //lint:allow errdrop response writer errors are unreportable
 }
 
-// WriteError answers with the API's one error body, {"error": msg}.
+// ErrorBody renders the API's one error body, {"error": msg}, exactly as
+// WriteError sends it.
+func ErrorBody(msg string) []byte {
+	var b bytes.Buffer
+	encodeJSON(&b, map[string]string{"error": msg})
+	return b.Bytes()
+}
+
+// WriteError answers with the API's one error body.
 func WriteError(w http.ResponseWriter, code int, msg string) {
-	WriteJSON(w, code, map[string]string{"error": msg})
+	WriteRaw(w, code, ErrorBody(msg))
+}
+
+const maxErrorMessage = 512
+
+// ReadError is WriteError's inverse, for whoever calls a node: the message
+// of an {"error": msg} body, or, of a body that is not one (a proxy's page,
+// a cut-off answer), the body itself — either way at most maxErrorMessage
+// bytes of it, so a large answer stays a readable error.
+func ReadError(body []byte) string {
+	var e struct {
+		Error string `json:"error"`
+	}
+	msg := string(body)
+	if json.Unmarshal(body, &e) == nil && e.Error != "" {
+		msg = e.Error
+	}
+	if len(msg) > maxErrorMessage {
+		msg = msg[:maxErrorMessage] + "..."
+	}
+	return msg
 }
 
 // WriteRaw answers with pre-rendered JSON bytes unmodified — the collapse

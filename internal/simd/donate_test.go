@@ -6,6 +6,7 @@ import (
 
 	"simdtree/internal/stack"
 	"simdtree/internal/synthetic"
+	"simdtree/internal/wire"
 )
 
 // donorMachine builds a 4-PE machine at a cycle boundary with a
@@ -22,33 +23,41 @@ func donorMachine(t *testing.T, sp stack.Splitter[synthetic.Node]) *Machine[synt
 		t.Fatal(err)
 	}
 	node := func(i int) synthetic.Node { return synthetic.Node{Budget: int64(10 + i), Seed: uint64(i)} }
-	s := stack.New(node(0), node(1), node(2), node(3))
-	s.PushLevel([]synthetic.Node{node(4), node(5)})
-	s.PushLevel([]synthetic.Node{node(6)})
-	if err := m.InstallStack(0, s); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.InstallStack(2, stack.New(node(7))); err != nil {
-		t.Fatal(err)
-	}
+	a := m.Arena()
+	a.Clear(0) // the root NewMachine seeded
+	a.PushLevel(0, []synthetic.Node{node(0), node(1), node(2), node(3)})
+	a.PushLevel(0, []synthetic.Node{node(4), node(5)})
+	a.PushLevel(0, []synthetic.Node{node(6)})
+	a.PushLevel(2, []synthetic.Node{node(7)})
 	return m
 }
 
-// levelsOf returns a stack's levels as copies.
-func levelsOf(s *stack.Stack[synthetic.Node]) (out [][]synthetic.Node) {
-	s.ForEachLevel(func(lv []synthetic.Node) { out = append(out, append([]synthetic.Node(nil), lv...)) })
+// levelsOf returns the levels of PE pe's stack as copies.
+func levelsOf(m *Machine[synthetic.Node], pe int) (out [][]synthetic.Node) {
+	m.Arena().ForEachLevel(pe, func(lv []synthetic.Node) { out = append(out, append([]synthetic.Node(nil), lv...)) })
 	return out
 }
 
-// TestDonateIsTheLocalTransfer pins the claim Donate's byte-identity rests
-// on: for every splitter, the donation lifted out of the donor machine and
-// the donor's remainder are exactly what TransferLocal leaves on the
-// receiver and the donor of a twin machine — and the donor machine's
-// receiver slot is empty again afterwards, flags included.
+// allLevels is levelsOf for every PE of a donorMachine.
+func allLevels(m *Machine[synthetic.Node]) (out [][][]synthetic.Node) {
+	for pe := 0; pe < 4; pe++ {
+		out = append(out, levelsOf(m, pe))
+	}
+	return out
+}
+
+// TestDonateIsTheLocalTransfer pins the claim a donation's byte-identity
+// rests on: for every splitter, what the shard host lifts out of the donor
+// machine — the split into the idle target slot, encoded and cleared — and
+// a peer machine decodes into its own PE, and the donor's remainder, are
+// exactly what TransferLocal leaves on the receiver and the donor of a twin
+// machine — and the donor machine's receiver slot is empty again
+// afterwards, flags included.
 func TestDonateIsTheLocalTransfer(t *testing.T) {
 	splitters := []stack.Splitter[synthetic.Node]{
 		stack.BottomNode[synthetic.Node]{}, stack.HalfStack[synthetic.Node]{}, stack.TopNode[synthetic.Node]{},
 	}
+	codec := wire.SyntheticCodec{}
 	for _, sp := range splitters {
 		twin := donorMachine(t, sp)
 		moved, err := twin.TransferLocal(0, 1)
@@ -57,32 +66,40 @@ func TestDonateIsTheLocalTransfer(t *testing.T) {
 		}
 
 		m := donorMachine(t, sp)
-		d, err := m.Donate(7, 0, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", sp.Name(), err)
+		a := m.Arena()
+		if n, err := m.TransferLocal(0, 1); err != nil || n != moved {
+			t.Fatalf("%s: split into the slot moved %d, err %v, want %d", sp.Name(), n, err, moved)
 		}
-		if d.ID != 7 || d.From != 0 || d.To != 1 || d.Stack.Size() != moved {
-			t.Fatalf("%s: donation %d %d->%d of %d nodes, want 7 0->1 of %d", sp.Name(), d.ID, d.From, d.To, d.Stack.Size(), moved)
+		payload := wire.EncodeArena[synthetic.Node](nil, codec, a, 1)
+		a.Clear(1)
+
+		peer := donorMachine(t, sp)
+		dec := wire.ArenaDecoder[synthetic.Node]{Codec: codec}
+		if n, err := dec.Decode(payload, peer.Arena(), 1); err != nil || n != moved {
+			t.Fatalf("%s: peer absorbed %d nodes, err %v, want %d", sp.Name(), n, err, moved)
 		}
-		if got, want := levelsOf(d.Stack), levelsOf(twin.StackAt(1)); !reflect.DeepEqual(got, want) {
+		if got, want := levelsOf(peer, 1), levelsOf(twin, 1); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: donated levels %v, local transfer delivered %v", sp.Name(), got, want)
 		}
-		if got, want := levelsOf(m.StackAt(0)), levelsOf(twin.StackAt(0)); !reflect.DeepEqual(got, want) {
+		if got, want := levelsOf(m, 0), levelsOf(twin, 0); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: donor remainder %v, local transfer left %v", sp.Name(), got, want)
 		}
-		a := m.Arena()
 		if !a.Empty(1) || a.WorkBits().Get(1) || a.SplitBits().Get(1) {
 			t.Errorf("%s: receiver slot not empty on the donor machine after the lift (%d nodes)", sp.Name(), a.Size(1))
 		}
 		if a.SplitBits().Get(0) != a.Splittable(0) || !a.WorkBits().Get(0) {
 			t.Errorf("%s: donor flags stale after the donation", sp.Name())
 		}
+		if pa := peer.Arena(); !pa.WorkBits().Get(1) || pa.SplitBits().Get(1) != (moved >= 2) {
+			t.Errorf("%s: receiver flags stale after the absorb", sp.Name())
+		}
 	}
 }
 
-// TestDonateRefusesBadTarget checks the classified refusals: an occupied
-// receiver slot, an out-of-range receiver and an out-of-range donor are
-// errors, and each leaves every stack of the machine exactly as it was.
+// TestDonateRefusesBadTarget checks the classified refusals of the split
+// into a slot: an occupied receiver slot, an out-of-range receiver and an
+// out-of-range donor are errors, and each leaves every stack of the machine
+// exactly as it was.
 func TestDonateRefusesBadTarget(t *testing.T) {
 	for _, c := range []struct {
 		name     string
@@ -95,42 +112,32 @@ func TestDonateRefusesBadTarget(t *testing.T) {
 		{"donor past P", 4, 1},
 	} {
 		m := donorMachine(t, stack.BottomNode[synthetic.Node]{})
-		var before [][][]synthetic.Node
-		for pe := 0; pe < 4; pe++ {
-			before = append(before, levelsOf(m.StackAt(pe)))
+		before := allLevels(m)
+		if n, err := m.TransferLocal(c.from, c.to); err == nil {
+			t.Errorf("%s: TransferLocal(%d->%d) succeeded with %d nodes", c.name, c.from, c.to, n)
 		}
-		d, err := m.Donate(1, c.from, c.to)
-		if err == nil {
-			t.Errorf("%s: Donate(%d->%d) succeeded with %d nodes", c.name, c.from, c.to, d.Stack.Size())
-		}
-		for pe := 0; pe < 4; pe++ {
-			if got := levelsOf(m.StackAt(pe)); !reflect.DeepEqual(got, before[pe]) {
-				t.Errorf("%s: refused donation changed PE %d: %v -> %v", c.name, pe, before[pe], got)
-			}
+		if got := allLevels(m); !reflect.DeepEqual(got, before) {
+			t.Errorf("%s: refused donation changed the stacks: %v -> %v", c.name, before, got)
 		}
 	}
 }
 
 // TestDonateUnsplittableDonor: a donor with a single node keeps it and
-// hands back an empty donation without error.
+// leaves the target slot empty, without error.
 func TestDonateUnsplittableDonor(t *testing.T) {
 	m := donorMachine(t, stack.BottomNode[synthetic.Node]{})
-	d, err := m.Donate(1, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Stack == nil || d.Stack.Size() != 0 {
-		t.Errorf("unsplittable donor donated %v", d.Stack)
+	if n, err := m.TransferLocal(2, 3); err != nil || n != 0 {
+		t.Fatalf("unsplittable donor moved %d nodes, err %v", n, err)
 	}
 	if m.Arena().Size(2) != 1 || !m.Arena().Empty(3) {
 		t.Errorf("unsplittable donation moved work: donor %d, target %d", m.Arena().Size(2), m.Arena().Size(3))
 	}
 }
 
-// TestTransferLocalRefusesBusyReceiver: a driven transfer, like Absorb,
-// needs an idle receiver.  Onto a busy PE — the donor itself included,
-// which used to move its bottom node to its own top and report "moved 1"
-// — it is an error that leaves every stack in its exact order.
+// TestTransferLocalRefusesBusyReceiver: a driven transfer, like the shard
+// host's absorb, needs an idle receiver.  Onto a busy PE — the donor itself
+// included, which used to move its bottom node to its own top and report
+// "moved 1" — it is an error that leaves every stack in its exact order.
 func TestTransferLocalRefusesBusyReceiver(t *testing.T) {
 	splitters := []stack.Splitter[synthetic.Node]{
 		stack.BottomNode[synthetic.Node]{}, stack.HalfStack[synthetic.Node]{}, stack.TopNode[synthetic.Node]{},
@@ -138,17 +145,12 @@ func TestTransferLocalRefusesBusyReceiver(t *testing.T) {
 	for _, sp := range splitters {
 		for _, to := range []int{0, 2} {
 			m := donorMachine(t, sp)
-			var before [][][]synthetic.Node
-			for pe := 0; pe < 4; pe++ {
-				before = append(before, levelsOf(m.StackAt(pe)))
-			}
+			before := allLevels(m)
 			if moved, err := m.TransferLocal(0, to); err == nil {
 				t.Errorf("%s: TransferLocal(0->%d) onto a busy PE moved %d nodes without error", sp.Name(), to, moved)
 			}
-			for pe := 0; pe < 4; pe++ {
-				if got := levelsOf(m.StackAt(pe)); !reflect.DeepEqual(got, before[pe]) {
-					t.Errorf("%s: refused transfer 0->%d changed PE %d: %v -> %v", sp.Name(), to, pe, before[pe], got)
-				}
+			if got := allLevels(m); !reflect.DeepEqual(got, before) {
+				t.Errorf("%s: refused transfer 0->%d changed the stacks: %v -> %v", sp.Name(), to, before, got)
 			}
 		}
 	}

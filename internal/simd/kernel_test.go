@@ -205,11 +205,9 @@ func TestFailedRestoreLeavesDonorAlone(t *testing.T) {
 				t.Fatal(err)
 			}
 			for pe := 0; pe < busy; pe++ {
-				s := stack.New(leaf, leaf, leaf)
-				s.PushLevel([]synthetic.Node{leaf, leaf, leaf})
-				s.PushLevel([]synthetic.Node{leaf, leaf, leaf})
-				if err := m.InstallStack(pe, s); err != nil {
-					t.Fatal(err)
+				m.Arena().Clear(pe)
+				for l := 0; l < 3; l++ {
+					m.Arena().PushLevel(pe, []synthetic.Node{leaf, leaf, leaf})
 				}
 			}
 			sp := &failingSpiller{}

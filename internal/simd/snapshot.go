@@ -23,8 +23,8 @@ type Snapshot[S any] struct {
 	// Cycle is the number of completed expansion cycles (== Stats.Cycles).
 	Cycle int
 	// Stacks holds one DFS stack per processing element, level structure
-	// preserved.
-	Stacks []*stack.Stack[S]
+	// preserved: a clone of the machine's arena, every PE fully resident.
+	Stacks *stack.Arena[S]
 	// MatcherPointer is the GP global pointer (-1 when parked); it is
 	// ignored for the stateless nGP matcher.
 	MatcherPointer int
@@ -88,15 +88,12 @@ func (m *Machine[S]) Snapshot() (*Snapshot[S], error) {
 	}
 	snap := &Snapshot[S]{
 		Cycle:          m.sched.Stats.Cycles,
-		Stacks:         make([]*stack.Stack[S], m.opts.P),
+		Stacks:         m.arena.Clone(),
 		MatcherPointer: ptr,
 		Ledger:         m.sched.Ledger,
 		Trace:          m.opts.Trace.Clone(),
 	}
 	snap.Stats.Cancelled = false
-	for i := range snap.Stacks {
-		snap.Stacks[i] = m.arena.MaterializeStack(i)
-	}
 	if st, ok := m.d.(search.Stateful); ok {
 		snap.DomainState = st.SaveState()
 	}
@@ -113,8 +110,8 @@ func (m *Machine[S]) RestoreSnapshot(snap *Snapshot[S]) error {
 	if snap == nil {
 		return errors.New("simd: nil snapshot")
 	}
-	if len(snap.Stacks) != m.opts.P {
-		return fmt.Errorf("simd: snapshot has %d stacks, machine has P=%d", len(snap.Stacks), m.opts.P)
+	if snap.Stacks == nil || snap.Stacks.P() != m.opts.P {
+		return fmt.Errorf("simd: snapshot stacks do not match the machine's P=%d", m.opts.P)
 	}
 	if snap.Stats.P != m.opts.P {
 		return fmt.Errorf("simd: snapshot stats are for P=%d, machine has P=%d", snap.Stats.P, m.opts.P)
@@ -131,8 +128,8 @@ func (m *Machine[S]) RestoreSnapshot(snap *Snapshot[S]) error {
 			return err
 		}
 	}
-	for i, s := range snap.Stacks {
-		m.arena.InstallFromStack(i, s)
+	for pe := 0; pe < m.opts.P; pe++ {
+		m.arena.CopyPE(pe, snap.Stacks, pe)
 	}
 	m.sched.Ledger = snap.Ledger
 	m.sched.Stats.Cancelled = false

@@ -123,7 +123,7 @@ func runResidency(t *testing.T, data []byte) Stats {
 			// is replaced wholesale.
 			must("Reset", mgr.Reset())
 			for pe := 0; pe < residencyPEs; pe++ {
-				a.InstallFromStack(pe, shadow.MaterializeStack(pe))
+				a.CopyPE(pe, shadow, pe)
 			}
 		}
 		for pe := 0; pe < residencyPEs; pe++ {

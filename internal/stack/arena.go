@@ -57,7 +57,7 @@ import "simdtree/internal/scan"
 // (resident + ghost), so evicting and restoring is invisible to the
 // search order; the record's size/depth/top/lvl state and the raw mutators
 // describe the resident window only.  Operations that need the whole
-// stack (RemoveBottom, ForEachLevel, MaterializeStack, the splitters) are
+// stack (RemoveBottom, ForEachLevel, CopyPE, the splitters) are
 // only valid on a fully resident PE; the engine faults evicted levels
 // back in before calling them.
 type Arena[S any] struct {
@@ -392,41 +392,49 @@ func (a *Arena[S]) ForEachLevel(pe int, f func(level []S)) {
 	a.ForEachBottomLevel(pe, a.ResidentDepth(pe), f)
 }
 
-// MaterializeStack returns a copy of PE pe's stack as a freshly allocated
-// Stack, level structure preserved.  Snapshots and donations use it to
-// cross the arena boundary into the Stack-based serialisation surface; it
-// allocates by design — hot transfers move nodes within the arena via
-// SplitArena.
-// The PE must be fully resident; the engine faults evicted levels back in
-// before materialising.
-func (a *Arena[S]) MaterializeStack(pe int) *Stack[S] {
-	s := &Stack[S]{}
-	a.ForEachLevel(pe, func(lv []S) { s.PushLevel(append([]S(nil), lv...)) })
-	return s
-}
-
-// InstallFromStack replaces PE pe's contents with a copy of s (nil clears
-// the PE).  The caller keeps ownership of s.
-func (a *Arena[S]) InstallFromStack(pe int, s *Stack[S]) {
-	a.clearRaw(pe)
-	if s != nil {
-		for _, lv := range s.levels {
-			a.pushLevelRaw(pe, lv)
-		}
-	}
-	a.SyncBits(pe)
-}
-
-// AppendFromStack copies s's levels above PE pe's current top, the
-// receiver install of a cross-machine donation: the same level pushes a
-// local SplitArena transfer performs.  The caller keeps ownership of s.
+// AppendLevels copies levels above PE pe's current top — the sibling of
+// PrependLevels at the other end of the window, and the install of a
+// decoded checkpoint or donation payload: the same level pushes a local
+// SplitArena transfer performs.  nodes holds the levels' nodes bottom level
+// first and counts the length of each level; the caller keeps ownership of
+// both slices.
 //
 //lint:hotpath
-func (a *Arena[S]) AppendFromStack(pe int, s *Stack[S]) {
-	for _, lv := range s.levels {
-		a.pushLevelRaw(pe, lv)
+func (a *Arena[S]) AppendLevels(pe int, nodes []S, counts []int) {
+	if p := &a.pes[pe]; p.buf == nil && len(nodes) > 0 {
+		// A PE that never held work is sized to what it is given, not to
+		// minArenaCap: a decoded snapshot is P such PEs, each read once.
+		//lint:allow hotalloc first install of a PE allocates its buffers, as its first push would
+		p.buf, p.lvl = make([]S, len(nodes)), make([]int32, len(counts)-1)
+	}
+	for _, n := range counts {
+		a.pushLevelRaw(pe, nodes[:n])
+		nodes = nodes[n:]
 	}
 	a.SyncBits(pe)
+}
+
+// CopyPE replaces PE to's contents with a deep copy of src's PE from, in
+// buffers sized exactly to the live window (none at all for an empty PE).
+// The source PE must be fully resident.
+func (a *Arena[S]) CopyPE(to int, src *Arena[S], from int) {
+	q := &src.pes[from]
+	a.pes[to] = pe[S]{
+		buf:  append([]S(nil), q.buf[q.head:q.head+q.size]...),
+		lvl:  append([]int32(nil), q.lvl[q.lvlLo:q.lvlLo+max(q.depth-1, 0)]...),
+		size: q.size, top: q.top, depth: q.depth,
+	}
+	a.SyncBits(to)
+}
+
+// Clone returns a deep copy of the arena, every PE as CopyPE leaves it: a
+// snapshot's stacks, detached from the machine they were taken from.
+func (a *Arena[S]) Clone() *Arena[S] {
+	c := NewArena[S](a.P())
+	for pe := range a.pes {
+		c.CopyPE(pe, a, pe)
+	}
+	return c
 }
 
 // ForEachBottomLevel calls f on the bottom k resident levels of PE pe in

@@ -105,14 +105,16 @@ func mutatorRuns[S comparable](seed int64, mk func(int) S, val func(S) int, mut 
 					a.Clear(x)
 					*m = nil
 				case 9: // install a fresh stack
-					s := &Stack[S]{}
+					var nodes []S
+					var counts []int
 					*m = nil
 					for l := rng.Intn(5); l > 0; l-- {
 						lv, vals := level(1 + rng.Intn(4))
-						s.PushLevel(lv)
+						nodes, counts = append(nodes, lv...), append(counts, len(lv))
 						m.push(vals)
 					}
-					a.InstallFromStack(x, s)
+					a.Clear(x)
+					a.AppendLevels(x, nodes, counts)
 				}
 			}
 

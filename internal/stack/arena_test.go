@@ -83,10 +83,20 @@ func (m *model) split(name string) model {
 	return model{{v}}
 }
 
-// modelOf copies a transport stack's levels into a model.
-func modelOf(s *Stack[int]) (m model) {
-	s.ForEachLevel(m.push)
-	return m
+// flat returns the model in the form AppendLevels and PrependLevels take:
+// the nodes bottom level first, and each level's length.
+func (m model) flat() (nodes, counts []int) {
+	for _, lv := range m {
+		nodes, counts = append(nodes, lv...), append(counts, len(lv))
+	}
+	return nodes, counts
+}
+
+// install replaces PE pe's contents with a copy of m.
+func (m model) install(a *Arena[int], pe int) {
+	nodes, counts := m.flat()
+	a.Clear(pe)
+	a.AppendLevels(pe, nodes, counts)
 }
 
 // checkBits verifies invariant 2: the has-work and can-split bits mirror
@@ -180,12 +190,12 @@ func TestArenaSplittersMatchSplitInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 500; trial++ {
 		for _, sp := range splitters {
-			src := buildRandom(rng)
-			if src.Size() < 2 {
+			want := buildRandom(rng)
+			if want.size() < 2 {
 				continue
 			}
 			a := NewArena[int](2)
-			a.InstallFromStack(0, src)
+			want.install(a, 0)
 			// Give the receiver pre-existing work half the time, so the
 			// append-above-top path is exercised too.
 			var wantRecv model
@@ -197,7 +207,6 @@ func TestArenaSplittersMatchSplitInto(t *testing.T) {
 			a.SyncBits(0)
 			a.SyncBits(1)
 
-			want := modelOf(src)
 			donated := want.split(sp.Name())
 			if moved != donated.size() {
 				t.Fatalf("%s: arena moved %d, model moved %d", sp.Name(), moved, donated.size())
@@ -216,43 +225,55 @@ func TestArenaSplittersMatchSplitInto(t *testing.T) {
 	}
 }
 
-// TestArenaInstallMaterializeRoundTrip checks Install → Materialize is the
+// TestArenaInstallMaterializeRoundTrip checks AppendLevels → Clone is the
 // identity on canonical level structure, and that neither direction
 // aliases storage across the arena boundary.
 func TestArenaInstallMaterializeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 100; trial++ {
-		s := buildRandom(rng)
-		want := modelOf(s)
+		want := buildRandom(rng)
+		nodes, counts := want.flat()
 		a := NewArena[int](1)
-		a.InstallFromStack(0, s)
+		a.AppendLevels(0, nodes, counts)
 		// The install copies: scribbling on the source's storage afterwards
 		// must not be visible in the arena.
-		s.ForEachLevel(func(lv []int) { lv[0] = -1 })
-		if got := flattenPE(a, 0); !reflect.DeepEqual(got, want) {
-			t.Fatalf("arena aliases the installed stack:\n%v\n%v", got, want)
+		for i := range nodes {
+			nodes[i] = -1
 		}
-		m := a.MaterializeStack(0)
-		if got := modelOf(m); !reflect.DeepEqual(got, want) {
+		if got := flattenPE(a, 0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("arena aliases the installed levels:\n%v\n%v", got, want)
+		}
+		c := a.Clone()
+		if got := flattenPE(c, 0); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round trip diverges:\n%v\n%v", got, want)
 		}
-		// Materialisation copies too: draining the arena must not disturb
-		// the materialised stack.
-		a.Clear(0)
-		if got := modelOf(m); !reflect.DeepEqual(got, want) {
-			t.Fatalf("materialised stack aliases the arena:\n%v\n%v", got, want)
+		if p := &c.pes[0]; len(p.buf) != want.size() || len(p.lvl) != len(want)-1 {
+			t.Fatalf("clone of %d nodes in %d levels holds a %d-node buffer and a %d-entry table", want.size(), len(want), len(p.buf), len(p.lvl))
 		}
+		// The clone copies too: draining the arena must not disturb it.
+		for !a.Empty(0) {
+			a.Pop(0)
+		}
+		a.PushLevel(0, []int{-2, -3})
+		if got := flattenPE(c, 0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("clone aliases the arena:\n%v\n%v", got, want)
+		}
+		checkBits(t, c)
 	}
 }
 
-// TestArenaNilInstallClears checks the nil-install contract InstallStack
-// relies on to empty shard PEs.
+// TestArenaNilInstallClears checks the contract RestoreSnapshot relies on
+// to park a PE: copying an empty PE over a busy one leaves it empty, ghost
+// accounting and flag bits included.
 func TestArenaNilInstallClears(t *testing.T) {
-	a := NewArena[int](1)
-	a.PushLevel(0, []int{1, 2, 3})
-	a.InstallFromStack(0, nil)
-	if !a.Empty(0) || a.Depth(0) != 0 || a.WorkBits().Get(0) {
-		t.Fatalf("nil install left size=%d depth=%d", a.Size(0), a.Depth(0))
+	a := NewArena[int](2)
+	for i := 0; i < 4; i++ {
+		a.PushLevel(0, []int{i, i + 100})
+	}
+	a.DropBottom(0, 2)
+	a.CopyPE(0, a, 1)
+	if !a.Empty(0) || a.Depth(0) != 0 || a.Ghost(0) != 0 || a.WorkBits().Get(0) || a.SplitBits().Get(0) {
+		t.Fatalf("copying an empty PE left size=%d depth=%d ghost=%d", a.Size(0), a.Depth(0), a.Ghost(0))
 	}
 }
 
@@ -393,7 +414,7 @@ func TestArenaClearDropsGhost(t *testing.T) {
 	if a.Ghost(0) == 0 {
 		t.Fatal("eviction recorded no ghost nodes")
 	}
-	a.InstallFromStack(0, New(1, 2, 3))
+	model{{1, 2, 3}}.install(a, 0)
 	if a.Ghost(0) != 0 || a.GhostLevels(0) != 0 {
 		t.Fatalf("reinstall kept ghost accounting: %d nodes, %d levels", a.Ghost(0), a.GhostLevels(0))
 	}

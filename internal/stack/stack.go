@@ -2,74 +2,18 @@
 // paper uses for the part of the search space assigned to a processor
 // (Section 2): the depth of the stack is the depth of the node currently
 // being explored, and each level keeps the untried alternatives at that
-// depth.  The working stacks of all P processors live in one Arena
-// (arena.go, a flat array of per-PE records), the only representation the
-// search pushes to, pops from and splits; Stack is the per-PE transport value
-// that snapshots, donations and decoded payloads carry across the arena
-// boundary.  A processor's unsearched space is partitioned by moving some
-// of the untried alternatives to another PE's window; the package provides
-// the splitting strategies ("alpha-splitting mechanisms", Section 3) the
-// paper discusses: giving away the node at the bottom of the stack (the
-// paper's choice for the 15-puzzle), halving every level, and the
-// deliberately poor top-node splitter used for ablations.
+// depth.  The stacks of all P processors live in one Arena (arena.go, a
+// flat array of per-PE records), the only typed holder of a stack: the
+// search pushes to, pops from and splits it, a snapshot is a Clone of it,
+// and what crosses a process is its wire encoding (internal/wire), decoded
+// back into a PE window through AppendLevels.  A processor's unsearched
+// space is partitioned by moving some of the untried alternatives to
+// another PE's window; the package provides the splitting strategies
+// ("alpha-splitting mechanisms", Section 3) the paper discusses: giving
+// away the node at the bottom of the stack (the paper's choice for the
+// 15-puzzle), halving every level, and the deliberately poor top-node
+// splitter used for ablations.
 package stack
-
-// Stack is one PE's untried alternatives, one slice per tree level, as a
-// value that crosses the arena boundary: snapshots, cross-machine
-// donations and decoded checkpoint / steal-frame payloads carry stacks in
-// this form.  Level 0 is the shallowest.  It is a
-// transport value, not a working stack — the search pushes, pops and
-// splits inside an Arena — so the only mutation is PushLevel while a
-// decoder or MaterializeStack builds it.  The zero value is an empty stack.
-type Stack[S any] struct {
-	levels [][]S
-	size   int
-}
-
-// New returns a stack seeded with the given root-level alternatives.
-func New[S any](roots ...S) *Stack[S] {
-	s := &Stack[S]{}
-	s.PushLevel(roots)
-	return s
-}
-
-// Size returns the total number of untried alternatives on the stack.
-func (s *Stack[S]) Size() int { return s.size }
-
-// Empty reports whether no untried alternatives remain.
-func (s *Stack[S]) Empty() bool { return s.size == 0 }
-
-// Depth returns the number of levels currently on the stack.
-func (s *Stack[S]) Depth() int { return len(s.levels) }
-
-// PushLevel pushes alts as a deeper level.  Empty slices are ignored.  The
-// stack takes ownership of the slice.
-func (s *Stack[S]) PushLevel(alts []S) {
-	if len(alts) == 0 {
-		return
-	}
-	s.levels = append(s.levels, alts)
-	s.size += len(alts)
-}
-
-// ForEachLevel calls f on every level in bottom-to-top order.  The slices
-// are the stack's own storage and must not be mutated; serialisers use
-// this to preserve level structure without copying.
-func (s *Stack[S]) ForEachLevel(f func(level []S)) {
-	for _, lv := range s.levels {
-		f(lv)
-	}
-}
-
-// Flatten returns all untried alternatives in bottom-to-top order; it is
-// intended for tests and diagnostics.
-func (s *Stack[S]) Flatten() []S {
-	out := make([]S, 0, s.size)
-	for _, lv := range s.levels {
-		out = append(out, lv...)
-	}
-	return out
-}
 
 // A Splitter divides the work on one PE's stack into two non-empty parts,
 // leaving one on the donor and appending the other above the receiver's

@@ -47,13 +47,6 @@ func TestSizeDepthAndSplittable(t *testing.T) {
 	if a.Depth(0) != 2 {
 		t.Error("empty level should be ignored")
 	}
-	// The transport value reports the same quantities.
-	s := New(7)
-	s.PushLevel([]int{8, 9})
-	s.PushLevel(nil)
-	if s.Size() != 3 || s.Depth() != 2 || s.Empty() || !New[int]().Empty() {
-		t.Fatalf("transport stack: size=%d depth=%d", s.Size(), s.Depth())
-	}
 }
 
 func TestPopTrimsEmptyLevels(t *testing.T) {
@@ -64,38 +57,44 @@ func TestPopTrimsEmptyLevels(t *testing.T) {
 	}
 }
 
-// TestAppend checks the receiver install of a donation: the donated
-// stack's levels land above the current top, and the donation itself is
-// left intact (the caller keeps ownership).
+// TestAppend checks the receiver install of a donation: the donated levels
+// land above the current top, and the caller's slices are left intact and
+// unaliased (it keeps ownership).
 func TestAppend(t *testing.T) {
 	a := onePE([]int{1, 2})
-	d := New(3)
-	d.PushLevel([]int{4, 5})
-	a.AppendFromStack(0, d)
+	nodes, counts := []int{3, 4, 5}, []int{1, 2}
+	a.AppendLevels(0, nodes, counts)
 	if want := (model{{1, 2}, {3}, {4, 5}}); !reflect.DeepEqual(flattenPE(a, 0), want) {
 		t.Fatalf("levels %v, want %v", flattenPE(a, 0), want)
 	}
 	if !a.Splittable(0) || !a.SplitBits().Get(0) {
 		t.Error("append did not refresh the can-split flag")
 	}
-	if d.Size() != 3 || d.Depth() != 2 {
-		t.Errorf("donation changed by the install: size=%d depth=%d", d.Size(), d.Depth())
-	}
 	a.Pop(0)
-	if got := d.Flatten(); !slices.Equal(got, []int{3, 4, 5}) {
-		t.Errorf("arena aliases the donation: %v", got)
+	a.PushLevel(0, []int{9})
+	if !slices.Equal(nodes, []int{3, 4, 5}) || !slices.Equal(counts, []int{1, 2}) {
+		t.Errorf("arena aliases or changed the donation: %v %v", nodes, counts)
+	}
+	// Nothing to append is nothing done, on a fresh PE too.
+	b := NewArena[int](1)
+	b.AppendLevels(0, nil, nil)
+	if !b.Empty(0) || b.WorkBits().Get(0) {
+		t.Error("empty append left work behind")
 	}
 }
 
-// TestClone: a materialised stack is a copy, unaffected by what the arena
+// TestClone: a cloned arena is a copy, unaffected by what the original
 // does next.
 func TestClone(t *testing.T) {
 	a := onePE([]int{1, 2}, []int{3})
-	c := a.MaterializeStack(0)
+	c := a.Clone()
 	a.Pop(0)
 	a.PushLevel(0, []int{9})
-	if got := c.Flatten(); !slices.Equal(got, []int{1, 2, 3}) {
-		t.Errorf("materialised copy changed with the arena: %v", got)
+	if got, want := flattenPE(c, 0), (model{{1, 2}, {3}}); !reflect.DeepEqual(got, want) {
+		t.Errorf("clone changed with the arena: %v", got)
+	}
+	if c.Size(0) != 3 || c.Depth(0) != 2 || !c.SplitBits().Get(0) {
+		t.Errorf("clone reports size=%d depth=%d", c.Size(0), c.Depth(0))
 	}
 }
 
@@ -138,8 +137,7 @@ func TestRecycledLevelsDropStaleValues(t *testing.T) {
 
 // buildRandom constructs a random multi-level stack whose node values are
 // all distinct, for split-invariant checks.
-func buildRandom(rng *rand.Rand) *Stack[int] {
-	s := New[int]()
+func buildRandom(rng *rand.Rand) (m model) {
 	next := 0
 	levels := 1 + rng.Intn(6)
 	for l := 0; l < levels; l++ {
@@ -149,9 +147,9 @@ func buildRandom(rng *rand.Rand) *Stack[int] {
 			lv[i] = next
 			next++
 		}
-		s.PushLevel(lv)
+		m.push(lv)
 	}
-	return s
+	return m
 }
 
 // TestSplitInvariants property-checks every splitter: after a split of a
@@ -163,12 +161,12 @@ func TestSplitInvariants(t *testing.T) {
 	for trial := 0; trial < 1000; trial++ {
 		for _, sp := range splitters {
 			s := buildRandom(rng)
-			if s.Size() < 2 {
+			if s.size() < 2 {
 				continue
 			}
-			before := s.Flatten()
+			before, _ := s.flat()
 			a := NewArena[int](2)
-			a.InstallFromStack(0, s)
+			s.install(a, 0)
 			moved := sp.SplitArena(a, 0, 1)
 			if moved == 0 || a.Resident(1) != moved {
 				t.Fatalf("%s: reported %d moved, receiver holds %d (stack had %d nodes)", sp.Name(), moved, a.Resident(1), len(before))
@@ -176,7 +174,7 @@ func TestSplitInvariants(t *testing.T) {
 			if a.Resident(0) == 0 {
 				t.Fatalf("%s: donor left empty", sp.Name())
 			}
-			after := append(a.MaterializeStack(0).Flatten(), a.MaterializeStack(1).Flatten()...)
+			after, _ := append(flattenPE(a, 0), flattenPE(a, 1)...).flat()
 			sort.Ints(before)
 			sort.Ints(after)
 			if !slices.Equal(before, after) {
@@ -242,7 +240,7 @@ func TestPopAllMatchesFlatten(t *testing.T) {
 			all = append(all, ints...)
 			a.PushLevel(0, ints)
 		}
-		if a.Size(0) != len(all) || !slices.Equal(a.MaterializeStack(0).Flatten(), all) {
+		if got, _ := flattenPE(a, 0).flat(); a.Size(0) != len(all) || !slices.Equal(got, all) {
 			return false
 		}
 		var popped []int

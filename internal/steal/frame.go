@@ -63,7 +63,7 @@ type Frame struct {
 	Cycle int
 	// From and To are global PE indices (donor and receiver).
 	From, To int
-	// Stack is the wire.EncodeStack payload of the donated levels; it is
+	// Stack is the wire.EncodeArena payload of the donated levels; it is
 	// never empty (empty donations are not shipped).
 	Stack []byte
 	// DomainState optionally carries stateful-domain state; the lock-step

@@ -6,7 +6,6 @@ import (
 
 	"simdtree/internal/search"
 	"simdtree/internal/simd"
-	"simdtree/internal/stack"
 	"simdtree/internal/wire"
 )
 
@@ -46,11 +45,11 @@ type Host interface {
 
 // host is the generic Host implementation.
 type host[S any] struct {
-	m     *simd.Machine[S]
-	d     search.Domain[S]
-	codec wire.Codec[S]
-	lo    int
-	hi    int
+	m   *simd.Machine[S]
+	d   search.Domain[S]
+	dec wire.ArenaDecoder[S] // the codec, and the decode scratch of Absorb
+	lo  int
+	hi  int
 }
 
 // NewHost builds the shard machine for PE range [lo, hi) of a P-processor
@@ -87,18 +86,12 @@ func NewHost[S any](d search.Domain[S], codec wire.Codec[S], schemeLabel string,
 	if err != nil {
 		return nil, err
 	}
-	// NewMachine seeds the root on PE 0; a shard starts from its installed
-	// range only.
-	if err := m.InstallStack(0, stack.New[S]()); err != nil {
-		return nil, err
-	}
+	// NewMachine seeds the root on PE 0; a shard starts from its range only.
+	h := &host[S]{m: m, d: d, dec: wire.ArenaDecoder[S]{Codec: codec}, lo: lo, hi: hi}
+	m.Arena().Clear(0)
 	for i, payload := range stacks {
-		s, err := wire.DecodeStack(codec, payload)
-		if err != nil {
+		if _, err := h.dec.Decode(payload, m.Arena(), lo+i); err != nil {
 			return nil, fmt.Errorf("steal: stack for PE %d: %w", lo+i, err)
-		}
-		if err := m.InstallStack(lo+i, s); err != nil {
-			return nil, err
 		}
 	}
 	if domainState != nil {
@@ -110,7 +103,7 @@ func NewHost[S any](d search.Domain[S], codec wire.Codec[S], schemeLabel string,
 			return nil, err
 		}
 	}
-	return &host[S]{m: m, d: d, codec: codec, lo: lo, hi: hi}, nil
+	return h, nil
 }
 
 func (h *host[S]) Range() (int, int) { return h.lo, h.hi }
@@ -155,15 +148,16 @@ func (h *host[S]) Split(id uint64, from, to int) ([]byte, int, error) {
 	if err := h.inRange(from); err != nil {
 		return nil, 0, err
 	}
-	d, err := h.m.Donate(id, from, to)
-	if err != nil {
+	// The split is the local transfer itself, into slot to (idle, or it is
+	// refused: a shard holds no work outside its own range), lifted out of
+	// the arena as the payload.
+	n, err := h.m.TransferLocal(from, to)
+	if err != nil || n == 0 {
 		return nil, 0, err
 	}
-	n := d.Stack.Size()
-	if n == 0 {
-		return nil, 0, nil
-	}
-	return wire.EncodeStack(h.codec, d.Stack), n, nil
+	payload := wire.EncodeArena(nil, h.dec.Codec, h.m.Arena(), to)
+	h.m.Arena().Clear(to)
+	return payload, n, nil
 }
 
 func (h *host[S]) Absorb(frame []byte) (int, error) {
@@ -171,24 +165,30 @@ func (h *host[S]) Absorb(frame []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if f.Codec != h.codec.Name() {
-		return 0, fmt.Errorf("steal: frame stacks encoded with codec %q, shard uses %q", f.Codec, h.codec.Name())
+	if f.Codec != h.dec.Codec.Name() {
+		return 0, fmt.Errorf("steal: frame stacks encoded with codec %q, shard uses %q", f.Codec, h.dec.Codec.Name())
 	}
 	if err := h.inRange(f.To); err != nil {
 		return 0, err
 	}
-	s, err := wire.DecodeStack(h.codec, f.Stack)
+	// The install is a local transfer's: the split half's levels pushed
+	// above an idle PE's top, so the schedule stays the single machine's.
+	a := h.m.Arena()
+	if !a.Empty(f.To) {
+		return 0, fmt.Errorf("steal: absorb target PE %d is not idle (%d nodes)", f.To, a.Size(f.To))
+	}
+	n, err := h.dec.Decode(f.Stack, a, f.To)
 	if err != nil {
 		return 0, fmt.Errorf("steal: frame stack: %w", err)
 	}
-	return h.m.Absorb(simd.Donation[S]{ID: f.Donation, From: f.From, To: f.To, Stack: s})
+	return n, nil
 }
 
 func (h *host[S]) Export() ([][]byte, []byte, error) {
 	stacks := make([][]byte, h.hi-h.lo)
 	a := h.m.Arena()
 	for i := range stacks {
-		stacks[i] = wire.EncodeArena(h.codec, a, h.lo+i)
+		stacks[i] = wire.EncodeArena(nil, h.dec.Codec, a, h.lo+i)
 	}
 	var domain []byte
 	if st, ok := h.d.(search.Stateful); ok {

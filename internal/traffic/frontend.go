@@ -175,7 +175,7 @@ func (f *Frontend) resolve(fl *flight, tenant string) {
 	<-fl.h.Done()
 	b, err := fl.h.ResponseBytes()
 	if err != nil {
-		b = []byte("{\"error\":\"failed to render job\"}\n")
+		b = server.ErrorBody("failed to render job")
 	}
 	fl.bytes = b
 	f.mu.Lock()

@@ -231,8 +231,8 @@ func AppendLevel[S any](buf []byte, c Codec[S], lv []S) []byte {
 
 // ReadLevels reads a level list — a uvarint level count, then that many
 // AppendLevel levels, bottom level first — appending the nodes and each
-// level's length to the caller's scratch (the form Arena.PrependLevels
-// takes).  Counts are checked against the bytes left before the scratch
+// level's length to the caller's scratch (the form Arena.AppendLevels
+// and PrependLevels take).  Counts are checked against the bytes left before the scratch
 // grows, every encoded node taking at least one byte, and an empty level
 // is refused, so the list has one spelling.  It walks a local copy of the
 // Reader's window: the spill fault path decodes a segment per fault, and

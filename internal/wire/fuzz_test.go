@@ -6,21 +6,19 @@ import (
 	"testing"
 
 	"simdtree/internal/puzzle"
-	"simdtree/internal/stack"
 	"simdtree/internal/synthetic"
 )
 
 // FuzzDecodeStack feeds arbitrary bytes to the stack decoder under a
 // fixed-size and a variable-size node codec: it must either return a
-// classified error or parse — never panic or loop — and whatever it
-// parses re-encodes to the input, byte for byte.
+// classified error and leave the addressed PE empty, or parse — never
+// panic or loop — and whatever it parses into the arena re-encodes to the
+// input, byte for byte.
 func FuzzDecodeStack(f *testing.F) {
-	p := stack.New(puzzle.Goal(), puzzle.Scramble(1, 10))
-	p.PushLevel([]puzzle.Node{puzzle.Scramble(2, 5)})
-	f.Add(EncodeStack[puzzle.Node](PuzzleCodec{}, p))
-	s := stack.New(synthetic.Node{Budget: 300, Seed: 1}, synthetic.Node{Budget: 7, Seed: 2})
-	s.PushLevel([]synthetic.Node{{Budget: 1 << 40, Seed: 3}})
-	valid := EncodeStack[synthetic.Node](SyntheticCodec{}, s)
+	p := arenaOf([]puzzle.Node{puzzle.Goal(), puzzle.Scramble(1, 10)}, []puzzle.Node{puzzle.Scramble(2, 5)})
+	f.Add(EncodeArena[puzzle.Node](nil, PuzzleCodec{}, p, 0))
+	s := arenaOf([]synthetic.Node{{Budget: 300, Seed: 1}, {Budget: 7, Seed: 2}}, []synthetic.Node{{Budget: 1 << 40, Seed: 3}})
+	valid := EncodeArena[synthetic.Node](nil, SyntheticCodec{}, s, 0)
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add([]byte{0})
@@ -33,14 +31,14 @@ func FuzzDecodeStack(f *testing.F) {
 }
 
 func checkCanonical[S any](t *testing.T, c Codec[S], data []byte) {
-	got, err := DecodeStack(c, data)
+	got, err := decodeFresh(t, c, data)
 	if err != nil {
 		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
 			t.Fatalf("%s: unclassified error: %v", c.Name(), err)
 		}
 		return
 	}
-	if round := EncodeStack(c, got); !bytes.Equal(round, data) {
+	if round := EncodeArena(nil, c, got, 0); !bytes.Equal(round, data) {
 		t.Fatalf("%s: decode→encode not canonical:\n in %x\nout %x", c.Name(), data, round)
 	}
 }

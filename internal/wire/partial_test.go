@@ -18,58 +18,37 @@ import (
 
 // splitBottom builds a donor PE from levels, splits its bottom node onto
 // an idle PE the way a transfer does, and returns what each side then
-// ships: the donor's remainder and the donated fragment.
-func splitBottom[S any](levels ...[]S) (donor, donated *stack.Stack[S], a *stack.Arena[S]) {
-	a = stack.NewArena[S](2)
+// ships: the donor's remainder on PE 0 and the donated fragment on PE 1.
+func splitBottom[S any](levels ...[]S) *stack.Arena[S] {
+	a := stack.NewArena[S](2)
 	for _, lv := range levels {
 		a.PushLevel(0, lv)
 	}
 	stack.BottomNode[S]{}.SplitArena(a, 0, 1)
 	a.SyncBits(0)
 	a.SyncBits(1)
-	return a.MaterializeStack(0), a.MaterializeStack(1), a
+	return a
 }
 
 // TestPartialStackInteriorEmptyLevel splits the sole bottom node off a
 // stack, draining the donor's bottom level.  The arena drops the emptied
 // level the moment it forms, so no hole survives below the two live
-// levels: the remainder encodes canonically, identically through the
-// Stack and the arena encoders, decodes to the same search order, and
-// re-encoding is byte-stable.
+// levels: the remainder encodes canonically, decodes to the same search
+// order, and re-encoding is byte-stable.
 func TestPartialStackInteriorEmptyLevel(t *testing.T) {
 	c := PuzzleCodec{}
-	s, donated, a := splitBottom(
+	a := splitBottom(
 		[]puzzle.Node{puzzle.Scramble(1, 10)},
 		[]puzzle.Node{puzzle.Scramble(2, 12), puzzle.Scramble(3, 14)},
 		[]puzzle.Node{puzzle.Scramble(4, 16), puzzle.Scramble(5, 18)},
 	)
-	if donated.Size() != 1 {
-		t.Fatalf("bottom-node split donated %d nodes, want 1", donated.Size())
+	if a.Size(1) != 1 {
+		t.Fatalf("bottom-node split donated %d nodes, want 1", a.Size(1))
 	}
-	if s.Depth() != 2 || s.Size() != 4 {
-		t.Fatalf("donor depth/size = %d/%d, want 2/4 (drained level dropped)", s.Depth(), s.Size())
+	if a.Depth(0) != 2 || a.Size(0) != 4 {
+		t.Fatalf("donor depth/size = %d/%d, want 2/4 (drained level dropped)", a.Depth(0), a.Size(0))
 	}
-
-	msg := EncodeStack[puzzle.Node](c, s)
-	if direct := EncodeArena[puzzle.Node](c, a, 0); !bytes.Equal(msg, direct) {
-		t.Error("arena and stack encoders disagree on the donor remainder")
-	}
-	got, err := DecodeStack[puzzle.Node](c, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Depth() != 2 || got.Size() != s.Size() {
-		t.Fatalf("decoded depth/size = %d/%d, want 2/%d", got.Depth(), got.Size(), s.Size())
-	}
-	x, y := s.Flatten(), got.Flatten()
-	for i := range x {
-		if x[i] != y[i] {
-			t.Fatalf("node %d changed across the round trip", i)
-		}
-	}
-	if again := EncodeStack[puzzle.Node](c, got); !bytes.Equal(msg, again) {
-		t.Error("re-encoding the decoded stack changed bytes")
-	}
+	roundTripPartial[puzzle.Node](t, c, a, 0)
 }
 
 // TestPartialStackSingleLevelDonation round-trips the smallest real
@@ -77,17 +56,17 @@ func TestPartialStackInteriorEmptyLevel(t *testing.T) {
 // workload codec.
 func TestPartialStackSingleLevelDonation(t *testing.T) {
 	t.Run("puzzle", func(t *testing.T) {
-		_, d, _ := splitBottom([]puzzle.Node{puzzle.Scramble(7, 20), puzzle.Scramble(8, 22)})
-		roundTripPartial(t, PuzzleCodec{}, d)
+		a := splitBottom([]puzzle.Node{puzzle.Scramble(7, 20), puzzle.Scramble(8, 22)})
+		roundTripPartial[puzzle.Node](t, PuzzleCodec{}, a, 1)
 	})
 	t.Run("synthetic", func(t *testing.T) {
-		_, d, _ := splitBottom([]synthetic.Node{{Budget: 900, Seed: 11}, {Budget: 41, Seed: 12}})
-		roundTripPartial(t, SyntheticCodec{}, d)
+		a := splitBottom([]synthetic.Node{{Budget: 900, Seed: 11}, {Budget: 41, Seed: 12}})
+		roundTripPartial[synthetic.Node](t, SyntheticCodec{}, a, 1)
 	})
 	t.Run("queens", func(t *testing.T) {
 		dom := queens.New(8)
-		_, d, _ := splitBottom(dom.Expand(dom.Root(), nil))
-		roundTripPartial(t, QueensCodec{}, d)
+		a := splitBottom(dom.Expand(dom.Root(), nil))
+		roundTripPartial[queens.Node](t, QueensCodec{}, a, 1)
 	})
 }
 
@@ -96,45 +75,44 @@ func TestPartialStackSingleLevelDonation(t *testing.T) {
 // Checkpoint and donation framing rely on this being valid, not an error.
 func TestPartialStackZeroPE(t *testing.T) {
 	c := SyntheticCodec{}
-	s := stack.New[synthetic.Node]()
-	msg := EncodeStack[synthetic.Node](c, s)
+	msg := EncodeArena[synthetic.Node](nil, c, stack.NewArena[synthetic.Node](1), 0)
 	if len(msg) != 1 {
 		t.Fatalf("empty stack encodes to %d bytes, want 1", len(msg))
 	}
-	got, err := DecodeStack[synthetic.Node](c, msg)
+	got, err := decodeFresh[synthetic.Node](t, c, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Empty() || got.Depth() != 0 {
-		t.Fatalf("decoded empty stack has size %d depth %d", got.Size(), got.Depth())
+	if !got.Empty(0) || got.Depth(0) != 0 || got.WorkBits().Get(0) {
+		t.Fatalf("decoded empty stack has size %d depth %d", got.Size(0), got.Depth(0))
 	}
-	if again := EncodeStack[synthetic.Node](c, got); !bytes.Equal(msg, again) {
+	if again := EncodeArena[synthetic.Node](nil, c, got, 0); !bytes.Equal(msg, again) {
 		t.Error("empty-stack encoding is not byte-stable")
 	}
 }
 
-// roundTripPartial checks that a donated fragment survives encode/decode
+// roundTripPartial checks that what PE pe ships survives encode/decode
 // with order, size, depth, and bytes intact.
-func roundTripPartial[S comparable](t *testing.T, c Codec[S], s *stack.Stack[S]) {
+func roundTripPartial[S comparable](t *testing.T, c Codec[S], a *stack.Arena[S], pe int) {
 	t.Helper()
-	if s.Empty() {
-		t.Fatal("donation is empty")
+	if a.Empty(pe) {
+		t.Fatal("nothing to ship")
 	}
-	msg := EncodeStack[S](c, s)
-	got, err := DecodeStack[S](c, msg)
+	msg := EncodeArena[S](nil, c, a, pe)
+	got, err := decodeFresh[S](t, c, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Size() != s.Size() || got.Depth() != s.Depth() {
-		t.Fatalf("size/depth changed: %d/%d -> %d/%d", s.Size(), s.Depth(), got.Size(), got.Depth())
+	if got.Size(0) != a.Size(pe) || got.Depth(0) != a.Depth(pe) {
+		t.Fatalf("size/depth changed: %d/%d -> %d/%d", a.Size(pe), a.Depth(pe), got.Size(0), got.Depth(0))
 	}
-	a, b := s.Flatten(), got.Flatten()
-	for i := range a {
-		if a[i] != b[i] {
+	x, y := flatten(a, pe), flatten(got, 0)
+	for i := range x {
+		if x[i] != y[i] {
 			t.Fatalf("node %d changed", i)
 		}
 	}
-	if again := EncodeStack[S](c, got); !bytes.Equal(msg, again) {
+	if again := EncodeArena[S](nil, c, got, 0); !bytes.Equal(msg, again) {
 		t.Error("re-encoding changed bytes")
 	}
 }

@@ -3,9 +3,10 @@
 // message sizes as constant because "the stack is a rather compact
 // representation of the search space" (Section 3.1); this package makes
 // that compactness concrete: it provides binary codecs for each workload's
-// node type, a framed stack encoding that preserves level structure, and
-// helpers that convert a codec plus a link bandwidth into the per-node
-// transfer cost used by the simulator's extended cost model.
+// node type, a framed stack encoding that preserves level structure (out
+// of a stack.Arena PE and back into one: the arena is the only typed form
+// a stack has), and helpers that convert a codec plus a link bandwidth into
+// the per-node transfer cost used by the simulator's extended cost model.
 //
 // It is also the one frame codec under the tree's three binary formats
 // (SCKP checkpoints, SSTL steal frames, SSPL spill segments), each of
@@ -25,7 +26,7 @@
 //   - ErrBadMagic, ErrVersion, ErrChecksum, ErrTruncated and ErrCorrupt
 //     classify every refusal.
 //   - AppendLevel and ReadLevels are the level framing of a stack, behind
-//     AppendStack, EncodeArena, DecodeStack and the spill segment.
+//     EncodeArena, ArenaDecoder and the spill segment.
 package wire
 
 import (
@@ -46,48 +47,40 @@ type Codec[S any] interface {
 	DecodeNode(b []byte) (S, []byte, error)
 }
 
-// EncodeStack frames a whole stack as a level list: a uvarint level count,
-// then per level a uvarint node count followed by the encoded nodes, bottom
-// level first.  It is the byte-for-byte payload of one work transfer.  The
-// canonical encoding has no empty levels: neither a Stack nor an arena
-// window ever holds one, and the decoder rejects a zero node count.
-func EncodeStack[S any](c Codec[S], s *stack.Stack[S]) []byte {
-	return AppendStack(nil, c, s)
-}
-
-// AppendStack appends the EncodeStack framing of s to buf and returns the
-// extended buffer — the allocation-free form for callers that reuse a
-// scratch buffer across many stacks.
-func AppendStack[S any](buf []byte, c Codec[S], s *stack.Stack[S]) []byte {
-	buf = binary.AppendUvarint(buf, uint64(s.Depth()))
-	s.ForEachLevel(func(lv []S) { buf = AppendLevel(buf, c, lv) })
-	return buf
-}
-
-// EncodeArena frames one PE's stack out of a structure-of-arrays arena
-// with the exact EncodeStack framing; the bytes are identical to encoding
-// the materialised Stack, without materialising it.
-func EncodeArena[S any](c Codec[S], a *stack.Arena[S], pe int) []byte {
-	buf := binary.AppendUvarint(nil, uint64(a.Depth(pe)))
+// EncodeArena appends the level-list framing of PE pe's stack to buf and
+// returns the extended buffer: a uvarint level count, then per level a
+// uvarint node count followed by the encoded nodes, bottom level first.  It
+// is the byte-for-byte payload of one work transfer, and of one PE in a
+// checkpoint; callers framing many PEs reuse one buffer.  The canonical
+// encoding has no empty levels: an arena window never holds one, and the
+// decoder rejects a zero node count.  The PE must be fully resident.
+func EncodeArena[S any](buf []byte, c Codec[S], a *stack.Arena[S], pe int) []byte {
+	buf = binary.AppendUvarint(buf, uint64(a.Depth(pe)))
 	a.ForEachLevel(pe, func(lv []S) { buf = AppendLevel(buf, c, lv) })
 	return buf
 }
 
-// DecodeStack parses a stack encoded by EncodeStack, strictly: the one
-// byte form EncodeStack produces for a stack is the only one accepted.
-func DecodeStack[S any](c Codec[S], b []byte) (*stack.Stack[S], error) {
+// ArenaDecoder decodes EncodeArena payloads straight into PE windows.  Its
+// scratch is reused across calls, so restoring a P-stack checkpoint costs
+// what the arena itself allocates and nothing per payload.
+type ArenaDecoder[S any] struct {
+	Codec  Codec[S]
+	nodes  []S
+	counts []int
+}
+
+// Decode parses a payload strictly — the one byte form EncodeArena produces
+// for a stack is the only one accepted — and pushes its levels above PE
+// pe's top, returning the number of nodes.  A refused payload leaves the
+// arena untouched: nothing is appended until the whole payload has parsed.
+func (d *ArenaDecoder[S]) Decode(b []byte, a *stack.Arena[S], pe int) (int, error) {
 	r := Reader{b: b}
-	var shallow [8]int // spares the usual stack a heap-allocated count list
-	nodes, counts := ReadLevels(c, &r, nil, shallow[:0])
+	d.nodes, d.counts = ReadLevels(d.Codec, &r, d.nodes[:0], d.counts[:0])
 	if err := r.Close(); err != nil {
-		return nil, err
+		return 0, err
 	}
-	out := stack.New[S]()
-	for _, n := range counts {
-		out.PushLevel(nodes[:n:n])
-		nodes = nodes[n:]
-	}
-	return out, nil
+	a.AppendLevels(pe, d.nodes, d.counts)
+	return len(d.nodes), nil
 }
 
 // NodeSize returns the encoded size of one node under the codec.

@@ -75,13 +75,44 @@ func TestQueensCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// arenaOf returns a one-PE arena holding the given levels, bottom first.
+func arenaOf[S any](levels ...[]S) *stack.Arena[S] {
+	a := stack.NewArena[S](1)
+	for _, lv := range levels {
+		a.PushLevel(0, lv)
+	}
+	return a
+}
+
+// flatten returns PE pe's nodes bottom-to-top.
+func flatten[S any](a *stack.Arena[S], pe int) (out []S) {
+	a.ForEachLevel(pe, func(lv []S) { out = append(out, lv...) })
+	return out
+}
+
+// decodeFresh decodes b into PE 0 of a fresh one-PE arena.  On a refusal it
+// also checks the decoder's promise: the addressed PE is still empty, both
+// flag bits clear.
+func decodeFresh[S any](t *testing.T, c Codec[S], b []byte) (*stack.Arena[S], error) {
+	t.Helper()
+	a := stack.NewArena[S](1)
+	n, err := (&ArenaDecoder[S]{Codec: c}).Decode(b, a, 0)
+	if err != nil && (n != 0 || !a.Empty(0) || a.Depth(0) != 0 || a.WorkBits().Get(0) || a.SplitBits().Get(0)) {
+		t.Errorf("refused payload %x left %d nodes in %d levels behind (reported %d)", b, a.Size(0), a.Depth(0), n)
+	}
+	if err == nil && n != a.Size(0) {
+		t.Errorf("Decode reported %d nodes, the PE holds %d", n, a.Size(0))
+	}
+	return a, err
+}
+
 // TestStackRoundTrip encodes whole stacks (with level structure) and
 // decodes them back.
 func TestStackRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	c := PuzzleCodec{}
 	for trial := 0; trial < 100; trial++ {
-		s := stack.New[puzzle.Node]()
+		s := stack.NewArena[puzzle.Node](1)
 		levels := rng.Intn(5)
 		for l := 0; l < levels; l++ {
 			width := 1 + rng.Intn(3)
@@ -89,18 +120,18 @@ func TestStackRoundTrip(t *testing.T) {
 			for i := range lv {
 				lv[i] = puzzle.Scramble(rng.Uint64(), rng.Intn(30))
 			}
-			s.PushLevel(lv)
+			s.PushLevel(0, lv)
 		}
-		msg := EncodeStack[puzzle.Node](c, s)
-		got, err := DecodeStack[puzzle.Node](c, msg)
+		msg := EncodeArena[puzzle.Node](nil, c, s, 0)
+		got, err := decodeFresh[puzzle.Node](t, c, msg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if got.Size() != s.Size() || got.Depth() != s.Depth() {
+		if got.Size(0) != s.Size(0) || got.Depth(0) != s.Depth(0) {
 			t.Fatalf("trial %d: size/depth changed: %d/%d -> %d/%d",
-				trial, s.Size(), s.Depth(), got.Size(), got.Depth())
+				trial, s.Size(0), s.Depth(0), got.Size(0), got.Depth(0))
 		}
-		a, b := s.Flatten(), got.Flatten()
+		a, b := flatten(s, 0), flatten(got, 0)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("trial %d: node %d changed", trial, i)
@@ -111,27 +142,26 @@ func TestStackRoundTrip(t *testing.T) {
 
 func TestDecodeStackErrors(t *testing.T) {
 	c := PuzzleCodec{}
-	if _, err := DecodeStack[puzzle.Node](c, nil); err == nil {
+	if _, err := decodeFresh[puzzle.Node](t, c, nil); err == nil {
 		t.Error("empty message accepted")
 	}
-	s := stack.New(puzzle.Goal())
-	msg := EncodeStack[puzzle.Node](c, s)
-	if _, err := DecodeStack[puzzle.Node](c, msg[:len(msg)-1]); err == nil {
+	msg := EncodeArena[puzzle.Node](nil, c, arenaOf([]puzzle.Node{puzzle.Goal()}), 0)
+	if _, err := decodeFresh[puzzle.Node](t, c, msg[:len(msg)-1]); err == nil {
 		t.Error("truncated stack accepted")
 	}
-	if _, err := DecodeStack[puzzle.Node](c, append(msg, 0)); err == nil {
+	if _, err := decodeFresh[puzzle.Node](t, c, append(msg, 0)); err == nil {
 		t.Error("trailing garbage accepted")
 	}
 }
 
 // TestDecodeStackStrict is the canonicality table of the level framing:
 // a stack has one byte form, and every other spelling of it is refused
-// with a classified error rather than normalised on re-encode.
+// with a classified error rather than normalised on re-encode — and a
+// refusal appends nothing, to an empty PE or above a busy one's top.
 func TestDecodeStackStrict(t *testing.T) {
 	c := SyntheticCodec{}
-	s := stack.New(synthetic.Node{Budget: 11, Seed: 1}, synthetic.Node{Budget: 7, Seed: 2})
-	s.PushLevel([]synthetic.Node{{Budget: 5, Seed: 3}})
-	valid := EncodeStack[synthetic.Node](c, s)
+	s := arenaOf([]synthetic.Node{{Budget: 11, Seed: 1}, {Budget: 7, Seed: 2}}, []synthetic.Node{{Budget: 5, Seed: 3}})
+	valid := EncodeArena[synthetic.Node](nil, c, s, 0)
 	// valid = levels(2) | count(2) | budget(22) seed*8 | ...
 	splice := func(at int, with ...byte) []byte {
 		out := append([]byte(nil), valid[:at]...)
@@ -156,16 +186,26 @@ func TestDecodeStackStrict(t *testing.T) {
 		{"non-minimal budget", splice(2, 0x96, 0x00), ErrCorrupt},
 		{"overflowing budget", splice(2, overflow...), ErrCorrupt},
 	}
+	// One decoder for the whole table and a busy PE beside the empty one: a
+	// refusal must not leak the scratch of the payload before it either.
+	dec := ArenaDecoder[synthetic.Node]{Codec: c}
+	busy := arenaOf([]synthetic.Node{{Budget: 99, Seed: 9}})
 	for _, tc := range cases {
-		if _, err := DecodeStack[synthetic.Node](c, tc.in); !errors.Is(err, tc.want) {
+		if _, err := decodeFresh[synthetic.Node](t, c, tc.in); !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
+		if _, err := dec.Decode(tc.in, busy, 0); !errors.Is(err, tc.want) || busy.Size(0) != 1 || busy.Depth(0) != 1 {
+			t.Errorf("%s: above a busy top: %v, PE now %d nodes in %d levels", tc.name, err, busy.Size(0), busy.Depth(0))
+		}
+		if n, err := dec.Decode(valid, stack.NewArena[synthetic.Node](1), 0); err != nil || n != 3 {
+			t.Errorf("%s: valid payload after the refusal: %d nodes, %v", tc.name, n, err)
+		}
 	}
-	got, err := DecodeStack[synthetic.Node](c, valid)
+	got, err := decodeFresh[synthetic.Node](t, c, valid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again := EncodeStack[synthetic.Node](c, got); !bytes.Equal(again, valid) {
+	if again := EncodeArena[synthetic.Node](nil, c, got, 0); !bytes.Equal(again, valid) {
 		t.Errorf("decode→encode not byte-identical:\n in %x\nout %x", valid, again)
 	}
 }
@@ -187,8 +227,8 @@ func TestNodeSizeAndPerNodeTime(t *testing.T) {
 // TestMessageCompactness documents the paper's compactness claim: a
 // donated bottom-node message is tens of bytes, not kilobytes.
 func TestMessageCompactness(t *testing.T) {
-	s := stack.New(puzzle.Scramble(3, 20))
-	msg := EncodeStack[puzzle.Node](PuzzleCodec{}, s)
+	s := arenaOf([]puzzle.Node{puzzle.Scramble(3, 20)})
+	msg := EncodeArena[puzzle.Node](nil, PuzzleCodec{}, s, 0)
 	if len(msg) > 32 {
 		t.Errorf("single-node transfer message is %d bytes; expected a compact few dozen", len(msg))
 	}

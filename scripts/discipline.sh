@@ -1,0 +1,110 @@
+#!/bin/sh
+# The "written once" gates: each rule names the one place a thing may be
+# spelled and greps every other non-test Go file for it.  One table, run by
+# "make discipline" (part of "make lint") and by CI.
+#
+#   scripts/discipline.sh            check the tree (run from the repo root)
+#   scripts/discipline.sh selftest   plant a violation of every pattern in a
+#                                    scratch repository and see its rule fire
+set -eu
+
+# rule NAME WANT MESSAGE GIT-GREP-ARGS...: the lines the patterns match in
+# the given paths must number exactly WANT ({n} in MESSAGE is the number
+# found).  Every rule runs; failed counts the ones that did not hold.  With
+# $only set, just the rule of that ordinal runs.
+failed=0 ordinal=0 only=
+rule() {
+	name=$1 want=$2 msg=$3
+	shift 3
+	ordinal=$((ordinal + 1))
+	[ -z "$only" ] || [ "$only" -eq "$ordinal" ] || return 0
+	hits=$(git grep --untracked -n "$@" || true)
+	n=$(printf '%s' "$hits" | grep -c . || true)
+	[ "$n" -ne "$want" ] || return 0
+	[ "$want" -ne 0 ] || printf '%s\n' "$hits"
+	case $msg in *'{n}'*) msg="${msg%%'{n}'*}$n${msg#*'{n}'}" ;; esac
+	echo "$name: $msg" >&2
+	failed=$((failed + 1))
+}
+
+# The table.
+#
+# frame-discipline — one frame codec (DESIGN.md, "Frame discipline"): outside
+# internal/wire no non-test file checksums a frame or decodes a varint for
+# itself.
+#
+# api-discipline — one wire contract (DESIGN.md section 9, "Wire contract"):
+# outside internal/server no non-test file decodes a request body strictly,
+# spells the {"error": ...} body (as a map literal or as an escaped string)
+# or frames an SSE event for itself.  (The coordinator's SSE proxy copies a
+# node's bytes and frames nothing.)
+#
+# schedule-discipline — one control loop (DESIGN.md section 3, "The
+# schedule"): outside internal/simd no non-test file evaluates a trigger or
+# books a cycle or a phase into a trace for itself — whoever hosts PEs
+# implements simd.Lanes and simd.Schedule runs the loop.  (benchmark/'s
+# decorators only forward.)
+#
+# shard-discipline — one session protocol (DESIGN.md section 15, "Session
+# protocol"): the shard-session calls are the shardOp table in
+# internal/server/shard.go and nothing else spells a session route;
+# internal/steal stays transport-free; and the coordinator has one outbound
+# path, cluster's call (the SSE proxy's stream.Do, which must not buffer, is
+# the documented other).
+rules() {
+	rule frame-discipline 0 'decode and checksum frames through internal/wire (wire.Open / wire.Reader)' \
+		-e '"hash/crc32"' -e 'binary\.Uvarint(' -- '*.go' ':!*_test.go' ':!internal/wire/'
+	rule api-discipline 0 'decode, answer and stream through internal/server/wire.go (DecodeSpec, WriteError, StreamEvents)' \
+		-e 'DisallowUnknownFields(' -e 'map\[string\]string{"error"' -e '{\\"error\\"' -e 'event: %s' -- '*.go' ':!*_test.go' ':!internal/server/'
+	rule schedule-discipline 0 'run the loop through simd.Schedule (implement simd.Lanes)' \
+		-e '\.ShouldBalance(' -e '\.RecordCycle(' -e '\.RecordPhase(' -- '*.go' ':!*_test.go' ':!internal/simd/' ':!benchmark/'
+	rule shard-discipline 0 'session routes are spelled in internal/server/shard.go only (server.ShardClient)' \
+		-e '/v1/steal/sessions' -- 'internal/*.go' ':!*_test.go' ':!internal/server/'
+	rule shard-discipline 0 'internal/steal is transport-free; HTTP lives in internal/server' \
+		-e '"net/http"' -- 'internal/steal/*.go' ':!*_test.go'
+	rule shard-discipline 1 'internal/cluster calls client.Do( {n} times, want exactly once (Coordinator.roundTrip, behind call)' \
+		-e 'client\.Do(' -- 'internal/cluster/*.go' ':!*_test.go'
+}
+
+# plant ORDINAL FIRES PATH LINE...: in a fresh scratch repository holding
+# only PATH with the given lines, rule ORDINAL must fire (FIRES = 1) or
+# hold (FIRES = 0, an allowed path or a test file).
+plant() {
+	want=$1 fires=$2 path=$3
+	shift 3
+	dir=$(mktemp -d)
+	mkdir -p "$dir/$(dirname "$path")"
+	printf '%s\n' "$@" >"$dir/$path"
+	git -C "$dir" init -q
+	got=$(cd "$dir" && only=$want && failed=0 && ordinal=0 && rules >/dev/null 2>&1 && echo "$failed")
+	rm -rf "$dir"
+	[ "$got" -eq "$fires" ] && return 0
+	echo "discipline selftest: rule $want with $path holding '$1': fired $got times, want $fires" >&2
+	failed=$((failed + 1))
+}
+
+if [ "${1:-}" = selftest ]; then
+	plant 1 1 cmd/x/zz.go 'import "hash/crc32"'
+	plant 1 1 internal/spill/zz.go 'v, n := binary.Uvarint(b)'
+	plant 1 0 internal/wire/zz.go 'import "hash/crc32"'
+	plant 2 1 internal/cluster/zz.go 'dec.DisallowUnknownFields()'
+	plant 2 1 internal/traffic/zz.go 'WriteJSON(w, 400, map[string]string{"error": msg})'
+	plant 2 1 internal/traffic/zz.go 'b = []byte("{\"error\":\"failed to render job\"}\n")'
+	plant 2 1 cmd/x/zz.go 'fmt.Fprintf(w, "event: %s\n", kind)'
+	plant 2 0 internal/server/zz.go 'dec.DisallowUnknownFields()'
+	plant 2 0 internal/cluster/zz_test.go 'body := "{\"error\":\"x\"}"'
+	plant 3 1 internal/steal/zz.go 'if trig.ShouldBalance(st) {'
+	plant 3 1 internal/steal/zz.go 'tr.RecordCycle(c)'
+	plant 3 1 cmd/x/zz.go 'tr.RecordPhase(p)'
+	plant 3 0 benchmark/zz.go 'return t.inner.ShouldBalance(st)'
+	plant 4 1 internal/cluster/zz.go 'url := base + "/v1/steal/sessions"'
+	plant 4 0 internal/server/zz.go 'const sessionsPath = "/v1/steal/sessions"'
+	plant 5 1 internal/steal/zz.go 'import "net/http"'
+	plant 5 0 internal/steal/zz_test.go 'import "net/http"'
+	plant 6 1 internal/cluster/zz.go 'resp, err := c.client.Do(req)' 'resp, err = c.client.Do(req)'
+	plant 6 1 internal/cluster/zz.go 'no outbound call at all'
+	plant 6 0 internal/cluster/zz.go 'resp, err := c.client.Do(req)'
+else
+	rules
+fi
+[ "$failed" -eq 0 ]
