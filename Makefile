@@ -26,7 +26,7 @@ BENCH_BASELINE ?= BENCH_6.json
 
 bench:
 	$(GO) run ./cmd/simdbench -out /dev/null -compare $(BENCH_BASELINE)
-	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkArenaTransfer|BenchmarkExpandKernel' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkExpandKernel' -benchmem .
 	$(GO) test -run '^$$' -bench BenchmarkSweepThrash -benchmem ./internal/spill
 
 bench-baseline:
@@ -35,10 +35,11 @@ bench-baseline:
 # CI smoke variant: one iteration per scenario, allocation + schedule gate,
 # plus the structure-of-arrays micro-benchmarks (allocs/op must stay 0;
 # BenchmarkExpandKernel fails itself when a steady-state cycle allocates,
-# BenchmarkSweepThrash when a warmed-up evict/fault sweep does).
+# BenchmarkMatchBits when a matching phase does, BenchmarkSweepThrash when
+# a warmed-up evict/fault sweep does).
 bench-check:
 	$(GO) run ./cmd/simdbench -short -out /dev/null -compare $(BENCH_BASELINE)
-	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkArenaTransfer|BenchmarkExpandKernel' -benchtime 100x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkExpandKernel' -benchtime 100x -benchmem .
 	$(GO) test -run '^$$' -bench BenchmarkSweepThrash -benchtime 100x -benchmem ./internal/spill
 
 # simdmark, the benchmark of record (benchmark/, BENCHMARK.json), at the
@@ -57,9 +58,10 @@ bench-go:
 	$(GO) test -bench=. -benchmem ./...
 
 # Short fuzzing bursts over the wire format, puzzle validator, the
-# checkpoint, steal-frame and spill-segment decoders, and the spill
-# manager's event sequence (its inputs are long scripts, so minimising a
-# new one is capped: the default minute would eat the burst).
+# checkpoint, steal-frame and spill-segment decoders, the spill manager's
+# event sequence (its inputs are long scripts, so minimising a new one is
+# capped: the default minute would eat the burst), and the matchers against
+# their flag-by-flag oracles.
 fuzz:
 	$(GO) test -run=xxx -fuzz FuzzDecodeStack -fuzztime 30s ./internal/wire
 	$(GO) test -run=xxx -fuzz FuzzDecodeNode -fuzztime 15s ./internal/wire
@@ -68,6 +70,7 @@ fuzz:
 	$(GO) test -run=xxx -fuzz FuzzDecodeStealFrame -fuzztime 30s ./internal/steal
 	$(GO) test -run=xxx -fuzz FuzzDecodeSpillSegment -fuzztime 30s ./internal/spill
 	$(GO) test -run=xxx -fuzz FuzzResidencySequence -fuzztime 30s -fuzzminimizetime 2s ./internal/spill
+	$(GO) test -run=xxx -fuzz FuzzMatchBits -fuzztime 15s ./internal/match
 
 vet:
 	$(GO) vet ./...
@@ -78,7 +81,8 @@ vet:
 lint: vet lint-hotpath discipline
 	$(GO) run ./cmd/simdlint ./...
 
-# The "written once" gates — frame-, api-, schedule- and shard-discipline —
+# The "written once" gates — frame-, api-, schedule-, shard- and
+# match-discipline —
 # are one table of (name, patterns, allowed paths, message, expected count)
 # in scripts/discipline.sh, which first proves every pattern still fires on
 # a planted violation and then checks the tree.

@@ -12,6 +12,7 @@ import (
 
 	"simdtree/internal/bench"
 	"simdtree/internal/experiments"
+	"simdtree/internal/match"
 	"simdtree/internal/puzzle"
 	"simdtree/internal/scan"
 	"simdtree/internal/search"
@@ -338,13 +339,58 @@ func BenchmarkFlagFill(b *testing.B) {
 	}
 }
 
+// BenchmarkMatchBits measures the setup step of a load-balancing phase at
+// lb-storm scale: 12% of the PEs idle, the rest busy, the idle set and (for
+// GP) the global pointer rotating from phase to phase.  ns/pair is the cost
+// of a phase per pair it emits, the unit its O(pairs + P/64) bound is in;
+// steady state must not allocate, and the benchmark fails if it does.
+func BenchmarkMatchBits(b *testing.B) {
+	const p, phases = 65536, 16
+	// phases flag sets, every eighth PE idle (then every 200th busy one,
+	// for 12% in all) at a different offset, so consecutive phases read
+	// different words and match different PEs.
+	busy, idle := make([]scan.Bits, phases), make([]scan.Bits, phases)
+	for ph := range busy {
+		busy[ph], idle[ph] = scan.NewBits(p), scan.NewBits(p)
+		for pe := 0; pe < p; pe++ {
+			isIdle := (pe+ph)%8 == 0 || (pe+7*ph)%200 == 3
+			idle[ph].SetTo(pe, isIdle)
+			busy[ph].SetTo(pe, !isIdle)
+		}
+	}
+	for _, m := range []match.BitMatcher{&match.NGP{}, match.NewGP()} {
+		b.Run(m.Name()+fmt.Sprintf("/P=%d", p), func(b *testing.B) {
+			b.ReportAllocs()
+			pairs, ph := 0, 0
+			phase := func() {
+				pairs += len(m.MatchBits(busy[ph], idle[ph], p))
+				ph = (ph + 1) % phases
+			}
+			for i := 0; i < phases; i++ { // grow the scratch to the largest round
+				phase()
+			}
+			pairs = 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				phase()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairs), "ns/pair")
+			if allocs := testing.AllocsPerRun(phases, phase); allocs != 0 {
+				b.Fatalf("%v allocs per phase in steady state, want 0", allocs)
+			}
+		})
+	}
+}
+
 // BenchmarkArenaTransfer measures a load-balancing transfer in the
 // structure-of-arrays core.  half-stack: a split as range copies between
 // two PEs, the deferred bit re-sync, and the receiver drain.  bottom-node:
-// the engine's default transfer at lb-storm scale (P=65536), one op a pair
-// of random PEs, so the donor's and the receiver's records, the donor's
-// stack bottom and the receiver's top are cold the way a matching round
-// finds them.  Steady state must not allocate.
+// the engine's default transfer at lb-storm scale (P=65536), one op a
+// 64-pair block of random PEs — what Context.TransferAll hands the splitter
+// — so the donors' and the receivers' records, the donors' stack bottoms
+// and the receivers' tops are cold the way a matching round finds them.
+// Steady state must not allocate.
 func BenchmarkArenaTransfer(b *testing.B) {
 	b.Run("half-stack/P=2", func(b *testing.B) {
 		b.ReportAllocs()
@@ -357,38 +403,48 @@ func BenchmarkArenaTransfer(b *testing.B) {
 			a.PushLevel(0, buf)
 		}
 		sp := stack.HalfStack[int]{}
-		donor, recv := 0, 1
+		pair, moved := []scan.Pair{{From: 0, To: 1}}, []int{0}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if !a.Splittable(donor) {
-				donor, recv = recv, donor
+			if !a.Splittable(pair[0].From) {
+				pair[0].From, pair[0].To = pair[0].To, pair[0].From
 			}
-			sp.SplitArena(a, donor, recv)
-			a.SyncBits(donor)
-			a.SyncBits(recv)
+			sp.SplitBlock(a, pair, moved, nil)
+			a.SyncBits(0)
+			a.SyncBits(1)
 		}
 	})
 	b.Run("bottom-node/P=65536", func(b *testing.B) {
 		b.ReportAllocs()
-		const p = 65536
+		const p, block = 65536, 64
 		a := stack.NewArena[synthetic.Node](p)
 		for pe := 0; pe < p; pe++ {
 			for l := 0; l < 6; l++ { // six levels of two: the donor survives six donations
 				a.PushLevel(pe, []synthetic.Node{{Budget: int64(l)}, {Budget: int64(pe)}})
 			}
 		}
-		// Donors in one random order, receivers in another: over P ops every
-		// PE donates once and receives once, so no stack drains or grows.
+		// Donors in one random order, receivers in the same order half a
+		// machine on: a block's donors and receivers are distinct PEs, as a
+		// matching round's are, and over P/64 ops every PE donates once and
+		// receives once, so no stack drains or grows.
 		rng := rand.New(rand.NewSource(1))
-		from, to := rng.Perm(p), rng.Perm(p)
-		sp := stack.BottomNode[synthetic.Node]{}
-		transfer := func(i int) {
-			f, t := from[i%p], to[i%p]
-			sp.SplitArena(a, f, t)
-			a.SyncBits(f)
-			a.SyncBits(t)
+		order := rng.Perm(p)
+		pairs := make([]scan.Pair, p)
+		for i := range pairs {
+			pairs[i] = scan.Pair{From: order[i], To: order[(i+p/2)%p]}
 		}
-		for i := 0; i < 2*p; i++ { // grow the buffers and level tables to their final size
+		sp := stack.BottomNode[synthetic.Node]{}
+		moved := make([]int, block)
+		var nodes []synthetic.Node
+		transfer := func(i int) {
+			blk := pairs[i%(p/block)*block:][:block]
+			nodes = sp.SplitBlock(a, blk, moved, nodes)
+			for _, pr := range blk {
+				a.SyncBits(pr.From)
+				a.SyncBits(pr.To)
+			}
+		}
+		for i := 0; i < 2*p/block; i++ { // grow the buffers and level tables to their final size
 			transfer(i)
 		}
 		b.ResetTimer()
@@ -396,7 +452,7 @@ func BenchmarkArenaTransfer(b *testing.B) {
 			transfer(i)
 		}
 		b.StopTimer()
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/pair")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/block, "ns/pair")
 	})
 }
 

@@ -21,7 +21,11 @@
 // allocate in steady state.
 package match
 
-import "simdtree/internal/scan"
+import (
+	"math/bits"
+
+	"simdtree/internal/scan"
+)
 
 // Matcher pairs idle processors with busy donors for one transfer round.
 type Matcher interface {
@@ -47,32 +51,73 @@ type BitMatcher interface {
 	MatchBits(busy, idle scan.Bits, n int) []scan.Pair
 }
 
-// arena is the reusable matching scratch shared by both schemes: the busy
-// and idle enumeration ranks, the rendezvous rank-inversion table, the
-// returned pair slice, and the bit vectors Match packs its []bool
-// arguments into.  None of it is semantic state — Reset does not touch
-// it — it only keeps steady-state matching allocation-free.
+// arena is the reusable matching scratch shared by both schemes: the rank
+// lists of one round, the returned pair slice, and the bit vectors Match
+// packs its []bool arguments into.  None of it is semantic state — Reset
+// does not touch it — it only keeps steady-state matching allocation-free.
 type arena struct {
-	busyRanks []int
-	idleRanks []int
-	inv       []int
-	pairs     []scan.Pair
-	busyBits  scan.Bits
-	idleBits  scan.Bits
+	ranks    []int // receiver of rank r at [r], donor of rank r at [matched+r]
+	pairs    []scan.Pair
+	busyBits scan.Bits
+	idleBits scan.Bits
 }
 
-// grow sizes the rank scratch for an n-processor machine.
+// matchBits is the setup step of both schemes, read straight off the flag
+// words: matched = min(#busy, #idle) by popcount, the receiver of rank r is
+// the r-th idle processor from processor 0 and the donor of rank r the r-th
+// busy one from start, wrapping around — O(matched + P/64), nothing P-long.
+// The pairs come out in ascending donor index (the donors that wrapped below
+// start first), the order every transfer round, donor trace and golden is
+// pinned to.  last is the donor of rank matched-1, where the global pointer
+// lands, or -1 when nothing matched.
 //
 //lint:hotpath
-func (a *arena) grow(n int) {
-	if cap(a.busyRanks) < n {
-		//lint:allow hotalloc rank scratch grows once to P and is reused across phases
-		a.busyRanks = make([]int, n)
-		//lint:allow hotalloc rank scratch grows once to P and is reused across phases
-		a.idleRanks = make([]int, n)
+func (a *arena) matchBits(busy, idle scan.Bits, start int) (pairs []scan.Pair, last int) {
+	matched := min(busy.CountBits(), idle.CountBits())
+	if matched == 0 {
+		return a.pairs[:0], -1
 	}
-	a.busyRanks = a.busyRanks[:n]
-	a.idleRanks = a.idleRanks[:n]
+	if cap(a.ranks) < 2*matched {
+		// At least doubling: rounds that creep up phase by phase must not
+		// reallocate every phase.
+		n := max(matched, cap(a.ranks))
+		//lint:allow hotalloc rank scratch grows to two ints a matched pair and is reused across phases
+		a.ranks = make([]int, 2*n)
+		//lint:allow hotalloc pair scratch grows with the rank scratch
+		a.pairs = make([]scan.Pair, n)
+	}
+	receivers, donors := a.ranks[:matched], a.ranks[matched:2*matched]
+	listSet(receivers, idle, 0)
+	// Ranks [0, tail) sit at or after start; the list running dry there
+	// means the remaining ranks wrap to the lowest busy processors, all of
+	// them below start because #busy >= matched.
+	tail := listSet(donors, busy, start)
+	listSet(donors[tail:], busy, 0)
+	pairs = a.pairs[:matched]
+	for k := range pairs {
+		r := k + tail // the wrapped donors, ranks [tail, matched), have the lowest indices
+		if r >= matched {
+			r -= matched
+		}
+		pairs[k] = scan.Pair{From: donors[r], To: receivers[r]}
+	}
+	return pairs, donors[matched-1]
+}
+
+// listSet writes the indices of the set flags of b at or after lo into dst,
+// ascending, until dst is full or the flags run out, and returns how many
+// it wrote.
+func listSet(dst []int, b scan.Bits, lo int) int {
+	k := 0
+	mask := ^uint64(0) << (uint(lo) & 63)
+	for wi := lo >> 6; wi < len(b) && k < len(dst); wi++ {
+		for w := b[wi] & mask; w != 0 && k < len(dst); w &= w - 1 {
+			dst[k] = wi<<6 + bits.TrailingZeros64(w)
+			k++
+		}
+		mask = ^uint64(0)
+	}
+	return k
 }
 
 // pack word-packs the two flag slices into the arena's bit scratch.
@@ -86,20 +131,37 @@ func (a *arena) pack(busy, idle []bool) (scan.Bits, scan.Bits) {
 }
 
 // packBools writes flags into dst, grown once to the largest machine seen
-// and resliced after that; no bit at or beyond len(flags) is left set.
+// and resliced after that, a whole word at a time and branch-free: packing
+// is all that is P-long in Match.  No bit at or beyond len(flags) is set.
 func packBools(dst scan.Bits, flags []bool) scan.Bits {
 	words := (len(flags) + 63) / 64
 	if cap(dst) < words {
 		dst = scan.NewBits(len(flags))
 	}
 	dst = dst[:words]
-	dst.Clear()
-	for i, f := range flags {
-		if f {
-			dst.SetTo(i, true)
+	for wi := range dst {
+		chunk := flags[wi*64 : min(wi*64+64, len(flags))]
+		var w uint64
+		j := 0
+		for ; j+8 <= len(chunk); j += 8 { // eight independent terms: a tree, not a chain of ORs
+			c := chunk[j : j+8 : j+8]
+			w |= (bit(c[0]) | bit(c[1])<<1 | bit(c[2])<<2 | bit(c[3])<<3 |
+				bit(c[4])<<4 | bit(c[5])<<5 | bit(c[6])<<6 | bit(c[7])<<7) << uint(j)
 		}
+		for ; j < len(chunk); j++ {
+			w |= bit(chunk[j]) << uint(j)
+		}
+		dst[wi] = w
 	}
 	return dst
+}
+
+// bit is f as 0 or 1; the compiler turns it into a zero-extension.
+func bit(f bool) uint64 {
+	if f {
+		return 1
+	}
+	return 0
 }
 
 // NGP is the pointer-free matching scheme of the prior work: enumeration
@@ -127,11 +189,8 @@ func (g *NGP) Match(busy, idle []bool) []scan.Pair {
 //
 //lint:hotpath
 func (g *NGP) MatchBits(busy, idle scan.Bits, n int) []scan.Pair {
-	g.grow(n)
-	scan.EnumerateBitsInto(g.busyRanks, busy, n)
-	scan.EnumerateBitsInto(g.idleRanks, idle, n)
-	g.pairs, g.inv = scan.RendezvousInto(g.pairs[:0], g.inv, g.busyRanks, g.idleRanks)
-	return g.pairs
+	pairs, _ := g.matchBits(busy, idle, 0)
+	return pairs
 }
 
 // GP is the paper's global-pointer matching scheme.
@@ -183,27 +242,13 @@ func (g *GP) MatchBits(busy, idle scan.Bits, n int) []scan.Pair {
 	if n == 0 {
 		return nil
 	}
-	start := (g.pointer + 1) % n
-	if g.pointer < 0 {
-		start = 0
+	start := 0
+	if g.pointer >= 0 {
+		start = (g.pointer + 1) % n
 	}
-	g.grow(n)
-	nBusy := scan.EnumerateBitsFromInto(g.busyRanks, busy, start, n)
-	nIdle := scan.EnumerateBitsInto(g.idleRanks, idle, n)
-	g.pairs, g.inv = scan.RendezvousInto(g.pairs[:0], g.inv, g.busyRanks, g.idleRanks)
-	// Advance the pointer to the donor with the highest matched rank.
-	matched := nBusy
-	if nIdle < matched {
-		matched = nIdle
+	pairs, last := g.matchBits(busy, idle, start)
+	if last >= 0 {
+		g.pointer = last
 	}
-	if matched > 0 {
-		last := matched - 1
-		for i, r := range g.busyRanks {
-			if r == last {
-				g.pointer = i
-				break
-			}
-		}
-	}
-	return g.pairs
+	return pairs
 }

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"simdtree/internal/metrics"
+	"simdtree/internal/scan"
 	"simdtree/internal/search"
 	"simdtree/internal/stack"
 	"simdtree/internal/topology"
@@ -207,6 +208,9 @@ type simulator[S any] struct {
 	rngState uint64
 	stats    Stats
 	splitter stack.Splitter[S]
+	pair     [1]scan.Pair // a steal is a block of one: the pair, what it moved, the splitter's scratch
+	moved    [1]int
+	xfer     []S
 	buf      []S
 }
 
@@ -317,7 +321,9 @@ func (s *simulator[S]) handleSteal(victim, requester int) {
 		// Split into the requester's parking slot (empty: a processor has
 		// one request outstanding), where the donated half rides out the
 		// reply's latency.
-		n := s.splitter.SplitArena(a, victim, parked)
+		s.pair[0] = scan.Pair{From: victim, To: parked}
+		s.xfer = s.splitter.SplitBlock(a, s.pair[:], s.moved[:], s.xfer)
+		n := s.moved[0]
 		a.SyncBits(victim)
 		a.SyncBits(parked)
 		s.stats.StealSuccesses++

@@ -34,13 +34,6 @@ func (b Bits) SetTo(i int, v bool) {
 	*w = *w&^(1<<sh) | bit<<sh
 }
 
-// Clear zeroes every flag.
-func (b Bits) Clear() {
-	for i := range b {
-		b[i] = 0
-	}
-}
-
 // None reports that no flag is set — the all-stacks-empty termination
 // reduction, one load and compare per 64 processors.
 func (b Bits) None() bool {
@@ -94,67 +87,4 @@ func ComplementInto(dst, src Bits, n int) {
 	if r := uint(n) & 63; r != 0 {
 		dst[words-1] &= 1<<r - 1
 	}
-}
-
-// EnumerateBitsInto ranks the set flags among the first n of b: ranks[i]
-// is the number of set flags strictly before i when flag i is set and -1
-// otherwise, and the count of set flags is returned.  This is the
-// "enumeration" (a sum-scan over the flags) the paper performs on both the
-// idle and the busy processor sets during the load-balancing setup step.
-// Only the set bits are visited, so a sparse flag vector costs
-// O(count + n/64) beyond the O(n) rank reset.
-//
-//lint:hotpath
-func EnumerateBitsInto(ranks []int, b Bits, n int) (count int) {
-	if len(ranks) != n {
-		panic("scan: output length mismatch")
-	}
-	for i := range ranks {
-		ranks[i] = -1
-	}
-	return enumBitRange(ranks, b, 0, n, 0)
-}
-
-// EnumerateBitsFromInto is the rotated form underlying the paper's GP
-// (global-pointer) matching: enumeration starts at flag start and wraps
-// around, so the first set flag at or after start gets rank 0.  Negative
-// and overflowing starts are reduced modulo n.
-//
-//lint:hotpath
-func EnumerateBitsFromInto(ranks []int, b Bits, start, n int) (count int) {
-	if len(ranks) != n {
-		panic("scan: output length mismatch")
-	}
-	for i := range ranks {
-		ranks[i] = -1
-	}
-	if n == 0 {
-		return 0
-	}
-	start = ((start % n) + n) % n
-	count = enumBitRange(ranks, b, start, n, 0)
-	count = enumBitRange(ranks, b, 0, start, count)
-	return count
-}
-
-// enumBitRange assigns consecutive ranks starting at next to the set bits
-// of b in [lo, hi), ascending, and returns the next free rank.
-func enumBitRange(ranks []int, b Bits, lo, hi, next int) int {
-	for wi := lo >> 6; wi < len(b) && wi<<6 < hi; wi++ {
-		w := b[wi]
-		base := wi << 6
-		if base < lo {
-			w &= ^uint64(0) << (uint(lo) & 63)
-		}
-		for w != 0 {
-			i := base + mbits.TrailingZeros64(w)
-			if i >= hi {
-				break
-			}
-			w &= w - 1
-			ranks[i] = next
-			next++
-		}
-	}
-	return next
 }

@@ -54,10 +54,6 @@ func TestReductions(t *testing.T) {
 	if b.None() || !b.Any() || b.CountBits() != 2 {
 		t.Errorf("two flags set: None=%v Any=%v CountBits=%d", b.None(), b.Any(), b.CountBits())
 	}
-	b.Clear()
-	if !b.None() {
-		t.Error("Clear left flags set")
-	}
 }
 
 // TestBitsReductionsMatchBools property-checks the word-level reductions

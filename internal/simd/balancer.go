@@ -30,26 +30,31 @@ type Context[S any] struct {
 
 	// Host-side parallelism (never affects results): workers is the shard
 	// count and runParallel, when non-nil, runs a task once per shard with
-	// a barrier.  The engine wires both from its worker pool; a zero-value
-	// Context runs everything sequentially.
+	// a barrier.  The engine wires both from its worker pool; without
+	// runParallel everything runs on the calling goroutine.
 	workers     int
 	runParallel func(task func(w int))
 
 	// Reusable scratch: busy/idle flag buffers for []bool consumers, the
-	// idle bitset (complement of has-work), per-pair move counts, and the
-	// pre-bound shard task (allocated once, not per phase).
+	// idle bitset (complement of has-work), per-pair move counts, the
+	// block of one a lone transfer is (its pair and its count), each
+	// shard's block scratch for the splitter (the engine sizes it), and
+	// the pre-bound shard task (allocated once, not per phase).
 	busy, idle   []bool
 	idleB        scan.Bits
 	moved        []int
+	one          [1]scan.Pair
+	movedOne     [1]int
+	nodes        [][]S
 	curPairs     []scan.Pair
 	taskTransfer func(w int)
 
 	// faultDonor, when non-nil (memory-bounded run), makes a donor PE
 	// fully resident before its stack is split: bottom-node donation
 	// reads the true bottom of the stack, which may be evicted.  It is
-	// only ever called sequentially (makeResident) — by Transfer, and as a
-	// pre-pass over every donor before TransferAll's parallel region — and
-	// latches a failed restore for the run loop to surface.
+	// only ever called sequentially (makeResident) — by Transfer, and as
+	// TransferAll's pre-pass over every donor of a round — and latches a
+	// failed restore for the run loop to surface.
 	faultDonor func(pe int)
 }
 
@@ -93,21 +98,6 @@ func (c *Context[S]) idleBits() scan.Bits {
 	return c.idleB
 }
 
-// shardBounds returns shard w's [lo, hi) range over n items, using the
-// same contiguous chunking as the engine's expansion sharding.
-func (c *Context[S]) shardBounds(w, n int) (lo, hi int) {
-	chunk := (n + c.workers - 1) / c.workers
-	lo = w * chunk
-	hi = lo + chunk
-	if hi > n {
-		hi = n
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
-}
-
 // Busy returns the donor-eligibility flags as a []bool, expanded
 // branch-free from the can-split bitset.  The returned slice is the
 // context's scratch and is valid until the next Busy call.
@@ -144,30 +134,41 @@ func (c *Context[S]) makeResident(from int) {
 	}
 }
 
-// transferNodes moves split work from PE from to PE to as range copies
-// within the arena, without touching the shared phase accounting or the
-// arena bitsets — the caller re-syncs the two PEs (sequentially, after any
-// parallel region).  It returns the number of stack nodes moved.  A donor
-// with levels still evicted moves nothing: its restore failed (the error
-// is latched and ends the run at the next boundary), and the bottom of its
-// resident window is not the bottom of its stack.
-func (c *Context[S]) transferNodes(from, to int) int {
-	if !c.Arena.Splittable(from) || c.Arena.Ghost(from) > 0 {
-		return 0
+// blockPairs is the number of pairs the splitter is handed at a time: one
+// flag word's worth, as in the expansion kernel — enough independent donors
+// for their cache misses to overlap, few enough that the gathered nodes are
+// still in cache when they are pushed.
+const blockPairs = 64
+
+// splitPairs runs pairs through the splitter a block at a time on shard w's
+// block scratch, recording the nodes each pair moved in moved, without
+// touching the shared phase accounting or the arena bitsets — the caller
+// re-syncs the PEs (sequentially, after any parallel region).
+func (c *Context[S]) splitPairs(w int, pairs []scan.Pair, moved []int) {
+	for len(pairs) > 0 {
+		n := min(len(pairs), blockPairs)
+		c.nodes[w] = c.Splitter.SplitBlock(c.Arena, pairs[:n], moved[:n], c.nodes[w])
+		pairs, moved = pairs[n:], moved[n:]
 	}
-	return c.Splitter.SplitArena(c.Arena, from, to)
 }
 
-// Transfer splits the stack of processor from and appends the donated part
-// to processor to.  It reports the number of stack nodes moved; a donor
-// that can no longer split moves nothing.
-func (c *Context[S]) Transfer(from, to int) int {
-	c.makeResident(from)
-	n := c.transferNodes(from, to)
-	c.Arena.SyncBits(from)
-	c.Arena.SyncBits(to)
+// splitOne is the block of one, Transfer's and Machine.TransferLocal's: it
+// moves split work from PE from to PE to and returns the number of stack
+// nodes moved, leaving accounting and bitsets to the caller like splitPairs.
+func (c *Context[S]) splitOne(from, to int) int {
+	c.one[0] = scan.Pair{From: from, To: to}
+	c.nodes[0] = c.Splitter.SplitBlock(c.Arena, c.one[:], c.movedOne[:], c.nodes[0])
+	return c.movedOne[0]
+}
+
+// account re-syncs the bitsets of a pair that moved n nodes and books it
+// into the phase (transfer count, maximum transfer size, donor trace); it
+// reports whether the pair moved work.  Sequential code only.
+func (c *Context[S]) account(p scan.Pair, n int) bool {
+	c.Arena.SyncBits(p.From)
+	c.Arena.SyncBits(p.To)
 	if n == 0 {
-		return 0
+		return false
 	}
 	c.transfers++
 	if n > c.maxTransfer {
@@ -175,73 +176,65 @@ func (c *Context[S]) Transfer(from, to int) int {
 	}
 	if c.recordDonors {
 		//lint:allow hotalloc donor trace recording is opt-in (Trace.WantDonors)
-		c.donors = append(c.donors, from)
+		c.donors = append(c.donors, p.From)
 	}
+	return true
+}
+
+// Transfer splits the stack of processor from and appends the donated part
+// to processor to — a round of one pair, for balancers that pair PEs without
+// a matching round's guarantees.  It reports the number of stack nodes
+// moved; a donor that can no longer split moves nothing.
+func (c *Context[S]) Transfer(from, to int) int {
+	c.makeResident(from)
+	n := c.splitOne(from, to)
+	c.account(c.one[0], n)
 	return n
 }
 
-// parallelPairMin is the pair count below which TransferAll runs
-// sequentially; the cut-over affects wall-clock time only.
+// parallelPairMin is the pair count below which TransferAll does not wake
+// the worker pool; the cut-over affects wall-clock time only.
 const parallelPairMin = 64
 
 // TransferAll performs every transfer of one matching round and reports how
 // many pairs actually moved work.  The pairs must have pairwise-distinct
-// donors and pairwise-distinct receivers — the guarantee every rendezvous
-// matching round provides — so the arena mutations of different pairs
-// touch disjoint PEs and the round can execute across the host worker
-// shards.  The arena bitsets are not updated inside the parallel region
-// (pairs in different shards may share a bitset word); they are re-synced,
-// and the phase accounting (transfer count, maximum transfer size, donor
-// trace) reduced, sequentially in pair order — bit-identical to calling
-// Transfer pair by pair.
+// donors and pairwise-distinct receivers, and no donor may also receive —
+// what every rendezvous round provides, busy donors to idle receivers — so
+// different pairs touch disjoint PEs: the splitter may gather a block's
+// donated nodes before it pushes any, and the round can execute across the
+// host worker shards, with nothing the schedule observes depending on
+// either.  Donors with evicted levels are restored first, sequentially, so
+// no segment I/O happens inside a block or a shard.  The splitter leaves
+// the bitsets alone (pairs in different shards may share a word); they are
+// re-synced, and the accounting reduced, sequentially in pair order.
 func (c *Context[S]) TransferAll(pairs []scan.Pair) int {
-	if c.runParallel == nil || len(pairs) < parallelPairMin {
-		done := 0
-		for _, p := range pairs {
-			if c.Transfer(p.From, p.To) > 0 {
-				done++
-			}
-		}
-		return done
-	}
-	// Restore every donor sequentially before the parallel region, so no
-	// segment I/O happens inside it.
 	for _, p := range pairs {
 		c.makeResident(p.From)
 	}
 	if cap(c.moved) < len(pairs) {
-		//lint:allow hotalloc per-pair move counts grow once to the pair count
-		c.moved = make([]int, len(pairs))
+		//lint:allow hotalloc per-pair move counts grow, at least doubling, to the largest round
+		c.moved = make([]int, max(len(pairs), 2*cap(c.moved), blockPairs))
 	}
 	c.moved = c.moved[:len(pairs)]
-	c.curPairs = pairs
-	if c.taskTransfer == nil {
-		//lint:allow hotalloc shard task closure is created once and cached
-		c.taskTransfer = func(w int) {
-			lo, hi := c.shardBounds(w, len(c.curPairs))
-			for k := lo; k < hi; k++ {
-				p := c.curPairs[k]
-				c.moved[k] = c.transferNodes(p.From, p.To)
+	if c.runParallel != nil && len(pairs) >= parallelPairMin {
+		c.curPairs = pairs
+		if c.taskTransfer == nil {
+			//lint:allow hotalloc shard task closure is created once and cached
+			c.taskTransfer = func(w int) {
+				n := len(c.curPairs) // shard w's even share of the round
+				lo, hi := w*n/c.workers, (w+1)*n/c.workers
+				c.splitPairs(w, c.curPairs[lo:hi], c.moved[lo:hi])
 			}
 		}
+		c.runParallel(c.taskTransfer)
+		c.curPairs = nil
+	} else {
+		c.splitPairs(0, pairs, c.moved)
 	}
-	c.runParallel(c.taskTransfer)
-	c.curPairs = nil
 	done := 0
-	for k, n := range c.moved {
-		c.Arena.SyncBits(pairs[k].From)
-		c.Arena.SyncBits(pairs[k].To)
-		if n == 0 {
-			continue
-		}
-		done++
-		c.transfers++
-		if n > c.maxTransfer {
-			c.maxTransfer = n
-		}
-		if c.recordDonors {
-			//lint:allow hotalloc donor trace recording is opt-in (Trace.WantDonors)
-			c.donors = append(c.donors, pairs[k].From)
+	for k, p := range pairs {
+		if c.account(p, c.moved[k]) {
+			done++
 		}
 	}
 	return done

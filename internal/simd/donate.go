@@ -14,7 +14,7 @@ import (
 // straight into the addressed PE of its own arena.  Everything here
 // preserves the determinism contract — transfers happen only at cycle
 // boundaries, are the exact stack operations of a load-balancing phase
-// (Context.transferNodes), and never touch the machine's own schedule
+// (Context.splitPairs), and never touch the machine's own schedule
 // ledger, which a distributed run keeps on the coordinator.
 
 // StepCycle runs exactly one lock-step node-expansion cycle across all PEs
@@ -78,7 +78,7 @@ func (m *Machine[S]) TransferLocal(from, to int) (int, error) {
 	if err := m.faultFull(from); err != nil {
 		return 0, err
 	}
-	n := m.lbCtx.transferNodes(from, to)
+	n := m.lbCtx.splitOne(from, to)
 	m.arena.SyncBits(from)
 	m.arena.SyncBits(to)
 	return n, nil

@@ -186,37 +186,41 @@ func (b *ghostDonorBalancer) Balance(c *Context[synthetic.Node]) (rounds, transf
 
 // TestFailedRestoreLeavesDonorAlone: when a donor's evicted levels cannot be
 // restored, the phase must not split its resident window (whose bottom is
-// not the stack's bottom), on the sequential and the parallel transfer path
-// alike, and the run must end with the restore error.
+// not the stack's bottom) — the refusal happens inside the splitter's block,
+// after the restore pre-pass every worker count now runs — and the run must
+// end with the restore error.  65 pairs is one block boundary (64 + 1, and
+// just past parallelPairMin); 100 gives every worker shard a block.
 func TestFailedRestoreLeavesDonorAlone(t *testing.T) {
-	const p, busy = 256, 100 // 100 pairs: past parallelPairMin
+	const p = 256
 	tree := synthetic.New(1, 5)
 	leaf := synthetic.Node{Budget: 1}
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			trig, err := trigger.Parse("S1.00")
-			if err != nil {
-				t.Fatal(err)
-			}
-			bal := &ghostDonorBalancer{t: t}
-			m, err := NewMachine[synthetic.Node](tree, Scheme[synthetic.Node]{Label: "ghost-donors", Trigger: trig, Balancer: bal},
-				Options{P: p, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for pe := 0; pe < busy; pe++ {
-				m.Arena().Clear(pe)
-				for l := 0; l < 3; l++ {
-					m.Arena().PushLevel(pe, []synthetic.Node{leaf, leaf, leaf})
+			for _, busy := range []int{65, 100} {
+				trig, err := trigger.Parse("S1.00")
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			sp := &failingSpiller{}
-			m.SetSpiller(sp)
-			if _, err := m.RunContext(context.Background()); !errors.Is(err, errRestore) {
-				t.Fatalf("run returned %v, want the restore error", err)
-			}
-			if sp.evicted < busy || bal.pairs < busy {
-				t.Fatalf("%d evictions, %d ghost donors offered; want at least %d of each", sp.evicted, bal.pairs, busy)
+				bal := &ghostDonorBalancer{t: t}
+				m, err := NewMachine[synthetic.Node](tree, Scheme[synthetic.Node]{Label: "ghost-donors", Trigger: trig, Balancer: bal},
+					Options{P: p, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for pe := 0; pe < busy; pe++ {
+					m.Arena().Clear(pe)
+					for l := 0; l < 3; l++ {
+						m.Arena().PushLevel(pe, []synthetic.Node{leaf, leaf, leaf})
+					}
+				}
+				sp := &failingSpiller{}
+				m.SetSpiller(sp)
+				if _, err := m.RunContext(context.Background()); !errors.Is(err, errRestore) {
+					t.Fatalf("%d donors: run returned %v, want the restore error", busy, err)
+				}
+				if sp.evicted < busy || bal.pairs < busy {
+					t.Fatalf("%d evictions, %d ghost donors offered; want at least %d of each", sp.evicted, bal.pairs, busy)
+				}
 			}
 		})
 	}

@@ -248,6 +248,7 @@ func NewMachine[S any](d search.Domain[S], sch Scheme[S], opts Options) (*Machin
 		Splitter: m.sch.Splitter,
 		Topo:     m.sched.topo,
 		workers:  m.workers,
+		nodes:    make([][]S, m.workers),
 	}
 	if m.workers > 1 {
 		m.lbCtx.runParallel = m.parallel

@@ -313,9 +313,7 @@ func (a *Arena[S]) Pop(pe int) (S, bool) {
 // removeBottomRaw removes and returns the first alternative of the bottom
 // resident level — the node closest to the root, provided the PE is fully
 // resident (no ghost levels below the window) — without touching the
-// bitsets.  Because empty levels are dropped as they form, this is O(1):
-// advance the head offset and shrink the bottom level, which is the
-// record's top when the stack is one level deep.
+// bitsets.
 func (a *Arena[S]) removeBottomRaw(pe int) (S, bool) {
 	var zero S
 	p := &a.pes[pe]
@@ -324,18 +322,29 @@ func (a *Arena[S]) removeBottomRaw(pe int) (S, bool) {
 	}
 	node := p.buf[p.head]
 	p.buf[p.head] = zero
+	p.shrinkBottom()
+	return node, true
+}
+
+// shrinkBottom books the removal of the PE's bottom node.  Because empty
+// levels are dropped as they form, this is O(1): advance the head offset
+// and shrink the bottom level, which is the record's top when the stack is
+// one level deep.  Like shrinkTop it inlines into its callers.
+func (p *pe[S]) shrinkBottom() {
 	p.head++
-	if p.depth == 1 {
-		p.shrinkTop() // the bottom level is the top level
-		return node, true
-	}
 	p.size--
-	p.lvl[p.lvlLo]--
-	if p.lvl[p.lvlLo] == 0 {
+	lvl := &p.top // the bottom level is the top level of a one-level stack
+	if p.depth > 1 {
+		lvl = &p.lvl[p.lvlLo]
+	}
+	*lvl--
+	if *lvl == 0 {
 		p.lvlLo++
 		p.depth--
+		if p.depth == 0 {
+			p.lvlLo, p.head = 0, 0
+		}
 	}
-	return node, true
 }
 
 // RemoveBottom removes and returns the node closest to the root, which in
@@ -395,7 +404,7 @@ func (a *Arena[S]) ForEachLevel(pe int, f func(level []S)) {
 // AppendLevels copies levels above PE pe's current top — the sibling of
 // PrependLevels at the other end of the window, and the install of a
 // decoded checkpoint or donation payload: the same level pushes a local
-// SplitArena transfer performs.  nodes holds the levels' nodes bottom level
+// splitter transfer performs.  nodes holds the levels' nodes bottom level
 // first and counts the length of each level; the caller keeps ownership of
 // both slices.
 //
@@ -560,30 +569,88 @@ func (a *Arena[S]) PrependLevels(pe int, nodes []S, counts []int) {
 	p.ghLvl -= int32(k)
 }
 
-// SplitArena implements Splitter: the bottom node moves from donor
-// to receiver in two O(1) steps (head-offset removal, single-node push).
-//
-//lint:hotpath
-func (BottomNode[S]) SplitArena(a *Arena[S], from, to int) int {
-	node, ok := a.removeBottomRaw(from)
-	if !ok {
-		return 0
+// canDonate reports that the PE's stack may be split: at least two nodes,
+// all of them resident.  A donor with levels still evicted is one whose
+// restore failed (the engine latched the error and ends the run at the next
+// boundary): the bottom of its window is not the bottom of its stack.
+func (p *pe[S]) canDonate() bool { return p.size >= 2 && p.ghost == 0 }
+
+// moveOne is the block transfer of the two single-node splitters: the
+// bottom node (or, with top set, the deepest one) of every eligible donor.
+// Gather — a matching round finds the donors' records and node lines cold,
+// and the loop body is a few loads and stores with no call in it
+// (shrinkBottom and shrinkTop inline, as in ExpandCycle's pop phase), so
+// the block's misses overlap instead of each waiting behind the previous
+// pair's push.  Scatter — one single-node push per receiver.
+func (a *Arena[S]) moveOne(pairs []scan.Pair, moved []int, nodes []S, top bool) []S {
+	if cap(nodes) < len(pairs) {
+		//lint:allow hotalloc block scratch grows once to the block size and is reused by its owner
+		nodes = make([]S, len(pairs))
 	}
-	a.pushOneRaw(to, node)
-	return 1
+	nodes = nodes[:len(pairs)]
+	var zero S
+	for k, pr := range pairs {
+		p := &a.pes[pr.From]
+		if !p.canDonate() {
+			moved[k] = 0
+			continue
+		}
+		moved[k] = 1
+		at := p.head
+		if top {
+			at += p.size - 1
+		}
+		nodes[k], p.buf[at] = p.buf[at], zero
+		if top {
+			p.shrinkTop()
+		} else {
+			p.shrinkBottom()
+		}
+	}
+	for k, pr := range pairs {
+		if moved[k] != 0 {
+			a.pushOneRaw(pr.To, nodes[k])
+		}
+	}
+	return nodes
 }
 
-// SplitArena implements Splitter: the first half of every donor
-// level is appended to the receiver as contiguous range copies, and the
-// kept halves are compacted toward the front of the donor's window in a
-// single forward pass.
+// SplitBlock implements Splitter: the bottom node of every donor moves to
+// its receiver in two O(1) steps (head-offset removal, single-node push).
 //
 //lint:hotpath
-func (HalfStack[S]) SplitArena(a *Arena[S], from, to int) int {
-	if from == to {
+func (BottomNode[S]) SplitBlock(a *Arena[S], pairs []scan.Pair, moved []int, nodes []S) []S {
+	return a.moveOne(pairs, moved, nodes, false)
+}
+
+// SplitBlock implements Splitter: the single deepest alternative of every
+// donor moves to its receiver.
+//
+//lint:hotpath
+func (TopNode[S]) SplitBlock(a *Arena[S], pairs []scan.Pair, moved []int, nodes []S) []S {
+	return a.moveOne(pairs, moved, nodes, true)
+}
+
+// SplitBlock implements Splitter, pair by pair: a half-stack split streams
+// whole levels and has no cold single node to gather.
+//
+//lint:hotpath
+func (HalfStack[S]) SplitBlock(a *Arena[S], pairs []scan.Pair, moved []int, nodes []S) []S {
+	for k, pr := range pairs {
+		moved[k] = a.splitHalf(pr.From, pr.To)
+	}
+	return nodes
+}
+
+// splitHalf is one half-stack split: the first half of every donor level
+// is appended to the receiver as contiguous range copies, and the kept
+// halves are compacted toward the front of the donor's window in a single
+// forward pass.
+func (a *Arena[S]) splitHalf(from, to int) int {
+	p := &a.pes[from]
+	if from == to || !p.canDonate() {
 		return 0
 	}
-	p := &a.pes[from]
 	buf := p.buf
 	moved := 0
 	r, w := int(p.head), int(p.head)
@@ -617,17 +684,4 @@ func (HalfStack[S]) SplitArena(a *Arena[S], from, to int) int {
 		}
 	}
 	return moved
-}
-
-// SplitArena implements Splitter: the single deepest alternative
-// moves to the receiver.
-//
-//lint:hotpath
-func (TopNode[S]) SplitArena(a *Arena[S], from, to int) int {
-	node, ok := a.popRaw(from)
-	if !ok {
-		return 0
-	}
-	a.pushOneRaw(to, node)
-	return 1
 }

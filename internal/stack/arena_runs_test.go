@@ -84,7 +84,7 @@ func mutatorRuns[S comparable](seed int64, mk func(int) S, val func(S) int, mut 
 					m.removeBottom()
 				case 4, 5, 6: // the three splitters, x to y
 					if sp := splitters[op-4]; m.size() >= 2 {
-						sp.SplitArena(a, x, y)
+						splitOne(sp, a, x, y)
 						a.SyncBits(x)
 						a.SyncBits(y)
 						ms[y] = append(ms[y], m.split(sp.Name())...)

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"simdtree/internal/scan"
 )
 
 // flattenPE returns PE pe's nodes bottom-to-top, one slice per level.
@@ -203,7 +205,7 @@ func TestArenaSplittersMatchSplitInto(t *testing.T) {
 				a.PushLevel(1, []int{9000, 9001})
 				wantRecv.push([]int{9000, 9001})
 			}
-			moved := sp.SplitArena(a, 0, 1)
+			moved := splitOne(sp, a, 0, 1)
 			a.SyncBits(0)
 			a.SyncBits(1)
 
@@ -293,12 +295,13 @@ func TestArenaSteadyStateZeroAlloc(t *testing.T) {
 	a.PushLevel(0, lv)
 	a.PushLevel(0, lv)
 	sp := HalfStack[int]{}
+	pair, moved := []scan.Pair{{From: 0, To: 1}}, []int{0}
 	allocs := testing.AllocsPerRun(200, func() {
 		// One expansion step: pop a node, push its successors.
 		a.Pop(0)
 		a.PushLevel(0, lv)
 		// One transfer: split half of PE 0 onto PE 1, then drain PE 1.
-		sp.SplitArena(a, 0, 1)
+		sp.SplitBlock(a, pair, moved, nil)
 		a.SyncBits(0)
 		a.SyncBits(1)
 		for !a.Empty(1) {

@@ -15,20 +15,28 @@
 // splitter used for ablations.
 package stack
 
-// A Splitter divides the work on one PE's stack into two non-empty parts,
+import "simdtree/internal/scan"
+
+// A Splitter divides the work on a PE's stack into two non-empty parts,
 // leaving one on the donor and appending the other above the receiver's
-// top, as range copies within the arena's flat storage.  Implementations
-// run on the raw arena operations and do not update the arena bitsets:
-// concurrent transfers of different PE pairs may share bitset words, so
-// the caller re-syncs the two touched PEs (SyncBits) sequentially
-// afterwards.  The donor must be fully resident and splittable; callers
-// guard with Arena.Splittable.
+// top, as range copies within the arena's flat storage.  It works a block
+// of a matching round at a time (a single transfer is the block of one), so
+// it can take the donated nodes off every donor before it pushes any: the
+// misses on the cold donors overlap, and as a round's donors and receivers
+// are pairwise distinct and disjoint, no pair can observe the reordering.
+// Implementations use the raw arena operations and leave the bitsets alone
+// (concurrent blocks may share bitset words); the caller re-syncs the
+// touched PEs (SyncBits) sequentially afterwards.
 type Splitter[S any] interface {
 	// Name identifies the splitter in reports.
 	Name() string
-	// SplitArena splits PE from's work and appends the donated part above
-	// PE to's top, returning the number of nodes moved.
-	SplitArena(a *Arena[S], from, to int) int
+	// SplitBlock splits the stack of every pair's donor and appends the
+	// donated part above its receiver's top, setting moved[k] to the number
+	// of nodes pair k moved.  A donor that holds fewer than two nodes, or
+	// has levels evicted, is refused: both stacks stay untouched, moved[k]
+	// is 0.  nodes is the caller's reusable block scratch, returned
+	// (possibly grown) for the next call.
+	SplitBlock(a *Arena[S], pairs []scan.Pair, moved []int, nodes []S) []S
 }
 
 // BottomNode donates the single alternative at the bottom of the stack.

@@ -7,7 +7,17 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"simdtree/internal/scan"
 )
+
+// splitOne runs sp on the block of one pair, from -> to, and returns the
+// number of nodes it moved.
+func splitOne[S any](sp Splitter[S], a *Arena[S], from, to int) int {
+	moved := []int{0}
+	sp.SplitBlock(a, []scan.Pair{{From: from, To: to}}, moved, nil)
+	return moved[0]
+}
 
 // onePE returns a one-PE arena holding the given levels, bottom first.
 func onePE(levels ...[]int) *Arena[int] {
@@ -167,7 +177,7 @@ func TestSplitInvariants(t *testing.T) {
 			before, _ := s.flat()
 			a := NewArena[int](2)
 			s.install(a, 0)
-			moved := sp.SplitArena(a, 0, 1)
+			moved := splitOne(sp, a, 0, 1)
 			if moved == 0 || a.Resident(1) != moved {
 				t.Fatalf("%s: reported %d moved, receiver holds %d (stack had %d nodes)", sp.Name(), moved, a.Resident(1), len(before))
 			}
@@ -191,7 +201,7 @@ func splitOff(sp Splitter[int], levels ...[]int) (donated, kept model) {
 	for _, lv := range levels {
 		a.PushLevel(0, lv)
 	}
-	sp.SplitArena(a, 0, 1)
+	splitOne(sp, a, 0, 1)
 	return flattenPE(a, 1), flattenPE(a, 0)
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"simdtree/internal/puzzle"
 	"simdtree/internal/queens"
+	"simdtree/internal/scan"
 	"simdtree/internal/stack"
 	"simdtree/internal/synthetic"
 )
@@ -24,7 +25,7 @@ func splitBottom[S any](levels ...[]S) *stack.Arena[S] {
 	for _, lv := range levels {
 		a.PushLevel(0, lv)
 	}
-	stack.BottomNode[S]{}.SplitArena(a, 0, 1)
+	stack.BottomNode[S]{}.SplitBlock(a, []scan.Pair{{From: 0, To: 1}}, []int{0}, nil)
 	a.SyncBits(0)
 	a.SyncBits(1)
 	return a

@@ -51,6 +51,12 @@ rule() {
 # internal/steal stays transport-free; and the coordinator has one outbound
 # path, cluster's call (the SSE proxy's stream.Do, which must not buffer, is
 # the documented other).
+#
+# match-discipline — one setup step (DESIGN.md section 16, "The
+# load-balancing phase costs what it moves"): the matchers read ranks
+# straight off the flag words, and no non-test file brings back a P-long
+# rank array or the enumerate-then-rendezvous pass over one (their test-only
+# form is scan's oracle_test.go).
 rules() {
 	rule frame-discipline 0 'decode and checksum frames through internal/wire (wire.Open / wire.Reader)' \
 		-e '"hash/crc32"' -e 'binary\.Uvarint(' -- '*.go' ':!*_test.go' ':!internal/wire/'
@@ -64,6 +70,8 @@ rules() {
 		-e '"net/http"' -- 'internal/steal/*.go' ':!*_test.go'
 	rule shard-discipline 1 'internal/cluster calls client.Do( {n} times, want exactly once (Coordinator.roundTrip, behind call)' \
 		-e 'client\.Do(' -- 'internal/cluster/*.go' ':!*_test.go'
+	rule match-discipline 0 'match on the flag words (match.MatchBits); the rank arrays are a test oracle' \
+		-e 'busyRanks' -e 'idleRanks' -e 'RendezvousInto' -e 'EnumerateBits' -- '*.go' ':!*_test.go'
 }
 
 # plant ORDINAL FIRES PATH LINE...: in a fresh scratch repository holding
@@ -104,6 +112,11 @@ if [ "${1:-}" = selftest ]; then
 	plant 6 1 internal/cluster/zz.go 'resp, err := c.client.Do(req)' 'resp, err = c.client.Do(req)'
 	plant 6 1 internal/cluster/zz.go 'no outbound call at all'
 	plant 6 0 internal/cluster/zz.go 'resp, err := c.client.Do(req)'
+	plant 7 1 internal/match/zz.go 'a.busyRanks = make([]int, n)'
+	plant 7 1 internal/match/zz.go 'a.idleRanks = a.idleRanks[:n]'
+	plant 7 1 internal/simd/zz.go 'pairs, inv = scan.RendezvousInto(pairs[:0], inv, busy, idle)'
+	plant 7 1 internal/scan/zz.go 'func EnumerateBitsFromInto(ranks []int, b Bits, start, n int) int {'
+	plant 7 0 internal/scan/zz_test.go 'func EnumerateBitsInto(ranks []int, b Bits, n int) int {'
 else
 	rules
 fi
