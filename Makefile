@@ -22,11 +22,11 @@ test-race:
 # baseline (see DESIGN.md section 11).  bench-baseline regenerates the
 # baseline file after an intentional perf change; bump the number when you
 # want to keep the old trajectory point.
-BENCH_BASELINE ?= BENCH_6.json
+BENCH_BASELINE ?= BENCH_7.json
 
 bench:
 	$(GO) run ./cmd/simdbench -out /dev/null -compare $(BENCH_BASELINE)
-	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkExpandKernel' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkExpandKernel|BenchmarkPoolSmallP' -benchmem .
 	$(GO) test -run '^$$' -bench BenchmarkSweepThrash -benchmem ./internal/spill
 
 bench-baseline:
@@ -39,7 +39,7 @@ bench-baseline:
 # a warmed-up evict/fault sweep does).
 bench-check:
 	$(GO) run ./cmd/simdbench -short -out /dev/null -compare $(BENCH_BASELINE)
-	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkExpandKernel' -benchtime 100x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkExpandKernel|BenchmarkPoolSmallP' -benchtime 100x -benchmem .
 	$(GO) test -run '^$$' -bench BenchmarkSweepThrash -benchtime 100x -benchmem ./internal/spill
 
 # simdmark, the benchmark of record (benchmark/, BENCHMARK.json), at the

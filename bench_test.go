@@ -279,11 +279,16 @@ func BenchmarkPuzzleExpand(b *testing.B) {
 // extra metrics so allocation regressions are attributable to a phase.
 func runScenario(b *testing.B, name string) {
 	b.Helper()
-	b.ReportAllocs()
 	sc, err := bench.ByName(name)
 	if err != nil {
 		b.Fatal(err)
 	}
+	runScenarioOf(b, sc)
+}
+
+func runScenarioOf(b *testing.B, sc bench.Scenario) {
+	b.Helper()
+	b.ReportAllocs()
 	var cycles, phases int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -306,6 +311,19 @@ func runScenario(b *testing.B, name string) {
 // allocation it reports comes from the per-cycle expansion loop.
 func BenchmarkExpansionCycle(b *testing.B) {
 	runScenario(b, bench.ExpansionCycle)
+}
+
+// BenchmarkPoolSmallP is simdmark's pool-small-p shape at a twentieth of
+// its size: P = 256 under GP-DK, so every cycle is a few hundred expansions —
+// too few to share.  Workers=2 must cost what Workers=1 costs (ns/cycle);
+// before the pool ran such cycles on the calling goroutine it paid a
+// goroutine handoff for each.
+func BenchmarkPoolSmallP(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			runScenarioOf(b, bench.Scenario{Name: "pool-small-p", Scheme: "GP-DK", P: 256, Workers: workers, W: 400_000, Seed: 1})
+		})
+	}
 }
 
 // BenchmarkLBPhase isolates the load-balancing phase: the pinned scenario

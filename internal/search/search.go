@@ -26,7 +26,11 @@ type Domain[S any] interface {
 	// Root returns the root node of the tree.
 	Root() S
 	// Expand appends the successors of s to buf and returns the extended
-	// slice.  Any pruning (heuristics, cost bounds) happens here.
+	// slice.  Any pruning (heuristics, cost bounds) happens here.  It
+	// appends only: the SIMD engine hands it a processor's live stack as
+	// buf, so it never reads, writes or retains buf[:len(buf)] and returns
+	// a slice that begins with those elements (a shorter one stops the run
+	// with simd.ErrExpandTruncated); filtering what it appended is fine.
 	Expand(s S, buf []S) []S
 	// Goal reports whether s is a goal node.
 	Goal(s S) bool

@@ -7,13 +7,16 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"simdtree/internal/metrics"
 	"simdtree/internal/simd"
+	"simdtree/internal/synthetic"
 )
 
 // testServer boots a Server behind an httptest listener.
@@ -408,6 +411,56 @@ func TestPanicIsolation(t *testing.T) {
 		t.Errorf("panic counter = %d, want 1", got)
 	}
 	// The same (sole) worker must still serve real jobs.
+	ok, _ := postJob(t, ts, queensSpec)
+	if fin := waitTerminal(t, ts, ok.ID); fin.Status != StatusDone {
+		t.Errorf("post-panic job finished %q: %s", fin.Status, fin.Error)
+	}
+}
+
+// lateBomb is a synthetic tree that panics inside Expand once the machine
+// has expanded enough nodes to be running wide.
+type lateBomb struct {
+	*synthetic.Tree
+	after, calls atomic.Int64
+}
+
+func (d *lateBomb) Expand(n synthetic.Node, buf []synthetic.Node) []synthetic.Node {
+	if d.calls.Add(1) > d.after.Load() {
+		panic("boom in Expand")
+	}
+	return d.Tree.Expand(n, buf)
+}
+
+// TestPanicIsolationSimWorkers is TestPanicIsolation for a panic raised
+// where the engine runs the domain: inside Expand, with the cycle shared
+// out to SimWorkers goroutines.  It used to escape on a pool goroutine and
+// kill the process; the job must fail, be counted, and leave the worker
+// serving.
+func TestPanicIsolationSimWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // the engine's pool is not started on one P
+	cfg := Config{Workers: 1, SimWorkers: 2, Runners: map[string]Runner{
+		"late-bomb": func(ctx context.Context, spec JobSpec, opts simd.Options, env RunEnv) (metrics.Stats, error) {
+			if opts.Workers != 2 {
+				t.Errorf("runner got Workers=%d, want the configured 2", opts.Workers)
+			}
+			sch, err := simd.ParseScheme[synthetic.Node](spec.Scheme)
+			if err != nil {
+				return metrics.Stats{}, err
+			}
+			dom := &lateBomb{Tree: synthetic.New(400_000, 9)}
+			dom.after.Store(150_000)
+			return simd.RunContext[synthetic.Node](ctx, dom, sch, opts)
+		},
+	}}
+	s, ts := testServer(t, cfg)
+	bad, _ := postJob(t, ts, `{"domain":"late-bomb","scheme":"GP-DK","p":4096}`)
+	fin := waitTerminal(t, ts, bad.ID)
+	if fin.Status != StatusFailed || !strings.Contains(fin.Error, "boom in Expand") {
+		t.Fatalf("panicking job finished %q (%s), want failed with the panic value", fin.Status, fin.Error)
+	}
+	if got := s.ctr.panics.Load(); got != 1 {
+		t.Errorf("panic counter = %d, want 1", got)
+	}
 	ok, _ := postJob(t, ts, queensSpec)
 	if fin := waitTerminal(t, ts, ok.ID); fin.Status != StatusDone {
 		t.Errorf("post-panic job finished %q: %s", fin.Status, fin.Error)

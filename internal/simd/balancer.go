@@ -192,9 +192,17 @@ func (c *Context[S]) Transfer(from, to int) int {
 	return n
 }
 
-// parallelPairMin is the pair count below which TransferAll does not wake
-// the worker pool; the cut-over affects wall-clock time only.
+// parallelPairMin is the pair count per shard — one gather block — below
+// which TransferAll does not wake the worker pool; the cut-over affects
+// wall-clock time only.
 const parallelPairMin = 64
+
+// poolShardMin is the same cut-over for an expansion cycle, in busy PEs per
+// shard: a cycle after one of fewer than workers*poolShardMin expansions runs
+// on the calling goroutine.  A pool round trip costs 8-25 us between cores
+// (simdmark's simd.pool_ns_per_cycle; 1.6 us on one P, where the pool is not
+// started) and a node ~50 ns: a worker's wake-up is repaid by 160-500 nodes.
+const poolShardMin = 512
 
 // TransferAll performs every transfer of one matching round and reports how
 // many pairs actually moved work.  The pairs must have pairwise-distinct
@@ -216,7 +224,7 @@ func (c *Context[S]) TransferAll(pairs []scan.Pair) int {
 		c.moved = make([]int, max(len(pairs), 2*cap(c.moved), blockPairs))
 	}
 	c.moved = c.moved[:len(pairs)]
-	if c.runParallel != nil && len(pairs) >= parallelPairMin {
+	if c.runParallel != nil && len(pairs) >= c.workers*parallelPairMin {
 		c.curPairs = pairs
 		if c.taskTransfer == nil {
 			//lint:allow hotalloc shard task closure is created once and cached

@@ -37,11 +37,14 @@ func (m *Machine[S]) stepCycle(info *CycleInfo) {
 	info.Active = int(res.Expanded)
 	info.Goals = res.Goals
 	info.Peak = res.Peak
-	info.AllEmpty = m.done()
-	info.AnyDonor = m.anyDonor()
+	info.AllEmpty = m.arena.NoWork()
+	info.AnyDonor = m.arena.AnySplittable()
 	info.Fault = nil
-	if res.NotResident >= 0 {
+	switch {
+	case res.NotResident >= 0:
 		info.Fault = fmt.Errorf("simd: PE %d %w", res.NotResident, ErrNotResident)
+	case m.scratch[0].Truncated:
+		info.Fault = fmt.Errorf("simd: %w", ErrExpandTruncated)
 	}
 }
 
@@ -49,7 +52,7 @@ func (m *Machine[S]) stepCycle(info *CycleInfo) {
 // stacks are empty and whether any PE could donate.  A freshly installed
 // shard reads it before its first driven cycle.
 func (m *Machine[S]) Status() (allEmpty, anyDonor bool) {
-	return m.done(), m.anyDonor()
+	return m.arena.NoWork(), m.arena.AnySplittable()
 }
 
 // Arena exposes the machine's stack storage: for inspection (flag scans,

@@ -30,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -134,14 +135,16 @@ type Machine[S any] struct {
 	cycleRes   []stack.Expansion
 	scratch    []*stack.ExpandScratch[S]
 	taskExpand func(w int)
+	lastBusy   int // PEs the previous cycle expanded: what expand sizes this one by
 
-	// Worker pool: long-lived goroutines (started by RunContext, stopped
-	// when it returns) that execute parTask once per shard between two
-	// barriers, so per-cycle parallelism costs channel signals instead of
-	// goroutine spawns.  parReady is nil while the pool is down.
+	// Worker pool: goroutines that live as long as RunContext, one per shard
+	// but the first, and execute parTask on their shard between two barriers
+	// while the caller runs shard 0.  parReady[w-1] wakes shard w's (nil:
+	// the pool is down); parPanic[w] is what shard w's task panicked with.
 	parReady []chan struct{}
 	parWG    sync.WaitGroup
 	parTask  func(w int)
+	parPanic []any
 
 	// lbCtx is the reusable load-balancing context, reset per phase.
 	lbCtx *Context[S]
@@ -222,17 +225,10 @@ func NewMachine[S any](d search.Domain[S], sch Scheme[S], opts Options) (*Machin
 
 	m := &Machine[S]{d: d, sch: sch, opts: opts, sched: NewSchedule(opts, sch.Trigger, sch.WantInit)}
 	m.sched.coster, _ = sch.Balancer.(PhaseCoster)
-	m.workers = opts.Workers
-	if m.workers < 1 {
-		m.workers = 1
-	}
-	if m.workers > opts.P {
-		m.workers = opts.P
-	}
 	m.arena = stack.NewArena[S](opts.P)
 	m.arena.PushLevel(0, []S{d.Root()})
 
-	m.shards = makeShards(opts.P, m.workers)
+	m.shards = makeShards(opts.P, min(max(opts.Workers, 1), opts.P))
 	m.workers = len(m.shards)
 	m.cycleRes = make([]stack.Expansion, len(m.shards))
 	m.scratch = make([]*stack.ExpandScratch[S], len(m.shards))
@@ -241,7 +237,7 @@ func NewMachine[S any](d search.Domain[S], sch Scheme[S], opts Options) (*Machin
 	}
 	m.taskExpand = func(w int) {
 		sh := m.shards[w]
-		m.cycleRes[w] = m.expandRange(sh.lo, sh.hi, m.scratch[w])
+		m.cycleRes[w] = m.arena.ExpandCycle(m.d, sh.lo, sh.hi, m.scratch[w])
 	}
 	m.lbCtx = &Context[S]{
 		Arena:    m.arena,
@@ -265,39 +261,31 @@ type shardRange struct{ lo, hi int }
 // expansion updates each PE's has-work/can-split bits in place, and word
 // ownership per shard keeps those read-modify-writes race-free.
 func makeShards(p, workers int) []shardRange {
-	chunk := (p + workers - 1) / workers
-	chunk = (chunk + 63) &^ 63
+	chunk := ((p+workers-1)/workers + 63) &^ 63
 	shards := make([]shardRange, 0, workers)
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > p {
-			hi = p
-		}
-		if lo >= hi {
-			break
-		}
-		shards = append(shards, shardRange{lo: lo, hi: hi})
+	for lo := 0; lo < p; lo += chunk {
+		shards = append(shards, shardRange{lo: lo, hi: min(lo+chunk, p)})
 	}
 	return shards
 }
 
 // startPool launches the worker-pool goroutines; a no-op for sequential
-// machines or when the pool is already up.
+// machines, a pool already up, and one P, where goroutines only take turns.
 func (m *Machine[S]) startPool() {
-	if m.workers <= 1 || m.parReady != nil {
+	if m.workers <= 1 || m.parReady != nil || runtime.GOMAXPROCS(0) == 1 {
 		return
 	}
-	m.parReady = make([]chan struct{}, m.workers)
-	for w := range m.parReady {
+	m.parPanic = make([]any, m.workers)
+	m.parReady = make([]chan struct{}, m.workers-1)
+	for i := range m.parReady {
 		ch := make(chan struct{}, 1)
-		m.parReady[w] = ch
-		go func(w int, ready chan struct{}) {
-			for range ready {
-				m.parTask(w)
+		m.parReady[i] = ch
+		go func(w int) {
+			for range ch {
+				m.runShard(w)
 				m.parWG.Done()
 			}
-		}(w, ch)
+		}(i + 1)
 	}
 }
 
@@ -310,11 +298,23 @@ func (m *Machine[S]) stopPool() {
 	m.parReady = nil
 }
 
-// parallel runs task once per shard and waits for all of them.  The channel
-// send publishes parTask to the pool goroutines and the WaitGroup publishes
-// their writes back, so tasks may freely write their own shard's slots.
-// Without a pool (sequential machine, or a call outside RunContext) the
-// shards run in order on the calling goroutine — same results either way.
+// runShard runs parTask on shard w and parks a panic in the shard's slot: on a
+// pool goroutine no caller's recover could reach it and the process would die.
+func (m *Machine[S]) runShard(w int) {
+	defer m.parkPanic(w)
+	m.parTask(w)
+}
+
+func (m *Machine[S]) parkPanic(w int) { m.parPanic[w] = recover() }
+
+// parallel runs task once per shard — shard 0 on the calling goroutine, the
+// rest on the pool — and waits for all of them.  The channel send publishes
+// parTask to the pool goroutines and the WaitGroup publishes their writes
+// back, so tasks may freely write their own shard's slots.  A panicking task
+// still completes the barrier; the lowest such shard's value — the one a
+// sequential run stops at — is re-raised here, for RunContext's caller to
+// recover.  Without a pool (sequential machine, one P, a call outside
+// RunContext) the shards run in order on the calling goroutine.
 func (m *Machine[S]) parallel(task func(w int)) {
 	if m.parReady == nil {
 		for w := 0; w < m.workers; w++ {
@@ -327,7 +327,13 @@ func (m *Machine[S]) parallel(task func(w int)) {
 	for _, ch := range m.parReady {
 		ch <- struct{}{}
 	}
+	m.runShard(0)
 	m.parWG.Wait()
+	for _, r := range m.parPanic {
+		if r != nil {
+			panic(r)
+		}
+	}
 }
 
 // OnCheckpoint registers fn as the machine's checkpoint sink.  The engine
@@ -351,15 +357,15 @@ func (m *Machine[S]) RunContext(ctx context.Context) (metrics.Stats, error) {
 		return m.sched.Stats, errors.New("simd: Options.MemBudget set but no spill manager registered (SetSpiller)")
 	}
 	m.startPool()
+	defer m.stopPool() // also on a panicking domain: no goroutine outlives the run
 	err := m.sched.Run(ctx, machineLanes[S]{m})
-	m.stopPool()
 	return m.sched.Stats, err
 }
 
 // machineLanes is the Lanes whose PEs are the machine's own arena.
 type machineLanes[S any] struct{ m *Machine[S] }
 
-func (l machineLanes[S]) Status(context.Context) (bool, error) { return l.m.done(), nil }
+func (l machineLanes[S]) Status(context.Context) (bool, error) { return l.m.arena.NoWork(), nil }
 
 // Cycle restores the stranded stack tops of a memory-bounded machine, then
 // expands; a fault error latched inside the previous balancing phase
@@ -390,14 +396,6 @@ func (l machineLanes[S]) Checkpoint(context.Context) error {
 	return l.m.ckpt(snap)
 }
 
-// done reports whether every stack is empty: all has-work bitset words
-// zero, one compare per 64 PEs instead of a pointer chase per PE.
-func (m *Machine[S]) done() bool { return m.arena.NoWork() }
-
-// anyDonor reports whether some PE can split its work (any can-split
-// bitset word non-zero).
-func (m *Machine[S]) anyDonor() bool { return m.arena.AnySplittable() }
-
 // ErrNotResident is wrapped by the error a run returns when a PE's has-work
 // flag was set at a cycle boundary but it had no node in memory to pop: its
 // stack was evicted and the Spiller's Barrier did not restore it, or the
@@ -405,29 +403,32 @@ func (m *Machine[S]) anyDonor() bool { return m.arena.AnySplittable() }
 // in W; the run stops at the end of that cycle.
 var ErrNotResident = errors.New("has work but no resident node")
 
+// ErrExpandTruncated is wrapped by the error a run returns when the domain's
+// Expand returned fewer elements than it was handed — a PE's live stack, see
+// search.Domain — so the result was not adopted; the run stops after the cycle.
+var ErrExpandTruncated = errors.New("Expand returned fewer elements than it was handed")
+
 // expand performs one lock-step node-expansion cycle: every PE with work
-// pops its next node, tests it for the goal and pushes its successors.
+// pops its next node, tests it for the goal and pushes its successors.  It is
+// one call into the arena's word-at-a-time kernel over the whole machine or,
+// when the previous cycle was wide enough to repay waking the pool, one per
+// shard, reduced in shard order (every shard starts on a multiple of 64,
+// which is what lets concurrent shards store whole flag words).
 //
 //lint:hotpath
 func (m *Machine[S]) expand() stack.Expansion {
-	if m.workers == 1 {
-		return m.expandRange(0, m.opts.P, m.scratch[0])
-	}
 	res := stack.Expansion{NotResident: -1}
-	m.parallel(m.taskExpand)
-	for _, r := range m.cycleRes {
-		res.Merge(r)
+	if m.parReady == nil || m.lastBusy < m.workers*poolShardMin {
+		res = m.arena.ExpandCycle(m.d, 0, m.opts.P, m.scratch[0])
+	} else {
+		m.parallel(m.taskExpand)
+		for w, r := range m.cycleRes {
+			res.Merge(r)
+			m.scratch[0].Truncated = m.scratch[0].Truncated || m.scratch[w].Truncated // the flag stepCycle reads
+		}
 	}
+	m.lastBusy = int(res.Expanded)
 	return res
-}
-
-// expandRange runs the expansion cycle of the PEs in [lo, hi) — the whole
-// machine or one worker's shard — as one call into the arena's
-// word-at-a-time kernel (stack.Arena.ExpandCycle): the engine cycle never
-// pops, pushes or syncs flag bits PE by PE.  Every shard's lo is a multiple
-// of 64, which is what lets concurrent shards store whole flag words.
-func (m *Machine[S]) expandRange(lo, hi int, sc *stack.ExpandScratch[S]) stack.Expansion {
-	return m.arena.ExpandCycle(m.d, lo, hi, sc)
 }
 
 // balance runs one load-balancing phase on the reusable context; the

@@ -40,9 +40,9 @@ import "simdtree/internal/scan"
 //     which may run on concurrent host shards over arbitrary PE pairs)
 //     deliberately do not touch the shared bitset words, and their callers
 //     re-sync sequentially afterwards.  ExpandCycle (expand.go), the
-//     engine's expansion cycle, is the third kind: raw pops and pushes
-//     for a whole 64-PE word, then one store of each of the word's two
-//     flag words.
+//     engine's expansion cycle, is the third kind: raw pops and in-place
+//     pushes for a whole 64-PE word, then one store of each of the word's
+//     two flag words.
 //
 // An Arena is not safe for concurrent use except as the engine shards it:
 // concurrent mutators must touch disjoint PEs, and flag maintenance for
@@ -168,22 +168,24 @@ func (p *pe[S]) ensureTail(n int) ([]S, int) {
 	if head+sz+n <= len(buf) {
 		return buf, head + sz
 	}
-	p.head = 0
 	if sz+n <= len(buf) {
-		// Slide the live window to the front; zero the vacated tail so the
-		// garbage collector can reclaim the nodes.
-		copy(buf, buf[head:head+sz])
-		var zero S
-		for i := sz; i < head+sz; i++ {
-			buf[i] = zero
-		}
+		p.slideFront()
 		return buf, sz
 	}
 	//lint:allow hotalloc per-PE buffer doubles to the live stack size, then stops growing
 	nb := make([]S, growCap(len(buf), sz+n))
 	copy(nb, buf[head:head+sz])
-	p.buf = nb
+	p.buf, p.head = nb, 0
 	return nb, sz
+}
+
+// slideFront moves the live window to the front of the buffer, reclaiming the
+// space bottom-node removals vacated, and zeroes the slots it leaves for the GC.
+func (p *pe[S]) slideFront() {
+	head, sz := int(p.head), int(p.size)
+	copy(p.buf, p.buf[head:head+sz])
+	clear(p.buf[sz : head+sz])
+	p.head = 0
 }
 
 // pushLevelLen makes n the length of a new top level; the old top's
@@ -232,8 +234,8 @@ func (a *Arena[S]) pushLevelRaw(pe int, alts []S) {
 // write — and re-syncs the PE's flag bits; the caller keeps ownership of
 // alts.  It is the one-PE-at-a-time push: the asynchronous MIMD baseline
 // (internal/mimd) expands through it and the engines seed the root with
-// it.  The SIMD engine's cycle does not call it; ExpandCycle pushes raw and
-// stores the flags once per word.
+// it.  The SIMD engine's cycle does not call it; ExpandCycle has the domain
+// append to the PE's buffer itself and stores the flags once per word.
 //
 //lint:hotpath
 func (a *Arena[S]) PushLevel(pe int, alts []S) {

@@ -5,6 +5,12 @@ import "math/bits"
 // Expander is the part of a search domain the expansion kernel calls: the
 // goal test and the successor generator (search.Domain has both; this
 // package does not import it).
+//
+// The kernel hands Expand the PE's own stack as buf — the live window, with
+// the buffer's spare capacity behind it — so Expand appends only: it never
+// reads, writes or retains buf[:len(buf)], and what it returns begins with
+// those elements (append's reallocation keeps them).  Filtering what it has
+// itself appended is fine.
 type Expander[S any] interface {
 	Goal(s S) bool
 	Expand(s S, buf []S) []S
@@ -37,12 +43,16 @@ func (e *Expansion) Merge(r Expansion) {
 }
 
 // ExpandScratch is one caller's reusable scratch for ExpandCycle: the nodes
-// and PE indices gathered from one 64-PE word, and the successor buffer.
-// Concurrent callers each bring their own.
+// and PE indices gathered from one 64-PE word.  Concurrent callers each
+// bring their own.
 type ExpandScratch[S any] struct {
 	nodes [64]S
 	pes   [64]int
-	succ  []S
+	// Truncated is set, and stays set, once an Expand broke its contract
+	// and returned fewer elements than it was handed: the PE keeps the stack
+	// it had, the node's successors are lost, the caller stops the run.  (A
+	// fifth field in Expansion would take that struct out of registers.)
+	Truncated bool
 }
 
 // ExpandCycle runs one lock-step node-expansion cycle over the PEs in
@@ -56,8 +66,11 @@ type ExpandScratch[S any] struct {
 //     The loop body is a few loads and stores, so the cache misses on the
 //     64 independent stack tops overlap instead of each waiting behind the
 //     previous PE's Expand;
-//   - expand and push: Goal, Expand and the level push for each gathered
-//     node, in PE order;
+//   - expand and push: Goal and Expand for each gathered node, in PE order.
+//     Expand is handed the PE's live window and appends the successors
+//     where they will live; the kernel adopts the slice that comes back (the
+//     same buffer, or the larger one append moved the stack to) and books
+//     the new level — no successor scratch, no copy;
 //   - flags: the has-work and can-split bits of the expanded PEs are
 //     accumulated in two registers from the sizes the pushes left and
 //     stored once per word, not read-modified-written four times per node.
@@ -70,7 +83,6 @@ type ExpandScratch[S any] struct {
 //lint:hotpath
 func (a *Arena[S]) ExpandCycle(d Expander[S], lo, hi int, sc *ExpandScratch[S]) Expansion {
 	res := Expansion{NotResident: -1}
-	succ := sc.succ
 	var zero S
 	for wi := lo >> 6; wi<<6 < hi; wi++ {
 		base := wi << 6
@@ -104,9 +116,25 @@ func (a *Arena[S]) ExpandCycle(d Expander[S], lo, hi int, sc *ExpandScratch[S]) 
 			if d.Goal(node) {
 				res.Goals++
 			}
-			succ = d.Expand(node, succ[:0])
-			a.pushLevelRaw(pe, succ)
-			sz := a.Size(pe)
+			p := &a.pes[pe]
+			end := int(p.head + p.size)
+			if head := int(p.head); len(p.buf)-end < head && 4*head >= int(p.size) {
+				// More dead space in front of the window than room behind
+				// it: reclaim it, or a donor whose bottom keeps being taken
+				// would have append grow its buffer for ever — once it is a
+				// quarter of the live size, so the removals pay for the copy.
+				p.slideFront()
+				end -= head
+			}
+			out := d.Expand(node, p.buf[:end])
+			if k := len(out) - end; k > 0 {
+				p.buf = out[:cap(out)]
+				p.pushLevelLen(k)
+				p.size += int32(k)
+			} else if k < 0 {
+				sc.Truncated = true
+			}
+			sz := int(p.size + p.ghost)
 			bit := uint64(1) << uint(pe&63)
 			if sz >= 2 {
 				work, split = work|bit, split|bit
@@ -122,6 +150,5 @@ func (a *Arena[S]) ExpandCycle(d Expander[S], lo, hi int, sc *ExpandScratch[S]) 
 		a.work[wi] = a.work[wi]&^w | work
 		a.split[wi] = a.split[wi]&^w | split
 	}
-	sc.succ = succ
 	return res
 }
