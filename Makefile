@@ -22,11 +22,11 @@ test-race:
 # baseline (see DESIGN.md section 11).  bench-baseline regenerates the
 # baseline file after an intentional perf change; bump the number when you
 # want to keep the old trajectory point.
-BENCH_BASELINE ?= BENCH_7.json
+BENCH_BASELINE ?= BENCH_8.json
 
 bench:
 	$(GO) run ./cmd/simdbench -out /dev/null -compare $(BENCH_BASELINE)
-	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkExpandKernel|BenchmarkPoolSmallP' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkArenaFirstReceive|BenchmarkExpandKernel|BenchmarkPoolSmallP' -benchmem .
 	$(GO) test -run '^$$' -bench BenchmarkSweepThrash -benchmem ./internal/spill
 
 bench-baseline:
@@ -36,10 +36,11 @@ bench-baseline:
 # plus the structure-of-arrays micro-benchmarks (allocs/op must stay 0;
 # BenchmarkExpandKernel fails itself when a steady-state cycle allocates,
 # BenchmarkMatchBits when a matching phase does, BenchmarkSweepThrash when
-# a warmed-up evict/fault sweep does).
+# a warmed-up evict/fault sweep does, BenchmarkArenaFirstReceive when a
+# fresh arena's first receives allocate per PE instead of per flag word).
 bench-check:
 	$(GO) run ./cmd/simdbench -short -out /dev/null -compare $(BENCH_BASELINE)
-	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkExpandKernel|BenchmarkPoolSmallP' -benchtime 100x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkArenaFirstReceive|BenchmarkExpandKernel|BenchmarkPoolSmallP' -benchtime 100x -benchmem .
 	$(GO) test -run '^$$' -bench BenchmarkSweepThrash -benchtime 100x -benchmem ./internal/spill
 
 # simdmark, the benchmark of record (benchmark/, BENCHMARK.json), at the
@@ -81,8 +82,8 @@ vet:
 lint: vet lint-hotpath discipline
 	$(GO) run ./cmd/simdlint ./...
 
-# The "written once" gates — frame-, api-, schedule-, shard- and
-# match-discipline —
+# The "written once" gates — frame-, api-, schedule-, shard-, match- and
+# arena-discipline —
 # are one table of (name, patterns, allowed paths, message, expected count)
 # in scripts/discipline.sh, which first proves every pattern still fires on
 # a planted violation and then checks the tree.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"simdtree/internal/bench"
@@ -462,7 +463,10 @@ func BenchmarkArenaTransfer(b *testing.B) {
 				a.SyncBits(pr.To)
 			}
 		}
-		for i := 0; i < 2*p/block; i++ { // grow the buffers and level tables to their final size
+		// Grow the buffers and level tables to their final size: a round
+		// takes a node off every bottom level and adds a one-node level on
+		// top, so after twelve every stack is twelve levels of one.
+		for i := 0; i < 12*p/block; i++ {
 			transfer(i)
 		}
 		b.ResetTimer()
@@ -471,6 +475,60 @@ func BenchmarkArenaTransfer(b *testing.B) {
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/block, "ns/pair")
+	})
+}
+
+// BenchmarkArenaFirstReceive measures what BenchmarkArenaTransfer warms up
+// past: the first node a PE ever receives, at lb-storm scale.  One op is a
+// fresh arena in which every one of P PEs receives one node, in 64-pair
+// bottom-node blocks, from 64 donors beside them (built outside the timer).
+// A first receive lands in the PE's home window, so an op allocates a chunk
+// per flag word; the benchmark fails above P/32 allocations an op, which a
+// buffer per PE exceeds thirty-fold.
+func BenchmarkArenaFirstReceive(b *testing.B) {
+	const p, block = 65536, 64
+	b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
+		b.ReportAllocs()
+		sp := stack.BottomNode[synthetic.Node]{}
+		// A donor's one level: a node for every block, and one to stay splittable.
+		stock := make([]synthetic.Node, p/block+1)
+		pairs := make([]scan.Pair, block)
+		moved := make([]int, block)
+		var nodes []synthetic.Node
+		var ms runtime.MemStats
+		var mallocs uint64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			a := stack.NewArena[synthetic.Node](p + block)
+			for d := 0; d < block; d++ {
+				a.AppendLevels(p+d, stock, []int{len(stock)})
+			}
+			runtime.ReadMemStats(&ms)
+			mallocs -= ms.Mallocs
+			b.StartTimer()
+			for base := 0; base < p; base += block {
+				for k := range pairs {
+					pairs[k] = scan.Pair{From: p + k, To: base + k}
+				}
+				nodes = sp.SplitBlock(a, pairs, moved, nodes)
+				for _, pr := range pairs {
+					a.SyncBits(pr.To)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms)
+			mallocs += ms.Mallocs
+			if a.Size(0) != 1 || a.Size(p-1) != 1 || a.Size(p) != 1 {
+				b.Fatalf("PEs 0 and %d hold %d and %d nodes, donor %d %d; want one each", p-1, a.Size(0), a.Size(p-1), p, a.Size(p))
+			}
+			b.StartTimer()
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/p, "ns/pair")
+		if perOp := float64(mallocs) / float64(b.N); perOp > p/32 {
+			b.Fatalf("%.0f allocations an op, want at most P/32 = %d", perOp, p/32)
+		}
 	})
 }
 

@@ -1,6 +1,9 @@
 package simd
 
 import (
+	"context"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"simdtree/internal/puzzle"
@@ -95,5 +98,45 @@ func BenchmarkEngineCycle(b *testing.B) {
 	sch, _ := ParseScheme[synthetic.Node]("GP-S0.90")
 	if _, err := Run[synthetic.Node](tree, sch, Options{P: 256}); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// TestMachineAllocsPerWord is the allocation gate of the arena's home
+// windows: a whole run of the storm shape — nGP-S1.00, about thirty nodes a
+// PE, every PE receiving its first node from a transfer — allocates per flag
+// word, not per PE.  The commit before the windows made at least 1.9*P
+// allocations here (a 16-node buffer for every PE, a level table for most);
+// the bound leaves room for the chunk of each of the P/64 words and the few
+// stacks in a hundred that outgrow eight nodes.  Workers=4 is the
+// same run with the first windows taken inside parallel transfer rounds.
+func TestMachineAllocsPerWord(t *testing.T) {
+	for _, p := range []int{4096, 65536} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("P=%d/workers=%d", p, workers), func(t *testing.T) {
+				if p > 4096 && testing.Short() {
+					t.Skip("a 2M-node run; not in -short")
+				}
+				sch, err := ParseScheme[synthetic.Node]("nGP-S1.00")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				m, err := NewMachine[synthetic.Node](synthetic.New(int64(30*p), 1), sch, Options{P: p, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := m.RunContext(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				mallocs := int(after.Mallocs - before.Mallocs)
+				t.Logf("W=%d in %d cycles, %d phases, %d transfers: %d allocations (%.2f a PE)", st.W, st.Cycles, st.LBPhases, st.Transfers, mallocs, float64(mallocs)/float64(p))
+				if limit := p/8 + 512; mallocs > limit {
+					t.Errorf("the run made %d allocations, want at most P/8 + 512 = %d", mallocs, limit)
+				}
+			})
+		}
 	}
 }

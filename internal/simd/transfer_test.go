@@ -128,3 +128,67 @@ func TestTransferAllEqualsPairwise(t *testing.T) {
 		}
 	}
 }
+
+// TestTransferAllFreshReceiversShareWords is the regression test for the race
+// a lazily allocated home chunk invites: a round of 256 pairs at Workers=4 is
+// cut into four shards by pair index, and here pair k's receiver is PE
+// 256 + 4*(k%64) + k/64 — every shard has 16 receivers in each of the flag
+// words 4-7, none of those PEs has ever held a node, and none of those words
+// has a chunk yet, so the shards take the first windows of the same words
+// concurrently (stack.Arena.window publishes a word's chunk by compare-and-swap
+// and a receiver writes only its own record).  Under -race; the PEs must
+// encode to the bytes of the same pairs transferred one at a time.
+func TestTransferAllFreshReceiversShareWords(t *testing.T) {
+	codec := wire.SyntheticCodec{}
+	const round = 4 * parallelPairMin
+	build := func(sp stack.Splitter[synthetic.Node], workers int) (*Machine[synthetic.Node], []scan.Pair) {
+		trig, err := trigger.Parse("S1.00")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewMachine[synthetic.Node](synthetic.New(1, 1),
+			Scheme[synthetic.Node]{Label: "round", Trigger: trig, Balancer: &ghostDonorBalancer{}, Splitter: sp},
+			Options{P: 2 * round, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := m.Arena()
+		a.Clear(0) // the root NewMachine seeded
+		pairs := make([]scan.Pair, round)
+		for k := range pairs {
+			pairs[k] = scan.Pair{From: k, To: round + 4*(k%64) + k/64}
+			for l := 0; l < 1+k%3; l++ { // one to three levels of two to four nodes
+				lv := make([]synthetic.Node, 2+(k+l)%3)
+				for i := range lv {
+					lv[i] = synthetic.Node{Budget: int64(k), Seed: uint64(8*l + i)}
+				}
+				a.PushLevel(k, lv)
+			}
+		}
+		return m, pairs
+	}
+	for _, sp := range []stack.Splitter[synthetic.Node]{stack.BottomNode[synthetic.Node]{}, stack.HalfStack[synthetic.Node]{}} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", sp.Name(), workers), func(t *testing.T) {
+				whole, pairs := build(sp, workers)
+				whole.startPool()
+				defer whole.stopPool()
+				whole.lbCtx.reset(false)
+				if done := whole.lbCtx.TransferAll(pairs); done != round {
+					t.Fatalf("TransferAll moved work on %d of %d pairs", done, round)
+				}
+				single, _ := build(sp, workers)
+				single.lbCtx.reset(false)
+				for _, p := range pairs {
+					single.lbCtx.Transfer(p.From, p.To)
+				}
+				ga, wa := whole.Arena(), single.Arena()
+				for pe := 0; pe < ga.P(); pe++ {
+					if !bytes.Equal(wire.EncodeArena[synthetic.Node](nil, codec, ga, pe), wire.EncodeArena[synthetic.Node](nil, codec, wa, pe)) {
+						t.Fatalf("PE %d: %v (levels %v), pair by pair %v (levels %v)", pe, stateOf(ga, pe), levelsOf(whole, pe), stateOf(wa, pe), levelsOf(single, pe))
+					}
+				}
+			})
+		}
+	}
+}

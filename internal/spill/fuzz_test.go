@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"simdtree/internal/stack"
 	"simdtree/internal/wire"
@@ -60,9 +61,11 @@ const residencyPEs = 5
 // removals.  Bytes 0 and 1 choose KeepLevels (1-3) and the budget (1-24
 // nodes); every following pair is one step, an opcode and its argument (a
 // PE, a level width).  After every step the two arenas must agree on what
-// the schedule can see — Size and Depth of every PE, both bitsets — and
-// the log's books must balance; at the end everything is faulted back and
-// the stacks must be equal level by level with no frame left live.
+// the schedule can see — Size and Depth of every PE, both bitsets — the
+// budgeted arena's resident nodes must be the shadow's and nobody else's
+// (checkOwned), and the log's books must balance; at the end everything is
+// faulted back and the stacks must be equal level by level with no frame
+// left live.
 func runResidency(t *testing.T, data []byte) Stats {
 	if len(data) < 2 {
 		return Stats{}
@@ -136,6 +139,7 @@ func runResidency(t *testing.T, data []byte) Stats {
 			t.Fatalf("step %d (op %d): flag words differ from the shadow's", i/2, op)
 		}
 		checkSlots(t, mgr)
+		checkOwned(t, i/2, a, shadow)
 	}
 	for pe := 0; pe < residencyPEs; pe++ {
 		must("final FaultAll", mgr.FaultAll(a, pe))
@@ -147,6 +151,37 @@ func runResidency(t *testing.T, data []byte) Stats {
 		t.Fatalf("%d frames live after the final restore", live)
 	}
 	return mgr.Stats()
+}
+
+// checkOwned is the ownership invariant of the arena's home windows, as far
+// as it shows from outside the package: the five PEs share one chunk, so the
+// resident nodes of different PEs must sit in disjoint memory, and a PE's
+// must be the top Resident(pe) nodes of the shadow's stack — through every
+// eviction, restore, window slide and move to the heap.
+func checkOwned(t *testing.T, step int, a, shadow *stack.Arena[node]) {
+	var spans [residencyPEs][2]uintptr
+	for pe := 0; pe < residencyPEs; pe++ {
+		var want []node
+		shadow.ForEachLevel(pe, func(lv []node) { want = append(want, lv...) })
+		want = want[len(want)-a.Resident(pe):]
+		sp := &spans[pe]
+		a.ForEachLevel(pe, func(lv []node) {
+			lo := uintptr(unsafe.Pointer(unsafe.SliceData(lv)))
+			if sp[0] == 0 {
+				sp[0] = lo
+			}
+			sp[1] = lo + uintptr(len(lv))*unsafe.Sizeof(node{})
+			if !slices.Equal(lv, want[:len(lv)]) {
+				t.Fatalf("step %d: PE %d holds level %v where the shadow has %v", step, pe, lv, want[:len(lv)])
+			}
+			want = want[len(lv):]
+		})
+		for q, s := range spans[:pe] {
+			if s[0] < sp[1] && sp[0] < s[1] {
+				t.Fatalf("step %d: the resident nodes of PEs %d and %d share memory", step, q, pe)
+			}
+		}
+	}
 }
 
 // residencySeeds is the committed corpus of FuzzResidencySequence: three

@@ -1,6 +1,10 @@
 package stack
 
-import "simdtree/internal/scan"
+import (
+	"sync/atomic"
+
+	"simdtree/internal/scan"
+)
 
 // Arena holds the working DFS stacks of P processing elements as one
 // record per PE: everything a pop or a push reads and writes for a PE — the
@@ -60,11 +64,30 @@ import "simdtree/internal/scan"
 // stack (RemoveBottom, ForEachLevel, CopyPE, the splitters) are
 // only valid on a fully resident PE; the engine faults evicted levels
 // back in before calling them.
+//
+// A PE's first buffer and level table are its home window (see home); a stack
+// that outgrows it moves to the heap by the growth paths below, for good.
 type Arena[S any] struct {
 	pes   []pe[S]
-	work  scan.Bits // bit pe: total size > 0
-	split scan.Bits // bit pe: total size >= 2
+	work  scan.Bits                 // bit pe: total size > 0
+	split scan.Bits                 // bit pe: total size >= 2
+	homes []atomic.Pointer[home[S]] // one per flag word, nil until its first window is taken
 }
+
+// home is the chunk one flag word's PEs take their first buffers from, one
+// heap object: PE i of the word owns nodes[i*homeNodes:][:homeNodes] and
+// lvl[i*homeLevels:][:homeLevels].  8 and 8 because on the paper's machine a
+// stack is a handful of nodes: mid-run at P=65536 (nGP-S1.00, W=2M) the busy
+// PEs hold a mean of 1.7 (p50 1, p90 4, p99 7, max 17; depth p99 4), so 99 %
+// of them never leave home; at P=8192 (GP-DK, W=20M) a mean of 8.8 (p50 8,
+// p90 15; depth p50 5), so half outgrow the window once and leave it idle —
+// 1.2 MB there, against the 8.6 MB it saves at P=65536, which 16 would give back.
+type home[S any] struct {
+	nodes [64 * homeNodes]S
+	lvl   [64 * homeLevels]int32
+}
+
+const homeNodes, homeLevels = 8, 8
 
 // pe is one processing element's record (see Arena for the layout).
 type pe[S any] struct {
@@ -79,14 +102,17 @@ type pe[S any] struct {
 	ghLvl int32 // evicted levels below the resident window
 }
 
-// NewArena returns an arena of p empty stacks.  Per-PE buffers are
-// allocated lazily on first push, so idle PEs of a large machine cost one
-// 80-byte record each.
+// NewArena returns an arena of p empty stacks.  Nothing is allocated for a
+// PE until its flag word's first push (see window), so idle PEs of a large
+// machine cost one 80-byte record each.
 func NewArena[S any](p int) *Arena[S] {
+	words := (p + 63) / 64
+	flags := make(scan.Bits, 2*words) // both vectors, one allocation
 	return &Arena[S]{
 		pes:   make([]pe[S], p),
-		work:  scan.NewBits(p),
-		split: scan.NewBits(p),
+		work:  flags[:words:words],
+		split: flags[words:],
+		homes: make([]atomic.Pointer[home[S]], words),
 	}
 }
 
@@ -149,20 +175,50 @@ func (a *Arena[S]) SyncBits(pe int) {
 	a.split.SetTo(pe, sz >= 2)
 }
 
-// minArenaCap is the initial per-PE buffer capacity on first growth.
-const minArenaCap = 16
-
-// growCap returns the capacity a buffer or table of length have grows to
-// when it must hold need entries.
-func growCap(have, need int) int {
-	return max(2*have, need, minArenaCap)
+// window returns PE pe's home window, allocating its word's chunk the first
+// time any of the 64 PEs asks: a run makes O(P/64) allocations, not two for
+// every PE that ever receives a node.  The slices are capacity-capped, so an
+// append past the window reallocates instead of running into the next PE's.
+// Receivers of one word may sit in different shards of a parallel round: the
+// chunk is published by compare-and-swap, and a caller writes only its record.
+func (a *Arena[S]) window(pe int) ([]S, []int32) {
+	slot := &a.homes[pe>>6]
+	if slot.Load() == nil {
+		//lint:allow hotalloc one chunk per flag word, at the word's first push
+		slot.CompareAndSwap(nil, new(home[S])) // a loser's chunk is garbage
+	}
+	h, n, l := slot.Load(), (pe&63)*homeNodes, (pe&63)*homeLevels
+	return h.nodes[n : n+homeNodes : n+homeNodes], h.lvl[l : l+homeLevels : l+homeLevels]
 }
 
-// ensureTail makes room for n more nodes at the PE's tail and returns the
+// newBuf returns where PE pe's stack moves when its buffer of have nodes must
+// hold need: home if it has no buffer yet and need fits, else the heap, doubled.
+func (a *Arena[S]) newBuf(pe, have, need int) []S {
+	if have == 0 && need <= homeNodes {
+		nodes, _ := a.window(pe)
+		return nodes
+	}
+	//lint:allow hotalloc per-PE buffer doubles to the live stack size, then stops growing
+	return make([]S, max(2*have, need))
+}
+
+// newLvl is newBuf for the level table.
+func (a *Arena[S]) newLvl(pe, have, need int) []int32 {
+	if have == 0 && need <= homeLevels {
+		_, lvl := a.window(pe)
+		return lvl
+	}
+	//lint:allow hotalloc per-PE level table doubles to the live depth, then stops growing
+	return make([]int32, max(2*have, need))
+}
+
+// ensureTail makes room for n more nodes at PE pe's tail and returns the
 // buffer and the index to write the first new node at.  It prefers
 // sliding the live window back to the front of the existing buffer
-// (reclaiming the space bottom-node removals vacated) over growing.
-func (p *pe[S]) ensureTail(n int) ([]S, int) {
+// (reclaiming the space bottom-node removals vacated) over growing.  What it
+// leaves is zeroed: a home window outlives the stack's stay, and owes the
+// collector no stale pointers and a later first push zeros.
+func (p *pe[S]) ensureTail(a *Arena[S], pe, n int) ([]S, int) {
 	buf := p.buf
 	head, sz := int(p.head), int(p.size)
 	if head+sz+n <= len(buf) {
@@ -172,9 +228,9 @@ func (p *pe[S]) ensureTail(n int) ([]S, int) {
 		p.slideFront()
 		return buf, sz
 	}
-	//lint:allow hotalloc per-PE buffer doubles to the live stack size, then stops growing
-	nb := make([]S, growCap(len(buf), sz+n))
+	nb := a.newBuf(pe, len(buf), sz+n)
 	copy(nb, buf[head:head+sz])
+	clear(buf[head : head+sz])
 	p.buf, p.head = nb, 0
 	return nb, sz
 }
@@ -188,9 +244,9 @@ func (p *pe[S]) slideFront() {
 	p.head = 0
 }
 
-// pushLevelLen makes n the length of a new top level; the old top's
+// pushLevelLen makes n the length of PE pe's new top level; the old top's
 // length, if there was one, moves into the level table.
-func (p *pe[S]) pushLevelLen(n int) {
+func (p *pe[S]) pushLevelLen(a *Arena[S], pe, n int) {
 	old, d := p.top, int(p.depth)-1 // d: entries in the table window
 	p.top = int32(n)
 	p.depth++
@@ -207,8 +263,7 @@ func (p *pe[S]) pushLevelLen(n int) {
 		p.lvlLo = 0
 		lv[d] = old
 	default:
-		//lint:allow hotalloc per-PE level table doubles to the live depth, then stops growing
-		nl := make([]int32, growCap(len(lv), d+1))
+		nl := a.newLvl(pe, len(lv), d+1)
 		copy(nl, lv[lo:lo+d])
 		p.lvl, p.lvlLo = nl, 0
 		nl[d] = old
@@ -223,9 +278,9 @@ func (a *Arena[S]) pushLevelRaw(pe int, alts []S) {
 		return
 	}
 	p := &a.pes[pe]
-	buf, tail := p.ensureTail(n)
+	buf, tail := p.ensureTail(a, pe, n)
 	copy(buf[tail:tail+n], alts)
-	p.pushLevelLen(n)
+	p.pushLevelLen(a, pe, n)
 	p.size += int32(n)
 }
 
@@ -247,9 +302,9 @@ func (a *Arena[S]) PushLevel(pe int, alts []S) {
 // touching the bitsets.
 func (a *Arena[S]) pushOneRaw(pe int, node S) {
 	p := &a.pes[pe]
-	buf, tail := p.ensureTail(1)
+	buf, tail := p.ensureTail(a, pe, 1)
 	buf[tail] = node
-	p.pushLevelLen(1)
+	p.pushLevelLen(a, pe, 1)
 	p.size++
 }
 
@@ -413,9 +468,9 @@ func (a *Arena[S]) ForEachLevel(pe int, f func(level []S)) {
 //lint:hotpath
 func (a *Arena[S]) AppendLevels(pe int, nodes []S, counts []int) {
 	if p := &a.pes[pe]; p.buf == nil && len(nodes) > 0 {
-		// A PE that never held work is sized to what it is given, not to
-		// minArenaCap: a decoded snapshot is P such PEs, each read once.
-		//lint:allow hotalloc first install of a PE allocates its buffers, as its first push would
+		// A PE that never held work is sized to what it is given and takes no
+		// window: a decoded snapshot is P such PEs, each read once.
+		//lint:allow hotalloc first install of a PE allocates its buffers exactly
 		p.buf, p.lvl = make([]S, len(nodes)), make([]int32, len(counts)-1)
 	}
 	for _, n := range counts {
@@ -430,11 +485,13 @@ func (a *Arena[S]) AppendLevels(pe int, nodes []S, counts []int) {
 // The source PE must be fully resident.
 func (a *Arena[S]) CopyPE(to int, src *Arena[S], from int) {
 	q := &src.pes[from]
-	a.pes[to] = pe[S]{
+	rec := pe[S]{
 		buf:  append([]S(nil), q.buf[q.head:q.head+q.size]...),
 		lvl:  append([]int32(nil), q.lvl[q.lvlLo:q.lvlLo+max(q.depth-1, 0)]...),
 		size: q.size, top: q.top, depth: q.depth,
 	}
+	a.clearRaw(to) // the buffer it leaves may be its home window
+	a.pes[to] = rec
 	a.SyncBits(to)
 }
 
@@ -526,9 +583,9 @@ func (a *Arena[S]) PrependLevels(pe int, nodes []S, counts []int) {
 		copy(buf[n:n+sz], buf[head:head+sz])
 		head = 0
 	default:
-		//lint:allow hotalloc restore fault path allocates by design (outside steady state)
-		nb := make([]S, growCap(len(buf), n+sz))
+		nb := a.newBuf(pe, len(buf), n+sz)
 		copy(nb[n:], buf[head:head+sz])
+		clear(buf[head : head+sz])
 		p.buf = nb
 		buf = nb
 		head = 0
@@ -555,8 +612,7 @@ func (a *Arena[S]) PrependLevels(pe int, nodes []S, counts []int) {
 		copy(lv[t:t+d], lv[lo:lo+d])
 		lo = 0
 	default:
-		//lint:allow hotalloc restore fault path allocates by design (outside steady state)
-		nl := make([]int32, growCap(len(lv), t+d))
+		nl := a.newLvl(pe, len(lv), t+d)
 		copy(nl[t:], lv[lo:lo+d])
 		p.lvl = nl
 		lv = nl

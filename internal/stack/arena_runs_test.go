@@ -26,6 +26,8 @@ type mutators[S any] struct {
 // random runs of one to eight mutators and compares them only at the end of
 // each run: nothing reads the level structure between two mutations of a
 // run, so a count the mutators left stale stays stale until it is checked.
+// (checkOwnership runs after every mutation; it reads buffers, not levels.)
+// The three PEs share one home chunk, PE 2 never leaving its window idle.
 // It returns the first divergence.
 func mutatorRuns[S comparable](seed int64, mk func(int) S, val func(S) int, mut mutators[S]) (err error) {
 	defer func() {
@@ -62,12 +64,13 @@ func mutatorRuns[S comparable](seed int64, mk func(int) S, val func(S) int, mut 
 
 	for trial := 0; trial < 300; trial++ {
 		a := NewArena[S](3)
+		sc := new(ExpandScratch[S])
 		var ms [2]model
 		for run := 0; run < 40; run++ {
 			for n := 1 + rng.Intn(8); n > 0; n-- {
 				x := rng.Intn(2)
 				y, m := 1-x, &ms[x]
-				switch op := rng.Intn(10); op {
+				switch op := rng.Intn(12); op {
 				case 0: // push a level
 					lv, vals := level(1 + rng.Intn(5))
 					mut.push(a, x, lv)
@@ -115,6 +118,25 @@ func mutatorRuns[S comparable](seed int64, mk func(int) S, val func(S) int, mut 
 					}
 					a.Clear(x)
 					a.AppendLevels(x, nodes, counts)
+				case 10: // an expansion cycle: every busy PE pops and pushes 0-4 successors
+					var plan [][]S
+					for pe := range ms {
+						if _, ok := ms[pe].pop(); ok {
+							lv, vals := level(rng.Intn(5))
+							plan = append(plan, lv)
+							ms[pe].push(vals)
+						}
+					}
+					a.ExpandCycle(planned[S]{&plan}, 0, a.P(), sc)
+				case 11: // a snapshot restore of one PE: x becomes a copy of y
+					a.CopyPE(x, a, y)
+					*m = nil
+					for _, lv := range ms[y] {
+						m.push(lv)
+					}
+				}
+				if err := checkOwnership(a, val, ms[:]); err != nil {
+					return err
 				}
 			}
 
@@ -150,6 +172,71 @@ func mutatorRuns[S comparable](seed int64, mk func(int) S, val func(S) int, mut 
 				mv, mok := ms[pe].pop()
 				if aok != mok || (aok && val(av) != mv) {
 					return fmt.Errorf("pop after walk: PE %d arena %v,%v model %d,%v", pe, av, aok, mv, mok)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// planned is the expansion-cycle op's domain: the i-th node expanded gets the
+// i-th planned level as its successors, appended one at a time so a level
+// can start in the PE's buffer and end in the one append moved it to.
+type planned[S any] struct{ levels *[][]S }
+
+func (planned[S]) Goal(S) bool { return false }
+
+func (p planned[S]) Expand(_ S, buf []S) []S {
+	lv := (*p.levels)[0]
+	*p.levels = (*p.levels)[1:]
+	for _, s := range lv {
+		buf = append(buf, s)
+	}
+	return buf
+}
+
+// checkOwnership is the home-window invariant, read off the records without
+// going through the level structure: no two PEs' node buffers or level
+// tables share a slot, PE pe's live nodes are ms[pe]'s, and every slot of a
+// chunk is zero unless it is a live node of the PE whose window it is in.
+func checkOwnership[S comparable](a *Arena[S], val func(S) int, ms []model) error {
+	var zero S
+	span := func(ptr unsafe.Pointer, n int, size uintptr) [2]uintptr {
+		return [2]uintptr{uintptr(ptr), uintptr(ptr) + uintptr(n)*size}
+	}
+	var bufs, lvls [][2]uintptr
+	for pe := range a.pes {
+		p := &a.pes[pe]
+		bufs = append(bufs, span(unsafe.Pointer(unsafe.SliceData(p.buf)), cap(p.buf), unsafe.Sizeof(zero)))
+		lvls = append(lvls, span(unsafe.Pointer(unsafe.SliceData(p.lvl)), cap(p.lvl), 4))
+		for _, spans := range [][][2]uintptr{bufs, lvls} {
+			for q, s := range spans[:pe] {
+				if t := spans[pe]; s[0] < t[1] && t[0] < s[1] {
+					return fmt.Errorf("ownership: PEs %d and %d share storage, [%#x,%#x) and [%#x,%#x)", q, pe, s[0], s[1], t[0], t[1])
+				}
+			}
+		}
+		if pe < len(ms) {
+			nodes, _ := ms[pe].flat()
+			live := p.buf[p.head : p.head+p.size]
+			if len(live) != len(nodes) {
+				return fmt.Errorf("ownership: PE %d holds %d live nodes, the model %d", pe, len(live), len(nodes))
+			}
+			for i, s := range live {
+				if val(s) != nodes[i] {
+					return fmt.Errorf("ownership: PE %d node %d is %d, the model's %d", pe, i, val(s), nodes[i])
+				}
+			}
+		}
+	}
+	for pe := range a.pes {
+		if h := a.homes[pe>>6].Load(); h != nil {
+			i, p := pe&63, &a.pes[pe]
+			win := h.nodes[i*homeNodes : (i+1)*homeNodes]
+			home := cap(p.buf) > 0 && unsafe.SliceData(p.buf) == &win[0]
+			for j, s := range win {
+				if s != zero && !(home && j >= int(p.head) && j < int(p.head+p.size)) {
+					return fmt.Errorf("ownership: slot %d of PE %d's window holds a node (PE at home: %v, window [%d,%d))", j, pe, home, p.head, p.head+p.size)
 				}
 			}
 		}

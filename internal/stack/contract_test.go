@@ -25,11 +25,24 @@ func reachable[S any](expand func(S, []S) []S, root S, n int) []S {
 // rests on (see Expander): handed a live prefix, Expand returns that prefix
 // untouched and at the front, followed by exactly the successors it
 // produces into a fresh buffer — whether the prefix has room behind it, has
-// none (append moves it), or is nil.  It returns the number of successors
+// none (append moves it), is nil, or sits in a home window of an arena with
+// the neighbouring PEs' windows full.  It returns the number of successors
 // it saw, so a caller can tell that a pruning wrapper did prune.
 func checkAppendsOnly[S comparable](t *testing.T, expand func(S, []S) []S, sentinel S, nodes []S) (successors int) {
 	t.Helper()
 	prefix := []S{sentinel, sentinel, sentinel}
+	fill := func(w []S) {
+		for i := range w {
+			w[i] = sentinel
+		}
+	}
+	notSentinel := func(s S) bool { return s != sentinel }
+	a := NewArena[S](3)
+	left, _ := a.window(0)
+	win, _ := a.window(1)
+	right, _ := a.window(2)
+	fill(left)
+	fill(right)
 	for _, node := range nodes {
 		want := expand(node, make([]S, 0, 64))
 		successors += len(want)
@@ -48,6 +61,30 @@ func checkAppendsOnly[S comparable](t *testing.T, expand func(S, []S) []S, senti
 		}
 		if out := expand(node, nil); !slices.Equal(out, want) {
 			t.Fatalf("node %v, nil buffer: successors %v, into a fresh buffer %v", node, out, want)
+		}
+		// The prefix in a home window between two full ones: successors that
+		// exactly fill the window and one more than that — which must move
+		// the stack out — write no slot of the neighbours.
+		for past := 0; past <= 1; past++ {
+			n := homeNodes - len(want) + past
+			if n < 0 || n > homeNodes {
+				continue
+			}
+			clear(win)
+			buf := win[:n]
+			fill(buf)
+			out := expand(node, buf)
+			if len(out) != n+len(want) || slices.ContainsFunc(out[:n], notSentinel) || !slices.Equal(out[n:], want) {
+				t.Fatalf("node %v, window with %d of %d slots live: got %v, want the prefix and %v", node, n, homeNodes, out, want)
+			}
+			// (A pruning wrapper may move at the exact fit too: it appends what
+			// it then filters out.  TestExpandKernelLeavesHome pins staying.)
+			if past == 1 && &out[0] == &win[0] {
+				t.Fatalf("node %v: %d nodes came back in a window of %d", node, len(out), homeNodes)
+			}
+			if slices.ContainsFunc(left, notSentinel) || slices.ContainsFunc(right, notSentinel) {
+				t.Fatalf("node %v, window with %d of %d slots live: neighbours now %v and %v", node, n, homeNodes, left, right)
+			}
 		}
 	}
 	if successors == 0 {
@@ -135,6 +172,45 @@ func TestExpandKernelExactCapacity(t *testing.T) {
 	}
 	checkBits(t, a)
 	checkLevelInvariant(t, a, 0)
+}
+
+// TestExpandKernelLeavesHome is the same pair of cycles on a PE in its home
+// window, between two windows full of sentinels: the exact fit stays home,
+// one past moves the stack to the heap whole, and the window it leaves is
+// zeros again with the neighbours untouched.
+func TestExpandKernelLeavesHome(t *testing.T) {
+	a := NewArena[int](3)
+	left, _ := a.window(0)
+	right, _ := a.window(2)
+	for i := range left {
+		left[i], right[i] = -1, -1
+	}
+	const two = 2         // two successors, both leaves
+	const a2 = 2 | two<<2 // two successors, both two
+	a.PushLevel(1, []int{0, 0, 0, 0, 0, 0, a2})
+	win, _ := a.window(1)
+	if &a.pes[1].buf[0] != &win[0] || cap(a.pes[1].buf) != homeNodes {
+		t.Fatalf("a first push of 7 nodes is not in the home window (buffer capacity %d)", cap(a.pes[1].buf))
+	}
+	sc := new(ExpandScratch[int])
+	a.ExpandCycle(fanOut{}, 0, 3, sc)
+	if got := flattenPE(a, 1); fmt.Sprint(got) != "[[0 0 0 0 0 0] [2 2]]" || &a.pes[1].buf[0] != &win[0] {
+		t.Fatalf("exact fit: levels %v (left home: %v)", got, &a.pes[1].buf[0] != &win[0])
+	}
+	a.ExpandCycle(fanOut{}, 0, 3, sc)
+	if got := flattenPE(a, 1); fmt.Sprint(got) != "[[0 0 0 0 0 0] [2] [0 0]]" || &a.pes[1].buf[0] == &win[0] {
+		t.Fatalf("one past the window: levels %v (still home: %v)", got, &a.pes[1].buf[0] == &win[0])
+	}
+	if fmt.Sprint(win) != fmt.Sprint(make([]int, homeNodes)) {
+		t.Errorf("the window the stack left holds %v, want zeros", win)
+	}
+	for i := range left {
+		if left[i] != -1 || right[i] != -1 {
+			t.Fatalf("neighbour windows now %v and %v", left, right)
+		}
+	}
+	checkBits(t, a)
+	checkLevelInvariant(t, a, 1)
 }
 
 // TestExpandKernelBottomRemovalReclaimsSpace is the kernel-path twin of

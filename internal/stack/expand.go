@@ -128,8 +128,12 @@ func (a *Arena[S]) ExpandCycle(d Expander[S], lo, hi int, sc *ExpandScratch[S]) 
 			}
 			out := d.Expand(node, p.buf[:end])
 			if k := len(out) - end; k > 0 {
+				if cap(out) != cap(p.buf) {
+					// append moved the stack: zero all it left (the appends that fit wrote past end).
+					clear(p.buf[p.head:cap(p.buf)])
+				}
 				p.buf = out[:cap(out)]
-				p.pushLevelLen(k)
+				p.pushLevelLen(a, pe, k)
 				p.size += int32(k)
 			} else if k < 0 {
 				sc.Truncated = true

@@ -57,6 +57,13 @@ rule() {
 # straight off the flag words, and no non-test file brings back a P-long
 # rank array or the enumerate-then-rendezvous pass over one (their test-only
 # form is scan's oracle_test.go).
+#
+# arena-discipline — one first buffer (DESIGN.md section 16, "Home
+# windows"): a PE's first node buffer is its share of its flag word's chunk,
+# so internal/stack allocates node storage at exactly five places — the
+# chunk, newBuf's doubled heap buffer, AppendLevels' exact install, CopyPE's
+# exact copy and the splitters' block scratch.  A sixth is a per-PE
+# allocation slipping back in.
 rules() {
 	rule frame-discipline 0 'decode and checksum frames through internal/wire (wire.Open / wire.Reader)' \
 		-e '"hash/crc32"' -e 'binary\.Uvarint(' -- '*.go' ':!*_test.go' ':!internal/wire/'
@@ -72,6 +79,8 @@ rules() {
 		-e 'client\.Do(' -- 'internal/cluster/*.go' ':!*_test.go'
 	rule match-discipline 0 'match on the flag words (match.MatchBits); the rank arrays are a test oracle' \
 		-e 'busyRanks' -e 'idleRanks' -e 'RendezvousInto' -e 'EnumerateBits' -- '*.go' ':!*_test.go'
+	rule arena-discipline 5 'internal/stack allocates node storage at {n} places, want 5 (chunk, newBuf, AppendLevels, CopyPE, block scratch): a first buffer is a home window' \
+		-e 'make(\[\]S' -e 'new(home\[' -e 'append(\[\]S(nil)' -- 'internal/stack/*.go' ':!*_test.go'
 }
 
 # plant ORDINAL FIRES PATH LINE...: in a fresh scratch repository holding
@@ -117,6 +126,13 @@ if [ "${1:-}" = selftest ]; then
 	plant 7 1 internal/simd/zz.go 'pairs, inv = scan.RendezvousInto(pairs[:0], inv, busy, idle)'
 	plant 7 1 internal/scan/zz.go 'func EnumerateBitsFromInto(ranks []int, b Bits, start, n int) int {'
 	plant 7 0 internal/scan/zz_test.go 'func EnumerateBitsInto(ranks []int, b Bits, n int) int {'
+	set -- 'h = new(home[S])' 'return make([]S, max(2*have, need))' 'p.buf = make([]S, len(nodes))' \
+		'buf: append([]S(nil), q.buf[q.head:q.head+q.size]...),' 'nodes = make([]S, len(pairs))'
+	plant 8 0 internal/stack/zz.go "$@"
+	plant 8 1 internal/stack/zz.go "$@" 'nb := make([]S, 16) // a buffer of its own for every PE'
+	plant 8 1 internal/stack/zz.go "$@" 'p.home = new(home[S])'
+	plant 8 1 internal/stack/zz.go "$@" 'p.buf = append([]S(nil), node)'
+	plant 8 1 internal/stack/zz_test.go "$@"
 else
 	rules
 fi
