@@ -76,17 +76,18 @@ fuzz:
 vet:
 	$(GO) vet ./...
 
-# Repo-specific static analysis: determinism (detrand, maporder), float
-# equality, dropped errors, sync misuse, pool reset, and the cross-package
-# suite (hotalloc, ctxflow, lockorder, atomicmix, sseflush).
+# Repo-specific static analysis: determinism (detrand, maporder), dropped
+# errors (errdrop) and the call-graph pair (hotalloc, ctxflow).  Lock
+# copies are go vet's copylocks; the sync/atomic, sync.Pool and SSE
+# producer rules are rows of the discipline table.
 lint: vet lint-hotpath discipline
 	$(GO) run ./cmd/simdlint ./...
 
-# The "written once" gates — frame-, api-, schedule-, shard-, match- and
-# arena-discipline —
-# are one table of (name, patterns, allowed paths, message, expected count)
-# in scripts/discipline.sh, which first proves every pattern still fires on
-# a planted violation and then checks the tree.
+# The "written once" gates — frame-, api-, schedule-, shard-, match-,
+# arena-, sync- and sse-discipline — are one table of (name, patterns,
+# allowed paths, message, expected count) in scripts/discipline.sh, which
+# first proves every pattern still fires on a planted violation and then
+# checks the tree.
 discipline:
 	@./scripts/discipline.sh selftest
 	@./scripts/discipline.sh

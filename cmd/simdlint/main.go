@@ -11,8 +11,8 @@
 // With no arguments (or "./...") every non-test package of the enclosing
 // module is checked.  Directory arguments restrict which findings are
 // reported; the whole module is always loaded and analysed, since the
-// cross-package analyzers (hotalloc, lockorder, atomicmix, ctxflow) need
-// the complete call graph either way.  Findings print as
+// module analyzers (hotalloc, ctxflow) need the complete call graph
+// either way.  Findings print as
 //
 //	path/file.go:line:col: analyzer: message
 //

@@ -134,14 +134,14 @@ type Iso struct {
 // String renders the isoefficiency in the paper's O-notation.
 func (i Iso) String() string {
 	p := "P"
-	//lint:allow floateq powers are assigned from exact literals (tlbPowers), never computed
+	// Exact: powers are assigned from literals (tlbPowers), never computed.
 	if i.PPower != 1 {
 		p = fmt.Sprintf("P^%.2g", i.PPower)
 	}
 	switch {
 	case i.LogPower == 0:
 		return fmt.Sprintf("O(%s)", p)
-	//lint:allow floateq log powers are sums of exact literals; 1 is representable exactly
+	// Exact: log powers are sums of literals; 1 is representable exactly.
 	case i.LogPower == 1:
 		return fmt.Sprintf("O(%s log P)", p)
 	default:

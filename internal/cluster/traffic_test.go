@@ -21,15 +21,19 @@ import (
 
 // startTrafficNode boots a node the way simdserve does in production:
 // the server wrapped in the traffic frontend, so it serves the batch and
-// SSE routes the coordinator proxies to.
-func startTrafficNode(t *testing.T, cfg server.Config) string {
+// SSE routes the coordinator proxies to.  wrap, when set, sits in front
+// of the frontend's handler.
+func startTrafficNode(t *testing.T, cfg server.Config, wrap func(http.Handler) http.Handler) string {
 	t.Helper()
 	s, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := traffic.New(s, nil, traffic.Config{})
-	ts := httptest.NewServer(f.Handler())
+	h := traffic.New(s, nil, traffic.Config{}).Handler()
+	if wrap != nil {
+		h = wrap(h)
+	}
+	ts := httptest.NewServer(h)
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -85,7 +89,7 @@ func TestFleetCollapseAndBatch(t *testing.T) {
 		"gatesim":  blockingRunner(&runs, release),
 		"fleetsim": fleetRunner(nil),
 	}}
-	urls := []string{startTrafficNode(t, nodeCfg), startTrafficNode(t, nodeCfg)}
+	urls := []string{startTrafficNode(t, nodeCfg, nil), startTrafficNode(t, nodeCfg, nil)}
 
 	c, err := New(Config{
 		Nodes:          urls,
@@ -178,7 +182,7 @@ func TestFleetCollapseAndBatch(t *testing.T) {
 // preserves the node's stream and cursor semantics.
 func TestFleetSSEProxy(t *testing.T) {
 	ctx := context.Background()
-	url := startTrafficNode(t, server.Config{Workers: 1, ProgressEvery: 50})
+	url := startTrafficNode(t, server.Config{Workers: 1, ProgressEvery: 50}, nil)
 	c, err := New(Config{
 		Nodes:          []string{url},
 		OverflowDepth:  1000,
@@ -277,4 +281,109 @@ func TestFleetSSEProxy(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown id: %d", resp.StatusCode)
 	}
+}
+
+// TestStreamEndsWhenSubscriberLeaves pins what an event stream owes the
+// server once its subscriber goes away: the handler returns — and behind
+// the coordinator, so does the node's stream it proxies — instead of
+// holding a goroutine and a connection until the job ends.  Each stream
+// is of a job that does not finish during the test, and the subscriber
+// cancels right after its first event.
+func TestStreamEndsWhenSubscriberLeaves(t *testing.T) {
+	// streamEnds wraps a handler so every /events request it serves
+	// reports its return on the channel.
+	streamEnds := func(ended chan<- string) func(http.Handler) http.Handler {
+		return func(h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				h.ServeHTTP(w, r)
+				if strings.HasSuffix(r.URL.Path, "/events") {
+					ended <- r.URL.Path
+				}
+			})
+		}
+	}
+	subscribe := func(t *testing.T, url string) {
+		t.Helper()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("events status %d", resp.StatusCode)
+		}
+		br := bufio.NewReader(resp.Body)
+		for sawID := false; ; {
+			line, err := br.ReadString('\n')
+			if err != nil {
+				t.Fatalf("stream ended before its first event: %v", err)
+			}
+			sawID = sawID || strings.HasPrefix(line, "id: ")
+			if sawID && line == "\n" {
+				return
+			}
+		}
+	}
+	within := func(t *testing.T, ended <-chan string, what string) bool {
+		t.Helper()
+		select {
+		case <-ended:
+			return true
+		case <-time.After(2 * time.Second):
+			t.Errorf("%s still streaming 2s after its subscriber left", what)
+			return false
+		}
+	}
+
+	t.Run("StreamEvents", func(t *testing.T) {
+		l := server.NewEventLog()
+		l.Append(server.JobEvent{Type: server.EventStatus, Status: server.StatusRunning})
+		ended := make(chan string, 1)
+		ts := httptest.NewServer(streamEnds(ended)(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			server.StreamEvents(r.Context(), w, 0, l.Since, time.Hour)
+		})))
+		defer ts.Close()
+		subscribe(t, ts.URL+"/v1/jobs/j/events")
+		if !within(t, ended, "StreamEvents") {
+			l.Append(server.JobEvent{Type: server.EventStatus, Status: server.StatusDone, Terminal: true})
+		}
+	})
+
+	t.Run("proxy", func(t *testing.T) {
+		var runs atomic.Int64
+		release := make(chan struct{})
+		nodeEnded := make(chan string, 1)
+		url := startTrafficNode(t, server.Config{Workers: 1, Runners: map[string]server.Runner{
+			"gatesim": blockingRunner(&runs, release),
+		}}, streamEnds(nodeEnded))
+		c, err := New(Config{
+			Nodes:          []string{url},
+			OverflowDepth:  1000,
+			ExtraDomains:   []string{"gatesim"},
+			RequestTimeout: 5 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Shutdown(context.Background()) //lint:allow errdrop no loops are running
+		c.ProbeOnce(context.Background())
+		frontEnded := make(chan string, 1)
+		front := httptest.NewServer(streamEnds(frontEnded)(c.Handler()))
+		defer front.Close()
+		defer close(release) // first: a stream that did not end does once the job does
+
+		sub, code := postJSONAs[fleetWireJob](t, front.URL+"/v1/jobs", `{"domain":"gatesim","scheme":"GP-DK","p":8}`)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit: %d", code)
+		}
+		subscribe(t, front.URL+"/v1/jobs/"+sub.ID+"/events")
+		within(t, frontEnded, "the coordinator's proxy")
+		within(t, nodeEnded, "the node's stream behind the proxy")
+	})
 }

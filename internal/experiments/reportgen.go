@@ -82,7 +82,7 @@ func reportTable2[S any](s *Suite[S], doc *report.Doc) error {
 		if gap > bestGap {
 			bestGap = gap
 		}
-		//lint:allow floateq thresholds come verbatim from the quietThresholds literals, so 0.50 matches exactly
+		// Exact: thresholds come verbatim from the quietThresholds literals.
 		if r.X == 0.50 && r.NGP.Nlb != r.GP.Nlb {
 			equalAtHalf = false
 		}

@@ -9,16 +9,16 @@ import (
 	"strings"
 )
 
-// This file builds the module-wide call graph the cross-package analyzers
-// (hotalloc, ctxflow, lockorder, atomicmix) run on.  The graph is purely
-// static and stdlib-only: direct calls resolve through go/types object use
-// information, generic instantiations are canonicalised to their origin
-// declaration, and calls through module-defined interfaces are
-// devirtualised with a class-hierarchy approximation — an edge is added to
-// every module method that can satisfy the interface method.  Calls into
-// the standard library and calls through plain function values are not
-// edges; analyzers that need soundness there handle the call expression
-// itself (e.g. hotalloc checks interface boxing at any call site).
+// This file builds the module-wide call graph the module analyzers
+// (hotalloc, ctxflow) run on.  The graph is purely static and stdlib-only:
+// direct calls resolve through go/types object use information, generic
+// instantiations are canonicalised to their origin declaration, and calls
+// through module-defined interfaces are devirtualised with a
+// class-hierarchy approximation — an edge is added to every module method
+// that can satisfy the interface method.  Calls into the standard library
+// and calls through plain function values are not edges; analyzers that
+// need soundness there handle the call expression itself (e.g. hotalloc
+// checks interface boxing at any call site).
 
 // hotpathDirective marks a function declaration as a zero-allocation hot
 // path root for the hotalloc analyzer: the function and everything
@@ -37,14 +37,11 @@ type Function struct {
 	Calls []*Edge
 }
 
-// An Edge is one static call site from Caller to Callee.
+// An Edge is one static call from Caller to Callee; a devirtualised
+// interface call is one edge per implementation the site can reach.
 type Edge struct {
 	Caller *Function
 	Callee *Function
-	Site   token.Pos
-	// Dynamic marks a devirtualised interface call: the callee is one of
-	// possibly several implementations the site can reach.
-	Dynamic bool
 }
 
 // A CallGraph indexes every module function and its statically resolvable
@@ -161,12 +158,12 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 			}
 			if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil && isInterfaceRecv(sig.Recv().Type()) {
 				for _, impl := range devirtualize(callee, methodsByName) {
-					fn.Calls = append(fn.Calls, &Edge{Caller: fn, Callee: impl, Site: call.Lparen, Dynamic: true})
+					fn.Calls = append(fn.Calls, &Edge{Caller: fn, Callee: impl})
 				}
 				return true
 			}
 			if target := g.FuncOf(callee); target != nil {
-				fn.Calls = append(fn.Calls, &Edge{Caller: fn, Callee: target, Site: call.Lparen})
+				fn.Calls = append(fn.Calls, &Edge{Caller: fn, Callee: target})
 			}
 			return true
 		})
@@ -327,7 +324,6 @@ func hasTypeParams(t types.Type, depth int) bool {
 	return false
 }
 
-// HotRoots returns the hotpath-annotated functions in deterministic order.
 // HotpathRoots returns the stable identifiers of every //lint:hotpath
 // root in pkgs, sorted — the driver's -hotpath listing, which the
 // lint-hotpath make target diffs against the committed inventory so a
@@ -342,6 +338,7 @@ func HotpathRoots(pkgs []*Package) []string {
 	return ids
 }
 
+// HotRoots returns the hotpath-annotated functions in deterministic order.
 func (g *CallGraph) HotRoots() []*Function {
 	var roots []*Function
 	for _, fn := range g.Sorted {

@@ -72,7 +72,7 @@ func checkRootContexts(p *ModulePass, fn *Function) {
 func firstBlockingOp(fn *Function) (pos token.Pos, what string, blocks bool) {
 	info := fn.Pkg.Info
 	comm := selectCommOps(fn)
-	bodyWalk(fn, false, func(n ast.Node) bool {
+	ownBody(fn, func(n ast.Node) bool {
 		if blocks {
 			return false
 		}
@@ -111,7 +111,7 @@ func firstBlockingOp(fn *Function) (pos token.Pos, what string, blocks bool) {
 // alone is classified.
 func selectCommOps(fn *Function) map[ast.Node]bool {
 	comm := map[ast.Node]bool{}
-	bodyWalk(fn, false, func(n ast.Node) bool {
+	ownBody(fn, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectStmt)
 		if !ok {
 			return true
@@ -174,4 +174,75 @@ func blockingCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 		return "time.Sleep", true
 	}
 	return "", false
+}
+
+// ownBody visits the statements of fn's declaration, skipping function
+// literals: what a function does when called excludes closures, which may
+// run on another goroutine.
+func ownBody(fn *Function, visit func(ast.Node) bool) {
+	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		return visit(n)
+	})
+}
+
+// acceptsContext reports whether fn takes a context.Context parameter.
+func acceptsContext(fn *Function) bool {
+	sig, ok := fn.Obj.Type().(*types.Signature)
+	if !ok {
+		return false
+	}
+	for i := 0; i < sig.Params().Len(); i++ {
+		if named, ok := sig.Params().At(i).Type().(*types.Named); ok && isObj(named.Obj(), "context", "Context") {
+			return true
+		}
+	}
+	return false
+}
+
+// pkgFuncCall reports whether call names pkgPath.name, resolved through
+// the type info (not import aliases).
+func pkgFuncCall(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok {
+		return false
+	}
+	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
+		return false // a method of the package's types, e.g. http.Header.Get
+	}
+	return isObj(fn, pkgPath, name)
+}
+
+// methodOn reports whether call invokes method name on a value of the
+// named type pkgPath.typeName (possibly behind a pointer).
+func methodOn(info *types.Info, call *ast.CallExpr, pkgPath, typeName, name string) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Name() != name {
+		return false
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	t := sig.Recv().Type()
+	if p, isPtr := t.(*types.Pointer); isPtr {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && isObj(named.Obj(), pkgPath, typeName)
+}
+
+// isObj reports whether obj is pkgPath.name.
+func isObj(obj types.Object, pkgPath, name string) bool {
+	return obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
 }

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 )
 
@@ -41,53 +40,9 @@ func (p *Pass) callee(call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// isFloat reports whether e's type is a floating-point basic type.
-func (p *Pass) isFloat(e ast.Expr) bool {
-	t := p.Pkg.Info.TypeOf(e)
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
-}
-
-// isConst reports whether e is a compile-time constant expression.
-func (p *Pass) isConst(e ast.Expr) bool {
-	tv, ok := p.Pkg.Info.Types[e]
-	return ok && tv.Value != nil
-}
-
-// isZeroConst reports whether e is a compile-time numeric constant equal
-// to exactly zero.
-func (p *Pass) isZeroConst(e ast.Expr) bool {
-	tv, ok := p.Pkg.Info.Types[e]
-	if !ok || tv.Value == nil {
-		return false
-	}
-	switch tv.Value.Kind() {
-	case constant.Int, constant.Float:
-		return constant.Sign(tv.Value) == 0
-	}
-	return false
-}
-
 var errType = types.Universe.Lookup("error").Type()
 
 // isErrorType reports whether t is exactly the built-in error interface.
 func isErrorType(t types.Type) bool {
 	return t != nil && types.Identical(t, errType)
-}
-
-// isSyncType reports whether t (possibly behind one pointer) is the named
-// sync package type with the given name.
-func isSyncType(t types.Type, name string) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == name
 }

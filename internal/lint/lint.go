@@ -8,22 +8,16 @@
 // and go/types (the repository deliberately has no external dependencies,
 // so golang.org/x/tools is off limits).
 //
-// The per-package suite:
+// The per-package analyzers:
 //
 //   - detrand: wall-clock reads and process-global randomness inside the
 //     deterministic packages.
 //   - maporder: order-sensitive writes inside `range` loops over maps in
 //     the deterministic packages.
-//   - floateq: == and != between floating-point operands.
 //   - errdrop: statements and blank assignments that discard an error.
-//   - syncmisuse: WaitGroup.Add inside the goroutine it gates, and lock
-//     values copied through parameters, results or receivers.
-//   - poolreset: sync.Pool.Put of an object that shows no reset before
-//     the Put, which would leak stale state to the next Get.
 //
-// The module suite runs over a whole-module call graph (callgraph.go)
-// with interface calls devirtualised and a cross-package facts store
-// (facts.go):
+// The module analyzers run over a whole-module call graph (callgraph.go)
+// with interface calls devirtualised:
 //
 //   - hotalloc: allocating constructs in any function statically
 //     reachable from a //lint:hotpath root, reported with the call
@@ -31,13 +25,6 @@
 //   - ctxflow: exported blocking functions of the engine and service
 //     packages without a context.Context, and root contexts minted in
 //     library code.
-//   - lockorder: mutex pairs acquired in inconsistent orders anywhere
-//     in the module, including orders induced through callees.
-//   - atomicmix: objects accessed both through sync/atomic and with
-//     plain reads or writes.
-//   - sseflush: functions producing a text/event-stream response from
-//     which no Flush call, or no context-cancellation check, is
-//     statically reachable.
 //
 // A finding is suppressed by a line comment of the form
 //
@@ -74,8 +61,7 @@ func (d Diagnostic) String() string {
 
 // An Analyzer is one named check.  Per-package analyzers set Run and are
 // handed one package at a time; module analyzers set RunModule instead and
-// see the whole package set at once, together with the cross-package call
-// graph and fact store (see callgraph.go and facts.go).
+// see the whole module at once through its call graph (see callgraph.go).
 type Analyzer struct {
 	Name      string
 	Doc       string
@@ -94,6 +80,23 @@ type Pass struct {
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{
 		Pos:      p.Pkg.Fset.Position(pos),
+		Analyzer: p.Analyzer.Name,
+		Message:  fmt.Sprintf(format, args...),
+	})
+}
+
+// A ModulePass hands the whole module's call graph to one module analyzer.
+type ModulePass struct {
+	Analyzer *Analyzer
+	Graph    *CallGraph
+	Fset     *token.FileSet
+	report   func(Diagnostic)
+}
+
+// Reportf records a finding at pos.
+func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
+	p.report(Diagnostic{
+		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
@@ -118,36 +121,36 @@ func deterministic(pkg *Package) bool {
 	return deterministicPkgs[path.Base(pkg.Path)]
 }
 
-// Analyzers returns the full suite in a fixed order: the six per-package
-// analyzers followed by the four cross-package (call-graph) ones.
+// Analyzers returns the full suite in a fixed order: the three
+// per-package analyzers followed by the two module (call-graph) ones.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		DetRand, MapOrder, FloatEq, ErrDrop, SyncMisuse, PoolReset,
-		HotAlloc, CtxFlow, LockOrder, AtomicMix, SSEFlush,
-	}
+	return []*Analyzer{DetRand, MapOrder, ErrDrop, HotAlloc, CtxFlow}
 }
 
 // Run applies analyzers to pkgs, resolves //lint:allow suppressions, and
 // returns the surviving diagnostics sorted by position.  Module analyzers
-// share one call graph and fact store, built once per Run.
+// share one call graph, built once per Run.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+	kept, _ := run(pkgs, analyzers)
+	return kept
+}
+
+// run is Run that also returns the well-formed directives which
+// suppressed no finding.
+func run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []directive) {
 	var diags []Diagnostic
 	report := func(d Diagnostic) { diags = append(diags, d) }
 	var graph *CallGraph
-	var facts *Facts
 	for _, a := range analyzers {
 		if a.RunModule == nil || len(pkgs) == 0 {
 			continue
 		}
 		if graph == nil {
 			graph = BuildCallGraph(pkgs)
-			facts = NewFacts()
 		}
 		a.RunModule(&ModulePass{
 			Analyzer: a,
-			Pkgs:     pkgs,
 			Graph:    graph,
-			Facts:    facts,
 			Fset:     graph.Fset,
 			report:   report,
 		})
@@ -172,10 +175,17 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	dirs, dirDiags := directives(pkgs, known)
 	diags = append(diags, dirDiags...)
 	spans := stmtSpans(pkgs)
+	used := make([]bool, len(dirs))
 	var kept []Diagnostic
 	for _, d := range diags {
-		if !suppressed(d, dirs, spans) {
+		if !suppressed(d, dirs, spans, used) {
 			kept = append(kept, d)
+		}
+	}
+	var unused []directive
+	for i, dir := range dirs {
+		if !used[i] {
+			unused = append(unused, dir)
 		}
 	}
 	sort.Slice(kept, func(i, j int) bool {
@@ -191,7 +201,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return kept
+	return kept, unused
 }
 
 // A directive is one well-formed //lint:allow comment.
@@ -302,21 +312,24 @@ func anchorLine(spans map[string][]stmtSpan, file string, line int) int {
 
 // suppressed reports whether a well-formed directive covers d: on the same
 // line, on the line directly above, or on the line directly above the
-// innermost multi-line statement containing the finding.  Directive
-// diagnostics are never suppressible.
-func suppressed(d Diagnostic, dirs []directive, spans map[string][]stmtSpan) bool {
+// innermost multi-line statement containing the finding.  Every covering
+// directive is marked in used.  Directive diagnostics are never
+// suppressible.
+func suppressed(d Diagnostic, dirs []directive, spans map[string][]stmtSpan, used []bool) bool {
 	if d.Analyzer == "directive" {
 		return false
 	}
 	anchor := anchorLine(spans, d.Pos.Filename, d.Pos.Line)
-	for _, dir := range dirs {
+	hit := false
+	for i, dir := range dirs {
 		if dir.analyzer != d.Analyzer || dir.file != d.Pos.Filename {
 			continue
 		}
 		if dir.line == d.Pos.Line || dir.line == d.Pos.Line-1 ||
 			dir.line == anchor || dir.line == anchor-1 {
-			return true
+			used[i] = true
+			hit = true
 		}
 	}
-	return false
+	return hit
 }

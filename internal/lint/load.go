@@ -57,8 +57,7 @@ func (m *modImporter) Import(path string) (*types.Package, error) {
 // Load parses and type-checks every non-test package under root.  root is
 // either a module root (go.mod supplies the import-path prefix) or a bare
 // fixture tree (import paths become fixture/<rel>).  Test files are never
-// loaded: the analyzers deliberately police production code only, and
-// several of them (floateq, errdrop) are specified to skip tests.
+// loaded: the analyzers deliberately police production code only.
 func Load(root string) ([]*Package, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {

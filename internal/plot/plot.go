@@ -74,10 +74,10 @@ func Render(cfg Config, series ...Series) string {
 	if len(pts) == 0 {
 		return "(no data)\n"
 	}
-	if maxX == minX { //lint:allow floateq exact degenerate-range guard before dividing by maxX-minX
+	if maxX == minX {
 		maxX = minX + 1
 	}
-	if maxY == minY { //lint:allow floateq exact degenerate-range guard before dividing by maxY-minY
+	if maxY == minY {
 		maxY = minY + 1
 	}
 

@@ -33,8 +33,6 @@ type Scheduler interface {
 	// Next blocks for the next item to execute.  After Close it keeps
 	// returning the remaining backlog (graceful drain) and reports
 	// ok=false once empty.
-	//
-	//lint:allow ctxflow scheduler lifetime is bounded by Close; pool workers own the blocking wait
 	Next() (SchedItem, bool)
 	// Close stops admission.  Next drains the backlog, then returns
 	// ok=false to every waiter.

@@ -91,7 +91,6 @@ func (c *Context[S]) busyBits() scan.Bits { return c.Arena.SplitBits() }
 func (c *Context[S]) idleBits() scan.Bits {
 	p := c.Arena.P()
 	if len(c.idleB) < (p+63)/64 {
-		//lint:allow hotalloc idle bitset scratch grows once to P/64 words and is reused across phases
 		c.idleB = scan.NewBits(p)
 	}
 	scan.ComplementInto(c.idleB, c.Arena.WorkBits(), p)

@@ -75,7 +75,6 @@ func (t *Trace) RecordPhase(e Event) {
 	if t == nil {
 		return
 	}
-	//lint:allow hotalloc tracing is opt-in (Options.Trace) and outside the steady-state alloc contract
 	t.Events = append(t.Events, e)
 }
 

@@ -169,8 +169,6 @@ func (f *Frontend) admit(canonical server.JobSpec, key, tenant string) (fl *flig
 // after <-done sees the complete body.  The wait needs no context of its
 // own: the job's lifetime is bounded by the server (Shutdown cancels every
 // job), and the flight must outlive any one subscriber anyway.
-//
-//lint:allow ctxflow flight lifetime is bounded by the job, which server shutdown cancels
 func (f *Frontend) resolve(fl *flight, tenant string) {
 	<-fl.h.Done()
 	b, err := fl.h.ResponseBytes()

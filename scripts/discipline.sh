@@ -64,6 +64,17 @@ rule() {
 # chunk, newBuf's doubled heap buffer, AppendLevels' exact install, CopyPE's
 # exact copy and the splitters' block scratch.  A sixth is a per-PE
 # allocation slipping back in.
+#
+# sync-discipline — owned state, typed atomics (DESIGN.md section 11):
+# no non-test file calls a package-level sync/atomic function (an object
+# touched that way can also be read plainly; atomic.Int64 and friends
+# cannot) or keeps a sync.Pool (pool contents depend on the scheduler;
+# scratch is owned by its machine, encoder or manager).
+#
+# sse-discipline — two event-stream producers (DESIGN.md section 14): the
+# text/event-stream header is set by server.StreamEvents, which flushes
+# every frame and returns when the subscriber leaves, and by the
+# coordinator's proxy of it, and nowhere else.
 rules() {
 	rule frame-discipline 0 'decode and checksum frames through internal/wire (wire.Open / wire.Reader)' \
 		-e '"hash/crc32"' -e 'binary\.Uvarint(' -- '*.go' ':!*_test.go' ':!internal/wire/'
@@ -81,17 +92,25 @@ rules() {
 		-e 'busyRanks' -e 'idleRanks' -e 'RendezvousInto' -e 'EnumerateBits' -- '*.go' ':!*_test.go'
 	rule arena-discipline 5 'internal/stack allocates node storage at {n} places, want 5 (chunk, newBuf, AppendLevels, CopyPE, block scratch): a first buffer is a home window' \
 		-e 'make(\[\]S' -e 'new(home\[' -e 'append(\[\]S(nil)' -- 'internal/stack/*.go' ':!*_test.go'
+	rule sync-discipline 0 'use typed atomics (atomic.Int64, atomic.Bool, ...) and owned scratch, not package-level sync/atomic calls or sync.Pool' \
+		-E -e 'atomic\.(Add|Load|Store|Swap|CompareAndSwap)[A-Za-z0-9]*\(' -e 'sync\.Pool' -- '*.go' ':!*_test.go'
+	rule sse-discipline 2 'text/event-stream is set in {n} places, want 2 (server.StreamEvents, the coordinator proxy in internal/cluster/traffic.go): stream through server.StreamEvents' \
+		-e 'text/event-stream' -- '*.go' ':!*_test.go'
 }
 
 # plant ORDINAL FIRES PATH LINE...: in a fresh scratch repository holding
 # only PATH with the given lines, rule ORDINAL must fire (FIRES = 1) or
-# hold (FIRES = 0, an allowed path or a test file).
+# hold (FIRES = 0, an allowed path or a test file).  A line "@FILE" sends
+# the lines after it to FILE instead.
 plant() {
 	want=$1 fires=$2 path=$3
 	shift 3
-	dir=$(mktemp -d)
-	mkdir -p "$dir/$(dirname "$path")"
-	printf '%s\n' "$@" >"$dir/$path"
+	dir=$(mktemp -d) file=$path
+	for line; do
+		case $line in @*) file=${line#@} && continue ;; esac
+		mkdir -p "$dir/$(dirname "$file")"
+		printf '%s\n' "$line" >>"$dir/$file"
+	done
 	git -C "$dir" init -q
 	got=$(cd "$dir" && only=$want && failed=0 && ordinal=0 && rules >/dev/null 2>&1 && echo "$failed")
 	rm -rf "$dir"
@@ -133,6 +152,17 @@ if [ "${1:-}" = selftest ]; then
 	plant 8 1 internal/stack/zz.go "$@" 'p.home = new(home[S])'
 	plant 8 1 internal/stack/zz.go "$@" 'p.buf = append([]S(nil), node)'
 	plant 8 1 internal/stack/zz_test.go "$@"
+	plant 9 1 internal/server/zz.go 'atomic.AddInt64(&s.jobs, 1)'
+	plant 9 1 internal/simd/zz.go 'w := atomic.LoadUint64(&words[i])'
+	plant 9 1 internal/cluster/zz.go 'if atomic.CompareAndSwapInt32(&n.state, 0, 1) {'
+	plant 9 1 internal/wire/zz.go 'var bufs = sync.Pool{New: func() any { return new([]byte) }}'
+	plant 9 0 internal/server/zz.go 'var jobs atomic.Int64' 'jobs.Add(1)'
+	plant 9 0 internal/server/zz_test.go 'atomic.AddInt64(&hits, 1)'
+	set -- 'w.Header().Set("Content-Type", "text/event-stream")' 'w.Header().Set("Content-Type", "text/event-stream")'
+	plant 10 0 internal/server/zz.go "$@"
+	plant 10 1 internal/server/zz.go "$@" '@internal/traffic/zz.go' 'w.Header().Set("Content-Type", "text/event-stream")'
+	plant 10 1 internal/cluster/zz.go 'w.Header().Set("Content-Type", "text/event-stream")'
+	plant 10 0 internal/server/zz.go "$@" '@internal/traffic/zz_test.go' 'if ct != "text/event-stream" {'
 else
 	rules
 fi
