@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-go bench-baseline bench-check mark loc fuzz vet lint lint-hotpath discipline fmt serve fleet load experiments-quick experiments-full report clean
+.PHONY: all build test test-race bench bench-go bench-check mark loc fuzz vet lint lint-hotpath discipline fmt serve fleet load experiments-quick experiments-full report clean
 
 all: build lint test
 
@@ -15,32 +15,30 @@ build:
 test:
 	$(GO) test ./...
 
+# -short, as in CI: the race detector prices every channel and WaitGroup
+# sync, so the Workers overhead bound and the allocation ceilings, which
+# hold for the plain build, are not measured under it.
 test-race:
-	$(GO) test -race ./...
+	$(GO) test -race -short ./...
 
-# Run the pinned simdbench scenarios and check them against the committed
-# baseline (see DESIGN.md section 11).  bench-baseline regenerates the
-# baseline file after an intentional perf change; bump the number when you
-# want to keep the old trajectory point.
-BENCH_BASELINE ?= BENCH_8.json
-
+# The engine's benchmarks: every pinned run of internal/simd's table (the
+# schedules, allocation ceilings and Workers overhead bound those runs must
+# hold are tests, in "make test"), the structure-of-arrays micro-benchmarks
+# and the spill sweep.
 bench:
-	$(GO) run ./cmd/simdbench -out /dev/null -compare $(BENCH_BASELINE)
-	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkArenaFirstReceive|BenchmarkExpandKernel|BenchmarkPoolSmallP' -benchmem .
+	$(GO) test -run '^$$' -bench BenchmarkPinnedRun -benchmem ./internal/simd
+	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkArenaFirstReceive|BenchmarkExpandKernel' -benchmem .
 	$(GO) test -run '^$$' -bench BenchmarkSweepThrash -benchmem ./internal/spill
 
-bench-baseline:
-	$(GO) run ./cmd/simdbench -out $(BENCH_BASELINE)
-
-# CI smoke variant: one iteration per scenario, allocation + schedule gate,
-# plus the structure-of-arrays micro-benchmarks (allocs/op must stay 0;
+# CI smoke variant: the small-P pool run at Workers 1 and 2, plus the
+# structure-of-arrays micro-benchmarks (allocs/op must stay 0;
 # BenchmarkExpandKernel fails itself when a steady-state cycle allocates,
 # BenchmarkMatchBits when a matching phase does, BenchmarkSweepThrash when
 # a warmed-up evict/fault sweep does, BenchmarkArenaFirstReceive when a
 # fresh arena's first receives allocate per PE instead of per flag word).
 bench-check:
-	$(GO) run ./cmd/simdbench -short -out /dev/null -compare $(BENCH_BASELINE)
-	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkArenaFirstReceive|BenchmarkExpandKernel|BenchmarkPoolSmallP' -benchtime 100x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkPinnedRun/pool-small-p' -benchtime 100x -benchmem ./internal/simd
+	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkArenaFirstReceive|BenchmarkExpandKernel' -benchtime 100x -benchmem .
 	$(GO) test -run '^$$' -bench BenchmarkSweepThrash -benchtime 100x -benchmem ./internal/spill
 
 # simdmark, the benchmark of record (benchmark/, BENCHMARK.json), at the
@@ -121,12 +119,12 @@ fleet:
 	./scripts/fleet.sh -n $(FLEET_NODES) -p $(FLEET_BASE_PORT) $(if $(FLEET_STEAL),-s $(FLEET_STEAL))
 
 # Traffic-layer load smoke: simdload drives an in-process frontend for a
-# few seconds and regenerates the BENCH_1.json report (jobs/sec, latency
-# percentiles, collapse rate, tenant fairness spread).  -check fails the
-# run on transport errors, zero throughput, or any byte-identity
-# violation among collapsed responses (see DESIGN.md section 14).
+# few seconds and prints its JSON report (jobs/sec, latency percentiles,
+# collapse rate, tenant fairness spread).  -check fails the run on
+# transport errors, zero throughput, or any byte-identity violation among
+# collapsed responses (see DESIGN.md section 14).
 load:
-	$(GO) run ./cmd/simdload -inproc -duration 5s -check -out BENCH_1.json
+	$(GO) run ./cmd/simdload -inproc -duration 5s -check -out -
 
 # The paper's evaluation at reduced scale (~2 min).
 experiments-quick:

@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"testing"
 
-	"simdtree/internal/bench"
 	"simdtree/internal/experiments"
 	"simdtree/internal/match"
 	"simdtree/internal/puzzle"
@@ -272,66 +271,6 @@ func BenchmarkPuzzleExpand(b *testing.B) {
 		buf = dom.Expand(node, buf[:0])
 	}
 	_ = buf
-}
-
-// runScenario is the shared body of the per-phase micro-benchmarks: one
-// op is one full deterministic run of the pinned internal/bench scenario,
-// with the schedule-derived per-cycle and per-phase costs reported as
-// extra metrics so allocation regressions are attributable to a phase.
-func runScenario(b *testing.B, name string) {
-	b.Helper()
-	sc, err := bench.ByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	runScenarioOf(b, sc)
-}
-
-func runScenarioOf(b *testing.B, sc bench.Scenario) {
-	b.Helper()
-	b.ReportAllocs()
-	var cycles, phases int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stats, err := sc.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles, phases = stats.Cycles, stats.LBPhases
-	}
-	b.StopTimer()
-	if cycles > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cycles), "ns/cycle")
-	}
-	b.ReportMetric(float64(cycles), "cycles/op")
-	b.ReportMetric(float64(phases), "lbphases/op")
-}
-
-// BenchmarkExpansionCycle isolates the node-expansion hot path: the
-// pinned scenario never triggers a load-balancing phase, so every
-// allocation it reports comes from the per-cycle expansion loop.
-func BenchmarkExpansionCycle(b *testing.B) {
-	runScenario(b, bench.ExpansionCycle)
-}
-
-// BenchmarkPoolSmallP is simdmark's pool-small-p shape at a twentieth of
-// its size: P = 256 under GP-DK, so every cycle is a few hundred expansions —
-// too few to share.  Workers=2 must cost what Workers=1 costs (ns/cycle);
-// before the pool ran such cycles on the calling goroutine it paid a
-// goroutine handoff for each.
-func BenchmarkPoolSmallP(b *testing.B) {
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			runScenarioOf(b, bench.Scenario{Name: "pool-small-p", Scheme: "GP-DK", P: 256, Workers: workers, W: 400_000, Seed: 1})
-		})
-	}
-}
-
-// BenchmarkLBPhase isolates the load-balancing phase: the pinned scenario
-// balances after every cycle, so matching, stack splitting and transfer
-// accounting dominate both time and allocations.
-func BenchmarkLBPhase(b *testing.B) {
-	runScenario(b, bench.LBPhase)
 }
 
 // BenchmarkFlagFill measures the per-cycle flag maintenance of the

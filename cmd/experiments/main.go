@@ -4,7 +4,7 @@
 //
 //	experiments [flags] table2|table3|table4|table5|table6
 //	experiments [flags] fig1|fig3|fig4|fig7|fig8
-//	experiments [flags] ablations|baselines|mimd|anomalies
+//	experiments [flags] ablations|baselines|mimd|anomalies|variance
 //	experiments [flags] report|all
 //
 // Flags:
@@ -43,7 +43,7 @@ func run() error {
 	csvDir := flag.String("csv", "", "directory for machine-readable CSV copies of the results")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: experiments [-scale S] [-domain D] [-csv DIR] <table2|table3|table4|table5|table6|fig1|fig3|fig4|fig7|fig8|ablations|baselines|mimd|anomalies|report|all>")
+		fmt.Fprintln(os.Stderr, "usage: experiments [-scale S] [-domain D] [-csv DIR] <table2|table3|table4|table5|table6|fig1|fig3|fig4|fig7|fig8|ablations|baselines|mimd|anomalies|variance|report|all>")
 		os.Exit(2)
 	}
 	scale, err := experiments.ScaleByName(*scaleName)
@@ -229,11 +229,7 @@ func dispatch[S any](s *experiments.Suite[S], scale experiments.Scale, cmd strin
 		_, err := experiments.MIMDComparison(scale.Tiers[0], scale.P, scale.Workers, 1, out)
 		return err
 	case "anomalies":
-		items := 22
-		if scale.Name == "full" {
-			items = 28
-		}
-		rows, err := experiments.Anomalies(items, []uint64{1, 2, 3}, []int{16, 64, 256}, scale.Workers, out)
+		rows, err := experiments.Anomalies(22, []uint64{1, 2, 3}, []int{16, 64, 256}, scale.Workers, out)
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,7 @@
 // Command simdload drives service-level load against a simdserve (or
 // simdfleet) endpoint and reports jobs/sec, latency percentiles, the
 // single-flight collapse rate, and per-tenant fairness — the traffic
-// layer's acceptance numbers, as one BENCH_<n>.json row.
+// layer's acceptance numbers, as one JSON report.
 //
 // Two loop disciplines:
 //
@@ -84,7 +84,7 @@ func parseFlags() (options, error) {
 	flag.IntVar(&o.batch, "batch", 0, "submit via POST /v1/jobs:batch with this many specs per request (0 = single submissions)")
 	flag.BoolVar(&o.wait, "wait", true, "synchronous submissions (?wait=1): latency covers the full job")
 	flag.Int64Var(&o.seed, "seed", 1, "workload RNG seed")
-	flag.StringVar(&o.out, "out", "BENCH_1.json", "output file (- for stdout)")
+	flag.StringVar(&o.out, "out", "-", "output file (- for stdout)")
 	flag.BoolVar(&o.check, "check", false, "exit non-zero unless jobs/sec > 0, no transport errors, and zero byte-identity violations")
 	flag.IntVar(&o.p, "p", 64, "simulated machine size of generated specs")
 	flag.StringVar(&o.scheme, "scheme", "GP-S0.90", "load-balancing scheme of generated specs")
@@ -441,7 +441,7 @@ func submitBatch(ctx context.Context, o options, client *http.Client, base strin
 	}
 }
 
-// Report is the BENCH_<n>.json row.  Wall-clock figures are environment
+// Report is the JSON document simdload writes.  Wall-clock figures are environment
 // facts, recorded for context; gates should key on the correctness fields
 // (errors, violations) and jobs/sec > 0.
 type Report struct {

@@ -92,15 +92,6 @@ func TestStaticTriggerKeepsMachineFed(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineCycle measures raw simulation throughput.
-func BenchmarkEngineCycle(b *testing.B) {
-	tree := synthetic.New(int64(b.N)+1000, 11)
-	sch, _ := ParseScheme[synthetic.Node]("GP-S0.90")
-	if _, err := Run[synthetic.Node](tree, sch, Options{P: 256}); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // TestMachineAllocsPerWord is the allocation gate of the arena's home
 // windows: a whole run of the storm shape — nGP-S1.00, about thirty nodes a
 // PE, every PE receiving its first node from a transfer — allocates per flag

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"simdtree/internal/checkpoint"
 	"simdtree/internal/metrics"
@@ -116,4 +118,52 @@ func TestWorkersDeterminism(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestWorkersCostNothing bounds what asking for workers may cost on any host,
+// however few CPUs it has: every Workers=1 pinned run must run at Workers=8
+// at no less than 0.90 of its Workers=1 speed.  A pool handed work too small
+// to share reads far below (0.064 on expansion-cycle, when every cycle went
+// to the pool); a busy neighbour on a shared host reads low now and then,
+// so a row gets three measurements to reach the floor.
+func TestWorkersCostNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times every Workers=1 pinned run at Workers 1 and 8")
+	}
+	const floor, tries = 0.90, 3
+	for _, r := range pinnedRuns {
+		if r.workers != 1 {
+			continue
+		}
+		t.Run(r.name, func(t *testing.T) {
+			w8 := r
+			w8.workers = 8
+			best := 0.0
+			for try := 0; try < tries && best < floor; try++ {
+				best = max(best, fastestRatio(t, r, w8))
+			}
+			t.Logf("Workers=1 time over Workers=8 time: %.2f", best)
+			if best < floor {
+				t.Errorf("Workers=8 runs at %.2fx the Workers=1 speed, under the %.2fx floor", best, floor)
+			}
+		})
+	}
+}
+
+// fastestRatio runs a and b alternately, five times each after a warm-up,
+// and returns a's fastest run over b's: the runs take milliseconds, and a
+// mean over so few would measure the host's other tenants.
+func fastestRatio(t *testing.T, a, b pinnedRun) float64 {
+	best := [2]time.Duration{1 << 62, 1 << 62}
+	for rep := 0; rep <= 5; rep++ { // rep 0 is the warm-up
+		for side, r := range []pinnedRun{a, b} {
+			runtime.GC() // the other side's garbage is not this run's to collect
+			t0 := time.Now()
+			r.run(t)
+			if d := time.Since(t0); rep > 0 && d < best[side] {
+				best[side] = d
+			}
+		}
+	}
+	return float64(best[0]) / float64(best[1])
 }

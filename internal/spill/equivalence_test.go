@@ -3,7 +3,10 @@ package spill_test
 import (
 	"bytes"
 	"context"
+	"os"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"simdtree/internal/checkpoint"
@@ -220,5 +223,53 @@ func TestSpillStatsAccounting(t *testing.T) {
 	}
 	if st.PeakResident == 0 {
 		t.Error("peak resident count never recorded")
+	}
+}
+
+// TestRunSpillReleasesLog runs 200 budgeted runs back to back with the
+// collector off, so no finalizer can close a forgotten file, and requires
+// the process to hold as many descriptors afterwards as before: the cleanup
+// Attach returns closes the manager's segment log itself.
+func TestRunSpillReleasesLog(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts descriptors through /proc/self/fd")
+	}
+	countFDs := func() int {
+		t.Helper()
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	sch, err := simd.ParseScheme[synthetic.Node]("GP-DK")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := synthetic.New(30_000, 7)
+	run := func() spill.Stats { // the pinned spill-tight run
+		m, err := simd.NewMachine[synthetic.Node](tree, sch, simd.Options{P: 256, MemBudget: 8448})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr, done, err := spill.Attach(m, wire.SyntheticCodec{}, tree.Root(), 8448, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer done()
+		if _, err := m.RunContext(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return mgr.Stats()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	before := countFDs()
+	for i := 0; i < 200; i++ {
+		if run().Evictions == 0 {
+			t.Fatal("the run never evicted, so never opened a log")
+		}
+	}
+	if after := countFDs(); after != before {
+		t.Fatalf("%d descriptors open before 200 budgeted runs, %d after", before, after)
 	}
 }
