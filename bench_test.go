@@ -6,7 +6,6 @@ package simdtree
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -28,7 +27,6 @@ func tinySuite() (*experiments.Suite[synthetic.Node], experiments.Scale) {
 		Workloads: experiments.SyntheticWorkloads(sc.Tiers),
 		P:         sc.P,
 		Workers:   sc.Workers,
-		Out:       io.Discard,
 	}, sc
 }
 
@@ -77,7 +75,9 @@ func BenchmarkTable5(b *testing.B) {
 func BenchmarkTable6(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		experiments.Table6(io.Discard)
+		if _, err := experiments.Table6(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -95,11 +95,11 @@ func BenchmarkFig3(b *testing.B) {
 	b.ReportAllocs()
 	s, _ := tinySuite()
 	for i := 0; i < b.N; i++ {
-		rows, err := s.Table2(benchThresholds)
+		t2, err := s.Table2(benchThresholds)
 		if err != nil {
 			b.Fatal(err)
 		}
-		experiments.Fig3(rows, io.Discard)
+		experiments.Fig3(t2)
 	}
 }
 
@@ -107,8 +107,8 @@ func BenchmarkFig4(b *testing.B) {
 	b.ReportAllocs()
 	_, sc := tinySuite()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.IsoGrid(experiments.Fig4Labels(), sc.GridPs, sc.GridWs, sc.Workers,
-			[]float64{0.5, 0.65}, io.Discard); err != nil {
+		if _, err := experiments.IsoGrid("fig4", experiments.Fig4Labels(), sc.GridPs, sc.GridWs, sc.Workers,
+			[]float64{0.5, 0.65}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -118,8 +118,8 @@ func BenchmarkFig7(b *testing.B) {
 	b.ReportAllocs()
 	_, sc := tinySuite()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.IsoGrid(experiments.Fig7Labels(), sc.GridPs, sc.GridWs, sc.Workers,
-			[]float64{0.5, 0.65}, io.Discard); err != nil {
+		if _, err := experiments.IsoGrid("fig7", experiments.Fig7Labels(), sc.GridPs, sc.GridWs, sc.Workers,
+			[]float64{0.5, 0.65}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -139,7 +139,7 @@ func BenchmarkAblationSplitter(b *testing.B) {
 	b.ReportAllocs()
 	_, sc := tinySuite()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationSplitters(sc.Tiers[0], sc.P, 0.85, sc.Workers, io.Discard); err != nil {
+		if _, err := experiments.AblationSplitters(sc.Tiers[0], sc.P, 0.85, sc.Workers); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -149,7 +149,7 @@ func BenchmarkAblationInit(b *testing.B) {
 	b.ReportAllocs()
 	_, sc := tinySuite()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationInit(sc.Tiers[0], sc.P, sc.Workers, io.Discard); err != nil {
+		if _, err := experiments.AblationInit(sc.Tiers[0], sc.P, sc.Workers); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -159,7 +159,7 @@ func BenchmarkAblationTransfers(b *testing.B) {
 	b.ReportAllocs()
 	_, sc := tinySuite()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationTransfers(sc.Tiers[0], sc.P, sc.Workers, io.Discard); err != nil {
+		if _, err := experiments.AblationTransfers(sc.Tiers[0], sc.P, sc.Workers); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -169,7 +169,7 @@ func BenchmarkAblationTopology(b *testing.B) {
 	b.ReportAllocs()
 	_, sc := tinySuite()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationTopology(sc.Tiers[0], sc.P, 0.85, sc.Workers, io.Discard); err != nil {
+		if _, err := experiments.AblationTopology(sc.Tiers[0], sc.P, 0.85, sc.Workers); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -179,7 +179,7 @@ func BenchmarkAblationMessageSize(b *testing.B) {
 	b.ReportAllocs()
 	_, sc := tinySuite()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationMessageSize(sc.Tiers[0], sc.P, sc.Workers, 1.0, io.Discard); err != nil {
+		if _, err := experiments.AblationMessageSize(sc.Tiers[0], sc.P, sc.Workers, 1.0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -189,7 +189,7 @@ func BenchmarkAblationDKGamma(b *testing.B) {
 	b.ReportAllocs()
 	_, sc := tinySuite()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationDKGamma(sc.Tiers[0], sc.P, sc.Workers, io.Discard); err != nil {
+		if _, err := experiments.AblationDKGamma(sc.Tiers[0], sc.P, sc.Workers); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -199,7 +199,7 @@ func BenchmarkAblationHeuristic(b *testing.B) {
 	b.ReportAllocs()
 	_, sc := tinySuite()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationHeuristic(2023, 24, sc.P, sc.Workers, io.Discard); err != nil {
+		if _, err := experiments.AblationHeuristic(2023, 24, sc.P, sc.Workers); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -209,7 +209,7 @@ func BenchmarkAnomalies(b *testing.B) {
 	b.ReportAllocs()
 	_, sc := tinySuite()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Anomalies(16, []uint64{1}, []int{16, 64}, sc.Workers, io.Discard); err != nil {
+		if _, err := experiments.Anomalies(16, []uint64{1}, []int{16, 64}, sc.Workers); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -219,7 +219,7 @@ func BenchmarkBaselines(b *testing.B) {
 	b.ReportAllocs()
 	_, sc := tinySuite()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.BaselineComparison(sc.Tiers[0], sc.P, sc.Workers, io.Discard); err != nil {
+		if _, err := experiments.BaselineComparison(sc.Tiers[0], sc.P, sc.Workers); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -229,7 +229,7 @@ func BenchmarkMIMDComparison(b *testing.B) {
 	b.ReportAllocs()
 	_, sc := tinySuite()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.MIMDComparison(sc.Tiers[0], sc.P, sc.Workers, 1, io.Discard); err != nil {
+		if _, err := experiments.MIMDComparison(sc.Tiers[0], sc.P, sc.Workers, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -240,7 +240,7 @@ func BenchmarkVariance(b *testing.B) {
 	_, sc := tinySuite()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Variance(sc.Tiers[0], sc.P, sc.Workers, 3,
-			[]string{"GP-DK", "nGP-S0.90"}, io.Discard); err != nil {
+			[]string{"GP-DK", "nGP-S0.90"}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -275,22 +275,19 @@ func BenchmarkPuzzleExpand(b *testing.B) {
 
 // BenchmarkFlagFill measures the per-cycle flag maintenance of the
 // structure-of-arrays core at CM-2 scale (P=8192): branch-free bitset
-// writes, the word-popcount reduction, the derived idle flags, and the
-// bridge back to []bool consumers.  Zero allocs/op is part of the
-// contract.
+// writes, the word-popcount reduction and the derived idle flags.  Zero
+// allocs/op is part of the contract.
 func BenchmarkFlagFill(b *testing.B) {
 	b.ReportAllocs()
 	const p = 8192
 	busy := scan.NewBits(p)
 	idle := scan.NewBits(p)
-	bools := make([]bool, p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for pe := 0; pe < p; pe++ {
 			busy.SetTo(pe, pe&3 == 0)
 		}
 		scan.ComplementInto(idle, busy, p)
-		busy.FillBools(bools)
 		if busy.CountBits()+idle.CountBits() != p {
 			b.Fatal("flag fill lost bits")
 		}

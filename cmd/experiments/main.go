@@ -7,6 +7,9 @@
 //	experiments [flags] ablations|baselines|mimd|anomalies|variance
 //	experiments [flags] report|all
 //
+// Every experiment's tables go to stdout; all runs every experiment in
+// that order and report writes the paper-vs-measured markdown report.
+//
 // Flags:
 //
 //	-scale full|quick|tiny   experiment size (default quick; full mirrors
@@ -14,37 +17,45 @@
 //	-domain puzzle|synthetic workload for the table experiments (default
 //	                         puzzle, as in the paper; synthetic is faster
 //	                         and hits the problem-size tiers exactly)
-//	-csv DIR                 additionally write machine-readable CSV files
-//	                         into DIR (one per experiment)
+//	-csv DIR                 additionally write each table as DIR/<name>.csv
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 
 	"simdtree/internal/experiments"
 	"simdtree/internal/puzzle"
 	"simdtree/internal/synthetic"
 )
 
+var errUsage = errors.New("usage")
+
 func main() {
-	if err := run(); err != nil {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if errors.Is(err, errUsage) {
+		os.Exit(2)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	scaleName := flag.String("scale", "quick", "experiment scale: full, quick or tiny")
-	domain := flag.String("domain", "puzzle", "table workload domain: puzzle or synthetic")
-	csvDir := flag.String("csv", "", "directory for machine-readable CSV copies of the results")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: experiments [-scale S] [-domain D] [-csv DIR] <table2|table3|table4|table5|table6|fig1|fig3|fig4|fig7|fig8|ablations|baselines|mimd|anomalies|variance|report|all>")
-		os.Exit(2)
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scaleName := fs.String("scale", "quick", "experiment scale: full, quick or tiny")
+	domain := fs.String("domain", "puzzle", "table workload domain: puzzle or synthetic")
+	csvDir := fs.String("csv", "", "directory for machine-readable CSV copies of the results")
+	if err := fs.Parse(args); err != nil {
+		return errUsage
 	}
 	scale, err := experiments.ScaleByName(*scaleName)
 	if err != nil {
@@ -55,254 +66,177 @@ func run() error {
 			return err
 		}
 	}
-	cmd := flag.Arg(0)
-	out := os.Stdout
-
+	out := output{stdout: stdout, csvDir: *csvDir}
 	switch *domain {
 	case "puzzle":
-		return dispatch(newPuzzleSuite(scale, cmd, out), scale, cmd, out, *csvDir)
+		return dispatch(fs.Args(), scale, out, stderr, sync.OnceValue(func() *experiments.Suite[puzzle.Node] {
+			fmt.Fprintln(stderr, "# calibrating 15-puzzle instances (serial searches)...")
+			return &experiments.Suite[puzzle.Node]{Workloads: experiments.PuzzleWorkloads(scale.Tiers, stderr), P: scale.P, Workers: scale.Workers}
+		}))
 	case "synthetic":
-		return dispatch(newSyntheticSuite(scale, out), scale, cmd, out, *csvDir)
+		return dispatch(fs.Args(), scale, out, stderr, sync.OnceValue(func() *experiments.Suite[synthetic.Node] {
+			return &experiments.Suite[synthetic.Node]{Workloads: experiments.SyntheticWorkloads(scale.Tiers), P: scale.P, Workers: scale.Workers}
+		}))
 	}
 	return fmt.Errorf("unknown domain %q", *domain)
 }
 
-// tableCommands are the subcommands that need tier workloads (and hence a
-// potentially expensive instance search for the puzzle domain).
-var tableCommands = map[string]bool{
-	"table2": true, "table3": true, "table4": true, "table5": true,
-	"fig1": true, "fig3": true, "fig8": true, "all": true, "report": true,
+// output is where tables go: stdout, and DIR/<name>.csv when a CSV
+// directory is set.
+type output struct {
+	stdout io.Writer
+	csvDir string
 }
 
-func newPuzzleSuite(scale experiments.Scale, cmd string, out io.Writer) *experiments.Suite[puzzle.Node] {
-	s := &experiments.Suite[puzzle.Node]{P: scale.P, Workers: scale.Workers, Out: out}
-	if tableCommands[cmd] {
-		fmt.Fprintln(os.Stderr, "# calibrating 15-puzzle instances (serial searches)...")
-		s.Workloads = experiments.PuzzleWorkloads(scale.Tiers, os.Stderr)
-	}
-	return s
-}
-
-func newSyntheticSuite(scale experiments.Scale, out io.Writer) *experiments.Suite[synthetic.Node] {
-	return &experiments.Suite[synthetic.Node]{
-		Workloads: experiments.SyntheticWorkloads(scale.Tiers),
-		P:         scale.P,
-		Workers:   scale.Workers,
-		Out:       out,
-	}
-}
-
-// table5Workload picks the Table 5 problem instance for a suite: the tier
-// closest to the scale's Table5W target.
-func table5Workload[S any](s *experiments.Suite[S], scale experiments.Scale) experiments.Workload[S] {
-	best := s.Workloads[0]
-	bestD := diff(best.W, scale.Table5W)
-	for _, wl := range s.Workloads[1:] {
-		if d := diff(wl.W, scale.Table5W); d < bestD {
-			best, bestD = wl, d
+func (o output) write(tables []experiments.Table) error {
+	for _, t := range tables {
+		if err := experiments.WriteText(o.stdout, t); err != nil {
+			return err
 		}
-	}
-	return best
-}
-
-func diff(a, b int64) int64 {
-	if a > b {
-		return a - b
-	}
-	return b - a
-}
-
-var staticThresholds = []float64{0.50, 0.60, 0.70, 0.80, 0.90}
-
-var isoLevels = []float64{0.50, 0.65, 0.75, 0.85}
-
-// saveCSV writes one experiment's CSV file when a CSV directory is set.
-func saveCSV(dir, name string, write func(io.Writer) error) error {
-	if dir == "" {
-		return nil
-	}
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := write(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-func dispatch[S any](s *experiments.Suite[S], scale experiments.Scale, cmd string, out io.Writer, csvDir string) error {
-	switch cmd {
-	case "table2":
-		rows, err := s.Table2(staticThresholds)
+		if o.csvDir == "" || t.Name == "" {
+			continue
+		}
+		f, err := os.Create(filepath.Join(o.csvDir, t.Name+".csv"))
 		if err != nil {
 			return err
 		}
-		return saveCSV(csvDir, "table2.csv", func(w io.Writer) error { return experiments.Table2CSV(rows, w) })
-	case "table3":
-		rows, err := s.Table3()
+		err = experiments.WriteCSV(f, t)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 		if err != nil {
 			return err
 		}
-		return saveCSV(csvDir, "table3.csv", func(w io.Writer) error { return experiments.Table3CSV(rows, w) })
-	case "table4":
-		rows, err := s.Table4()
+	}
+	return nil
+}
+
+// experiment is one subcommand: its name and what it runs.
+type experiment struct {
+	name string
+	run  func() ([]experiments.Table, error)
+}
+
+// dispatch runs the subcommand in args.  suite builds the table
+// experiments' suite on first use, so only they pay for a puzzle
+// calibration.
+func dispatch[S any](args []string, scale experiments.Scale, out output, stderr io.Writer, suite func() *experiments.Suite[S]) error {
+	list := experimentList(scale, suite)
+	if len(args) == 1 && args[0] == "report" {
+		return experiments.WriteReport(suite(), scale, out.stdout)
+	}
+	ran := false
+	for _, e := range list {
+		if len(args) != 1 || (args[0] != "all" && args[0] != e.name) {
+			continue
+		}
+		ran = true
+		tables, err := e.run()
 		if err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
+		}
+		if err := out.write(tables); err != nil {
 			return err
 		}
-		return saveCSV(csvDir, "table4.csv", func(w io.Writer) error { return experiments.Table4CSV(rows, w) })
-	case "table5":
-		rows, err := s.Table5(table5Workload(s, scale))
-		if err != nil {
-			return err
+	}
+	if !ran {
+		var names []string
+		for _, e := range list {
+			names = append(names, e.name)
 		}
-		return saveCSV(csvDir, "table5.csv", func(w io.Writer) error { return experiments.Table5CSV(rows, w) })
-	case "table6":
-		return experiments.Table6(out)
-	case "fig1":
-		for _, label := range []string{"GP-DP", "GP-DK"} {
-			tr, err := s.Fig1(label, s.Workloads[0])
-			if err != nil {
-				return err
+		fmt.Fprintf(stderr, "usage: experiments [-scale S] [-domain D] [-csv DIR] <%s|report|all>\n", strings.Join(names, "|"))
+		return errUsage
+	}
+	return nil
+}
+
+// experimentList is every experiment, in the order all runs them.
+func experimentList[S any](scale experiments.Scale, suite func() *experiments.Suite[S]) []experiment {
+	mid := scale.Tiers[len(scale.Tiers)/2]
+	table2 := sync.OnceValues(func() (experiments.Table, error) { return suite().Table2(experiments.StaticThresholds) })
+	table5W := func() experiments.Workload[S] { return experiments.ClosestTier(suite().Workloads, scale.Table5W) }
+	grid := func(name string, labels []string) func() ([]experiments.Table, error) {
+		return func() ([]experiments.Table, error) {
+			return experiments.IsoGrid(name, labels, scale.GridPs, scale.GridWs, scale.Workers, experiments.IsoLevels)
+		}
+	}
+	return []experiment{
+		{"table2", func() ([]experiments.Table, error) { return one(table2()) }},
+		{"table3", func() ([]experiments.Table, error) { return one(suite().Table3()) }},
+		{"table4", func() ([]experiments.Table, error) { return one(suite().Table4()) }},
+		{"table5", func() ([]experiments.Table, error) { return one(suite().Table5(table5W())) }},
+		{"table6", experiments.Table6},
+		{"fig1", func() ([]experiments.Table, error) {
+			var tables []experiments.Table
+			for _, label := range []string{"GP-DP", "GP-DK"} {
+				ts, err := suite().Fig1(label, suite().Workloads[0])
+				if err != nil {
+					return nil, err
+				}
+				tables = append(tables, ts...)
 			}
-			name := fmt.Sprintf("fig1_%s.csv", label)
-			if err := saveCSV(csvDir, name, func(w io.Writer) error { return experiments.TraceCSV(tr, w) }); err != nil {
-				return err
+			return tables, nil
+		}},
+		{"fig3", func() ([]experiments.Table, error) {
+			// Figure 3's CSV is Table 2's rows, under its own name.
+			t2, err := table2()
+			t2.Name = "fig3"
+			return []experiments.Table{t2, experiments.Fig3(t2)}, err
+		}},
+		{"fig4", grid("fig4", experiments.Fig4Labels())},
+		{"fig7", grid("fig7", experiments.Fig7Labels())},
+		{"fig8", func() ([]experiments.Table, error) { return one(suite().Fig8(table5W())) }},
+		{"ablations", func() ([]experiments.Table, error) {
+			steps := 36
+			if scale.Name == "full" {
+				steps = 60
 			}
-		}
-		return nil
-	case "fig3":
-		rows, err := s.Table2(staticThresholds)
-		if err != nil {
-			return err
-		}
-		if err := experiments.Fig3(rows, out); err != nil {
-			return err
-		}
-		return saveCSV(csvDir, "fig3.csv", func(w io.Writer) error { return experiments.Table2CSV(rows, w) })
-	case "fig4":
-		res, err := experiments.IsoGrid(experiments.Fig4Labels(), scale.GridPs, scale.GridWs, scale.Workers, isoLevels, out)
-		if err != nil {
-			return err
-		}
-		return saveCSV(csvDir, "fig4.csv", func(w io.Writer) error { return experiments.GridCSV(res, w) })
-	case "fig7":
-		res, err := experiments.IsoGrid(experiments.Fig7Labels(), scale.GridPs, scale.GridWs, scale.Workers, isoLevels, out)
-		if err != nil {
-			return err
-		}
-		return saveCSV(csvDir, "fig7.csv", func(w io.Writer) error { return experiments.GridCSV(res, w) })
-	case "fig8":
-		_, err := s.Fig8(table5Workload(s, scale))
-		return err
-	case "ablations":
-		w := scale.Tiers[len(scale.Tiers)/2]
-		if _, err := experiments.AblationSplitters(w, scale.P, 0.85, scale.Workers, out); err != nil {
-			return err
-		}
-		if _, err := experiments.AblationInit(w, scale.P, scale.Workers, out); err != nil {
-			return err
-		}
-		if _, err := experiments.AblationTransfers(w, scale.P, scale.Workers, out); err != nil {
-			return err
-		}
-		if _, err := experiments.AblationTopology(w, scale.P, 0.85, scale.Workers, out); err != nil {
-			return err
-		}
-		if _, err := experiments.AblationMessageSize(w, scale.P, scale.Workers, 1.0, out); err != nil {
-			return err
-		}
-		if _, err := experiments.AblationDKGamma(w, scale.P, scale.Workers, out); err != nil {
-			return err
-		}
-		steps := 36
-		if scale.Name == "full" {
-			steps = 60
-		}
-		_, err := experiments.AblationHeuristic(2023, steps, scale.P, scale.Workers, out)
-		return err
-	case "baselines":
-		_, err := experiments.BaselineComparison(scale.Tiers[len(scale.Tiers)/2], scale.P, scale.Workers, out)
-		return err
-	case "mimd":
-		_, err := experiments.MIMDComparison(scale.Tiers[0], scale.P, scale.Workers, 1, out)
-		return err
-	case "anomalies":
-		rows, err := experiments.Anomalies(22, []uint64{1, 2, 3}, []int{16, 64, 256}, scale.Workers, out)
-		if err != nil {
-			return err
-		}
-		return saveCSV(csvDir, "anomalies.csv", func(w io.Writer) error { return experiments.AnomalyCSV(rows, w) })
-	case "variance":
-		_, err := experiments.Variance(scale.Tiers[len(scale.Tiers)/2], scale.P, scale.Workers, 5,
-			[]string{"GP-DK", "GP-S0.90", "nGP-S0.90"}, out)
-		return err
-	case "report":
-		return experiments.WriteReport(s, scale, out)
-	case "all":
-		rows, err := s.Table2(staticThresholds)
-		if err != nil {
-			return err
-		}
-		if err := saveCSV(csvDir, "table2.csv", func(w io.Writer) error { return experiments.Table2CSV(rows, w) }); err != nil {
-			return err
-		}
-		t3, err := s.Table3()
-		if err != nil {
-			return err
-		}
-		if err := saveCSV(csvDir, "table3.csv", func(w io.Writer) error { return experiments.Table3CSV(t3, w) }); err != nil {
-			return err
-		}
-		t4, err := s.Table4()
-		if err != nil {
-			return err
-		}
-		if err := saveCSV(csvDir, "table4.csv", func(w io.Writer) error { return experiments.Table4CSV(t4, w) }); err != nil {
-			return err
-		}
-		t5, err := s.Table5(table5Workload(s, scale))
-		if err != nil {
-			return err
-		}
-		if err := saveCSV(csvDir, "table5.csv", func(w io.Writer) error { return experiments.Table5CSV(t5, w) }); err != nil {
-			return err
-		}
-		if err := experiments.Table6(out); err != nil {
-			return err
-		}
-		if err := experiments.Fig3(rows, out); err != nil {
-			return err
-		}
-		g4, err := experiments.IsoGrid(experiments.Fig4Labels(), scale.GridPs, scale.GridWs, scale.Workers, isoLevels, out)
-		if err != nil {
-			return err
-		}
-		if err := saveCSV(csvDir, "fig4.csv", func(w io.Writer) error { return experiments.GridCSV(g4, w) }); err != nil {
-			return err
-		}
-		g7, err := experiments.IsoGrid(experiments.Fig7Labels(), scale.GridPs, scale.GridWs, scale.Workers, isoLevels, out)
-		if err != nil {
-			return err
-		}
-		if err := saveCSV(csvDir, "fig7.csv", func(w io.Writer) error { return experiments.GridCSV(g7, w) }); err != nil {
-			return err
-		}
-		if _, err := s.Fig8(table5Workload(s, scale)); err != nil {
-			return err
-		}
-		if _, err := experiments.BaselineComparison(scale.Tiers[len(scale.Tiers)/2], scale.P, scale.Workers, out); err != nil {
-			return err
-		}
-		if _, err := experiments.MIMDComparison(scale.Tiers[0], scale.P, scale.Workers, 1, out); err != nil {
-			return err
-		}
-		an, err := experiments.Anomalies(22, []uint64{1, 2, 3}, []int{16, 64, 256}, scale.Workers, out)
-		if err != nil {
-			return err
-		}
-		return saveCSV(csvDir, "anomalies.csv", func(w io.Writer) error { return experiments.AnomalyCSV(an, w) })
+			return collect(
+				func() (experiments.Table, error) {
+					return experiments.AblationSplitters(mid, scale.P, 0.85, scale.Workers)
+				},
+				func() (experiments.Table, error) { return experiments.AblationInit(mid, scale.P, scale.Workers) },
+				func() (experiments.Table, error) { return experiments.AblationTransfers(mid, scale.P, scale.Workers) },
+				func() (experiments.Table, error) {
+					return experiments.AblationTopology(mid, scale.P, 0.85, scale.Workers)
+				},
+				func() (experiments.Table, error) {
+					return experiments.AblationMessageSize(mid, scale.P, scale.Workers, 1.0)
+				},
+				func() (experiments.Table, error) { return experiments.AblationDKGamma(mid, scale.P, scale.Workers) },
+				func() (experiments.Table, error) {
+					return experiments.AblationHeuristic(2023, steps, scale.P, scale.Workers)
+				},
+			)
+		}},
+		{"baselines", func() ([]experiments.Table, error) {
+			return one(experiments.BaselineComparison(mid, scale.P, scale.Workers))
+		}},
+		{"mimd", func() ([]experiments.Table, error) {
+			return one(experiments.MIMDComparison(scale.Tiers[0], scale.P, scale.Workers, 1))
+		}},
+		{"anomalies", func() ([]experiments.Table, error) {
+			return one(experiments.Anomalies(22, []uint64{1, 2, 3}, []int{16, 64, 256}, scale.Workers))
+		}},
+		{"variance", func() ([]experiments.Table, error) {
+			return one(experiments.Variance(mid, scale.P, scale.Workers, 5, []string{"GP-DK", "GP-S0.90", "nGP-S0.90"}))
+		}},
 	}
-	return fmt.Errorf("unknown subcommand %q", cmd)
+}
+
+func one(t experiments.Table, err error) ([]experiments.Table, error) {
+	return []experiments.Table{t}, err
+}
+
+// collect runs experiments in order, stopping at the first error.
+func collect(runs ...func() (experiments.Table, error)) ([]experiments.Table, error) {
+	var tables []experiments.Table
+	for _, run := range runs {
+		t, err := run()
+		if err != nil {
+			return nil, err
+		}
+		tables = append(tables, t)
+	}
+	return tables, nil
 }

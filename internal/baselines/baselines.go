@@ -63,18 +63,13 @@ func (GiveOneBalancer[S]) Name() string { return "give-one" }
 
 // Balance implements simd.Balancer.
 func (GiveOneBalancer[S]) Balance(c *simd.Context[S]) (rounds, transfers int) {
-	idle := c.Idle()
-	var receivers []int
-	for i, f := range idle {
-		if f {
+	// Receivers and donors as at phase start: nothing has moved yet.
+	var receivers, donors []int
+	for i := 0; i < c.P(); i++ {
+		if c.Empty(i) {
 			//lint:allow hotalloc baseline balancer is outside the Table 1 schemes' alloc-free contract
 			receivers = append(receivers, i)
-		}
-	}
-	busy := c.Busy()
-	var donors []int
-	for i, f := range busy {
-		if f {
+		} else if c.Splittable(i) {
 			//lint:allow hotalloc baseline balancer is outside the Table 1 schemes' alloc-free contract
 			donors = append(donors, i)
 		}

@@ -2,22 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"simdtree/internal/knapsack"
 	"simdtree/internal/search"
 	"simdtree/internal/simd"
 )
-
-// AnomalyRow records one parallel DFBB run against its serial baseline.
-type AnomalyRow struct {
-	Seed      uint64
-	P         int
-	SerialW   int64
-	ParallelW int64
-	Ratio     float64 // ParallelW / SerialW; <1 acceleration, >1 deceleration
-	Optimal   bool    // parallel search found the true optimum
-}
 
 // Anomalies measures the speedup anomalies of parallel depth-first
 // branch-and-bound, the effect Section 3 of the paper explicitly assumes
@@ -27,45 +16,30 @@ type AnomalyRow struct {
 // in a different order.  The paper's own workloads avoid this by
 // exhaustive bounded search; this experiment shows what that choice
 // dodges.
-func Anomalies(items int, seeds []uint64, ps []int, workers int, out io.Writer) ([]AnomalyRow, error) {
-	var rows []AnomalyRow
+func Anomalies(items int, seeds []uint64, ps []int, workers int) (Table, error) {
+	t := Table{
+		Name:  "anomalies",
+		Title: "# Speedup anomalies of parallel DFBB (knapsack, GP-DK)",
+		Columns: []Column{{"seed", "seed", ""}, {"p", "P", ""}, {"serial_w", "serial W", ""}, {"parallel_w", "parallel W", ""},
+			{"ratio", "ratio", "%.3f"}, {"optimal", "optimal", ""}},
+	}
 	for _, seed := range seeds {
 		prob := knapsack.RandomCorrelated(items, seed)
 		want := prob.OptimalByDP()
 		serialCost, serialW, ok := search.Optimum[knapsack.Node](prob)
 		if !ok || -serialCost != want {
-			return nil, fmt.Errorf("anomalies: serial DFBB wrong on seed %d", seed)
+			return t, fmt.Errorf("anomalies: serial DFBB wrong on seed %d", seed)
 		}
 		for _, p := range ps {
-			sch, err := simd.ParseScheme[knapsack.Node]("GP-DK")
-			if err != nil {
-				return nil, err
-			}
 			b := search.NewDFBB[knapsack.Node](prob)
-			st, err := simd.Run[knapsack.Node](b, sch, simd.Options{P: p, Workers: workers})
+			st, err := runCM2[knapsack.Node](b, "GP-DK", simd.Options{P: p, Workers: workers}, 1)
 			if err != nil {
-				return nil, err
+				return t, err
 			}
-			rows = append(rows, AnomalyRow{
-				Seed:      seed,
-				P:         p,
-				SerialW:   serialW,
-				ParallelW: st.W,
-				Ratio:     float64(st.W) / float64(serialW),
-				Optimal:   -b.In.Best() == want,
-			})
+			// The ratio is parallel over serial W: below 1 an
+			// acceleration, above 1 a deceleration.
+			t.Rows = append(t.Rows, []any{seed, p, serialW, st.W, float64(st.W) / float64(serialW), -b.In.Best() == want})
 		}
 	}
-	if out != nil {
-		w := tw(out)
-		fmt.Fprintln(w, "# Speedup anomalies of parallel DFBB (knapsack, GP-DK)")
-		fmt.Fprintln(w, "seed\tP\tserial W\tparallel W\tratio\toptimal")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%.3f\t%v\n", r.Seed, r.P, r.SerialW, r.ParallelW, r.Ratio, r.Optimal)
-		}
-		if err := w.Flush(); err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
+	return t, nil
 }

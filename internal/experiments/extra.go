@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"io"
+	"slices"
 	"time"
 
 	"simdtree/internal/baselines"
@@ -18,12 +18,28 @@ import (
 	"simdtree/internal/trigger"
 )
 
+// runsTable is a table of one run per row: the row's key, Nexpand, Nlb,
+// the extra columns, then E.
+func runsTable(name, title string, key Column, extra ...Column) Table {
+	return Table{
+		Name:    name,
+		Title:   title,
+		Columns: slices.Concat([]Column{key, {"nexpand", "Nexpand", ""}, {"nlb", "Nlb", ""}}, extra, []Column{{"e", "E", "%.3f"}}),
+	}
+}
+
+// addRun appends a runsTable row.
+func (t *Table) addRun(key any, st metrics.Stats, extra ...any) {
+	t.Rows = append(t.Rows, slices.Concat([]any{key, st.Cycles, st.LBPhases}, extra, []any{st.Efficiency()}))
+}
+
 // AblationSplitters compares the alpha-splitting mechanisms under GP-S^x:
 // the paper's bottom-node split, the half-stack split, and the
 // deliberately poor top-node split (Section 3's claim that efficiency
 // drops as the splitter degrades).
-func AblationSplitters(w int64, p int, x float64, workers int, out io.Writer) (map[string]metrics.Stats, error) {
-	results := map[string]metrics.Stats{}
+func AblationSplitters(w int64, p int, x float64, workers int) (Table, error) {
+	t := runsTable("ablation_splitters", fmt.Sprintf("# Ablation: splitter quality (GP-S%.2f, W=%d, P=%d)", x, w, p),
+		Column{"splitter", "splitter", ""})
 	tree := synthetic.New(w, 0xAB1)
 	for _, split := range []stack.Splitter[synthetic.Node]{
 		stack.BottomNode[synthetic.Node]{},
@@ -32,75 +48,45 @@ func AblationSplitters(w int64, p int, x float64, workers int, out io.Writer) (m
 	} {
 		sch, err := simd.StaticScheme[synthetic.Node]("GP", x)
 		if err != nil {
-			return nil, err
+			return t, err
 		}
 		sch.Splitter = split
-		opts := simd.Options{P: p, Workers: workers}
-		opts.Costs = simd.CM2Costs()
-		st, err := simd.Run[synthetic.Node](tree, sch, opts)
+		st, err := simd.Run[synthetic.Node](tree, sch, simd.Options{P: p, Workers: workers})
 		if err != nil {
-			return nil, err
+			return t, err
 		}
-		results[split.Name()] = st
+		t.addRun(split.Name(), st)
 	}
-	if out != nil {
-		tww := tw(out)
-		fmt.Fprintf(tww, "# Ablation: splitter quality (GP-S%.2f, W=%d, P=%d)\n", x, w, p)
-		fmt.Fprintln(tww, "splitter\tNexpand\tNlb\tE")
-		for _, name := range []string{"bottom-node", "half-stack", "top-node"} {
-			st := results[name]
-			fmt.Fprintf(tww, "%s\t%d\t%d\t%.3f\n", name, st.Cycles, st.LBPhases, st.Efficiency())
-		}
-		if err := tww.Flush(); err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
+	return t, nil
 }
 
 // AblationInit compares the dynamic schemes with and without the S^0.85
 // initial-distribution phase of Section 7.
-func AblationInit(w int64, p, workers int, out io.Writer) (map[string]metrics.Stats, error) {
-	results := map[string]metrics.Stats{}
+func AblationInit(w int64, p, workers int) (Table, error) {
+	t := runsTable("ablation_init", fmt.Sprintf("# Ablation: S^0.85 initial distribution (W=%d, P=%d)", w, p),
+		Column{"variant", "variant", ""})
 	tree := synthetic.New(w, 0xAB2)
 	for _, label := range []string{"GP-DP", "GP-DK"} {
 		for _, init := range []float64{0, -1} { // 0 selects the paper default; -1 disables
-			sch, err := simd.ParseScheme[synthetic.Node](label)
+			st, err := runCM2[synthetic.Node](tree, label, simd.Options{P: p, Workers: workers, InitThreshold: init}, 1)
 			if err != nil {
-				return nil, err
-			}
-			opts := simd.Options{P: p, Workers: workers, InitThreshold: init}
-			opts.Costs = simd.CM2Costs()
-			st, err := simd.Run[synthetic.Node](tree, sch, opts)
-			if err != nil {
-				return nil, err
+				return t, err
 			}
 			key := label + "+init"
 			if init < 0 {
 				key = label + "-init"
 			}
-			results[key] = st
+			t.addRun(key, st)
 		}
 	}
-	if out != nil {
-		tww := tw(out)
-		fmt.Fprintf(tww, "# Ablation: S^0.85 initial distribution (W=%d, P=%d)\n", w, p)
-		fmt.Fprintln(tww, "variant\tNexpand\tNlb\tE")
-		for _, key := range []string{"GP-DP+init", "GP-DP-init", "GP-DK+init", "GP-DK-init"} {
-			st := results[key]
-			fmt.Fprintf(tww, "%s\t%d\t%d\t%.3f\n", key, st.Cycles, st.LBPhases, st.Efficiency())
-		}
-		if err := tww.Flush(); err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
+	return t, nil
 }
 
-// AblationTransfers compares single vs multiple work transfers per phase
+// AblationTransfers compares multiple vs single work transfers per phase
 // for D^P triggering (the paper requires multiple; Section 2.3).
-func AblationTransfers(w int64, p, workers int, out io.Writer) (map[string]metrics.Stats, error) {
-	results := map[string]metrics.Stats{}
+func AblationTransfers(w int64, p, workers int) (Table, error) {
+	t := runsTable("ablation_transfers", fmt.Sprintf("# Ablation: D^P transfer policy (W=%d, P=%d)", w, p),
+		Column{"variant", "variant", ""}, Column{"transfers", "transfers", ""})
 	tree := synthetic.New(w, 0xAB3)
 	for _, multi := range []bool{true, false} {
 		// Built by hand: NewScheme would force multiple transfers for D^P.
@@ -111,69 +97,42 @@ func AblationTransfers(w int64, p, workers int, out io.Writer) (map[string]metri
 			Splitter: stack.BottomNode[synthetic.Node]{},
 			WantInit: true,
 		}
-		opts := simd.Options{P: p, Workers: workers, InitThreshold: 0.85}
-		opts.Costs = simd.CM2Costs()
-		st, err := simd.Run[synthetic.Node](tree, sch, opts)
+		st, err := simd.Run[synthetic.Node](tree, sch, simd.Options{P: p, Workers: workers, InitThreshold: 0.85})
 		if err != nil {
-			return nil, err
+			return t, err
 		}
 		key := "GP-DP-single"
 		if multi {
 			key = "GP-DP-multi"
 		}
-		results[key] = st
+		t.addRun(key, st, st.Transfers)
 	}
-	if out != nil {
-		tww := tw(out)
-		fmt.Fprintf(tww, "# Ablation: D^P transfer policy (W=%d, P=%d)\n", w, p)
-		fmt.Fprintln(tww, "variant\tNexpand\tNlb\ttransfers\tE")
-		for _, key := range []string{"GP-DP-multi", "GP-DP-single"} {
-			st := results[key]
-			fmt.Fprintf(tww, "%s\t%d\t%d\t%d\t%.3f\n", key, st.Cycles, st.LBPhases, st.Transfers, st.Efficiency())
-		}
-		if err := tww.Flush(); err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
+	return t, nil
 }
 
 // AblationTopology runs GP-S^x over the topology cost models of Section
 // 3.3, showing how communication cost moves efficiency (Table 6's
 // architecture dependence, measured).
-func AblationTopology(w int64, p int, x float64, workers int, out io.Writer) (map[string]metrics.Stats, error) {
-	results := map[string]metrics.Stats{}
+func AblationTopology(w int64, p int, x float64, workers int) (Table, error) {
+	t := runsTable("ablation_topology", fmt.Sprintf("# Ablation: topology cost model (GP-S%.2f, W=%d, P=%d)", x, w, p),
+		Column{"topology", "topology", ""})
 	tree := synthetic.New(w, 0xAB4)
-	for _, name := range []string{"cm2", "hypercube", "mesh", "crossbar"} {
+	for _, name := range []string{"crossbar", "cm2", "hypercube", "mesh"} {
 		net, err := topology.ByName(name)
 		if err != nil {
-			return nil, err
+			return t, err
 		}
 		sch, err := simd.StaticScheme[synthetic.Node]("GP", x)
 		if err != nil {
-			return nil, err
+			return t, err
 		}
-		opts := simd.Options{P: p, Workers: workers, Topology: net}
-		opts.Costs = simd.CM2Costs()
-		st, err := simd.Run[synthetic.Node](tree, sch, opts)
+		st, err := simd.Run[synthetic.Node](tree, sch, simd.Options{P: p, Workers: workers, Topology: net})
 		if err != nil {
-			return nil, err
+			return t, err
 		}
-		results[name] = st
+		t.addRun(name, st)
 	}
-	if out != nil {
-		tww := tw(out)
-		fmt.Fprintf(tww, "# Ablation: topology cost model (GP-S%.2f, W=%d, P=%d)\n", x, w, p)
-		fmt.Fprintln(tww, "topology\tNexpand\tNlb\tE")
-		for _, name := range []string{"crossbar", "cm2", "hypercube", "mesh"} {
-			st := results[name]
-			fmt.Fprintf(tww, "%s\t%d\t%d\t%.3f\n", name, st.Cycles, st.LBPhases, st.Efficiency())
-		}
-		if err := tww.Flush(); err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
+	return t, nil
 }
 
 // AblationMessageSize relaxes the paper's constant-message-size
@@ -181,8 +140,9 @@ func AblationTopology(w int64, p int, x float64, workers int, out io.Writer) (ma
 // splitter's one-node messages stay cheap while the half-stack splitter's
 // bulk messages get expensive — the tradeoff between balance quality and
 // message volume becomes visible.
-func AblationMessageSize(w int64, p, workers int, perNodeMs float64, out io.Writer) (map[string]metrics.Stats, error) {
-	results := map[string]metrics.Stats{}
+func AblationMessageSize(w int64, p, workers int, perNodeMs float64) (Table, error) {
+	t := runsTable("ablation_message_size", fmt.Sprintf("# Ablation: message-size-dependent transfer cost (GP-DK, W=%d, P=%d)", w, p),
+		Column{"variant", "variant", ""}, Column{"max_transfer", "max transfer", ""})
 	tree := synthetic.New(w, 0xAB7)
 	for _, split := range []stack.Splitter[synthetic.Node]{
 		stack.BottomNode[synthetic.Node]{},
@@ -191,73 +151,40 @@ func AblationMessageSize(w int64, p, workers int, perNodeMs float64, out io.Writ
 		for _, perNode := range []float64{0, perNodeMs} {
 			sch, err := simd.ParseScheme[synthetic.Node]("GP-DK")
 			if err != nil {
-				return nil, err
+				return t, err
 			}
 			sch.Splitter = split
-			opts := simd.Options{P: p, Workers: workers}
-			opts.Costs = simd.CM2Costs()
+			opts := simd.Options{P: p, Workers: workers, Costs: simd.CM2Costs()}
 			opts.Costs.PerNodeTransfer = time.Duration(perNode * float64(time.Millisecond))
 			st, err := simd.Run[synthetic.Node](tree, sch, opts)
 			if err != nil {
-				return nil, err
+				return t, err
 			}
-			key := fmt.Sprintf("%s@%.1fms/node", split.Name(), perNode)
-			results[key] = st
+			t.addRun(fmt.Sprintf("%s@%.1fms/node", split.Name(), perNode), st, st.MaxTransfer)
 		}
 	}
-	if out != nil {
-		tww := tw(out)
-		fmt.Fprintf(tww, "# Ablation: message-size-dependent transfer cost (GP-DK, W=%d, P=%d)\n", w, p)
-		fmt.Fprintln(tww, "variant\tNexpand\tNlb\tmax transfer\tE")
-		for _, key := range []string{
-			fmt.Sprintf("bottom-node@%.1fms/node", 0.0),
-			fmt.Sprintf("bottom-node@%.1fms/node", perNodeMs),
-			fmt.Sprintf("half-stack@%.1fms/node", 0.0),
-			fmt.Sprintf("half-stack@%.1fms/node", perNodeMs),
-		} {
-			st := results[key]
-			fmt.Fprintf(tww, "%s\t%d\t%d\t%d\t%.3f\n", key, st.Cycles, st.LBPhases, st.MaxTransfer, st.Efficiency())
-		}
-		if err := tww.Flush(); err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
+	return t, nil
 }
 
 // AblationDKGamma sweeps the aggressiveness factor of the generalised
 // D^K trigger; gamma = 1 is the paper's choice.
-func AblationDKGamma(w int64, p, workers int, out io.Writer) (map[string]metrics.Stats, error) {
-	results := map[string]metrics.Stats{}
+func AblationDKGamma(w int64, p, workers int) (Table, error) {
+	t := runsTable("ablation_dk_gamma", fmt.Sprintf("# Ablation: D^K gamma sweep (GP matching, W=%d, P=%d)", w, p),
+		Column{"gamma", "gamma", "%.2f"})
 	tree := synthetic.New(w, 0xAB8)
-	gammas := []float64{0.25, 0.5, 1, 2, 4}
-	for _, g := range gammas {
+	for _, g := range []float64{0.25, 0.5, 1, 2, 4} {
 		sch, err := simd.NewScheme[synthetic.Node]("GP", trigger.DKGamma{Gamma: g}, false)
 		if err != nil {
-			return nil, err
+			return t, err
 		}
 		sch.WantInit = true
-		opts := simd.Options{P: p, Workers: workers}
-		opts.Costs = simd.CM2Costs()
-		st, err := simd.Run[synthetic.Node](tree, sch, opts)
+		st, err := simd.Run[synthetic.Node](tree, sch, simd.Options{P: p, Workers: workers})
 		if err != nil {
-			return nil, err
+			return t, err
 		}
-		results[sch.Trigger.Name()] = st
+		t.addRun(g, st)
 	}
-	if out != nil {
-		tww := tw(out)
-		fmt.Fprintf(tww, "# Ablation: D^K gamma sweep (GP matching, W=%d, P=%d)\n", w, p)
-		fmt.Fprintln(tww, "gamma\tNexpand\tNlb\tE")
-		for _, g := range gammas {
-			st := results[trigger.DKGamma{Gamma: g}.Name()]
-			fmt.Fprintf(tww, "%.2f\t%d\t%d\t%.3f\n", g, st.Cycles, st.LBPhases, st.Efficiency())
-		}
-		if err := tww.Flush(); err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
+	return t, nil
 }
 
 // AblationHeuristic compares the Manhattan-distance bound against the
@@ -267,10 +194,14 @@ func AblationDKGamma(w int64, p, workers int, out io.Writer) (map[string]metrics
 // heuristic, matching the paper's accounting; the tradeoff a real machine
 // would see between bound strength and per-node cost is outside the
 // virtual clock.
-func AblationHeuristic(scrambleSeed uint64, steps, p, workers int, out io.Writer) (map[string]metrics.Stats, error) {
+func AblationHeuristic(scrambleSeed uint64, steps, p, workers int) (Table, error) {
+	t := Table{
+		Name:  "ablation_heuristic",
+		Title: fmt.Sprintf("# Ablation: heuristic strength (GP-DK, P=%d, scramble %d/%d)", p, scrambleSeed, steps),
+		Columns: []Column{{"heuristic", "heuristic", ""}, {"w", "W", ""},
+			{"nexpand", "Nexpand", ""}, {"nlb", "Nlb", ""}, {"e", "E", "%.3f"}},
+	}
 	inst := puzzle.Scramble(scrambleSeed, steps)
-	results := map[string]metrics.Stats{}
-	ws := map[string]int64{}
 	for _, v := range []struct {
 		name string
 		dom  search.CostDomain[puzzle.Node]
@@ -279,90 +210,50 @@ func AblationHeuristic(scrambleSeed uint64, steps, p, workers int, out io.Writer
 		{"manhattan+lc", puzzle.NewDomainLC(inst)},
 	} {
 		bound, w := search.FinalIterationBound(v.dom)
-		sch, err := simd.ParseScheme[puzzle.Node]("GP-DK")
+		st, err := runCM2[puzzle.Node](search.NewBounded(v.dom, bound), "GP-DK", simd.Options{P: p, Workers: workers}, 1)
 		if err != nil {
-			return nil, err
+			return t, err
 		}
-		opts := simd.Options{P: p, Workers: workers}
-		opts.Costs = simd.CM2Costs()
-		st, err := simd.Run[puzzle.Node](search.NewBounded(v.dom, bound), sch, opts)
-		if err != nil {
-			return nil, err
-		}
-		results[v.name] = st
-		ws[v.name] = w
+		t.Rows = append(t.Rows, []any{v.name, w, st.Cycles, st.LBPhases, st.Efficiency()})
 	}
-	if out != nil {
-		tww := tw(out)
-		fmt.Fprintf(tww, "# Ablation: heuristic strength (GP-DK, P=%d, scramble %d/%d)\n", p, scrambleSeed, steps)
-		fmt.Fprintln(tww, "heuristic\tW\tNexpand\tNlb\tE")
-		for _, name := range []string{"manhattan", "manhattan+lc"} {
-			st := results[name]
-			fmt.Fprintf(tww, "%s\t%d\t%d\t%d\t%.3f\n", name, ws[name], st.Cycles, st.LBPhases, st.Efficiency())
-		}
-		if err := tww.Flush(); err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
+	return t, nil
 }
 
 // BaselineComparison runs the Section 8 baseline schemes next to GP-DK on
 // the same workload.
-func BaselineComparison(w int64, p, workers int, out io.Writer) (map[string]metrics.Stats, error) {
-	results := map[string]metrics.Stats{}
+func BaselineComparison(w int64, p, workers int) (Table, error) {
+	t := runsTable("baselines", fmt.Sprintf("# Section 8 baselines vs GP-DK (W=%d, P=%d)", w, p),
+		Column{"scheme", "scheme", ""}, Column{"transfers", "transfers", ""})
 	tree := synthetic.New(w, 0xAB5)
-	schemes := baselines.All[synthetic.Node]()
 	gpdk, err := simd.ParseScheme[synthetic.Node]("GP-DK")
 	if err != nil {
-		return nil, err
+		return t, err
 	}
-	schemes = append(schemes, gpdk)
-	order := make([]string, 0, len(schemes))
-	for _, sch := range schemes {
-		opts := simd.Options{P: p, Workers: workers}
-		opts.Costs = simd.CM2Costs()
-		st, err := simd.Run[synthetic.Node](tree, sch, opts)
+	for _, sch := range append(baselines.All[synthetic.Node](), gpdk) {
+		st, err := simd.Run[synthetic.Node](tree, sch, simd.Options{P: p, Workers: workers})
 		if err != nil {
-			return nil, err
+			return t, err
 		}
-		results[sch.Label] = st
-		order = append(order, sch.Label)
+		t.addRun(sch.Label, st, st.Transfers)
 	}
-	if out != nil {
-		tww := tw(out)
-		fmt.Fprintf(tww, "# Section 8 baselines vs GP-DK (W=%d, P=%d)\n", w, p)
-		fmt.Fprintln(tww, "scheme\tNexpand\tNlb\ttransfers\tE")
-		for _, label := range order {
-			st := results[label]
-			fmt.Fprintf(tww, "%s\t%d\t%d\t%d\t%.3f\n", label, st.Cycles, st.LBPhases, st.Transfers, st.Efficiency())
-		}
-		if err := tww.Flush(); err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
+	return t, nil
 }
 
 // MIMDComparison backs the paper's Section 9 claim that the SIMD schemes
 // scale comparably to MIMD work stealing: GP-DK on the SIMD machine vs
 // GRR/ARR/RP stealing, identical workload and cost constants.
-func MIMDComparison(w int64, p, workers int, seed uint64, out io.Writer) (map[string]float64, error) {
+func MIMDComparison(w int64, p, workers int, seed uint64) (Table, error) {
+	t := Table{
+		Name:    "mimd",
+		Title:   fmt.Sprintf("# SIMD vs MIMD (W=%d, P=%d)", w, p),
+		Columns: []Column{{"scheme", "scheme", ""}, {"e", "E", "%.3f"}},
+	}
 	tree := synthetic.New(w, 0xAB6)
-	results := map[string]float64{}
-
-	sch, err := simd.ParseScheme[synthetic.Node]("GP-DK")
+	st, err := runCM2[synthetic.Node](tree, "GP-DK", simd.Options{P: p, Workers: workers}, 1)
 	if err != nil {
-		return nil, err
+		return t, err
 	}
-	opts := simd.Options{P: p, Workers: workers}
-	opts.Costs = simd.CM2Costs()
-	st, err := simd.Run[synthetic.Node](tree, sch, opts)
-	if err != nil {
-		return nil, err
-	}
-	results["SIMD GP-DK"] = st.Efficiency()
-
+	t.Rows = append(t.Rows, []any{"SIMD GP-DK", st.Efficiency()})
 	for _, pol := range []mimd.Policy{mimd.GRR, mimd.ARR, mimd.RP} {
 		// Same network cost model as the SIMD run: the CM-2's
 		// constant-cost router, so neither side pays for routing the
@@ -371,20 +262,9 @@ func MIMDComparison(w int64, p, workers int, seed uint64, out io.Writer) (map[st
 			P: p, Policy: pol, Seed: seed, Topology: topology.CM2{},
 		})
 		if err != nil {
-			return nil, err
+			return t, err
 		}
-		results["MIMD "+pol.String()] = ms.Efficiency()
+		t.Rows = append(t.Rows, []any{"MIMD " + pol.String(), ms.Efficiency()})
 	}
-	if out != nil {
-		tww := tw(out)
-		fmt.Fprintf(tww, "# SIMD vs MIMD (W=%d, P=%d)\n", w, p)
-		fmt.Fprintln(tww, "scheme\tE")
-		for _, key := range []string{"SIMD GP-DK", "MIMD GRR", "MIMD ARR", "MIMD RP"} {
-			fmt.Fprintf(tww, "%s\t%.3f\n", key, results[key])
-		}
-		if err := tww.Flush(); err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
+	return t, nil
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"io"
 	"testing"
 
 	"simdtree/internal/synthetic"
@@ -19,33 +18,28 @@ func TestQuickScaleIntegration(t *testing.T) {
 		Workloads: SyntheticWorkloads([]int64{250_000}),
 		P:         256,
 		Workers:   2,
-		Out:       io.Discard,
 	}
-	rows, err := s.Table2([]float64{0.50, 0.90})
+	t2, err := s.Table2([]float64{0.50, 0.90})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var at90 Table2Row
-	for _, r := range rows {
-		if r.X == 0.90 {
-			at90 = r
-		}
+	at90 := rowOf(t, t2, int64(250_000)) + 1 // the x = 0.90 row follows x = 0.50
+	gpE, ngpE := Value[float64](t2, at90, "gp_e"), Value[float64](t2, at90, "ngp_e")
+	if gpE < 0.80 {
+		t.Errorf("GP-S0.90 efficiency %.3f at W=250k/P=256, want >= 0.80", gpE)
 	}
-	if at90.GP.E < 0.80 {
-		t.Errorf("GP-S0.90 efficiency %.3f at W=250k/P=256, want >= 0.80", at90.GP.E)
+	if gpE < ngpE {
+		t.Errorf("GP (%.3f) below nGP (%.3f) at x=0.9", gpE, ngpE)
 	}
-	if at90.GP.E < at90.NGP.E {
-		t.Errorf("GP (%.3f) below nGP (%.3f) at x=0.9", at90.GP.E, at90.NGP.E)
-	}
-	if at90.GP.Nlb > at90.NGP.Nlb {
-		t.Errorf("GP phases (%d) exceed nGP's (%d)", at90.GP.Nlb, at90.NGP.Nlb)
+	if gp, ngp := Value[int](t2, at90, "gp_nlb"), Value[int](t2, at90, "ngp_nlb"); gp > ngp {
+		t.Errorf("GP phases (%d) exceed nGP's (%d)", gp, ngp)
 	}
 
 	t4, err := s.Table4()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := t4[0].GPDK.E; e < 0.80 {
+	if e := Value[float64](t4, 0, "gp_dk_e"); e < 0.80 {
 		t.Errorf("GP-DK efficiency %.3f, want >= 0.80 (dynamic tracks optimal static)", e)
 	}
 }

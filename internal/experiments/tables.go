@@ -2,11 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"text/tabwriter"
+	"slices"
+	"strings"
 
 	"simdtree/internal/analysis"
 	"simdtree/internal/metrics"
+	"simdtree/internal/search"
 	"simdtree/internal/simd"
 )
 
@@ -21,232 +22,205 @@ const Alpha = 0.5
 // load-balancing phase against a 30 ms node expansion cycle.
 const CostRatio = 13.0 / 30.0
 
+// StaticThresholds are the static triggers x of Table 2 and Figure 3.
+var StaticThresholds = []float64{0.50, 0.60, 0.70, 0.80, 0.90}
+
 // Suite bundles the workloads and machine configuration the table
 // experiments share.
 type Suite[S any] struct {
 	Workloads []Workload[S]
 	P         int
 	Workers   int
-	Out       io.Writer
 }
 
-// run simulates one scheme on one workload with the suite's machine.
-func (s *Suite[S]) run(label string, w Workload[S], lbScale float64) (metrics.Stats, error) {
+// opts is the suite's machine.
+func (s *Suite[S]) opts() simd.Options { return simd.Options{P: s.P, Workers: s.Workers} }
+
+// runCM2 simulates the scheme named label on dom with opts' machine at
+// the paper's CM-2 costs, the load-balancing cost inflated lbScale times.
+func runCM2[S any](dom search.Domain[S], label string, opts simd.Options, lbScale float64) (metrics.Stats, error) {
 	sch, err := simd.ParseScheme[S](label)
 	if err != nil {
 		return metrics.Stats{}, err
 	}
-	opts := simd.Options{P: s.P, Workers: s.Workers}
 	opts.Costs = simd.CM2Costs()
 	opts.Costs.LBScale = lbScale
-	return simd.Run[S](w.Domain, sch, opts)
+	return simd.Run[S](dom, sch, opts)
 }
 
-// CellResult is the (Nexpand, Nlb, E) triple the paper's tables report per
-// scheme and problem size.
-type CellResult struct {
-	Nexpand   int
-	Nlb       int
-	Transfers int
-	E         float64
+// ClosestTier returns the workload whose size is closest to target (the
+// first on a tie).
+func ClosestTier[S any](wls []Workload[S], target int64) Workload[S] {
+	best := wls[0]
+	for _, wl := range wls[1:] {
+		if absDiff(wl.W, target) < absDiff(best.W, target) {
+			best = wl
+		}
+	}
+	return best
 }
 
-func cell(st metrics.Stats) CellResult {
-	return CellResult{Nexpand: st.Cycles, Nlb: st.LBPhases, Transfers: st.Transfers, E: st.Efficiency()}
+func absDiff(a, b int64) int64 {
+	if a > b {
+		return a - b
+	}
+	return b - a
 }
 
-// Table2Row is one (W, x) entry of Table 2.
-type Table2Row struct {
-	W   int64
-	X   float64
-	NGP CellResult
-	GP  CellResult
-	Xo  float64 // analytic optimal static trigger (equation 18)
+// triple is the (Nexpand, Nlb, E) cell the paper's tables report per
+// scheme, as three columns: csv and head prefix them, mid names the
+// middle count (phases, or work transfers in Table 4).
+func triple(csv, head, mid, midHead string) []Column {
+	return []Column{
+		{csv + "_nexpand", head + " Nexp", ""},
+		{csv + "_" + mid, head + " " + midHead, ""},
+		{csv + "_e", head + " E", "%.2f"},
+	}
+}
+
+// tripleOf is a triple's values: st's cycles, the given middle count and
+// st's efficiency.
+func tripleOf(st metrics.Stats, mid int) []any {
+	return []any{st.Cycles, mid, st.Efficiency()}
 }
 
 // Table2 reproduces the paper's Table 2: static triggering at thresholds
 // xs for both matching schemes over every workload, plus the analytic
 // optimal trigger.
-func (s *Suite[S]) Table2(xs []float64) ([]Table2Row, error) {
-	var rows []Table2Row
-	w := tw(s.Out)
-	fmt.Fprintln(w, "# Table 2: static triggering (Nexpand / Nlb / E), paper layout")
-	fmt.Fprintln(w, "W\tx\tnGP Nexp\tnGP Nlb\tnGP E\tGP Nexp\tGP Nlb\tGP E\txo")
+func (s *Suite[S]) Table2(xs []float64) (Table, error) {
+	t := Table{
+		Name:  "table2",
+		Title: "# Table 2: static triggering (Nexpand / Nlb / E), paper layout",
+		Columns: slices.Concat([]Column{{"w", "W", ""}, {"x", "x", "%.2f"}},
+			triple("ngp", "nGP", "nlb", "Nlb"), triple("gp", "GP", "nlb", "Nlb"), []Column{{"xo", "xo", "%.2f"}}),
+	}
 	for _, wl := range s.Workloads {
 		xo := analysis.OptimalStaticTrigger(float64(wl.W), float64(s.P), CostRatio, Alpha)
 		for _, x := range xs {
-			ngpStats, err := s.run(fmt.Sprintf("nGP-S%.2f", x), wl, 1)
+			ngp, err := runCM2(wl.Domain, fmt.Sprintf("nGP-S%.2f", x), s.opts(), 1)
 			if err != nil {
-				return rows, err
+				return t, err
 			}
-			gpStats, err := s.run(fmt.Sprintf("GP-S%.2f", x), wl, 1)
+			gp, err := runCM2(wl.Domain, fmt.Sprintf("GP-S%.2f", x), s.opts(), 1)
 			if err != nil {
-				return rows, err
+				return t, err
 			}
-			row := Table2Row{W: wl.W, X: x, NGP: cell(ngpStats), GP: cell(gpStats), Xo: xo}
-			rows = append(rows, row)
-			fmt.Fprintf(w, "%d\t%.2f\t%d\t%d\t%.2f\t%d\t%d\t%.2f\t%.2f\n",
-				row.W, row.X,
-				row.NGP.Nexpand, row.NGP.Nlb, row.NGP.E,
-				row.GP.Nexpand, row.GP.Nlb, row.GP.E, row.Xo)
+			t.Rows = append(t.Rows, slices.Concat([]any{wl.W, x}, tripleOf(ngp, ngp.LBPhases), tripleOf(gp, gp.LBPhases), []any{xo}))
 		}
 	}
-	return rows, w.Flush()
-}
-
-// Table3Row is one (W, x) efficiency probe around the analytic optimum.
-type Table3Row struct {
-	W  int64
-	X  float64
-	E  float64
-	Xo float64
+	return t, nil
 }
 
 // Table3 reproduces the paper's Table 3: GP-S^x efficiencies for
 // thresholds around the analytically computed optimum, verifying that
 // equation 18 lands near the empirical best.
-func (s *Suite[S]) Table3() ([]Table3Row, error) {
-	offsets := []float64{-0.03, -0.02, -0.01, 0, 0.01, 0.02, 0.03}
-	var rows []Table3Row
-	w := tw(s.Out)
-	fmt.Fprintln(w, "# Table 3: GP-S^x efficiency around the analytic optimum xo")
-	fmt.Fprintln(w, "W\txo\tx\tE")
+func (s *Suite[S]) Table3() (Table, error) {
+	t := Table{
+		Name:    "table3",
+		Title:   "# Table 3: GP-S^x efficiency around the analytic optimum xo",
+		Columns: []Column{{"w", "W", ""}, {"xo", "xo", "%.3f"}, {"x", "x", "%.3f"}, {"e", "E", "%.3f"}},
+	}
 	for _, wl := range s.Workloads {
 		xo := analysis.OptimalStaticTrigger(float64(wl.W), float64(s.P), CostRatio, Alpha)
-		for _, off := range offsets {
+		for _, off := range []float64{-0.03, -0.02, -0.01, 0, 0.01, 0.02, 0.03} {
 			x := xo + off
 			if x <= 0 || x >= 1 {
 				continue
 			}
-			st, err := s.run(fmt.Sprintf("GP-S%.4f", x), wl, 1)
+			st, err := runCM2(wl.Domain, fmt.Sprintf("GP-S%.4f", x), s.opts(), 1)
 			if err != nil {
-				return rows, err
+				return t, err
 			}
-			row := Table3Row{W: wl.W, X: x, E: st.Efficiency(), Xo: xo}
-			rows = append(rows, row)
-			fmt.Fprintf(w, "%d\t%.3f\t%.3f\t%.3f\n", row.W, row.Xo, row.X, row.E)
+			t.Rows = append(t.Rows, []any{wl.W, xo, x, st.Efficiency()})
 		}
 	}
-	return rows, w.Flush()
-}
-
-// Table4Row is one workload row of Table 4: the four dynamic-trigger
-// scheme combinations.
-type Table4Row struct {
-	W     int64
-	NGPDP CellResult
-	GPDP  CellResult
-	NGPDK CellResult
-	GPDK  CellResult
+	return t, nil
 }
 
 // Table4 reproduces the paper's Table 4: both dynamic triggering schemes
 // under both matchers, with the S^0.85 initial distribution (Section 7).
-// *Nlb in the paper counts work transfers; CellResult.Transfers carries
-// it.
-func (s *Suite[S]) Table4() ([]Table4Row, error) {
-	var rows []Table4Row
-	w := tw(s.Out)
-	fmt.Fprintln(w, "# Table 4: dynamic triggering (Nexpand / *Nlb / E)")
-	fmt.Fprintln(w, "W\tnGP-DP\tGP-DP\tnGP-DK\tGP-DK")
-	for _, wl := range s.Workloads {
-		var row Table4Row
-		row.W = wl.W
-		for _, e := range []struct {
-			label string
-			dst   *CellResult
-		}{
-			{"nGP-DP", &row.NGPDP},
-			{"GP-DP", &row.GPDP},
-			{"nGP-DK", &row.NGPDK},
-			{"GP-DK", &row.GPDK},
-		} {
-			st, err := s.run(e.label, wl, 1)
-			if err != nil {
-				return rows, err
-			}
-			*e.dst = cell(st)
-		}
-		rows = append(rows, row)
-		f := func(c CellResult) string {
-			return fmt.Sprintf("%d/%d/%.2f", c.Nexpand, c.Transfers, c.E)
-		}
-		fmt.Fprintf(w, "%d\t%s\t%s\t%s\t%s\n", row.W, f(row.NGPDP), f(row.GPDP), f(row.NGPDK), f(row.GPDK))
+// *Nlb in the paper counts work transfers, and so does the middle column
+// of each scheme here.
+func (s *Suite[S]) Table4() (Table, error) {
+	t := Table{
+		Name:    "table4",
+		Title:   "# Table 4: dynamic triggering (Nexpand / *Nlb / E)",
+		Columns: []Column{{"w", "W", ""}},
 	}
-	return rows, w.Flush()
-}
-
-// Table5Row is one cost-scale column of Table 5.
-type Table5Row struct {
-	LBScale float64
-	DP      CellResult
-	DK      CellResult
-	SXo     CellResult
-	Xo      float64
+	labels := []string{"nGP-DP", "GP-DP", "nGP-DK", "GP-DK"}
+	for _, label := range labels {
+		prefix := strings.ToLower(strings.ReplaceAll(label, "-", "_"))
+		t.Columns = append(t.Columns, triple(prefix, label, "transfers", "*Nlb")...)
+	}
+	for _, wl := range s.Workloads {
+		row := []any{wl.W}
+		for _, label := range labels {
+			st, err := runCM2(wl.Domain, label, s.opts(), 1)
+			if err != nil {
+				return t, err
+			}
+			row = append(row, tripleOf(st, st.Transfers)...)
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	return t, nil
 }
 
 // Table5 reproduces the paper's Table 5: GP matching under D^P, D^K and
 // the optimal static trigger when the load-balancing cost is inflated
 // 12x and 16x, the regime where D^P degrades and D^K tracks S^xo.
-func (s *Suite[S]) Table5(wl Workload[S]) ([]Table5Row, error) {
-	var rows []Table5Row
-	w := tw(s.Out)
-	fmt.Fprintln(w, "# Table 5: GP matching under inflated load-balancing cost (Nexpand / Nlb / E)")
-	fmt.Fprintf(w, "# workload %s, W=%d\n", wl.Name, wl.W)
-	fmt.Fprintln(w, "tlb scale\tDP\tDK\tS^xo\txo")
+func (s *Suite[S]) Table5(wl Workload[S]) (Table, error) {
+	t := Table{
+		Name:  "table5",
+		Title: fmt.Sprintf("# Table 5: GP matching under inflated load-balancing cost (Nexpand / Nlb / E)\n# workload %s, W=%d", wl.Name, wl.W),
+		Columns: slices.Concat([]Column{{"lb_scale", "tlb scale", "%.0fx"}},
+			triple("dp", "DP", "nlb", "Nlb"), triple("dk", "DK", "nlb", "Nlb"), triple("sxo", "S^xo", "nlb", "Nlb"),
+			[]Column{{"xo", "xo", "%.3f"}}),
+	}
 	for _, scale := range []float64{1, 12, 16} {
 		xo := analysis.OptimalStaticTrigger(float64(wl.W), float64(s.P), CostRatio*scale, Alpha)
-		var row Table5Row
-		row.LBScale = scale
-		row.Xo = xo
-		dp, err := s.run("GP-DP", wl, scale)
-		if err != nil {
-			return rows, err
+		row := []any{scale}
+		for _, label := range []string{"GP-DP", "GP-DK", fmt.Sprintf("GP-S%.4f", xo)} {
+			st, err := runCM2(wl.Domain, label, s.opts(), scale)
+			if err != nil {
+				return t, err
+			}
+			row = append(row, tripleOf(st, st.LBPhases)...)
 		}
-		dk, err := s.run("GP-DK", wl, scale)
-		if err != nil {
-			return rows, err
-		}
-		sx, err := s.run(fmt.Sprintf("GP-S%.4f", xo), wl, scale)
-		if err != nil {
-			return rows, err
-		}
-		row.DP, row.DK, row.SXo = cell(dp), cell(dk), cell(sx)
-		rows = append(rows, row)
-		f := func(c CellResult) string { return fmt.Sprintf("%d/%d/%.2f", c.Nexpand, c.Nlb, c.E) }
-		fmt.Fprintf(w, "%.0fx\t%s\t%s\t%s\t%.3f\n", scale, f(row.DP), f(row.DK), f(row.SXo), xo)
+		t.Rows = append(t.Rows, append(row, xo))
 	}
-	return rows, w.Flush()
+	return t, nil
 }
 
-// Table6 prints the paper's Table 6 (symbolic isoefficiency functions) and
-// the numeric exponents from the analysis package for a range of static
+// Table6 is the paper's Table 6 (symbolic isoefficiency functions) and the
+// numeric exponents from the analysis package for a range of static
 // thresholds.
-func Table6(out io.Writer) error {
-	w := tw(out)
-	fmt.Fprintln(w, "# Table 6: isoefficiency functions of the matching schemes (x >= 0.5)")
-	fmt.Fprintln(w, "architecture\tnGP-S^x\tGP-S^x")
-	for _, r := range analysis.Table6() {
-		fmt.Fprintf(w, "%s\t%s\t%s\n", r.Topology, r.NGP, r.GP)
+func Table6() ([]Table, error) {
+	sym := Table{
+		Name:    "table6",
+		Title:   "# Table 6: isoefficiency functions of the matching schemes (x >= 0.5)",
+		Columns: []Column{{"architecture", "architecture", ""}, {"ngp", "nGP-S^x", ""}, {"gp", "GP-S^x", ""}},
 	}
-	fmt.Fprintln(w, "\n# Numeric forms for selected x:")
-	fmt.Fprintln(w, "architecture\tx\tnGP\tGP")
+	for _, r := range analysis.Table6() {
+		sym.Rows = append(sym.Rows, []any{r.Topology, r.NGP, r.GP})
+	}
+	num := Table{
+		Name:    "table6_numeric",
+		Title:   "\n# Numeric forms for selected x:",
+		Columns: []Column{{"architecture", "architecture", ""}, {"x", "x", "%.1f"}, {"ngp", "nGP", ""}, {"gp", "GP", ""}},
+	}
 	for _, topo := range []string{"hypercube", "mesh", "cm2"} {
 		for _, x := range []float64{0.5, 0.7, 0.8, 0.9} {
 			ngp, err := analysis.IsoStatic("nGP", x, topo)
 			if err != nil {
-				return fmt.Errorf("table6 %s x=%.1f: %w", topo, x, err)
+				return nil, fmt.Errorf("table6 %s x=%.1f: %w", topo, x, err)
 			}
 			gp, err := analysis.IsoStatic("GP", x, topo)
 			if err != nil {
-				return fmt.Errorf("table6 %s x=%.1f: %w", topo, x, err)
+				return nil, fmt.Errorf("table6 %s x=%.1f: %w", topo, x, err)
 			}
-			fmt.Fprintf(w, "%s\t%.1f\t%s\t%s\n", topo, x, ngp, gp)
+			num.Rows = append(num.Rows, []any{topo, x, ngp, gp})
 		}
 	}
-	return w.Flush()
-}
-
-func tw(out io.Writer) *tabwriter.Writer {
-	return tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
+	return []Table{sym, num}, nil
 }

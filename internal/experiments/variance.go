@@ -2,80 +2,48 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"simdtree/internal/simd"
 	"simdtree/internal/synthetic"
 )
 
-// VarianceRow summarises one scheme's efficiency distribution across
-// problem instances of the same size.
-type VarianceRow struct {
-	Scheme string
-	W      int64
-	Runs   int
-	MeanE  float64
-	MinE   float64
-	MaxE   float64
-	StdDev float64
-}
-
 // Variance measures instance-to-instance spread: the paper's tables rest
 // on one instance per problem size, so this experiment quantifies how
 // much the efficiencies move across `runs` different trees of identical
 // size.  Tight spreads justify the paper's single-instance methodology;
-// they also separate scheme effects from instance luck.
-func Variance(w int64, p, workers, runs int, labels []string, out io.Writer) ([]VarianceRow, error) {
+// they also separate scheme effects from instance luck.  A row is one
+// scheme's mean, lowest, highest and standard deviation of E.
+func Variance(w int64, p, workers, runs int, labels []string) (Table, error) {
 	if runs < 2 {
 		runs = 5
 	}
-	var rows []VarianceRow
+	t := Table{
+		Name:  "variance",
+		Title: fmt.Sprintf("# Instance variance: %d instances per scheme, identical size", runs),
+		Columns: []Column{{"scheme", "scheme", ""}, {"w", "W", ""}, {"mean_e", "mean E", "%.3f"},
+			{"min_e", "min", "%.3f"}, {"max_e", "max", "%.3f"}, {"stddev", "stddev", "%.4f"}},
+	}
 	for _, label := range labels {
 		var es []float64
 		for r := 0; r < runs; r++ {
-			sch, err := simd.ParseScheme[synthetic.Node](label)
+			st, err := runCM2[synthetic.Node](synthetic.New(w, 0x5EED0+uint64(r)*7919), label, simd.Options{P: p, Workers: workers}, 1)
 			if err != nil {
-				return nil, err
-			}
-			opts := simd.Options{P: p, Workers: workers}
-			opts.Costs = simd.CM2Costs()
-			st, err := simd.Run[synthetic.Node](synthetic.New(w, 0x5EED0+uint64(r)*7919), sch, opts)
-			if err != nil {
-				return nil, err
+				return t, err
 			}
 			es = append(es, st.Efficiency())
 		}
-		row := VarianceRow{Scheme: label, W: w, Runs: runs}
-		row.MinE, row.MaxE = es[0], es[0]
+		mean, lo, hi := 0.0, es[0], es[0]
 		for _, e := range es {
-			row.MeanE += e
-			if e < row.MinE {
-				row.MinE = e
-			}
-			if e > row.MaxE {
-				row.MaxE = e
-			}
+			mean += e
+			lo, hi = min(lo, e), max(hi, e)
 		}
-		row.MeanE /= float64(runs)
+		mean /= float64(runs)
+		sd := 0.0
 		for _, e := range es {
-			d := e - row.MeanE
-			row.StdDev += d * d
+			sd += (e - mean) * (e - mean)
 		}
-		row.StdDev = math.Sqrt(row.StdDev / float64(runs))
-		rows = append(rows, row)
+		t.Rows = append(t.Rows, []any{label, w, mean, lo, hi, math.Sqrt(sd / float64(runs))})
 	}
-	if out != nil {
-		w := tw(out)
-		fmt.Fprintf(w, "# Instance variance: %d instances per scheme, identical size\n", runs)
-		fmt.Fprintln(w, "scheme\tW\tmean E\tmin\tmax\tstddev")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%s\t%d\t%.3f\t%.3f\t%.3f\t%.4f\n",
-				r.Scheme, r.W, r.MeanE, r.MinE, r.MaxE, r.StdDev)
-		}
-		if err := w.Flush(); err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
+	return t, nil
 }

@@ -1,9 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Tables 2-6, Figures 1, 3, 4, 7, 8) plus the ablations and
 // the MIMD comparison described in DESIGN.md.  Each experiment is a
-// function that runs the required simulations and writes the paper-shaped
-// rows to an io.Writer; cmd/experiments exposes them as subcommands and
-// the repository's top-level benchmarks run them at reduced scale.
+// function that runs the required simulations and returns its results as
+// a Table, which writes nothing itself: WriteText, WriteCSV and
+// WriteMarkdown print any Table as aligned text, CSV or a report table.
+// cmd/experiments lists the experiments as subcommands and the
+// repository's top-level benchmarks run them at reduced scale.
 package experiments
 
 import (

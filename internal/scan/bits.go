@@ -59,17 +59,6 @@ func (b Bits) CountBits() int {
 	return c
 }
 
-// FillBools expands the first len(dst) flags into a []bool, branch-free.
-// It bridges the bitset representation to the consumers that take flags
-// as []bool (baseline balancers, the distributed-steal driver).
-//
-//lint:hotpath
-func (b Bits) FillBools(dst []bool) {
-	for i := range dst {
-		dst[i] = b[i>>6]>>(uint(i)&63)&1 != 0
-	}
-}
-
 // ComplementInto writes the complement of the first n flags of src into
 // dst (which must hold n flags), masking the tail of the last word so the
 // no-set-bits-beyond-n invariant is preserved.  The engine derives the

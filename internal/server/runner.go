@@ -128,34 +128,8 @@ func runMachine[S any](ctx context.Context, d search.Domain[S], codec wire.Codec
 		opts.CheckpointEvery = env.CheckpointEvery
 	}
 	if env.Progress != nil && env.ProgressEvery > 0 {
-		if opts.Progress != nil && opts.ProgressEvery > 0 {
-			// The runner brought its own progress sink (test gates do
-			// this): compose rather than clobber.  The engine ticks at
-			// the finer cadence and each sink fires at its own, tracked
-			// by cycle distance because engine ticks land on multiples
-			// of the combined cadence, not of each sink's.
-			runnerSink, runnerEvery := opts.Progress, opts.ProgressEvery
-			envSink, envEvery := env.Progress, env.ProgressEvery
-			every := runnerEvery
-			if envEvery < every {
-				every = envEvery
-			}
-			lastRunner, lastEnv := 0, 0
-			opts.ProgressEvery = every
-			opts.Progress = func(pi simd.ProgressInfo) {
-				if pi.Cycles-lastRunner >= runnerEvery {
-					lastRunner = pi.Cycles
-					runnerSink(pi)
-				}
-				if pi.Cycles-lastEnv >= envEvery {
-					lastEnv = pi.Cycles
-					envSink(pi)
-				}
-			}
-		} else {
-			opts.Progress = env.Progress
-			opts.ProgressEvery = env.ProgressEvery
-		}
+		opts.Progress = env.Progress
+		opts.ProgressEvery = env.ProgressEvery
 	}
 	m, err := simd.NewMachine[S](d, sch, opts)
 	if err != nil {

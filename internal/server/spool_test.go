@@ -25,12 +25,21 @@ import (
 // checkpointable path, so the spool tests exercise exactly the plumbing
 // the built-in domains use.  gate, when non-nil, is called at every
 // cycle boundary and may block — that is how the kill test holds a job
-// mid-flight deterministically.
+// mid-flight deterministically.  The gate wraps the server's progress
+// sink, which still fires at its own cadence, counted in cycles since it
+// last fired.
 func spoolRunner(gate func(cycle int)) Runner {
 	return func(ctx context.Context, spec JobSpec, opts simd.Options, env RunEnv) (metrics.Stats, error) {
 		if gate != nil {
-			opts.ProgressEvery = 1
-			opts.Progress = func(pi simd.ProgressInfo) { gate(pi.Cycles) }
+			sink, every, last := env.Progress, env.ProgressEvery, 0
+			env.ProgressEvery = 1
+			env.Progress = func(pi simd.ProgressInfo) {
+				gate(pi.Cycles)
+				if sink != nil && every > 0 && pi.Cycles-last >= every {
+					last = pi.Cycles
+					sink(pi)
+				}
+			}
 		}
 		return runMachine[synthetic.Node](ctx, synthetic.New(20000, 7), wire.SyntheticCodec{}, spec, opts, env)
 	}

@@ -35,12 +35,11 @@ type Context[S any] struct {
 	workers     int
 	runParallel func(task func(w int))
 
-	// Reusable scratch: busy/idle flag buffers for []bool consumers, the
-	// idle bitset (complement of has-work), per-pair move counts, the
-	// block of one a lone transfer is (its pair and its count), each
-	// shard's block scratch for the splitter (the engine sizes it), and
-	// the pre-bound shard task (allocated once, not per phase).
-	busy, idle   []bool
+	// Reusable scratch: the idle bitset (complement of has-work), per-pair
+	// move counts, the block of one a lone transfer is (its pair and its
+	// count), each shard's block scratch for the splitter (the engine
+	// sizes it), and the pre-bound shard task (allocated once, not per
+	// phase).
 	idleB        scan.Bits
 	moved        []int
 	one          [1]scan.Pair
@@ -95,35 +94,6 @@ func (c *Context[S]) idleBits() scan.Bits {
 	}
 	scan.ComplementInto(c.idleB, c.Arena.WorkBits(), p)
 	return c.idleB
-}
-
-// Busy returns the donor-eligibility flags as a []bool, expanded
-// branch-free from the can-split bitset.  The returned slice is the
-// context's scratch and is valid until the next Busy call.
-func (c *Context[S]) Busy() []bool {
-	p := c.Arena.P()
-	if cap(c.busy) < p {
-		//lint:allow hotalloc flag scratch grows once to P and is reused across phases
-		c.busy = make([]bool, p)
-	}
-	c.busy = c.busy[:p]
-	c.busyBits().FillBools(c.busy)
-	return c.busy
-}
-
-// Idle returns the receiver flags (PE has no work at all) as a []bool,
-// expanded branch-free from the has-work bitset's complement.  The
-// returned slice is the context's scratch and is valid until the next
-// Idle call.
-func (c *Context[S]) Idle() []bool {
-	p := c.Arena.P()
-	if cap(c.idle) < p {
-		//lint:allow hotalloc flag scratch grows once to P and is reused across phases
-		c.idle = make([]bool, p)
-	}
-	c.idle = c.idle[:p]
-	c.idleBits().FillBools(c.idle)
-	return c.idle
 }
 
 // makeResident restores the evicted levels of a donor about to be split.
