@@ -34,7 +34,8 @@ bench:
 # structure-of-arrays micro-benchmarks (allocs/op must stay 0;
 # BenchmarkExpandKernel fails itself when a steady-state cycle allocates,
 # BenchmarkMatchBits when a matching phase does, BenchmarkSweepThrash when
-# a warmed-up evict/fault sweep does, BenchmarkArenaFirstReceive when a
+# a warmed-up evict/fault sweep does or writes the log more than once,
+# BenchmarkArenaFirstReceive when a
 # fresh arena's first receives allocate per PE instead of per flag word).
 bench-check:
 	$(GO) test -run '^$$' -bench 'BenchmarkPinnedRun/pool-small-p' -benchtime 100x -benchmem ./internal/simd

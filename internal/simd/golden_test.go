@@ -105,14 +105,18 @@ func (r pinnedRun) run(tb testing.TB) (metrics.Stats, spill.Stats) {
 // and spill traffic exactly, since the simulator's value lies in its
 // reproducibility and any change to matching, triggering, splitting, cost
 // accounting, residency or the synthetic generator that moves them must be
-// a conscious decision.  Outside -short a run may also allocate at most
-// 1.15 times, or 64 more than, the pinned count.
+// a conscious decision.  Every row must also keep the accounting identity
+// Tcalc + Tidle + Tlb = P·Tpar exactly.  Outside -short a run may also
+// allocate at most 1.15 times, or 64 more than, the pinned count.
 func TestGoldenSchedule(t *testing.T) {
 	for _, r := range pinnedRuns {
 		t.Run(r.name, func(t *testing.T) {
 			st, sst := r.run(t)
 			if st.W != r.w {
 				t.Fatalf("W=%d, want %d", st.W, r.w)
+			}
+			if res := st.BalanceCheck(); res != 0 {
+				t.Errorf("Tcalc+Tidle+Tlb differs from P*Tpar by %v", res)
 			}
 			allocs := func() int64 { return runAllocs(t, r) }
 			if r.cycles == 0 {

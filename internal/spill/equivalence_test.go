@@ -34,7 +34,8 @@ type artifacts struct {
 
 // runBudgeted performs one full run under the given memory budget
 // (0 = unbounded), capturing donors, checkpointing every 32 cycles, and
-// snapshotting the quiescent machine at the end.
+// snapshotting the quiescent machine at the end.  Every run must keep the
+// accounting identity Tcalc + Tidle + Tlb = P·Tpar exactly.
 func runBudgeted[S any](t *testing.T, dom search.Domain[S], codec wire.Codec[S], label string, p int, budget int64) artifacts {
 	t.Helper()
 	sch, err := simd.ParseScheme[S](label)
@@ -72,6 +73,9 @@ func runBudgeted[S any](t *testing.T, dom search.Domain[S], codec wire.Codec[S],
 	a.stats, err = m.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res := a.stats.BalanceCheck(); res != 0 {
+		t.Errorf("%s at budget %d: Tcalc+Tidle+Tlb differs from P*Tpar by %v", label, budget, res)
 	}
 	snap, err := m.Snapshot()
 	if err != nil {

@@ -65,10 +65,11 @@ const residencyPEs = 5
 // budgeted arena's resident nodes must be the shadow's and nobody else's
 // (checkOwned), and the log's books must balance; at the end everything is
 // faulted back and the stacks must be equal level by level with no frame
-// left live.
-func runResidency(t *testing.T, data []byte) Stats {
+// left live.  It returns the manager's counters and the number of times
+// the log was compacted into a fresh file.
+func runResidency(t *testing.T, data []byte) (Stats, int) {
 	if len(data) < 2 {
-		return Stats{}
+		return Stats{}, 0
 	}
 	data = data[:min(len(data), 2048)]
 	mgr, err := NewManager[node](wire.SyntheticCodec{}, Config{
@@ -90,6 +91,7 @@ func runResidency(t *testing.T, data []byte) Stats {
 		}
 	}
 	var next uint64
+	var switches logSwitches
 	for i := 2; i+1 < len(data); i += 2 {
 		op, arg := data[i]%16, data[i+1]
 		pe := int(arg) % residencyPEs
@@ -138,7 +140,8 @@ func runResidency(t *testing.T, data []byte) Stats {
 		if !slices.Equal(a.WorkBits(), shadow.WorkBits()) || !slices.Equal(a.SplitBits(), shadow.SplitBits()) {
 			t.Fatalf("step %d (op %d): flag words differ from the shadow's", i/2, op)
 		}
-		checkSlots(t, mgr)
+		checkLog(t, mgr)
+		switches.observe(mgr)
 		checkOwned(t, i/2, a, shadow)
 	}
 	for pe := 0; pe < residencyPEs; pe++ {
@@ -150,7 +153,7 @@ func runResidency(t *testing.T, data []byte) Stats {
 	if live := mgr.Stats().SegmentsLive; live != 0 {
 		t.Fatalf("%d frames live after the final restore", live)
 	}
-	return mgr.Stats()
+	return mgr.Stats(), switches.n
 }
 
 // checkOwned is the ownership invariant of the arena's home windows, as far
@@ -185,7 +188,8 @@ func checkOwned(t *testing.T, step int, a, shadow *stack.Arena[node]) {
 }
 
 // residencySeeds is the committed corpus of FuzzResidencySequence: three
-// hand-written openings and three seeded scripts long enough to thrash.
+// hand-written openings, three seeded scripts long enough to thrash, and
+// one that churns enough log bytes past a live frame to compact the log.
 func residencySeeds() [][]byte {
 	seeds := [][]byte{
 		{1, 0},
@@ -198,7 +202,34 @@ func residencySeeds() [][]byte {
 		rng.Read(b)
 		seeds = append(seeds, b)
 	}
-	return seeds
+	return append(seeds, compactionSeed())
+}
+
+// compactionSeed is a script at KeepLevels 1 and a one-node budget: PE 0
+// gets three levels of three nodes and a sweep, which leaves one frame
+// live for good; PE 1 gets twenty such levels; then, until the script's
+// length cap, a sweep evicts PE 1's bottom nineteen levels as one frame
+// and a full fault restores them, each round leaving that frame's bytes
+// dead in the log.
+func compactionSeed() []byte {
+	const (
+		push3PE0 = 35 // 35%5 = PE 0, 1+(35>>4)%3 = 3 nodes
+		push3PE1 = 36 // PE 1, 3 nodes
+		sweep    = 9
+		faultAll = 12
+	)
+	b := []byte{0, 0}
+	for l := 0; l < 3; l++ {
+		b = append(b, 0, push3PE0)
+	}
+	b = append(b, sweep, 0)
+	for l := 0; l < 20; l++ {
+		b = append(b, 0, push3PE1)
+	}
+	for len(b) < 2048 {
+		b = append(b, sweep, 0, faultAll, 1)
+	}
+	return b
 }
 
 // FuzzResidencySequence fuzzes the order of residency events, not the
@@ -213,16 +244,22 @@ func FuzzResidencySequence(f *testing.F) {
 }
 
 // TestResidencySeedsThrash keeps the seed corpus worth running: plain
-// "go test" must push at least 200 evictions through the scripts.
+// "go test" must push at least 200 evictions through the scripts and
+// compact the log at least once.
 func TestResidencySeedsThrash(t *testing.T) {
 	var total Stats
+	compactions := 0
 	for _, s := range residencySeeds() {
-		st := runResidency(t, s)
+		st, n := runResidency(t, s)
 		total.Evictions += st.Evictions
 		total.Faults += st.Faults
+		compactions += n
 	}
 	if total.Evictions < 200 || total.Faults < 200 {
 		t.Fatalf("the seed corpus reaches %d evictions and %d faults, want at least 200 of each", total.Evictions, total.Faults)
 	}
-	t.Logf("%d evictions, %d faults", total.Evictions, total.Faults)
+	if compactions == 0 {
+		t.Fatal("no seed script compacts the log")
+	}
+	t.Logf("%d evictions, %d faults, %d compactions", total.Evictions, total.Faults, compactions)
 }

@@ -4,108 +4,93 @@ import (
 	"errors"
 	"io"
 	"os"
+	"path/filepath"
+	"slices"
 	"syscall"
 	"testing"
-
-	"simdtree/internal/wire"
 )
 
 // faultyLog is a segment log whose writes a test can fail: when arm is
-// set and says yes to a WriteAt, fail stands in for it.  hwm is the end of
-// the furthest write that went through, so off >= hwm is a write into a
-// slot carved from the log's end — the write that grows the file — and
-// off < hwm one into a slot some earlier frame vacated.
+// set and says yes to a WriteAt, fail stands in for it.
 type faultyLog struct {
 	logFile
-	hwm  int64
-	arm  func(b []byte, off int64) bool
+	arm  func(f *faultyLog) bool
 	fail func(f *faultyLog, b []byte, off int64) (int, error)
 }
 
 func (f *faultyLog) WriteAt(b []byte, off int64) (int, error) {
-	if f.arm != nil && f.arm(b, off) {
+	if f.arm != nil && f.arm(f) {
 		return f.fail(f, b, off)
 	}
-	n, err := f.logFile.WriteAt(b, off)
-	if err == nil {
-		f.hwm = max(f.hwm, off+int64(n))
-	}
-	return n, err
+	return f.logFile.WriteAt(b, off)
 }
 
-// TestLogWriteFaults fails one write of a live run's segment log the two
-// ways closing the file (TestFaultClassification) cannot: ENOSPC on a
-// write that would move the log's end, and a torn write — half the frame
-// lands, then an error — into a reused slot.  Each hits the third victim
-// of a sweep that has further candidates behind it.  RunContext must
-// return the error; the sweep's first two victims stay evicted; the third
-// victim and every PE behind it are exactly as before the call, node for
-// node; the slot is back on its free list; and once the file is healed a
-// Sweep succeeds and every stack restores to what it held.
+// TestLogWriteFaults fails one write of a live run's sweep the ways
+// closing the file (TestFaultClassification) cannot: ENOSPC on the
+// sweep's one append, a torn append — half the batch lands, then an
+// error — and ENOSPC on a compaction's write into the fresh file.  Each
+// hits a sweep with at least two victims.  RunContext must return the
+// error; the failed sweep must have evicted nothing — every PE exactly as
+// before the call, node for node, no sequence number spent, the log's end
+// and live bytes where they were, and no segment file but the log in the
+// directory; and once the file is healed a Sweep succeeds, appending at
+// that end (over whatever a torn write left there) unless it compacts
+// first, and every stack restores to what it held.
 func TestLogWriteFaults(t *testing.T) {
-	const k = 3
+	enospc := func(f *faultyLog, b []byte, off int64) (int, error) {
+		return 0, &os.PathError{Op: "write", Path: f.Name(), Err: syscall.ENOSPC}
+	}
 	cases := []struct {
-		name   string
-		want   error
-		reused bool // the slot the fault waits for
-		fail   func(f *faultyLog, b []byte, off int64) (int, error)
+		name    string
+		want    error
+		compact bool // the write that fails is a compaction's, not the append
+		fail    func(f *faultyLog, b []byte, off int64) (int, error)
 	}{
-		{"ENOSPC moving the end", syscall.ENOSPC, false, func(f *faultyLog, b []byte, off int64) (int, error) {
-			return 0, &os.PathError{Op: "write", Path: f.Name(), Err: syscall.ENOSPC}
-		}},
-		{"torn write into a reused slot", io.ErrShortWrite, true, func(f *faultyLog, b []byte, off int64) (int, error) {
+		{"ENOSPC moving the end", syscall.ENOSPC, false, enospc},
+		{"torn write", io.ErrShortWrite, false, func(f *faultyLog, b []byte, off int64) (int, error) {
 			n, err := f.logFile.WriteAt(b[:len(b)/2], off)
 			if err != nil {
 				return n, err
 			}
 			return n, io.ErrShortWrite
 		}},
+		{"ENOSPC compacting", syscall.ENOSPC, true, enospc},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var (
-				fl      faultyLog
-				writes  int // of the sweep in progress
-				fired   bool
-				victim  = -1
-				before  []peState
-				windows [][][]node // resident levels before the sweep
-				evicted int64
+				fired, healed bool
+				before        []peState
+				windows       [][][]node // resident levels before the sweep
+				evicted       int64
+				seq           uint64
+				end, live     int64
 			)
 			_, err := tightRun(t, func(m *Manager[node]) probe {
-				m.open = func(name string) (logFile, error) {
-					f, err := openLog(name)
-					fl.logFile = f
-					return &fl, err
-				}
-				var cur *arena
-				fl.fail = tc.fail
-				fl.arm = func(b []byte, off int64) bool {
-					writes++
-					evictable := 0
-					for pe := 0; pe < cur.P(); pe++ {
-						if cur.ResidentDepth(pe) > m.keep {
-							evictable++
-						}
-					}
-					// The victim being written is still evictable; one more
-					// makes a candidate the sweep has not reached.
-					if fired || writes != k || (off < fl.hwm) != tc.reused || evictable < 2 {
+				// The sweep's append is the one write into the current log;
+				// a compaction writes into the fresh file.
+				arm := func(f *faultyLog) bool {
+					if fired || healed || (logFile(f) != m.log) != tc.compact || len(m.batch) < 2 {
 						return false
 					}
 					fired = true
-					victim, _, _, _, _ = DecodeSegment[node](wire.SyntheticCodec{}, b, nil, nil)
 					return true
+				}
+				m.open = func(name string) (logFile, error) {
+					f, err := openLog(name)
+					if err != nil {
+						return nil, err
+					}
+					return &faultyLog{logFile: f, arm: arm, fail: tc.fail}, nil
 				}
 				return probe{Manager: m,
 					before: func(op string, a *arena) {
 						if op != "sweep" || fired {
 							return
 						}
-						cur, writes, evicted = a, 0, m.stats.Evictions
-						before, windows = before[:0], windows[:0]
+						evicted, seq, end, live = m.stats.Evictions, m.seq, m.end, m.liveBytes
+						before, windows = statesOf(a), windows[:0]
 						for pe := 0; pe < a.P(); pe++ {
-							before = append(before, stateOf(a, pe))
 							windows = append(windows, levelsOf(a, pe))
 						}
 					},
@@ -113,45 +98,36 @@ func TestLogWriteFaults(t *testing.T) {
 						if op != "sweep" || err == nil {
 							return
 						}
-						checkSlots(t, m)
-						if got := m.stats.Evictions - evicted; got != k-1 {
-							t.Errorf("failed sweep counted %d evictions, want %d", got, k-1)
+						checkLog(t, m)
+						if got := m.stats.Evictions - evicted; got != 0 || m.seq != seq {
+							t.Errorf("failed sweep counted %d evictions and spent %d sequence numbers, want 0", got, m.seq-seq)
 						}
-						moved := 0
-						for pe := 0; pe < a.P(); pe++ {
-							got := stateOf(a, pe)
-							if got == before[pe] {
-								if !sameLevels(levelsOf(a, pe), windows[pe]) {
-									t.Errorf("PE %d kept its counters but not its nodes", pe)
-								}
-								continue
-							}
-							moved++
-							if pe == victim {
-								t.Errorf("failed eviction moved its victim, PE %d, from %+v to %+v", pe, before[pe], got)
-							}
-							if r, v := before[pe].resident, before[victim].resident; r < v || r == v && pe > victim {
-								t.Errorf("PE %d (%d resident) was evicted ahead of PE %d (%d resident)", pe, r, victim, v)
-							}
-							if got.ghost <= before[pe].ghost || got.resident+got.ghost != before[pe].resident+before[pe].ghost {
-								t.Errorf("PE %d went from %+v to %+v: not an eviction", pe, before[pe], got)
+						if m.end != end || m.liveBytes != live {
+							t.Errorf("failed sweep moved the log from %d bytes (%d live) to %d (%d live)", end, live, m.end, m.liveBytes)
+						}
+						checkUntouched(t, "failed sweep", a, before)
+						for pe := range windows {
+							if !sameLevels(levelsOf(a, pe), windows[pe]) {
+								t.Errorf("PE %d kept its counters but not its nodes", pe)
 							}
 						}
-						if moved != k-1 {
-							t.Errorf("failed sweep moved %d PEs, want its first %d victims", moved, k-1)
-						}
+						checkOnlyLog(t, m)
 
-						// Heal the file: the sweep goes through, reusing the
-						// slot the failed write gave back, and every window
-						// comes back as it was.
-						fl.arm = nil
+						// Heal the file: the sweep goes through, and every
+						// window comes back as it was.
+						healed = true
+						old := m.log
 						if err := m.Sweep(a); err != nil {
 							t.Fatalf("Sweep on the healed log: %v", err)
 						}
-						if m.stats.Evictions-evicted < k {
-							t.Errorf("healed sweep evicted nothing more (%d in all)", m.stats.Evictions-evicted)
+						if n := m.stats.Evictions - evicted; n < 2 {
+							t.Errorf("healed sweep evicted %d segments, want at least 2", n)
 						}
-						checkSlots(t, m)
+						if m.log == old && m.end-end != m.liveBytes-live {
+							t.Errorf("healed sweep moved the end by %d for %d live bytes: it did not append at the end the failed one kept",
+								m.end-end, m.liveBytes-live)
+						}
+						checkLog(t, m)
 						for pe := 0; pe < a.P(); pe++ {
 							if err := m.FaultAll(a, pe); err != nil {
 								t.Fatalf("FaultAll(%d) on the healed log: %v", pe, err)
@@ -161,18 +137,109 @@ func TestLogWriteFaults(t *testing.T) {
 								t.Errorf("PE %d restored %v over what was %v", pe, top, windows[pe])
 							}
 						}
+						if n := m.Stats().SegmentsLive; n != 0 {
+							t.Errorf("%d frames live after restoring every PE", n)
+						}
+					},
+				}
+			})
+			if !fired {
+				t.Fatal("no sweep with two or more victims made the write that fails")
+			}
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("RunContext = %v, want %v", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestLogOpenFaults fails the two opens a run makes: the log's, at the
+// first eviction, and the fresh file's, at the first compaction.  Either
+// way RunContext returns the classified error, the failing sweep evicts
+// nothing, no file but the live log is left in the directory, and once
+// the manager is closed the process holds the descriptors it held before
+// the run.  After the failed compaction every PE still restores from the
+// old log.
+func TestLogOpenFaults(t *testing.T) {
+	cases := []struct {
+		name string
+		want error
+		// fails reports whether the open of name (a base name) fails.
+		fails func(name string) bool
+	}{
+		{"first eviction", syscall.EMFILE, func(string) bool { return true }},
+		{"compaction", syscall.ENOSPC, func(name string) bool { return name != logName }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fds := openFDs()
+			var (
+				failed bool
+				before []peState
+				old    logFile
+			)
+			mgr, err := tightRun(t, func(m *Manager[node]) probe {
+				m.open = func(name string) (logFile, error) {
+					if tc.fails(filepath.Base(name)) {
+						failed = true
+						return nil, &os.PathError{Op: "open", Path: name, Err: tc.want}
+					}
+					return openLog(name)
+				}
+				return probe{Manager: m,
+					before: func(op string, a *arena) {
+						if op == "sweep" {
+							before, old = statesOf(a), m.log
+						}
+					},
+					after: func(op string, a *arena, err error) {
+						if op != "sweep" || err == nil {
+							return
+						}
+						checkUntouched(t, "failed sweep", a, before)
+						if m.log != old {
+							t.Errorf("failed sweep switched the log")
+						}
+						checkOnlyLog(t, m)
+						if m.log == nil {
+							return
+						}
+						checkLog(t, m)
+						for pe := 0; pe < a.P(); pe++ {
+							if err := m.FaultAll(a, pe); err != nil {
+								t.Fatalf("FaultAll(%d) from the old log: %v", pe, err)
+							}
+						}
 						if live := m.Stats().SegmentsLive; live != 0 {
 							t.Errorf("%d frames live after restoring every PE", live)
 						}
 					},
 				}
 			})
-			if !fired {
-				t.Fatalf("no sweep wrote a victim %d into the wanted slot with a candidate behind it", k)
+			if !failed {
+				t.Fatal("the run never reached the open that fails")
 			}
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("RunContext = %v, want %v", err, tc.want)
 			}
+			checkFDs(t, fds, mgr)
 		})
+	}
+}
+
+// checkOnlyLog requires the manager's log, if it has one, to be the only
+// segment file in its directory.
+func checkOnlyLog(t *testing.T, m *Manager[node]) {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(m.Dir(), "*.sspl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	if m.log != nil {
+		want = []string{m.log.Name()}
+	}
+	if !slices.Equal(names, want) {
+		t.Errorf("segment files %v, want %v", names, want)
 	}
 }

@@ -1,10 +1,12 @@
 package spill
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"simdtree/internal/simd"
@@ -78,28 +80,57 @@ func tightRun(t *testing.T, hooks func(m *Manager[node]) probe) (*Manager[node],
 	return mgr, err
 }
 
-// liveBytes sums the frames currently in the log, and checkSlots verifies
-// the allocator's books: every byte below the log's end belongs to exactly
-// one live frame's slot or one free-list entry.
-func liveBytes(m *Manager[node]) (live, slots int64) {
-	for _, refs := range m.segs {
-		for _, ref := range refs {
-			live += int64(ref.size)
-			slots += 1 << slotClass(ref.size)
-		}
+// checkLog verifies the log's books: the live refs are disjoint and lie
+// below the log's end, and the live-byte and live-frame counters are
+// their sums.
+func checkLog(t *testing.T, m *Manager[node]) {
+	t.Helper()
+	var refs []segRef
+	for _, rs := range m.segs {
+		refs = append(refs, rs...)
 	}
-	return live, slots
+	slices.SortFunc(refs, func(x, y segRef) int { return cmp.Compare(x.off, y.off) })
+	var live, next int64
+	for _, ref := range refs {
+		if ref.off < next {
+			t.Fatalf("frame seq %d at [%d, %d) overlaps the frame before it, which ends at %d",
+				ref.seq, ref.off, ref.off+int64(ref.size), next)
+		}
+		next = ref.off + int64(ref.size)
+		live += int64(ref.size)
+	}
+	if next > m.end {
+		t.Fatalf("a live frame ends at %d, past the log's end %d", next, m.end)
+	}
+	if live != m.liveBytes || len(refs) != m.live {
+		t.Fatalf("live frames are %d in %d bytes, the counters say %d in %d", len(refs), live, m.live, m.liveBytes)
+	}
 }
 
-func checkSlots(t *testing.T, m *Manager[node]) {
-	t.Helper()
-	_, used := liveBytes(m)
-	for c, f := range m.free {
-		used += int64(len(f)) << c
+// logSwitches counts the times the manager's log file was replaced, that
+// is its compactions into a fresh file, as seen at successive calls.
+type logSwitches struct {
+	last logFile
+	n    int
+}
+
+func (s *logSwitches) observe(m *Manager[node]) {
+	if m.log != s.last {
+		if s.last != nil && m.log != nil {
+			s.n++
+		}
+		s.last = m.log
 	}
-	if used != m.end {
-		t.Fatalf("log ends at %d but live slots + free slots cover %d bytes", m.end, used)
+}
+
+// openFDs counts the process's open descriptors, TestRunSpillReleasesLog's
+// way; it returns -1 where /proc/self/fd does not exist.
+func openFDs() int {
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
 	}
+	return len(ents)
 }
 
 // readFrame reads the frame of ref out of the log and decodes it.
@@ -123,54 +154,75 @@ func stateOf(a *arena, pe int) peState {
 	return peState{a.Resident(pe), a.Ghost(pe), a.Depth(pe)}
 }
 
-// TestLogSpace runs the >= 1000-eviction thrash and checks after every
-// residency call that the log file stays within twice the peak of live
-// frame bytes plus one largest slot — slot reuse works, the log does not
-// grow with the eviction count — and that no frame outlives the run.
+// TestLogSpace runs the >= 1000-eviction thrash and checks with os.Stat
+// after every residency call that the log file stays within twice the
+// peak of live frame bytes plus the compaction floor plus the largest
+// sweep's batch — compaction works, the log does not grow with the
+// eviction count — that it is the only segment file, that the run
+// compacted and no frame outlives it, and, counting writes through the
+// logFile seam, that every sweep which evicts without compacting writes
+// once and every other call not at all.
 func TestLogSpace(t *testing.T) {
-	var peak, maxSlot, maxFile int64
+	var peak, maxBatch, maxFile, written, evicted int64
+	var writes, sweeps int
+	var switches logSwitches
+	var log logFile
 	mgr, err := tightRun(t, func(m *Manager[node]) probe {
-		path := filepath.Join(m.Dir(), logName)
-		return probe{Manager: m, after: func(_ string, _ *arena, err error) {
-			if err != nil || m.log == nil {
-				return
-			}
-			checkSlots(t, m)
-			live, _ := liveBytes(m)
-			if live > peak {
-				peak = live
-			}
-			for c := range m.free {
-				if s := int64(1) << c; s > maxSlot {
-					maxSlot = s
-				}
-			}
-			fi, err := os.Stat(path)
+		m.open = func(name string) (logFile, error) {
+			f, err := openLog(name)
 			if err != nil {
-				t.Fatal(err)
+				return nil, err
 			}
-			if fi.Size() > maxFile {
-				maxFile = fi.Size()
-			}
-			if fi.Size() > 2*peak+maxSlot {
-				t.Fatalf("log is %d bytes with a live peak of %d and a largest slot of %d", fi.Size(), peak, maxSlot)
-			}
-		}}
+			return countingLog{f, &writes}, nil
+		}
+		return probe{Manager: m,
+			before: func(string, *arena) {
+				written, evicted, writes, log = m.stats.BytesWritten, m.stats.Evictions, 0, m.log
+			},
+			after: func(_ string, _ *arena, err error) {
+				if err != nil || m.log == nil {
+					return
+				}
+				if log == nil || m.log == log {
+					want := 0
+					if m.stats.Evictions > evicted {
+						want = 1
+						sweeps++
+					}
+					if writes != want {
+						t.Fatalf("a call that evicted %d segments made %d writes, want %d", m.stats.Evictions-evicted, writes, want)
+					}
+				}
+				checkLog(t, m)
+				checkOnlyLog(t, m)
+				switches.observe(m)
+				peak = max(peak, m.liveBytes)
+				maxBatch = max(maxBatch, m.stats.BytesWritten-written)
+				fi, err := os.Stat(m.log.Name())
+				if err != nil {
+					t.Fatal(err)
+				}
+				maxFile = max(maxFile, fi.Size())
+				if fi.Size() > 2*peak+compactFloor+maxBatch {
+					t.Fatalf("log is %d bytes with a live peak of %d and a largest batch of %d", fi.Size(), peak, maxBatch)
+				}
+			}}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := mgr.Stats()
 	if st.Evictions < 1000 {
-		t.Fatalf("only %d evictions; the run proves nothing about reuse", st.Evictions)
+		t.Fatalf("only %d evictions; the run proves nothing about reclaiming space", st.Evictions)
 	}
 	if st.SegmentsLive != 0 {
 		t.Errorf("%d frames still live after the run drained every stack", st.SegmentsLive)
 	}
-	if st.BytesWritten < 10*maxFile {
-		t.Errorf("wrote %d bytes into a log that peaked at %d: too little reuse to tell", st.BytesWritten, maxFile)
+	if switches.n == 0 {
+		t.Errorf("wrote %d bytes into a log that peaked at %d without compacting it once", st.BytesWritten, maxFile)
 	}
-	t.Logf("%d evictions, %d bytes written, live peak %d, log peak %d", st.Evictions, st.BytesWritten, peak, maxFile)
+	t.Logf("%d evictions in %d one-write sweeps and %d compacting ones, %d bytes written, live peak %d, largest batch %d, log peak %d",
+		st.Evictions, sweeps, switches.n, st.BytesWritten, peak, maxBatch, maxFile)
 }
 
 // handArena is four PEs of five two-node levels each, and a manager whose
@@ -226,7 +278,32 @@ func TestResetRewindsLog(t *testing.T) {
 	if a.Ghost(2) != 0 || a.Resident(2) != 8 {
 		t.Fatalf("restore after Reset: resident %d ghost %d, want 8, 0", a.Resident(2), a.Ghost(2))
 	}
-	checkSlots(t, mgr)
+	checkLog(t, mgr)
+}
+
+// TestDiscardKillsFrames: the frames of a PE cleared since its eviction
+// are dropped without a read, by FaultAll or by Barrier, and their bytes
+// leave the live count.
+func TestDiscardKillsFrames(t *testing.T) {
+	a, mgr := handArena(t)
+	if err := mgr.Sweep(a); err != nil {
+		t.Fatal(err)
+	}
+	live, read := mgr.liveBytes, mgr.stats.BytesRead
+	gone := int64(mgr.segs[1][0].size + mgr.segs[2][0].size)
+	a.Clear(1)
+	if err := mgr.FaultAll(a, 1); err != nil {
+		t.Fatal(err)
+	}
+	a.Clear(2)
+	if err := mgr.Barrier(a); err != nil {
+		t.Fatal(err)
+	}
+	checkLog(t, mgr)
+	if got := mgr.Stats().SegmentsLive; got != a.P()-2 || mgr.liveBytes != live-gone || mgr.stats.BytesRead != read {
+		t.Fatalf("after two discards: %d frames in %d live bytes, %d bytes read; want %d in %d, %d read",
+			got, mgr.liveBytes, mgr.stats.BytesRead-read, a.P()-2, live-gone, 0)
+	}
 }
 
 // TestClose: Close removes the log, is idempotent, and turns every later
@@ -301,12 +378,12 @@ func TestRestoreVerifiesShape(t *testing.T) {
 
 // TestFaultClassification damages the log between an eviction and its
 // fault, inside a real run — at the first Barrier that is about to restore
-// a frame, that frame — and checks the three things the restore path
-// owes its caller: RunContext returns the classified error, the PE whose
-// frame was damaged is exactly as it was before the failing call, and the
-// allocator's books still balance.  The write leg closes the file under
-// the manager instead: the failed eviction must give its slot back and
-// drop nothing from the arena.
+// a frame, that frame — and checks the four things the restore path
+// owes its caller: RunContext returns the classified error, every PE is
+// exactly as it was before the failing call, the log's books still
+// balance, and once the manager is closed the process holds the
+// descriptors it held before the run.  The write leg closes the file
+// under the manager instead: the failed sweep must evict nothing.
 func TestFaultClassification(t *testing.T) {
 	cases := []struct {
 		name string
@@ -330,6 +407,17 @@ func TestFaultClassification(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"zero-filled hole", ErrBadMagic, func(t *testing.T, m *Manager[node], pe int, ref segRef) {
+			// Cut the file at the frame and extend it back to its size: the
+			// frame and everything after it is a hole that reads as zeros.
+			fi, err := os.Stat(m.log.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := errors.Join(os.Truncate(m.log.Name(), ref.off), os.Truncate(m.log.Name(), fi.Size())); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		{"another PE's frame in the slot", ErrCorrupt, func(t *testing.T, m *Manager[node], pe int, ref segRef) {
 			seq, nodes, counts := readFrame(t, m, ref)
 			// A valid frame of the same levels, sealed under another PE.
@@ -346,9 +434,10 @@ func TestFaultClassification(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			fds := openFDs()
 			victim := -1
-			var before peState
-			_, err := tightRun(t, func(m *Manager[node]) probe {
+			var before []peState
+			mgr, err := tightRun(t, func(m *Manager[node]) probe {
 				return probe{Manager: m,
 					before: func(op string, a *arena) {
 						if op != "barrier" || victim >= 0 {
@@ -357,7 +446,7 @@ func TestFaultClassification(t *testing.T) {
 						// The first PE this Barrier will restore.
 						for pe, refs := range m.segs {
 							if len(refs) > 0 && a.Ghost(pe) > 0 && a.Resident(pe) == 0 {
-								victim, before = pe, stateOf(a, pe)
+								victim, before = pe, statesOf(a)
 								tc.sabotage(t, m, pe, refs[len(refs)-1])
 								return
 							}
@@ -367,10 +456,8 @@ func TestFaultClassification(t *testing.T) {
 						if err == nil {
 							return
 						}
-						if got := stateOf(a, victim); got != before {
-							t.Errorf("failed fault moved PE %d from %+v to %+v", victim, before, got)
-						}
-						checkSlots(t, m)
+						checkUntouched(t, "failed fault", a, before)
+						checkLog(t, m)
 					},
 				}
 			})
@@ -380,13 +467,15 @@ func TestFaultClassification(t *testing.T) {
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("RunContext = %v, want %v", err, tc.want)
 			}
+			checkFDs(t, fds, mgr)
 		})
 	}
 
 	t.Run("failed write", func(t *testing.T) {
+		fds := openFDs()
 		var before []peState
 		closed := false
-		_, err := tightRun(t, func(m *Manager[node]) probe {
+		mgr, err := tightRun(t, func(m *Manager[node]) probe {
 			return probe{Manager: m,
 				before: func(op string, a *arena) {
 					if op != "sweep" || m.log == nil || closed {
@@ -403,20 +492,14 @@ func TestFaultClassification(t *testing.T) {
 					// This Sweep will evict; its WriteAt fails with os.ErrClosed.
 					closed = true
 					m.log.Close()
-					for pe := 0; pe < a.P(); pe++ {
-						before = append(before, stateOf(a, pe))
-					}
+					before = statesOf(a)
 				},
 				after: func(_ string, a *arena, err error) {
 					if err == nil {
 						return
 					}
-					for pe := 0; pe < a.P(); pe++ {
-						if got := stateOf(a, pe); got != before[pe] {
-							t.Errorf("failed eviction moved PE %d from %+v to %+v", pe, before[pe], got)
-						}
-					}
-					checkSlots(t, m)
+					checkUntouched(t, "failed sweep", a, before)
+					checkLog(t, m)
 				},
 			}
 		})
@@ -426,5 +509,35 @@ func TestFaultClassification(t *testing.T) {
 		if !errors.Is(err, os.ErrClosed) {
 			t.Fatalf("RunContext = %v, want os.ErrClosed", err)
 		}
+		checkFDs(t, fds, mgr)
 	})
+}
+
+// statesOf is stateOf for every PE, and checkUntouched requires the arena
+// to be in those states still.
+func statesOf(a *arena) []peState {
+	st := make([]peState, a.P())
+	for pe := range st {
+		st[pe] = stateOf(a, pe)
+	}
+	return st
+}
+
+func checkUntouched(t *testing.T, what string, a *arena, before []peState) {
+	t.Helper()
+	for pe, want := range before {
+		if got := stateOf(a, pe); got != want {
+			t.Errorf("%s moved PE %d from %+v to %+v", what, pe, want, got)
+		}
+	}
+}
+
+// checkFDs closes the manager and requires the process to hold the fds
+// descriptors it held before the run.
+func checkFDs(t *testing.T, fds int, m *Manager[node]) {
+	t.Helper()
+	m.Close() // its error is the test's own doing when it closed the log under the manager
+	if got := openFDs(); got != fds {
+		t.Errorf("%d descriptors open before the run, %d after Close", fds, got)
+	}
 }

@@ -33,12 +33,13 @@
 package spill
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"simdtree/internal/simd"
 	"simdtree/internal/stack"
@@ -90,9 +91,24 @@ type Stats struct {
 	PeakResident int
 }
 
-// logName is the manager's one file in Config.Dir.  The .sspl suffix
-// keeps it inside NewManager's crash wipe.
-const logName = "segments.sspl"
+// logName is the manager's segment log in Config.Dir, and altLogName the
+// file a compaction copies it into; the two swap roles at every
+// compaction.  The .sspl suffix keeps both inside NewManager's crash wipe.
+const (
+	logName    = "segments.sspl"
+	altLogName = "segments.alt.sspl"
+)
+
+// A sweep compacts the log before it appends when the log's dead bytes
+// (frames restored or discarded since they were written) exceed both its
+// live bytes and compactFloor: the floor keeps a small log from being
+// rewritten every few sweeps, the live half caps the copy at one byte per
+// byte reclaimed.  A compaction reads the old log compactChunk bytes at a
+// time.
+const (
+	compactFloor = 64 << 10
+	compactChunk = 64 << 10
+)
 
 // ErrClosed is returned by every residency operation after Close.
 var ErrClosed = errors.New("spill: manager closed")
@@ -104,8 +120,12 @@ type segRef struct {
 	nodes  int
 	levels int
 	off    int64
-	size   int // frame bytes; the slot is the next power of two
+	size   int
 }
+
+// victim is one eviction of the sweep in progress: the bottom `levels`
+// levels of PE pe, encoded as a frame of size bytes.
+type victim struct{ pe, levels, size int }
 
 // Manager owns the segment store of one machine: a per-PE LIFO of
 // evicted bottom-level segments, the deterministic eviction policy, and
@@ -113,32 +133,33 @@ type segRef struct {
 // simd.Spiller.  A Manager is not safe for concurrent use; the engine
 // calls it only from the sequential sections of the run loop.
 //
-// Segments live in one log file, opened at the first eviction.  Each
-// eviction is one WriteAt of an SSPL frame into a slot, each fault one
-// ReadAt of exactly that frame.  Slots are powers of two: a freed slot
-// goes on its size class's free list and the next frame of that class
-// takes it, so the log grows only while more frames of a class are live
-// than ever before — under a steady evict/fault thrash it stays within
-// twice the peak live frame bytes.
+// Segments live in one append-only log file, opened at the first
+// eviction.  An over-budget sweep appends all its victims' SSPL frames
+// with one WriteAt, and each fault is one ReadAt of one frame.  Restored
+// and discarded frames leave dead bytes behind, which compaction (see
+// compactFloor) reclaims, so the log stays within twice the peak live
+// frame bytes plus the floor.
 type Manager[S any] struct {
 	codec       wire.Codec[S]
 	dir         string
 	budgetNodes int
 	keep        int
 
-	open   func(name string) (logFile, error) // openLog; tests substitute a failing file
-	log    logFile
-	closed bool
-	end    int64                  // first byte past the last slot carved from the log
-	free   [bits.UintSize][]int64 // free[c]: offsets of vacant slots of 1<<c bytes
+	open      func(name string) (logFile, error) // openLog; tests substitute a failing file
+	log       logFile
+	closed    bool
+	end       int64 // first byte past the last frame appended to the log
+	liveBytes int64 // bytes of the live frames; end-liveBytes are dead
 
 	// Scratch reused across events, so a warmed-up thrash allocates
-	// nothing: the frame being written or read, the decoded levels, and
-	// the evictable PEs of the sweep in progress (see Sweep).
+	// nothing: the frames being written (or the chunk being compacted) and
+	// the frame being read, the decoded levels, and the evictable PEs and
+	// the victims of the sweep in progress (see Sweep).
 	frame  []byte
 	nodes  []S
 	counts []int
 	cand   []uint64
+	batch  []victim
 
 	seq   uint64
 	segs  [][]segRef // per-PE LIFO, newest last
@@ -315,11 +336,13 @@ func (m *Manager[S]) Barrier(a *stack.Arena[S]) error {
 // pass that sums the total also collects them, and only an over-budget
 // sweep orders them — as a max-heap of resident<<32 | ^pe keys built once
 // — so a sweep is O(P) and an eviction O(log P).  Nothing is kept between
-// sweeps or maintained at push or pop time.
+// sweeps or maintained at push or pop time.  The victims are evicted
+// together (see evict): one write for the whole sweep, and nothing
+// evicted if it fails.
 //
 // Still not a lint hot-path root, for the same reason as Barrier: the
-// selection allocates nothing once ensure has sized its scratch, but every
-// victim it yields is a disk write.
+// selection allocates nothing once ensure has sized its scratch, but it
+// ends in a disk write.
 func (m *Manager[S]) Sweep(a *stack.Arena[S]) error {
 	if m.closed {
 		return ErrClosed
@@ -346,18 +369,18 @@ func (m *Manager[S]) Sweep(a *stack.Arena[S]) error {
 	for i := len(cand)/2 - 1; i >= 0; i-- {
 		siftDown(cand, i)
 	}
+	m.batch = m.batch[:0]
 	for total > m.budgetNodes && len(cand) > 0 {
-		n, err := m.evict(a, int(^uint32(cand[0])))
-		if err != nil {
-			return err
-		}
-		total -= n
+		pe := int(^uint32(cand[0]))
+		k := a.ResidentDepth(pe) - m.keep
+		a.ForEachBottomLevel(pe, k, func(lv []S) { total -= len(lv) })
+		m.batch = append(m.batch, victim{pe: pe, levels: k})
 		last := len(cand) - 1
 		cand[0] = cand[last]
 		cand = cand[:last]
 		siftDown(cand, 0)
 	}
-	return nil
+	return m.evict(a)
 }
 
 // siftDown restores the max-heap order of h below index i.
@@ -410,10 +433,7 @@ func (m *Manager[S]) Reset() error {
 	for pe := range m.segs {
 		m.segs[pe] = m.segs[pe][:0]
 	}
-	for c := range m.free {
-		m.free[c] = m.free[c][:0]
-	}
-	m.live, m.end = 0, 0
+	m.live, m.end, m.liveBytes = 0, 0, 0
 	return nil
 }
 
@@ -433,64 +453,139 @@ func (m *Manager[S]) Close() error {
 	return nil
 }
 
-// slotClass returns c such that a frame of n bytes takes a slot of 1<<c.
-func slotClass(n int) int { return bits.Len(uint(n - 1)) }
-
-// alloc returns the offset of a vacant slot for a frame of n bytes: the
-// most recently freed slot of its class, else a new one at the log's end.
-func (m *Manager[S]) alloc(n int) int64 {
-	c := slotClass(n)
-	if f := m.free[c]; len(f) > 0 {
-		m.free[c] = f[:len(f)-1]
-		return f[len(f)-1]
-	}
-	off := m.end
-	m.end += 1 << c
-	return off
-}
-
-// release returns the slot of a frame of n bytes at off to its free list.
-func (m *Manager[S]) release(off int64, n int) {
-	c := slotClass(n)
-	m.free[c] = append(m.free[c], off)
-}
-
 // discard drops PE pe's segments without restoring them.
 func (m *Manager[S]) discard(pe int) {
 	for _, ref := range m.segs[pe] {
-		m.release(ref.off, ref.size)
+		m.liveBytes -= int64(ref.size)
 	}
 	m.live -= len(m.segs[pe])
 	m.segs[pe] = m.segs[pe][:0]
 }
 
-// evict writes PE pe's bottom levels (all but the top keep) as one frame
-// into a log slot and drops them from the arena.  It returns the number
-// of nodes moved out of memory.  A failed write gives the slot back and
-// leaves the arena untouched.
-func (m *Manager[S]) evict(a *stack.Arena[S], pe int) (int, error) {
+// evict moves the bottom levels of every victim in m.batch out of memory:
+// it encodes their frames back to back, in batch order, appends them to
+// the log with one WriteAt, and only then drops the levels from the arena
+// and records the refs.  Encoding reads only the victims' own levels, so
+// encoding every frame before dropping any yields the frames that
+// evicting one victim at a time would.  A sweep is all or nothing: if
+// opening, compacting or writing the log fails, no victim is evicted, the
+// sequence numbers are not spent, and every ref still restores.
+func (m *Manager[S]) evict(a *stack.Arena[S]) error {
+	if len(m.batch) == 0 {
+		return nil
+	}
 	if m.log == nil {
 		f, err := m.open(filepath.Join(m.dir, logName))
 		if err != nil {
-			return 0, fmt.Errorf("spill: %w", err)
+			return fmt.Errorf("spill: %w", err)
 		}
 		m.log = f
+	} else if dead := m.end - m.liveBytes; dead > m.liveBytes && dead > compactFloor {
+		if err := m.compact(); err != nil {
+			return err
+		}
 	}
-	k := a.ResidentDepth(pe) - m.keep
-	m.seq++
-	m.frame = AppendSegment(m.frame[:0], m.codec, a, pe, m.seq, k)
-	n := len(m.frame)
-	off := m.alloc(n)
-	if _, err := m.log.WriteAt(m.frame, off); err != nil {
-		m.release(off, n)
-		return 0, fmt.Errorf("spill: %w", err)
+	m.frame = m.frame[:0]
+	for i := range m.batch {
+		v := &m.batch[i]
+		n := len(m.frame)
+		m.frame = AppendSegment(m.frame, m.codec, a, v.pe, m.seq+uint64(i)+1, v.levels)
+		v.size = len(m.frame) - n
 	}
-	nodes := a.DropBottom(pe, k)
-	m.segs[pe] = append(m.segs[pe], segRef{seq: m.seq, nodes: nodes, levels: k, off: off, size: n})
-	m.live++
-	m.stats.Evictions++
-	m.stats.BytesWritten += int64(n)
-	return nodes, nil
+	if _, err := m.log.WriteAt(m.frame, m.end); err != nil {
+		return fmt.Errorf("spill: %w", err)
+	}
+	off := m.end
+	for _, v := range m.batch {
+		m.seq++
+		nodes := a.DropBottom(v.pe, v.levels)
+		m.segs[v.pe] = append(m.segs[v.pe], segRef{seq: m.seq, nodes: nodes, levels: v.levels, off: off, size: v.size})
+		off += int64(v.size)
+	}
+	n := int64(len(m.frame))
+	m.end += n
+	m.liveBytes += n
+	m.live += len(m.batch)
+	m.stats.Evictions += int64(len(m.batch))
+	m.stats.BytesWritten += n
+	return nil
+}
+
+// compact reclaims the log's dead bytes.  With no live frame that is a
+// rewind to offset 0, as in Reset.  Otherwise it opens a fresh file under
+// the other log name, copies the live frames into it densely and in
+// offset order — one ReadAt of up to compactChunk bytes of the old log,
+// then one WriteAt of the live frames in it — and only once every copy
+// succeeded moves the refs, switches files and removes the old one.  A
+// failed compaction removes the fresh file and leaves the old log and
+// every ref as they were.
+func (m *Manager[S]) compact() error {
+	if m.liveBytes == 0 {
+		m.end = 0
+		return nil
+	}
+	name := logName
+	if filepath.Base(m.log.Name()) == logName {
+		name = altLogName
+	}
+	f, err := m.open(filepath.Join(m.dir, name))
+	if err != nil {
+		return fmt.Errorf("spill: compacting the segment log: %w", err)
+	}
+	order := make([]*segRef, 0, m.live)
+	for pe := range m.segs {
+		for i := range m.segs[pe] {
+			order = append(order, &m.segs[pe][i])
+		}
+	}
+	slices.SortFunc(order, func(x, y *segRef) int { return cmp.Compare(x.off, y.off) })
+	if cap(m.frame) < compactChunk {
+		m.frame = make([]byte, 0, compactChunk)
+	}
+	buf := m.frame[:cap(m.frame)] // holds any frame: each was encoded in m.frame
+	var out int64
+	for i := 0; i < len(order); {
+		start := order[i].off
+		n := min(int64(len(buf)), m.end-start)
+		if err := m.readLog(buf[:n], start); err != nil {
+			return abandon(f, err)
+		}
+		w := 0
+		for ; i < len(order) && order[i].off+int64(order[i].size) <= start+n; i++ {
+			at := int(order[i].off - start)
+			w += copy(buf[w:], buf[at:at+order[i].size])
+		}
+		if _, err := f.WriteAt(buf[:w], out); err != nil {
+			return abandon(f, err)
+		}
+		out += int64(w)
+	}
+	var off int64
+	for _, r := range order {
+		r.off = off
+		off += int64(r.size)
+	}
+	old := m.log
+	m.log, m.end = f, off
+	if err := errors.Join(old.Close(), os.Remove(old.Name())); err != nil {
+		return fmt.Errorf("spill: compacting the segment log: %w", err)
+	}
+	return nil
+}
+
+// readLog fills b from the log at off; a read that runs off the end of the
+// file is ErrTruncated.
+func (m *Manager[S]) readLog(b []byte, off int64) error {
+	_, err := m.log.ReadAt(b, off)
+	if errors.Is(err, io.EOF) {
+		return ErrTruncated
+	}
+	return err
+}
+
+// abandon closes and removes the fresh file of a failed compaction.
+func abandon(f logFile, err error) error {
+	return fmt.Errorf("spill: compacting the segment log: %w", errors.Join(err, f.Close(), os.Remove(f.Name())))
 }
 
 // restoreNewest faults PE pe's most recent segment back in: the levels
@@ -502,14 +597,11 @@ func (m *Manager[S]) evict(a *stack.Arena[S], pe int) (int, error) {
 func (m *Manager[S]) restoreNewest(a *stack.Arena[S], pe int) error {
 	refs := m.segs[pe]
 	ref := refs[len(refs)-1]
-	b := m.frame[:ref.size] // fits: every live frame was encoded through m.frame
+	b := m.frame[:ref.size] // fits: every live frame was encoded in m.frame
 	fail := func(err error) error {
 		return fmt.Errorf("spill: segment %d of PE %d at log offset %d: %w", ref.seq, pe, ref.off, err)
 	}
-	if _, err := m.log.ReadAt(b, ref.off); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = ErrTruncated
-		}
+	if err := m.readLog(b, ref.off); err != nil {
 		return fail(err)
 	}
 	gotPE, gotSeq, nodes, counts, err := DecodeSegment(m.codec, b, m.nodes[:0], m.counts[:0])
@@ -526,7 +618,7 @@ func (m *Manager[S]) restoreNewest(a *stack.Arena[S], pe int) error {
 	}
 	a.PrependLevels(pe, nodes, counts)
 	m.segs[pe] = refs[:len(refs)-1]
-	m.release(ref.off, ref.size)
+	m.liveBytes -= int64(ref.size)
 	m.live--
 	m.stats.Faults++
 	m.stats.BytesRead += int64(ref.size)

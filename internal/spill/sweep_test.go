@@ -12,7 +12,8 @@ import (
 )
 
 // naiveSweep is Sweep as it was before it selected from its own scan: all
-// P PEs rescanned per eviction, strict >, so the lowest index wins a tie.
+// P PEs rescanned per eviction, strict >, so the lowest index wins a tie,
+// and each victim evicted — written and dropped — before the next rescan.
 // It is the oracle for victim order.
 func naiveSweep(m *Manager[node], a *arena) error {
 	if m.budgetNodes <= 0 {
@@ -26,20 +27,20 @@ func naiveSweep(m *Manager[node], a *arena) error {
 	}
 	m.stats.PeakResident = max(m.stats.PeakResident, total)
 	for total > m.budgetNodes {
-		victim, best := -1, 0
+		pick, best := -1, 0
 		for pe := 0; pe < p; pe++ {
 			if a.ResidentDepth(pe) > m.keep && a.Resident(pe) > best {
-				victim, best = pe, a.Resident(pe)
+				pick, best = pe, a.Resident(pe)
 			}
 		}
-		if victim < 0 {
+		if pick < 0 {
 			return nil
 		}
-		n, err := m.evict(a, victim)
-		if err != nil {
+		m.batch = append(m.batch[:0], victim{pe: pick, levels: a.ResidentDepth(pick) - m.keep})
+		if err := m.evict(a); err != nil {
 			return err
 		}
-		total -= n
+		total -= best - a.Resident(pick)
 	}
 	return nil
 }
@@ -72,18 +73,13 @@ func diffArenas(a, b *arena) string {
 }
 
 // diffManagers names the first difference between two managers' books:
-// the counters, the log's end, the free lists, every live ref.
+// the counters, the log's end and live bytes, every live ref.
 func diffManagers(x, y *Manager[node]) string {
 	if x.Stats() != y.Stats() {
 		return fmt.Sprintf("stats %+v vs %+v", x.Stats(), y.Stats())
 	}
-	if x.end != y.end {
-		return fmt.Sprintf("log ends at %d vs %d", x.end, y.end)
-	}
-	for c := range x.free {
-		if !slices.Equal(x.free[c], y.free[c]) {
-			return fmt.Sprintf("free slots of class %d: %v vs %v", c, x.free[c], y.free[c])
-		}
+	if x.end != y.end || x.liveBytes != y.liveBytes {
+		return fmt.Sprintf("log ends at %d with %d live bytes vs %d with %d", x.end, x.liveBytes, y.end, y.liveBytes)
 	}
 	for pe := range x.segs {
 		if !slices.Equal(x.segs[pe], y.segs[pe]) {
@@ -153,17 +149,18 @@ func (tw *twin) sweep(what string) {
 	if d := diffArenas(tw.a[0], tw.a[1]); d != "" {
 		tw.t.Fatalf("%s: Sweep vs oracle: %s", what, d)
 	}
-	checkSlots(tw.t, tw.m[0])
+	checkLog(tw.t, tw.m[0])
 }
 
 // TestSweepVictimOrder runs Sweep and the per-eviction rescan it replaced
 // over twin arenas through a script of sweeps with pushes, pops, barriers
 // and full faults between them, and requires the same victims in the same
-// order: every ref (seq, nodes, levels, offset, size), every free slot,
-// every counter and every resident node equal after every sweep.  The
-// arenas are seeded for ties (levels of one or two nodes, a handful of
-// depths), with PEs below, at and above the keep floor, and from the
-// second sweep on carry ghosts of the earlier ones.
+// order: every ref (seq, nodes, levels, offset, size), the log's end and
+// live bytes, every counter and every resident node equal after every
+// sweep — one write of the whole batch lays the frames out exactly as one
+// write per victim does.  The arenas are seeded for ties (levels of one or
+// two nodes, a handful of depths), with PEs below, at and above the keep
+// floor, and from the second sweep on carry ghosts of the earlier ones.
 func TestSweepVictimOrder(t *testing.T) {
 	for _, p := range []int{1, 63, 64, 65, 256} {
 		for keep := 1; keep <= 3; keep++ {
@@ -253,12 +250,14 @@ func TestSweepAtTheFloor(t *testing.T) {
 // BenchmarkSweepThrash prices an eviction in a steady thrash: every PE
 // sits at its keep floor on a budget that is exactly full, each iteration
 // pushes 16 PEs three levels past the floor, Sweep evicts those 16, and
-// the PEs fault the levels back and pop down to the floor again — an
-// evict/fault pair per victim, two syscalls each, on tmpfs where there is
-// one.  ns/evict is the whole iteration over its 16 evictions: besides the
-// pair it holds one sixteenth of the P-long pass every sweep makes, and
-// held one whole pass per eviction before victims were selected from it.
-// The warmed-up loop must not allocate; the benchmark fails if it does.
+// the PEs fault the levels back and pop down to the floor again — one
+// write for the sweep's 16 frames and one read per fault, on tmpfs where
+// there is one.  ns/evict is the whole iteration over its 16 evictions:
+// besides the read and a sixteenth of the write it holds one sixteenth of
+// the P-long pass every sweep makes, and held one whole pass per eviction
+// before victims were selected from it.  writes/sweep counts the WriteAt
+// calls that reach the log; the benchmark fails if it is above 1 (a
+// sweep writing frame by frame again) or if the warmed-up loop allocates.
 func BenchmarkSweepThrash(b *testing.B) {
 	const hot, over = 16, 3
 	level := []node{{Budget: 3, Seed: 1}, {Budget: 2, Seed: 2}}
@@ -282,6 +281,14 @@ func BenchmarkSweepThrash(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.Cleanup(func() { mgr.Close() })
+			writes := 0
+			mgr.open = func(name string) (logFile, error) {
+				f, err := openLog(name)
+				if err != nil {
+					return nil, err
+				}
+				return countingLog{f, &writes}, nil
+			}
 			first, stride := 0, p/hot
 			iter := func() {
 				for i := 0; i < hot; i++ {
@@ -311,14 +318,31 @@ func BenchmarkSweepThrash(b *testing.B) {
 				iter()
 			}
 			b.ResetTimer()
+			writes = 0
 			for i := 0; i < b.N; i++ {
 				iter()
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/hot, "ns/evict")
+			perSweep := float64(writes) / float64(b.N)
+			b.ReportMetric(perSweep, "writes/sweep")
+			if perSweep > 1 {
+				b.Fatalf("%v writes per sweep, want at most 1", perSweep)
+			}
 			if allocs := testing.AllocsPerRun(20, iter); allocs != 0 {
 				b.Fatalf("%v allocs per sweep in steady state, want 0", allocs)
 			}
 		})
 	}
+}
+
+// countingLog counts the writes that reach a segment log.
+type countingLog struct {
+	logFile
+	writes *int
+}
+
+func (c countingLog) WriteAt(b []byte, off int64) (int, error) {
+	*c.writes++
+	return c.logFile.WriteAt(b, off)
 }
