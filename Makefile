@@ -23,11 +23,11 @@ test-race:
 
 # The engine's benchmarks: every pinned run of internal/simd's table (the
 # schedules, allocation ceilings and Workers overhead bound those runs must
-# hold are tests, in "make test"), the structure-of-arrays micro-benchmarks
-# and the spill sweep.
+# hold are tests, in "make test"), the structure-of-arrays micro-benchmarks,
+# a cache hit through the traffic frontend and the spill sweep.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkPinnedRun -benchmem ./internal/simd
-	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkArenaFirstReceive|BenchmarkExpandKernel' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkArenaFirstReceive|BenchmarkExpandKernel|BenchmarkCacheHit' -benchmem .
 	$(GO) test -run '^$$' -bench BenchmarkSweepThrash -benchmem ./internal/spill
 
 # CI smoke variant: the small-P pool run at Workers 1 and 2, plus the
@@ -36,10 +36,11 @@ bench:
 # BenchmarkMatchBits when a matching phase does, BenchmarkSweepThrash when
 # a warmed-up evict/fault sweep does or writes the log more than once,
 # BenchmarkArenaFirstReceive when a
-# fresh arena's first receives allocate per PE instead of per flag word).
+# fresh arena's first receives allocate per PE instead of per flag word,
+# BenchmarkCacheHit when a cache hit allocates over its ceiling).
 bench-check:
 	$(GO) test -run '^$$' -bench 'BenchmarkPinnedRun/pool-small-p' -benchtime 100x -benchmem ./internal/simd
-	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkArenaFirstReceive|BenchmarkExpandKernel' -benchtime 100x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkArenaFirstReceive|BenchmarkExpandKernel|BenchmarkCacheHit' -benchtime 100x -benchmem .
 	$(GO) test -run '^$$' -bench BenchmarkSweepThrash -benchtime 100x -benchmem ./internal/spill
 
 # simdmark, the benchmark of record (benchmark/, BENCHMARK.json), at the
@@ -60,8 +61,9 @@ bench-go:
 # Short fuzzing bursts over the wire format, puzzle validator, the
 # checkpoint, steal-frame and spill-segment decoders, the spill manager's
 # event sequence (its inputs are long scripts, so minimising a new one is
-# capped: the default minute would eat the burst), and the matchers against
-# their flag-by-flag oracles.
+# capped: the default minute would eat the burst), the matchers against
+# their flag-by-flag oracles, and the API's JSON writer against
+# json.MarshalIndent.
 fuzz:
 	$(GO) test -run=xxx -fuzz FuzzDecodeStack -fuzztime 30s ./internal/wire
 	$(GO) test -run=xxx -fuzz FuzzDecodeNode -fuzztime 15s ./internal/wire
@@ -71,6 +73,7 @@ fuzz:
 	$(GO) test -run=xxx -fuzz FuzzDecodeSpillSegment -fuzztime 30s ./internal/spill
 	$(GO) test -run=xxx -fuzz FuzzResidencySequence -fuzztime 30s -fuzzminimizetime 2s ./internal/spill
 	$(GO) test -run=xxx -fuzz FuzzMatchBits -fuzztime 15s ./internal/match
+	$(GO) test -run=xxx -fuzz FuzzIndentedJSON -fuzztime 15s ./internal/server
 
 vet:
 	$(GO) vet ./...

@@ -5,9 +5,14 @@
 package simdtree
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 
 	"simdtree/internal/experiments"
@@ -15,8 +20,10 @@ import (
 	"simdtree/internal/puzzle"
 	"simdtree/internal/scan"
 	"simdtree/internal/search"
+	"simdtree/internal/server"
 	"simdtree/internal/stack"
 	"simdtree/internal/synthetic"
+	"simdtree/internal/traffic"
 )
 
 // tinySuite builds the reduced-scale synthetic suite shared by the table
@@ -520,5 +527,50 @@ func BenchmarkExpandKernel(b *testing.B) {
 				b.Fatalf("%v allocs per cycle in steady state, want 0", allocs)
 			}
 		})
+	}
+}
+
+// cacheHitAllocs is BenchmarkCacheHit's allocation ceiling: the count an
+// op made once a hit stopped opening a flight, plus 10 %.
+const cacheHitAllocs = 77
+
+// BenchmarkCacheHit is one ?wait=1 submission of a cached spec through the
+// traffic frontend's handler, from request decoding to the response bytes:
+// the request path that is nearly all of a cache hit's latency.  The spec
+// is simdmark's service job; its one engine run happens before the timer.
+// The benchmark fails above cacheHitAllocs allocations an op.
+func BenchmarkCacheHit(b *testing.B) {
+	drr := traffic.NewDRR(64, 1)
+	srv, err := server.New(server.Config{Scheduler: drr})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		if err := srv.Shutdown(context.Background()); err != nil {
+			b.Error(err)
+		}
+	}()
+	h := traffic.New(srv, drr, traffic.Config{}).Handler()
+	const spec = `{"domain":"synthetic","scheme":"GP-S0.90","p":64,"synthetic":{"w":30000,"seed":1}}`
+	var rec *httptest.ResponseRecorder
+	serve := func() {
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs?wait=1", strings.NewReader(spec)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	serve()
+	if serve(); !bytes.Contains(rec.Body.Bytes(), []byte(`"cache_hit": true`)) {
+		b.Fatalf("second submission was not a cache hit:\n%s", rec.Body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
+	b.StopTimer()
+	if allocs := testing.AllocsPerRun(100, serve); allocs > cacheHitAllocs {
+		b.Fatalf("%v allocs per cache hit, want at most %d", allocs, cacheHitAllocs)
 	}
 }

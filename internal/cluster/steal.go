@@ -126,9 +126,11 @@ func (d *distRun) document() json.RawMessage {
 		doc.Efficiency = stats.Efficiency()
 		doc.Speedup = stats.Speedup()
 	}
-	b, err := json.MarshalIndent(doc, "", "  ")
+	// Compact: the envelope's server.WriteJSON compacts and indents a
+	// RawMessage anyway.
+	b, err := json.Marshal(doc)
 	if err != nil {
-		// distJobDoc is plain data; MarshalIndent cannot fail on it.
+		// distJobDoc is plain data; Marshal cannot fail on it.
 		panic(fmt.Sprintf("cluster: marshal distributed job document: %v", err))
 	}
 	return b

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -59,11 +58,7 @@ func (h *JobHandle) Cancel() { h.j.requestCancel(errCancelRequested) }
 // writes it (indented JSON plus trailing newline), so callers can fan the
 // same bytes out to any number of subscribers.
 func (h *JobHandle) ResponseBytes() ([]byte, error) {
-	b, err := json.MarshalIndent(renderJob(h.j.view()), "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
+	return marshalDoc(renderJob(h.j.view()))
 }
 
 // EventsSince returns the buffered job events with Seq > after, plus a

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -156,10 +157,20 @@ func (j *job) view() jobView {
 // jobStore maps ids to jobs and bounds its memory by evicting the oldest
 // *terminal* jobs beyond the history cap (running and queued jobs are
 // never evicted).
+//
+// order is a queue: order[head:] holds the stored jobs in submission
+// order, order[:head] the nil slots evictions left.  Evicting the job at
+// order[i] moves the jobs older than it — all queued or running, since
+// it is the oldest terminal one — up a slot, so the hole is always at the
+// head.  An add costs O(1) amortized plus those queued or running jobs,
+// which the queue size and the worker count bound.  A full slice is
+// compacted in place when its dead head is at least half of it and
+// regrown to 2·stored+1 otherwise, so it stays within 2·history+1 slots.
 type jobStore struct {
 	mu      sync.Mutex
 	byID    map[string]*job
-	order   []string // submission order, oldest first
+	order   []*job
+	head    int
 	history int
 }
 
@@ -174,26 +185,28 @@ func (s *jobStore) add(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.byID[j.id] = j
-	s.order = append(s.order, j.id)
-	if len(s.order) <= s.history {
-		return
-	}
-	kept := s.order[:0]
-	excess := len(s.order) - s.history
-	for i, id := range s.order {
-		if excess == 0 {
-			// Quota met: everything younger stays, moved down in one copy.
-			kept = append(kept, s.order[i:]...)
-			break
+	if len(s.order) == cap(s.order) {
+		stored := s.order[s.head:]
+		if 2*s.head >= len(s.order) {
+			clear(s.order[copy(s.order, stored):])
+			s.order = s.order[:len(stored)]
+		} else {
+			s.order = append(make([]*job, 0, 2*len(stored)+1), stored...)
 		}
-		if jj := s.byID[id]; jj != nil && jj.isTerminal() {
-			delete(s.byID, id)
-			excess--
+		s.head = 0
+	}
+	s.order = append(s.order, j)
+	for excess, i := len(s.order)-s.head-s.history, s.head; excess > 0 && i < len(s.order); i++ {
+		victim := s.order[i]
+		if !victim.isTerminal() {
 			continue
 		}
-		kept = append(kept, id)
+		delete(s.byID, victim.id)
+		copy(s.order[s.head+1:i+1], s.order[s.head:i])
+		s.order[s.head] = nil
+		s.head++
+		excess--
 	}
-	s.order = kept
 }
 
 func (j *job) isTerminal() bool {
@@ -213,11 +226,5 @@ func (s *jobStore) get(id string) (*job, bool) {
 func (s *jobStore) all() []*job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*job, 0, len(s.order))
-	for _, id := range s.order {
-		if j, ok := s.byID[id]; ok {
-			out = append(out, j)
-		}
-	}
-	return out
+	return slices.Clone(s.order[s.head:])
 }

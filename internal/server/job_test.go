@@ -72,3 +72,70 @@ func TestJobStoreEvictsOldestTerminalOnly(t *testing.T) {
 		t.Errorf("history after catch-up %v, want %v", got, want)
 	}
 }
+
+// TestJobStoreSteadyState runs a store through ten histories' worth of
+// terminal submissions behind one running job: the running job stays at
+// the front, the newest history-1 terminal jobs stay behind it in
+// submission order, the id index matches, and the queue's backing slice
+// stays within 2·history+1 slots.
+func TestJobStoreSteadyState(t *testing.T) {
+	for _, history := range []int{1, 2, 7, 64, 100} {
+		t.Run(fmt.Sprintf("history=%d", history), func(t *testing.T) {
+			s := newJobStore(history)
+			running := &job{id: "running", status: StatusRunning}
+			s.add(running)
+			const rounds = 10
+			n := rounds * history
+			for i := 0; i < n; i++ {
+				s.add(&job{id: fmt.Sprintf("j%d", i), status: StatusDone})
+				if c := cap(s.order); c > 2*history+1 {
+					t.Fatalf("after %d adds the queue holds %d slots, want at most %d", i+1, c, 2*history+1)
+				}
+			}
+			want := []string{"running"}
+			for i := n - history + 1; i < n; i++ {
+				want = append(want, fmt.Sprintf("j%d", i))
+			}
+			var got []string
+			for _, j := range s.all() {
+				got = append(got, j.id)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("store holds %v, want %v", got, want)
+			}
+			if len(s.byID) != history {
+				t.Errorf("byID holds %d jobs, want %d", len(s.byID), history)
+			}
+			for _, id := range want {
+				if _, ok := s.get(id); !ok {
+					t.Errorf("%s not reachable by id", id)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkJobStoreAdd is one submission into a full history of terminal
+// jobs: an add and the eviction it causes.  Its cost must not grow with
+// the history.
+func BenchmarkJobStoreAdd(b *testing.B) {
+	for _, history := range []int{64, 4096, 65536} {
+		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
+			b.ReportAllocs()
+			// Twice the history of jobs, re-added round robin: a job comes
+			// back long after it was evicted.
+			jobs := make([]*job, 2*history)
+			for i := range jobs {
+				jobs[i] = &job{id: fmt.Sprintf("j%d", i), status: StatusDone}
+			}
+			s := newJobStore(history)
+			for _, j := range jobs {
+				s.add(j)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.add(jobs[i%len(jobs)])
+			}
+		})
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -26,26 +25,117 @@ import (
 // documents, so a shared loop would only branch on its caller.
 
 // WriteJSON answers with v as indented JSON plus a trailing newline, the
-// encoding of every document the API serves.
+// encoding of every document the API serves.  A value that does not
+// marshal (a NaN float) gets the status and an empty body.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	encodeJSON(w, v)
+	b, _ := marshalDoc(v) //lint:allow errdrop the status is already decided; an unmarshalable value answers with no body
+	WriteRaw(w, code, b)
 }
 
-func encodeJSON(w io.Writer, v any) {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	// An encode failure here means the client went away; nothing to do.
-	_ = enc.Encode(v) //lint:allow errdrop response writer errors are unreportable
+// marshalDoc renders v as every document the API serves is encoded:
+// exactly json.MarshalIndent(v, "", "  ") plus a trailing newline.  It
+// indents json.Marshal's output in one pass of its own, because
+// MarshalIndent's general-purpose scanner costs twice what the marshal
+// does.
+func marshalDoc(v any) ([]byte, error) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return appendIndented(make([]byte, 0, 2*len(b)), b), nil
+}
+
+// appendIndented appends src, compact JSON as json.Marshal writes it (no
+// whitespace outside strings), indented two spaces a level as json.Indent
+// does it, then a newline.  As in json.Indent, an empty object or array
+// stays "{}" or "[]": the newline after an opening bracket waits for the
+// next byte.
+func appendIndented(dst, src []byte) []byte {
+	depth, open := 0, false
+	for i := 0; i < len(src); {
+		c := src[i]
+		if open {
+			open = false
+			if c == '}' || c == ']' {
+				dst = append(dst, c)
+				i++
+				continue
+			}
+			depth++
+			dst = appendNewline(dst, depth)
+		}
+		switch c {
+		case '"':
+			end := stringEnd(src, i)
+			dst = append(dst, src[i:end]...)
+			i = end
+		case '{', '[':
+			open = true
+			dst = append(dst, c)
+			i++
+		case '}', ']':
+			depth--
+			dst = append(appendNewline(dst, depth), c)
+			i++
+		case ',':
+			dst = appendNewline(append(dst, c), depth)
+			i++
+		case ':':
+			dst = append(dst, c, ' ')
+			i++
+		default:
+			// A number or a literal, which in compact JSON runs to the
+			// next separator or closing bracket.
+			j := i + 1
+			for j < len(src) && src[j] != ',' && src[j] != '}' && src[j] != ']' {
+				j++
+			}
+			dst = append(dst, src[i:j]...)
+			i = j
+		}
+	}
+	return append(dst, '\n')
+}
+
+// stringEnd returns the index just past the closing quote of the JSON
+// string that opens at src[start]: the first quote not escaped by an odd
+// run of backslashes.
+func stringEnd(src []byte, start int) int {
+	for i := start + 1; ; {
+		q := bytes.IndexByte(src[i:], '"')
+		if q < 0 {
+			return len(src)
+		}
+		i += q
+		slashes := 0
+		for src[i-1-slashes] == '\\' {
+			slashes++
+		}
+		if slashes%2 == 0 {
+			return i + 1
+		}
+		i++
+	}
+}
+
+// newlineIndent is a newline and the indentation of the 32 levels it
+// serves in one append; deeper levels append the rest two spaces at a time.
+const newlineIndent = "\n                                                                "
+
+func appendNewline(dst []byte, depth int) []byte {
+	n := min(depth, len(newlineIndent)/2)
+	dst = append(dst, newlineIndent[:1+2*n]...)
+	for ; depth > n; depth-- {
+		dst = append(dst, ' ', ' ')
+	}
+	return dst
 }
 
 // ErrorBody renders the API's one error body, {"error": msg}, exactly as
 // WriteError sends it.
 func ErrorBody(msg string) []byte {
-	var b bytes.Buffer
-	encodeJSON(&b, map[string]string{"error": msg})
-	return b.Bytes()
+	b, _ := marshalDoc(map[string]string{"error": msg}) //lint:allow errdrop a string map always marshals
+	return b
 }
 
 // WriteError answers with the API's one error body.

@@ -2,11 +2,15 @@ package server
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"simdtree/internal/metrics"
 )
 
 // TestEventLogTrimsAndWakes covers the one bounded log every stream now
@@ -102,5 +106,90 @@ func TestStreamEventsHeartbeatAndClose(t *testing.T) {
 	}
 	if !strings.HasSuffix(got, "\"terminal\":true}\n") {
 		t.Errorf("stream went on after the terminal event:\n%s", got)
+	}
+}
+
+// cacheHitDoc is the document a cache hit on simdmark's service spec
+// answers with: terminal, every timestamp set, every stats field non-zero.
+func cacheHitDoc(t testing.TB) jobResponse {
+	spec, err := Canonicalize(JobSpec{Domain: "synthetic", Scheme: "GP-S0.90", P: 64,
+		Synthetic: &SyntheticSpec{W: 30000, Seed: 7}}, map[string]bool{"synthetic": true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := time.Date(2026, 10, 15, 12, 0, 0, 123456789, time.UTC)
+	return renderJob(jobView{
+		ID: "j4242", Spec: spec, Key: CacheKey(spec), Tenant: "t1", Status: StatusDone, CacheHit: true,
+		Stats: metrics.Stats{P: 64, W: 30000, Goals: 3, Cycles: 521, LBPhases: 41, Transfers: 907,
+			InitCycles: 12, InitPhases: 5, Tcalc: 30000 * time.Microsecond, Tidle: 2113 * time.Microsecond,
+			Tlb: 1217 * time.Microsecond, Tpar: 521 * time.Microsecond, PeakStack: 31, MaxTransfer: 12},
+		Submitted: at, Started: at, Finished: at,
+	})
+}
+
+// FuzzIndentedJSON holds marshalDoc to its definition: on any input, the
+// bytes of json.MarshalIndent(v, "", "  ") plus a newline, and the same
+// failures.  Inputs reach both as a json.RawMessage, which json.Marshal
+// compacts first, as it compacts an inlined job document.
+func FuzzIndentedJSON(f *testing.F) {
+	doc, err := json.Marshal(cacheHitDoc(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	indented, err := json.MarshalIndent(cacheHitDoc(f), "", "  ")
+	if err != nil {
+		f.Fatal(err)
+	}
+	deep := strings.Repeat(`{"a":[`, 100) + `"<>&"` + strings.Repeat(`]}`, 100)
+	for _, seed := range []string{
+		string(doc),
+		// A :batch reply inlining a job document as the frontend does:
+		// indented, with its trailing newline.
+		`{"accepted":1,"rejected":1,"collapsed":0,"items":[{"index":0,"code":200,"id":"j4242","cache_hit":true,"job":` +
+			string(indented) + "\n" + `},{"index":1,"code":429,"error":"tenant \"t1\" has 1 jobs outstanding (quota 1)","retry_after":1}]}`,
+		`{"error":"a \"quoted\" word, a back\\slash, \\\\ two, and <tags> & more"}`,
+		`["\\", "\\\"", "\"\\", "  ", "{[,:]}"]`,
+		`{}`, `[]`, `{"a":{},"b":[],"c":[{}],"d":[[]]}`,
+		deep, strings.Repeat("[", 300) + strings.Repeat("]", 300),
+		`0`, `-1.5e-7`, `"x"`, `null`, `true`, ` [ 1 , { "k" : false } ] `,
+		`{"a":}`, `["unterminated`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantErr := json.MarshalIndent(json.RawMessage(data), "", "  ")
+		got, err := marshalDoc(json.RawMessage(data))
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("marshalDoc error %v, MarshalIndent error %v, on %q", err, wantErr, data)
+		}
+		if err == nil && !bytes.Equal(got, append(want, '\n')) {
+			t.Fatalf("on %q\nmarshalDoc:\n%s\nMarshalIndent:\n%s", data, got, want)
+		}
+	})
+}
+
+var docSink []byte
+
+// BenchmarkJobDocument renders one cache-hit job document through the
+// API's writer and through json.MarshalIndent, the writer it replaced.
+func BenchmarkJobDocument(b *testing.B) {
+	doc := cacheHitDoc(b)
+	for _, w := range []struct {
+		name   string
+		render func(any) ([]byte, error)
+	}{
+		{"marshalDoc", marshalDoc},
+		{"MarshalIndent", func(v any) ([]byte, error) { return json.MarshalIndent(v, "", "  ") }},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := w.render(doc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				docSink = out
+			}
+		})
 	}
 }

@@ -19,7 +19,7 @@ type Config struct {
 	MaxBatch int
 	// TenantQuota bounds the jobs a single tenant may have outstanding
 	// (queued or running, collapsed flights counted once) through this
-	// frontend.  0 means unlimited.
+	// frontend; a cache hit is never outstanding.  0 means unlimited.
 	TenantQuota int
 	// HeartbeatEvery is the SSE comment-heartbeat cadence.  Default
 	// server.HeartbeatEvery (15s).
@@ -60,8 +60,8 @@ type Frontend struct {
 	cfg   Config
 
 	mu          sync.Mutex
-	flights     map[string]*flight
-	outstanding map[string]int // live non-collapsed jobs per tenant
+	flights     map[string]*flight // open engine submissions by cache key
+	outstanding map[string]int     // open flights per tenant
 
 	ctr trafficCounters
 }
@@ -82,7 +82,8 @@ type trafficCounters struct {
 // submission shares it, and at terminal every subscriber fans out the one
 // rendered response, byte for byte.  h is resolved before the flight is
 // published, so readers never observe a nil handle; bytes is written
-// exactly once before done closes.
+// exactly once before done closes.  A cache hit's flight is born with
+// bytes written and done closed, and is never published.
 type flight struct {
 	key   string
 	h     *server.JobHandle
@@ -122,6 +123,11 @@ func (f *Frontend) Handler() http.Handler {
 // success the returned flight is live (or already terminal); collapsed
 // reports whether it was shared rather than opened.  On refusal the
 // flight is nil.
+//
+// A submission the result cache answered is finished before admit sees
+// it, so it opens no flight: its document is rendered here, once, outside
+// f.mu, into a flight that is resolved from birth, never enters f.flights,
+// starts no goroutine and holds none of the tenant's quota.
 func (f *Frontend) admit(canonical server.JobSpec, key, tenant string) (fl *flight, collapsed bool, rf *server.Refusal) {
 	est := ForSpec(canonical)
 	cost := est.CostUnits(f.cfg.CostScale)
@@ -154,6 +160,10 @@ func (f *Frontend) admit(canonical server.JobSpec, key, tenant string) (fl *flig
 		f.mu.Unlock()
 		return nil, false, rf
 	}
+	if h.CacheHit() {
+		f.mu.Unlock()
+		return &flight{h: h, done: resolved, bytes: render(h)}, false, nil
+	}
 	fl = &flight{key: key, h: h, done: make(chan struct{})}
 	f.flights[key] = fl
 	f.outstanding[tenant]++
@@ -171,11 +181,7 @@ func (f *Frontend) admit(canonical server.JobSpec, key, tenant string) (fl *flig
 // job), and the flight must outlive any one subscriber anyway.
 func (f *Frontend) resolve(fl *flight, tenant string) {
 	<-fl.h.Done()
-	b, err := fl.h.ResponseBytes()
-	if err != nil {
-		b = server.ErrorBody("failed to render job")
-	}
-	fl.bytes = b
+	fl.bytes = render(fl.h)
 	f.mu.Lock()
 	if f.flights[fl.key] == fl {
 		delete(f.flights, fl.key)
@@ -185,6 +191,24 @@ func (f *Frontend) resolve(fl *flight, tenant string) {
 	}
 	f.mu.Unlock()
 	close(fl.done)
+}
+
+// resolved is the done channel of every flight answered from the cache:
+// closed once, never closed again.
+var resolved = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// render is a terminal job's response body, the bytes every subscriber
+// of its flight receives.
+func render(h *server.JobHandle) []byte {
+	b, err := h.ResponseBytes()
+	if err != nil {
+		return server.ErrorBody("failed to render job")
+	}
+	return b
 }
 
 // collapsedHeader marks a response served by joining an existing flight.
@@ -224,10 +248,14 @@ func (f *Frontend) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		case <-fl.done:
 		}
-		server.WriteRaw(w, http.StatusOK, fl.bytes)
-		return
 	}
-	writeHandle(w, fl.h)
+	select {
+	case <-fl.done:
+		// Terminal and rendered once: a cache hit is never rendered twice.
+		server.WriteRaw(w, http.StatusOK, fl.bytes)
+	default:
+		writeHandle(w, fl.h)
+	}
 }
 
 // writeHandle renders the job's current document with the server's

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -504,5 +505,87 @@ func TestMetricsMerged(t *testing.T) {
 	}
 	if _, ok := tenants["acme"]; !ok {
 		t.Errorf("traffic_tenants %v lacks the submitting tenant", tenants)
+	}
+}
+
+// TestCachedSubmissionsIgnoreQuota hammers cached specs from one tenant
+// whose quota is a single outstanding job.  A cache hit is finished before
+// it is admitted, so none may be refused, none may open a flight or hold
+// a quota slot, and none may leave a goroutine behind.  Two specs
+// alternate: hits of one spec alone would hide a held slot by collapsing
+// onto each other's flight, while a flight of the other spec holds the
+// tenant's one slot.
+func TestCachedSubmissionsIgnoreQuota(t *testing.T) {
+	drr := NewDRR(64, 1)
+	s, err := server.New(server.Config{Workers: 2, Scheduler: drr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	f := New(s, drr, Config{TenantQuota: 1})
+	h := f.Handler()
+	submit := func(seed int) *httptest.ResponseRecorder {
+		spec := fmt.Sprintf(`{"domain":"synthetic","scheme":"GP-DK","p":8,"synthetic":{"w":500,"seed":%d}}`, 7+seed)
+		req := httptest.NewRequest(http.MethodPost, "/v1/jobs?wait=1", strings.NewReader(spec))
+		req.Header.Set(server.TenantHeader, "t1")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	start := runtime.NumGoroutine()
+	for seed := 0; seed < 2; seed++ {
+		if rec := submit(seed); rec.Code != http.StatusOK {
+			t.Fatalf("warm-up: %d %s", rec.Code, rec.Body)
+		}
+	}
+
+	const clients, each = 8, 200
+	var refused, other atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				switch rec := submit((c + i) % 2); rec.Code {
+				case http.StatusOK:
+				case http.StatusTooManyRequests:
+					refused.Add(1)
+				default:
+					other.Add(1)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if n := refused.Load(); n != 0 {
+		t.Errorf("%d of %d cache hits refused 429 under TenantQuota 1", n, clients*each)
+	}
+	if n := other.Load(); n != 0 {
+		t.Errorf("%d of %d cache hits answered neither 200 nor 429", n, clients*each)
+	}
+	f.mu.Lock()
+	flights, outstanding := len(f.flights), len(f.outstanding)
+	f.mu.Unlock()
+	if flights != 0 || outstanding != 0 {
+		t.Errorf("after the hits: %d open flights, %d tenants outstanding; want none", flights, outstanding)
+	}
+	if got := f.ctr.flights.Load(); got != 2 {
+		t.Errorf("flights counter = %d, want 2 (the warm-ups' engine runs)", got)
+	}
+	// The runtime's finalizer goroutine counts while it runs a finalizer,
+	// so the count gets a moment to settle.
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > start && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n > start {
+		t.Errorf("%d goroutines after the hits, %d before", n, start)
 	}
 }
