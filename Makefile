@@ -24,24 +24,26 @@ test-race:
 # The engine's benchmarks: every pinned run of internal/simd's table (the
 # schedules, allocation ceilings and Workers overhead bound those runs must
 # hold are tests, in "make test"), the structure-of-arrays micro-benchmarks,
-# a cache hit through the traffic frontend and the spill sweep.
+# a cache hit through the traffic frontend, and the spill sweep and fault
+# barrier.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkPinnedRun -benchmem ./internal/simd
 	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkArenaFirstReceive|BenchmarkExpandKernel|BenchmarkCacheHit' -benchmem .
-	$(GO) test -run '^$$' -bench BenchmarkSweepThrash -benchmem ./internal/spill
+	$(GO) test -run '^$$' -bench 'BenchmarkSweepThrash|BenchmarkFaultBarrier' -benchmem ./internal/spill
 
 # CI smoke variant: the small-P pool run at Workers 1 and 2, plus the
 # structure-of-arrays micro-benchmarks (allocs/op must stay 0;
 # BenchmarkExpandKernel fails itself when a steady-state cycle allocates,
 # BenchmarkMatchBits when a matching phase does, BenchmarkSweepThrash when
 # a warmed-up evict/fault sweep does or writes the log more than once,
-# BenchmarkArenaFirstReceive when a
+# BenchmarkFaultBarrier when a Barrier restoring one window's frames does
+# or reads the log more than once, BenchmarkArenaFirstReceive when a
 # fresh arena's first receives allocate per PE instead of per flag word,
 # BenchmarkCacheHit when a cache hit allocates over its ceiling).
 bench-check:
 	$(GO) test -run '^$$' -bench 'BenchmarkPinnedRun/pool-small-p' -benchtime 100x -benchmem ./internal/simd
 	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkArenaFirstReceive|BenchmarkExpandKernel|BenchmarkCacheHit' -benchtime 100x -benchmem .
-	$(GO) test -run '^$$' -bench BenchmarkSweepThrash -benchtime 100x -benchmem ./internal/spill
+	$(GO) test -run '^$$' -bench 'BenchmarkSweepThrash|BenchmarkFaultBarrier' -benchtime 100x -benchmem ./internal/spill
 
 # simdmark, the benchmark of record (benchmark/, BENCHMARK.json), at the
 # smoke test's scale: all six workloads in seconds.  Claims quote the

@@ -188,8 +188,9 @@ func checkOwned(t *testing.T, step int, a, shadow *stack.Arena[node]) {
 }
 
 // residencySeeds is the committed corpus of FuzzResidencySequence: three
-// hand-written openings, three seeded scripts long enough to thrash, and
-// one that churns enough log bytes past a live frame to compact the log.
+// hand-written openings, three seeded scripts long enough to thrash, one
+// that churns enough log bytes past a live frame to compact the log, and
+// one whose compaction is a rewind under a Barrier's read window.
 func residencySeeds() [][]byte {
 	seeds := [][]byte{
 		{1, 0},
@@ -202,7 +203,7 @@ func residencySeeds() [][]byte {
 		rng.Read(b)
 		seeds = append(seeds, b)
 	}
-	return append(seeds, compactionSeed())
+	return append(seeds, compactionSeed(), rewindSeed())
 }
 
 // compactionSeed is a script at KeepLevels 1 and a one-node budget: PE 0
@@ -230,6 +231,32 @@ func compactionSeed() []byte {
 		b = append(b, sweep, 0, faultAll, 1)
 	}
 	return b
+}
+
+// rewindSeed is a script at KeepLevels 1 and a one-node budget in which
+// PE 1 alone spills: twenty levels of three nodes, then rounds of a sweep
+// (its bottom nineteen levels out as one frame), three pops (its resident
+// level gone), a Barrier (the frame back, through a read window) and a
+// push (twenty levels again).  Every frame is restored by a Barrier, so
+// when the dead bytes pass compactFloor nothing is live, and the sweep's
+// compaction is a rewind to offset 0 with the last Barrier's window still
+// held: the append that follows must drop it.  A FaultAll ends the script.
+func rewindSeed() []byte {
+	const (
+		push3PE1 = 36 // PE 1, 3 nodes
+		pop      = 6
+		sweep    = 9
+		barrier  = 11
+		faultAll = 12
+	)
+	b := []byte{0, 0}
+	for l := 0; l < 20; l++ {
+		b = append(b, 0, push3PE1)
+	}
+	for len(b)+14 <= 2048 {
+		b = append(b, sweep, 0, pop, 1, pop, 1, pop, 1, barrier, 0, 0, push3PE1)
+	}
+	return append(b, faultAll, 1)
 }
 
 // FuzzResidencySequence fuzzes the order of residency events, not the

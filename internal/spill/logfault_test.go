@@ -10,12 +10,14 @@ import (
 	"testing"
 )
 
-// faultyLog is a segment log whose writes a test can fail: when arm is
-// set and says yes to a WriteAt, fail stands in for it.
+// faultyLog is a segment log whose reads and writes a test can fail: when
+// arm is set and says yes to a WriteAt, fail stands in for it, and when
+// readFail is set and returns an error for a ReadAt, the read returns it.
 type faultyLog struct {
 	logFile
-	arm  func(f *faultyLog) bool
-	fail func(f *faultyLog, b []byte, off int64) (int, error)
+	arm      func(f *faultyLog) bool
+	fail     func(f *faultyLog, b []byte, off int64) (int, error)
+	readFail func(b []byte, off int64) error
 }
 
 func (f *faultyLog) WriteAt(b []byte, off int64) (int, error) {
@@ -23,6 +25,15 @@ func (f *faultyLog) WriteAt(b []byte, off int64) (int, error) {
 		return f.fail(f, b, off)
 	}
 	return f.logFile.WriteAt(b, off)
+}
+
+func (f *faultyLog) ReadAt(b []byte, off int64) (int, error) {
+	if f.readFail != nil {
+		if err := f.readFail(b, off); err != nil {
+			return 0, err
+		}
+	}
+	return f.logFile.ReadAt(b, off)
 }
 
 // TestLogWriteFaults fails one write of a live run's sweep the ways

@@ -1,12 +1,16 @@
 package spill
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
+	"syscall"
 	"testing"
 
 	"simdtree/internal/simd"
@@ -82,7 +86,8 @@ func tightRun(t *testing.T, hooks func(m *Manager[node]) probe) (*Manager[node],
 
 // checkLog verifies the log's books: the live refs are disjoint and lie
 // below the log's end, and the live-byte and live-frame counters are
-// their sums.
+// their sums; and the read window, if there is one, lies below the end and
+// holds the bytes the log file holds there.
 func checkLog(t *testing.T, m *Manager[node]) {
 	t.Helper()
 	var refs []segRef
@@ -105,6 +110,26 @@ func checkLog(t *testing.T, m *Manager[node]) {
 	if live != m.liveBytes || len(refs) != m.live {
 		t.Fatalf("live frames are %d in %d bytes, the counters say %d in %d", len(refs), live, m.live, m.liveBytes)
 	}
+	if len(m.win) == 0 {
+		return
+	}
+	lo, hi := m.winOff, m.winOff+int64(len(m.win))
+	if m.log == nil || lo < 0 || hi > m.end {
+		t.Fatalf("read window [%d, %d) outlives the log's [0, %d): a change to the log did not drop it", lo, hi, m.end)
+	}
+	// Read the file itself, not through the logFile seam a test may count.
+	f, err := os.Open(m.log.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	disk := make([]byte, len(m.win))
+	if _, err := f.ReadAt(disk, lo); err != nil {
+		t.Fatalf("reading the window's span [%d, %d) of the log: %v", lo, hi, err)
+	}
+	if !bytes.Equal(disk, m.win) {
+		t.Fatalf("read window [%d, %d) no longer holds the log's bytes: a change to the log did not drop it", lo, hi)
+	}
 }
 
 // logSwitches counts the times the manager's log file was replaced, that
@@ -123,8 +148,8 @@ func (s *logSwitches) observe(m *Manager[node]) {
 	}
 }
 
-// openFDs counts the process's open descriptors, TestRunSpillReleasesLog's
-// way; it returns -1 where /proc/self/fd does not exist.
+// openFDs counts the process's open descriptors; it returns -1 where
+// /proc/self/fd does not exist.
 func openFDs() int {
 	ents, err := os.ReadDir("/proc/self/fd")
 	if err != nil {
@@ -159,27 +184,41 @@ func stateOf(a *arena, pe int) peState {
 // peak of live frame bytes plus the compaction floor plus the largest
 // sweep's batch — compaction works, the log does not grow with the
 // eviction count — that it is the only segment file, that the run
-// compacted and no frame outlives it, and, counting writes through the
+// compacted and no frame outlives it, and, counting calls through the
 // logFile seam, that every sweep which evicts without compacting writes
-// once and every other call not at all.
+// once and every other call not at all, and that the Barriers and
+// FaultAlls together read no more often than once per Barrier that
+// restores plus once per frame a FaultAll restores from outside the read
+// window.
 func TestLogSpace(t *testing.T) {
-	var peak, maxBatch, maxFile, written, evicted int64
-	var writes, sweeps int
+	var peak, maxBatch, maxFile, written, evicted, faults int64
+	var calls logCalls
+	var sweeps, reads, barriers, misses int
 	var switches logSwitches
 	var log logFile
+	// Per PE at the start of a FaultAll: its live frames, and how many of
+	// them lie outside the read window.
+	var live, outside []int
 	mgr, err := tightRun(t, func(m *Manager[node]) probe {
-		m.open = func(name string) (logFile, error) {
-			f, err := openLog(name)
-			if err != nil {
-				return nil, err
-			}
-			return countingLog{f, &writes}, nil
-		}
+		countLog(m, &calls)
 		return probe{Manager: m,
-			before: func(string, *arena) {
-				written, evicted, writes, log = m.stats.BytesWritten, m.stats.Evictions, 0, m.log
+			before: func(op string, _ *arena) {
+				written, evicted, faults, calls, log = m.stats.BytesWritten, m.stats.Evictions, m.stats.Faults, logCalls{}, m.log
+				if op != "faultall" {
+					return
+				}
+				live, outside = live[:0], outside[:0]
+				for _, refs := range m.segs {
+					out := 0
+					for _, r := range refs {
+						if r.off < m.winOff || r.end() > m.winOff+int64(len(m.win)) {
+							out++
+						}
+					}
+					live, outside = append(live, len(refs)), append(outside, out)
+				}
 			},
-			after: func(_ string, _ *arena, err error) {
+			after: func(op string, _ *arena, err error) {
 				if err != nil || m.log == nil {
 					return
 				}
@@ -189,9 +228,22 @@ func TestLogSpace(t *testing.T) {
 						want = 1
 						sweeps++
 					}
-					if writes != want {
-						t.Fatalf("a call that evicted %d segments made %d writes, want %d", m.stats.Evictions-evicted, writes, want)
+					if calls.writes != want {
+						t.Fatalf("a call that evicted %d segments made %d writes, want %d", m.stats.Evictions-evicted, calls.writes, want)
 					}
+				}
+				switch {
+				case op == "barrier" && m.stats.Faults > faults:
+					barriers++
+				case op == "faultall" && m.stats.Faults > faults:
+					for pe, n := range live {
+						if n > 0 && len(m.segs[pe]) == 0 {
+							misses += outside[pe]
+						}
+					}
+				}
+				if op != "sweep" {
+					reads += calls.reads
 				}
 				checkLog(t, m)
 				checkOnlyLog(t, m)
@@ -221,8 +273,12 @@ func TestLogSpace(t *testing.T) {
 	if switches.n == 0 {
 		t.Errorf("wrote %d bytes into a log that peaked at %d without compacting it once", st.BytesWritten, maxFile)
 	}
+	if reads > barriers+misses {
+		t.Errorf("%d reads for %d restoring Barriers and %d frames restored from outside the window", reads, barriers, misses)
+	}
 	t.Logf("%d evictions in %d one-write sweeps and %d compacting ones, %d bytes written, live peak %d, largest batch %d, log peak %d",
 		st.Evictions, sweeps, switches.n, st.BytesWritten, peak, maxBatch, maxFile)
+	t.Logf("%d faults in %d reads: %d restoring Barriers, %d frames from outside the window", st.Faults, reads, barriers, misses)
 }
 
 // handArena is four PEs of five two-node levels each, and a manager whose
@@ -243,8 +299,9 @@ func handArena(t *testing.T) (*arena, *Manager[node]) {
 	return a, mgr
 }
 
-// TestResetRewindsLog: after a Reset nothing is live and the next
-// eviction lands at offset 0 again, whatever the log held before.
+// TestResetRewindsLog: after a Reset nothing is live, no read window is
+// left, and the next eviction lands at offset 0 again, whatever the log
+// held before.
 func TestResetRewindsLog(t *testing.T) {
 	a, mgr := handArena(t)
 	if err := mgr.Sweep(a); err != nil {
@@ -253,12 +310,20 @@ func TestResetRewindsLog(t *testing.T) {
 	if mgr.Stats().SegmentsLive != a.P() || mgr.end == 0 {
 		t.Fatalf("sweep left %d live frames, log end %d; want one per PE", mgr.Stats().SegmentsLive, mgr.end)
 	}
+	// A Barrier restoring PE 0 leaves a read window for Reset to drop.
+	for a.Resident(0) > 0 {
+		a.Pop(0)
+	}
+	if err := mgr.Barrier(a); err != nil {
+		t.Fatal(err)
+	}
 	if err := mgr.Reset(); err != nil {
 		t.Fatal(err)
 	}
 	if mgr.Stats().SegmentsLive != 0 || mgr.end != 0 {
 		t.Fatalf("after Reset: %d live frames, log end %d", mgr.Stats().SegmentsLive, mgr.end)
 	}
+	checkLog(t, mgr)
 	// The machine replaced its state wholesale; so does the test.
 	for pe := 0; pe < a.P(); pe++ {
 		a.Clear(pe)
@@ -303,6 +368,57 @@ func TestDiscardKillsFrames(t *testing.T) {
 	if got := mgr.Stats().SegmentsLive; got != a.P()-2 || mgr.liveBytes != live-gone || mgr.stats.BytesRead != read {
 		t.Fatalf("after two discards: %d frames in %d live bytes, %d bytes read; want %d in %d, %d read",
 			got, mgr.liveBytes, mgr.stats.BytesRead-read, a.P()-2, live-gone, 0)
+	}
+}
+
+// TestBarrierReadsOnce counts ReadAt calls through the logFile seam.  A
+// sweep evicts one frame from each of four PEs; three of them then pop
+// their resident levels, and the Barrier that restores those three frames
+// reads the log once.  A FaultAll of the fourth PE, whose frame lies
+// between theirs, then decodes it from the same bytes and reads nothing —
+// unless a Sweep appended to the log in between, which drops the window:
+// then that FaultAll reads its frame.
+func TestBarrierReadsOnce(t *testing.T) {
+	for _, appended := range []bool{false, true} {
+		a, mgr := handArena(t)
+		var calls logCalls
+		countLog(mgr, &calls)
+		if err := mgr.Sweep(a); err != nil {
+			t.Fatal(err)
+		}
+		due := []int{0, 1, 3}
+		for _, pe := range due {
+			for a.Resident(pe) > 0 {
+				a.Pop(pe)
+			}
+		}
+		calls = logCalls{}
+		if err := mgr.Barrier(a); err != nil {
+			t.Fatal(err)
+		}
+		if calls.reads != 1 || mgr.stats.Faults != int64(len(due)) {
+			t.Fatalf("Barrier restored %d frames in %d reads, want %d in 1", mgr.stats.Faults, calls.reads, len(due))
+		}
+		checkLog(t, mgr)
+		want := 0
+		if appended {
+			evicted := mgr.stats.Evictions
+			if err := mgr.Sweep(a); err != nil {
+				t.Fatal(err)
+			}
+			if mgr.stats.Evictions == evicted {
+				t.Fatal("the second Sweep evicted nothing, so appended nothing")
+			}
+			want = 1
+		}
+		calls = logCalls{}
+		if err := mgr.FaultAll(a, 2); err != nil {
+			t.Fatal(err)
+		}
+		if calls.reads != want || a.Ghost(2) != 0 {
+			t.Errorf("appended=%v: FaultAll restored PE 2 (%d ghost nodes left) in %d reads, want %d", appended, a.Ghost(2), calls.reads, want)
+		}
+		checkLog(t, mgr)
 	}
 }
 
@@ -377,13 +493,19 @@ func TestRestoreVerifiesShape(t *testing.T) {
 }
 
 // TestFaultClassification damages the log between an eviction and its
-// fault, inside a real run — at the first Barrier that is about to restore
-// a frame, that frame — and checks the four things the restore path
-// owes its caller: RunContext returns the classified error, every PE is
-// exactly as it was before the failing call, the log's books still
-// balance, and once the manager is closed the process holds the
-// descriptors it held before the run.  The write leg closes the file
-// under the manager instead: the failed sweep must evict nothing.
+// fault, inside a real run, and checks the things the restore path owes
+// its caller: RunContext returns the classified error, naming the bad
+// frame's PE, sequence number and offset; that PE is exactly as it was
+// before the failing call, node for node; the log's books still balance;
+// and once the manager is closed the process holds the descriptors it
+// held before the run.  Each row runs twice.  "first restore" damages the
+// frame the first restoring Barrier reads first, the lowest in the log,
+// and then every PE must be as it was.  "last of a window" damages the
+// last of two or more frames a Barrier reads in one window, so the frames
+// before it are decoded from the same bytes and restored first.  The EIO
+// row fails every read that touches the frame, the window's included, and
+// the frame's own read that follows.  The write leg closes the file under
+// the manager instead: the failed sweep must evict nothing.
 func TestFaultClassification(t *testing.T) {
 	cases := []struct {
 		name string
@@ -431,43 +553,24 @@ func TestFaultClassification(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"EIO reading the window", syscall.EIO, func(t *testing.T, m *Manager[node], pe int, ref segRef) {
+			m.log.(*faultyLog).readFail = func(b []byte, off int64) error {
+				if off < ref.end() && ref.off < off+int64(len(b)) {
+					return &os.PathError{Op: "read", Path: m.log.Name(), Err: syscall.EIO}
+				}
+				return nil
+			}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fds := openFDs()
-			victim := -1
-			var before []peState
-			mgr, err := tightRun(t, func(m *Manager[node]) probe {
-				return probe{Manager: m,
-					before: func(op string, a *arena) {
-						if op != "barrier" || victim >= 0 {
-							return
-						}
-						// The first PE this Barrier will restore.
-						for pe, refs := range m.segs {
-							if len(refs) > 0 && a.Ghost(pe) > 0 && a.Resident(pe) == 0 {
-								victim, before = pe, statesOf(a)
-								tc.sabotage(t, m, pe, refs[len(refs)-1])
-								return
-							}
-						}
-					},
-					after: func(_ string, a *arena, err error) {
-						if err == nil {
-							return
-						}
-						checkUntouched(t, "failed fault", a, before)
-						checkLog(t, m)
-					},
+			for _, batched := range []bool{false, true} {
+				name := "first restore"
+				if batched {
+					name = "last of a window"
 				}
-			})
-			if victim < 0 {
-				t.Fatal("no Barrier ever restored a frame")
+				t.Run(name, func(t *testing.T) { faultRow(t, tc.want, tc.sabotage, batched) })
 			}
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("RunContext = %v, want %v", err, tc.want)
-			}
-			checkFDs(t, fds, mgr)
 		})
 	}
 
@@ -511,6 +614,80 @@ func TestFaultClassification(t *testing.T) {
 		}
 		checkFDs(t, fds, mgr)
 	})
+}
+
+// faultRow is one TestFaultClassification row: a tight run whose log
+// sabotage damages at a Barrier's frame — the first it restores, or with
+// batched the last of two or more in one window — and RunContext must
+// return want.
+func faultRow(t *testing.T, want error, sabotage func(t *testing.T, m *Manager[node], pe int, ref segRef), batched bool) {
+	fds := openFDs()
+	victim, first := -1, -1
+	var (
+		ref    segRef
+		before []peState
+		levels [][]node
+	)
+	mgr, err := tightRun(t, func(m *Manager[node]) probe {
+		m.open = func(name string) (logFile, error) {
+			f, err := openLog(name)
+			if err != nil {
+				return nil, err
+			}
+			return &faultyLog{logFile: f}, nil
+		}
+		return probe{Manager: m,
+			before: func(op string, a *arena) {
+				if op != "barrier" || victim >= 0 {
+					return
+				}
+				// The frames this Barrier will restore, in the order it will.
+				var due []int
+				for pe, refs := range m.segs {
+					if len(refs) > 0 && a.Ghost(pe) > 0 && a.Resident(pe) == 0 {
+						due = append(due, pe)
+					}
+				}
+				slices.SortFunc(due, func(x, y int) int { return cmp.Compare(m.newest(x).off, m.newest(y).off) })
+				switch {
+				case !batched && len(due) > 0:
+					victim = due[0]
+				case batched && len(due) >= 2 && m.newest(due[len(due)-1]).end()-m.newest(due[0]).off <= compactChunk:
+					victim = due[len(due)-1]
+				default:
+					return
+				}
+				first, ref, before, levels = due[0], m.newest(victim), statesOf(a), levelsOf(a, victim)
+				sabotage(t, m, victim, ref)
+			},
+			after: func(_ string, a *arena, err error) {
+				if err == nil {
+					return
+				}
+				if name := fmt.Sprintf("segment %d of PE %d at log offset %d:", ref.seq, victim, ref.off); !strings.Contains(err.Error(), name) {
+					t.Errorf("error %q does not name the bad frame (%s)", err, name)
+				}
+				if !batched {
+					checkUntouched(t, "failed fault", a, before)
+				} else if got := stateOf(a, victim); got != before[victim] {
+					t.Errorf("failed fault moved PE %d from %+v to %+v", victim, before[victim], got)
+				} else if a.Resident(first) == 0 {
+					t.Errorf("PE %d, first in the window, was not restored before PE %d failed", first, victim)
+				}
+				if !sameLevels(levelsOf(a, victim), levels) {
+					t.Errorf("failed fault kept PE %d's counters but not its nodes", victim)
+				}
+				checkLog(t, m)
+			},
+		}
+	})
+	if victim < 0 {
+		t.Fatal("no Barrier restored the frames this row damages")
+	}
+	if !errors.Is(err, want) {
+		t.Fatalf("RunContext = %v, want %v", err, want)
+	}
+	checkFDs(t, fds, mgr)
 }
 
 // statesOf is stateOf for every PE, and checkUntouched requires the arena

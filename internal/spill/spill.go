@@ -103,8 +103,8 @@ const (
 // (frames restored or discarded since they were written) exceed both its
 // live bytes and compactFloor: the floor keeps a small log from being
 // rewritten every few sweeps, the live half caps the copy at one byte per
-// byte reclaimed.  A compaction reads the old log compactChunk bytes at a
-// time.
+// byte reclaimed.  Compaction and Barrier read the log through windows of
+// compactChunk bytes (see readWindow).
 const (
 	compactFloor = 64 << 10
 	compactChunk = 64 << 10
@@ -135,7 +135,10 @@ type victim struct{ pe, levels, size int }
 //
 // Segments live in one append-only log file, opened at the first
 // eviction.  An over-budget sweep appends all its victims' SSPL frames
-// with one WriteAt, and each fault is one ReadAt of one frame.  Restored
+// with one WriteAt.  A Barrier reads the frames it restores with one
+// ReadAt of the log span they lie in (one per compactChunk bytes of it),
+// and a FaultAll decodes a frame from the bytes the last Barrier read when
+// the frame lies among them, and otherwise reads that one frame.  Restored
 // and discarded frames leave dead bytes behind, which compaction (see
 // compactFloor) reclaims, so the log stays within twice the peak live
 // frame bytes plus the floor.
@@ -152,14 +155,21 @@ type Manager[S any] struct {
 	liveBytes int64 // bytes of the live frames; end-liveBytes are dead
 
 	// Scratch reused across events, so a warmed-up thrash allocates
-	// nothing: the frames being written (or the chunk being compacted) and
-	// the frame being read, the decoded levels, and the evictable PEs and
-	// the victims of the sweep in progress (see Sweep).
+	// nothing: the frames being written and the frame being read, the
+	// decoded levels, the evictable PEs and the victims of the sweep in
+	// progress (see Sweep), and the PEs a Barrier restores.
 	frame  []byte
 	nodes  []S
 	counts []int
 	cand   []uint64
 	batch  []victim
+	due    []int
+
+	// win holds the log's bytes [winOff, winOff+len(win)) as the last
+	// readWindow read them; it is emptied whenever the log changes under
+	// it (see dropWindow), so its bytes are always the log's.
+	win    []byte
+	winOff int64
 
 	seq   uint64
 	segs  [][]segRef // per-PE LIFO, newest last
@@ -293,6 +303,15 @@ func (m *Manager[S]) ensure(p int) {
 // the true top of the stack.  It runs at cycle boundaries, before the
 // cycle, and is a no-op (two compares) when nothing is spilled.
 //
+// The due frames are restored in log order, decoded from windows of the
+// log (see readWindow) that each start at the first frame not yet
+// restored and end at the last due frame's end: one ReadAt when the due
+// frames lie within compactChunk bytes, as a thrashing run's nearly always
+// do.  A window that cannot be read is no error of its own: restoreNewest
+// then reads its frames one at a time, and the first that fails is the
+// error.  The last window is kept for the donor faults of the cycle's
+// balancing phase.
+//
 // Deliberately not a lint hot-path root: the eviction and fault event
 // paths behind it do disk I/O, and grow the manager's scratch buffers
 // until they fit the largest frame seen.
@@ -303,6 +322,7 @@ func (m *Manager[S]) Barrier(a *stack.Arena[S]) error {
 	if m.live == 0 {
 		return nil
 	}
+	due, hi := m.due[:0], int64(0)
 	for pe := range m.segs {
 		if len(m.segs[pe]) == 0 {
 			continue
@@ -314,13 +334,32 @@ func (m *Manager[S]) Barrier(a *stack.Arena[S]) error {
 			continue
 		}
 		if a.Resident(pe) == 0 {
-			if err := m.restoreNewest(a, pe); err != nil {
+			due = append(due, pe)
+			hi = max(hi, m.newest(pe).end())
+		}
+	}
+	m.due = due
+	slices.SortFunc(due, func(x, y int) int { return cmp.Compare(m.newest(x).off, m.newest(y).off) })
+	for i := 0; i < len(due); {
+		first := m.newest(due[i])
+		n, _ := m.readWindow(first.off, hi, first.size) //lint:allow errdrop restoreNewest reads a failed window's frames one at a time and returns their errors
+		for ; i < len(due) && m.newest(due[i]).end() <= first.off+n; i++ {
+			if err := m.restoreNewest(a, due[i]); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
 }
+
+// newest is PE pe's most recent live frame.
+func (m *Manager[S]) newest(pe int) segRef {
+	refs := m.segs[pe]
+	return refs[len(refs)-1]
+}
+
+// end is the offset just past the frame.
+func (r segRef) end() int64 { return r.off + int64(r.size) }
 
 // Sweep enforces the budget: while the resident-node total exceeds it,
 // the PE with the most resident nodes (ties to the lowest index — a pure
@@ -434,6 +473,7 @@ func (m *Manager[S]) Reset() error {
 		m.segs[pe] = m.segs[pe][:0]
 	}
 	m.live, m.end, m.liveBytes = 0, 0, 0
+	m.dropWindow()
 	return nil
 }
 
@@ -444,6 +484,7 @@ func (m *Manager[S]) Reset() error {
 func (m *Manager[S]) Close() error {
 	log := m.log
 	m.log, m.closed = nil, true
+	m.dropWindow()
 	if log == nil {
 		return nil
 	}
@@ -492,6 +533,9 @@ func (m *Manager[S]) evict(a *stack.Arena[S]) error {
 		m.frame = AppendSegment(m.frame, m.codec, a, v.pe, m.seq+uint64(i)+1, v.levels)
 		v.size = len(m.frame) - n
 	}
+	// After a compaction's rewind the append lands on bytes the window may
+	// hold; a failed or torn write may have changed them too.
+	m.dropWindow()
 	if _, err := m.log.WriteAt(m.frame, m.end); err != nil {
 		return fmt.Errorf("spill: %w", err)
 	}
@@ -512,13 +556,14 @@ func (m *Manager[S]) evict(a *stack.Arena[S]) error {
 }
 
 // compact reclaims the log's dead bytes.  With no live frame that is a
-// rewind to offset 0, as in Reset.  Otherwise it opens a fresh file under
-// the other log name, copies the live frames into it densely and in
-// offset order — one ReadAt of up to compactChunk bytes of the old log,
-// then one WriteAt of the live frames in it — and only once every copy
-// succeeded moves the refs, switches files and removes the old one.  A
-// failed compaction removes the fresh file and leaves the old log and
-// every ref as they were.
+// rewind to offset 0, as in Reset (evict's append then drops the window).
+// Otherwise it opens a fresh file under the other log name, copies the
+// live frames into it densely and in offset order — one window of the old
+// log, then one WriteAt of the live frames in it — and only once every
+// copy succeeded moves the refs, switches files and removes the old one.
+// A failed compaction removes the fresh file and leaves the old log and
+// every ref as they were.  A copying compaction, failed or not, drops the
+// window: it packs the window's bytes in place, and moves its offsets.
 func (m *Manager[S]) compact() error {
 	if m.liveBytes == 0 {
 		m.end = 0
@@ -532,6 +577,7 @@ func (m *Manager[S]) compact() error {
 	if err != nil {
 		return fmt.Errorf("spill: compacting the segment log: %w", err)
 	}
+	defer m.dropWindow()
 	order := make([]*segRef, 0, m.live)
 	for pe := range m.segs {
 		for i := range m.segs[pe] {
@@ -539,19 +585,16 @@ func (m *Manager[S]) compact() error {
 		}
 	}
 	slices.SortFunc(order, func(x, y *segRef) int { return cmp.Compare(x.off, y.off) })
-	if cap(m.frame) < compactChunk {
-		m.frame = make([]byte, 0, compactChunk)
-	}
-	buf := m.frame[:cap(m.frame)] // holds any frame: each was encoded in m.frame
 	var out int64
 	for i := 0; i < len(order); {
 		start := order[i].off
-		n := min(int64(len(buf)), m.end-start)
-		if err := m.readLog(buf[:n], start); err != nil {
+		n, err := m.readWindow(start, m.end, order[i].size)
+		if err != nil {
 			return abandon(f, err)
 		}
+		buf := m.win
 		w := 0
-		for ; i < len(order) && order[i].off+int64(order[i].size) <= start+n; i++ {
+		for ; i < len(order) && order[i].end() <= start+n; i++ {
 			at := int(order[i].off - start)
 			w += copy(buf[w:], buf[at:at+order[i].size])
 		}
@@ -573,6 +616,30 @@ func (m *Manager[S]) compact() error {
 	return nil
 }
 
+// readWindow reads the log from start, where a frame of need bytes begins,
+// up to limit, but no more than compactChunk bytes — or need, for a frame
+// larger than that — into win, with one ReadAt.  It returns the length n
+// of the span it was asked for, [start, start+n), whether or not the read
+// succeeded; a window that failed is dropped.  win is grown only when the
+// first window or a larger frame needs it.
+func (m *Manager[S]) readWindow(start, limit int64, need int) (int64, error) {
+	size := max(compactChunk, need)
+	if cap(m.win) < size {
+		m.win = make([]byte, 0, size)
+	}
+	n := min(int64(size), limit-start)
+	m.win, m.winOff = m.win[:n], start
+	if err := m.readLog(m.win, start); err != nil {
+		m.dropWindow()
+		return n, err
+	}
+	return n, nil
+}
+
+// dropWindow forgets the window's bytes; the log is about to change or
+// just has.
+func (m *Manager[S]) dropWindow() { m.win = m.win[:0] }
+
 // readLog fills b from the log at off; a read that runs off the end of the
 // file is ErrTruncated.
 func (m *Manager[S]) readLog(b []byte, off int64) error {
@@ -589,20 +656,25 @@ func abandon(f logFile, err error) error {
 }
 
 // restoreNewest faults PE pe's most recent segment back in: the levels
-// directly below the resident window, by LIFO construction.  The decoded
-// frame is verified against the eviction bookkeeping before it touches
-// the arena; a read that runs off the end of the log is ErrTruncated, a
-// damaged frame ErrChecksum, a frame that is not the one evicted
-// ErrCorrupt, and each leaves the PE as it was.
+// directly below the resident window, by LIFO construction.  The frame is
+// decoded from the window when it lies entirely inside it, and read on its
+// own otherwise.  The decoded frame is verified against the eviction
+// bookkeeping before it touches the arena; a read that runs off the end of
+// the log is ErrTruncated, a damaged frame ErrChecksum, a frame that is
+// not the one evicted ErrCorrupt, and each leaves the PE as it was.
 func (m *Manager[S]) restoreNewest(a *stack.Arena[S], pe int) error {
-	refs := m.segs[pe]
-	ref := refs[len(refs)-1]
-	b := m.frame[:ref.size] // fits: every live frame was encoded in m.frame
+	ref := m.newest(pe)
 	fail := func(err error) error {
 		return fmt.Errorf("spill: segment %d of PE %d at log offset %d: %w", ref.seq, pe, ref.off, err)
 	}
-	if err := m.readLog(b, ref.off); err != nil {
-		return fail(err)
+	var b []byte
+	if at := ref.off - m.winOff; at >= 0 && ref.end()-m.winOff <= int64(len(m.win)) {
+		b = m.win[at:][:ref.size]
+	} else {
+		b = m.frame[:ref.size] // fits: every live frame was encoded in m.frame
+		if err := m.readLog(b, ref.off); err != nil {
+			return fail(err)
+		}
 	}
 	gotPE, gotSeq, nodes, counts, err := DecodeSegment(m.codec, b, m.nodes[:0], m.counts[:0])
 	if err != nil {
@@ -617,7 +689,7 @@ func (m *Manager[S]) restoreNewest(a *stack.Arena[S], pe int) error {
 			len(nodes), len(counts), ref.nodes, ref.levels, ErrCorrupt))
 	}
 	a.PrependLevels(pe, nodes, counts)
-	m.segs[pe] = refs[:len(refs)-1]
+	m.segs[pe] = m.segs[pe][:len(m.segs[pe])-1]
 	m.liveBytes -= int64(ref.size)
 	m.live--
 	m.stats.Faults++

@@ -247,20 +247,69 @@ func TestSweepAtTheFloor(t *testing.T) {
 	}
 }
 
-// BenchmarkSweepThrash prices an eviction in a steady thrash: every PE
-// sits at its keep floor on a budget that is exactly full, each iteration
-// pushes 16 PEs three levels past the floor, Sweep evicts those 16, and
-// the PEs fault the levels back and pop down to the floor again — one
-// write for the sweep's 16 frames and one read per fault, on tmpfs where
-// there is one.  ns/evict is the whole iteration over its 16 evictions:
-// besides the read and a sixteenth of the write it holds one sixteenth of
-// the P-long pass every sweep makes, and held one whole pass per eviction
-// before victims were selected from it.  writes/sweep counts the WriteAt
-// calls that reach the log; the benchmark fails if it is above 1 (a
-// sweep writing frame by frame again) or if the warmed-up loop allocates.
+// BenchmarkSweepThrash prices an eviction in a steady thrash (see thrash):
+// the hot PEs fault their levels back with FaultAll, one read per fault.
+// ns/evict is the whole iteration over its 16 evictions: besides the read
+// and a sixteenth of the write it holds one sixteenth of the P-long pass
+// every sweep makes, and held one whole pass per eviction before victims
+// were selected from it.  It fails if a sweep writes more than once (frame
+// by frame again) or if the warmed-up loop allocates.
 func BenchmarkSweepThrash(b *testing.B) {
-	const hot, over = 16, 3
-	level := []node{{Budget: 3, Seed: 1}, {Budget: 2, Seed: 2}}
+	thrash(b, "ns/evict", "reads/sweep", thrashHot, func(a *arena, mgr *Manager[node], hot []int) {
+		for _, pe := range hot {
+			if err := mgr.FaultAll(a, pe); err != nil {
+				b.Fatal(err)
+			}
+			for n := 0; n < thrashOver*len(thrashLevel); n++ {
+				a.Pop(pe)
+			}
+		}
+	})
+}
+
+// BenchmarkFaultBarrier prices a fault through Barrier in the same thrash:
+// the hot PEs pop their resident levels, one Barrier restores all 16
+// frames, and they pop down to the floor.  The 16 frames lie in one window,
+// so it fails above one ReadAt a Barrier, as well as on an allocation.
+// ns/fault is the whole iteration over its 16 faults, sweep included.
+func BenchmarkFaultBarrier(b *testing.B) {
+	thrash(b, "ns/fault", "reads/barrier", 1, func(a *arena, mgr *Manager[node], hot []int) {
+		for _, pe := range hot {
+			for n := 0; n < DefaultKeepLevels*len(thrashLevel); n++ {
+				a.Pop(pe)
+			}
+		}
+		if err := mgr.Barrier(a); err != nil {
+			b.Fatal(err)
+		}
+		for _, pe := range hot {
+			if a.Resident(pe) != thrashOver*len(thrashLevel) {
+				b.Fatalf("Barrier restored %d nodes of PE %d, want %d", a.Resident(pe), pe, thrashOver*len(thrashLevel))
+			}
+			for n := 0; n < (thrashOver-DefaultKeepLevels)*len(thrashLevel); n++ {
+				a.Pop(pe)
+			}
+		}
+	})
+}
+
+// The thrash: 16 hot PEs an iteration, each pushed three levels of
+// thrashLevel past its keep floor.
+const thrashHot, thrashOver = 16, 3
+
+var thrashLevel = []node{{Budget: 3, Seed: 1}, {Budget: 2, Seed: 2}}
+
+// thrash runs a steady evict/restore thrash at P = 256, 4096 and 65536:
+// every PE sits at its keep floor, two levels of thrashLevel, on a budget
+// that is exactly full; each iteration pushes the next 16 PEs three levels
+// past the floor, Sweep evicts those 16 with one write, and restore brings
+// their levels back and pops them down to the floor again, on tmpfs where
+// there is one.  It reports the iteration's time per hot PE as unit, the
+// WriteAt calls per iteration as writes/sweep and the ReadAt calls as
+// readUnit, counted through the logFile seam, and fails when a sweep
+// writes more than once, an iteration reads more than maxReads times, or
+// the warmed-up loop allocates.
+func thrash(b *testing.B, unit, readUnit string, maxReads float64, restore func(a *arena, mgr *Manager[node], hot []int)) {
 	for _, p := range []int{256, 4096, 65536} {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
 			b.ReportAllocs()
@@ -272,77 +321,88 @@ func BenchmarkSweepThrash(b *testing.B) {
 			a := stack.NewArena[node](p)
 			for pe := 0; pe < p; pe++ {
 				for l := 0; l < DefaultKeepLevels; l++ {
-					a.PushLevel(pe, level)
+					a.PushLevel(pe, thrashLevel)
 				}
 			}
-			floor := p * DefaultKeepLevels * len(level)
+			floor := p * DefaultKeepLevels * len(thrashLevel)
 			mgr, err := NewManager[node](wire.SyntheticCodec{}, Config{Dir: dir, MemBudget: int64(floor), NodeBytes: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.Cleanup(func() { mgr.Close() })
-			writes := 0
-			mgr.open = func(name string) (logFile, error) {
-				f, err := openLog(name)
-				if err != nil {
-					return nil, err
-				}
-				return countingLog{f, &writes}, nil
-			}
-			first, stride := 0, p/hot
+			var calls logCalls
+			countLog(mgr, &calls)
+			hot := make([]int, thrashHot)
+			first, stride := 0, p/thrashHot
 			iter := func() {
-				for i := 0; i < hot; i++ {
-					for l := 0; l < over; l++ {
-						a.PushLevel(first+i*stride, level)
+				for i := range hot {
+					hot[i] = first + i*stride
+					for l := 0; l < thrashOver; l++ {
+						a.PushLevel(hot[i], thrashLevel)
 					}
 				}
 				before := mgr.stats.Evictions
 				if err := mgr.Sweep(a); err != nil {
 					b.Fatal(err)
 				}
-				if n := mgr.stats.Evictions - before; n != hot {
-					b.Fatalf("sweep evicted %d segments, want %d", n, hot)
+				if n := mgr.stats.Evictions - before; n != thrashHot {
+					b.Fatalf("sweep evicted %d segments, want %d", n, thrashHot)
 				}
-				for i := 0; i < hot; i++ {
-					pe := first + i*stride
-					if err := mgr.FaultAll(a, pe); err != nil {
-						b.Fatal(err)
-					}
-					for n := 0; n < over*len(level); n++ {
-						a.Pop(pe)
-					}
-				}
+				restore(a, mgr, hot)
 				first = (first + 1) % stride
 			}
 			for i := 0; i < stride; i++ { // every PE has been a victim once: all scratch grown
 				iter()
 			}
 			b.ResetTimer()
-			writes = 0
+			calls = logCalls{}
 			for i := 0; i < b.N; i++ {
 				iter()
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/hot, "ns/evict")
-			perSweep := float64(writes) / float64(b.N)
-			b.ReportMetric(perSweep, "writes/sweep")
-			if perSweep > 1 {
-				b.Fatalf("%v writes per sweep, want at most 1", perSweep)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/thrashHot, unit)
+			writes, reads := float64(calls.writes)/float64(b.N), float64(calls.reads)/float64(b.N)
+			b.ReportMetric(writes, "writes/sweep")
+			b.ReportMetric(reads, readUnit)
+			if writes > 1 {
+				b.Fatalf("%v writes per sweep, want at most 1", writes)
+			}
+			if reads > maxReads {
+				b.Fatalf("%v %s, want at most %v", reads, readUnit, maxReads)
 			}
 			if allocs := testing.AllocsPerRun(20, iter); allocs != 0 {
-				b.Fatalf("%v allocs per sweep in steady state, want 0", allocs)
+				b.Fatalf("%v allocs per iteration in steady state, want 0", allocs)
 			}
 		})
 	}
 }
 
-// countingLog counts the writes that reach a segment log.
+// logCalls counts the reads and writes that reach a segment log.
+type logCalls struct{ reads, writes int }
+
+// countingLog is a segment log that counts its calls into n.
 type countingLog struct {
 	logFile
-	writes *int
+	n *logCalls
 }
 
 func (c countingLog) WriteAt(b []byte, off int64) (int, error) {
-	*c.writes++
+	c.n.writes++
 	return c.logFile.WriteAt(b, off)
+}
+
+func (c countingLog) ReadAt(b []byte, off int64) (int, error) {
+	c.n.reads++
+	return c.logFile.ReadAt(b, off)
+}
+
+// countLog makes m open its log files as countingLogs counting into n.
+func countLog(m *Manager[node], n *logCalls) {
+	m.open = func(name string) (logFile, error) {
+		f, err := openLog(name)
+		if err != nil {
+			return nil, err
+		}
+		return countingLog{f, n}, nil
+	}
 }
