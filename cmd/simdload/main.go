@@ -214,17 +214,18 @@ func run() error {
 func startInproc(o options) (string, func() error, error) {
 	drr := traffic.NewDRR(1024, 1)
 	svc, err := server.New(server.Config{
-		Workers:      o.workers,
-		QueueSize:    1024,
-		CacheSize:    4096,
-		JobHistory:   1 << 16,
-		Scheduler:    drr,
-		DrainTimeout: 5 * time.Second,
+		Workers:        o.workers,
+		QueueSize:      1024,
+		CacheSize:      4096,
+		JobHistory:     1 << 16,
+		Scheduler:      drr,
+		DrainTimeout:   5 * time.Second,
+		HeartbeatEvery: time.Second,
 	})
 	if err != nil {
 		return "", nil, err
 	}
-	frontend := traffic.New(svc, drr, traffic.Config{HeartbeatEvery: time.Second})
+	frontend := traffic.New(svc, drr, traffic.Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", nil, err

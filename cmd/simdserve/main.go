@@ -8,11 +8,11 @@
 //
 // The traffic layer (internal/traffic) fronts the service by default:
 // batch submission (POST /v1/jobs:batch), single-flight collapsing of
-// concurrent identical specs, SSE progress streams
-// (GET /v1/jobs/{id}/events, resumable via Last-Event-ID), cost
-// estimation (POST /v1/estimate), and deficit-round-robin tenant
-// fairness keyed on the X-Tenant header (-fair=false restores the
-// global FIFO; -tenant-quota bounds one tenant's outstanding jobs).
+// concurrent identical specs, cost estimation (POST /v1/estimate), and
+// deficit-round-robin tenant fairness keyed on the X-Tenant header
+// (-fair=false restores the global FIFO).  The service itself streams
+// SSE progress (GET /v1/jobs/{id}/events, resumable via Last-Event-ID)
+// and bounds one tenant's outstanding jobs (-tenant-quota).
 //
 // Quickstart:
 //
@@ -96,16 +96,16 @@ func run() error {
 		DrainTimeout:    *drain,
 		Scheduler:       sched,
 		ProgressEvery:   *progressEvery,
+		HeartbeatEvery:  *heartbeat,
+		TenantQuota:     *tenantQuota,
 		MemBudget:       *memBudget,
 	})
 	if err != nil {
 		return err
 	}
 	frontend := traffic.New(svc, drr, traffic.Config{
-		MaxBatch:       *maxBatch,
-		TenantQuota:    *tenantQuota,
-		HeartbeatEvery: *heartbeat,
-		MemLimit:       *memLimit,
+		MaxBatch: *maxBatch,
+		MemLimit: *memLimit,
 	})
 	httpSrv := &http.Server{
 		Handler:           frontend.Handler(),

@@ -16,7 +16,8 @@ import (
 )
 
 // The coordinator serves a node's /v1/jobs API: a client that speaks
-// simdserve speaks simdfleet.  What the two must agree on byte for byte —
+// simdserve speaks simdfleet.  Its front door is the node's own traffic
+// frontend (traffic.go), and what the two must agree on byte for byte —
 // bodies, errors, strict decoding, event streams, traces — is the node's
 // own code (internal/server/wire.go), called from here; a node's refusal
 // passes through with the node's status, message and Retry-After.
@@ -27,7 +28,7 @@ import (
 type nodeJob struct {
 	ID       string        `json:"id"`
 	Status   server.Status `json:"status"`
-	CacheKey string        `json:"cache_key"`
+	CacheHit bool          `json:"cache_hit"`
 }
 
 // fleetJobResponse is the coordinator's wire form of a routed job
@@ -48,11 +49,13 @@ type fleetJobResponse struct {
 	Job         json.RawMessage `json:"job,omitempty"`
 }
 
-// Handler returns the coordinator's HTTP routing table.
-func (c *Coordinator) Handler() http.Handler {
+// Handler returns the coordinator's HTTP front door: a traffic.Frontend
+// admitting through SubmitCanonical, over the routes of routes.
+func (c *Coordinator) Handler() http.Handler { return c.front.Handler() }
+
+// routes is the routing table of everything the frontend passes through.
+func (c *Coordinator) routes() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", c.handleSubmit)
-	mux.HandleFunc("POST /v1/jobs:batch", c.handleBatch)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", c.handleEvents)
 	mux.HandleFunc("GET /v1/jobs", c.handleList)
 	mux.HandleFunc("GET /v1/jobs/{id}", c.handleGet)
@@ -62,42 +65,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /fleet", c.handleFleet)
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
 	return mux
-}
-
-// handleSubmit implements POST /v1/jobs: canonicalize against the same
-// rules a node applies, hash the canonical spec, collapse onto an
-// identical in-flight job if one exists anywhere in the ring, otherwise
-// route by ring (or GP overflow) and forward.  A node's refusal passes
-// through as the node spelled it (submitOne).
-func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, ok := server.DecodeSpec(w, r)
-	if !ok {
-		return
-	}
-	tenant, err := server.TenantFrom(r)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	canonical, err := server.Canonicalize(spec, c.domains)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	f, raw, collapsed, rf := c.submitOne(r.Context(), canonical, tenant)
-	if rf != nil {
-		rf.Apply(w)
-		return
-	}
-	if collapsed {
-		w.Header().Set("X-Collapsed", "1")
-	}
-	v := f.snapshot(raw)
-	status := http.StatusAccepted
-	if terminalStatus(v.Status) {
-		status = http.StatusOK // node served it from cache
-	}
-	server.WriteJSON(w, status, v)
 }
 
 // roundTrip is the coordinator's one way to ask a node something (the SSE
@@ -134,8 +101,8 @@ func (c *Coordinator) call(ctx context.Context, method, url, contentType string,
 }
 
 // refusedError is a node's own refusal of a submission or an import: the
-// status, error string and Retry-After it answered with, so submitOne
-// can tell the client exactly what the node said.
+// status, error string and Retry-After it answered with, so
+// SubmitCanonical can tell the client exactly what the node said.
 type refusedError struct{ server.Refusal }
 
 func (e *refusedError) Error() string { return fmt.Sprintf("node answered %d: %s", e.Code, e.Message) }
@@ -227,7 +194,7 @@ func (c *Coordinator) refresh(ctx context.Context, f *fleetJob, jobURL string) (
 	if json.Unmarshal(body, &nj) != nil {
 		return body, ""
 	}
-	f.observe(string(nj.Status))
+	f.observe(string(nj.Status), body)
 	return body, string(nj.Status)
 }
 
@@ -259,7 +226,7 @@ func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	var nj nodeJob
 	if json.Unmarshal(body, &nj) == nil {
-		f.observe(string(nj.Status))
+		f.observe(string(nj.Status), body)
 	}
 	server.WriteJSON(w, http.StatusOK, f.snapshot(body))
 }
@@ -411,7 +378,6 @@ type fleetMetrics struct {
 	NodesTotal        int     `json:"nodes_total"`
 	NodesHealthy      int     `json:"nodes_healthy"`
 	JobsRouted        int64   `json:"jobs_routed_total"`
-	JobsCollapsed     int64   `json:"jobs_collapsed_total"`
 	JobsOverflow      int64   `json:"jobs_overflow_routed_total"`
 	JobsFailedOver    int64   `json:"jobs_failed_over_total"`
 	FailoverResumed   int64   `json:"jobs_failed_over_resumed_total"`
@@ -440,7 +406,6 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		NodesTotal:        len(c.order),
 		NodesHealthy:      healthy,
 		JobsRouted:        c.ctr.jobsRouted.Load(),
-		JobsCollapsed:     c.ctr.jobsCollapsed.Load(),
 		JobsOverflow:      c.ctr.jobsOverflow.Load(),
 		JobsFailedOver:    c.ctr.jobsFailedOver.Load(),
 		FailoverResumed:   c.ctr.failoverResumed.Load(),

@@ -18,8 +18,12 @@
 //     produces byte-identical results (failover.go).
 //
 // The coordinator serves a node's /v1/jobs surface through the node's
-// own wire code (internal/server/wire.go), so a client written against
-// one simdserve talks to the fleet unchanged, refusals included.
+// own code: its front door is the node's traffic.Frontend, admitting
+// through Coordinator.SubmitCanonical (ring route, forward, one GP retry)
+// instead of a local queue, so collapse, batch, "wait" and cache-hit
+// answers are the node's; and everything else speaks the node's wire code
+// (internal/server/wire.go).  A client written against one simdserve talks
+// to the fleet unchanged, refusals included.
 package cluster
 
 import (
@@ -32,6 +36,7 @@ import (
 	"time"
 
 	"simdtree/internal/server"
+	"simdtree/internal/traffic"
 )
 
 // Config shapes a Coordinator.  Only Nodes is required.
@@ -120,11 +125,9 @@ type Coordinator struct {
 	nodes   map[string]*node
 	order   []string // sorted node URLs, the ring/GP membership order
 
-	// inflight collapses identical in-flight specs across the ring: cache
-	// key -> fleet job id of a non-terminal routed job.  Entries are
-	// dropped lazily when the job is observed terminal.
-	inflightMu sync.Mutex
-	inflight   map[string]string
+	// front is the coordinator's front door (Handler), admitting through
+	// SubmitCanonical.
+	front *traffic.Frontend
 
 	jobs    *fleetStore
 	ctr     fleetCounters
@@ -139,7 +142,6 @@ type Coordinator struct {
 // fleetCounters are the /metrics monotonic counters.
 type fleetCounters struct {
 	jobsRouted        atomic.Int64 // jobs forwarded to their ring home
-	jobsCollapsed     atomic.Int64 // submissions answered by an in-flight identical spec
 	jobsOverflow      atomic.Int64 // jobs spilled to a GP-picked target
 	jobsFailedOver    atomic.Int64 // jobs re-dispatched after a node death
 	failoverResumed   atomic.Int64 // ...of which resumed from a shipped checkpoint
@@ -197,12 +199,12 @@ func New(cfg Config) (*Coordinator, error) {
 		stream:   &http.Client{},
 		nodes:    nodes,
 		order:    order,
-		inflight: make(map[string]string),
 		jobs:     newFleetStore(),
 		started:  time.Now(),
 		loopCtx:  loopCtx,
 		loopStop: loopStop,
 	}
+	c.front = traffic.New(frontDoor{c}, nil, traffic.Config{})
 	if cfg.ProbeInterval > 0 {
 		c.wg.Add(1)
 		go c.loop(cfg.ProbeInterval, func(ctx context.Context) { c.probe(ctx, false) })

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -84,14 +85,16 @@ func (c *Coordinator) failover(ctx context.Context, dead string) {
 			continue
 		}
 		var nj nodeJob
+		var doc json.RawMessage
 		resumed := false
 		if ckpt != nil {
-			imported, err := c.importCheckpoint(ctx, target, ckpt)
-			nj, resumed = imported, err == nil
+			var err error
+			nj, doc, err = c.importCheckpoint(ctx, target, ckpt)
+			resumed = err == nil
 		}
 		if !resumed {
 			var err error
-			if nj, _, err = c.submitToNode(ctx, target, f.spec, server.DefaultTenant); err != nil {
+			if nj, doc, err = c.submitToNode(ctx, target, f.spec, server.DefaultTenant); err != nil {
 				f.mu.Lock()
 				f.lastErr = fmt.Sprintf("failover to %s: %v", target, err)
 				f.unreachable = true
@@ -99,7 +102,7 @@ func (c *Coordinator) failover(ctx context.Context, dead string) {
 				continue
 			}
 		}
-		f.place(target, nj.ID, string(nj.Status), resumed)
+		f.place(target, nj, doc, resumed)
 		f.mu.Lock()
 		f.failovers++
 		f.mu.Unlock()
@@ -111,11 +114,11 @@ func (c *Coordinator) failover(ctx context.Context, dead string) {
 }
 
 // importCheckpoint ships a warm checkpoint to a survivor's import
-// endpoint and returns the node's job record.
-func (c *Coordinator) importCheckpoint(ctx context.Context, target string, ckpt []byte) (nodeJob, error) {
-	nj, _, err := c.callJob(ctx, target+"/v1/jobs/import", checkpoint.ContentType, ckpt, nil)
+// endpoint and returns the node's job record and document.
+func (c *Coordinator) importCheckpoint(ctx context.Context, target string, ckpt []byte) (nodeJob, json.RawMessage, error) {
+	nj, doc, err := c.callJob(ctx, target+"/v1/jobs/import", checkpoint.ContentType, ckpt, nil)
 	if refusalOf(err) != nil {
 		err = fmt.Errorf("import: %w", err)
 	}
-	return nj, err
+	return nj, doc, err
 }

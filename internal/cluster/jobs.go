@@ -3,11 +3,14 @@ package cluster
 import (
 	"encoding/json"
 	"sync"
+
+	"simdtree/internal/server"
 )
 
 // fleetJob is the coordinator's record of one routed job: where it
 // lives, what key it hashes to, and the warm checkpoint copy that makes
-// failover possible when the owning node dies without warning.
+// failover possible when the owning node dies without warning.  It is the
+// server.Job the coordinator's traffic frontend admits and collapses.
 type fleetJob struct {
 	id   string // fleet-level id ("f1", ...)
 	key  string // canonical cache key; the routing hash
@@ -18,37 +21,58 @@ type fleetJob struct {
 	nodeJobID   string // job id on the owning node
 	status      string // last observed node-side status
 	terminal    bool
-	overflow    bool     // was GP-routed away from its ring home
-	failovers   int      // times re-dispatched after a node death
-	resumed     bool     // last dispatch resumed from a shipped checkpoint
-	unreachable bool     // last proxy attempt failed
-	lastErr     string   // last coordination error (e.g. failed failover)
-	ckpt        []byte   // latest pulled checkpoint, nil before the first pull
-	dist        *distRun // non-nil once the job was stolen into a sharded run
+	cacheHit    bool            // the last placement was answered from the node's cache
+	doc         json.RawMessage // the last node job document the coordinator was handed
+	done        chan struct{}   // closed once terminal is first observed
+	overflow    bool            // was GP-routed away from its ring home
+	failovers   int             // times re-dispatched after a node death
+	resumed     bool            // last dispatch resumed from a shipped checkpoint
+	unreachable bool            // last proxy attempt failed
+	lastErr     string          // last coordination error (e.g. failed failover)
+	ckpt        []byte          // latest pulled checkpoint, nil before the first pull
+	dist        *distRun        // non-nil once the job was stolen into a sharded run
 }
 
-// place records a (re)dispatch to a node.
-func (f *fleetJob) place(node, nodeJobID, status string, resumed bool) {
+// place records a (re)dispatch to a node and the job document it answered.
+func (f *fleetJob) place(node string, nj nodeJob, doc json.RawMessage, resumed bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.node = node
-	f.nodeJobID = nodeJobID
-	f.status = status
-	f.terminal = terminalStatus(status)
+	f.nodeJobID = nj.ID
+	f.cacheHit = nj.CacheHit
 	f.resumed = resumed
 	f.unreachable = false
 	f.lastErr = ""
+	f.setLocked(string(nj.Status), doc)
 }
 
-// observe records a status seen while proxying or syncing.
-func (f *fleetJob) observe(status string) {
+// observe records a status, and the document it came in when there is
+// one, seen while proxying, syncing or ending a distributed run.
+func (f *fleetJob) observe(status string, doc json.RawMessage) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.status = status
-	f.terminal = terminalStatus(status)
 	f.unreachable = false
+	f.setLocked(status, doc)
 	if f.terminal {
 		f.ckpt = nil // the result exists; the warm copy is dead weight
+	}
+}
+
+// setLocked records a node-side status and, when given, its document; the
+// first terminal status closes done.
+func (f *fleetJob) setLocked(status string, doc json.RawMessage) {
+	f.status = status
+	f.terminal = terminalStatus(status)
+	if doc != nil {
+		f.doc = doc
+	}
+	if !f.terminal {
+		return
+	}
+	select {
+	case <-f.done:
+	default:
+		close(f.done)
 	}
 }
 
@@ -71,6 +95,44 @@ func (f *fleetJob) snapshot(raw json.RawMessage) fleetJobResponse {
 		Error:       f.lastErr,
 		Job:         raw,
 	}
+}
+
+// The server.Job methods.  A fleet job is done once the coordinator
+// observes it terminal — at a sync, a GET, or the end of its distributed
+// run — and its response is the fleet envelope around the last node
+// document it was handed, or a distributed run's merged document.
+
+func (f *fleetJob) ID() string  { return f.id }
+func (f *fleetJob) Key() string { return f.key }
+
+func (f *fleetJob) Status() server.Status {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return server.Status(f.status)
+}
+
+func (f *fleetJob) Terminal() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.terminal
+}
+
+func (f *fleetJob) CacheHit() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.cacheHit
+}
+
+func (f *fleetJob) Done() <-chan struct{} { return f.done }
+
+func (f *fleetJob) ResponseBytes() ([]byte, error) {
+	f.mu.Lock()
+	d, doc := f.dist, f.doc
+	f.mu.Unlock()
+	if d != nil {
+		doc = d.document()
+	}
+	return server.MarshalDoc(f.snapshot(doc))
 }
 
 // terminalStatus is the node-side terminal set (server.Status) minus

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -75,14 +76,38 @@ func startParitySides(t *testing.T, memLimit int64) (node, fleet paritySide) {
 	return paritySide{url: startParityNode(t, memLimit, nil)}, paritySide{url: front.URL, posts: posts}
 }
 
-// parityAnswer is what the table compares: the status and the error
-// string.
+// parityAnswer is what the table compares: the status and a view of the
+// body, by default its error string.
 type parityAnswer struct {
 	code int
 	msg  string
 }
 
-func (s paritySide) do(t *testing.T, method, path, body string, header map[string]string) parityAnswer {
+// wholeBody views a body as itself: the row demands the same bytes.
+func wholeBody(raw []byte) string { return string(raw) }
+
+// itemKeys views a batch reply as the key set of each of its items: the
+// row demands the same item document, whatever the ids in it.
+func itemKeys(raw []byte) string {
+	var doc struct {
+		Items []map[string]json.RawMessage `json:"items"`
+	}
+	if json.Unmarshal(raw, &doc) != nil {
+		return ""
+	}
+	var sb strings.Builder
+	for _, it := range doc.Items {
+		keys := make([]string, 0, len(it))
+		for k := range it {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		fmt.Fprintf(&sb, "%v;", keys)
+	}
+	return sb.String()
+}
+
+func (s paritySide) do(t *testing.T, method, path, body string, header map[string]string, view func([]byte) string) parityAnswer {
 	t.Helper()
 	req, err := http.NewRequest(method, s.url+path, strings.NewReader(body))
 	if err != nil {
@@ -105,6 +130,9 @@ func (s paritySide) do(t *testing.T, method, path, body string, header map[strin
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatalf("%s %s answered %d with a non-JSON body %q", method, path, resp.StatusCode, raw)
+	}
+	if view != nil {
+		return parityAnswer{resp.StatusCode, view(raw)}
 	}
 	return parityAnswer{resp.StatusCode, doc.Error}
 }
@@ -133,10 +161,10 @@ func (s paritySide) finished(t *testing.T, spec string) string {
 // client that speaks one simdserve speaks the fleet unchanged, refusals
 // included.  Every row sends the same request to a lone node and to a
 // coordinator over two such nodes and demands the same status and the
-// same error string.  Rows with wantPosts also count how many nodes the
-// coordinator offered the spec to: a refusal it can decide itself
-// reaches none, a node's verdict on the spec is asked for once, not
-// shopped around.
+// same error string, or the same view of an answer's body.  Rows with
+// wantPosts also count how many nodes the coordinator offered the spec
+// to: a refusal it can decide itself reaches none, a node's verdict on
+// the spec is asked for once, not shopped around.
 func TestNodeFleetParity(t *testing.T) {
 	node, fleet := startParitySides(t, 0)
 	tightNode, tightFleet := startParitySides(t, 1)
@@ -161,7 +189,8 @@ func TestNodeFleetParity(t *testing.T) {
 		method, path string // path may hold %s for a finished job's id
 		body         string
 		header       map[string]string
-		jobSpec      string // when set, submitted and finished first on each side
+		jobSpec      string              // when set, submitted and finished first on each side
+		view         func([]byte) string // what of the body must match; nil: the error string
 		wantCode     int
 		wantPosts    int // fleet-side POST /v1/jobs arrivals; -1 unchecked
 	}{
@@ -181,6 +210,11 @@ func TestNodeFleetParity(t *testing.T) {
 		{name: "trace of an untraced job", method: "GET", path: "/v1/jobs/%s/trace", jobSpec: small,
 			wantCode: 409, wantPosts: -1},
 		{name: "unknown job id", method: "GET", path: "/v1/jobs/nope", wantCode: 404, wantPosts: 0},
+		{name: "estimate", method: "POST", path: "/v1/estimate", body: small, view: wholeBody, wantCode: 200, wantPosts: 0},
+		{name: "one-spec batch of a cached spec", method: "POST", path: "/v1/jobs:batch", body: `{"jobs":[` + small + `]}`,
+			jobSpec: small, view: itemKeys, wantCode: 200, wantPosts: 1},
+		{name: "wait on a batch", method: "POST", path: "/v1/jobs:batch", body: `{"wait":true,"jobs":[` + small + `]}`,
+			jobSpec: small, view: itemKeys, wantCode: 200, wantPosts: 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -191,13 +225,15 @@ func TestNodeFleetParity(t *testing.T) {
 			for i, side := range []paritySide{tc.node, tc.fleet} {
 				path := tc.path
 				if tc.jobSpec != "" {
-					path = fmt.Sprintf(tc.path, side.finished(t, tc.jobSpec))
+					if id := side.finished(t, tc.jobSpec); strings.Contains(path, "%s") {
+						path = fmt.Sprintf(path, id)
+					}
 				}
 				before := int64(0)
 				if side.posts != nil {
 					before = side.posts.Load()
 				}
-				got[i] = side.do(t, tc.method, path, tc.body, tc.header)
+				got[i] = side.do(t, tc.method, path, tc.body, tc.header, tc.view)
 				if side.posts != nil && tc.wantPosts >= 0 {
 					if n := side.posts.Load() - before; n != int64(tc.wantPosts) {
 						t.Errorf("coordinator offered the spec to %d nodes, want %d", n, tc.wantPosts)
@@ -241,7 +277,8 @@ func stubNode(t *testing.T, posts *atomic.Int64, rf *server.Refusal) string {
 // for: a full (429) or draining (503) node sends the spec to one
 // alternate, and when that refuses too the client is told what the node
 // said — its status, its words, its Retry-After — not a blanket 503.  A
-// batch item carries the same code and words.
+// batch item carries the same code, words and Retry-After, with or
+// without "wait".
 func TestFleetRefusalPassThrough(t *testing.T) {
 	const spec = `{"domain":"synthetic","scheme":"GP-DK","p":8,"synthetic":{"w":2000,"seed":7}}`
 	for _, rf := range []*server.Refusal{
@@ -279,12 +316,13 @@ func TestFleetRefusalPassThrough(t *testing.T) {
 			t.Errorf("a %d was offered to %d nodes, want the routed node and one alternate", rf.Code, n)
 		}
 
-		batch, code := postJSONAs[fleetBatchWire](t, front.URL+"/v1/jobs:batch", `{"jobs":[`+spec+`]}`)
-		if code != http.StatusOK || len(batch.Items) != 1 || batch.Items[0].Code != rf.Code || batch.Items[0].Error != rf.Message {
-			t.Errorf("batch answered %d %+v, want one item refused %d %q", code, batch.Items, rf.Code, rf.Message)
-		}
-		if _, code := postJSONAs[map[string]string](t, front.URL+"/v1/jobs:batch", `{"jobs":[`+spec+`],"wait":true}`); code != http.StatusBadRequest {
-			t.Errorf(`fleet batch with "wait": true answered %d, want 400`, code)
+		for _, body := range []string{`{"jobs":[` + spec + `]}`, `{"jobs":[` + spec + `],"wait":true}`} {
+			batch, code := postJSONAs[fleetBatchWire](t, front.URL+"/v1/jobs:batch", body)
+			if code != http.StatusOK || len(batch.Items) != 1 || batch.Items[0].Code != rf.Code ||
+				batch.Items[0].Error != rf.Message || batch.Items[0].RetryAfter != rf.RetryAfter {
+				t.Errorf("batch %s answered %d %+v, want one item refused %d %q retry_after %d",
+					body, code, batch.Items, rf.Code, rf.Message, rf.RetryAfter)
+			}
 		}
 
 		front.Close()

@@ -329,11 +329,11 @@ func (c *Coordinator) stealJob(ctx context.Context, f *fleetJob, donor, nodeJobI
 // error wrapping cause with the recovery outcome.
 func (c *Coordinator) stealAbort(ctx context.Context, f *fleetJob, donor string, ckpt []byte, sessions []*server.ShardClient, cause error) error {
 	c.closeSessions(sessions, false)
-	nj, err := c.importCheckpoint(ctx, donor, ckpt)
+	nj, doc, err := c.importCheckpoint(ctx, donor, ckpt)
 	if err != nil {
 		return fmt.Errorf("%w (and re-importing to %s failed: %v; the job recovers from %s's spool at its next restart)", cause, donor, err, donor)
 	}
-	f.place(donor, nj.ID, string(nj.Status), true)
+	f.place(donor, nj, doc, true)
 	return fmt.Errorf("%w (job re-imported to %s as %s)", cause, donor, nj.ID)
 }
 
@@ -351,7 +351,7 @@ func (c *Coordinator) runDistributed(ctx context.Context, f *fleetJob, d *distRu
 	if runErr == nil {
 		d.finish("done", res, nil)
 		c.ctr.stealCompleted.Add(1)
-		f.observe("done")
+		f.observe("done", nil)
 		d.events.Append(server.JobEvent{
 			Type: server.EventStatus, Status: server.StatusDone, Terminal: true,
 			Cycle: res.Stats.Cycles, W: res.Stats.W, LBPhases: res.Stats.LBPhases, Shards: n,
@@ -384,13 +384,13 @@ func (c *Coordinator) runDistributed(ctx context.Context, f *fleetJob, d *distRu
 		if ckpt != nil {
 			//lint:allow ctxflow the run context is dead; recovery gets its own deadline
 			rctx, rcancel := context.WithTimeout(context.Background(), c.cfg.RequestTimeout)
-			nj, err := c.importCheckpoint(rctx, sessions[0].Base(), ckpt)
+			nj, doc, err := c.importCheckpoint(rctx, sessions[0].Base(), ckpt)
 			rcancel()
 			if err == nil {
 				f.mu.Lock()
 				f.dist = nil
 				f.mu.Unlock()
-				f.place(sessions[0].Base(), nj.ID, string(nj.Status), true)
+				f.place(sessions[0].Base(), nj, doc, true)
 				f.mu.Lock()
 				f.lastErr = fmt.Sprintf("distributed run aborted (%v); resumed single-node as %s", runErr, nj.ID)
 				f.mu.Unlock()
@@ -400,7 +400,7 @@ func (c *Coordinator) runDistributed(ctx context.Context, f *fleetJob, d *distRu
 		}
 	}
 	d.finish(status, res, runErr)
-	f.observe(status)
+	f.observe(status, nil)
 	f.mu.Lock()
 	f.lastErr = runErr.Error()
 	f.mu.Unlock()

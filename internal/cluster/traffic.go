@@ -11,65 +11,39 @@ import (
 	"simdtree/internal/server"
 )
 
-// Fleet-side traffic management, mirroring the node-level traffic layer
-// (internal/traffic) one level up: identical in-flight specs collapse
-// onto one routed job ring-wide, batches fan out through the same router
-// as single submissions, and a node's SSE progress stream proxies
-// through the coordinator with the same resume semantics.
+// The coordinator's front door is a traffic.Frontend, the node's own:
+// collapse, batch, wait and cache-hit answers are written once, there.
 
-// collapseLookup returns the live fleet job an identical spec should
-// collapse onto, dropping stale (terminal) entries on the way.
-func (c *Coordinator) collapseLookup(key string) (*fleetJob, bool) {
-	c.inflightMu.Lock()
-	id, ok := c.inflight[key]
-	c.inflightMu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	f, ok := c.jobs.get(id)
-	if !ok || terminalStatus(f.snapshot(nil).Status) {
-		c.inflightMu.Lock()
-		if c.inflight[key] == id {
-			delete(c.inflight, key)
-		}
-		c.inflightMu.Unlock()
-		return nil, false
-	}
-	return f, true
+// frontDoor is the backend the coordinator's frontend admits through: the
+// coordinator, whose SubmitCanonical routes where a node enqueues, with
+// Handler serving the coordinator's own routes (Coordinator.Handler is
+// the frontend itself).
+type frontDoor struct{ *Coordinator }
+
+func (b frontDoor) Handler() http.Handler { return b.routes() }
+
+// CanonicalizeSpec validates and canonicalizes spec with exactly a node's
+// rules, against the coordinator's domain set.
+func (c *Coordinator) CanonicalizeSpec(spec server.JobSpec) (server.JobSpec, error) {
+	return server.Canonicalize(spec, c.domains)
 }
 
-// collapseStore registers a freshly routed non-terminal job as the
-// collapse target for its key.
-func (c *Coordinator) collapseStore(key, id string) {
-	c.inflightMu.Lock()
-	c.inflight[key] = id
-	c.inflightMu.Unlock()
-}
-
-// submitOne admits one canonical spec: collapse, route, forward, record.
-// A nil Refusal means success.  A node's refusal of the spec itself — a
-// 400, the 413 of its memory limit — passes through with the node's
-// status and message, and no second node is asked.  A node that is full
-// (429), draining (503) or unreachable gets one GP retry on an
-// underloaded alternate; when that fails too the client sees what a node
-// last answered, Retry-After included, or a 503 naming the transport
-// error when none answered.  The node cache makes the collapse safe:
-// even when two identical specs race past each other here, the second
-// lands on the same ring node and hits its cache or its node-level
-// flight table.
-func (c *Coordinator) submitOne(ctx context.Context, canonical server.JobSpec, tenant string) (f *fleetJob, raw json.RawMessage, collapsed bool, rf *server.Refusal) {
-	key := server.CacheKey(canonical)
-	if f, ok := c.collapseLookup(key); ok {
-		c.ctr.jobsCollapsed.Add(1)
-		return f, nil, true, nil
-	}
+// SubmitCanonical routes one canonical spec and records it as a fleet job.
+// A nil Refusal means success; cost is the node's to work out again.  A
+// node's refusal of the spec itself — a 400, the 413 of its memory limit —
+// passes through with the node's status, message and Retry-After, and no
+// second node is asked.  A node that is full (429), draining (503) or
+// unreachable gets one GP retry on an underloaded alternate; when that
+// fails too the client sees what a node last answered, Retry-After
+// included, or a 503 naming the transport error when none answered.
+func (c *Coordinator) SubmitCanonical(ctx context.Context, canonical server.JobSpec, key, tenant string, _ float64) (server.Job, *server.Refusal) {
 	specJSON, err := json.Marshal(canonical)
 	if err != nil {
-		return nil, nil, false, &server.Refusal{Code: http.StatusInternalServerError, Message: err.Error()}
+		return nil, &server.Refusal{Code: http.StatusInternalServerError, Message: err.Error()}
 	}
 	target, overflow, err := c.route(key)
 	if err != nil {
-		return nil, nil, false, &server.Refusal{Code: http.StatusServiceUnavailable, Message: err.Error()}
+		return nil, &server.Refusal{Code: http.StatusServiceUnavailable, Message: err.Error()}
 	}
 	nj, raw, err := c.submitToNode(ctx, target, specJSON, tenant)
 	if rf := refusalOf(err); err != nil && (rf == nil || rf.Code == http.StatusTooManyRequests || rf.Code == http.StatusServiceUnavailable) {
@@ -89,103 +63,25 @@ func (c *Coordinator) submitOne(ctx context.Context, canonical server.JobSpec, t
 		}
 	}
 	if rf := refusalOf(err); rf != nil {
-		return nil, nil, false, rf
+		return nil, rf
 	}
 	if err != nil {
-		return nil, nil, false, &server.Refusal{Code: http.StatusServiceUnavailable, Message: fmt.Sprintf("node %s: %v", target, err)}
+		return nil, &server.Refusal{Code: http.StatusServiceUnavailable, Message: fmt.Sprintf("node %s: %v", target, err)}
 	}
-	f = &fleetJob{
+	f := &fleetJob{
 		id:       "f" + strconv.FormatInt(c.nextID.Add(1), 10),
 		key:      key,
 		spec:     specJSON,
 		overflow: overflow,
+		done:     make(chan struct{}),
 	}
-	f.place(target, nj.ID, string(nj.Status), false)
+	f.place(target, nj, raw, false)
 	c.jobs.add(f)
 	c.ctr.jobsRouted.Add(1)
 	if overflow {
 		c.ctr.jobsOverflow.Add(1)
 	}
-	if !terminalStatus(string(nj.Status)) {
-		c.collapseStore(key, f.id)
-	}
-	return f, raw, false, nil
-}
-
-// fleetBatchItem is one per-spec verdict.
-type fleetBatchItem struct {
-	Index     int    `json:"index"`
-	Code      int    `json:"code"`
-	Error     string `json:"error,omitempty"`
-	ID        string `json:"id,omitempty"`
-	CacheKey  string `json:"cache_key,omitempty"`
-	Node      string `json:"node,omitempty"`
-	Status    string `json:"status,omitempty"`
-	Collapsed bool   `json:"collapsed,omitempty"`
-	Overflow  bool   `json:"overflow,omitempty"`
-}
-
-// maxFleetBatch bounds one batch submission.
-const maxFleetBatch = 64
-
-// handleBatch implements POST /v1/jobs:batch: each spec runs through the
-// exact single-submission path (collapse, ring route, GP overflow retry),
-// one verdict per item, always answered 200.
-func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
-	req, ok := server.DecodeBatch(w, r, maxFleetBatch)
-	if !ok {
-		return
-	}
-	if req.Wait {
-		server.WriteError(w, http.StatusBadRequest, "the coordinator holds no connection open per batch item, so \"wait\" is not served: poll the jobs or subscribe to /v1/jobs/{id}/events")
-		return
-	}
-	tenant, err := server.TenantFrom(r)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	items := make([]fleetBatchItem, len(req.Jobs))
-	accepted, rejected, collapsedN := 0, 0, 0
-	for i, spec := range req.Jobs {
-		it := &items[i]
-		it.Index = i
-		canonical, err := server.Canonicalize(spec, c.domains)
-		if err != nil {
-			it.Code = http.StatusBadRequest
-			it.Error = err.Error()
-			rejected++
-			continue
-		}
-		f, _, collapsed, rf := c.submitOne(r.Context(), canonical, tenant)
-		if rf != nil {
-			it.Code = rf.Code
-			it.Error = rf.Message
-			rejected++
-			continue
-		}
-		v := f.snapshot(nil)
-		it.ID = v.ID
-		it.CacheKey = v.CacheKey
-		it.Node = v.Node
-		it.Status = v.Status
-		it.Collapsed = collapsed
-		it.Overflow = v.Overflow
-		it.Code = http.StatusAccepted
-		if terminalStatus(v.Status) {
-			it.Code = http.StatusOK
-		}
-		accepted++
-		if collapsed {
-			collapsedN++
-		}
-	}
-	server.WriteJSON(w, http.StatusOK, map[string]any{
-		"accepted":  accepted,
-		"rejected":  rejected,
-		"collapsed": collapsedN,
-		"items":     items,
-	})
+	return f, nil
 }
 
 // handleEvents implements GET /v1/jobs/{id}/events: a streaming proxy of

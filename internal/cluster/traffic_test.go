@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -51,13 +53,13 @@ type fleetBatchWire struct {
 	Rejected  int `json:"rejected"`
 	Collapsed int `json:"collapsed"`
 	Items     []struct {
-		Index     int    `json:"index"`
-		Code      int    `json:"code"`
-		Error     string `json:"error"`
-		ID        string `json:"id"`
-		Node      string `json:"node"`
-		Status    string `json:"status"`
-		Collapsed bool   `json:"collapsed"`
+		Index      int    `json:"index"`
+		Code       int    `json:"code"`
+		Error      string `json:"error"`
+		ID         string `json:"id"`
+		Status     string `json:"status"`
+		Collapsed  bool   `json:"collapsed"`
+		RetryAfter int    `json:"retry_after"`
 	} `json:"items"`
 }
 
@@ -142,7 +144,7 @@ func TestFleetCollapseAndBatch(t *testing.T) {
 	if !br.Items[0].Collapsed || br.Items[0].ID != first.ID {
 		t.Errorf("batch item 0 = %+v, want collapse onto %s", br.Items[0], first.ID)
 	}
-	if br.Items[1].Code != http.StatusAccepted || br.Items[1].Node == "" {
+	if br.Items[1].Code != http.StatusAccepted || getJSONAs[fleetWireJob](t, front.URL+"/v1/jobs/"+br.Items[1].ID).Node == "" {
 		t.Errorf("batch item 1 = %+v, want 202 with a routed node", br.Items[1])
 	}
 	if br.Items[2].Code != http.StatusBadRequest || br.Items[2].Error == "" {
@@ -172,8 +174,8 @@ func TestFleetCollapseAndBatch(t *testing.T) {
 	}
 
 	m := getJSONAs[map[string]any](t, front.URL+"/metrics")
-	if got, _ := m["jobs_collapsed_total"].(float64); got != 2 {
-		t.Errorf("jobs_collapsed_total = %v, want 2", m["jobs_collapsed_total"])
+	if got, _ := m["traffic_collapsed_total"].(float64); got != 2 {
+		t.Errorf("traffic_collapsed_total = %v, want 2", m["traffic_collapsed_total"])
 	}
 }
 
@@ -386,4 +388,177 @@ func TestStreamEndsWhenSubscriberLeaves(t *testing.T) {
 		within(t, frontEnded, "the coordinator's proxy")
 		within(t, nodeEnded, "the node's stream behind the proxy")
 	})
+}
+
+// TestFleetWaitCollapse: through the coordinator, concurrent identical
+// ?wait=1 submissions share one engine run fleet-wide and all receive the
+// one terminal document, byte for byte, the moment sync observes it.
+func TestFleetWaitCollapse(t *testing.T) {
+	ctx := context.Background()
+	var runs atomic.Int64
+	release := make(chan struct{})
+	var once sync.Once
+
+	nodeCfg := server.Config{Workers: 1, Runners: map[string]server.Runner{"gatesim": blockingRunner(&runs, release)}}
+	c, err := New(Config{
+		Nodes:          []string{startTrafficNode(t, nodeCfg, nil), startTrafficNode(t, nodeCfg, nil)},
+		OverflowDepth:  1000,
+		ExtraDomains:   []string{"gatesim"},
+		RequestTimeout: 5 * time.Second,
+		SyncInterval:   20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown(context.Background()) //lint:allow errdrop the sync loop stops with it
+	c.ProbeOnce(ctx)
+	front := httptest.NewServer(c.Handler())
+	defer front.Close()
+	defer once.Do(func() { close(release) }) // first: the waiters return once the job does
+
+	const n = 20
+	type reply struct {
+		code      int
+		collapsed bool
+		body      []byte
+		err       error
+	}
+	replies := make([]reply, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post(front.URL+"/v1/jobs?wait=1", "application/json",
+				strings.NewReader(`{"domain":"gatesim","scheme":"GP-DK","p":8}`))
+			if err != nil {
+				replies[i] = reply{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			replies[i] = reply{resp.StatusCode, resp.Header.Get("X-Collapsed") == "1", body, err}
+		}(i)
+	}
+
+	// Hold the run until every submission has joined the flight.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		m := getJSONAs[map[string]any](t, front.URL+"/metrics")
+		if got, _ := m["traffic_collapsed_total"].(float64); got == n-1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("traffic_collapsed_total = %v before the deadline, want %d", m["traffic_collapsed_total"], n-1)
+		}
+	}
+	once.Do(func() { close(release) })
+	wg.Wait()
+
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("engine ran %d times fleet-wide for %d identical submissions, want 1", got, n)
+	}
+	collapsed := 0
+	for i, r := range replies {
+		if r.err != nil {
+			t.Fatalf("request %d: %v", i, r.err)
+		}
+		if r.code != http.StatusOK {
+			t.Fatalf("request %d: status %d, body %s", i, r.code, r.body)
+		}
+		if !bytes.Equal(r.body, replies[0].body) {
+			t.Fatalf("request %d body differs from request 0:\n%s\nvs\n%s", i, r.body, replies[0].body)
+		}
+		if r.collapsed {
+			collapsed++
+		}
+	}
+	if collapsed != n-1 {
+		t.Errorf("%d responses carry X-Collapsed, want %d", collapsed, n-1)
+	}
+	var doc fleetWireJob
+	if err := json.Unmarshal(replies[0].body, &doc); err != nil || doc.Status != "done" || len(doc.Job) == 0 {
+		t.Errorf("shared reply %s: want a done fleet envelope around the node's document (%v)", replies[0].body, err)
+	}
+}
+
+// TestFleetAdmitDoesNotSerialize: a submission stuck on its ring home
+// holds up no other.  Spec A's home holds POST /v1/jobs open; spec B,
+// homed on the other node, must still be answered within a second.
+func TestFleetAdmitDoesNotSerialize(t *testing.T) {
+	ctx := context.Background()
+	arrived := make(chan struct{}, 1)
+	release := make(chan struct{})
+	stuck := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/healthz":
+			server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		case "/metrics":
+			server.WriteJSON(w, http.StatusOK, nodeMetrics{QueueCapacity: 64})
+		case "/v1/jobs":
+			arrived <- struct{}{}
+			select {
+			case <-release:
+			case <-r.Context().Done():
+			}
+			server.WriteError(w, http.StatusServiceUnavailable, "server is shutting down")
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer stuck.Close()
+	other := startTrafficNode(t, server.Config{Workers: 1}, nil)
+
+	c, err := New(Config{Nodes: []string{stuck.URL, other}, OverflowDepth: 1000, RequestTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown(context.Background()) //lint:allow errdrop no loops are running
+	c.ProbeOnce(ctx)
+	front := httptest.NewServer(c.Handler())
+	defer front.Close()
+
+	// specHomedOn finds a synthetic spec whose ring home is node.
+	specHomedOn := func(node string) string {
+		for seed := 1; seed < 1000; seed++ {
+			spec := fmt.Sprintf(`{"domain":"synthetic","scheme":"GP-DK","p":8,"synthetic":{"w":20000,"seed":%d}}`, seed)
+			var js server.JobSpec
+			if err := json.Unmarshal([]byte(spec), &js); err != nil {
+				t.Fatal(err)
+			}
+			canonical, err := c.CanonicalizeSpec(js)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if home, _, err := c.route(server.CacheKey(canonical)); err == nil && home == node {
+				return spec
+			}
+		}
+		t.Fatalf("no spec homed on %s", node)
+		return ""
+	}
+	a, b := specHomedOn(stuck.URL), specHomedOn(other)
+
+	aDone := make(chan struct{})
+	go func() {
+		defer close(aDone)
+		resp, err := http.Post(front.URL+"/v1/jobs", "application/json", strings.NewReader(a))
+		if err == nil {
+			resp.Body.Close()
+		}
+	}()
+	defer func() {
+		close(release) // A's home answers 503, and A goes to its alternate
+		<-aDone
+	}()
+	<-arrived
+
+	start := time.Now()
+	resp, err := http.Post(front.URL+"/v1/jobs", "application/json", strings.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if took := time.Since(start); resp.StatusCode != http.StatusAccepted || took > time.Second {
+		t.Errorf("spec B answered %d after %v while A was stuck on its home, want 202 within 1s", resp.StatusCode, took)
+	}
 }

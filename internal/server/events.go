@@ -2,11 +2,11 @@ package server
 
 import "sync"
 
-// Per-job progress events feed the traffic layer's SSE endpoint
-// (GET /v1/jobs/{id}/events).  Three sources produce them, all already
-// present in the job lifecycle: status transitions (queued → running →
-// terminal), the engine's periodic Progress snapshots, and the spool's
-// checkpoint writes.  Events are held in a bounded per-job log with
+// Per-job progress events feed the SSE endpoint (GET /v1/jobs/{id}/events,
+// handleEvents).  Three sources produce them, all already present in the
+// job lifecycle: status transitions (queued → running → terminal), the
+// engine's periodic Progress snapshots, and the spool's checkpoint
+// writes.  Events are held in a bounded per-job log with
 // monotonically increasing sequence numbers, so a client that reconnects
 // with Last-Event-ID resumes exactly where its stream broke (best-effort
 // once the log has trimmed past that point; the terminal event is always

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"net/http"
@@ -8,13 +9,25 @@ import (
 	"time"
 )
 
-// JobHandle is the programmatic counterpart of the HTTP job API.  The
-// traffic layer (internal/traffic) submits and observes jobs through it
-// without a network hop, which is what makes single-flight collapsing
-// byte-exact: every collapsed subscriber fans out the one rendered
-// response of the one real run.
+// Job is a submitted job as the traffic frontend (internal/traffic)
+// observes it: a node's *JobHandle, or a coordinator's routed fleet job.
+// ResponseBytes is the document the API answers with for it, so every
+// subscriber of a collapsed submission fans out the one rendered response
+// of the one real run.
+type Job interface {
+	ID() string
+	Key() string
+	Status() Status
+	Terminal() bool
+	CacheHit() bool
+	// Done is closed once the job is observed terminal.
+	Done() <-chan struct{}
+	ResponseBytes() ([]byte, error)
+}
+
+// JobHandle is a node's Job: the programmatic counterpart of the HTTP job
+// API, submitted and observed without a network hop.
 type JobHandle struct {
-	s *Server
 	j *job
 }
 
@@ -24,12 +37,6 @@ func (h *JobHandle) ID() string { return h.j.id }
 // Key returns the canonical spec cache key, the single-flight collapse
 // key.
 func (h *JobHandle) Key() string { return h.j.key }
-
-// Tenant returns the tenant the job was admitted under.
-func (h *JobHandle) Tenant() string { return h.j.tenant }
-
-// Spec returns the canonical job spec.
-func (h *JobHandle) Spec() JobSpec { return h.j.spec }
 
 // CacheHit reports whether the job was answered from the result cache.
 func (h *JobHandle) CacheHit() bool {
@@ -51,9 +58,6 @@ func (h *JobHandle) Status() Status {
 // Terminal reports whether the job is finished.
 func (h *JobHandle) Terminal() bool { return h.j.isTerminal() }
 
-// Cancel requests cancellation (the DELETE /v1/jobs/{id} action).
-func (h *JobHandle) Cancel() { h.j.requestCancel(errCancelRequested) }
-
 // ResponseBytes renders the job document exactly as the HTTP layer
 // writes it (indented JSON plus trailing newline), so callers can fan the
 // same bytes out to any number of subscribers.
@@ -73,7 +77,7 @@ func (s *Server) JobByID(id string) (*JobHandle, bool) {
 	if !ok {
 		return nil, false
 	}
-	return &JobHandle{s: s, j: j}, true
+	return &JobHandle{j: j}, true
 }
 
 // CanonicalizeSpec validates and canonicalizes spec against this server's
@@ -90,12 +94,14 @@ type Refusal struct {
 	RetryAfter int
 }
 
-// SubmitCanonical is the programmatic submission path shared by the HTTP
-// handler and the traffic layer: consult the result cache, otherwise
-// admit to the scheduler under the given tenant and predicted cost.  The
-// spec must already be canonical and key its cache key.  A nil Refusal
-// means the job was accepted (possibly finished instantly from cache).
-func (s *Server) SubmitCanonical(canonical JobSpec, key, tenant string, cost float64) (*JobHandle, *Refusal) {
+// SubmitCanonical is the submission path of the traffic layer and of
+// POST /v1/jobs: consult the result cache, otherwise admit to the
+// scheduler under the given tenant, its quota (Config.TenantQuota) and
+// the predicted cost.  The spec must already be canonical and key its
+// cache key.  A nil Refusal means the job was accepted (possibly finished
+// instantly from cache) as a *JobHandle.  A node admits without waiting on
+// anything, so the caller's context goes unused.
+func (s *Server) SubmitCanonical(_ context.Context, canonical JobSpec, key, tenant string, cost float64) (Job, *Refusal) {
 	if cost <= 0 || math.IsNaN(cost) || math.IsInf(cost, 0) {
 		cost = 1
 	}
@@ -106,16 +112,12 @@ func (s *Server) SubmitCanonical(canonical JobSpec, key, tenant string, cost flo
 	j.cost = cost
 
 	if s.finishFromCache(j, now) {
-		return &JobHandle{s: s, j: j}, nil
+		return &JobHandle{j: j}, nil
 	}
-	if code, msg := s.enqueue(j); code != 0 {
-		rf := &Refusal{Code: code, Message: msg}
-		if code == http.StatusTooManyRequests {
-			rf.RetryAfter = s.retryAfterSeconds()
-		}
+	if rf := s.enqueue(j, true); rf != nil {
 		return nil, rf
 	}
-	return &JobHandle{s: s, j: j}, nil
+	return &JobHandle{j: j}, nil
 }
 
 // retryAfterSeconds derives the 429 Retry-After hint from the current

@@ -11,18 +11,21 @@ import (
 // All fields are atomics; the struct is embedded in Server and never
 // copied.
 type counters struct {
-	jobsQueued    atomic.Int64 // accepted into the queue
-	jobsRunning   atomic.Int64 // currently executing (gauge)
-	jobsDone      atomic.Int64 // completed successfully
-	jobsCancelled atomic.Int64 // cancelled via DELETE or shutdown
-	jobsTimeout   atomic.Int64 // hit their deadline
-	jobsExhausted atomic.Int64 // hit their cycle budget
-	jobsFailed    atomic.Int64 // failed (bad run or panic)
-	jobsRejected  atomic.Int64 // refused with 429 (queue full)
-	panics        atomic.Int64 // domain panics isolated by a worker
-	cacheHits     atomic.Int64
-	cacheMisses   atomic.Int64
-	busyWorkers   atomic.Int64 // workers executing a job (gauge)
+	jobsQueued      atomic.Int64 // accepted into the queue
+	jobsRunning     atomic.Int64 // currently executing (gauge)
+	jobsDone        atomic.Int64 // completed successfully
+	jobsCancelled   atomic.Int64 // cancelled via DELETE or shutdown
+	jobsTimeout     atomic.Int64 // hit their deadline
+	jobsExhausted   atomic.Int64 // hit their cycle budget
+	jobsFailed      atomic.Int64 // failed (bad run or panic)
+	jobsRejected    atomic.Int64 // refused with 429 (queue full)
+	quotaRejections atomic.Int64 // refused with 429 (tenant quota)
+	sseStreams      atomic.Int64
+	sseResumes      atomic.Int64
+	panics          atomic.Int64 // domain panics isolated by a worker
+	cacheHits       atomic.Int64
+	cacheMisses     atomic.Int64
+	busyWorkers     atomic.Int64 // workers executing a job (gauge)
 
 	checkpointsWritten atomic.Int64 // spool files persisted (periodic + final)
 	jobsResumed        atomic.Int64 // runs restored from a spooled checkpoint

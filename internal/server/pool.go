@@ -186,10 +186,18 @@ func (s *Server) execute(ctx context.Context, j *job, opts simd.Options) (stats 
 	return run(ctx, j.spec, opts, s.runEnv(j))
 }
 
-// finishJob publishes a terminal status and bumps the outcome counters.
+// finishJob publishes a terminal status, returns the job's quota slot and
+// bumps the outcome counters.
 func (s *Server) finishJob(j *job, status Status, stats metrics.Stats, tr *trace.Trace, errMsg string) {
 	if !j.finish(status, stats, tr, errMsg, time.Now()) {
 		return
+	}
+	if j.quota {
+		s.mu.Lock()
+		if s.outstanding[j.tenant]--; s.outstanding[j.tenant] <= 0 {
+			delete(s.outstanding, j.tenant)
+		}
+		s.mu.Unlock()
 	}
 	j.events.Append(JobEvent{
 		Type: EventStatus, Status: status, Error: errMsg, Terminal: true,

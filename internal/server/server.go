@@ -66,6 +66,13 @@ type Config struct {
 	// ProgressEvery is the cycle cadence of per-job progress events (the
 	// SSE feed); default 250.  Negative disables progress events.
 	ProgressEvery int
+	// HeartbeatEvery is the comment-heartbeat cadence of an idle event
+	// stream (GET /v1/jobs/{id}/events).  Default HeartbeatEvery (15s).
+	HeartbeatEvery time.Duration
+	// TenantQuota bounds the jobs a single tenant may have queued or
+	// running through SubmitCanonical; a cache hit never holds a slot.
+	// 0 means unlimited.
+	TenantQuota int
 	// MemBudget is the default per-job memory budget in bytes for the
 	// simulated machine's stack storage, applied when a spec leaves
 	// mem_budget unset; 0 runs unbounded.  Budgeted runs spill cold stack
@@ -99,6 +106,9 @@ func (c Config) withDefaults() Config {
 	if c.ProgressEvery == 0 {
 		c.ProgressEvery = 250
 	}
+	if c.HeartbeatEvery <= 0 {
+		c.HeartbeatEvery = HeartbeatEvery
+	}
 	return c
 }
 
@@ -123,9 +133,10 @@ type Server struct {
 	rootCtx  context.Context
 	rootStop context.CancelCauseFunc
 
-	mu       sync.Mutex // guards scheduler push vs close
-	sched    Scheduler
-	draining bool
+	mu          sync.Mutex // guards scheduler push vs close, and the quota
+	sched       Scheduler
+	draining    bool
+	outstanding map[string]int // quota slots held per tenant (job.quota)
 
 	nextID  atomic.Int64
 	started time.Time
@@ -152,17 +163,18 @@ func New(cfg Config) (*Server, error) {
 		sched = NewFIFOScheduler(cfg.QueueSize)
 	}
 	s := &Server{
-		cfg:       cfg,
-		runners:   runners,
-		domains:   domains,
-		cache:     newResultCache(cfg.CacheSize),
-		store:     newJobStore(cfg.JobHistory),
-		latencies: newSchemeLatencies(),
-		steal:     newStealRegistry(),
-		rootCtx:   rootCtx,
-		rootStop:  rootStop,
-		sched:     sched,
-		started:   time.Now(),
+		cfg:         cfg,
+		runners:     runners,
+		domains:     domains,
+		cache:       newResultCache(cfg.CacheSize),
+		store:       newJobStore(cfg.JobHistory),
+		latencies:   newSchemeLatencies(),
+		steal:       newStealRegistry(),
+		rootCtx:     rootCtx,
+		rootStop:    rootStop,
+		sched:       sched,
+		outstanding: make(map[string]int),
+		started:     time.Now(),
 	}
 	if cfg.Spool != "" {
 		sp, err := openSpool(cfg.Spool)
@@ -217,6 +229,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
+	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/jobs/{id}/checkpoint", s.handleExportCheckpoint)
 	mux.HandleFunc("GET /v1/jobs/{id}/stealable", s.handleStealable)
 	mux.HandleFunc("POST /v1/jobs/{id}/donate", s.handleDonate)
@@ -348,34 +361,54 @@ func (s *Server) finishFromCache(j *job, now time.Time) bool {
 	return true
 }
 
-// enqueue admits j to the bounded queue, honouring drain state and
-// backpressure.  On success it returns (0, "") with the job stored; on
-// refusal it returns the HTTP status and message, with j's context
-// cancelled.
-func (s *Server) enqueue(j *job) (int, string) {
+// enqueue admits j to the bounded queue, honouring drain state,
+// backpressure and, for a submission (quota set), Config.TenantQuota.  The
+// quota is checked and j's slot taken under the lock the push holds, and
+// only here, where a submission is known to be an engine job rather than a
+// cache hit; finishJob returns the slot.  On success j is stored; on
+// refusal its context is cancelled.  A full queue's 429 carries a
+// Retry-After derived from the backlog and the recent mean job duration.
+func (s *Server) enqueue(j *job, quota bool) *Refusal {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		j.cancel(errShutdown)
-		return http.StatusServiceUnavailable, "server is shutting down"
+		return &Refusal{Code: http.StatusServiceUnavailable, Message: "server is shutting down"}
+	}
+	q := s.cfg.TenantQuota
+	j.quota = quota && q > 0
+	if j.quota && s.outstanding[j.tenant] >= q {
+		s.mu.Unlock()
+		j.cancel(errCancelRequested)
+		s.ctr.quotaRejections.Add(1)
+		return &Refusal{
+			Code:       http.StatusTooManyRequests,
+			Message:    fmt.Sprintf("tenant %q has %d jobs outstanding (quota %d)", j.tenant, q, q),
+			RetryAfter: 1,
+		}
 	}
 	if !s.sched.Push(SchedItem{Tenant: j.tenant, Cost: j.cost, job: j}) {
 		s.mu.Unlock()
 		j.cancel(errCancelRequested)
 		s.ctr.jobsRejected.Add(1)
-		return http.StatusTooManyRequests,
-			fmt.Sprintf("queue full (%d jobs); retry later", s.cfg.QueueSize)
+		return &Refusal{
+			Code:       http.StatusTooManyRequests,
+			Message:    fmt.Sprintf("queue full (%d jobs); retry later", s.cfg.QueueSize),
+			RetryAfter: s.retryAfterSeconds(),
+		}
+	}
+	if j.quota {
+		s.outstanding[j.tenant]++
 	}
 	s.mu.Unlock()
 	s.ctr.jobsQueued.Add(1)
 	s.store.add(j)
 	j.events.Append(JobEvent{Type: EventStatus, Status: StatusQueued})
-	return 0, ""
+	return nil
 }
 
 // handleSubmit implements POST /v1/jobs: canonicalize, consult the cache,
-// otherwise enqueue with backpressure.  A 429 carries a Retry-After
-// derived from the backlog and the recent mean job duration.
+// otherwise enqueue with backpressure.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, ok := DecodeSpec(w, r)
 	if !ok {
@@ -391,14 +424,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	h, refusal := s.SubmitCanonical(canonical, CacheKey(canonical), tenant, 1)
+	h, refusal := s.SubmitCanonical(r.Context(), canonical, CacheKey(canonical), tenant, 1)
 	if refusal != nil {
 		refusal.Apply(w)
 		return
 	}
 	// One view decides both: 202 exactly when the status it carries is not
 	// final (a cache hit, or a job a free worker already finished, is 200).
-	v, code := h.j.view(), http.StatusAccepted
+	v, code := h.(*JobHandle).j.view(), http.StatusAccepted
 	if v.Status.terminal() {
 		code = http.StatusOK
 	}
@@ -446,6 +479,26 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	v := j.view()
 	ServeTrace(w, r, v.ID, v.Spec.Trace, v.Status, v.Trace)
+}
+
+// handleEvents implements GET /v1/jobs/{id}/events: the job's progress
+// stream as Server-Sent Events, resumable with Last-Event-ID.
+func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+	j, ok := s.store.get(r.PathValue("id"))
+	if !ok {
+		WriteError(w, http.StatusNotFound, "unknown job id")
+		return
+	}
+	after, err := LastEventID(r)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	s.ctr.sseStreams.Add(1)
+	if after > 0 {
+		s.ctr.sseResumes.Add(1)
+	}
+	StreamEvents(r.Context(), w, after, j.events.Since, s.cfg.HeartbeatEvery)
 }
 
 // traceResponse is the wire form of a per-cycle trace.  SamplesTotal and
@@ -571,6 +624,9 @@ type metricsResponse struct {
 	StealSessionsActive int                      `json:"steal_sessions_active"`
 	StealFramesAbsorbed int64                    `json:"steal_frames_absorbed_total"`
 	StealFramesSplit    int64                    `json:"steal_frames_split_total"`
+	QuotaRejections     int64                    `json:"traffic_quota_rejections_total"`
+	SSEStreams          int64                    `json:"traffic_sse_streams_total"`
+	SSEResumes          int64                    `json:"traffic_sse_resumes_total"` // streams opened with a Last-Event-ID
 	SchemeLatencies     map[string]histogramJSON `json:"scheme_latency_ms,omitempty"`
 }
 
@@ -609,6 +665,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		StealSessionsActive: s.steal.active(),
 		StealFramesAbsorbed: s.ctr.stealFramesAbsorbed.Load(),
 		StealFramesSplit:    s.ctr.stealFramesSplit.Load(),
+		QuotaRejections:     s.ctr.quotaRejections.Load(),
+		SSEStreams:          s.ctr.sseStreams.Load(),
+		SSEResumes:          s.ctr.sseResumes.Load(),
 		SchemeLatencies:     s.latencies.snapshot(),
 	})
 }

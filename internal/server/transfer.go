@@ -119,8 +119,8 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if code, msg := s.enqueue(j); code != 0 {
-		WriteError(w, code, msg)
+	if rf := s.enqueue(j, false); rf != nil {
+		WriteError(w, rf.Code, rf.Message)
 		return
 	}
 	s.ctr.jobsImported.Add(1)

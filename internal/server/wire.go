@@ -19,10 +19,9 @@ import (
 // What they have to agree on byte for byte lives here, as plain functions
 // all three call: body and error encoding, strict spec and batch
 // decoding, event-stream framing (over an EventLog, events.go), trace
-// gating, refusals.  The submit and batch loops are deliberately not
-// here: a node's batch item (key, cache_hit, retry_after, job) and the
-// fleet's (cache_key, node, overflow, in the fleet envelope) are different
-// documents, so a shared loop would only branch on its caller.
+// gating, refusals.  The submit and batch loops live in one place too,
+// traffic.Frontend, which a node and the coordinator both mount as their
+// front door over their own SubmitCanonical.
 
 // WriteJSON answers with v as indented JSON plus a trailing newline, the
 // encoding of every document the API serves.  A value that does not
@@ -44,6 +43,10 @@ func marshalDoc(v any) ([]byte, error) {
 	}
 	return appendIndented(make([]byte, 0, 2*len(b)), b), nil
 }
+
+// MarshalDoc renders v exactly as WriteJSON sends it, for a Job whose
+// ResponseBytes are written by someone else (the coordinator's fleet job).
+func MarshalDoc(v any) ([]byte, error) { return marshalDoc(v) }
 
 // appendIndented appends src, compact JSON as json.Marshal writes it (no
 // whitespace outside strings), indented two spaces a level as json.Indent
@@ -204,7 +207,7 @@ func DecodeSpec(w http.ResponseWriter, r *http.Request) (spec JobSpec, ok bool) 
 type BatchRequest struct {
 	Jobs []JobSpec `json:"jobs"`
 	// Wait defers the response until every admitted job is terminal and
-	// inlines each full document; only a node honours it.
+	// inlines each full document.
 	Wait bool `json:"wait,omitempty"`
 }
 

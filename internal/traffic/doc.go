@@ -11,7 +11,10 @@
 //     are cached under the canonical-spec SHA-256 key, so N identical
 //     in-flight submissions need exactly one run.  The flight table keys
 //     on the cache key and fans the one rendered response out to every
-//     subscriber, byte for byte.
+//     subscriber, byte for byte.  A Frontend admits through a backend's
+//     SubmitCanonical: a node's *server.Server, or the fleet coordinator
+//     (internal/cluster), whose front door is a Frontend too, so collapse,
+//     batch and cache-hit answers are written once, here.
 //
 //   - Per-tenant fair scheduling.  A deficit-round-robin scheduler
 //     replaces the server's global FIFO via server.Config.Scheduler.  The
@@ -19,10 +22,8 @@
 //     level: no backlogged tenant is served twice before every other
 //     backlogged tenant is served once.
 //
-//   - Batch admission and progress streaming.  POST /v1/jobs:batch admits
-//     up to MaxBatch specs with per-item verdicts; GET /v1/jobs/{id}/events
-//     streams the job's status/progress/checkpoint events as SSE with
-//     heartbeats and Last-Event-ID resumption.
+//   - Batch admission.  POST /v1/jobs:batch admits up to MaxBatch specs
+//     with per-item verdicts, each through the single-submission path.
 //
 //   - Cost-weighted admission.  POST /v1/estimate prices a spec with the
 //     paper's efficiency model (equations 12/15/18) before anything runs;

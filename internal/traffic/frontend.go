@@ -1,12 +1,12 @@
 package traffic
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"simdtree/internal/server"
 )
@@ -17,13 +17,6 @@ type Config struct {
 	// MaxBatch bounds the specs accepted by one POST /v1/jobs:batch
 	// request.  Default 64.
 	MaxBatch int
-	// TenantQuota bounds the jobs a single tenant may have outstanding
-	// (queued or running, collapsed flights counted once) through this
-	// frontend; a cache hit is never outstanding.  0 means unlimited.
-	TenantQuota int
-	// HeartbeatEvery is the SSE comment-heartbeat cadence.  Default
-	// server.HeartbeatEvery (15s).
-	HeartbeatEvery time.Duration
 	// CostScale is the predicted node-expansion count worth one DRR cost
 	// unit for weighted admission.  Default DefaultCostScale.
 	CostScale float64
@@ -40,97 +33,101 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = server.HeartbeatEvery
-	}
 	if c.CostScale <= 0 {
 		c.CostScale = DefaultCostScale
 	}
 	return c
 }
 
-// Frontend layers traffic management over a server.Server: single-flight
-// collapsing, batch admission, SSE progress streaming, cost estimation,
-// and per-tenant quotas.  Its Handler wraps the server's and owns the
-// routes it adds; everything else passes through untouched.
+// backend is what a Frontend admits through: a node's *server.Server, or
+// the fleet coordinator routing to many nodes.  Handler serves every
+// route the frontend does not own.
+type backend interface {
+	CanonicalizeSpec(spec server.JobSpec) (server.JobSpec, error)
+	SubmitCanonical(ctx context.Context, canonical server.JobSpec, key, tenant string, cost float64) (server.Job, *server.Refusal)
+	Handler() http.Handler
+}
+
+// Frontend layers traffic management over a backend: single-flight
+// collapsing, batch admission and cost estimation.  Its Handler wraps the
+// backend's and owns the routes it adds; everything else passes through
+// untouched.
 type Frontend struct {
-	srv   *server.Server
+	b     backend
 	inner http.Handler
 	drr   *DRR // nil when the server runs a different scheduler
 	cfg   Config
 
-	mu          sync.Mutex
-	flights     map[string]*flight // open engine submissions by cache key
-	outstanding map[string]int     // open flights per tenant
+	mu      sync.Mutex
+	flights map[string]*flight // pending and engine submissions by cache key
 
 	ctr trafficCounters
 }
 
 type trafficCounters struct {
-	flights         atomic.Int64 // engine submissions that opened a flight
-	collapsed       atomic.Int64 // submissions that joined an existing flight
-	batches         atomic.Int64
-	batchJobs       atomic.Int64
-	quotaRejections atomic.Int64
-	memRejections   atomic.Int64 // specs refused for predicted memory over Config.MemLimit
-	sseStreams      atomic.Int64
-	sseResumes      atomic.Int64 // streams opened with a Last-Event-ID
-	estimates       atomic.Int64
+	flights       atomic.Int64 // engine submissions that opened a flight
+	collapsed     atomic.Int64 // submissions that joined an existing flight
+	batches       atomic.Int64
+	batchJobs     atomic.Int64
+	memRejections atomic.Int64 // specs refused for predicted memory over Config.MemLimit
+	estimates     atomic.Int64
 }
 
-// flight is one in-flight canonical spec: every concurrent identical
-// submission shares it, and at terminal every subscriber fans out the one
-// rendered response, byte for byte.  h is resolved before the flight is
-// published, so readers never observe a nil handle; bytes is written
-// exactly once before done closes.  A cache hit's flight is born with
-// bytes written and done closed, and is never published.
+// flight is one canonical spec in admission.  admit publishes it before
+// SubmitCanonical is called, so an identical submission racing the call
+// finds it instead of submitting again, and settled closes once the call
+// returned.  Only a flight that settled as an engine run stays in the
+// table: h is then set (under Frontend.mu), bytes is written exactly once
+// before done closes, and every joiner fans out those bytes.  A flight
+// that settled as a cache hit or a refusal leaves the table at once, and
+// its waiters admit for themselves.  A cache hit's flight is returned to
+// its submitter with bytes written and done closed.
 type flight struct {
-	key   string
-	h     *server.JobHandle
-	done  chan struct{}
-	bytes []byte
+	key     string
+	settled chan struct{}
+	h       server.Job
+	done    chan struct{}
+	bytes   []byte
 }
 
-// New builds a Frontend over srv.  drr may be nil; when the DRR scheduler
-// is installed, passing it here surfaces per-tenant queue stats in
-// /metrics.
-func New(srv *server.Server, drr *DRR, cfg Config) *Frontend {
+// New builds a Frontend over srv, a *server.Server or anything else that
+// submits as one.  drr may be nil; when the DRR scheduler is installed,
+// passing it here surfaces per-tenant queue stats in /metrics.
+func New(srv backend, drr *DRR, cfg Config) *Frontend {
 	return &Frontend{
-		srv:         srv,
-		inner:       srv.Handler(),
-		drr:         drr,
-		cfg:         cfg.withDefaults(),
-		flights:     make(map[string]*flight),
-		outstanding: make(map[string]int),
+		b:       srv,
+		inner:   srv.Handler(),
+		drr:     drr,
+		cfg:     cfg.withDefaults(),
+		flights: make(map[string]*flight),
 	}
 }
 
 // Handler returns the frontend's routing table: the traffic routes plus a
-// passthrough to the wrapped server for everything else.  POST /v1/jobs
-// is intercepted so single submissions collapse too.
+// passthrough to the backend for everything else.  POST /v1/jobs is
+// intercepted so single submissions collapse too.
 func (f *Frontend) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", f.handleSubmit)
 	mux.HandleFunc("POST /v1/jobs:batch", f.handleBatch)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", f.handleEvents)
 	mux.HandleFunc("POST /v1/estimate", f.handleEstimate)
 	mux.HandleFunc("GET /metrics", f.handleMetrics)
 	mux.Handle("/", f.inner)
 	return mux
 }
 
-// admit runs one spec through quota, estimate, and the flight table.  On
+// admit runs one spec through the memory check and the flight table.  On
 // success the returned flight is live (or already terminal); collapsed
 // reports whether it was shared rather than opened.  On refusal the
 // flight is nil.
 //
-// A submission the result cache answered is finished before admit sees
-// it, so it opens no flight: its document is rendered here, once, outside
-// f.mu, into a flight that is resolved from birth, never enters f.flights,
-// starts no goroutine and holds none of the tenant's quota.
-func (f *Frontend) admit(canonical server.JobSpec, key, tenant string) (fl *flight, collapsed bool, rf *server.Refusal) {
+// f.mu is never held across SubmitCanonical, which on the fleet is up to
+// two node round trips: a submission finding a pending flight waits for it
+// to settle, outside the lock, then looks again.  It joins an engine run
+// whose job is not yet finished; a finished one is replaced, since its
+// result is now the backend's to answer.
+func (f *Frontend) admit(ctx context.Context, canonical server.JobSpec, key, tenant string) (fl *flight, collapsed bool, rf *server.Refusal) {
 	est := ForSpec(canonical)
-	cost := est.CostUnits(f.cfg.CostScale)
 	if lim := f.cfg.MemLimit; lim > 0 && canonical.MemBudget == 0 && est.PeakResidentBytes > lim {
 		f.ctr.memRejections.Add(1)
 		return nil, false, &server.Refusal{
@@ -139,55 +136,69 @@ func (f *Frontend) admit(canonical server.JobSpec, key, tenant string) (fl *flig
 				est.PeakResidentBytes, lim),
 		}
 	}
-
-	f.mu.Lock()
-	if fl := f.flights[key]; fl != nil {
+	for {
+		f.mu.Lock()
+		fl = f.flights[key]
+		switch {
+		case fl == nil || fl.h != nil && fl.h.Terminal():
+			fl = &flight{key: key, settled: make(chan struct{})}
+			f.flights[key] = fl
+			f.mu.Unlock()
+			return f.open(ctx, fl, canonical, tenant, est.CostUnits(f.cfg.CostScale))
+		case fl.h != nil:
+			f.mu.Unlock()
+			f.ctr.collapsed.Add(1)
+			return fl, true, nil
+		}
 		f.mu.Unlock()
-		f.ctr.collapsed.Add(1)
-		return fl, true, nil
-	}
-	if q := f.cfg.TenantQuota; q > 0 && f.outstanding[tenant] >= q {
-		f.mu.Unlock()
-		f.ctr.quotaRejections.Add(1)
-		return nil, false, &server.Refusal{
-			Code:       http.StatusTooManyRequests,
-			Message:    fmt.Sprintf("tenant %q has %d jobs outstanding (quota %d)", tenant, q, q),
-			RetryAfter: 1,
+		select {
+		case <-ctx.Done():
+			return nil, false, &server.Refusal{Code: http.StatusRequestTimeout, Message: "client went away before admission"}
+		case <-fl.settled:
 		}
 	}
-	h, rf := f.srv.SubmitCanonical(canonical, key, tenant, cost)
-	if rf != nil {
-		f.mu.Unlock()
-		return nil, false, rf
+}
+
+// open submits the spec of the flight admit just published and settles
+// it.  An engine run stays in the table with a resolver waiting it out.  A
+// submission the backend answered from its cache is rendered here, once,
+// and like a refusal leaves the table at once: it starts no goroutine and
+// is never joined, so hits never collapse.
+func (f *Frontend) open(ctx context.Context, fl *flight, canonical server.JobSpec, tenant string, cost float64) (*flight, bool, *server.Refusal) {
+	h, rf := f.b.SubmitCanonical(ctx, canonical, fl.key, tenant, cost)
+	hit := rf == nil && h.CacheHit()
+	f.mu.Lock()
+	if rf != nil || hit {
+		delete(f.flights, fl.key)
+	} else {
+		fl.h, fl.done = h, make(chan struct{})
 	}
-	if h.CacheHit() {
-		f.mu.Unlock()
-		return &flight{h: h, done: resolved, bytes: render(h)}, false, nil
-	}
-	fl = &flight{key: key, h: h, done: make(chan struct{})}
-	f.flights[key] = fl
-	f.outstanding[tenant]++
-	f.ctr.flights.Add(1)
 	f.mu.Unlock()
-	go f.resolve(fl, tenant)
+	close(fl.settled)
+	switch {
+	case rf != nil:
+		return nil, false, rf
+	case hit:
+		fl.h, fl.done, fl.bytes = h, resolved, render(h)
+		return fl, false, nil
+	}
+	f.ctr.flights.Add(1)
+	go f.resolve(fl)
 	return fl, false, nil
 }
 
-// resolve waits out the flight's job, renders the terminal response once,
-// retires the flight from the table and releases the tenant's quota slot.
-// The bytes write happens before close(done), so every subscriber reading
-// after <-done sees the complete body.  The wait needs no context of its
-// own: the job's lifetime is bounded by the server (Shutdown cancels every
-// job), and the flight must outlive any one subscriber anyway.
-func (f *Frontend) resolve(fl *flight, tenant string) {
+// resolve waits out the flight's job, renders the terminal response once
+// and retires the flight from the table.  The bytes write happens before
+// close(done), so every subscriber reading after <-done sees the complete
+// body.  The wait needs no context of its own: the job's lifetime is
+// bounded by the backend (a node's Shutdown cancels every job), and the
+// flight must outlive any one subscriber anyway.
+func (f *Frontend) resolve(fl *flight) {
 	<-fl.h.Done()
 	fl.bytes = render(fl.h)
 	f.mu.Lock()
 	if f.flights[fl.key] == fl {
 		delete(f.flights, fl.key)
-	}
-	if f.outstanding[tenant]--; f.outstanding[tenant] <= 0 {
-		delete(f.outstanding, tenant)
 	}
 	f.mu.Unlock()
 	close(fl.done)
@@ -203,7 +214,7 @@ var resolved = func() chan struct{} {
 
 // render is a terminal job's response body, the bytes every subscriber
 // of its flight receives.
-func render(h *server.JobHandle) []byte {
+func render(h server.Job) []byte {
 	b, err := h.ResponseBytes()
 	if err != nil {
 		return server.ErrorBody("failed to render job")
@@ -217,8 +228,8 @@ const collapsedHeader = "X-Collapsed"
 // handleSubmit implements POST /v1/jobs with single-flight collapsing.
 // With ?wait=1 the response is deferred to the flight's terminal body, so
 // all collapsed waiters receive byte-identical documents; without it the
-// behaviour matches the wrapped server's 202/200 contract, plus the
-// X-Collapsed marker.
+// behaviour matches the backend's 202/200 contract, plus the X-Collapsed
+// marker.
 func (f *Frontend) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, ok := server.DecodeSpec(w, r)
 	if !ok {
@@ -229,12 +240,12 @@ func (f *Frontend) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	canonical, err := f.srv.CanonicalizeSpec(spec)
+	canonical, err := f.b.CanonicalizeSpec(spec)
 	if err != nil {
 		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	fl, collapsed, rf := f.admit(canonical, server.CacheKey(canonical), tenant)
+	fl, collapsed, rf := f.admit(r.Context(), canonical, server.CacheKey(canonical), tenant)
 	if rf != nil {
 		rf.Apply(w)
 		return
@@ -260,7 +271,7 @@ func (f *Frontend) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // writeHandle renders the job's current document with the server's
 // 200-when-terminal / 202-while-pending status contract.
-func writeHandle(w http.ResponseWriter, h *server.JobHandle) {
+func writeHandle(w http.ResponseWriter, h server.Job) {
 	code := http.StatusAccepted
 	if h.Terminal() {
 		code = http.StatusOK
@@ -319,14 +330,14 @@ func (f *Frontend) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, spec := range req.Jobs {
 		it := &resp.Items[i]
 		it.Index = i
-		canonical, err := f.srv.CanonicalizeSpec(spec)
+		canonical, err := f.b.CanonicalizeSpec(spec)
 		if err != nil {
 			it.Code = http.StatusBadRequest
 			it.Error = err.Error()
 			resp.Rejected++
 			continue
 		}
-		fl, collapsed, rf := f.admit(canonical, server.CacheKey(canonical), tenant)
+		fl, collapsed, rf := f.admit(r.Context(), canonical, server.CacheKey(canonical), tenant)
 		if rf != nil {
 			it.Code = rf.Code
 			it.Error = rf.Message
@@ -369,27 +380,6 @@ func (f *Frontend) handleBatch(w http.ResponseWriter, r *http.Request) {
 	server.WriteJSON(w, http.StatusOK, resp)
 }
 
-// handleEvents implements GET /v1/jobs/{id}/events: the job's progress
-// stream as Server-Sent Events, resumable with Last-Event-ID.  The
-// framing, heartbeat and terminal close are server.StreamEvents'.
-func (f *Frontend) handleEvents(w http.ResponseWriter, r *http.Request) {
-	h, ok := f.srv.JobByID(r.PathValue("id"))
-	if !ok {
-		server.WriteError(w, http.StatusNotFound, "unknown job id")
-		return
-	}
-	after, err := server.LastEventID(r)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	f.ctr.sseStreams.Add(1)
-	if after > 0 {
-		f.ctr.sseResumes.Add(1)
-	}
-	server.StreamEvents(r.Context(), w, after, h.EventsSince, f.cfg.HeartbeatEvery)
-}
-
 // estimateResponse is the POST /v1/estimate reply.
 type estimateResponse struct {
 	Domain          string  `json:"domain"`
@@ -417,7 +407,7 @@ func (f *Frontend) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	canonical, err := f.srv.CanonicalizeSpec(spec)
+	canonical, err := f.b.CanonicalizeSpec(spec)
 	if err != nil {
 		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
@@ -440,8 +430,8 @@ func (f *Frontend) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleMetrics merges the traffic layer's counters into the wrapped
-// server's /metrics document, preserving every existing field.
+// handleMetrics merges the traffic layer's counters into the backend's
+// /metrics document, preserving every existing field.
 func (f *Frontend) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	rec := newRecorder()
 	f.inner.ServeHTTP(rec, r)
@@ -454,10 +444,7 @@ func (f *Frontend) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	doc["traffic_collapsed_total"] = f.ctr.collapsed.Load()
 	doc["traffic_batches_total"] = f.ctr.batches.Load()
 	doc["traffic_batch_jobs_total"] = f.ctr.batchJobs.Load()
-	doc["traffic_quota_rejections_total"] = f.ctr.quotaRejections.Load()
 	doc["traffic_mem_rejections_total"] = f.ctr.memRejections.Load()
-	doc["traffic_sse_streams_total"] = f.ctr.sseStreams.Load()
-	doc["traffic_sse_resumes_total"] = f.ctr.sseResumes.Load()
 	doc["traffic_estimates_total"] = f.ctr.estimates.Load()
 	f.mu.Lock()
 	doc["traffic_flights_open"] = len(f.flights)

@@ -234,9 +234,9 @@ func TestTenantQuota(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	defer once.Do(func() { close(release) })
-	f, ts := newFrontend(t,
-		server.Config{Workers: 2, Runners: map[string]server.Runner{"block": gatedRunner(&runs, release)}},
-		Config{TenantQuota: 1})
+	_, ts := newFrontend(t,
+		server.Config{Workers: 2, Runners: map[string]server.Runner{"block": gatedRunner(&runs, release)}, TenantQuota: 1},
+		Config{})
 
 	submit := func(tenant string, p int) *http.Response {
 		t.Helper()
@@ -267,8 +267,8 @@ func TestTenantQuota(t *testing.T) {
 	if resp := submit("t2", 4); resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("t2 submit blocked by t1's quota: %d", resp.StatusCode)
 	}
-	if got := f.ctr.quotaRejections.Load(); got != 1 {
-		t.Errorf("quota rejection counter = %d, want 1", got)
+	if got := metric(t, ts.URL, "traffic_quota_rejections_total"); got != 1 {
+		t.Errorf("quota rejection counter = %v, want 1", got)
 	}
 
 	once.Do(func() { close(release) })
@@ -333,7 +333,7 @@ func readSSE(t *testing.T, r io.Reader) []sseEvent {
 // resumed stream picks up exactly after the cursor and reaches the same
 // terminal event.
 func TestSSEStreamAndResume(t *testing.T) {
-	f, ts := newFrontend(t, server.Config{Workers: 2, ProgressEvery: 50}, Config{})
+	_, ts := newFrontend(t, server.Config{Workers: 2, ProgressEvery: 50}, Config{})
 
 	spec := `{"domain":"synthetic","scheme":"GP-DK","p":8,"synthetic":{"w":20000,"seed":7}}`
 	resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json", strings.NewReader(spec))
@@ -401,8 +401,8 @@ func TestSSEStreamAndResume(t *testing.T) {
 	if fin2 := tail[len(tail)-1]; !fin2.data.Terminal || fin2.id != fin.id {
 		t.Fatalf("resumed stream ends at %+v, want the same terminal event %d", fin2.data, fin.id)
 	}
-	if got := f.ctr.sseResumes.Load(); got != 1 {
-		t.Errorf("resume counter = %d, want 1", got)
+	if got := metric(t, ts.URL, "traffic_sse_resumes_total"); got != 1 {
+		t.Errorf("resume counter = %v, want 1", got)
 	}
 
 	// Error paths: unknown id, malformed cursor.
@@ -517,7 +517,7 @@ func TestMetricsMerged(t *testing.T) {
 // tenant's one slot.
 func TestCachedSubmissionsIgnoreQuota(t *testing.T) {
 	drr := NewDRR(64, 1)
-	s, err := server.New(server.Config{Workers: 2, Scheduler: drr})
+	s, err := server.New(server.Config{Workers: 2, Scheduler: drr, TenantQuota: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +528,7 @@ func TestCachedSubmissionsIgnoreQuota(t *testing.T) {
 			t.Errorf("shutdown: %v", err)
 		}
 	})
-	f := New(s, drr, Config{TenantQuota: 1})
+	f := New(s, drr, Config{})
 	h := f.Handler()
 	submit := func(seed int) *httptest.ResponseRecorder {
 		spec := fmt.Sprintf(`{"domain":"synthetic","scheme":"GP-DK","p":8,"synthetic":{"w":500,"seed":%d}}`, 7+seed)
@@ -571,13 +571,19 @@ func TestCachedSubmissionsIgnoreQuota(t *testing.T) {
 		t.Errorf("%d of %d cache hits answered neither 200 nor 429", n, clients*each)
 	}
 	f.mu.Lock()
-	flights, outstanding := len(f.flights), len(f.outstanding)
+	flights := len(f.flights)
 	f.mu.Unlock()
-	if flights != 0 || outstanding != 0 {
-		t.Errorf("after the hits: %d open flights, %d tenants outstanding; want none", flights, outstanding)
+	if flights != 0 {
+		t.Errorf("after the hits: %d open flights, want none", flights)
 	}
-	if got := f.ctr.flights.Load(); got != 2 {
-		t.Errorf("flights counter = %d, want 2 (the warm-ups' engine runs)", got)
+	mrec := httptest.NewRecorder()
+	h.ServeHTTP(mrec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var m map[string]any
+	if err := json.Unmarshal(mrec.Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	if got := m["traffic_flights_total"]; got != 2.0 {
+		t.Errorf("flights counter = %v, want 2 (the warm-ups' engine runs)", got)
 	}
 	// The runtime's finalizer goroutine counts while it runs a finalizer,
 	// so the count gets a moment to settle.
@@ -588,4 +594,37 @@ func TestCachedSubmissionsIgnoreQuota(t *testing.T) {
 	if n > start {
 		t.Errorf("%d goroutines after the hits, %d before", n, start)
 	}
+	// No hit held t1's one slot: a fresh engine spec, too big to finish
+	// before it is answered, is admitted.
+	req := httptest.NewRequest(http.MethodPost, "/v1/jobs",
+		strings.NewReader(`{"domain":"synthetic","scheme":"GP-DK","p":8,"synthetic":{"w":100000000,"seed":7}}`))
+	req.Header.Set(server.TenantHeader, "t1")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("fresh spec from t1 after the hits: %d %s, want 202", rec.Code, rec.Body)
+	}
+	var fresh struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &fresh); err != nil {
+		t.Fatal(err)
+	}
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodDelete, "/v1/jobs/"+fresh.ID, nil))
+}
+
+// metric reads one top-level number from base's /metrics document.
+func metric(t *testing.T, base, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	v, _ := m[name].(float64)
+	return v
 }

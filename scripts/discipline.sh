@@ -75,6 +75,11 @@ rule() {
 # text/event-stream header is set by server.StreamEvents, which flushes
 # every frame and returns when the subscriber leaves, and by the
 # coordinator's proxy of it, and nowhere else.
+#
+# admit-discipline — one front door (DESIGN.md section 14, "Single-flight
+# collapsing"): a node and the coordinator both admit through
+# traffic.Frontend, so under internal/ no other non-test file marks a
+# collapsed answer or registers the batch route.
 rules() {
 	rule frame-discipline 0 'decode and checksum frames through internal/wire (wire.Open / wire.Reader)' \
 		-e '"hash/crc32"' -e 'binary\.Uvarint(' -- '*.go' ':!*_test.go' ':!internal/wire/'
@@ -96,6 +101,8 @@ rules() {
 		-E -e 'atomic\.(Add|Load|Store|Swap|CompareAndSwap)[A-Za-z0-9]*\(' -e 'sync\.Pool' -- '*.go' ':!*_test.go'
 	rule sse-discipline 2 'text/event-stream is set in {n} places, want 2 (server.StreamEvents, the coordinator proxy in internal/cluster/traffic.go): stream through server.StreamEvents' \
 		-e 'text/event-stream' -- '*.go' ':!*_test.go'
+	rule admit-discipline 0 'admit through traffic.Frontend (mount it over a SubmitCanonical): collapse, batch and cache-hit answers are written once, in internal/traffic' \
+		-e 'X-Collapsed' -e 'jobs:batch"' -- 'internal/*.go' ':!*_test.go' ':!internal/traffic/'
 }
 
 # plant ORDINAL FIRES PATH LINE...: in a fresh scratch repository holding
@@ -163,6 +170,12 @@ if [ "${1:-}" = selftest ]; then
 	plant 10 1 internal/server/zz.go "$@" '@internal/traffic/zz.go' 'w.Header().Set("Content-Type", "text/event-stream")'
 	plant 10 1 internal/cluster/zz.go 'w.Header().Set("Content-Type", "text/event-stream")'
 	plant 10 0 internal/server/zz.go "$@" '@internal/traffic/zz_test.go' 'if ct != "text/event-stream" {'
+	plant 11 1 internal/cluster/zz.go 'w.Header().Set("X-Collapsed", "1")'
+	plant 11 1 internal/server/zz.go 'mux.HandleFunc("POST /v1/jobs:batch", s.handleBatch)'
+	plant 11 0 internal/traffic/zz.go 'mux.HandleFunc("POST /v1/jobs:batch", f.handleBatch)'
+	plant 11 0 internal/cluster/zz_test.go 'if resp.Header.Get("X-Collapsed") != "1" {'
+	plant 11 0 cmd/x/zz.go 'collapsed := resp.Header.Get("X-Collapsed") != ""'
+	plant 11 0 internal/server/zz.go '// BatchRequest is the POST /v1/jobs:batch body.'
 else
 	rules
 fi
