@@ -88,7 +88,7 @@ lint: vet lint-hotpath discipline
 	$(GO) run ./cmd/simdlint ./...
 
 # The "written once" gates — frame-, api-, schedule-, shard-, match-,
-# arena-, sync- and sse-discipline — are one table of (name, patterns,
+# arena-, sync-, sse-, admit- and metrics-discipline — are one table of (name, patterns,
 # allowed paths, message, expected count) in scripts/discipline.sh, which
 # first proves every pattern still fires on a planted violation and then
 # checks the tree.

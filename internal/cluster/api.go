@@ -63,7 +63,6 @@ func (c *Coordinator) routes() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", c.handleTrace)
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
 	mux.HandleFunc("GET /fleet", c.handleFleet)
-	mux.HandleFunc("GET /metrics", c.handleMetrics)
 	return mux
 }
 
@@ -172,7 +171,7 @@ func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 	}
 	if d != nil {
 		// A distributed run's merged document lives on the coordinator.
-		server.WriteJSON(w, http.StatusOK, f.snapshot(d.document()))
+		server.WriteJSON(w, http.StatusOK, f.distSnapshot(d))
 		return
 	}
 	body, _ := c.refresh(r.Context(), f, jobURL)
@@ -181,9 +180,20 @@ func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 
 // refresh GETs f's job document from its owning node and records the
 // status it carries, returning both ("" when none was learned).  A node
-// that does not answer 200 marks f unreachable and yields no document.
+// that answers 404 no longer holds the job, which ends f as failed; any
+// other answer but 200 marks f unreachable.  Neither yields a document.
 func (c *Coordinator) refresh(ctx context.Context, f *fleetJob, jobURL string) (body []byte, status string) {
 	code, body, err := c.call(ctx, http.MethodGet, jobURL, "", nil)
+	if err == nil && code == http.StatusNotFound {
+		// The node evicted the finished job first, or restarted without it.
+		f.mu.Lock()
+		if !f.terminal && f.dist == nil && f.node+"/v1/jobs/"+f.nodeJobID == jobURL {
+			f.lastErr = "node " + f.node + " no longer holds job " + f.nodeJobID
+			f.setLocked(string(server.StatusFailed), nil)
+		}
+		f.mu.Unlock()
+		return nil, ""
+	}
 	if err != nil || code != http.StatusOK {
 		f.mu.Lock()
 		f.unreachable = true
@@ -212,7 +222,7 @@ func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 		case <-d.done:
 		case <-r.Context().Done():
 		}
-		server.WriteJSON(w, http.StatusOK, f.snapshot(d.document()))
+		server.WriteJSON(w, http.StatusOK, f.distSnapshot(d))
 		return
 	}
 	code, body, err := c.call(r.Context(), http.MethodDelete, jobURL, "", nil)
@@ -276,17 +286,22 @@ func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 // handleHealthz reports coordinator liveness: ok while at least one
 // node is routable.
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	healthy := 0
-	for _, u := range c.order {
-		if c.routable(u) {
-			healthy++
-		}
-	}
-	if healthy == 0 {
+	if c.healthyNodes() == 0 {
 		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no healthy nodes"})
 		return
 	}
 	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+}
+
+// healthyNodes counts the nodes currently accepting new work.
+func (c *Coordinator) healthyNodes() int {
+	n := 0
+	for _, u := range c.order {
+		if c.routable(u) {
+			n++
+		}
+	}
+	return n
 }
 
 // fleetNodeJSON is one node's row in the /fleet document.
@@ -372,54 +387,29 @@ func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// fleetMetrics is the coordinator's /metrics document.
-type fleetMetrics struct {
-	UptimeSeconds     float64 `json:"uptime_seconds"`
-	NodesTotal        int     `json:"nodes_total"`
-	NodesHealthy      int     `json:"nodes_healthy"`
-	JobsRouted        int64   `json:"jobs_routed_total"`
-	JobsOverflow      int64   `json:"jobs_overflow_routed_total"`
-	JobsFailedOver    int64   `json:"jobs_failed_over_total"`
-	FailoverResumed   int64   `json:"jobs_failed_over_resumed_total"`
-	CheckpointsPulled int64   `json:"checkpoints_pulled_total"`
-	Probes            int64   `json:"probes_total"`
-	ProbeFailures     int64   `json:"probe_failures_total"`
-	NodesEjected      int64   `json:"nodes_ejected_total"`
-	NodesReadmitted   int64   `json:"nodes_readmitted_total"`
-	JobsStolen        int64   `json:"jobs_stolen_total"`
-	StealCompleted    int64   `json:"steal_runs_completed_total"`
-	StealFailed       int64   `json:"steal_runs_failed_total"`
-	StealDonations    int64   `json:"steal_donations_total"`
-	StealLocal        int64   `json:"steal_local_transfers_total"`
-}
-
-// handleMetrics implements GET /metrics.
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	healthy := 0
-	for _, u := range c.order {
-		if c.routable(u) {
-			healthy++
-		}
+// Metrics is the coordinator's /metrics document, each key named here and
+// nowhere else; its traffic frontend adds its own counters before writing
+// it.
+func (c *Coordinator) Metrics() map[string]any {
+	return map[string]any{
+		"uptime_seconds":                 time.Since(c.started).Seconds(),
+		"nodes_total":                    len(c.order),
+		"nodes_healthy":                  c.healthyNodes(),
+		"jobs_routed_total":              c.ctr.jobsRouted.Load(),
+		"jobs_overflow_routed_total":     c.ctr.jobsOverflow.Load(),
+		"jobs_failed_over_total":         c.ctr.jobsFailedOver.Load(),
+		"jobs_failed_over_resumed_total": c.ctr.failoverResumed.Load(),
+		"checkpoints_pulled_total":       c.ctr.checkpointsPulled.Load(),
+		"probes_total":                   c.ctr.probes.Load(),
+		"probe_failures_total":           c.ctr.probeFailures.Load(),
+		"nodes_ejected_total":            c.ctr.nodesEjected.Load(),
+		"nodes_readmitted_total":         c.ctr.nodesReadmitted.Load(),
+		"jobs_stolen_total":              c.ctr.jobsStolen.Load(),
+		"steal_runs_completed_total":     c.ctr.stealCompleted.Load(),
+		"steal_runs_failed_total":        c.ctr.stealFailed.Load(),
+		"steal_donations_total":          c.ctr.stealDonations.Load(),
+		"steal_local_transfers_total":    c.ctr.stealLocal.Load(),
 	}
-	server.WriteJSON(w, http.StatusOK, fleetMetrics{
-		UptimeSeconds:     time.Since(c.started).Seconds(),
-		NodesTotal:        len(c.order),
-		NodesHealthy:      healthy,
-		JobsRouted:        c.ctr.jobsRouted.Load(),
-		JobsOverflow:      c.ctr.jobsOverflow.Load(),
-		JobsFailedOver:    c.ctr.jobsFailedOver.Load(),
-		FailoverResumed:   c.ctr.failoverResumed.Load(),
-		CheckpointsPulled: c.ctr.checkpointsPulled.Load(),
-		Probes:            c.ctr.probes.Load(),
-		ProbeFailures:     c.ctr.probeFailures.Load(),
-		NodesEjected:      c.ctr.nodesEjected.Load(),
-		NodesReadmitted:   c.ctr.nodesReadmitted.Load(),
-		JobsStolen:        c.ctr.jobsStolen.Load(),
-		StealCompleted:    c.ctr.stealCompleted.Load(),
-		StealFailed:       c.ctr.stealFailed.Load(),
-		StealDonations:    c.ctr.stealDonations.Load(),
-		StealLocal:        c.ctr.stealLocal.Load(),
-	})
 }
 
 // maxNodeResponse bounds any body read from a node: the bound of the

@@ -129,17 +129,20 @@ type Coordinator struct {
 	// SubmitCanonical.
 	front *traffic.Frontend
 
-	jobs    *fleetStore
-	ctr     fleetCounters
-	nextID  atomic.Int64
-	started time.Time
+	jobs       fleetJobs
+	ctr        fleetCounters
+	nextID     atomic.Int64
+	started    time.Time
+	failoverMu sync.Mutex  // one failover at a time, the prober's or a sync's
+	syncing    atomic.Bool // a sync SubmitCanonical started is running
 
 	loopCtx  context.Context
 	loopStop context.CancelFunc
 	wg       sync.WaitGroup
 }
 
-// fleetCounters are the /metrics monotonic counters.
+// fleetCounters are the monotonic counters Coordinator.Metrics serves at
+// /metrics.
 type fleetCounters struct {
 	jobsRouted        atomic.Int64 // jobs forwarded to their ring home
 	jobsOverflow      atomic.Int64 // jobs spilled to a GP-picked target
@@ -199,7 +202,7 @@ func New(cfg Config) (*Coordinator, error) {
 		stream:   &http.Client{},
 		nodes:    nodes,
 		order:    order,
-		jobs:     newFleetStore(),
+		jobs:     newFleetJobs(server.DefaultJobHistory),
 		started:  time.Now(),
 		loopCtx:  loopCtx,
 		loopStop: loopStop,

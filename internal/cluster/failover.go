@@ -14,8 +14,9 @@ import (
 // node and pulls a warm copy of its latest spooled checkpoint.  The
 // pulled bytes are what failover ships to a survivor when the owning
 // node dies without a chance to hand anything off — the coordinator is
-// the only place the checkpoint outlives the node.  The background sync
-// loop calls this on its cadence; tests call it to step deterministically.
+// the only place the checkpoint outlives the node.  Then it retries the
+// failover of every ejected node.  The background sync loop calls this on
+// its cadence; tests call it to step deterministically.
 func (c *Coordinator) SyncOnce(ctx context.Context) {
 	for _, f := range c.jobs.all() {
 		f.mu.Lock()
@@ -32,6 +33,11 @@ func (c *Coordinator) SyncOnce(ctx context.Context) {
 			continue
 		}
 		c.pullCheckpoint(ctx, f, node, nodeJobID)
+	}
+	for _, u := range c.order {
+		if n, ok := c.nodeByURL(u); ok && n.currentStatus() == NodeEjected {
+			c.failover(ctx, u)
+		}
 	}
 }
 
@@ -61,8 +67,11 @@ func (c *Coordinator) pullCheckpoint(ctx context.Context, f *fleetJob, node, nod
 // boundary; a job without one (it died queued, or before its first
 // checkpoint cadence) is re-submitted fresh.  Either way the completed
 // result is byte-identical to an uninterrupted run, by the determinism
-// contract.
+// contract.  A job no survivor takes stays with the dead node until a
+// sync's retry; failovers run one at a time, so no job moves twice.
 func (c *Coordinator) failover(ctx context.Context, dead string) {
+	c.failoverMu.Lock()
+	defer c.failoverMu.Unlock()
 	for _, f := range c.jobs.all() {
 		f.mu.Lock()
 		owned := !f.terminal && f.node == dead && f.dist == nil

@@ -53,13 +53,10 @@ func (f *fleetJob) observe(status string, doc json.RawMessage) {
 	defer f.mu.Unlock()
 	f.unreachable = false
 	f.setLocked(status, doc)
-	if f.terminal {
-		f.ckpt = nil // the result exists; the warm copy is dead weight
-	}
 }
 
 // setLocked records a node-side status and, when given, its document; the
-// first terminal status closes done.
+// first terminal status closes done and drops the warm checkpoint copy.
 func (f *fleetJob) setLocked(status string, doc json.RawMessage) {
 	f.status = status
 	f.terminal = terminalStatus(status)
@@ -69,6 +66,7 @@ func (f *fleetJob) setLocked(status string, doc json.RawMessage) {
 	if !f.terminal {
 		return
 	}
+	f.ckpt = nil
 	select {
 	case <-f.done:
 	default:
@@ -130,9 +128,18 @@ func (f *fleetJob) ResponseBytes() ([]byte, error) {
 	d, doc := f.dist, f.doc
 	f.mu.Unlock()
 	if d != nil {
-		doc = d.document()
+		return server.MarshalDoc(f.distSnapshot(d))
 	}
 	return server.MarshalDoc(f.snapshot(doc))
+}
+
+// distSnapshot is snapshot around d's merged document.  The envelope is
+// read first: a distributed run records its outcome before the fleet job
+// observes it, so a terminal envelope always wraps a final document.
+func (f *fleetJob) distSnapshot(d *distRun) fleetJobResponse {
+	r := f.snapshot(nil)
+	r.Job = d.document()
+	return r
 }
 
 // terminalStatus is the node-side terminal set (server.Status) minus
@@ -147,38 +154,15 @@ func terminalStatus(s string) bool {
 	return false
 }
 
-// fleetStore maps fleet job ids to records, in submission order.
-type fleetStore struct {
-	mu    sync.Mutex
-	byID  map[string]*fleetJob
-	order []string
+// fleetJobs is the coordinator's job history: a node's bounded store
+// (server.NewJobStore) over fleet jobs.
+type fleetJobs struct {
+	add func(*fleetJob) int
+	get func(id string) (*fleetJob, bool)
+	all func() []*fleetJob
 }
 
-func newFleetStore() *fleetStore {
-	return &fleetStore{byID: make(map[string]*fleetJob)}
-}
-
-func (s *fleetStore) add(f *fleetJob) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.byID[f.id] = f
-	s.order = append(s.order, f.id)
-}
-
-func (s *fleetStore) get(id string) (*fleetJob, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.byID[id]
-	return f, ok
-}
-
-// all returns the jobs in submission order.
-func (s *fleetStore) all() []*fleetJob {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*fleetJob, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.byID[id])
-	}
-	return out
+func newFleetJobs(history int) (s fleetJobs) {
+	s.add, s.get, s.all = server.NewJobStore[*fleetJob](history)
+	return s
 }

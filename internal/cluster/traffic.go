@@ -76,7 +76,13 @@ func (c *Coordinator) SubmitCanonical(ctx context.Context, canonical server.JobS
 		done:     make(chan struct{}),
 	}
 	f.place(target, nj, raw, false)
-	c.jobs.add(f)
+	if c.jobs.add(f) > 0 && c.cfg.SyncInterval == 0 && c.syncing.CompareAndSwap(false, true) {
+		// No sync loop resolves the live records filling the history.
+		go func() {
+			defer c.syncing.Store(false)
+			c.SyncOnce(c.loopCtx)
+		}()
+	}
 	c.ctr.jobsRouted.Add(1)
 	if overflow {
 		c.ctr.jobsOverflow.Add(1)

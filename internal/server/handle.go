@@ -56,7 +56,7 @@ func (h *JobHandle) Status() Status {
 }
 
 // Terminal reports whether the job is finished.
-func (h *JobHandle) Terminal() bool { return h.j.isTerminal() }
+func (h *JobHandle) Terminal() bool { return h.j.Terminal() }
 
 // ResponseBytes renders the job document exactly as the HTTP layer
 // writes it (indented JSON plus trailing newline), so callers can fan the

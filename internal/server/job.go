@@ -155,6 +155,23 @@ func (j *job) view() jobView {
 	}
 }
 
+// ID returns the job id ("j1", ...).
+func (j *job) ID() string { return j.id }
+
+// Terminal reports whether the job's status is final.
+func (j *job) Terminal() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.status.terminal()
+}
+
+// storable is what a jobStore holds: a node's *job, or the fleet
+// coordinator's record of a routed job.
+type storable interface {
+	ID() string
+	Terminal() bool
+}
+
 // jobStore maps ids to jobs and bounds its memory by evicting the oldest
 // *terminal* jobs beyond the history cap (running and queued jobs are
 // never evicted).
@@ -164,59 +181,59 @@ func (j *job) view() jobView {
 // order[i] moves the jobs older than it — all queued or running, since
 // it is the oldest terminal one — up a slot, so the hole is always at the
 // head.  An add costs O(1) amortized plus those queued or running jobs,
-// which the queue size and the worker count bound.  A full slice is
+// which a node's queue size and worker count bound.  A full slice is
 // compacted in place when its dead head is at least half of it and
 // regrown to 2·stored+1 otherwise, so it stays within 2·history+1 slots.
-type jobStore struct {
+type jobStore[J storable] struct {
 	mu      sync.Mutex
-	byID    map[string]*job
-	order   []*job
+	byID    map[string]J
+	order   []J
 	head    int
 	history int
 }
 
-func newJobStore(history int) *jobStore {
+func newJobStore[J storable](history int) *jobStore[J] {
 	if history < 1 {
 		history = 1
 	}
-	return &jobStore{byID: make(map[string]*job), history: history}
+	return &jobStore[J]{byID: make(map[string]J), history: history}
 }
 
-func (s *jobStore) add(j *job) {
+// add stores j and evicts the oldest terminal jobs past the history.  It
+// returns how far the store is still past the history, which is non-zero
+// only when every job it holds is live.
+func (s *jobStore[J]) add(j J) (over int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.byID[j.id] = j
+	s.byID[j.ID()] = j
 	if len(s.order) == cap(s.order) {
 		stored := s.order[s.head:]
 		if 2*s.head >= len(s.order) {
 			clear(s.order[copy(s.order, stored):])
 			s.order = s.order[:len(stored)]
 		} else {
-			s.order = append(make([]*job, 0, 2*len(stored)+1), stored...)
+			s.order = append(make([]J, 0, 2*len(stored)+1), stored...)
 		}
 		s.head = 0
 	}
 	s.order = append(s.order, j)
-	for excess, i := len(s.order)-s.head-s.history, s.head; excess > 0 && i < len(s.order); i++ {
+	var none J
+	over = len(s.order) - s.head - s.history
+	for i := s.head; over > 0 && i < len(s.order); i++ {
 		victim := s.order[i]
-		if !victim.isTerminal() {
+		if !victim.Terminal() {
 			continue
 		}
-		delete(s.byID, victim.id)
+		delete(s.byID, victim.ID())
 		copy(s.order[s.head+1:i+1], s.order[s.head:i])
-		s.order[s.head] = nil
+		s.order[s.head] = none
 		s.head++
-		excess--
+		over--
 	}
+	return max(over, 0)
 }
 
-func (j *job) isTerminal() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status.terminal()
-}
-
-func (s *jobStore) get(id string) (*job, bool) {
+func (s *jobStore[J]) get(id string) (J, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.byID[id]
@@ -224,8 +241,18 @@ func (s *jobStore) get(id string) (*job, bool) {
 }
 
 // all returns the stored jobs in submission order.
-func (s *jobStore) all() []*job {
+func (s *jobStore[J]) all() []J {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return slices.Clone(s.order[s.head:])
+}
+
+// NewJobStore is a node's bounded job history for a caller outside this
+// package — the fleet coordinator keeps its routed jobs in one — as its
+// three operations: add stores a job, evicting the oldest terminal ones
+// past history, and reports how far past it the live ones keep the store;
+// get looks one up by id; all lists them in submission order.
+func NewJobStore[J storable](history int) (add func(J) int, get func(id string) (J, bool), all func() []J) {
+	s := newJobStore[J](history)
+	return s.add, s.get, s.all
 }

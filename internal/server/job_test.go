@@ -15,7 +15,7 @@ import (
 // deadlock rather than pass.
 func TestJobStoreEvictsOldestTerminalOnly(t *testing.T) {
 	const history = 8
-	s := newJobStore(history)
+	s := newJobStore[*job](history)
 	status := []Status{StatusRunning, StatusQueued, StatusDone, StatusRunning, StatusFailed, StatusDone, StatusQueued, StatusDone}
 	var jobs []*job
 	for i, st := range status {
@@ -54,7 +54,7 @@ func TestJobStoreEvictsOldestTerminalOnly(t *testing.T) {
 
 	// With nothing terminal left to evict the store grows past the cap
 	// rather than dropping live jobs, and catches up once jobs finish.
-	live := newJobStore(2)
+	live := newJobStore[*job](2)
 	a, b, c := &job{id: "a", status: StatusRunning}, &job{id: "b", status: StatusRunning}, &job{id: "c", status: StatusRunning}
 	live.add(a)
 	live.add(b)
@@ -81,7 +81,7 @@ func TestJobStoreEvictsOldestTerminalOnly(t *testing.T) {
 func TestJobStoreSteadyState(t *testing.T) {
 	for _, history := range []int{1, 2, 7, 64, 100} {
 		t.Run(fmt.Sprintf("history=%d", history), func(t *testing.T) {
-			s := newJobStore(history)
+			s := newJobStore[*job](history)
 			running := &job{id: "running", status: StatusRunning}
 			s.add(running)
 			const rounds = 10
@@ -128,7 +128,7 @@ func BenchmarkJobStoreAdd(b *testing.B) {
 			for i := range jobs {
 				jobs[i] = &job{id: fmt.Sprintf("j%d", i), status: StatusDone}
 			}
-			s := newJobStore(history)
+			s := newJobStore[*job](history)
 			for _, j := range jobs {
 				s.add(j)
 			}

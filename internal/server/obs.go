@@ -7,12 +7,12 @@ import (
 	"time"
 )
 
-// counters are the expvar-style monotonic counters served at /metrics.
-// All fields are atomics; the struct is embedded in Server and never
-// copied.
+// counters are the expvar-style monotonic counters Server.Metrics serves
+// at /metrics.  All fields are atomics; the struct is embedded in Server
+// and never copied.
 type counters struct {
 	jobsQueued      atomic.Int64 // accepted into the queue
-	jobsRunning     atomic.Int64 // currently executing (gauge)
+	jobsRunning     atomic.Int64 // currently executing, one busy worker each (gauge)
 	jobsDone        atomic.Int64 // completed successfully
 	jobsCancelled   atomic.Int64 // cancelled via DELETE or shutdown
 	jobsTimeout     atomic.Int64 // hit their deadline
@@ -25,7 +25,6 @@ type counters struct {
 	panics          atomic.Int64 // domain panics isolated by a worker
 	cacheHits       atomic.Int64
 	cacheMisses     atomic.Int64
-	busyWorkers     atomic.Int64 // workers executing a job (gauge)
 
 	checkpointsWritten atomic.Int64 // spool files persisted (periodic + final)
 	jobsResumed        atomic.Int64 // runs restored from a spooled checkpoint

@@ -76,9 +76,7 @@ func (s *Server) runJob(j *job) {
 	j.mu.Unlock()
 	j.events.Append(JobEvent{Type: EventStatus, Status: StatusRunning})
 	s.ctr.jobsRunning.Add(1)
-	s.ctr.busyWorkers.Add(1)
 	defer s.ctr.jobsRunning.Add(-1)
-	defer s.ctr.busyWorkers.Add(-1)
 
 	stats, runErr := s.execute(ctx, j, opts)
 	latency := time.Since(started)

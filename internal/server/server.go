@@ -27,7 +27,8 @@ type Config struct {
 	// CacheSize caps the LRU result cache in entries (default 512).
 	CacheSize int
 	// JobHistory caps the number of finished jobs kept addressable
-	// (default 4096); running and queued jobs are never evicted.
+	// (default DefaultJobHistory); running and queued jobs are never
+	// evicted.
 	JobHistory int
 	// DefaultTimeout applies to jobs that do not set timeout_ms; 0 means
 	// no default deadline.
@@ -81,6 +82,10 @@ type Config struct {
 	MemBudget int64
 }
 
+// DefaultJobHistory is a node's default Config.JobHistory, and the
+// history the fleet coordinator keeps of its own jobs.
+const DefaultJobHistory = 4096
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 2
@@ -92,7 +97,7 @@ func (c Config) withDefaults() Config {
 		c.CacheSize = 512
 	}
 	if c.JobHistory <= 0 {
-		c.JobHistory = 4096
+		c.JobHistory = DefaultJobHistory
 	}
 	if c.SimWorkers <= 0 {
 		c.SimWorkers = 1
@@ -124,7 +129,7 @@ type Server struct {
 	runners   map[string]Runner
 	domains   map[string]bool
 	cache     *resultCache
-	store     *jobStore
+	store     *jobStore[*job]
 	latencies *schemeLatencies
 	spool     *spool // nil when spooling is disabled
 	steal     *stealRegistry
@@ -167,7 +172,7 @@ func New(cfg Config) (*Server, error) {
 		runners:     runners,
 		domains:     domains,
 		cache:       newResultCache(cfg.CacheSize),
-		store:       newJobStore(cfg.JobHistory),
+		store:       newJobStore[*job](cfg.JobHistory),
 		latencies:   newSchemeLatencies(),
 		steal:       newStealRegistry(),
 		rootCtx:     rootCtx,
@@ -241,7 +246,9 @@ func (s *Server) Handler() http.Handler {
 	}
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /version", s.handleVersion)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
+		WriteJSON(w, http.StatusOK, s.Metrics())
+	})
 	if s.cfg.EnablePprof {
 		// Registered explicitly rather than via the net/http/pprof
 		// import side effect, so the handlers exist only on this mux
@@ -590,84 +597,50 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, out)
 }
 
-// metricsResponse is the /metrics document: expvar-style counters plus
-// queue and pool gauges and per-scheme latency histograms.
-type metricsResponse struct {
-	UptimeSeconds       float64                  `json:"uptime_seconds"`
-	JobsQueued          int64                    `json:"jobs_queued_total"`
-	JobsRunning         int64                    `json:"jobs_running"`
-	JobsDone            int64                    `json:"jobs_done_total"`
-	JobsCancelled       int64                    `json:"jobs_cancelled_total"`
-	JobsTimeout         int64                    `json:"jobs_timeout_total"`
-	JobsExhausted       int64                    `json:"jobs_exhausted_total"`
-	JobsFailed          int64                    `json:"jobs_failed_total"`
-	JobsRejected        int64                    `json:"jobs_rejected_total"`
-	DomainPanics        int64                    `json:"domain_panics_total"`
-	CacheHits           int64                    `json:"cache_hits_total"`
-	CacheMisses         int64                    `json:"cache_misses_total"`
-	CacheEntries        int                      `json:"cache_entries"`
-	QueueDepth          int                      `json:"queue_depth"`
-	QueueCapacity       int                      `json:"queue_capacity"`
-	Workers             int                      `json:"workers"`
-	BusyWorkers         int64                    `json:"busy_workers"`
-	WorkerUtilization   float64                  `json:"worker_utilization"`
-	CheckpointsWritten  int64                    `json:"checkpoints_written_total"`
-	JobsResumed         int64                    `json:"jobs_resumed_total"`
-	SpillEvictions      int64                    `json:"spill_evictions_total"`
-	SpillFaults         int64                    `json:"spill_faults_total"`
-	SpillBytesWritten   int64                    `json:"spill_bytes_written_total"`
-	SpillBytesRead      int64                    `json:"spill_bytes_read_total"`
-	CheckpointsExported int64                    `json:"checkpoints_exported_total"`
-	JobsImported        int64                    `json:"jobs_imported_total"`
-	JobsDonated         int64                    `json:"jobs_donated_total"`
-	StealSessionsOpened int64                    `json:"steal_sessions_opened_total"`
-	StealSessionsActive int                      `json:"steal_sessions_active"`
-	StealFramesAbsorbed int64                    `json:"steal_frames_absorbed_total"`
-	StealFramesSplit    int64                    `json:"steal_frames_split_total"`
-	QuotaRejections     int64                    `json:"traffic_quota_rejections_total"`
-	SSEStreams          int64                    `json:"traffic_sse_streams_total"`
-	SSEResumes          int64                    `json:"traffic_sse_resumes_total"` // streams opened with a Last-Event-ID
-	SchemeLatencies     map[string]histogramJSON `json:"scheme_latency_ms,omitempty"`
-}
-
-// handleMetrics implements GET /metrics.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	busy := s.ctr.busyWorkers.Load()
-	WriteJSON(w, http.StatusOK, metricsResponse{
-		UptimeSeconds:       time.Since(s.started).Seconds(),
-		JobsQueued:          s.ctr.jobsQueued.Load(),
-		JobsRunning:         s.ctr.jobsRunning.Load(),
-		JobsDone:            s.ctr.jobsDone.Load(),
-		JobsCancelled:       s.ctr.jobsCancelled.Load(),
-		JobsTimeout:         s.ctr.jobsTimeout.Load(),
-		JobsExhausted:       s.ctr.jobsExhausted.Load(),
-		JobsFailed:          s.ctr.jobsFailed.Load(),
-		JobsRejected:        s.ctr.jobsRejected.Load(),
-		DomainPanics:        s.ctr.panics.Load(),
-		CacheHits:           s.ctr.cacheHits.Load(),
-		CacheMisses:         s.ctr.cacheMisses.Load(),
-		CacheEntries:        s.cache.len(),
-		QueueDepth:          s.sched.Depth(),
-		QueueCapacity:       s.cfg.QueueSize,
-		Workers:             s.cfg.Workers,
-		BusyWorkers:         busy,
-		WorkerUtilization:   float64(busy) / float64(s.cfg.Workers),
-		CheckpointsWritten:  s.ctr.checkpointsWritten.Load(),
-		JobsResumed:         s.ctr.jobsResumed.Load(),
-		SpillEvictions:      s.ctr.spillEvictions.Load(),
-		SpillFaults:         s.ctr.spillFaults.Load(),
-		SpillBytesWritten:   s.ctr.spillBytesWritten.Load(),
-		SpillBytesRead:      s.ctr.spillBytesRead.Load(),
-		CheckpointsExported: s.ctr.checkpointsExported.Load(),
-		JobsImported:        s.ctr.jobsImported.Load(),
-		JobsDonated:         s.ctr.jobsDonated.Load(),
-		StealSessionsOpened: s.ctr.stealSessionsOpened.Load(),
-		StealSessionsActive: s.steal.active(),
-		StealFramesAbsorbed: s.ctr.stealFramesAbsorbed.Load(),
-		StealFramesSplit:    s.ctr.stealFramesSplit.Load(),
-		QuotaRejections:     s.ctr.quotaRejections.Load(),
-		SSEStreams:          s.ctr.sseStreams.Load(),
-		SSEResumes:          s.ctr.sseResumes.Load(),
-		SchemeLatencies:     s.latencies.snapshot(),
-	})
+// Metrics is the /metrics document: every counter, gauge and per-scheme
+// latency histogram the node keeps, each named here and nowhere else.  The
+// map is fresh on every call, so a traffic frontend adds its own counters
+// to it before writing it.  scheme_latency_ms appears once a job has run.
+func (s *Server) Metrics() map[string]any {
+	running := s.ctr.jobsRunning.Load()
+	m := map[string]any{
+		"uptime_seconds":                 time.Since(s.started).Seconds(),
+		"jobs_queued_total":              s.ctr.jobsQueued.Load(),
+		"jobs_running":                   running,
+		"jobs_done_total":                s.ctr.jobsDone.Load(),
+		"jobs_cancelled_total":           s.ctr.jobsCancelled.Load(),
+		"jobs_timeout_total":             s.ctr.jobsTimeout.Load(),
+		"jobs_exhausted_total":           s.ctr.jobsExhausted.Load(),
+		"jobs_failed_total":              s.ctr.jobsFailed.Load(),
+		"jobs_rejected_total":            s.ctr.jobsRejected.Load(),
+		"domain_panics_total":            s.ctr.panics.Load(),
+		"cache_hits_total":               s.ctr.cacheHits.Load(),
+		"cache_misses_total":             s.ctr.cacheMisses.Load(),
+		"cache_entries":                  s.cache.len(),
+		"queue_depth":                    s.sched.Depth(),
+		"queue_capacity":                 s.cfg.QueueSize,
+		"workers":                        s.cfg.Workers,
+		"busy_workers":                   running,
+		"worker_utilization":             float64(running) / float64(s.cfg.Workers),
+		"checkpoints_written_total":      s.ctr.checkpointsWritten.Load(),
+		"jobs_resumed_total":             s.ctr.jobsResumed.Load(),
+		"spill_evictions_total":          s.ctr.spillEvictions.Load(),
+		"spill_faults_total":             s.ctr.spillFaults.Load(),
+		"spill_bytes_written_total":      s.ctr.spillBytesWritten.Load(),
+		"spill_bytes_read_total":         s.ctr.spillBytesRead.Load(),
+		"checkpoints_exported_total":     s.ctr.checkpointsExported.Load(),
+		"jobs_imported_total":            s.ctr.jobsImported.Load(),
+		"jobs_donated_total":             s.ctr.jobsDonated.Load(),
+		"steal_sessions_opened_total":    s.ctr.stealSessionsOpened.Load(),
+		"steal_sessions_active":          s.steal.active(),
+		"steal_frames_absorbed_total":    s.ctr.stealFramesAbsorbed.Load(),
+		"steal_frames_split_total":       s.ctr.stealFramesSplit.Load(),
+		"traffic_quota_rejections_total": s.ctr.quotaRejections.Load(),
+		"traffic_sse_streams_total":      s.ctr.sseStreams.Load(),
+		"traffic_sse_resumes_total":      s.ctr.sseResumes.Load(), // streams opened with a Last-Event-ID
+	}
+	if lat := s.latencies.snapshot(); len(lat) > 0 {
+		m["scheme_latency_ms"] = lat
+	}
+	return m
 }

@@ -104,7 +104,14 @@ func TestConcurrentSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var m metricsResponse
+	var m struct {
+		JobsRunning   int64 `json:"jobs_running"`
+		JobsDone      int64 `json:"jobs_done_total"`
+		JobsCancelled int64 `json:"jobs_cancelled_total"`
+		JobsTimeout   int64 `json:"jobs_timeout_total"`
+		JobsExhausted int64 `json:"jobs_exhausted_total"`
+		JobsFailed    int64 `json:"jobs_failed_total"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}

@@ -41,11 +41,13 @@ func (c Config) withDefaults() Config {
 
 // backend is what a Frontend admits through: a node's *server.Server, or
 // the fleet coordinator routing to many nodes.  Handler serves every
-// route the frontend does not own.
+// route the frontend does not own; Metrics is the /metrics document, a
+// fresh map the frontend adds its own counters to.
 type backend interface {
 	CanonicalizeSpec(spec server.JobSpec) (server.JobSpec, error)
 	SubmitCanonical(ctx context.Context, canonical server.JobSpec, key, tenant string, cost float64) (server.Job, *server.Refusal)
 	Handler() http.Handler
+	Metrics() map[string]any
 }
 
 // Frontend layers traffic management over a backend: single-flight
@@ -53,10 +55,9 @@ type backend interface {
 // backend's and owns the routes it adds; everything else passes through
 // untouched.
 type Frontend struct {
-	b     backend
-	inner http.Handler
-	drr   *DRR // nil when the server runs a different scheduler
-	cfg   Config
+	b   backend
+	drr *DRR // nil when the server runs a different scheduler
+	cfg Config
 
 	mu      sync.Mutex
 	flights map[string]*flight // pending and engine submissions by cache key
@@ -96,7 +97,6 @@ type flight struct {
 func New(srv backend, drr *DRR, cfg Config) *Frontend {
 	return &Frontend{
 		b:       srv,
-		inner:   srv.Handler(),
 		drr:     drr,
 		cfg:     cfg.withDefaults(),
 		flights: make(map[string]*flight),
@@ -112,7 +112,7 @@ func (f *Frontend) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/jobs:batch", f.handleBatch)
 	mux.HandleFunc("POST /v1/estimate", f.handleEstimate)
 	mux.HandleFunc("GET /metrics", f.handleMetrics)
-	mux.Handle("/", f.inner)
+	mux.Handle("/", f.b.Handler())
 	return mux
 }
 
@@ -430,16 +430,11 @@ func (f *Frontend) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleMetrics merges the traffic layer's counters into the backend's
-// /metrics document, preserving every existing field.
-func (f *Frontend) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	rec := newRecorder()
-	f.inner.ServeHTTP(rec, r)
-	var doc map[string]any
-	if rec.code != http.StatusOK || json.Unmarshal(rec.body, &doc) != nil {
-		server.WriteRaw(w, rec.code, rec.body)
-		return
-	}
+// handleMetrics implements GET /metrics: the backend's Metrics document
+// plus the traffic layer's counters, and the per-tenant DRR stats when the
+// frontend holds the scheduler.
+func (f *Frontend) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	doc := f.b.Metrics()
 	doc["traffic_flights_total"] = f.ctr.flights.Load()
 	doc["traffic_collapsed_total"] = f.ctr.collapsed.Load()
 	doc["traffic_batches_total"] = f.ctr.batches.Load()
@@ -453,27 +448,6 @@ func (f *Frontend) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		doc["traffic_tenants"] = f.drr.Stats()
 	}
 	server.WriteJSON(w, http.StatusOK, doc)
-}
-
-// recorder is a minimal in-memory ResponseWriter for re-serving the inner
-// handler's output.
-type recorder struct {
-	header http.Header
-	code   int
-	body   []byte
-}
-
-func newRecorder() *recorder {
-	return &recorder{header: make(http.Header), code: http.StatusOK}
-}
-
-func (r *recorder) Header() http.Header { return r.header }
-
-func (r *recorder) WriteHeader(code int) { r.code = code }
-
-func (r *recorder) Write(b []byte) (int, error) {
-	r.body = append(r.body, b...)
-	return len(b), nil
 }
 
 // wantWait reports whether the request asked for a synchronous terminal
