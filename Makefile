@@ -88,7 +88,7 @@ lint: vet lint-hotpath discipline
 	$(GO) run ./cmd/simdlint ./...
 
 # The "written once" gates — frame-, api-, schedule-, shard-, match-,
-# arena-, sync-, sse-, admit- and metrics-discipline — are one table of (name, patterns,
+# arena-, sync-, sse-, admit-, metrics- and owner-discipline — are one table of (name, patterns,
 # allowed paths, message, expected count) in scripts/discipline.sh, which
 # first proves every pattern still fires on a planted violation and then
 # checks the tree.
@@ -114,7 +114,9 @@ serve:
 # Run a local fleet: coordinator on :18080 fronting FLEET_NODES spooled
 # nodes on consecutive ports from FLEET_BASE_PORT (defaults 3 nodes on
 # :18081-:18083; see DESIGN.md sections 12 and 15).  FLEET_STEAL=5s turns
-# on cross-node work stealing.  Ctrl-C tears it down.
+# on cross-node work stealing: every 5s the coordinator asks one node to
+# split a running job, and that node drives its shards on the others.
+# Ctrl-C tears it down.
 FLEET_NODES ?= 3
 FLEET_BASE_PORT ?= 18081
 FLEET_STEAL ?=

@@ -1,17 +1,14 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
 
-	"simdtree/internal/checkpoint"
 	"simdtree/internal/server"
 )
 
@@ -40,7 +37,6 @@ type fleetJobResponse struct {
 	Node        string          `json:"node"`
 	NodeJobID   string          `json:"node_job_id"`
 	Status      string          `json:"status"`
-	Distributed bool            `json:"distributed,omitempty"`
 	Overflow    bool            `json:"overflow,omitempty"`
 	Failovers   int             `json:"failovers,omitempty"`
 	Resumed     bool            `json:"resumed_by_failover,omitempty"`
@@ -66,36 +62,11 @@ func (c *Coordinator) routes() http.Handler {
 	return mux
 }
 
-// roundTrip is the coordinator's one way to ask a node something (the SSE
-// proxy, which must not buffer, is the only code with a client of its
-// own).  body, contentType and header are optional.  It returns the
-// node's status, bounded body and response headers; err is a transport
-// failure, never a status.
-func (c *Coordinator) roundTrip(ctx context.Context, method, url, contentType string, body []byte, header http.Header) (int, []byte, http.Header, error) {
-	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	for k, v := range header {
-		req.Header[k] = v
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	defer resp.Body.Close()
-	b, err := readBounded(resp.Body)
-	return resp.StatusCode, b, resp.Header, err
-}
-
-// call is roundTrip without headers, which only a submission needs, and a
-// server.NodeCall: shard sessions are driven through it, so they share the
-// client, deadline and response bound of every other request to a node.
+// call is the coordinator's one way to ask a node something without
+// headers, server.RoundTrip over its client (the SSE proxy, which must not
+// buffer, is the only code with a client of its own).
 func (c *Coordinator) call(ctx context.Context, method, url, contentType string, body []byte) (int, []byte, error) {
-	code, resp, _, err := c.roundTrip(ctx, method, url, contentType, body, nil)
+	code, resp, _, err := server.RoundTrip(ctx, c.client, method, url, contentType, body, nil)
 	return code, resp, err
 }
 
@@ -121,7 +92,7 @@ func refusalOf(err error) *server.Refusal {
 // took the job (202, or 200 from its cache); any other status comes back
 // as a *refusedError.
 func (c *Coordinator) callJob(ctx context.Context, url, contentType string, body []byte, header http.Header) (nodeJob, json.RawMessage, error) {
-	code, raw, hdr, err := c.roundTrip(ctx, http.MethodPost, url, contentType, body, header)
+	code, raw, hdr, err := server.RoundTrip(ctx, c.client, http.MethodPost, url, contentType, body, header)
 	if err != nil {
 		return nodeJob{}, nil, err
 	}
@@ -146,18 +117,17 @@ func (c *Coordinator) submitToNode(ctx context.Context, target string, specJSON 
 }
 
 // owned is the preamble of the four per-job routes: it resolves {id} to
-// its fleet record, answering 404 itself (f is then nil).  d is non-nil
-// when the job runs distributed and is served from here; otherwise node
-// owns it and jobURL is its document there.
-func (c *Coordinator) owned(w http.ResponseWriter, r *http.Request) (f *fleetJob, d *distRun, node, jobURL string) {
+// its fleet record, answering 404 itself (f is then nil), and to the node
+// that owns the job and jobURL, its document there.
+func (c *Coordinator) owned(w http.ResponseWriter, r *http.Request) (f *fleetJob, node, jobURL string) {
 	f, ok := c.jobs.get(r.PathValue("id"))
 	if !ok {
 		server.WriteError(w, http.StatusNotFound, "unknown job id")
-		return nil, nil, "", ""
+		return nil, "", ""
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f, f.dist, f.node, f.node + "/v1/jobs/" + f.nodeJobID
+	return f, f.node, f.node + "/v1/jobs/" + f.nodeJobID
 }
 
 // handleGet implements GET /v1/jobs/{id}: proxy to the owning node and
@@ -165,13 +135,8 @@ func (c *Coordinator) owned(w http.ResponseWriter, r *http.Request) (f *fleetJob
 // the last known state is served with node_unreachable set, so pollers
 // keep working across a failover window.
 func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
-	f, d, _, jobURL := c.owned(w, r)
+	f, _, jobURL := c.owned(w, r)
 	if f == nil {
-		return
-	}
-	if d != nil {
-		// A distributed run's merged document lives on the coordinator.
-		server.WriteJSON(w, http.StatusOK, f.distSnapshot(d))
 		return
 	}
 	body, _ := c.refresh(r.Context(), f, jobURL)
@@ -187,7 +152,7 @@ func (c *Coordinator) refresh(ctx context.Context, f *fleetJob, jobURL string) (
 	if err == nil && code == http.StatusNotFound {
 		// The node evicted the finished job first, or restarted without it.
 		f.mu.Lock()
-		if !f.terminal && f.dist == nil && f.node+"/v1/jobs/"+f.nodeJobID == jobURL {
+		if !f.terminal && f.node+"/v1/jobs/"+f.nodeJobID == jobURL {
 			f.lastErr = "node " + f.node + " no longer holds job " + f.nodeJobID
 			f.setLocked(string(server.StatusFailed), nil)
 		}
@@ -210,19 +175,8 @@ func (c *Coordinator) refresh(ctx context.Context, f *fleetJob, jobURL string) (
 
 // handleCancel implements DELETE /v1/jobs/{id}, proxied to the owner.
 func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
-	f, d, node, jobURL := c.owned(w, r)
+	f, node, jobURL := c.owned(w, r)
 	if f == nil {
-		return
-	}
-	if d != nil {
-		// Cancel the coordinator-driven run; the donor keeps its spooled
-		// cancel checkpoint, exactly like a node-side cancel.
-		d.cancel(errStealCancelled)
-		select {
-		case <-d.done:
-		case <-r.Context().Done():
-		}
-		server.WriteJSON(w, http.StatusOK, f.distSnapshot(d))
 		return
 	}
 	code, body, err := c.call(r.Context(), http.MethodDelete, jobURL, "", nil)
@@ -243,17 +197,10 @@ func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleTrace implements GET /v1/jobs/{id}/trace as a pure proxy,
 // passing the query string (including ?trace_limit=) through to the
-// owning node.  A distributed job's merged trace is served from here
-// through the node's own gating and rendering (server.ServeTrace), so it
-// is byte-identical to a node's rendering of the same run.
+// owning node.
 func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
-	f, d, node, jobURL := c.owned(w, r)
+	f, node, jobURL := c.owned(w, r)
 	if f == nil {
-		return
-	}
-	if d != nil {
-		status, _, tr, _, _, _ := d.view()
-		server.ServeTrace(w, r, f.id, d.spec.Trace, server.Status(status), tr)
 		return
 	}
 	code, body, err := c.call(r.Context(), http.MethodGet, withQuery(jobURL+"/trace", r), "", nil)
@@ -349,29 +296,19 @@ func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
 		n.mu.Unlock()
 		nodes = append(nodes, row)
 	}
+	// The jobs the steal controller split, as the last sync or proxy saw
+	// them; each node's document has the shards.
 	type stealJobJSON struct {
-		ID             string      `json:"id"`
-		Status         string      `json:"status"`
-		Shards         []shardProv `json:"shards"`
-		Donations      int         `json:"donations"`
-		LocalTransfers int         `json:"local_transfers"`
+		ID     string `json:"id"`
+		Status string `json:"status"`
 	}
 	stealJobs := make([]stealJobJSON, 0)
 	for _, f := range c.jobs.all() {
 		f.mu.Lock()
-		d := f.dist
-		f.mu.Unlock()
-		if d == nil {
-			continue
+		if f.stolen {
+			stealJobs = append(stealJobs, stealJobJSON{ID: f.id, Status: f.status})
 		}
-		status, _, _, donations, locals, _ := d.view()
-		stealJobs = append(stealJobs, stealJobJSON{
-			ID:             d.id,
-			Status:         status,
-			Shards:         d.shards,
-			Donations:      donations,
-			LocalTransfers: locals,
-		})
+		f.mu.Unlock()
 	}
 	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"nodes": nodes,
@@ -405,25 +342,5 @@ func (c *Coordinator) Metrics() map[string]any {
 		"nodes_ejected_total":            c.ctr.nodesEjected.Load(),
 		"nodes_readmitted_total":         c.ctr.nodesReadmitted.Load(),
 		"jobs_stolen_total":              c.ctr.jobsStolen.Load(),
-		"steal_runs_completed_total":     c.ctr.stealCompleted.Load(),
-		"steal_runs_failed_total":        c.ctr.stealFailed.Load(),
-		"steal_donations_total":          c.ctr.stealDonations.Load(),
-		"steal_local_transfers_total":    c.ctr.stealLocal.Load(),
 	}
-}
-
-// maxNodeResponse bounds any body read from a node: the bound of the
-// checkpoint a shard session is opened from, so a session's export can
-// always be read back; traces, the other large payload, fit comfortably.
-const maxNodeResponse = checkpoint.MaxFrameSize
-
-func readBounded(r io.Reader) ([]byte, error) {
-	b, err := io.ReadAll(io.LimitReader(r, maxNodeResponse+1))
-	if err != nil {
-		return nil, err
-	}
-	if len(b) > maxNodeResponse {
-		return nil, fmt.Errorf("cluster: node response exceeds %d bytes", maxNodeResponse)
-	}
-	return b, nil
 }

@@ -60,10 +60,10 @@ type Config struct {
 	// disables the background loop (tests drive SyncOnce explicitly).
 	SyncInterval time.Duration
 	// StealInterval is the work-stealing sweep cadence: on each tick the
-	// coordinator looks for one running stealable job and a fresh
-	// underloaded receiver node, and converts the job into a distributed
-	// sharded run (steal.Driver over per-node shard sessions).  0 disables
-	// the steal controller (tests drive StealOnce explicitly).
+	// coordinator looks for one running stealable job and fresh receiver
+	// nodes, and has the job's node split it into a distributed sharded
+	// run (steal.Driver over per-node shard sessions).  0 disables the
+	// steal controller (tests drive StealOnce explicitly).
 	StealInterval time.Duration
 	// StealShards is the number of shards a stolen job is split across,
 	// the donor node keeping shard 0 (default 2).
@@ -149,11 +149,7 @@ type fleetCounters struct {
 	jobsFailedOver    atomic.Int64 // jobs re-dispatched after a node death
 	failoverResumed   atomic.Int64 // ...of which resumed from a shipped checkpoint
 	checkpointsPulled atomic.Int64 // warm checkpoint copies fetched from nodes
-	jobsStolen        atomic.Int64 // jobs converted into distributed sharded runs
-	stealCompleted    atomic.Int64 // distributed runs that finished cleanly
-	stealFailed       atomic.Int64 // distributed runs that aborted
-	stealDonations    atomic.Int64 // cross-node stack-segment frames shipped
-	stealLocal        atomic.Int64 // matched transfers that stayed within one shard
+	jobsStolen        atomic.Int64 // jobs their nodes split over several nodes
 	probes            atomic.Int64
 	probeFailures     atomic.Int64
 	nodesEjected      atomic.Int64

@@ -35,7 +35,7 @@ const fleetSpec = `{"domain":"fleetsim","scheme":"GP-DK","p":8}`
 // non-nil, is called at every cycle boundary with the run context and
 // may block on it; that is how the kill and steal tests hold a job
 // mid-flight deterministically and release it the instant a shutdown or
-// donation cancels the run.
+// a steal's yield cancels the run.
 func fleetRunner(gate func(ctx context.Context, cycle int)) server.Runner {
 	return func(ctx context.Context, spec server.JobSpec, opts simd.Options, env server.RunEnv) (metrics.Stats, error) {
 		if gate != nil {
@@ -365,7 +365,7 @@ func waitNodeTerminal(t *testing.T, base, id string) innerWireJob {
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
 		j := getJSONAs[innerWireJob](t, base+"/v1/jobs/"+id)
-		if terminalStatus(j.Status) {
+		if server.Status(j.Status).Terminal() {
 			return j
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -380,7 +380,7 @@ func waitFleetTerminal(t *testing.T, base, id string) fleetWireJob {
 	deadline := time.Now().Add(120 * time.Second)
 	for time.Now().Before(deadline) {
 		j := getJSONAs[fleetWireJob](t, base+"/v1/jobs/"+id)
-		if terminalStatus(j.Status) {
+		if server.Status(j.Status).Terminal() {
 			return j
 		}
 		time.Sleep(5 * time.Millisecond)

@@ -12,8 +12,8 @@ import (
 )
 
 // TestNodeErrorBodyReadOnce: the coordinator reads a node's refusal in two
-// places — callJob for submissions and imports, server.ShardClient.do for
-// shard-session calls — and both go through server.ReadError, WriteError's
+// places — callJob for submissions, imports and steals, server.ShardClient.do
+// for shard-session calls — and both go through server.ReadError, WriteError's
 // inverse.  Whatever a node (or something in front of it) answers, the two
 // report the same message, cut at the same bound.
 func TestNodeErrorBodyReadOnce(t *testing.T) {
@@ -49,7 +49,7 @@ func TestNodeErrorBodyReadOnce(t *testing.T) {
 		if !errors.As(err, &re) || re.Code != http.StatusServiceUnavailable || re.Message != tc.want {
 			t.Errorf("%s: callJob = %v, want a 503 refusal saying %q", tc.name, err, tc.want)
 		}
-		_, err = server.OpenShard(context.Background(), c.call, stub.URL, []byte("ckpt"), 0, 4, false)
+		_, err = server.OpenShard(context.Background(), c.call, stub.URL, []byte("ckpt"), 0, 4)
 		if err == nil || !strings.HasSuffix(err.Error(), "node answered 503: "+tc.want) {
 			t.Errorf("%s: OpenShard = %v, want it to end in the node's 503 saying %q", tc.name, err, tc.want)
 		}

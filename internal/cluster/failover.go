@@ -21,15 +21,11 @@ func (c *Coordinator) SyncOnce(ctx context.Context) {
 	for _, f := range c.jobs.all() {
 		f.mu.Lock()
 		terminal, node, nodeJobID := f.terminal, f.node, f.nodeJobID
-		dist := f.dist != nil
 		f.mu.Unlock()
-		if terminal || node == "" || dist {
-			// A distributed run is coordinator-driven: its status lives
-			// here, and the steal driver ships its own checkpoints to the
-			// donor's spool.
+		if terminal || node == "" {
 			continue
 		}
-		if _, status := c.refresh(ctx, f, node+"/v1/jobs/"+nodeJobID); status == "" || terminalStatus(status) {
+		if _, status := c.refresh(ctx, f, node+"/v1/jobs/"+nodeJobID); status == "" || server.Status(status).Terminal() {
 			continue
 		}
 		c.pullCheckpoint(ctx, f, node, nodeJobID)
@@ -74,13 +70,10 @@ func (c *Coordinator) failover(ctx context.Context, dead string) {
 	defer c.failoverMu.Unlock()
 	for _, f := range c.jobs.all() {
 		f.mu.Lock()
-		owned := !f.terminal && f.node == dead && f.dist == nil
+		owned := !f.terminal && f.node == dead
 		ckpt := f.ckpt
 		f.mu.Unlock()
 		if !owned {
-			// Distributed runs recover through the steal driver's own
-			// failure path (re-import of the last assembled checkpoint),
-			// not through node failover.
 			continue
 		}
 		target, ok := c.ring.Lookup(f.key, func(u string) bool {

@@ -30,7 +30,7 @@ type fleetJob struct {
 	unreachable bool            // last proxy attempt failed
 	lastErr     string          // last coordination error (e.g. failed failover)
 	ckpt        []byte          // latest pulled checkpoint, nil before the first pull
-	dist        *distRun        // non-nil once the job was stolen into a sharded run
+	stolen      bool            // the steal controller split it over several nodes
 }
 
 // place records a (re)dispatch to a node and the job document it answered.
@@ -47,7 +47,7 @@ func (f *fleetJob) place(node string, nj nodeJob, doc json.RawMessage, resumed b
 }
 
 // observe records a status, and the document it came in when there is
-// one, seen while proxying, syncing or ending a distributed run.
+// one, seen while proxying, syncing or stealing.
 func (f *fleetJob) observe(status string, doc json.RawMessage) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -59,7 +59,7 @@ func (f *fleetJob) observe(status string, doc json.RawMessage) {
 // first terminal status closes done and drops the warm checkpoint copy.
 func (f *fleetJob) setLocked(status string, doc json.RawMessage) {
 	f.status = status
-	f.terminal = terminalStatus(status)
+	f.terminal = server.Status(status).Terminal()
 	if doc != nil {
 		f.doc = doc
 	}
@@ -85,7 +85,6 @@ func (f *fleetJob) snapshot(raw json.RawMessage) fleetJobResponse {
 		Node:        f.node,
 		NodeJobID:   f.nodeJobID,
 		Status:      f.status,
-		Distributed: f.dist != nil,
 		Overflow:    f.overflow,
 		Failovers:   f.failovers,
 		Resumed:     f.resumed,
@@ -96,9 +95,8 @@ func (f *fleetJob) snapshot(raw json.RawMessage) fleetJobResponse {
 }
 
 // The server.Job methods.  A fleet job is done once the coordinator
-// observes it terminal — at a sync, a GET, or the end of its distributed
-// run — and its response is the fleet envelope around the last node
-// document it was handed, or a distributed run's merged document.
+// observes it terminal — at a sync or a GET — and its response is the
+// fleet envelope around the last node document it was handed.
 
 func (f *fleetJob) ID() string  { return f.id }
 func (f *fleetJob) Key() string { return f.key }
@@ -125,33 +123,9 @@ func (f *fleetJob) Done() <-chan struct{} { return f.done }
 
 func (f *fleetJob) ResponseBytes() ([]byte, error) {
 	f.mu.Lock()
-	d, doc := f.dist, f.doc
+	doc := f.doc
 	f.mu.Unlock()
-	if d != nil {
-		return server.MarshalDoc(f.distSnapshot(d))
-	}
 	return server.MarshalDoc(f.snapshot(doc))
-}
-
-// distSnapshot is snapshot around d's merged document.  The envelope is
-// read first: a distributed run records its outcome before the fleet job
-// observes it, so a terminal envelope always wraps a final document.
-func (f *fleetJob) distSnapshot(d *distRun) fleetJobResponse {
-	r := f.snapshot(nil)
-	r.Job = d.document()
-	return r
-}
-
-// terminalStatus is the node-side terminal set (server.Status) minus
-// "donated": a donated job is terminal on its node but mid-handoff to a
-// distributed run here, so the fleet record must stay live — collapsible,
-// synced, failed over — until the coordinator-driven run ends it.
-func terminalStatus(s string) bool {
-	switch s {
-	case "done", "cancelled", "timeout", "exhausted", "failed":
-		return true
-	}
-	return false
 }
 
 // fleetJobs is the coordinator's job history: a node's bounded store

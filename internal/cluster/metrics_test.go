@@ -24,12 +24,13 @@ var (
 	nodeKeys = []string{
 		"busy_workers", "cache_entries", "cache_hits_total", "cache_misses_total",
 		"checkpoints_exported_total", "checkpoints_written_total", "domain_panics_total",
-		"jobs_cancelled_total", "jobs_donated_total", "jobs_done_total", "jobs_exhausted_total",
+		"jobs_cancelled_total", "jobs_done_total", "jobs_exhausted_total",
 		"jobs_failed_total", "jobs_imported_total", "jobs_queued_total", "jobs_rejected_total",
 		"jobs_resumed_total", "jobs_running", "jobs_timeout_total", "queue_capacity",
 		"queue_depth", "scheme_latency_ms", "spill_bytes_read_total", "spill_bytes_written_total",
-		"spill_evictions_total", "spill_faults_total", "steal_frames_absorbed_total",
-		"steal_frames_split_total", "steal_sessions_active", "steal_sessions_opened_total",
+		"spill_evictions_total", "spill_faults_total", "steal_donations_total", "steal_frames_absorbed_total",
+		"steal_frames_split_total", "steal_local_transfers_total", "steal_runs_completed_total",
+		"steal_runs_failed_total", "steal_sessions_active", "steal_sessions_opened_total",
 		"traffic_quota_rejections_total", "traffic_sse_resumes_total", "traffic_sse_streams_total",
 		"uptime_seconds", "worker_utilization", "workers",
 	}
@@ -42,8 +43,7 @@ var (
 		"checkpoints_pulled_total", "jobs_failed_over_resumed_total", "jobs_failed_over_total",
 		"jobs_overflow_routed_total", "jobs_routed_total", "jobs_stolen_total", "nodes_ejected_total",
 		"nodes_healthy", "nodes_readmitted_total", "nodes_total", "probe_failures_total",
-		"probes_total", "steal_donations_total", "steal_local_transfers_total",
-		"steal_runs_completed_total", "steal_runs_failed_total", "uptime_seconds",
+		"probes_total", "uptime_seconds",
 	}
 )
 

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -328,51 +327,4 @@ func TestFleetRefusalPassThrough(t *testing.T) {
 		front.Close()
 		c.Shutdown(context.Background()) //lint:allow errdrop no loops are running
 	}
-}
-
-// TestDistributedStreamHeartbeats pins that a distributed run's event
-// stream, served by the coordinator from its own log, is the node's
-// stream code: idle, it carries the comment heartbeat a node's does.  The
-// cadence is the fixed server.HeartbeatEvery, so the test waits one out.
-func TestDistributedStreamHeartbeats(t *testing.T) {
-	if testing.Short() {
-		t.Skipf("waits out one %v heartbeat", server.HeartbeatEvery)
-	}
-	t.Parallel()
-	c, err := New(Config{Nodes: []string{"http://127.0.0.1:1"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown(context.Background()) //lint:allow errdrop no loops are running
-	d := &distRun{id: "f1", events: server.NewEventLog(), status: "running"}
-	d.events.Append(server.JobEvent{Type: server.EventStatus, Status: server.StatusRunning})
-	c.jobs.add(&fleetJob{id: "f1", dist: d})
-	front := httptest.NewServer(c.Handler())
-	defer front.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*server.HeartbeatEvery)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, front.URL+"/v1/jobs/f1/events", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sawEvent := false
-	for sc.Scan() {
-		switch line := sc.Text(); {
-		case strings.HasPrefix(line, "event: status"):
-			sawEvent = true
-		case line == ": heartbeat":
-			if !sawEvent {
-				t.Error("heartbeat arrived before the buffered status event")
-			}
-			return
-		}
-	}
-	t.Fatalf("stream ended without a heartbeat: %v", sc.Err())
 }

@@ -21,18 +21,18 @@ import (
 // it reliably produces cross-shard frames.
 const stealSpec = `{"domain":"synthetic","scheme":"GP-DK","p":8,"synthetic":{"w":4000,"seed":3},"trace":true}`
 
-// distWireDoc mirrors the coordinator's merged job document for decoding.
+// distWireDoc mirrors a stolen job's node document for decoding.
 type distWireDoc struct {
-	ID             string          `json:"id"`
-	Status         string          `json:"status"`
-	CacheKey       string          `json:"cache_key"`
-	Distributed    bool            `json:"distributed"`
-	Shards         []shardProv     `json:"shards"`
-	Donations      int             `json:"donations"`
-	LocalTransfers int             `json:"local_transfers"`
-	Stats          json.RawMessage `json:"stats"`
-	Efficiency     float64         `json:"efficiency"`
-	Speedup        float64         `json:"speedup"`
+	ID             string             `json:"id"`
+	Status         string             `json:"status"`
+	CacheKey       string             `json:"cache_key"`
+	Distributed    bool               `json:"distributed"`
+	Shards         []server.ShardInfo `json:"shards"`
+	Donations      int                `json:"donations"`
+	LocalTransfers int                `json:"local_transfers"`
+	Stats          json.RawMessage    `json:"stats"`
+	Efficiency     float64            `json:"efficiency"`
+	Speedup        float64            `json:"speedup"`
 }
 
 // getTraceNormalized fetches a trace document and strips the job id (the
@@ -62,12 +62,12 @@ func getTraceNormalized(t *testing.T, url string) []byte {
 }
 
 // TestFleetStealDistributedRun is the subsystem's kill-free acceptance
-// path: a job starts on node A, the coordinator steals it mid-run —
-// donation checkpoint off A, shard sessions opened on A and B, lock-step
-// driver over both — at least one stack segment crosses to node B as a
-// donation frame, and the merged result (stats, efficiency, speedup,
-// trace) is byte-identical to the same spec run undistributed on a
-// standalone node.
+// path: a job starts on node A, the coordinator steals it mid-run — A's
+// worker yields the run at a cycle boundary, keeps shard 0, opens shard 1
+// as a session on B and drives both in lock-step — at least one stack
+// segment crosses to node B as a donation frame, and the merged result
+// (stats, efficiency, speedup, trace) is byte-identical to the same spec
+// run undistributed on a standalone node.
 func TestFleetStealDistributedRun(t *testing.T) {
 	ctx := context.Background()
 
@@ -95,8 +95,8 @@ func TestFleetStealDistributedRun(t *testing.T) {
 	// Two spooled nodes.  The synthetic runner is overridden with a gated
 	// wrapper around the identical machine construction, so the run can
 	// be held at a cycle boundary long enough for the steal sweep to land
-	// deterministically; the gate releases the moment the donation's
-	// cancellation fires.  Both nodes carry a gate (ring placement of the
+	// deterministically; the gate releases the moment the steal's yield
+	// fires.  Both nodes carry a gate (ring placement of the
 	// key is port-dependent), only the home node's is armed.
 	const ckptEvery = 50
 	gates := make([]*fleetGate, 2)
@@ -208,13 +208,17 @@ func TestFleetStealDistributedRun(t *testing.T) {
 		t.Errorf("merged trace differs from undistributed run:\n got %d bytes\nwant %d bytes", len(distTrace), len(refTrace))
 	}
 
-	// Node A's own record of the job shows the donation.
+	// Node A's own record of the job is the one the envelope carries.
 	nodeView := getJSONAs[innerWireJob](t, home+"/v1/jobs/"+sub.NodeJobID)
-	if nodeView.Status != "donated" {
-		t.Errorf("donor node job status %q, want donated", nodeView.Status)
+	if nodeView.Status != "done" {
+		t.Errorf("donor node job status %q, want done", nodeView.Status)
+	}
+	nodeDoc := getJSONAs[json.RawMessage](t, home+"/v1/jobs/"+sub.NodeJobID)
+	if !bytes.Equal(compactJSON(t, nodeDoc), compactJSON(t, fin.Job)) {
+		t.Errorf("donor node document differs from the envelope's job:\n got %s\nwant %s", nodeDoc, fin.Job)
 	}
 
-	// The coordinator-local SSE stream carries the run: per-shard
+	// The node's SSE stream, proxied by the fleet, carries the run: per-shard
 	// progress events, checkpoint events on the ship cadence, and a
 	// terminal status event that closes the stream.
 	resp, err := http.Get(front.URL + "/v1/jobs/" + sub.ID + "/events")
@@ -253,10 +257,14 @@ func TestFleetStealDistributedRun(t *testing.T) {
 		}
 	}
 
-	// The counters account for the episode.
+	// The counters account for the episode: the steal on the fleet, the
+	// run on the node that drove it.
 	m := getJSONAs[map[string]any](t, front.URL+"/metrics")
+	if got := m["jobs_stolen_total"].(float64); got != 1 {
+		t.Errorf("jobs_stolen_total = %v, want 1", got)
+	}
+	m = getJSONAs[map[string]any](t, home+"/metrics")
 	for metric, want := range map[string]float64{
-		"jobs_stolen_total":          1,
 		"steal_runs_completed_total": 1,
 		"steal_runs_failed_total":    0,
 	} {

@@ -96,19 +96,8 @@ func (c *Coordinator) SubmitCanonical(ctx context.Context, canonical server.JobS
 // against the node; every chunk is flushed as it arrives, and either
 // side's disconnect tears the stream down via the request context.
 func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	f, d, node, jobURL := c.owned(w, r)
+	f, node, jobURL := c.owned(w, r)
 	if f == nil {
-		return
-	}
-	if d != nil {
-		// A distributed run's events are coordinator-local; serve them
-		// with the node's own stream code, heartbeats included.
-		after, err := server.LastEventID(r)
-		if err != nil {
-			server.WriteError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		server.StreamEvents(r.Context(), w, after, d.events.Since, server.HeartbeatEvery)
 		return
 	}
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, withQuery(jobURL+"/events", r), nil)
@@ -126,7 +115,7 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		body, _ := readBounded(resp.Body) //lint:allow errdrop the error body is advisory
+		body, _ := server.ReadBounded(resp.Body) //lint:allow errdrop the error body is advisory
 		server.WriteRaw(w, resp.StatusCode, body)
 		return
 	}

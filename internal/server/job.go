@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -22,18 +23,13 @@ const (
 	StatusTimeout   Status = "timeout"
 	StatusExhausted Status = "exhausted" // cycle budget spent; stats are the completed prefix
 	StatusFailed    Status = "failed"
-	// StatusDonated marks a job handed off to the fleet for distributed
-	// execution: the run stopped at a cycle boundary, its exact-prefix
-	// checkpoint stayed in the spool, and the coordinator drives the rest
-	// as shards.  Terminal on this node; the merged result lives with the
-	// coordinator.
-	StatusDonated Status = "donated"
 )
 
-// terminal reports whether a status is final.
-func (s Status) terminal() bool {
+// Terminal reports whether a status is final: a node's job, and the fleet
+// coordinator's record of one, ends in exactly these.
+func (s Status) Terminal() bool {
 	switch s {
-	case StatusDone, StatusCancelled, StatusTimeout, StatusExhausted, StatusFailed, StatusDonated:
+	case StatusDone, StatusCancelled, StatusTimeout, StatusExhausted, StatusFailed:
 		return true
 	}
 	return false
@@ -44,7 +40,10 @@ func (s Status) terminal() bool {
 var (
 	errCancelRequested = errors.New("cancelled by client")
 	errShutdown        = errors.New("server shutting down")
-	errDonated         = errors.New("donated to the fleet for distributed execution")
+	// errYield stops a single-node run at a cycle boundary so its worker
+	// drives the rest distributed (handleSteal).  It cancels the run's own
+	// child context, never the job's, so DELETE still reaches the job.
+	errYield = errors.New("yielded to a distributed run")
 )
 
 // job is one queued/executing search request.
@@ -66,9 +65,11 @@ type job struct {
 	runCtx context.Context
 	cancel context.CancelCauseFunc
 
-	// resume holds the spooled checkpoint a restarted server recovered
-	// for this job; nil for a fresh run.  Set before the job is queued,
-	// read only by the worker.
+	// resume holds the checkpoint the next run restores: the spooled one a
+	// restarted server recovered, an imported one, or the last assembled
+	// checkpoint of a distributed run that lost a peer; nil for a fresh
+	// run.  Set before the job is queued or by its worker, read only by
+	// the worker.
 	resume []byte
 
 	mu           sync.Mutex
@@ -82,6 +83,17 @@ type job struct {
 	submitted    time.Time
 	started      time.Time
 	finished     time.Time
+
+	// yield stops the single-node run in progress at its next cycle
+	// boundary, nil while none is; steal is the distributed run a fleet
+	// steal asked it to yield to.  shards is that run's layout, set while
+	// it drives the job and kept once it ended it; donations and
+	// localTransfers are its counts.
+	yield          context.CancelCauseFunc
+	steal          *stealOrder
+	shards         []ShardInfo
+	donations      int
+	localTransfers int
 
 	done chan struct{} // closed when the job reaches a terminal status
 }
@@ -104,7 +116,7 @@ func (j *job) requestCancel(cause error) {
 func (j *job) finish(status Status, stats metrics.Stats, tr *trace.Trace, errMsg string, now time.Time) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status.terminal() {
+	if j.status.Terminal() {
 		return false
 	}
 	j.status = status
@@ -132,6 +144,10 @@ type jobView struct {
 	Submitted    time.Time
 	Started      time.Time
 	Finished     time.Time
+
+	Shards         []ShardInfo
+	Donations      int
+	LocalTransfers int
 }
 
 func (j *job) view() jobView {
@@ -152,7 +168,46 @@ func (j *job) view() jobView {
 		Submitted:    j.submitted,
 		Started:      j.started,
 		Finished:     j.finished,
+
+		Shards:         j.shards,
+		Donations:      j.donations,
+		LocalTransfers: j.localTransfers,
 	}
+}
+
+// setYield installs the yield of the single-node run about to start, or
+// clears it (nil) once that run returned, handing back the steal it was
+// asked to yield to, if any.
+func (j *job) setYield(yield context.CancelCauseFunc) *stealOrder {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	o := j.steal
+	j.yield, j.steal = yield, nil
+	return o
+}
+
+// offerSteal gives o to the job's worker and yields its single-node run;
+// when there is no such run to yield, it says why instead.
+func (j *job) offerSteal(o *stealOrder) string {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	switch {
+	case j.yield == nil:
+		return fmt.Sprintf("job is %s, not in a single-node run", j.status)
+	case j.steal != nil:
+		return "a steal of this job is already under way"
+	}
+	j.steal = o
+	j.yield(errYield)
+	return ""
+}
+
+// setShards records the layout of the distributed run now driving the
+// job, nil when it lost a peer and the job runs single-node again.
+func (j *job) setShards(shards []ShardInfo) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.shards = shards
 }
 
 // ID returns the job id ("j1", ...).
@@ -162,7 +217,7 @@ func (j *job) ID() string { return j.id }
 func (j *job) Terminal() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.status.terminal()
+	return j.status.Terminal()
 }
 
 // storable is what a jobStore holds: a node's *job, or the fleet

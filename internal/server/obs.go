@@ -37,7 +37,10 @@ type counters struct {
 	checkpointsExported atomic.Int64 // checkpoints served to a fleet coordinator
 	jobsImported        atomic.Int64 // jobs accepted with a shipped checkpoint
 
-	jobsDonated         atomic.Int64 // jobs handed off for distributed execution
+	stealCompleted      atomic.Int64 // distributed runs that drove their job to its end
+	stealFailed         atomic.Int64 // steals that lost a peer, at setup or mid-run
+	stealDonations      atomic.Int64 // cross-node stack-segment frames shipped
+	stealLocal          atomic.Int64 // matched transfers that stayed within one shard
 	stealSessionsOpened atomic.Int64 // shard sessions accepted
 	stealFramesAbsorbed atomic.Int64 // donation frames installed into local shards
 	stealFramesSplit    atomic.Int64 // donation frames split off local shards

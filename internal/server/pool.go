@@ -78,7 +78,7 @@ func (s *Server) runJob(j *job) {
 	s.ctr.jobsRunning.Add(1)
 	defer s.ctr.jobsRunning.Add(-1)
 
-	stats, runErr := s.execute(ctx, j, opts)
+	stats, tr, runErr := s.run(ctx, j, opts, tr)
 	latency := time.Since(started)
 	s.latencies.observe(j.spec.Scheme, latency)
 	s.ctr.runDurSumNS.Add(int64(latency))
@@ -92,8 +92,6 @@ func (s *Server) runJob(j *job) {
 		s.finishJob(j, StatusExhausted, stats, tr, runErr.Error())
 	case errors.Is(runErr, context.DeadlineExceeded):
 		s.finishJob(j, StatusTimeout, stats, tr, runErr.Error())
-	case errors.Is(runErr, errDonated):
-		s.finishJob(j, StatusDonated, stats, tr, runErr.Error())
 	case errors.Is(runErr, context.Canceled),
 		errors.Is(runErr, errCancelRequested),
 		errors.Is(runErr, errShutdown):
@@ -106,10 +104,9 @@ func (s *Server) runJob(j *job) {
 
 // cleanSpool deletes a terminal job's spool file — except when shutdown
 // ended the job (the file is exactly what lets the next process resume
-// it) or when the job was donated to the fleet (the file is the donation
-// payload, and the coordinator's shard sessions keep updating it).
+// it).
 func (s *Server) cleanSpool(j *job, cause error) {
-	if s.spool == nil || errors.Is(cause, errShutdown) || errors.Is(cause, errDonated) {
+	if s.spool == nil || errors.Is(cause, errShutdown) {
 		return
 	}
 	s.spool.remove(j.key)
@@ -212,8 +209,6 @@ func (s *Server) finishJob(j *job, status Status, stats metrics.Stats, tr *trace
 		s.ctr.jobsExhausted.Add(1)
 	case StatusFailed:
 		s.ctr.jobsFailed.Add(1)
-	case StatusDonated:
-		s.ctr.jobsDonated.Add(1)
 	}
 }
 

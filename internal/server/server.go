@@ -133,6 +133,7 @@ type Server struct {
 	latencies *schemeLatencies
 	spool     *spool // nil when spooling is disabled
 	steal     *stealRegistry
+	peers     NodeCall // drives a stolen job's shard sessions on other nodes
 	ctr       counters
 
 	rootCtx  context.Context
@@ -175,6 +176,7 @@ func New(cfg Config) (*Server, error) {
 		store:       newJobStore[*job](cfg.JobHistory),
 		latencies:   newSchemeLatencies(),
 		steal:       newStealRegistry(),
+		peers:       caller(&http.Client{Timeout: peerTimeout}),
 		rootCtx:     rootCtx,
 		rootStop:    rootStop,
 		sched:       sched,
@@ -237,9 +239,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/jobs/{id}/checkpoint", s.handleExportCheckpoint)
 	mux.HandleFunc("GET /v1/jobs/{id}/stealable", s.handleStealable)
-	mux.HandleFunc("POST /v1/jobs/{id}/donate", s.handleDonate)
+	mux.HandleFunc("POST /v1/jobs/{id}/steal", s.handleSteal)
 	mux.HandleFunc("POST "+sessionsPath, s.handleStealOpen)
-	mux.HandleFunc("PUT "+sessionRoute+"/checkpoint", s.handleStealCheckpoint)
 	mux.HandleFunc("DELETE "+sessionRoute, s.handleStealClose)
 	for _, op := range shardOps {
 		op.register(s, mux)
@@ -277,6 +278,14 @@ type jobResponse struct {
 	Resumed          bool `json:"resumed,omitempty"`
 	ResumedFromCycle int  `json:"resumed_from_cycle,omitempty"`
 
+	// A job a fleet steal distributed: the shards its worker drives (shard
+	// 0 its own), and once terminal the stack halves that crossed nodes
+	// and the transfers that stayed within a shard.
+	Distributed    bool        `json:"distributed,omitempty"`
+	Shards         []ShardInfo `json:"shards,omitempty"`
+	Donations      int         `json:"donations,omitempty"`
+	LocalTransfers int         `json:"local_transfers,omitempty"`
+
 	// Result fields are present once the job is terminal.
 	Stats      *metrics.Stats `json:"stats,omitempty"`
 	Efficiency float64        `json:"efficiency,omitempty"`
@@ -299,6 +308,10 @@ func renderJob(v jobView) jobResponse {
 		Spec:             v.Spec,
 		Resumed:          v.Resumed,
 		ResumedFromCycle: v.ResumedCycle,
+		Distributed:      v.Shards != nil,
+		Shards:           v.Shards,
+		Donations:        v.Donations,
+		LocalTransfers:   v.LocalTransfers,
 	}
 	if !v.Submitted.IsZero() {
 		r.SubmittedAt = v.Submitted.UTC().Format(time.RFC3339Nano)
@@ -306,7 +319,7 @@ func renderJob(v jobView) jobResponse {
 	if !v.Started.IsZero() {
 		r.StartedAt = v.Started.UTC().Format(time.RFC3339Nano)
 	}
-	if v.Status.terminal() {
+	if v.Status.Terminal() {
 		st := v.Stats
 		r.Stats = &st
 		r.Efficiency = st.Efficiency()
@@ -439,7 +452,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// One view decides both: 202 exactly when the status it carries is not
 	// final (a cache hit, or a job a free worker already finished, is 200).
 	v, code := h.(*JobHandle).j.view(), http.StatusAccepted
-	if v.Status.terminal() {
+	if v.Status.Terminal() {
 		code = http.StatusOK
 	}
 	WriteJSON(w, code, renderJob(v))
@@ -485,7 +498,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v := j.view()
-	ServeTrace(w, r, v.ID, v.Spec.Trace, v.Status, v.Trace)
+	serveTrace(w, r, v.ID, v.Spec.Trace, v.Status, v.Trace)
 }
 
 // handleEvents implements GET /v1/jobs/{id}/events: the job's progress
@@ -496,7 +509,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, "unknown job id")
 		return
 	}
-	after, err := LastEventID(r)
+	after, err := lastEventID(r)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err.Error())
 		return
@@ -630,7 +643,10 @@ func (s *Server) Metrics() map[string]any {
 		"spill_bytes_read_total":         s.ctr.spillBytesRead.Load(),
 		"checkpoints_exported_total":     s.ctr.checkpointsExported.Load(),
 		"jobs_imported_total":            s.ctr.jobsImported.Load(),
-		"jobs_donated_total":             s.ctr.jobsDonated.Load(),
+		"steal_runs_completed_total":     s.ctr.stealCompleted.Load(),
+		"steal_runs_failed_total":        s.ctr.stealFailed.Load(),
+		"steal_donations_total":          s.ctr.stealDonations.Load(),
+		"steal_local_transfers_total":    s.ctr.stealLocal.Load(),
 		"steal_sessions_opened_total":    s.ctr.stealSessionsOpened.Load(),
 		"steal_sessions_active":          s.steal.active(),
 		"steal_frames_absorbed_total":    s.ctr.stealFramesAbsorbed.Load(),

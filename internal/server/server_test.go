@@ -88,7 +88,7 @@ func waitTerminal(t *testing.T, ts *httptest.Server, id string) wireJob {
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		j := getJob(t, ts, id)
-		if j.Status.terminal() {
+		if j.Status.Terminal() {
 			return j
 		}
 		time.Sleep(5 * time.Millisecond)

@@ -1,27 +1,29 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
+	"time"
 
 	"simdtree/internal/checkpoint"
 	"simdtree/internal/simd"
 	"simdtree/internal/steal"
 )
 
-// The shard-session protocol, written once.  A coordinator drives a hosted
-// shard through eight per-session calls, one per steal.Host method; each
-// is declared below as one shardOp value, and both halves of the call are
-// derived from that declaration: register mounts the node's handler, call
-// is the coordinator's request.  Neither half spells a path suffix or a
-// wire document of its own, so the two cannot drift apart.  (Opening a
-// session, shipping it a checkpoint and closing it are session lifecycle,
-// not Host calls: their handlers are in steal.go, their client halves at
-// the bottom of this file.)
+// The shard-session protocol, written once.  A stolen job's node drives
+// each shard its peers host through eight per-session calls, one per
+// steal.Host method; each is declared below as one shardOp value, and both
+// halves of the call are derived from that declaration: register mounts
+// the peer's handler, call is the driving node's request.  Neither half
+// spells a path suffix or a wire document of its own, so the two cannot
+// drift apart.  (Opening and closing a session are session lifecycle, not
+// Host calls: their handlers are in steal.go, their client halves at the
+// bottom of this file.)
 
 // sessionsPath is the collection every session route hangs off, and
 // sessionRoute one session in it as the node's mux spells it.
@@ -30,11 +32,66 @@ const (
 	sessionRoute = sessionsPath + "/{sid}"
 )
 
-// NodeCall is one request from a coordinator to a node: the node's status
-// and bounded body, or a transport failure — never a status as an error.
-// internal/cluster passes its own call, its single outbound seam, so shard
-// traffic shares that client, deadline and response bound.
+// NodeCall is one request to a node: its status and bounded body, or a
+// transport failure — never a status as an error.  Caller makes one of
+// RoundTrip.
 type NodeCall func(ctx context.Context, method, url, contentType string, body []byte) (code int, resp []byte, err error)
+
+// peerTimeout bounds every call a node makes to a peer, and the teardown
+// that closes a distributed run's sessions.
+const peerTimeout = 30 * time.Second
+
+// maxNodeResponse bounds any body read from a node: the bound of the
+// checkpoint a shard session is opened from, so a session's export can
+// always be read back; traces, the other large payload, fit comfortably.
+const maxNodeResponse = checkpoint.MaxFrameSize
+
+// RoundTrip is the one bounded outbound request: a node driving its
+// peers' shard sessions and the fleet coordinator asking a node anything
+// both go through it (the coordinator's SSE proxy, which must not buffer,
+// is the only other client).  body, contentType and header are optional.
+// It returns the status, the body and the response headers; err is a
+// transport failure or an oversized body, never a status.
+func RoundTrip(ctx context.Context, client *http.Client, method, url, contentType string, body []byte, header http.Header) (int, []byte, http.Header, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	for k, v := range header {
+		req.Header[k] = v
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	defer resp.Body.Close()
+	b, err := ReadBounded(resp.Body)
+	return resp.StatusCode, b, resp.Header, err
+}
+
+// caller is RoundTrip over client as a NodeCall: no request headers, none
+// read back.
+func caller(client *http.Client) NodeCall {
+	return func(ctx context.Context, method, url, contentType string, body []byte) (int, []byte, error) {
+		code, b, _, err := RoundTrip(ctx, client, method, url, contentType, body, nil)
+		return code, b, err
+	}
+}
+
+// ReadBounded reads a node's answer, refusing one over maxNodeResponse.
+func ReadBounded(r io.Reader) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(r, maxNodeResponse+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(b) > maxNodeResponse {
+		return nil, fmt.Errorf("server: node response exceeds %d bytes", maxNodeResponse)
+	}
+	return b, nil
+}
 
 // Wire documents of the protocol.  []byte fields travel as base64 strings
 // (encoding/json's default), which keeps the protocol JSON-debuggable; the
@@ -204,7 +261,7 @@ func (op shardOp[Req, Resp]) register(s *Server, mux *http.ServeMux) {
 	})
 }
 
-// call is the coordinator half: the same request kinds, encoded.
+// call is the driving node's half: the same request kinds, encoded.
 func (op shardOp[Req, Resp]) call(ctx context.Context, c *ShardClient, req Req) (resp Resp, err error) {
 	var body []byte
 	contentType := ""
@@ -237,16 +294,10 @@ type ShardClient struct {
 
 // OpenShard opens a shard session on the node at base: the node decodes
 // the checkpoint, builds the shard machine for [lo, hi) and returns a
-// session handle.  spool asks the node to persist checkpoints shipped via
-// WriteCheckpoint under the job's spool entry, making the sharded job
-// survive a node restart.
-func OpenShard(ctx context.Context, node NodeCall, base string, ckpt []byte, lo, hi int, spool bool) (*ShardClient, error) {
-	query := fmt.Sprintf("?lo=%d&hi=%d", lo, hi)
-	if spool {
-		query += "&spool=1"
-	}
+// session handle.
+func OpenShard(ctx context.Context, node NodeCall, base string, ckpt []byte, lo, hi int) (*ShardClient, error) {
 	c := &ShardClient{node: node, base: base, lo: lo, hi: hi}
-	raw, err := c.do(ctx, http.MethodPost, query, checkpoint.ContentType, ckpt)
+	raw, err := c.do(ctx, http.MethodPost, fmt.Sprintf("?lo=%d&hi=%d", lo, hi), checkpoint.ContentType, ckpt)
 	var open openResponse
 	if err == nil {
 		err = json.Unmarshal(raw, &open)
@@ -259,7 +310,7 @@ func OpenShard(ctx context.Context, node NodeCall, base string, ckpt []byte, lo,
 		if open.Session != "" {
 			// The node did open something; do not leave it holding one of
 			// its session slots.
-			_ = c.Close(ctx, false) //lint:allow errdrop the mismatch below is the error worth reporting
+			_ = c.Close(ctx) //lint:allow errdrop the mismatch below is the error worth reporting
 		}
 		return nil, fmt.Errorf("server: node %s answered session %q range [%d, %d), want [%d, %d)", base, open.Session, open.Lo, open.Hi, lo, hi)
 	}
@@ -278,9 +329,6 @@ func (c *ShardClient) do(ctx context.Context, method, rest, contentType string, 
 	}
 	return resp, nil
 }
-
-// Base returns the node base URL the shard session lives on.
-func (c *ShardClient) Base() string { return c.base }
 
 // Session returns the node-assigned session id.
 func (c *ShardClient) Session() string { return c.id }
@@ -331,22 +379,8 @@ func (c *ShardClient) Merge(ctx context.Context, states [][]byte) ([]byte, error
 	return r.DomainState, err
 }
 
-// WriteCheckpoint ships an assembled cluster-wide checkpoint to the node
-// hosting this shard session; a session opened with spool enabled persists
-// it under the job's spool entry.
-func (c *ShardClient) WriteCheckpoint(ctx context.Context, encoded []byte) error {
-	_, err := c.do(ctx, http.MethodPut, c.session+"/checkpoint", checkpoint.ContentType, encoded)
-	return err
-}
-
-// Close releases the session.  dropSpool additionally removes the spool
-// entry the session wrote (used after a successful distributed run; a
-// failed run keeps the last shipped checkpoint for recovery).
-func (c *ShardClient) Close(ctx context.Context, dropSpool bool) error {
-	rest := c.session
-	if dropSpool {
-		rest += "?drop_spool=1"
-	}
-	_, err := c.do(ctx, http.MethodDelete, rest, "", nil)
+// Close releases the session.
+func (c *ShardClient) Close(ctx context.Context) error {
+	_, err := c.do(ctx, http.MethodDelete, c.session, "", nil)
 	return err
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -32,9 +31,9 @@ func shardSpec(scheme string, w int) string {
 	return fmt.Sprintf(`{"domain":"synthetic","scheme":%q,"p":8,"synthetic":{"w":%d,"seed":3}}`, scheme, w)
 }
 
-// donatedJob is a job stopped at a cycle boundary the way handleDonate
-// stops one: the exact-prefix checkpoint plus everything a coordinator
-// derives from it.
+// donatedJob is a job stopped at a cycle boundary the way a steal yields
+// one: the exact-prefix checkpoint plus everything its driver derives from
+// it.
 type donatedJob struct {
 	ckpt []byte
 	meta checkpoint.Meta
@@ -110,7 +109,7 @@ func (d donatedJob) snapshot(t *testing.T) *checkpoint.RawSnapshot {
 	return raw
 }
 
-// ranges tiles [0, p) into n contiguous shard ranges, as the coordinator does.
+// ranges tiles [0, p) into n contiguous shard ranges, as distribute does.
 func ranges(p, n int) [][2]int {
 	out := make([][2]int, n)
 	for i := range out {
@@ -119,32 +118,16 @@ func ranges(p, n int) [][2]int {
 	return out
 }
 
-// httpCall is a NodeCall over a plain http.Client, the shape of
-// cluster.Coordinator.call.
-func httpCall(ctx context.Context, method, url, contentType string, body []byte) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	return resp.StatusCode, b, err
-}
+// httpCall is the NodeCall a node drives its peers through, over a plain
+// http.Client.
+var httpCall = caller(http.DefaultClient)
 
-// openShards opens one session per node over the donation, shard 0 with
-// spooling.
+// openShards opens one session per node over the donation.
 func openShards(t *testing.T, d donatedJob, nodes []*httptest.Server) []*ShardClient {
 	t.Helper()
 	var out []*ShardClient
 	for i, r := range ranges(d.spec.P, len(nodes)) {
-		c, err := OpenShard(context.Background(), httpCall, nodes[i].URL, d.ckpt, r[0], r[1], i == 0)
+		c, err := OpenShard(context.Background(), httpCall, nodes[i].URL, d.ckpt, r[0], r[1])
 		if err != nil {
 			t.Fatalf("opening shard %d: %v", i, err)
 		}
@@ -156,7 +139,7 @@ func openShards(t *testing.T, d donatedJob, nodes []*httptest.Server) []*ShardCl
 func closeShards(t *testing.T, shards []*ShardClient) {
 	t.Helper()
 	for i, c := range shards {
-		if err := c.Close(context.Background(), false); err != nil {
+		if err := c.Close(context.Background()); err != nil {
 			t.Errorf("closing shard %d: %v", i, err)
 		}
 	}
@@ -215,7 +198,7 @@ func sessionRequest(t *testing.T, ts *httptest.Server, method, rest, body string
 func TestShardProtocolConformance(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1})
 	d := donate(t, shardSpec("GP-DK", 4000), 3)
-	c, err := OpenShard(context.Background(), httpCall, ts.URL, d.ckpt, 0, d.spec.P, false)
+	c, err := OpenShard(context.Background(), httpCall, ts.URL, d.ckpt, 0, d.spec.P)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +253,7 @@ func TestShardProtocolConformance(t *testing.T) {
 func TestTransferRefusalsLeaveStacksAlone(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 1})
 	d := donate(t, shardSpec("GP-DK", 4000), 3)
-	c, err := OpenShard(context.Background(), httpCall, ts.URL, d.ckpt, 0, d.spec.P, false)
+	c, err := OpenShard(context.Background(), httpCall, ts.URL, d.ckpt, 0, d.spec.P)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +349,7 @@ func TestOpenShardClosesAMismatchedSession(t *testing.T) {
 		}
 		return code, resp, err
 	}
-	if _, err := OpenShard(context.Background(), lying, ts.URL, d.ckpt, 0, 4, false); err == nil || !strings.Contains(err.Error(), "want [0, 4)") {
+	if _, err := OpenShard(context.Background(), lying, ts.URL, d.ckpt, 0, 4); err == nil || !strings.Contains(err.Error(), "want [0, 4)") {
 		t.Fatalf("OpenShard over a mismatched answer: %v", err)
 	}
 	if n := s.steal.active(); n != 0 {
@@ -425,7 +408,7 @@ func (f *faultyCall) call(ctx context.Context, method, url, contentType string, 
 }
 
 // TestShardFaultSweep is ROADMAP item 2's first instalment over the one
-// coordinator→node seam: the k-th session call of a short two-shard run
+// node→peer seam: the k-th session call of a short two-shard run
 // fails three ways, k swept over the run.  For every k the driver returns,
 // within the deadline, an error naming the shard and the op — or finishes
 // with the fault-free Stats; and after Close neither node holds a session.
@@ -433,10 +416,10 @@ func (f *faultyCall) call(ctx context.Context, method, url, contentType string, 
 // The synthetic job exercises every call but merge (its domain is
 // stateless); the puzzle job's IDA* bound accumulator adds merge.
 func TestShardFaultSweep(t *testing.T) {
-	all := []string{"status", "step", "flags", "transfer", "split", "absorb", "export", "checkpoint"}
+	all := []string{"status", "step", "flags", "transfer", "split", "absorb", "export"}
 	t.Run("synthetic", func(t *testing.T) { sweepFaults(t, shardSpec("GP-DK", 300), all) })
 	t.Run("puzzle", func(t *testing.T) {
-		sweepFaults(t, `{"domain":"puzzle","scheme":"GP-DK","p":8,"puzzle":{"seed":5,"steps":12}}`, []string{"step", "export", "merge", "checkpoint"})
+		sweepFaults(t, `{"domain":"puzzle","scheme":"GP-DK","p":8,"puzzle":{"seed":5,"steps":12}}`, []string{"step", "export", "merge"})
 	})
 }
 
@@ -454,12 +437,7 @@ func sweepFaults(t *testing.T, spec string, mustCall []string) {
 			c.node = fc.call
 		}
 		cfg := d.cfg
-		cfg.OnCheckpoint = func(ctx context.Context, b []byte) error {
-			if err := shards[0].WriteCheckpoint(ctx, b); err != nil {
-				return fmt.Errorf("shard 0 checkpoint: %w", err)
-			}
-			return nil
-		}
+		cfg.OnCheckpoint = func(context.Context, []byte) error { return nil }
 		drv, err := steal.NewDriver(cfg, d.snapshot(t), asShards(shards))
 		if err != nil {
 			t.Fatal(err)
@@ -558,8 +536,8 @@ func TestSpecOfBindsSpecToFrameP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SpecOf(meta, testDomains()); err == nil || !strings.Contains(err.Error(), "spec has P=16, checkpoint has P=8") {
-		t.Fatalf("SpecOf: %v", err)
+	if _, err := specOf(meta, testDomains()); err == nil || !strings.Contains(err.Error(), "spec has P=16, checkpoint has P=8") {
+		t.Fatalf("specOf: %v", err)
 	}
 
 	dir := t.TempDir()
@@ -577,7 +555,7 @@ func TestSpecOfBindsSpecToFrameP(t *testing.T) {
 	if code != http.StatusBadRequest || !strings.Contains(string(body), "spec has P=16") {
 		t.Errorf("import: %d %s, want 400 naming the P mismatch", code, body)
 	}
-	if _, err := OpenShard(context.Background(), httpCall, ts.URL, frame, 0, 4, false); err == nil || !strings.Contains(err.Error(), "spec has P=16") {
+	if _, err := OpenShard(context.Background(), httpCall, ts.URL, frame, 0, 4); err == nil || !strings.Contains(err.Error(), "spec has P=16") {
 		t.Errorf("open: %v, want the same refusal", err)
 	}
 }

@@ -103,7 +103,7 @@ type spooledJob struct {
 // rescan returns every valid checkpoint in the spool, in the
 // deterministic directory order.  A file is valid when its CRC and
 // header parse (checkpoint.Peek), its embedded spec canonicalizes
-// against the server's domain set at the frame's own P (SpecOf), and the
+// against the server's domain set at the frame's own P (specOf), and the
 // spec's cache key matches the filename — the binding that stops a renamed
 // or stale file from resurrecting the wrong job.  Invalid files are
 // skipped, never deleted: an operator may want to inspect them.
@@ -127,7 +127,7 @@ func (sp *spool) rescan(domains map[string]bool) []spooledJob {
 		if err != nil {
 			continue
 		}
-		canonical, err := SpecOf(meta, domains)
+		canonical, err := specOf(meta, domains)
 		if err != nil || CacheKey(canonical) != key {
 			continue
 		}

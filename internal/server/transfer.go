@@ -58,12 +58,12 @@ func (s *Server) writeCheckpoint(w http.ResponseWriter, key string, b []byte) {
 	_, _ = w.Write(b) //lint:allow errdrop response writer errors are unreportable
 }
 
-// SpecOf recovers the job a checkpoint belongs to from the spec JSON in its
+// specOf recovers the job a checkpoint belongs to from the spec JSON in its
 // Meta.Extra, canonicalized exactly like a fresh submission and checked
 // against the machine size the frame itself records.  Everything that
 // accepts a checkpoint from outside — shard-session open, import, spool
-// rescan, the coordinator reading a donation — trusts only this.
-func SpecOf(meta checkpoint.Meta, domains map[string]bool) (JobSpec, error) {
+// rescan — trusts only this.
+func specOf(meta checkpoint.Meta, domains map[string]bool) (JobSpec, error) {
 	var spec JobSpec
 	if len(meta.Extra) == 0 || json.Unmarshal(meta.Extra, &spec) != nil {
 		return JobSpec{}, errors.New("checkpoint carries no job spec in its meta block")
@@ -89,7 +89,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad checkpoint frame: %v", err))
 		return
 	}
-	canonical, err := SpecOf(meta, s.domains)
+	canonical, err := specOf(meta, s.domains)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err.Error())
 		return

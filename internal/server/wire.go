@@ -230,11 +230,11 @@ func DecodeBatch(w http.ResponseWriter, r *http.Request, max int) (BatchRequest,
 	return req, true
 }
 
-// LastEventID extracts an event stream's resume point: the standard
+// lastEventID extracts an event stream's resume point: the standard
 // Last-Event-ID header a reconnecting EventSource sends, or the
 // ?last_event_id= query parameter for clients that cannot set headers.
 // 0 streams from the beginning of the retained log.
-func LastEventID(r *http.Request) (int64, error) {
+func lastEventID(r *http.Request) (int64, error) {
 	raw := r.Header.Get("Last-Event-ID")
 	if raw == "" {
 		raw = r.URL.Query().Get("last_event_id")
@@ -302,18 +302,18 @@ func StreamEvents(ctx context.Context, w http.ResponseWriter, after int64, since
 	}
 }
 
-// ServeTrace answers GET /v1/jobs/{id}/trace for a job in the given
+// serveTrace answers GET /v1/jobs/{id}/trace for a job in the given
 // state: 409 when it was submitted without trace=true or has not
 // finished, 404 when no trace was recorded.  ?trace_limit=N bounds the
 // payload to the first N samples and phases; a large-P job's full trace
 // can dwarf everything else a coordinator fans in, and the totals still
 // tell the reader what was cut.
-func ServeTrace(w http.ResponseWriter, r *http.Request, id string, traced bool, status Status, tr *trace.Trace) {
+func serveTrace(w http.ResponseWriter, r *http.Request, id string, traced bool, status Status, tr *trace.Trace) {
 	if !traced {
 		WriteError(w, http.StatusConflict, "job was not submitted with trace=true")
 		return
 	}
-	if !status.terminal() {
+	if !status.Terminal() {
 		WriteError(w, http.StatusConflict, fmt.Sprintf("job is %s; trace is available once it finishes", status))
 		return
 	}

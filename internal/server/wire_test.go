@@ -14,8 +14,8 @@ import (
 )
 
 // TestEventLogTrimsAndWakes covers the one bounded log every stream now
-// reads (a node's per-job log and the coordinator's per-distributed-run
-// log are both this type): past the cap it trims from the front, a
+// reads (a node's per-job log, a stolen job's included): past the cap it
+// trims from the front, a
 // reader older than the retained base restarts from the oldest retained
 // event, sequence numbers stay gap-free, and the wake channel closes on
 // the next Append.
@@ -63,7 +63,7 @@ func TestEventLogTrimsAndWakes(t *testing.T) {
 }
 
 // TestStreamEventsHeartbeatAndClose drives StreamEvents over an EventLog
-// the way both the traffic frontend and the coordinator do: buffered
+// the way a node's events route does: buffered
 // events arrive framed, an idle stream carries comment heartbeats, and
 // the stream ends by itself after the terminal event.
 func TestStreamEventsHeartbeatAndClose(t *testing.T) {

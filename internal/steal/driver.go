@@ -15,7 +15,7 @@ import (
 	"simdtree/internal/trace"
 )
 
-// Shard is the coordinator's view of one node-hosted shard: the Host
+// Shard is the driver's view of one hosted shard: the Host
 // operations lifted over a transport.  Every call is a cycle-boundary
 // operation; the driver is the only caller and never issues two calls to
 // the same shard concurrently.

@@ -136,7 +136,7 @@ func testDriver[S any](t *testing.T, codec wire.Codec[S], label string, p, nShar
 			t.Fatalf("k=%d: encode: %v", k, err)
 		}
 
-		// The coordinator sees only the encoded checkpoint: decode raw,
+		// The driving node sees only the encoded checkpoint: decode raw,
 		// shard the stacks across hosts, and drive.
 		meta, raw, err := checkpoint.DecodeRaw(donated)
 		if err != nil {

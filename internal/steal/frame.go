@@ -1,7 +1,7 @@
 // Package steal implements distributed load balancing across simdserve
 // nodes: one job runs as coordinated shards — full-size machines that each
-// hold a contiguous PE range — stepped in lock-step by a coordinator-side
-// driver that owns the global schedule (trigger evaluation, matching, the
+// hold a contiguous PE range — stepped in lock-step by a driver on the
+// job's own node that owns the global schedule (trigger evaluation, matching, the
 // GP pointer, the stats/trace ledger).  Because every scheduling decision
 // of the engine's run loop is a function of globally reduced scalars, the
 // distributed schedule is byte-identical to the single-machine one; split
@@ -41,7 +41,7 @@ var (
 
 // Frame is one donated stack half in flight between nodes, carrying
 // everything the receiver needs to install it deterministically: the job
-// it belongs to, the coordinator-minted donation sequence number (total
+// it belongs to, the driver-minted donation sequence number (total
 // order over the run's donations, so replays are byte-identical), the
 // cycle boundary it was split at, the global donor and receiver PE
 // indices, and the wire-encoded stack levels.
@@ -57,7 +57,7 @@ type Frame struct {
 	// Codec names the wire codec of the stack payload; the receiver
 	// refuses a mismatch.
 	Codec string
-	// Donation is the coordinator-assigned sequence number.
+	// Donation is the driver-assigned sequence number.
 	Donation uint64
 	// Cycle is the expansion-cycle boundary the donation was split at.
 	Cycle int

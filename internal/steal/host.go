@@ -12,7 +12,7 @@ import (
 // Host is the node-side, codec-erased face of one shard of a distributed
 // run: a full-P machine whose PE range [lo, hi) holds the shard's stacks
 // while every other PE is empty.  All methods are cycle-boundary
-// operations driven by the coordinator; a Host is not safe for concurrent
+// operations driven by the Driver; a Host is not safe for concurrent
 // use (the server serialises access per session).
 type Host interface {
 	// Range returns the shard's [lo, hi) global PE range.
@@ -75,12 +75,12 @@ func NewHost[S any](d search.Domain[S], codec wire.Codec[S], schemeLabel string,
 		return nil, err
 	}
 	opts.Workers = 1
-	opts.Trace = nil // the coordinator owns the trace ledger
+	opts.Trace = nil // the Driver owns the trace ledger
 	opts.Progress = nil
-	// Spill is node-local: the coordinator's admission already sized the
-	// job, and a shard holds only its [lo, hi) slice, so shard machines
-	// run unbounded (a budget here would also demand a spill dir per
-	// shard for no memory the coordinator hasn't accounted).
+	// Spill is node-local: the job's admission already sized it, and a
+	// shard holds only its [lo, hi) slice, so shard machines run unbounded
+	// (a budget here would also demand a spill dir per shard for no memory
+	// the admission hasn't accounted).
 	opts.MemBudget = 0
 	m, err := simd.NewMachine[S](d, sch, opts)
 	if err != nil {

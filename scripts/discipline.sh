@@ -48,9 +48,17 @@ rule() {
 # shard-discipline — one session protocol (DESIGN.md section 15, "Session
 # protocol"): the shard-session calls are the shardOp table in
 # internal/server/shard.go and nothing else spells a session route;
-# internal/steal stays transport-free; and the coordinator has one outbound
-# path, cluster's call (the SSE proxy's stream.Do, which must not buffer, is
-# the documented other).
+# internal/steal stays transport-free; and under internal/ there is one
+# bounded outbound call, server.RoundTrip, which a node driving its peers'
+# sessions and the coordinator asking a node anything both go through (the
+# coordinator's SSE proxy's stream.Do, which must not buffer, is the
+# documented other).
+#
+# owner-discipline — one owner per job (DESIGN.md section 15, "Lifecycle
+# and recovery"): a stolen job's shards are driven by the node that holds
+# the job, whose worker runs it distributed as it ran it alone, so outside
+# internal/server no non-test file builds a steal.Driver.  (benchmark/'s
+# traced pass drives LocalShards of its own.)
 #
 # match-discipline — one setup step (DESIGN.md section 16, "The
 # load-balancing phase costs what it moves"): the matchers read ranks
@@ -99,8 +107,10 @@ rules() {
 		-e '/v1/steal/sessions' -- 'internal/*.go' ':!*_test.go' ':!internal/server/'
 	rule shard-discipline 0 'internal/steal is transport-free; HTTP lives in internal/server' \
 		-e '"net/http"' -- 'internal/steal/*.go' ':!*_test.go'
-	rule shard-discipline 1 'internal/cluster calls client.Do( {n} times, want exactly once (Coordinator.roundTrip, behind call)' \
-		-e 'client\.Do(' -- 'internal/cluster/*.go' ':!*_test.go'
+	rule shard-discipline 0 'outside internal/server no non-test file under internal/ calls client.Do(: ask a node through server.RoundTrip' \
+		-e 'client\.Do(' -- 'internal/*.go' ':!*_test.go' ':!internal/server/'
+	rule shard-discipline 1 'internal/server calls client.Do( {n} times, want exactly once (server.RoundTrip, the one bounded outbound call)' \
+		-e 'client\.Do(' -- 'internal/server/*.go' ':!*_test.go'
 	rule match-discipline 0 'match on the flag words (match.MatchBits); the rank arrays are a test oracle' \
 		-e 'busyRanks' -e 'idleRanks' -e 'RendezvousInto' -e 'EnumerateBits' -- '*.go' ':!*_test.go'
 	rule arena-discipline 5 'internal/stack allocates node storage at {n} places, want 5 (chunk, newBuf, AppendLevels, CopyPE, block scratch): a first buffer is a home window' \
@@ -113,6 +123,8 @@ rules() {
 		-e 'X-Collapsed' -e 'jobs:batch"' -- 'internal/*.go' ':!*_test.go' ':!internal/traffic/'
 	rule metrics-discipline 1 'under internal/ {n} fields are tagged json:"..._total", want 1 (traffic.TenantStat.Served): name a /metrics key in Server.Metrics or Coordinator.Metrics' \
 		-E -e 'json:"[a-z0-9_]*_total[",]' --and --not -e 'json:"(samples|phases)_total"' -- 'internal/*.go' ':!*_test.go'
+	rule owner-discipline 0 'steal.NewDriver( is called outside internal/server: the node that holds a job drives its shards (server.distribute)' \
+		-e 'steal\.NewDriver(' -- '*.go' ':!*_test.go' ':!internal/server/' ':!benchmark/'
 }
 
 # plant ORDINAL FIRES PATH LINE...: in a fresh scratch repository holding
@@ -154,47 +166,54 @@ if [ "${1:-}" = selftest ]; then
 	plant 4 0 internal/server/zz.go 'const sessionsPath = "/v1/steal/sessions"'
 	plant 5 1 internal/steal/zz.go 'import "net/http"'
 	plant 5 0 internal/steal/zz_test.go 'import "net/http"'
-	plant 6 1 internal/cluster/zz.go 'resp, err := c.client.Do(req)' 'resp, err = c.client.Do(req)'
-	plant 6 1 internal/cluster/zz.go 'no outbound call at all'
-	plant 6 0 internal/cluster/zz.go 'resp, err := c.client.Do(req)'
-	plant 7 1 internal/match/zz.go 'a.busyRanks = make([]int, n)'
-	plant 7 1 internal/match/zz.go 'a.idleRanks = a.idleRanks[:n]'
-	plant 7 1 internal/simd/zz.go 'pairs, inv = scan.RendezvousInto(pairs[:0], inv, busy, idle)'
-	plant 7 1 internal/scan/zz.go 'func EnumerateBitsFromInto(ranks []int, b Bits, start, n int) int {'
-	plant 7 0 internal/scan/zz_test.go 'func EnumerateBitsInto(ranks []int, b Bits, n int) int {'
+	plant 6 1 internal/cluster/zz.go 'resp, err := c.client.Do(req)'
+	plant 6 0 internal/server/zz.go 'resp, err := client.Do(req)'
+	plant 6 0 internal/cluster/zz_test.go 'resp, err := http.DefaultClient.Do(req)'
+	plant 7 1 internal/server/zz.go 'resp, err := client.Do(req)' 'resp, err = client.Do(req)'
+	plant 7 1 internal/server/zz.go 'no outbound call at all'
+	plant 7 0 internal/server/zz.go 'resp, err := client.Do(req)'
+	plant 8 1 internal/match/zz.go 'a.busyRanks = make([]int, n)'
+	plant 8 1 internal/match/zz.go 'a.idleRanks = a.idleRanks[:n]'
+	plant 8 1 internal/simd/zz.go 'pairs, inv = scan.RendezvousInto(pairs[:0], inv, busy, idle)'
+	plant 8 1 internal/scan/zz.go 'func EnumerateBitsFromInto(ranks []int, b Bits, start, n int) int {'
+	plant 8 0 internal/scan/zz_test.go 'func EnumerateBitsInto(ranks []int, b Bits, n int) int {'
 	set -- 'h = new(home[S])' 'return make([]S, max(2*have, need))' 'p.buf = make([]S, len(nodes))' \
 		'buf: append([]S(nil), q.buf[q.head:q.head+q.size]...),' 'nodes = make([]S, len(pairs))'
-	plant 8 0 internal/stack/zz.go "$@"
-	plant 8 1 internal/stack/zz.go "$@" 'nb := make([]S, 16) // a buffer of its own for every PE'
-	plant 8 1 internal/stack/zz.go "$@" 'p.home = new(home[S])'
-	plant 8 1 internal/stack/zz.go "$@" 'p.buf = append([]S(nil), node)'
-	plant 8 1 internal/stack/zz_test.go "$@"
-	plant 9 1 internal/server/zz.go 'atomic.AddInt64(&s.jobs, 1)'
-	plant 9 1 internal/simd/zz.go 'w := atomic.LoadUint64(&words[i])'
-	plant 9 1 internal/cluster/zz.go 'if atomic.CompareAndSwapInt32(&n.state, 0, 1) {'
-	plant 9 1 internal/wire/zz.go 'var bufs = sync.Pool{New: func() any { return new([]byte) }}'
-	plant 9 0 internal/server/zz.go 'var jobs atomic.Int64' 'jobs.Add(1)'
-	plant 9 0 internal/server/zz_test.go 'atomic.AddInt64(&hits, 1)'
+	plant 9 0 internal/stack/zz.go "$@"
+	plant 9 1 internal/stack/zz.go "$@" 'nb := make([]S, 16) // a buffer of its own for every PE'
+	plant 9 1 internal/stack/zz.go "$@" 'p.home = new(home[S])'
+	plant 9 1 internal/stack/zz.go "$@" 'p.buf = append([]S(nil), node)'
+	plant 9 1 internal/stack/zz_test.go "$@"
+	plant 10 1 internal/server/zz.go 'atomic.AddInt64(&s.jobs, 1)'
+	plant 10 1 internal/simd/zz.go 'w := atomic.LoadUint64(&words[i])'
+	plant 10 1 internal/cluster/zz.go 'if atomic.CompareAndSwapInt32(&n.state, 0, 1) {'
+	plant 10 1 internal/wire/zz.go 'var bufs = sync.Pool{New: func() any { return new([]byte) }}'
+	plant 10 0 internal/server/zz.go 'var jobs atomic.Int64' 'jobs.Add(1)'
+	plant 10 0 internal/server/zz_test.go 'atomic.AddInt64(&hits, 1)'
 	set -- 'w.Header().Set("Content-Type", "text/event-stream")' 'w.Header().Set("Content-Type", "text/event-stream")'
-	plant 10 0 internal/server/zz.go "$@"
-	plant 10 1 internal/server/zz.go "$@" '@internal/traffic/zz.go' 'w.Header().Set("Content-Type", "text/event-stream")'
-	plant 10 1 internal/cluster/zz.go 'w.Header().Set("Content-Type", "text/event-stream")'
-	plant 10 0 internal/server/zz.go "$@" '@internal/traffic/zz_test.go' 'if ct != "text/event-stream" {'
-	plant 11 1 internal/cluster/zz.go 'w.Header().Set("X-Collapsed", "1")'
-	plant 11 1 internal/server/zz.go 'mux.HandleFunc("POST /v1/jobs:batch", s.handleBatch)'
-	plant 11 0 internal/traffic/zz.go 'mux.HandleFunc("POST /v1/jobs:batch", f.handleBatch)'
-	plant 11 0 internal/cluster/zz_test.go 'if resp.Header.Get("X-Collapsed") != "1" {'
-	plant 11 0 cmd/x/zz.go 'collapsed := resp.Header.Get("X-Collapsed") != ""'
-	plant 11 0 internal/server/zz.go '// BatchRequest is the POST /v1/jobs:batch body.'
+	plant 11 0 internal/server/zz.go "$@"
+	plant 11 1 internal/server/zz.go "$@" '@internal/traffic/zz.go' 'w.Header().Set("Content-Type", "text/event-stream")'
+	plant 11 1 internal/cluster/zz.go 'w.Header().Set("Content-Type", "text/event-stream")'
+	plant 11 0 internal/server/zz.go "$@" '@internal/traffic/zz_test.go' 'if ct != "text/event-stream" {'
+	plant 12 1 internal/cluster/zz.go 'w.Header().Set("X-Collapsed", "1")'
+	plant 12 1 internal/server/zz.go 'mux.HandleFunc("POST /v1/jobs:batch", s.handleBatch)'
+	plant 12 0 internal/traffic/zz.go 'mux.HandleFunc("POST /v1/jobs:batch", f.handleBatch)'
+	plant 12 0 internal/cluster/zz_test.go 'if resp.Header.Get("X-Collapsed") != "1" {'
+	plant 12 0 cmd/x/zz.go 'collapsed := resp.Header.Get("X-Collapsed") != ""'
+	plant 12 0 internal/server/zz.go '// BatchRequest is the POST /v1/jobs:batch body.'
 	set -- 'Served  int64 `json:"served_total"`'
-	plant 12 0 internal/traffic/drr.go "$@"
-	plant 12 1 internal/traffic/drr.go "$@" '@internal/server/zz.go' 'JobsDone            int64 `json:"jobs_done_total"`'
-	plant 12 1 internal/traffic/drr.go "$@" '@internal/cluster/zz.go' 'JobsRouted int64 `json:"jobs_routed_total"`'
-	plant 12 1 internal/traffic/drr.go 'Served  int64 `json:"served"`'
-	plant 12 0 internal/traffic/drr.go "$@" '@internal/server/zz_test.go' 'JobsDone int64 `json:"jobs_done_total"`'
-	plant 12 0 internal/traffic/drr.go "$@" '@internal/server/zz.go' 'SamplesTotal int `json:"samples_total"`' 'PhasesTotal int `json:"phases_total"`'
-	plant 12 1 internal/traffic/drr.go "$@" '@internal/server/zz.go' 'JobsDone int `json:"jobs_done_total"`'
-	plant 12 1 internal/traffic/drr.go "$@" '@internal/cluster/zz.go' 'Probes uint64 `json:"probes_total,omitempty"`'
+	plant 13 0 internal/traffic/drr.go "$@"
+	plant 13 1 internal/traffic/drr.go "$@" '@internal/server/zz.go' 'JobsDone            int64 `json:"jobs_done_total"`'
+	plant 13 1 internal/traffic/drr.go "$@" '@internal/cluster/zz.go' 'JobsRouted int64 `json:"jobs_routed_total"`'
+	plant 13 1 internal/traffic/drr.go 'Served  int64 `json:"served"`'
+	plant 13 0 internal/traffic/drr.go "$@" '@internal/server/zz_test.go' 'JobsDone int64 `json:"jobs_done_total"`'
+	plant 13 0 internal/traffic/drr.go "$@" '@internal/server/zz.go' 'SamplesTotal int `json:"samples_total"`' 'PhasesTotal int `json:"phases_total"`'
+	plant 13 1 internal/traffic/drr.go "$@" '@internal/server/zz.go' 'JobsDone int `json:"jobs_done_total"`'
+	plant 13 1 internal/traffic/drr.go "$@" '@internal/cluster/zz.go' 'Probes uint64 `json:"probes_total,omitempty"`'
+	plant 14 1 internal/cluster/zz.go 'drv, err := steal.NewDriver(cfg, raw, shards)'
+	plant 14 0 internal/server/zz.go 'drv, err := steal.NewDriver(cfg, raw, shards)'
+	plant 14 0 internal/cluster/zz_test.go 'drv, err := steal.NewDriver(cfg, raw, shards)'
+	plant 14 0 benchmark/zz.go 'drv, err := steal.NewDriver(steal.Config{Key: "simdmark"}, raw, shards)'
 else
 	rules
 fi

@@ -9,8 +9,10 @@
 #                 18081, env FLEET_BASE_PORT)
 #   -c ADDR       coordinator listen address (default 127.0.0.1:18080,
 #                 env COORD_ADDR)
-#   -s INTERVAL   steal sweep cadence passed to simdfleet -steal; empty
-#                 disables cross-node work stealing (env FLEET_STEAL)
+#   -s INTERVAL   steal sweep cadence passed to simdfleet -steal: each
+#                 sweep asks one node to split a running job over idle
+#                 nodes, and that node drives the shards; empty disables
+#                 cross-node work stealing (env FLEET_STEAL)
 set -eu
 
 BIN=${BIN:-./bin}
