@@ -531,8 +531,9 @@ func BenchmarkExpandKernel(b *testing.B) {
 }
 
 // cacheHitAllocs is BenchmarkCacheHit's allocation ceiling: the count an
-// op made once a hit stopped opening a flight, plus 10 %.
-const cacheHitAllocs = 77
+// op made once a repeated body was admitted from the frontend's memo and
+// its document appended from its result's template (39), plus 10 %.
+const cacheHitAllocs = 43
 
 // BenchmarkCacheHit is one ?wait=1 submission of a cached spec through the
 // traffic frontend's handler, from request decoding to the response bytes:

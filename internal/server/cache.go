@@ -15,6 +15,7 @@ import (
 type cachedResult struct {
 	Stats metrics.Stats
 	Trace *trace.Trace // nil unless the spec requested tracing
+	hit   *hitDoc      // the template of its hits' documents; put sets it
 }
 
 // resultCache is a size-capped LRU keyed by the canonical spec hash.
@@ -59,6 +60,7 @@ func (c *resultCache) get(key string) (cachedResult, bool) {
 // put stores res under key, evicting the least recently used entry when
 // the cache is full.
 func (c *resultCache) put(key string, res cachedResult) {
+	res.hit = new(hitDoc)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {

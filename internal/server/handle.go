@@ -60,8 +60,12 @@ func (h *JobHandle) Terminal() bool { return h.j.Terminal() }
 
 // ResponseBytes renders the job document exactly as the HTTP layer
 // writes it (indented JSON plus trailing newline), so callers can fan the
-// same bytes out to any number of subscribers.
+// same bytes out to any number of subscribers.  A cache hit's document is
+// appended from its cached result's template (hitdoc.go).
 func (h *JobHandle) ResponseBytes() ([]byte, error) {
+	if h.j.hit != nil {
+		return h.j.hit.render(h.j.view())
+	}
 	return marshalDoc(renderJob(h.j.view()))
 }
 

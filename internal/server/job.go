@@ -72,6 +72,11 @@ type job struct {
 	// the worker.
 	resume []byte
 
+	// hit is the document template of the cached result a cache hit was
+	// answered from, nil for any other job.  Set before the job is
+	// published, never changed.
+	hit *hitDoc
+
 	mu           sync.Mutex
 	status       Status
 	stats        metrics.Stats

@@ -368,6 +368,7 @@ func (s *Server) finishFromCache(j *job, now time.Time) bool {
 	j.status = StatusDone
 	j.stats = res.Stats
 	j.trace = res.Trace
+	j.hit = res.hit
 	j.started = now
 	j.finished = now
 	close(j.done)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -187,7 +188,14 @@ func (rf *Refusal) Apply(w http.ResponseWriter) {
 // refusing unknown fields.  On failure it answers 400 "bad <what>: ..."
 // itself and reports false.
 func decodeStrict(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	return decodeFrom(w, http.MaxBytesReader(w, r.Body, limit), what, v)
+}
+
+// decodeFrom decodes the first JSON value src holds into v, refusing
+// unknown fields; what follows it is never read.  On failure it answers
+// 400 "bad <what>: ..." itself and reports false.
+func decodeFrom(w http.ResponseWriter, src io.Reader, what string, v any) bool {
+	dec := json.NewDecoder(src)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad %s: %v", what, err))
@@ -196,11 +204,55 @@ func decodeStrict(w http.ResponseWriter, r *http.Request, limit int64, what stri
 	return true
 }
 
-// DecodeSpec reads a job spec body (POST /v1/jobs, POST /v1/estimate): at
-// most 1 MiB, unknown fields refused.  It answers 400 itself and reports
-// false on failure; the spec is not yet canonical.
-func DecodeSpec(w http.ResponseWriter, r *http.Request) (spec JobSpec, ok bool) {
-	return spec, decodeStrict(w, r, 1<<20, "job spec", &spec)
+// maxSpecBody bounds a job spec body.
+const maxSpecBody = 1 << 20
+
+// SpecBody is a job spec request body read ahead: Bytes is all of it when
+// it ended within the read, and otherwise its first bytes, with the rest
+// still unread behind them.
+type SpecBody struct {
+	Bytes []byte
+	rest  io.Reader // nil when Bytes is the whole body
+}
+
+// Whole reports whether Bytes is the entire body.
+func (b SpecBody) Whole() bool { return b.rest == nil }
+
+// ReadSpec is the bounded read of a job spec body (POST /v1/jobs, POST
+// /v1/estimate): at most n bytes of it, under the body's 1 MiB bound.  A
+// body that does not end within them is read no further here; a read
+// error is kept for Decode to report, as a streaming decode would.
+func ReadSpec(w http.ResponseWriter, r *http.Request, n int) SpecBody {
+	body := http.MaxBytesReader(w, r.Body, maxSpecBody)
+	size := n + 1
+	if r.ContentLength >= 0 && r.ContentLength < int64(n) {
+		size = int(r.ContentLength) + 1
+	}
+	buf := make([]byte, size)
+	k, err := io.ReadFull(body, buf)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return SpecBody{Bytes: buf[:k]}
+	}
+	return SpecBody{Bytes: buf[:k], rest: body}
+}
+
+// Decode strictly decodes the spec the body carries, unknown fields
+// refused, exactly as a decode streaming the body would: the first JSON
+// value, with whatever trails it unread.  It answers 400 itself and
+// reports false on failure; the spec is not yet canonical.
+func (b SpecBody) Decode(w http.ResponseWriter) (spec JobSpec, ok bool) {
+	var src io.Reader = bytes.NewReader(b.Bytes)
+	if b.rest != nil {
+		src = io.MultiReader(src, b.rest)
+	}
+	return spec, decodeFrom(w, src, "job spec", &spec)
+}
+
+// DecodeSpec reads and strictly decodes a job spec body: ReadSpec of no
+// more than it must, then Decode.  It answers 400 itself and reports false on
+// failure; the spec is not yet canonical.
+func DecodeSpec(w http.ResponseWriter, r *http.Request) (JobSpec, bool) {
+	return ReadSpec(w, r, 0).Decode(w)
 }
 
 // BatchRequest is the POST /v1/jobs:batch body.

@@ -62,6 +62,8 @@ type Frontend struct {
 	mu      sync.Mutex
 	flights map[string]*flight // pending and engine submissions by cache key
 
+	memo admissionMemo // POST /v1/jobs bodies already admitted once
+
 	ctr trafficCounters
 }
 
@@ -88,7 +90,7 @@ type flight struct {
 	settled chan struct{}
 	h       server.Job
 	done    chan struct{}
-	bytes   []byte
+	bytes   []byte // the terminal document; nil if it failed to render
 }
 
 // New builds a Frontend over srv, a *server.Server or anything else that
@@ -116,6 +118,11 @@ func (f *Frontend) Handler() http.Handler {
 	return mux
 }
 
+// admissionOf prices and keys a canonical spec.
+func admissionOf(canonical server.JobSpec) admission {
+	return admission{canonical: canonical, key: server.CacheKey(canonical), est: ForSpec(canonical)}
+}
+
 // admit runs one spec through the memory check and the flight table.  On
 // success the returned flight is live (or already terminal); collapsed
 // reports whether it was shared rather than opened.  On refusal the
@@ -126,9 +133,9 @@ func (f *Frontend) Handler() http.Handler {
 // to settle, outside the lock, then looks again.  It joins an engine run
 // whose job is not yet finished; a finished one is replaced, since its
 // result is now the backend's to answer.
-func (f *Frontend) admit(ctx context.Context, canonical server.JobSpec, key, tenant string) (fl *flight, collapsed bool, rf *server.Refusal) {
-	est := ForSpec(canonical)
-	if lim := f.cfg.MemLimit; lim > 0 && canonical.MemBudget == 0 && est.PeakResidentBytes > lim {
+func (f *Frontend) admit(ctx context.Context, a admission, tenant string) (fl *flight, collapsed bool, rf *server.Refusal) {
+	key, est := a.key, a.est
+	if lim := f.cfg.MemLimit; lim > 0 && a.canonical.MemBudget == 0 && est.PeakResidentBytes > lim {
 		f.ctr.memRejections.Add(1)
 		return nil, false, &server.Refusal{
 			Code: http.StatusRequestEntityTooLarge,
@@ -144,7 +151,7 @@ func (f *Frontend) admit(ctx context.Context, canonical server.JobSpec, key, ten
 			fl = &flight{key: key, settled: make(chan struct{})}
 			f.flights[key] = fl
 			f.mu.Unlock()
-			return f.open(ctx, fl, canonical, tenant, est.CostUnits(f.cfg.CostScale))
+			return f.open(ctx, fl, a.canonical, tenant, est.CostUnits(f.cfg.CostScale))
 		case fl.h != nil:
 			f.mu.Unlock()
 			f.ctr.collapsed.Add(1)
@@ -213,14 +220,19 @@ var resolved = func() chan struct{} {
 }()
 
 // render is a terminal job's response body, the bytes every subscriber
-// of its flight receives.
+// of its flight receives; nil when the document failed to render, which
+// every subscriber answers 500 renderFailed.
 func render(h server.Job) []byte {
 	b, err := h.ResponseBytes()
 	if err != nil {
-		return server.ErrorBody("failed to render job")
+		return nil
 	}
 	return b
 }
+
+// renderFailed is the message of the 500 a job whose document does not
+// render is answered with.
+const renderFailed = "failed to render job"
 
 // collapsedHeader marks a response served by joining an existing flight.
 const collapsedHeader = "X-Collapsed"
@@ -230,22 +242,36 @@ const collapsedHeader = "X-Collapsed"
 // all collapsed waiters receive byte-identical documents; without it the
 // behaviour matches the backend's 202/200 contract, plus the X-Collapsed
 // marker.
+//
+// A body of at most maxMemoBody bytes that was admitted before is
+// admitted from the memo: one map lookup in place of the strict decode,
+// canonicalisation, cache key and estimate.  Any other body takes the full
+// path, and enters the memo once it passed it.
 func (f *Frontend) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, ok := server.DecodeSpec(w, r)
-	if !ok {
-		return
+	body := server.ReadSpec(w, r, maxMemoBody)
+	a, memoised := f.memo.get(body)
+	var spec server.JobSpec
+	if !memoised {
+		var ok bool
+		if spec, ok = body.Decode(w); !ok {
+			return
+		}
 	}
 	tenant, err := server.TenantFrom(r)
 	if err != nil {
 		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	canonical, err := f.b.CanonicalizeSpec(spec)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, err.Error())
-		return
+	if !memoised {
+		canonical, err := f.b.CanonicalizeSpec(spec)
+		if err != nil {
+			server.WriteError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		a = admissionOf(canonical)
+		f.memo.put(body, a)
 	}
-	fl, collapsed, rf := f.admit(r.Context(), canonical, server.CacheKey(canonical), tenant)
+	fl, collapsed, rf := f.admit(r.Context(), a, tenant)
 	if rf != nil {
 		rf.Apply(w)
 		return
@@ -263,6 +289,10 @@ func (f *Frontend) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	select {
 	case <-fl.done:
 		// Terminal and rendered once: a cache hit is never rendered twice.
+		if fl.bytes == nil {
+			server.WriteError(w, http.StatusInternalServerError, renderFailed)
+			return
+		}
 		server.WriteRaw(w, http.StatusOK, fl.bytes)
 	default:
 		writeHandle(w, fl.h)
@@ -278,7 +308,7 @@ func writeHandle(w http.ResponseWriter, h server.Job) {
 	}
 	b, err := h.ResponseBytes()
 	if err != nil {
-		server.WriteError(w, http.StatusInternalServerError, "failed to render job")
+		server.WriteError(w, http.StatusInternalServerError, renderFailed)
 		return
 	}
 	server.WriteRaw(w, code, b)
@@ -337,7 +367,7 @@ func (f *Frontend) handleBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Rejected++
 			continue
 		}
-		fl, collapsed, rf := f.admit(r.Context(), canonical, server.CacheKey(canonical), tenant)
+		fl, collapsed, rf := f.admit(r.Context(), admissionOf(canonical), tenant)
 		if rf != nil {
 			it.Code = rf.Code
 			it.Error = rf.Message
@@ -372,8 +402,12 @@ func (f *Frontend) handleBatch(w http.ResponseWriter, r *http.Request) {
 				return
 			case <-it.fl.done:
 			}
-			it.Code = http.StatusOK
 			it.Status = it.fl.h.Status()
+			if it.fl.bytes == nil {
+				it.Code, it.Error = http.StatusInternalServerError, renderFailed
+				continue
+			}
+			it.Code = http.StatusOK
 			it.Job = json.RawMessage(it.fl.bytes)
 		}
 	}
