@@ -88,7 +88,8 @@ lint: vet lint-hotpath discipline
 	$(GO) run ./cmd/simdlint ./...
 
 # The "written once" gates — frame-, api-, schedule-, shard-, match-,
-# arena-, sync-, sse-, admit-, metrics- and owner-discipline — are one table of (name, patterns,
+# arena-, sync-, sse-, admit-, metrics-, owner- and progress-discipline — are
+# one table of (name, patterns,
 # allowed paths, message, expected count) in scripts/discipline.sh, which
 # first proves every pattern still fires on a planted violation and then
 # checks the tree.

@@ -190,8 +190,8 @@ exit codes:
 	if *progress > 0 {
 		opts.ProgressEvery = *progress
 		opts.Progress = func(p simd.ProgressInfo) {
-			fmt.Fprintf(os.Stderr, "  cycle %d: active=%d W=%d phases=%d Tpar=%v\n",
-				p.Cycles, p.Active, p.W, p.LBPhases, p.Tpar)
+			fmt.Fprintf(os.Stderr, "  cycle %d: active=%d W=%d phases=%d Tpar=%v E=%.3f\n",
+				p.Stats.Cycles, p.Active, p.Stats.W, p.Stats.LBPhases, p.Stats.Tpar, p.Stats.Efficiency())
 		}
 	}
 

@@ -117,7 +117,7 @@ func TestResumeFacade(t *testing.T) {
 	opts := Options{P: 16, ProgressEvery: 1}
 	k := ref.Cycles / 2
 	opts.Progress = func(p simd.ProgressInfo) {
-		if p.Cycles >= k {
+		if p.Stats.Cycles >= k {
 			cancel()
 		}
 	}

@@ -321,7 +321,7 @@ func TestSnapshotAllocsBelowStackForm(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		m, err := simd.NewMachine[synthetic.Node](synthetic.New(2_000_000, 3), sch, simd.Options{
 			P: c.p, ProgressEvery: 1, Progress: func(pi simd.ProgressInfo) {
-				if pi.Cycles >= 60 {
+				if pi.Stats.Cycles >= 60 {
 					cancel()
 				}
 			}})

@@ -63,7 +63,7 @@ func testResume[S any](t *testing.T, codec wire.Codec[S], label string, p int, n
 		ctx, cancel := context.WithCancel(context.Background())
 		opts := simd.Options{P: p, Trace: &trace.Trace{}, ProgressEvery: 1}
 		opts.Progress = func(pi simd.ProgressInfo) {
-			if pi.Cycles >= k {
+			if pi.Stats.Cycles >= k {
 				cancel()
 			}
 		}

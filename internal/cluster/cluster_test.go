@@ -40,7 +40,7 @@ func fleetRunner(gate func(ctx context.Context, cycle int)) server.Runner {
 	return func(ctx context.Context, spec server.JobSpec, opts simd.Options, env server.RunEnv) (metrics.Stats, error) {
 		if gate != nil {
 			opts.ProgressEvery = 1
-			opts.Progress = func(pi simd.ProgressInfo) { gate(ctx, pi.Cycles) }
+			opts.Progress = func(pi simd.ProgressInfo) { gate(ctx, pi.Stats.Cycles) }
 		}
 		w, seed := int64(20000), uint64(7)
 		if spec.Synthetic != nil {

@@ -75,7 +75,7 @@ func TestFleetStealDistributedRun(t *testing.T) {
 	// the stock built-in runner.
 	ref := startNode(t, server.Config{Workers: 1})
 	refSub, code := postJSONAs[innerWireJob](t, ref.ts.URL+"/v1/jobs", stealSpec)
-	if code != http.StatusAccepted {
+	if code != http.StatusAccepted && code != http.StatusOK { // 200: a free worker already finished it
 		t.Fatalf("reference submit: %d", code)
 	}
 	refFin := waitNodeTerminal(t, ref.ts.URL, refSub.ID)
@@ -230,7 +230,7 @@ func TestFleetStealDistributedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"event: status", "event: progress", "event: checkpoint", `"shard":1`, `"shards":2`} {
+	for _, want := range []string{"event: status", "event: progress", "event: checkpoint", `"shard":1`, `"shards":2`, `"efficiency":`, `"idle_over_lp":`} {
 		if !strings.Contains(string(sse), want) {
 			t.Errorf("distributed SSE stream lacks %q", want)
 		}

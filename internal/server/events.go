@@ -1,6 +1,11 @@
 package server
 
-import "sync"
+import (
+	"sync"
+
+	"simdtree/internal/metrics"
+	"simdtree/internal/simd"
+)
 
 // Per-job progress events feed the SSE endpoint (GET /v1/jobs/{id}/events,
 // handleEvents).  Three sources produce them, all already present in the
@@ -20,7 +25,9 @@ const (
 )
 
 // JobEvent is one entry of a job's progress stream.  The JSON encoding is
-// the SSE data payload.
+// the SSE data payload.  Its two float32 fields sit in the padding after
+// the bools, so a JobEvent stays 120 bytes and eight still fit one 1 KiB
+// allocation: a node's history keeps 4096 jobs' event logs.
 type JobEvent struct {
 	Seq      int64  `json:"seq"`
 	Type     string `json:"type"`
@@ -31,6 +38,8 @@ type JobEvent struct {
 	W        int64  `json:"w,omitempty"`
 	LBPhases int    `json:"lb_phases,omitempty"`
 	CacheHit bool   `json:"cache_hit,omitempty"`
+	// Efficiency is E = Tcalc/(Tcalc+Tidle+Tlb) of the run so far.
+	Efficiency float32 `json:"efficiency,omitempty"`
 	// Shard and Shards tag events of a distributed (stolen) run: Shard is
 	// the 1-based index of the shard the event describes (so omitempty
 	// never drops shard one), Shards the total count.  Single-node runs
@@ -40,6 +49,28 @@ type JobEvent struct {
 	// Terminal marks the final event of the stream; subscribers close
 	// after delivering it.
 	Terminal bool `json:"terminal,omitempty"`
+	// IdleOverLP is D^K's w_idle/(L·P) in the current search phase
+	// (simd.Ledger.IdleOverLP); progress events only.
+	IdleOverLP float32 `json:"idle_over_lp,omitempty"`
+}
+
+// withStats fills ev's Section 3.1 fields from st: the one field list the
+// progress ticks and the terminal status events share.
+func (ev JobEvent) withStats(st metrics.Stats) JobEvent {
+	ev.Cycle, ev.W, ev.LBPhases, ev.Efficiency = st.Cycles, st.W, st.LBPhases, float32(st.Efficiency())
+	return ev
+}
+
+// progress is the one progress-event builder, the engine's Progress hook
+// on a single-node run and the steal driver's on a distributed one: it
+// appends the aggregate tick, then, when shardActive is non-nil, one
+// event per shard carrying that shard's share of the active processors.
+func (j *job) progress(pi simd.ProgressInfo, shardActive []int) {
+	ev := JobEvent{Type: EventProgress, Active: pi.Active, IdleOverLP: float32(pi.IdleOverLP()), Shards: len(shardActive)}.withStats(pi.Stats)
+	j.events.Append(ev)
+	for i, a := range shardActive {
+		j.events.Append(JobEvent{Type: ev.Type, Cycle: ev.Cycle, Active: a, Shard: i + 1, Shards: ev.Shards})
+	}
 }
 
 // eventLogCap bounds the per-job event buffer.  Status and checkpoint

@@ -114,20 +114,10 @@ func (s *Server) cleanSpool(j *job, cause error) {
 
 // runEnv builds the checkpoint plumbing the runner sees: a spool-backed
 // writer under the job's cache key, the resume payload when the job was
-// recovered from the spool, the counters both feed, and the progress
-// sinks that turn engine liveness ticks and checkpoint writes into job
-// events for the SSE stream.
+// recovered from the spool, the counters both feed, and the sink that
+// turns checkpoint writes into job events for the SSE stream.
 func (s *Server) runEnv(j *job) RunEnv {
 	env := RunEnv{}
-	if s.cfg.ProgressEvery > 0 {
-		env.ProgressEvery = s.cfg.ProgressEvery
-		env.Progress = func(info simd.ProgressInfo) {
-			j.events.Append(JobEvent{
-				Type: EventProgress, Cycle: info.Cycles, Active: info.Active,
-				W: info.W, LBPhases: info.LBPhases,
-			})
-		}
-	}
 	if s.spool != nil {
 		spec, err := json.Marshal(j.spec)
 		if err != nil {
@@ -166,7 +156,8 @@ func (s *Server) runEnv(j *job) RunEnv {
 
 // execute dispatches to the domain runner with panic isolation: a
 // panicking domain fails its own job and leaves the worker (and process)
-// alive.
+// alive.  It sets the run's one progress hook, which feeds the job's SSE
+// stream through (*job).progress.
 func (s *Server) execute(ctx context.Context, j *job, opts simd.Options) (stats metrics.Stats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -177,6 +168,10 @@ func (s *Server) execute(ctx context.Context, j *job, opts simd.Options) (stats 
 	run, ok := s.runners[j.spec.Domain]
 	if !ok {
 		return metrics.Stats{}, fmt.Errorf("no runner for domain %q", j.spec.Domain)
+	}
+	if s.cfg.ProgressEvery > 0 {
+		opts.ProgressEvery = s.cfg.ProgressEvery
+		opts.Progress = func(pi simd.ProgressInfo) { j.progress(pi, nil) }
 	}
 	return run(ctx, j.spec, opts, s.runEnv(j))
 }
@@ -194,10 +189,7 @@ func (s *Server) finishJob(j *job, status Status, stats metrics.Stats, tr *trace
 		}
 		s.mu.Unlock()
 	}
-	j.events.Append(JobEvent{
-		Type: EventStatus, Status: status, Error: errMsg, Terminal: true,
-		Cycle: stats.Cycles, W: stats.W, LBPhases: stats.LBPhases,
-	})
+	j.events.Append(JobEvent{Type: EventStatus, Status: status, Error: errMsg, Terminal: true}.withStats(stats))
 	switch status {
 	case StatusDone:
 		s.ctr.jobsDone.Add(1)

@@ -37,12 +37,6 @@ type RunEnv struct {
 	// OnResume reports the cycle the run restored at, before any new
 	// cycle executes.
 	OnResume func(cycle int)
-	// Progress, when non-nil, receives the engine's periodic liveness
-	// snapshots every ProgressEvery cycles (simd.Options.Progress); it
-	// feeds the job's SSE event stream.
-	Progress func(simd.ProgressInfo)
-	// ProgressEvery is the Progress cadence in cycles.
-	ProgressEvery int
 	// Checkpointed reports the cycle of each successfully persisted
 	// periodic checkpoint, after Write returned nil.
 	Checkpointed func(cycle int)
@@ -126,10 +120,6 @@ func runMachine[S any](ctx context.Context, d search.Domain[S], codec wire.Codec
 	checkpointing := env.Write != nil && env.CheckpointEvery > 0
 	if checkpointing {
 		opts.CheckpointEvery = env.CheckpointEvery
-	}
-	if env.Progress != nil && env.ProgressEvery > 0 {
-		opts.Progress = env.Progress
-		opts.ProgressEvery = env.ProgressEvery
 	}
 	m, err := simd.NewMachine[S](d, sch, opts)
 	if err != nil {

@@ -375,10 +375,7 @@ func (s *Server) finishFromCache(j *job, now time.Time) bool {
 	j.cancel(nil)
 	s.store.add(j)
 	s.ctr.jobsDone.Add(1)
-	j.events.Append(JobEvent{
-		Type: EventStatus, Status: StatusDone, CacheHit: true, Terminal: true,
-		Cycle: res.Stats.Cycles, W: res.Stats.W, LBPhases: res.Stats.LBPhases,
-	})
+	j.events.Append(JobEvent{Type: EventStatus, Status: StatusDone, CacheHit: true, Terminal: true}.withStats(res.Stats))
 	return true
 }
 

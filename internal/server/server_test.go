@@ -185,6 +185,9 @@ func TestCancelRunningJob(t *testing.T) {
 		evs, wake := h.EventsSince(0)
 		for _, ev := range evs {
 			cycled = cycled || ev.Type == EventProgress && ev.Cycle > 0
+			if ev.Type == EventProgress && (ev.Efficiency <= 0 || ev.Efficiency > 1) {
+				t.Errorf("progress event %+v: efficiency outside (0, 1]", ev)
+			}
 		}
 		if cycled {
 			break

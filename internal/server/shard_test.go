@@ -69,17 +69,17 @@ func donate(t *testing.T, spec string, cycle int) donatedJob {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	runOpts.ProgressEvery = 1
+	runOpts.Progress = func(pi simd.ProgressInfo) {
+		if pi.Stats.Cycles >= cycle {
+			cancel()
+		}
+	}
 	d := donatedJob{spec: canonical, opts: opts}
 	_, err = builtins[canonical.Domain].run(ctx, canonical, runOpts, RunEnv{
 		CheckpointEvery: 1 << 30, // periodic effectively off; final cancel checkpoint only
 		SpecJSON:        specJSON,
 		Write:           func(b []byte) error { d.ckpt = b; return nil },
-		ProgressEvery:   1,
-		Progress: func(pi simd.ProgressInfo) {
-			if pi.Cycles >= cycle {
-				cancel()
-			}
-		},
 	})
 	if !errors.Is(err, context.Canceled) || d.ckpt == nil {
 		t.Fatalf("interrupting the run at cycle %d: err %v, checkpoint %d bytes", cycle, err, len(d.ckpt))

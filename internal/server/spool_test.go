@@ -24,19 +24,20 @@ import (
 // spoolRunner executes a fixed synthetic instance through the real
 // checkpointable path, so the spool tests exercise exactly the plumbing
 // the built-in domains use.  gate, when non-nil, is called at every
-// cycle boundary and may block — that is how the kill test holds a job
-// mid-flight deterministically.  The gate wraps the server's progress
-// sink, which still fires at its own cadence, counted in cycles since it
-// last fired.
-func spoolRunner(gate func(cycle int)) Runner {
+// cycle boundary with the run's own context and may block on it — that
+// is how the kill tests hold a job mid-flight deterministically and let
+// it go the instant the run is cancelled.  The gate wraps the server's
+// progress sink, which still fires at its own cadence, counted in cycles
+// since it last fired.
+func spoolRunner(gate func(ctx context.Context, cycle int)) Runner {
 	return func(ctx context.Context, spec JobSpec, opts simd.Options, env RunEnv) (metrics.Stats, error) {
 		if gate != nil {
-			sink, every, last := env.Progress, env.ProgressEvery, 0
-			env.ProgressEvery = 1
-			env.Progress = func(pi simd.ProgressInfo) {
-				gate(pi.Cycles)
-				if sink != nil && every > 0 && pi.Cycles-last >= every {
-					last = pi.Cycles
+			sink, every, last := opts.Progress, opts.ProgressEvery, 0
+			opts.ProgressEvery = 1
+			opts.Progress = func(pi simd.ProgressInfo) {
+				gate(ctx, pi.Stats.Cycles)
+				if sink != nil && every > 0 && pi.Stats.Cycles-last >= every {
+					last = pi.Stats.Cycles
 					sink(pi)
 				}
 			}
@@ -70,13 +71,17 @@ func TestSpoolKillAndRestart(t *testing.T) {
 
 	// Process one: block the run at cycle 3, after three checkpoints hit
 	// the spool, then shut down with the grace period already expired.
+	// The gate holds until the run's own context is done, so the machine
+	// observes the cancellation at the very next boundary.  (Waiting on
+	// the job's context is not enough: a parent context closes Done
+	// before it cancels its children, so the run's could still be live
+	// for one more cycle.)
 	started := make(chan struct{})
-	release := make(chan struct{})
 	var once sync.Once
-	gate := func(cycle int) {
+	gate := func(ctx context.Context, cycle int) {
 		if cycle == 3 {
 			once.Do(func() { close(started) })
-			<-release
+			<-ctx.Done()
 		}
 	}
 	a, err := New(Config{Workers: 1, Spool: dir, CheckpointEvery: 1,
@@ -96,19 +101,9 @@ func TestSpoolKillAndRestart(t *testing.T) {
 		t.Fatalf("no spooled checkpoint while running: %v", err)
 	}
 
-	jA, ok := a.store.get(sub.ID)
-	if !ok {
-		t.Fatal("submitted job not in store")
-	}
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	shutdownErr := make(chan error, 1)
-	go func() { shutdownErr <- a.Shutdown(expired) }()
-	// Release the gate only after the kill signal reached the job, so
-	// the machine observes the cancellation at the very next boundary.
-	<-jA.runCtx.Done()
-	close(release)
-	if err := <-shutdownErr; !errors.Is(err, context.DeadlineExceeded) {
+	if err := a.Shutdown(expired); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("shutdown: %v", err)
 	}
 	if fin := getJob(t, tsA, sub.ID); fin.Status != StatusCancelled {
@@ -198,12 +193,11 @@ func TestSpoolRescanRejectsForeignFiles(t *testing.T) {
 	// Build a real checkpoint under the wrong name by running a job to a
 	// shutdown kill, then renaming its spool file.
 	started := make(chan struct{})
-	release := make(chan struct{})
 	var once sync.Once
-	gate := func(cycle int) {
+	gate := func(ctx context.Context, cycle int) {
 		if cycle == 2 {
 			once.Do(func() { close(started) })
-			<-release
+			<-ctx.Done()
 		}
 	}
 	a, err := New(Config{Workers: 1, Spool: dir, CheckpointEvery: 1,
@@ -215,14 +209,11 @@ func TestSpoolRescanRejectsForeignFiles(t *testing.T) {
 	defer tsA.Close()
 	sub, _ := postJob(t, tsA, spoolSpec)
 	<-started
-	jA, _ := a.store.get(sub.ID)
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- a.Shutdown(expired) }()
-	<-jA.runCtx.Done()
-	close(release)
-	<-done
+	if err := a.Shutdown(expired); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("shutdown: %v", err)
+	}
 	if err := os.Rename(filepath.Join(dir, sub.CacheKey+spoolExt), filepath.Join(dir, "renamed"+spoolExt)); err != nil {
 		t.Fatal(err)
 	}

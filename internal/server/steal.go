@@ -302,15 +302,7 @@ func (s *Server) distribute(ctx context.Context, j *job, opts simd.Options, o *s
 	}
 	if s.cfg.ProgressEvery > 0 {
 		cfg.ProgressEvery = s.cfg.ProgressEvery
-		cfg.Progress = func(pi steal.ProgressInfo) {
-			j.events.Append(JobEvent{
-				Type: EventProgress, Cycle: pi.Cycles, Active: pi.Active,
-				W: pi.W, LBPhases: pi.LBPhases, Shards: n,
-			})
-			for i, a := range pi.ShardActive {
-				j.events.Append(JobEvent{Type: EventProgress, Cycle: pi.Cycles, Active: a, Shard: i + 1, Shards: n})
-			}
-		}
+		cfg.Progress = j.progress
 	}
 	drv, err := steal.NewDriver(cfg, raw, shards)
 	if err != nil {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -31,7 +32,7 @@ func TestCheckpointExportImport(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	releaseGate := func() { once.Do(func() { close(release) }) }
-	gate := func(cycle int) {
+	gate := func(_ context.Context, cycle int) {
 		if cycle == 3 {
 			close(started)
 			<-release
@@ -201,7 +202,7 @@ func TestImportRejectsBadFrames(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	releaseGate := func() { once.Do(func() { close(release) }) }
-	gate := func(cycle int) {
+	gate := func(_ context.Context, cycle int) {
 		if cycle == 2 {
 			close(started)
 			<-release

@@ -82,7 +82,7 @@ func TestRunContextPrefixDeterminism(t *testing.T) {
 	partTr, partOpts := newRun()
 	partOpts.ProgressEvery = cancelAt
 	partOpts.Progress = func(p ProgressInfo) {
-		if p.Cycles >= cancelAt {
+		if p.Stats.Cycles >= cancelAt {
 			cancel()
 		}
 	}

@@ -43,7 +43,7 @@ func TestSnapshotDetached(t *testing.T) {
 			defer cancel()
 			tr := &trace.Trace{CaptureDonors: true}
 			opts := simd.Options{P: p, Trace: tr, ProgressEvery: 1, Progress: func(pi simd.ProgressInfo) {
-				if pi.Cycles == 25 {
+				if pi.Stats.Cycles == 25 {
 					cancel()
 				}
 			}}

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"simdtree/internal/metrics"
 	"simdtree/internal/search"
@@ -71,9 +70,9 @@ type Options struct {
 	// quantities (Figures 1 and 8).
 	Trace *trace.Trace
 	// Progress, when non-nil, is called every ProgressEvery expansion
-	// cycles (default 1000) with a liveness snapshot — useful for the
-	// multi-minute full-scale runs.  It runs on the simulation goroutine;
-	// keep it cheap.
+	// cycles (default 1000) with the schedule's record (ProgressInfo) —
+	// useful for the multi-minute full-scale runs.  It runs on the
+	// simulation goroutine; keep it cheap.
 	Progress func(ProgressInfo)
 	// ProgressEvery sets the Progress callback cadence in cycles.
 	ProgressEvery int
@@ -93,15 +92,6 @@ type Options struct {
 	// points (the facade search helpers, the server, the CLIs) wire a
 	// manager automatically.
 	MemBudget int64
-}
-
-// ProgressInfo is the snapshot handed to Options.Progress.
-type ProgressInfo struct {
-	Cycles   int           // expansion cycles completed
-	Active   int           // processors busy in the latest cycle
-	W        int64         // nodes expanded so far
-	LBPhases int           // load-balancing phases so far
-	Tpar     time.Duration // virtual time elapsed
 }
 
 // Machine is the mutable state of one simulated run.  NewMachine builds

@@ -96,6 +96,25 @@ type Ledger struct {
 	Stats metrics.Stats
 }
 
+// IdleOverLP is D^K's trigger ratio (equation 4): the current search
+// phase's w_idle over L·P, so D^K balances once it reaches 1.  It is 0
+// when L·P is 0.
+func (l Ledger) IdleOverLP() float64 {
+	lp := float64(l.Stats.P) * float64(l.EstLB)
+	if lp == 0 {
+		return 0
+	}
+	return float64(l.PhaseIdle) / lp
+}
+
+// ProgressInfo is the snapshot handed to Options.Progress: the Ledger
+// right after an expansion cycle was booked, and that cycle's busy
+// processors.
+type ProgressInfo struct {
+	Ledger
+	Active int
+}
+
 // Schedule is the paper's Section 3 machine as one loop: lock-step
 // expansion cycles, the trigger evaluated on globally reduced scalars
 // between them, load-balancing phases charged to the virtual clock, and
@@ -280,13 +299,7 @@ func (s *Schedule) bookCycle(info *CycleInfo) {
 	s.PhaseIdle += idle
 
 	if s.progress != nil && st.Cycles%s.progressEvery == 0 {
-		s.progress(ProgressInfo{
-			Cycles:   st.Cycles,
-			Active:   info.Active,
-			W:        st.W,
-			LBPhases: st.LBPhases,
-			Tpar:     st.Tpar,
-		})
+		s.progress(ProgressInfo{Ledger: s.Ledger, Active: info.Active})
 	}
 }
 

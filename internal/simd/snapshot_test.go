@@ -24,7 +24,7 @@ func cancelAtCycle[S any](t *testing.T, d search.Domain[S], label string, opts O
 	defer cancel()
 	opts.ProgressEvery = 1
 	opts.Progress = func(p ProgressInfo) {
-		if p.Cycles >= k {
+		if p.Stats.Cycles >= k {
 			cancel()
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"simdtree/internal/checkpoint"
 	"simdtree/internal/match"
@@ -63,18 +62,6 @@ func (s LocalShard) Status(context.Context) (bool, bool, error) {
 	return allEmpty, anyDonor, nil
 }
 
-// ProgressInfo is the distributed analogue of simd.ProgressInfo, with the
-// shard dimension the SSE progress events surface.
-type ProgressInfo struct {
-	Cycles   int
-	Active   int
-	W        int64
-	LBPhases int
-	Tpar     time.Duration
-	// ShardActive is the per-shard share of Active, in shard order.
-	ShardActive []int
-}
-
 // Config parameterises a distributed run.  The schedule inputs (scheme,
 // costs, topology, budgets) must be the ones the original single-node job
 // ran with, or the schedules diverge.
@@ -107,8 +94,10 @@ type Config struct {
 	// aborts the run.  The cluster ships it to the home node's spool so
 	// the sharded job survives a restart.
 	OnCheckpoint func(ctx context.Context, encoded []byte) error
-	// Progress, when non-nil, fires every ProgressEvery cycles.
-	Progress func(ProgressInfo)
+	// Progress, when non-nil, fires every ProgressEvery cycles with the
+	// schedule's record and each shard's share of its Active, in shard
+	// order.  shardActive is valid only during the call.
+	Progress func(pi simd.ProgressInfo, shardActive []int)
 	// ProgressEvery is the Progress cadence; 0 means the engine default.
 	ProgressEvery int
 }
@@ -221,12 +210,7 @@ func NewDriver(cfg Config, snap *checkpoint.RawSnapshot, shards []Shard) (*Drive
 		Trace:           snap.Trace,
 	}
 	if cfg.Progress != nil {
-		opts.Progress = func(pi simd.ProgressInfo) {
-			cfg.Progress(ProgressInfo{
-				Cycles: pi.Cycles, Active: pi.Active, W: pi.W, LBPhases: pi.LBPhases, Tpar: pi.Tpar,
-				ShardActive: append([]int(nil), d.shardActive...),
-			})
-		}
+		opts.Progress = func(pi simd.ProgressInfo) { cfg.Progress(pi, d.shardActive) }
 	}
 	d.sched = simd.NewSchedule(opts, cfg.Scheme.Trigger, cfg.Scheme.WantInit)
 	d.sched.Ledger = snap.Ledger

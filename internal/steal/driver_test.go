@@ -113,7 +113,7 @@ func testDriver[S any](t *testing.T, codec wire.Codec[S], label string, p, nShar
 		ctx, cancel := context.WithCancel(context.Background())
 		opts := simd.Options{P: p, Trace: &trace.Trace{}, ProgressEvery: 1}
 		opts.Progress = func(pi simd.ProgressInfo) {
-			if pi.Cycles >= k {
+			if pi.Stats.Cycles >= k {
 				cancel()
 			}
 		}
@@ -206,7 +206,7 @@ func TestDriverDonatesAcrossShards(t *testing.T) {
 	defer cancel()
 	opts := simd.Options{P: p, ProgressEvery: 1}
 	opts.Progress = func(pi simd.ProgressInfo) {
-		if pi.Cycles >= 1 {
+		if pi.Stats.Cycles >= 1 {
 			cancel()
 		}
 	}
@@ -269,7 +269,7 @@ func TestDriverResumeFromCancelCheckpoint(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	opts := simd.Options{P: p, Trace: &trace.Trace{}, ProgressEvery: 1}
 	opts.Progress = func(pi simd.ProgressInfo) {
-		if pi.Cycles >= 1 {
+		if pi.Stats.Cycles >= 1 {
 			cancel()
 		}
 	}
@@ -314,8 +314,8 @@ func TestDriverResumeFromCancelCheckpoint(t *testing.T) {
 			return nil
 		},
 		ProgressEvery: 1,
-		Progress: func(pi ProgressInfo) {
-			if pi.Cycles >= raw.Cycle+3 {
+		Progress: func(pi simd.ProgressInfo, _ []int) {
+			if pi.Stats.Cycles >= raw.Cycle+3 {
 				dcancel()
 			}
 		},
@@ -352,5 +352,90 @@ func TestDriverResumeFromCancelCheckpoint(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.Trace.Samples, refTr.Samples) || !reflect.DeepEqual(res.Trace.Events, refTr.Events) {
 		t.Errorf("resumed distributed trace differs")
+	}
+}
+
+// TestDriverProgressIsTheSingleNodeRecord pins that a distributed run
+// reports the schedule a single machine would: every simd.ProgressInfo the
+// driver hands its Progress hook equals the one a single-node Machine
+// reports at the same cycle, Ledger and Active alike, and the shards'
+// shares of Active add up to it.
+func TestDriverProgressIsTheSingleNodeRecord(t *testing.T) {
+	const label = "GP-DK"
+	const p = 32
+	codec := wire.SyntheticCodec{}
+	newDomain := func() search.Domain[synthetic.Node] { return synthetic.New(4000, 3) }
+	sch, err := simd.ParseScheme[synthetic.Node](label)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Reference: every tick of the uninterrupted single-node run.
+	ref := map[int]simd.ProgressInfo{}
+	opts := simd.Options{P: p, ProgressEvery: 1}
+	opts.Progress = func(pi simd.ProgressInfo) { ref[pi.Stats.Cycles] = pi }
+	refStats, err := simd.Run[synthetic.Node](newDomain(), sch, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Yield at cycle k, as a node does when its job is stolen.
+	k := refStats.Cycles / 3
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts.Progress = func(pi simd.ProgressInfo) {
+		if pi.Stats.Cycles >= k {
+			cancel()
+		}
+	}
+	m, err := simd.NewMachine[synthetic.Node](newDomain(), sch, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RunContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupt: %v", err)
+	}
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	donated, err := checkpoint.Encode[synthetic.Node](codec, checkpoint.Meta{Scheme: label}, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, raw, err := checkpoint.DecodeRaw(donated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := simd.ParseSchemeParts(label)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ticks := 0
+	d, err := NewDriver(Config{
+		Key: "k", Meta: meta, Scheme: parts, P: p, ProgressEvery: 1,
+		Progress: func(pi simd.ProgressInfo, shardActive []int) {
+			ticks++
+			c := pi.Stats.Cycles
+			if want, ok := ref[c]; !ok || pi != want {
+				t.Errorf("cycle %d: distributed record differs from the single-node one\n got %+v\nwant %+v", c, pi, want)
+			}
+			if len(shardActive) != 2 {
+				t.Fatalf("cycle %d: %d shard shares, want 2", c, len(shardActive))
+			}
+			if sum := shardActive[0] + shardActive[1]; sum != pi.Active {
+				t.Errorf("cycle %d: shard shares %v sum to %d, want Active %d", c, shardActive, sum, pi.Active)
+			}
+		},
+	}, raw, buildShards[synthetic.Node](t, codec, label, p, 2, raw, newDomain))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if want := refStats.Cycles - k; ticks != want {
+		t.Errorf("driver reported %d ticks, want %d (cycles %d..%d)", ticks, want, k+1, refStats.Cycles)
 	}
 }

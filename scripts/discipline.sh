@@ -96,6 +96,13 @@ rule() {
 # per-tenant field nested in the frontend's traffic_tenants.  A second is a
 # counter document growing back beside Metrics().  (A trace's samples_total
 # and phases_total, lengths rather than counters, are excepted by name.)
+#
+# progress-discipline — one progress record (DESIGN.md section 14, "SSE progress
+# streams"): simd.ProgressInfo reaches the event stream through one builder,
+# (*job).progress, the engine's Progress hook on a single-node run and the
+# steal driver's on a distributed one, so under internal/ one non-test line
+# spells a progress event's type.  A second is an event builder forking the
+# field list.
 rules() {
 	rule frame-discipline 0 'decode and checksum frames through internal/wire (wire.Open / wire.Reader)' \
 		-e '"hash/crc32"' -e 'binary\.Uvarint(' -- '*.go' ':!*_test.go' ':!internal/wire/'
@@ -125,6 +132,8 @@ rules() {
 		-E -e 'json:"[a-z0-9_]*_total[",]' --and --not -e 'json:"(samples|phases)_total"' -- 'internal/*.go' ':!*_test.go'
 	rule owner-discipline 0 'steal.NewDriver( is called outside internal/server: the node that holds a job drives its shards (server.distribute)' \
 		-e 'steal\.NewDriver(' -- '*.go' ':!*_test.go' ':!internal/server/' ':!benchmark/'
+	rule progress-discipline 1 'under internal/ {n} lines build a progress event, want 1 ((*job).progress): hand the engine'"'"'s simd.ProgressInfo to it' \
+		-E -e 'Type: *(server\.)?EventProgress' -- 'internal/*.go' ':!*_test.go'
 }
 
 # plant ORDINAL FIRES PATH LINE...: in a fresh scratch repository holding
@@ -214,6 +223,13 @@ if [ "${1:-}" = selftest ]; then
 	plant 14 0 internal/server/zz.go 'drv, err := steal.NewDriver(cfg, raw, shards)'
 	plant 14 0 internal/cluster/zz_test.go 'drv, err := steal.NewDriver(cfg, raw, shards)'
 	plant 14 0 benchmark/zz.go 'drv, err := steal.NewDriver(steal.Config{Key: "simdmark"}, raw, shards)'
+	set -- 'ev := JobEvent{Type: EventProgress, Active: pi.Active}.withStats(pi.Stats)'
+	plant 15 0 internal/server/zz.go "$@"
+	plant 15 1 internal/server/zz.go 'no progress builder at all'
+	plant 15 1 internal/server/zz.go "$@" 'j.events.Append(JobEvent{Type:  EventProgress, Cycle: pi.Stats.Cycles})'
+	plant 15 1 internal/server/zz.go "$@" '@internal/cluster/zz.go' 'ev := server.JobEvent{Type: server.EventProgress, Active: a}'
+	plant 15 0 internal/server/zz.go "$@" '@internal/server/zz_test.go' 'want := JobEvent{Type: EventProgress, Cycle: 1}'
+	plant 15 0 internal/server/zz.go "$@" '@cmd/x/zz.go' 'ev := server.JobEvent{Type: server.EventProgress}'
 else
 	rules
 fi
