@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-go bench-check mark loc fuzz vet lint lint-hotpath discipline fmt serve fleet load experiments-quick experiments-full report clean
+.PHONY: all build test test-race bench bench-go bench-check mark loc fuzz vet lint lint-hotpath discipline fmt serve fleet experiments-quick experiments-full report clean
 
 all: build lint test
 
@@ -126,14 +126,6 @@ fleet:
 	$(GO) build -o bin/simdserve ./cmd/simdserve
 	$(GO) build -o bin/simdfleet ./cmd/simdfleet
 	./scripts/fleet.sh -n $(FLEET_NODES) -p $(FLEET_BASE_PORT) $(if $(FLEET_STEAL),-s $(FLEET_STEAL))
-
-# Traffic-layer load smoke: simdload drives an in-process frontend for a
-# few seconds and prints its JSON report (jobs/sec, latency percentiles,
-# collapse rate, tenant fairness spread).  -check fails the run on
-# transport errors, zero throughput, or any byte-identity violation among
-# collapsed responses (see DESIGN.md section 14).
-load:
-	$(GO) run ./cmd/simdload -inproc -duration 5s -check -out -
 
 # The paper's evaluation at reduced scale (~2 min).
 experiments-quick:

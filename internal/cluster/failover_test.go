@@ -40,7 +40,7 @@ func TestFleetKillNodeFailover(t *testing.T) {
 	ref := startNode(t, server.Config{Workers: 1,
 		Runners: map[string]server.Runner{"fleetsim": fleetRunner(nil)}})
 	refSub, code := postJSONAs[innerWireJob](t, ref.ts.URL+"/v1/jobs", fleetSpec)
-	if code != http.StatusAccepted {
+	if code != http.StatusAccepted && code != http.StatusOK { // 200: a free worker already finished it
 		t.Fatalf("reference submit: %d", code)
 	}
 	refFin := waitNodeTerminal(t, ref.ts.URL, refSub.ID)

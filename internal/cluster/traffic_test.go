@@ -144,8 +144,10 @@ func TestFleetCollapseAndBatch(t *testing.T) {
 	if !br.Items[0].Collapsed || br.Items[0].ID != first.ID {
 		t.Errorf("batch item 0 = %+v, want collapse onto %s", br.Items[0], first.ID)
 	}
-	if br.Items[1].Code != http.StatusAccepted || getJSONAs[fleetWireJob](t, front.URL+"/v1/jobs/"+br.Items[1].ID).Node == "" {
-		t.Errorf("batch item 1 = %+v, want 202 with a routed node", br.Items[1])
+	// 200: a free worker already finished it.
+	if code := br.Items[1].Code; code != http.StatusAccepted && code != http.StatusOK ||
+		getJSONAs[fleetWireJob](t, front.URL+"/v1/jobs/"+br.Items[1].ID).Node == "" {
+		t.Errorf("batch item 1 = %+v, want 202 or 200 with a routed node", br.Items[1])
 	}
 	if br.Items[2].Code != http.StatusBadRequest || br.Items[2].Error == "" {
 		t.Errorf("batch item 2 = %+v, want 400 with message", br.Items[2])
@@ -558,7 +560,9 @@ func TestFleetAdmitDoesNotSerialize(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if took := time.Since(start); resp.StatusCode != http.StatusAccepted || took > time.Second {
-		t.Errorf("spec B answered %d after %v while A was stuck on its home, want 202 within 1s", resp.StatusCode, took)
+	// 200: B's free worker already finished it.
+	code := resp.StatusCode
+	if took := time.Since(start); code != http.StatusAccepted && code != http.StatusOK || took > time.Second {
+		t.Errorf("spec B answered %d after %v while A was stuck on its home, want 202 or 200 within 1s", code, took)
 	}
 }

@@ -61,7 +61,7 @@ func TestSpoolKillAndRestart(t *testing.T) {
 	// Reference: the same job on a spool-less server, uninterrupted.
 	_, tsRef := testServer(t, Config{Workers: 1, Runners: map[string]Runner{"spoolsim": spoolRunner(nil)}})
 	refJob, code := postJob(t, tsRef, spoolSpec)
-	if code != http.StatusAccepted {
+	if code != http.StatusAccepted && code != http.StatusOK { // 200: a free worker already finished it
 		t.Fatalf("reference submit: %d", code)
 	}
 	refFin := waitTerminal(t, tsRef, refJob.ID)
