@@ -283,14 +283,14 @@ func BenchmarkPuzzleExpand(b *testing.B) {
 // BenchmarkFlagFill measures the per-cycle flag maintenance of the
 // structure-of-arrays core at CM-2 scale (P=8192): branch-free bitset
 // writes, the word-popcount reduction and the derived idle flags.  Zero
-// allocs/op is part of the contract.
+// allocs/op is part of the contract, and the benchmark fails if a fill
+// allocates.
 func BenchmarkFlagFill(b *testing.B) {
 	b.ReportAllocs()
 	const p = 8192
 	busy := scan.NewBits(p)
 	idle := scan.NewBits(p)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	fill := func() {
 		for pe := 0; pe < p; pe++ {
 			busy.SetTo(pe, pe&3 == 0)
 		}
@@ -298,6 +298,14 @@ func BenchmarkFlagFill(b *testing.B) {
 		if busy.CountBits()+idle.CountBits() != p {
 			b.Fatal("flag fill lost bits")
 		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fill()
+	}
+	b.StopTimer()
+	if allocs := testing.AllocsPerRun(20, fill); allocs != 0 {
+		b.Fatalf("%v allocs per fill, want 0", allocs)
 	}
 }
 
@@ -352,7 +360,7 @@ func BenchmarkMatchBits(b *testing.B) {
 // 64-pair block of random PEs — what Context.TransferAll hands the splitter
 // — so the donors' and the receivers' records, the donors' stack bottoms
 // and the receivers' tops are cold the way a matching round finds them.
-// Steady state must not allocate.
+// Steady state must not allocate, and the benchmark fails if it does.
 func BenchmarkArenaTransfer(b *testing.B) {
 	b.Run("half-stack/P=2", func(b *testing.B) {
 		b.ReportAllocs()
@@ -366,14 +374,21 @@ func BenchmarkArenaTransfer(b *testing.B) {
 		}
 		sp := stack.HalfStack[int]{}
 		pair, moved := []scan.Pair{{From: 0, To: 1}}, []int{0}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		transfer := func() {
 			if !a.Splittable(pair[0].From) {
 				pair[0].From, pair[0].To = pair[0].To, pair[0].From
 			}
 			sp.SplitBlock(a, pair, moved, nil)
 			a.SyncBits(0)
 			a.SyncBits(1)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			transfer()
+		}
+		b.StopTimer()
+		if allocs := testing.AllocsPerRun(20, transfer); allocs != 0 {
+			b.Fatalf("%v allocs per transfer in steady state, want 0", allocs)
 		}
 	})
 	b.Run("bottom-node/P=65536", func(b *testing.B) {
@@ -418,6 +433,10 @@ func BenchmarkArenaTransfer(b *testing.B) {
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/block, "ns/pair")
+		op := b.N
+		if allocs := testing.AllocsPerRun(20, func() { transfer(op); op++ }); allocs != 0 {
+			b.Fatalf("%v allocs per transfer in steady state, want 0", allocs)
+		}
 	})
 }
 

@@ -6,13 +6,11 @@
 //
 //	simdlint [flags] [./... | ./internal/simd ...]
 //	simdlint -analyzers
-//	simdlint -hotpath
 //
 // With no arguments (or "./...") every non-test package of the enclosing
 // module is checked.  Directory arguments restrict which findings are
-// reported; the whole module is always loaded and analysed, since the
-// module analyzers (hotalloc, ctxflow) need the complete call graph
-// either way.  Findings print as
+// reported; the whole module is always loaded and analysed, one package
+// at a time.  Findings print as
 //
 //	path/file.go:line:col: analyzer: message
 //
@@ -21,9 +19,8 @@
 // internal/lint).
 //
 // -json - (or -json FILE) additionally emits the findings as a JSON
-// array; -github prints GitHub Actions ::error workflow annotations;
-// -hotpath lists the //lint:hotpath roots and exits.  Exit status: 0
-// clean, 1 findings, 2 load or usage errors.
+// array; -github prints GitHub Actions ::error workflow annotations.
+// Exit status: 0 clean, 1 findings, 2 load or usage errors.
 package main
 
 import (
@@ -39,11 +36,10 @@ import (
 
 func main() {
 	analyzers := flag.Bool("analyzers", false, "list the analyzers and exit")
-	hotpath := flag.Bool("hotpath", false, "list the //lint:hotpath roots and exit")
 	jsonOut := flag.String("json", "", "write findings as JSON to `file` (\"-\" for stdout)")
 	github := flag.Bool("github", false, "print GitHub Actions ::error annotations")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: simdlint [-analyzers] [-hotpath] [-json file] [-github] [packages]")
+		fmt.Fprintln(os.Stderr, "usage: simdlint [-analyzers] [-json file] [-github] [packages]")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -62,13 +58,6 @@ func main() {
 	pkgs, err := lint.Load(root)
 	if err != nil {
 		fail(err)
-	}
-
-	if *hotpath {
-		for _, id := range lint.HotpathRoots(pkgs) {
-			fmt.Println(id)
-		}
-		return
 	}
 
 	diags := lint.Run(pkgs, lint.Analyzers())
@@ -156,9 +145,8 @@ func writeJSON(dst string, diags []lint.Diagnostic) error {
 
 // filter restricts diags to findings under the directories named by args.
 // No args, or any "./..."-style whole-module pattern, keeps everything.
-// The module is always fully loaded and analysed — the cross-package
-// analyzers need the complete call graph — so restricting is a report
-// filter, not an analysis scope.
+// The module is always fully loaded and analysed, so restricting is a
+// report filter, not an analysis scope.
 func filter(diags []lint.Diagnostic, args []string, pkgs []*lint.Package, root string) ([]lint.Diagnostic, error) {
 	if len(args) == 0 {
 		return diags, nil

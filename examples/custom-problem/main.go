@@ -79,7 +79,6 @@ func (g *graphColoring) Expand(c coloring, buf []coloring) []coloring {
 			child := c
 			child.Colors[v] = col
 			child.Assigned++
-			//lint:allow hotalloc expansion buffer is reused by the engine and reaches the branching factor
 			buf = append(buf, child)
 		}
 	}

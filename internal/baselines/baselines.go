@@ -67,10 +67,8 @@ func (GiveOneBalancer[S]) Balance(c *simd.Context[S]) (rounds, transfers int) {
 	var receivers, donors []int
 	for i := 0; i < c.P(); i++ {
 		if c.Empty(i) {
-			//lint:allow hotalloc baseline balancer is outside the Table 1 schemes' alloc-free contract
 			receivers = append(receivers, i)
 		} else if c.Splittable(i) {
-			//lint:allow hotalloc baseline balancer is outside the Table 1 schemes' alloc-free contract
 			donors = append(donors, i)
 		}
 	}

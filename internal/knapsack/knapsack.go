@@ -125,11 +125,9 @@ func (p *Problem) Expand(n Node, buf []Node) []Node {
 	}
 	it := p.Items[i]
 	skip := Node{Next: n.Next + 1, Weight: n.Weight, Value: n.Value}
-	//lint:allow hotalloc expansion buffer is reused by the engine and reaches the branching factor
 	buf = append(buf, skip)
 	if n.Weight+it.Weight <= p.Capacity {
 		take := Node{Next: n.Next + 1, Weight: n.Weight + it.Weight, Value: n.Value + it.Value}
-		//lint:allow hotalloc expansion buffer is reused by the engine and reaches the branching factor
 		buf = append(buf, take)
 	}
 	return buf

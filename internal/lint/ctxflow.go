@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -23,41 +24,75 @@ var ctxPkgs = map[string]bool{
 // operations, selects without a default, WaitGroup/Cond waits, HTTP
 // round-trips, sleeps — must accept a context.Context so callers can bound
 // the wait.  Function literals are skipped when classifying a function as
-// blocking (a closure may run on another goroutine), but the whole module
-// is checked for context.Background()/context.TODO() in library code,
+// blocking (a closure may run on another goroutine), but every package is
+// checked for context.Background()/context.TODO() in library code,
 // which silently detaches work from the caller's cancellation: only
 // main packages (cmd, examples) may mint root contexts.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc:  "exported blocking function without a context.Context, or a root context minted in library code",
-	RunModule: func(p *ModulePass) {
-		for _, fn := range p.Graph.Sorted {
-			if fn.Pkg.Name != "main" {
-				checkRootContexts(p, fn)
-			}
-			if !ctxPkgs[path.Base(fn.Pkg.Path)] || !fn.Obj.Exported() || acceptsContext(fn) {
-				continue
-			}
-			if pos, what, blocks := firstBlockingOp(fn); blocks {
-				p.Reportf(fn.Decl.Name.Pos(),
-					"exported %s blocks (%s at line %d) but does not accept a context.Context",
-					fn.DisplayName(), what, p.Fset.Position(pos).Line)
+	Run: func(p *Pass) {
+		info := p.Pkg.Info
+		mustAccept := ctxPkgs[path.Base(p.Pkg.Path)]
+		for _, f := range p.Pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				fn, ok := info.Defs[fd.Name].(*types.Func)
+				if !ok {
+					continue
+				}
+				if p.Pkg.Name != "main" {
+					checkRootContexts(p, fd)
+				}
+				if !mustAccept || !fn.Exported() || acceptsContext(fn) {
+					continue
+				}
+				if pos, what, blocks := firstBlockingOp(info, fd); blocks {
+					p.Reportf(fd.Name.Pos(),
+						"exported %s blocks (%s at line %d) but does not accept a context.Context",
+						displayName(p.Pkg.Name, fn), what, p.Pkg.Fset.Position(pos).Line)
+				}
 			}
 		}
 	},
 }
 
-// checkRootContexts flags context.Background()/TODO() anywhere in fn,
+// displayName renders a function of package pkg as pkg.Name or
+// pkg.(*Recv).Name for diagnostics.
+func displayName(pkg string, fn *types.Func) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return pkg + "." + fn.Name()
+	}
+	recv := sig.Recv().Type()
+	ptr := ""
+	if p, isPtr := recv.(*types.Pointer); isPtr {
+		recv = p.Elem()
+		ptr = "*"
+	}
+	name := "?"
+	if named, ok := recv.(*types.Named); ok {
+		name = named.Obj().Name()
+	}
+	if ptr == "" {
+		return fmt.Sprintf("%s.%s.%s", pkg, name, fn.Name())
+	}
+	return fmt.Sprintf("%s.(%s%s).%s", pkg, ptr, name, fn.Name())
+}
+
+// checkRootContexts flags context.Background()/TODO() anywhere in fd,
 // closures included.
-func checkRootContexts(p *ModulePass, fn *Function) {
-	info := fn.Pkg.Info
-	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+func checkRootContexts(p *Pass, fd *ast.FuncDecl) {
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
 		for _, name := range [...]string{"Background", "TODO"} {
-			if pkgFuncCall(info, call, "context", name) {
+			if pkgFuncCall(p.Pkg.Info, call, "context", name) {
 				p.Reportf(call.Pos(),
 					"context.%s() in library code detaches from the caller's cancellation; accept and propagate a context instead",
 					name)
@@ -67,12 +102,11 @@ func checkRootContexts(p *ModulePass, fn *Function) {
 	})
 }
 
-// firstBlockingOp returns the first operation in fn's own body (closures
+// firstBlockingOp returns the first operation in fd's own body (closures
 // excluded) that can block indefinitely.
-func firstBlockingOp(fn *Function) (pos token.Pos, what string, blocks bool) {
-	info := fn.Pkg.Info
-	comm := selectCommOps(fn)
-	ownBody(fn, func(n ast.Node) bool {
+func firstBlockingOp(info *types.Info, fd *ast.FuncDecl) (pos token.Pos, what string, blocks bool) {
+	comm := selectCommOps(fd)
+	ownBody(fd, func(n ast.Node) bool {
 		if blocks {
 			return false
 		}
@@ -106,12 +140,12 @@ func firstBlockingOp(fn *Function) (pos token.Pos, what string, blocks bool) {
 }
 
 // selectCommOps collects the channel operations that are the comm
-// statements of select clauses in fn: those do not block by themselves —
+// statements of select clauses in fd: those do not block by themselves —
 // the enclosing select does (and only without a default clause), so it
 // alone is classified.
-func selectCommOps(fn *Function) map[ast.Node]bool {
+func selectCommOps(fd *ast.FuncDecl) map[ast.Node]bool {
 	comm := map[ast.Node]bool{}
-	ownBody(fn, func(n ast.Node) bool {
+	ownBody(fd, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectStmt)
 		if !ok {
 			return true
@@ -176,11 +210,11 @@ func blockingCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
-// ownBody visits the statements of fn's declaration, skipping function
-// literals: what a function does when called excludes closures, which may
-// run on another goroutine.
-func ownBody(fn *Function, visit func(ast.Node) bool) {
-	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+// ownBody visits the statements of fd, skipping function literals: what a
+// function does when called excludes closures, which may run on another
+// goroutine.
+func ownBody(fd *ast.FuncDecl, visit func(ast.Node) bool) {
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}
@@ -189,8 +223,8 @@ func ownBody(fn *Function, visit func(ast.Node) bool) {
 }
 
 // acceptsContext reports whether fn takes a context.Context parameter.
-func acceptsContext(fn *Function) bool {
-	sig, ok := fn.Obj.Type().(*types.Signature)
+func acceptsContext(fn *types.Func) bool {
+	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
 		return false
 	}

@@ -8,23 +8,19 @@
 // and go/types (the repository deliberately has no external dependencies,
 // so golang.org/x/tools is off limits).
 //
-// The per-package analyzers:
+// The analyzers, each run over one package at a time:
 //
 //   - detrand: wall-clock reads and process-global randomness inside the
 //     deterministic packages.
 //   - maporder: order-sensitive writes inside `range` loops over maps in
 //     the deterministic packages.
 //   - errdrop: statements and blank assignments that discard an error.
-//
-// The module analyzers run over a whole-module call graph (callgraph.go)
-// with interface calls devirtualised:
-//
-//   - hotalloc: allocating constructs in any function statically
-//     reachable from a //lint:hotpath root, reported with the call
-//     chain from the root.
 //   - ctxflow: exported blocking functions of the engine and service
 //     packages without a context.Context, and root contexts minted in
 //     library code.
+//
+// The engine's zero-allocation contract is not linted: the allocation
+// tests and benchmarks of the hot path measure what the compiler emits.
 //
 // A finding is suppressed by a line comment of the form
 //
@@ -33,7 +29,9 @@
 // on the same line as the finding, on the line directly above it, or on
 // the line directly above the start of the (possibly multi-line)
 // statement containing it.  The reason is mandatory: a directive without
-// one is itself reported, and the underlying finding is kept.
+// one is itself reported, and the underlying finding is kept.  A reasoned
+// directive that suppresses nothing fails TestRepoClean, and so does one
+// naming an analyzer the suite does not have, which can suppress nothing.
 //
 // Diagnostics are emitted sorted by file, line, column and analyzer, so
 // two runs over the same tree render byte-identical reports.
@@ -59,14 +57,11 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// An Analyzer is one named check.  Per-package analyzers set Run and are
-// handed one package at a time; module analyzers set RunModule instead and
-// see the whole module at once through its call graph (see callgraph.go).
+// An Analyzer is one named check, handed one package at a time.
 type Analyzer struct {
-	Name      string
-	Doc       string
-	Run       func(*Pass)
-	RunModule func(*ModulePass)
+	Name string
+	Doc  string
+	Run  func(*Pass)
 }
 
 // A Pass hands one package to one analyzer and collects its reports.
@@ -80,23 +75,6 @@ type Pass struct {
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{
 		Pos:      p.Pkg.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// A ModulePass hands the whole module's call graph to one module analyzer.
-type ModulePass struct {
-	Analyzer *Analyzer
-	Graph    *CallGraph
-	Fset     *token.FileSet
-	report   func(Diagnostic)
-}
-
-// Reportf records a finding at pos.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(Diagnostic{
-		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
@@ -121,58 +99,30 @@ func deterministic(pkg *Package) bool {
 	return deterministicPkgs[path.Base(pkg.Path)]
 }
 
-// Analyzers returns the full suite in a fixed order: the three
-// per-package analyzers followed by the two module (call-graph) ones.
+// Analyzers returns the full suite in a fixed order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetRand, MapOrder, ErrDrop, HotAlloc, CtxFlow}
+	return []*Analyzer{DetRand, MapOrder, ErrDrop, CtxFlow}
 }
 
 // Run applies analyzers to pkgs, resolves //lint:allow suppressions, and
-// returns the surviving diagnostics sorted by position.  Module analyzers
-// share one call graph, built once per Run.
+// returns the surviving diagnostics sorted by position.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	kept, _ := run(pkgs, analyzers)
 	return kept
 }
 
 // run is Run that also returns the well-formed directives which
-// suppressed no finding.
+// suppressed no finding, among them every directive naming no analyzer of
+// the suite.
 func run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []directive) {
 	var diags []Diagnostic
 	report := func(d Diagnostic) { diags = append(diags, d) }
-	var graph *CallGraph
-	for _, a := range analyzers {
-		if a.RunModule == nil || len(pkgs) == 0 {
-			continue
-		}
-		if graph == nil {
-			graph = BuildCallGraph(pkgs)
-		}
-		a.RunModule(&ModulePass{
-			Analyzer: a,
-			Graph:    graph,
-			Fset:     graph.Fset,
-			report:   report,
-		})
-	}
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			pass := &Pass{
-				Analyzer: a,
-				Pkg:      pkg,
-				report:   report,
-			}
-			a.Run(pass)
+			a.Run(&Pass{Analyzer: a, Pkg: pkg, report: report})
 		}
 	}
-	known := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		known[a.Name] = true
-	}
-	dirs, dirDiags := directives(pkgs, known)
+	dirs, dirDiags := directives(pkgs)
 	diags = append(diags, dirDiags...)
 	spans := stmtSpans(pkgs)
 	used := make([]bool, len(dirs))
@@ -214,10 +164,11 @@ type directive struct {
 const directivePrefix = "//lint:allow"
 
 // directives collects well-formed suppressions from every file's comments
-// and reports malformed ones (missing analyzer, unknown analyzer, missing
-// reason) as diagnostics in their own right, attributed to the pseudo
-// analyzer "directive".
-func directives(pkgs []*Package, known map[string]bool) ([]directive, []Diagnostic) {
+// and reports malformed ones (missing analyzer, missing reason) as
+// diagnostics in their own right, attributed to the pseudo analyzer
+// "directive".  A directive naming an analyzer the suite does not run is
+// well-formed: it suppresses nothing, so run lists it as unused.
+func directives(pkgs []*Package) ([]directive, []Diagnostic) {
 	var dirs []directive
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
@@ -243,8 +194,6 @@ func directives(pkgs []*Package, known map[string]bool) ([]directive, []Diagnost
 					switch {
 					case len(fields) == 0:
 						bad("malformed %s: missing analyzer name and reason", directivePrefix)
-					case !known[fields[0]]:
-						bad("%s names unknown analyzer %q", directivePrefix, fields[0])
 					case len(fields) == 1:
 						bad("%s %s: missing reason (a justification is mandatory)", directivePrefix, fields[0])
 					default:

@@ -3,6 +3,7 @@ package lint
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -62,8 +63,8 @@ func TestGoldenCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgs) < 5 {
-		t.Fatalf("loaded %d fixture packages, want at least 5", len(pkgs))
+	if len(pkgs) < 4 {
+		t.Fatalf("loaded %d fixture packages, want at least 4", len(pkgs))
 	}
 	diags := Run(pkgs, Analyzers())
 	if len(diags) == 0 {
@@ -101,8 +102,9 @@ func TestGoldenCorpus(t *testing.T) {
 
 // TestAllowDirectives checks the suppression contract: a reasoned
 // directive (trailing or on the line above) silences its analyzer, a
-// reasonless or unknown-analyzer directive is itself reported and
-// suppresses nothing, and a directive for the wrong analyzer is inert.
+// reasonless directive is itself reported and suppresses nothing, and a
+// directive for the wrong or an unknown analyzer is inert and listed as
+// unused, which TestRepoClean fails on.
 func TestAllowDirectives(t *testing.T) {
 	const fixture = "testdata/allow/simd/allow.go"
 	data, err := os.ReadFile(fixture)
@@ -126,7 +128,7 @@ func TestAllowDirectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run(pkgs, Analyzers())
+	diags, unused := run(pkgs, Analyzers())
 
 	want := []struct {
 		line     int
@@ -135,7 +137,6 @@ func TestAllowDirectives(t *testing.T) {
 	}{
 		{noReason, "directive", "missing reason"},
 		{noReason, "detrand", "time.Now"},
-		{unknown, "directive", "unknown analyzer"},
 		{unknown, "detrand", "time.Now"},
 		{mismatch, "detrand", "time.Now"},
 	}
@@ -157,6 +158,14 @@ func TestAllowDirectives(t *testing.T) {
 		if !matched[i] {
 			t.Errorf("unexpected diagnostic (suppression failed?): %s", d)
 		}
+	}
+	var got []directive
+	for _, dir := range unused {
+		got = append(got, directive{line: dir.line, analyzer: dir.analyzer})
+	}
+	wantUnused := []directive{{line: unknown, analyzer: "nosuchcheck"}, {line: mismatch, analyzer: "errdrop"}}
+	if !reflect.DeepEqual(got, wantUnused) {
+		t.Errorf("unused directives %+v, want %+v", got, wantUnused)
 	}
 }
 

@@ -35,7 +35,8 @@ func Bad() time.Time {
 	return time.Now() //lint:allow detrand
 }
 
-// Unknown names a nonexistent analyzer: reported, finding survives.
+// Unknown names a nonexistent analyzer: it suppresses nothing, so it is
+// listed as unused, and the finding survives.
 func Unknown() time.Time {
 	return time.Now() //lint:allow nosuchcheck this analyzer does not exist
 }

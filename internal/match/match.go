@@ -70,8 +70,6 @@ type arena struct {
 // start first), the order every transfer round, donor trace and golden is
 // pinned to.  last is the donor of rank matched-1, where the global pointer
 // lands, or -1 when nothing matched.
-//
-//lint:hotpath
 func (a *arena) matchBits(busy, idle scan.Bits, start int) (pairs []scan.Pair, last int) {
 	matched := min(busy.CountBits(), idle.CountBits())
 	if matched == 0 {
@@ -81,9 +79,7 @@ func (a *arena) matchBits(busy, idle scan.Bits, start int) (pairs []scan.Pair, l
 		// At least doubling: rounds that creep up phase by phase must not
 		// reallocate every phase.
 		n := max(matched, cap(a.ranks))
-		//lint:allow hotalloc rank scratch grows to two ints a matched pair and is reused across phases
 		a.ranks = make([]int, 2*n)
-		//lint:allow hotalloc pair scratch grows with the rank scratch
 		a.pairs = make([]scan.Pair, n)
 	}
 	receivers, donors := a.ranks[:matched], a.ranks[matched:2*matched]
@@ -177,8 +173,6 @@ func (*NGP) Name() string { return "nGP" }
 func (*NGP) Reset() {}
 
 // Match implements Matcher.
-//
-//lint:hotpath
 func (g *NGP) Match(busy, idle []bool) []scan.Pair {
 	b, i := g.pack(busy, idle)
 	return g.MatchBits(b, i, len(busy))
@@ -186,8 +180,6 @@ func (g *NGP) Match(busy, idle []bool) []scan.Pair {
 
 // MatchBits implements BitMatcher: both sets are enumerated from processor
 // 0 and matched rank to rank.
-//
-//lint:hotpath
 func (g *NGP) MatchBits(busy, idle scan.Bits, n int) []scan.Pair {
 	pairs, _ := g.matchBits(busy, idle, 0)
 	return pairs
@@ -225,8 +217,6 @@ func (g *GP) SetPointer(p int) {
 }
 
 // Match implements Matcher.
-//
-//lint:hotpath
 func (g *GP) Match(busy, idle []bool) []scan.Pair {
 	b, i := g.pack(busy, idle)
 	return g.MatchBits(b, i, len(busy))
@@ -236,8 +226,6 @@ func (g *GP) Match(busy, idle []bool) []scan.Pair {
 // from the first busy processor after the global pointer (wrapping around),
 // the idle ones from processor 0, and ranks are matched by rendezvous.  The
 // pointer then advances to the last processor that donated.
-//
-//lint:hotpath
 func (g *GP) MatchBits(busy, idle scan.Bits, n int) []scan.Pair {
 	if n == 0 {
 		return nil

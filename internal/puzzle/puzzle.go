@@ -228,7 +228,6 @@ func (d *Domain) Expand(n Node, buf []Node) []Node {
 			continue
 		}
 		if c, ok := apply(n, m); ok {
-			//lint:allow hotalloc expansion buffer is reused by the engine and reaches the branching factor
 			buf = append(buf, c)
 		}
 	}

@@ -47,7 +47,6 @@ func (d *Domain) Expand(n Node, buf []Node) []Node {
 		if n.Cols&(1<<col) != 0 || n.D1&(1<<d1) != 0 || n.D2&(1<<d2) != 0 {
 			continue
 		}
-		//lint:allow hotalloc expansion buffer is reused by the engine and reaches the branching factor
 		buf = append(buf, Node{
 			N:    n.N,
 			Row:  n.Row + 1,

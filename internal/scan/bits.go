@@ -12,7 +12,6 @@ type Bits []uint64
 
 // NewBits returns a zeroed vector able to hold n flags.
 func NewBits(n int) Bits {
-	//lint:allow hotalloc bit vectors are allocated once by their owner and reused for the whole run
 	return make(Bits, (n+63)/64)
 }
 
@@ -22,8 +21,6 @@ func (b Bits) Get(i int) bool { return b[i>>6]>>(uint(i)&63)&1 != 0 }
 // SetTo sets flag i to v branch-free: the word is masked and the new bit
 // OR-ed in, so flag maintenance in the expansion hot path costs a couple
 // of ALU operations and no mispredicted branch.
-//
-//lint:hotpath
 func (b Bits) SetTo(i int, v bool) {
 	var bit uint64
 	if v {
@@ -63,8 +60,6 @@ func (b Bits) CountBits() int {
 // dst (which must hold n flags), masking the tail of the last word so the
 // no-set-bits-beyond-n invariant is preserved.  The engine derives the
 // idle (no work) flags from the has-work bitset with it.
-//
-//lint:hotpath
 func ComplementInto(dst, src Bits, n int) {
 	words := (n + 63) / 64
 	if len(dst) < words || len(src) < words {

@@ -144,7 +144,6 @@ func (c *Context[S]) account(p scan.Pair, n int) bool {
 		c.maxTransfer = n
 	}
 	if c.recordDonors {
-		//lint:allow hotalloc donor trace recording is opt-in (Trace.WantDonors)
 		c.donors = append(c.donors, p.From)
 	}
 	return true
@@ -189,14 +188,12 @@ func (c *Context[S]) TransferAll(pairs []scan.Pair) int {
 		c.makeResident(p.From)
 	}
 	if cap(c.moved) < len(pairs) {
-		//lint:allow hotalloc per-pair move counts grow, at least doubling, to the largest round
 		c.moved = make([]int, max(len(pairs), 2*cap(c.moved), blockPairs))
 	}
 	c.moved = c.moved[:len(pairs)]
 	if c.runParallel != nil && len(pairs) >= c.workers*parallelPairMin {
 		c.curPairs = pairs
 		if c.taskTransfer == nil {
-			//lint:allow hotalloc shard task closure is created once and cached
 			c.taskTransfer = func(w int) {
 				n := len(c.curPairs) // shard w's even share of the round
 				lo, hi := w*n/c.workers, (w+1)*n/c.workers

@@ -404,8 +404,6 @@ var ErrExpandTruncated = errors.New("Expand returned fewer elements than it was 
 // when the previous cycle was wide enough to repay waking the pool, one per
 // shard, reduced in shard order (every shard starts on a multiple of 64,
 // which is what lets concurrent shards store whole flag words).
-//
-//lint:hotpath
 func (m *Machine[S]) expand() stack.Expansion {
 	res := stack.Expansion{NotResident: -1}
 	if m.parReady == nil || m.lastBusy < m.workers*poolShardMin {
@@ -423,8 +421,6 @@ func (m *Machine[S]) expand() stack.Expansion {
 
 // balance runs one load-balancing phase on the reusable context; the
 // schedule charges its cost.
-//
-//lint:hotpath
 func (m *Machine[S]) balance(wantDonors bool) PhaseInfo {
 	ctx := m.lbCtx
 	ctx.reset(wantDonors)

@@ -274,8 +274,6 @@ func (s *Schedule) Run(ctx context.Context, l Lanes) error {
 
 // bookCycle charges one expansion cycle to the virtual clock and the
 // search-phase accumulators.
-//
-//lint:hotpath
 func (s *Schedule) bookCycle(info *CycleInfo) {
 	st := &s.Stats
 	ucalc := s.costs.NodeExpansion

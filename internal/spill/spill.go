@@ -311,10 +311,6 @@ func (m *Manager[S]) ensure(p int) {
 // then reads its frames one at a time, and the first that fails is the
 // error.  The last window is kept for the donor faults of the cycle's
 // balancing phase.
-//
-// Deliberately not a lint hot-path root: the eviction and fault event
-// paths behind it do disk I/O, and grow the manager's scratch buffers
-// until they fit the largest frame seen.
 func (m *Manager[S]) Barrier(a *stack.Arena[S]) error {
 	if m.closed {
 		return ErrClosed
@@ -378,10 +374,6 @@ func (r segRef) end() int64 { return r.off + int64(r.size) }
 // sweeps or maintained at push or pop time.  The victims are evicted
 // together (see evict): one write for the whole sweep, and nothing
 // evicted if it fails.
-//
-// Still not a lint hot-path root, for the same reason as Barrier: the
-// selection allocates nothing once ensure has sized its scratch, but it
-// ends in a disk write.
 func (m *Manager[S]) Sweep(a *stack.Arena[S]) error {
 	if m.closed {
 		return ErrClosed

@@ -167,8 +167,6 @@ func (a *Arena[S]) AnySplittable() bool { return a.split.Any() }
 // size (resident plus ghost, so eviction never flips a flag).  The
 // exported mutators call it themselves; callers of a Splitter call it once
 // per touched PE, sequentially, after any parallel region.
-//
-//lint:hotpath
 func (a *Arena[S]) SyncBits(pe int) {
 	sz := a.Size(pe)
 	a.work.SetTo(pe, sz > 0)
@@ -184,7 +182,6 @@ func (a *Arena[S]) SyncBits(pe int) {
 func (a *Arena[S]) window(pe int) ([]S, []int32) {
 	slot := &a.homes[pe>>6]
 	if slot.Load() == nil {
-		//lint:allow hotalloc one chunk per flag word, at the word's first push
 		slot.CompareAndSwap(nil, new(home[S])) // a loser's chunk is garbage
 	}
 	h, n, l := slot.Load(), (pe&63)*homeNodes, (pe&63)*homeLevels
@@ -198,7 +195,6 @@ func (a *Arena[S]) newBuf(pe, have, need int) []S {
 		nodes, _ := a.window(pe)
 		return nodes
 	}
-	//lint:allow hotalloc per-PE buffer doubles to the live stack size, then stops growing
 	return make([]S, max(2*have, need))
 }
 
@@ -208,7 +204,6 @@ func (a *Arena[S]) newLvl(pe, have, need int) []int32 {
 		_, lvl := a.window(pe)
 		return lvl
 	}
-	//lint:allow hotalloc per-PE level table doubles to the live depth, then stops growing
 	return make([]int32, max(2*have, need))
 }
 
@@ -291,8 +286,6 @@ func (a *Arena[S]) pushLevelRaw(pe int, alts []S) {
 // (internal/mimd) expands through it and the engines seed the root with
 // it.  The SIMD engine's cycle does not call it; ExpandCycle has the domain
 // append to the PE's buffer itself and stores the flags once per word.
-//
-//lint:hotpath
 func (a *Arena[S]) PushLevel(pe int, alts []S) {
 	a.pushLevelRaw(pe, alts)
 	a.SyncBits(pe)
@@ -310,8 +303,6 @@ func (a *Arena[S]) pushOneRaw(pe int, node S) {
 
 // PushOne pushes a single alternative as a deeper level — the receiver
 // side of a single-node donation.
-//
-//lint:hotpath
 func (a *Arena[S]) PushOne(pe int, node S) {
 	a.pushOneRaw(pe, node)
 	a.SyncBits(pe)
@@ -357,8 +348,6 @@ func (p *pe[S]) shrinkTop() {
 // the one-PE-at-a-time form, called by internal/mimd (whose PEs run
 // asynchronously) and not by the SIMD engine's cycle, which pops through
 // ExpandCycle.
-//
-//lint:hotpath
 func (a *Arena[S]) Pop(pe int) (S, bool) {
 	node, ok := a.popRaw(pe)
 	if ok {
@@ -408,8 +397,6 @@ func (p *pe[S]) shrinkBottom() {
 // an unstructured tree roots the largest expected untried subtree.  The PE
 // must be fully resident: with levels evicted the true bottom lives on
 // stable storage, and the engine faults it back in first.
-//
-//lint:hotpath
 func (a *Arena[S]) RemoveBottom(pe int) (S, bool) {
 	node, ok := a.removeBottomRaw(pe)
 	if ok {
@@ -464,13 +451,10 @@ func (a *Arena[S]) ForEachLevel(pe int, f func(level []S)) {
 // splitter transfer performs.  nodes holds the levels' nodes bottom level
 // first and counts the length of each level; the caller keeps ownership of
 // both slices.
-//
-//lint:hotpath
 func (a *Arena[S]) AppendLevels(pe int, nodes []S, counts []int) {
 	if p := &a.pes[pe]; p.buf == nil && len(nodes) > 0 {
 		// A PE that never held work is sized to what it is given and takes no
 		// window: a decoded snapshot is P such PEs, each read once.
-		//lint:allow hotalloc first install of a PE allocates its buffers exactly
 		p.buf, p.lvl = make([]S, len(nodes)), make([]int32, len(counts)-1)
 	}
 	for _, n := range counts {
@@ -509,8 +493,6 @@ func (a *Arena[S]) Clone() *Arena[S] {
 // bottom-to-top order — the eviction serialiser's view of the coldest
 // levels.  The slices are the arena's own storage and must not be mutated
 // or retained.  k must not exceed ResidentDepth(pe).
-//
-//lint:hotpath
 func (a *Arena[S]) ForEachBottomLevel(pe, k int, f func(level []S)) {
 	p := &a.pes[pe]
 	off := int(p.head)
@@ -530,8 +512,6 @@ func (a *Arena[S]) ForEachBottomLevel(pe, k int, f func(level []S)) {
 // window.  It returns the number of nodes dropped.  k must be positive
 // and at most ResidentDepth(pe); dropping every resident level is legal
 // as long as a restore happens before the next pop.
-//
-//lint:hotpath
 func (a *Arena[S]) DropBottom(pe, k int) int {
 	p := &a.pes[pe]
 	nodes := 0
@@ -642,7 +622,6 @@ func (p *pe[S]) canDonate() bool { return p.size >= 2 && p.ghost == 0 }
 // pair's push.  Scatter — one single-node push per receiver.
 func (a *Arena[S]) moveOne(pairs []scan.Pair, moved []int, nodes []S, top bool) []S {
 	if cap(nodes) < len(pairs) {
-		//lint:allow hotalloc block scratch grows once to the block size and is reused by its owner
 		nodes = make([]S, len(pairs))
 	}
 	nodes = nodes[:len(pairs)]
@@ -675,24 +654,18 @@ func (a *Arena[S]) moveOne(pairs []scan.Pair, moved []int, nodes []S, top bool) 
 
 // SplitBlock implements Splitter: the bottom node of every donor moves to
 // its receiver in two O(1) steps (head-offset removal, single-node push).
-//
-//lint:hotpath
 func (BottomNode[S]) SplitBlock(a *Arena[S], pairs []scan.Pair, moved []int, nodes []S) []S {
 	return a.moveOne(pairs, moved, nodes, false)
 }
 
 // SplitBlock implements Splitter: the single deepest alternative of every
 // donor moves to its receiver.
-//
-//lint:hotpath
 func (TopNode[S]) SplitBlock(a *Arena[S], pairs []scan.Pair, moved []int, nodes []S) []S {
 	return a.moveOne(pairs, moved, nodes, true)
 }
 
 // SplitBlock implements Splitter, pair by pair: a half-stack split streams
 // whole levels and has no cold single node to gather.
-//
-//lint:hotpath
 func (HalfStack[S]) SplitBlock(a *Arena[S], pairs []scan.Pair, moved []int, nodes []S) []S {
 	for k, pr := range pairs {
 		moved[k] = a.splitHalf(pr.From, pr.To)

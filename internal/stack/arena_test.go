@@ -281,35 +281,46 @@ func TestArenaNilInstallClears(t *testing.T) {
 
 // TestArenaSteadyStateZeroAlloc checks the expansion cycle contract: once
 // a PE's buffer and level table have grown to the working-set size,
-// push/pop churn allocates nothing.
+// push/pop churn, a transfer by each splitter and the install of a decoded
+// payload into a drained PE allocate nothing.  (An install into a PE that
+// never held work sizes its buffers by design, outside the steady state.)
 func TestArenaSteadyStateZeroAlloc(t *testing.T) {
-	a := NewArena[int](2)
 	lv := []int{1, 2, 3, 4}
-	// Warm up both PEs past the working-set high-water mark.
-	for i := 0; i < 64; i++ {
-		a.PushLevel(0, lv)
-		a.PushLevel(1, lv)
-	}
-	a.Clear(0)
-	a.Clear(1)
-	a.PushLevel(0, lv)
-	a.PushLevel(0, lv)
-	sp := HalfStack[int]{}
-	pair, moved := []scan.Pair{{From: 0, To: 1}}, []int{0}
-	allocs := testing.AllocsPerRun(200, func() {
-		// One expansion step: pop a node, push its successors.
-		a.Pop(0)
-		a.PushLevel(0, lv)
-		// One transfer: split half of PE 0 onto PE 1, then drain PE 1.
-		sp.SplitBlock(a, pair, moved, nil)
-		a.SyncBits(0)
-		a.SyncBits(1)
-		for !a.Empty(1) {
-			a.Pop(1)
-		}
-	})
-	if allocs > 0 {
-		t.Errorf("steady-state cycle allocates %.1f times", allocs)
+	// A decoded donation or checkpoint PE: three levels, bottom first.
+	payload, counts := []int{5, 6, 7, 8, 9, 10}, []int{1, 2, 3}
+	for _, sp := range []Splitter[int]{HalfStack[int]{}, BottomNode[int]{}, TopNode[int]{}} {
+		t.Run(sp.Name(), func(t *testing.T) {
+			a := NewArena[int](2)
+			// Warm up both PEs past the working-set high-water mark.
+			for i := 0; i < 64; i++ {
+				a.PushLevel(0, lv)
+				a.PushLevel(1, lv)
+			}
+			pair, moved := []scan.Pair{{From: 0, To: 1}}, []int{0}
+			var nodes []int
+			allocs := testing.AllocsPerRun(200, func() {
+				// Drain both PEs and re-install the payload into PE 0.
+				for pe := 0; pe < 2; pe++ {
+					for !a.Empty(pe) {
+						a.Pop(pe)
+					}
+				}
+				a.AppendLevels(0, payload, counts)
+				// One expansion step: pop a node, push its successors.
+				a.Pop(0)
+				a.PushLevel(0, lv)
+				// One transfer from PE 0 onto PE 1.
+				nodes = sp.SplitBlock(a, pair, moved, nodes)
+				a.SyncBits(0)
+				a.SyncBits(1)
+			})
+			if moved[0] == 0 {
+				t.Fatal("the transfer moved nothing")
+			}
+			if allocs > 0 {
+				t.Errorf("steady-state cycle allocates %.1f times", allocs)
+			}
+		})
 	}
 }
 

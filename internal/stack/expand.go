@@ -79,8 +79,6 @@ type ExpandScratch[S any] struct {
 // multiple of 64 or P — which is also what lets concurrent calls on disjoint
 // ranges store their words without synchronisation (simd's shards are cut
 // that way).  PEs without work keep their bits.
-//
-//lint:hotpath
 func (a *Arena[S]) ExpandCycle(d Expander[S], lo, hi int, sc *ExpandScratch[S]) Expansion {
 	res := Expansion{NotResident: -1}
 	var zero S

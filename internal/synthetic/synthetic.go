@@ -104,7 +104,6 @@ func (t *Tree) Expand(n Node, buf []Node) []Node {
 	}
 	budgets[heaviest] += remaining - assigned
 	for _, b := range budgets[:k] {
-		//lint:allow hotalloc expansion buffer is reused by the engine and reaches the branching factor
 		buf = append(buf, Node{Budget: b, Seed: splitmix64(&state)})
 	}
 	return buf

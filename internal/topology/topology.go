@@ -72,7 +72,6 @@ func (Hypercube) Neighbors(p, id int) []int {
 	var ns []int
 	for bit := 1; bit < p; bit <<= 1 {
 		if n := id ^ bit; n < p {
-			//lint:allow hotalloc neighbor enumeration backs the NN baseline only, lists are small
 			ns = append(ns, n)
 		}
 	}
@@ -99,19 +98,15 @@ func (Mesh) Neighbors(p, id int) []int {
 	r, c := id/side, id%side
 	var ns []int
 	if r > 0 {
-		//lint:allow hotalloc neighbor enumeration backs the NN baseline only, lists are small
 		ns = append(ns, id-side)
 	}
 	if r < side-1 && id+side < p {
-		//lint:allow hotalloc neighbor enumeration backs the NN baseline only, lists are small
 		ns = append(ns, id+side)
 	}
 	if c > 0 {
-		//lint:allow hotalloc neighbor enumeration backs the NN baseline only, lists are small
 		ns = append(ns, id-1)
 	}
 	if c < side-1 && id+1 < p {
-		//lint:allow hotalloc neighbor enumeration backs the NN baseline only, lists are small
 		ns = append(ns, id+1)
 	}
 	return ns
@@ -169,7 +164,6 @@ func (Crossbar) Neighbors(p, id int) []int {
 	if p <= 1 {
 		return nil
 	}
-	//lint:allow hotalloc neighbor enumeration backs the NN baseline only, lists are small
 	return []int{(id + p - 1) % p, (id + 1) % p}
 }
 
