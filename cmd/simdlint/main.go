@@ -18,13 +18,11 @@
 // an in-source "//lint:allow <analyzer> <reason>" comment (see
 // internal/lint).
 //
-// -json - (or -json FILE) additionally emits the findings as a JSON
-// array; -github prints GitHub Actions ::error workflow annotations.
+// -github additionally prints GitHub Actions ::error workflow annotations.
 // Exit status: 0 clean, 1 findings, 2 load or usage errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -36,10 +34,9 @@ import (
 
 func main() {
 	analyzers := flag.Bool("analyzers", false, "list the analyzers and exit")
-	jsonOut := flag.String("json", "", "write findings as JSON to `file` (\"-\" for stdout)")
 	github := flag.Bool("github", false, "print GitHub Actions ::error annotations")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: simdlint [-analyzers] [-json file] [-github] [packages]")
+		fmt.Fprintln(os.Stderr, "usage: simdlint [-analyzers] [-github] [packages]")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -67,18 +64,11 @@ func main() {
 	}
 	relativize(diags)
 
-	if *jsonOut != "" {
-		if err := writeJSON(*jsonOut, diags); err != nil {
-			fail(err)
-		}
-	}
 	if len(diags) == 0 {
 		return
 	}
-	if *jsonOut != "-" {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if *github {
 		for _, d := range diags {
@@ -108,39 +98,6 @@ func relativize(diags []lint.Diagnostic) {
 			diags[i].Pos.Filename = rel
 		}
 	}
-}
-
-// jsonDiag is the stable serialisation of one finding.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// writeJSON emits diags as a JSON array to dst ("-" meaning stdout).
-func writeJSON(dst string, diags []lint.Diagnostic) error {
-	out := make([]jsonDiag, len(diags))
-	for i, d := range diags {
-		out[i] = jsonDiag{
-			File:     d.Pos.Filename,
-			Line:     d.Pos.Line,
-			Column:   d.Pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		}
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if dst == "-" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(dst, data, 0o644)
 }
 
 // filter restricts diags to findings under the directories named by args.

@@ -149,18 +149,14 @@ func header(b []byte) (Meta, wire.Reader) {
 	return meta, r
 }
 
-// WriteFile atomically writes the encoded checkpoint: encode to memory,
-// write to a temp file in the target directory, fsync, rename.  A crash
-// mid-write leaves either the previous checkpoint or none — never a
-// torn file (the CRC catches torn renames on filesystems without atomic
-// rename, turning them into a clean decode error).
-func WriteFile[S any](path string, c wire.Codec[S], meta Meta, snap *simd.Snapshot[S]) error {
-	b, err := Encode(c, meta, snap)
-	if err != nil {
-		return err
-	}
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+// WriteFile atomically replaces path with b, an encoded checkpoint: write
+// a ".tmp-*" file in the target directory, fsync, rename.  A crash
+// mid-write leaves either the previous checkpoint or none — never a torn
+// file (the CRC catches torn renames on filesystems without atomic rename,
+// turning them into a clean decode error) — and the server's spool sweeps
+// the temp files such a crash leaves behind.
+func WriteFile(path string, b []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
 	}
@@ -178,24 +174,6 @@ func WriteFile[S any](path string, c wire.Codec[S], meta Meta, snap *simd.Snapsh
 		_ = os.Remove(tmp) //lint:allow errdrop best-effort cleanup after a failed write
 	}
 	return err
-}
-
-// ReadFile reads and decodes a checkpoint file.
-func ReadFile[S any](path string, c wire.Codec[S]) (Meta, *simd.Snapshot[S], error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	return Decode(c, b)
-}
-
-// PeekFile reads only the meta block (plus CRC verification) of a file.
-func PeekFile(path string) (Meta, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return Meta{}, err
-	}
-	return Peek(b)
 }
 
 const (

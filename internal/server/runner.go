@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"simdtree/internal/checkpoint"
@@ -105,13 +106,25 @@ func defaultRunners() map[string]Runner {
 	return runners
 }
 
+// RunSpec runs a canonical spec of a built-in domain exactly as a node's
+// worker does: opts carries what the spec does not (workers, trace,
+// memory budget, progress, costs), env the checkpoint plumbing.
+func RunSpec(ctx context.Context, spec JobSpec, opts simd.Options, env RunEnv) (metrics.Stats, error) {
+	b, ok := builtins[spec.Domain]
+	if !ok {
+		return metrics.Stats{}, fmt.Errorf("no built-in domain %q", spec.Domain)
+	}
+	return b.run(ctx, spec, opts, env)
+}
+
 // runMachine is the shared checkpointable execution path: build the
 // machine, restore the spooled snapshot if the job is a resumption,
-// register the periodic checkpoint sink, run, and — when the run is
-// cancelled — write one final checkpoint capturing the exact cycle prefix
-// so a restarted server loses no completed work.  Because cancellation
-// lands only at cycle boundaries, the resumed run replays the identical
-// schedule and finishes with the same Stats as an uninterrupted one.
+// register the checkpoint sink and run.  The schedule writes the periodic
+// checkpoints and, when the run is cancelled, one of the exact cycle
+// prefix, so a restarted server loses no completed work.  Because
+// cancellation lands only at cycle boundaries, the resumed run replays the
+// identical schedule and finishes with the same Stats as an uninterrupted
+// one.
 func runMachine[S any](ctx context.Context, d search.Domain[S], codec wire.Codec[S], spec JobSpec, opts simd.Options, env RunEnv) (metrics.Stats, error) {
 	sch, err := simd.ParseScheme[S](spec.Scheme)
 	if err != nil {
@@ -140,6 +153,9 @@ func runMachine[S any](ctx context.Context, d search.Domain[S], codec wire.Codec
 		if err != nil {
 			return metrics.Stats{}, fmt.Errorf("spooled checkpoint: %w", err)
 		}
+		if snap.IDA != nil {
+			return metrics.Stats{}, errors.New("spooled checkpoint: snapshot is from an IDA* run, which a node does not resume")
+		}
 		if err := m.RestoreSnapshot(snap); err != nil {
 			return metrics.Stats{}, fmt.Errorf("spooled checkpoint: %w", err)
 		}
@@ -147,33 +163,23 @@ func runMachine[S any](ctx context.Context, d search.Domain[S], codec wire.Codec
 			env.OnResume(snap.Cycle)
 		}
 	}
-	meta := checkpoint.Meta{Domain: spec.Domain, Scheme: spec.Scheme, Topology: spec.Topology, Extra: env.SpecJSON}
-	save := func(snap *simd.Snapshot[S]) error {
-		b, err := checkpoint.Encode[S](codec, meta, snap)
-		if err != nil {
-			return err
-		}
-		if err := env.Write(b); err != nil {
-			return err
-		}
-		if env.Checkpointed != nil {
-			env.Checkpointed(snap.Cycle)
-		}
-		return nil
-	}
 	if checkpointing {
-		m.OnCheckpoint(save)
+		meta := checkpoint.Meta{Domain: spec.Domain, Scheme: spec.Scheme, Topology: spec.Topology, Extra: env.SpecJSON}
+		m.OnCheckpoint(func(snap *simd.Snapshot[S]) error {
+			b, err := checkpoint.Encode[S](codec, meta, snap)
+			if err != nil {
+				return err
+			}
+			if err := env.Write(b); err != nil {
+				return err
+			}
+			if env.Checkpointed != nil {
+				env.Checkpointed(snap.Cycle)
+			}
+			return nil
+		})
 	}
-	stats, runErr := m.RunContext(ctx)
-	if runErr != nil && stats.Cancelled && checkpointing {
-		// The run stopped at a clean cycle boundary; spool that exact
-		// prefix rather than the last cadence tick.  On failure the
-		// periodic checkpoint already on disk stays valid for resume.
-		if snap, err := m.Snapshot(); err == nil {
-			_ = save(snap) //lint:allow errdrop the previous periodic checkpoint remains usable
-		}
-	}
-	return stats, runErr
+	return m.RunContext(ctx)
 }
 
 // puzzleDomain builds the cost-bounded 15-puzzle domain of a spec.

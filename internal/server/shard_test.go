@@ -300,16 +300,7 @@ func TestShardClientMatchesLocalShard(t *testing.T) {
 	for _, scheme := range []string{"GP-S0.90", "nGP-DK"} {
 		t.Run(scheme, func(t *testing.T) {
 			d := donate(t, shardSpec(scheme, 4000), 1)
-
-			var local []steal.LocalShard
-			for _, r := range ranges(d.spec.P, 2) {
-				h, err := builtins[d.spec.Domain].host(d.spec, d.opts, r[0], r[1], d.raw)
-				if err != nil {
-					t.Fatal(err)
-				}
-				local = append(local, steal.LocalShard{H: h})
-			}
-			want := driveShards(t, d, asShards(local))
+			want := driveShards(t, d, localShards(t, d, 2))
 			if want.res.Donations == 0 {
 				t.Fatal("the reference run shipped no cross-shard donation; the comparison would not exercise split/absorb")
 			}
@@ -334,6 +325,132 @@ func TestShardClientMatchesLocalShard(t *testing.T) {
 			}
 		})
 	}
+}
+
+// localShards hosts the donation's shards in process, tiled as distribute
+// tiles them.
+func localShards(t *testing.T, d donatedJob, n int) []steal.Shard {
+	t.Helper()
+	var out []steal.Shard
+	for _, r := range ranges(d.spec.P, n) {
+		h, err := builtins[d.spec.Domain].host(d.spec, d.opts, r[0], r[1], d.raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, steal.LocalShard{H: h})
+	}
+	return out
+}
+
+// TestShardClientStopTimeCheckpoint cancels a distributed run a few cycles
+// after the donation and requires the checkpoint of its exact prefix —
+// over ShardClients byte-identical to the one over LocalShards — and that
+// resuming it reproduces the uninterrupted run's Stats and trace.  The
+// second case cancels from another goroutine while a step is in flight:
+// the step still completes and the run stops at the next boundary.
+func TestShardClientStopTimeCheckpoint(t *testing.T) {
+	d := donate(t, shardSpec("GP-S0.90", 4000), 1)
+	want := driveShards(t, d, localShards(t, d, 2))
+
+	// stopped runs the donation over shards until cancel is called,
+	// through onProgress or otherwise, and returns its stop-time
+	// checkpoint.
+	stopped := func(t *testing.T, ctx context.Context, shards []steal.Shard, onProgress func(cycles int)) []byte {
+		t.Helper()
+		var last []byte
+		cfg := d.cfg
+		cfg.CheckpointEvery = 1 << 30 // periodic effectively off: the stop-time checkpoint only
+		cfg.OnCheckpoint = func(_ context.Context, b []byte) error { last = b; return nil }
+		cfg.ProgressEvery = 1
+		cfg.Progress = func(pi simd.ProgressInfo, _ []int) { onProgress(pi.Stats.Cycles) }
+		drv, err := steal.NewDriver(cfg, d.snapshot(t), shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := drv.Run(ctx)
+		if !errors.Is(err, context.Canceled) || last == nil {
+			t.Fatalf("cancelled run: %v, checkpoint %d bytes", err, len(last))
+		}
+		if _, raw, err := checkpoint.DecodeRaw(last); err != nil || raw.Cycle != res.Stats.Cycles {
+			t.Fatalf("stop-time checkpoint of a %d-cycle prefix: %v", res.Stats.Cycles, err)
+		}
+		return last
+	}
+	// resumed drives a stop-time checkpoint to the end over LocalShards.
+	resumed := func(t *testing.T, ckpt []byte) {
+		t.Helper()
+		r := d
+		r.ckpt = ckpt
+		var err error
+		if r.meta, r.raw, err = checkpoint.DecodeRaw(ckpt); err != nil {
+			t.Fatal(err)
+		}
+		got := driveShards(t, r, localShards(t, r, 2))
+		if got.res.Stats != want.res.Stats || !reflect.DeepEqual(got.res.Trace, want.res.Trace) {
+			t.Errorf("resumed run differs from the uninterrupted one\n got %+v\nwant %+v", got.res.Stats, want.res.Stats)
+		}
+	}
+	nodes := func(t *testing.T) []*httptest.Server {
+		_, tsA := testServer(t, Config{Workers: 1})
+		_, tsB := testServer(t, Config{Workers: 1})
+		return []*httptest.Server{tsA, tsB}
+	}
+
+	t.Run("progress", func(t *testing.T) {
+		run := func(shards []steal.Shard) []byte {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			return stopped(t, ctx, shards, func(cycles int) {
+				if cycles >= 4 {
+					cancel()
+				}
+			})
+		}
+		local := run(localShards(t, d, 2))
+		remote := openShards(t, d, nodes(t))
+		defer closeShards(t, remote)
+		if got := run(asShards(remote)); !bytes.Equal(got, local) {
+			t.Errorf("remote stop-time checkpoint (%d bytes) differs from the local one (%d bytes)", len(got), len(local))
+		}
+		resumed(t, local)
+	})
+
+	t.Run("step in flight", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		inFlight, cancelled := make(chan struct{}), make(chan struct{})
+		go func() {
+			<-inFlight
+			cancel()
+			close(cancelled)
+		}()
+		var mu sync.Mutex
+		steps := 0
+		call := func(ctx context.Context, method, url, contentType string, body []byte) (int, []byte, error) {
+			if strings.HasSuffix(url, "/step") {
+				mu.Lock()
+				steps++
+				hold := steps == 5
+				mu.Unlock()
+				if hold {
+					close(inFlight)
+					<-cancelled
+				}
+			}
+			return httpCall(ctx, method, url, contentType, body)
+		}
+		var remote []*ShardClient
+		ns := nodes(t)
+		for i, r := range ranges(d.spec.P, 2) {
+			c, err := OpenShard(context.Background(), call, ns[i].URL, d.ckpt, r[0], r[1])
+			if err != nil {
+				t.Fatalf("opening shard %d: %v", i, err)
+			}
+			remote = append(remote, c)
+		}
+		defer closeShards(t, remote)
+		resumed(t, stopped(t, ctx, asShards(remote), func(int) {}))
+	})
 }
 
 // TestOpenShardClosesAMismatchedSession: a node that opens a session but

@@ -233,12 +233,18 @@ func CacheKey(canonical JobSpec) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// BuiltinDomains names the domains a stock simdserve node serves.  The
-// fleet coordinator (internal/cluster) canonicalizes incoming specs
-// against this set before routing, so a bad spec is rejected at the
-// front door instead of bouncing off every node.
+// BuiltinDomains names the domains a stock simdserve node serves, sorted:
+// the keys of the runner table itself.  The fleet coordinator
+// (internal/cluster) and simdsearch canonicalize specs against this set,
+// so a bad spec is rejected at the front door instead of bouncing off
+// every node.
 func BuiltinDomains() []string {
-	return []string{"puzzle", "queens", "synthetic"}
+	names := make([]string, 0, len(builtins))
+	for name := range builtins {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 func domainList(domains map[string]bool) string {

@@ -57,30 +57,12 @@ func (sp *spool) spillDir(key string) string {
 	return filepath.Join(sp.dir, key+".spill")
 }
 
-// write atomically replaces the job's spool file: temp file in the same
-// directory, sync, rename.  A crash mid-write leaves the previous
-// checkpoint intact; a torn rename is caught by the format's CRC at
-// rescan.
+// write atomically replaces the job's spool file (checkpoint.WriteFile).
+// A crash mid-write leaves the previous checkpoint intact and a ".tmp-*"
+// file that openSpool sweeps; a torn rename is caught by the format's CRC
+// at rescan.
 func (sp *spool) write(key string, b []byte) error {
-	f, err := os.CreateTemp(sp.dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(b); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, sp.path(key))
-	}
-	if err != nil {
-		_ = os.Remove(tmp) //lint:allow errdrop best-effort cleanup after a failed write
-		return err
-	}
-	return nil
+	return checkpoint.WriteFile(sp.path(key), b)
 }
 
 // read returns the job's spooled checkpoint bytes.

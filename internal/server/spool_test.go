@@ -10,12 +10,15 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"simdtree/internal/checkpoint"
 	"simdtree/internal/metrics"
+	"simdtree/internal/puzzle"
+	"simdtree/internal/search"
 	"simdtree/internal/simd"
 	"simdtree/internal/synthetic"
 	"simdtree/internal/wire"
@@ -237,6 +240,68 @@ func TestSpoolRescanRejectsForeignFiles(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("rescan deleted %s: %v", name, err)
 		}
+	}
+}
+
+// TestSpoolRefusesIDAStarCheckpoint: an IDA* checkpoint carries its
+// puzzle spec, so spooled under that spec's key it passes rescan.  The
+// node refuses to resume it, as simd.ResumeContext does: an IDA* run's
+// ledger is not the spec's run.  Without the refusal an early iteration's
+// file fails only on the bounded domain's state check, and a final
+// iteration's is resumed and cached.
+func TestSpoolRefusesIDAStarCheckpoint(t *testing.T) {
+	canonical, err := Canonicalize(JobSpec{Domain: "puzzle", Scheme: "GP-DK", P: 8, Puzzle: &PuzzleSpec{Seed: 1, Steps: 30}}, testDomains())
+	if err != nil {
+		t.Fatal(err)
+	}
+	specJSON, err := json.Marshal(canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := (&Server{}).buildOptions(canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.CheckpointEvery = 1
+	sch, err := simd.ParseScheme[puzzle.Node](canonical.Scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := checkpoint.Meta{Domain: canonical.Domain, Scheme: canonical.Scheme, Topology: canonical.Topology, Extra: specJSON}
+	// A snapshot of the final iteration: its bound is the spec's, so the
+	// bounded domain's own state check cannot tell it from a plain run's.
+	dom := puzzle.NewDomain(puzzle.Scramble(1, 30))
+	final, _ := search.FinalIterationBound[puzzle.Node](dom)
+	var ckpt []byte
+	taken := errors.New("checkpoint taken")
+	_, err = simd.RunIDAStarCheckpointed[puzzle.Node](context.Background(), dom, sch, opts, 0, nil,
+		func(snap *simd.Snapshot[puzzle.Node]) error {
+			if snap.IDA.Bound != final {
+				return nil
+			}
+			b, err := checkpoint.Encode[puzzle.Node](wire.PuzzleCodec{}, meta, snap)
+			if err != nil {
+				return err
+			}
+			ckpt = b
+			return taken
+		})
+	if !errors.Is(err, taken) {
+		t.Fatalf("IDA* run: %v", err)
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, CacheKey(canonical)+spoolExt), ckpt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := testServer(t, Config{Workers: 1, Spool: dir})
+	jobs := s.store.all()
+	if len(jobs) != 1 {
+		t.Fatalf("rescan found %d jobs, want the IDA* checkpoint's", len(jobs))
+	}
+	fin := waitTerminal(t, ts, jobs[0].ID())
+	if fin.Status != StatusFailed || !strings.Contains(fin.Error, "IDA* run") {
+		t.Errorf("resumed IDA* checkpoint finished %s (%q), want failed with the IDA* refusal", fin.Status, fin.Error)
 	}
 }
 

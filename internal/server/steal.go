@@ -319,9 +319,13 @@ func (s *Server) distribute(ctx context.Context, j *job, opts simd.Options, o *s
 	case err == nil:
 		s.ctr.stealCompleted.Add(1)
 	case ctx.Err() != nil:
-		// The job's own end — a cancel, its deadline, shutdown — whatever
-		// call it interrupted.
-		err = context.Cause(ctx)
+		// The job's own end — a cancel, its deadline, shutdown.  The
+		// schedule returns its cause, joined to the error of a failed
+		// stop-time checkpoint; a shard failure that raced it reports the
+		// cause alone.
+		if !errors.Is(err, context.Cause(ctx)) {
+			err = context.Cause(ctx)
+		}
 	case !errors.Is(err, simd.ErrBudgetExceeded):
 		s.ctr.stealFailed.Add(1)
 		j.setShards(nil)

@@ -51,13 +51,12 @@ func RunIDAStarContext[S any](ctx context.Context, d search.CostDomain[S], sch S
 // the spirit of Horie & Fukunaga's restartable block-parallel IDA*: when
 // sink is non-nil it receives periodic snapshots (Options.CheckpointEvery
 // cadence) whose IDA field records the in-flight iteration's bound and the
-// iterations already completed, and — so an interrupt loses no work — one
-// final snapshot when the run stops on cancellation or on the MaxCycles
-// budget.  Passing such a snapshot as resume continues the run: the
-// completed iterations are replayed from the snapshot, the interrupted
-// iteration resumes at its cycle boundary, and the overall result is
-// byte-identical to an uninterrupted run.  A budget-stopped run can resume
-// under a larger MaxCycles, the Avis–Devroye style budget escalation.
+// iterations already completed, including the schedule's stop-time
+// snapshot of a cancelled run, so an interrupt loses no work.  Passing
+// such a snapshot as resume continues the run: the completed iterations
+// are replayed from the snapshot, the interrupted iteration resumes at its
+// cycle boundary, and the overall result is byte-identical to an
+// uninterrupted run.
 func RunIDAStarCheckpointed[S any](ctx context.Context, d search.CostDomain[S], sch Scheme[S], opts Options, maxIters int, resume *Snapshot[S], sink func(*Snapshot[S]) error) (IDAStarResult, error) {
 	if d == nil {
 		return IDAStarResult{}, errors.New("simd: nil domain")
@@ -96,23 +95,12 @@ func RunIDAStarCheckpointed[S any](ctx context.Context, d search.CostDomain[S], 
 			})
 		}
 		st, runErr := m.RunContext(ctx)
-		if runErr != nil {
-			res.Iterations = append(res.Iterations, IterationStat{Bound: bound, Stats: st})
-			res.Bound = bound
-			accumulate(&res.Stats, st)
-			if sink != nil && (st.Cancelled || errors.Is(runErr, ErrBudgetExceeded)) {
-				if snap, snapErr := m.Snapshot(); snapErr == nil {
-					snap.IDA = &IDAState{Iteration: iter, Bound: bound, Done: done}
-					if sinkErr := sink(snap); sinkErr != nil {
-						return res, errors.Join(runErr, sinkErr)
-					}
-				}
-			}
-			return res, runErr
-		}
 		res.Iterations = append(res.Iterations, IterationStat{Bound: bound, Stats: st})
 		res.Bound = bound
 		accumulate(&res.Stats, st)
+		if runErr != nil {
+			return res, runErr
+		}
 		if st.Goals > 0 {
 			return res, nil
 		}

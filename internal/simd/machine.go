@@ -79,8 +79,9 @@ type Options struct {
 	// CheckpointEvery invokes the checkpoint sink registered with
 	// Machine.OnCheckpoint every N completed expansion cycles, at the
 	// cycle boundary (the only point where the machine state is a
-	// well-defined prefix of the schedule).  0 disables periodic
-	// checkpoints; the sink can still be driven manually via Snapshot.
+	// well-defined prefix of the schedule), and once more when the run
+	// is cancelled, at the boundary it stops at.  0 disables both; the
+	// sink can still be driven manually via Snapshot.
 	CheckpointEvery int
 	// MemBudget caps the resident stack memory, in bytes: when positive,
 	// the spill manager registered with Machine.SetSpiller evicts the

@@ -192,13 +192,18 @@ var ErrBudgetExceeded = errors.New("exceeded")
 // exact prefix of the schedule that completed.
 //
 // The order of one iteration is pinned — the spill gates compare runs with
-// zero tolerance: done, budget, context, checkpoint, (barrier and) cycle,
-// book, sample, stop-at-goal, trigger/balance, sweep.  Everything above the
-// cycle happens at the boundary after the previous cycle and its
-// trigger/balance decision fully completed, so a checkpoint is exactly the
-// k-cycle prefix state, and the context is polled only there — never inside
-// a cycle — so a run cancelled after k cycles is bit-for-bit the k-cycle
-// prefix of the uncancelled run.  During the initial distribution the
+// zero tolerance: done, budget, context (then the stop-time checkpoint),
+// checkpoint, (barrier and) cycle, book, sample, stop-at-goal,
+// trigger/balance, sweep.  Everything above the cycle happens at the
+// boundary after the previous cycle and its trigger/balance decision fully
+// completed, so a checkpoint is exactly the k-cycle prefix state.  The
+// context is polled only there: every Lanes call gets it without its
+// cancellation, so a cancel never interrupts a call, local or remote, and
+// a run cancelled after k cycles is bit-for-bit the k-cycle prefix of the
+// uncancelled run.  When CheckpointEvery is set, a cancelled run takes
+// one last checkpoint of that prefix before it returns, so a resume loses
+// no completed cycle; its error is joined to the cancel cause.  During the
+// initial distribution the
 // trigger is replaced by "balance after every cycle until initTarget PEs
 // are active"; the iteration that reaches the target neither balances nor
 // sweeps, it goes straight to the next boundary.
@@ -208,6 +213,9 @@ func (s *Schedule) Run(ctx context.Context, l Lanes) error {
 	if s.initTarget == 0 {
 		s.InitDone = true
 	}
+	// stop is polled at the boundary; the Lanes calls never see its cancel.
+	stop := ctx
+	ctx = context.WithoutCancel(ctx)
 	allEmpty, err := l.Status(ctx)
 	if err != nil {
 		return err
@@ -222,9 +230,14 @@ func (s *Schedule) Run(ctx context.Context, l Lanes) error {
 			return fmt.Errorf("simd: %w MaxCycles=%d (W so far %d)", ErrBudgetExceeded, s.maxCycles, s.Stats.W)
 		}
 		select {
-		case <-ctx.Done():
+		case <-stop.Done():
 			s.Stats.Cancelled = true
-			return context.Cause(ctx)
+			if s.checkpointEvery > 0 {
+				if err := l.Checkpoint(ctx); err != nil {
+					return errors.Join(context.Cause(stop), err)
+				}
+			}
+			return context.Cause(stop)
 		default:
 		}
 		if every := s.checkpointEvery; every > 0 && s.Stats.Cycles != 0 && s.Stats.Cycles%every == 0 {

@@ -25,6 +25,7 @@ type scriptedLanes struct {
 	// cycleErr, when set, is returned by the Cycle call with this index
 	// instead of the scripted result.
 	cycleErr   map[int]error
+	ckptErr    error
 	startEmpty bool
 
 	calls  []string
@@ -71,7 +72,7 @@ func (l *scriptedLanes) EndCycle() error {
 
 func (l *scriptedLanes) Checkpoint(context.Context) error {
 	l.log("checkpoint")
-	return nil
+	return l.ckptErr
 }
 
 // Round unit costs, so every expected figure below is a small integer a
@@ -282,6 +283,31 @@ func TestScheduleBoundaries(t *testing.T) {
 		// Running again with a live context continues in place.
 		if err := s.Run(context.Background(), l); err != nil || s.Stats.Cycles != 10 || s.Stats.Cancelled {
 			t.Errorf("resumed run: %v, %d cycles, Cancelled=%v", err, s.Stats.Cycles, s.Stats.Cancelled)
+		}
+	})
+
+	t.Run("cancel checkpoints", func(t *testing.T) {
+		// With checkpoints on, the boundary the cancel lands at takes one,
+		// off the cadence: the exact 5-cycle prefix.  A failed write is
+		// joined to the cancel cause.
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		l := script()
+		full := errors.New("disk full")
+		l.onCall = func(call string) {
+			if call == "cycle5" {
+				cancel()
+				l.ckptErr = full
+			}
+		}
+		opts := scriptOptions(4)
+		opts.CheckpointEvery = 3
+		s := NewSchedule(opts, never, false)
+		if err := s.Run(ctx, l); !errors.Is(err, context.Canceled) || !errors.Is(err, full) {
+			t.Fatalf("run returned %v, want context.Canceled joined to the write's error", err)
+		}
+		if got := strings.Join(l.calls, " "); !strings.HasSuffix(got, "cycle3 end checkpoint cycle4 end cycle5 end checkpoint") {
+			t.Errorf("calls %q, want the stop-time checkpoint after cycle 5's sweep", got)
 		}
 	})
 

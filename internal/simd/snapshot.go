@@ -104,8 +104,10 @@ func (m *Machine[S]) Snapshot() (*Snapshot[S], error) {
 // the snapshot stays valid.  The machine must have been built by
 // NewMachine for the same domain, scheme and machine size the snapshot was
 // taken under; mismatches that are detectable (processor count, domain
-// statefulness, IDA* provenance) return an error and leave the machine
-// unchanged.
+// statefulness) return an error and leave the machine unchanged.  It does
+// not look at snap.IDA: a caller that must not continue an IDA* iteration
+// under its own bound refuses such a snapshot itself, as ResumeContext
+// does.
 func (m *Machine[S]) RestoreSnapshot(snap *Snapshot[S]) error {
 	if snap == nil {
 		return errors.New("simd: nil snapshot")

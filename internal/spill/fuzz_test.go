@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"simdtree/internal/scan"
 	"simdtree/internal/stack"
 	"simdtree/internal/wire"
 )
@@ -57,8 +58,8 @@ func FuzzDecodeSpillSegment(f *testing.F) {
 const residencyPEs = 5
 
 // runResidency interprets data as a residency script on a budgeted arena
-// beside an unbounded shadow that receives the same pushes, pops and bottom
-// removals.  Bytes 0 and 1 choose KeepLevels (1-3) and the budget (1-24
+// beside an unbounded shadow that receives the same pushes, pops and
+// bottom-node donations.  Bytes 0 and 1 choose KeepLevels (1-3) and the budget (1-24
 // nodes); every following pair is one step, an opcode and its argument (a
 // PE, a level width).  After every step the two arenas must agree on what
 // the schedule can see — Size and Depth of every PE, both bitsets — the
@@ -119,9 +120,13 @@ func runResidency(t *testing.T, data []byte) (Stats, int) {
 		case op < 15:
 			must("FaultAll", mgr.FaultAll(a, pe))
 			if op == 14 {
-				x, okx := a.RemoveBottom(pe)
-				y, oky := shadow.RemoveBottom(pe)
-				same("RemoveBottom", x, y, okx, oky)
+				// A bottom-node donation to the next PE, on both arenas.
+				pair := []scan.Pair{{From: pe, To: (pe + 1) % residencyPEs}}
+				for _, x := range []*stack.Arena[node]{a, shadow} {
+					stack.BottomNode[node]{}.SplitBlock(x, pair, make([]int, 1), nil)
+					x.SyncBits(pair[0].From)
+					x.SyncBits(pair[0].To)
+				}
 			}
 		default:
 			// A snapshot restore: the manager forgets, the machine's state
@@ -260,7 +265,7 @@ func rewindSeed() []byte {
 }
 
 // FuzzResidencySequence fuzzes the order of residency events, not the
-// bytes of a segment: the input drives pushes, pops, bottom removals,
+// bytes of a segment: the input drives pushes, pops, bottom-node donations,
 // sweeps, barriers, full faults and reset-and-reinstall on a budgeted
 // arena, and runResidency holds it to an unbounded shadow.
 func FuzzResidencySequence(f *testing.F) {

@@ -61,7 +61,7 @@ import (
 // (resident + ghost), so evicting and restoring is invisible to the
 // search order; the record's size/depth/top/lvl state and the raw mutators
 // describe the resident window only.  Operations that need the whole
-// stack (RemoveBottom, ForEachLevel, CopyPE, the splitters) are
+// stack (ForEachLevel, CopyPE, the splitters) are
 // only valid on a fully resident PE; the engine faults evicted levels
 // back in before calling them.
 //
@@ -301,13 +301,6 @@ func (a *Arena[S]) pushOneRaw(pe int, node S) {
 	p.size++
 }
 
-// PushOne pushes a single alternative as a deeper level — the receiver
-// side of a single-node donation.
-func (a *Arena[S]) PushOne(pe int, node S) {
-	a.pushOneRaw(pe, node)
-	a.SyncBits(pe)
-}
-
 // popRaw removes and returns the deepest alternative without touching the
 // bitsets.
 func (a *Arena[S]) popRaw(pe int) (S, bool) {
@@ -391,18 +384,6 @@ func (p *pe[S]) shrinkBottom() {
 			p.lvlLo, p.head = 0, 0
 		}
 	}
-}
-
-// RemoveBottom removes and returns the node closest to the root, which in
-// an unstructured tree roots the largest expected untried subtree.  The PE
-// must be fully resident: with levels evicted the true bottom lives on
-// stable storage, and the engine faults it back in first.
-func (a *Arena[S]) RemoveBottom(pe int) (S, bool) {
-	node, ok := a.removeBottomRaw(pe)
-	if ok {
-		a.SyncBits(pe)
-	}
-	return node, ok
 }
 
 // clearRaw empties PE pe in place without touching the bitsets, zeroing

@@ -39,7 +39,7 @@ func mutatorRuns[S comparable](seed int64, mk func(int) S, val func(S) int, mut 
 		mut.push = (*Arena[S]).PushLevel
 	}
 	if mut.removeBottom == nil {
-		mut.removeBottom = (*Arena[S]).RemoveBottom
+		mut.removeBottom = removeBottom[S]
 	}
 	splitters := []Splitter[S]{BottomNode[S]{}, HalfStack[S]{}, TopNode[S]{}}
 	rng := rand.New(rand.NewSource(seed))
@@ -77,7 +77,8 @@ func mutatorRuns[S comparable](seed int64, mk func(int) S, val func(S) int, mut 
 					m.push(vals)
 				case 1: // push one
 					lv, vals := level(1)
-					a.PushOne(x, lv[0])
+					a.pushOneRaw(x, lv[0])
+					a.SyncBits(x)
 					m.push(vals)
 				case 2:
 					a.Pop(x)
@@ -258,13 +259,21 @@ func pushForgetsTop[S any](a *Arena[S], pe int, alts []S) {
 	}
 }
 
+// removeBottom is the arena's own bottom removal: the raw mutator, then
+// the PE's flag bits.
+func removeBottom[S any](a *Arena[S], pe int) (S, bool) {
+	node, ok := a.removeBottomRaw(pe)
+	a.SyncBits(pe)
+	return node, ok
+}
+
 // removeBottomShrinksTable is planted mutant 2: bottom removal that books
 // the removed node against the level table even when the stack is one level
 // deep and the bottom level is the record's top.
 func removeBottomShrinksTable[S any](a *Arena[S], pe int) (S, bool) {
 	p := &a.pes[pe]
 	if p.depth != 1 || len(p.lvl) == 0 {
-		return a.RemoveBottom(pe)
+		return removeBottom(a, pe)
 	}
 	var zero S
 	node := p.buf[p.head]

@@ -159,13 +159,15 @@ func TestArenaMatchesStack(t *testing.T) {
 					t.Fatalf("Pop: arena %d,%v model %d,%v", av, aok, mv, mok)
 				}
 			case 2: // remove bottom
-				av, aok := a.RemoveBottom(1)
+				av, aok := a.removeBottomRaw(1)
+				a.SyncBits(1)
 				mv, mok := m.removeBottom()
 				if av != mv || aok != mok {
-					t.Fatalf("RemoveBottom: arena %d,%v model %d,%v", av, aok, mv, mok)
+					t.Fatalf("remove bottom: arena %d,%v model %d,%v", av, aok, mv, mok)
 				}
 			case 3: // push one
-				a.PushOne(1, next)
+				a.pushOneRaw(1, next)
+				a.SyncBits(1)
 				m.push([]int{next})
 				next++
 			}
@@ -447,13 +449,13 @@ func TestArenaBottomRemovalReclaimsSpace(t *testing.T) {
 	a.PushLevel(0, lv)
 	a.PushLevel(0, lv)
 	for i := 0; i < 10; i++ {
-		a.RemoveBottom(0)
-		a.PushOne(0, i)
+		a.removeBottomRaw(0)
+		a.pushOneRaw(0, i)
 	}
 	grown := len(a.pes[0].buf)
 	for i := 0; i < 10000; i++ {
-		a.RemoveBottom(0)
-		a.PushOne(0, i)
+		a.removeBottomRaw(0)
+		a.pushOneRaw(0, i)
 	}
 	if len(a.pes[0].buf) != grown {
 		t.Errorf("buffer grew from %d to %d under steady bottom-removal churn", grown, len(a.pes[0].buf))

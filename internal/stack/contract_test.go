@@ -226,7 +226,9 @@ func TestExpandKernelBottomRemovalReclaimsSpace(t *testing.T) {
 		// A binary node under every pop, one bottom node out: the size holds.
 		a.pes[0].buf[a.pes[0].head+a.pes[0].size-1] = 2
 		a.ExpandCycle(fanOut{}, 0, 1, sc)
-		if _, ok := a.RemoveBottom(0); !ok || a.Size(0) != 6 {
+		_, ok := a.removeBottomRaw(0)
+		a.SyncBits(0)
+		if !ok || a.Size(0) != 6 {
 			t.Fatalf("size %d after a cycle, want a steady 6", a.Size(0))
 		}
 	}

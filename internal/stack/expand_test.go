@@ -163,10 +163,11 @@ func twinRun[S comparable](t *testing.T, d Expander[S], root func(pe int) S, p i
 		for pe := c % 5; pe < p; pe += 5 {
 			to := (pe*7 + c) % p
 			if k.Ghost(pe) == 0 && k.Splittable(pe) && k.Empty(to) {
-				kn, _ := k.RemoveBottom(pe)
-				nn, _ := n.RemoveBottom(pe)
-				k.PushOne(to, kn)
-				n.PushOne(to, nn)
+				for _, a := range []*Arena[S]{k, n} {
+					splitOne(BottomNode[S]{}, a, pe, to)
+					a.SyncBits(pe)
+					a.SyncBits(to)
+				}
 			}
 		}
 		if ghosts {

@@ -88,7 +88,8 @@ type Config struct {
 	// MaxCycles is simd.Options.MaxCycles.
 	MaxCycles int
 	// CheckpointEvery assembles and emits a cluster-wide checkpoint every
-	// N completed cycles; 0 disables periodic checkpoints.
+	// N completed cycles, and once more when the run is cancelled; 0
+	// disables both.
 	CheckpointEvery int
 	// OnCheckpoint receives each assembled, encoded checkpoint; an error
 	// aborts the run.  The cluster ships it to the home node's spool so
@@ -223,19 +224,13 @@ func NewDriver(cfg Config, snap *checkpoint.RawSnapshot, shards []Shard) (*Drive
 
 // Run advances the distributed schedule to completion (or cancellation,
 // budget exhaustion, shard failure, or a checkpoint-sink error) and
-// returns the cumulative result.  Like the engine, cancellation lands only
-// at cycle boundaries, a final checkpoint is emitted for the exact prefix,
-// and the Stats of a completed run are byte-identical to the
-// single-machine run of the same job.
+// returns the cumulative result.  It is simd.Schedule.Run over the shards:
+// cancellation lands only at cycle boundaries, never inside a shard call,
+// the schedule assembles the stop-time checkpoint of the exact prefix when
+// CheckpointEvery is set, and the Stats of a completed run are
+// byte-identical to the single-machine run of the same job.
 func (d *Driver) Run(ctx context.Context) (Result, error) {
 	runErr := d.sched.Run(ctx, lanes{d})
-	if runErr != nil && d.sched.Stats.Cancelled && d.cfg.OnCheckpoint != nil && d.cfg.CheckpointEvery > 0 {
-		// As a node does for a cancelled run: spool the exact prefix so a
-		// restart (or a failover re-import) loses nothing.
-		if err := (lanes{d}).Checkpoint(ctx); err != nil {
-			runErr = errors.Join(runErr, err)
-		}
-	}
 	return Result{
 		Stats:          d.sched.Stats,
 		Trace:          d.sched.Trace,
