@@ -93,7 +93,7 @@ lint: vet discipline
 	$(GO) run ./cmd/simdlint ./...
 
 # The "written once" gates — frame-, api-, schedule-, shard-, match-,
-# arena-, sync-, sse-, admit-, metrics-, owner- and progress-discipline — are
+# sync-, sse-, admit-, metrics-, owner- and progress-discipline — are
 # one table of (name, patterns,
 # allowed paths, message, expected count) in scripts/discipline.sh, which
 # first proves every pattern still fires on a planted violation and then

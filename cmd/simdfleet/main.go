@@ -46,12 +46,10 @@ func run() error {
 	var (
 		addr        = flag.String("addr", ":18080", "listen address")
 		nodesFlag   = flag.String("nodes", "", "comma-separated backend base URLs (required), e.g. http://127.0.0.1:18081,http://127.0.0.1:18082")
-		replicas    = flag.Int("replicas", cluster.DefaultReplicas, "virtual nodes per backend on the hash ring")
 		overflow    = flag.Int("overflow", 8, "queue depth above which the GP pointer spills jobs to an underloaded node")
 		probe       = flag.Duration("probe", 2*time.Second, "health-probe cadence")
 		syncEvery   = flag.Duration("sync", 2*time.Second, "job-status and checkpoint-pull cadence")
 		failAfter   = flag.Int("fail-threshold", 3, "consecutive probe failures before a node is ejected")
-		backoffMax  = flag.Duration("backoff-max", 30*time.Second, "cap on the exponential probe backoff")
 		reqTimeout  = flag.Duration("request-timeout", 10*time.Second, "per-request timeout for node calls")
 		stealEvery  = flag.Duration("steal", 0, "work-stealing sweep cadence; 0 disables cross-node stealing")
 		stealShards = flag.Int("steal-shards", 2, "shards a stolen job is split into (donor keeps one)")
@@ -72,12 +70,10 @@ func run() error {
 
 	coord, err := cluster.New(cluster.Config{
 		Nodes:          nodes,
-		Replicas:       *replicas,
 		OverflowDepth:  *overflow,
 		ProbeInterval:  *probe,
 		SyncInterval:   *syncEvery,
 		FailThreshold:  *failAfter,
-		BackoffMax:     *backoffMax,
 		RequestTimeout: *reqTimeout,
 		StealInterval:  *stealEvery,
 		StealShards:    *stealShards,

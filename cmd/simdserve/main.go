@@ -9,8 +9,8 @@
 // The traffic layer (internal/traffic) fronts the service by default:
 // batch submission (POST /v1/jobs:batch), single-flight collapsing of
 // concurrent identical specs, cost estimation (POST /v1/estimate), and
-// deficit-round-robin tenant fairness keyed on the X-Tenant header
-// (-fair=false restores the global FIFO).  The service itself streams
+// deficit-round-robin tenant fairness keyed on the X-Tenant header.
+// The service itself streams
 // SSE progress (GET /v1/jobs/{id}/events, resumable via Last-Event-ID)
 // and bounds one tenant's outstanding jobs (-tenant-quota).
 //
@@ -31,6 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -42,47 +43,63 @@ import (
 	"simdtree/internal/traffic"
 )
 
+// errUsage reports flags the command refused; it has printed why.
+var errUsage = errors.New("invalid flags")
+
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "simdserve:", err)
-		os.Exit(1)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	switch {
+	case err == nil:
+		return
+	case errors.Is(err, errUsage):
+		os.Exit(2)
 	}
+	fmt.Fprintln(os.Stderr, "simdserve:", err)
+	os.Exit(1)
 }
 
-func run() error {
+// run serves until ctx is done, then drains.
+func run(ctx context.Context, args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("simdserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		workers     = flag.Int("workers", 2, "concurrent job executors")
-		queueSize   = flag.Int("queue", 64, "bounded job queue size (full queue returns 429)")
-		cacheSize   = flag.Int("cache", 512, "result cache capacity in entries")
-		history     = flag.Int("history", 4096, "finished jobs kept addressable")
-		timeout     = flag.Duration("timeout", 5*time.Minute, "default per-job deadline (0 = none)")
-		simWorkers  = flag.Int("simworkers", 0, "goroutines per simulated cycle (0 = sequential; never changes results)")
-		drain       = flag.Duration("drain", 30*time.Second, "graceful-shutdown grace period for running jobs")
-		spool       = flag.String("spool", "", "directory for crash-recovery job checkpoints (empty = disabled); on startup interrupted jobs found there are resumed")
-		ckptEvery   = flag.Int("checkpoint-every", 1000, "cycles between spooled checkpoints of a running job (needs -spool)")
-		memBudget   = flag.Int64("mem-budget", 0, "default per-job memory budget in bytes for simulated stack storage (0 = unbounded); budgeted jobs spill cold stack levels to disk with identical results")
-		memLimit    = flag.Int64("mem-limit", 0, "refuse specs whose predicted peak resident memory exceeds this many bytes unless they set mem_budget (0 = no check)")
-		enablePprof = flag.Bool("pprof", false, "serve the net/http/pprof profiling endpoints under /debug/pprof/ (exposes internals; enable only on trusted networks)")
+		addr        = fs.String("addr", ":8080", "listen address")
+		workers     = fs.Int("workers", 2, "concurrent job executors")
+		queueSize   = fs.Int("queue", 64, "bounded job queue size, at least 1 (full queue returns 429)")
+		cacheSize   = fs.Int("cache", 512, "result cache capacity in entries")
+		history     = fs.Int("history", 4096, "finished jobs kept addressable")
+		timeout     = fs.Duration("timeout", 5*time.Minute, "default per-job deadline (0 = none)")
+		simWorkers  = fs.Int("simworkers", 0, "goroutines per simulated cycle (0 = sequential; never changes results)")
+		drain       = fs.Duration("drain", 30*time.Second, "graceful-shutdown grace period for running jobs")
+		spool       = fs.String("spool", "", "directory for crash-recovery job checkpoints (empty = disabled); on startup interrupted jobs found there are resumed")
+		ckptEvery   = fs.Int("checkpoint-every", 1000, "cycles between spooled checkpoints of a running job (needs -spool)")
+		memBudget   = fs.Int64("mem-budget", 0, "default per-job memory budget in bytes for simulated stack storage (0 = unbounded); budgeted jobs spill cold stack levels to disk with identical results")
+		memLimit    = fs.Int64("mem-limit", 0, "refuse specs whose predicted peak resident memory exceeds this many bytes unless they set mem_budget (0 = no check)")
+		enablePprof = fs.Bool("pprof", false, "serve the net/http/pprof profiling endpoints under /debug/pprof/ (exposes internals; enable only on trusted networks)")
 
-		fair          = flag.Bool("fair", true, "per-tenant deficit-round-robin scheduling (X-Tenant header); false restores the global FIFO")
-		quantum       = flag.Float64("quantum", 1, "DRR cost units granted per tenant visit (needs -fair)")
-		tenantQuota   = flag.Int("tenant-quota", 0, "max outstanding jobs per tenant (0 = unlimited)")
-		maxBatch      = flag.Int("max-batch", 64, "max specs per POST /v1/jobs:batch request")
-		heartbeat     = flag.Duration("sse-heartbeat", 15*time.Second, "SSE comment-heartbeat cadence on /v1/jobs/{id}/events")
-		progressEvery = flag.Int("progress-every", 250, "cycles between SSE progress events (negative = disabled)")
+		tenantQuota   = fs.Int("tenant-quota", 0, "max outstanding jobs per tenant (0 = unlimited)")
+		maxBatch      = fs.Int("max-batch", 64, "max specs per POST /v1/jobs:batch request")
+		progressEvery = fs.Int("progress-every", 250, "cycles between SSE progress events (negative = disabled)")
 	)
-	flag.Parse()
-	if flag.NArg() != 0 {
-		return fmt.Errorf("unexpected arguments %q", flag.Args())
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
+	if fs.NArg() != 0 {
+		return fmt.Errorf("unexpected arguments %q", fs.Args())
+	}
+	if *queueSize < 1 {
+		fmt.Fprintf(stderr, "-queue must be at least 1, got %d\n", *queueSize)
+		return errUsage
 	}
 
-	var drr *traffic.DRR
-	var sched server.Scheduler
-	if *fair {
-		drr = traffic.NewDRR(*queueSize, *quantum)
-		sched = drr
-	}
+	// One queue: per-tenant deficit round robin, one cost unit per visit.
+	// With a single tenant it dispatches in push order, as a FIFO would.
+	drr := traffic.NewDRR(*queueSize, 1)
 	svc, err := server.New(server.Config{
 		Workers:         *workers,
 		QueueSize:       *queueSize,
@@ -94,9 +111,8 @@ func run() error {
 		CheckpointEvery: *ckptEvery,
 		EnablePprof:     *enablePprof,
 		DrainTimeout:    *drain,
-		Scheduler:       sched,
+		Scheduler:       drr,
 		ProgressEvery:   *progressEvery,
-		HeartbeatEvery:  *heartbeat,
 		TenantQuota:     *tenantQuota,
 		MemBudget:       *memBudget,
 	})
@@ -112,16 +128,13 @@ func run() error {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	// Bind before announcing, so the line names the address actually bound
 	// (-addr 127.0.0.1:0 picks a free port a harness can read back).
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "simdserve: listening on %s (workers=%d queue=%d cache=%d)\n",
+	fmt.Fprintf(stderr, "simdserve: listening on %s (workers=%d queue=%d cache=%d)\n",
 		ln.Addr(), *workers, *queueSize, *cacheSize)
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
@@ -132,8 +145,8 @@ func run() error {
 	case <-ctx.Done():
 	}
 
-	fmt.Fprintln(os.Stderr, "simdserve: shutting down, draining jobs...")
-	drainCtx, cancel := context.WithTimeout(context.Background(), svc.DrainTimeout())
+	fmt.Fprintln(stderr, "simdserve: shutting down, draining jobs...")
+	drainCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), svc.DrainTimeout())
 	defer cancel()
 	httpErr := httpSrv.Shutdown(drainCtx)
 	svcErr := svc.Shutdown(drainCtx)
@@ -143,6 +156,6 @@ func run() error {
 	if svcErr != nil {
 		return fmt.Errorf("drain incomplete: %w", svcErr)
 	}
-	fmt.Fprintln(os.Stderr, "simdserve: drained cleanly")
+	fmt.Fprintln(stderr, "simdserve: drained cleanly")
 	return nil
 }

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"runtime"
@@ -16,7 +17,7 @@ import (
 
 func main() {
 	opts := simdtree.Options{P: 1024, Workers: runtime.NumCPU()}
-	stats, w, err := simdtree.SearchPuzzle(2023, 44, "GP-DK", opts)
+	stats, w, err := simdtree.SearchPuzzleContext(context.Background(), 2023, 44, "GP-DK", opts)
 	if err != nil {
 		log.Fatal(err)
 	}

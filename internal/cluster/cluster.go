@@ -43,9 +43,6 @@ import (
 type Config struct {
 	// Nodes are the backend base URLs (e.g. "http://127.0.0.1:18081").
 	Nodes []string
-	// Replicas is the virtual-node count per node on the hash ring
-	// (default DefaultReplicas).
-	Replicas int
 	// OverflowDepth is the queue depth (as last scraped from a node's
 	// /metrics) above which the home node is considered overloaded and
 	// the GP pointer picks an underloaded target instead (default 8).
@@ -68,9 +65,6 @@ type Config struct {
 	// StealShards is the number of shards a stolen job is split across,
 	// the donor node keeping shard 0 (default 2).
 	StealShards int
-	// BackoffMax caps the exponential probe backoff for an unreachable
-	// node (default 30s).
-	BackoffMax time.Duration
 	// RequestTimeout bounds every HTTP call to a node (default 10s).
 	RequestTimeout time.Duration
 	// ExtraDomains extends the builtin domain set the coordinator
@@ -79,17 +73,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Replicas <= 0 {
-		c.Replicas = DefaultReplicas
-	}
 	if c.OverflowDepth <= 0 {
 		c.OverflowDepth = 8
 	}
 	if c.FailThreshold <= 0 {
 		c.FailThreshold = 3
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 30 * time.Second
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
@@ -180,7 +168,7 @@ func New(cfg Config) (*Coordinator, error) {
 	for _, d := range cfg.ExtraDomains {
 		domains[d] = true
 	}
-	ring := NewRing(cfg.Nodes, cfg.Replicas)
+	ring := NewRing(cfg.Nodes, DefaultReplicas)
 	order := ring.Nodes() // sorted; the GP rotation order
 	nodes := make(map[string]*node, len(order))
 	for _, u := range order {

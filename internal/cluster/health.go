@@ -28,6 +28,9 @@ const (
 	NodeEjected NodeStatus = "ejected"
 )
 
+// backoffMax caps the exponential probe backoff for an unreachable node.
+const backoffMax = 30 * time.Second
+
 // node is the coordinator's view of one backend.
 type node struct {
 	url string
@@ -218,8 +221,8 @@ func (c *Coordinator) markFailed(n *node, now time.Time) bool {
 	} else {
 		n.backoff *= 2
 	}
-	if n.backoff > c.cfg.BackoffMax {
-		n.backoff = c.cfg.BackoffMax
+	if n.backoff > backoffMax {
+		n.backoff = backoffMax
 	}
 	n.nextProbe = now.Add(n.backoff)
 	if n.status == NodeEjected {

@@ -103,15 +103,6 @@ func SyntheticWorkloads(targets []int64) []Workload[synthetic.Node] {
 	return out
 }
 
-// SyntheticWorkload builds a single synthetic workload of exactly w nodes.
-func SyntheticWorkload(w int64, seed uint64) Workload[synthetic.Node] {
-	return Workload[synthetic.Node]{
-		Name:   fmt.Sprintf("synthetic-%d", w),
-		W:      w,
-		Domain: synthetic.New(w, seed),
-	}
-}
-
 // PuzzleWorkloads finds, for every target size, a scrambled 15-puzzle
 // instance and an IDA* cost bound whose exhaustive bounded search expands
 // close to the target number of nodes (within [0.5, 2]x), the way the

@@ -57,19 +57,6 @@ func (p Policy) String() string {
 	return fmt.Sprintf("Policy(%d)", int(p))
 }
 
-// ParsePolicy recognises "GRR", "ARR" and "RP".
-func ParsePolicy(name string) (Policy, error) {
-	switch name {
-	case "GRR":
-		return GRR, nil
-	case "ARR":
-		return ARR, nil
-	case "RP":
-		return RP, nil
-	}
-	return 0, fmt.Errorf("mimd: unknown policy %q", name)
-}
-
 // Options configures a MIMD run.  The cost model mirrors the SIMD one: a
 // node expansion costs NodeExpansion; one steal message costs
 // TransferUnit * topology.TransferSteps(P) each way.

@@ -67,9 +67,6 @@ type Config struct {
 	// ProgressEvery is the cycle cadence of per-job progress events (the
 	// SSE feed); default 250.  Negative disables progress events.
 	ProgressEvery int
-	// HeartbeatEvery is the comment-heartbeat cadence of an idle event
-	// stream (GET /v1/jobs/{id}/events).  Default HeartbeatEvery (15s).
-	HeartbeatEvery time.Duration
 	// TenantQuota bounds the jobs a single tenant may have queued or
 	// running through SubmitCanonical; a cache hit never holds a slot.
 	// 0 means unlimited.
@@ -110,9 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProgressEvery == 0 {
 		c.ProgressEvery = 250
-	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = HeartbeatEvery
 	}
 	return c
 }
@@ -516,7 +510,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if after > 0 {
 		s.ctr.sseResumes.Add(1)
 	}
-	StreamEvents(r.Context(), w, after, j.events.Since, s.cfg.HeartbeatEvery)
+	StreamEvents(r.Context(), w, after, j.events.Since, HeartbeatEvery)
 }
 
 // traceResponse is the wire form of a per-cycle trace.  SamplesTotal and

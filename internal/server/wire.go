@@ -301,8 +301,8 @@ func lastEventID(r *http.Request) (int64, error) {
 	return id, nil
 }
 
-// HeartbeatEvery is the default cadence of the comment heartbeats that
-// keep an idle event stream alive through proxies.
+// HeartbeatEvery is a node's cadence of the comment heartbeats that keep
+// an idle event stream alive through proxies.
 const HeartbeatEvery = 15 * time.Second
 
 // StreamEvents serves a job's progress stream (status transitions, engine

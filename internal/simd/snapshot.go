@@ -60,16 +60,6 @@ type IDAState struct {
 	Done []IterationStat
 }
 
-// clone returns a deep copy of the IDA state.
-func (s *IDAState) clone() *IDAState {
-	if s == nil {
-		return nil
-	}
-	c := &IDAState{Iteration: s.Iteration, Bound: s.Bound}
-	c.Done = append([]IterationStat(nil), s.Done...)
-	return c
-}
-
 // Snapshot captures the machine state at the current cycle boundary.  It
 // must only be called while the machine is quiescent: before RunContext,
 // after it returned, or from inside an OnCheckpoint sink.  It returns an

@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"sort"
 	"sync"
 
 	"simdtree/internal/server"
@@ -190,25 +189,5 @@ func (d *DRR) Stats() map[string]TenantStat {
 		s.Backlog = len(q.items)
 		out[t] = s
 	}
-	return out
-}
-
-// Tenants returns the known tenant labels in sorted order (stable output
-// for logs and tests).
-func (d *DRR) Tenants() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	seen := make(map[string]bool, len(d.served)+len(d.tenants))
-	for t := range d.served {
-		seen[t] = true
-	}
-	for t := range d.tenants {
-		seen[t] = true
-	}
-	out := make([]string, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Strings(out)
 	return out
 }

@@ -126,14 +126,11 @@ func predictPeakResidentBytes(spec server.JobSpec, w float64) int64 {
 	return int64(nodes) * int64(nodeBytes)
 }
 
-// CostUnits converts a predicted tree size into DRR cost units: W/scale,
-// clamped to [1/16, 16] so a wild misestimate can neither starve a tenant
-// nor let one ride free.  scale <= 0 selects DefaultCostScale.
-func (e Estimate) CostUnits(scale float64) float64 {
-	if scale <= 0 {
-		scale = DefaultCostScale
-	}
-	c := e.W / scale
+// CostUnits converts a predicted tree size into DRR cost units:
+// W/DefaultCostScale, clamped to [1/16, 16] so a wild misestimate can
+// neither starve a tenant nor let one ride free.
+func (e Estimate) CostUnits() float64 {
+	c := e.W / DefaultCostScale
 	if c < 1.0/16 {
 		c = 1.0 / 16
 	}

@@ -17,9 +17,6 @@ type Config struct {
 	// MaxBatch bounds the specs accepted by one POST /v1/jobs:batch
 	// request.  Default 64.
 	MaxBatch int
-	// CostScale is the predicted node-expansion count worth one DRR cost
-	// unit for weighted admission.  Default DefaultCostScale.
-	CostScale float64
 	// MemLimit is the node's resident-memory comfort line in bytes.
 	// When positive, a spec that neither sets mem_budget nor fits —
 	// predicted peak resident bytes within the limit — is refused with
@@ -32,9 +29,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.CostScale <= 0 {
-		c.CostScale = DefaultCostScale
 	}
 	return c
 }
@@ -151,7 +145,7 @@ func (f *Frontend) admit(ctx context.Context, a admission, tenant string) (fl *f
 			fl = &flight{key: key, settled: make(chan struct{})}
 			f.flights[key] = fl
 			f.mu.Unlock()
-			return f.open(ctx, fl, a.canonical, tenant, est.CostUnits(f.cfg.CostScale))
+			return f.open(ctx, fl, a.canonical, tenant, est.CostUnits())
 		case fl.h != nil:
 			f.mu.Unlock()
 			f.ctr.collapsed.Add(1)
@@ -456,7 +450,7 @@ func (f *Frontend) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		PredictedW:      est.W,
 		PredictedCycles: est.Cycles,
 		ModelEfficiency: est.Efficiency,
-		CostUnits:       est.CostUnits(f.cfg.CostScale),
+		CostUnits:       est.CostUnits(),
 		Exact:           est.Exact,
 		BudgetCapped:    est.BudgetCapped,
 
