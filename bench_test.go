@@ -146,7 +146,7 @@ func BenchmarkAblationSplitter(b *testing.B) {
 	b.ReportAllocs()
 	_, sc := tinySuite()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationSplitters(sc.Tiers[0], sc.P, 0.85, sc.Workers); err != nil {
+		if _, err := experiments.AblationSplitters(sc.Tiers[0], sc.P, sc.Workers); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -176,7 +176,7 @@ func BenchmarkAblationTopology(b *testing.B) {
 	b.ReportAllocs()
 	_, sc := tinySuite()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationTopology(sc.Tiers[0], sc.P, 0.85, sc.Workers); err != nil {
+		if _, err := experiments.AblationTopology(sc.Tiers[0], sc.P, sc.Workers); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -186,7 +186,7 @@ func BenchmarkAblationMessageSize(b *testing.B) {
 	b.ReportAllocs()
 	_, sc := tinySuite()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationMessageSize(sc.Tiers[0], sc.P, sc.Workers, 1.0); err != nil {
+		if _, err := experiments.AblationMessageSize(sc.Tiers[0], sc.P, sc.Workers); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -206,7 +206,7 @@ func BenchmarkAblationHeuristic(b *testing.B) {
 	b.ReportAllocs()
 	_, sc := tinySuite()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationHeuristic(2023, 24, sc.P, sc.Workers); err != nil {
+		if _, err := experiments.AblationHeuristic(24, sc.P, sc.Workers); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -236,7 +236,7 @@ func BenchmarkMIMDComparison(b *testing.B) {
 	b.ReportAllocs()
 	_, sc := tinySuite()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.MIMDComparison(sc.Tiers[0], sc.P, sc.Workers, 1); err != nil {
+		if _, err := experiments.MIMDComparison(sc.Tiers[0], sc.P, sc.Workers); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -55,6 +55,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	domain := fs.String("domain", "puzzle", "table workload domain: puzzle or synthetic")
 	csvDir := fs.String("csv", "", "directory for machine-readable CSV copies of the results")
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
 		return errUsage
 	}
 	scale, err := experiments.ScaleByName(*scaleName)
@@ -192,28 +195,20 @@ func experimentList[S any](scale experiments.Scale, suite func() *experiments.Su
 				steps = 60
 			}
 			return collect(
-				func() (experiments.Table, error) {
-					return experiments.AblationSplitters(mid, scale.P, 0.85, scale.Workers)
-				},
+				func() (experiments.Table, error) { return experiments.AblationSplitters(mid, scale.P, scale.Workers) },
 				func() (experiments.Table, error) { return experiments.AblationInit(mid, scale.P, scale.Workers) },
 				func() (experiments.Table, error) { return experiments.AblationTransfers(mid, scale.P, scale.Workers) },
-				func() (experiments.Table, error) {
-					return experiments.AblationTopology(mid, scale.P, 0.85, scale.Workers)
-				},
-				func() (experiments.Table, error) {
-					return experiments.AblationMessageSize(mid, scale.P, scale.Workers, 1.0)
-				},
+				func() (experiments.Table, error) { return experiments.AblationTopology(mid, scale.P, scale.Workers) },
+				func() (experiments.Table, error) { return experiments.AblationMessageSize(mid, scale.P, scale.Workers) },
 				func() (experiments.Table, error) { return experiments.AblationDKGamma(mid, scale.P, scale.Workers) },
-				func() (experiments.Table, error) {
-					return experiments.AblationHeuristic(2023, steps, scale.P, scale.Workers)
-				},
+				func() (experiments.Table, error) { return experiments.AblationHeuristic(steps, scale.P, scale.Workers) },
 			)
 		}},
 		{"baselines", func() ([]experiments.Table, error) {
 			return one(experiments.BaselineComparison(mid, scale.P, scale.Workers))
 		}},
 		{"mimd", func() ([]experiments.Table, error) {
-			return one(experiments.MIMDComparison(scale.Tiers[0], scale.P, scale.Workers, 1))
+			return one(experiments.MIMDComparison(scale.Tiers[0], scale.P, scale.Workers))
 		}},
 		{"anomalies", func() ([]experiments.Table, error) {
 			return one(experiments.Anomalies(22, []uint64{1, 2, 3}, []int{16, 64, 256}, scale.Workers))

@@ -69,15 +69,24 @@ func readFile(t *testing.T, path string) string {
 }
 
 // TestUsage checks an unknown or missing subcommand fails with the list
-// of subcommands.
+// of subcommands, and that -h prints the flags and succeeds, as the other
+// commands' -h does.
 func TestUsage(t *testing.T) {
-	for _, args := range [][]string{{"-domain", "synthetic", "table9"}, {"-domain", "synthetic"}} {
+	for _, tc := range []struct {
+		args []string
+		err  error
+		want string
+	}{
+		{[]string{"-domain", "synthetic", "table9"}, errUsage, "table2|table3"},
+		{[]string{"-domain", "synthetic"}, errUsage, "table2|table3"},
+		{[]string{"-h"}, nil, "-scale"},
+	} {
 		var stdout, stderr bytes.Buffer
-		if err := run(args, &stdout, &stderr); err != errUsage {
-			t.Errorf("%v: err %v, want errUsage", args, err)
+		if err := run(tc.args, &stdout, &stderr); err != tc.err {
+			t.Errorf("%v: err %v, want %v", tc.args, err, tc.err)
 		}
-		if !strings.Contains(stderr.String(), "table2|table3") || stdout.Len() != 0 {
-			t.Errorf("%v: stderr %q, stdout %q", args, stderr.String(), stdout.String())
+		if !strings.Contains(stderr.String(), tc.want) || stdout.Len() != 0 {
+			t.Errorf("%v: stderr %q, stdout %q", tc.args, stderr.String(), stdout.String())
 		}
 	}
 }

@@ -107,7 +107,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 		scramble = fs.Uint64("scramble", 1, "puzzle: scramble seed")
 		steps    = fs.Int("steps", 40, "puzzle: scramble walk length")
-		bound    = fs.Int("bound", 0, "puzzle: explicit IDA* cost bound (0 = bound of the first solving iteration)")
+		bound    = fs.Int("bound", 0, "puzzle: explicit IDA* cost bound (0 = bound of the first solving iteration); not with -ida")
 
 		w    = fs.Int64("w", 100000, "synthetic: exact tree size")
 		seed = fs.Uint64("seed", 7, "synthetic: tree seed")
@@ -138,6 +138,9 @@ exit codes:
 	}
 	if *memBudget > 0 && *ida {
 		return fmt.Errorf("-mem-budget is not supported with -ida (the iteration driver builds its machines internally)")
+	}
+	if *bound != 0 && *ida {
+		return fmt.Errorf("-bound is not supported with -ida (the iteration driver starts at the root's f and raises the bound itself)")
 	}
 	if *ckptPath != "" && *ckptEvery <= 0 {
 		return fmt.Errorf("-every must be positive, got %d", *ckptEvery)
@@ -291,7 +294,7 @@ exit codes:
 			return serr
 		}
 		var res simd.IDAStarResult
-		res, err = simd.RunIDAStarCheckpointed[puzzle.Node](ctx, dom, sch, opts, 0, snap, sink)
+		res, err = simd.RunIDAStar[puzzle.Node](ctx, dom, sch, opts, 0, snap, sink)
 		if err != nil && !res.Stats.Cancelled {
 			return err
 		}

@@ -16,7 +16,11 @@ import (
 
 	"simdtree/internal/checkpoint"
 	"simdtree/internal/metrics"
+	"simdtree/internal/puzzle"
+	"simdtree/internal/search"
 	"simdtree/internal/server"
+	"simdtree/internal/simd"
+	"simdtree/internal/wire"
 )
 
 // spec is the job the tests run: a synthetic tree small enough for a
@@ -150,4 +154,67 @@ func TestCheckpointResumeAndImport(t *testing.T) {
 	if got := job.Stats.String(); got != strings.SplitN(want, "\n", 2)[0] {
 		t.Errorf("node finished the CLI's checkpoint with %s, want %s", got, want)
 	}
+}
+
+// TestRefusals checks the flag combinations -ida cannot honour fail
+// before any search, each with its own reason.
+func TestRefusals(t *testing.T) {
+	puzzleArgs := []string{"-domain", "puzzle", "-scramble", "5", "-steps", "12", "-p", "16", "-ida"}
+	bounded := boundedCheckpoint(t)
+	for _, tc := range []struct {
+		name, want string
+		args       []string
+	}{
+		{"ida on synthetic", "-ida needs -domain puzzle", []string{"-domain", "synthetic", "-w", "1000", "-ida"}},
+		{"ida with mem-budget", "-mem-budget is not supported with -ida", append([]string{"-mem-budget", "65536"}, puzzleArgs...)},
+		{"ida with bound", "-bound is not supported with -ida", append([]string{"-bound", "3"}, puzzleArgs...)},
+		{"ida resumes a bounded run", "holds a single bounded run", append([]string{"-resume", bounded}, puzzleArgs...)},
+	} {
+		var out, stderr bytes.Buffer
+		err := run(context.Background(), tc.args, &out, &stderr)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want a refusal naming %q", tc.name, err, tc.want)
+		}
+		if strings.Contains(out.String(), "parallel IDA*") {
+			t.Errorf("%s: searched before refusing:\n%s", tc.name, out.String())
+		}
+	}
+}
+
+// boundedCheckpoint writes a checkpoint of a single bounded run under
+// the job spec TestRefusals' puzzle flags name, as a node running that
+// spec writes one, and returns its path.
+func boundedCheckpoint(t *testing.T) string {
+	t.Helper()
+	spec, err := server.Canonicalize(server.JobSpec{Domain: "puzzle", Scheme: "GP-DK", P: 16, Puzzle: &server.PuzzleSpec{Seed: 5, Steps: 12}}, map[string]bool{"puzzle": true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dom := puzzle.NewDomain(puzzle.Scramble(5, 12))
+	bound, _ := search.FinalIterationBound[puzzle.Node](dom)
+	sch, err := simd.ParseScheme[puzzle.Node](spec.Scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := simd.NewMachine[puzzle.Node](search.NewBounded[puzzle.Node](dom, bound), sch, simd.Options{P: spec.P})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := checkpoint.Encode[puzzle.Node](wire.PuzzleCodec{}, checkpoint.Meta{Domain: spec.Domain, Scheme: spec.Scheme, Topology: spec.Topology, Extra: specJSON}, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "bounded.ckpt")
+	if err := checkpoint.WriteFile(path, b); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }

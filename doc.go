@@ -83,38 +83,6 @@ func runSpillable[S any](ctx context.Context, d search.Domain[S], codec wire.Cod
 	return m.RunContext(ctx)
 }
 
-// Run simulates scheme `label` searching domain d on a SIMD machine.
-//
-// Deprecated: use RunContext, which supports cancellation and deadlines;
-// Run is equivalent to RunContext with context.Background().
-func Run[S any](d search.Domain[S], label string, opts Options) (Stats, error) {
-	//lint:allow ctxflow deprecated context-free wrapper kept for API compatibility
-	return RunContext[S](context.Background(), d, label, opts)
-}
-
-// ResumeContext continues a run from a checkpoint snapshot (see
-// internal/checkpoint for the on-disk format): the domain, scheme label
-// and options must match the interrupted run's.  The resumed run
-// completes the schedule exactly as the uninterrupted run would have,
-// returning identical Stats.
-func ResumeContext[S any](ctx context.Context, d search.Domain[S], label string, opts Options, snap *simd.Snapshot[S]) (Stats, error) {
-	sch, err := simd.ParseScheme[S](label)
-	if err != nil {
-		return Stats{}, err
-	}
-	return simd.ResumeContext[S](ctx, d, sch, opts, snap)
-}
-
-// SearchPuzzleResumeContext is SearchPuzzleContext resuming from a
-// checkpoint taken by an interrupted run with the same seed, steps,
-// label and options.
-func SearchPuzzleResumeContext(ctx context.Context, seed uint64, steps int, label string, opts Options, snap *simd.Snapshot[puzzle.Node]) (Stats, int64, error) {
-	dom := puzzle.NewDomain(puzzle.Scramble(seed, steps))
-	bound, w := search.FinalIterationBound(dom)
-	stats, err := ResumeContext[puzzle.Node](ctx, search.NewBounded(dom, bound), label, opts, snap)
-	return stats, w, err
-}
-
 // SearchPuzzleContext scrambles a 15-puzzle with the given seed and walk
 // length, finds the IDA* bound of the first solving iteration, and
 // searches that final iteration exhaustively on a simulated SIMD machine —
@@ -128,25 +96,9 @@ func SearchPuzzleContext(ctx context.Context, seed uint64, steps int, label stri
 	return stats, w, err
 }
 
-// SearchPuzzle is SearchPuzzleContext with a background context.
-//
-// Deprecated: use SearchPuzzleContext.
-func SearchPuzzle(seed uint64, steps int, label string, opts Options) (Stats, int64, error) {
-	//lint:allow ctxflow deprecated context-free wrapper kept for API compatibility
-	return SearchPuzzleContext(context.Background(), seed, steps, label, opts)
-}
-
 // SearchSyntheticContext searches a deterministic synthetic tree of
 // exactly w nodes under scheme `label`.  Cancellation follows the
 // RunContext contract.
 func SearchSyntheticContext(ctx context.Context, w int64, seed uint64, label string, opts Options) (Stats, error) {
 	return runSpillable[synthetic.Node](ctx, synthetic.New(w, seed), wire.SyntheticCodec{}, label, opts)
-}
-
-// SearchSynthetic is SearchSyntheticContext with a background context.
-//
-// Deprecated: use SearchSyntheticContext.
-func SearchSynthetic(w int64, seed uint64, label string, opts Options) (Stats, error) {
-	//lint:allow ctxflow deprecated context-free wrapper kept for API compatibility
-	return SearchSyntheticContext(context.Background(), w, seed, label, opts)
 }

@@ -1,6 +1,7 @@
 package simdtree_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,8 +12,8 @@ import (
 
 // Searching a deterministic synthetic tree of exactly 50000 nodes on a
 // 256-processor machine with the paper's best scheme.
-func ExampleSearchSynthetic() {
-	stats, err := simdtree.SearchSynthetic(50000, 7, "GP-DK", simdtree.Options{P: 256})
+func ExampleSearchSyntheticContext() {
+	stats, err := simdtree.SearchSyntheticContext(context.Background(), 50000, 7, "GP-DK", simdtree.Options{P: 256})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -25,8 +26,8 @@ func ExampleSearchSynthetic() {
 
 // Any type with Root/Expand/Goal runs on the machine; here, counting all
 // solutions of the 8-queens problem.
-func ExampleRun() {
-	stats, err := simdtree.Run[queens.Node](queens.New(8), "GP-S0.80", simdtree.Options{P: 64})
+func ExampleRunContext() {
+	stats, err := simdtree.RunContext[queens.Node](context.Background(), queens.New(8), "GP-S0.80", simdtree.Options{P: 64})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -142,11 +142,11 @@ func (NNBalancer[S]) Balance(c *simd.Context[S]) (rounds, transfers int) {
 // the scan setup and the general router; one transfer unit covers the
 // whole lock-step exchange.
 func (NNBalancer[S]) PhaseCost(costs simd.Costs, _ topology.Network, _, _ int) time.Duration {
-	return time.Duration(float64(costs.TransferUnit) * costs.EffectiveLBScale())
+	return time.Duration(float64(costs.TransferUnit) * costs.LBScale)
 }
 
-// NearestNeighbor returns the nearest-neighbour scheme: balance after
-// every cycle, purely local transfers.
+// NearestNeighbor returns the nearest-neighbour scheme: balance as soon
+// as one processor is idle, purely local transfers.
 func NearestNeighbor[S any]() simd.Scheme[S] {
 	return simd.Scheme[S]{
 		Label:    "Frye-NN",

@@ -93,7 +93,14 @@ func testResume[S any](t *testing.T, codec wire.Codec[S], label string, p int, n
 			t.Fatalf("k=%d: meta %+v", k, meta)
 		}
 		resTr := &trace.Trace{}
-		got, err := simd.ResumeContext[S](context.Background(), newDomain(), parse(), simd.Options{P: p, Trace: resTr}, decoded)
+		rm, err := simd.NewMachine[S](newDomain(), parse(), simd.Options{P: p, Trace: resTr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rm.RestoreSnapshot(decoded); err != nil {
+			t.Fatalf("k=%d: restore: %v", k, err)
+		}
+		got, err := rm.RunContext(context.Background())
 		if err != nil {
 			t.Fatalf("k=%d: resume: %v", k, err)
 		}
@@ -122,7 +129,7 @@ func TestResumeEquivalenceIDAStar(t *testing.T) {
 		}
 		return sch
 	}
-	ref, err := simd.RunIDAStar[puzzle.Node](newDomain(), parse(), simd.Options{P: 16}, 0)
+	ref, err := simd.RunIDAStar[puzzle.Node](context.Background(), newDomain(), parse(), simd.Options{P: 16}, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +152,7 @@ func TestResumeEquivalenceIDAStar(t *testing.T) {
 		}
 		return nil
 	}
-	if _, err := simd.RunIDAStarCheckpointed[puzzle.Node](ctx, newDomain(), parse(), opts, 0, nil, sink); !errors.Is(err, context.Canceled) {
+	if _, err := simd.RunIDAStar[puzzle.Node](ctx, newDomain(), parse(), opts, 0, nil, sink); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupt: %v", err)
 	}
 	if blob == nil {
@@ -158,7 +165,7 @@ func TestResumeEquivalenceIDAStar(t *testing.T) {
 	if snap.IDA == nil {
 		t.Fatal("checkpoint lacks IDA* state")
 	}
-	got, err := simd.RunIDAStarCheckpointed[puzzle.Node](context.Background(), newDomain(), parse(), simd.Options{P: 16}, 0, snap, nil)
+	got, err := simd.RunIDAStar[puzzle.Node](context.Background(), newDomain(), parse(), simd.Options{P: 16}, 0, snap, nil)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}

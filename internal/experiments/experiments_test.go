@@ -275,7 +275,7 @@ func TestFig8Shape(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	const w = 4000
-	split, err := AblationSplitters(w, 64, 0.85, 2)
+	split, err := AblationSplitters(w, 64, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestAblations(t *testing.T) {
 		t.Errorf("multi-transfer DP moved less per phase (%.1f) than single (%.1f)", perMulti, perSingle)
 	}
 
-	topo, err := AblationTopology(w, 64, 0.85, 2)
+	topo, err := AblationTopology(w, 64, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestAblations(t *testing.T) {
 		t.Error("free communication should not be less efficient than mesh costs")
 	}
 
-	heur, err := AblationHeuristic(2023, 24, 64, 2)
+	heur, err := AblationHeuristic(24, 64, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestBaselineAndMIMDComparisons(t *testing.T) {
 	if len(base.Rows) != 5 {
 		t.Fatalf("baseline comparison returned %d entries", len(base.Rows))
 	}
-	m, err := MIMDComparison(4000, 64, 2, 1)
+	m, err := MIMDComparison(4000, 64, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

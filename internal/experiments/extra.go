@@ -18,6 +18,17 @@ import (
 	"simdtree/internal/trigger"
 )
 
+// The ablations' fixed parameters: the static threshold x of the GP-S^x
+// runs (Table 1's representative threshold), the per-node transfer cost
+// the message-size ablation adds, the heuristic ablation's 15-puzzle
+// scramble seed, and the MIMD stealing runs' random seed.
+const (
+	ablationX    = 0.85
+	perNodeMs    = 1.0
+	scrambleSeed = 2023
+	mimdSeed     = 1
+)
+
 // runsTable is a table of one run per row: the row's key, Nexpand, Nlb,
 // the extra columns, then E.
 func runsTable(name, title string, key Column, extra ...Column) Table {
@@ -37,8 +48,8 @@ func (t *Table) addRun(key any, st metrics.Stats, extra ...any) {
 // the paper's bottom-node split, the half-stack split, and the
 // deliberately poor top-node split (Section 3's claim that efficiency
 // drops as the splitter degrades).
-func AblationSplitters(w int64, p int, x float64, workers int) (Table, error) {
-	t := runsTable("ablation_splitters", fmt.Sprintf("# Ablation: splitter quality (GP-S%.2f, W=%d, P=%d)", x, w, p),
+func AblationSplitters(w int64, p, workers int) (Table, error) {
+	t := runsTable("ablation_splitters", fmt.Sprintf("# Ablation: splitter quality (GP-S%.2f, W=%d, P=%d)", ablationX, w, p),
 		Column{"splitter", "splitter", ""})
 	tree := synthetic.New(w, 0xAB1)
 	for _, split := range []stack.Splitter[synthetic.Node]{
@@ -46,7 +57,7 @@ func AblationSplitters(w int64, p int, x float64, workers int) (Table, error) {
 		stack.HalfStack[synthetic.Node]{},
 		stack.TopNode[synthetic.Node]{},
 	} {
-		sch, err := simd.StaticScheme[synthetic.Node]("GP", x)
+		sch, err := simd.StaticScheme[synthetic.Node]("GP", ablationX)
 		if err != nil {
 			return t, err
 		}
@@ -97,7 +108,7 @@ func AblationTransfers(w int64, p, workers int) (Table, error) {
 			Splitter: stack.BottomNode[synthetic.Node]{},
 			WantInit: true,
 		}
-		st, err := simd.Run[synthetic.Node](tree, sch, simd.Options{P: p, Workers: workers, InitThreshold: 0.85})
+		st, err := simd.Run[synthetic.Node](tree, sch, simd.Options{P: p, Workers: workers})
 		if err != nil {
 			return t, err
 		}
@@ -113,8 +124,8 @@ func AblationTransfers(w int64, p, workers int) (Table, error) {
 // AblationTopology runs GP-S^x over the topology cost models of Section
 // 3.3, showing how communication cost moves efficiency (Table 6's
 // architecture dependence, measured).
-func AblationTopology(w int64, p int, x float64, workers int) (Table, error) {
-	t := runsTable("ablation_topology", fmt.Sprintf("# Ablation: topology cost model (GP-S%.2f, W=%d, P=%d)", x, w, p),
+func AblationTopology(w int64, p, workers int) (Table, error) {
+	t := runsTable("ablation_topology", fmt.Sprintf("# Ablation: topology cost model (GP-S%.2f, W=%d, P=%d)", ablationX, w, p),
 		Column{"topology", "topology", ""})
 	tree := synthetic.New(w, 0xAB4)
 	for _, name := range []string{"crossbar", "cm2", "hypercube", "mesh"} {
@@ -122,7 +133,7 @@ func AblationTopology(w int64, p int, x float64, workers int) (Table, error) {
 		if err != nil {
 			return t, err
 		}
-		sch, err := simd.StaticScheme[synthetic.Node]("GP", x)
+		sch, err := simd.StaticScheme[synthetic.Node]("GP", ablationX)
 		if err != nil {
 			return t, err
 		}
@@ -140,7 +151,7 @@ func AblationTopology(w int64, p int, x float64, workers int) (Table, error) {
 // splitter's one-node messages stay cheap while the half-stack splitter's
 // bulk messages get expensive — the tradeoff between balance quality and
 // message volume becomes visible.
-func AblationMessageSize(w int64, p, workers int, perNodeMs float64) (Table, error) {
+func AblationMessageSize(w int64, p, workers int) (Table, error) {
 	t := runsTable("ablation_message_size", fmt.Sprintf("# Ablation: message-size-dependent transfer cost (GP-DK, W=%d, P=%d)", w, p),
 		Column{"variant", "variant", ""}, Column{"max_transfer", "max transfer", ""})
 	tree := synthetic.New(w, 0xAB7)
@@ -194,7 +205,7 @@ func AblationDKGamma(w int64, p, workers int) (Table, error) {
 // heuristic, matching the paper's accounting; the tradeoff a real machine
 // would see between bound strength and per-node cost is outside the
 // virtual clock.
-func AblationHeuristic(scrambleSeed uint64, steps, p, workers int) (Table, error) {
+func AblationHeuristic(steps, p, workers int) (Table, error) {
 	t := Table{
 		Name:  "ablation_heuristic",
 		Title: fmt.Sprintf("# Ablation: heuristic strength (GP-DK, P=%d, scramble %d/%d)", p, scrambleSeed, steps),
@@ -242,7 +253,7 @@ func BaselineComparison(w int64, p, workers int) (Table, error) {
 // MIMDComparison backs the paper's Section 9 claim that the SIMD schemes
 // scale comparably to MIMD work stealing: GP-DK on the SIMD machine vs
 // GRR/ARR/RP stealing, identical workload and cost constants.
-func MIMDComparison(w int64, p, workers int, seed uint64) (Table, error) {
+func MIMDComparison(w int64, p, workers int) (Table, error) {
 	t := Table{
 		Name:    "mimd",
 		Title:   fmt.Sprintf("# SIMD vs MIMD (W=%d, P=%d)", w, p),
@@ -259,7 +270,7 @@ func MIMDComparison(w int64, p, workers int, seed uint64) (Table, error) {
 		// constant-cost router, so neither side pays for routing the
 		// other is spared.
 		ms, err := mimd.Run[synthetic.Node](tree, mimd.Options{
-			P: p, Policy: pol, Seed: seed, Topology: topology.CM2{},
+			P: p, Policy: pol, Seed: mimdSeed, Topology: topology.CM2{},
 		})
 		if err != nil {
 			return t, err

@@ -183,7 +183,7 @@ func reportExtras[S any](_ *Suite[S], scale Scale, doc *report.Doc) error {
 	section(doc, "Section 8 baselines", base)
 	doc.Verdict("FESS balances nearly every cycle (its Section 8 critique); GP-DK leads or ties the field.")
 
-	m, err := MIMDComparison(w, scale.P, scale.Workers, 1)
+	m, err := MIMDComparison(w, scale.P, scale.Workers)
 	if err != nil {
 		return err
 	}

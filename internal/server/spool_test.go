@@ -245,8 +245,7 @@ func TestSpoolRescanRejectsForeignFiles(t *testing.T) {
 
 // TestSpoolRefusesIDAStarCheckpoint: an IDA* checkpoint carries its
 // puzzle spec, so spooled under that spec's key it passes rescan.  The
-// node refuses to resume it, as simd.ResumeContext does: an IDA* run's
-// ledger is not the spec's run.  Without the refusal an early iteration's
+// node refuses to resume it: an IDA* run's ledger is not the spec's run.  Without the refusal an early iteration's
 // file fails only on the bounded domain's state check, and a final
 // iteration's is resumed and cached.
 func TestSpoolRefusesIDAStarCheckpoint(t *testing.T) {
@@ -274,7 +273,7 @@ func TestSpoolRefusesIDAStarCheckpoint(t *testing.T) {
 	final, _ := search.FinalIterationBound[puzzle.Node](dom)
 	var ckpt []byte
 	taken := errors.New("checkpoint taken")
-	_, err = simd.RunIDAStarCheckpointed[puzzle.Node](context.Background(), dom, sch, opts, 0, nil,
+	_, err = simd.RunIDAStar[puzzle.Node](context.Background(), dom, sch, opts, 0, nil,
 		func(snap *simd.Snapshot[puzzle.Node]) error {
 			if snap.IDA.Bound != final {
 				return nil

@@ -88,14 +88,6 @@ func (c Costs) PhaseCost(net topology.Network, p, rounds int) time.Duration {
 	return time.Duration(cost * c.LBScale)
 }
 
-// EffectiveLBScale returns LBScale with the zero value mapped to 1.
-func (c Costs) EffectiveLBScale() float64 {
-	if c.LBScale <= 0 {
-		return 1
-	}
-	return c.LBScale
-}
-
 // MessageCost returns the additional size-dependent cost of a phase that
 // moved at most maxNodes stack nodes in a single message, under the
 // PerNodeTransfer extension; zero under the paper's constant-size model.
@@ -104,11 +96,5 @@ func (c Costs) MessageCost(net topology.Network, p, maxNodes int) time.Duration 
 		return 0
 	}
 	cost := float64(c.PerNodeTransfer) * float64(maxNodes) * net.TransferSteps(p)
-	return time.Duration(cost * c.EffectiveLBScale())
-}
-
-// SingleRoundCost is the a-priori estimate of a one-round phase, used as
-// the initial L before any phase has run.
-func (c Costs) SingleRoundCost(net topology.Network, p int) time.Duration {
-	return c.PhaseCost(net, p, 1)
+	return time.Duration(cost * c.LBScale)
 }

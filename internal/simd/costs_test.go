@@ -62,10 +62,10 @@ func TestLBScale(t *testing.T) {
 	if got := c.PhaseCost(topology.CM2{}, 1024, 1); got != 16*13*time.Millisecond {
 		t.Errorf("16x phase cost %v, want 208ms", got)
 	}
-	if c.EffectiveLBScale() != 16 {
-		t.Error("EffectiveLBScale")
+	if c.normalize().LBScale != 16 {
+		t.Error("normalize changed a set LBScale")
 	}
-	if (Costs{}).EffectiveLBScale() != 1 {
+	if (Costs{NodeExpansion: time.Second}).normalize().LBScale != 1 {
 		t.Error("zero LBScale should be effective 1")
 	}
 }
@@ -80,12 +80,5 @@ func TestNormalizeDefaults(t *testing.T) {
 	c := Costs{NodeExpansion: time.Second, ScanUnit: time.Millisecond, TransferUnit: time.Millisecond, LBScale: 2}
 	if c.normalize() != c {
 		t.Error("normalize should not change explicit values")
-	}
-}
-
-func TestSingleRoundCost(t *testing.T) {
-	c := CM2Costs()
-	if c.SingleRoundCost(topology.CM2{}, 512) != c.PhaseCost(topology.CM2{}, 512, 1) {
-		t.Error("SingleRoundCost should equal a one-round phase")
 	}
 }

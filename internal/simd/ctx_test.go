@@ -130,16 +130,16 @@ func TestRunContextDeadline(t *testing.T) {
 	}
 }
 
-// TestRunIDAStarContextCancel: cancellation mid-iteration returns the
+// TestRunIDAStarCancel: cancellation mid-iteration returns the
 // partial iteration and propagates both the flag and the cause.
-func TestRunIDAStarContextCancel(t *testing.T) {
+func TestRunIDAStarCancel(t *testing.T) {
 	sch, err := ParseScheme[puzzle.Node]("GP-S0.80")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunIDAStarContext[puzzle.Node](ctx, puzzle.NewDomain(puzzle.Scramble(5, 16)), sch, Options{P: 16}, 0)
+	res, err := RunIDAStar[puzzle.Node](ctx, puzzle.NewDomain(puzzle.Scramble(5, 16)), sch, Options{P: 16}, 0, nil, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

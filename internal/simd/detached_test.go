@@ -92,7 +92,14 @@ func TestSnapshotDetached(t *testing.T) {
 			}
 			resume := func() (metrics.Stats, *trace.Trace) {
 				rtr := &trace.Trace{CaptureDonors: true}
-				st, err := simd.ResumeContext[synthetic.Node](context.Background(), newDomain(), parse(), simd.Options{P: p, Trace: rtr}, snap)
+				rm, err := simd.NewMachine[synthetic.Node](newDomain(), parse(), simd.Options{P: p, Trace: rtr})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := rm.RestoreSnapshot(snap); err != nil {
+					t.Fatal(err)
+				}
+				st, err := rm.RunContext(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package simd_test
 
 import (
+	"context"
 	"fmt"
 
 	"simdtree/internal/search"
@@ -49,7 +50,7 @@ func ExampleParseScheme() {
 func ExampleRunIDAStar() {
 	dom := costChain{}
 	sch, _ := simd.ParseScheme[int]("GP-S0.80")
-	res, err := simd.RunIDAStar[int](dom, sch, simd.Options{P: 8}, 0)
+	res, err := simd.RunIDAStar[int](context.Background(), dom, sch, simd.Options{P: 8}, 0, nil, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -3,7 +3,6 @@ package simd
 import (
 	"context"
 	"errors"
-	"time"
 
 	"simdtree/internal/metrics"
 	"simdtree/internal/search"
@@ -33,31 +32,22 @@ type IDAStarResult struct {
 // then rises to the smallest pruned f-value.  The run stops after the
 // first iteration that finds a goal (or when the space is exhausted).
 // maxIters <= 0 means no iteration limit.
-func RunIDAStar[S any](d search.CostDomain[S], sch Scheme[S], opts Options, maxIters int) (IDAStarResult, error) {
-	//lint:allow ctxflow deprecated context-free wrapper kept for API compatibility
-	return RunIDAStarContext[S](context.Background(), d, sch, opts, maxIters)
-}
-
-// RunIDAStarContext is RunIDAStar with cooperative cancellation.  The
-// context is polled at the cycle boundaries of each iteration (see
+//
+// The context is polled at the cycle boundaries of each iteration (see
 // RunContext); a cancelled run returns the iterations completed so far
 // plus the partial statistics of the interrupted iteration, with
 // Stats.Cancelled set, and the context's cause as the error.
-func RunIDAStarContext[S any](ctx context.Context, d search.CostDomain[S], sch Scheme[S], opts Options, maxIters int) (IDAStarResult, error) {
-	return RunIDAStarCheckpointed[S](ctx, d, sch, opts, maxIters, nil, nil)
-}
-
-// RunIDAStarCheckpointed is RunIDAStarContext with checkpoint/restore in
-// the spirit of Horie & Fukunaga's restartable block-parallel IDA*: when
-// sink is non-nil it receives periodic snapshots (Options.CheckpointEvery
-// cadence) whose IDA field records the in-flight iteration's bound and the
-// iterations already completed, including the schedule's stop-time
-// snapshot of a cancelled run, so an interrupt loses no work.  Passing
-// such a snapshot as resume continues the run: the completed iterations
-// are replayed from the snapshot, the interrupted iteration resumes at its
-// cycle boundary, and the overall result is byte-identical to an
-// uninterrupted run.
-func RunIDAStarCheckpointed[S any](ctx context.Context, d search.CostDomain[S], sch Scheme[S], opts Options, maxIters int, resume *Snapshot[S], sink func(*Snapshot[S]) error) (IDAStarResult, error) {
+//
+// Checkpoint/restore follows Horie & Fukunaga's restartable
+// block-parallel IDA*: when sink is non-nil it receives periodic snapshots
+// (Options.CheckpointEvery cadence) whose IDA field records the in-flight
+// iteration's bound and the iterations already completed, including the
+// schedule's stop-time snapshot of a cancelled run, so an interrupt loses
+// no work.  Passing such a snapshot as resume continues the run: the
+// completed iterations are replayed from the snapshot, the interrupted
+// iteration resumes at its cycle boundary, and the overall result is
+// byte-identical to an uninterrupted run.
+func RunIDAStar[S any](ctx context.Context, d search.CostDomain[S], sch Scheme[S], opts Options, maxIters int, resume *Snapshot[S], sink func(*Snapshot[S]) error) (IDAStarResult, error) {
 	if d == nil {
 		return IDAStarResult{}, errors.New("simd: nil domain")
 	}
@@ -66,7 +56,7 @@ func RunIDAStarCheckpointed[S any](ctx context.Context, d search.CostDomain[S], 
 	iter := 0
 	if resume != nil {
 		if resume.IDA == nil {
-			return IDAStarResult{}, errors.New("simd: snapshot lacks IDA* state; resume it with ResumeContext")
+			return IDAStarResult{}, errors.New("simd: snapshot lacks IDA* state; it is of a single bounded run")
 		}
 		iter = resume.IDA.Iteration
 		bound = resume.IDA.Bound
@@ -136,14 +126,4 @@ func accumulate(agg *metrics.Stats, st metrics.Stats) {
 	if st.Cancelled {
 		agg.Cancelled = true
 	}
-}
-
-// SerialIDAStarTime returns the virtual time the serial algorithm needs
-// for the same complete IDA* run: every iteration's node count times the
-// unit expansion cost.  It provides the Tcalc baseline when comparing the
-// aggregated parallel run against serial IDA* rather than a single
-// iteration.
-func SerialIDAStarTime[S any](d search.CostDomain[S], ucalc time.Duration, maxIters int) (time.Duration, int64) {
-	r := search.IDAStar(d, maxIters)
-	return time.Duration(r.Expanded) * ucalc, r.Expanded
 }

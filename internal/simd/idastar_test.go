@@ -1,8 +1,9 @@
 package simd
 
 import (
+	"context"
+	"strings"
 	"testing"
-	"time"
 
 	"simdtree/internal/puzzle"
 	"simdtree/internal/search"
@@ -17,7 +18,7 @@ func TestRunIDAStarMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunIDAStar[puzzle.Node](dom, sch, Options{P: 64}, 0)
+	res, err := RunIDAStar[puzzle.Node](context.Background(), dom, sch, Options{P: 64}, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestRunIDAStarMatchesSerial(t *testing.T) {
 func TestRunIDAStarIterationLimit(t *testing.T) {
 	dom := puzzle.NewDomain(puzzle.Scramble(23, 30))
 	sch, _ := ParseScheme[puzzle.Node]("GP-S0.80")
-	res, err := RunIDAStar[puzzle.Node](dom, sch, Options{P: 32}, 2)
+	res, err := RunIDAStar[puzzle.Node](context.Background(), dom, sch, Options{P: 32}, 2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestRunIDAStarIterationLimit(t *testing.T) {
 func TestRunIDAStarSolvedRoot(t *testing.T) {
 	dom := puzzle.NewDomain(puzzle.Goal())
 	sch, _ := ParseScheme[puzzle.Node]("GP-DK")
-	res, err := RunIDAStar[puzzle.Node](dom, sch, Options{P: 8}, 0)
+	res, err := RunIDAStar[puzzle.Node](context.Background(), dom, sch, Options{P: 8}, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,15 +72,27 @@ func TestRunIDAStarSolvedRoot(t *testing.T) {
 
 func TestRunIDAStarNilDomain(t *testing.T) {
 	sch, _ := ParseScheme[puzzle.Node]("GP-DK")
-	if _, err := RunIDAStar[puzzle.Node](nil, sch, Options{P: 8}, 0); err == nil {
+	if _, err := RunIDAStar[puzzle.Node](context.Background(), nil, sch, Options{P: 8}, 0, nil, nil); err == nil {
 		t.Error("nil domain accepted")
 	}
 }
 
-func TestSerialIDAStarTime(t *testing.T) {
+// TestRunIDAStarRefusesBoundedSnapshot: a snapshot of a single bounded
+// run has no iteration state to replay, so the driver refuses to resume
+// it rather than guess the bound it was taken under.
+func TestRunIDAStarRefusesBoundedSnapshot(t *testing.T) {
 	dom := puzzle.NewDomain(puzzle.Scramble(21, 20))
-	d, w := SerialIDAStarTime[puzzle.Node](dom, CM2Costs().NodeExpansion, 0)
-	if w <= 0 || d != time.Duration(w)*CM2Costs().NodeExpansion {
-		t.Errorf("serial time %v for W=%d", d, w)
+	bound, _ := search.FinalIterationBound[puzzle.Node](dom)
+	sch, _ := ParseScheme[puzzle.Node]("GP-DK")
+	m, err := NewMachine[puzzle.Node](search.NewBounded[puzzle.Node](dom, bound), sch, Options{P: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunIDAStar[puzzle.Node](context.Background(), dom, sch, Options{P: 8}, 0, snap, nil); err == nil || !strings.Contains(err.Error(), "lacks IDA* state") {
+		t.Errorf("resume from a bounded run's snapshot: %v, want a refusal", err)
 	}
 }

@@ -155,7 +155,7 @@ type Machine[S any] struct {
 // Run simulates the parallel search of d under scheme sch and returns the
 // Section 3.1 statistics.  It is RunContext with a background context.
 func Run[S any](d search.Domain[S], sch Scheme[S], opts Options) (metrics.Stats, error) {
-	//lint:allow ctxflow deprecated context-free wrapper kept for API compatibility
+	//lint:allow ctxflow the experiment runners and examples run to completion and never cancel
 	return RunContext[S](context.Background(), d, sch, opts)
 }
 
@@ -169,26 +169,6 @@ func Run[S any](d search.Domain[S], sch Scheme[S], opts Options) (metrics.Stats,
 func RunContext[S any](ctx context.Context, d search.Domain[S], sch Scheme[S], opts Options) (metrics.Stats, error) {
 	m, err := NewMachine[S](d, sch, opts)
 	if err != nil {
-		return metrics.Stats{}, err
-	}
-	return m.RunContext(ctx)
-}
-
-// ResumeContext restores snap into a fresh machine for (d, sch, opts) and
-// runs it to completion.  The domain, scheme and options must be the ones
-// the snapshotted run was started with; the resumed run then produces
-// Stats and trace byte-identical to the uninterrupted run.  Snapshots
-// taken during a parallel IDA* run carry iteration state and must go
-// through RunIDAStarCheckpointed instead.
-func ResumeContext[S any](ctx context.Context, d search.Domain[S], sch Scheme[S], opts Options, snap *Snapshot[S]) (metrics.Stats, error) {
-	if snap != nil && snap.IDA != nil {
-		return metrics.Stats{}, errors.New("simd: snapshot is from an IDA* run; resume it with RunIDAStarCheckpointed")
-	}
-	m, err := NewMachine[S](d, sch, opts)
-	if err != nil {
-		return metrics.Stats{}, err
-	}
-	if err := m.RestoreSnapshot(snap); err != nil {
 		return metrics.Stats{}, err
 	}
 	return m.RunContext(ctx)
@@ -340,10 +320,6 @@ func (m *Machine[S]) OnCheckpoint(fn func(*Snapshot[S]) error) { m.ckpt = fn }
 // cycle boundary: Snapshot captures the exact prefix state, and calling
 // RunContext again with a live context continues the schedule in place.
 func (m *Machine[S]) RunContext(ctx context.Context) (metrics.Stats, error) {
-	if ctx == nil {
-		//lint:allow ctxflow nil-context guard preserving the context-free entry points
-		ctx = context.Background()
-	}
 	if m.opts.MemBudget > 0 && m.spiller == nil {
 		return m.sched.Stats, errors.New("simd: Options.MemBudget set but no spill manager registered (SetSpiller)")
 	}

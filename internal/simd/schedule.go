@@ -176,7 +176,7 @@ func NewSchedule(opts Options, trig trigger.Trigger, wantInit bool) *Schedule {
 	}
 	trig.Reset()
 	s.Stats.P = opts.P
-	s.EstLB = s.costs.SingleRoundCost(s.topo, opts.P)
+	s.EstLB = s.costs.PhaseCost(s.topo, opts.P, 1) // one round: the a-priori L before any phase has run
 	return s
 }
 

@@ -44,7 +44,7 @@ type Snapshot[S any] struct {
 	Trace *trace.Trace
 
 	// IDA carries the surrounding parallel-IDA* iteration state; it is
-	// set only for snapshots taken via RunIDAStarCheckpointed.
+	// set only for snapshots taken via RunIDAStar.
 	IDA *IDAState
 }
 
@@ -96,7 +96,7 @@ func (m *Machine[S]) Snapshot() (*Snapshot[S], error) {
 // taken under; mismatches that are detectable (processor count, domain
 // statefulness) return an error and leave the machine unchanged.  It does
 // not look at snap.IDA: a caller that must not continue an IDA* iteration
-// under its own bound refuses such a snapshot itself, as ResumeContext
+// under its own bound refuses such a snapshot itself, as a node's runner
 // does.
 func (m *Machine[S]) RestoreSnapshot(snap *Snapshot[S]) error {
 	if snap == nil {

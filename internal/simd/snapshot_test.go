@@ -82,7 +82,14 @@ func TestSnapshotResumeEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ResumeContext[synthetic.Node](context.Background(), newDomain(), sch2, resOpts, snap)
+		rm, err := NewMachine[synthetic.Node](newDomain(), sch2, resOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rm.RestoreSnapshot(snap); err != nil {
+			t.Fatalf("k=%d: restore: %v", k, err)
+		}
+		got, err := rm.RunContext(context.Background())
 		if err != nil {
 			t.Fatalf("k=%d: resume: %v", k, err)
 		}
@@ -175,7 +182,7 @@ func TestIDAStarCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{P: 16}
-	ref, err := RunIDAStar[puzzle.Node](newDomain(), sch, opts, 0)
+	ref, err := RunIDAStar[puzzle.Node](context.Background(), newDomain(), sch, opts, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +208,7 @@ func TestIDAStarCheckpointResume(t *testing.T) {
 		}
 		return nil
 	}
-	_, runErr := RunIDAStarCheckpointed[puzzle.Node](ctx, newDomain(), sch2, ckptOpts, 0, nil, sink)
+	_, runErr := RunIDAStar[puzzle.Node](ctx, newDomain(), sch2, ckptOpts, 0, nil, sink)
 	if !errors.Is(runErr, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", runErr)
 	}
@@ -213,7 +220,7 @@ func TestIDAStarCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunIDAStarCheckpointed[puzzle.Node](context.Background(), newDomain(), sch3, opts, 0, last, nil)
+	got, err := RunIDAStar[puzzle.Node](context.Background(), newDomain(), sch3, opts, 0, last, nil)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}

@@ -124,7 +124,8 @@ func (t DKGamma) ShouldBalance(s State) bool {
 
 // AnyIdle triggers as soon as a single processor runs out of work; it is
 // the triggering condition of the FESS and FEGS baselines of Mahanti and
-// Daniels (Section 8).
+// Daniels and of Frye and Myczkowski's nearest-neighbour scheme (Section
+// 8).
 type AnyIdle struct{}
 
 // Name implements Trigger.
@@ -136,8 +137,8 @@ func (AnyIdle) Reset() {}
 // ShouldBalance implements Trigger.
 func (AnyIdle) ShouldBalance(s State) bool { return s.Active < s.P }
 
-// Always triggers after every node expansion cycle; the nearest-neighbour
-// baseline of Frye and Myczkowski balances this way.
+// Always triggers after every node expansion cycle.  No built-in scheme
+// uses it; a scheme label names it, as in GP-always.
 type Always struct{}
 
 // Name implements Trigger.

@@ -31,7 +31,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"time"
 
 	"simdtree/internal/stack"
 )
@@ -86,16 +85,4 @@ func (d *ArenaDecoder[S]) Decode(b []byte, a *stack.Arena[S], pe int) (int, erro
 // NodeSize returns the encoded size of one node under the codec.
 func NodeSize[S any](c Codec[S], n S) int {
 	return len(c.AppendNode(nil, n))
-}
-
-// PerNodeTime converts a codec's node size into the virtual time one node
-// adds to a work-transfer message on a link of the given bandwidth — the
-// value to plug into the simulator's Costs.PerNodeTransfer for the
-// message-size ablation.
-func PerNodeTime[S any](c Codec[S], sample S, bytesPerSecond float64) time.Duration {
-	if bytesPerSecond <= 0 {
-		return 0
-	}
-	sz := float64(NodeSize(c, sample))
-	return time.Duration(sz / bytesPerSecond * float64(time.Second))
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"simdtree/internal/puzzle"
 	"simdtree/internal/queens"
@@ -210,17 +209,10 @@ func TestDecodeStackStrict(t *testing.T) {
 	}
 }
 
-func TestNodeSizeAndPerNodeTime(t *testing.T) {
+func TestNodeSize(t *testing.T) {
 	c := PuzzleCodec{}
 	if got := NodeSize[puzzle.Node](c, puzzle.Goal()); got != puzzleNodeSize {
 		t.Errorf("NodeSize = %d, want %d", got, puzzleNodeSize)
-	}
-	// 14 bytes at 14 KB/s is one millisecond.
-	if got := PerNodeTime[puzzle.Node](c, puzzle.Goal(), 14_000); got != time.Millisecond {
-		t.Errorf("PerNodeTime = %v, want 1ms", got)
-	}
-	if PerNodeTime[puzzle.Node](c, puzzle.Goal(), 0) != 0 {
-		t.Error("zero bandwidth should give zero cost")
 	}
 }
 
