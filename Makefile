@@ -24,12 +24,13 @@ test-race:
 # The engine's benchmarks: every pinned run of internal/simd's table (the
 # schedules, allocation ceilings and Workers overhead bound those runs must
 # hold are tests, in "make test"), the structure-of-arrays micro-benchmarks,
-# a cache hit through the traffic frontend, and the spill sweep and fault
-# barrier.
+# a cache hit through the traffic frontend, the spill sweep and fault
+# barrier, and the synthetic tree generator's expansion.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkPinnedRun -benchmem ./internal/simd
 	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkArenaFirstReceive|BenchmarkExpandKernel|BenchmarkCacheHit' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepThrash|BenchmarkFaultBarrier' -benchmem ./internal/spill
+	$(GO) test -run '^$$' -bench BenchmarkSyntheticExpand -benchmem ./internal/synthetic
 
 # CI smoke variant: the small-P pool run at Workers 1 and 2, plus the
 # structure-of-arrays micro-benchmarks (allocs/op must stay 0;
@@ -41,11 +42,13 @@ bench:
 # one window's frames does or reads the log more than once,
 # BenchmarkArenaFirstReceive when a fresh arena's first receives allocate
 # per PE instead of per flag word, BenchmarkCacheHit when a cache hit
-# allocates over its ceiling).
+# allocates over its ceiling, BenchmarkSyntheticExpand when a synthetic
+# node's expansion does).
 bench-check:
 	$(GO) test -run '^$$' -bench 'BenchmarkPinnedRun/pool-small-p' -benchtime 100x -benchmem ./internal/simd
 	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkArenaFirstReceive|BenchmarkExpandKernel|BenchmarkCacheHit' -benchtime 100x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepThrash|BenchmarkFaultBarrier' -benchtime 100x -benchmem ./internal/spill
+	$(GO) test -run '^$$' -bench BenchmarkSyntheticExpand -benchtime 100x -benchmem ./internal/synthetic
 
 # simdmark, the benchmark of record (benchmark/, BENCHMARK.json), at the
 # smoke test's scale: all six workloads in seconds.  Claims quote the

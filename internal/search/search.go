@@ -192,11 +192,11 @@ func (b *Bounded[S]) MergeState(p []byte) error {
 
 // Result summarises a serial search.
 type Result struct {
-	Expanded int64 // nodes expanded (the problem size W)
-	Goals    int64 // goal nodes found
-	MaxDepth int   // deepest stack observed, in levels
-	Bound    int   // final cost bound (IDA* only)
-	Iters    int   // IDA* iterations performed (IDA* only)
+	Expanded  int64 // nodes expanded (the problem size W)
+	Goals     int64 // goal nodes found
+	PeakStack int   // largest stack observed, in nodes: metrics.Stats.PeakStack's serial twin
+	Bound     int   // final cost bound (IDA* only)
+	Iters     int   // IDA* iterations performed (IDA* only)
 }
 
 // DFS exhaustively searches d depth-first and returns the node and goal
@@ -206,8 +206,8 @@ func DFS[S any](d Domain[S]) Result {
 	stk := []S{d.Root()}
 	buf := make([]S, 0, 16)
 	for len(stk) > 0 {
-		if len(stk) > res.MaxDepth {
-			res.MaxDepth = len(stk)
+		if len(stk) > res.PeakStack {
+			res.PeakStack = len(stk)
 		}
 		n := stk[len(stk)-1]
 		stk = stk[:len(stk)-1]
@@ -236,8 +236,8 @@ func IDAStar[S any](d CostDomain[S], maxIters int) Result {
 		total.Goals += r.Goals
 		total.Iters++
 		total.Bound = bound
-		if r.MaxDepth > total.MaxDepth {
-			total.MaxDepth = r.MaxDepth
+		if r.PeakStack > total.PeakStack {
+			total.PeakStack = r.PeakStack
 		}
 		if r.Goals > 0 {
 			return total

@@ -46,10 +46,10 @@ func TestDFSCompleteBinaryTree(t *testing.T) {
 	}
 }
 
-func TestDFSMaxDepth(t *testing.T) {
+func TestDFSPeakStack(t *testing.T) {
 	r := DFS[binNode](binTree{depth: 5})
-	if r.MaxDepth < 6 {
-		t.Errorf("MaxDepth=%d, want >= 6 for a depth-5 tree", r.MaxDepth)
+	if r.PeakStack < 6 {
+		t.Errorf("PeakStack=%d, want >= 6 nodes for a depth-5 binary tree", r.PeakStack)
 	}
 }
 

@@ -6,11 +6,11 @@
 // in minutes.
 //
 // Construction: every node carries a budget.  Expanding a node consumes one
-// unit and splits the remainder across a random number of children using
-// skewed random weights, so sibling subtrees differ in size by orders of
-// magnitude — the "highly irregular" trees the paper targets.  By
-// induction the tree rooted at budget W contains exactly W nodes, and the
-// whole tree is a pure function of the seed.
+// unit and splits the remainder across 1 to 4 children by random weights
+// u³, u uniform in (0, 1], so sibling subtrees differ in size by orders of
+// magnitude — the "highly irregular" trees the paper targets — while the
+// depth stays O(log W).  By induction the tree rooted at budget W contains
+// exactly W nodes, and a node's children are a pure function of its seed.
 package synthetic
 
 // Node is a synthetic tree node: the size of its subtree and the PRNG seed
@@ -22,17 +22,18 @@ type Node struct {
 
 // Tree is a synthetic search domain.  It implements search.Domain[Node].
 type Tree struct {
-	W         int64   // total nodes in the tree (root budget)
-	Seed      uint64  // tree identity
-	MaxBranch int     // maximum children per node (>= 2)
-	Skew      float64 // imbalance exponent; larger = more irregular
+	W    int64  // total nodes in the tree (root budget)
+	Seed uint64 // tree identity
 }
 
-// New returns a tree of exactly w nodes.  maxBranch defaults to 4 and skew
-// to 3 when zero; both defaults produce trees with depth O(log W) but
-// sibling subtrees of wildly different sizes.
+// maxBranch is the most children a node has; a power of two, so a draw
+// picks the count with a mask.
+const maxBranch = 4
+
+// New returns a tree of exactly w nodes: each node has 1 to 4 children
+// whose subtree sizes follow weights u³.
 func New(w int64, seed uint64) *Tree {
-	return &Tree{W: w, Seed: seed, MaxBranch: 4, Skew: 3}
+	return &Tree{W: w, Seed: seed}
 }
 
 // Root implements search.Domain.
@@ -49,63 +50,40 @@ func (t *Tree) Root() Node {
 func (t *Tree) Goal(Node) bool { return false }
 
 // Expand implements search.Domain, deterministically splitting the node's
-// remaining budget across its children.
+// remaining budget across its children.  The draws from the node's seed
+// are, in order, the child count k, k weights and the k child seeds; every
+// pinned tree and schedule depends on that order.
 func (t *Tree) Expand(n Node, buf []Node) []Node {
 	remaining := n.Budget - 1
 	if remaining <= 0 {
 		return buf
 	}
-	maxBranch := t.MaxBranch
-	if maxBranch < 2 {
-		maxBranch = 4
-	}
-	skew := t.Skew
-	if skew <= 0 {
-		skew = 3
-	}
-	// Scratch arrays are fixed-size so the hot expansion path (called
-	// once per simulated node) does not allocate.
-	const maxK = 16
-	if maxBranch > maxK {
-		maxBranch = maxK
-	}
 	state := n.Seed
-	k := 1 + int(splitmix64(&state)%uint64(maxBranch))
+	k := 1 + int(splitmix64(&state)&(maxBranch-1))
 	if int64(k) > remaining {
 		k = int(remaining)
 	}
-	// Draw skewed weights: w_i = u_i^skew with u_i uniform in (0, 1].
-	var weights [maxK]float64
+	// Weights u³ with u uniform in (0, 1].
+	var w [maxBranch]float64
 	var total float64
-	for i := 0; i < k; i++ {
+	for i := range w[:k] {
 		u := float64(splitmix64(&state)>>11)/(1<<53) + 1e-12
-		w := u
-		for e := 1; e < int(skew); e++ {
-			w *= u
+		w[i] = u * u * u
+		total += w[i]
+	}
+	// Every child gets one node up front and its weight's share of the
+	// rest; the rounding leftover goes to the first heaviest child.
+	spare := float64(remaining - int64(k))
+	heaviest, most, assigned := 0, int64(0), int64(0)
+	for i := range w[:k] {
+		b := 1 + int64(spare*w[i]/total)
+		if b > most {
+			heaviest, most = i, b
 		}
-		weights[i] = w
-		total += w
-	}
-	// Give every child one node up front, then split the rest by weight.
-	spare := remaining - int64(k)
-	var assigned int64
-	var budgets [maxK]int64
-	for i := 0; i < k; i++ {
-		b := int64(float64(spare) * weights[i] / total)
-		budgets[i] = 1 + b
-		assigned += 1 + b
-	}
-	// Rounding leftovers go to the heaviest child.
-	heaviest := 0
-	for i := 1; i < k; i++ {
-		if budgets[i] > budgets[heaviest] {
-			heaviest = i
-		}
-	}
-	budgets[heaviest] += remaining - assigned
-	for _, b := range budgets[:k] {
+		assigned += b
 		buf = append(buf, Node{Budget: b, Seed: splitmix64(&state)})
 	}
+	buf[len(buf)-k+heaviest].Budget += remaining - assigned
 	return buf
 }
 

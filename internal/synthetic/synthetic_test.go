@@ -35,22 +35,22 @@ func TestSeedsDiffer(t *testing.T) {
 	if a.Expanded != 50000 || b.Expanded != 50000 {
 		t.Fatal("wrong sizes")
 	}
-	if a.MaxDepth == b.MaxDepth {
-		t.Log("depths happen to agree; checking another seed")
+	if a.PeakStack == b.PeakStack {
+		t.Log("peak stacks happen to agree; checking another seed")
 		c := search.DFS[Node](New(50000, 3))
-		if a.MaxDepth == c.MaxDepth && b.MaxDepth == c.MaxDepth {
-			t.Error("three different seeds produced identical depths; shapes suspiciously identical")
+		if a.PeakStack == c.PeakStack && b.PeakStack == c.PeakStack {
+			t.Error("three different seeds produced identical peak stacks; shapes suspiciously identical")
 		}
 	}
 }
 
-// TestDepthLogarithmic checks the construction keeps the recursion depth
-// (hence per-processor stack depth) far below W.
+// TestDepthLogarithmic checks the construction keeps the DFS stack, in
+// nodes (what a processor holds in an engine run), far below W.
 func TestDepthLogarithmic(t *testing.T) {
 	for _, w := range []int64{1000, 100000, 1000000} {
 		r := search.DFS[Node](New(w, 4))
-		if int64(r.MaxDepth) > w/10 && r.MaxDepth > 200 {
-			t.Errorf("W=%d: depth %d is not logarithmic-ish", w, r.MaxDepth)
+		if int64(r.PeakStack) > w/10 && r.PeakStack > 200 {
+			t.Errorf("W=%d: peak stack %d nodes is not logarithmic-ish", w, r.PeakStack)
 		}
 	}
 }
@@ -126,9 +126,43 @@ func TestIrregularity(t *testing.T) {
 }
 
 func TestDefaultsApplied(t *testing.T) {
-	tr := &Tree{W: 100, Seed: 5} // MaxBranch and Skew zero: defaults kick in
+	tr := &Tree{W: 100, Seed: 5}
 	r := search.DFS[Node](tr)
 	if r.Expanded != 100 {
-		t.Errorf("expanded %d, want 100 with defaulted parameters", r.Expanded)
+		t.Errorf("expanded %d, want 100 from a Tree literal", r.Expanded)
+	}
+}
+
+// BenchmarkSyntheticExpand prices the tree itself: every node of a
+// 4 096-node tree, leaves included, expanded in DFS order into a buffer
+// with room.  ns/node is what the engine and the serial baseline pay per
+// simulated node to generate it; an expansion must not allocate, and the
+// benchmark fails if one does.
+func BenchmarkSyntheticExpand(b *testing.B) {
+	const sample = 4096
+	tr := New(sample, 1)
+	nodes := make([]Node, 0, sample)
+	stk := []Node{tr.Root()}
+	for len(stk) > 0 {
+		n := stk[len(stk)-1]
+		stk = stk[:len(stk)-1]
+		nodes = append(nodes, n)
+		stk = tr.Expand(n, stk)
+	}
+	buf := make([]Node, 0, maxBranch)
+	expandAll := func() {
+		for _, n := range nodes {
+			buf = tr.Expand(n, buf[:0])
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		expandAll()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/sample, "ns/node")
+	if allocs := testing.AllocsPerRun(20, expandAll); allocs != 0 {
+		b.Fatalf("%v allocs per %d expansions, want 0", allocs, sample)
 	}
 }
