@@ -512,40 +512,48 @@ func (r regrowTree) Expand(d int, buf []int) []int {
 	return buf
 }
 
-// BenchmarkExpandKernel measures one lock-step expansion cycle of the
-// word-at-a-time kernel (stack.Arena.ExpandCycle) with every PE busy, at a
-// machine that fits the host's L2, at CM-2 scale, where a cycle's sweep
-// over the per-PE stacks does not, and at lb-storm's P=65536.  One op is
-// one cycle; the steady state must not allocate, and the benchmark fails
-// if it does.
+// BenchmarkExpandKernel measures the word-at-a-time expansion kernel
+// (stack.Arena.ExpandCycle) with every PE busy, at a machine that fits the
+// host's L2, at CM-2 scale, where a cycle's sweep over the per-PE stacks
+// does not, and at lb-storm's P=65536.  One op is one call: one cycle on the
+// P=… rows, four cycles back to back on the P=…,k=4 rows, which is what a
+// search phase the stack sizes prove trigger-free runs.  The steady state
+// must not allocate, and the benchmark fails if it does.
 func BenchmarkExpandKernel(b *testing.B) {
-	for _, p := range []int{256, 8192, 65536} {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			b.ReportAllocs()
-			tree := regrowTree{depth: 12}
-			a := stack.NewArena[int](p)
-			for pe := 0; pe < p; pe++ {
-				a.PushLevel(pe, []int{0})
+	for _, k := range []int{1, 4} {
+		for _, p := range []int{256, 8192, 65536} {
+			name := fmt.Sprintf("P=%d", p)
+			if k > 1 {
+				name += fmt.Sprintf(",k=%d", k)
 			}
-			sc := new(stack.ExpandScratch[int])
-			cycle := func() {
-				if res := a.ExpandCycle(tree, 0, p, sc); res.Expanded != int64(p) {
-					b.Fatalf("expanded %d of %d PEs", res.Expanded, p)
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				tree := regrowTree{depth: 12}
+				a := stack.NewArena[int](p)
+				for pe := 0; pe < p; pe++ {
+					a.PushLevel(pe, []int{0})
 				}
-			}
-			for i := 0; i < 64; i++ { // grow every buffer to its final size
-				cycle()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cycle()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p), "ns/node")
-			if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
-				b.Fatalf("%v allocs per cycle in steady state, want 0", allocs)
-			}
-		})
+				sc := new(stack.ExpandScratch[int])
+				res := make([]stack.Expansion, k)
+				cycle := func() {
+					if a.ExpandCycle(tree, 0, p, sc, res); res[k-1].Expanded != int64(p) {
+						b.Fatalf("expanded %d of %d PEs in the last cycle", res[k-1].Expanded, p)
+					}
+				}
+				for i := 0; i < 64; i++ { // grow every buffer to its final size
+					cycle()
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					cycle()
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p*k), "ns/node")
+				if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+					b.Fatalf("%v allocs per call in steady state, want 0", allocs)
+				}
+			})
+		}
 	}
 }
 

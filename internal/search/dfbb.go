@@ -91,6 +91,10 @@ func (b *DFBB[S]) Goal(s S) bool {
 	return b.In.Offer(b.D.Cost(s))
 }
 
+// SharedState implements Shared: the incumbent the goal test lowers is
+// what Expand prunes against.
+func (*DFBB[S]) SharedState() {}
+
 // Expand implements Domain with incumbent-based pruning.
 func (b *DFBB[S]) Expand(s S, buf []S) []S {
 	start := len(buf)

@@ -21,7 +21,12 @@ import (
 
 // Domain describes a finite tree to be searched exhaustively.  Expand must
 // be safe for concurrent use by multiple goroutines; node values are plain
-// data.
+// data.  The SIMD machine expands the PEs of a cycle in any order and on any
+// goroutine, and runs a PE's cycles back to back when no load-balancing
+// phase can fall between them, so Goal and Expand may depend on nothing but
+// their node, or on state whose result is order-free (Bounded's smallest
+// pruned f is a min).  A domain whose Goal or Expand reads what another
+// node's writes implements Shared.
 type Domain[S any] interface {
 	// Root returns the root node of the tree.
 	Root() S
@@ -34,6 +39,17 @@ type Domain[S any] interface {
 	Expand(s S, buf []S) []S
 	// Goal reports whether s is a goal node.
 	Goal(s S) bool
+}
+
+// Shared is implemented by domains whose Goal or Expand reads state that
+// the Goal or Expand of another node writes, so what they return depends on
+// the order of the expansions: DFBB, whose goal test lowers the incumbent
+// its Expand prunes against.  The SIMD machine expands such a domain one
+// cycle at a time, on one goroutine, in PE order, so its runs are the same
+// for any worker count.
+type Shared interface {
+	// SharedState marks the domain; it does nothing.
+	SharedState()
 }
 
 // CostDomain additionally exposes an admissible cost estimate, enabling

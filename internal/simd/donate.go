@@ -26,26 +26,36 @@ import (
 // every shard one cycle at a time reproduces the single-machine schedule
 // exactly.
 func (m *Machine[S]) StepCycle() CycleInfo {
-	var info CycleInfo
-	m.stepCycle(&info)
-	return info
+	var info [1]CycleInfo
+	m.stepCycles(info[:])
+	return info[0]
 }
 
-// stepCycle is StepCycle into the caller's CycleInfo, field by field.
-func (m *Machine[S]) stepCycle(info *CycleInfo) {
-	res := m.expand()
-	info.Active = int(res.Expanded)
-	info.Goals = res.Goals
-	info.Peak = res.Peak
-	info.AllEmpty = m.arena.NoWork()
-	info.AnyDonor = m.arena.AnySplittable()
-	info.Fault = nil
-	switch {
-	case res.NotResident >= 0:
-		info.Fault = fmt.Errorf("simd: PE %d %w", res.NotResident, ErrNotResident)
-	case m.scratch[0].Truncated:
-		info.Fault = fmt.Errorf("simd: %w", ErrExpandTruncated)
+// stepCycles runs len(infos) cycles and fills infos[j] with cycle j.  Inside
+// a batch a PE with no node left gets none, so after a cycle every stack is
+// empty exactly when its largest is, and some PE can split exactly when the
+// largest holds two; after the last cycle the flag words say it.  A fault is
+// booked at the first cycle it happened in.
+func (m *Machine[S]) stepCycles(infos []CycleInfo) {
+	res := m.expand(len(infos))
+	for j, r := range res {
+		info := &infos[j]
+		info.Active = int(r.Expanded)
+		info.Goals = r.Goals
+		info.Peak = r.Peak
+		info.AllEmpty = r.Peak == 0
+		info.AnyDonor = r.Peak >= 2
+		info.Fault = nil
+		switch {
+		case r.NotResident >= 0:
+			info.Fault = fmt.Errorf("simd: PE %d %w", r.NotResident, ErrNotResident)
+		case r.Truncated:
+			info.Fault = fmt.Errorf("simd: %w", ErrExpandTruncated)
+		}
 	}
+	last := &infos[len(infos)-1]
+	last.AllEmpty = m.arena.NoWork()
+	last.AnyDonor = m.arena.AnySplittable()
 }
 
 // Status reports the cycle-boundary flags of an idle machine: whether all
@@ -60,7 +70,12 @@ func (m *Machine[S]) Status() (allEmpty, anyDonor bool) {
 // cycle boundary for the shard host's installs — clearing a PE, decoding a
 // payload into an idle one (wire.ArenaDecoder).  Mutating it anywhere else
 // breaks the determinism contract.
-func (m *Machine[S]) Arena() *stack.Arena[S] { return m.arena }
+// The machine stops reporting its stack sizes (Lanes.Held) until its next
+// expansion cycle.
+func (m *Machine[S]) Arena() *stack.Arena[S] {
+	m.lbCtx.held = nil
+	return m.arena
+}
 
 // TransferLocal performs one donor-to-receiver stack transfer between two
 // PEs of this machine, using the scheme's splitter exactly like a
@@ -82,6 +97,7 @@ func (m *Machine[S]) TransferLocal(from, to int) (int, error) {
 		return 0, err
 	}
 	n := m.lbCtx.splitOne(from, to)
+	m.lbCtx.held = nil
 	m.arena.SyncBits(from)
 	m.arena.SyncBits(to)
 	return n, nil

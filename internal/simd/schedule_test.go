@@ -47,14 +47,18 @@ func (l *scriptedLanes) Status(context.Context) (bool, error) {
 	return l.startEmpty, nil
 }
 
-func (l *scriptedLanes) Cycle(_ context.Context, info *CycleInfo) error {
+// Held is nil: a script has no stacks, so the loop asks for one cycle at a
+// time.
+func (l *scriptedLanes) Held() []int32 { return nil }
+
+func (l *scriptedLanes) Cycle(_ context.Context, infos []CycleInfo) error {
 	i := l.nCycle
 	l.nCycle++
 	l.log(fmt.Sprintf("cycle%d", i+1))
 	if err := l.cycleErr[i]; err != nil {
 		return err
 	}
-	*info = l.cycles[i]
+	infos[0] = l.cycles[i]
 	return nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"simdtree/internal/checkpoint"
+	"simdtree/internal/knapsack"
 	"simdtree/internal/metrics"
 	"simdtree/internal/puzzle"
 	"simdtree/internal/search"
@@ -166,4 +167,33 @@ func fastestRatio(t *testing.T, a, b pinnedRun) float64 {
 		}
 	}
 	return float64(best[0]) / float64(best[1])
+}
+
+// TestDFBBWorkersInvariant runs branch-and-bound, whose goal test lowers a
+// shared incumbent that its Expand prunes against, at Workers 1, 2 and 4,
+// three times each, and requires one W.  The order in which PEs meet the
+// incumbent decides what is pruned, so the machine expands such a domain
+// (search.Shared) in PE order on one goroutine.
+func TestDFBBWorkersInvariant(t *testing.T) {
+	const p = 4096
+	prob := knapsack.RandomCorrelated(40, 2)
+	var want int64
+	for _, workers := range []int{1, 2, 4} {
+		for run := 0; run < 3; run++ {
+			sch, err := simd.ParseScheme[knapsack.Node]("GP-DK")
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := simd.Run[knapsack.Node](search.NewDFBB[knapsack.Node](prob), sch, simd.Options{P: p, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == 0 {
+				want = st.W
+			}
+			if st.W != want {
+				t.Fatalf("Workers=%d run %d: W=%d, want %d as at Workers=1", workers, run, st.W, want)
+			}
+		}
+	}
 }

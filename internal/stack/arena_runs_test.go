@@ -128,7 +128,7 @@ func mutatorRuns[S comparable](seed int64, mk func(int) S, val func(S) int, mut 
 							ms[pe].push(vals)
 						}
 					}
-					a.ExpandCycle(planned[S]{&plan}, 0, a.P(), sc)
+					oneCycle(a, planned[S]{&plan}, 0, a.P(), sc)
 				case 11: // a snapshot restore of one PE: x becomes a copy of y
 					a.CopyPE(x, a, y)
 					*m = nil

@@ -162,11 +162,11 @@ func TestExpandKernelExactCapacity(t *testing.T) {
 		t.Fatalf("AppendLevels sized the buffer to %d, want 4", len(a.pes[0].buf))
 	}
 	sc := new(ExpandScratch[int])
-	a.ExpandCycle(fanOut{}, 0, 1, sc)
+	oneCycle(a, fanOut{}, 0, 1, sc)
 	if got := flattenPE(a, 0); fmt.Sprint(got) != "[[0 0 0] [2]]" || &a.pes[0].buf[0] != first || len(a.pes[0].buf) != 4 {
 		t.Fatalf("exact fit: levels %v in a buffer of %d (moved: %v)", got, len(a.pes[0].buf), &a.pes[0].buf[0] != first)
 	}
-	a.ExpandCycle(fanOut{}, 0, 1, sc)
+	oneCycle(a, fanOut{}, 0, 1, sc)
 	if got := flattenPE(a, 0); fmt.Sprint(got) != "[[0 0 0] [0 0]]" || len(a.pes[0].buf) < 5 {
 		t.Fatalf("one past capacity: levels %v in a buffer of %d", got, len(a.pes[0].buf))
 	}
@@ -193,11 +193,11 @@ func TestExpandKernelLeavesHome(t *testing.T) {
 		t.Fatalf("a first push of 7 nodes is not in the home window (buffer capacity %d)", cap(a.pes[1].buf))
 	}
 	sc := new(ExpandScratch[int])
-	a.ExpandCycle(fanOut{}, 0, 3, sc)
+	oneCycle(a, fanOut{}, 0, 3, sc)
 	if got := flattenPE(a, 1); fmt.Sprint(got) != "[[0 0 0 0 0 0] [2 2]]" || &a.pes[1].buf[0] != &win[0] {
 		t.Fatalf("exact fit: levels %v (left home: %v)", got, &a.pes[1].buf[0] != &win[0])
 	}
-	a.ExpandCycle(fanOut{}, 0, 3, sc)
+	oneCycle(a, fanOut{}, 0, 3, sc)
 	if got := flattenPE(a, 1); fmt.Sprint(got) != "[[0 0 0 0 0 0] [2] [0 0]]" || &a.pes[1].buf[0] == &win[0] {
 		t.Fatalf("one past the window: levels %v (still home: %v)", got, &a.pes[1].buf[0] == &win[0])
 	}
@@ -225,7 +225,7 @@ func TestExpandKernelBottomRemovalReclaimsSpace(t *testing.T) {
 	cycle := func() {
 		// A binary node under every pop, one bottom node out: the size holds.
 		a.pes[0].buf[a.pes[0].head+a.pes[0].size-1] = 2
-		a.ExpandCycle(fanOut{}, 0, 1, sc)
+		oneCycle(a, fanOut{}, 0, 1, sc)
 		_, ok := a.removeBottomRaw(0)
 		a.SyncBits(0)
 		if !ok || a.Size(0) != 6 {
@@ -264,8 +264,8 @@ func TestExpandKernelTruncated(t *testing.T) {
 		a.PushLevel(pe, []int{4, 5, 6 + pe%2}) // PE 1 pops the 7
 	}
 	sc := new(ExpandScratch[int])
-	if res := a.ExpandCycle(shortExpand{}, 0, 3, sc); !sc.Truncated || res.Expanded != 3 {
-		t.Fatalf("got %+v, truncated %v: want three expansions, one of them truncated", res, sc.Truncated)
+	if res := oneCycle(a, shortExpand{}, 0, 3, sc); !res.Truncated || res.Expanded != 3 {
+		t.Fatalf("got %+v: want three expansions, one of them truncated", res)
 	}
 	want := []string{"[[4 5] [0]]", "[[4 5]]", "[[4 5] [0]]"}
 	for pe := 0; pe < 3; pe++ {

@@ -82,7 +82,7 @@ func kernelCycle[S any](a *Arena[S], d Expander[S], shards [][2]int, scratch []*
 		wg.Add(1)
 		go func(i int, lo, hi int) {
 			defer wg.Done()
-			parts[i] = a.ExpandCycle(d, lo, hi, scratch[i])
+			parts[i] = oneCycle(a, d, lo, hi, scratch[i])
 		}(i, sh[0], sh[1])
 	}
 	wg.Wait()
@@ -229,7 +229,7 @@ func TestExpandKernelNotResident(t *testing.T) {
 	}
 	a.DropBottom(5, a.ResidentDepth(5))
 	a.DropBottom(66, a.ResidentDepth(66))
-	res := a.ExpandCycle(fanDomain{maxDepth: 3}, 0, 70, new(ExpandScratch[int]))
+	res := oneCycle(a, fanDomain{maxDepth: 3}, 0, 70, new(ExpandScratch[int]))
 	if res.NotResident != 5 || res.Expanded != 1 {
 		t.Fatalf("got %+v, want NotResident 5 and one expansion (PE 3)", res)
 	}
@@ -240,4 +240,178 @@ func TestExpandKernelNotResident(t *testing.T) {
 		}
 	}
 	checkBits(t, a)
+}
+
+// oneCycle runs one cycle through the kernel and returns its reduction.
+func oneCycle[S any](a *Arena[S], d Expander[S], lo, hi int, sc *ExpandScratch[S]) Expansion {
+	var res [1]Expansion
+	a.ExpandCycle(d, lo, hi, sc, res[:])
+	return res[0]
+}
+
+// kernelBatch runs k cycles in one kernel call per shard, concurrently, and
+// reduces them cycle by cycle in shard order, summing the histograms.
+func kernelBatch[S any](a *Arena[S], d Expander[S], shards [][2]int, scratch []*ExpandScratch[S], k int) ([]Expansion, [MaxBatch + 1]int32) {
+	parts := make([][]Expansion, len(shards))
+	var wg sync.WaitGroup
+	for i, sh := range shards {
+		parts[i] = make([]Expansion, k)
+		wg.Add(1)
+		go func(i int, lo, hi int) {
+			defer wg.Done()
+			a.ExpandCycle(d, lo, hi, scratch[i], parts[i])
+		}(i, sh[0], sh[1])
+	}
+	wg.Wait()
+	res := parts[0]
+	var held [MaxBatch + 1]int32
+	for i := range parts {
+		if i > 0 {
+			for j := range res {
+				res[j].Merge(parts[i][j])
+			}
+		}
+		for s, n := range scratch[i].Held {
+			held[s] += n
+		}
+	}
+	return res, held
+}
+
+// TestExpandKernelBatch: k cycles in one call, each PE running its cycles
+// back to back, leave the arena, the flag words and every cycle's reduction
+// exactly as k one-cycle calls do, over word and shard boundaries; the size
+// histogram counts the final size of every PE that had work.  A PE whose
+// window empties onto evicted levels mid-batch is reported at the cycle it
+// could not pop in, as the one-cycle kernel reports it.
+func TestExpandKernelBatch(t *testing.T) {
+	for _, p := range []int{1, 65, 200, 4096} {
+		for _, workers := range []int{1, 3} {
+			for _, k := range []int{1, 2, 5, MaxBatch} {
+				for _, ghosts := range []bool{false, true} {
+					shards := wordShards(p, workers)
+					t.Run(fmt.Sprintf("P=%d/shards=%d/k=%d/ghosts=%v", p, len(shards), k, ghosts), func(t *testing.T) {
+						batchTwins(t, p, shards, k, ghosts)
+					})
+				}
+			}
+		}
+	}
+}
+
+func batchTwins(t *testing.T, p int, shards [][2]int, k int, ghosts bool) {
+	d := fanDomain{maxDepth: 12}
+	b, o := NewArena[int](p), NewArena[int](p)
+	for pe := 0; pe < p; pe++ {
+		if pe%3 != 1 {
+			for _, a := range []*Arena[int]{b, o} {
+				a.PushLevel(pe, []int{int(mix(uint64(pe))>>24) << 8, int(mix(uint64(pe+p))>>24) << 8})
+			}
+		}
+	}
+	scratch := make([]*ExpandScratch[int], len(shards))
+	for i := range scratch {
+		scratch[i] = new(ExpandScratch[int])
+	}
+	sc := new(ExpandScratch[int])
+	for round := 0; round < 12 && !o.NoWork(); round++ {
+		if ghosts {
+			// Evict everything below the top level of every fourth PE: it
+			// pops its top level dry within the batch and then stalls.
+			for pe := round % 4; pe < p; pe += 4 {
+				if rd := b.ResidentDepth(pe); rd >= 2 {
+					b.DropBottom(pe, rd-1)
+					o.DropBottom(pe, rd-1)
+				}
+			}
+		}
+		touched := make([]bool, p)
+		for pe := range touched {
+			touched[pe] = b.Resident(pe) > 0
+		}
+		got, held := kernelBatch(b, d, shards, scratch, k)
+		fault := k
+		for j := 0; j < k; j++ {
+			want := oneCycle(o, d, 0, p, sc)
+			if got[j] != want {
+				t.Fatalf("round %d cycle %d: batch %+v, one cycle at a time %+v", round, j, got[j], want)
+			}
+			if want.NotResident >= 0 {
+				fault = j
+				break
+			}
+		}
+		for j := fault + 1; j < k; j++ {
+			oneCycle(o, d, 0, p, sc) // the stalled PEs stay stalled; the rest go on
+		}
+		sameArenas(t, b, o, fmt.Sprintf("after round %d", round))
+		var want [MaxBatch + 1]int32
+		for pe, tc := range touched {
+			if tc {
+				want[min(b.Size(pe), MaxBatch)]++
+			}
+		}
+		if held != want {
+			t.Fatalf("round %d: histogram %v, want %v", round, held, want)
+		}
+		if fault < k {
+			// Restore every stalled PE, as the fault barrier would.
+			for pe := 0; pe < p; pe++ {
+				if b.Resident(pe) == 0 && b.Ghost(pe) > 0 {
+					for _, a := range []*Arena[int]{b, o} {
+						nodes := make([]int, a.Ghost(pe))
+						counts := make([]int, a.GhostLevels(pe))
+						for i := range counts {
+							counts[i] = 1
+						}
+						counts[len(counts)-1] += len(nodes) - len(counts)
+						a.PrependLevels(pe, nodes, counts)
+					}
+				}
+			}
+		}
+	}
+}
+
+// countDown is a chain: node s has the one successor s-1, and 7 breaks the
+// Expand contract by handing back less than it was given.
+type countDown struct{}
+
+func (countDown) Goal(int) bool { return false }
+
+func (countDown) Expand(s int, buf []int) []int {
+	switch {
+	case s == 7 && len(buf) > 0:
+		return buf[:len(buf)-1]
+	case s > 0:
+		return append(buf, s-1)
+	}
+	return buf
+}
+
+// TestExpandKernelBatchTruncated: a PE whose Expand breaks the contract
+// stops at that cycle, which is the cycle the batch reports it in; the
+// cycles before it are the one-cycle kernel's.
+func TestExpandKernelBatchTruncated(t *testing.T) {
+	b, o := NewArena[int](3), NewArena[int](3)
+	for _, a := range []*Arena[int]{b, o} {
+		a.PushLevel(0, []int{5})
+		a.PushLevel(1, []int{3, 9}) // pops the 7 in its third cycle
+		a.PushLevel(2, []int{6})
+	}
+	res := make([]Expansion, 4)
+	b.ExpandCycle(countDown{}, 0, 3, new(ExpandScratch[int]), res)
+	sc := new(ExpandScratch[int])
+	for j := 0; j < 3; j++ {
+		if want := oneCycle(o, countDown{}, 0, 3, sc); res[j] != want {
+			t.Fatalf("cycle %d: batch %+v, one cycle at a time %+v", j, res[j], want)
+		}
+	}
+	if res[0].Truncated || res[1].Truncated || !res[2].Truncated || res[3].Expanded != 2 {
+		t.Fatalf("got %+v, want truncation at cycle 2 only and two PEs in cycle 3", res)
+	}
+	if got := fmt.Sprint(flattenPE(b, 1)); got != "[[3]]" {
+		t.Errorf("the truncating PE holds %s, want [[3]]: it stops where its Expand broke", got)
+	}
+	checkBits(t, b)
 }

@@ -270,9 +270,23 @@ func (l lanes) Status(ctx context.Context) (bool, error) {
 	return allEmpty, nil
 }
 
-// Cycle steps every shard one cycle concurrently and reduces the results
-// in shard order.
-func (l lanes) Cycle(ctx context.Context, sum *simd.CycleInfo) error {
+// Held is nil: the shards do not report their stack sizes, so the loop
+// steps them one cycle a call.
+func (lanes) Held() []int32 { return nil }
+
+// Cycle steps every shard len(infos) times, one cycle at a time.
+func (l lanes) Cycle(ctx context.Context, infos []simd.CycleInfo) error {
+	for j := range infos {
+		if err := l.step(ctx, &infos[j]); err != nil || infos[j].Fault != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// step steps every shard one cycle concurrently and reduces the results in
+// shard order.
+func (l lanes) step(ctx context.Context, sum *simd.CycleInfo) error {
 	d := l.d
 	d.each(func(i int, sh Shard) { d.infos[i], d.stepErrs[i] = sh.Step(ctx) })
 
