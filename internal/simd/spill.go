@@ -35,6 +35,7 @@ type Spiller[S any] interface {
 // donation reads the true bottom of the stack.
 func (m *Machine[S]) SetSpiller(sp Spiller[S]) {
 	m.spiller = sp
+	m.lbCtx.held = nil // a memory-bounded machine expands one cycle a call
 	if sp == nil {
 		m.lbCtx.faultDonor = nil
 		return
