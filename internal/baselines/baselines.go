@@ -64,11 +64,12 @@ func (GiveOneBalancer[S]) Name() string { return "give-one" }
 // Balance implements simd.Balancer.
 func (GiveOneBalancer[S]) Balance(c *simd.Context[S]) (rounds, transfers int) {
 	// Receivers and donors as at phase start: nothing has moved yet.
+	a := c.Arena
 	var receivers, donors []int
-	for i := 0; i < c.P(); i++ {
-		if c.Empty(i) {
+	for i := 0; i < a.P(); i++ {
+		if a.Empty(i) {
 			receivers = append(receivers, i)
-		} else if c.Splittable(i) {
+		} else if a.Splittable(i) {
 			donors = append(donors, i)
 		}
 	}
@@ -82,7 +83,7 @@ func (GiveOneBalancer[S]) Balance(c *simd.Context[S]) (rounds, transfers int) {
 		served := false
 		for tries := 0; tries < len(donors); tries++ {
 			d := donors[(di+tries)%len(donors)]
-			if c.Splittable(d) {
+			if a.Splittable(d) {
 				if c.Transfer(d, r) > 0 {
 					transfers++
 					served = true
@@ -121,13 +122,14 @@ func (NNBalancer[S]) Name() string { return "nearest-neighbour" }
 
 // Balance implements simd.Balancer.
 func (NNBalancer[S]) Balance(c *simd.Context[S]) (rounds, transfers int) {
-	p := c.P()
+	a := c.Arena
+	p := a.P()
 	for i := 0; i < p; i++ {
-		if !c.Empty(i) {
+		if !a.Empty(i) {
 			continue
 		}
 		for _, n := range c.Topo.Neighbors(p, i) {
-			if c.Splittable(n) {
+			if a.Splittable(n) {
 				if c.Transfer(n, i) > 0 {
 					transfers++
 				}

@@ -12,8 +12,9 @@ import (
 // Context exposes the machine state a Balancer manipulates during a
 // load-balancing phase.  The PE stacks live in a structure-of-arrays
 // Arena; donor/receiver eligibility is read from its can-split and
-// has-work bitsets (O(P/64) to scan) or via the per-PE Splittable/Empty
-// accessors.  Transfers must go through Transfer (or, for a whole
+// has-work bitsets (O(P/64) to scan) or via its per-PE Splittable and
+// Empty, which unlike the bitsets are fresh even between the transfers of
+// an in-progress round.  Transfers must go through Transfer (or, for a whole
 // matching round at once, TransferAll) so the engine can account for them
 // and keep the bitsets in sync.  The engine keeps one Context per machine
 // and resets it between phases, so the scratch below (flag buffers,
@@ -48,17 +49,6 @@ type Context[S any] struct {
 	curPairs     []scan.Pair
 	taskTransfer func(w int)
 
-	// held is the stack-size histogram Lanes.Held reports: held[s] PEs hold
-	// s nodes, the last bucket MaxBatch or more.  The expansion kernel
-	// fills it (setHeld) and account keeps it across a phase by moving each
-	// transfer's donor and receiver between buckets.  It is nil — unknown —
-	// after anything else changed a stack, until the next expansion:
-	// RestoreSnapshot, TransferLocal, an install through Machine.Arena.  A
-	// machine that expands one cycle a call anyway (a spiller, a
-	// search.Shared domain) never fills it.
-	held    []int32
-	heldBuf [stack.MaxBatch + 1]int32
-
 	// faultDonor, when non-nil (memory-bounded run), makes a donor PE
 	// fully resident before its stack is split: bottom-node donation
 	// reads the true bottom of the stack, which may be evicted.  It is
@@ -77,17 +67,6 @@ func (c *Context[S]) reset(recordDonors bool) {
 	c.recordDonors = recordDonors
 	c.donors = nil
 }
-
-// P returns the machine size.
-func (c *Context[S]) P() int { return c.Arena.P() }
-
-// Splittable reports that PE i can donate (at least two stack nodes);
-// unlike the bitsets it is always fresh, even between the transfers of an
-// in-progress round.
-func (c *Context[S]) Splittable(i int) bool { return c.Arena.Splittable(i) }
-
-// Empty reports that PE i has no work; always fresh like Splittable.
-func (c *Context[S]) Empty(i int) bool { return c.Arena.Empty(i) }
 
 // busyBits returns the donor-eligibility bitset: bit i set when PE i can
 // split its work into two non-empty parts (the paper's "busy").  It is
@@ -141,38 +120,14 @@ func (c *Context[S]) splitOne(from, to int) int {
 	return c.movedOne[0]
 }
 
-// setHeld sums the size histograms of the kernel calls of one expansion
-// into held; the PEs no call expanded hold nothing.
-func (c *Context[S]) setHeld(scratch []*stack.ExpandScratch[S]) {
-	h := &c.heldBuf
-	*h = scratch[0].Held
-	for _, sc := range scratch[1:] {
-		for s, n := range sc.Held {
-			h[s] += n
-		}
-	}
-	var expanded int32
-	for _, n := range h {
-		expanded += n
-	}
-	h[0] += int32(c.Arena.P()) - expanded
-	c.held = h[:]
-}
-
 // account re-syncs the bitsets of a pair that moved n nodes and books it
-// into the phase (transfer count, maximum transfer size, donor trace, the
-// size histogram); it reports whether the pair moved work.  Sequential
-// code only.
+// into the phase (transfer count, maximum transfer size, donor trace); it
+// reports whether the pair moved work.  Sequential code only.
 func (c *Context[S]) account(p scan.Pair, n int) bool {
 	c.Arena.SyncBits(p.From)
 	c.Arena.SyncBits(p.To)
 	if n == 0 {
 		return false
-	}
-	if c.held != nil {
-		from, to := c.Arena.Size(p.From), c.Arena.Size(p.To)
-		c.reHold(from+n, from)
-		c.reHold(to-n, to)
 	}
 	c.transfers++
 	if n > c.maxTransfer {
@@ -182,13 +137,6 @@ func (c *Context[S]) account(p scan.Pair, n int) bool {
 		c.donors = append(c.donors, p.From)
 	}
 	return true
-}
-
-// reHold moves one PE from the histogram bucket of size was to that of is.
-func (c *Context[S]) reHold(was, is int) {
-	last := len(c.held) - 1
-	c.held[min(was, last)]--
-	c.held[min(is, last)]++
 }
 
 // Transfer splits the stack of processor from and appends the donated part
@@ -300,7 +248,7 @@ func (b *MatchBalancer[S]) Reset() { b.Matcher.Reset() }
 // bitsets so the setup enumerations visit only set bits.
 func (b *MatchBalancer[S]) Balance(c *Context[S]) (rounds, transfers int) {
 	for {
-		pairs := b.Matcher.MatchBits(c.busyBits(), c.idleBits(), c.P())
+		pairs := b.Matcher.MatchBits(c.busyBits(), c.idleBits(), c.Arena.P())
 		if len(pairs) == 0 {
 			if rounds == 0 {
 				rounds = 1 // the phase still pays its setup scans

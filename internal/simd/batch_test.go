@@ -310,3 +310,128 @@ func TestHorizonNeverFiresEarly(t *testing.T) {
 		}
 	}
 }
+
+// TestHorizonEarlyOut: the early-out that spares the size scan when the
+// trigger fires after one cycle whatever the sizes, given at most busy PEs
+// with work, never changes the horizon, never decides on a bound of P, and
+// spares the scan in some trials.
+func TestHorizonEarlyOut(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	const ucalc = 30 * time.Millisecond
+	spared := 0
+	for trial := 0; trial < 3000; trial++ {
+		p := 1 + rng.IntN(300)
+		trig := []trigger.Trigger{trigger.Static{X: rng.Float64()}, trigger.DK{}, trigger.DKGamma{Gamma: 0.1 + 3*rng.Float64()}, trigger.DP{}, trigger.AnyIdle{}}[rng.IntN(5)]
+		held := make([]int32, stack.MaxBatch+1)
+		for range p {
+			s := rng.IntN(stack.MaxBatch + 5)
+			if trial%4 == 0 { // every PE busy: the bound is P and says nothing
+				s++
+			} else if rng.IntN(3) == 0 {
+				s = 0
+			}
+			held[min(s, stack.MaxBatch)]++
+		}
+		cycles := rng.IntN(20)
+		var busy int
+		for range cycles {
+			busy += rng.IntN(p + 1)
+		}
+		ledger := simd.Ledger{
+			InitDone:     true,
+			PhaseCycles:  cycles,
+			PhaseElapsed: time.Duration(cycles) * ucalc,
+			PhaseWork:    time.Duration(busy) * ucalc,
+			PhaseIdle:    time.Duration(cycles*p-busy) * ucalc,
+			EstLB:        time.Duration(rng.IntN(200)) * time.Millisecond,
+		}
+		want := simd.Horizon(p, trig, ledger, held)
+		h1 := p - int(held[0])
+		for _, bound := range []int{h1, h1 + rng.IntN(p-h1+1)} {
+			k, read := simd.HorizonBusy(p, trig, ledger, held, bound)
+			if k != want {
+				t.Fatalf("trial %d (%s, P=%d, held %v, ledger %+v): horizon %d with at most %d PEs busy, %d without the bound",
+					trial, trig.Name(), p, held, ledger, k, bound, want)
+			}
+			if !read && h1 == p {
+				t.Fatalf("trial %d (%s, P=%d): the early-out decided with every PE busy, where a bound of P says nothing", trial, trig.Name(), p)
+			}
+			if !read {
+				spared++
+			}
+		}
+	}
+	if spared == 0 {
+		t.Fatal("the early-out never spared the scan")
+	}
+	t.Logf("the early-out spared %d of 6000 scans", spared)
+}
+
+// TestHeldAfterInstalls: a machine's Lanes.Held is the size histogram of its
+// stacks right after a read through Machine.Arena, a TransferLocal and a
+// RestoreSnapshot, as after a cycle: the stacks are the one record of their
+// sizes, so no way of changing them leaves the machine unable to batch.
+func TestHeldAfterInstalls(t *testing.T) {
+	sch, err := simd.ParseScheme[synthetic.Node]("GP-DK")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := simd.NewMachine[synthetic.Node](synthetic.New(200000, 9), sch, simd.Options{P: 256, MaxCycles: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RunContext(context.Background()); !errors.Is(err, simd.ErrBudgetExceeded) {
+		t.Fatalf("the run ended with %v, want it stopped mid-way by MaxCycles", err)
+	}
+	lanes, a := simd.MachineLanes(m), m.Arena()
+	check := func(when string) {
+		t.Helper()
+		got := lanes.Held()
+		if got == nil {
+			t.Fatalf("%s: Held is nil", when)
+		}
+		want := make([]int32, stack.MaxBatch+1)
+		for pe := 0; pe < a.P(); pe++ {
+			want[min(a.Size(pe), stack.MaxBatch)]++
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Held %v, the stacks hold %v", when, got, want)
+		}
+		if want[0] == int32(a.P()) {
+			t.Fatalf("%s: every stack is empty, the check shows nothing", when)
+		}
+	}
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m.StepCycle()
+	check("after a cycle")
+	m.Arena()
+	check("after Machine.Arena")
+
+	m.StepCycle()
+	from, to := -1, -1
+	for pe := 0; pe < a.P(); pe++ {
+		switch {
+		case from < 0 && a.Splittable(pe):
+			from = pe
+		case to < 0 && a.Empty(pe):
+			to = pe
+		}
+	}
+	if from < 0 || to < 0 {
+		t.Fatalf("no donor (%d) or no idle PE (%d) to transfer between", from, to)
+	}
+	if n, err := m.TransferLocal(from, to); err != nil || n == 0 {
+		t.Fatalf("TransferLocal(%d, %d) moved %d nodes: %v", from, to, n, err)
+	}
+	check("after TransferLocal")
+
+	m.StepCycle()
+	if err := m.RestoreSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	check("after RestoreSnapshot")
+}

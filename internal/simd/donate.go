@@ -58,24 +58,12 @@ func (m *Machine[S]) stepCycles(infos []CycleInfo) {
 	last.AnyDonor = m.arena.AnySplittable()
 }
 
-// Status reports the cycle-boundary flags of an idle machine: whether all
-// stacks are empty and whether any PE could donate.  A freshly installed
-// shard reads it before its first driven cycle.
-func (m *Machine[S]) Status() (allEmpty, anyDonor bool) {
-	return m.arena.NoWork(), m.arena.AnySplittable()
-}
-
 // Arena exposes the machine's stack storage: for inspection (flag scans,
 // serialisation via wire.EncodeArena) at any quiescent point, and at a
 // cycle boundary for the shard host's installs — clearing a PE, decoding a
 // payload into an idle one (wire.ArenaDecoder).  Mutating it anywhere else
 // breaks the determinism contract.
-// The machine stops reporting its stack sizes (Lanes.Held) until its next
-// expansion cycle.
-func (m *Machine[S]) Arena() *stack.Arena[S] {
-	m.lbCtx.held = nil
-	return m.arena
-}
+func (m *Machine[S]) Arena() *stack.Arena[S] { return m.arena }
 
 // TransferLocal performs one donor-to-receiver stack transfer between two
 // PEs of this machine, using the scheme's splitter exactly like a
@@ -97,7 +85,6 @@ func (m *Machine[S]) TransferLocal(from, to int) (int, error) {
 		return 0, err
 	}
 	n := m.lbCtx.splitOne(from, to)
-	m.lbCtx.held = nil
 	m.arena.SyncBits(from)
 	m.arena.SyncBits(to)
 	return n, nil

@@ -20,11 +20,36 @@ func RunThrough[S any](ctx context.Context, m *Machine[S], wrap func(Lanes) Lane
 	return m.sched.Stats, err
 }
 
+// heldLanes is a Lanes that reports only the stack sizes it was built with,
+// and counts the calls.
+type heldLanes struct {
+	Lanes
+	held  []int32
+	reads *int
+}
+
+func (l heldLanes) Held() []int32 {
+	*l.reads++
+	return l.held
+}
+
 // Horizon is the batch the loop asks for at a boundary with the ledger l
 // and the stack sizes held, under trigger trig on P PEs.
 func Horizon(p int, trig trigger.Trigger, l Ledger, held []int32) int {
+	k, _ := HorizonBusy(p, trig, l, held, p)
+	return k
+}
+
+// HorizonBusy is Horizon at a boundary where at most busy PEs hold work; it
+// also reports whether the loop read the stack sizes.
+func HorizonBusy(p int, trig trigger.Trigger, l Ledger, held []int32, busy int) (k int, read bool) {
 	s := NewSchedule(Options{P: p}, trig, false)
 	s.Ledger = l
 	s.Stats.P = p
-	return s.horizon(held)
+	var reads int
+	k = s.horizon(heldLanes{held: held, reads: &reads}, busy)
+	return k, reads > 0
 }
+
+// MachineLanes returns the Lanes RunContext runs m over.
+func MachineLanes[S any](m *Machine[S]) Lanes { return machineLanes[S]{m} }

@@ -130,7 +130,8 @@ type Machine[S any] struct {
 	scratch    []*stack.ExpandScratch[S]
 	taskExpand func(w int)
 	batch      int
-	lastBusy   int // PEs the previous cycle expanded: what expand sizes this batch by
+	lastBusy   int                       // PEs the previous cycle expanded: what expand sizes this batch by
+	held       [stack.MaxBatch + 1]int32 // Lanes.Held's histogram, read off the arena
 
 	// shared is set for a search.Shared domain: one cycle a call, expanded
 	// on the calling goroutine in PE order.
@@ -344,11 +345,17 @@ type machineLanes[S any] struct{ m *Machine[S] }
 
 func (l machineLanes[S]) Status(context.Context) (bool, error) { return l.m.arena.NoWork(), nil }
 
-// Held is the size histogram the last expansion left and the balancing
-// phase kept: nil for a memory-bounded machine and a search.Shared domain,
-// which expand one cycle a call, and after anything else changed a stack
-// (see Context.held).
-func (l machineLanes[S]) Held() []int32 { return l.m.lbCtx.held }
+// Held reads the stack-size histogram off the arena (stack.Arena.Held).  It
+// is nil for a memory-bounded machine and a search.Shared domain, which
+// expand one cycle a call.
+func (l machineLanes[S]) Held() []int32 {
+	m := l.m
+	if m.spiller != nil || m.shared {
+		return nil
+	}
+	m.arena.Held(&m.held)
+	return m.held[:]
+}
 
 // Cycle restores the stranded stack tops of a memory-bounded machine, then
 // expands; a fault error latched inside the previous balancing phase
@@ -397,12 +404,9 @@ var ErrExpandTruncated = errors.New("Expand returned fewer elements than it was 
 // kernel over the whole machine or, when the batch is big enough to repay
 // waking the pool, one per shard, reduced cycle by cycle in shard order
 // (every shard starts on a multiple of 64, which is what lets concurrent
-// shards store whole flag words).  Either way it leaves the stack-size
-// histogram in the balancing context, unless the machine expands one cycle a
-// call anyway.
+// shards store whole flag words).
 func (m *Machine[S]) expand(k int) []stack.Expansion {
 	res := m.cycleRes[0][:k]
-	shards := 1
 	if m.parReady == nil || m.lastBusy*k < m.workers*poolShardMin {
 		m.arena.ExpandCycle(m.d, 0, m.opts.P, m.scratch[0], res)
 	} else {
@@ -413,12 +417,8 @@ func (m *Machine[S]) expand(k int) []stack.Expansion {
 				res[j].Merge(m.cycleRes[w][j])
 			}
 		}
-		shards = m.workers
 	}
 	m.lastBusy = int(res[k-1].Expanded)
-	if m.spiller == nil && !m.shared {
-		m.lbCtx.setHeld(m.scratch[:shards])
-	}
 	return res
 }
 

@@ -26,7 +26,8 @@ type Lanes interface {
 	// Held reports the stack sizes at this cycle boundary: held[s] PEs
 	// hold s nodes, and the last bucket counts the PEs that hold
 	// len(held)-1 or more.  It returns nil when the lanes cannot say, and
-	// then the loop asks for one cycle at a time.
+	// then the loop asks for one cycle at a time.  The loop asks only at a
+	// boundary where the trigger and the run's options allow a batch.
 	Held() []int32
 	// Cycle runs len(infos) lock-step node-expansion cycles (for a
 	// memory-bounded machine, the fault barrier first) and fills infos[j]
@@ -233,6 +234,9 @@ func (s *Schedule) Run(ctx context.Context, l Lanes) error {
 	if err != nil {
 		return err
 	}
+	// busy bounds the PEs that hold work at the boundary: the last cycle's
+	// Active, plus the receivers of a phase after it; P when unknown.
+	busy := s.Stats.P
 	for {
 		if allEmpty {
 			s.InitDone = true
@@ -257,13 +261,13 @@ func (s *Schedule) Run(ctx context.Context, l Lanes) error {
 				return err
 			}
 		}
-		infos := s.infos[:s.horizon(l.Held())]
+		infos := s.infos[:s.horizon(l, busy)]
 		if err := l.Cycle(ctx, infos); err != nil {
 			return err
 		}
 		for j := range infos {
 			info := &infos[j]
-			allEmpty = info.AllEmpty
+			allEmpty, busy = info.AllEmpty, info.Active
 			s.bookCycle(info)
 			if info.Fault != nil {
 				return fmt.Errorf("%w at cycle %d", info.Fault, s.Stats.Cycles)
@@ -296,6 +300,7 @@ func (s *Schedule) Run(ctx context.Context, l Lanes) error {
 					return err
 				}
 				s.bookPhase(ph, init)
+				busy += ph.Transfers
 			}
 			if err := l.EndCycle(); err != nil {
 				return err
@@ -308,7 +313,7 @@ func (s *Schedule) Run(ctx context.Context, l Lanes) error {
 }
 
 // horizon is how many cycles the loop may run before it next evaluates the
-// trigger for real: the first cycle at which the stack sizes held allow it
+// trigger for real: the first cycle at which the stack sizes l holds allow it
 // to fire, or the batch limit.  A PE that holds s nodes pops one a cycle and
 // gets none from others until the next phase, so it is busy for at least s
 // cycles, and no PE that holds none gets work.  With h(m) the PEs that hold
@@ -318,10 +323,14 @@ func (s *Schedule) Run(ctx context.Context, l Lanes) error {
 // trigger is asked at that corner, which bounds it only when it is monotone
 // in those fields — the built-in five are — and not when A = P, where the
 // balance gate is shut.  It is 1 during the initial distribution, when the
-// run stops at its first goal, when Held is nil, for any other trigger, and
-// the batch ends on a checkpoint cycle, a progress tick and MaxCycles.
-func (s *Schedule) horizon(held []int32) int {
-	if len(held) < 2 || !s.InitDone || s.stopAtFirstGoal {
+// run stops at its first goal, for any other trigger and when Held is nil,
+// and the batch ends on a checkpoint cycle, a progress tick and MaxCycles.
+// Held is asked last, so a boundary that cannot batch costs no scan: first
+// the trigger is asked after one cycle at the corner least likely to fire
+// that at most busy PEs with work allow (A = busy, w_idle and w smallest),
+// and if it fires even there the batch is one cycle.
+func (s *Schedule) horizon(l Lanes, busy int) int {
+	if !s.InitDone || s.stopAtFirstGoal {
 		return 1
 	}
 	switch s.trigger.(type) {
@@ -329,7 +338,7 @@ func (s *Schedule) horizon(held []int32) int {
 	default:
 		return 1
 	}
-	k := min(len(held)-1, len(s.infos))
+	k := len(s.infos)
 	cycles := s.Stats.Cycles
 	if s.maxCycles > 0 {
 		k = min(k, s.maxCycles-cycles)
@@ -340,6 +349,22 @@ func (s *Schedule) horizon(held []int32) int {
 	if s.progress != nil {
 		k = min(k, s.progressEvery-cycles%s.progressEvery)
 	}
+	if k <= 1 {
+		return 1
+	}
+	p, ucalc := s.Stats.P, s.costs.NodeExpansion
+	st := trigger.State{P: p, Cycles: s.PhaseCycles, Elapsed: s.PhaseElapsed, Work: s.PhaseWork, Idle: s.PhaseIdle, EstLB: s.EstLB}
+	first := st
+	first.Active, first.Cycles, first.Elapsed = busy, st.Cycles+1, st.Elapsed+ucalc
+	first.Idle += time.Duration(p-busy) * ucalc
+	if busy < p && s.trigger.ShouldBalance(first) {
+		return 1
+	}
+	held := l.Held()
+	if len(held) < 2 {
+		return 1
+	}
+	k = min(k, len(held)-1)
 	// h[m-1] = h(m): the PEs that hold at least m nodes.
 	var h [stack.MaxBatch]int
 	at := 0
@@ -349,8 +374,6 @@ func (s *Schedule) horizon(held []int32) int {
 			h[m-1] = at
 		}
 	}
-	p, ucalc := s.Stats.P, s.costs.NodeExpansion
-	st := trigger.State{P: p, Cycles: s.PhaseCycles, Elapsed: s.PhaseElapsed, Work: s.PhaseWork, Idle: s.PhaseIdle, EstLB: s.EstLB}
 	for j := 0; j < k-1; j++ {
 		st.Active = h[j]
 		st.Cycles++

@@ -123,7 +123,6 @@ func (m *Machine[S]) RestoreSnapshot(snap *Snapshot[S]) error {
 	for pe := 0; pe < m.opts.P; pe++ {
 		m.arena.CopyPE(pe, snap.Stacks, pe)
 	}
-	m.lbCtx.held = nil
 	m.sched.Ledger = snap.Ledger
 	m.sched.Stats.Cancelled = false
 	m.setMatcherPointer(snap.MatcherPointer)

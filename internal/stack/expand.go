@@ -17,8 +17,31 @@ type Expander[S any] interface {
 }
 
 // MaxBatch is the most cycles one ExpandCycle call runs, and the last
-// bucket of the size histogram it fills (ExpandScratch.Held).
+// bucket of the size histogram Held fills.
 const MaxBatch = 16
+
+// Held fills h with the stack-size histogram at a quiescent point: h[s] PEs
+// hold s nodes, resident and ghost, and h[MaxBatch] counts those that hold
+// MaxBatch or more.  It walks the has-work words, so an idle PE costs one
+// bit.  The counts go into four rows by PE index mod 4, summed at the end,
+// so neighbouring PEs of one size do not chain their increments.
+func (a *Arena[S]) Held(h *[MaxBatch + 1]int32) {
+	var rows [4][MaxBatch + 1]int32
+	for wi, w := range a.work {
+		base := wi << 6
+		for ; w != 0; w &= w - 1 {
+			pe := base + bits.TrailingZeros64(w)
+			p := &a.pes[pe]
+			rows[pe&3][min(p.size+p.ghost, MaxBatch)]++
+		}
+	}
+	var busy int32
+	for s := range h {
+		h[s] = rows[0][s] + rows[1][s] + rows[2][s] + rows[3][s]
+		busy += h[s]
+	}
+	h[0] += int32(len(a.pes)) - busy
+}
 
 // Expansion is the reduction of one lock-step expansion cycle over a range
 // of PEs.
@@ -52,14 +75,11 @@ func (e *Expansion) Merge(r Expansion) {
 }
 
 // ExpandScratch is one caller's reusable scratch for ExpandCycle: the nodes
-// and PE indices gathered from one 64-PE word, and the size histogram of the
-// PEs the last call expanded.  Concurrent callers each bring their own.
+// and PE indices gathered from one 64-PE word.  Concurrent callers each
+// bring their own.
 type ExpandScratch[S any] struct {
 	nodes [64]S
 	pes   [64]int
-	// Held[s] counts the PEs the last call expanded that hold s nodes after
-	// it, resident and ghost; the last bucket counts MaxBatch or more.
-	Held [MaxBatch + 1]int32
 }
 
 // ExpandCycle runs len(res) lock-step node-expansion cycles over the PEs in
@@ -86,7 +106,6 @@ type ExpandScratch[S any] struct {
 //   - flags: the has-work and can-split bits of the expanded PEs are
 //     accumulated in two registers from the sizes the pushes left and
 //     stored once per word and call, not read-modified-written per node.
-//     Each expanded PE's final size goes into sc.Held.
 //
 // The range must cover whole flag words — lo a multiple of 64, hi a
 // multiple of 64 or P — which is also what lets concurrent calls on disjoint
@@ -97,7 +116,6 @@ func (a *Arena[S]) ExpandCycle(d Expander[S], lo, hi int, sc *ExpandScratch[S], 
 	for j := range res {
 		res[j] = Expansion{NotResident: -1}
 	}
-	sc.Held = [MaxBatch + 1]int32{}
 	first := &res[0]
 	var goals int64 // the first cycle's, in a register
 	var peak int
@@ -162,7 +180,6 @@ func (a *Arena[S]) ExpandCycle(d Expander[S], lo, hi int, sc *ExpandScratch[S], 
 			} else if sz == 1 {
 				work |= bit
 			}
-			sc.Held[min(sz, MaxBatch)]++
 		}
 
 		a.work[wi] = a.work[wi]&^w | work

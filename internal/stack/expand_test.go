@@ -250,8 +250,8 @@ func oneCycle[S any](a *Arena[S], d Expander[S], lo, hi int, sc *ExpandScratch[S
 }
 
 // kernelBatch runs k cycles in one kernel call per shard, concurrently, and
-// reduces them cycle by cycle in shard order, summing the histograms.
-func kernelBatch[S any](a *Arena[S], d Expander[S], shards [][2]int, scratch []*ExpandScratch[S], k int) ([]Expansion, [MaxBatch + 1]int32) {
+// reduces them cycle by cycle in shard order.
+func kernelBatch[S any](a *Arena[S], d Expander[S], shards [][2]int, scratch []*ExpandScratch[S], k int) []Expansion {
 	parts := make([][]Expansion, len(shards))
 	var wg sync.WaitGroup
 	for i, sh := range shards {
@@ -264,24 +264,17 @@ func kernelBatch[S any](a *Arena[S], d Expander[S], shards [][2]int, scratch []*
 	}
 	wg.Wait()
 	res := parts[0]
-	var held [MaxBatch + 1]int32
-	for i := range parts {
-		if i > 0 {
-			for j := range res {
-				res[j].Merge(parts[i][j])
-			}
-		}
-		for s, n := range scratch[i].Held {
-			held[s] += n
+	for _, part := range parts[1:] {
+		for j := range res {
+			res[j].Merge(part[j])
 		}
 	}
-	return res, held
+	return res
 }
 
 // TestExpandKernelBatch: k cycles in one call, each PE running its cycles
 // back to back, leave the arena, the flag words and every cycle's reduction
-// exactly as k one-cycle calls do, over word and shard boundaries; the size
-// histogram counts the final size of every PE that had work.  A PE whose
+// exactly as k one-cycle calls do, over word and shard boundaries.  A PE whose
 // window empties onto evicted levels mid-batch is reported at the cycle it
 // could not pop in, as the one-cycle kernel reports it.
 func TestExpandKernelBatch(t *testing.T) {
@@ -325,11 +318,7 @@ func batchTwins(t *testing.T, p int, shards [][2]int, k int, ghosts bool) {
 				}
 			}
 		}
-		touched := make([]bool, p)
-		for pe := range touched {
-			touched[pe] = b.Resident(pe) > 0
-		}
-		got, held := kernelBatch(b, d, shards, scratch, k)
+		got := kernelBatch(b, d, shards, scratch, k)
 		fault := k
 		for j := 0; j < k; j++ {
 			want := oneCycle(o, d, 0, p, sc)
@@ -345,15 +334,6 @@ func batchTwins(t *testing.T, p int, shards [][2]int, k int, ghosts bool) {
 			oneCycle(o, d, 0, p, sc) // the stalled PEs stay stalled; the rest go on
 		}
 		sameArenas(t, b, o, fmt.Sprintf("after round %d", round))
-		var want [MaxBatch + 1]int32
-		for pe, tc := range touched {
-			if tc {
-				want[min(b.Size(pe), MaxBatch)]++
-			}
-		}
-		if held != want {
-			t.Fatalf("round %d: histogram %v, want %v", round, held, want)
-		}
 		if fault < k {
 			// Restore every stalled PE, as the fault barrier would.
 			for pe := 0; pe < p; pe++ {

@@ -110,7 +110,10 @@ func (h *host[S]) Range() (int, int) { return h.lo, h.hi }
 
 func (h *host[S]) Step() simd.CycleInfo { return h.m.StepCycle() }
 
-func (h *host[S]) Status() (bool, bool) { return h.m.Status() }
+func (h *host[S]) Status() (bool, bool) {
+	a := h.m.Arena()
+	return a.NoWork(), a.AnySplittable()
+}
 
 func (h *host[S]) Flags() (busy, idle []bool) {
 	n := h.hi - h.lo
