@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-go bench-check mark loc fuzz vet lint discipline fmt serve fleet experiments-quick experiments-full report clean
+.PHONY: all build test test-race bench bench-go bench-check mutants mark loc fuzz vet lint discipline fmt serve fleet experiments-quick experiments-full report clean
 
 all: build lint test
 
@@ -28,13 +28,14 @@ test-race:
 # barrier, and the synthetic tree generator's expansion.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkPinnedRun -benchmem ./internal/simd
-	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkArenaFirstReceive|BenchmarkExpandKernel|BenchmarkCacheHit' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkArenaFirstReceive|BenchmarkExpandKernel|BenchmarkArenaHeld|BenchmarkCacheHit' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepThrash|BenchmarkFaultBarrier' -benchmem ./internal/spill
 	$(GO) test -run '^$$' -bench BenchmarkSyntheticExpand -benchmem ./internal/synthetic
 
 # CI smoke variant: the small-P pool run at Workers 1 and 2, plus the
 # structure-of-arrays micro-benchmarks (allocs/op must stay 0;
 # BenchmarkExpandKernel fails itself when a steady-state cycle allocates,
+# BenchmarkArenaHeld when reading the stack-size histogram does,
 # BenchmarkMatchBits when a matching phase does, BenchmarkFlagFill when a
 # flag fill does, BenchmarkArenaTransfer when a warmed-up transfer does,
 # BenchmarkSweepThrash when a warmed-up evict/fault sweep does or writes
@@ -46,9 +47,15 @@ bench:
 # node's expansion does).
 bench-check:
 	$(GO) test -run '^$$' -bench 'BenchmarkPinnedRun/pool-small-p' -benchtime 100x -benchmem ./internal/simd
-	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkArenaFirstReceive|BenchmarkExpandKernel|BenchmarkCacheHit' -benchtime 100x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkArenaFirstReceive|BenchmarkExpandKernel|BenchmarkArenaHeld|BenchmarkCacheHit' -benchtime 100x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepThrash|BenchmarkFaultBarrier' -benchtime 100x -benchmem ./internal/spill
 	$(GO) test -run '^$$' -bench BenchmarkSyntheticExpand -benchtime 100x -benchmem ./internal/synthetic
+
+# The planted mutants: faults in the batched schedule, the GP matcher, the
+# splitters and the PE-record mutators that the referees must catch.  Each
+# subtest passes when its mutant is caught and fails when it survives.
+mutants:
+	$(GO) test -count=1 -run 'TestPlantedMutants|TestArenaMutatorRuns' ./internal/simd ./internal/stack -args -mutants
 
 # simdmark, the benchmark of record (benchmark/, BENCHMARK.json), at the
 # smoke test's scale: all six workloads in seconds.  Claims quote the

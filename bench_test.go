@@ -557,6 +557,49 @@ func BenchmarkExpandKernel(b *testing.B) {
 	}
 }
 
+// BenchmarkArenaHeld measures stack.Arena.Held, the stack-size histogram
+// the schedule reads at a cycle boundary that could start a batch, at the
+// three machine sizes of BenchmarkExpandKernel.  Eight PEs in nine are busy,
+// holding 1 to 24 nodes in one or more levels, so every bucket is hit and
+// the idle PEs are spread over the flag words.  One op is one call; ns/PE is
+// per busy PE.  The benchmark fails if a call allocates.
+func BenchmarkArenaHeld(b *testing.B) {
+	for _, p := range []int{256, 8192, 65536} {
+		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
+			b.ReportAllocs()
+			rng := rand.New(rand.NewSource(int64(p)))
+			a := stack.NewArena[int](p)
+			busy := 0
+			for pe := 0; pe < p; pe++ {
+				if pe%9 == 0 {
+					continue
+				}
+				busy++
+				for left := 1 + rng.Intn(24); left > 0; {
+					n := 1 + rng.Intn(left)
+					a.PushLevel(pe, make([]int, n))
+					left -= n
+				}
+			}
+			var h [stack.MaxBatch + 1]int32
+			held := func() {
+				if a.Held(&h); h[0] != int32(p-busy) {
+					b.Fatalf("Held counts %d idle PEs, the arena has %d", h[0], p-busy)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				held()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(busy), "ns/PE")
+			if allocs := testing.AllocsPerRun(20, held); allocs != 0 {
+				b.Fatalf("%v allocs per call, want 0", allocs)
+			}
+		})
+	}
+}
+
 // cacheHitAllocs is BenchmarkCacheHit's allocation ceiling: the count an
 // op made once a repeated body was admitted from the frontend's memo and
 // its document appended from its result's template (39), plus 10 %.
