@@ -24,11 +24,12 @@ test-race:
 # The engine's benchmarks: every pinned run of internal/simd's table (the
 # schedules, allocation ceilings and Workers overhead bound those runs must
 # hold are tests, in "make test"), the structure-of-arrays micro-benchmarks,
-# a cache hit through the traffic frontend, the spill sweep and fault
-# barrier, and the synthetic tree generator's expansion.
+# a cache hit through the traffic frontend, a finished job's history
+# entry, the spill sweep and fault barrier, and the synthetic tree
+# generator's expansion.
 bench:
 	$(GO) test -run '^$$' -bench BenchmarkPinnedRun -benchmem ./internal/simd
-	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkArenaFirstReceive|BenchmarkExpandKernel|BenchmarkArenaHeld|BenchmarkCacheHit' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkArenaFirstReceive|BenchmarkExpandKernel|BenchmarkArenaHeld|BenchmarkCacheHit|BenchmarkJobRecord' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepThrash|BenchmarkFaultBarrier' -benchmem ./internal/spill
 	$(GO) test -run '^$$' -bench BenchmarkSyntheticExpand -benchmem ./internal/synthetic
 
@@ -43,11 +44,12 @@ bench:
 # one window's frames does or reads the log more than once,
 # BenchmarkArenaFirstReceive when a fresh arena's first receives allocate
 # per PE instead of per flag word, BenchmarkCacheHit when a cache hit
-# allocates over its ceiling, BenchmarkSyntheticExpand when a synthetic
-# node's expansion does).
+# allocates over its ceiling, BenchmarkJobRecord when a finished job's
+# history entry keeps more live heap than its ceiling,
+# BenchmarkSyntheticExpand when a synthetic node's expansion does).
 bench-check:
 	$(GO) test -run '^$$' -bench 'BenchmarkPinnedRun/pool-small-p' -benchtime 100x -benchmem ./internal/simd
-	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkArenaFirstReceive|BenchmarkExpandKernel|BenchmarkArenaHeld|BenchmarkCacheHit' -benchtime 100x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFlagFill|BenchmarkMatchBits|BenchmarkArenaTransfer|BenchmarkArenaFirstReceive|BenchmarkExpandKernel|BenchmarkArenaHeld|BenchmarkCacheHit|BenchmarkJobRecord' -benchtime 100x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepThrash|BenchmarkFaultBarrier' -benchtime 100x -benchmem ./internal/spill
 	$(GO) test -run '^$$' -bench BenchmarkSyntheticExpand -benchtime 100x -benchmem ./internal/synthetic
 

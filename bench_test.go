@@ -645,3 +645,70 @@ func BenchmarkCacheHit(b *testing.B) {
 		b.Fatalf("%v allocs per cache hit, want at most %d", allocs, cacheHitAllocs)
 	}
 }
+
+// BenchmarkJobRecord's job history, and its ceiling on the live heap one
+// history entry keeps: the B/entry measured once a finished job released
+// its run context and froze its event log (1 780), plus 25 %.
+const (
+	jobRecordHistory = 256
+	jobRecordBytes   = 2225
+)
+
+// BenchmarkJobRecord serves simdmark's service job (unique seeds, one
+// engine run each) through a DRR-scheduled node with a full job history
+// and a one-entry cache, one job an op, and reports the live heap the node
+// then holds per history entry, B/entry: the node's memory is its history
+// times this plus its cache, however many jobs it has served.  At least
+// twice the history is served, so entries have been evicted and every
+// finished job has released what only its run needed.  The benchmark
+// fails above jobRecordBytes.
+func BenchmarkJobRecord(b *testing.B) {
+	drr := traffic.NewDRR(64, 1)
+	srv, err := server.New(server.Config{Scheduler: drr, JobHistory: jobRecordHistory, CacheSize: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		if err := srv.Shutdown(context.Background()); err != nil {
+			b.Error(err)
+		}
+	}()
+	serve := func(seed int) {
+		spec, err := srv.CanonicalizeSpec(server.JobSpec{Domain: "synthetic", Scheme: "GP-S0.90", P: 64,
+			Synthetic: &server.SyntheticSpec{W: 30000, Seed: uint64(seed)}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		h, rf := srv.SubmitCanonical(context.Background(), spec, server.CacheKey(spec), server.DefaultTenant, 1)
+		if rf != nil {
+			b.Fatalf("seed %d refused: %s", seed, rf.Message)
+		}
+		<-h.Done()
+		if st := h.Status(); st != server.StatusDone {
+			b.Fatalf("seed %d finished %s", seed, st)
+		}
+	}
+	before := liveHeap()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(1 + i)
+	}
+	b.StopTimer()
+	for i := b.N; i < 2*jobRecordHistory; i++ {
+		serve(1 + i)
+	}
+	perEntry := float64(liveHeap()-before) / jobRecordHistory
+	b.ReportMetric(perEntry, "B/entry")
+	if perEntry > jobRecordBytes {
+		b.Fatalf("%.0f B of live heap per history entry, want at most %d", perEntry, jobRecordBytes)
+	}
+}
+
+// liveHeap is the heap in use after two collections.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"sync"
 
 	"simdtree/internal/metrics"
@@ -14,8 +15,8 @@ import (
 // writes.  Events are held in a bounded per-job log with
 // monotonically increasing sequence numbers, so a client that reconnects
 // with Last-Event-ID resumes exactly where its stream broke (best-effort
-// once the log has trimmed past that point; the terminal event is always
-// retained implicitly because a terminal job stops appending).
+// once the log has trimmed past that point).  The terminal event freezes
+// the log: it is always the last event, and it is always retained.
 
 // Event types.
 const (
@@ -82,12 +83,18 @@ const eventLogCap = 1024
 
 // EventLog is a bounded append-only event buffer with sequence numbers
 // and edge-triggered wakeups for streaming readers (StreamEvents).
+//
+// A terminal event freezes the log: its events move to an exact-size
+// slice, wake becomes nil and every later Append is dropped.  A finished
+// job's log is then only what its history entry must answer, and a reader
+// past the terminal event blocks on the nil channel until its own context
+// or heartbeat, as on a channel no Append will close.
 type EventLog struct {
 	mu     sync.Mutex
 	next   int64 // seq the next append will get (first event: 1)
 	base   int64 // seq of events[0]
 	events []JobEvent
-	wake   chan struct{} // closed and replaced on every append
+	wake   chan struct{} // closed and replaced on every append; nil once frozen
 }
 
 // NewEventLog returns an empty log; its first event gets sequence 1.
@@ -96,10 +103,15 @@ func NewEventLog() *EventLog {
 }
 
 // Append assigns the next sequence number to ev, stores it, and wakes
-// every blocked reader.  It is cheap enough to run on the simulation
-// goroutine (the engine's Progress contract).
+// every blocked reader; a terminal ev freezes the log, and a frozen log
+// drops ev.  It is cheap enough to run on the simulation goroutine (the
+// engine's Progress contract).
 func (l *EventLog) Append(ev JobEvent) {
 	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.wake == nil {
+		return
+	}
 	ev.Seq = l.next
 	l.next++
 	l.events = append(l.events, ev)
@@ -109,12 +121,19 @@ func (l *EventLog) Append(ev JobEvent) {
 		l.events = append(l.events[:0], l.events[drop:]...)
 	}
 	close(l.wake)
-	l.wake = make(chan struct{})
-	l.mu.Unlock()
+	if !ev.Terminal {
+		l.wake = make(chan struct{})
+		return
+	}
+	l.wake = nil
+	if len(l.events) < cap(l.events) {
+		l.events = slices.Clone(l.events)
+	}
 }
 
 // Since returns a copy of the buffered events with Seq > after, plus a
-// channel that is closed on the next Append — the reader's blocking edge.
+// channel that is closed on the next Append — the reader's blocking edge,
+// nil once the log is frozen.
 func (l *EventLog) Since(after int64) ([]JobEvent, <-chan struct{}) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

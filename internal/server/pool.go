@@ -176,12 +176,14 @@ func (s *Server) execute(ctx context.Context, j *job, opts simd.Options) (stats 
 	return run(ctx, j.spec, opts, s.runEnv(j))
 }
 
-// finishJob publishes a terminal status, returns the job's quota slot and
-// bumps the outcome counters.
+// finishJob publishes a terminal status, releases the job's run context
+// (the server's root context holds every live child until it is
+// cancelled), returns the job's quota slot and bumps the outcome counters.
 func (s *Server) finishJob(j *job, status Status, stats metrics.Stats, tr *trace.Trace, errMsg string) {
 	if !j.finish(status, stats, tr, errMsg, time.Now()) {
 		return
 	}
+	j.cancel(nil)
 	if j.quota {
 		s.mu.Lock()
 		if s.outstanding[j.tenant]--; s.outstanding[j.tenant] <= 0 {

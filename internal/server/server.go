@@ -380,7 +380,10 @@ func (s *Server) finishFromCache(j *job, now time.Time) bool {
 // cache hit; finishJob returns the slot.  On success j is stored; on
 // refusal its context is cancelled.  A full queue's 429 carries a
 // Retry-After derived from the backlog and the recent mean job duration.
+// The queued event is appended before the push: a free worker may run and
+// finish j before Push returns, and the terminal event must end its log.
 func (s *Server) enqueue(j *job, quota bool) *Refusal {
+	j.events.Append(JobEvent{Type: EventStatus, Status: StatusQueued})
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -415,7 +418,6 @@ func (s *Server) enqueue(j *job, quota bool) *Refusal {
 	s.mu.Unlock()
 	s.ctr.jobsQueued.Add(1)
 	s.store.add(j)
-	j.events.Append(JobEvent{Type: EventStatus, Status: StatusQueued})
 	return nil
 }
 

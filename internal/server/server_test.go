@@ -530,3 +530,84 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		t.Errorf("post-shutdown submit: status %d, want 503", resp.StatusCode)
 	}
 }
+
+// TestQueuedPrecedesTerminal submits thousands of tiny unique jobs to two
+// idle workers, one at a time from each of two clients, so a worker
+// usually takes a job the instant it is pushed: every job's log must
+// still start with its queued event and end with its one terminal event.
+// A queued event appended after the push can land after the terminal one.
+func TestQueuedPrecedesTerminal(t *testing.T) {
+	s, err := New(Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Error(err)
+		}
+	})
+	const clients, each = 2, 2500
+	var (
+		wg  sync.WaitGroup
+		bad atomic.Int64
+	)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				seed := uint64(1 + c*each + i)
+				spec := JobSpec{Domain: "synthetic", Scheme: "GP-S0.90", P: 4, Synthetic: &SyntheticSpec{W: 5, Seed: seed}}
+				canonical, err := Canonicalize(spec, s.domains)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				h, rf := s.SubmitCanonical(context.Background(), canonical, CacheKey(canonical), DefaultTenant, 1)
+				if rf != nil {
+					t.Errorf("seed %d refused: %+v", seed, rf)
+					return
+				}
+				evs := terminalLog(t, h.(*JobHandle))
+				if evs == nil {
+					return
+				}
+				terminals := 0
+				for _, ev := range evs {
+					if ev.Terminal {
+						terminals++
+					}
+				}
+				if evs[0].Status != StatusQueued || !evs[len(evs)-1].Terminal || terminals != 1 {
+					if bad.Add(1) <= 3 {
+						t.Errorf("seed %d: log %+v, want queued first and the one terminal event last", seed, evs)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := bad.Load(); n > 0 {
+		t.Errorf("%d of %d logs out of order", n, clients*each)
+	}
+}
+
+// terminalLog waits for h's terminal event and returns h's whole log, nil
+// (having failed t) if none comes.
+func terminalLog(t *testing.T, h *JobHandle) []JobEvent {
+	deadline := time.After(10 * time.Second)
+	for {
+		evs, wake := h.EventsSince(0)
+		for _, ev := range evs {
+			if ev.Terminal {
+				return evs
+			}
+		}
+		select {
+		case <-wake:
+		case <-deadline:
+			t.Errorf("job %s: no terminal event in %+v", h.ID(), evs)
+			return nil
+		}
+	}
+}

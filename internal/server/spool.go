@@ -128,6 +128,7 @@ func (s *Server) resumeSpooled() {
 		id := "j" + strconv.FormatInt(s.nextID.Add(1), 10)
 		j := newJob(s, id, sj.spec, sj.key, time.Now())
 		j.resume = sj.data
+		j.events.Append(JobEvent{Type: EventStatus, Status: StatusQueued}) // before the push, as in enqueue
 		s.mu.Lock()
 		if s.draining {
 			s.mu.Unlock()
@@ -142,6 +143,5 @@ func (s *Server) resumeSpooled() {
 		s.mu.Unlock()
 		s.ctr.jobsQueued.Add(1)
 		s.store.add(j)
-		j.events.Append(JobEvent{Type: EventStatus, Status: StatusQueued})
 	}
 }

@@ -193,3 +193,34 @@ func BenchmarkJobDocument(b *testing.B) {
 		})
 	}
 }
+
+// TestEventLogFreezesAtTerminal pins what a terminal event leaves: the
+// events in an exact-size slice, no wake channel, and a log that drops
+// any later Append, so the terminal event stays the last one a reader
+// resuming from any sequence number is handed.
+func TestEventLogFreezesAtTerminal(t *testing.T) {
+	l := NewEventLog()
+	l.Append(JobEvent{Type: EventStatus, Status: StatusQueued})
+	l.Append(JobEvent{Type: EventStatus, Status: StatusRunning})
+	_, wake := l.Since(2)
+	l.Append(JobEvent{Type: EventStatus, Status: StatusDone, Terminal: true})
+	select {
+	case <-wake:
+	default:
+		t.Fatal("the terminal Append did not wake the reader")
+	}
+	l.Append(JobEvent{Type: EventStatus, Status: StatusQueued})
+	evs, wake := l.Since(0)
+	if len(evs) != 3 || !evs[2].Terminal || evs[2].Seq != 3 {
+		t.Fatalf("frozen log %+v, want queued, running, then the terminal event", evs)
+	}
+	if wake != nil {
+		t.Error("a frozen log still hands out a wake channel")
+	}
+	if evs, _ := l.Since(3); len(evs) != 0 {
+		t.Errorf("Since(terminal) = %+v, want none", evs)
+	}
+	if len(l.events) != cap(l.events) {
+		t.Errorf("frozen log holds %d events in %d slots", len(l.events), cap(l.events))
+	}
+}

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"slices"
 	"sync"
 
 	"simdtree/internal/server"
@@ -32,8 +33,17 @@ type DRR struct {
 	cur     int      // rotation cursor into ring
 	granted bool     // the tenant at cur has received its quantum for this visit
 
-	served map[string]int64 // jobs dispatched per tenant, for /metrics
+	served map[string]int64 // jobs dispatched per tenant, for /metrics; see servedKey
 }
+
+// maxServedTenants caps the tenants DRR.Stats counts by name.  X-Tenant is
+// client-chosen, so a label per request must not grow the node; past the
+// cap a new label's dispatches count under otherTenants, which no valid
+// X-Tenant can spell (it holds a space).
+const (
+	maxServedTenants = 1024
+	otherTenants     = "other tenants"
+)
 
 type tenantQueue struct {
 	items   []server.SchedItem
@@ -103,30 +113,28 @@ func (d *DRR) Next() (server.SchedItem, bool) {
 }
 
 // popLocked runs the DRR visit loop.  size > 0 implies the ring holds at
-// least one tenant with queued work, so the loop terminates: every pass
-// either dispatches, retires a drained tenant, or advances the cursor
-// while growing some deficit by a full quantum.
+// least one tenant, and every tenant in the ring has queued work (a
+// tenant retires as its last job is dispatched), so the loop terminates:
+// every pass either dispatches or advances the cursor while growing some
+// deficit by a full quantum.
 func (d *DRR) popLocked() server.SchedItem {
 	for {
 		t := d.ring[d.cur]
 		q := d.tenants[t]
-		if len(q.items) == 0 {
-			d.retireLocked(q)
-			continue
-		}
 		if !d.granted {
 			q.deficit += d.quantum
 			d.granted = true
 		}
 		head := q.items[0]
 		if q.deficit >= head.Cost {
-			copy(q.items, q.items[1:])
-			q.items = q.items[:len(q.items)-1]
+			// Delete zeroes the vacated last slot, which would otherwise
+			// pin the dispatched job past its history.
+			q.items = slices.Delete(q.items, 0, 1)
 			q.deficit -= head.Cost
 			d.size--
-			d.served[t]++
+			d.served[d.servedKey(t)]++
 			if len(q.items) == 0 {
-				d.retireLocked(q)
+				d.retireLocked(t)
 			}
 			return head
 		}
@@ -136,16 +144,26 @@ func (d *DRR) popLocked() server.SchedItem {
 	}
 }
 
-// retireLocked drops the tenant at the cursor from the ring.  Its deficit
-// resets — an idle tenant must not bank credit — and the cursor now
-// points at the successor, which has not been visited yet.
-func (d *DRR) retireLocked(q *tenantQueue) {
-	q.deficit = 0
-	d.ring = append(d.ring[:d.cur], d.ring[d.cur+1:]...)
+// retireLocked drops the drained tenant t at the cursor from the ring and
+// forgets its queue, deficit included — an idle tenant must not bank
+// credit, and a label seen once must not stay — and the cursor now points
+// at the successor, which has not been visited yet.
+func (d *DRR) retireLocked(t string) {
+	delete(d.tenants, t)
+	d.ring = slices.Delete(d.ring, d.cur, d.cur+1)
 	if d.cur >= len(d.ring) {
 		d.cur = 0
 	}
 	d.granted = false
+}
+
+// servedKey is the served counter t's dispatches go under: t itself while
+// it is counted or there is room, otherTenants past maxServedTenants.
+func (d *DRR) servedKey(t string) string {
+	if _, ok := d.served[t]; ok || len(d.served) < maxServedTenants {
+		return t
+	}
+	return otherTenants
 }
 
 func (d *DRR) advanceLocked() {

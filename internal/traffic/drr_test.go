@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"net/http"
 	"sync"
 	"testing"
 
@@ -173,5 +174,51 @@ func TestDRRConcurrentDispatch(t *testing.T) {
 		if got[tenant] != perTenant {
 			t.Errorf("tenant %s dispatched %d jobs, want %d", tenant, got[tenant], perTenant)
 		}
+	}
+}
+
+// TestDRRForgetsDrainedTenants pins what a DRR keeps of the work it has
+// dispatched: no queue slot still holds a dispatched item, a drained
+// tenant's queue is gone, and past maxServedTenants labels a new label's
+// dispatches count under otherTenants, so a client choosing a fresh
+// X-Tenant per request grows the counters by one key, not one per label.
+func TestDRRForgetsDrainedTenants(t *testing.T) {
+	d := NewDRR(8, 1)
+	for i := 0; i < 3; i++ {
+		d.Push(unit("a"))
+	}
+	q := d.tenants["a"]
+	if _, ok := d.Next(); !ok {
+		t.Fatal("scheduler closed early")
+	}
+	for i, it := range q.items[len(q.items):cap(q.items)] {
+		if it != (server.SchedItem{}) {
+			t.Errorf("vacated slot %d still holds %+v", len(q.items)+i, it)
+		}
+	}
+	for d.Depth() > 0 {
+		d.Next()
+	}
+	if len(d.tenants) != 0 || len(d.ring) != 0 {
+		t.Errorf("drained scheduler keeps queues %v, ring %v", d.tenants, d.ring)
+	}
+
+	const extra = 10 // labels past the cap; "a" holds one of its keys
+	for i := 0; i < maxServedTenants-1+extra; i++ {
+		d.Push(unit(fmt.Sprintf("label-%d", i)))
+		d.Next()
+	}
+	d.Push(unit("a")) // counted before the cap filled
+	d.Next()
+	st := d.Stats()
+	if len(st) != maxServedTenants+1 || st[otherTenants].Served != extra || st["a"].Served != 4 {
+		t.Errorf("%d tenants counted, %q served %d, a served %d; want %d, %d, 4",
+			len(st), otherTenants, st[otherTenants].Served, st["a"].Served, maxServedTenants+1, extra)
+	}
+	if len(d.tenants) != 0 {
+		t.Errorf("%d queues kept after every label drained", len(d.tenants))
+	}
+	if _, err := server.TenantFrom(&http.Request{Header: http.Header{server.TenantHeader: {otherTenants}}}); err == nil {
+		t.Errorf("%q is a valid X-Tenant; the overflow key must not be", otherTenants)
 	}
 }
