@@ -611,7 +611,7 @@ const cacheHitAllocs = 43
 // is simdmark's service job; its one engine run happens before the timer.
 // The benchmark fails above cacheHitAllocs allocations an op.
 func BenchmarkCacheHit(b *testing.B) {
-	drr := traffic.NewDRR(64, 1)
+	drr := server.NewDRR(64, 1)
 	srv, err := server.New(server.Config{Scheduler: drr})
 	if err != nil {
 		b.Fatal(err)
@@ -663,7 +663,7 @@ const (
 // finished job has released what only its run needed.  The benchmark
 // fails above jobRecordBytes.
 func BenchmarkJobRecord(b *testing.B) {
-	drr := traffic.NewDRR(64, 1)
+	drr := server.NewDRR(64, 1)
 	srv, err := server.New(server.Config{Scheduler: drr, JobHistory: jobRecordHistory, CacheSize: 1})
 	if err != nil {
 		b.Fatal(err)

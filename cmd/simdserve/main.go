@@ -99,10 +99,9 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 
 	// One queue: per-tenant deficit round robin, one cost unit per visit.
 	// With a single tenant it dispatches in push order, as a FIFO would.
-	drr := traffic.NewDRR(*queueSize, 1)
+	drr := server.NewDRR(*queueSize, 1)
 	svc, err := server.New(server.Config{
 		Workers:         *workers,
-		QueueSize:       *queueSize,
 		CacheSize:       *cacheSize,
 		JobHistory:      *history,
 		DefaultTimeout:  *timeout,

@@ -56,8 +56,9 @@ func (b *syncBuffer) String() string {
 }
 
 // TestServesThroughTheDRR starts the binary's stack on a free port, and
-// checks that its one scheduler is the traffic layer's DRR (only then does
-// /metrics carry traffic_tenants) and that it drains when ctx ends.
+// checks that the frontend holds the node's queue (only then does /metrics
+// carry traffic_tenants), that the queue is -queue jobs long and that the
+// stack drains when ctx ends.
 func TestServesThroughTheDRR(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -95,7 +96,10 @@ func TestServesThroughTheDRR(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := doc["traffic_tenants"]; !ok {
-		t.Errorf("/metrics lacks traffic_tenants: the scheduler is not the DRR")
+		t.Errorf("/metrics lacks traffic_tenants: the frontend does not hold the node's queue")
+	}
+	if c := doc["queue_capacity"]; c != 1.0 {
+		t.Errorf("queue_capacity %v, want -queue's 1", c)
 	}
 
 	cancel()

@@ -68,7 +68,7 @@ func TestMetricsKeySets(t *testing.T) {
 	sub, _ := postJSONAs[innerWireJob](t, bare.URL+"/v1/jobs", metricsSpec)
 	waitNodeTerminal(t, bare.URL, sub.ID)
 
-	drr := traffic.NewDRR(64, 1)
+	drr := server.NewDRR(64, 1)
 	fs, err := server.New(server.Config{Workers: 1, Scheduler: drr})
 	if err != nil {
 		t.Fatal(err)

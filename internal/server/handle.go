@@ -100,7 +100,7 @@ type Refusal struct {
 
 // SubmitCanonical is the submission path of the traffic layer and of
 // POST /v1/jobs: consult the result cache, otherwise admit to the
-// scheduler under the given tenant, its quota (Config.TenantQuota) and
+// queue under the given tenant, its quota (Config.TenantQuota) and
 // the predicted cost.  The spec must already be canonical and key its
 // cache key.  A nil Refusal means the job was accepted (possibly finished
 // instantly from cache) as a *JobHandle.  A node admits without waiting on
@@ -133,7 +133,7 @@ func (s *Server) retryAfterSeconds() int {
 	if n := s.ctr.runDurCount.Load(); n > 0 {
 		mean = time.Duration(s.ctr.runDurSumNS.Load() / n)
 	}
-	depth := s.sched.Depth()
+	depth := s.queue.depth()
 	workers := s.cfg.Workers
 	if workers < 1 {
 		workers = 1

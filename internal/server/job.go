@@ -53,7 +53,7 @@ type job struct {
 	key    string  // cache key of spec
 	tenant string  // accounting tenant (X-Tenant header, or "default")
 	cost   float64 // predicted work in scheduler cost units (1 = no estimate)
-	quota  bool    // holds a slot of its tenant's quota; set by enqueue before the push
+	quota  bool    // holds a slot of its tenant's quota; set by the queue's push
 
 	// events is the job's progress stream (status transitions, engine
 	// progress ticks, checkpoint writes), feeding the SSE endpoint.

@@ -14,20 +14,15 @@ import (
 	"simdtree/internal/trace"
 )
 
-// startWorkers launches the pool.  Each worker pulls from the scheduler
-// (the stock FIFO or the traffic layer's fair queue) until it is closed
-// by Shutdown and drained.
+// startWorkers launches the pool.  Each worker pulls from the queue until
+// Shutdown closes it and it is drained.
 func (s *Server) startWorkers() {
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			for {
-				it, ok := s.sched.Next()
-				if !ok {
-					return
-				}
-				s.runJob(it.job)
+			for j := s.queue.next(); j != nil; j = s.queue.next() {
+				s.runJob(j)
 			}
 		}()
 	}
@@ -185,11 +180,7 @@ func (s *Server) finishJob(j *job, status Status, stats metrics.Stats, tr *trace
 	}
 	j.cancel(nil)
 	if j.quota {
-		s.mu.Lock()
-		if s.outstanding[j.tenant]--; s.outstanding[j.tenant] <= 0 {
-			delete(s.outstanding, j.tenant)
-		}
-		s.mu.Unlock()
+		s.queue.release(j.tenant)
 	}
 	j.events.Append(JobEvent{Type: EventStatus, Status: status, Error: errMsg, Terminal: true}.withStats(stats))
 	switch status {

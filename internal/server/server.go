@@ -21,8 +21,9 @@ import (
 type Config struct {
 	// Workers is the number of concurrent job executors (default 2).
 	Workers int
-	// QueueSize bounds the number of queued-but-not-running jobs; a full
-	// queue rejects submissions with 429 (default 64).
+	// QueueSize is the capacity of the queue New builds when Scheduler is
+	// nil: the number of queued-but-not-running jobs, past which a
+	// submission is refused with 429 (default 64).
 	QueueSize int
 	// CacheSize caps the LRU result cache in entries (default 512).
 	CacheSize int
@@ -59,17 +60,18 @@ type Config struct {
 	// node knows exactly how long to wait before declaring its jobs
 	// lost.
 	DrainTimeout time.Duration
-	// Scheduler overrides the admission/dispatch policy between
-	// submission and the worker pool; nil selects the stock bounded FIFO
-	// of QueueSize entries.  The traffic layer installs its per-tenant
-	// deficit-round-robin queue here.
-	Scheduler Scheduler
+	// Scheduler is the node's queue, which admits jobs (drain, capacity,
+	// TenantQuota) and hands them to the workers in per-tenant rotation;
+	// nil builds NewDRR(QueueSize, 1).  A caller that reads the queue's
+	// per-tenant stats, such as the traffic frontend, builds it and
+	// passes it here; New sets its quota to TenantQuota.
+	Scheduler *DRR
 	// ProgressEvery is the cycle cadence of per-job progress events (the
 	// SSE feed); default 250.  Negative disables progress events.
 	ProgressEvery int
 	// TenantQuota bounds the jobs a single tenant may have queued or
-	// running through SubmitCanonical; a cache hit never holds a slot.
-	// 0 means unlimited.
+	// running through SubmitCanonical; a cache hit or an import never
+	// holds a slot.  0 means unlimited.
 	TenantQuota int
 	// MemBudget is the default per-job memory budget in bytes for the
 	// simulated machine's stack storage, applied when a spec leaves
@@ -133,10 +135,7 @@ type Server struct {
 	rootCtx  context.Context
 	rootStop context.CancelCauseFunc
 
-	mu          sync.Mutex // guards scheduler push vs close, and the quota
-	sched       Scheduler
-	draining    bool
-	outstanding map[string]int // quota slots held per tenant (job.quota)
+	queue *DRR // the one queue, and the one admission decision
 
 	nextID  atomic.Int64
 	started time.Time
@@ -158,24 +157,24 @@ func New(cfg Config) (*Server, error) {
 	}
 	//lint:allow ctxflow server-lifetime root context, cancelled by Shutdown
 	rootCtx, rootStop := context.WithCancelCause(context.Background())
-	sched := cfg.Scheduler
-	if sched == nil {
-		sched = NewFIFOScheduler(cfg.QueueSize)
+	queue := cfg.Scheduler
+	if queue == nil {
+		queue = NewDRR(cfg.QueueSize, 1)
 	}
+	queue.quota = cfg.TenantQuota
 	s := &Server{
-		cfg:         cfg,
-		runners:     runners,
-		domains:     domains,
-		cache:       newResultCache(cfg.CacheSize),
-		store:       newJobStore[*job](cfg.JobHistory),
-		latencies:   newSchemeLatencies(),
-		steal:       newStealRegistry(),
-		peers:       caller(&http.Client{Timeout: peerTimeout}),
-		rootCtx:     rootCtx,
-		rootStop:    rootStop,
-		sched:       sched,
-		outstanding: make(map[string]int),
-		started:     time.Now(),
+		cfg:       cfg,
+		runners:   runners,
+		domains:   domains,
+		cache:     newResultCache(cfg.CacheSize),
+		store:     newJobStore[*job](cfg.JobHistory),
+		latencies: newSchemeLatencies(),
+		steal:     newStealRegistry(),
+		peers:     caller(&http.Client{Timeout: peerTimeout}),
+		rootCtx:   rootCtx,
+		rootStop:  rootStop,
+		queue:     queue,
+		started:   time.Now(),
 	}
 	if cfg.Spool != "" {
 		sp, err := openSpool(cfg.Spool)
@@ -196,14 +195,7 @@ func New(cfg Config) (*Server, error) {
 // accepted, queued and running jobs are allowed to finish until ctx
 // expires, then the remainder is cancelled and the pool joined.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	already := s.draining
-	s.draining = true
-	if !already {
-		s.sched.Close()
-	}
-	s.mu.Unlock()
-
+	s.queue.close()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -373,49 +365,38 @@ func (s *Server) finishFromCache(j *job, now time.Time) bool {
 	return true
 }
 
-// enqueue admits j to the bounded queue, honouring drain state,
-// backpressure and, for a submission (quota set), Config.TenantQuota.  The
-// quota is checked and j's slot taken under the lock the push holds, and
-// only here, where a submission is known to be an engine job rather than a
-// cache hit; finishJob returns the slot.  On success j is stored; on
-// refusal its context is cancelled.  A full queue's 429 carries a
-// Retry-After derived from the backlog and the recent mean job duration.
-// The queued event is appended before the push: a free worker may run and
-// finish j before Push returns, and the terminal event must end its log.
+// enqueue offers j to the queue, whose push alone decides admission:
+// drain state, Config.TenantQuota for a submission (quota set; only here
+// is a submission known to be an engine job rather than a cache hit) and
+// backpressure.  On success j is stored; on refusal its context is
+// cancelled.  A full queue's 429 carries a Retry-After derived from the
+// backlog and the recent mean job duration.  The queued event is appended
+// before the push: a free worker may run and finish j before push
+// returns, and the terminal event must end its log.
 func (s *Server) enqueue(j *job, quota bool) *Refusal {
 	j.events.Append(JobEvent{Type: EventStatus, Status: StatusQueued})
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
+	switch s.queue.push(j, quota) {
+	case refusedClosed:
 		j.cancel(errShutdown)
 		return &Refusal{Code: http.StatusServiceUnavailable, Message: "server is shutting down"}
-	}
-	q := s.cfg.TenantQuota
-	j.quota = quota && q > 0
-	if j.quota && s.outstanding[j.tenant] >= q {
-		s.mu.Unlock()
+	case refusedQuota:
 		j.cancel(errCancelRequested)
 		s.ctr.quotaRejections.Add(1)
+		q := s.queue.quota
 		return &Refusal{
 			Code:       http.StatusTooManyRequests,
 			Message:    fmt.Sprintf("tenant %q has %d jobs outstanding (quota %d)", j.tenant, q, q),
 			RetryAfter: 1,
 		}
-	}
-	if !s.sched.Push(SchedItem{Tenant: j.tenant, Cost: j.cost, job: j}) {
-		s.mu.Unlock()
+	case refusedFull:
 		j.cancel(errCancelRequested)
 		s.ctr.jobsRejected.Add(1)
 		return &Refusal{
 			Code:       http.StatusTooManyRequests,
-			Message:    fmt.Sprintf("queue full (%d jobs); retry later", s.cfg.QueueSize),
+			Message:    fmt.Sprintf("queue full (%d jobs); retry later", s.queue.capacity),
 			RetryAfter: s.retryAfterSeconds(),
 		}
 	}
-	if j.quota {
-		s.outstanding[j.tenant]++
-	}
-	s.mu.Unlock()
 	s.ctr.jobsQueued.Add(1)
 	s.store.add(j)
 	return nil
@@ -567,12 +548,9 @@ func renderTrace(id string, tr *trace.Trace, limit int) traceResponse {
 
 // handleHealthz implements GET /healthz.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
 	status := "ok"
 	code := http.StatusOK
-	if draining {
+	if s.queue.draining() {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
@@ -624,8 +602,8 @@ func (s *Server) Metrics() map[string]any {
 		"cache_hits_total":               s.ctr.cacheHits.Load(),
 		"cache_misses_total":             s.ctr.cacheMisses.Load(),
 		"cache_entries":                  s.cache.len(),
-		"queue_depth":                    s.sched.Depth(),
-		"queue_capacity":                 s.cfg.QueueSize,
+		"queue_depth":                    s.queue.depth(),
+		"queue_capacity":                 s.queue.capacity,
 		"workers":                        s.cfg.Workers,
 		"busy_workers":                   running,
 		"worker_utilization":             float64(running) / float64(s.cfg.Workers),

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -610,4 +611,194 @@ func terminalLog(t *testing.T, h *JobHandle) []JobEvent {
 			return nil
 		}
 	}
+}
+
+// gate is a domain whose runs each record their P, in the order the pool
+// takes them, and then hold their worker until release.
+type gate struct {
+	open chan struct{}
+	once sync.Once
+	mu   sync.Mutex
+	ran  []int
+}
+
+// gatedNode boots a node running cfg with the "gate" domain installed; the
+// gate opens at cleanup, before the node shuts down.
+func gatedNode(t *testing.T, cfg Config) (*Server, *gate) {
+	g := &gate{open: make(chan struct{})}
+	cfg.Runners = map[string]Runner{"gate": func(ctx context.Context, spec JobSpec, _ simd.Options, _ RunEnv) (metrics.Stats, error) {
+		g.mu.Lock()
+		g.ran = append(g.ran, spec.P)
+		g.mu.Unlock()
+		select {
+		case <-ctx.Done():
+			return metrics.Stats{Cancelled: true}, context.Cause(ctx)
+		case <-g.open:
+			return metrics.Stats{P: spec.P, W: 1}, nil
+		}
+	}}
+	s, _ := testServer(t, cfg)
+	t.Cleanup(g.release)
+	return s, g
+}
+
+func (g *gate) release() { g.once.Do(func() { close(g.open) }) }
+
+// runs returns the P of every run started so far, in start order.
+func (g *gate) runs() []int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return slices.Clone(g.ran)
+}
+
+// submit offers tenant's gate job of the given P (which names it) to s.
+func (g *gate) submit(t *testing.T, s *Server, tenant string, p int) (Job, *Refusal) {
+	t.Helper()
+	spec, err := Canonicalize(JobSpec{Domain: "gate", Scheme: "GP-DK", P: p}, s.domains)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.SubmitCanonical(context.Background(), spec, CacheKey(spec), tenant, 1)
+}
+
+// waitRuns waits until n runs have started.
+func (g *gate) waitRuns(t *testing.T, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); len(g.runs()) < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d runs started, want %d", len(g.runs()), n)
+		}
+	}
+}
+
+// TestQueueFullNamesItsCapacity holds a full queue's 429 and /metrics to
+// the capacity of the queue the node runs, not Config.QueueSize.
+func TestQueueFullNamesItsCapacity(t *testing.T) {
+	s, g := gatedNode(t, Config{Workers: 1, Scheduler: NewDRR(2, 1)})
+	if _, rf := g.submit(t, s, "a", 1); rf != nil {
+		t.Fatalf("first submit refused: %+v", rf)
+	}
+	g.waitRuns(t, 1)
+	for p := 2; p <= 3; p++ {
+		if _, rf := g.submit(t, s, "a", p); rf != nil {
+			t.Fatalf("submit %d refused below capacity: %+v", p, rf)
+		}
+	}
+	_, rf := g.submit(t, s, "a", 4)
+	if rf == nil || rf.Code != http.StatusTooManyRequests || rf.Message != "queue full (2 jobs); retry later" {
+		t.Fatalf("fourth submit: %+v, want 429 queue full (2 jobs)", rf)
+	}
+	m := s.Metrics()
+	if m["queue_capacity"] != 2 || m["queue_depth"] != 2 {
+		t.Errorf("queue_capacity %v, queue_depth %v; want 2, 2", m["queue_capacity"], m["queue_depth"])
+	}
+}
+
+// TestBareNodeRotatesTenants holds a node built without a Scheduler to the
+// DRR's rotation: behind a busy worker, tenant a's three jobs then b's one
+// are dispatched a, b, a, a.
+func TestBareNodeRotatesTenants(t *testing.T) {
+	s, g := gatedNode(t, Config{Workers: 1})
+	var jobs []Job
+	for _, sub := range []struct {
+		tenant string
+		p      int
+	}{{"x", 1}, {"a", 2}, {"a", 3}, {"a", 4}, {"b", 5}} {
+		j, rf := g.submit(t, s, sub.tenant, sub.p)
+		if rf != nil {
+			t.Fatalf("submit %s/%d refused: %+v", sub.tenant, sub.p, rf)
+		}
+		jobs = append(jobs, j)
+		if sub.p == 1 {
+			g.waitRuns(t, 1) // the worker holds x's job while the rest queue
+		}
+	}
+	g.release()
+	for _, j := range jobs {
+		select {
+		case <-j.Done():
+		case <-time.After(5 * time.Second):
+			t.Fatalf("job %s never finished", j.ID())
+		}
+	}
+	// x, then a, b, a, a.
+	if got, want := g.runs(), []int{1, 2, 5, 3, 4}; !slices.Equal(got, want) {
+		t.Fatalf("dispatched P %v, want %v", got, want)
+	}
+}
+
+// TestSubmitRacesShutdown submits unique jobs from eight goroutines while
+// Shutdown runs: every job the node accepted has finished by the time
+// Shutdown returns, every refusal is a 503 (closed) or a 429 (full), and
+// the queue ends empty.
+func TestSubmitRacesShutdown(t *testing.T) {
+	s, err := New(Config{Workers: 2, QueueSize: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients = 8
+	var (
+		wg       sync.WaitGroup
+		seed     atomic.Uint64
+		accepted atomic.Int64
+		mu       sync.Mutex
+		handles  []Job
+		stopped  = make(chan struct{}) // Shutdown has returned
+	)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stopped:
+					return
+				default:
+				}
+				spec := JobSpec{Domain: "synthetic", Scheme: "GP-S0.90", P: 4, Synthetic: &SyntheticSpec{W: 5, Seed: seed.Add(1)}}
+				canonical, err := Canonicalize(spec, s.domains)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				h, rf := s.SubmitCanonical(context.Background(), canonical, CacheKey(canonical), fmt.Sprint("t", c%3), 1)
+				switch {
+				case rf == nil:
+					accepted.Add(1)
+					mu.Lock()
+					handles = append(handles, h)
+					mu.Unlock()
+				case rf.Code == http.StatusServiceUnavailable:
+					return
+				case rf.Code != http.StatusTooManyRequests:
+					t.Errorf("refusal %+v, want 503 or 429", rf)
+					return
+				}
+			}
+		}()
+	}
+	for accepted.Load() < 64 {
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	err = s.Shutdown(ctx)
+	close(stopped)
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	// No worker outlives Shutdown, so a job not finished now never will be.
+	if d := s.Metrics()["queue_depth"]; d != 0 {
+		t.Errorf("queue_depth %v after Shutdown, want 0", d)
+	}
+	unfinished := 0
+	for _, h := range handles {
+		if h.Status() != StatusDone {
+			if unfinished++; unfinished <= 3 {
+				t.Errorf("accepted job %s is %q after Shutdown returned, want done", h.ID(), h.Status())
+			}
+		}
+	}
+	t.Logf("%d jobs accepted, %d not run", len(handles), unfinished)
 }

@@ -121,27 +121,14 @@ func (sp *spool) rescan(domains map[string]bool) []spooledJob {
 // resumeSpooled re-queues the jobs a previous process left checkpointed
 // in the spool.  Each gets a fresh id and carries its checkpoint bytes;
 // the runner restores the snapshot and reports the resumed-from cycle.
-// Checkpoints that do not fit the queue stay on disk for the next
-// restart.
+// A resumed job takes no quota slot.  Checkpoints that do not fit the
+// queue stay on disk for the next restart: a refused job never runs, so
+// nothing removes its file.
 func (s *Server) resumeSpooled() {
 	for _, sj := range s.spool.rescan(s.domains) {
 		id := "j" + strconv.FormatInt(s.nextID.Add(1), 10)
 		j := newJob(s, id, sj.spec, sj.key, time.Now())
 		j.resume = sj.data
-		j.events.Append(JobEvent{Type: EventStatus, Status: StatusQueued}) // before the push, as in enqueue
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			j.cancel(errShutdown)
-			return
-		}
-		if !s.sched.Push(SchedItem{Tenant: j.tenant, Cost: j.cost, job: j}) {
-			s.mu.Unlock()
-			j.cancel(errShutdown)
-			continue
-		}
-		s.mu.Unlock()
-		s.ctr.jobsQueued.Add(1)
-		s.store.add(j)
+		s.enqueue(j, false)
 	}
 }

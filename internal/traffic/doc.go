@@ -16,11 +16,12 @@
 //     (internal/cluster), whose front door is a Frontend too, so collapse,
 //     batch and cache-hit answers are written once, here.
 //
-//   - Per-tenant fair scheduling.  A deficit-round-robin scheduler
-//     replaces the server's global FIFO via server.Config.Scheduler.  The
-//     rotation invariant is the paper's GP pointer rule (§4.1) lifted one
-//     level: no backlogged tenant is served twice before every other
-//     backlogged tenant is served once.
+//   - Per-tenant fair scheduling.  The node's one queue, server.DRR, is a
+//     deficit-round-robin scheduler over tenants; the frontend reports
+//     its per-tenant stats as traffic_tenants.  The rotation invariant
+//     is the paper's GP pointer rule (§4.1) lifted one level: no
+//     backlogged tenant is served twice before every other backlogged
+//     tenant is served once.
 //
 //   - Batch admission.  POST /v1/jobs:batch admits up to MaxBatch specs
 //     with per-item verdicts, each through the single-submission path.

@@ -50,7 +50,7 @@ type backend interface {
 // untouched.
 type Frontend struct {
 	b   backend
-	drr *DRR // nil when the server runs a different scheduler
+	drr *DRR // the node's queue, for traffic_tenants; nil for a fleet
 	cfg Config
 
 	mu      sync.Mutex
@@ -88,8 +88,9 @@ type flight struct {
 }
 
 // New builds a Frontend over srv, a *server.Server or anything else that
-// submits as one.  drr may be nil; when the DRR scheduler is installed,
-// passing it here surfaces per-tenant queue stats in /metrics.
+// submits as one.  drr is the node's queue (its Config.Scheduler), whose
+// per-tenant stats /metrics then carries as traffic_tenants; nil (a fleet
+// coordinator) leaves them out.
 func New(srv backend, drr *DRR, cfg Config) *Frontend {
 	return &Frontend{
 		b:       srv,

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -25,7 +26,7 @@ import (
 // scheduler installed, behind an httptest listener.
 func newFrontend(t *testing.T, cfg server.Config, tcfg Config) (*Frontend, *httptest.Server) {
 	t.Helper()
-	drr := NewDRR(64, 1)
+	drr := server.NewDRR(64, 1)
 	cfg.Scheduler = drr
 	s, err := server.New(cfg)
 	if err != nil {
@@ -426,6 +427,16 @@ func TestSSEStreamAndResume(t *testing.T) {
 	}
 }
 
+// TestCostUnitsClamp pins the range a job's DRR cost can take, [1/16,
+// 16]: server's TestDRRSingleTenantIsFIFO holds a single tenant to push
+// order across exactly that range.
+func TestCostUnitsClamp(t *testing.T) {
+	lo, hi := Estimate{}.CostUnits(), Estimate{W: math.MaxFloat64}.CostUnits()
+	if lo != 1.0/16 || hi != 16 {
+		t.Fatalf("CostUnits clamps to [%g, %g], want [1/16, 16]", lo, hi)
+	}
+}
+
 // TestEstimateEndpoint checks POST /v1/estimate prices specs without
 // running them: synthetic W is exact, queens is a model prediction, and
 // both yield positive cost units for DRR admission.
@@ -524,7 +535,7 @@ func TestMetricsMerged(t *testing.T) {
 // onto each other's flight, while a flight of the other spec holds the
 // tenant's one slot.
 func TestCachedSubmissionsIgnoreQuota(t *testing.T) {
-	drr := NewDRR(64, 1)
+	drr := server.NewDRR(64, 1)
 	s, err := server.New(server.Config{Workers: 2, Scheduler: drr, TenantQuota: 1})
 	if err != nil {
 		t.Fatal(err)

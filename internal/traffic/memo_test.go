@@ -19,7 +19,7 @@ import (
 // memoFrontend is a Frontend over a fresh node, driven in-process.
 func memoFrontend(t *testing.T) (*Frontend, http.Handler) {
 	t.Helper()
-	drr := NewDRR(64, 1)
+	drr := server.NewDRR(64, 1)
 	s, err := server.New(server.Config{Workers: 2, Scheduler: drr})
 	if err != nil {
 		t.Fatal(err)

@@ -107,7 +107,7 @@ rule() {
 # metrics-discipline — one metrics table (DESIGN.md section 9, "/metrics"):
 # a node's and the coordinator's /metrics keys are spelled in their
 # Metrics() maps, which the traffic frontend extends, so under internal/ one
-# non-test field of any type is tagged json:"..._total": TenantStat.Served, a
+# non-test field of any type is tagged json:"..._total": server.TenantStat.Served, a
 # per-tenant field nested in the frontend's traffic_tenants.  A second is a
 # counter document growing back beside Metrics().  (A trace's samples_total
 # and phases_total, lengths rather than counters, are excepted by name.)
@@ -143,7 +143,7 @@ rules() {
 		-e 'text/event-stream' -- '*.go' ':!*_test.go'
 	rule admit-discipline 0 'admit through traffic.Frontend (mount it over a SubmitCanonical): collapse, batch and cache-hit answers are written once, in internal/traffic' \
 		-e 'X-Collapsed' -e 'jobs:batch"' -- 'internal/*.go' ':!*_test.go' ':!internal/traffic/'
-	rule metrics-discipline 1 'under internal/ {n} fields are tagged json:"..._total", want 1 (traffic.TenantStat.Served): name a /metrics key in Server.Metrics or Coordinator.Metrics' \
+	rule metrics-discipline 1 'under internal/ {n} fields are tagged json:"..._total", want 1 (server.TenantStat.Served): name a /metrics key in Server.Metrics or Coordinator.Metrics' \
 		-E -e 'json:"[a-z0-9_]*_total[",]' --and --not -e 'json:"(samples|phases)_total"' -- 'internal/*.go' ':!*_test.go'
 	rule owner-discipline 0 'steal.NewDriver( is called outside internal/server: the node that holds a job drives its shards (server.distribute)' \
 		-e 'steal\.NewDriver(' -- '*.go' ':!*_test.go' ':!internal/server/' ':!benchmark/'
@@ -219,14 +219,14 @@ if [ "${1:-}" = selftest ]; then
 	plant 11 0 cmd/x/zz.go 'collapsed := resp.Header.Get("X-Collapsed") != ""'
 	plant 11 0 internal/server/zz.go '// BatchRequest is the POST /v1/jobs:batch body.'
 	set -- 'Served  int64 `json:"served_total"`'
-	plant 12 0 internal/traffic/drr.go "$@"
-	plant 12 1 internal/traffic/drr.go "$@" '@internal/server/zz.go' 'JobsDone            int64 `json:"jobs_done_total"`'
-	plant 12 1 internal/traffic/drr.go "$@" '@internal/cluster/zz.go' 'JobsRouted int64 `json:"jobs_routed_total"`'
-	plant 12 1 internal/traffic/drr.go 'Served  int64 `json:"served"`'
-	plant 12 0 internal/traffic/drr.go "$@" '@internal/server/zz_test.go' 'JobsDone int64 `json:"jobs_done_total"`'
-	plant 12 0 internal/traffic/drr.go "$@" '@internal/server/zz.go' 'SamplesTotal int `json:"samples_total"`' 'PhasesTotal int `json:"phases_total"`'
-	plant 12 1 internal/traffic/drr.go "$@" '@internal/server/zz.go' 'JobsDone int `json:"jobs_done_total"`'
-	plant 12 1 internal/traffic/drr.go "$@" '@internal/cluster/zz.go' 'Probes uint64 `json:"probes_total,omitempty"`'
+	plant 12 0 internal/server/drr.go "$@"
+	plant 12 1 internal/server/drr.go "$@" '@internal/server/zz.go' 'JobsDone            int64 `json:"jobs_done_total"`'
+	plant 12 1 internal/server/drr.go "$@" '@internal/cluster/zz.go' 'JobsRouted int64 `json:"jobs_routed_total"`'
+	plant 12 1 internal/server/drr.go 'Served  int64 `json:"served"`'
+	plant 12 0 internal/server/drr.go "$@" '@internal/server/zz_test.go' 'JobsDone int64 `json:"jobs_done_total"`'
+	plant 12 0 internal/server/drr.go "$@" '@internal/server/zz.go' 'SamplesTotal int `json:"samples_total"`' 'PhasesTotal int `json:"phases_total"`'
+	plant 12 1 internal/server/drr.go "$@" '@internal/server/zz.go' 'JobsDone int `json:"jobs_done_total"`'
+	plant 12 1 internal/server/drr.go "$@" '@internal/cluster/zz.go' 'Probes uint64 `json:"probes_total,omitempty"`'
 	plant 13 1 internal/cluster/zz.go 'drv, err := steal.NewDriver(cfg, raw, shards)'
 	plant 13 0 internal/server/zz.go 'drv, err := steal.NewDriver(cfg, raw, shards)'
 	plant 13 0 internal/cluster/zz_test.go 'drv, err := steal.NewDriver(cfg, raw, shards)'
