@@ -24,7 +24,7 @@ test-race:
 # The engine's benchmarks: every pinned run of internal/simd's table (the
 # schedules, allocation ceilings and Workers overhead bound those runs must
 # hold are tests, in "make test"), the structure-of-arrays micro-benchmarks,
-# a cache hit through the traffic frontend, a finished job's history
+# a cache hit through a node's frontend, a finished job's history
 # entry, the spill sweep and fault barrier, and the synthetic tree
 # generator's expansion.
 bench:

@@ -23,7 +23,6 @@ import (
 	"simdtree/internal/server"
 	"simdtree/internal/stack"
 	"simdtree/internal/synthetic"
-	"simdtree/internal/traffic"
 )
 
 // tinySuite builds the reduced-scale synthetic suite shared by the table
@@ -606,13 +605,12 @@ func BenchmarkArenaHeld(b *testing.B) {
 const cacheHitAllocs = 43
 
 // BenchmarkCacheHit is one ?wait=1 submission of a cached spec through the
-// traffic frontend's handler, from request decoding to the response bytes:
+// node's handler, its frontend, from request decoding to the response bytes:
 // the request path that is nearly all of a cache hit's latency.  The spec
 // is simdmark's service job; its one engine run happens before the timer.
 // The benchmark fails above cacheHitAllocs allocations an op.
 func BenchmarkCacheHit(b *testing.B) {
-	drr := server.NewDRR(64, 1)
-	srv, err := server.New(server.Config{Scheduler: drr})
+	srv, err := server.New(server.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -621,7 +619,7 @@ func BenchmarkCacheHit(b *testing.B) {
 			b.Error(err)
 		}
 	}()
-	h := traffic.New(srv, drr, traffic.Config{}).Handler()
+	h := srv.Handler()
 	const spec = `{"domain":"synthetic","scheme":"GP-S0.90","p":64,"synthetic":{"w":30000,"seed":1}}`
 	var rec *httptest.ResponseRecorder
 	serve := func() {
@@ -655,7 +653,7 @@ const (
 )
 
 // BenchmarkJobRecord serves simdmark's service job (unique seeds, one
-// engine run each) through a DRR-scheduled node with a full job history
+// engine run each) through a node with a full job history
 // and a one-entry cache, one job an op, and reports the live heap the node
 // then holds per history entry, B/entry: the node's memory is its history
 // times this plus its cache, however many jobs it has served.  At least
@@ -663,8 +661,7 @@ const (
 // finished job has released what only its run needed.  The benchmark
 // fails above jobRecordBytes.
 func BenchmarkJobRecord(b *testing.B) {
-	drr := server.NewDRR(64, 1)
-	srv, err := server.New(server.Config{Scheduler: drr, JobHistory: jobRecordHistory, CacheSize: 1})
+	srv, err := server.New(server.Config{JobHistory: jobRecordHistory, CacheSize: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,13 +6,13 @@
 // previous process left interrupted, completing it to the identical
 // result.
 //
-// The traffic layer (internal/traffic) fronts the service by default:
-// batch submission (POST /v1/jobs:batch), single-flight collapsing of
-// concurrent identical specs, cost estimation (POST /v1/estimate), and
-// deficit-round-robin tenant fairness keyed on the X-Tenant header.
-// The service itself streams
-// SSE progress (GET /v1/jobs/{id}/events, resumable via Last-Event-ID)
-// and bounds one tenant's outstanding jobs (-tenant-quota).
+// Every node serves through its one front door, the frontend
+// (internal/server/frontend.go): batch submission (POST /v1/jobs:batch),
+// single-flight collapsing of concurrent identical specs and cost
+// estimation (POST /v1/estimate), over one queue with deficit-round-robin
+// tenant fairness keyed on the X-Tenant header.  The node streams SSE
+// progress (GET /v1/jobs/{id}/events, resumable via Last-Event-ID) and
+// bounds one tenant's outstanding jobs (-tenant-quota).
 //
 // Quickstart:
 //
@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"simdtree/internal/server"
-	"simdtree/internal/traffic"
 )
 
 // errUsage reports flags the command refused; it has printed why.
@@ -97,11 +96,9 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		return errUsage
 	}
 
-	// One queue: per-tenant deficit round robin, one cost unit per visit.
-	// With a single tenant it dispatches in push order, as a FIFO would.
-	drr := server.NewDRR(*queueSize, 1)
 	svc, err := server.New(server.Config{
 		Workers:         *workers,
+		QueueSize:       *queueSize,
 		CacheSize:       *cacheSize,
 		JobHistory:      *history,
 		DefaultTimeout:  *timeout,
@@ -110,20 +107,17 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		CheckpointEvery: *ckptEvery,
 		EnablePprof:     *enablePprof,
 		DrainTimeout:    *drain,
-		Scheduler:       drr,
 		ProgressEvery:   *progressEvery,
 		TenantQuota:     *tenantQuota,
 		MemBudget:       *memBudget,
+		MaxBatch:        *maxBatch,
+		MemLimit:        *memLimit,
 	})
 	if err != nil {
 		return err
 	}
-	frontend := traffic.New(svc, drr, traffic.Config{
-		MaxBatch: *maxBatch,
-		MemLimit: *memLimit,
-	})
 	httpSrv := &http.Server{
-		Handler:           frontend.Handler(),
+		Handler:           svc.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 

@@ -13,10 +13,10 @@ import (
 )
 
 // The coordinator serves a node's /v1/jobs API: a client that speaks
-// simdserve speaks simdfleet.  Its front door is the node's own traffic
-// frontend (traffic.go), and what the two must agree on byte for byte —
-// bodies, errors, strict decoding, event streams, traces — is the node's
-// own code (internal/server/wire.go), called from here; a node's refusal
+// simdserve speaks simdfleet.  Its front door is the node's own frontend
+// (server.NewFrontend, over traffic.go's SubmitCanonical), and what the
+// two must agree on byte for byte — bodies, errors, strict decoding, event
+// streams, traces — is the node's own code (internal/server/wire.go), called from here; a node's refusal
 // passes through with the node's status, message and Retry-After.
 // Responses wrap the owning node's verbatim job document in a fleet
 // envelope that adds the routing facts (node, overflow, failovers).
@@ -45,9 +45,9 @@ type fleetJobResponse struct {
 	Job         json.RawMessage `json:"job,omitempty"`
 }
 
-// Handler returns the coordinator's HTTP front door: a traffic.Frontend
+// Handler returns the coordinator's HTTP front door: the node's frontend
 // admitting through SubmitCanonical, over the routes of routes.
-func (c *Coordinator) Handler() http.Handler { return c.front.Handler() }
+func (c *Coordinator) Handler() http.Handler { return c.front }
 
 // routes is the routing table of everything the frontend passes through.
 func (c *Coordinator) routes() http.Handler {
@@ -325,8 +325,7 @@ func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
 }
 
 // Metrics is the coordinator's /metrics document, each key named here and
-// nowhere else; its traffic frontend adds its own counters before writing
-// it.
+// nowhere else; its frontend adds its own counters before writing it.
 func (c *Coordinator) Metrics() map[string]any {
 	return map[string]any{
 		"uptime_seconds":                 time.Since(c.started).Seconds(),

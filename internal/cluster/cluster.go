@@ -18,12 +18,12 @@
 //     produces byte-identical results (failover.go).
 //
 // The coordinator serves a node's /v1/jobs surface through the node's
-// own code: its front door is the node's traffic.Frontend, admitting
-// through Coordinator.SubmitCanonical (ring route, forward, one GP retry)
-// instead of a local queue, so collapse, batch, "wait" and cache-hit
-// answers are the node's; and everything else speaks the node's wire code
-// (internal/server/wire.go).  A client written against one simdserve talks
-// to the fleet unchanged, refusals included.
+// own code: its front door is the node's frontend (server.NewFrontend),
+// admitting through Coordinator.SubmitCanonical (ring route, forward, one
+// GP retry) instead of a local queue, so collapse, batch, "wait" and
+// cache-hit answers are the node's; and everything else speaks the node's
+// wire code (internal/server/wire.go).  A client written against one
+// simdserve talks to the fleet unchanged, refusals included.
 package cluster
 
 import (
@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"simdtree/internal/server"
-	"simdtree/internal/traffic"
 )
 
 // Config shapes a Coordinator.  Only Nodes is required.
@@ -115,7 +114,7 @@ type Coordinator struct {
 
 	// front is the coordinator's front door (Handler), admitting through
 	// SubmitCanonical.
-	front *traffic.Frontend
+	front http.Handler
 
 	jobs       fleetJobs
 	ctr        fleetCounters
@@ -191,7 +190,7 @@ func New(cfg Config) (*Coordinator, error) {
 		loopCtx:  loopCtx,
 		loopStop: loopStop,
 	}
-	c.front = traffic.New(frontDoor{c}, nil, traffic.Config{})
+	c.front = server.NewFrontend(c, c.routes())
 	if cfg.ProbeInterval > 0 {
 		c.wg.Add(1)
 		go c.loop(cfg.ProbeInterval, func(ctx context.Context) { c.probe(ctx, false) })

@@ -10,7 +10,7 @@ import (
 // fleetJob is the coordinator's record of one routed job: where it
 // lives, what key it hashes to, and the warm checkpoint copy that makes
 // failover possible when the owning node dies without warning.  It is the
-// server.Job the coordinator's traffic frontend admits and collapses.
+// server.Job the coordinator's frontend admits and collapses.
 type fleetJob struct {
 	id   string // fleet-level id ("f1", ...)
 	key  string // canonical cache key; the routing hash

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"simdtree/internal/server"
-	"simdtree/internal/traffic"
 )
 
 // metricsSpec is the one job each /metrics document below is read after.
@@ -47,44 +46,26 @@ var (
 	}
 )
 
-// TestMetricsKeySets pins the key sets of the three /metrics documents — a
-// bare node, a node behind its traffic frontend (with the DRR scheduler,
-// as simdserve runs), and the fleet — each read after one completed job,
-// and checks every *_total value, nested ones included, is a JSON integer.
+// TestMetricsKeySets pins the key sets of the two /metrics documents — a
+// node, which serves through its frontend and its one queue, and the
+// fleet — each read after one completed job, and checks every *_total
+// value, nested ones included, is a JSON integer.
 func TestMetricsKeySets(t *testing.T) {
 	s, err := server.New(server.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare := httptest.NewServer(s.Handler())
+	node := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
-		bare.Close()
+		node.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := s.Shutdown(ctx); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}
 	})
-	sub, _ := postJSONAs[innerWireJob](t, bare.URL+"/v1/jobs", metricsSpec)
-	waitNodeTerminal(t, bare.URL, sub.ID)
-
-	drr := server.NewDRR(64, 1)
-	fs, err := server.New(server.Config{Workers: 1, Scheduler: drr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fronted := httptest.NewServer(traffic.New(fs, drr, traffic.Config{}).Handler())
-	t.Cleanup(func() {
-		fronted.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := fs.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	})
-	if _, code := postJSONAs[innerWireJob](t, fronted.URL+"/v1/jobs?wait=1", metricsSpec); code != http.StatusOK {
-		t.Fatalf("fronted submit: status %d", code)
-	}
+	sub, _ := postJSONAs[innerWireJob](t, node.URL+"/v1/jobs", metricsSpec)
+	waitNodeTerminal(t, node.URL, sub.ID)
 
 	c, err := New(Config{Nodes: []string{startTrafficNode(t, server.Config{Workers: 1}, nil)}})
 	if err != nil {
@@ -101,8 +82,7 @@ func TestMetricsKeySets(t *testing.T) {
 		name, url string
 		want      []string
 	}{
-		{"bare node", bare.URL, nodeKeys},
-		{"fronted node", fronted.URL, sortedKeys(nodeKeys, frontendKeys, []string{"traffic_tenants"})},
+		{"node", node.URL, sortedKeys(nodeKeys, frontendKeys, []string{"traffic_tenants"})},
 		{"fleet", fleet.URL, sortedKeys(fleetKeys, frontendKeys)},
 	} {
 		doc := metricsDoc(t, tc.url)

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"simdtree/internal/server"
-	"simdtree/internal/traffic"
 )
 
 // paritySide is one answerer of the parity table: a node on its own, or a
@@ -26,16 +25,15 @@ type paritySide struct {
 	posts *atomic.Int64
 }
 
-// startParityNode boots one production-shaped node (server under the
-// traffic frontend, as startTrafficNode builds it) with the given memory
-// limit, counting POST /v1/jobs arrivals into posts when it is non-nil.
+// startParityNode boots one production-shaped node (as startTrafficNode
+// builds it) with the given memory limit, counting POST /v1/jobs arrivals into posts when it is non-nil.
 func startParityNode(t *testing.T, memLimit int64, posts *atomic.Int64) string {
 	t.Helper()
-	s, err := server.New(server.Config{Workers: 1})
+	s, err := server.New(server.Config{Workers: 1, MemLimit: memLimit})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := traffic.New(s, nil, traffic.Config{MemLimit: memLimit}).Handler()
+	h := s.Handler()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if posts != nil && r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
 			posts.Add(1)

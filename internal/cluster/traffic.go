@@ -11,16 +11,11 @@ import (
 	"simdtree/internal/server"
 )
 
-// The coordinator's front door is a traffic.Frontend, the node's own:
-// collapse, batch, wait and cache-hit answers are written once, there.
-
-// frontDoor is the backend the coordinator's frontend admits through: the
-// coordinator, whose SubmitCanonical routes where a node enqueues, with
-// Handler serving the coordinator's own routes (Coordinator.Handler is
-// the frontend itself).
-type frontDoor struct{ *Coordinator }
-
-func (b frontDoor) Handler() http.Handler { return b.routes() }
+// The coordinator's front door is the node's own frontend
+// (server.NewFrontend): collapse, batch, wait and cache-hit answers are
+// written once, there.  It admits through the coordinator, whose
+// SubmitCanonical routes where a node enqueues, and passes every other
+// route to the coordinator's own (routes).
 
 // CanonicalizeSpec validates and canonicalizes spec with exactly a node's
 // rules, against the coordinator's domain set.

@@ -18,20 +18,18 @@ import (
 	"simdtree/internal/metrics"
 	"simdtree/internal/server"
 	"simdtree/internal/simd"
-	"simdtree/internal/traffic"
 )
 
-// startTrafficNode boots a node the way simdserve does in production:
-// the server wrapped in the traffic frontend, so it serves the batch and
-// SSE routes the coordinator proxies to.  wrap, when set, sits in front
-// of the frontend's handler.
+// startTrafficNode boots a node the way simdserve does in production,
+// built from cfg alone, behind its one front door.  wrap, when set, sits
+// in front of the node's handler.
 func startTrafficNode(t *testing.T, cfg server.Config, wrap func(http.Handler) http.Handler) string {
 	t.Helper()
 	s, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := traffic.New(s, nil, traffic.Config{}).Handler()
+	h := s.Handler()
 	if wrap != nil {
 		h = wrap(h)
 	}

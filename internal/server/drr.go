@@ -52,14 +52,14 @@ type tenantQueue struct {
 	deficit float64
 }
 
-// admission is push's verdict on one job.
-type admission uint8
+// verdict is push's decision on one job.
+type verdict uint8
 
 const (
-	admitted      admission = iota
-	refusedClosed           // the node is shutting down: 503
-	refusedQuota            // the tenant holds all its quota slots: 429
-	refusedFull             // the backlog is at capacity: 429
+	admitted      verdict = iota
+	refusedClosed         // the node is shutting down: 503
+	refusedQuota          // the tenant holds all its quota slots: 429
+	refusedFull           // the backlog is at capacity: 429
 )
 
 // NewDRR returns a DRR bounding the total backlog (all tenants together)
@@ -88,7 +88,7 @@ func NewDRR(capacity int, quantum float64) *DRR {
 // queue is closed, j's tenant is at its quota or the backlog is full, in
 // that order.  Only a submission (quota set) counts against the quota;
 // once admitted it holds one of its tenant's slots until release.
-func (d *DRR) push(j *job, quota bool) admission {
+func (d *DRR) push(j *job, quota bool) verdict {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	quota = quota && d.quota > 0

@@ -218,17 +218,17 @@ func TestDRRForgetsDrainedTenants(t *testing.T) {
 	if len(d.tenants) != 0 {
 		t.Errorf("%d queues kept after every label drained", len(d.tenants))
 	}
-	if _, err := TenantFrom(&http.Request{Header: http.Header{TenantHeader: {otherTenants}}}); err == nil {
+	if _, err := tenantFrom(&http.Request{Header: http.Header{TenantHeader: {otherTenants}}}); err == nil {
 		t.Errorf("%q is a valid X-Tenant; the overflow key must not be", otherTenants)
 	}
 }
 
 // TestDRRSingleTenantIsFIFO holds the DRR to push order when one tenant
-// submits everything, whatever the costs across the range the traffic
-// layer's cost estimate clamps to, [1/16, 16] (TestCostUnitsClamp in
-// internal/traffic): a single-tenant node dispatches exactly as a FIFO
-// would.  Pushes land both on a backlog and on an empty queue, so the
-// tenant also leaves and rejoins the rotation.
+// submits everything, whatever the costs across the range the frontend's
+// cost estimate clamps to, [1/16, 16] (TestCostUnitsClamp): a
+// single-tenant node dispatches exactly as a FIFO would.  Pushes land both
+// on a backlog and on an empty queue, so the tenant also leaves and
+// rejoins the rotation.
 func TestDRRSingleTenantIsFIFO(t *testing.T) {
 	const n = 64
 	// Distinct costs, so the cost names the item: geometric from the

@@ -9,11 +9,11 @@ import (
 	"time"
 )
 
-// Job is a submitted job as the traffic frontend (internal/traffic)
-// observes it: a node's *JobHandle, or a coordinator's routed fleet job.
-// ResponseBytes is the document the API answers with for it, so every
-// subscriber of a collapsed submission fans out the one rendered response
-// of the one real run.
+// Job is a submitted job as the frontend (frontend.go) observes it: a
+// node's *JobHandle, or a coordinator's routed fleet job.  ResponseBytes
+// is the document the API answers with for it, so every subscriber of a
+// collapsed submission fans out the one rendered response of the one real
+// run.
 type Job interface {
 	ID() string
 	Key() string
@@ -98,8 +98,8 @@ type Refusal struct {
 	RetryAfter int
 }
 
-// SubmitCanonical is the submission path of the traffic layer and of
-// POST /v1/jobs: consult the result cache, otherwise admit to the
+// SubmitCanonical is the node's submission path, which its frontend's
+// POST /v1/jobs and :batch admit through: consult the result cache, otherwise admit to the
 // queue under the given tenant, its quota (Config.TenantQuota) and
 // the predicted cost.  The spec must already be canonical and key its
 // cache key.  A nil Refusal means the job was accepted (possibly finished
@@ -159,8 +159,8 @@ const DefaultTenant = "default"
 // maxTenantLen bounds the accepted tenant label.
 const maxTenantLen = 64
 
-// TenantFrom extracts and validates the tenant label of a request.
-func TenantFrom(r *http.Request) (string, error) {
+// tenantFrom extracts and validates the tenant label of a request.
+func tenantFrom(r *http.Request) (string, error) {
 	t := r.Header.Get(TenantHeader)
 	if t == "" {
 		return DefaultTenant, nil

@@ -62,9 +62,9 @@ type Config struct {
 	DrainTimeout time.Duration
 	// Scheduler is the node's queue, which admits jobs (drain, capacity,
 	// TenantQuota) and hands them to the workers in per-tenant rotation;
-	// nil builds NewDRR(QueueSize, 1).  A caller that reads the queue's
-	// per-tenant stats, such as the traffic frontend, builds it and
-	// passes it here; New sets its quota to TenantQuota.
+	// nil builds NewDRR(QueueSize, 1).  New sets its quota to TenantQuota.
+	// benchmark/ is its only non-test caller, and passes NewDRR(64, 1),
+	// the queue a nil Scheduler builds at the default QueueSize.
 	Scheduler *DRR
 	// ProgressEvery is the cycle cadence of per-job progress events (the
 	// SSE feed); default 250.  Negative disables progress events.
@@ -79,6 +79,16 @@ type Config struct {
 	// levels to disk and produce results identical to unbounded ones, so
 	// the default sits safely below the cache key.
 	MemBudget int64
+	// MaxBatch bounds the specs accepted by one POST /v1/jobs:batch
+	// request (default 64).
+	MaxBatch int
+	// MemLimit is the node's resident-memory comfort line in bytes.
+	// When positive, a spec that neither sets mem_budget nor fits —
+	// predicted peak resident bytes within the limit — is refused with
+	// 413 and told to resubmit with a mem_budget, under which the run
+	// spills to disk instead of growing without bound.  0 disables the
+	// check.
+	MemLimit int64
 }
 
 // DefaultJobHistory is a node's default Config.JobHistory, and the
@@ -110,6 +120,9 @@ func (c Config) withDefaults() Config {
 	if c.ProgressEvery == 0 {
 		c.ProgressEvery = 250
 	}
+	if c.MaxBatch <= 0 {
+		c.MaxBatch = 64
+	}
 	return c
 }
 
@@ -135,7 +148,8 @@ type Server struct {
 	rootCtx  context.Context
 	rootStop context.CancelCauseFunc
 
-	queue *DRR // the one queue, and the one admission decision
+	queue *DRR      // the one queue, and the one admission decision
+	front *frontend // the one front door (Handler)
 
 	nextID  atomic.Int64
 	started time.Time
@@ -184,6 +198,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.spool = sp
 	}
+	s.front = newFrontend(s, s.routes(), queue, cfg)
 	s.startWorkers()
 	if s.spool != nil {
 		s.resumeSpooled()
@@ -213,10 +228,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// Handler returns the service's HTTP routing table.
-func (s *Server) Handler() http.Handler {
+// Handler returns the node's front door: its frontend, which owns
+// submission (POST /v1/jobs, :batch), /v1/estimate and /metrics and passes
+// every other route to the node's own (routes).
+func (s *Server) Handler() http.Handler { return s.front.handler }
+
+// routes is the routing table of everything the frontend passes through.
+func (s *Server) routes() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("POST /v1/jobs/import", s.handleImport)
 	mux.HandleFunc("GET /v1/jobs", s.handleList)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
@@ -233,9 +252,6 @@ func (s *Server) Handler() http.Handler {
 	}
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /version", s.handleVersion)
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		WriteJSON(w, http.StatusOK, s.Metrics())
-	})
 	if s.cfg.EnablePprof {
 		// Registered explicitly rather than via the net/http/pprof
 		// import side effect, so the handlers exist only on this mux
@@ -402,37 +418,6 @@ func (s *Server) enqueue(j *job, quota bool) *Refusal {
 	return nil
 }
 
-// handleSubmit implements POST /v1/jobs: canonicalize, consult the cache,
-// otherwise enqueue with backpressure.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, ok := DecodeSpec(w, r)
-	if !ok {
-		return
-	}
-	tenant, err := TenantFrom(r)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	canonical, err := Canonicalize(spec, s.domains)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	h, refusal := s.SubmitCanonical(r.Context(), canonical, CacheKey(canonical), tenant, 1)
-	if refusal != nil {
-		refusal.Apply(w)
-		return
-	}
-	// One view decides both: 202 exactly when the status it carries is not
-	// final (a cache hit, or a job a free worker already finished, is 200).
-	v, code := h.(*JobHandle).j.view(), http.StatusAccepted
-	if v.Status.Terminal() {
-		code = http.StatusOK
-	}
-	WriteJSON(w, code, renderJob(v))
-}
-
 // handleGet implements GET /v1/jobs/{id}.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.store.get(r.PathValue("id"))
@@ -584,7 +569,7 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 
 // Metrics is the /metrics document: every counter, gauge and per-scheme
 // latency histogram the node keeps, each named here and nowhere else.  The
-// map is fresh on every call, so a traffic frontend adds its own counters
+// map is fresh on every call, so the node's frontend adds its own counters
 // to it before writing it.  scheme_latency_ms appears once a job has run.
 func (s *Server) Metrics() map[string]any {
 	running := s.ctr.jobsRunning.Load()

@@ -253,9 +253,15 @@ func TestBudgetExhaustion(t *testing.T) {
 	}
 }
 
-// TestHandlerTable covers the HTTP error surface.
+// TestHandlerTable covers the HTTP surface of a node built by New alone:
+// its error answers, and the routes of its one front door (estimate,
+// batch, collapse, the memory limit).
 func TestHandlerTable(t *testing.T) {
-	_, ts := testServer(t, Config{Workers: 1})
+	var runs atomic.Int64
+	release := make(chan struct{})
+	_, ts := testServer(t, Config{Workers: 1, MemLimit: 1 << 20,
+		Runners: map[string]Runner{"block": gatedRunner(&runs, release)}})
+	t.Cleanup(func() { close(release) })
 	post := func(path, body string) *http.Response {
 		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
@@ -270,24 +276,67 @@ func TestHandlerTable(t *testing.T) {
 		}
 		return resp
 	}
+	const blocked = `{"domain":"block","scheme":"GP-DK","p":8}`
 	cases := []struct {
-		name string
-		do   func() *http.Response
-		want int
+		name  string
+		do    func() *http.Response
+		want  int
+		check func(t *testing.T, resp *http.Response) // nil checks the status only
 	}{
-		{"malformed json", func() *http.Response { return post("/v1/jobs", "{") }, http.StatusBadRequest},
-		{"unknown field", func() *http.Response { return post("/v1/jobs", `{"domian":"puzzle"}`) }, http.StatusBadRequest},
-		{"unknown domain", func() *http.Response { return post("/v1/jobs", `{"domain":"chess","scheme":"GP-DK","p":4}`) }, http.StatusBadRequest},
+		{"malformed json", func() *http.Response { return post("/v1/jobs", "{") }, http.StatusBadRequest, nil},
+		{"unknown field", func() *http.Response { return post("/v1/jobs", `{"domian":"puzzle"}`) }, http.StatusBadRequest, nil},
+		{"unknown domain", func() *http.Response { return post("/v1/jobs", `{"domain":"chess","scheme":"GP-DK","p":4}`) }, http.StatusBadRequest, nil},
 		{"bad scheme", func() *http.Response {
 			return post("/v1/jobs", `{"domain":"queens","scheme":"zz","p":4,"queens":{"n":6}}`)
-		}, http.StatusBadRequest},
-		{"unknown job", func() *http.Response { return get("/v1/jobs/j999") }, http.StatusNotFound},
-		{"unknown trace", func() *http.Response { return get("/v1/jobs/j999/trace") }, http.StatusNotFound},
-		{"method not allowed", func() *http.Response { return post("/healthz", "") }, http.StatusMethodNotAllowed},
-		{"healthz", func() *http.Response { return get("/healthz") }, http.StatusOK},
-		{"version", func() *http.Response { return get("/version") }, http.StatusOK},
-		{"metrics", func() *http.Response { return get("/metrics") }, http.StatusOK},
-		{"list", func() *http.Response { return get("/v1/jobs") }, http.StatusOK},
+		}, http.StatusBadRequest, nil},
+		{"unknown job", func() *http.Response { return get("/v1/jobs/j999") }, http.StatusNotFound, nil},
+		{"unknown trace", func() *http.Response { return get("/v1/jobs/j999/trace") }, http.StatusNotFound, nil},
+		{"method not allowed", func() *http.Response { return post("/healthz", "") }, http.StatusMethodNotAllowed, nil},
+		{"healthz", func() *http.Response { return get("/healthz") }, http.StatusOK, nil},
+		{"version", func() *http.Response { return get("/version") }, http.StatusOK, nil},
+		{"metrics", func() *http.Response { return get("/metrics") }, http.StatusOK, nil},
+		{"list", func() *http.Response { return get("/v1/jobs") }, http.StatusOK, nil},
+		{"estimate", func() *http.Response { return post("/v1/estimate", queensSpec) }, http.StatusOK,
+			func(t *testing.T, resp *http.Response) {
+				var est estimateResponse
+				if err := json.NewDecoder(resp.Body).Decode(&est); err != nil || est.Domain != "queens" || est.PredictedW <= 0 {
+					t.Errorf("estimate %+v, %v", est, err)
+				}
+			}},
+		{"batch", func() *http.Response {
+			return post("/v1/jobs:batch", `{"wait":true,"jobs":[`+queensSpec+`,{"domain":"chess","scheme":"GP-DK","p":4}]}`)
+		}, http.StatusOK, func(t *testing.T, resp *http.Response) {
+			var br batchResponse
+			if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+				t.Fatal(err)
+			}
+			if br.Accepted != 1 || br.Rejected != 1 || len(br.Items) != 2 ||
+				br.Items[0].Code != http.StatusOK || br.Items[0].Status != StatusDone || br.Items[1].Code != http.StatusBadRequest {
+				t.Errorf("batch verdicts %+v, want the first done (200), the second 400", br)
+			}
+		}},
+		{"over the memory limit", func() *http.Response {
+			return post("/v1/jobs", `{"domain":"synthetic","scheme":"GP-DK","p":65536,"synthetic":{"w":268435456,"seed":3}}`)
+		}, http.StatusRequestEntityTooLarge, nil},
+		{"first of two identical", func() *http.Response { return post("/v1/jobs", blocked) }, http.StatusAccepted,
+			func(t *testing.T, resp *http.Response) {
+				if h := resp.Header.Get(collapsedHeader); h != "" {
+					t.Errorf("%s: %q on the submission that opened the flight", collapsedHeader, h)
+				}
+			}},
+		{"second of two identical", func() *http.Response { return post("/v1/jobs", blocked) }, http.StatusAccepted,
+			func(t *testing.T, resp *http.Response) {
+				if h := resp.Header.Get(collapsedHeader); h != "1" {
+					t.Errorf("%s = %q on an identical submission while the first runs, want 1", collapsedHeader, h)
+				}
+			}},
+		{"identical under another deadline", func() *http.Response {
+			return post("/v1/jobs", `{"domain":"block","scheme":"GP-DK","p":8,"timeout_ms":60000}`)
+		}, http.StatusAccepted, func(t *testing.T, resp *http.Response) {
+			if h := resp.Header.Get(collapsedHeader); h != "" {
+				t.Errorf("%s = %q: a submission joined a run under another timeout_ms", collapsedHeader, h)
+			}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -295,6 +344,9 @@ func TestHandlerTable(t *testing.T) {
 			defer resp.Body.Close()
 			if resp.StatusCode != tc.want {
 				t.Errorf("status %d, want %d", resp.StatusCode, tc.want)
+			}
+			if tc.check != nil {
+				tc.check(t, resp)
 			}
 		})
 	}

@@ -13,16 +13,15 @@ import (
 	"simdtree/internal/trace"
 )
 
-// The job API's wire contract, written once.  A node (this package), the
-// traffic frontend wrapping it (internal/traffic) and the fleet
-// coordinator fronting many nodes (internal/cluster) all answer /v1/jobs
-// requests, and a client that speaks one must speak all three unchanged.
-// What they have to agree on byte for byte lives here, as plain functions
-// all three call: body and error encoding, strict spec and batch
-// decoding, event-stream framing (over an EventLog, events.go), trace
-// gating, refusals.  The submit and batch loops live in one place too,
-// traffic.Frontend, which a node and the coordinator both mount as their
-// front door over their own SubmitCanonical.
+// The job API's wire contract, written once.  A node (this package) and
+// the fleet coordinator fronting many nodes (internal/cluster) both answer
+// /v1/jobs requests, and a client that speaks one must speak both
+// unchanged.  What they have to agree on byte for byte lives here, as
+// plain functions both call: body and error encoding, strict spec and
+// batch decoding, event-stream framing (over an EventLog, events.go),
+// trace gating, refusals.  The submit and batch loops live in one place
+// too, the frontend (frontend.go), which a node and the coordinator both
+// mount as their front door over their own SubmitCanonical.
 
 // WriteJSON answers with v as indented JSON plus a trailing newline, the
 // encoding of every document the API serves.  A value that does not
@@ -207,22 +206,22 @@ func decodeFrom(w http.ResponseWriter, src io.Reader, what string, v any) bool {
 // maxSpecBody bounds a job spec body.
 const maxSpecBody = 1 << 20
 
-// SpecBody is a job spec request body read ahead: Bytes is all of it when
+// specBody is a job spec request body read ahead: Bytes is all of it when
 // it ended within the read, and otherwise its first bytes, with the rest
 // still unread behind them.
-type SpecBody struct {
+type specBody struct {
 	Bytes []byte
 	rest  io.Reader // nil when Bytes is the whole body
 }
 
 // Whole reports whether Bytes is the entire body.
-func (b SpecBody) Whole() bool { return b.rest == nil }
+func (b specBody) Whole() bool { return b.rest == nil }
 
-// ReadSpec is the bounded read of a job spec body (POST /v1/jobs, POST
+// readSpec is the bounded read of a job spec body (POST /v1/jobs, POST
 // /v1/estimate): at most n bytes of it, under the body's 1 MiB bound.  A
 // body that does not end within them is read no further here; a read
 // error is kept for Decode to report, as a streaming decode would.
-func ReadSpec(w http.ResponseWriter, r *http.Request, n int) SpecBody {
+func readSpec(w http.ResponseWriter, r *http.Request, n int) specBody {
 	body := http.MaxBytesReader(w, r.Body, maxSpecBody)
 	size := n + 1
 	if r.ContentLength >= 0 && r.ContentLength < int64(n) {
@@ -231,16 +230,16 @@ func ReadSpec(w http.ResponseWriter, r *http.Request, n int) SpecBody {
 	buf := make([]byte, size)
 	k, err := io.ReadFull(body, buf)
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return SpecBody{Bytes: buf[:k]}
+		return specBody{Bytes: buf[:k]}
 	}
-	return SpecBody{Bytes: buf[:k], rest: body}
+	return specBody{Bytes: buf[:k], rest: body}
 }
 
 // Decode strictly decodes the spec the body carries, unknown fields
 // refused, exactly as a decode streaming the body would: the first JSON
 // value, with whatever trails it unread.  It answers 400 itself and
 // reports false on failure; the spec is not yet canonical.
-func (b SpecBody) Decode(w http.ResponseWriter) (spec JobSpec, ok bool) {
+func (b specBody) Decode(w http.ResponseWriter) (spec JobSpec, ok bool) {
 	var src io.Reader = bytes.NewReader(b.Bytes)
 	if b.rest != nil {
 		src = io.MultiReader(src, b.rest)
@@ -248,11 +247,11 @@ func (b SpecBody) Decode(w http.ResponseWriter) (spec JobSpec, ok bool) {
 	return spec, decodeFrom(w, src, "job spec", &spec)
 }
 
-// DecodeSpec reads and strictly decodes a job spec body: ReadSpec of no
+// decodeSpec reads and strictly decodes a job spec body: readSpec of no
 // more than it must, then Decode.  It answers 400 itself and reports false on
 // failure; the spec is not yet canonical.
-func DecodeSpec(w http.ResponseWriter, r *http.Request) (JobSpec, bool) {
-	return ReadSpec(w, r, 0).Decode(w)
+func decodeSpec(w http.ResponseWriter, r *http.Request) (JobSpec, bool) {
+	return readSpec(w, r, 0).Decode(w)
 }
 
 // BatchRequest is the POST /v1/jobs:batch body.
@@ -263,10 +262,10 @@ type BatchRequest struct {
 	Wait bool `json:"wait,omitempty"`
 }
 
-// DecodeBatch reads a batch body: at most 8 MiB, unknown fields refused,
+// decodeBatch reads a batch body: at most 8 MiB, unknown fields refused,
 // between 1 and max specs.  It answers 400 itself and reports false on
 // failure.
-func DecodeBatch(w http.ResponseWriter, r *http.Request, max int) (BatchRequest, bool) {
+func decodeBatch(w http.ResponseWriter, r *http.Request, max int) (BatchRequest, bool) {
 	var req BatchRequest
 	if !decodeStrict(w, r, 8<<20, "batch", &req) {
 		return req, false

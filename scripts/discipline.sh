@@ -99,14 +99,18 @@ rule() {
 # the sseflush analyzer; 4e77f7c had moved the producers to these two.
 #
 # admit-discipline — one front door (DESIGN.md section 14, "Single-flight
-# collapsing"): a node and the coordinator both admit through
-# traffic.Frontend, so under internal/ no other non-test file marks a
-# collapsed answer or registers the batch route.  Added in 45833c6, which
-# retired the coordinator's own batch handler and collapse header.
+# collapsing"): a node and the coordinator both admit through the frontend
+# in internal/server/frontend.go, so under internal/ no other non-test file
+# marks a collapsed answer or registers the submit or the batch route.
+# Added in 45833c6, which retired the coordinator's own batch handler and
+# collapse header; the submit route's pattern came when the frontend moved
+# into internal/server, retiring the bare node's second POST /v1/jobs
+# handler (no collapse, memo, batch, estimate or memory limit).
 #
 # metrics-discipline — one metrics table (DESIGN.md section 9, "/metrics"):
 # a node's and the coordinator's /metrics keys are spelled in their
-# Metrics() maps, which the traffic frontend extends, so under internal/ one
+# Metrics() maps, which the frontend (internal/server/frontend.go)
+# extends, so under internal/ one
 # non-test field of any type is tagged json:"..._total": server.TenantStat.Served, a
 # per-tenant field nested in the frontend's traffic_tenants.  A second is a
 # counter document growing back beside Metrics().  (A trace's samples_total
@@ -123,7 +127,7 @@ rule() {
 rules() {
 	rule frame-discipline 0 'decode and checksum frames through internal/wire (wire.Open / wire.Reader)' \
 		-e '"hash/crc32"' -e 'binary\.Uvarint(' -- '*.go' ':!*_test.go' ':!internal/wire/'
-	rule api-discipline 0 'decode, answer and stream through internal/server/wire.go (DecodeSpec, WriteError, StreamEvents)' \
+	rule api-discipline 0 'decode, answer and stream through internal/server/wire.go (WriteError, StreamEvents; the frontend decodes specs)' \
 		-e 'DisallowUnknownFields(' -e 'map\[string\]string{"error"' -e '{\\"error\\"' -e 'event: %s' -- '*.go' ':!*_test.go' ':!internal/server/'
 	rule schedule-discipline 0 'run the loop through simd.Schedule (implement simd.Lanes)' \
 		-e '\.ShouldBalance(' -e '\.RecordCycle(' -e '\.RecordPhase(' -- '*.go' ':!*_test.go' ':!internal/simd/' ':!benchmark/'
@@ -141,8 +145,8 @@ rules() {
 		-E -e 'atomic\.(Add|Load|Store|Swap|CompareAndSwap)[A-Za-z0-9]*\(' -e 'sync\.Pool' -- '*.go' ':!*_test.go'
 	rule sse-discipline 2 'text/event-stream is set in {n} places, want 2 (server.StreamEvents, the coordinator proxy in internal/cluster/traffic.go): stream through server.StreamEvents' \
 		-e 'text/event-stream' -- '*.go' ':!*_test.go'
-	rule admit-discipline 0 'admit through traffic.Frontend (mount it over a SubmitCanonical): collapse, batch and cache-hit answers are written once, in internal/traffic' \
-		-e 'X-Collapsed' -e 'jobs:batch"' -- 'internal/*.go' ':!*_test.go' ':!internal/traffic/'
+	rule admit-discipline 0 'admit through the frontend (server.Handler, server.NewFrontend over a SubmitCanonical): submit, collapse, batch and cache-hit answers are written once, in internal/server/frontend.go' \
+		-e 'X-Collapsed' -e 'jobs:batch"' -e '"POST /v1/jobs"' -- 'internal/*.go' ':!*_test.go' ':!internal/server/frontend.go'
 	rule metrics-discipline 1 'under internal/ {n} fields are tagged json:"..._total", want 1 (server.TenantStat.Served): name a /metrics key in Server.Metrics or Coordinator.Metrics' \
 		-E -e 'json:"[a-z0-9_]*_total[",]' --and --not -e 'json:"(samples|phases)_total"' -- 'internal/*.go' ':!*_test.go'
 	rule owner-discipline 0 'steal.NewDriver( is called outside internal/server: the node that holds a job drives its shards (server.distribute)' \
@@ -214,7 +218,11 @@ if [ "${1:-}" = selftest ]; then
 	plant 10 0 internal/server/zz.go "$@" '@internal/traffic/zz_test.go' 'if ct != "text/event-stream" {'
 	plant 11 1 internal/cluster/zz.go 'w.Header().Set("X-Collapsed", "1")'
 	plant 11 1 internal/server/zz.go 'mux.HandleFunc("POST /v1/jobs:batch", s.handleBatch)'
-	plant 11 0 internal/traffic/zz.go 'mux.HandleFunc("POST /v1/jobs:batch", f.handleBatch)'
+	plant 11 1 internal/traffic/zz.go 'mux.HandleFunc("POST /v1/jobs:batch", f.handleBatch)'
+	plant 11 1 internal/server/server.go 'mux.HandleFunc("POST /v1/jobs", s.handleSubmit)'
+	plant 11 0 internal/server/frontend.go 'mux.HandleFunc("POST /v1/jobs", f.handleSubmit)' 'mux.HandleFunc("POST /v1/jobs:batch", f.handleBatch)'
+	plant 11 0 internal/server/zz_test.go 'mux.HandleFunc("POST /v1/jobs", stub)'
+	plant 11 0 internal/server/zz.go 'mux.HandleFunc("POST /v1/jobs/import", s.handleImport)'
 	plant 11 0 internal/cluster/zz_test.go 'if resp.Header.Get("X-Collapsed") != "1" {'
 	plant 11 0 cmd/x/zz.go 'collapsed := resp.Header.Get("X-Collapsed") != ""'
 	plant 11 0 internal/server/zz.go '// BatchRequest is the POST /v1/jobs:batch body.'
