@@ -173,13 +173,16 @@ func (c *Coordinator) refresh(ctx context.Context, f *fleetJob, jobURL string) (
 	return body, string(nj.Status)
 }
 
-// handleCancel implements DELETE /v1/jobs/{id}, proxied to the owner.
+// handleCancel implements DELETE /v1/jobs/{id}, proxied to the owner with
+// the caller's X-Tenant, so the node refuses a tenant that is not the
+// job's (a 403 that passes through) exactly as it would unproxied.
 func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 	f, node, jobURL := c.owned(w, r)
 	if f == nil {
 		return
 	}
-	code, body, err := c.call(r.Context(), http.MethodDelete, jobURL, "", nil)
+	code, body, _, err := server.RoundTrip(r.Context(), c.client, http.MethodDelete, jobURL, "", nil,
+		http.Header{server.TenantHeader: r.Header.Values(server.TenantHeader)})
 	if err != nil {
 		server.WriteError(w, http.StatusBadGateway, fmt.Sprintf("node %s: %v", node, err))
 		return

@@ -91,12 +91,12 @@ func (c *Coordinator) failover(ctx context.Context, dead string) {
 		resumed := false
 		if ckpt != nil {
 			var err error
-			nj, doc, err = c.importCheckpoint(ctx, target, ckpt)
+			nj, doc, err = c.importCheckpoint(ctx, target, ckpt, f.tenant)
 			resumed = err == nil
 		}
 		if !resumed {
 			var err error
-			if nj, doc, err = c.submitToNode(ctx, target, f.spec, server.DefaultTenant); err != nil {
+			if nj, doc, err = c.submitToNode(ctx, target, f.spec, f.tenant); err != nil {
 				f.mu.Lock()
 				f.lastErr = fmt.Sprintf("failover to %s: %v", target, err)
 				f.unreachable = true
@@ -115,10 +115,10 @@ func (c *Coordinator) failover(ctx context.Context, dead string) {
 	}
 }
 
-// importCheckpoint ships a warm checkpoint to a survivor's import
-// endpoint and returns the node's job record and document.
-func (c *Coordinator) importCheckpoint(ctx context.Context, target string, ckpt []byte) (nodeJob, json.RawMessage, error) {
-	nj, doc, err := c.callJob(ctx, target+"/v1/jobs/import", checkpoint.ContentType, ckpt, nil)
+// importCheckpoint ships a warm checkpoint of tenant's job to a survivor's
+// import endpoint and returns the node's job record and document.
+func (c *Coordinator) importCheckpoint(ctx context.Context, target string, ckpt []byte, tenant string) (nodeJob, json.RawMessage, error) {
+	nj, doc, err := c.callJob(ctx, target+"/v1/jobs/import", checkpoint.ContentType, ckpt, http.Header{server.TenantHeader: {tenant}})
 	if refusalOf(err) != nil {
 		err = fmt.Errorf("import: %w", err)
 	}

@@ -12,9 +12,10 @@ import (
 // failover possible when the owning node dies without warning.  It is the
 // server.Job the coordinator's frontend admits and collapses.
 type fleetJob struct {
-	id   string // fleet-level id ("f1", ...)
-	key  string // canonical cache key; the routing hash
-	spec []byte // canonical spec JSON, for checkpoint-less re-dispatch
+	id     string // fleet-level id ("f1", ...)
+	key    string // canonical cache key; the routing hash
+	spec   []byte // canonical spec JSON, for checkpoint-less re-dispatch
+	tenant string // the submitting tenant, which a re-dispatch keeps
 
 	mu          sync.Mutex
 	node        string // owning node URL

@@ -67,6 +67,7 @@ func (c *Coordinator) SubmitCanonical(ctx context.Context, canonical server.JobS
 		id:       "f" + strconv.FormatInt(c.nextID.Add(1), 10),
 		key:      key,
 		spec:     specJSON,
+		tenant:   tenant,
 		overflow: overflow,
 		done:     make(chan struct{}),
 	}

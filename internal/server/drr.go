@@ -34,7 +34,7 @@ type DRR struct {
 	cur     int      // rotation cursor into ring
 	granted bool     // the tenant at cur has received its quantum for this visit
 
-	held   map[string]int   // quota slots held per tenant (job.quota)
+	held   map[string]int   // quota slots held per tenant (jobRun.quota)
 	served map[string]int64 // jobs dispatched per tenant, for /metrics; see servedKey
 }
 
@@ -100,7 +100,7 @@ func (d *DRR) push(j *job, quota bool) verdict {
 	case d.size >= d.capacity:
 		return refusedFull
 	}
-	if j.quota = quota; quota {
+	if j.run.quota = quota; quota {
 		d.held[j.tenant]++
 	}
 	q := d.tenants[j.tenant]
@@ -158,11 +158,11 @@ func (d *DRR) popLocked() *job {
 			d.granted = true
 		}
 		head := q.jobs[0]
-		if q.deficit >= head.cost {
+		if q.deficit >= head.run.cost {
 			// Delete zeroes the vacated last slot, which would otherwise
 			// pin the dispatched job past its history.
 			q.jobs = slices.Delete(q.jobs, 0, 1)
-			q.deficit -= head.cost
+			q.deficit -= head.run.cost
 			d.size--
 			d.served[d.servedKey(t)]++
 			if len(q.jobs) == 0 {

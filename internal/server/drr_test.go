@@ -10,8 +10,11 @@ import (
 )
 
 // unit builds a unit-cost job for tenant t, the queue's view of one.
-func unit(t string) *job {
-	return &job{tenant: t, cost: 1}
+func unit(t string) *job { return costed(t, 1) }
+
+// costed builds a queued job for tenant t of the given cost.
+func costed(t string, cost float64) *job {
+	return &job{tenant: t, run: &jobRun{cost: cost}}
 }
 
 // TestDRRRotationInvariant pins the scheduler's GP-rotation property
@@ -77,7 +80,7 @@ func TestDRRRotationInvariant(t *testing.T) {
 // tenant gets proportionally more turns first).
 func TestDRRDeficitCarry(t *testing.T) {
 	d := NewDRR(16, 1)
-	if d.push(&job{tenant: "wide", cost: 3}, false) != admitted {
+	if d.push(costed("wide", 3), false) != admitted {
 		t.Fatal("push wide refused")
 	}
 	for i := 0; i < 3; i++ {
@@ -244,11 +247,11 @@ func TestDRRSingleTenantIsFIFO(t *testing.T) {
 	var pushed, popped []float64
 	push := func(k int) {
 		for ; k > 0; k-- {
-			j := &job{tenant: "solo", cost: costs[len(pushed)]}
+			j := costed("solo", costs[len(pushed)])
 			if d.push(j, false) != admitted {
 				t.Fatalf("push %d refused", len(pushed))
 			}
-			pushed = append(pushed, j.cost)
+			pushed = append(pushed, j.run.cost)
 		}
 	}
 	pop := func(k int) {
@@ -257,7 +260,7 @@ func TestDRRSingleTenantIsFIFO(t *testing.T) {
 			if j == nil {
 				t.Fatalf("pop %d: queue closed", len(popped))
 			}
-			popped = append(popped, j.cost)
+			popped = append(popped, j.run.cost)
 		}
 	}
 	push(40)

@@ -171,7 +171,7 @@ func (f *frontend) open(ctx context.Context, fl *flight, canonical JobSpec, tena
 	case rf != nil:
 		return nil, false, rf
 	case hit:
-		fl.h, fl.done, fl.bytes = h, resolved, render(h)
+		fl.h, fl.done, fl.bytes = h, closedDone, render(h)
 		return fl, false, nil
 	}
 	f.ctr.flights.Add(1)
@@ -195,14 +195,6 @@ func (f *frontend) resolve(fl *flight) {
 	f.mu.Unlock()
 	close(fl.done)
 }
-
-// resolved is the done channel of every flight answered from the cache:
-// closed once, never closed again.
-var resolved = func() chan struct{} {
-	c := make(chan struct{})
-	close(c)
-	return c
-}()
 
 // render is a terminal job's response body, the bytes every subscriber
 // of its flight receives; nil when the document failed to render, which

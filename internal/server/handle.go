@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strconv"
 	"time"
 )
 
@@ -46,7 +45,7 @@ func (h *JobHandle) CacheHit() bool {
 }
 
 // Done returns a channel closed when the job reaches a terminal status.
-func (h *JobHandle) Done() <-chan struct{} { return h.j.done }
+func (h *JobHandle) Done() <-chan struct{} { return h.j.done() }
 
 // Status returns the job's current lifecycle state.
 func (h *JobHandle) Status() Status {
@@ -70,9 +69,10 @@ func (h *JobHandle) ResponseBytes() ([]byte, error) {
 }
 
 // EventsSince returns the buffered job events with Seq > after, plus a
-// channel closed when the next event is appended.  See EventLog.Since.
+// channel closed when the next event is appended, nil once the job is
+// terminal.  See EventLog.Since.
 func (h *JobHandle) EventsSince(after int64) ([]JobEvent, <-chan struct{}) {
-	return h.j.events.Since(after)
+	return h.j.eventsSince(after)
 }
 
 // JobByID looks up an addressable job.
@@ -109,15 +109,12 @@ func (s *Server) SubmitCanonical(_ context.Context, canonical JobSpec, key, tena
 	if cost <= 0 || math.IsNaN(cost) || math.IsInf(cost, 0) {
 		cost = 1
 	}
-	id := "j" + strconv.FormatInt(s.nextID.Add(1), 10)
 	now := time.Now()
-	j := newJob(s, id, canonical, key, now)
-	j.tenant = tenant
-	j.cost = cost
-
-	if s.finishFromCache(j, now) {
+	if j, ok := s.hitJob(canonical, key, tenant, now); ok {
 		return &JobHandle{j: j}, nil
 	}
+	j := s.newJob(canonical, key, tenant, nil, now)
+	j.run.cost = cost
 	if rf := s.enqueue(j, true); rf != nil {
 		return nil, rf
 	}

@@ -17,7 +17,7 @@ func hitOf(t *testing.T, s *Server, canonical JobSpec, tenant string) *job {
 	}
 	j := h.(*JobHandle).j
 	select {
-	case <-j.done:
+	case <-j.done():
 	case <-time.After(30 * time.Second):
 		t.Fatalf("job %s did not finish", j.id)
 	}

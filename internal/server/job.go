@@ -46,35 +46,19 @@ var (
 	errYield = errors.New("yielded to a distributed run")
 )
 
-// job is one queued/executing search request.
+// job is one search request as a node's history keeps it: a record that
+// answers the job document, its event stream and its trace, plus while the
+// job is live the run that only a queued or running job needs.  id, spec,
+// key, tenant and hit are set before the job is published and never
+// change; the rest is under mu.
 type job struct {
 	id     string
 	spec   JobSpec // canonical
 	key    string  // cache key of spec
 	tenant string  // accounting tenant (X-Tenant header, or "default")
-	cost   float64 // predicted work in scheduler cost units (1 = no estimate)
-	quota  bool    // holds a slot of its tenant's quota; set by the queue's push
-
-	// events is the job's progress stream (status transitions, engine
-	// progress ticks, checkpoint writes), feeding the SSE endpoint.
-	events *EventLog
-
-	// runCtx and cancel are created at submission (derived from the
-	// server's root context), so a job can be cancelled with a cause
-	// while still queued; the worker layers the deadline on top.
-	runCtx context.Context
-	cancel context.CancelCauseFunc
-
-	// resume holds the checkpoint the next run restores: the spooled one a
-	// restarted server recovered, an imported one, or the last assembled
-	// checkpoint of a distributed run that lost a peer; nil for a fresh
-	// run.  Set before the job is queued or by its worker, read only by
-	// the worker.
-	resume []byte
 
 	// hit is the document template of the cached result a cache hit was
-	// answered from, nil for any other job.  Set before the job is
-	// published, never changed.
+	// answered from, nil for any other job.
 	hit *hitDoc
 
 	mu           sync.Mutex
@@ -89,19 +73,70 @@ type job struct {
 	started      time.Time
 	finished     time.Time
 
+	// dist is the distributed run a fleet steal made of the job, set
+	// while it drives the job and kept once it ended it; nil for a job
+	// that ran on one node, or whose distributed run lost a peer.
+	dist *distRun
+
+	// events is a terminal job's frozen event log (freezeEvents), nil
+	// while run holds the live one.
+	events []JobEvent
+
+	// run is nil once the job is terminal: finish drops it, and a cache
+	// hit, born terminal, never has one.  Only finish clears it, and only
+	// the job's worker calls finish, so the worker reads run without mu;
+	// every other goroutine reads it under mu.
+	run *jobRun
+}
+
+// jobRun is what a queued or running job needs and a finished one does
+// not.
+type jobRun struct {
+	// ctx and cancel are created at submission (derived from the
+	// server's root context), so a job can be cancelled with a cause
+	// while still queued; the worker layers the deadline on top.
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+	done   chan struct{} // closed by finish
+
+	// events is the job's live progress stream (status transitions,
+	// engine progress ticks, checkpoint writes), feeding the SSE
+	// endpoint.
+	events EventLog
+
+	// resume holds the checkpoint the next run restores: the spooled one a
+	// restarted server recovered, an imported one, or the last assembled
+	// checkpoint of a distributed run that lost a peer; nil for a fresh
+	// run.  Set before the job is queued or by its worker, read only by
+	// the worker.
+	resume []byte
+
+	cost  float64 // predicted work in scheduler cost units (1 = no estimate)
+	quota bool    // holds a slot of its tenant's quota; set by the queue's push
+
 	// yield stops the single-node run in progress at its next cycle
 	// boundary, nil while none is; steal is the distributed run a fleet
-	// steal asked it to yield to.  shards is that run's layout, set while
-	// it drives the job and kept once it ended it; donations and
-	// localTransfers are its counts.
-	yield          context.CancelCauseFunc
-	steal          *stealOrder
+	// steal asked it to yield to.  Both are under the job's mu.
+	yield context.CancelCauseFunc
+	steal *stealOrder
+}
+
+// distRun is what a job document says of a distributed run: its layout,
+// and once it ended the stack halves that crossed nodes and the transfers
+// that stayed within a shard.
+type distRun struct {
 	shards         []ShardInfo
 	donations      int
 	localTransfers int
-
-	done chan struct{} // closed when the job reaches a terminal status
 }
+
+// closedDone is the done channel of every terminal job, and of every
+// flight answered from the cache: closed once, never closed again.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // setResumed records that the run restored a spooled checkpoint taken at
 // the given cycle.
@@ -112,16 +147,34 @@ func (j *job) setResumed(cycle int) {
 	j.resumedCycle = cycle
 }
 
-// requestCancel cancels the job's context (queued or running) with cause.
-func (j *job) requestCancel(cause error) {
-	j.cancel(cause)
+// requestCancel cancels a live job's context (queued or running) with
+// cause on behalf of tenant.  It reports false, cancelling nothing, when
+// the job is live and tenant is not its own: a tenant that joined another
+// tenant's flight holds that job's id, not its run.  A terminal job has
+// nothing to cancel, and any tenant may read its final state.
+func (j *job) requestCancel(tenant string, cause error) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	switch {
+	case j.run == nil:
+		return true
+	case tenant != j.tenant:
+		return false
+	}
+	j.run.cancel(cause)
+	return true
 }
 
-// finish transitions the job to a terminal status exactly once.
+// finish is the job's terminal transition, made exactly once: it records
+// the outcome, appends the terminal event, which freezes the live log,
+// keeps the frozen log in the record, releases the run context (the
+// server's root context holds every live child until it is cancelled),
+// closes done and drops the run.
 func (j *job) finish(status Status, stats metrics.Stats, tr *trace.Trace, errMsg string, now time.Time) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.status.Terminal() {
+	r := j.run
+	if r == nil {
 		return false
 	}
 	j.status = status
@@ -129,8 +182,35 @@ func (j *job) finish(status Status, stats metrics.Stats, tr *trace.Trace, errMsg
 	j.trace = tr
 	j.errMsg = errMsg
 	j.finished = now
-	close(j.done)
+	r.events.Append(JobEvent{Type: EventStatus, Status: status, Error: errMsg, Terminal: true}.withStats(stats))
+	j.events = r.events.frozenEvents()
+	j.run = nil
+	r.cancel(nil)
+	close(r.done)
 	return true
+}
+
+// done returns a channel closed once the job is terminal.
+func (j *job) done() <-chan struct{} {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.run == nil {
+		return closedDone
+	}
+	return j.run.done
+}
+
+// eventsSince returns the job's events with Seq > after, from the live
+// log while the job runs and from the frozen one once it is terminal,
+// plus a channel closed on the next append: nil once the job is terminal.
+func (j *job) eventsSince(after int64) ([]JobEvent, <-chan struct{}) {
+	j.mu.Lock()
+	r, frozen := j.run, j.events
+	j.mu.Unlock()
+	if r != nil {
+		return r.events.Since(after)
+	}
+	return eventsAfter(frozen, after), nil
 }
 
 // view is an immutable snapshot for handlers.
@@ -158,7 +238,7 @@ type jobView struct {
 func (j *job) view() jobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return jobView{
+	v := jobView{
 		ID:           j.id,
 		Spec:         j.spec,
 		Key:          j.key,
@@ -173,11 +253,11 @@ func (j *job) view() jobView {
 		Submitted:    j.submitted,
 		Started:      j.started,
 		Finished:     j.finished,
-
-		Shards:         j.shards,
-		Donations:      j.donations,
-		LocalTransfers: j.localTransfers,
 	}
+	if d := j.dist; d != nil {
+		v.Shards, v.Donations, v.LocalTransfers = d.shards, d.donations, d.localTransfers
+	}
+	return v
 }
 
 // setYield installs the yield of the single-node run about to start, or
@@ -186,8 +266,9 @@ func (j *job) view() jobView {
 func (j *job) setYield(yield context.CancelCauseFunc) *stealOrder {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	o := j.steal
-	j.yield, j.steal = yield, nil
+	r := j.run
+	o := r.steal
+	r.yield, r.steal = yield, nil
 	return o
 }
 
@@ -196,23 +277,24 @@ func (j *job) setYield(yield context.CancelCauseFunc) *stealOrder {
 func (j *job) offerSteal(o *stealOrder) string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	r := j.run
 	switch {
-	case j.yield == nil:
+	case r == nil || r.yield == nil:
 		return fmt.Sprintf("job is %s, not in a single-node run", j.status)
-	case j.steal != nil:
+	case r.steal != nil:
 		return "a steal of this job is already under way"
 	}
-	j.steal = o
-	j.yield(errYield)
+	r.steal = o
+	r.yield(errYield)
 	return ""
 }
 
-// setShards records the layout of the distributed run now driving the
-// job, nil when it lost a peer and the job runs single-node again.
-func (j *job) setShards(shards []ShardInfo) {
+// setDist records the distributed run now driving the job, nil when it
+// lost a peer and the job runs single-node again.
+func (j *job) setDist(d *distRun) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.shards = shards
+	j.dist = d
 }
 
 // ID returns the job id ("j1", ...).

@@ -261,7 +261,7 @@ func (j renderlessJob) Key() string                    { return j.key }
 func (j renderlessJob) Status() Status                 { return StatusDone }
 func (j renderlessJob) Terminal() bool                 { return true }
 func (j renderlessJob) CacheHit() bool                 { return j.hit }
-func (j renderlessJob) Done() <-chan struct{}          { return resolved }
+func (j renderlessJob) Done() <-chan struct{}          { return closedDone }
 func (j renderlessJob) ResponseBytes() ([]byte, error) { return nil, errors.New("no document") }
 
 // TestRenderFailureIs500: a terminal job whose document does not render

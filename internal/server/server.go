@@ -336,49 +336,56 @@ func renderJob(v jobView) jobResponse {
 	return r
 }
 
-// newJob builds a queued job with its cancellable context derived from
-// the server's root, shared by submission, import and spool resumption.
-func newJob(s *Server, id string, canonical JobSpec, key string, now time.Time) *job {
-	runCtx, cancel := context.WithCancelCause(s.rootCtx)
+// newJob builds a queued job of tenant under a fresh id: its record, and
+// the run whose context derives from the server's root, with resume the
+// checkpoint the run restores (nil for a fresh run).  Submission, import
+// and spool resumption share it.
+func (s *Server) newJob(canonical JobSpec, key, tenant string, resume []byte, now time.Time) *job {
+	ctx, cancel := context.WithCancelCause(s.rootCtx)
 	return &job{
-		id:        id,
+		id:        s.newID(),
 		spec:      canonical,
 		key:       key,
-		tenant:    DefaultTenant,
-		cost:      1,
-		runCtx:    runCtx,
-		cancel:    cancel,
+		tenant:    tenant,
 		status:    StatusQueued,
 		submitted: now,
-		done:      make(chan struct{}),
-		events:    NewEventLog(),
+		run:       &jobRun{ctx: ctx, cancel: cancel, done: make(chan struct{}), resume: resume, cost: 1},
 	}
 }
 
-// finishFromCache is the deterministic-cache fast path: when an identical
-// canonical spec already ran to completion, its Stats (and trace) are the
-// job's result, byte for byte.  It reports whether the job was finished
-// that way.
-func (s *Server) finishFromCache(j *job, now time.Time) bool {
-	res, ok := s.cache.get(j.key)
+// newID returns the next job id ("j1", ...).
+func (s *Server) newID() string { return "j" + strconv.FormatInt(s.nextID.Add(1), 10) }
+
+// hitJob is the deterministic-cache fast path: when an identical canonical
+// spec already ran to completion, its Stats (and trace) are the result of
+// a new job of tenant, byte for byte.  That job is born terminal — its one
+// event is the terminal one — and stored; it never builds a run.  ok is
+// false on a miss.
+func (s *Server) hitJob(canonical JobSpec, key, tenant string, now time.Time) (j *job, ok bool) {
+	res, ok := s.cache.get(key)
 	if !ok {
 		s.ctr.cacheMisses.Add(1)
-		return false
+		return nil, false
 	}
 	s.ctr.cacheHits.Add(1)
-	j.cacheHit = true
-	j.status = StatusDone
-	j.stats = res.Stats
-	j.trace = res.Trace
-	j.hit = res.hit
-	j.started = now
-	j.finished = now
-	close(j.done)
-	j.cancel(nil)
+	j = &job{
+		id:        s.newID(),
+		spec:      canonical,
+		key:       key,
+		tenant:    tenant,
+		hit:       res.hit,
+		status:    StatusDone,
+		stats:     res.Stats,
+		cacheHit:  true,
+		trace:     res.Trace,
+		submitted: now,
+		started:   now,
+		finished:  now,
+		events:    []JobEvent{JobEvent{Seq: 1, Type: EventStatus, Status: StatusDone, CacheHit: true, Terminal: true}.withStats(res.Stats)},
+	}
 	s.store.add(j)
 	s.ctr.jobsDone.Add(1)
-	j.events.Append(JobEvent{Type: EventStatus, Status: StatusDone, CacheHit: true, Terminal: true}.withStats(res.Stats))
-	return true
+	return j, true
 }
 
 // enqueue offers j to the queue, whose push alone decides admission:
@@ -390,13 +397,14 @@ func (s *Server) finishFromCache(j *job, now time.Time) bool {
 // before the push: a free worker may run and finish j before push
 // returns, and the terminal event must end its log.
 func (s *Server) enqueue(j *job, quota bool) *Refusal {
-	j.events.Append(JobEvent{Type: EventStatus, Status: StatusQueued})
+	r := j.run
+	r.events.Append(JobEvent{Type: EventStatus, Status: StatusQueued})
 	switch s.queue.push(j, quota) {
 	case refusedClosed:
-		j.cancel(errShutdown)
+		r.cancel(errShutdown)
 		return &Refusal{Code: http.StatusServiceUnavailable, Message: "server is shutting down"}
 	case refusedQuota:
-		j.cancel(errCancelRequested)
+		r.cancel(errCancelRequested)
 		s.ctr.quotaRejections.Add(1)
 		q := s.queue.quota
 		return &Refusal{
@@ -405,7 +413,7 @@ func (s *Server) enqueue(j *job, quota bool) *Refusal {
 			RetryAfter: 1,
 		}
 	case refusedFull:
-		j.cancel(errCancelRequested)
+		r.cancel(errCancelRequested)
 		s.ctr.jobsRejected.Add(1)
 		return &Refusal{
 			Code:       http.StatusTooManyRequests,
@@ -438,15 +446,24 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
 
-// handleCancel implements DELETE /v1/jobs/{id}.  Cancelling a terminal
-// job is a no-op that reports the final state.
+// handleCancel implements DELETE /v1/jobs/{id}.  Only the job's own
+// tenant (X-Tenant) may cancel a live job; any other is refused 403.
+// Cancelling a terminal job is a no-op that reports the final state.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.store.get(r.PathValue("id"))
 	if !ok {
 		WriteError(w, http.StatusNotFound, "unknown job id")
 		return
 	}
-	j.requestCancel(errCancelRequested)
+	tenant, err := tenantFrom(r)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	if !j.requestCancel(tenant, errCancelRequested) {
+		WriteError(w, http.StatusForbidden, fmt.Sprintf("job %s belongs to another tenant; only its own %s may cancel it", j.id, TenantHeader))
+		return
+	}
 	WriteJSON(w, http.StatusOK, renderJob(j.view()))
 }
 
@@ -478,7 +495,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if after > 0 {
 		s.ctr.sseResumes.Add(1)
 	}
-	StreamEvents(r.Context(), w, after, j.events.Since, HeartbeatEvery)
+	StreamEvents(r.Context(), w, after, j.eventsSince, HeartbeatEvery)
 }
 
 // traceResponse is the wire form of a per-cycle trace.  SamplesTotal and

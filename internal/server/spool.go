@@ -3,7 +3,6 @@ package server
 import (
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
@@ -126,9 +125,6 @@ func (sp *spool) rescan(domains map[string]bool) []spooledJob {
 // nothing removes its file.
 func (s *Server) resumeSpooled() {
 	for _, sj := range s.spool.rescan(s.domains) {
-		id := "j" + strconv.FormatInt(s.nextID.Add(1), 10)
-		j := newJob(s, id, sj.spec, sj.key, time.Now())
-		j.resume = sj.data
-		s.enqueue(j, false)
+		s.enqueue(s.newJob(sj.spec, sj.key, DefaultTenant, sj.data, time.Now()), false)
 	}
 }

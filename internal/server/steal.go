@@ -130,7 +130,8 @@ type stealOrder struct {
 // can.
 func (s *Server) stealRefusal(j *job, n int) string {
 	j.mu.Lock()
-	yieldable, status, spec := j.yield != nil && j.steal == nil, j.status, j.spec
+	r := j.run
+	yieldable, status, spec := r != nil && r.yield != nil && r.steal == nil, j.status, j.spec
 	j.mu.Unlock()
 	_, hosted := builtins[spec.Domain]
 	switch {
@@ -225,8 +226,9 @@ func (s *Server) run(ctx context.Context, j *job, opts simd.Options, tr *trace.T
 		if resume == nil {
 			return res.Stats, res.Trace, err
 		}
-		j.resume = resume
-		j.events.Append(JobEvent{Type: EventStatus, Status: StatusRunning, Error: "distributed run aborted, resuming single-node: " + err.Error()})
+		r := j.run
+		r.resume = resume
+		r.events.Append(JobEvent{Type: EventStatus, Status: StatusRunning, Error: "distributed run aborted, resuming single-node: " + err.Error()})
 	}
 }
 
@@ -279,6 +281,7 @@ func (s *Server) distribute(ctx context.Context, j *job, opts simd.Options, o *s
 		info = append(info, ShardInfo{Node: o.shards[i], Session: c.Session(), Lo: lo, Hi: hi})
 	}
 
+	r := j.run
 	last := ckpt
 	cfg := steal.Config{
 		Key:             j.key,
@@ -296,20 +299,21 @@ func (s *Server) distribute(ctx context.Context, j *job, opts simd.Options, o *s
 			}
 			s.ctr.checkpointsWritten.Add(1)
 			last = b
-			j.events.Append(JobEvent{Type: EventCheckpoint, Shards: n})
+			r.events.Append(JobEvent{Type: EventCheckpoint, Shards: n})
 			return nil
 		},
 	}
 	if s.cfg.ProgressEvery > 0 {
 		cfg.ProgressEvery = s.cfg.ProgressEvery
-		cfg.Progress = j.progress
+		cfg.Progress = r.progress
 	}
 	drv, err := steal.NewDriver(cfg, raw, shards)
 	if err != nil {
 		return abort(err)
 	}
-	j.setShards(info)
-	j.events.Append(JobEvent{Type: EventStatus, Status: StatusRunning, Shards: n})
+	dist := &distRun{shards: info}
+	j.setDist(dist)
+	r.events.Append(JobEvent{Type: EventStatus, Status: StatusRunning, Shards: n})
 	o.started <- nil
 
 	res, err = drv.Run(ctx)
@@ -328,11 +332,11 @@ func (s *Server) distribute(ctx context.Context, j *job, opts simd.Options, o *s
 		}
 	case !errors.Is(err, simd.ErrBudgetExceeded):
 		s.ctr.stealFailed.Add(1)
-		j.setShards(nil)
+		j.setDist(nil)
 		return res, last, err
 	}
 	j.mu.Lock()
-	j.donations, j.localTransfers = res.Donations, res.LocalTransfers
+	dist.donations, dist.localTransfers = res.Donations, res.LocalTransfers
 	j.mu.Unlock()
 	return res, nil, err
 }

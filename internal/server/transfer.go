@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strconv"
 	"time"
 
 	"simdtree/internal/checkpoint"
@@ -82,8 +81,15 @@ func specOf(meta checkpoint.Meta, domains map[string]bool) (JobSpec, error) {
 // The job spec is recovered from the checkpoint's Meta.Extra and
 // canonicalized exactly like a fresh submission, so the job resumes
 // under the same cache key it carried on the dead node and — by the
-// determinism contract — completes to the byte-identical result.
+// determinism contract — completes to the byte-identical result.  The
+// job is X-Tenant's, as it was on the dead node, so its own tenant can
+// still cancel it.
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
+	tenant, err := tenantFrom(r)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	body, meta, err := checkpoint.ReadFrame(http.MaxBytesReader(w, r.Body, checkpoint.MaxFrameSize))
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad checkpoint frame: %v", err))
@@ -96,25 +102,22 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	}
 	key := CacheKey(canonical)
 
-	id := "j" + strconv.FormatInt(s.nextID.Add(1), 10)
 	now := time.Now()
-	j := newJob(s, id, canonical, key, now)
-	j.resume = body
-
 	// The completed result may already be cached here (the job finished
 	// elsewhere, or an identical spec ran locally); serve it instead of
 	// re-simulating the tail.
-	if s.finishFromCache(j, now) {
+	if j, ok := s.hitJob(canonical, key, tenant, now); ok {
 		WriteJSON(w, http.StatusOK, renderJob(j.view()))
 		return
 	}
+	j := s.newJob(canonical, key, tenant, body, now)
 
 	// Persist the imported checkpoint before accepting the job, so a
 	// crash of *this* node between import and the first periodic
 	// checkpoint still leaves the work recoverable.
 	if s.spool != nil {
 		if err := s.spool.write(key, body); err != nil {
-			j.cancel(errCancelRequested)
+			j.run.cancel(errCancelRequested)
 			WriteError(w, http.StatusInternalServerError, fmt.Sprintf("spool imported checkpoint: %v", err))
 			return
 		}
