@@ -21,7 +21,7 @@ import (
 // the next Append.
 func TestEventLogTrimsAndWakes(t *testing.T) {
 	const extra = 100
-	l := NewEventLog()
+	l := new(EventLog)
 	for i := 0; i < eventLogCap+extra; i++ {
 		l.Append(JobEvent{Type: EventProgress, Cycle: i})
 	}
@@ -67,7 +67,7 @@ func TestEventLogTrimsAndWakes(t *testing.T) {
 // events arrive framed, an idle stream carries comment heartbeats, and
 // the stream ends by itself after the terminal event.
 func TestStreamEventsHeartbeatAndClose(t *testing.T) {
-	l := NewEventLog()
+	l := new(EventLog)
 	l.Append(JobEvent{Type: EventStatus, Status: StatusRunning})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		StreamEvents(r.Context(), w, 0, l.Since, 10*time.Millisecond)
@@ -199,7 +199,7 @@ func BenchmarkJobDocument(b *testing.B) {
 // any later Append, so the terminal event stays the last one a reader
 // resuming from any sequence number is handed.
 func TestEventLogFreezesAtTerminal(t *testing.T) {
-	l := NewEventLog()
+	l := new(EventLog)
 	l.Append(JobEvent{Type: EventStatus, Status: StatusQueued})
 	l.Append(JobEvent{Type: EventStatus, Status: StatusRunning})
 	_, wake := l.Since(2)

@@ -120,7 +120,7 @@ rule() {
 #
 # progress-discipline — one progress record (DESIGN.md section 14, "SSE progress
 # streams"): simd.ProgressInfo reaches the event stream through one builder,
-# (*job).progress, the engine's Progress hook on a single-node run and the
+# (*jobRun).progress, the engine's Progress hook on a single-node run and the
 # steal driver's on a distributed one, so under internal/ one non-test line
 # spells a progress event's type.  A second is an event builder forking the
 # field list.  Added in 16518c4, which retired the distributed run's builder.
@@ -151,7 +151,7 @@ rules() {
 		-E -e 'json:"[a-z0-9_]*_total[",]' --and --not -e 'json:"(samples|phases)_total"' -- 'internal/*.go' ':!*_test.go'
 	rule owner-discipline 0 'steal.NewDriver( is called outside internal/server: the node that holds a job drives its shards (server.distribute)' \
 		-e 'steal\.NewDriver(' -- '*.go' ':!*_test.go' ':!internal/server/' ':!benchmark/'
-	rule progress-discipline 1 'under internal/ {n} lines build a progress event, want 1 ((*job).progress): hand the engine'"'"'s simd.ProgressInfo to it' \
+	rule progress-discipline 1 'under internal/ {n} lines build a progress event, want 1 ((*jobRun).progress): hand the engine'"'"'s simd.ProgressInfo to it' \
 		-E -e 'Type: *(server\.)?EventProgress' -- 'internal/*.go' ':!*_test.go'
 }
 
