@@ -54,10 +54,11 @@ bench-check:
 	$(GO) test -run '^$$' -bench BenchmarkSyntheticExpand -benchtime 100x -benchmem ./internal/synthetic
 
 # The planted mutants: faults in the batched schedule, the GP matcher, the
-# splitters and the PE-record mutators that the referees must catch.  Each
-# subtest passes when its mutant is caught and fails when it survives.
+# splitters, the PE-record mutators and a finished job's frozen event log
+# that the referees must catch.  Each subtest passes when its mutant is
+# caught and fails when it survives.
 mutants:
-	$(GO) test -count=1 -run 'TestPlantedMutants|TestArenaMutatorRuns' ./internal/simd ./internal/stack -args -mutants
+	$(GO) test -count=1 -run 'TestPlantedMutants|TestArenaMutatorRuns' ./internal/simd ./internal/stack ./internal/server -args -mutants
 
 # simdmark, the benchmark of record (benchmark/, BENCHMARK.json), at the
 # smoke test's scale: all six workloads in seconds.  Claims quote the

@@ -78,9 +78,9 @@ type job struct {
 	// that ran on one node, or whose distributed run lost a peer.
 	dist *distRun
 
-	// events is a terminal job's frozen event log (freezeEvents), nil
-	// while run holds the live one.
-	events []JobEvent
+	// events is what a terminal job keeps of its event log (freeze), the
+	// zero frozenLog while run holds the live one.
+	events frozenLog
 
 	// run is nil once the job is terminal: finish drops it, and a cache
 	// hit, born terminal, never has one.  Only finish clears it, and only
@@ -182,8 +182,8 @@ func (j *job) finish(status Status, stats metrics.Stats, tr *trace.Trace, errMsg
 	j.trace = tr
 	j.errMsg = errMsg
 	j.finished = now
-	r.events.Append(JobEvent{Type: EventStatus, Status: status, Error: errMsg, Terminal: true}.withStats(stats))
-	j.events = r.events.frozenEvents()
+	r.events.Append(j.terminalEvent())
+	j.events = r.events.frozenLog()
 	j.run = nil
 	r.cancel(nil)
 	close(r.done)
@@ -200,17 +200,25 @@ func (j *job) done() <-chan struct{} {
 	return j.run.done
 }
 
+// terminalEvent is the job's terminal event but for its Seq: the event
+// finish appends, and the one a frozen log rebuilds from the record.  The
+// caller holds j.mu.
+func (j *job) terminalEvent() JobEvent {
+	return JobEvent{Type: EventStatus, Status: j.status, Error: j.errMsg, CacheHit: j.cacheHit, Terminal: true}.withStats(j.stats)
+}
+
 // eventsSince returns the job's events with Seq > after, from the live
-// log while the job runs and from the frozen one once it is terminal,
+// log while the job runs and rebuilt from the record once it is terminal,
 // plus a channel closed on the next append: nil once the job is terminal.
 func (j *job) eventsSince(after int64) ([]JobEvent, <-chan struct{}) {
 	j.mu.Lock()
-	r, frozen := j.run, j.events
-	j.mu.Unlock()
-	if r != nil {
+	if r := j.run; r != nil {
+		j.mu.Unlock()
 		return r.events.Since(after)
 	}
-	return eventsAfter(frozen, after), nil
+	frozen, started, terminal := j.events, !j.started.IsZero(), j.terminalEvent()
+	j.mu.Unlock()
+	return frozen.since(after, started, terminal), nil
 }
 
 // view is an immutable snapshot for handlers.

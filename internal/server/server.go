@@ -359,8 +359,8 @@ func (s *Server) newID() string { return "j" + strconv.FormatInt(s.nextID.Add(1)
 // hitJob is the deterministic-cache fast path: when an identical canonical
 // spec already ran to completion, its Stats (and trace) are the result of
 // a new job of tenant, byte for byte.  That job is born terminal — its one
-// event is the terminal one — and stored; it never builds a run.  ok is
-// false on a miss.
+// event is the terminal one, at seq 1, which its record rebuilds — and
+// stored; it never builds a run.  ok is false on a miss.
 func (s *Server) hitJob(canonical JobSpec, key, tenant string, now time.Time) (j *job, ok bool) {
 	res, ok := s.cache.get(key)
 	if !ok {
@@ -381,7 +381,7 @@ func (s *Server) hitJob(canonical JobSpec, key, tenant string, now time.Time) (j
 		submitted: now,
 		started:   now,
 		finished:  now,
-		events:    []JobEvent{JobEvent{Seq: 1, Type: EventStatus, Status: StatusDone, CacheHit: true, Terminal: true}.withStats(res.Stats)},
+		events:    frozenLog{last: 1},
 	}
 	s.store.add(j)
 	s.ctr.jobsDone.Add(1)

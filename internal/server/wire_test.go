@@ -194,10 +194,10 @@ func BenchmarkJobDocument(b *testing.B) {
 	}
 }
 
-// TestEventLogFreezesAtTerminal pins what a terminal event leaves: the
-// events in an exact-size slice, no wake channel, and a log that drops
-// any later Append, so the terminal event stays the last one a reader
-// resuming from any sequence number is handed.
+// TestEventLogFreezesAtTerminal pins what a terminal event leaves: no
+// stored event where the log rebuilds them all, no wake channel, and a
+// log that drops any later Append, so the terminal event stays the last
+// one a reader resuming from any sequence number is handed.
 func TestEventLogFreezesAtTerminal(t *testing.T) {
 	l := new(EventLog)
 	l.Append(JobEvent{Type: EventStatus, Status: StatusQueued})
@@ -220,7 +220,7 @@ func TestEventLogFreezesAtTerminal(t *testing.T) {
 	if evs, _ := l.Since(3); len(evs) != 0 {
 		t.Errorf("Since(terminal) = %+v, want none", evs)
 	}
-	if len(l.events) != cap(l.events) {
-		t.Errorf("frozen log holds %d events in %d slots", len(l.events), cap(l.events))
+	if f := l.frozen.log; l.events != nil || f.kept != nil || f.more != nil {
+		t.Errorf("a frozen log of lifecycle events alone stores %d live events, kept %+v, marks %+v", len(l.events), f.kept, f.more)
 	}
 }
