@@ -423,10 +423,12 @@ func (m *Machine[S]) expand(k int) []stack.Expansion {
 }
 
 // balance runs one load-balancing phase on the reusable context; the
-// schedule charges its cost.
+// schedule charges its cost.  It counts the PEs left holding work off the
+// has-work words, P/64 popcounts, so the next boundary's horizon starts
+// from the exact count.
 func (m *Machine[S]) balance(wantDonors bool) PhaseInfo {
 	ctx := m.lbCtx
 	ctx.reset(wantDonors)
 	rounds, transfers := m.sch.Balancer.Balance(ctx)
-	return PhaseInfo{Rounds: rounds, Transfers: transfers, MaxTransfer: ctx.maxTransfer, Donors: ctx.donors}
+	return PhaseInfo{Rounds: rounds, Transfers: transfers, MaxTransfer: ctx.maxTransfer, Donors: ctx.donors, Busy: m.arena.WorkBits().CountBits()}
 }

@@ -81,6 +81,12 @@ type PhaseInfo struct {
 	MaxTransfer int
 	// Donors lists the donor PE of each transfer in order, when asked for.
 	Donors []int
+	// Busy is the number of PEs that hold work after the phase, a
+	// popcount of the has-work flag words; 0 when the lanes do not count
+	// them (a phase runs only when some PE can donate, so it is never a
+	// count), and then the loop bounds it by the PEs busy before the
+	// phase plus its transfers.
+	Busy int
 }
 
 // Ledger is the schedule's whole mutable state at a cycle boundary: what a
@@ -235,7 +241,9 @@ func (s *Schedule) Run(ctx context.Context, l Lanes) error {
 		return err
 	}
 	// busy bounds the PEs that hold work at the boundary: the last cycle's
-	// Active, plus the receivers of a phase after it; P when unknown.
+	// Active, or after a phase the count the lanes took of it (the last
+	// cycle's Active plus the phase's receivers when they took none); P
+	// when unknown.
 	busy := s.Stats.P
 	for {
 		if allEmpty {
@@ -300,7 +308,11 @@ func (s *Schedule) Run(ctx context.Context, l Lanes) error {
 					return err
 				}
 				s.bookPhase(ph, init)
-				busy += ph.Transfers
+				if ph.Busy > 0 {
+					busy = ph.Busy
+				} else {
+					busy += ph.Transfers
+				}
 			}
 			if err := l.EndCycle(); err != nil {
 				return err
