@@ -7,6 +7,7 @@ package simdtree
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -602,10 +603,11 @@ func BenchmarkArenaHeld(b *testing.B) {
 }
 
 // cacheHitAllocs is BenchmarkCacheHit's allocation ceiling: the count an
-// op made once a repeated body was admitted from the frontend's memo, its
-// document appended from its result's template and its job born terminal
-// without a run (32), plus 10 %.
-const cacheHitAllocs = 35
+// op makes once a repeated body is admitted from the frontend's memo, its
+// document appended from its result's template, its job born terminal
+// without a run and handed to the frontend as itself, with no handle
+// around it (30), plus 10 %.
+const cacheHitAllocs = 33
 
 // BenchmarkCacheHit is one ?wait=1 submission of a cached spec through the
 // node's handler, its frontend, from request decoding to the response bytes:
@@ -741,14 +743,14 @@ func BenchmarkJobRecord(b *testing.B) {
 					b.Fatalf("job %d finished %s", i, st)
 				}
 				if row.minTicks > 0 {
-					evs, _ := h.(*server.JobHandle).EventsSince(0)
+					evs := jobEvents(b, srv.Handler(), h.ID())
 					// Its log's other events are queued, running and terminal.
 					if ticks := evs[len(evs)-1].Seq - 3; ticks < row.minTicks {
 						b.Fatalf("job %d emitted %d progress ticks, want at least %d", i, ticks, row.minTicks)
 					}
 				}
 				if row.name == "spooled" {
-					evs, _ := h.(*server.JobHandle).EventsSince(0)
+					evs := jobEvents(b, srv.Handler(), h.ID())
 					if n := countType(evs, server.EventCheckpoint); n != spooledCheckpoints {
 						b.Fatalf("job %d froze %d checkpoint events, want %d", i, n, spooledCheckpoints)
 					}
@@ -771,6 +773,28 @@ func BenchmarkJobRecord(b *testing.B) {
 			}
 		})
 	}
+}
+
+// jobEvents reads the event stream of finished job id through h, its
+// node's handler (GET /v1/jobs/{id}/events): the whole log, which ends
+// with the terminal event.
+func jobEvents(b *testing.B, h http.Handler, id string) []server.JobEvent {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/events", nil))
+	var evs []server.JobEvent
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if data, ok := strings.CutPrefix(line, "data: "); ok {
+			var ev server.JobEvent
+			if err := json.Unmarshal([]byte(data), &ev); err != nil {
+				b.Fatalf("job %s: event %q: %v", id, data, err)
+			}
+			evs = append(evs, ev)
+		}
+	}
+	if len(evs) == 0 || !evs[len(evs)-1].Terminal {
+		b.Fatalf("job %s: stream %d %q does not end with a terminal event", id, rec.Code, rec.Body)
+	}
+	return evs
 }
 
 // countType is the number of events of type typ in evs.

@@ -9,10 +9,10 @@ import (
 // deficit-round-robin fair scheduler over tenants that also decides, under
 // its single lock, whether a job is admitted at all.  Each backlogged
 // tenant holds a FIFO of its own jobs and a deficit counter; a rotating
-// cursor visits tenants in arrival order, granting Quantum cost units per
+// cursor visits tenants in arrival order, granting one cost unit per
 // visit and dispatching head jobs while the credit lasts.
 //
-// With unit costs and the default quantum the dispatch order is an exact
+// With unit costs the dispatch order is an exact
 // rotation — the paper's GP invariant (§4.1: the global pointer never
 // re-picks a PE before wrapping past every candidate) with tenants in the
 // role of the PEs: no backlogged tenant is served twice before every
@@ -24,7 +24,6 @@ type DRR struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	capacity int
-	quantum  float64
 	quota    int // jobs one tenant may hold queued or running (Config.TenantQuota); 0 is unlimited
 	size     int
 	closed   bool
@@ -32,7 +31,7 @@ type DRR struct {
 	tenants map[string]*tenantQueue
 	ring    []string // backlogged tenants in arrival order
 	cur     int      // rotation cursor into ring
-	granted bool     // the tenant at cur has received its quantum for this visit
+	granted bool     // the tenant at cur has received this visit's cost unit
 
 	held   map[string]int   // quota slots held per tenant (jobRun.quota)
 	served map[string]int64 // jobs dispatched per tenant, for /metrics; see servedKey
@@ -63,19 +62,15 @@ const (
 )
 
 // NewDRR returns a DRR bounding the total backlog (all tenants together)
-// at capacity jobs, with the given per-visit quantum in cost units.  A
-// quantum <= 0 selects 1, which with unit-cost jobs yields the strict
-// one-job-per-tenant-per-rotation schedule the tests pin down.
-func NewDRR(capacity int, quantum float64) *DRR {
+// at capacity jobs.  Each visit grants a tenant one cost unit, which with
+// unit-cost jobs yields the strict one-job-per-tenant-per-rotation
+// schedule the tests pin down.
+func NewDRR(capacity int) *DRR {
 	if capacity < 1 {
 		capacity = 1
 	}
-	if quantum <= 0 {
-		quantum = 1
-	}
 	d := &DRR{
 		capacity: capacity,
-		quantum:  quantum,
 		tenants:  make(map[string]*tenantQueue),
 		held:     make(map[string]int),
 		served:   make(map[string]int64),
@@ -148,13 +143,13 @@ func (d *DRR) next() *job {
 // least one tenant, and every tenant in the ring has queued work (a
 // tenant retires as its last job is dispatched), so the loop terminates:
 // every pass either dispatches or advances the cursor while growing some
-// deficit by a full quantum.
+// deficit by a full cost unit.
 func (d *DRR) popLocked() *job {
 	for {
 		t := d.ring[d.cur]
 		q := d.tenants[t]
 		if !d.granted {
-			q.deficit += d.quantum
+			q.deficit++
 			d.granted = true
 		}
 		head := q.jobs[0]

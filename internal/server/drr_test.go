@@ -24,7 +24,7 @@ func costed(t string, cost float64) *job {
 // The backlog is deliberately skewed — a fair-share scheduler must not
 // let the heavy tenant's depth buy it extra turns.
 func TestDRRRotationInvariant(t *testing.T) {
-	d := NewDRR(128, 1)
+	d := NewDRR(128)
 	backlog := map[string]int{"heavy": 9, "medium": 5, "light": 2}
 	// Interleave pushes so arrival order does not accidentally encode
 	// the fair schedule.
@@ -79,7 +79,7 @@ func TestDRRRotationInvariant(t *testing.T) {
 // instead of being starved (it still dispatches) or favoured (the cheap
 // tenant gets proportionally more turns first).
 func TestDRRDeficitCarry(t *testing.T) {
-	d := NewDRR(16, 1)
+	d := NewDRR(16)
 	if d.push(costed("wide", 3), false) != admitted {
 		t.Fatal("push wide refused")
 	}
@@ -109,7 +109,7 @@ func TestDRRDeficitCarry(t *testing.T) {
 // contract: close stops push immediately but next hands out the backlog
 // before reporting closed.
 func TestDRRCapacityCloseDrain(t *testing.T) {
-	d := NewDRR(2, 1)
+	d := NewDRR(2)
 	if d.push(unit("a"), false) != admitted || d.push(unit("b"), false) != admitted {
 		t.Fatal("pushes within capacity refused")
 	}
@@ -135,7 +135,7 @@ func TestDRRCapacityCloseDrain(t *testing.T) {
 // tenant's pushes are dispatched exactly once.
 func TestDRRConcurrentDispatch(t *testing.T) {
 	const tenants, perTenant = 4, 50
-	d := NewDRR(tenants*perTenant, 1)
+	d := NewDRR(tenants * perTenant)
 	var wg sync.WaitGroup
 	for ti := 0; ti < tenants; ti++ {
 		wg.Add(1)
@@ -186,7 +186,7 @@ func TestDRRConcurrentDispatch(t *testing.T) {
 // dispatches count under otherTenants, so a client choosing a fresh
 // X-Tenant per request grows the counters by one key, not one per label.
 func TestDRRForgetsDrainedTenants(t *testing.T) {
-	d := NewDRR(8, 1)
+	d := NewDRR(8)
 	for i := 0; i < 3; i++ {
 		d.push(unit("a"), false)
 	}
@@ -243,7 +243,7 @@ func TestDRRSingleTenantIsFIFO(t *testing.T) {
 	}
 	rand.New(rand.NewSource(5)).Shuffle(n, func(i, j int) { costs[i], costs[j] = costs[j], costs[i] })
 
-	d := NewDRR(n, 1)
+	d := NewDRR(n)
 	var pushed, popped []float64
 	push := func(k int) {
 		for ; k > 0; k-- {

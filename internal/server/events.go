@@ -16,11 +16,11 @@ import (
 // writes.  Events are held in a bounded per-job log with
 // monotonically increasing sequence numbers, so a client that reconnects
 // with Last-Event-ID resumes exactly where its stream broke (best-effort
-// once the log has trimmed past that point).  The terminal event freezes
-// the log: it is always the last event, and it is always retained.  A
-// frozen log keeps only what freeze keeps and rebuilds the rest on read,
-// so a reader resuming a finished job from a dropped tick gets the next
-// kept event.
+// once the log has trimmed past that point).  The log holds its events in
+// the shape a finished job's record keeps (eventSet) from the first
+// Append; the job's finish freezes it (EventLog.freeze) and the record
+// rebuilds the terminal event, always the last, on read, so a reader
+// resuming a finished job from a dropped tick gets the next kept event.
 
 // Event types.
 const (
@@ -81,141 +81,50 @@ func (r *jobRun) progress(pi simd.ProgressInfo, shardActive []int) {
 
 // eventLogCap bounds a live job's event log.  Status and checkpoint
 // events are sparse; progress events arrive every Config.ProgressEvery
-// cycles, and the log drops its oldest tick past the cap, so it covers
-// the most recent ~eventLogCap ticks — a reconnecting client older than
-// that resumes at the next retained event.  It bounds a running job only:
-// the terminal event freezes the log down to what the record cannot
-// rebuild (freeze), so a finished job's history entry does not grow with
-// the ticks its run emitted.
+// cycles.  A full log makes room for its next event by dropping its oldest
+// tick, or with no tick left its oldest mark or kept event; the queued and
+// running events, two flags, are never dropped, and neither is the event
+// the room is made for.  So a live log covers the most recent
+// ~eventLogCap ticks — a reconnecting client older than that resumes at
+// the next retained event.  It bounds a running job only: the job's finish
+// cuts the ticks to the last one (EventLog.freeze), so a finished job's
+// history entry does not grow with the ticks its run emitted.
 const eventLogCap = 1024
 
 // EventLog is a bounded append-only event buffer with sequence numbers
 // and edge-triggered wakeups for streaming readers (StreamEvents).  The
-// zero value is an empty log whose first event gets sequence 1.
-//
-// A terminal event freezes the log: freeze cuts its events to what a
-// finished job's record keeps, and every later Append is dropped.  A
-// reader past the terminal event blocks on the nil channel Since then
-// returns until its own context or heartbeat, as on a channel no Append
-// will close.
+// zero value is an empty log whose first event gets sequence 1.  It sorts
+// each event as it is appended: the progress ticks into a list only a
+// live log holds, everything else into an eventSet, the shape a finished
+// job's record keeps.
 type EventLog struct {
-	mu     sync.Mutex
-	last   int64         // seq of the last event appended (0: none yet)
-	events []JobEvent    // the live events; nil once frozen
-	wake   chan struct{} // closed by the next Append; made by the first reader to wait for it
-	frozen *sealedLog    // set by the terminal Append
+	mu    sync.Mutex
+	last  int64         // seq of the last event appended (0: none yet)
+	set   eventSet      // every event but the ticks
+	ticks []JobEvent    // the progress ticks, per-shard ones included, in Seq order
+	wake  chan struct{} // closed by the next Append or the freeze; made by the first reader to wait for it
 }
 
-// sealedLog is a frozen EventLog: what freeze kept, whether the log held
-// the plain running event, and the terminal event, which a job's record
-// rebuilds from its own fields instead.
-type sealedLog struct {
-	log      frozenLog
-	running  bool
-	terminal JobEvent
-}
-
-// Append assigns the next sequence number to ev, stores it, and wakes
-// every blocked reader; a terminal ev freezes the log, and a frozen log
-// drops ev.  It is cheap enough to run on the simulation goroutine (the
-// engine's Progress contract).
-func (l *EventLog) Append(ev JobEvent) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.frozen != nil {
-		return
-	}
-	l.last++
-	ev.Seq = l.last
-	l.events = append(l.events, ev)
-	if len(l.events) > eventLogCap {
-		// Past the cap the oldest progress tick goes, so a long run's log
-		// keeps its status and checkpoint events for the freeze; a log of
-		// those alone drops its oldest event.
-		i := max(slices.IndexFunc(l.events, func(ev JobEvent) bool { return ev.Type == EventProgress }), 0)
-		l.events = slices.Delete(l.events, i, i+1)
-	}
-	if l.wake != nil {
-		close(l.wake)
-		l.wake = nil
-	}
-	if ev.Terminal {
-		log, running := freeze(l.events)
-		l.frozen = &sealedLog{log: log, running: running, terminal: ev}
-		l.events = nil
-	}
-}
-
-// frozenLog returns what the freeze kept of a frozen log.
-func (l *EventLog) frozenLog() frozenLog {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.frozen.log
-}
-
-// Since returns a copy of the buffered events with Seq > after, plus a
-// channel that is closed on the next Append — the reader's blocking edge,
-// nil once the log is frozen.
-func (l *EventLog) Since(after int64) ([]JobEvent, <-chan struct{}) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if f := l.frozen; f != nil {
-		return f.log.since(after, f.running, f.terminal), nil
-	}
-	if l.wake == nil {
-		l.wake = make(chan struct{})
-	}
-	return eventsAfter(l.events, after), l.wake
-}
-
-// eventsAfter returns a copy of the events of evs, which are in Seq
-// order, with Seq > after; nil when there are none.  A live log's
-// sequence numbers have gaps where it dropped ticks past its cap, so the
-// first event is found by its Seq, not by its offset.
-func eventsAfter(evs []JobEvent, after int64) []JobEvent {
-	i, _ := slices.BinarySearchFunc(evs, after+1, func(ev JobEvent, seq int64) int { return cmp.Compare(ev.Seq, seq) })
-	if i == len(evs) {
-		return nil
-	}
-	return slices.Clone(evs[i:])
-}
-
-// The events a frozen log rebuilds instead of keeping: a job's queued
-// event is its first, and a job that started has its running event next.
-var (
-	queuedEvent  = JobEvent{Seq: 1, Type: EventStatus, Status: StatusQueued}
-	runningEvent = JobEvent{Seq: 2, Type: EventStatus, Status: StatusRunning}
-)
-
-// frozenLog is what a terminal job's record keeps of its event log: only
-// what the record cannot rebuild.  A frozen log's events are
+// eventSet is a job's event log in the shape its record keeps: every
+// event but the progress ticks, with the ones that say no more than their
+// kind and position held in less than a JobEvent.  Its events are
 //
-//   - the queued event at seq 1, and the running event at seq 2 on a job
-//     that started, rebuilt unless the live log had trimmed them;
-//   - plain checkpoint events, kept as (seq, cycle) marks;
-//   - kept verbatim: the last progress tick with its per-shard events on
-//     a distributed run, and every other status or checkpoint event (a
-//     steal's running event with its Shards, an aborted steal's with its
-//     Error, a distributed run's checkpoints);
-//   - the terminal event at seq last, rebuilt from the record's status,
-//     error, stats and cache-hit flag (job.terminalEvent).
+//   - the queued event at seq 1 and the running event at seq 2, flags;
+//   - plain checkpoint events, (seq, cycle) marks;
+//   - kept verbatim, in Seq order: every other status or checkpoint event
+//     (a steal's running event with its Shards, an aborted steal's with
+//     its Error, a distributed run's checkpoints), and once the log is
+//     frozen its last progress tick with the per-shard events after it.
 //
-// Nothing reads the other ticks once the job is over.  A cache hit's log
-// is its terminal event alone, at seq 1: it keeps nothing.
-type frozenLog struct {
-	kept []JobEvent
-	more *frozenMarks // nil when there are no marks and the lifecycle was not trimmed
-	last int64        // the terminal event's seq; 0 while the log is live
-}
-
-// frozenMarks is the part of a frozen log that only a spooled run's or a
-// trimmed one's has.
-type frozenMarks struct {
-	marks []checkpointMark
-	// first is the lowest seq a rebuilt queued or running event may have
-	// when the live log's oldest event was not the queued one: the live
-	// log had trimmed it (and the running event, when first > 2).
-	first int64
+// A finished job's set stores no terminal event: the record rebuilds it
+// from its status, error, stats and cache-hit flag (job.terminalEvent) at
+// the seq after the set's newest event.  A cache hit's set is empty.  The
+// marks sit behind a pointer, so a set is 40 bytes of the record and only
+// a job with plain checkpoints, a spooled one, pays for their slice.
+type eventSet struct {
+	kept            []JobEvent
+	marks           *[]checkpointMark // nil until the first plain checkpoint
+	queued, running bool
 }
 
 // checkpointMark is a plain checkpoint event, which sets no field but
@@ -225,99 +134,181 @@ type checkpointMark struct {
 	cycle int
 }
 
-// freeze is the freeze rule: what a frozen log keeps of evs, a live log
-// whose last event is the terminal one, and whether evs held the running
-// event the log rebuilds at seq 2.  The kept events and the marks are
-// exact-size slices.
-func freeze(evs []JobEvent) (f frozenLog, running bool) {
-	f.last = evs[len(evs)-1].Seq
-	evs = evs[:len(evs)-1]
-	first := int64(1)
-	if len(evs) > 0 && evs[0] != queuedEvent {
-		first = max(evs[0].Seq, 2)
+// The events a set holds as flags: a job's queued event is its first, and
+// a job that started has its running event next.
+var (
+	queuedEvent  = JobEvent{Seq: 1, Type: EventStatus, Status: StatusQueued}
+	runningEvent = JobEvent{Seq: 2, Type: EventStatus, Status: StatusRunning}
+)
+
+// Append assigns the next sequence number to ev, stores it, and wakes
+// every blocked reader.  It is cheap enough to run on the simulation
+// goroutine (the engine's Progress contract): a tick is an append to the
+// tick list, and a full log drops its oldest tick by reslicing.
+func (l *EventLog) Append(ev JobEvent) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.size() >= eventLogCap {
+		l.trim()
 	}
-	tick := -1
-	for i, ev := range evs {
-		if ev.Type == EventProgress && ev.Shard == 0 {
-			tick = i
+	l.last++
+	ev.Seq = l.last
+	switch {
+	case ev == queuedEvent:
+		l.set.queued = true
+	case ev == runningEvent:
+		l.set.running = true
+	case ev.Type == EventProgress:
+		l.ticks = append(l.ticks, ev)
+	case ev == JobEvent{Seq: ev.Seq, Type: EventCheckpoint, Cycle: ev.Cycle}:
+		if l.set.marks == nil {
+			l.set.marks = new([]checkpointMark)
 		}
+		*l.set.marks = append(*l.set.marks, checkpointMark{ev.Seq, ev.Cycle})
+	default:
+		l.set.kept = append(l.set.kept, ev)
 	}
-	const (
-		dropped  = iota // a tick the log drops, or an event it rebuilds
-		marked          // a plain checkpoint
-		verbatim        // an event it keeps as it is
-	)
-	class := func(i int, ev JobEvent) int {
-		switch {
-		case ev == queuedEvent || ev == runningEvent:
-			return dropped
-		case ev.Type == EventProgress:
-			if i == tick || i > tick && ev.Shard > 0 {
-				return verbatim
-			}
-			return dropped
-		case ev == JobEvent{Seq: ev.Seq, Type: EventCheckpoint, Cycle: ev.Cycle}:
-			return marked
-		}
-		return verbatim
+	if l.wake != nil {
+		close(l.wake)
+		l.wake = nil
 	}
-	var n [3]int
-	for i, ev := range evs {
-		n[class(i, ev)]++
-	}
-	var marks []checkpointMark
-	if n[marked] > 0 {
-		marks = make([]checkpointMark, 0, n[marked])
-	}
-	if n[verbatim] > 0 {
-		f.kept = make([]JobEvent, 0, n[verbatim])
-	}
-	for i, ev := range evs {
-		switch class(i, ev) {
-		case dropped:
-			running = running || ev == runningEvent
-		case marked:
-			marks = append(marks, checkpointMark{ev.Seq, ev.Cycle})
-		case verbatim:
-			f.kept = append(f.kept, ev)
-		}
-	}
-	if marks != nil || first != 1 {
-		f.more = &frozenMarks{marks: marks, first: first}
-	}
-	return f, running
 }
 
-// since rebuilds the frozen log's events with Seq > after, in Seq order;
-// nil when there are none.  running says whether the log rebuilds the
-// running event, terminal is the terminal event but for its Seq.
-func (f frozenLog) since(after int64, running bool, terminal JobEvent) []JobEvent {
-	if after >= f.last {
+// size is the number of events the log holds.  The caller holds l.mu.
+func (l *EventLog) size() int {
+	n := len(l.ticks) + len(l.set.kept) + len(l.set.markList())
+	if l.set.queued {
+		n++
+	}
+	if l.set.running {
+		n++
+	}
+	return n
+}
+
+// trim drops the log's oldest tick, or with no tick left the older of its
+// oldest mark and its oldest kept event.  The caller holds l.mu.
+func (l *EventLog) trim() {
+	marks, kept := l.set.markList(), l.set.kept
+	switch {
+	case len(l.ticks) > 0:
+		l.ticks = l.ticks[1:]
+	case len(kept) > 0 && (len(marks) == 0 || kept[0].Seq < marks[0].seq):
+		l.set.kept = kept[1:]
+	default:
+		*l.set.marks = marks[1:]
+	}
+}
+
+// Since returns a copy of the buffered events with Seq > after, plus a
+// channel that is closed on the next Append.
+func (l *EventLog) Since(after int64) ([]JobEvent, <-chan struct{}) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.wake == nil {
+		l.wake = make(chan struct{})
+	}
+	return l.set.since(after, l.ticks), l.wake
+}
+
+// freeze ends a job's live log in the shape its record keeps: the ticks
+// are cut to the last one with the per-shard events after it, which join
+// the kept events, and the slices are made exact-size, so the set shares
+// no memory with the log.  It closes the wake channel, so every reader
+// blocked on the log looks again and finds the job terminal.
+func (l *EventLog) freeze() eventSet {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	last := len(l.ticks) - 1
+	for last > 0 && l.ticks[last].Shard > 0 {
+		last--
+	}
+	group := l.ticks[max(last, 0):]
+	f := eventSet{queued: l.set.queued, running: l.set.running}
+	if n := len(l.set.kept) + len(group); n > 0 {
+		f.kept = append(append(make([]JobEvent, 0, n), l.set.kept...), group...)
+		slices.SortFunc(f.kept, bySeq)
+	}
+	if marks := l.set.markList(); len(marks) > 0 {
+		marks = slices.Clone(marks)
+		f.marks = &marks
+	}
+	if l.wake != nil {
+		close(l.wake)
+		l.wake = nil
+	}
+	return f
+}
+
+// markList returns the set's marks, nil when it has none.
+func (s *eventSet) markList() []checkpointMark {
+	if s.marks == nil {
 		return nil
 	}
-	first := int64(1)
-	var marks []checkpointMark
-	if f.more != nil {
-		first, marks = f.more.first, f.more.marks
+	return *s.marks
+}
+
+// newest is the seq of the newest event in s, 0 when it holds none.  A
+// frozen set's newest event is its live log's last one, since a trim
+// never drops the event it makes room for and the freeze keeps the last
+// tick, so a finished job's terminal event has seq newest+1.
+func (s *eventSet) newest() int64 {
+	var seq int64
+	if s.queued {
+		seq = 1
 	}
-	out := make([]JobEvent, 0, 3+len(marks)+len(f.kept))
-	if after < 1 && first <= 1 && f.last > 1 {
+	if s.running {
+		seq = 2
+	}
+	if n := len(s.kept); n > 0 {
+		seq = max(seq, s.kept[n-1].Seq)
+	}
+	if marks := s.markList(); len(marks) > 0 {
+		seq = max(seq, marks[len(marks)-1].seq)
+	}
+	return seq
+}
+
+// since returns the events of s and of extra, which is in Seq order, with
+// Seq > after, in Seq order; nil when there are none.  A live log passes
+// its ticks as extra, a finished job its rebuilt terminal event.
+func (s *eventSet) since(after int64, extra []JobEvent) []JobEvent {
+	kept, extra := seqAfter(s.kept, after), seqAfter(extra, after)
+	marks := s.markList()
+	i, _ := slices.BinarySearchFunc(marks, after+1, func(m checkpointMark, seq int64) int { return cmp.Compare(m.seq, seq) })
+	marks = marks[i:]
+	queued, running := s.queued && after < 1, s.running && after < 2
+	n := len(kept) + len(marks) + len(extra)
+	if queued {
+		n++
+	}
+	if running {
+		n++
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]JobEvent, 0, n)
+	if queued {
 		out = append(out, queuedEvent)
 	}
-	if after < 2 && running && first <= 2 && f.last > 2 {
+	if running {
 		out = append(out, runningEvent)
 	}
 	for _, m := range marks {
-		if m.seq > after {
-			out = append(out, JobEvent{Seq: m.seq, Type: EventCheckpoint, Cycle: m.cycle})
-		}
+		out = append(out, JobEvent{Seq: m.seq, Type: EventCheckpoint, Cycle: m.cycle})
 	}
-	for _, ev := range f.kept {
-		if ev.Seq > after {
-			out = append(out, ev)
-		}
-	}
-	slices.SortFunc(out, func(a, b JobEvent) int { return cmp.Compare(a.Seq, b.Seq) })
-	terminal.Seq = f.last
-	return append(out, terminal)
+	out = append(append(out, kept...), extra...)
+	slices.SortFunc(out, bySeq)
+	return out
 }
+
+// seqAfter returns the suffix of evs, which are in Seq order, with
+// Seq > after.  A live log's sequence numbers have gaps where it dropped
+// events past its cap, so the suffix is found by Seq, not by offset.
+func seqAfter(evs []JobEvent, after int64) []JobEvent {
+	i, _ := slices.BinarySearchFunc(evs, after+1, func(ev JobEvent, seq int64) int { return cmp.Compare(ev.Seq, seq) })
+	return evs[i:]
+}
+
+func bySeq(a, b JobEvent) int { return cmp.Compare(a.Seq, b.Seq) }

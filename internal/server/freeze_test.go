@@ -70,7 +70,7 @@ func (liveLog) Generate(r *rand.Rand, size int) reflect.Value {
 	long := r.Intn(10) == 0
 	if long {
 		// Past eventLogCap: ticks alone, or status and checkpoint events
-		// alone, which trim the queued and running events themselves.
+		// alone, which trim their own oldest events but never queued or running.
 		n = eventLogCap + r.Intn(eventLogCap/4)
 	}
 	cycle := 0
@@ -148,13 +148,7 @@ func (g liveLog) replay(t *testing.T, s *Server, key string) (*job, []JobEvent) 
 	r.events.mu.Lock()
 	seq := r.events.last + 1
 	r.events.mu.Unlock()
-	// The terminal Append trims the log past its cap as any Append does,
-	// before the freeze.
 	live = append(live, JobEvent{Seq: seq, Type: EventStatus, Status: g.status, Error: g.errMsg, Terminal: true}.withStats(g.stats))
-	if len(live) > eventLogCap {
-		i := max(slices.IndexFunc(live, func(ev JobEvent) bool { return ev.Type == EventProgress }), 0)
-		live = slices.Delete(live, i, i+1)
-	}
 	if !j.finish(g.status, g.stats, nil, g.errMsg, now) {
 		t.Fatal("finish found no run")
 	}
@@ -163,9 +157,10 @@ func (g liveLog) replay(t *testing.T, s *Server, key string) (*job, []JobEvent) 
 
 // checkFrozen holds a terminal job's rebuilt log to want, parentFreeze's:
 // from every sequence number after in [0, last], since(after) must equal
-// eventsAfter(want, after), and each event must marshal to the same bytes
-// as want's (equal events marshal equally, so the suffixes do too).  It
-// returns the first difference, nil when there is none.
+// want's events with Seq > after (nil when there are none), and each
+// event must marshal to the same bytes as want's (equal events marshal
+// equally, so the suffixes do too).  It returns the first difference, nil
+// when there is none.
 func checkFrozen(since func(after int64) []JobEvent, want []JobEvent) error {
 	all := since(0)
 	if len(all) != len(want) {
@@ -186,7 +181,11 @@ func checkFrozen(since func(after int64) []JobEvent, want []JobEvent) error {
 	}
 	last := want[len(want)-1].Seq
 	for after := int64(0); after <= last; after++ {
-		if got, exp := since(after), eventsAfter(want, after); !slices.Equal(got, exp) || (got == nil) != (exp == nil) {
+		var exp []JobEvent
+		if i := slices.IndexFunc(want, func(ev JobEvent) bool { return ev.Seq > after }); i >= 0 {
+			exp = want[i:]
+		}
+		if got := since(after); !slices.Equal(got, exp) || (got == nil) != (exp == nil) {
 			return fmt.Errorf("eventsSince(%d) = %+v, the referee's %+v", after, got, exp)
 		}
 	}
@@ -248,24 +247,31 @@ func TestFreezeReferee(t *testing.T) {
 
 var mutants = flag.Bool("mutants", false, "run the planted mutants: each subtest of TestPlantedMutants passes when the referees catch its mutant")
 
-// TestPlantedMutants runs two planted faults of the freeze against its
-// referee; each subtest passes when its mutant is caught and fails when
-// it survives, and they run only with -mutants:
+// TestPlantedMutants runs three planted faults of the event log against
+// its referees; each subtest passes when its mutant is caught and fails
+// when it survives, and they run only with -mutants:
 //
 //   - hit-drops-cache-hit: a cache hit's rebuilt terminal event loses its
-//     CacheHit.  The referee's hits catch it at the terminal event.
+//     CacheHit.  The freeze referee's hits catch it at the terminal event.
 //   - abort-drops-error: the record keeps a steal's status events without
 //     their Error, so an aborted steal's running event is rebuilt as a
-//     plain one.  The referee's histories with an abort catch it.
+//     plain one.  The freeze referee's histories with an abort catch it.
+//   - trim-drops-queued: a full live log makes room by dropping its oldest
+//     event, the queued one, instead of its oldest checkpoint.
+//     lifecycleSurvivesTrim (TestTrimKeepsQueuedAndRunning) catches it on
+//     the live log.
 func TestPlantedMutants(t *testing.T) {
 	if !*mutants {
 		t.Skip("planted mutants run with -mutants; each must be caught")
 	}
+	frozen := func(plant func(j *job, after int64) []JobEvent) func(t *testing.T) error {
+		return func(t *testing.T) error { return freezeReferee(t, 400, plant) }
+	}
 	for _, m := range []struct {
-		name  string
-		plant func(j *job, after int64) []JobEvent
+		name   string
+		caught func(t *testing.T) error
 	}{
-		{"hit-drops-cache-hit", func(j *job, after int64) []JobEvent {
+		{"hit-drops-cache-hit", frozen(func(j *job, after int64) []JobEvent {
 			evs, _ := j.eventsSince(after)
 			for i := range evs {
 				if evs[i].Terminal {
@@ -273,8 +279,8 @@ func TestPlantedMutants(t *testing.T) {
 				}
 			}
 			return evs
-		}},
-		{"abort-drops-error", func(j *job, after int64) []JobEvent {
+		})},
+		{"abort-drops-error", frozen(func(j *job, after int64) []JobEvent {
 			j.mu.Lock()
 			for i := range j.events.kept {
 				if ev := &j.events.kept[i]; ev.Type == EventStatus {
@@ -284,10 +290,20 @@ func TestPlantedMutants(t *testing.T) {
 			j.mu.Unlock()
 			evs, _ := j.eventsSince(after)
 			return evs
+		})},
+		{"trim-drops-queued", func(*testing.T) error {
+			return lifecycleSurvivesTrim(func(l *EventLog, ev JobEvent) {
+				l.mu.Lock()
+				if l.size() >= eventLogCap && l.set.queued {
+					l.set.queued = false // the room the Append needs
+				}
+				l.mu.Unlock()
+				l.Append(ev)
+			})
 		}},
 	} {
 		t.Run(m.name, func(t *testing.T) {
-			err := freezeReferee(t, 400, m.plant)
+			err := m.caught(t)
 			if err == nil {
 				t.Fatal("the mutant survived: every rebuilt log matches the referee's")
 			}

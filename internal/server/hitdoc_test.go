@@ -15,9 +15,9 @@ func hitOf(t *testing.T, s *Server, canonical JobSpec, tenant string) *job {
 	if rf != nil {
 		t.Fatalf("submit %+v: %d %s", canonical, rf.Code, rf.Message)
 	}
-	j := h.(*JobHandle).j
+	j := h.(*job)
 	select {
-	case <-j.done():
+	case <-j.Done():
 	case <-time.After(30 * time.Second):
 		t.Fatalf("job %s did not finish", j.id)
 	}
@@ -65,7 +65,7 @@ func TestHitTemplateByteIdentical(t *testing.T) {
 			if first.hit == nil {
 				t.Fatalf("%s traced=%v: second submission was not a cache hit", spec.Domain, traced)
 			}
-			b, err := (&JobHandle{j: first}).ResponseBytes()
+			b, err := first.ResponseBytes()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +99,7 @@ func TestHitTemplateByteIdentical(t *testing.T) {
 			}
 			// A live hit with an escaped tenant, through the handle.
 			j := hitOf(t, s, canonical, `q"<&>\`)
-			got, err := (&JobHandle{j: j}).ResponseBytes()
+			got, err := j.ResponseBytes()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +148,7 @@ func TestHitTemplateTimeoutFallback(t *testing.T) {
 				t.Fatal("a hit with another timeout_ms filled the template")
 			}
 		}
-		got, err := (&JobHandle{j: j}).ResponseBytes()
+		got, err := j.ResponseBytes()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,9 +48,9 @@ var (
 
 // job is one search request as a node's history keeps it: a record that
 // answers the job document, its event stream and its trace, plus while the
-// job is live the run that only a queued or running job needs.  id, spec,
-// key, tenant and hit are set before the job is published and never
-// change; the rest is under mu.
+// job is live the run that only a queued or running job needs.  It is the
+// node's Job.  id, spec, key, tenant and hit are set before the job is
+// published and never change; the rest is under mu.
 type job struct {
 	id     string
 	spec   JobSpec // canonical
@@ -78,9 +78,9 @@ type job struct {
 	// that ran on one node, or whose distributed run lost a peer.
 	dist *distRun
 
-	// events is what a terminal job keeps of its event log (freeze), the
-	// zero frozenLog while run holds the live one.
-	events frozenLog
+	// events is what a terminal job keeps of its event log
+	// (EventLog.freeze), empty while run holds the live one.
+	events eventSet
 
 	// run is nil once the job is terminal: finish drops it, and a cache
 	// hit, born terminal, never has one.  Only finish clears it, and only
@@ -166,10 +166,10 @@ func (j *job) requestCancel(tenant string, cause error) bool {
 }
 
 // finish is the job's terminal transition, made exactly once: it records
-// the outcome, appends the terminal event, which freezes the live log,
-// keeps the frozen log in the record, releases the run context (the
-// server's root context holds every live child until it is cancelled),
-// closes done and drops the run.
+// the outcome, keeps the frozen live log in the record, whose terminal
+// event eventsSince rebuilds, releases the run context (the server's root
+// context holds every live child until it is cancelled), closes done and
+// drops the run.
 func (j *job) finish(status Status, stats metrics.Stats, tr *trace.Trace, errMsg string, now time.Time) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -182,16 +182,15 @@ func (j *job) finish(status Status, stats metrics.Stats, tr *trace.Trace, errMsg
 	j.trace = tr
 	j.errMsg = errMsg
 	j.finished = now
-	r.events.Append(j.terminalEvent())
-	j.events = r.events.frozenLog()
+	j.events = r.events.freeze()
 	j.run = nil
 	r.cancel(nil)
 	close(r.done)
 	return true
 }
 
-// done returns a channel closed once the job is terminal.
-func (j *job) done() <-chan struct{} {
+// Done returns a channel closed once the job is terminal.
+func (j *job) Done() <-chan struct{} {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.run == nil {
@@ -200,25 +199,26 @@ func (j *job) done() <-chan struct{} {
 	return j.run.done
 }
 
-// terminalEvent is the job's terminal event but for its Seq: the event
-// finish appends, and the one a frozen log rebuilds from the record.  The
-// caller holds j.mu.
+// terminalEvent is the job's terminal event but for its Seq, rebuilt from
+// the record.  The caller holds j.mu.
 func (j *job) terminalEvent() JobEvent {
 	return JobEvent{Type: EventStatus, Status: j.status, Error: j.errMsg, CacheHit: j.cacheHit, Terminal: true}.withStats(j.stats)
 }
 
 // eventsSince returns the job's events with Seq > after, from the live
-// log while the job runs and rebuilt from the record once it is terminal,
-// plus a channel closed on the next append: nil once the job is terminal.
+// log while the job runs and from the record once it is terminal, plus a
+// channel closed on the next append or at finish: nil once the job is
+// terminal.  It reads the live log under j.mu, so it never sees a log
+// that finish froze without the terminal event the record rebuilds.
 func (j *job) eventsSince(after int64) ([]JobEvent, <-chan struct{}) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if r := j.run; r != nil {
-		j.mu.Unlock()
 		return r.events.Since(after)
 	}
-	frozen, started, terminal := j.events, !j.started.IsZero(), j.terminalEvent()
-	j.mu.Unlock()
-	return frozen.since(after, started, terminal), nil
+	terminal := j.terminalEvent()
+	terminal.Seq = j.events.newest() + 1
+	return j.events.since(after, []JobEvent{terminal}), nil
 }
 
 // view is an immutable snapshot for handlers.
@@ -308,6 +308,17 @@ func (j *job) setDist(d *distRun) {
 // ID returns the job id ("j1", ...).
 func (j *job) ID() string { return j.id }
 
+// Key returns the canonical spec cache key, the single-flight collapse
+// key.
+func (j *job) Key() string { return j.key }
+
+// Status returns the job's current lifecycle state.
+func (j *job) Status() Status {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.status
+}
+
 // Terminal reports whether the job's status is final.
 func (j *job) Terminal() bool {
 	j.mu.Lock()
@@ -315,14 +326,26 @@ func (j *job) Terminal() bool {
 	return j.status.Terminal()
 }
 
-// storable is what a jobStore holds: a node's *job, or the fleet
-// coordinator's record of a routed job.
-type storable interface {
-	ID() string
-	Terminal() bool
+// CacheHit reports whether the job was answered from the result cache.
+func (j *job) CacheHit() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.cacheHit
 }
 
-// jobStore maps ids to jobs and bounds its memory by evicting the oldest
+// ResponseBytes renders the job document exactly as the HTTP layer
+// writes it (indented JSON plus trailing newline), so callers can fan the
+// same bytes out to any number of subscribers.  A cache hit's document is
+// appended from its cached result's template (hitdoc.go).
+func (j *job) ResponseBytes() ([]byte, error) {
+	if j.hit != nil {
+		return j.hit.render(j.view())
+	}
+	return marshalDoc(renderJob(j.view()))
+}
+
+// jobStore maps ids to Jobs — a node's *job, or the fleet coordinator's
+// record of a routed job — and bounds its memory by evicting the oldest
 // *terminal* jobs beyond the history cap (running and queued jobs are
 // never evicted).
 //
@@ -332,9 +355,10 @@ type storable interface {
 // it is the oldest terminal one — up a slot, so the hole is always at the
 // head.  An add costs O(1) amortized plus those queued or running jobs,
 // which a node's queue size and worker count bound.  A full slice is
-// compacted in place when its dead head is at least half of it and
-// regrown to 2·stored+1 otherwise, so it stays within 2·history+1 slots.
-type jobStore[J storable] struct {
+// compacted in place when its dead head is at least half of it, and byID
+// rebuilt with it, and regrown to 2·stored+1 otherwise, so it stays
+// within 2·history+1 slots.
+type jobStore[J Job] struct {
 	mu      sync.Mutex
 	byID    map[string]J
 	order   []J
@@ -342,7 +366,7 @@ type jobStore[J storable] struct {
 	history int
 }
 
-func newJobStore[J storable](history int) *jobStore[J] {
+func newJobStore[J Job](history int) *jobStore[J] {
 	if history < 1 {
 		history = 1
 	}
@@ -355,17 +379,24 @@ func newJobStore[J storable](history int) *jobStore[J] {
 func (s *jobStore[J]) add(j J) (over int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.byID[j.ID()] = j
 	if len(s.order) == cap(s.order) {
 		stored := s.order[s.head:]
 		if 2*s.head >= len(s.order) {
 			clear(s.order[copy(s.order, stored):])
 			s.order = s.order[:len(stored)]
+			// A map keeps the room its deletes left, so the index is
+			// rebuilt with the queue: it stays the size of what the store
+			// holds, not of every job it has served.
+			s.byID = make(map[string]J, len(s.order)+1)
+			for _, k := range s.order {
+				s.byID[k.ID()] = k
+			}
 		} else {
 			s.order = append(make([]J, 0, 2*len(stored)+1), stored...)
 		}
 		s.head = 0
 	}
+	s.byID[j.ID()] = j
 	s.order = append(s.order, j)
 	var none J
 	over = len(s.order) - s.head - s.history
@@ -402,7 +433,7 @@ func (s *jobStore[J]) all() []J {
 // three operations: add stores a job, evicting the oldest terminal ones
 // past history, and reports how far past it the live ones keep the store;
 // get looks one up by id; all lists them in submission order.
-func NewJobStore[J storable](history int) (add func(J) int, get func(id string) (J, bool), all func() []J) {
+func NewJobStore[J Job](history int) (add func(J) int, get func(id string) (J, bool), all func() []J) {
 	s := newJobStore[J](history)
 	return s.add, s.get, s.all
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +18,13 @@ import (
 	"simdtree/internal/metrics"
 	"simdtree/internal/simd"
 )
+
+// liveJob is a queued job with its run and no server behind it: a live
+// log to append to and a finish to end it with.
+func liveJob() *job {
+	ctx, cancel := context.WithCancelCause(context.Background())
+	return &job{id: "j1", status: StatusQueued, run: &jobRun{ctx: ctx, cancel: cancel, done: make(chan struct{})}}
+}
 
 // TestFreezeKeepsLifecycleAndLastTick pins the freeze rule on a
 // distributed run's log: every status and checkpoint event stays, and of
@@ -41,11 +49,12 @@ func TestFreezeKeepsLifecycleAndLastTick(t *testing.T) {
 	in = append(in, JobEvent{Type: EventCheckpoint, Shards: 2})
 	in = append(in, JobEvent{Type: EventStatus, Status: StatusDone, Terminal: true})
 
-	l := new(EventLog)
-	for _, ev := range in {
-		l.Append(ev)
+	j := liveJob()
+	for _, ev := range in[:len(in)-1] {
+		j.run.events.Append(ev)
 	}
-	got, _ := l.Since(0)
+	j.finish(StatusDone, metrics.Stats{}, nil, "", time.Now())
+	got, _ := j.eventsSince(0)
 	var want []int64 // the Seq of each kept event: in's 1-based index
 	for i, ev := range in {
 		if ev.Type != EventProgress || ev.Cycle == 3 {
@@ -61,20 +70,59 @@ func TestFreezeKeepsLifecycleAndLastTick(t *testing.T) {
 		}
 	}
 
-	long := new(EventLog)
-	long.Append(status(StatusQueued))
-	long.Append(status(StatusRunning))
+	long := liveJob()
+	long.run.events.Append(status(StatusQueued))
+	long.run.events.Append(status(StatusRunning))
 	for c := 1; c <= 2*eventLogCap; c++ {
-		long.Append(JobEvent{Type: EventProgress, Cycle: c})
+		long.run.events.Append(JobEvent{Type: EventProgress, Cycle: c})
 	}
-	if evs, _ := long.Since(0); len(evs) != eventLogCap || evs[0].Status != StatusQueued || evs[1].Status != StatusRunning {
+	if evs, _ := long.eventsSince(0); len(evs) != eventLogCap || evs[0].Status != StatusQueued || evs[1].Status != StatusRunning {
 		t.Fatalf("a full live log starts %+v, want its queued and running events kept", evs[:2])
 	}
-	long.Append(JobEvent{Type: EventStatus, Status: StatusDone, Terminal: true})
-	evs, _ := long.Since(0)
+	long.finish(StatusDone, metrics.Stats{}, nil, "", time.Now())
+	evs, _ := long.eventsSince(0)
 	if len(evs) != 4 || evs[0].Status != StatusQueued || evs[1].Status != StatusRunning ||
 		evs[2].Cycle != 2*eventLogCap || !evs[3].Terminal {
 		t.Fatalf("a long run's frozen log %+v, want queued, running, the last tick and the terminal event", evs)
+	}
+}
+
+// lifecycleSurvivesTrim appends a queued, a running and 2·eventLogCap
+// plain checkpoint events to a live job's log through add, then finishes
+// the job.  The live log must hold the queued and running events and the
+// newest eventLogCap-2 checkpoints, and the finished job's log the same
+// events and then its terminal one; it returns the first difference, nil
+// when there is none.
+func lifecycleSurvivesTrim(add func(l *EventLog, ev JobEvent)) error {
+	j := liveJob()
+	add(&j.run.events, JobEvent{Type: EventStatus, Status: StatusQueued})
+	add(&j.run.events, JobEvent{Type: EventStatus, Status: StatusRunning})
+	const n = 2 * eventLogCap
+	for c := 1; c <= n; c++ {
+		add(&j.run.events, JobEvent{Type: EventCheckpoint, Cycle: c})
+	}
+	want := []JobEvent{queuedEvent, runningEvent}
+	for c := n - eventLogCap + 3; c <= n; c++ {
+		want = append(want, JobEvent{Seq: int64(c) + 2, Type: EventCheckpoint, Cycle: c})
+	}
+	if live, _ := j.eventsSince(0); !slices.Equal(live, want) {
+		return fmt.Errorf("live log of %d events from %+v, want %d from %+v", len(live), live[:min(len(live), 3)], len(want), want[:3])
+	}
+	stats := metrics.Stats{P: 8, W: 1, Cycles: n}
+	j.finish(StatusDone, stats, nil, "", time.Now())
+	want = append(want, JobEvent{Seq: n + 3, Type: EventStatus, Status: StatusDone, Terminal: true}.withStats(stats))
+	if frozen, _ := j.eventsSince(0); !slices.Equal(frozen, want) {
+		return fmt.Errorf("finished log of %d events from %+v, want %d from %+v", len(frozen), frozen[:min(len(frozen), 3)], len(want), want[:3])
+	}
+	return nil
+}
+
+// TestTrimKeepsQueuedAndRunning: a live log full of checkpoints drops its
+// oldest checkpoints, never its queued and running events, and the
+// finished job's log keeps what the live one held.
+func TestTrimKeepsQueuedAndRunning(t *testing.T) {
+	if err := lifecycleSurvivesTrim((*EventLog).Append); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -94,8 +142,8 @@ func TestResumePastDroppedTick(t *testing.T) {
 	if err != nil || doc.Status != StatusDone {
 		t.Fatalf("job %+v (%v), want done", doc, err)
 	}
-	h, _ := s.JobByID(doc.ID)
-	frozen, wake := h.EventsSince(0)
+	j, _ := s.store.get(doc.ID)
+	frozen, wake := j.eventsSince(0)
 	if wake != nil {
 		t.Fatal("a finished job hands out a wake channel")
 	}
@@ -213,7 +261,7 @@ func TestImportReleasesResume(t *testing.T) {
 	runtime.SetFinalizer(&resume[0], func(*byte) { close(freed) })
 	resume = nil
 	close(release)
-	<-j.done()
+	<-j.Done()
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		runtime.GC()
 		select {
@@ -232,7 +280,7 @@ func TestImportReleasesResume(t *testing.T) {
 
 // TestTerminalTransitionRaces runs each job's terminal transition
 // (finishJob) against every reader a live job has: Done, a DELETE,
-// EventsSince, offerSteal and view.  Under -race it holds the split of a
+// eventsSince, offerSteal and view.  Under -race it holds the split of a
 // job into its record and its run to the locking rule job.run states; in
 // any mode every job must end with its done channel closed, its run
 // dropped, and its log ending in its one terminal event.
@@ -265,7 +313,7 @@ func TestTerminalTransitionRaces(t *testing.T) {
 			}()
 		}
 		race(func() { s.finishJob(j, StatusDone, metrics.Stats{P: 8, W: 1}, nil, "") })
-		race(func() { <-(&JobHandle{j: j}).Done() })
+		race(func() { <-j.Done() })
 		race(func() {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/v1/jobs/"+j.id, nil))
@@ -274,7 +322,7 @@ func TestTerminalTransitionRaces(t *testing.T) {
 			}
 		})
 		race(func() {
-			if evs, _ := (&JobHandle{j: j}).EventsSince(0); len(evs) == 0 || evs[0].Status != StatusQueued {
+			if evs, _ := j.eventsSince(0); len(evs) == 0 || evs[0].Status != StatusQueued {
 				t.Errorf("job %s: log %+v, want its queued event first", j.id, evs)
 			}
 		})
@@ -284,7 +332,7 @@ func TestTerminalTransitionRaces(t *testing.T) {
 		wg.Wait()
 
 		select {
-		case <-(&JobHandle{j: j}).Done():
+		case <-j.Done():
 		default:
 			t.Fatalf("job %s: done still open after finish", j.id)
 		}

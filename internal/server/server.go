@@ -62,9 +62,9 @@ type Config struct {
 	DrainTimeout time.Duration
 	// Scheduler is the node's queue, which admits jobs (drain, capacity,
 	// TenantQuota) and hands them to the workers in per-tenant rotation;
-	// nil builds NewDRR(QueueSize, 1).  New sets its quota to TenantQuota.
-	// benchmark/ is its only non-test caller, and passes NewDRR(64, 1),
-	// the queue a nil Scheduler builds at the default QueueSize.
+	// nil builds NewDRR(QueueSize).  New sets its quota to TenantQuota.
+	// benchmark/ is its only non-test caller, and passes the queue a nil
+	// Scheduler builds at the default QueueSize (traffic.NewDRR(64, 1)).
 	Scheduler *DRR
 	// ProgressEvery is the cycle cadence of per-job progress events (the
 	// SSE feed); default 250.  Negative disables progress events.
@@ -173,7 +173,7 @@ func New(cfg Config) (*Server, error) {
 	rootCtx, rootStop := context.WithCancelCause(context.Background())
 	queue := cfg.Scheduler
 	if queue == nil {
-		queue = NewDRR(cfg.QueueSize, 1)
+		queue = NewDRR(cfg.QueueSize)
 	}
 	queue.quota = cfg.TenantQuota
 	s := &Server{
@@ -353,8 +353,12 @@ func (s *Server) newJob(canonical JobSpec, key, tenant string, resume []byte, no
 	}
 }
 
-// newID returns the next job id ("j1", ...).
-func (s *Server) newID() string { return "j" + strconv.FormatInt(s.nextID.Add(1), 10) }
+// newID returns the next job id ("j1", ...), one allocation however many
+// digits it has.
+func (s *Server) newID() string {
+	var b [24]byte
+	return string(strconv.AppendInt(append(b[:0], 'j'), s.nextID.Add(1), 10))
+}
 
 // hitJob is the deterministic-cache fast path: when an identical canonical
 // spec already ran to completion, its Stats (and trace) are the result of
@@ -381,7 +385,6 @@ func (s *Server) hitJob(canonical JobSpec, key, tenant string, now time.Time) (j
 		submitted: now,
 		started:   now,
 		finished:  now,
-		events:    frozenLog{last: 1},
 	}
 	s.store.add(j)
 	s.ctr.jobsDone.Add(1)

@@ -177,13 +177,13 @@ func TestCancelRunningJob(t *testing.T) {
 	// so the cancel exercises the engine's cycle-boundary check mid-run.
 	// Status "running" alone is not that: a DELETE sent on it can land
 	// before cycle 1 ends, and the run then reports no cycles.
-	h, ok := s.JobByID(j.ID)
+	h, ok := s.store.get(j.ID)
 	if !ok {
 		t.Fatalf("job %s not addressable", j.ID)
 	}
 	deadline := time.After(10 * time.Second)
 	for cycled := false; !cycled; {
-		evs, wake := h.EventsSince(0)
+		evs, wake := h.eventsSince(0)
 		for _, ev := range evs {
 			cycled = cycled || ev.Type == EventProgress && ev.Cycle > 0
 			if ev.Type == EventProgress && (ev.Efficiency <= 0 || ev.Efficiency > 1) {
@@ -621,7 +621,7 @@ func TestQueuedPrecedesTerminal(t *testing.T) {
 					t.Errorf("seed %d refused: %+v", seed, rf)
 					return
 				}
-				evs := terminalLog(t, h.(*JobHandle))
+				evs := terminalLog(t, h.(*job))
 				if evs == nil {
 					return
 				}
@@ -647,10 +647,10 @@ func TestQueuedPrecedesTerminal(t *testing.T) {
 
 // terminalLog waits for h's terminal event and returns h's whole log, nil
 // (having failed t) if none comes.
-func terminalLog(t *testing.T, h *JobHandle) []JobEvent {
+func terminalLog(t *testing.T, h *job) []JobEvent {
 	deadline := time.After(10 * time.Second)
 	for {
-		evs, wake := h.EventsSince(0)
+		evs, wake := h.eventsSince(0)
 		for _, ev := range evs {
 			if ev.Terminal {
 				return evs
@@ -726,7 +726,7 @@ func (g *gate) waitRuns(t *testing.T, n int) {
 // TestQueueFullNamesItsCapacity holds a full queue's 429 and /metrics to
 // the capacity of the queue the node runs, not Config.QueueSize.
 func TestQueueFullNamesItsCapacity(t *testing.T) {
-	s, g := gatedNode(t, Config{Workers: 1, Scheduler: NewDRR(2, 1)})
+	s, g := gatedNode(t, Config{Workers: 1, Scheduler: NewDRR(2)})
 	if _, rf := g.submit(t, s, "a", 1); rf != nil {
 		t.Fatalf("first submit refused: %+v", rf)
 	}

@@ -171,14 +171,14 @@ func TestFinishedJobSSEGolden(t *testing.T) {
 
 	for _, kind := range []string{"done", "cancelled-queued", "cancelled-running", "timeout", "exhausted", "cache-hit", "spool-resumed", "imported"} {
 		f := finished[kind]
-		h, _ := f.s.JobByID(f.id)
-		all, _ := h.EventsSince(0)
+		j, _ := f.s.store.get(f.id)
+		all, _ := j.eventsSince(0)
 		last := all[len(all)-1].Seq
 		var got strings.Builder
 		for after := int64(0); after < last; after++ {
 			fmt.Fprintf(&got, "-- after %d --\n%s", after, eventsBody(t, f.s, f.id, after))
 		}
-		if rest, _ := h.EventsSince(last); len(rest) != 0 {
+		if rest, _ := j.eventsSince(last); len(rest) != 0 {
 			t.Errorf("%s: events after the terminal one: %+v", kind, rest)
 		}
 		path := filepath.Join("testdata", "sse", kind+".txt")

@@ -194,33 +194,36 @@ func BenchmarkJobDocument(b *testing.B) {
 	}
 }
 
-// TestEventLogFreezesAtTerminal pins what a terminal event leaves: no
-// stored event where the log rebuilds them all, no wake channel, and a
-// log that drops any later Append, so the terminal event stays the last
-// one a reader resuming from any sequence number is handed.
+// TestEventLogFreezesAtTerminal pins what a job's finish leaves of its
+// log: the reader waiting on the live log is woken, the terminal event is
+// the last one a reader resuming from any sequence number is handed, no
+// wake channel is handed out, an Append to the dropped run's log changes
+// nothing, and a log of lifecycle events alone stores no event: the
+// record rebuilds them all.
 func TestEventLogFreezesAtTerminal(t *testing.T) {
-	l := new(EventLog)
+	j := liveJob()
+	l := &j.run.events
 	l.Append(JobEvent{Type: EventStatus, Status: StatusQueued})
 	l.Append(JobEvent{Type: EventStatus, Status: StatusRunning})
-	_, wake := l.Since(2)
-	l.Append(JobEvent{Type: EventStatus, Status: StatusDone, Terminal: true})
+	_, wake := j.eventsSince(2)
+	j.finish(StatusDone, metrics.Stats{}, nil, "", time.Now())
 	select {
 	case <-wake:
 	default:
-		t.Fatal("the terminal Append did not wake the reader")
+		t.Fatal("finish did not wake the reader")
 	}
 	l.Append(JobEvent{Type: EventStatus, Status: StatusQueued})
-	evs, wake := l.Since(0)
+	evs, wake := j.eventsSince(0)
 	if len(evs) != 3 || !evs[2].Terminal || evs[2].Seq != 3 {
 		t.Fatalf("frozen log %+v, want queued, running, then the terminal event", evs)
 	}
 	if wake != nil {
-		t.Error("a frozen log still hands out a wake channel")
+		t.Error("a finished job still hands out a wake channel")
 	}
-	if evs, _ := l.Since(3); len(evs) != 0 {
-		t.Errorf("Since(terminal) = %+v, want none", evs)
+	if evs, _ := j.eventsSince(3); len(evs) != 0 {
+		t.Errorf("eventsSince(terminal) = %+v, want none", evs)
 	}
-	if f := l.frozen.log; l.events != nil || f.kept != nil || f.more != nil {
-		t.Errorf("a frozen log of lifecycle events alone stores %d live events, kept %+v, marks %+v", len(l.events), f.kept, f.more)
+	if f := j.events; f.kept != nil || f.marks != nil || !f.queued || !f.running {
+		t.Errorf("a frozen log of lifecycle events alone stores kept %+v, marks %v, flags %v %v", f.kept, f.marks, f.queued, f.running)
 	}
 }

@@ -50,7 +50,10 @@ var (
 // integers canonical uvarints):
 //
 //	key | codec | donation | cycle | from | to |
-//	flags byte | stack blob | [domain blob]
+//	flags byte | stack blob
+//
+// No flag is defined: the flags byte is always 0, and a frame with any bit
+// set is refused as corrupt.
 type Frame struct {
 	// Key is the cache key of the job the donation belongs to.
 	Key string
@@ -66,13 +69,7 @@ type Frame struct {
 	// Stack is the wire.EncodeArena payload of the donated levels; it is
 	// never empty (empty donations are not shipped).
 	Stack []byte
-	// DomainState optionally carries stateful-domain state; the lock-step
-	// driver never ships it (shards merge state at checkpoint assembly),
-	// but the format reserves it for asynchronous protocols.
-	DomainState []byte
 }
-
-const frameDomainFlag byte = 1 << 0
 
 // EncodeFrame serialises the frame canonically.
 func EncodeFrame(f *Frame) ([]byte, error) {
@@ -85,7 +82,7 @@ func EncodeFrame(f *Frame) ([]byte, error) {
 	if f.Cycle < 0 || f.From < 0 || f.To < 0 {
 		return nil, fmt.Errorf("steal: negative frame field (cycle %d, from %d, to %d)", f.Cycle, f.From, f.To)
 	}
-	buf := make([]byte, 0, len(Magic)+1+len(f.Key)+len(f.Codec)+len(f.Stack)+len(f.DomainState)+64)
+	buf := make([]byte, 0, len(Magic)+1+len(f.Key)+len(f.Codec)+len(f.Stack)+64)
 	w := wire.NewFrame(buf, Magic, Version)
 	w.Str(f.Key)
 	w.Str(f.Codec)
@@ -93,15 +90,8 @@ func EncodeFrame(f *Frame) ([]byte, error) {
 	w.Uvarint(uint64(f.Cycle))
 	w.Uvarint(uint64(f.From))
 	w.Uvarint(uint64(f.To))
-	var flags byte
-	if len(f.DomainState) > 0 {
-		flags |= frameDomainFlag
-	}
-	w.Byte(flags)
+	w.Byte(0) // flags: none defined
 	w.Blob(f.Stack)
-	if len(f.DomainState) > 0 {
-		w.Blob(f.DomainState)
-	}
 	return w.Seal(), nil
 }
 
@@ -116,14 +106,9 @@ func DecodeFrame(b []byte) (*Frame, error) {
 	}
 	r := wire.Open(b, Magic, Version)
 	f := &Frame{Key: r.Str(), Codec: r.Str(), Donation: r.Uvarint(), Cycle: r.Count(), From: r.Count(), To: r.Count()}
-	flags := r.Flags(frameDomainFlag)
+	r.Flags(0)
 	if f.Stack = r.Blob(); f.Stack == nil {
 		r.Corruptf("empty stack payload")
-	}
-	if flags&frameDomainFlag != 0 {
-		if f.DomainState = r.Blob(); f.DomainState == nil {
-			r.Corruptf("domain-state flag set on empty payload")
-		}
 	}
 	if err := r.Close(); err != nil {
 		return nil, fmt.Errorf("steal: %w", err)

@@ -33,7 +33,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		validFrame(),
 		{Key: "", Codec: "synthetic", Donation: 0, Cycle: 0, From: 0, To: 0, Stack: []byte{0}},
 		{Key: "k", Codec: "queens", Donation: 1<<63 + 5, Cycle: 1 << 40, From: 1023, To: 0,
-			Stack: bytes.Repeat([]byte{7}, 300), DomainState: []byte{1, 2, 3}},
+			Stack: bytes.Repeat([]byte{7}, 300)},
 	} {
 		b, err := EncodeFrame(f)
 		if err != nil {
@@ -95,6 +95,8 @@ func TestDecodeFrameRejects(t *testing.T) {
 		{"truncated body", valid[:len(valid)-6], ErrChecksum},
 		{"trailing bytes", refix(append(append([]byte(nil), valid[:len(valid)-4]...), 0xee)), ErrCorrupt},
 		{"unknown flags", mutateFlags(t, valid, 0x80), ErrCorrupt},
+		// Bit 0 once announced a domain-state blob, which no driver shipped.
+		{"retired domain-state flag", mutateFlags(t, valid, 0x01), ErrCorrupt},
 		{"oversized", make([]byte, MaxFrameSize+1), ErrCorrupt},
 	}
 	for _, tc := range cases {

@@ -20,7 +20,7 @@ func FuzzDecodeStealFrame(f *testing.F) {
 	seed(validFrame())
 	seed(&Frame{Codec: "synthetic", Stack: []byte{0}})
 	seed(&Frame{Key: "deadbeef", Codec: "queens", Donation: 1 << 40, Cycle: 99, From: 7, To: 8,
-		Stack: []byte{1, 2, 3}, DomainState: []byte{4, 5}})
+		Stack: []byte{1, 2, 3}})
 	f.Add([]byte(Magic))
 	f.Add([]byte{})
 

@@ -9,8 +9,9 @@ type (
 	TenantStat = server.TenantStat
 )
 
-// NewDRR is server.NewDRR.
-func NewDRR(capacity int, quantum float64) *DRR { return server.NewDRR(capacity, quantum) }
+// NewDRR is server.NewDRR(capacity): the node's queue grants one cost
+// unit a visit, the quantum of 1 benchmark/, its one caller, passes.
+func NewDRR(capacity int, _ float64) *DRR { return server.NewDRR(capacity) }
 
 // Config is what benchmark/ passes New.  Its settings moved into
 // server.Config (MaxBatch, MemLimit); the zero Config, the only value
