@@ -54,8 +54,8 @@ bench-check:
 	$(GO) test -run '^$$' -bench BenchmarkSyntheticExpand -benchtime 100x -benchmem ./internal/synthetic
 
 # The planted mutants: faults in the batched schedule, the GP matcher, the
-# splitters, the PE-record mutators and a finished job's frozen event log
-# that the referees must catch.  Each subtest passes when its mutant is
+# splitters, the PE-record mutators, a finished job's frozen event log and
+# the job history that the referees must catch.  Each subtest passes when its mutant is
 # caught and fails when it survives.
 mutants:
 	$(GO) test -count=1 -run 'TestPlantedMutants|TestArenaMutatorRuns' ./internal/simd ./internal/stack ./internal/server -args -mutants

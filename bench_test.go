@@ -651,16 +651,15 @@ func BenchmarkCacheHit(b *testing.B) {
 
 // BenchmarkJobRecord's job history, and its ceilings on the live heap one
 // history entry keeps, B/entry, row by row: each the value measured at
-// -benchtime 100x once a finished job kept only the events its record
-// cannot rebuild (a run 773, a hit 645, a long job 773, a spooled one
-// 16 982), plus 25 %.  The long row's ceiling is also within twice the
+// -benchtime 100x (a run 738, a hit 610, a long job 739, a spooled one
+// 16 947), plus 25 %.  The long row's ceiling is also within twice the
 // run row's measure, the point of freezing a log to its last tick.
 const (
 	jobRecordHistory = 256
-	jobRecordRun     = 966
-	jobRecordHit     = 806
-	jobRecordLong    = 966
-	jobRecordSpooled = 21228
+	jobRecordRun     = 923
+	jobRecordHit     = 763
+	jobRecordLong    = 924
+	jobRecordSpooled = 21184
 
 	// spooledCheckpoints is the checkpoint events of BenchmarkJobRecord's
 	// spooled row: a 1 M-cycle job at the spool's default cadence.

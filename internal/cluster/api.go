@@ -120,7 +120,7 @@ func (c *Coordinator) submitToNode(ctx context.Context, target string, specJSON 
 // its fleet record, answering 404 itself (f is then nil), and to the node
 // that owns the job and jobURL, its document there.
 func (c *Coordinator) owned(w http.ResponseWriter, r *http.Request) (f *fleetJob, node, jobURL string) {
-	f, ok := c.jobs.get(r.PathValue("id"))
+	f, ok := c.jobs.Get(r.PathValue("id"))
 	if !ok {
 		server.WriteError(w, http.StatusNotFound, "unknown job id")
 		return nil, "", ""
@@ -225,7 +225,7 @@ func withQuery(url string, r *http.Request) string {
 // handleList implements GET /v1/jobs: the fleet's job records, oldest
 // first, without proxying (statuses are as fresh as the last sync).
 func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	jobs := c.jobs.all()
+	jobs := c.jobs.All()
 	out := make([]fleetJobResponse, 0, len(jobs))
 	for _, f := range jobs {
 		out = append(out, f.snapshot(nil))
@@ -306,7 +306,7 @@ func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
 		Status string `json:"status"`
 	}
 	stealJobs := make([]stealJobJSON, 0)
-	for _, f := range c.jobs.all() {
+	for _, f := range c.jobs.All() {
 		f.mu.Lock()
 		if f.stolen {
 			stealJobs = append(stealJobs, stealJobJSON{ID: f.id, Status: f.status})

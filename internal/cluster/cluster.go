@@ -116,9 +116,8 @@ type Coordinator struct {
 	// SubmitCanonical.
 	front http.Handler
 
-	jobs       fleetJobs
+	jobs       *server.JobStore[*fleetJob]
 	ctr        fleetCounters
-	nextID     atomic.Int64
 	started    time.Time
 	failoverMu sync.Mutex  // one failover at a time, the prober's or a sync's
 	syncing    atomic.Bool // a sync SubmitCanonical started is running
@@ -185,7 +184,7 @@ func New(cfg Config) (*Coordinator, error) {
 		stream:   &http.Client{},
 		nodes:    nodes,
 		order:    order,
-		jobs:     newFleetJobs(server.DefaultJobHistory),
+		jobs:     server.NewJobStore[*fleetJob]("f", server.DefaultJobHistory),
 		started:  time.Now(),
 		loopCtx:  loopCtx,
 		loopStop: loopStop,

@@ -18,7 +18,7 @@ import (
 // failover of every ejected node.  The background sync loop calls this on
 // its cadence; tests call it to step deterministically.
 func (c *Coordinator) SyncOnce(ctx context.Context) {
-	for _, f := range c.jobs.all() {
+	for _, f := range c.jobs.All() {
 		f.mu.Lock()
 		terminal, node, nodeJobID := f.terminal, f.node, f.nodeJobID
 		f.mu.Unlock()
@@ -68,7 +68,7 @@ func (c *Coordinator) pullCheckpoint(ctx context.Context, f *fleetJob, node, nod
 func (c *Coordinator) failover(ctx context.Context, dead string) {
 	c.failoverMu.Lock()
 	defer c.failoverMu.Unlock()
-	for _, f := range c.jobs.all() {
+	for _, f := range c.jobs.All() {
 		f.mu.Lock()
 		owned := !f.terminal && f.node == dead
 		ckpt := f.ckpt

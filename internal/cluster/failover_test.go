@@ -130,7 +130,7 @@ func TestFleetKillNodeFailover(t *testing.T) {
 
 	// Pull the warm checkpoint copy, then take the home node dark.
 	c.SyncOnce(ctx)
-	f, ok := c.jobs.get(sub.ID)
+	f, ok := c.jobs.Get(sub.ID)
 	if !ok {
 		t.Fatal("fleet job not in store")
 	}

@@ -12,7 +12,7 @@ import (
 // failover possible when the owning node dies without warning.  It is the
 // server.Job the coordinator's frontend admits and collapses.
 type fleetJob struct {
-	id     string // fleet-level id ("f1", ...)
+	id     string // fleet-level id ("f1", ...), written as the coordinator's store adds the job
 	key    string // canonical cache key; the routing hash
 	spec   []byte // canonical spec JSON, for checkpoint-less re-dispatch
 	tenant string // the submitting tenant, which a re-dispatch keeps
@@ -127,17 +127,4 @@ func (f *fleetJob) ResponseBytes() ([]byte, error) {
 	doc := f.doc
 	f.mu.Unlock()
 	return server.MarshalDoc(f.snapshot(doc))
-}
-
-// fleetJobs is the coordinator's job history: a node's bounded store
-// (server.NewJobStore) over fleet jobs.
-type fleetJobs struct {
-	add func(*fleetJob) int
-	get func(id string) (*fleetJob, bool)
-	all func() []*fleetJob
-}
-
-func newFleetJobs(history int) (s fleetJobs) {
-	s.add, s.get, s.all = server.NewJobStore[*fleetJob](history)
-	return s
 }

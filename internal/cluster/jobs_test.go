@@ -28,7 +28,7 @@ func TestFleetJobHistoryEvicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Shutdown(context.Background()) //lint:allow errdrop no loops are running
-	c.jobs = newFleetJobs(3)
+	c.jobs = server.NewJobStore[*fleetJob]("f", 3)
 	c.ProbeOnce(context.Background())
 	fleet := httptest.NewServer(c.Handler())
 	defer fleet.Close()
@@ -66,7 +66,7 @@ func TestFleetJobHistoryEvicts(t *testing.T) {
 	if got := status(running.ID); got != http.StatusOK {
 		t.Errorf("running job %s: GET answered %d, want 200", running.ID, got)
 	}
-	if got := len(c.jobs.all()); got != 3 {
+	if got := len(c.jobs.All()); got != 3 {
 		t.Errorf("fleet history holds %d jobs, want 3", got)
 	}
 	once.Do(func() { close(release) })
@@ -117,7 +117,7 @@ func TestFleetJobHistoryResolves(t *testing.T) {
 			t.Fatalf("node still holds %s (GET answered %d)", sub.NodeJobID, got)
 		}
 		c.SyncOnce(ctx)
-		f, _ := c.jobs.get(sub.ID)
+		f, _ := c.jobs.Get(sub.ID)
 		if !f.Terminal() {
 			t.Fatal("record of a job its node evicted is still live after a sync")
 		}
@@ -138,7 +138,7 @@ func TestFleetJobHistoryResolves(t *testing.T) {
 		node := startNode(t, server.Config{Workers: 1, Runners: map[string]server.Runner{
 			"gatesim": blockingRunner(&runs, first), "latesim": blockingRunner(&runs, later)}})
 		c, fleet := startFleet(t, Config{Nodes: []string{node.ts.URL}, ExtraDomains: []string{"gatesim", "latesim"}})
-		c.jobs = newFleetJobs(3)
+		c.jobs = server.NewJobStore[*fleetJob]("f", 3)
 		defer close(later)
 		defer once.Do(func() { close(first) })
 		var subs []fleetWireJob
@@ -162,7 +162,7 @@ func TestFleetJobHistoryResolves(t *testing.T) {
 		submit("latesim", 4)
 		deadline := time.Now().Add(10 * time.Second)
 		for _, sub := range subs[:3] {
-			for f, _ := c.jobs.get(sub.ID); !f.Terminal(); time.Sleep(5 * time.Millisecond) {
+			for f, _ := c.jobs.Get(sub.ID); !f.Terminal(); time.Sleep(5 * time.Millisecond) {
 				if time.Now().After(deadline) {
 					t.Fatalf("unpolled job %s never resolved", sub.ID)
 				}
@@ -206,7 +206,7 @@ func TestFleetJobHistoryResolves(t *testing.T) {
 		}
 		eject(other)
 		eject(owner)
-		f, _ := c.jobs.get(sub.ID)
+		f, _ := c.jobs.Get(sub.ID)
 		f.mu.Lock()
 		node, lastErr := f.node, f.lastErr
 		f.mu.Unlock()

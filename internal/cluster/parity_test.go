@@ -183,7 +183,8 @@ func TestNodeFleetParity(t *testing.T) {
 	cases := []struct {
 		name         string
 		node, fleet  paritySide
-		method, path string // path may hold %s for a finished job's id
+		method, path string                 // path may hold %s for a finished job's id
+		spell        func(id string) string // when set, how path spells that id
 		body         string
 		header       map[string]string
 		jobSpec      string              // when set, submitted and finished first on each side
@@ -207,6 +208,26 @@ func TestNodeFleetParity(t *testing.T) {
 		{name: "trace of an untraced job", method: "GET", path: "/v1/jobs/%s/trace", jobSpec: small,
 			wantCode: 409, wantPosts: -1},
 		{name: "unknown job id", method: "GET", path: "/v1/jobs/nope", wantCode: 404, wantPosts: 0},
+		{name: "unknown job id j05", method: "GET", path: "/v1/jobs/j05", wantCode: 404, wantPosts: 0},
+		{name: "unknown job id j+5", method: "GET", path: "/v1/jobs/j+5", wantCode: 404, wantPosts: 0},
+		{name: "unknown job id j-1", method: "GET", path: "/v1/jobs/j-1", wantCode: 404, wantPosts: 0},
+		{name: "unknown job id j0", method: "GET", path: "/v1/jobs/j0", wantCode: 404, wantPosts: 0},
+		{name: "unknown job id J5", method: "GET", path: "/v1/jobs/J5", wantCode: 404, wantPosts: 0},
+		{name: "unknown job id j", method: "GET", path: "/v1/jobs/j", wantCode: 404, wantPosts: 0},
+		{name: "unknown job id past int64", method: "GET", path: "/v1/jobs/j99999999999999999999", wantCode: 404, wantPosts: 0},
+		// A finished job's id as the other side spells its ids ("f1" on a
+		// node, "j1" on the coordinator), zero-padded, or signed.
+		{name: "unknown job id, the other side's prefix", method: "GET", path: "/v1/jobs/%s", jobSpec: small,
+			spell: func(id string) string {
+				if id[0] == 'j' {
+					return "f" + id[1:]
+				}
+				return "j" + id[1:]
+			}, wantCode: 404, wantPosts: -1},
+		{name: "unknown job id, zero-padded", method: "GET", path: "/v1/jobs/%s", jobSpec: small,
+			spell: func(id string) string { return id[:1] + "0" + id[1:] }, wantCode: 404, wantPosts: -1},
+		{name: "unknown job id, signed", method: "GET", path: "/v1/jobs/%s", jobSpec: small,
+			spell: func(id string) string { return id[:1] + "+" + id[1:] }, wantCode: 404, wantPosts: -1},
 		{name: "estimate", method: "POST", path: "/v1/estimate", body: small, view: wholeBody, wantCode: 200, wantPosts: 0},
 		{name: "one-spec batch of a cached spec", method: "POST", path: "/v1/jobs:batch", body: `{"jobs":[` + small + `]}`,
 			jobSpec: small, view: itemKeys, wantCode: 200, wantPosts: 1},
@@ -223,6 +244,9 @@ func TestNodeFleetParity(t *testing.T) {
 				path := tc.path
 				if tc.jobSpec != "" {
 					if id := side.finished(t, tc.jobSpec); strings.Contains(path, "%s") {
+						if tc.spell != nil {
+							id = tc.spell(id)
+						}
 						path = fmt.Sprintf(path, id)
 					}
 				}

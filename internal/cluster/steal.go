@@ -29,7 +29,7 @@ import (
 // was stealable.  The background steal loop calls this on its cadence;
 // tests call it to step deterministically.
 func (c *Coordinator) StealOnce(ctx context.Context) (string, error) {
-	for _, f := range c.jobs.all() {
+	for _, f := range c.jobs.All() {
 		f.mu.Lock()
 		candidate := !f.terminal && f.node != ""
 		donor, jobURL := f.node, f.node+"/v1/jobs/"+f.nodeJobID

@@ -192,7 +192,7 @@ func TestFleetStealDonorDies(t *testing.T) {
 	<-g.reached
 
 	sf.c.SyncOnce(ctx)
-	f, _ := sf.c.jobs.get(sub.ID)
+	f, _ := sf.c.jobs.Get(sub.ID)
 	f.mu.Lock()
 	warm := f.ckpt
 	f.mu.Unlock()

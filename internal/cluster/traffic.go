@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 
 	"simdtree/internal/server"
 )
@@ -64,7 +63,6 @@ func (c *Coordinator) SubmitCanonical(ctx context.Context, canonical server.JobS
 		return nil, &server.Refusal{Code: http.StatusServiceUnavailable, Message: fmt.Sprintf("node %s: %v", target, err)}
 	}
 	f := &fleetJob{
-		id:       "f" + strconv.FormatInt(c.nextID.Add(1), 10),
 		key:      key,
 		spec:     specJSON,
 		tenant:   tenant,
@@ -72,7 +70,7 @@ func (c *Coordinator) SubmitCanonical(ctx context.Context, canonical server.JobS
 		done:     make(chan struct{}),
 	}
 	f.place(target, nj, raw, false)
-	if c.jobs.add(f) > 0 && c.cfg.SyncInterval == 0 && c.syncing.CompareAndSwap(false, true) {
+	if c.jobs.Add(f, &f.id) > 0 && c.cfg.SyncInterval == 0 && c.syncing.CompareAndSwap(false, true) {
 		// No sync loop resolves the live records filling the history.
 		go func() {
 			defer c.syncing.Store(false)

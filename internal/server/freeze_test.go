@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -247,8 +249,8 @@ func TestFreezeReferee(t *testing.T) {
 
 var mutants = flag.Bool("mutants", false, "run the planted mutants: each subtest of TestPlantedMutants passes when the referees catch its mutant")
 
-// TestPlantedMutants runs three planted faults of the event log against
-// its referees; each subtest passes when its mutant is caught and fails
+// TestPlantedMutants runs three planted faults of the event log and two
+// of the job store against their referees; each subtest passes when its mutant is caught and fails
 // when it survives, and they run only with -mutants:
 //
 //   - hit-drops-cache-hit: a cache hit's rebuilt terminal event loses its
@@ -260,6 +262,12 @@ var mutants = flag.Bool("mutants", false, "run the planted mutants: each subtest
 //     event, the queued one, instead of its oldest checkpoint.
 //     lifecycleSurvivesTrim (TestTrimKeepsQueuedAndRunning) catches it on
 //     the live log.
+//   - get-trusts-tail: a lookup returns the job at the id's tail slot
+//     without checking its n, so an evicted id or a misspelled one finds
+//     whatever job sits there.  The store referee (TestJobStoreReferee)
+//     catches it.
+//   - evict-live: an add that overfills the store evicts its head whatever
+//     its status, a live job included.  The store referee catches it.
 func TestPlantedMutants(t *testing.T) {
 	if !*mutants {
 		t.Skip("planted mutants run with -mutants; each must be caught")
@@ -300,6 +308,36 @@ func TestPlantedMutants(t *testing.T) {
 				l.mu.Unlock()
 				l.Append(ev)
 			})
+		}},
+		{"get-trusts-tail", func(*testing.T) error {
+			return storeReferee(400, nil, func(s *JobStore[*job], id string) (*job, bool) {
+				n, err := strconv.ParseInt(strings.TrimPrefix(id, "j"), 10, 64)
+				s.mu.Lock()
+				stored := s.order[s.head:]
+				i := len(stored) - 1 - int(s.next-n)
+				s.mu.Unlock()
+				if err == nil && i >= 0 && i < len(stored) {
+					return stored[i].job, true
+				}
+				return s.Get(id)
+			})
+		}},
+		{"evict-live", func(*testing.T) error {
+			return storeReferee(400, func(s *JobStore[*job], j *job) int {
+				s.mu.Lock()
+				var head *job
+				if s.head < len(s.order) {
+					head = s.order[s.head].job
+				}
+				s.mu.Unlock()
+				if head != nil {
+					// The head looks terminal to the add that evicts it.
+					status := head.status
+					head.status = StatusDone
+					defer func() { head.status = status }()
+				}
+				return s.Add(j, &j.id)
+			}, nil)
 		}},
 	} {
 		t.Run(m.name, func(t *testing.T) {

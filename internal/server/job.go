@@ -1,10 +1,13 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -49,8 +52,12 @@ var (
 // job is one search request as a node's history keeps it: a record that
 // answers the job document, its event stream and its trace, plus while the
 // job is live the run that only a queued or running job needs.  It is the
-// node's Job.  id, spec, key, tenant and hit are set before the job is
-// published and never change; the rest is under mu.
+// node's Job.  spec, key, tenant and hit are set before the job is
+// published and never change.  id is written once, by the store's Add
+// under its lock: a new job reaches the queue before the store, but the
+// queue, the worker and the spool (keyed by the cache key) never read
+// its id, and its submitter reads it only after Add.  The rest is under
+// mu.
 type job struct {
 	id     string
 	spec   JobSpec // canonical
@@ -344,39 +351,47 @@ func (j *job) ResponseBytes() ([]byte, error) {
 	return marshalDoc(renderJob(j.view()))
 }
 
-// jobStore maps ids to Jobs — a node's *job, or the fleet coordinator's
-// record of a routed job — and bounds its memory by evicting the oldest
-// *terminal* jobs beyond the history cap (running and queued jobs are
-// never evicted).
+// JobStore is a bounded job history that names the jobs it stores: a
+// node's *job ("j1", ...) or the fleet coordinator's record of a routed
+// job ("f1", ...).  It evicts the oldest *terminal* jobs beyond the
+// history cap; queued and running jobs are never evicted.
 //
-// order is a queue: order[head:] holds the stored jobs in submission
-// order, order[:head] the nil slots evictions left.  Evicting the job at
-// order[i] moves the jobs older than it — all queued or running, since
-// it is the oldest terminal one — up a slot, so the hole is always at the
-// head.  An add costs O(1) amortized plus those queued or running jobs,
-// which a node's queue size and worker count bound.  A full slice is
-// compacted in place when its dead head is at least half of it, and byID
-// rebuilt with it, and regrown to 2·stored+1 otherwise, so it stays
-// within 2·history+1 slots.
-type jobStore[J Job] struct {
+// An id is the prefix and n, the count of adds, minted under the lock, so
+// order[head:] holds the stored (n, job) slots sorted by n, and
+// order[:head] the empty slots evictions left.  Evicting the job at
+// order[i] moves the jobs older than it (all live, since it is the oldest
+// terminal one) up a slot, so the hole is always at the head and a job
+// added after the last eviction sits next-n slots from the end: Get tries
+// that slot, and binary-searches for the live jobs an eviction shifted.
+// An add costs O(1) amortized plus those live jobs, which a node's queue
+// size and worker count bound.  A full slice is compacted in place when
+// its dead head is at least half of it, and regrown to 2·stored+1
+// otherwise, so it stays within 2·history+1 slots.
+type JobStore[J Job] struct {
 	mu      sync.Mutex
-	byID    map[string]J
-	order   []J
+	prefix  string
+	order   []storeSlot[J]
 	head    int
+	next    int64 // n of the newest job, 0 before the first add
 	history int
 }
 
-func newJobStore[J Job](history int) *jobStore[J] {
-	if history < 1 {
-		history = 1
-	}
-	return &jobStore[J]{byID: make(map[string]J), history: history}
+type storeSlot[J Job] struct {
+	n   int64
+	job J
 }
 
-// add stores j and evicts the oldest terminal jobs past the history.  It
-// returns how far the store is still past the history, which is non-zero
-// only when every job it holds is live.
-func (s *jobStore[J]) add(j J) (over int) {
+// NewJobStore returns an empty store that names its jobs prefix+"1",
+// prefix+"2", ... and keeps at least history of them.
+func NewJobStore[J Job](prefix string, history int) *JobStore[J] {
+	return &JobStore[J]{prefix: prefix, history: max(history, 1)}
+}
+
+// Add stores j under the next id, written to *id under the store's lock
+// (so no Get finds j before it is named), and evicts the oldest terminal
+// jobs past the history.  It returns how far the store is still past the
+// history, which is non-zero only when every job it holds is live.
+func (s *JobStore[J]) Add(j J, id *string) (over int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.order) == cap(s.order) {
@@ -384,56 +399,57 @@ func (s *jobStore[J]) add(j J) (over int) {
 		if 2*s.head >= len(s.order) {
 			clear(s.order[copy(s.order, stored):])
 			s.order = s.order[:len(stored)]
-			// A map keeps the room its deletes left, so the index is
-			// rebuilt with the queue: it stays the size of what the store
-			// holds, not of every job it has served.
-			s.byID = make(map[string]J, len(s.order)+1)
-			for _, k := range s.order {
-				s.byID[k.ID()] = k
-			}
 		} else {
-			s.order = append(make([]J, 0, 2*len(stored)+1), stored...)
+			s.order = append(make([]storeSlot[J], 0, 2*len(stored)+1), stored...)
 		}
 		s.head = 0
 	}
-	s.byID[j.ID()] = j
-	s.order = append(s.order, j)
-	var none J
+	s.next++
+	var b [24]byte
+	*id = string(strconv.AppendInt(append(b[:0], s.prefix...), s.next, 10))
+	s.order = append(s.order, storeSlot[J]{s.next, j})
 	over = len(s.order) - s.head - s.history
 	for i := s.head; over > 0 && i < len(s.order); i++ {
-		victim := s.order[i]
-		if !victim.Terminal() {
+		if !s.order[i].job.Terminal() {
 			continue
 		}
-		delete(s.byID, victim.ID())
 		copy(s.order[s.head+1:i+1], s.order[s.head:i])
-		s.order[s.head] = none
+		s.order[s.head] = storeSlot[J]{}
 		s.head++
 		over--
 	}
 	return max(over, 0)
 }
 
-func (s *jobStore[J]) get(id string) (J, bool) {
+// Get returns the job stored under id.  Only an id's own spelling finds
+// its job: ParseInt reads "05" and "+5" as 5, and TrimPrefix passes an id
+// without the prefix, so a hit must also match the job's ID.
+func (s *JobStore[J]) Get(id string) (J, bool) {
+	var none J
+	n, err := strconv.ParseInt(strings.TrimPrefix(id, s.prefix), 10, 64)
+	if err != nil {
+		return none, false
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.byID[id]
-	return j, ok
+	stored := s.order[s.head:]
+	i, ok := len(stored)-1-int(s.next-n), true
+	if i < 0 || i >= len(stored) || stored[i].n != n {
+		i, ok = slices.BinarySearchFunc(stored, n, func(sl storeSlot[J], n int64) int { return cmp.Compare(sl.n, n) })
+	}
+	if !ok || stored[i].job.ID() != id {
+		return none, false
+	}
+	return stored[i].job, true
 }
 
-// all returns the stored jobs in submission order.
-func (s *jobStore[J]) all() []J {
+// All returns the stored jobs in submission order, which is id order.
+func (s *JobStore[J]) All() []J {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return slices.Clone(s.order[s.head:])
-}
-
-// NewJobStore is a node's bounded job history for a caller outside this
-// package — the fleet coordinator keeps its routed jobs in one — as its
-// three operations: add stores a job, evicting the oldest terminal ones
-// past history, and reports how far past it the live ones keep the store;
-// get looks one up by id; all lists them in submission order.
-func NewJobStore[J Job](history int) (add func(J) int, get func(id string) (J, bool), all func() []J) {
-	s := newJobStore[J](history)
-	return s.add, s.get, s.all
+	out := make([]J, 0, len(s.order)-s.head)
+	for _, sl := range s.order[s.head:] {
+		out = append(out, sl.job)
+	}
+	return out
 }

@@ -142,7 +142,7 @@ func TestResumePastDroppedTick(t *testing.T) {
 	if err != nil || doc.Status != StatusDone {
 		t.Fatalf("job %+v (%v), want done", doc, err)
 	}
-	j, _ := s.store.get(doc.ID)
+	j, _ := s.store.Get(doc.ID)
 	frozen, wake := j.eventsSince(0)
 	if wake != nil {
 		t.Fatal("a finished job hands out a wake channel")
@@ -250,7 +250,7 @@ func TestImportReleasesResume(t *testing.T) {
 	}
 	<-started
 
-	j, _ := s.store.get(doc.ID)
+	j, _ := s.store.Get(doc.ID)
 	j.mu.Lock()
 	resume := j.run.resume
 	j.mu.Unlock()
@@ -299,7 +299,7 @@ func TestTerminalTransitionRaces(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		j := s.newJob(spec, fmt.Sprintf("k%d", i), DefaultTenant, nil, time.Now())
 		j.run.events.Append(JobEvent{Type: EventStatus, Status: StatusQueued})
-		s.store.add(j)
+		s.store.Add(j, &j.id)
 		j.setYield(func(error) {})
 
 		start := make(chan struct{})

@@ -8,7 +8,6 @@ import (
 	"runtime/debug"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"simdtree/internal/checkpoint"
@@ -138,7 +137,7 @@ type Server struct {
 	runners   map[string]Runner
 	domains   map[string]bool
 	cache     *resultCache
-	store     *jobStore[*job]
+	store     *JobStore[*job]
 	latencies *schemeLatencies
 	spool     *spool // nil when spooling is disabled
 	steal     *stealRegistry
@@ -151,7 +150,6 @@ type Server struct {
 	queue *DRR      // the one queue, and the one admission decision
 	front *frontend // the one front door (Handler)
 
-	nextID  atomic.Int64
 	started time.Time
 	wg      sync.WaitGroup
 }
@@ -181,7 +179,7 @@ func New(cfg Config) (*Server, error) {
 		runners:   runners,
 		domains:   domains,
 		cache:     newResultCache(cfg.CacheSize),
-		store:     newJobStore[*job](cfg.JobHistory),
+		store:     NewJobStore[*job]("j", cfg.JobHistory),
 		latencies: newSchemeLatencies(),
 		steal:     newStealRegistry(),
 		peers:     caller(&http.Client{Timeout: peerTimeout}),
@@ -336,14 +334,13 @@ func renderJob(v jobView) jobResponse {
 	return r
 }
 
-// newJob builds a queued job of tenant under a fresh id: its record, and
-// the run whose context derives from the server's root, with resume the
-// checkpoint the run restores (nil for a fresh run).  Submission, import
-// and spool resumption share it.
+// newJob builds a queued job of tenant, which the store names as it adds
+// it: its record, and the run whose context derives from the server's
+// root, with resume the checkpoint the run restores (nil for a fresh
+// run).  Submission, import and spool resumption share it.
 func (s *Server) newJob(canonical JobSpec, key, tenant string, resume []byte, now time.Time) *job {
 	ctx, cancel := context.WithCancelCause(s.rootCtx)
 	return &job{
-		id:        s.newID(),
 		spec:      canonical,
 		key:       key,
 		tenant:    tenant,
@@ -351,13 +348,6 @@ func (s *Server) newJob(canonical JobSpec, key, tenant string, resume []byte, no
 		submitted: now,
 		run:       &jobRun{ctx: ctx, cancel: cancel, done: make(chan struct{}), resume: resume, cost: 1},
 	}
-}
-
-// newID returns the next job id ("j1", ...), one allocation however many
-// digits it has.
-func (s *Server) newID() string {
-	var b [24]byte
-	return string(strconv.AppendInt(append(b[:0], 'j'), s.nextID.Add(1), 10))
 }
 
 // hitJob is the deterministic-cache fast path: when an identical canonical
@@ -373,7 +363,6 @@ func (s *Server) hitJob(canonical JobSpec, key, tenant string, now time.Time) (j
 	}
 	s.ctr.cacheHits.Add(1)
 	j = &job{
-		id:        s.newID(),
 		spec:      canonical,
 		key:       key,
 		tenant:    tenant,
@@ -386,7 +375,7 @@ func (s *Server) hitJob(canonical JobSpec, key, tenant string, now time.Time) (j
 		started:   now,
 		finished:  now,
 	}
-	s.store.add(j)
+	s.store.Add(j, &j.id)
 	s.ctr.jobsDone.Add(1)
 	return j, true
 }
@@ -425,13 +414,13 @@ func (s *Server) enqueue(j *job, quota bool) *Refusal {
 		}
 	}
 	s.ctr.jobsQueued.Add(1)
-	s.store.add(j)
+	s.store.Add(j, &j.id)
 	return nil
 }
 
 // handleGet implements GET /v1/jobs/{id}.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.store.get(r.PathValue("id"))
+	j, ok := s.store.Get(r.PathValue("id"))
 	if !ok {
 		WriteError(w, http.StatusNotFound, "unknown job id")
 		return
@@ -441,7 +430,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 
 // handleList implements GET /v1/jobs: all addressable jobs, oldest first.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	jobs := s.store.all()
+	jobs := s.store.All()
 	out := make([]jobResponse, 0, len(jobs))
 	for _, j := range jobs {
 		out = append(out, renderJob(j.view()))
@@ -453,7 +442,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 // tenant (X-Tenant) may cancel a live job; any other is refused 403.
 // Cancelling a terminal job is a no-op that reports the final state.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.store.get(r.PathValue("id"))
+	j, ok := s.store.Get(r.PathValue("id"))
 	if !ok {
 		WriteError(w, http.StatusNotFound, "unknown job id")
 		return
@@ -472,7 +461,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleTrace implements GET /v1/jobs/{id}/trace.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.store.get(r.PathValue("id"))
+	j, ok := s.store.Get(r.PathValue("id"))
 	if !ok {
 		WriteError(w, http.StatusNotFound, "unknown job id")
 		return
@@ -484,7 +473,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // handleEvents implements GET /v1/jobs/{id}/events: the job's progress
 // stream as Server-Sent Events, resumable with Last-Event-ID.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.store.get(r.PathValue("id"))
+	j, ok := s.store.Get(r.PathValue("id"))
 	if !ok {
 		WriteError(w, http.StatusNotFound, "unknown job id")
 		return

@@ -177,7 +177,7 @@ func TestCancelRunningJob(t *testing.T) {
 	// so the cancel exercises the engine's cycle-boundary check mid-run.
 	// Status "running" alone is not that: a DELETE sent on it can land
 	// before cycle 1 ends, and the run then reports no cycles.
-	h, ok := s.store.get(j.ID)
+	h, ok := s.store.Get(j.ID)
 	if !ok {
 		t.Fatalf("job %s not addressable", j.ID)
 	}
@@ -277,6 +277,14 @@ func TestHandlerTable(t *testing.T) {
 		return resp
 	}
 	const blocked = `{"domain":"block","scheme":"GP-DK","p":8}`
+	unknownJob := func(t *testing.T, resp *http.Response) {
+		var doc struct {
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil || doc.Error != "unknown job id" {
+			t.Errorf("error %q (%v), want \"unknown job id\"", doc.Error, err)
+		}
+	}
 	cases := []struct {
 		name  string
 		do    func() *http.Response
@@ -289,7 +297,7 @@ func TestHandlerTable(t *testing.T) {
 		{"bad scheme", func() *http.Response {
 			return post("/v1/jobs", `{"domain":"queens","scheme":"zz","p":4,"queens":{"n":6}}`)
 		}, http.StatusBadRequest, nil},
-		{"unknown job", func() *http.Response { return get("/v1/jobs/j999") }, http.StatusNotFound, nil},
+		{"unknown job", func() *http.Response { return get("/v1/jobs/j999") }, http.StatusNotFound, unknownJob},
 		{"unknown trace", func() *http.Response { return get("/v1/jobs/j999/trace") }, http.StatusNotFound, nil},
 		{"method not allowed", func() *http.Response { return post("/healthz", "") }, http.StatusMethodNotAllowed, nil},
 		{"healthz", func() *http.Response { return get("/healthz") }, http.StatusOK, nil},
@@ -337,6 +345,19 @@ func TestHandlerTable(t *testing.T) {
 				t.Errorf("%s = %q: a submission joined a run under another timeout_ms", collapsedHeader, h)
 			}
 		}},
+		// The batch's done job is j1: only that spelling finds it.
+		{"known job", func() *http.Response { return get("/v1/jobs/j1") }, http.StatusOK, nil},
+		{"unknown job j01", func() *http.Response { return get("/v1/jobs/j01") }, http.StatusNotFound, unknownJob},
+		{"unknown job j+1", func() *http.Response { return get("/v1/jobs/j+1") }, http.StatusNotFound, unknownJob},
+		{"unknown job J1", func() *http.Response { return get("/v1/jobs/J1") }, http.StatusNotFound, unknownJob},
+		{"unknown job f1", func() *http.Response { return get("/v1/jobs/f1") }, http.StatusNotFound, unknownJob},
+		{"unknown job j05", func() *http.Response { return get("/v1/jobs/j05") }, http.StatusNotFound, unknownJob},
+		{"unknown job j+5", func() *http.Response { return get("/v1/jobs/j+5") }, http.StatusNotFound, unknownJob},
+		{"unknown job J5", func() *http.Response { return get("/v1/jobs/J5") }, http.StatusNotFound, unknownJob},
+		{"unknown job j-1", func() *http.Response { return get("/v1/jobs/j-1") }, http.StatusNotFound, unknownJob},
+		{"unknown job j0", func() *http.Response { return get("/v1/jobs/j0") }, http.StatusNotFound, unknownJob},
+		{"unknown job j", func() *http.Response { return get("/v1/jobs/j") }, http.StatusNotFound, unknownJob},
+		{"unknown job past int64", func() *http.Response { return get("/v1/jobs/j99999999999999999999") }, http.StatusNotFound, unknownJob},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -662,7 +662,7 @@ func TestSpecOfBindsSpecToFrameP(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, ts := testServer(t, Config{Workers: 1, Spool: dir})
-	if jobs := s.store.all(); len(jobs) != 0 {
+	if jobs := s.store.All(); len(jobs) != 0 {
 		t.Errorf("rescan queued %d job(s) from the mismatched checkpoint", len(jobs))
 	}
 	code, body, err := httpCall(context.Background(), http.MethodPost, ts.URL+"/v1/jobs/import", checkpoint.ContentType, frame)

@@ -166,7 +166,7 @@ func TestSpillSpoolKillAndRestart(t *testing.T) {
 		}
 	})
 	resumedID := ""
-	for _, j := range b.store.all() {
+	for _, j := range b.store.All() {
 		resumedID = j.id
 	}
 	if resumedID == "" {

@@ -134,7 +134,7 @@ func TestSpoolKillAndRestart(t *testing.T) {
 		}
 	})
 	resumedID := ""
-	for _, j := range b.store.all() {
+	for _, j := range b.store.All() {
 		resumedID = j.id
 	}
 	if resumedID == "" {
@@ -233,7 +233,7 @@ func TestSpoolRescanRejectsForeignFiles(t *testing.T) {
 			t.Errorf("shutdown: %v", err)
 		}
 	})
-	if jobs := b.store.all(); len(jobs) != 0 {
+	if jobs := b.store.All(); len(jobs) != 0 {
 		t.Fatalf("rescan resurrected %d job(s) from invalid files", len(jobs))
 	}
 	for _, name := range []string{"junk" + spoolExt, "renamed" + spoolExt} {
@@ -294,7 +294,7 @@ func TestSpoolRefusesIDAStarCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, ts := testServer(t, Config{Workers: 1, Spool: dir})
-	jobs := s.store.all()
+	jobs := s.store.All()
 	if len(jobs) != 1 {
 		t.Fatalf("rescan found %d jobs, want the IDA* checkpoint's", len(jobs))
 	}

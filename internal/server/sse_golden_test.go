@@ -134,7 +134,7 @@ func TestFinishedJobSSEGolden(t *testing.T) {
 	}
 	tsA.Close()
 	s, ts = testServer(t, Config{Workers: 1, Spool: dir, CheckpointEvery: 500, ProgressEvery: 1000, Runners: runner(nil)})
-	resumed := s.store.all()
+	resumed := s.store.All()
 	if len(resumed) != 1 {
 		t.Fatalf("the restarted node holds %d jobs, want the resumed one", len(resumed))
 	}
@@ -171,7 +171,7 @@ func TestFinishedJobSSEGolden(t *testing.T) {
 
 	for _, kind := range []string{"done", "cancelled-queued", "cancelled-running", "timeout", "exhausted", "cache-hit", "spool-resumed", "imported"} {
 		f := finished[kind]
-		j, _ := f.s.store.get(f.id)
+		j, _ := f.s.store.Get(f.id)
 		all, _ := j.eventsSince(0)
 		last := all[len(all)-1].Seq
 		var got strings.Builder

@@ -150,7 +150,7 @@ func (s *Server) stealRefusal(j *job, n int) string {
 // handleStealable implements GET /v1/jobs/{id}/stealable: can this job be
 // split across the fleet right now?
 func (s *Server) handleStealable(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.store.get(r.PathValue("id"))
+	j, ok := s.store.Get(r.PathValue("id"))
 	if !ok {
 		WriteError(w, http.StatusNotFound, "unknown job id")
 		return
@@ -167,7 +167,7 @@ func (s *Server) handleStealable(w http.ResponseWriter, r *http.Request) {
 // 409 when the job cannot be split or its run ended first, a 502 when a
 // peer could not take its shard (the job then runs on single-node).
 func (s *Server) handleSteal(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.store.get(r.PathValue("id"))
+	j, ok := s.store.Get(r.PathValue("id"))
 	if !ok {
 		WriteError(w, http.StatusNotFound, "unknown job id")
 		return

@@ -26,7 +26,7 @@ import (
 // already finished and cleaned); 409 when the server runs without a
 // spool.
 func (s *Server) handleExportCheckpoint(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.store.get(r.PathValue("id"))
+	j, ok := s.store.Get(r.PathValue("id"))
 	if !ok {
 		WriteError(w, http.StatusNotFound, "unknown job id")
 		return
